@@ -71,16 +71,11 @@ latency-smoke:
 online-smoke:
 	$(GO) run ./cmd/flexplace -smoke
 
-# What CI runs (.github/workflows/ci.yml): the full gate plus a race pass
-# over the concurrent packages (./internal/obs/... covers obs/tsdb and
-# obs/slo; ./internal/fleet covers the shard lifecycle and isolation
-# stress; ./internal/placement/online covers the admitter's concurrent
-# admit/remove against the background resolver), a flexmon smoke run with
-# the observability surface enabled, the record→replay determinism check,
-# the SLO smoke episode, the fleet smoke emulation, and the
-# latency-attribution smoke, and the online-placement acceptance smoke.
+# What CI runs (.github/workflows/ci.yml): the full gate, the five
+# smokes, the whole tree under the race detector, and a flexmon smoke run
+# with the observability surface enabled.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke
-	$(GO) test -race ./internal/telemetry/... ./internal/controller/... ./internal/rackmgr/... ./internal/obs/... ./internal/replay/... ./internal/milp/... ./internal/lp/... ./internal/fleet/... ./internal/emu/... ./internal/placement/online/
+	$(GO) test -race ./...
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 
 cover:
@@ -96,8 +91,9 @@ bench:
 	@echo wrote BENCH_baseline.json
 
 # Records the solver-scaling baseline (BenchmarkSolverScaling: serial
-# reference engine vs 1/2/4/8 frontier workers on the batch-placement
-# ILP). Inspect the speedups with:
+# reference engine vs the free-running and the Deterministic engine at
+# 1/2/4/8 workers on the batch-placement ILP, nodes/s and objective
+# reached). Inspect the speedups with:
 #   $(GO) run ./cmd/benchjson -speedup BENCH_solver.json
 bench-solver:
 	$(GO) test -run '^$$' -bench BenchmarkSolverScaling -benchtime 3x . | $(GO) run ./cmd/benchjson -o BENCH_solver.json
@@ -153,6 +149,8 @@ figures:
 fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=30s -run=Fuzz .
 	$(GO) test -fuzz=FuzzImpactFunction -fuzztime=30s -run=Fuzz .
+	$(GO) test -fuzz=FuzzLedgerMatchesLoadFlow -fuzztime=30s -run=Fuzz ./internal/power
+	$(GO) test -fuzz=FuzzStateMatchesAdmitter -fuzztime=30s -run=Fuzz ./internal/placement
 
 examples:
 	$(GO) run ./examples/quickstart

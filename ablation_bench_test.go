@@ -100,7 +100,7 @@ func BenchmarkAblation_ImpactVsPowerGreedy(b *testing.B) {
 			rackPower := sim.SampleRackPowers(racks, 0.84, rng)
 			load := sim.PairLoadFromRacks(room.Topo, racks, rackPower)
 			ups := room.Topo.FailoverLoads(load, power.UPSID(f))
-			acts, _, err := PlanActions(PlanInput{
+			acts, _, err := PlanActionsContext(context.Background(), PlanInput{
 				Topo: room.Topo, Racks: managed, UPSPower: ups,
 				RackPower: rackPower,
 				Inactive:  map[UPSID]bool{UPSID(f): true},
@@ -225,7 +225,7 @@ func BenchmarkAblation_SafetyBuffer(b *testing.B) {
 					}
 					load := sim.PairLoadFromRacks(room.Topo, racks, truePower)
 					ups := room.Topo.FailoverLoads(load, power.UPSID(f))
-					acts, _, err := PlanActions(PlanInput{
+					acts, _, err := PlanActionsContext(context.Background(), PlanInput{
 						Topo: room.Topo, Racks: managed, UPSPower: ups,
 						RackPower: seen,
 						Inactive:  map[UPSID]bool{UPSID(f): true},
@@ -320,7 +320,7 @@ func BenchmarkSectionVI_PartialReserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		topo := PaperRoom().Topo
 		for _, alpha := range []float64{0, 0.42, 1.0} {
-			room, err := PartialReserveRoom(topo, 60, alpha)
+			room, err := NewPlacementRoom(topo, WithSlotsPerPair(60), WithReserveUtilization(alpha))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func BenchmarkExtension_FlexPlusOversubscription(b *testing.B) {
 		}
 		pol := FlexOffline{BatchFraction: 0.5, MaxNodes: 200}
 		for _, over := range []float64{1.0, 1.10, 1.20} {
-			room, err := NewRoom(topo, 140)
+			room, err := NewPlacementRoom(topo, WithSlotsPerPair(140))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -106,35 +106,50 @@ func solverBenchProblem(b *testing.B) *MILPProblem {
 	return BatchPlacementILP(room, trace[:40])
 }
 
-// BenchmarkSolverScaling measures branch-and-bound node throughput on the
-// batch-placement ILP: the preserved serial reference engine vs the
-// frontier engine at 1/2/4/8 workers, all truncated at the same node
-// budget. The nodes/s metric feeds BENCH_solver.json (make bench);
-// benchjson -speedup reports each variant relative to "serial".
+// BenchmarkSolverScaling measures branch-and-bound node throughput and
+// the objective reached on the batch-placement ILP, all truncated at the
+// same node budget with no warm start: the preserved serial reference
+// engine, the free-running diving engine at 1/2/4/8 workers, and the
+// Deterministic round-based engine — the mode every production caller
+// (FlexOffline, the online re-solve) runs — at the same worker counts. The
+// two engines share the chart so that neither is retired on the other's
+// numbers. The metrics feed BENCH_solver.json (make bench-solver);
+// benchjson -speedup reports each variant's nodes/s relative to "serial".
 func BenchmarkSolverScaling(b *testing.B) {
 	p := solverBenchProblem(b)
 	const nodeBudget = 300
 
 	b.Run("serial", func(b *testing.B) {
-		total := 0
+		total, obj := 0, 0.0
 		for i := 0; i < b.N; i++ {
-			n, _ := referenceSerialSolve(p, nodeBudget)
+			var n int
+			n, obj = referenceSerialSolve(p, nodeBudget)
 			total += n
 		}
 		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "nodes/s")
+		b.ReportMetric(obj, "objective")
 	})
 
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				r, err := SolveMILP(context.Background(), p, SolveOptions{Workers: w, MaxNodes: nodeBudget})
-				if err != nil {
-					b.Fatal(err)
+	for _, engine := range []struct {
+		prefix        string
+		deterministic bool
+	}{{"", false}, {"deterministic/", true}} {
+		for _, w := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%sworkers=%d", engine.prefix, w), func(b *testing.B) {
+				total, obj := 0, 0.0
+				for i := 0; i < b.N; i++ {
+					r, err := SolveMILP(context.Background(), p, SolveOptions{
+						Workers: w, MaxNodes: nodeBudget, Deterministic: engine.deterministic,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					total += r.Nodes
+					obj = r.Objective
 				}
-				total += r.Nodes
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "nodes/s")
-		})
+				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "nodes/s")
+				b.ReportMetric(obj, "objective")
+			})
+		}
 	}
 }

@@ -279,7 +279,7 @@ func BenchmarkFigure12_RuntimeDecisions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sc := range Figure11Scenarios() {
-			pts, err := RunFigure12(Figure12Config{
+			pts, err := RunFigure12Context(context.Background(), Figure12Config{
 				Placement:         pl,
 				Scenario:          sc,
 				Utilizations:      []float64{0.74, 0.78, 0.82, 0.85},
@@ -309,7 +309,7 @@ func BenchmarkFigure13_EndToEndEmulation(b *testing.B) {
 		"end-to-end emulation: 4.8MW room, 80% util, UPS failure and recovery (paper: 64% SR shut, 51% throttled, ~2s actions)")
 	for i := 0; i < b.N; i++ {
 		sc := ScenarioRealistic1()
-		res, err := RunEmulation(EmulationConfig{
+		res, err := RunEmulationContext(context.Background(), EmulationConfig{
 			Scenario:  &sc,
 			Tick:      time.Second,
 			FailAt:    6 * time.Minute,
@@ -346,7 +346,7 @@ func BenchmarkSectionVC_ThrottlingLatency(b *testing.B) {
 		"TPC-E-like p95 latency increase on throttled racks (paper: +4.7% average, +14% worst)")
 	for i := 0; i < b.N; i++ {
 		sc := ScenarioRealistic1()
-		res, err := RunEmulation(EmulationConfig{
+		res, err := RunEmulationContext(context.Background(), EmulationConfig{
 			Scenario:  &sc,
 			Tick:      time.Second,
 			FailAt:    4 * time.Minute,
@@ -417,7 +417,7 @@ func BenchmarkSectionVI_EndToEndLatency(b *testing.B) {
 		var detect, shave []float64
 		for seed := int64(1); seed <= 3; seed++ {
 			sc := ScenarioRealistic1()
-			res, err := RunEmulation(EmulationConfig{
+			res, err := RunEmulationContext(context.Background(), EmulationConfig{
 				Scenario:  &sc,
 				Tick:      500 * time.Millisecond,
 				FailAt:    3 * time.Minute,

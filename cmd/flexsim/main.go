@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	switch *experiment {
 	case "fig12":
-		return runFigure12(out, *seed, *samples, *workers, *csvDir, milp.NewMetrics(reg), rec)
+		return runFigure12(ctx, out, *seed, *samples, *workers, *csvDir, milp.NewMetrics(reg), rec)
 	case "episode":
 		return runEpisode(ctx, out, *seed, rec, reg, aud)
 	case "fleet":
@@ -207,7 +207,7 @@ func assertSLOSmoke(aud *slo.Auditor) error {
 	return nil
 }
 
-func runFigure12(out io.Writer, seed int64, samples, workers int, csvDir string, sm *milp.Metrics, rec *flex.FlightRecorder) error {
+func runFigure12(ctx context.Context, out io.Writer, seed int64, samples, workers int, csvDir string, sm *milp.Metrics, rec *flex.FlightRecorder) error {
 	room := flex.PaperRoom()
 	trace, err := flex.GenerateTrace(flex.DefaultTraceConfig(room.Topo.ProvisionedPower()), seed)
 	if err != nil {
@@ -217,13 +217,13 @@ func runFigure12(out io.Writer, seed int64, samples, workers int, csvDir string,
 	pol.MaxNodes = 300
 	pol.SolverMetrics = sm
 	pol.Workers = workers
-	pl, err := pol.Place(context.Background(), room, trace)
+	pl, err := pol.Place(ctx, room, trace)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "Figure 12: Flex-Online decisions vs utilization (mean±std over all UPS failures)\n")
 	for _, sc := range flex.Figure11Scenarios() {
-		pts, err := flex.RunFigure12(flex.Figure12Config{
+		pts, err := flex.RunFigure12Context(ctx, flex.Figure12Config{
 			Placement:         pl,
 			Scenario:          sc,
 			Utilizations:      []float64{0.74, 0.76, 0.78, 0.80, 0.82, 0.84},

@@ -36,7 +36,7 @@ func ExampleFlexOffline() {
 	// stranded below 10%: true
 }
 
-// ExamplePlanActions runs Algorithm 1 for a failover snapshot.
+// ExamplePlanActionsContext runs Algorithm 1 for a failover snapshot.
 func ExamplePlanActionsContext() {
 	room := flex.PaperRoom()
 	trace, _ := flex.GenerateTrace(flex.DefaultTraceConfig(room.Topo.ProvisionedPower()), 42)

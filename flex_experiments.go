@@ -33,16 +33,10 @@ func ExpandRacks(pl *Placement) []RackInstance { return sim.ExpandRacks(pl) }
 // ManagedRacks converts racks to the controller representation.
 func ManagedRacks(racks []RackInstance) []ManagedRack { return sim.ManagedRacks(racks) }
 
-// RunFigure12 produces the Figure 12 series for one scenario.
-func RunFigure12(cfg Figure12Config) ([]Figure12Point, error) { return sim.RunFigure12(cfg) }
-
-// RunEmulation executes the Figure 13 end-to-end emulation without an
-// external cancellation point.
-//
-// Deprecated: use RunEmulationContext.
-func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
-	//flexlint:ignore ctxflow deprecated ctx-less facade shorthand; live callers use RunEmulationContext
-	return emu.Run(context.Background(), cfg)
+// RunFigure12Context produces the Figure 12 series for one scenario. ctx
+// bounds every planning pass of the sweep.
+func RunFigure12Context(ctx context.Context, cfg Figure12Config) ([]Figure12Point, error) {
+	return sim.RunFigure12(ctx, cfg)
 }
 
 // RunEmulationContext executes the Figure 13 end-to-end emulation. ctx

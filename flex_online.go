@@ -38,17 +38,9 @@ func NewRackManager(rackIDs []string) *RackManager {
 	return rackmgr.NewManager(clock.Real{}, rackIDs)
 }
 
-// PlanActions runs the paper's Algorithm 1 on a power snapshot.
-//
-// Deprecated: use PlanActionsContext, which adds a cancellation point per
-// greedy iteration.
-func PlanActions(in PlanInput) (actions []PlannedAction, insufficient bool, err error) {
-	return controller.Plan(in)
-}
-
-// PlanActionsContext is the context-first form of PlanActions, with a
-// cancellation point per greedy iteration; on expiry it returns the
-// truncated plan with context.Cause(ctx).
+// PlanActionsContext runs the paper's Algorithm 1 on a power snapshot,
+// with a cancellation point per greedy iteration; on expiry it returns
+// the truncated plan with context.Cause(ctx).
 func PlanActionsContext(ctx context.Context, in PlanInput) (actions []PlannedAction, insufficient bool, err error) {
 	return controller.PlanContext(ctx, in)
 }
@@ -125,9 +117,3 @@ func NewOnlineController(topo *Topology, racks []ManagedRack, opts ...Controller
 	}
 	return controller.New(cfg)
 }
-
-// NewController creates a Flex-Online controller primary from a fully
-// assembled config.
-//
-// Deprecated: use NewOnlineController(topo, racks, opts...).
-func NewController(cfg ControllerConfig) *Controller { return controller.New(cfg) }

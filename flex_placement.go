@@ -78,22 +78,6 @@ func NewPlacementRoom(topo *Topology, opts ...RoomOption) (*Room, error) {
 	return placement.NewRoom(topo, o.slotsPerPair)
 }
 
-// NewRoom builds a placement room with uniform slots per PDU-pair.
-//
-// Deprecated: use NewPlacementRoom(topo, WithSlotsPerPair(n)).
-func NewRoom(topo *Topology, slotsPerPair int) (*Room, error) {
-	return placement.NewRoom(topo, slotsPerPair)
-}
-
-// PartialReserveRoom builds a room allocating only a fraction of the
-// reserved power.
-//
-// Deprecated: use NewPlacementRoom(topo, WithSlotsPerPair(n),
-// WithReserveUtilization(fraction)).
-func PartialReserveRoom(topo *Topology, slotsPerPair int, reserveUtilization float64) (*Room, error) {
-	return placement.PartialReserveRoom(topo, slotsPerPair, reserveUtilization)
-}
-
 // PaperRoom is the paper's §V-A evaluation room (9.6MW, 4N/3, 18 pairs).
 func PaperRoom() *Room { return placement.PaperRoom() }
 

@@ -41,16 +41,6 @@ func NewFlightSink(w io.Writer) *FlightSink { return recorder.NewSink(w) }
 // ReadFlightEvents parses a length-prefixed JSONL event log.
 func ReadFlightEvents(r io.Reader) ([]FlightEvent, error) { return recorder.ReadEvents(r) }
 
-// ReplayEvents re-drives every recorded planning pass of an episode log
-// and diffs the replayed decisions against the recorded ones, without an
-// external cancellation point.
-//
-// Deprecated: use ReplayEventsContext.
-func ReplayEvents(events []FlightEvent) (*ReplayReport, error) {
-	//flexlint:ignore ctxflow deprecated ctx-less facade shorthand; live callers use ReplayEventsContext
-	return replay.Replay(context.Background(), events)
-}
-
 // ReplayEventsContext re-drives every recorded planning pass of an
 // episode log under ctx and diffs the replayed decisions against the
 // recorded ones.

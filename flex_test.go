@@ -45,7 +45,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		ups[u] = Watts(0.85 * 4.0 / 3.0 * float64(room.Topo.UPSes[u].Capacity))
 	}
 	ups[0] = 0
-	actions, insufficient, err := PlanActions(PlanInput{
+	actions, insufficient, err := PlanActionsContext(context.Background(), PlanInput{
 		Topo:     room.Topo,
 		Racks:    ManagedRacks(racks),
 		UPSPower: ups,
@@ -141,7 +141,7 @@ func TestFacadeTraceHelpers(t *testing.T) {
 	if len(topo.Pairs) != 10 { // C(5,2)
 		t.Errorf("pairs = %d", len(topo.Pairs))
 	}
-	room, err := NewRoom(topo, 20)
+	room, err := NewPlacementRoom(topo, WithSlotsPerPair(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,9 @@ func TestFacadeWrappers(t *testing.T) {
 	if EmulationRoom().TotalSlots() != 360 {
 		t.Fatal("EmulationRoom wrapper")
 	}
-	pr, err := PartialReserveRoom(PaperRoom().Topo, 60, 0.42)
+	pr, err := NewPlacementRoom(PaperRoom().Topo, WithSlotsPerPair(60), WithReserveUtilization(0.42))
 	if err != nil || pr.ReserveUtilization != 0.42 {
-		t.Fatal("PartialReserveRoom wrapper")
+		t.Fatal("NewPlacementRoom WithReserveUtilization")
 	}
 	site, err := NewUniformSite("s", 2)
 	if err != nil || len(site.Rooms) != 2 {
@@ -202,23 +202,16 @@ func TestFacadeWrappers(t *testing.T) {
 
 	// Controller construction.
 	room := EmulationRoom()
-	ctl := NewController(ControllerConfig{
-		Name:  "c",
-		Clock: clock.Real{},
-		Topo:  room.Topo,
-		Racks: nil,
-		UPSView: func() *LatestPower {
-			v := NewLatestPower()
-			for u := range room.Topo.UPSes {
-				v.Update(Sample{Device: room.Topo.UPSes[u].Name, Power: 100, Valid: true, MeasuredAt: time.Unix(1, 0)})
-			}
-			return v
-		}(),
-		RackView: NewLatestPower(),
-		Actuator: rackmgr.NewManager(clock.Real{}, nil),
-		Scenario: ScenarioDefault(),
-	})
-	if out := ctl.Step(); out.Overdraw {
+	upsView := NewLatestPower()
+	for u := range room.Topo.UPSes {
+		upsView.Update(Sample{Device: room.Topo.UPSes[u].Name, Power: 100, Valid: true, MeasuredAt: time.Unix(1, 0)})
+	}
+	ctl := NewOnlineController(room.Topo, nil,
+		WithControllerName("c"),
+		WithTelemetryViews(upsView, NewLatestPower()),
+		WithActuator(rackmgr.NewManager(clock.Real{}, nil)),
+		WithScenario(ScenarioDefault()))
+	if out := ctl.StepContext(context.Background()); out.Overdraw {
 		t.Fatal("unloaded room should not overdraw")
 	}
 

@@ -73,7 +73,7 @@ func TestIntegrationAlgorithm1CoversEveryFailure(t *testing.T) {
 	load := sim.PairLoadFromRacks(room.Topo, racks, rackPower)
 	for f := range room.Topo.UPSes {
 		ups := room.Topo.FailoverLoads(load, UPSID(f))
-		actions, insufficient, err := PlanActions(PlanInput{
+		actions, insufficient, err := PlanActionsContext(context.Background(), PlanInput{
 			Topo: room.Topo, Racks: managed, UPSPower: ups,
 			RackPower: rackPower,
 			Inactive:  map[UPSID]bool{UPSID(f): true},
@@ -161,11 +161,13 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 		managed[i] = r.m
 	}
 	mgr := rackmgr.NewManager(clk, ids)
-	ctl := NewController(ControllerConfig{
-		Name: "it", Clock: clk, Topo: topo, Racks: managed,
-		UPSView: upsView, RackView: rackView, Actuator: mgr,
-		Scenario: ScenarioRealistic1(), Buffer: KW,
-	})
+	ctl := NewOnlineController(topo, managed,
+		WithControllerName("it"),
+		WithControllerConfig(func(c *ControllerConfig) { c.Clock = clk }),
+		WithTelemetryViews(upsView, rackView),
+		WithActuator(mgr),
+		WithScenario(ScenarioRealistic1()),
+		WithSafetyBuffer(KW))
 
 	// Inject faults across the pipeline: one meter misreads, one poller
 	// and one broker are down. The stack must still work.
@@ -189,7 +191,7 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 		t.Fatal("telemetry never reached the view")
 	}
 	pump()
-	if out := ctl.Step(); out.Overdraw {
+	if out := ctl.StepContext(context.Background()); out.Overdraw {
 		t.Fatalf("false overdraw at 72%% utilization: %+v", out)
 	}
 
@@ -208,7 +210,7 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	out := ctl.Step()
+	out := ctl.StepContext(context.Background())
 	if !out.Overdraw || out.Enforced == 0 {
 		t.Fatalf("controller did not act on failover: %+v", out)
 	}
@@ -245,7 +247,7 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	out = ctl.Step()
+	out = ctl.StepContext(context.Background())
 	if out.Restored == 0 {
 		t.Fatalf("controller did not restore after recovery: %+v", out)
 	}
@@ -330,7 +332,7 @@ func TestIntegrationControllerDeterminism(t *testing.T) {
 		rackPower := sim.SampleRackPowers(racks, 0.83, rand.New(rand.NewSource(3)))
 		load := sim.PairLoadFromRacks(room.Topo, racks, rackPower)
 		ups := room.Topo.FailoverLoads(load, 2)
-		actions, _, err := PlanActions(PlanInput{
+		actions, _, err := PlanActionsContext(context.Background(), PlanInput{
 			Topo: room.Topo, Racks: ManagedRacks(racks), UPSPower: ups,
 			RackPower: rackPower, Inactive: map[UPSID]bool{2: true},
 			Scenario: ScenarioRealistic2(),

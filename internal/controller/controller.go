@@ -176,13 +176,6 @@ func (c *Controller) snapshotUPS() ([]power.Watts, time.Time, []uint64) {
 	return out, newest, events
 }
 
-// Step runs one evaluation round with no external cancellation point:
-// StepContext(context.Background()). The planning budget still applies.
-func (c *Controller) Step() StepOutcome {
-	//flexlint:ignore ctxflow deprecated ctx-less shorthand; live callers use StepContext
-	return c.StepContext(context.Background())
-}
-
 // StepContext runs one evaluation round: read snapshots, detect overdraw,
 // plan and enforce corrective actions; or, when the failed supply has
 // returned and headroom allows, restore previously acted racks. Planning

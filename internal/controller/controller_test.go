@@ -85,14 +85,14 @@ func TestControllerEnforcesOnOverdraw(t *testing.T) {
 
 	// Normal operation: no actions.
 	h.feed([]power.Watts{80 * power.KW, 80 * power.KW, 80 * power.KW, 80 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if out.Overdraw || out.Enforced != 0 {
 		t.Fatalf("normal operation acted: %+v", out)
 	}
 
 	// UPS 0 fails; survivors overdraw.
 	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
-	out = c.Step()
+	out = c.StepContext(context.Background())
 	if !out.Overdraw {
 		t.Fatal("overdraw not detected")
 	}
@@ -128,13 +128,13 @@ func TestControllerRestoresAfterRecovery(t *testing.T) {
 	h := newHarness(t)
 	c := h.controller("ctl-1")
 	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if out.Enforced == 0 {
 		t.Fatal("setup: no enforcement")
 	}
 	// UPS restored; loads drop (shaved power removed from measurement).
 	h.feed([]power.Watts{60 * power.KW, 70 * power.KW, 70 * power.KW, 70 * power.KW})
-	out = c.Step()
+	out = c.StepContext(context.Background())
 	if out.Restored == 0 {
 		t.Fatalf("no restore after recovery: %+v", out)
 	}
@@ -153,12 +153,12 @@ func TestControllerDoesNotRestoreWithoutHeadroom(t *testing.T) {
 	h := newHarness(t)
 	c := h.controller("ctl-1")
 	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
-	if out := c.Step(); out.Enforced == 0 {
+	if out := c.StepContext(context.Background()); out.Enforced == 0 {
 		t.Fatal("setup: no enforcement")
 	}
 	// UPS back, but loads so high that restoring would re-overdraw.
 	h.feed([]power.Watts{97 * power.KW, 97 * power.KW, 97 * power.KW, 97 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if out.Restored != 0 {
 		t.Fatalf("restored without headroom: %+v", out)
 	}
@@ -169,7 +169,7 @@ func TestControllerTreatsMissingUPSDataAsFull(t *testing.T) {
 	c := h.controller("ctl-1")
 	// Feed only rack data; UPS view empty → assume capacity → overdraw.
 	h.feed(nil)
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if !out.Overdraw {
 		t.Fatal("missing UPS telemetry must be treated as worst case")
 	}
@@ -180,8 +180,8 @@ func TestMultiPrimaryControllersConverge(t *testing.T) {
 	c1 := h.controller("ctl-1")
 	c2 := h.controller("ctl-2")
 	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
-	out1 := c1.Step()
-	out2 := c2.Step() // same snapshot: same (idempotent) actions
+	out1 := c1.StepContext(context.Background())
+	out2 := c2.StepContext(context.Background()) // same snapshot: same (idempotent) actions
 	if out1.Enforced == 0 || out2.Enforced == 0 {
 		t.Fatal("both primaries should act")
 	}
@@ -209,7 +209,7 @@ func TestControllerEnforceErrorsSurface(t *testing.T) {
 		_ = h.mgr.SetReachable(r.ID, false)
 	}
 	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if out.EnforceErrors == 0 || out.Enforced != 0 {
 		t.Fatalf("expected enforcement failures: %+v", out)
 	}
@@ -247,7 +247,7 @@ func TestControllerPartialRestore(t *testing.T) {
 	c := h.controller("ctl-1")
 	// Big failover: lots of racks acted.
 	h.feed([]power.Watts{0, 115 * power.KW, 115 * power.KW, 115 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if out.Enforced < 3 {
 		t.Fatalf("setup: only %d actions", out.Enforced)
 	}
@@ -255,7 +255,7 @@ func TestControllerPartialRestore(t *testing.T) {
 	// UPS back but load still highish: only some racks fit back under
 	// limit−buffer. Headroom = 4×(99kW−92kW) = 28kW total.
 	h.feed([]power.Watts{92 * power.KW, 92 * power.KW, 92 * power.KW, 92 * power.KW})
-	out = c.Step()
+	out = c.StepContext(context.Background())
 	if out.Restored == 0 {
 		t.Fatalf("no partial restore: %+v", out)
 	}
@@ -264,7 +264,7 @@ func TestControllerPartialRestore(t *testing.T) {
 	}
 	// Full recovery: the rest comes back.
 	h.feed([]power.Watts{60 * power.KW, 60 * power.KW, 60 * power.KW, 60 * power.KW})
-	out = c.Step()
+	out = c.StepContext(context.Background())
 	if len(c.ActedRacks()) != 0 {
 		t.Fatalf("racks still acted after full recovery: %v", c.ActedRacks())
 	}
@@ -274,7 +274,7 @@ func TestControllerRestoresThrottledBeforeShutdown(t *testing.T) {
 	h := newHarness(t)
 	c := h.controller("ctl-1")
 	h.feed([]power.Watts{0, 112 * power.KW, 112 * power.KW, 112 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	var hasShut, hasThrottle bool
 	for _, a := range out.Planned {
 		if a.Kind == Shutdown {
@@ -295,7 +295,7 @@ func TestControllerRestoresThrottledBeforeShutdown(t *testing.T) {
 	// Tiny headroom: throttled racks must be restored before any shut
 	// rack comes back (lifting a cap is cheaper than a restart).
 	h.feed([]power.Watts{95 * power.KW, 95 * power.KW, 95 * power.KW, 95 * power.KW})
-	out = c.Step()
+	out = c.StepContext(context.Background())
 	if out.Restored == 0 {
 		t.Skip("no headroom for any restore at this load")
 	}
@@ -346,7 +346,7 @@ func TestControllerUsesEstimatorWhenConfigured(t *testing.T) {
 			Device: h.topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: h.now,
 		})
 	}
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if !out.Overdraw || out.Enforced == 0 {
 		t.Fatalf("estimator-backed controller did not act: %+v", out)
 	}

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -40,15 +41,15 @@ func TestStepOutcomePlannedSemantics(t *testing.T) {
 
 	// Case 1: no overdraw → Planned nil.
 	h.feed([]power.Watts{80 * power.KW, 80 * power.KW, 80 * power.KW, 80 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if out.Overdraw || out.Planned != nil {
 		t.Fatalf("no-overdraw round: %+v, want Overdraw=false Planned=nil", out)
 	}
 
 	// Case 2: overdraw on fresh telemetry → Planned non-nil and enforced.
 	overdrawFeed(h)
-	h.clk.Advance(2 * time.Second) // measurement is now older than "now"…
-	out = c.Step()                 // …but nothing was enforced yet, so it is not stale
+	h.clk.Advance(2 * time.Second)            // measurement is now older than "now"…
+	out = c.StepContext(context.Background()) // …but nothing was enforced yet, so it is not stale
 	if !out.Overdraw || len(out.Planned) == 0 {
 		t.Fatalf("overdraw round: %+v, want Overdraw=true and planned actions", out)
 	}
@@ -58,7 +59,7 @@ func TestStepOutcomePlannedSemantics(t *testing.T) {
 
 	// Case 3: overdraw persists but the snapshot predates the enforcement
 	// → the round defers: Overdraw=true with Planned nil.
-	out = c.Step()
+	out = c.StepContext(context.Background())
 	if !out.Overdraw || out.Planned != nil {
 		t.Fatalf("stale round: %+v, want Overdraw=true Planned=nil", out)
 	}
@@ -82,7 +83,7 @@ func TestControllerShedLatencyExactUnderVirtualClock(t *testing.T) {
 	// actuation latency modeled the first-action latency is exactly 0.
 	overdrawFeed(h)
 	h.clk.Advance(2 * time.Second)
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if out.Enforced == 0 {
 		t.Fatal("setup: nothing enforced")
 	}
@@ -91,7 +92,7 @@ func TestControllerShedLatencyExactUnderVirtualClock(t *testing.T) {
 	// shed latency = lastEnforceAt − overdrawSince = 0 (both in round one).
 	h.clk.Advance(3 * time.Second)
 	clearFeed(h)
-	out = c.Step()
+	out = c.StepContext(context.Background())
 	if out.Overdraw {
 		t.Fatal("overdraw should have cleared")
 	}

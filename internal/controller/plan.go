@@ -89,15 +89,6 @@ type PlanInput struct {
 	Acted map[string]bool
 }
 
-// Plan runs Algorithm 1 without a cancellation point. It is shorthand for
-// PlanContext(context.Background(), in); callers on the live control path
-// should prefer PlanContext so a planning pass cannot eat into the
-// 10-second shed budget.
-func Plan(in PlanInput) (actions []PlannedAction, insufficient bool, err error) {
-	//flexlint:ignore ctxflow deprecated ctx-less shorthand; live callers use PlanContext
-	return PlanContext(context.Background(), in)
-}
-
 // PlanContext is the paper's Algorithm 1: repeatedly pick, across
 // workloads, the candidate rack whose action has the least workload impact
 // (ties: most recovered power, then rack ID) until the estimated power of
@@ -242,22 +233,14 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 }
 
 // applyRecovery subtracts a rack's recovered power from the UPS estimates
-// according to the live topology: normally half to each upstream UPS of
-// its pair; when one of them is inactive, everything rests on the other.
+// according to the live topology: each upstream UPS of its pair sheds the
+// share of the rack it was carrying (power.PairShare).
 func applyRecovery(topo *power.Topology, est []power.Watts, inactive map[power.UPSID]bool, pair power.PDUPairID, rec power.Watts) {
 	p := topo.Pairs[pair]
 	a, b := p.UPSes[0], p.UPSes[1]
-	switch {
-	case inactive[a] && inactive[b]:
-		// Pair is dark; nothing to subtract.
-	case inactive[a]:
-		est[b] -= rec
-	case inactive[b]:
-		est[a] -= rec
-	default:
-		est[a] -= rec / 2
-		est[b] -= rec / 2
-	}
+	wa, wb := power.PairShare(inactive[a], inactive[b])
+	est[a] -= power.Watts(wa) * rec
+	est[b] -= power.Watts(wb) * rec
 }
 
 // InferInactiveUPSes infers which UPSes are out of service from the power

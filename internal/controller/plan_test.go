@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -54,7 +55,7 @@ func rackPowers(racks []ManagedRack) map[string]power.Watts {
 
 func TestPlanNoOverdrawNoActions(t *testing.T) {
 	topo := testRoom(t)
-	actions, insufficient, err := Plan(PlanInput{
+	actions, insufficient, err := PlanContext(context.Background(), PlanInput{
 		Topo:     topo,
 		Racks:    testRacks(topo),
 		UPSPower: []power.Watts{50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW},
@@ -74,7 +75,7 @@ func TestPlanBringsEstimateBelowLimit(t *testing.T) {
 	// UPS 0 failed: its load transferred; survivors at 120kW (over 100kW).
 	ups := []power.Watts{0, 120 * power.KW, 120 * power.KW, 120 * power.KW}
 	inactive := map[power.UPSID]bool{0: true}
-	actions, insufficient, err := Plan(PlanInput{
+	actions, insufficient, err := PlanContext(context.Background(), PlanInput{
 		Topo:      topo,
 		Racks:     racks,
 		UPSPower:  ups,
@@ -115,7 +116,7 @@ func TestPlanDefaultThrottlesBeforeShutdown(t *testing.T) {
 	topo := testRoom(t)
 	racks := testRacks(topo)
 	ups := []power.Watts{0, 110 * power.KW, 110 * power.KW, 110 * power.KW}
-	actions, _, err := Plan(PlanInput{
+	actions, _, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups,
 		RackPower: rackPowers(racks),
 		Inactive:  map[power.UPSID]bool{0: true},
@@ -140,7 +141,7 @@ func TestPlanExtreme1ShutsDownFirst(t *testing.T) {
 	topo := testRoom(t)
 	racks := testRacks(topo)
 	ups := []power.Watts{0, 110 * power.KW, 110 * power.KW, 110 * power.KW}
-	actions, _, err := Plan(PlanInput{
+	actions, _, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups,
 		RackPower: rackPowers(racks),
 		Inactive:  map[power.UPSID]bool{0: true},
@@ -165,7 +166,7 @@ func TestPlanExtreme2ThrottlesAllBeforeShutdown(t *testing.T) {
 	racks := testRacks(topo)
 	// Big overdraw so that throttling alone cannot cover it.
 	ups := []power.Watts{0, 133 * power.KW, 133 * power.KW, 133 * power.KW}
-	actions, _, err := Plan(PlanInput{
+	actions, _, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups,
 		RackPower: rackPowers(racks),
 		Inactive:  map[power.UPSID]bool{0: true},
@@ -209,7 +210,7 @@ func TestPlanInsufficientWhenShaveableExhausted(t *testing.T) {
 		})
 	}
 	ups := []power.Watts{0, 120 * power.KW, 120 * power.KW, 120 * power.KW}
-	actions, insufficient, err := Plan(PlanInput{
+	actions, insufficient, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups,
 		RackPower: rackPowers(racks),
 		Inactive:  map[power.UPSID]bool{0: true},
@@ -231,7 +232,7 @@ func TestPlanSkipsActedRacks(t *testing.T) {
 	racks := testRacks(topo)
 	ups := []power.Watts{0, 105 * power.KW, 105 * power.KW, 105 * power.KW}
 	acted := map[string]bool{}
-	first, _, err := Plan(PlanInput{
+	first, _, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups, RackPower: rackPowers(racks),
 		Inactive: map[power.UPSID]bool{0: true},
 		Scenario: impact.Default(), Buffer: power.KW,
@@ -242,7 +243,7 @@ func TestPlanSkipsActedRacks(t *testing.T) {
 	for _, a := range first {
 		acted[a.Rack] = true
 	}
-	second, _, err := Plan(PlanInput{
+	second, _, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups, RackPower: rackPowers(racks),
 		Inactive: map[power.UPSID]bool{0: true},
 		Scenario: impact.Default(), Buffer: power.KW,
@@ -263,7 +264,7 @@ func TestPlanUsesAllocatedPowerWithoutSnapshot(t *testing.T) {
 	racks := testRacks(topo)
 	ups := []power.Watts{0, 105 * power.KW, 105 * power.KW, 105 * power.KW}
 	// No RackPower at all: estimates fall back to allocated power.
-	actions, insufficient, err := Plan(PlanInput{
+	actions, insufficient, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups,
 		Inactive: map[power.UPSID]bool{0: true},
 		Scenario: impact.Default(), Buffer: power.KW,
@@ -285,7 +286,7 @@ func TestPlanPriorityOrdersPickRack(t *testing.T) {
 			Pair: 0, Allocated: 50 * power.KW, FlexPower: 40 * power.KW, Priority: 1},
 	}
 	ups := []power.Watts{102 * power.KW, 90 * power.KW, 50 * power.KW, 50 * power.KW}
-	actions, _, err := Plan(PlanInput{
+	actions, _, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups, RackPower: rackPowers(racks),
 		Scenario: impact.Default(), Buffer: power.KW,
 	})
@@ -299,7 +300,7 @@ func TestPlanPriorityOrdersPickRack(t *testing.T) {
 
 func TestPlanValidatesSnapshotLength(t *testing.T) {
 	topo := testRoom(t)
-	if _, _, err := Plan(PlanInput{Topo: topo, UPSPower: []power.Watts{1, 2}}); err == nil {
+	if _, _, err := PlanContext(context.Background(), PlanInput{Topo: topo, UPSPower: []power.Watts{1, 2}}); err == nil {
 		t.Fatal("expected error for short snapshot")
 	}
 }
@@ -333,7 +334,7 @@ func TestPlanDoubleFailure(t *testing.T) {
 	// Two failures: survivors carry double loads.
 	ups := []power.Watts{0, 0, 130 * power.KW, 130 * power.KW}
 	inactive := map[power.UPSID]bool{0: true, 1: true}
-	actions, insufficient, err := Plan(PlanInput{
+	actions, insufficient, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups,
 		RackPower: rackPowers(racks),
 		Inactive:  inactive,
@@ -368,7 +369,7 @@ func TestPlanIgnoresOverloadOnInactiveUPS(t *testing.T) {
 	// The inactive UPS reports a garbage high value; it must not trigger
 	// actions because only active UPSes' limits matter.
 	ups := []power.Watts{999 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW}
-	actions, insufficient, err := Plan(PlanInput{
+	actions, insufficient, err := PlanContext(context.Background(), PlanInput{
 		Topo: topo, Racks: racks, UPSPower: ups,
 		RackPower: rackPowers(racks),
 		Inactive:  map[power.UPSID]bool{0: true},

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"testing"
 
 	"flex/internal/impact"
@@ -41,7 +42,7 @@ func TestRecorderCausalChain(t *testing.T) {
 	})
 
 	h.feed([]power.Watts{80 * power.KW, 80 * power.KW, 80 * power.KW, 80 * power.KW})
-	if out := c.Step(); out.Overdraw {
+	if out := c.StepContext(context.Background()); out.Overdraw {
 		t.Fatal("normal operation flagged overdraw")
 	}
 	if e := findEvent(rec.Snapshot(), func(e *recorder.Event) bool { return e.Type == recorder.TypeOverdrawDetect }); e != nil {
@@ -49,7 +50,7 @@ func TestRecorderCausalChain(t *testing.T) {
 	}
 
 	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
-	out := c.Step()
+	out := c.StepContext(context.Background())
 	if !out.Overdraw || out.Enforced == 0 {
 		t.Fatalf("overdraw not enforced: %+v", out)
 	}
@@ -144,7 +145,7 @@ func TestRecorderCausalChain(t *testing.T) {
 	// Recovery closes the episode and restores through the same provenance
 	// path.
 	h.feed([]power.Watts{80 * power.KW, 60 * power.KW, 60 * power.KW, 60 * power.KW})
-	if out := c.Step(); out.Restored == 0 {
+	if out := c.StepContext(context.Background()); out.Restored == 0 {
 		t.Fatalf("no restores after recovery: %+v", out)
 	}
 	events = rec.Snapshot()

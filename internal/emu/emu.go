@@ -169,6 +169,35 @@ type rackSim struct {
 	rampUntil time.Duration
 }
 
+// rackPower is a rack's true draw: its demanded share of its allocation,
+// capped while throttled and zero while off.
+func rackPower(mgr *rackmgr.Manager, rs *rackSim) power.Watts {
+	st, cap, _ := mgr.State(rs.ID)
+	switch st {
+	case rackmgr.Off:
+		return 0
+	case rackmgr.Throttled:
+		p := power.Watts(rs.demand * float64(rs.Allocated))
+		if p > cap {
+			p = cap
+		}
+		return p
+	default:
+		return power.Watts(rs.demand * float64(rs.Allocated))
+	}
+}
+
+// upsLoads is a room's true per-UPS load: the racks' draw summed per
+// PDU-pair, through the load flow with the UPSes in out out of service.
+func upsLoads(topo *power.Topology, mgr *rackmgr.Manager, sims []*rackSim, out power.UPSSet) []power.Watts {
+	load := power.NewPairLoad(topo)
+	for _, rs := range sims {
+		load[rs.Pair] += rackPower(mgr, rs)
+	}
+	loads, _ := topo.LoadFlow(load, out)
+	return loads
+}
+
 // Run executes the emulation. ctx bounds the offline placement solve and
 // is threaded to the controller's planning passes.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
@@ -239,46 +268,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	mgr.Recorder = cfg.Recorder
 
-	// Ground truth: rack power honoring actuation state, and UPS loads
-	// honoring the failover transfer.
-	inactive := map[power.UPSID]bool{}
-	rackPowerOf := func(rs *rackSim) power.Watts {
-		st, cap, _ := mgr.State(rs.ID)
-		switch st {
-		case rackmgr.Off:
-			return 0
-		case rackmgr.Throttled:
-			p := power.Watts(rs.demand * float64(rs.Allocated))
-			if p > cap {
-				p = cap
-			}
-			return p
-		default:
-			return power.Watts(rs.demand * float64(rs.Allocated))
-		}
-	}
-	upsTruth := func() []power.Watts {
-		load := power.NewPairLoad(topo)
-		for _, rs := range sims {
-			load[rs.Pair] += rackPowerOf(rs)
-		}
-		loads := make([]power.Watts, len(topo.UPSes))
-		for _, p := range topo.Pairs {
-			w := load[p.ID]
-			a, b := p.UPSes[0], p.UPSes[1]
-			switch {
-			case inactive[a] && inactive[b]:
-			case inactive[a]:
-				loads[b] += w
-			case inactive[b]:
-				loads[a] += w
-			default:
-				loads[a] += w / 2
-				loads[b] += w / 2
-			}
-		}
-		return loads
-	}
+	// Ground truth (rackPower, upsLoads) honors the actuation state and the
+	// failover transfer away from the out-of-service UPSes.
+	var inactive power.UPSSet
 
 	// Telemetry: consensus meters over the ground truth, pumped
 	// synchronously into the controller views on the paper's cadences.
@@ -296,7 +288,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for u := range topo.UPSes {
 		u := u
 		upsMeters[u] = telemetry.NewUPSLogicalMeter(topo.UPSes[u].Name,
-			func() power.Watts { return upsTruth()[u] },
+			func() power.Watts { return upsLoads(topo, mgr, sims, inactive)[u] },
 			func() power.Watts { return 60 * power.KW }, // mechanical load
 			cfg.Seed+int64(u)*7)
 		upsMeters[u].Metrics = telMetrics
@@ -306,7 +298,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for i, rs := range sims {
 		rs := rs
 		rackMeters[i] = telemetry.NewSimMeter(rs.ID,
-			func() power.Watts { return rackPowerOf(rs) },
+			func() power.Watts { return rackPower(mgr, rs) },
 			telemetry.SimMeterConfig{Noise: 0.01, Seed: cfg.Seed + 1000 + int64(i)})
 	}
 
@@ -422,7 +414,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 		// Failure / recovery events.
 		if now == cfg.FailAt {
-			inactive[cfg.FailUPS] = true
+			inactive |= power.SetOf(cfg.FailUPS)
 			if cfg.Recorder != nil {
 				cfg.Recorder.Emit(recorder.Event{
 					Type:    recorder.TypeUPSFail,
@@ -445,7 +437,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		if now == cfg.RecoverAt {
-			delete(inactive, cfg.FailUPS)
+			inactive &^= power.SetOf(cfg.FailUPS)
 			if cfg.Recorder != nil {
 				cfg.Recorder.Emit(recorder.Event{
 					Type:    recorder.TypeUPSRecover,
@@ -526,7 +518,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		if cfg.Debug && now >= cfg.FailAt && now <= cfg.FailAt+5*time.Second {
-			tr := upsTruth()
+			tr := upsLoads(topo, mgr, sims, inactive)
 			fmt.Printf("t=%v truth=[%.3f %.3f %.3f %.3f]MW\n", now,
 				float64(tr[0])/1e6, float64(tr[1])/1e6, float64(tr[2])/1e6, float64(tr[3])/1e6)
 		}
@@ -580,9 +572,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		// Safety: overload accumulation vs trip curve.
-		truth := upsTruth()
+		truth := upsLoads(topo, mgr, sims, inactive)
 		for u := range topo.UPSes {
-			if inactive[power.UPSID(u)] {
+			if inactive.Has(power.UPSID(u)) {
 				overFor[u] = 0
 				continue
 			}
@@ -599,7 +591,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if now >= cfg.FailAt && now < cfg.RecoverAt && shavedAt < 0 {
 			allUnder := true
 			for u := range topo.UPSes {
-				if inactive[power.UPSID(u)] {
+				if inactive.Has(power.UPSID(u)) {
 					continue
 				}
 				if truth[u] > topo.UPSes[u].Capacity {
@@ -614,7 +606,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		// Record the timeline.
 		byCat := map[workload.Category]power.Watts{}
 		for _, rs := range sims {
-			byCat[rs.Category] += rackPowerOf(rs)
+			byCat[rs.Category] += rackPower(mgr, rs)
 		}
 		res.Series = append(res.Series, TimePoint{
 			T: now, Stage: stage, UPSPower: truth, RackPower: byCat,

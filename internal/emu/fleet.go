@@ -129,7 +129,7 @@ type fleetRoom struct {
 	shard     *fleet.Shard
 	mgr       *rackmgr.Manager
 	sims      []*rackSim
-	inactive  map[power.UPSID]bool
+	inactive  power.UPSSet
 	overFor   []time.Duration
 	upsBatch  []telemetry.Sample
 	rackBatch []telemetry.Sample
@@ -237,7 +237,6 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 			shard:     shard,
 			mgr:       mgr,
 			sims:      make([]*rackSim, len(protoRacks)),
-			inactive:  map[power.UPSID]bool{},
 			overFor:   make([]time.Duration, len(topo.UPSes)),
 			upsBatch:  make([]telemetry.Sample, 0, len(topo.UPSes)),
 			rackBatch: make([]telemetry.Sample, 0, len(protoRacks)),
@@ -249,44 +248,6 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	}
 	if cfg.Attach != nil {
 		cfg.Attach(fl)
-	}
-
-	rackPowerOf := func(fr *fleetRoom, rs *rackSim) power.Watts {
-		st, cap, _ := fr.mgr.State(rs.ID)
-		switch st {
-		case rackmgr.Off:
-			return 0
-		case rackmgr.Throttled:
-			p := power.Watts(rs.demand * float64(rs.Allocated))
-			if p > cap {
-				p = cap
-			}
-			return p
-		default:
-			return power.Watts(rs.demand * float64(rs.Allocated))
-		}
-	}
-	upsTruth := func(fr *fleetRoom) []power.Watts {
-		load := power.NewPairLoad(topo)
-		for _, rs := range fr.sims {
-			load[rs.Pair] += rackPowerOf(fr, rs)
-		}
-		loads := make([]power.Watts, len(topo.UPSes))
-		for _, p := range topo.Pairs {
-			w := load[p.ID]
-			a, b := p.UPSes[0], p.UPSes[1]
-			switch {
-			case fr.inactive[a] && fr.inactive[b]:
-			case fr.inactive[a]:
-				loads[b] += w
-			case fr.inactive[b]:
-				loads[a] += w
-			default:
-				loads[a] += w / 2
-				loads[b] += w / 2
-			}
-		}
-		return loads
 	}
 
 	res := &FleetResult{Rooms: cfg.Rooms, PerRoomStranded: stranded}
@@ -316,7 +277,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		}
 
 		if now == cfg.FailAt {
-			rooms[cfg.FailRoom].inactive[cfg.FailUPS] = true
+			rooms[cfg.FailRoom].inactive |= power.SetOf(cfg.FailUPS)
 		}
 
 		// Workload dynamics, every room.
@@ -341,7 +302,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		wall := clk.Now()
 		if i%upsTick == 0 {
 			for _, fr := range rooms {
-				truth := upsTruth(fr)
+				truth := upsLoads(topo, fr.mgr, fr.sims, fr.inactive)
 				fr.upsBatch = fr.upsBatch[:0]
 				for u := range topo.UPSes {
 					fr.upsBatch = append(fr.upsBatch, telemetry.Sample{
@@ -357,7 +318,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 				fr.rackBatch = fr.rackBatch[:0]
 				for _, rs := range fr.sims {
 					fr.rackBatch = append(fr.rackBatch, telemetry.Sample{
-						Device: rs.ID, Power: rackPowerOf(fr, rs), Valid: true,
+						Device: rs.ID, Power: rackPower(fr.mgr, rs), Valid: true,
 						MeasuredAt: wall, PublishedAt: wall,
 					})
 				}
@@ -386,9 +347,9 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 
 		// Trip-curve safety in every room; shed point for the failed one.
 		for ri, fr := range rooms {
-			truth := upsTruth(fr)
+			truth := upsLoads(topo, fr.mgr, fr.sims, fr.inactive)
 			for u := range topo.UPSes {
-				if fr.inactive[power.UPSID(u)] {
+				if fr.inactive.Has(power.UPSID(u)) {
 					fr.overFor[u] = 0
 					continue
 				}
@@ -405,7 +366,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 			if ri == cfg.FailRoom && now > cfg.FailAt && shavedAt < 0 {
 				allUnder := true
 				for u := range topo.UPSes {
-					if fr.inactive[power.UPSID(u)] {
+					if fr.inactive.Has(power.UPSID(u)) {
 						continue
 					}
 					if truth[u] > topo.UPSes[u].Capacity {

@@ -58,13 +58,12 @@ func (m *Metrics) record(res *Result) {
 	if res.SimplexIterations > 0 {
 		m.SimplexIterations.Add(uint64(res.SimplexIterations))
 	}
-	if res.DeadlineHit {
+	switch res.Stop {
+	case StopDeadline:
 		m.DeadlineHits.Inc()
-	}
-	if res.NodeLimitHit {
+	case StopNodeLimit:
 		m.NodeLimitHits.Inc()
-	}
-	if res.Stop == StopCanceled {
+	case StopCanceled:
 		m.Cancellations.Inc()
 	}
 	if res.IncumbentImprovements > 0 {

@@ -174,14 +174,6 @@ type Result struct {
 	// WorkerIdle is the cumulative time workers spent blocked waiting for
 	// frontier work; high values mean the tree is too narrow for Workers.
 	WorkerIdle time.Duration
-	// DeadlineHit is true when the time budget stopped the search.
-	//
-	// Deprecated: equivalent to Stop == StopDeadline.
-	DeadlineHit bool
-	// NodeLimitHit is true when Options.MaxNodes stopped the search.
-	//
-	// Deprecated: equivalent to Stop == StopNodeLimit.
-	NodeLimitHit bool
 }
 
 const (
@@ -748,8 +740,6 @@ func (s *search) finish(end time.Time, workers int) (Result, error) {
 		s.opts.Metrics.record(&res)
 		return res, nil
 	}
-	res.DeadlineHit = res.Stop == StopDeadline
-	res.NodeLimitHit = res.Stop == StopNodeLimit
 	truncated := res.Stop != StopNone
 	switch {
 	case s.best != nil:

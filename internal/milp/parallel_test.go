@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"flex/internal/lp"
+	"flex/internal/obs"
 )
 
 // randomKnapsack builds a seeded multi-constraint binary knapsack with n
@@ -190,28 +191,31 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 // TestStopReasonAudit checks that every truncation path reports exactly
-// one reason through both the new Stop field and the deprecated booleans.
+// one reason through Result.Stop, and that Metrics counts it as such.
 func TestStopReasonAudit(t *testing.T) {
 	base := randomKnapsack(21, 18) // 67 nodes serial: deep enough to truncate
+	m := NewMetrics(obs.NewRegistry())
 
 	t.Run("complete", func(t *testing.T) {
 		r, err := SolveContext(context.Background(), base, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Stop != StopNone || r.DeadlineHit || r.NodeLimitHit || r.Cause != nil {
-			t.Fatalf("complete search reported Stop=%v deadline=%v nodelimit=%v cause=%v",
-				r.Stop, r.DeadlineHit, r.NodeLimitHit, r.Cause)
+		if r.Stop != StopNone || r.Cause != nil {
+			t.Fatalf("complete search reported Stop=%v cause=%v", r.Stop, r.Cause)
 		}
 	})
 
 	t.Run("node-limit", func(t *testing.T) {
-		r, err := SolveContext(context.Background(), base, Options{Workers: 2, MaxNodes: 3})
+		r, err := SolveContext(context.Background(), base, Options{Workers: 2, MaxNodes: 3, Metrics: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Stop != StopNodeLimit || !r.NodeLimitHit || r.DeadlineHit {
-			t.Fatalf("Stop=%v NodeLimitHit=%v DeadlineHit=%v", r.Stop, r.NodeLimitHit, r.DeadlineHit)
+		if r.Stop != StopNodeLimit {
+			t.Fatalf("Stop=%v", r.Stop)
+		}
+		if m.NodeLimitHits.Value() != 1 || m.DeadlineHits.Value() != 0 {
+			t.Fatalf("metrics: node-limit hits %d, deadline hits %d", m.NodeLimitHits.Value(), m.DeadlineHits.Value())
 		}
 	})
 
@@ -229,8 +233,8 @@ func TestStopReasonAudit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Stop != StopDeadline || !r.DeadlineHit {
-			t.Fatalf("Stop=%v DeadlineHit=%v", r.Stop, r.DeadlineHit)
+		if r.Stop != StopDeadline {
+			t.Fatalf("Stop=%v", r.Stop)
 		}
 	})
 
@@ -238,12 +242,15 @@ func TestStopReasonAudit(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 		defer cancel()
 		time.Sleep(time.Millisecond)
-		r, err := SolveContext(ctx, base, Options{Workers: 2})
+		r, err := SolveContext(ctx, base, Options{Workers: 2, Metrics: m})
 		if err != nil {
 			t.Fatalf("deadline must be a budget, not an error: %v", err)
 		}
-		if r.Stop != StopDeadline || !r.DeadlineHit {
-			t.Fatalf("Stop=%v DeadlineHit=%v", r.Stop, r.DeadlineHit)
+		if r.Stop != StopDeadline {
+			t.Fatalf("Stop=%v", r.Stop)
+		}
+		if m.DeadlineHits.Value() != 1 || m.NodeLimitHits.Value() != 1 {
+			t.Fatalf("metrics: deadline hits %d, node-limit hits %d", m.DeadlineHits.Value(), m.NodeLimitHits.Value())
 		}
 	})
 }

@@ -241,46 +241,43 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 		}
 		prob.LP.AddConstraint(c, lp.LE, 1)
 	}
-	// Eq. 2: normal-operation headroom per UPS.
-	for u := range topo.UPSes {
-		c := make([]float64, nVars)
+	// safetyRow is the load on UPS u while the UPSes in out are out of
+	// service, as a function of the placement variables: each deployment's
+	// pow weighted by power.FailoverWeight of its combo. nonzero reports
+	// whether any coefficient is.
+	safetyRow := func(u power.UPSID, out power.UPSSet, pow func(workload.Deployment) float64) (c []float64, nonzero bool) {
+		c = make([]float64, nVars)
 		for di, d := range batch {
-			half := float64(d.TotalPower()) / 2 / mw
+			p := pow(d) / mw
+			if p == 0 {
+				continue
+			}
 			for ci, cb := range combos {
-				if cb.UPSes[0] == power.UPSID(u) || cb.UPSes[1] == power.UPSID(u) {
-					c[di*nc+ci] = half
+				if w := power.FailoverWeight(cb.UPSes[0], cb.UPSes[1], u, out); w > 0 {
+					c[di*nc+ci] = w * p
+					nonzero = true
 				}
 			}
 		}
-		rhs := float64(s.room.NormalLimit(power.UPSID(u))-s.normal[u]) / mw
-		prob.LP.AddConstraint(c, lp.LE, rhs)
+		return c, nonzero
 	}
-	// Eq. 4: failover headroom per (failed, survivor).
-	for fi := range topo.UPSes {
-		ff := power.UPSID(fi)
+	// Eq. 2: normal-operation headroom per UPS (nothing out), over
+	// allocated power.
+	for u := range topo.UPSes {
+		uu := power.UPSID(u)
+		c, _ := safetyRow(uu, 0, func(d workload.Deployment) float64 { return float64(d.TotalPower()) })
+		prob.LP.AddConstraint(c, lp.LE, float64(s.safety.NormalHeadroom(uu))/mw)
+	}
+	// Eq. 4: failover headroom per (failed, survivor), over post-shave power.
+	for f := range topo.UPSes {
+		ff := power.UPSID(f)
 		for u := range topo.UPSes {
 			uu := power.UPSID(u)
 			if uu == ff {
 				continue
 			}
-			c := make([]float64, nVars)
-			any := false
-			for di, d := range batch {
-				capPow := float64(d.CapPower()) / s.room.oversub() / mw
-				if capPow == 0 {
-					continue
-				}
-				for ci, cb := range combos {
-					w := failoverWeight(cb.UPSes[0], cb.UPSes[1], uu, ff)
-					if w > 0 {
-						c[di*nc+ci] = w * capPow
-						any = true
-					}
-				}
-			}
-			if any {
-				rhs := float64(topo.UPSes[u].Capacity-s.failCap[fi][u]) / mw
-				prob.LP.AddConstraint(c, lp.LE, rhs)
+			if c, nonzero := safetyRow(uu, power.SetOf(ff), func(d workload.Deployment) float64 { return float64(s.capPow(d)) }); nonzero {
+				prob.LP.AddConstraint(c, lp.LE, float64(s.safety.FailoverHeadroom(ff, uu))/mw)
 			}
 		}
 	}
@@ -668,17 +665,18 @@ func (s *state) balanceScore(imbalanceWeight float64) float64 {
 				continue
 			}
 			cap := float64(topo.UPSes[u].Capacity)
+			ff, uu := power.UPSID(f), power.UPSID(u)
 			// Non-SR load balance tracks the paper's imbalance metric;
-			// post-shave (failCap) balance preserves Eq. 4 headroom for
-			// future batches — the two differ when capable-heavy and
+			// post-shave balance preserves Eq. 4 headroom for future
+			// batches — the two differ when capable-heavy and
 			// non-cap-able-heavy combos coexist, and both matter.
-			util := float64(s.failCap[f][u]+s.throttleRec[f][u]) / cap
-			shaved := float64(s.failCap[f][u]) / cap
+			util := float64(s.safety.Failover(ff, uu)+s.throttle.Failover(ff, uu)) / cap
+			shaved := float64(s.safety.Failover(ff, uu)) / cap
 			score += util*util + 2*shaved*shaved
 		}
 	}
 	for u := range topo.UPSes {
-		util := float64(s.normal[u]) / float64(topo.UPSes[u].Capacity)
+		util := float64(s.safety.Normal(power.UPSID(u))) / float64(topo.UPSes[u].Capacity)
 		score += util * util
 	}
 	return score

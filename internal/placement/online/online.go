@@ -6,13 +6,12 @@
 // Microsoft).
 //
 // The hot path is an Admitter holding incremental safety state per room:
-// per-combo residual headroom, Eq. 2 normal-operation headroom per UPS,
-// Eq. 4 single-UPS-failover feasibility deltas for every (failed,
-// survivor) combination, and the cooling / pair-rating / diversity
-// budgets. Each place or remove updates the tables in O(combos touched),
-// so admission is a table lookup plus a handful of float comparisons —
-// allocation-free (//flex:hotpath, proven by the allocfree analyzer and
-// pinned by an AllocsPerRun test).
+// a power.Ledger (the same Eq. 2 / Eq. 4 state the batch policies place
+// through), per-combo residual slots and load, and the cooling /
+// pair-rating / diversity budgets. Each place or remove updates the tables
+// in O(combos touched), so admission is a table lookup plus a handful of
+// float comparisons — allocation-free (//flex:hotpath, proven by the
+// allocfree analyzer and pinned by an AllocsPerRun test).
 //
 // Candidate combos are scored with sampled future-arrival scenarios: a
 // few cheap greedy completions of sampled demand suffixes (reusing the
@@ -34,10 +33,6 @@ import (
 	"flex/internal/power"
 	"flex/internal/workload"
 )
-
-// tol mirrors power.CapacityTolerance for the float comparisons on the
-// admission path.
-const tol = float64(power.CapacityTolerance)
 
 // coolTol mirrors the cooling slack used by placement's canPlace.
 const coolTol = 1e-6
@@ -138,32 +133,26 @@ type Admitter struct {
 	cfg  Config
 
 	combos  []placement.Combo
-	nUPS    int
 	nCombos int
 	oversub float64
 
 	// Static limits, precomputed at construction.
-	normalLimit []float64 // per-UPS Eq. 2 allocation limit
-	upsCap      []float64 // per-UPS rated capacity (Eq. 4 right-hand side)
-	pairCap     float64   // per-pair rating; 0 disables
-	coolPerWatt float64   // CFM per placed watt; 0 disables cooling checks
+	pairCap     power.Watts // per-pair rating; 0 disables
+	coolPerWatt float64     // CFM per placed watt; 0 disables cooling checks
 	coolCFM     float64
-	capBudget   float64 // diversity reserve budget (watts); <0 disables
+	capBudget   power.Watts // diversity reserve budget; <0 disables
 
 	// Combo geometry.
-	comboA, comboB []int // the two UPS indices per combo
-	comboPairs     [][]power.PDUPairID
-	comboOfPair    []int
+	comboOfPair []int
 
 	// Live residual state, updated in O(combos touched) per place/remove.
 	slotsLeft    []int
-	pairPow      []float64
-	normal       []float64 // per-UPS normal-operation load
-	failCap      []float64 // flattened [failed*nUPS+survivor] post-shave failover load
+	pairPow      []power.Watts
+	safety       *power.Ledger // Eq. 2 / Eq. 4 state of everything committed
 	comboSlots   []int
 	comboPow     []float64
-	placedPow    float64
-	placedCapPow float64
+	placedPow    power.Watts
+	placedCapPow power.Watts
 
 	// Committed deployments; bounded by the room's total rack slots, so
 	// the backing array never grows after construction.
@@ -174,9 +163,8 @@ type Admitter struct {
 	// Scenario stream and scoring scratch (scenario.go).
 	stream    []scenarioDep
 	scCursor  int
-	candPair  []int // per-combo chosen pair for the admission in flight; -1 infeasible
-	runNormal []float64
-	runFail   []float64
+	candPair  []int         // per-combo chosen pair for the admission in flight; -1 infeasible
+	runSafety *power.Ledger // scratch copy of safety for the simulated completions
 	runSlots  []int
 	runPow    []float64
 
@@ -188,6 +176,7 @@ type Admitter struct {
 	wg             sync.WaitGroup
 	started        bool
 	streamDeps     []workload.Deployment // scenario stream in Deployment form
+	resolveMu      sync.Mutex            // serialises ResolveOnce; guards futureBatch
 	futureBatch    []workload.Deployment // resolver-side scratch, cold path
 
 	decisions uint64
@@ -202,7 +191,6 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 	}
 	cfg = cfg.withDefaults()
 	topo := room.Topo
-	nUPS := len(topo.UPSes)
 	combos := placement.CombosOf(topo)
 	nc := len(combos)
 	if nc == 0 {
@@ -212,31 +200,24 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 	if oversub < 1 {
 		oversub = 1
 	}
+	safety := room.NewLedger()
 	a := &Admitter{
 		room:        room,
 		cfg:         cfg,
 		combos:      combos,
-		nUPS:        nUPS,
 		nCombos:     nc,
 		oversub:     oversub,
-		normalLimit: make([]float64, nUPS),
-		upsCap:      make([]float64, nUPS),
-		pairCap:     float64(room.PairCapacity),
+		pairCap:     room.PairCapacity,
 		coolCFM:     room.CoolingCFM,
 		capBudget:   -1,
-		comboA:      make([]int, nc),
-		comboB:      make([]int, nc),
-		comboPairs:  make([][]power.PDUPairID, nc),
 		comboOfPair: make([]int, len(topo.Pairs)),
 		slotsLeft:   append([]int(nil), room.SlotsPerPair...),
-		pairPow:     make([]float64, len(topo.Pairs)),
-		normal:      make([]float64, nUPS),
-		failCap:     make([]float64, nUPS*nUPS),
+		pairPow:     make([]power.Watts, len(topo.Pairs)),
+		safety:      safety,
 		comboSlots:  make([]int, nc),
 		comboPow:    make([]float64, nc),
 		candPair:    make([]int, nc),
-		runNormal:   make([]float64, nUPS),
-		runFail:     make([]float64, nUPS*nUPS),
+		runSafety:   safety.Clone(),
 		runSlots:    make([]int, nc),
 		runPow:      make([]float64, nc),
 		resolveCh:   make(chan struct{}, 1),
@@ -245,16 +226,9 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 		a.coolPerWatt = room.CFMPerWatt
 	}
 	if !cfg.SkipDiversityReserve {
-		a.capBudget = float64(topo.ProvisionedPower()) * topo.Design.AllocationLimitFraction()
-	}
-	for u := 0; u < nUPS; u++ {
-		a.normalLimit[u] = float64(room.NormalLimit(power.UPSID(u)))
-		a.upsCap[u] = float64(topo.UPSes[u].Capacity)
+		a.capBudget = power.Watts(float64(topo.ProvisionedPower()) * topo.Design.AllocationLimitFraction())
 	}
 	for c, cb := range combos {
-		a.comboA[c] = int(cb.UPSes[0])
-		a.comboB[c] = int(cb.UPSes[1])
-		a.comboPairs[c] = cb.Pairs
 		for _, pid := range cb.Pairs {
 			a.comboOfPair[pid] = c
 			a.comboSlots[c] += room.SlotsPerPair[pid]
@@ -305,14 +279,14 @@ func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, bool) {
 	if _, dup := a.idIndex[d.ID]; dup || d.Racks <= 0 || a.nCommitted >= len(a.committed) {
 		return -1, false
 	}
-	pow := float64(d.TotalPower())
-	capPow := float64(d.CapPower()) / a.oversub
+	pow := d.TotalPower()
+	capPow := power.Watts(float64(d.CapPower()) / a.oversub)
 	// Room-level budgets first: cooling and the diversity reserve bind
 	// identically for every combo.
-	if a.coolPerWatt > 0 && (a.placedPow+pow)*a.coolPerWatt > a.coolCFM+coolTol {
+	if a.coolPerWatt > 0 && float64(a.placedPow+pow)*a.coolPerWatt > a.coolCFM+coolTol {
 		return -1, false
 	}
-	if a.capBudget >= 0 && a.placedCapPow+capPow > a.capBudget+tol {
+	if a.capBudget >= 0 && a.placedCapPow+capPow > a.capBudget+power.CapacityTolerance {
 		return -1, false
 	}
 	nFeasible, only := 0, -1
@@ -321,7 +295,7 @@ func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, bool) {
 		if a.comboSlots[c] < d.Racks {
 			continue
 		}
-		if !comboFits(a.normal, a.failCap, a.normalLimit, a.upsCap, a.nUPS, a.comboA[c], a.comboB[c], pow, capPow) {
+		if !a.safety.Fits(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow) {
 			continue
 		}
 		pid := a.bestPairLocked(c, d.Racks, pow)
@@ -346,14 +320,14 @@ func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, bool) {
 
 // bestPairLocked returns the best-fit feasible pair of combo c (smallest
 // sufficient free space, honoring the pair rating), or -1.
-func (a *Admitter) bestPairLocked(c, racks int, pow float64) int {
+func (a *Admitter) bestPairLocked(c, racks int, pow power.Watts) int {
 	best, bestFree := -1, int(^uint(0)>>1)
-	for _, pid := range a.comboPairs[c] {
+	for _, pid := range a.combos[c].Pairs {
 		free := a.slotsLeft[pid]
 		if free < racks || free >= bestFree {
 			continue
 		}
-		if a.pairCap > 0 && a.pairPow[pid]+pow > a.pairCap+tol {
+		if a.pairCap > 0 && a.pairPow[pid]+pow > a.pairCap+power.CapacityTolerance {
 			continue
 		}
 		best, bestFree = int(pid), free
@@ -363,18 +337,18 @@ func (a *Admitter) bestPairLocked(c, racks int, pow float64) int {
 
 // applyLocked commits d to pair pid on combo c, updating every residual
 // table in O(combos touched).
-func (a *Admitter) applyLocked(d workload.Deployment, c int, pid power.PDUPairID, pow, capPow float64) {
+func (a *Admitter) applyLocked(d workload.Deployment, c int, pid power.PDUPairID, pow, capPow power.Watts) {
 	a.slotsLeft[pid] -= d.Racks
 	a.comboSlots[c] -= d.Racks
 	a.pairPow[pid] += pow
-	a.comboPow[c] += pow
-	comboApply(a.normal, a.failCap, a.nUPS, a.comboA[c], a.comboB[c], pow, capPow)
+	a.comboPow[c] += float64(pow)
+	a.safety.Add(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow)
 	a.placedPow += pow
 	a.placedCapPow += capPow
 	a.committed[a.nCommitted] = committedRec{d: d, pid: pid}
 	a.idIndex[d.ID] = a.nCommitted
 	a.nCommitted++
-	a.cfg.Metrics.PlacedWatts.Set(a.placedPow)
+	a.cfg.Metrics.PlacedWatts.Set(float64(a.placedPow))
 	a.sinceResolve++
 	if a.cfg.ResolveEvery > 0 && a.sinceResolve >= a.cfg.ResolveEvery {
 		a.sinceResolve = 0
@@ -402,13 +376,13 @@ func (a *Admitter) Remove(id int) bool {
 	}
 	rec := a.committed[idx]
 	c := a.comboOfPair[rec.pid]
-	pow := float64(rec.d.TotalPower())
-	capPow := float64(rec.d.CapPower()) / a.oversub
+	pow := rec.d.TotalPower()
+	capPow := power.Watts(float64(rec.d.CapPower()) / a.oversub)
 	a.slotsLeft[rec.pid] += rec.d.Racks
 	a.comboSlots[c] += rec.d.Racks
 	a.pairPow[rec.pid] -= pow
-	a.comboPow[c] -= pow
-	comboApply(a.normal, a.failCap, a.nUPS, a.comboA[c], a.comboB[c], -pow, -capPow)
+	a.comboPow[c] -= float64(pow)
+	a.safety.Add(a.combos[c].UPSes[0], a.combos[c].UPSes[1], -pow, -capPow)
 	a.placedPow -= pow
 	a.placedCapPow -= capPow
 	last := a.nCommitted - 1
@@ -417,63 +391,10 @@ func (a *Admitter) Remove(id int) bool {
 	a.committed[last] = committedRec{}
 	delete(a.idIndex, id)
 	a.nCommitted--
-	a.cfg.Metrics.PlacedWatts.Set(a.placedPow)
+	a.cfg.Metrics.PlacedWatts.Set(float64(a.placedPow))
 	a.mu.Unlock()
 	a.cfg.Metrics.Removed.Inc()
 	return true
-}
-
-// comboFits checks Eq. 2 normal-operation headroom and the Eq. 4
-// failover feasibility deltas for placing (pow, capPow) on the combo
-// (aU, bU), against the given residual tables. It is shared between the
-// live admission check and the scenario-scoring simulation.
-func comboFits(normal, fail, normalLimit, upsCap []float64, nUPS, aU, bU int, pow, capPow float64) bool {
-	half := pow / 2
-	if normal[aU]+half > normalLimit[aU]+tol || normal[bU]+half > normalLimit[bU]+tol {
-		return false
-	}
-	for f := 0; f < nUPS; f++ {
-		switch f {
-		case aU:
-			if fail[f*nUPS+bU]+capPow > upsCap[bU]+tol {
-				return false
-			}
-		case bU:
-			if fail[f*nUPS+aU]+capPow > upsCap[aU]+tol {
-				return false
-			}
-		default:
-			if fail[f*nUPS+aU]+0.5*capPow > upsCap[aU]+tol {
-				return false
-			}
-			if fail[f*nUPS+bU]+0.5*capPow > upsCap[bU]+tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// comboApply adds (pow, capPow) placed on combo (aU, bU) to the normal
-// and failover tables (negative values reverse a placement). The Eq. 4
-// weights mirror placement.failoverWeight: a surviving partner takes the
-// whole post-shave load when the pair touches the failed UPS, half
-// otherwise.
-func comboApply(normal, fail []float64, nUPS, aU, bU int, pow, capPow float64) {
-	half := pow / 2
-	normal[aU] += half
-	normal[bU] += half
-	for f := 0; f < nUPS; f++ {
-		switch f {
-		case aU:
-			fail[f*nUPS+bU] += capPow
-		case bU:
-			fail[f*nUPS+aU] += capPow
-		default:
-			fail[f*nUPS+aU] += 0.5 * capPow
-			fail[f*nUPS+bU] += 0.5 * capPow
-		}
-	}
 }
 
 // Snapshot is a point-in-time summary of the admitter's committed state.
@@ -497,7 +418,7 @@ func (a *Admitter) Snapshot() Snapshot {
 	a.mu.Lock()
 	s := Snapshot{
 		Committed:   a.nCommitted,
-		PlacedPower: power.Watts(a.placedPow),
+		PlacedPower: a.placedPow,
 		ComboLoad:   make([]power.Watts, a.nCombos),
 		Decisions:   a.decisions,
 	}
@@ -514,6 +435,13 @@ func (a *Admitter) Snapshot() Snapshot {
 		s.ResolverObjective = power.Watts(g.objective)
 	}
 	return s
+}
+
+// Ledger returns a copy of the committed Eq. 2 / Eq. 4 safety state.
+func (a *Admitter) Ledger() *power.Ledger {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.safety.Clone()
 }
 
 // Assignments returns a copy of the committed deployment→pair map, in

@@ -3,6 +3,7 @@ package online
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -246,6 +247,52 @@ func TestBackgroundResolveDoesNotBlockAdmission(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("unsafe placement with async resolver: %v", err)
+	}
+}
+
+// TestResolveOnceAlongsideBackgroundResolver: ResolveOnce is documented
+// safe to call directly while StartResolve's goroutine runs. One goroutine
+// resolves in a loop while every admission triggers the background
+// resolver; under -race, unserialised resolves meet on the shared batch
+// scratch (the detector catches that in roughly four runs of five).
+func TestResolveOnceAlongsideBackgroundResolver(t *testing.T) {
+	room := placement.EmulationRoom()
+	cfg := Config{Seed: 19, ResolveEvery: 1, ResolveNodes: 1, ResolveBudget: time.Second, ResolveWorkers: 1}
+	adm, err := NewAdmitter(room, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	stop := adm.StartResolve(ctx)
+	defer stop()
+	admitted := make(chan struct{})
+	direct := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-admitted:
+				direct <- nil
+				return
+			default:
+			}
+			if err := adm.ResolveOnce(ctx); err != nil {
+				direct <- err
+				return
+			}
+		}
+	}()
+	resolves := adm.cfg.Metrics.Resolves
+	for _, d := range emuTrace(t, room, 19) {
+		// Pace admissions by completed resolves so the background
+		// resolver is triggered throughout, not in one burst.
+		for before := resolves.Value(); resolves.Value() < before+2; {
+			runtime.Gosched()
+		}
+		adm.Admit(d)
+	}
+	close(admitted)
+	if err := <-direct; err != nil {
+		t.Fatalf("ResolveOnce: %v", err)
 	}
 }
 

@@ -12,18 +12,23 @@ import (
 
 	"flex/internal/milp"
 	"flex/internal/placement"
+	"flex/internal/power"
 )
 
 // ResolveOnce runs one exact re-solve of the committed state plus the
 // next sampled future window and publishes the improved target profile.
 // It is normally driven by StartResolve's goroutine (or the Online
-// policy's SyncResolve loop) but is safe to call directly; the admitter
-// keeps admitting concurrently. The solve is budgeted by ResolveBudget /
-// ResolveNodes and honors ctx cancellation.
+// policy's SyncResolve loop) but is safe to call directly: resolves are
+// serialised among themselves, and the admitter keeps admitting
+// concurrently. The solve is budgeted by ResolveBudget / ResolveNodes and
+// honors ctx cancellation.
 func (a *Admitter) ResolveOnce(ctx context.Context) error {
+	// One resolve at a time: the batch scratch outlives the admission lock.
+	a.resolveMu.Lock()
+	defer a.resolveMu.Unlock()
 	// Snapshot the committed deployments, the next future window, and the
-	// live per-combo loads (the warm-start profile) under the lock;
-	// everything after runs unlocked.
+	// live per-combo loads (the warm-start profile) under the admission
+	// lock; everything after runs without it.
 	a.mu.Lock()
 	batch := a.futureBatch[:0]
 	for i := 0; i < a.nCommitted; i++ {
@@ -93,7 +98,7 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 		}
 	}
 	obj := prob.ObjectiveValue(x) * mw
-	if obj > warmObj*mw+tol {
+	if obj > warmObj*mw+float64(power.CapacityTolerance) {
 		a.cfg.Metrics.ResolveImprovements.Inc()
 	}
 	a.cfg.Metrics.ResolveObjective.Set(obj)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"flex/internal/power"
 	"flex/internal/workload"
 )
 
@@ -19,8 +20,8 @@ import (
 // the simulated greedy completion needs.
 type scenarioDep struct {
 	racks  int
-	pow    float64
-	capPow float64
+	pow    power.Watts
+	capPow power.Watts
 }
 
 // scenarioStride decorrelates the sampled suffixes: scenario s starts at
@@ -55,8 +56,8 @@ func (a *Admitter) initScenarios() error {
 	for i, d := range trace {
 		a.stream[i] = scenarioDep{
 			racks:  d.Racks,
-			pow:    float64(d.TotalPower()),
-			capPow: float64(d.CapPower()) / a.oversub,
+			pow:    d.TotalPower(),
+			capPow: power.Watts(float64(d.CapPower()) / a.oversub),
 		}
 	}
 	return nil
@@ -65,7 +66,7 @@ func (a *Admitter) initScenarios() error {
 // scoreCandidatesLocked picks the best combo among those with
 // candPair >= 0 for a deployment of (pow, capPow, racks). Caller
 // guarantees at least one candidate.
-func (a *Admitter) scoreCandidatesLocked(pow, capPow float64, racks int) int {
+func (a *Admitter) scoreCandidatesLocked(pow, capPow power.Watts, racks int) int {
 	best, bestScore := -1, 0.0
 	g := a.guidance.Load()
 	for c := 0; c < a.nCombos; c++ {
@@ -83,12 +84,12 @@ func (a *Admitter) scoreCandidatesLocked(pow, capPow float64, racks int) int {
 // scoreComboLocked scores committing the in-flight deployment to combo c:
 // the average power greedily placeable from sampled future suffixes,
 // minus devWeight times the resulting distance from the target profile.
-func (a *Admitter) scoreComboLocked(c int, pow, capPow float64, racks int, target []float64) float64 {
+func (a *Admitter) scoreComboLocked(c int, pow, capPow power.Watts, racks int, target []float64) float64 {
 	dev := 0.0
 	for k := 0; k < a.nCombos; k++ {
 		load := a.comboPow[k]
 		if k == c {
-			load += pow
+			load += float64(pow)
 		}
 		d := load - target[k]
 		if d < 0 {
@@ -112,25 +113,24 @@ func (a *Admitter) scoreComboLocked(c int, pow, capPow float64, racks int, targe
 // the placed power. Combo-granular on purpose: pair-level best-fit inside
 // a combo rarely changes which combo wins, and skipping it keeps the
 // whole simulation a few thousand float ops.
-func (a *Admitter) simulateSuffixLocked(c int, pow, capPow float64, racks, offset int) float64 {
-	copy(a.runNormal, a.normal)
-	copy(a.runFail, a.failCap)
+func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, offset int) float64 {
+	a.runSafety.CopyFrom(a.safety)
 	copy(a.runSlots, a.comboSlots)
 	copy(a.runPow, a.comboPow)
 	simPow, simCapPow := a.placedPow, a.placedCapPow
-	comboApply(a.runNormal, a.runFail, a.nUPS, a.comboA[c], a.comboB[c], pow, capPow)
+	a.runSafety.Add(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow)
 	a.runSlots[c] -= racks
-	a.runPow[c] += pow
+	a.runPow[c] += float64(pow)
 	simPow += pow
 	simCapPow += capPow
 	placed := 0.0
 	n := len(a.stream)
 	for k := 0; k < a.cfg.ScenarioDepth; k++ {
 		dep := a.stream[(offset+k)%n]
-		if a.coolPerWatt > 0 && (simPow+dep.pow)*a.coolPerWatt > a.coolCFM+coolTol {
+		if a.coolPerWatt > 0 && float64(simPow+dep.pow)*a.coolPerWatt > a.coolCFM+coolTol {
 			continue
 		}
-		if a.capBudget >= 0 && simCapPow+dep.capPow > a.capBudget+tol {
+		if a.capBudget >= 0 && simCapPow+dep.capPow > a.capBudget+power.CapacityTolerance {
 			continue
 		}
 		pick := -1
@@ -141,7 +141,7 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow float64, racks, offse
 			if pick >= 0 && a.runPow[j] >= a.runPow[pick] {
 				continue
 			}
-			if !comboFits(a.runNormal, a.runFail, a.normalLimit, a.upsCap, a.nUPS, a.comboA[j], a.comboB[j], dep.pow, dep.capPow) {
+			if !a.runSafety.Fits(a.combos[j].UPSes[0], a.combos[j].UPSes[1], dep.pow, dep.capPow) {
 				continue
 			}
 			pick = j
@@ -149,12 +149,12 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow float64, racks, offse
 		if pick < 0 {
 			continue
 		}
-		comboApply(a.runNormal, a.runFail, a.nUPS, a.comboA[pick], a.comboB[pick], dep.pow, dep.capPow)
+		a.runSafety.Add(a.combos[pick].UPSes[0], a.combos[pick].UPSes[1], dep.pow, dep.capPow)
 		a.runSlots[pick] -= dep.racks
-		a.runPow[pick] += dep.pow
+		a.runPow[pick] += float64(dep.pow)
 		simPow += dep.pow
 		simCapPow += dep.capPow
-		placed += dep.pow
+		placed += float64(dep.pow)
 	}
 	return placed
 }

@@ -327,52 +327,3 @@ func TestValidateDetectsViolations(t *testing.T) {
 		t.Fatal("expected failover violation: 2.4MW non-shaveable on one pair")
 	}
 }
-
-// Property: the state's incremental failCap bookkeeping matches a from-
-// scratch recomputation after a sequence of placements.
-func TestStateIncrementalMatchesRecompute(t *testing.T) {
-	room := PaperRoom()
-	trace := testTrace(t, room.Topo.ProvisionedPower(), 29)
-	s := newState(room)
-	for _, d := range trace {
-		for pid := range room.Topo.Pairs {
-			if s.canPlace(d, power.PDUPairID(pid)) {
-				s.place(d, power.PDUPairID(pid))
-				break
-			}
-		}
-	}
-	pl := s.result(trace)
-	capLoad := pl.CapPairLoad()
-	for f := range room.Topo.UPSes {
-		loads := room.Topo.FailoverLoads(capLoad, power.UPSID(f))
-		for u := range room.Topo.UPSes {
-			if u == f {
-				continue
-			}
-			if math.Abs(float64(loads[u]-s.failCap[f][u])) > 1 {
-				t.Fatalf("failCap[%d][%d] = %v, recomputed %v", f, u, s.failCap[f][u], loads[u])
-			}
-		}
-	}
-	// Normal loads too.
-	normals := room.Topo.UPSLoads(pl.PairLoad())
-	for u := range normals {
-		if math.Abs(float64(normals[u]-s.normal[u])) > 1 {
-			t.Fatalf("normal[%d] = %v, recomputed %v", u, s.normal[u], normals[u])
-		}
-	}
-}
-
-func TestFailoverWeight(t *testing.T) {
-	a, b := power.UPSID(0), power.UPSID(1)
-	if failoverWeight(a, b, 2, 3) != 0 {
-		t.Error("non-member survivor should weigh 0")
-	}
-	if failoverWeight(a, b, b, a) != 1 {
-		t.Error("partner of failed UPS should take full load")
-	}
-	if failoverWeight(a, b, a, 3) != 0.5 {
-		t.Error("uninvolved failure keeps half share")
-	}
-}

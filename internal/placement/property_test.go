@@ -71,16 +71,20 @@ type stateSnapshot struct {
 func snapshotState(s *state) stateSnapshot {
 	snap := stateSnapshot{
 		slots:     append([]int(nil), s.slotsLeft...),
-		normal:    append([]power.Watts(nil), s.normal...),
 		placedPow: s.placedPow,
 		capPow:    s.placedCapPow,
 		placed:    len(s.placed),
 	}
-	for _, row := range s.failCap {
-		snap.failCap = append(snap.failCap, append([]power.Watts(nil), row...))
-	}
-	for _, row := range s.throttleRec {
-		snap.throttleRec = append(snap.throttleRec, append([]power.Watts(nil), row...))
+	n := len(s.room.Topo.UPSes)
+	for f := 0; f < n; f++ {
+		snap.normal = append(snap.normal, s.safety.Normal(power.UPSID(f)))
+		var fail, throttle []power.Watts
+		for u := 0; u < n; u++ {
+			fail = append(fail, s.safety.Failover(power.UPSID(f), power.UPSID(u)))
+			throttle = append(throttle, s.throttle.Failover(power.UPSID(f), power.UPSID(u)))
+		}
+		snap.failCap = append(snap.failCap, fail)
+		snap.throttleRec = append(snap.throttleRec, throttle)
 	}
 	return snap
 }

@@ -75,6 +75,17 @@ func (r *Room) NormalLimit(u power.UPSID) power.Watts {
 	return power.Watts(frac * float64(r.Topo.UPSes[u].Capacity) * r.oversub())
 }
 
+// NewLedger returns an empty safety ledger for the room: Eq. 2 against
+// the room's per-UPS NormalLimit, Eq. 4 against rated capacity. Every
+// policy and the online admitter keep their committed state in one.
+func (r *Room) NewLedger() *power.Ledger {
+	limits := make([]power.Watts, len(r.Topo.UPSes))
+	for u := range limits {
+		limits[u] = r.NormalLimit(power.UPSID(u))
+	}
+	return power.NewLedger(r.Topo, limits)
+}
+
 func (r *Room) oversub() float64 {
 	if r.Oversubscription < 1 {
 		return 1

@@ -5,22 +5,22 @@ import (
 	"flex/internal/workload"
 )
 
-// state tracks the incremental feasibility bookkeeping shared by every
-// policy: free slots per pair, normal-operation load per UPS, and the
-// post-shave failover load (Eq. 4 left-hand side) for every (failed UPS,
-// surviving UPS) combination. Policies only place through state, so every
-// produced placement is safe by construction.
+// state is the bookkeeping every policy places through, so every produced
+// placement is safe by construction: free slots and allocated power per
+// pair, the room totals behind the cooling and diversity budgets, and the
+// Eq. 2 / Eq. 4 safety state in a power.Ledger.
 type state struct {
 	room      *Room
 	rows      *rowState // nil unless row modelling is enabled
 	slotsLeft []int
-	pairPow   []power.Watts   // allocated power per PDU-pair
-	normal    []power.Watts   // per-UPS normal-operation allocated load
-	failCap   [][]power.Watts // [failed][survivor] post-shave failover load
-	// throttleRec is the [failed][survivor] failover-weighted power
+	pairPow   []power.Watts // allocated power per PDU-pair
+	// safety holds the allocated (Eq. 2) and post-shave (Eq. 4) load of
+	// everything placed.
+	safety *power.Ledger
+	// throttle holds, in its failover table, the failover-weighted power
 	// recoverable by throttling alone (cap-able deployments only); used by
 	// Flex-Offline's balance term and the imbalance metric.
-	throttleRec  [][]power.Watts
+	throttle     *power.Ledger
 	placedPow    power.Watts
 	placedCapPow power.Watts // cumulative post-shave (CapPow) allocation
 	placed       map[int]power.PDUPairID
@@ -28,42 +28,27 @@ type state struct {
 }
 
 func newState(room *Room) *state {
-	n := len(room.Topo.UPSes)
 	rows, err := newRowState(room)
 	if err != nil {
 		// Room misconfiguration is a programming error at this level;
 		// Policy implementations surface it before building state.
 		panic(err)
 	}
-	s := &state{
-		room:        room,
-		rows:        rows,
-		slotsLeft:   append([]int(nil), room.SlotsPerPair...),
-		pairPow:     make([]power.Watts, len(room.Topo.Pairs)),
-		normal:      make([]power.Watts, n),
-		failCap:     make([][]power.Watts, n),
-		throttleRec: make([][]power.Watts, n),
-		placed:      make(map[int]power.PDUPairID),
-		deps:        make(map[int]workload.Deployment),
+	return &state{
+		room:      room,
+		rows:      rows,
+		slotsLeft: append([]int(nil), room.SlotsPerPair...),
+		pairPow:   make([]power.Watts, len(room.Topo.Pairs)),
+		safety:    room.NewLedger(),
+		throttle:  power.NewLedger(room.Topo, nil),
+		placed:    make(map[int]power.PDUPairID),
+		deps:      make(map[int]workload.Deployment),
 	}
-	for f := range s.failCap {
-		s.failCap[f] = make([]power.Watts, n)
-		s.throttleRec[f] = make([]power.Watts, n)
-	}
-	return s
 }
 
-// failoverWeight is the Eq. 4 weighting of a deployment on pair (a,b)
-// towards survivor u when f fails: 0 if u is not on the pair, 1 if the
-// pair also touches f (the survivor takes the whole load), 0.5 otherwise.
-func failoverWeight(a, b, u, f power.UPSID) float64 {
-	if u != a && u != b {
-		return 0
-	}
-	if f == a || f == b {
-		return 1
-	}
-	return 0.5
+// capPow is d's post-shave power as the room's safety state counts it.
+func (s *state) capPow(d workload.Deployment) power.Watts {
+	return power.Watts(float64(d.CapPower()) / s.room.oversub())
 }
 
 // canPlace reports whether deployment d fits on pair pid without violating
@@ -84,36 +69,13 @@ func (s *state) canPlace(d workload.Deployment, pid power.PDUPairID) bool {
 			return false
 		}
 	}
-	topo := s.room.Topo
-	pair := topo.Pairs[pid]
-	a, b := pair.UPSes[0], pair.UPSes[1]
-	half := d.TotalPower() / 2
-	if s.normal[a]+half > s.room.NormalLimit(a)+power.CapacityTolerance ||
-		s.normal[b]+half > s.room.NormalLimit(b)+power.CapacityTolerance {
-		return false
-	}
-	capPow := float64(d.CapPower()) / s.room.oversub()
-	for f := range topo.UPSes {
-		ff := power.UPSID(f)
-		for _, u := range [2]power.UPSID{a, b} {
-			if u == ff {
-				continue
-			}
-			w := failoverWeight(a, b, u, ff)
-			if s.failCap[f][u]+power.Watts(w*capPow) > topo.UPSes[u].Capacity+power.CapacityTolerance {
-				return false
-			}
-		}
-	}
-	return true
+	pair := s.room.Topo.Pairs[pid]
+	return s.safety.Fits(pair.UPSes[0], pair.UPSes[1], d.TotalPower(), s.capPow(d))
 }
 
 // place commits deployment d to pair pid. Callers must have verified
 // canPlace.
 func (s *state) place(d workload.Deployment, pid power.PDUPairID) {
-	pair := s.room.Topo.Pairs[pid]
-	a, b := pair.UPSes[0], pair.UPSes[1]
-	s.slotsLeft[pid] -= d.Racks
 	if s.rows != nil {
 		take := s.rows.fit(pid, d.Racks)
 		if take == nil {
@@ -121,61 +83,18 @@ func (s *state) place(d workload.Deployment, pid power.PDUPairID) {
 		}
 		s.rows.place(d.ID, take)
 	}
-	s.pairPow[pid] += d.TotalPower()
-	half := d.TotalPower() / 2
-	s.normal[a] += half
-	s.normal[b] += half
-	capPow := float64(d.CapPower()) / s.room.oversub()
-	throttle := float64(d.ThrottleRecoverablePower()) / s.room.oversub()
-	for f := range s.room.Topo.UPSes {
-		ff := power.UPSID(f)
-		for _, u := range [2]power.UPSID{a, b} {
-			if u == ff {
-				continue
-			}
-			w := failoverWeight(a, b, u, ff)
-			s.failCap[f][u] += power.Watts(w * capPow)
-			s.throttleRec[f][u] += power.Watts(w * throttle)
-		}
-	}
-	s.placedPow += d.TotalPower()
-	s.placedCapPow += power.Watts(float64(d.CapPower()) / s.room.oversub())
-	s.placed[d.ID] = pid
-	s.deps[d.ID] = d
+	s.account(d, pid, 1)
 }
 
 // remove reverses place, freeing d's slots and load contributions. The
 // returned token restores the exact row allocation via restoreAt (nil
 // when rows are disabled).
 func (s *state) remove(d workload.Deployment, pid power.PDUPairID) []rowUse {
-	pair := s.room.Topo.Pairs[pid]
-	a, b := pair.UPSes[0], pair.UPSes[1]
-	s.slotsLeft[pid] += d.Racks
 	var token []rowUse
 	if s.rows != nil {
 		token = s.rows.remove(d.ID)
 	}
-	s.pairPow[pid] -= d.TotalPower()
-	half := d.TotalPower() / 2
-	s.normal[a] -= half
-	s.normal[b] -= half
-	capPow := float64(d.CapPower()) / s.room.oversub()
-	throttle := float64(d.ThrottleRecoverablePower()) / s.room.oversub()
-	for f := range s.room.Topo.UPSes {
-		ff := power.UPSID(f)
-		for _, u := range [2]power.UPSID{a, b} {
-			if u == ff {
-				continue
-			}
-			w := failoverWeight(a, b, u, ff)
-			s.failCap[f][u] -= power.Watts(w * capPow)
-			s.throttleRec[f][u] -= power.Watts(w * throttle)
-		}
-	}
-	s.placedPow -= d.TotalPower()
-	s.placedCapPow -= power.Watts(float64(d.CapPower()) / s.room.oversub())
-	delete(s.placed, d.ID)
-	delete(s.deps, d.ID)
+	s.account(d, pid, -1)
 	return token
 }
 
@@ -183,33 +102,33 @@ func (s *state) remove(d workload.Deployment, pid power.PDUPairID) []rowUse {
 // remove token's row allocation. It bypasses canPlace — the caller is
 // returning the state to a configuration that was valid moments ago.
 func (s *state) restoreAt(d workload.Deployment, pid power.PDUPairID, token []rowUse) {
-	pair := s.room.Topo.Pairs[pid]
-	a, b := pair.UPSes[0], pair.UPSes[1]
-	s.slotsLeft[pid] -= d.Racks
 	if s.rows != nil {
 		s.rows.restore(d.ID, token)
 	}
-	s.pairPow[pid] += d.TotalPower()
-	half := d.TotalPower() / 2
-	s.normal[a] += half
-	s.normal[b] += half
-	capPow := float64(d.CapPower()) / s.room.oversub()
-	throttle := float64(d.ThrottleRecoverablePower()) / s.room.oversub()
-	for f := range s.room.Topo.UPSes {
-		ff := power.UPSID(f)
-		for _, u := range [2]power.UPSID{a, b} {
-			if u == ff {
-				continue
-			}
-			w := failoverWeight(a, b, u, ff)
-			s.failCap[f][u] += power.Watts(w * capPow)
-			s.throttleRec[f][u] += power.Watts(w * throttle)
-		}
+	s.account(d, pid, 1)
+}
+
+// account adds (sign 1) or removes (sign -1) d's slots and power on pair
+// pid in every table except the row allocation.
+func (s *state) account(d workload.Deployment, pid power.PDUPairID, sign int) {
+	pair := s.room.Topo.Pairs[pid]
+	a, b := pair.UPSes[0], pair.UPSes[1]
+	pow := power.Watts(sign) * d.TotalPower()
+	capPow := power.Watts(sign) * s.capPow(d)
+	throttle := power.Watts(sign) * power.Watts(float64(d.ThrottleRecoverablePower())/s.room.oversub())
+	s.slotsLeft[pid] -= sign * d.Racks
+	s.pairPow[pid] += pow
+	s.safety.Add(a, b, pow, capPow)
+	s.throttle.Add(a, b, 0, throttle)
+	s.placedPow += pow
+	s.placedCapPow += capPow
+	if sign > 0 {
+		s.placed[d.ID] = pid
+		s.deps[d.ID] = d
+	} else {
+		delete(s.placed, d.ID)
+		delete(s.deps, d.ID)
 	}
-	s.placedPow += d.TotalPower()
-	s.placedCapPow += power.Watts(float64(d.CapPower()) / s.room.oversub())
-	s.placed[d.ID] = pid
-	s.deps[d.ID] = d
 }
 
 // deploymentsByID exposes the placed deployments for refinement passes.
@@ -229,7 +148,8 @@ func (s *state) imbalance() float64 {
 				continue
 			}
 			cap := float64(topo.UPSes[u].Capacity)
-			need := float64(s.failCap[f][u]+s.throttleRec[f][u]) - cap
+			ff, uu := power.UPSID(f), power.UPSID(u)
+			need := float64(s.safety.Failover(ff, uu)+s.throttle.Failover(ff, uu)) - cap
 			if need < 0 {
 				need = 0
 			}

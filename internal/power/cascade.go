@@ -33,13 +33,12 @@ type CascadeOutcome struct {
 // the initial failure cascades into an outage.
 func (t *Topology) SimulateCascade(load PairLoad, initialFailure UPSID, curve TripCurve, horizon time.Duration) CascadeOutcome {
 	out := CascadeOutcome{Tripped: []UPSID{initialFailure}}
-	failed := make([]bool, len(t.UPSes))
-	failed[initialFailure] = true
+	failed := SetOf(initialFailure)
 	elapsed := time.Duration(0)
 
 	for {
-		loads, outagePair := t.loadsWithFailures(load, failed)
-		if outagePair {
+		loads, dark := t.LoadFlow(load, failed)
+		if dark {
 			out.Outage = true
 			out.TimeToOutage = elapsed
 			return out
@@ -48,7 +47,7 @@ func (t *Topology) SimulateCascade(load PairLoad, initialFailure UPSID, curve Tr
 		trip := -1
 		var tripAt time.Duration
 		for i, u := range t.UPSes {
-			if failed[i] || loads[i] <= u.Capacity {
+			if failed.Has(UPSID(i)) || loads[i] <= u.Capacity {
 				continue
 			}
 			tol := curve.Tolerance(float64(loads[i] / u.Capacity))
@@ -60,35 +59,9 @@ func (t *Topology) SimulateCascade(load PairLoad, initialFailure UPSID, curve Tr
 			return out // stable (or survives past the horizon)
 		}
 		elapsed += tripAt
-		failed[trip] = true
+		failed |= SetOf(UPSID(trip))
 		out.Tripped = append(out.Tripped, UPSID(trip))
 	}
-}
-
-// loadsWithFailures computes UPS loads when a set of UPSes has failed.
-// It reports whether any loaded pair has lost both upstream UPSes.
-func (t *Topology) loadsWithFailures(load PairLoad, failed []bool) (loads []Watts, outage bool) {
-	loads = make([]Watts, len(t.UPSes))
-	for _, p := range t.Pairs {
-		w := load.at(p.ID)
-		if w <= 0 {
-			continue
-		}
-		a, b := p.UPSes[0], p.UPSes[1]
-		fa, fb := failed[a], failed[b]
-		switch {
-		case fa && fb:
-			outage = true
-		case fa:
-			loads[b] += w
-		case fb:
-			loads[a] += w
-		default:
-			loads[a] += w / 2
-			loads[b] += w / 2
-		}
-	}
-	return loads, outage
 }
 
 // WorstSurvivorLoadFraction returns, across all single-UPS failures, the

@@ -1,0 +1,155 @@
+package power
+
+// PairShare is the load-transfer rule of the distributed-redundant design
+// (paper Figure 2), and the only place it is written down: the fractions
+// of a PDU-pair's load carried by its two upstream UPSes a and b, given
+// which of them are out of service. In normal operation each carries half
+// (Eq. 2); when one is out the other carries everything (Eq. 4's weight 1
+// on pairs shared with the failed UPS); a pair that lost both is dark.
+// The load-flow loop (Topology.LoadFlow), the incremental Ledger, the
+// placement ILP's coefficients (FailoverWeight) and the controller's
+// recovery estimates all derive from it.
+func PairShare(aOut, bOut bool) (wa, wb float64) {
+	switch {
+	case aOut && bOut:
+		return 0, 0
+	case aOut:
+		return 0, 1
+	case bOut:
+		return 1, 0
+	default:
+		return 0.5, 0.5
+	}
+}
+
+// FailoverWeight is the coefficient of the safety inequalities for a
+// deployment on a pair fed by UPSes a and b: the fraction of its power
+// that UPS u carries while the UPSes in out are out of service. With
+// nothing out it is Eq. 2's coefficient (½ on the pair's UPSes); with one
+// UPS f out, Eq. 4's (1 when the pair is shared with f, ½ on the survivor's
+// other pairs, 0 for f itself and for UPSes not on the pair).
+func FailoverWeight(a, b, u UPSID, out UPSSet) float64 {
+	wa, wb := PairShare(out.Has(a), out.Has(b))
+	switch u {
+	case a:
+		return wa
+	case b:
+		return wb
+	}
+	return 0
+}
+
+// Ledger is the incremental form of the two safety inequalities: the
+// per-UPS normal-operation load (Eq. 2's left-hand side) and, for every
+// (failed, survivor) UPS combination, the survivor's load after the failed
+// UPS's share has transferred (Eq. 4's left-hand side), maintained under
+// signed additions of power on a PDU-pair. Placement policies, the online
+// admitter and the batch ILP's right-hand sides all keep their committed
+// state in one; Topology.LoadFlow is the from-scratch form it is tested
+// against.
+//
+// The ledger tracks two quantities per addition because the inequalities
+// are over different powers: Eq. 2 over the allocated power, Eq. 4 over
+// the post-shave power (what remains after every rack has been throttled
+// or shut down as far as its workload allows). A Ledger is not safe for
+// concurrent use.
+type Ledger struct {
+	normalLimit []Watts // per-UPS Eq. 2 right-hand side
+	capacity    []Watts // per-UPS Eq. 4 right-hand side
+	normal      []Watts
+	fail        []Watts // flattened [failed*n+survivor]
+}
+
+// NewLedger returns an empty ledger for topology t. normalLimit is the
+// per-UPS limit on normal-operation load; nil means each UPS's rated
+// capacity, the zero-reserved-power rule. Failover load is always limited
+// by rated capacity.
+func NewLedger(t *Topology, normalLimit []Watts) *Ledger {
+	n := len(t.UPSes)
+	l := &Ledger{
+		normalLimit: make([]Watts, n),
+		capacity:    make([]Watts, n),
+		normal:      make([]Watts, n),
+		fail:        make([]Watts, n*n),
+	}
+	for u := range t.UPSes {
+		l.capacity[u] = t.UPSes[u].Capacity
+	}
+	if normalLimit == nil {
+		normalLimit = l.capacity
+	}
+	copy(l.normalLimit, normalLimit)
+	return l
+}
+
+// Add records pow of allocated power and capPow of post-shave power on a
+// pair fed by UPSes a and b. Negative values reverse an earlier Add.
+//
+//flex:hotpath
+func (l *Ledger) Add(a, b UPSID, pow, capPow Watts) {
+	wa, wb := PairShare(false, false)
+	l.normal[a] += Watts(wa) * pow
+	l.normal[b] += Watts(wb) * pow
+	n := len(l.normal)
+	for f := 0; f < n; f++ {
+		wa, wb = PairShare(UPSID(f) == a, UPSID(f) == b)
+		row := l.fail[f*n : f*n+n]
+		row[a] += Watts(wa) * capPow
+		row[b] += Watts(wb) * capPow
+	}
+}
+
+// Fits reports whether Add(a, b, pow, capPow) would keep both UPSes within
+// their normal-operation limits (Eq. 2) and, for every single UPS failure,
+// within their rated capacity after maximal shaving (Eq. 4), each with
+// CapacityTolerance of slack. UPSes off the pair are unaffected by the
+// addition and are not re-checked.
+//
+//flex:hotpath
+func (l *Ledger) Fits(a, b UPSID, pow, capPow Watts) bool {
+	wa, wb := PairShare(false, false)
+	if l.normal[a]+Watts(wa)*pow > l.normalLimit[a]+CapacityTolerance ||
+		l.normal[b]+Watts(wb)*pow > l.normalLimit[b]+CapacityTolerance {
+		return false
+	}
+	n := len(l.normal)
+	for f := 0; f < n; f++ {
+		wa, wb = PairShare(UPSID(f) == a, UPSID(f) == b)
+		row := l.fail[f*n : f*n+n]
+		if row[a]+Watts(wa)*capPow > l.capacity[a]+CapacityTolerance ||
+			row[b]+Watts(wb)*capPow > l.capacity[b]+CapacityTolerance {
+			return false
+		}
+	}
+	return true
+}
+
+// Normal returns UPS u's normal-operation load.
+func (l *Ledger) Normal(u UPSID) Watts { return l.normal[u] }
+
+// Failover returns survivor u's post-shave load after UPS f fails.
+func (l *Ledger) Failover(f, u UPSID) Watts { return l.fail[int(f)*len(l.normal)+int(u)] }
+
+// NormalHeadroom returns UPS u's normal-operation limit minus its load.
+func (l *Ledger) NormalHeadroom(u UPSID) Watts { return l.normalLimit[u] - l.normal[u] }
+
+// FailoverHeadroom returns survivor u's capacity minus its post-shave load
+// after UPS f fails.
+func (l *Ledger) FailoverHeadroom(f, u UPSID) Watts { return l.capacity[u] - l.Failover(f, u) }
+
+// CopyFrom overwrites l's loads with src's, for scratch copies of a
+// committed ledger made by Clone (or NewLedger with the same arguments).
+func (l *Ledger) CopyFrom(src *Ledger) {
+	copy(l.normal, src.normal)
+	copy(l.fail, src.fail)
+}
+
+// Clone returns an independent copy of l with the same limits and loads.
+func (l *Ledger) Clone() *Ledger {
+	return &Ledger{
+		normalLimit: l.normalLimit,
+		capacity:    l.capacity,
+		normal:      append([]Watts(nil), l.normal...),
+		fail:        append([]Watts(nil), l.fail...),
+	}
+}

@@ -37,16 +37,53 @@ func (l PairLoad) at(p PDUPairID) Watts {
 	return l[p]
 }
 
+// UPSSet is a set of UPSes, bit u standing for UPSID u — the out-of-service
+// set of a load-flow computation. Redundancy.Validate bounds a design to
+// MaxUPSes so every UPSID fits.
+type UPSSet uint64
+
+// MaxUPSes is the largest number of UPSes a topology may have.
+const MaxUPSes = 64
+
+// SetOf returns the set holding the given UPSes.
+func SetOf(us ...UPSID) UPSSet {
+	var s UPSSet
+	for _, u := range us {
+		s |= 1 << uint(u)
+	}
+	return s
+}
+
+// Has reports whether u is in the set.
+func (s UPSSet) Has(u UPSID) bool { return s&(1<<uint(u)) != 0 }
+
+// LoadFlow computes the load on every UPS when the UPSes in out are out of
+// service: every PDU-pair's load is split between its two upstream UPSes
+// by PairShare. An out-of-service UPS's entry is 0. dark reports whether
+// any pair carrying load has lost both of its UPSes, i.e. racks lost power
+// entirely. It is the from-scratch form of both safety inequalities:
+// nothing out gives Eq. 2's left-hand side, one UPS out gives Eq. 4's.
+func (t *Topology) LoadFlow(load PairLoad, out UPSSet) (loads []Watts, dark bool) {
+	loads = make([]Watts, len(t.UPSes))
+	for _, p := range t.Pairs {
+		w := load.at(p.ID)
+		a, b := p.UPSes[0], p.UPSes[1]
+		aOut, bOut := out.Has(a), out.Has(b)
+		wa, wb := PairShare(aOut, bOut)
+		loads[a] += Watts(wa) * w
+		loads[b] += Watts(wb) * w
+		if aOut && bOut && w > 0 {
+			dark = true
+		}
+	}
+	return loads, dark
+}
+
 // UPSLoads computes the normal-operation load on every UPS (paper Eq. 2):
 // each UPS carries half of every PDU-pair it feeds.
 func (t *Topology) UPSLoads(load PairLoad) []Watts {
-	out := make([]Watts, len(t.UPSes))
-	for _, p := range t.Pairs {
-		half := load.at(p.ID) / 2
-		out[p.UPSes[0]] += half
-		out[p.UPSes[1]] += half
-	}
-	return out
+	loads, _ := t.LoadFlow(load, 0)
+	return loads
 }
 
 // FailoverLoads computes the load on every UPS immediately after UPS
@@ -55,22 +92,8 @@ func (t *Topology) UPSLoads(load PairLoad) []Watts {
 // to the surviving partner, other pairs are unchanged. The failed UPS's
 // entry is 0.
 func (t *Topology) FailoverLoads(load PairLoad, failed UPSID) []Watts {
-	out := make([]Watts, len(t.UPSes))
-	for _, p := range t.Pairs {
-		w := load.at(p.ID)
-		a, b := p.UPSes[0], p.UPSes[1]
-		switch failed {
-		case a:
-			out[b] += w
-		case b:
-			out[a] += w
-		default:
-			out[a] += w / 2
-			out[b] += w / 2
-		}
-	}
-	out[failed] = 0
-	return out
+	loads, _ := t.LoadFlow(load, SetOf(failed))
+	return loads
 }
 
 // Overdrawn returns the UPSes whose load exceeds their rated capacity by

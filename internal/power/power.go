@@ -50,10 +50,14 @@ type Redundancy struct {
 	Y int // supplies that must be able to carry the full allocated load
 }
 
-// Validate reports whether the design is meaningful (X > Y >= 1).
+// Validate reports whether the design is meaningful (X > Y >= 1) and small
+// enough for a UPSSet (X <= MaxUPSes).
 func (r Redundancy) Validate() error {
 	if r.Y < 1 || r.X <= r.Y {
 		return fmt.Errorf("power: invalid redundancy %dN/%d: need X > Y >= 1", r.X, r.Y)
+	}
+	if r.X > MaxUPSes {
+		return fmt.Errorf("power: redundancy %dN/%d has more than %d UPSes", r.X, r.Y, MaxUPSes)
 	}
 	return nil
 }

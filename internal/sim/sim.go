@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -165,8 +166,9 @@ type Figure12Point struct {
 
 // RunFigure12 produces the Figure 12 series for one scenario: for every
 // utilization and every single-UPS failure, sample rack powers, compute
-// the post-failover UPS loads, run Algorithm 1, and aggregate.
-func RunFigure12(cfg Figure12Config) ([]Figure12Point, error) {
+// the post-failover UPS loads, run Algorithm 1, and aggregate. ctx bounds
+// every planning pass; on expiry the sweep stops with its cause.
+func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, error) {
 	if cfg.Placement == nil {
 		return nil, fmt.Errorf("sim: placement required")
 	}
@@ -202,7 +204,7 @@ func RunFigure12(cfg Figure12Config) ([]Figure12Point, error) {
 				load := PairLoadFromRacks(topo, racks, rackPower)
 				ups := topo.FailoverLoads(load, power.UPSID(f))
 				inactive := map[power.UPSID]bool{power.UPSID(f): true}
-				actions, insufficient, err := controller.Plan(controller.PlanInput{
+				actions, insufficient, err := controller.PlanContext(ctx, controller.PlanInput{
 					Topo:      topo,
 					Racks:     managed,
 					UPSPower:  ups,

@@ -114,7 +114,7 @@ func TestPairLoadFromRacksConserves(t *testing.T) {
 
 func TestRunFigure12ShapeAndMonotonicity(t *testing.T) {
 	pl := placedRoom(t)
-	pts, err := RunFigure12(Figure12Config{
+	pts, err := RunFigure12(context.Background(), Figure12Config{
 		Placement:         pl,
 		Scenario:          impact.Realistic1(),
 		Utilizations:      []float64{0.72, 0.78, 0.84},
@@ -147,7 +147,7 @@ func TestRunFigure12ShapeAndMonotonicity(t *testing.T) {
 func TestRunFigure12ScenarioOrdering(t *testing.T) {
 	pl := placedRoom(t)
 	run := func(s impact.Scenario) Figure12Point {
-		pts, err := RunFigure12(Figure12Config{
+		pts, err := RunFigure12(context.Background(), Figure12Config{
 			Placement:         pl,
 			Scenario:          s,
 			Utilizations:      []float64{0.82},
@@ -179,7 +179,7 @@ func TestRunFigure12ScenarioOrdering(t *testing.T) {
 }
 
 func TestRunFigure12Validation(t *testing.T) {
-	if _, err := RunFigure12(Figure12Config{}); err == nil {
+	if _, err := RunFigure12(context.Background(), Figure12Config{}); err == nil {
 		t.Fatal("expected error without placement")
 	}
 }
@@ -200,7 +200,7 @@ func TestDefaultUtilizations(t *testing.T) {
 func TestRunFigure12StoresSeries(t *testing.T) {
 	pl := placedRoom(t)
 	st := tsdb.NewStore(tsdb.Options{})
-	_, err := RunFigure12(Figure12Config{
+	_, err := RunFigure12(context.Background(), Figure12Config{
 		Placement:         pl,
 		Scenario:          impact.Realistic1(),
 		Utilizations:      []float64{0.78, 0.84},
