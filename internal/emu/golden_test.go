@@ -1,0 +1,158 @@
+package emu
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"flex/internal/obs"
+	"flex/internal/obs/recorder"
+	"flex/internal/obs/slo"
+	"flex/internal/obs/tsdb"
+)
+
+// The golden tests pin everything the two emulators hand back for one
+// short fixed-seed run each, section by section, against hashes captured
+// before the tick loops were restructured. A host-only optimisation must
+// leave every emulated watt, latency and recorder event bit-identical; a
+// failure names the section that moved. The constants were captured on
+// amd64; architectures that fuse multiply-adds round differently.
+
+// sectionHash is the fnv-1a hash of v's JSON encoding. encoding/json
+// renders floats in their shortest round-tripping form and map keys in
+// sorted order, so equal hashes mean bit-equal values.
+func sectionHash(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("golden: encoding %T: %v", v, err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func checkGolden(t *testing.T, got map[string]string, want map[string]string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes were captured on amd64, not %s", runtime.GOARCH)
+	}
+	for name, w := range want {
+		if g := got[name]; g != w {
+			t.Errorf("section %-12s hash %s, want %s", name, g, w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("hashed %d sections, golden has %d", len(got), len(want))
+	}
+	if t.Failed() {
+		t.Logf("got: %#v", got)
+	}
+}
+
+func TestRunGolden(t *testing.T) {
+	rec := recorder.New(1 << 18)
+	aud := slo.NewAuditor(slo.Config{
+		Store:         tsdb.NewStore(tsdb.Options{}),
+		Recorder:      rec,
+		UPSFreshness:  3 * time.Second,
+		RackFreshness: 4 * time.Second,
+	})
+	res, err := Run(context.Background(), Config{
+		FailAt:                150 * time.Second,
+		RecoverAt:             270 * time.Second,
+		Duration:              360 * time.Second,
+		Seed:                  7,
+		InjectTelemetryFaults: true,
+		Obs:                   obs.NewRegistry(),
+		Tracer:                obs.NewTracer(64),
+		Recorder:              rec,
+		Safety:                aud,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DetectionLatency < 0 || res.ShaveLatency <= 0 || !res.RestoredAll {
+		t.Fatalf("golden run is not a full failover-and-recovery arc: detect %v, shave %v, restored %v",
+			res.DetectionLatency, res.ShaveLatency, res.RestoredAll)
+	}
+	if rec.Overwritten() > 0 {
+		t.Fatalf("recorder overwrote %d events; the stream hash needs all of them", rec.Overwritten())
+	}
+	series := res.Series
+	res.Series = nil
+	checkGolden(t, map[string]string{
+		"series":      sectionHash(t, series),
+		"scalars":     sectionHash(t, res),
+		"events":      sectionHash(t, rec.Snapshot()),
+		"transitions": sectionHash(t, aud.Transitions()),
+	}, map[string]string{
+		"series":      "451cec77997830d3",
+		"scalars":     "8f287a6297a4f645",
+		"events":      "e9ea4dcaa55fb975",
+		"transitions": "46ba0948fe0b5523",
+	})
+}
+
+func TestRunFleetGolden(t *testing.T) {
+	rec := recorder.New(1 << 18)
+	res, err := RunFleet(context.Background(), FleetConfig{
+		Rooms:          3,
+		FailRoom:       1,
+		FailUPS:        1,
+		FailAt:         10 * time.Second,
+		Duration:       40 * time.Second,
+		Controllers:    2,
+		SaturateRoom:   2,
+		SaturateFactor: 8,
+		Seed:           7,
+		Obs:            obs.NewRegistry(),
+		Recorder:       rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DetectLatency < 0 || res.ShedLatency <= 0 || res.SaturatedDrops == 0 {
+		t.Fatalf("golden run is not a shed under a flooded neighbour: detect %v, shed %v, saturated drops %d",
+			res.DetectLatency, res.ShedLatency, res.SaturatedDrops)
+	}
+	if rec.Overwritten() > 0 {
+		t.Fatalf("recorder overwrote %d events; the stream hash needs all of them", rec.Overwritten())
+	}
+	// Committed headroom is a float sum in map order (fleet.Shard), so its
+	// last bits vary from run to run; pin it to the milliwatt.
+	snap := res.Snapshot
+	milliwatt := func(w *float64) { *w = math.Round(*w*1e3) / 1e3 }
+	hr := float64(snap.CommittedHeadroom)
+	milliwatt(&hr)
+	snap.CommittedHeadroom = 0
+	rooms := make([]float64, len(snap.Rooms))
+	for i := range snap.Rooms {
+		rooms[i] = float64(snap.Rooms[i].CommittedHeadroom)
+		milliwatt(&rooms[i])
+		snap.Rooms[i].CommittedHeadroom = 0
+	}
+	episodes, stages := res.Episodes, res.Stages
+	res.Snapshot, res.Episodes, res.Stages = snap, nil, nil
+	res.Snapshot.Rooms, res.Snapshot.Stages = nil, nil
+	checkGolden(t, map[string]string{
+		"scalars":  sectionHash(t, res),
+		"rooms":    sectionHash(t, snap.Rooms),
+		"headroom": sectionHash(t, append(rooms, hr)),
+		"episodes": sectionHash(t, episodes),
+		"stages":   sectionHash(t, [2]any{stages, snap.Stages}),
+		"events":   sectionHash(t, rec.Snapshot()),
+	}, map[string]string{
+		"scalars":  "92331d93a12f8f8d",
+		"rooms":    "a1dad77bae0bc0e4",
+		"headroom": "35f7fe50aae31cf5",
+		"episodes": "61a8cbfdbcd5f8a4",
+		"stages":   "4bdae7f1292b7ced",
+		"events":   "85ed666d814eea82",
+	})
+}
