@@ -101,9 +101,16 @@ type StepOutcome struct {
 // Controller is one Flex-Online primary.
 type Controller struct {
 	cfg Config
+	// rackIdx maps a rack ID to its index in cfg.Racks.
+	rackIdx map[string]int
 
-	mu            sync.Mutex
-	acted         map[string]PlannedAction // rack → action we enforced
+	mu    sync.Mutex
+	acted map[string]PlannedAction // rack → action we enforced
+	// committed is acted as a list sorted by rack — what CommittedActions
+	// serves. It is built on the first read after acted changed; enforce
+	// and restore drop it (setting nil, never editing it in place, so a
+	// list already handed out stays a consistent snapshot).
+	committed     []PlannedAction
 	steps         int
 	lastEnforceAt time.Time
 	// overdrawSince is when the current overdraw episode was first seen
@@ -148,7 +155,15 @@ func New(cfg Config) *Controller {
 	if cfg.Buffer == 0 {
 		cfg.Buffer = DefaultBuffer(cfg.Topo)
 	}
-	return &Controller{cfg: cfg, acted: make(map[string]PlannedAction)}
+	c := &Controller{
+		cfg:     cfg,
+		rackIdx: make(map[string]int, len(cfg.Racks)),
+		acted:   make(map[string]PlannedAction),
+	}
+	for i := len(cfg.Racks) - 1; i >= 0; i-- { // a duplicated ID resolves to its first entry
+		c.rackIdx[cfg.Racks[i].ID] = i
+	}
+	return c
 }
 
 // snapshotUPS builds the UPS power vector from the view; UPSes without a
@@ -191,20 +206,13 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 
 	c.mu.Lock()
 	c.steps++
-	acted := make(map[string]bool, len(c.acted))
-	for id := range c.acted {
-		acted[id] = true
-	}
 	c.mu.Unlock()
 
+	// The handful of UPS readings decide whether this round plans at all;
+	// the plan's inputs (acted set, rack powers) are built only once it
+	// does.
 	ups, measuredAt, upsEvents := c.snapshotUPS()
 	inactive := InferInactiveUPSes(c.cfg.Topo, ups, c.cfg.InactiveThreshold)
-	var rackPower map[string]power.Watts
-	if c.cfg.RackEstimator != nil {
-		rackPower = c.cfg.RackEstimator.BoundSnapshot(-1)
-	} else {
-		rackPower = c.cfg.RackView.Snapshot()
-	}
 
 	over := false
 	worst := -1
@@ -302,6 +310,18 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 				tr.Finish(now)
 			}
 			return out
+		}
+		c.mu.Lock()
+		acted := make(map[string]bool, len(c.acted))
+		for id := range c.acted {
+			acted[id] = true
+		}
+		c.mu.Unlock()
+		var rackPower map[string]power.Watts
+		if c.cfg.RackEstimator != nil {
+			rackPower = c.cfg.RackEstimator.BoundSnapshot(-1)
+		} else {
+			rackPower = c.cfg.RackView.Snapshot()
 		}
 		var planSeq uint64
 		if rec != nil {
@@ -418,6 +438,7 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 			enforcedAt := c.cfg.Clock.Now()
 			c.mu.Lock()
 			c.acted[a.Rack] = a
+			c.committed = nil
 			c.lastEnforceAt = enforcedAt
 			first := !c.episodeActed
 			c.episodeActed = true
@@ -506,14 +527,15 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 		return restoreSet[i].Rack < restoreSet[j].Rack
 	})
 	proj := append([]power.Watts(nil), ups...)
+	cand := make([]power.Watts, len(proj))
 	for _, a := range restoreSet {
-		rk := c.rackByID(a.Rack)
-		if rk == nil {
+		ri, ok := c.rackIdx[a.Rack]
+		if !ok {
 			continue
 		}
 		// Would returning this rack's power keep every UPS safe?
-		cand := append([]power.Watts(nil), proj...)
-		applyRecovery(c.cfg.Topo, cand, nil, rk.Pair, -a.Recovered)
+		copy(cand, proj)
+		applyRecovery(c.cfg.Topo, cand, nil, c.cfg.Racks[ri].Pair, -a.Recovered)
 		safe := true
 		for u := range c.cfg.Topo.UPSes {
 			if cand[u] > c.cfg.Topo.UPSes[u].Capacity-c.cfg.Buffer {
@@ -528,10 +550,11 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 			out.EnforceErrors++
 			continue
 		}
-		proj = cand
+		proj, cand = cand, proj
 		out.Restored++
 		c.mu.Lock()
 		delete(c.acted, a.Rack)
+		c.committed = nil
 		c.mu.Unlock()
 	}
 	return out
@@ -568,15 +591,6 @@ func nonNeg(d time.Duration) time.Duration {
 	return d
 }
 
-func (c *Controller) rackByID(id string) *ManagedRack {
-	for i := range c.cfg.Racks {
-		if c.cfg.Racks[i].ID == id {
-			return &c.cfg.Racks[i]
-		}
-	}
-	return nil
-}
-
 // Run evaluates repeatedly until ctx is cancelled. Each round runs as
 // StepContext(ctx), so cancellation also aborts an in-flight planning
 // pass.
@@ -607,19 +621,32 @@ func (c *Controller) OpenEpisode() (id uint64, since time.Time, open bool) {
 	return c.episode, c.overdrawSince, !c.overdrawSince.IsZero()
 }
 
-// CommittedActions returns a copy of the actions this controller has
-// enforced and not yet restored, plus the time of the last enforcement.
+// CommittedActions returns the actions this controller has enforced and
+// not yet restored, sorted by rack, plus the time of the last enforcement.
 // The auditor uses the recovered watts to compute per-UPS headroom under
-// the committed plan while telemetry still predates the enforcement.
+// the committed plan while telemetry still predates the enforcement. The
+// list is shared between callers until the next enforce or restore: read
+// it, do not modify it.
+//
+//flex:hotpath
 func (c *Controller) CommittedActions() ([]PlannedAction, time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]PlannedAction, 0, len(c.acted))
-	for _, a := range c.acted {
-		out = append(out, a)
+	if c.committed == nil && len(c.acted) > 0 {
+		c.sortCommittedLocked()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rack < out[j].Rack })
-	return out, c.lastEnforceAt
+	return c.committed, c.lastEnforceAt
+}
+
+// sortCommittedLocked rebuilds the committed list after acted changed.
+//
+//flex:coldpath
+func (c *Controller) sortCommittedLocked() {
+	c.committed = make([]PlannedAction, 0, len(c.acted))
+	for _, a := range c.acted {
+		c.committed = append(c.committed, a)
+	}
+	sort.Slice(c.committed, func(i, j int) bool { return c.committed[i].Rack < c.committed[j].Rack })
 }
 
 // ActedRacks returns the racks this controller has acted on and not yet

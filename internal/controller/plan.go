@@ -171,17 +171,18 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 		return false
 	}
 
+	type candidate struct {
+		w   *wl
+		r   *ManagedRack
+		act PlannedAction
+	}
+	cands := make([]candidate, 0, len(order))
 	for overLimit() {
 		if ctx.Err() != nil {
 			return actions, true, context.Cause(ctx)
 		}
 		// Build the candidate set C (lines 5–12): one rack per workload.
-		type candidate struct {
-			w   *wl
-			r   *ManagedRack
-			act PlannedAction
-		}
-		var cands []candidate
+		cands = cands[:0]
 		for _, name := range order {
 			w := byName[name]
 			if len(w.queue) == 0 {
@@ -243,22 +244,37 @@ func applyRecovery(topo *power.Topology, est []power.Watts, inactive map[power.U
 	est[b] -= power.Watts(wb) * rec
 }
 
-// InferInactiveUPSes infers which UPSes are out of service from the power
+// InferInactiveSet infers which UPSes are out of service from the power
 // snapshot alone: a UPS whose measured output is below threshold (as a
 // fraction of capacity) while the room is loaded is treated as inactive.
 // This matches the paper's design — the controllers monitor only power,
 // not failure events (§IV-D).
-func InferInactiveUPSes(topo *power.Topology, upsPower []power.Watts, threshold float64) map[power.UPSID]bool {
-	out := make(map[power.UPSID]bool)
+//
+//flex:hotpath
+func InferInactiveSet(topo *power.Topology, upsPower []power.Watts, threshold float64) power.UPSSet {
 	var total power.Watts
 	for _, w := range upsPower {
 		total += w
 	}
 	if total <= 0 {
-		return out // unloaded room: nothing to infer
+		return 0 // unloaded room: nothing to infer
 	}
+	var out power.UPSSet
 	for u, w := range upsPower {
 		if u < len(topo.UPSes) && float64(w) < threshold*float64(topo.UPSes[u].Capacity) {
+			out |= 1 << uint(u)
+		}
+	}
+	return out
+}
+
+// InferInactiveUPSes is InferInactiveSet in the map form PlanInput.Inactive
+// takes.
+func InferInactiveUPSes(topo *power.Topology, upsPower []power.Watts, threshold float64) map[power.UPSID]bool {
+	set := InferInactiveSet(topo, upsPower, threshold)
+	out := make(map[power.UPSID]bool)
+	for u := range upsPower {
+		if set.Has(power.UPSID(u)) {
 			out[power.UPSID(u)] = true
 		}
 	}

@@ -169,35 +169,6 @@ type rackSim struct {
 	rampUntil time.Duration
 }
 
-// rackPower is a rack's true draw: its demanded share of its allocation,
-// capped while throttled and zero while off.
-func rackPower(mgr *rackmgr.Manager, rs *rackSim) power.Watts {
-	st, cap, _ := mgr.State(rs.ID)
-	switch st {
-	case rackmgr.Off:
-		return 0
-	case rackmgr.Throttled:
-		p := power.Watts(rs.demand * float64(rs.Allocated))
-		if p > cap {
-			p = cap
-		}
-		return p
-	default:
-		return power.Watts(rs.demand * float64(rs.Allocated))
-	}
-}
-
-// upsLoads is a room's true per-UPS load: the racks' draw summed per
-// PDU-pair, through the load flow with the UPSes in out out of service.
-func upsLoads(topo *power.Topology, mgr *rackmgr.Manager, sims []*rackSim, out power.UPSSet) []power.Watts {
-	load := power.NewPairLoad(topo)
-	for _, rs := range sims {
-		load[rs.Pair] += rackPower(mgr, rs)
-	}
-	loads, _ := topo.LoadFlow(load, out)
-	return loads
-}
-
 // Run executes the emulation. ctx bounds the offline placement solve and
 // is threaded to the controller's planning passes.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
@@ -268,9 +239,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	mgr.Recorder = cfg.Recorder
 
-	// Ground truth (rackPower, upsLoads) honors the actuation state and the
-	// failover transfer away from the out-of-service UPSes.
+	// Ground truth honors the actuation state and the failover transfer
+	// away from the out-of-service UPSes.
 	var inactive power.UPSSet
+	truth := newGroundTruth(topo, mgr, sims)
 
 	// Telemetry: consensus meters over the ground truth, pumped
 	// synchronously into the controller views on the paper's cadences.
@@ -288,7 +260,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for u := range topo.UPSes {
 		u := u
 		upsMeters[u] = telemetry.NewUPSLogicalMeter(topo.UPSes[u].Name,
-			func() power.Watts { return upsLoads(topo, mgr, sims, inactive)[u] },
+			func() power.Watts { return truth.ups[u] },
 			func() power.Watts { return 60 * power.KW }, // mechanical load
 			cfg.Seed+int64(u)*7)
 		upsMeters[u].Metrics = telMetrics
@@ -296,9 +268,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	rackMeters := make([]*telemetry.SimMeter, len(sims))
 	for i, rs := range sims {
-		rs := rs
+		i := i
 		rackMeters[i] = telemetry.NewSimMeter(rs.ID,
-			func() power.Watts { return rackPower(mgr, rs) },
+			func() power.Watts { return truth.rack[i] },
 			telemetry.SimMeterConfig{Noise: 0.01, Seed: cfg.Seed + 1000 + int64(i)})
 	}
 
@@ -368,8 +340,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	curve := power.EndOfLifeTripCurve
-	overFor := make([]time.Duration, len(topo.UPSes))
 	var latBase, latThrottled []float64
 	firstEnforce := time.Duration(-1)
 	shavedAt := time.Duration(-1)
@@ -471,13 +441,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 
+		// The meters, the latency model and the debug print below all see
+		// this tick's demand under the actuation state the last tick left.
+		truth.refresh(inactive)
+
 		// TPC-E-like latency model for cap-able racks: capping below the
 		// demanded power queues requests and inflates tail latency.
-		for _, rs := range sims {
+		for j, rs := range sims {
 			if rs.Category != workload.NonRedundantCapable {
 				continue
 			}
-			st, cap, _ := mgr.State(rs.ID)
+			st, cap := truth.state[j], truth.cap[j]
 			base := 1.0 + 0.02*rng.NormFloat64()
 			lat := base
 			throttledNow := st == rackmgr.Throttled
@@ -518,7 +492,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		if cfg.Debug && now >= cfg.FailAt && now <= cfg.FailAt+5*time.Second {
-			tr := upsLoads(topo, mgr, sims, inactive)
+			tr := truth.ups
 			fmt.Printf("t=%v truth=[%.3f %.3f %.3f %.3f]MW\n", now,
 				float64(tr[0])/1e6, float64(tr[1])/1e6, float64(tr[2])/1e6, float64(tr[3])/1e6)
 		}
@@ -551,10 +525,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Safety.Tick(ctx, wall)
 		}
 
+		// The controllers may have actuated: the extents, the trip curve
+		// and the timeline see the post-step world.
+		truth.refresh(inactive)
+
 		// Count action extents.
 		shut, throttled := 0, 0
-		for _, rs := range sims {
-			st, _, _ := mgr.State(rs.ID)
+		for j, rs := range sims {
+			st := truth.state[j]
 			switch {
 			case st == rackmgr.Off && rs.Category == workload.SoftwareRedundant:
 				shut++
@@ -572,44 +550,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		// Safety: overload accumulation vs trip curve.
-		truth := upsLoads(topo, mgr, sims, inactive)
-		for u := range topo.UPSes {
-			if inactive.Has(power.UPSID(u)) {
-				overFor[u] = 0
-				continue
-			}
-			capW := topo.UPSes[u].Capacity
-			if truth[u] > capW {
-				overFor[u] += cfg.Tick
-				if overFor[u] > curve.Tolerance(float64(truth[u]/capW)) {
-					res.Outage = true
-				}
-			} else {
-				overFor[u] = 0
-			}
+		allUnder, tripped := truth.observeTrip(inactive, cfg.Tick)
+		if tripped {
+			res.Outage = true
 		}
-		if now >= cfg.FailAt && now < cfg.RecoverAt && shavedAt < 0 {
-			allUnder := true
-			for u := range topo.UPSes {
-				if inactive.Has(power.UPSID(u)) {
-					continue
-				}
-				if truth[u] > topo.UPSes[u].Capacity {
-					allUnder = false
-				}
-			}
-			if allUnder && now > cfg.FailAt {
-				shavedAt = now - cfg.FailAt
-			}
+		if now > cfg.FailAt && now < cfg.RecoverAt && shavedAt < 0 && allUnder {
+			shavedAt = now - cfg.FailAt
 		}
 
 		// Record the timeline.
 		byCat := map[workload.Category]power.Watts{}
-		for _, rs := range sims {
-			byCat[rs.Category] += rackPower(mgr, rs)
+		for j, rs := range sims {
+			byCat[rs.Category] += truth.rack[j]
 		}
 		res.Series = append(res.Series, TimePoint{
-			T: now, Stage: stage, UPSPower: truth, RackPower: byCat,
+			T: now, Stage: stage, UPSPower: truth.ups, RackPower: byCat,
 		})
 
 		clk.Advance(cfg.Tick)
@@ -629,8 +584,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.P95IncreasePct = (res.ThrottledP95/res.BaselineP95 - 1) * 100
 	}
 	restored := true
-	for _, rs := range sims {
-		st, _, _ := mgr.State(rs.ID)
+	for _, st := range truth.state {
 		if st != rackmgr.On {
 			restored = false
 		}

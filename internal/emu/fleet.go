@@ -127,10 +127,9 @@ type FleetResult struct {
 // fleetRoom is one room's live emulation state.
 type fleetRoom struct {
 	shard     *fleet.Shard
-	mgr       *rackmgr.Manager
 	sims      []*rackSim
+	truth     *groundTruth
 	inactive  power.UPSSet
-	overFor   []time.Duration
 	upsBatch  []telemetry.Sample
 	rackBatch []telemetry.Sample
 }
@@ -235,15 +234,14 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		}
 		fr := &fleetRoom{
 			shard:     shard,
-			mgr:       mgr,
 			sims:      make([]*rackSim, len(protoRacks)),
-			overFor:   make([]time.Duration, len(topo.UPSes)),
 			upsBatch:  make([]telemetry.Sample, 0, len(topo.UPSes)),
 			rackBatch: make([]telemetry.Sample, 0, len(protoRacks)),
 		}
 		for j, r := range protoRacks {
 			fr.sims[j] = &rackSim{Rack: r, demand: 0.2}
 		}
+		fr.truth = newGroundTruth(topo, mgr, fr.sims)
 		rooms[i] = fr
 	}
 	if cfg.Attach != nil {
@@ -251,7 +249,6 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	res := &FleetResult{Rooms: cfg.Rooms, PerRoomStranded: stranded}
-	curve := power.EndOfLifeTripCurve
 	firstEnforce := time.Duration(-1)
 	shavedAt := time.Duration(-1)
 
@@ -298,15 +295,21 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 			}
 		}
 
-		// Telemetry on the paper's cadences, batched per room.
+		// Telemetry on the paper's cadences, batched per room: a tick that
+		// polls reads this tick's demand under the actuation state the last
+		// tick left.
 		wall := clk.Now()
+		if i%upsTick == 0 || i%rackTick == 0 {
+			for _, fr := range rooms {
+				fr.truth.refresh(fr.inactive)
+			}
+		}
 		if i%upsTick == 0 {
 			for _, fr := range rooms {
-				truth := upsLoads(topo, fr.mgr, fr.sims, fr.inactive)
 				fr.upsBatch = fr.upsBatch[:0]
 				for u := range topo.UPSes {
 					fr.upsBatch = append(fr.upsBatch, telemetry.Sample{
-						Device: topo.UPSes[u].Name, Power: truth[u], Valid: true,
+						Device: topo.UPSes[u].Name, Power: fr.truth.ups[u], Valid: true,
 						MeasuredAt: wall, PublishedAt: wall,
 					})
 				}
@@ -316,9 +319,9 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		if i%rackTick == 0 {
 			for ri, fr := range rooms {
 				fr.rackBatch = fr.rackBatch[:0]
-				for _, rs := range fr.sims {
+				for j, rs := range fr.sims {
 					fr.rackBatch = append(fr.rackBatch, telemetry.Sample{
-						Device: rs.ID, Power: rackPower(fr.mgr, rs), Valid: true,
+						Device: rs.ID, Power: fr.truth.rack[j], Valid: true,
 						MeasuredAt: wall, PublishedAt: wall,
 					})
 				}
@@ -345,37 +348,16 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 			}
 		}
 
-		// Trip-curve safety in every room; shed point for the failed one.
+		// Trip-curve safety in every room, on the post-step world; shed
+		// point for the failed one.
 		for ri, fr := range rooms {
-			truth := upsLoads(topo, fr.mgr, fr.sims, fr.inactive)
-			for u := range topo.UPSes {
-				if fr.inactive.Has(power.UPSID(u)) {
-					fr.overFor[u] = 0
-					continue
-				}
-				capW := topo.UPSes[u].Capacity
-				if truth[u] > capW {
-					fr.overFor[u] += cfg.Tick
-					if fr.overFor[u] > curve.Tolerance(float64(truth[u]/capW)) {
-						res.Outage = true
-					}
-				} else {
-					fr.overFor[u] = 0
-				}
+			fr.truth.refresh(fr.inactive)
+			allUnder, tripped := fr.truth.observeTrip(fr.inactive, cfg.Tick)
+			if tripped {
+				res.Outage = true
 			}
-			if ri == cfg.FailRoom && now > cfg.FailAt && shavedAt < 0 {
-				allUnder := true
-				for u := range topo.UPSes {
-					if fr.inactive.Has(power.UPSID(u)) {
-						continue
-					}
-					if truth[u] > topo.UPSes[u].Capacity {
-						allUnder = false
-					}
-				}
-				if allUnder {
-					shavedAt = now - cfg.FailAt
-				}
+			if ri == cfg.FailRoom && now > cfg.FailAt && shavedAt < 0 && allUnder {
+				shavedAt = now - cfg.FailAt
 			}
 		}
 

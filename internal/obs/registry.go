@@ -264,6 +264,7 @@ type metric struct {
 	mu       sync.Mutex
 	children []*child // vec children in registration order
 	byKey    map[string]*child
+	size     *atomic.Int64 // the owning registry's Size counter
 }
 
 // child is one pre-bound labelled metric of a vec.
@@ -282,6 +283,7 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
 	byName  map[string]*metric
+	size    atomic.Int64 // plain metrics + vec children registered so far
 }
 
 // NewRegistry returns an empty registry.
@@ -310,8 +312,9 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 		}
 		return m
 	}
-	m := &metric{name: name, help: help, kind: kind, labels: labels, buckets: buckets}
+	m := &metric{name: name, help: help, kind: kind, labels: labels, buckets: buckets, size: &r.size}
 	if len(labels) == 0 {
+		r.size.Add(1)
 		switch kind {
 		case KindCounter:
 			m.counter = &Counter{}
@@ -435,6 +438,7 @@ func (m *metric) child(values []string) *child {
 	}
 	m.children = append(m.children, c)
 	m.byKey[key] = c
+	m.size.Add(1)
 	return c
 }
 
@@ -474,77 +478,154 @@ func (s Snapshot) Quantile(q float64) float64 {
 	if s.Kind != KindHistogram || s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
 	}
+	rank := quantileRank(q, s.Count)
+	var lower Bucket
+	for _, b := range s.Buckets {
+		if float64(b.Count) >= rank {
+			return interpolate(rank, lower, b)
+		}
+		lower = b
+	}
+	return lower.Le
+}
+
+// Quantile is Summary().Quantile(q) read in place: the same estimate
+// without copying the buckets out, for readers that poll a live histogram
+// every tick (the auditor's stage-budget check).
+//
+//flex:hotpath
+func (h *Histogram) Quantile(q float64) float64 {
+	count := h.Count()
+	if count == 0 {
+		return 0
+	}
+	rank := quantileRank(q, count)
+	var lower, b Bucket
+	for i := range h.counts {
+		b.Count += h.counts[i].Load()
+		b.Le = math.Inf(1)
+		if i < len(h.upper) {
+			b.Le = h.upper[i]
+		}
+		if float64(b.Count) >= rank {
+			return interpolate(rank, lower, b)
+		}
+		lower = b
+	}
+	return lower.Le
+}
+
+// quantileRank is the observation rank the q-quantile of count
+// observations sits at, q clamped to [0, 1].
+func quantileRank(q float64, count uint64) float64 {
 	if q < 0 {
 		q = 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
-	lower, lowerCount := 0.0, uint64(0)
-	for _, b := range s.Buckets {
-		if float64(b.Count) >= rank {
-			if math.IsInf(b.Le, 1) {
-				return lower
-			}
-			span := float64(b.Count - lowerCount)
-			width := b.Le - lower
-			if span <= 0 || width <= 0 {
-				// Empty or zero-width interval (duplicate bounds, or a
-				// first bucket below the 0 origin): interpolating would
-				// divide by zero or extrapolate outside the bucket, so
-				// report its upper bound — the tightest honest answer.
-				return b.Le
-			}
-			frac := (rank - float64(lowerCount)) / span
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + frac*width
-		}
-		lower, lowerCount = b.Le, b.Count
-	}
-	return lower
+	return q * float64(count)
 }
 
-// Snapshots copies every metric (vec children expanded) in registration
-// order, children in creation order.
-func (r *Registry) Snapshots() []Snapshot {
+// interpolate places rank inside the cumulative bucket b, whose
+// predecessor is lower (the zero Bucket ahead of the first).
+func interpolate(rank float64, lower, b Bucket) float64 {
+	if math.IsInf(b.Le, 1) {
+		return lower.Le
+	}
+	span := float64(b.Count - lower.Count)
+	width := b.Le - lower.Le
+	if span <= 0 || width <= 0 {
+		// Empty or zero-width interval (duplicate bounds, or a first
+		// bucket below the 0 origin): interpolating would divide by zero
+		// or extrapolate outside the bucket, so report its upper bound —
+		// the tightest honest answer.
+		return b.Le
+	}
+	frac := (rank - float64(lower.Count)) / span
+	if frac < 0 {
+		frac = 0
+	}
+	return lower.Le + frac*width
+}
+
+// Metric is a live handle on one exported metric — a plain metric or one
+// child of a vec. Where a Snapshot copies the values out, a Metric reads
+// them in place: a scraper resolves its handles once and then reads
+// Counter, Gauge or Histogram (the one Kind selects) every round.
+type Metric struct {
+	Name   string
+	Help   string
+	Kind   Kind
+	Labels []Label
+
+	Counter   *Counter
+	Gauge     *Gauge
+	Histogram *Histogram
+}
+
+// Snapshot copies the metric's current value out.
+func (m Metric) Snapshot() Snapshot {
+	s := Snapshot{Name: m.Name, Help: m.Help, Kind: m.Kind, Labels: m.Labels}
+	switch m.Kind {
+	case KindCounter:
+		s.Value = float64(m.Counter.Value())
+	case KindGauge:
+		s.Value = m.Gauge.Value()
+	case KindHistogram:
+		s.Count = m.Histogram.Count()
+		s.Sum = m.Histogram.Sum()
+		s.Buckets = m.Histogram.Buckets()
+	}
+	return s
+}
+
+// Size is the number of handles Metrics would return. It only grows, so
+// a scraper that resolved its handles at one size re-resolves exactly
+// when Size has moved.
+//
+//flex:hotpath
+func (r *Registry) Size() int { return int(r.size.Load()) }
+
+// Metrics returns a live handle on every metric (vec children expanded)
+// in registration order, children in creation order.
+func (r *Registry) Metrics() []Metric {
 	r.mu.Lock()
 	metrics := append([]*metric(nil), r.metrics...)
 	r.mu.Unlock()
-	var out []Snapshot
+	out := make([]Metric, 0, r.Size())
 	for _, m := range metrics {
 		if len(m.labels) == 0 {
-			out = append(out, m.snapshotOne(nil, m.counter, m.gauge, m.hist))
+			out = append(out, m.handle(nil, m.counter, m.gauge, m.hist))
 			continue
 		}
 		m.mu.Lock()
 		children := append([]*child(nil), m.children...)
 		m.mu.Unlock()
 		for _, c := range children {
-			out = append(out, m.snapshotOne(c.values, c.counter, c.gauge, c.hist))
+			out = append(out, m.handle(c.values, c.counter, c.gauge, c.hist))
 		}
 	}
 	return out
 }
 
-func (m *metric) snapshotOne(values []string, c *Counter, g *Gauge, h *Histogram) Snapshot {
-	s := Snapshot{Name: m.name, Help: m.help, Kind: m.kind}
+func (m *metric) handle(values []string, c *Counter, g *Gauge, h *Histogram) Metric {
+	out := Metric{Name: m.name, Help: m.help, Kind: m.kind, Counter: c, Gauge: g, Histogram: h}
 	for i, v := range values {
-		s.Labels = append(s.Labels, Label{Name: m.labels[i], Value: v})
+		out.Labels = append(out.Labels, Label{Name: m.labels[i], Value: v})
 	}
-	switch m.kind {
-	case KindCounter:
-		s.Value = float64(c.Value())
-	case KindGauge:
-		s.Value = g.Value()
-	case KindHistogram:
-		s.Count = h.Count()
-		s.Sum = h.Sum()
-		s.Buckets = h.Buckets()
+	return out
+}
+
+// Snapshots copies every metric (vec children expanded) in registration
+// order, children in creation order.
+func (r *Registry) Snapshots() []Snapshot {
+	metrics := r.Metrics()
+	out := make([]Snapshot, len(metrics))
+	for i, m := range metrics {
+		out[i] = m.Snapshot()
 	}
-	return s
+	return out
 }
 
 func equalStrings(a, b []string) bool {

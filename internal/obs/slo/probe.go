@@ -34,7 +34,8 @@ func (a *Auditor) probeLocked(ctx context.Context, now time.Time, upsPower []pow
 
 	// Live rack powers; racks without a reading plan at allocated power
 	// (the planner's own conservative convention).
-	rackPower := b.RackView.Snapshot()
+	rackPower := a.rackPower
+	b.RackView.SnapshotInto(rackPower)
 	pairLoad := power.NewPairLoad(b.Topo)
 	for _, r := range b.Racks {
 		p, ok := rackPower[r.ID]

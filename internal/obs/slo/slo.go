@@ -33,9 +33,16 @@
 // The auditor runs at a faster timescale than the control loop it
 // audits (the VPP multi-timescale argument): Tick is the synchronous
 // core the emulator drives on the virtual clock every emulation tick,
-// and Run wraps it for wall-clock daemons. Everything is clock-injected
-// and the whole package is a cold path — only the tsdb appends
-// underneath are allocation-free.
+// and Run wraps it for wall-clock daemons. Everything is clock-injected.
+//
+// That argument only holds while an audit tick costs less than the
+// control step it watches, so the steady-state tick — no probe due, no
+// breach or health transition — allocates nothing: the derived series are
+// appended in place, burn-rate windows are read in the tsdb ring without
+// a copy, stage p99s are read off the live histograms, and the per-tick
+// scratch is sized once at Bind. A what-if probe round (every ProbeEvery)
+// runs Algorithm 1 per UPS and allocates what planning allocates; breach,
+// recovery and health transitions allocate their events and reasons.
 package slo
 
 import (
@@ -211,6 +218,19 @@ type Auditor struct {
 
 	// rack → pair mapping for committed-plan headroom attribution.
 	rackPair map[string]power.PDUPairID
+	// strandedW is the room's Eq. 5 stranded power: allocatable minus the
+	// managed racks' allocations, both fixed by Bind.
+	strandedW power.Watts
+
+	// Per-tick scratch, sized at Bind and reused under mu: the UPS view as
+	// read this tick, the pending recovery per UPS with its rack dedup set,
+	// and the rack view as the probe plans from it.
+	upsPower  []power.Watts
+	upsAt     []time.Time
+	upsOK     []bool
+	pending   []power.Watts
+	seenRack  map[string]bool
+	rackPower map[string]power.Watts
 
 	lastEpisode uint64 // newest episode ID observed open
 	budgetRatio float64
@@ -305,9 +325,19 @@ func (a *Auditor) Bind(b Bindings) {
 	a.b = b
 	a.bound = true
 	a.rackPair = make(map[string]power.PDUPairID, len(b.Racks))
+	var allocated power.Watts
 	for _, r := range b.Racks {
 		a.rackPair[r.ID] = r.Pair
+		allocated += r.Allocated
 	}
+	a.strandedW = max(b.AllocatablePower-allocated, 0)
+	n := len(b.Topo.UPSes)
+	a.upsPower = make([]power.Watts, n)
+	a.upsAt = make([]time.Time, n)
+	a.upsOK = make([]bool, n)
+	a.pending = make([]power.Watts, n)
+	a.seenRack = make(map[string]bool)
+	a.rackPower = make(map[string]power.Watts, len(b.Racks))
 	a.headroom = a.headroom[:0]
 	for _, u := range b.Topo.UPSes {
 		a.headroom = append(a.headroom, a.cfg.Store.Series(
@@ -358,11 +388,13 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	b := a.b
 
 	// ---- derived safety series -------------------------------------
-	upsPower := make([]power.Watts, len(b.Topo.UPSes))
+	// Each UPS is read from the view once; everything below (headroom,
+	// pending recovery, inferred failover, the probe) works from this copy.
+	upsPower := a.upsPower
 	var upsSeen int
 	for u := range b.Topo.UPSes {
-		if v, _, ok := b.UPSView.Get(b.Topo.UPSes[u].Name); ok {
-			upsPower[u] = v
+		upsPower[u], a.upsAt[u], a.upsOK[u] = b.UPSView.Get(b.Topo.UPSes[u].Name)
+		if a.upsOK[u] {
 			upsSeen++
 		} else {
 			// Missing reading: assume full capacity (the controller's
@@ -371,21 +403,14 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 			upsPower[u] = b.Topo.UPSes[u].Capacity
 		}
 	}
-	pending := a.pendingRecoveryLocked()
+	inactive := controller.InferInactiveSet(b.Topo, upsPower, controller.DefaultInactiveThreshold)
+	pending := a.pendingRecoveryLocked(inactive)
 	for u := range b.Topo.UPSes {
 		head := b.Topo.UPSes[u].Capacity - upsPower[u] + pending[u]
 		a.headroom[u].Append(now, float64(head))
 	}
 
-	var allocated power.Watts
-	for _, r := range b.Racks {
-		allocated += r.Allocated
-	}
-	strand := b.AllocatablePower - allocated
-	if strand < 0 {
-		strand = 0
-	}
-	a.stranded.Append(now, float64(strand))
+	a.stranded.Append(now, float64(a.strandedW))
 
 	if b.Estimator != nil {
 		a.margin.Append(now, float64(b.Estimator.DeviationTotal()))
@@ -428,8 +453,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 		(a.lastProbe.IsZero() || !now.Before(a.lastProbe.Add(a.cfg.ProbeEvery)))
 	if probeDue {
 		a.lastProbe = now
-		inactive := controller.InferInactiveUPSes(b.Topo, upsPower, controller.DefaultInactiveThreshold)
-		if episodeOpen || len(inactive) > 0 || upsSeen == 0 {
+		if episodeOpen || inactive != 0 || upsSeen == 0 {
 			// A real failure (or no telemetry yet) is in progress:
 			// probing would model a double failure the paper's design
 			// explicitly does not cover. Skip without touching the
@@ -460,9 +484,8 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	stageBad := false
 	if b.Stages != nil {
 		budgets := StageBudgets()
-		for _, stg := range obs.Stages() {
-			sum := b.Stages.Histogram(stg).Summary()
-			if sum.Count > 0 && sum.Quantile(0.99) > budgets[stg].Seconds() {
+		for stg := obs.Stage(0); stg < obs.NumStages; stg++ {
+			if h := b.Stages.Histogram(stg); h.Count() > 0 && h.Quantile(0.99) > budgets[stg].Seconds() {
 				stageBad = true
 				break
 			}
@@ -551,41 +574,65 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 // pendingRecoveryLocked computes, per UPS, the committed-but-not-yet-
 // measured recovery: actions the controllers enforced after the UPS
 // view's reading was taken, whose recovered watts the telemetry cannot
-// reflect yet. Half of each action's recovery attributes to each UPS of
-// the rack's pair (Eq. 2's split), matching applyRecovery in the
-// planner. Deduped by rack across multi-primary controllers (actions
-// are idempotent; counting a rack twice would overstate headroom).
-func (a *Auditor) pendingRecoveryLocked() []power.Watts {
+// reflect yet. Each action's recovery attributes to the UPSes of the
+// rack's pair by power.PairShare over inactive (the failover set this
+// tick's readings imply) — half each in normal operation, all of it to
+// the survivor while its partner is out, exactly as applyRecovery in the
+// planner books it. Deduped by rack across multi-primary controllers
+// (actions are idempotent; counting a rack twice would overstate
+// headroom). The result is the auditor's scratch, valid until the next
+// tick.
+func (a *Auditor) pendingRecoveryLocked(inactive power.UPSSet) []power.Watts {
 	b := a.b
-	out := make([]power.Watts, len(b.Topo.UPSes))
-	seen := make(map[string]bool)
+	out := a.pending
+	clear(out)
+	// Nothing is pending once every UPS reading postdates every primary's
+	// last enforcement — every tick but the few right after an action.
+	pendingAny := false
+	for _, c := range b.Controllers {
+		if _, lastEnforce := c.CommittedActions(); !lastEnforce.IsZero() {
+			for u := range a.upsAt {
+				pendingAny = pendingAny || !a.measuredSince(u, lastEnforce)
+			}
+		}
+	}
+	if !pendingAny {
+		return out
+	}
+	clear(a.seenRack)
 	for _, c := range b.Controllers {
 		actions, lastEnforce := c.CommittedActions()
 		if lastEnforce.IsZero() {
 			continue
 		}
 		for _, act := range actions {
-			if seen[act.Rack] {
+			if a.seenRack[act.Rack] {
 				continue
 			}
-			seen[act.Rack] = true
+			a.seenRack[act.Rack] = true
 			pair, ok := a.rackPair[act.Rack]
 			if !ok {
 				continue
 			}
-			p := b.Topo.Pairs[pair]
-			for _, uid := range p.UPSes {
+			ups := b.Topo.Pairs[pair].UPSes
+			wa, wb := power.PairShare(inactive.Has(ups[0]), inactive.Has(ups[1]))
+			for i, share := range [2]float64{wa, wb} {
 				// Only credit the recovery while the view's reading
 				// predates the enforcement; once a newer sample lands,
 				// the measurement itself reflects the shed power.
-				if _, at, ok := b.UPSView.Get(b.Topo.UPSes[uid].Name); ok && at.After(lastEnforce) {
-					continue
+				if uid := ups[i]; !a.measuredSince(int(uid), lastEnforce) {
+					out[uid] += power.Watts(share) * act.Recovered
 				}
-				out[uid] += act.Recovered / 2
 			}
 		}
 	}
 	return out
+}
+
+// measuredSince reports whether UPS u's reading, as read this tick, was
+// measured after t.
+func (a *Auditor) measuredSince(u int, t time.Time) bool {
+	return a.upsOK[u] && a.upsAt[u].After(t)
 }
 
 // Objective is the exported snapshot of one SLO for /slo.

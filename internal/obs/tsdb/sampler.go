@@ -3,6 +3,7 @@ package tsdb
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"flex/internal/clock"
@@ -23,7 +24,8 @@ const DefaultSampleInterval = 500 * time.Millisecond
 //
 // Tick is the synchronous core — the emulator drives it on the virtual
 // clock inside its tick loop — and Run wraps it in a clock.After loop
-// for wall-clock daemons.
+// for wall-clock daemons. One goroutine scrapes at a time (Run, or the
+// caller driving Tick); Ticks may be read from any.
 type Sampler struct {
 	Registry *obs.Registry
 	Store    *Store
@@ -33,37 +35,79 @@ type Sampler struct {
 	// zero).
 	Interval time.Duration
 	// Filter, when non-nil, keeps only metrics it returns true for —
-	// e.g. restricting storage to flex_* series.
+	// e.g. restricting storage to flex_* series. It is consulted once per
+	// metric, when the metric is first seen, not on every scrape.
 	Filter func(name string) bool
 
-	ticks uint64
+	ticks atomic.Uint64
+	// targets binds every kept registry metric to its series; resolved is
+	// the Registry.Size they were resolved at.
+	targets  []target
+	resolved int
+}
+
+// target is one live registry metric and the series it is scraped into:
+// counters and gauges fill value, histograms value (their count) and sum.
+type target struct {
+	metric     obs.Metric
+	value, sum *Series
 }
 
 // Tick scrapes the registry once, stamping every stored point with now.
-// The scrape path allocates (snapshots, key strings) — it is a cold
-// path by design; only Series.Append underneath is allocation-free.
+// It runs on every emulation tick, so the steady state allocates nothing:
+// metric handles and their series are resolved when the registry has
+// grown since the last scrape (the first scrape, and whenever a component
+// registers late), and a scrape is then one in-place read and one
+// Series.Append per series.
+//
+//flex:hotpath
 func (s *Sampler) Tick(now time.Time) {
 	if s.Registry == nil || s.Store == nil {
 		return
 	}
-	s.ticks++
-	for _, snap := range s.Registry.Snapshots() {
-		if s.Filter != nil && !s.Filter(snap.Name) {
-			continue
-		}
-		key := snapshotKey(snap)
-		switch snap.Kind {
+	s.ticks.Add(1)
+	if s.Registry.Size() != s.resolved {
+		s.resolve()
+	}
+	for i := range s.targets {
+		t := &s.targets[i]
+		switch t.metric.Kind {
 		case obs.KindHistogram:
-			s.Store.Series(key+"_count").Append(now, float64(snap.Count))
-			s.Store.Series(key+"_sum").Append(now, snap.Sum)
+			t.value.Append(now, float64(t.metric.Histogram.Count()))
+			t.sum.Append(now, t.metric.Histogram.Sum())
+		case obs.KindCounter:
+			t.value.Append(now, float64(t.metric.Counter.Value()))
 		default:
-			s.Store.Series(key).Append(now, snap.Value)
+			t.value.Append(now, t.metric.Gauge.Value())
 		}
 	}
 }
 
+// resolve rebinds the targets to the registry as it stands.
+//
+//flex:coldpath
+func (s *Sampler) resolve() {
+	metrics := s.Registry.Metrics()
+	s.resolved = len(metrics)
+	s.targets = s.targets[:0]
+	for _, m := range metrics {
+		if s.Filter != nil && !s.Filter(m.Name) {
+			continue
+		}
+		key := metricKey(m)
+		t := target{metric: m}
+		if m.Kind == obs.KindHistogram {
+			t.value = s.Store.Series(key + "_count")
+			t.sum = s.Store.Series(key + "_sum")
+		} else {
+			t.value = s.Store.Series(key)
+		}
+		s.targets = append(s.targets, t)
+	}
+}
+
 // Ticks reports how many scrapes have run.
-func (s *Sampler) Ticks() uint64 { return s.ticks }
+func (s *Sampler) Ticks() uint64 { return s.ticks.Load() }
 
 // Run scrapes on the configured cadence until ctx is done. It paces on
 // the injected clock; with a virtual clock prefer driving Tick directly
@@ -87,14 +131,14 @@ func (s *Sampler) Run(ctx context.Context) {
 	}
 }
 
-// snapshotKey renders the expvar-style series key for a snapshot.
-func snapshotKey(s obs.Snapshot) string {
-	if len(s.Labels) == 0 {
-		return s.Name
+// metricKey renders the expvar-style series key for a metric.
+func metricKey(m obs.Metric) string {
+	if len(m.Labels) == 0 {
+		return m.Name
 	}
 	var b strings.Builder
-	b.WriteString(s.Name)
-	for _, l := range s.Labels {
+	b.WriteString(m.Name)
+	for _, l := range m.Labels {
 		b.WriteByte(';')
 		b.WriteString(l.Name)
 		b.WriteByte('=')

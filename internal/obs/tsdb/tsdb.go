@@ -124,8 +124,13 @@ type Series struct {
 	raw  []Point
 	n    int // live raw points
 	next int // ring slot the next point lands in
-	last int64
-	tier [numTiers]tier
+	// unsorted counts the appends still to come before the raw ring is
+	// known to be in time order again: an out-of-order point arms it, and
+	// it runs out once that point has become the ring's oldest. Monotone
+	// feeds (the sampler, the auditor) keep it at zero, and window reads
+	// then bisect the ring instead of scanning it.
+	unsorted int
+	tier     [numTiers]tier
 }
 
 func newSeries(name string, o Options) *Series {
@@ -158,6 +163,12 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) Append(t time.Time, v float64) {
 	tn := t.UnixNano()
 	s.mu.Lock()
+	if s.unsorted > 0 {
+		s.unsorted--
+	}
+	if s.n > 0 && t.Before(s.at(s.n-1).Time) {
+		s.unsorted = len(s.raw) - 1
+	}
 	s.raw[s.next] = Point{Time: t, Value: v}
 	s.next++
 	if s.next == len(s.raw) {
@@ -166,7 +177,6 @@ func (s *Series) Append(t time.Time, v float64) {
 	if s.n < len(s.raw) {
 		s.n++
 	}
-	s.last = tn
 	for i := range s.tier {
 		s.tier[i].fold(tn, v)
 	}
@@ -217,17 +227,40 @@ func mod(a, b int64) int64 {
 	return m
 }
 
+// at is the k-th oldest retained raw point, k in [0, s.n). Caller holds
+// s.mu.
+func (s *Series) at(k int) *Point {
+	i := s.next - s.n + k
+	if i < 0 {
+		i += len(s.raw)
+	}
+	return &s.raw[i]
+}
+
+// bound bisects a time-ordered raw ring for the first point at or after t
+// (strictly after t when strict), as an index for at; s.n when there is
+// none. Caller holds s.mu.
+func (s *Series) bound(t time.Time, strict bool) int {
+	lo, hi := 0, s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		pt := s.at(mid).Time
+		if pt.Before(t) || strict && pt.Equal(t) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Raw returns a copy of the retained raw points in append order.
 func (s *Series) Raw() []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Point, s.n)
-	start := s.next - s.n
-	if start < 0 {
-		start += len(s.raw)
-	}
-	for i := 0; i < s.n; i++ {
-		out[i] = s.raw[(start+i)%len(s.raw)]
+	for k := range out {
+		out[k] = *s.at(k)
 	}
 	return out
 }
@@ -246,16 +279,21 @@ func (s *Series) Buckets(width time.Duration) []Bucket {
 	return nil
 }
 
+// oldest is the ring slot of the oldest sealed bucket.
+func (ti *tier) oldest() int {
+	if i := ti.next - ti.n; i >= 0 {
+		return i
+	}
+	return ti.next - ti.n + len(ti.ring)
+}
+
 func (ti *tier) snapshot() []Bucket {
 	open := 0
 	if ti.cur.start != startUnset {
 		open = 1
 	}
 	out := make([]Bucket, 0, ti.n+open)
-	start := ti.next - ti.n
-	if start < 0 {
-		start += len(ti.ring)
-	}
+	start := ti.oldest()
 	for i := 0; i < ti.n; i++ {
 		out = append(out, ti.ring[(start+i)%len(ti.ring)].export())
 	}

@@ -348,6 +348,16 @@ func (m *Manager) logAction(a Action) {
 	m.Metrics.recordAction(&a)
 }
 
+// Actuations reports how many actuations the manager has executed,
+// effective or not: len(Log()) without the copy. No rack's state or cap
+// changes without it moving, so a reader that polls every rack (the
+// emulators' ground truth) re-reads them only when it has.
+func (m *Manager) Actuations() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.log)
+}
+
 // Log returns a copy of the action audit log.
 func (m *Manager) Log() []Action {
 	m.mu.Lock()

@@ -207,25 +207,28 @@ type Stamps struct {
 
 // LatestPower is a thread-safe view of the most recent valid power per
 // device, assembled from deduplicated samples — the controller's power
-// snapshot (Algorithm 1 lines 2–3).
+// snapshot (Algorithm 1 lines 2–3). Devices are never removed, so each
+// owns one slot of a dense slice for the life of the view: an update is
+// one map lookup, and the readers that only iterate scan the slice.
 type LatestPower struct {
-	mu     sync.Mutex
-	power  map[string]power.Watts
-	at     map[string]time.Time
-	stamps map[string]Stamps
-	event  map[string]uint64
-	rec    *recorder.Recorder
-	role   string
+	mu    sync.Mutex
+	index map[string]int // device → slot
+	slots []reading
+	rec   *recorder.Recorder
+	role  string
+}
+
+// reading is one device's installed sample.
+type reading struct {
+	device string
+	power  power.Watts
+	stamps Stamps // stamps.MeasuredAt orders updates
+	event  uint64
 }
 
 // NewLatestPower returns an empty view.
 func NewLatestPower() *LatestPower {
-	return &LatestPower{
-		power:  make(map[string]power.Watts),
-		at:     make(map[string]time.Time),
-		stamps: make(map[string]Stamps),
-		event:  make(map[string]uint64),
-	}
+	return &LatestPower{index: make(map[string]int)}
 }
 
 // SetRecorder makes every accepted sample emit a sample-arrive event
@@ -245,13 +248,19 @@ func (l *LatestPower) Update(s Sample) {
 		return
 	}
 	l.mu.Lock()
-	if t, ok := l.at[s.Device]; ok && !s.MeasuredAt.After(t) {
+	i, ok := l.index[s.Device]
+	if ok && !s.MeasuredAt.After(l.slots[i].stamps.MeasuredAt) {
 		l.mu.Unlock()
 		return
 	}
-	l.power[s.Device] = s.Power
-	l.at[s.Device] = s.MeasuredAt
-	l.stamps[s.Device] = Stamps{
+	if !ok {
+		i = len(l.slots)
+		l.index[s.Device] = i
+		l.slots = append(l.slots, reading{device: s.Device})
+	}
+	r := &l.slots[i]
+	r.power = s.Power
+	r.stamps = Stamps{
 		MeasuredAt:  s.MeasuredAt,
 		PublishedAt: s.PublishedAt,
 		DequeuedAt:  s.DequeuedAt,
@@ -272,27 +281,33 @@ func (l *LatestPower) Update(s Sample) {
 		Cause:   s.Event,
 	})
 	l.mu.Lock()
-	if l.at[s.Device].Equal(s.MeasuredAt) {
-		l.event[s.Device] = seq
+	if r := &l.slots[i]; r.stamps.MeasuredAt.Equal(s.MeasuredAt) {
+		r.event = seq
 	}
 	l.mu.Unlock()
 }
 
 // Get returns the last power for device and whether one exists.
+//
+//flex:hotpath
 func (l *LatestPower) Get(device string) (power.Watts, time.Time, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	v, ok := l.power[device]
-	return v, l.at[device], ok
+	v, at, _, ok := l.GetEvent(device)
+	return v, at, ok
 }
 
 // GetEvent is Get plus the flight-recorder sequence of the sample-arrive
 // event that installed the reading (0 when the view is unrecorded).
+//
+//flex:hotpath
 func (l *LatestPower) GetEvent(device string) (power.Watts, time.Time, uint64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v, ok := l.power[device]
-	return v, l.at[device], l.event[device], ok
+	i, ok := l.index[device]
+	if !ok {
+		return 0, time.Time{}, 0, false
+	}
+	r := &l.slots[i]
+	return r.power, r.stamps.MeasuredAt, r.event, true
 }
 
 // GetStamps returns the ingest timeline of device's installed sample —
@@ -301,53 +316,69 @@ func (l *LatestPower) GetEvent(device string) (power.Watts, time.Time, uint64, b
 func (l *LatestPower) GetStamps(device string) (Stamps, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st, ok := l.stamps[device]
-	return st, ok
+	i, ok := l.index[device]
+	if !ok {
+		return Stamps{}, false
+	}
+	return l.slots[i].stamps, true
 }
 
-// Snapshot copies the current view.
+// Snapshot copies the current view into a fresh map.
 func (l *LatestPower) Snapshot() map[string]power.Watts {
+	out := make(map[string]power.Watts, l.Count())
+	l.SnapshotInto(out)
+	return out
+}
+
+// SnapshotInto refills dst with the current view, so a caller that reads
+// the whole view every round (the auditor's what-if probe) keeps one map
+// instead of building a fresh one. Whatever dst held before is dropped.
+//
+//flex:hotpath
+func (l *LatestPower) SnapshotInto(dst map[string]power.Watts) {
+	clear(dst)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[string]power.Watts, len(l.power))
-	for k, v := range l.power {
-		out[k] = v
+	for i := range l.slots {
+		dst[l.slots[i].device] = l.slots[i].power
 	}
-	return out
 }
 
 // Age returns how stale device's last sample is at time now; ok=false when
 // the device has never reported.
 func (l *LatestPower) Age(device string, now time.Time) (time.Duration, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t, ok := l.at[device]
+	_, at, ok := l.Get(device)
 	if !ok {
 		return 0, false
 	}
-	return now.Sub(t), true
+	return now.Sub(at), true
 }
 
 // Oldest returns the staleness of the view's least-fresh device at time
 // now — the quantity the telemetry-freshness SLO watches: one stuck
 // device is one stuck failover estimate. ok=false when the view is
 // empty.
+//
+//flex:hotpath
 func (l *LatestPower) Oldest(now time.Time) (time.Duration, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var worst time.Duration
-	ok := false
-	for _, t := range l.at {
-		if age := now.Sub(t); !ok || age > worst {
-			worst, ok = age, true
+	if len(l.slots) == 0 {
+		return 0, false
+	}
+	// The stalest device is the one measured earliest.
+	earliest := l.slots[0].stamps.MeasuredAt
+	for i := 1; i < len(l.slots); i++ {
+		if at := l.slots[i].stamps.MeasuredAt; at.Before(earliest) {
+			earliest = at
 		}
 	}
-	return worst, ok
+	return now.Sub(earliest), true
 }
 
 // Count reports how many devices have reported at least once.
 func (l *LatestPower) Count() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.power)
+	return len(l.slots)
 }
