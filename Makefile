@@ -100,11 +100,14 @@ bench-solver:
 	@echo wrote BENCH_solver.json
 
 # Records the observability hot-path baseline: tsdb append/seal/query and
-# SLO audit-tick/probe benchmarks across both packages (benchjson tags
-# each record with its package). The Append rows must stay at
-# 0 allocs/op — the sampler runs on the emulation tick.
+# SLO audit-tick/probe benchmarks across both packages, then the fully
+# instrumented emulation episode they add up to (BenchmarkRunInstrumented:
+# us/tick and B/tick; benchjson tags each record with its package). The
+# Append, WindowAvg, SamplerTick and AuditTick rows must stay at
+# 0 allocs/op — all four run on the emulation tick.
 bench-obs:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
+	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ && \
+	  $(GO) test -run '^$$' -bench BenchmarkRunInstrumented -benchtime 5x ./internal/emu/ ; } | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	@echo wrote BENCH_obs.json
 
 # Records the online-placement baseline (BenchmarkOnlinePlacement):

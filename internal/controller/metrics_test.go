@@ -2,10 +2,12 @@ package controller
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"flex/internal/obs"
+	"flex/internal/obs/recorder"
 	"flex/internal/power"
 )
 
@@ -158,5 +160,46 @@ func TestRecordStepZeroAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("metrics hot path allocates %.1f times per step, want 0", allocs)
+	}
+}
+
+// TestIdleStepAllocatesIndependentOfRacks holds the steady-state round to
+// what the UPS readings need — the two UPS vectors and the inferred
+// inactive set — however many racks the controller manages: the rack view
+// and the acted set are plan inputs, built only when a round plans.
+func TestIdleStepAllocatesIndependentOfRacks(t *testing.T) {
+	idleAllocs := func(n int) float64 {
+		h := newHarness(t)
+		h.racks = nil
+		for i := 0; i < n; i++ {
+			r := testRacks(h.topo)[i%len(h.topo.Pairs)*3]
+			r.ID = fmt.Sprintf("rack-%04d", i)
+			h.racks = append(h.racks, r)
+		}
+		reg := obs.NewRegistry()
+		cfg := h.controller("ctl-1").cfg
+		cfg.Metrics = NewMetrics(reg)
+		cfg.Stages = obs.NewStageMetrics(reg)
+		cfg.Tracer = obs.NewTracer(8)
+		cfg.Recorder = recorder.New(64)
+		c := New(cfg)
+		h.feed([]power.Watts{60 * power.KW, 70 * power.KW, 70 * power.KW, 70 * power.KW})
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(100, func() {
+			if out := c.StepContext(ctx); out.Overdraw || out.Restored != 0 {
+				t.Fatalf("idle step acted: %+v", out)
+			}
+		})
+		if got := h.rackView.Count(); got != n {
+			t.Fatalf("rack view holds %d racks, want %d", got, n)
+		}
+		return allocs
+	}
+	small, large := idleAllocs(10), idleAllocs(1000)
+	if small != large {
+		t.Errorf("idle StepContext allocates %v times with 10 racks, %v with 1000", small, large)
+	}
+	if large > 3 {
+		t.Errorf("idle StepContext allocates %v times per round, want at most 3", large)
 	}
 }

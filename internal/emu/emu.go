@@ -268,7 +268,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	rackMeters := make([]*telemetry.SimMeter, len(sims))
 	for i, rs := range sims {
-		i := i
 		rackMeters[i] = telemetry.NewSimMeter(rs.ID,
 			func() power.Watts { return truth.rack[i] },
 			telemetry.SimMeterConfig{Noise: 0.01, Seed: cfg.Seed + 1000 + int64(i)})

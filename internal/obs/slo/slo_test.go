@@ -12,6 +12,7 @@ import (
 	"flex/internal/clock"
 	"flex/internal/controller"
 	"flex/internal/impact"
+	"flex/internal/obs"
 	"flex/internal/obs/recorder"
 	"flex/internal/obs/slo"
 	"flex/internal/obs/tsdb"
@@ -560,7 +561,7 @@ func BenchmarkProbe(b *testing.B) {
 }
 
 // BenchmarkAuditTick measures a probe-free audit tick: derived-series
-// appends plus objective evaluation.
+// appends plus objective evaluation. Must report 0 allocs/op.
 func BenchmarkAuditTick(b *testing.B) {
 	topo, err := power.NewRoom(power.RoomConfig{
 		Design:              power.Redundancy{X: 4, Y: 3},
@@ -580,16 +581,109 @@ func BenchmarkAuditTick(b *testing.B) {
 		Scenario: impact.Realistic1(), Buffer: power.KW,
 		AllocatablePower: 300 * power.KW,
 	})
-	now := clk.Now()
-	for u := range topo.UPSes {
-		upsView.Update(telemetry.Sample{
-			Device: topo.UPSes[u].Name, Power: 50 * power.KW, Valid: true, MeasuredAt: now,
-		})
-	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clk.Advance(100 * time.Millisecond)
-		aud.Tick(ctx, clk.Now())
+		now := clk.Now()
+		// Fresh readings every tick: stale telemetry would trip the
+		// freshness objective and measure a degraded room instead.
+		for u := range topo.UPSes {
+			upsView.Update(telemetry.Sample{
+				Device: topo.UPSes[u].Name, Power: 50 * power.KW, Valid: true, MeasuredAt: now,
+			})
+		}
+		aud.Tick(ctx, now)
+	}
+	if st := aud.Health().State; st != slo.StateReady {
+		b.Fatalf("measured ticks ended %v, want ready", st)
+	}
+}
+
+// TestPendingRecoveryFollowsFailover enforces a shed plan with UPS 0 out
+// and audits before any newer UPS reading lands: each action's recovered
+// watts must be credited the way the planner booked them — all of it to
+// the surviving UPS of a pair that lost UPS 0, nothing to UPS 0 itself,
+// half each on pairs with both UPSes in service.
+func TestPendingRecoveryFollowsFailover(t *testing.T) {
+	h := newHarness(t, slo.Config{})
+	ctx := context.Background()
+	h.feed(normalPower)
+	h.ctl.StepContext(ctx)
+	h.aud.Tick(ctx, h.now)
+
+	h.feed(overdrawPower)
+	if out := h.ctl.StepContext(ctx); out.Enforced == 0 {
+		t.Fatalf("no action enforced: %+v", out)
+	}
+	h.aud.Tick(ctx, h.now) // the UPS readings predate the enforcement
+
+	pairOf := map[string]power.PDUPairID{}
+	for _, r := range h.racks {
+		pairOf[r.ID] = r.Pair
+	}
+	want := make([]power.Watts, len(h.topo.UPSes))
+	onFailedPair := 0
+	actions, _ := h.ctl.CommittedActions()
+	for _, act := range actions {
+		ups := h.topo.Pairs[pairOf[act.Rack]].UPSes
+		switch {
+		case ups[0] == 0:
+			want[ups[1]] += act.Recovered
+			onFailedPair++
+		case ups[1] == 0:
+			want[ups[0]] += act.Recovered
+			onFailedPair++
+		default:
+			want[ups[0]] += act.Recovered / 2
+			want[ups[1]] += act.Recovered / 2
+		}
+	}
+	if onFailedPair == 0 {
+		t.Fatalf("no committed action sits on a pair fed by the failed UPS: %+v", actions)
+	}
+	for u := range h.topo.UPSes {
+		s, ok := h.aud.Store().Lookup(tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", h.topo.UPSes[u].Name}))
+		if !ok {
+			t.Fatalf("headroom series of %s missing", h.topo.UPSes[u].Name)
+		}
+		last, _ := s.Last()
+		got := power.Watts(last.Value) - (h.topo.UPSes[u].Capacity - overdrawPower[u])
+		if d := got - want[u]; d > 1e-6 || d < -1e-6 {
+			t.Errorf("%s: pending recovery credited %v, want %v", h.topo.UPSes[u].Name, got, want[u])
+		}
+	}
+}
+
+// TestSteadyTickAllocFree holds the audit tick the emulators run every
+// step to zero allocations once no probe is due and nothing transitions:
+// full bindings (controller, stage histograms, recorder), racks reporting,
+// no open episode.
+func TestSteadyTickAllocFree(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := tsdb.NewStore(tsdb.Options{})
+	h := newHarness(t, slo.Config{Store: store, UPSFreshness: time.Hour, RackFreshness: time.Hour})
+	stages := obs.NewStageMetrics(reg)
+	stages.Observe(obs.StagePlan, 20*time.Millisecond)
+	h.aud.Bind(slo.Bindings{
+		Clock: h.clk, Topo: h.topo, Racks: h.racks, UPSView: h.upsView, RackView: h.rackView,
+		Controllers: []*controller.Controller{h.ctl}, Scenario: impact.Realistic1(), Buffer: power.KW,
+		AllocatablePower: 300 * power.KW, Stages: stages,
+	})
+	ctx := context.Background()
+	h.feed(normalPower)
+	h.ctl.StepContext(ctx)
+	h.aud.Tick(ctx, h.now) // the first tick runs the probe round
+	rounds := h.aud.Status().Probe.Rounds
+	now := h.now
+	allocs := testing.AllocsPerRun(200, func() {
+		now = now.Add(10 * time.Millisecond) // 2s in all: inside ProbeEvery
+		h.aud.Tick(ctx, now)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Auditor.Tick: %v allocs/op, want 0", allocs)
+	}
+	if st := h.aud.Status(); st.Probe.Rounds != rounds || st.Health.State != slo.StateReady {
+		t.Fatalf("the measured ticks were not steady state: %d probe rounds (from %d), health %v", st.Probe.Rounds, rounds, st.Health.State)
 	}
 }

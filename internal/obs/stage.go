@@ -94,8 +94,8 @@ func (sm *StageMetrics) ObserveExemplar(st Stage, d time.Duration, ex Exemplar) 
 }
 
 // Histogram returns the stage's pre-bound histogram (nil when sm is nil
-// or st is out of range) — the cold-path handle for summaries and
-// exemplar export.
+// or st is out of range) — the handle for summaries, exemplar export and
+// the auditor's per-tick quantile reads.
 func (sm *StageMetrics) Histogram(st Stage) *Histogram {
 	if sm == nil || st < 0 || st >= NumStages {
 		return nil

@@ -65,7 +65,7 @@ func BenchmarkQueryRollup(b *testing.B) {
 }
 
 // BenchmarkWindowAvg is the burn-rate evaluation primitive: every SLO
-// objective calls it twice per audit tick.
+// objective calls it twice per audit tick. Must report 0 allocs/op.
 func BenchmarkWindowAvg(b *testing.B) {
 	st := NewStore(Options{})
 	s := st.Series("bench")
@@ -82,7 +82,9 @@ func BenchmarkWindowAvg(b *testing.B) {
 }
 
 // BenchmarkSamplerTick scrapes a realistically sized registry (64
-// gauges) into the store — the per-tick sampling cost.
+// gauges) into the store — the per-tick sampling cost in steady state,
+// after the first scrape has resolved the handles and created the series.
+// Must report 0 allocs/op.
 func BenchmarkSamplerTick(b *testing.B) {
 	reg := obs.NewRegistry()
 	names := make([]*obs.Gauge, 64)
@@ -92,8 +94,9 @@ func BenchmarkSamplerTick(b *testing.B) {
 	}
 	st := NewStore(Options{})
 	smp := &Sampler{Registry: reg, Store: st}
+	smp.Tick(t0)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 1; i <= b.N; i++ {
 		smp.Tick(t0.Add(time.Duration(i) * 500 * time.Millisecond))
 	}
 }

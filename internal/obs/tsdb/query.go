@@ -216,14 +216,17 @@ func (s *Series) WindowAvg(from, to time.Time) (avg float64, count uint64) {
 			}
 		}
 	} else {
+		// Sealed buckets are in start order: walk back from the newest to
+		// the first one not before the window, then sum oldest first.
 		ti := &s.tier[0]
-		for i, k := ti.oldest(), 0; k < ti.n; k++ {
-			if b := &ti.ring[i]; b.within(from, to) {
+		lo := ti.n
+		for lo > 0 && !time.Unix(0, ti.at(lo-1).start).Before(from) {
+			lo--
+		}
+		for k := lo; k < ti.n; k++ {
+			if b := ti.at(k); b.within(from, to) {
 				sum += b.sum
 				count += b.count
-			}
-			if i++; i == len(ti.ring) {
-				i = 0
 			}
 		}
 		if ti.cur.start != startUnset && ti.cur.within(from, to) {

@@ -279,12 +279,14 @@ func (s *Series) Buckets(width time.Duration) []Bucket {
 	return nil
 }
 
-// oldest is the ring slot of the oldest sealed bucket.
-func (ti *tier) oldest() int {
-	if i := ti.next - ti.n; i >= 0 {
-		return i
+// at is the k-th oldest sealed bucket, k in [0, ti.n). Buckets seal in
+// start order, so at(k).start rises with k.
+func (ti *tier) at(k int) *bucket {
+	i := ti.next - ti.n + k
+	if i < 0 {
+		i += len(ti.ring)
 	}
-	return ti.next - ti.n + len(ti.ring)
+	return &ti.ring[i]
 }
 
 func (ti *tier) snapshot() []Bucket {
@@ -293,9 +295,8 @@ func (ti *tier) snapshot() []Bucket {
 		open = 1
 	}
 	out := make([]Bucket, 0, ti.n+open)
-	start := ti.oldest()
-	for i := 0; i < ti.n; i++ {
-		out = append(out, ti.ring[(start+i)%len(ti.ring)].export())
+	for k := 0; k < ti.n; k++ {
+		out = append(out, ti.at(k).export())
 	}
 	if open == 1 {
 		out = append(out, ti.cur.export())
