@@ -223,11 +223,11 @@ type Auditor struct {
 	strandedW power.Watts
 
 	// Per-tick scratch, sized at Bind and reused under mu: the UPS view as
-	// read this tick, the pending recovery per UPS with its rack dedup set,
-	// and the rack view as the probe plans from it.
+	// read this tick (upsAt is the zero time for a UPS without a reading),
+	// the pending recovery per UPS with its rack dedup set, and the rack
+	// view as the probe plans from it.
 	upsPower  []power.Watts
 	upsAt     []time.Time
-	upsOK     []bool
 	pending   []power.Watts
 	seenRack  map[string]bool
 	rackPower map[string]power.Watts
@@ -334,7 +334,6 @@ func (a *Auditor) Bind(b Bindings) {
 	n := len(b.Topo.UPSes)
 	a.upsPower = make([]power.Watts, n)
 	a.upsAt = make([]time.Time, n)
-	a.upsOK = make([]bool, n)
 	a.pending = make([]power.Watts, n)
 	a.seenRack = make(map[string]bool)
 	a.rackPower = make(map[string]power.Watts, len(b.Racks))
@@ -393,8 +392,9 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	upsPower := a.upsPower
 	var upsSeen int
 	for u := range b.Topo.UPSes {
-		upsPower[u], a.upsAt[u], a.upsOK[u] = b.UPSView.Get(b.Topo.UPSes[u].Name)
-		if a.upsOK[u] {
+		var ok bool
+		upsPower[u], a.upsAt[u], ok = b.UPSView.Get(b.Topo.UPSes[u].Name)
+		if ok {
 			upsSeen++
 		} else {
 			// Missing reading: assume full capacity (the controller's
@@ -591,8 +591,8 @@ func (a *Auditor) pendingRecoveryLocked(inactive power.UPSSet) []power.Watts {
 	pendingAny := false
 	for _, c := range b.Controllers {
 		if _, lastEnforce := c.CommittedActions(); !lastEnforce.IsZero() {
-			for u := range a.upsAt {
-				pendingAny = pendingAny || !a.measuredSince(u, lastEnforce)
+			for _, at := range a.upsAt {
+				pendingAny = pendingAny || !at.After(lastEnforce)
 			}
 		}
 	}
@@ -620,19 +620,13 @@ func (a *Auditor) pendingRecoveryLocked(inactive power.UPSSet) []power.Watts {
 				// Only credit the recovery while the view's reading
 				// predates the enforcement; once a newer sample lands,
 				// the measurement itself reflects the shed power.
-				if uid := ups[i]; !a.measuredSince(int(uid), lastEnforce) {
+				if uid := ups[i]; !a.upsAt[uid].After(lastEnforce) {
 					out[uid] += power.Watts(share) * act.Recovered
 				}
 			}
 		}
 	}
 	return out
-}
-
-// measuredSince reports whether UPS u's reading, as read this tick, was
-// measured after t.
-func (a *Auditor) measuredSince(u int, t time.Time) bool {
-	return a.upsOK[u] && a.upsAt[u].After(t)
 }
 
 // Objective is the exported snapshot of one SLO for /slo.
