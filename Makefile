@@ -154,6 +154,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzImpactFunction -fuzztime=30s -run=Fuzz .
 	$(GO) test -fuzz=FuzzLedgerMatchesLoadFlow -fuzztime=30s -run=Fuzz ./internal/power
 	$(GO) test -fuzz=FuzzStateMatchesAdmitter -fuzztime=30s -run=Fuzz ./internal/placement
+	$(GO) test -fuzz=FuzzMILPMatchesBruteForce -fuzztime=30s -run=Fuzz ./internal/milp
 
 examples:
 	$(GO) run ./examples/quickstart
