@@ -1,0 +1,179 @@
+package milp
+
+import (
+	"sort"
+
+	"flex/internal/lp"
+)
+
+// Columns is a problem's constraint matrix by column in compressed form:
+// variable j's non-zero coefficients are coef[start[j]:start[j+1]] and row
+// holds their row numbers, in row order. Greedy 0/1 heuristics raise one
+// variable at a time and only need the rows that variable appears in — on
+// the placement ILP a dozen of three hundred. Build one per problem and
+// share it: a Columns is read-only after NewColumns, so any number of
+// Packings may use it concurrently.
+type Columns struct {
+	p     *Problem
+	start []int32
+	row   []int32
+	coef  []float64
+}
+
+// NewColumns indexes p's constraints by column. Coefficient slices shorter
+// than the variable count are zero-extended, as everywhere else.
+func NewColumns(p *Problem) *Columns {
+	n := p.LP.NumVars()
+	c := &Columns{p: p, start: make([]int32, n+1)}
+	for i := range p.LP.Constraints {
+		for j, a := range p.LP.Constraints[i].Coeffs {
+			if nonZero(a) {
+				c.start[j+1]++
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		c.start[j+1] += c.start[j]
+	}
+	c.row = make([]int32, c.start[n])
+	c.coef = make([]float64, c.start[n])
+	next := append([]int32(nil), c.start[:n]...)
+	for i := range p.LP.Constraints {
+		for j, a := range p.LP.Constraints[i].Coeffs {
+			if nonZero(a) {
+				c.row[next[j]] = int32(i)
+				c.coef[next[j]] = a
+				next[j]++
+			}
+		}
+	}
+	return c
+}
+
+// Problem returns the problem the view was built from.
+func (c *Columns) Problem() *Problem { return c.p }
+
+// packTol is how far a coefficient may exceed a row's remaining slack and
+// still fit.
+const packTol = 1e-9
+
+// Packing builds a 0/1 vector for an all-LE problem one variable at a
+// time, tracking the slack left in every row. X is the vector so far.
+//
+// A row whose slack has fallen below -packTol refuses every variable it
+// spans — those with a zero coefficient included, since zero exceeds a
+// negative slack too. Such rows are rare (a negative right-hand side, or a
+// sum that rounded past its limit), so they are kept on a short list
+// instead of being found by scanning.
+type Packing struct {
+	X     []float64
+	c     *Columns
+	slack []float64
+	short []int32 // rows with slack below -packTol
+}
+
+// NewPacking starts from the zero vector: every row's slack is its
+// right-hand side.
+func (c *Columns) NewPacking() *Packing {
+	cons := c.p.LP.Constraints
+	pk := &Packing{X: make([]float64, c.p.LP.NumVars()), c: c, slack: make([]float64, len(cons))}
+	for i := range cons {
+		pk.slack[i] = cons[i].RHS
+		if 0 > pk.slack[i]+packTol {
+			pk.short = append(pk.short, int32(i))
+		}
+	}
+	return pk
+}
+
+// Blocked reports whether some row is already over its limit.
+func (pk *Packing) Blocked() bool { return len(pk.short) > 0 }
+
+// Fits reports whether raising variable j to 1 keeps every row that spans
+// j (j < len(Coeffs)) within its slack.
+func (pk *Packing) Fits(j int) bool {
+	cons := pk.c.p.LP.Constraints
+	for _, i := range pk.short {
+		if j < len(cons[i].Coeffs) {
+			return false
+		}
+	}
+	c := pk.c
+	for k := c.start[j]; k < c.start[j+1]; k++ {
+		if c.coef[k] > pk.slack[c.row[k]]+packTol {
+			return false
+		}
+	}
+	return true
+}
+
+// Take raises variable j to 1 and charges its coefficients to the rows.
+func (pk *Packing) Take(j int) {
+	pk.X[j] = 1
+	c := pk.c
+	for k := c.start[j]; k < c.start[j+1]; k++ {
+		i := c.row[k]
+		was := 0 > pk.slack[i]+packTol
+		pk.slack[i] -= c.coef[k]
+		if now := 0 > pk.slack[i]+packTol; now != was {
+			pk.setShort(i, now)
+		}
+	}
+}
+
+// setShort adds row i to, or removes it from, the over-limit list.
+func (pk *Packing) setShort(i int32, short bool) {
+	if short {
+		pk.short = append(pk.short, i)
+		return
+	}
+	for k, r := range pk.short {
+		if r == i {
+			pk.short = append(pk.short[:k], pk.short[k+1:]...)
+			return
+		}
+	}
+}
+
+// GreedyBinaryIncumbent produces a feasible 0/1 assignment for a pure
+// binary maximization problem by setting variables to 1 in descending
+// objective-coefficient order whenever all constraints stay satisfied. It
+// is used to warm-start and as an ablation baseline for the placement ILP.
+// Only LE constraints with non-negative coefficients are supported; other
+// constraints cause a nil return.
+func GreedyBinaryIncumbent(p *Problem) []float64 {
+	return NewColumns(p).GreedyBinaryIncumbent()
+}
+
+// GreedyBinaryIncumbent is the package-level function of the same name on
+// an already-built view.
+func (c *Columns) GreedyBinaryIncumbent() []float64 {
+	for i := range c.p.LP.Constraints {
+		if c.p.LP.Constraints[i].Sense != lp.LE {
+			return nil
+		}
+	}
+	for _, a := range c.coef {
+		if a < 0 {
+			return nil
+		}
+	}
+	obj := c.p.LP.Objective
+	order := make([]int, len(obj))
+	for j := range order {
+		order[j] = j
+	}
+	sort.Slice(order, func(a, b int) bool { return obj[order[a]] > obj[order[b]] })
+	pk := c.NewPacking()
+	for _, j := range order {
+		// With no negative coefficient slack only falls: a row over its
+		// limit stays over it and refuses everything that is left.
+		if obj[j] <= 0 || pk.Blocked() {
+			continue
+		}
+		if pk.Fits(j) {
+			pk.Take(j)
+		}
+	}
+	return pk.X
+}

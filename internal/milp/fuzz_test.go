@@ -129,7 +129,7 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 				if math.Abs(r.Objective-want) > 1e-6 {
 					t.Fatalf("workers=%d: objective %v, enumeration finds %v", workers, r.Objective, want)
 				}
-				if !p.feasible(r.X) {
+				if !referenceFeasible(p, r.X) {
 					t.Fatalf("workers=%d: returned point %v is infeasible", workers, r.X)
 				}
 			}

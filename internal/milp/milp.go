@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,25 +211,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error)
 		now = time.Now
 	}
 
-	s := &search{
-		p:    p,
-		n:    n,
-		opts: opts,
-		now:  now,
-		sign: 1.0,
-		up0:  impliedUpperBounds(p),
-	}
-	s.skip = redundantSingletonRows(p)
-	if !p.LP.Maximize {
-		s.sign = -1.0 // internally we compare in "maximize" terms
-	}
-	s.incBits.Store(math.Float64bits(math.Inf(-1)))
-	s.f.cond = sync.NewCond(&s.f.mu)
-	s.start = now()
-	if opts.TimeLimit > 0 {
-		s.deadline = s.start.Add(opts.TimeLimit)
-	}
-
+	s := newSearch(p, opts, now)
 	s.tryCandidate(opts.Incumbent)
 	s.pushRoot()
 
@@ -273,6 +254,31 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error)
 	return s.finish(now(), workers)
 }
 
+// newSearch prepares the shared state of one solve: the problem's implied
+// bounds, redundant rows and row index, and an empty incumbent.
+func newSearch(p *Problem, opts Options, now func() time.Time) *search {
+	s := &search{
+		p:    p,
+		n:    p.LP.NumVars(),
+		opts: opts,
+		now:  now,
+		sign: 1.0,
+		up0:  impliedUpperBounds(p),
+		skip: redundantSingletonRows(p),
+		rows: newRowIndex(p),
+	}
+	if !p.LP.Maximize {
+		s.sign = -1.0 // internally we compare in "maximize" terms
+	}
+	s.incBits.Store(math.Float64bits(math.Inf(-1)))
+	s.f.cond = sync.NewCond(&s.f.mu)
+	s.start = now()
+	if opts.TimeLimit > 0 {
+		s.deadline = s.start.Add(opts.TimeLimit)
+	}
+	return s
+}
+
 // node is one open subproblem: the parent relaxation bound plus an
 // immutable chain of branching bound changes back to the root.
 type node struct {
@@ -307,6 +313,7 @@ type search struct {
 	opts Options
 	up0  []float64 // implied upper bound per variable (from singleton LE rows)
 	skip []bool    // constraint rows provably redundant in every node LP
+	rows rowIndex  // non-zero columns of every constraint row
 	now  func() time.Time
 
 	start    time.Time
@@ -383,26 +390,34 @@ func (s *search) incumbentValue() float64 {
 	return math.Float64frombits(s.incBits.Load())
 }
 
-// tryCandidate verifies cand against the full problem and adopts it as the
-// new incumbent when strictly better. Safe for concurrent use; cand is
-// copied on adoption.
+// tryCandidate adopts cand, with its integer entries snapped to integers,
+// as the new incumbent when it is strictly better than the current one and
+// feasible for the full problem. The objective is compared first: it costs
+// one pass and no memory, and most candidates lose there. Safe for
+// concurrent use; cand is copied on adoption.
 func (s *search) tryCandidate(cand []float64) {
 	if cand == nil || len(cand) != s.n {
 		return
 	}
-	x := roundIntegers(cand, s.p.Integer)
-	if !s.p.feasible(x) {
-		return
+	obj := 0.0
+	for j, c := range s.p.LP.Objective {
+		v := cand[j]
+		if s.p.Integer[j] {
+			v = math.Round(v)
+		}
+		obj += c * v
 	}
-	obj := s.p.objectiveOf(x)
 	v := s.sign * obj
 	if v <= s.incumbentValue() {
 		return // lock-free fast path: not an improvement
 	}
+	x := roundIntegers(cand, s.p.Integer)
+	if !s.p.feasible(x, &s.rows) {
+		return
+	}
 	s.mu.Lock()
 	if s.best == nil || v > s.sign*s.best.Objective {
-		xc := append([]float64(nil), x...)
-		s.best = &Result{Status: Feasible, X: xc, Objective: obj}
+		s.best = &Result{Status: Feasible, X: x, Objective: obj}
 		s.improved++
 		s.incBits.Store(math.Float64bits(v))
 	}
@@ -788,30 +803,50 @@ type worker struct {
 	s       *search
 	solver  lp.Solver
 	lo, up  []float64 // current node's variable bounds
-	touched []int     // variables whose bounds deviate from [0, up0]
-	mark    []int64   // dedup generation stamp per variable
-	gen     int64
-	redIdx  []int // full index -> reduced column, -1 when fixed
-	free    []int // reduced column -> full index
+	touched []int     // distinct variables whose bounds may deviate from [0, up0], in first-touch order
+	mark    []int64   // per variable: the node generation that last touched it
+	gen     int64     // current node's generation
+	redIdx  []int     // full index -> reduced column, -1 when fixed
+	free    []int     // reduced column -> full index
 	objBuf  []float64
 	consBuf []lp.Constraint
-	coef    []float64 // arena for reduced constraint coefficient rows
-	xfull   []float64 // full-length relaxation vector (fixed + free values)
+	sub     lp.Problem // the node's reduced LP, over objBuf and consBuf
+	coef    []float64  // arena for reduced constraint coefficient rows, sized once
+	xfull   []float64  // full-length relaxation vector (fixed + free values)
 }
 
 func newWorker(s *search) *worker {
 	n := s.n
 	w := &worker{
-		s:      s,
-		lo:     make([]float64, n),
-		up:     make([]float64, n),
-		mark:   make([]int64, n),
-		redIdx: make([]int, n),
-		free:   make([]int, n),
-		objBuf: make([]float64, n),
-		xfull:  make([]float64, n),
+		s:       s,
+		lo:      make([]float64, n),
+		up:      make([]float64, n),
+		mark:    make([]int64, n),
+		touched: make([]int, 0, n),
+		redIdx:  make([]int, n),
+		free:    make([]int, n),
+		objBuf:  make([]float64, n),
+		xfull:   make([]float64, n),
 	}
 	copy(w.up, s.up0)
+	// A node's reduced LP holds at most every non-skipped row plus two bound
+	// rows per integer variable that can stay free after its bounds tighten.
+	// A variable whose implied upper bound is at most 1 cannot: raising its
+	// lower bound or lowering its upper bound to an integer closes the
+	// interval, and eval fixes it instead.
+	rows := 0
+	for _, skipped := range s.skip {
+		if !skipped {
+			rows++
+		}
+	}
+	for j, isInt := range s.p.Integer {
+		if isInt && s.up0[j] > 1+intEps {
+			rows += 2
+		}
+	}
+	w.coef = make([]float64, rows*n)
+	w.consBuf = make([]lp.Constraint, 0, rows)
 	return w
 }
 
@@ -827,8 +862,9 @@ func (w *worker) eval(nd *node, inc float64, o *outcome) {
 		w.up[j] = s.up0[j]
 	}
 	w.touched = w.touched[:0]
+	w.gen++
 	for c := nd.chain; c != nil; c = c.prev {
-		w.touched = append(w.touched, c.j)
+		w.touch(c.j)
 		if c.lo > w.lo[c.j] {
 			w.lo[c.j] = c.lo
 		}
@@ -869,26 +905,22 @@ func (w *worker) eval(nd *node, inc float64, o *outcome) {
 	}
 	// Reduced constraints: substitute fixed values into each row, dropping
 	// rows that became vacuous and detecting cheap infeasibility.
-	maxRows := len(s.p.LP.Constraints) + 2*len(w.touched)
-	if need := maxRows * nFree; cap(w.coef) < need {
-		w.coef = make([]float64, need)
-	}
 	coef := w.coef
 	off := 0
 	w.consBuf = w.consBuf[:0]
+	rows := &s.rows
 	for ci := range s.p.LP.Constraints {
 		if s.skip[ci] {
 			continue
 		}
 		c := &s.p.LP.Constraints[ci]
 		seg := coef[off : off+nFree]
-		for k := range seg {
-			seg[k] = 0
-		}
+		clear(seg)
 		rhs := c.RHS
 		nz := false
 		nonneg := true
-		for j, a := range c.Coeffs {
+		for k := rows.start[ci]; k < rows.start[ci+1]; k++ {
+			j, a := rows.col[k], rows.val[k]
 			if ri := w.redIdx[j]; ri >= 0 {
 				seg[ri] = a
 				if a > zeroTol || a < -zeroTol {
@@ -926,30 +958,21 @@ func (w *worker) eval(nd *node, inc float64, o *outcome) {
 	}
 	// Explicit bound rows for free variables whose branch bounds tightened
 	// (general integers; binaries always end up fixed instead).
-	w.gen++
 	for _, j := range w.touched {
-		if w.mark[j] == w.gen {
-			continue
-		}
-		w.mark[j] = w.gen
 		ri := w.redIdx[j]
 		if ri < 0 {
 			continue
 		}
 		if w.lo[j] > intEps {
 			seg := coef[off : off+nFree]
-			for k := range seg {
-				seg[k] = 0
-			}
+			clear(seg)
 			seg[ri] = 1
 			w.consBuf = append(w.consBuf, lp.Constraint{Coeffs: seg, Sense: lp.GE, RHS: w.lo[j]})
 			off += nFree
 		}
 		if w.up[j] < s.up0[j]-intEps {
 			seg := coef[off : off+nFree]
-			for k := range seg {
-				seg[k] = 0
-			}
+			clear(seg)
 			seg[ri] = 1
 			w.consBuf = append(w.consBuf, lp.Constraint{Coeffs: seg, Sense: lp.LE, RHS: w.up[j]})
 			off += nFree
@@ -959,8 +982,8 @@ func (w *worker) eval(nd *node, inc float64, o *outcome) {
 	for k, j := range w.free[:nFree] {
 		obj[k] = s.p.LP.Objective[j]
 	}
-	sub := lp.Problem{Maximize: s.p.LP.Maximize, Objective: obj, Constraints: w.consBuf}
-	r, err := w.solver.Solve(&sub)
+	w.sub = lp.Problem{Maximize: s.p.LP.Maximize, Objective: obj, Constraints: w.consBuf}
+	r, err := w.solver.Solve(&w.sub)
 	if err != nil {
 		o.err = err
 		return
@@ -1009,6 +1032,18 @@ func (w *worker) eval(nd *node, inc float64, o *outcome) {
 	o.branchV = w.xfull[branchJ]
 }
 
+// touch records that variable j's bounds may have moved in this node. Each
+// variable is listed once, so the list never outgrows the n entries it was
+// made with.
+func (w *worker) touch(j int) {
+	if w.mark[j] != w.gen {
+		w.mark[j] = w.gen
+		k := len(w.touched)
+		w.touched = w.touched[:k+1]
+		w.touched[k] = j
+	}
+}
+
 // maxPropRounds bounds the fixpoint iteration in propagate; most of the
 // benefit lands in the first pass (row sees a newly fixed member), the
 // rest by the second.
@@ -1022,6 +1057,7 @@ const maxPropRounds = 4
 // entirely. Returns false when a row's minimum activity already exceeds
 // its RHS: the domain holds no integer point.
 func (w *worker) propagate() bool {
+	rows := &w.s.rows
 	for round := 0; round < maxPropRounds; round++ {
 		changed := false
 		for ci := range w.s.p.LP.Constraints {
@@ -1029,15 +1065,16 @@ func (w *worker) propagate() bool {
 				continue // a singleton bound row: already folded into w.up
 			}
 			c := &w.s.p.LP.Constraints[ci]
+			cols, vals := rows.row(ci)
 			// lhs <= rhs reasoning covers LE and EQ rows; lhs >= rhs (GE
 			// and EQ) is the same row mirrored through sign.
 			if c.Sense == lp.LE || c.Sense == lp.EQ {
-				if !w.propagateRow(c.Coeffs, c.RHS, 1, &changed) {
+				if !w.propagateRow(cols, vals, c.RHS, 1, &changed) {
 					return false
 				}
 			}
 			if c.Sense == lp.GE || c.Sense == lp.EQ {
-				if !w.propagateRow(c.Coeffs, -c.RHS, -1, &changed) {
+				if !w.propagateRow(cols, vals, -c.RHS, -1, &changed) {
 					return false
 				}
 			}
@@ -1049,16 +1086,19 @@ func (w *worker) propagate() bool {
 	return true
 }
 
-// propagateRow applies one row in "sign*coeffs · x <= rhs" form: with the
-// row's minimum activity over the current box, each member's bound
-// tightens to what the remaining slack allows, rounded to integrality.
-// Variables it tightens are appended to w.touched so eval restores them
-// on the next node.
-func (w *worker) propagateRow(coeffs []float64, rhs, sign float64, changed *bool) bool {
+// propagateRow applies one row, given as its non-zero columns and their
+// coefficients, in "sign*coeffs · x <= rhs" form: with the row's minimum
+// activity over the current box, each member's bound tightens to what the
+// remaining slack allows, rounded to integrality. Variables it tightens
+// are recorded in w.touched so eval restores them on the next node.
+//
+//flex:hotpath
+func (w *worker) propagateRow(cols []int32, vals []float64, rhs, sign float64, changed *bool) bool {
 	s := w.s
+	vals = vals[:len(cols)]
 	minAct := 0.0
-	for j, a0 := range coeffs {
-		a := sign * a0
+	for k, j := range cols {
+		a := sign * vals[k]
 		if a > zeroTol {
 			minAct += a * w.lo[j]
 		} else if a < -zeroTol {
@@ -1073,16 +1113,16 @@ func (w *worker) propagateRow(coeffs []float64, rhs, sign float64, changed *bool
 		return false
 	}
 	slack := rhs - minAct
-	for j, a0 := range coeffs {
+	for k, j := range cols {
 		if !s.p.Integer[j] {
 			continue
 		}
-		a := sign * a0
+		a := sign * vals[k]
 		if a > zeroTol {
 			newUp := math.Floor(w.lo[j] + slack/a + intEps)
 			if newUp < w.up[j]-intEps {
 				w.up[j] = newUp
-				w.touched = append(w.touched, j)
+				w.touch(int(j))
 				*changed = true
 			}
 		} else if a < -zeroTol {
@@ -1092,12 +1132,61 @@ func (w *worker) propagateRow(coeffs []float64, rhs, sign float64, changed *bool
 			newLo := math.Ceil(w.up[j] + slack/a - intEps)
 			if newLo > w.lo[j]+intEps {
 				w.lo[j] = newLo
-				w.touched = append(w.touched, j)
+				w.touch(int(j))
 				*changed = true
 			}
 		}
 	}
 	return true
+}
+
+// rowIndex is the constraint matrix by row in compressed form: row i's
+// non-zero coefficients are val[start[i]:start[i+1]], in column order,
+// and col holds their column numbers. The placement ILP's rows are three
+// quarters zeros and a node walks every row several times (propagation,
+// the reduced-LP build, candidate verification), so each walk touches
+// only what can matter. Skipping a zero term leaves every sum it would
+// have entered unchanged to the bit.
+type rowIndex struct {
+	start []int32
+	col   []int32
+	val   []float64
+}
+
+// nonZero reports whether a is anything but an exact zero: the indexes
+// drop only terms that cannot move a sum, never small ones.
+func nonZero(a float64) bool { return a > 0 || a < 0 }
+
+func newRowIndex(p *Problem) rowIndex {
+	nnz := 0
+	for i := range p.LP.Constraints {
+		for _, a := range p.LP.Constraints[i].Coeffs {
+			if nonZero(a) {
+				nnz++
+			}
+		}
+	}
+	r := rowIndex{
+		start: make([]int32, len(p.LP.Constraints)+1),
+		col:   make([]int32, 0, nnz),
+		val:   make([]float64, 0, nnz),
+	}
+	for i := range p.LP.Constraints {
+		for j, a := range p.LP.Constraints[i].Coeffs {
+			if nonZero(a) {
+				r.col = append(r.col, int32(j))
+				r.val = append(r.val, a)
+			}
+		}
+		r.start[i+1] = int32(len(r.col))
+	}
+	return r
+}
+
+// row returns row i's non-zero columns and coefficients.
+func (r *rowIndex) row(i int) ([]int32, []float64) {
+	lo, hi := r.start[i], r.start[i+1]
+	return r.col[lo:hi], r.val[lo:hi]
 }
 
 // redundantSingletonRows marks singleton LE rows ("a·x_j <= b", a > 0)
@@ -1252,8 +1341,9 @@ func heapPop(h *[]*node) *node {
 }
 
 // feasible reports whether x satisfies every constraint (with tolerance)
-// and every integrality requirement, and is non-negative.
-func (p *Problem) feasible(x []float64) bool {
+// and every integrality requirement, and is non-negative. rows is p's row
+// index.
+func (p *Problem) feasible(x []float64, rows *rowIndex) bool {
 	for j, v := range x {
 		if v < -1e-9 {
 			return false
@@ -1262,10 +1352,12 @@ func (p *Problem) feasible(x []float64) bool {
 			return false
 		}
 	}
-	for _, c := range p.LP.Constraints {
+	for i := range p.LP.Constraints {
+		c := &p.LP.Constraints[i]
+		cols, vals := rows.row(i)
 		lhs := 0.0
-		for j, a := range c.Coeffs {
-			lhs += a * x[j]
+		for k, j := range cols {
+			lhs += vals[k] * x[j]
 		}
 		switch c.Sense {
 		case lp.LE:
@@ -1309,61 +1401,4 @@ func roundIntegers(x []float64, integer []bool) []float64 {
 		}
 	}
 	return out
-}
-
-// GreedyBinaryIncumbent produces a feasible 0/1 assignment for a pure
-// binary maximization problem by setting variables to 1 in descending
-// objective-coefficient order whenever all constraints stay satisfied. It
-// is used to warm-start and as an ablation baseline for the placement ILP.
-// Only LE constraints with non-negative coefficients are supported; other
-// constraints cause a nil return.
-func GreedyBinaryIncumbent(p *Problem) []float64 {
-	n := p.LP.NumVars()
-	for _, c := range p.LP.Constraints {
-		if c.Sense != lp.LE {
-			return nil
-		}
-		for _, a := range c.Coeffs {
-			if a < 0 {
-				return nil
-			}
-		}
-	}
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
-	}
-	obj := p.LP.Objective
-	sort.Slice(order, func(a, b int) bool { return obj[order[a]] > obj[order[b]] })
-	x := make([]float64, n)
-	slack := make([]float64, len(p.LP.Constraints))
-	for i, c := range p.LP.Constraints {
-		slack[i] = c.RHS
-	}
-	for _, j := range order {
-		if obj[j] <= 0 {
-			continue
-		}
-		ok := true
-		for i, c := range p.LP.Constraints {
-			var a float64
-			if j < len(c.Coeffs) {
-				a = c.Coeffs[j]
-			}
-			if a > slack[i]+1e-9 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		x[j] = 1
-		for i, c := range p.LP.Constraints {
-			if j < len(c.Coeffs) {
-				slack[i] -= c.Coeffs[j]
-			}
-		}
-	}
-	return x
 }

@@ -1,0 +1,511 @@
+package milp
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"flex/internal/lp"
+)
+
+// Dense references: the full-row scans the row and column indexes
+// replaced, kept as what the indexed code must reproduce exactly.
+
+// referenceFeasible is Problem.feasible over dense rows.
+func referenceFeasible(p *Problem, x []float64) bool {
+	for j, v := range x {
+		if v < -1e-9 {
+			return false
+		}
+		if p.Integer[j] && math.Abs(v-math.Round(v)) > intEps {
+			return false
+		}
+	}
+	for _, c := range p.LP.Constraints {
+		lhs := 0.0
+		for j, a := range c.Coeffs {
+			lhs += a * x[j]
+		}
+		switch c.Sense {
+		case lp.LE:
+			if lhs > c.RHS+feasTol {
+				return false
+			}
+		case lp.GE:
+			if lhs < c.RHS-feasTol {
+				return false
+			}
+		case lp.EQ:
+			if math.Abs(lhs-c.RHS) > feasTol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// referenceBox is a worker's bound state under the dense propagation.
+type referenceBox struct {
+	p       *Problem
+	skip    []bool
+	lo, up  []float64
+	touched []int
+}
+
+func (b *referenceBox) propagate() bool {
+	for round := 0; round < maxPropRounds; round++ {
+		changed := false
+		for ci := range b.p.LP.Constraints {
+			if b.skip[ci] {
+				continue
+			}
+			c := &b.p.LP.Constraints[ci]
+			if c.Sense == lp.LE || c.Sense == lp.EQ {
+				if !b.propagateRow(c.Coeffs, c.RHS, 1, &changed) {
+					return false
+				}
+			}
+			if c.Sense == lp.GE || c.Sense == lp.EQ {
+				if !b.propagateRow(c.Coeffs, -c.RHS, -1, &changed) {
+					return false
+				}
+			}
+		}
+		if !changed {
+			return true
+		}
+	}
+	return true
+}
+
+func (b *referenceBox) propagateRow(coeffs []float64, rhs, sign float64, changed *bool) bool {
+	minAct := 0.0
+	for j, a0 := range coeffs {
+		a := sign * a0
+		if a > zeroTol {
+			minAct += a * b.lo[j]
+		} else if a < -zeroTol {
+			u := b.up[j]
+			if math.IsInf(u, 1) {
+				return true
+			}
+			minAct += a * u
+		}
+	}
+	if minAct > rhs+feasTol {
+		return false
+	}
+	slack := rhs - minAct
+	for j, a0 := range coeffs {
+		if !b.p.Integer[j] {
+			continue
+		}
+		a := sign * a0
+		if a > zeroTol {
+			newUp := math.Floor(b.lo[j] + slack/a + intEps)
+			if newUp < b.up[j]-intEps {
+				b.up[j] = newUp
+				b.touched = append(b.touched, j)
+				*changed = true
+			}
+		} else if a < -zeroTol {
+			if math.IsInf(b.up[j], 1) {
+				continue
+			}
+			newLo := math.Ceil(b.up[j] + slack/a - intEps)
+			if newLo > b.lo[j]+intEps {
+				b.lo[j] = newLo
+				b.touched = append(b.touched, j)
+				*changed = true
+			}
+		}
+	}
+	return true
+}
+
+// referenceGreedy is GreedyBinaryIncumbent over dense rows.
+func referenceGreedy(p *Problem) []float64 {
+	n := p.LP.NumVars()
+	for _, c := range p.LP.Constraints {
+		if c.Sense != lp.LE {
+			return nil
+		}
+		for _, a := range c.Coeffs {
+			if a < 0 {
+				return nil
+			}
+		}
+	}
+	order := make([]int, n)
+	for j := range order {
+		order[j] = j
+	}
+	obj := p.LP.Objective
+	sort.Slice(order, func(a, b int) bool { return obj[order[a]] > obj[order[b]] })
+	x := make([]float64, n)
+	slack := make([]float64, len(p.LP.Constraints))
+	for i, c := range p.LP.Constraints {
+		slack[i] = c.RHS
+	}
+	for _, j := range order {
+		if obj[j] <= 0 {
+			continue
+		}
+		ok := true
+		for i, c := range p.LP.Constraints {
+			var a float64
+			if j < len(c.Coeffs) {
+				a = c.Coeffs[j]
+			}
+			if a > slack[i]+1e-9 {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		x[j] = 1
+		for i, c := range p.LP.Constraints {
+			if j < len(c.Coeffs) {
+				slack[i] -= c.Coeffs[j]
+			}
+		}
+	}
+	return x
+}
+
+// placementShaped builds an ILP with the structure of the Flex-Offline
+// batch problem — nd deployments × 6 UPS combinations of a 4N/3 room:
+// short singleton bound rows, one assignment row per deployment, normal
+// and failover capacity rows per UPS, space per combination and one
+// diversity row — with seeded random demand sized so capacity binds.
+func placementShaped(seed int64, nd int) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	combos := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
+	nc := len(combos)
+	n := nd * nc
+	p := &Problem{LP: lp.Problem{Maximize: true, Objective: make([]float64, n)}, Integer: make([]bool, n)}
+	pow, capPow, racks := make([]float64, nd), make([]float64, nd), make([]float64, nd)
+	for d := range pow {
+		racks[d] = float64(5 + rng.Intn(16))
+		pow[d] = racks[d] * (0.010 + 0.012*rng.Float64())
+		capPow[d] = pow[d] * (0.6 + 0.4*float64(rng.Intn(2)))
+		for c := 0; c < nc; c++ {
+			p.Integer[d*nc+c] = true
+			p.LP.Objective[d*nc+c] = pow[d]
+		}
+	}
+	for j := 0; j < n; j++ {
+		c := make([]float64, j+1)
+		c[j] = 1
+		p.LP.AddConstraint(c, lp.LE, 1)
+	}
+	for d := 0; d < nd; d++ {
+		c := make([]float64, n)
+		for ci := 0; ci < nc; ci++ {
+			c[d*nc+ci] = 1
+		}
+		p.LP.AddConstraint(c, lp.LE, 1)
+	}
+	in := func(cb [2]int, u int) bool { return cb[0] == u || cb[1] == u }
+	for u := 0; u < 4; u++ {
+		c := make([]float64, n)
+		for d := 0; d < nd; d++ {
+			for ci, cb := range combos {
+				if in(cb, u) {
+					c[d*nc+ci] = 0.5 * pow[d]
+				}
+			}
+		}
+		p.LP.AddConstraint(c, lp.LE, 1.2)
+	}
+	for f := 0; f < 4; f++ {
+		for u := 0; u < 4; u++ {
+			if u == f {
+				continue
+			}
+			c := make([]float64, n)
+			for d := 0; d < nd; d++ {
+				for ci, cb := range combos {
+					if in(cb, u) {
+						w := 0.5
+						if in(cb, f) {
+							w = 1
+						}
+						c[d*nc+ci] = w * capPow[d]
+					}
+				}
+			}
+			p.LP.AddConstraint(c, lp.LE, 1.6)
+		}
+	}
+	for ci := range combos {
+		c := make([]float64, n)
+		for d := 0; d < nd; d++ {
+			c[d*nc+ci] = racks[d]
+		}
+		p.LP.AddConstraint(c, lp.LE, 90)
+	}
+	c := make([]float64, n)
+	for d := 0; d < nd; d++ {
+		for ci := 0; ci < nc; ci++ {
+			c[d*nc+ci] = capPow[d]
+		}
+	}
+	p.LP.AddConstraint(c, lp.LE, 4.5)
+	return p
+}
+
+// generalILP is a seeded random all-integer program with LE, GE and EQ
+// rows and coefficients of either sign (fuzzILP over random bytes).
+func generalILP(seed int64) *Problem {
+	data := make([]byte, 120)
+	rand.New(rand.NewSource(seed)).Read(data)
+	p, _ := fuzzILP(data)
+	return p
+}
+
+// dive evaluates p's root and keeps following one child — the floor child
+// at the levels floor picks, the ceil child otherwise — until a leaf or
+// depth, returning the nodes met, root first.
+func dive(w *worker, depth int, floor func(level int) bool) []*node {
+	nodes := []*node{{bound: math.Inf(1)}}
+	var o outcome
+	for len(nodes) <= depth {
+		nd := nodes[len(nodes)-1]
+		w.eval(nd, math.Inf(-1), &o)
+		if o.branchJ < 0 {
+			break
+		}
+		ch := &bchange{j: o.branchJ, lo: math.Ceil(o.branchV), up: math.Inf(1), prev: nd.chain}
+		if floor(len(nodes)) {
+			ch.lo, ch.up = math.Inf(-1), math.Floor(o.branchV)
+		}
+		nodes = append(nodes, &node{bound: o.bound, chain: ch})
+	}
+	return nodes
+}
+
+// oddLevels sends a dive down the floor child at every other level: a
+// floor fixes one binary where a ceil settles a whole deployment, so the
+// dive runs about twice as deep before it reaches a leaf.
+func oddLevels(level int) bool { return level%2 == 1 }
+
+// TestPropagateSparseMatchesDense: along random dives through
+// placement-shaped and general programs, propagation over the row index
+// leaves the same bounds, bit for bit, and touches the same variables in
+// the same order as propagation over the dense rows.
+func TestPropagateSparseMatchesDense(t *testing.T) {
+	var probs []*Problem
+	for seed := int64(1); seed <= 4; seed++ {
+		probs = append(probs, placementShaped(seed, 12))
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		probs = append(probs, generalILP(seed))
+	}
+	checked := 0
+	for pi, p := range probs {
+		s := newSearch(p, Options{}, time.Now)
+		w := newWorker(s)
+		coin := rand.New(rand.NewSource(int64(pi)))
+		for _, nd := range dive(w, 12, func(int) bool { return coin.Intn(3) == 0 }) {
+			ref := &referenceBox{p: p, skip: s.skip, lo: make([]float64, s.n), up: append([]float64(nil), s.up0...)}
+			for j := range w.lo {
+				w.lo[j], w.up[j] = 0, s.up0[j]
+			}
+			w.touched = w.touched[:0]
+			w.gen++
+			for c := nd.chain; c != nil; c = c.prev {
+				for _, box := range []struct{ lo, up []float64 }{{w.lo, w.up}, {ref.lo, ref.up}} {
+					box.lo[c.j] = math.Max(box.lo[c.j], c.lo)
+					box.up[c.j] = math.Min(box.up[c.j], c.up)
+				}
+			}
+			got, want := w.propagate(), ref.propagate()
+			if got != want {
+				t.Fatalf("problem %d: propagate = %v, dense %v", pi, got, want)
+			}
+			for j := range ref.lo {
+				if math.Float64bits(w.lo[j]) != math.Float64bits(ref.lo[j]) || math.Float64bits(w.up[j]) != math.Float64bits(ref.up[j]) {
+					t.Fatalf("problem %d var %d: bounds [%v, %v], dense [%v, %v]", pi, j, w.lo[j], w.up[j], ref.lo[j], ref.up[j])
+				}
+			}
+			// The worker lists each variable once, where it was first
+			// tightened; the dense code listed every tightening.
+			var first []int
+			seen := map[int]bool{}
+			for _, j := range ref.touched {
+				if !seen[j] {
+					seen[j] = true
+					first = append(first, j)
+				}
+			}
+			if !slices.Equal(w.touched, first) {
+				t.Fatalf("problem %d: touched %v, dense first touches %v", pi, w.touched, first)
+			}
+			checked += len(first)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no propagation tightened anything: the test compares nothing")
+	}
+}
+
+// TestFeasibleSparseMatchesDense: candidate verification over the row
+// index accepts and rejects exactly what the dense scan does.
+func TestFeasibleSparseMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	accepted := 0
+	for seed := int64(1); seed <= 80; seed++ {
+		p := generalILP(seed)
+		rows := newRowIndex(p)
+		for trial := 0; trial < 40; trial++ {
+			x := make([]float64, p.LP.NumVars())
+			for j := range x {
+				x[j] = float64(rng.Intn(3))
+				if rng.Intn(8) == 0 {
+					x[j] += 0.5 * rng.Float64()
+				}
+			}
+			got, want := p.feasible(x, &rows), referenceFeasible(p, x)
+			if got != want {
+				t.Fatalf("seed %d x=%v: feasible = %v, dense %v", seed, x, got, want)
+			}
+			if want {
+				accepted++
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("every point was infeasible: the test compares one side only")
+	}
+}
+
+// TestGreedyMatchesDense: the greedy incumbent built on the column view
+// equals the dense scan's — on placement-shaped problems, on one with a
+// negative right-hand side (which refuses every variable) and on one whose
+// tightest row is reached exactly.
+func TestGreedyMatchesDense(t *testing.T) {
+	var probs []*Problem
+	for seed := int64(1); seed <= 6; seed++ {
+		probs = append(probs, placementShaped(seed, 10))
+	}
+	neg := placementShaped(7, 6)
+	neg.LP.AddConstraint([]float64{0, 0, 1}, lp.LE, -0.5)
+	exact := binaryProblem(true, []float64{5, 4, 3, 2})
+	exact.LP.AddConstraint([]float64{1, 1 + 1e-9, 1, 1}, lp.LE, 2)
+	probs = append(probs, neg, exact)
+	for pi, p := range probs {
+		got, want := GreedyBinaryIncumbent(p), referenceGreedy(p)
+		if len(got) != len(want) {
+			t.Fatalf("problem %d: %d entries, dense %d", pi, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("problem %d: x[%d] = %v, dense %v", pi, j, got[j], want[j])
+			}
+		}
+	}
+	for _, v := range GreedyBinaryIncumbent(neg) {
+		if v != 0 {
+			t.Fatal("a negative right-hand side must refuse every variable")
+		}
+	}
+}
+
+// TestTryCandidateOrderIrrelevant: comparing the objective before
+// verifying feasibility adopts exactly the candidates that verifying first
+// did — an infeasible candidate with a better objective and a feasible one
+// with a worse objective both leave the incumbent alone.
+func TestTryCandidateOrderIrrelevant(t *testing.T) {
+	p := binaryProblem(true, []float64{60, 100, 120})
+	p.LP.AddConstraint([]float64{10, 20, 30}, lp.LE, 50)
+	s := newSearch(p, Options{}, time.Now)
+	s.tryCandidate([]float64{1, 1, 0}) // feasible, 160
+	if s.best == nil || s.best.Objective != 160 || s.improved != 1 {
+		t.Fatalf("first candidate: best %+v improved %d", s.best, s.improved)
+	}
+	for _, cand := range [][]float64{
+		{1, 1, 1},                // better (280) but over capacity
+		{0, 0, 1},                // feasible but worse (120)
+		{1, 1, 0},                // feasible, equal: not strictly better
+		{1, 1, 0.5},              // rounds to the over-capacity point
+		{1, 1 + 4e-7, 0},         // rounds to the incumbent
+		{1, 1},                   // wrong length
+		{-1, 1, 1},               // better but negative
+		{math.NaN(), 1, 1},       // objective is not a number
+		{1 - 4e-7, 1 - 4e-7, -0}, // rounds to the incumbent
+	} {
+		s.tryCandidate(cand)
+		if s.best.Objective != 160 || s.improved != 1 || s.incumbentValue() != 160 {
+			t.Fatalf("candidate %v moved the incumbent: %+v improved %d", cand, s.best, s.improved)
+		}
+	}
+	s.tryCandidate([]float64{0, 1, 1 - 4e-7}) // feasible after rounding, 220
+	if s.best.Objective != 220 || s.improved != 2 || s.best.X[2] != 1 {
+		t.Fatalf("better feasible candidate: best %+v improved %d", s.best, s.improved)
+	}
+}
+
+// TestEvalScratchStable: a worker's scratch is sized when it is made, so
+// replaying a dive — deep nodes before shallow ones — allocates only what
+// a node hands back: the simplex solution and the candidate copies. In
+// particular the coefficient arena is never re-made, whichever worker
+// meets the deepest node.
+func TestEvalScratchStable(t *testing.T) {
+	p := placementShaped(3, 40)
+	s := newSearch(p, Options{}, time.Now)
+	w := newWorker(s)
+	nodes := dive(w, 30, oddLevels)
+	if len(nodes) <= 30 {
+		t.Fatalf("dive ended at depth %d", len(nodes)-1)
+	}
+	arena := &w.coef[0]
+	var o outcome
+	replay := func() {
+		for i := range nodes {
+			w.eval(nodes[len(nodes)-1-i], math.Inf(-1), &o) // deepest first
+		}
+	}
+	replay()
+	perNode := testing.AllocsPerRun(5, replay) / float64(len(nodes))
+	// Per node: lp.Result.X and, at an integral leaf, one candidate copy.
+	if perNode > 2 {
+		t.Errorf("%.2f allocations per node, want at most 2", perNode)
+	}
+	if &w.coef[0] != arena {
+		t.Error("the coefficient arena was re-made")
+	}
+	if cap(w.coef) != (len(p.LP.Constraints)-p.LP.NumVars())*p.LP.NumVars() {
+		t.Errorf("arena holds %d coefficients, want non-skipped rows × variables = %d",
+			cap(w.coef), (len(p.LP.Constraints)-p.LP.NumVars())*p.LP.NumVars())
+	}
+}
+
+// BenchmarkNodeEval times one node evaluation — bounds, propagation,
+// reduced-LP build, simplex, branching choice — on a placement-shaped
+// batch of 40 at the root and 10 and 30 levels down a dive, where
+// fix-and-substitute has shrunk the LP.
+func BenchmarkNodeEval(b *testing.B) {
+	p := placementShaped(3, 40)
+	s := newSearch(p, Options{}, time.Now)
+	w := newWorker(s)
+	nodes := dive(w, 30, oddLevels)
+	for _, depth := range []int{0, 10, 30} {
+		if depth >= len(nodes) {
+			b.Fatalf("dive ended at depth %d", len(nodes)-1)
+		}
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var o outcome
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.eval(nodes[depth], math.Inf(-1), &o)
+			}
+		})
+	}
+}

@@ -1,8 +1,10 @@
 package placement
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -353,15 +355,12 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, batch []workload.Deployment, timeLimit time.Duration, maxNodes int, prevLoad []float64) ([]float64, error) {
 	nc := len(combos)
 	prob := f.batchILP(s, combos, batch)
+	cols := milp.NewColumns(prob)
+	ties := completionOrder(prob.LP.Objective, nc)
 	heuristic := func(relaxed []float64) []float64 {
-		return roundDownAndComplete(prob, relaxed, nc)
+		return roundDownAndComplete(cols, ties, relaxed)
 	}
-	incumbent := milp.GreedyBinaryIncumbent(prob)
-	if warm := WarmIncumbent(prob, batch, nc, prevLoad); warm != nil {
-		if incumbent == nil || prob.ObjectiveValue(warm) > prob.ObjectiveValue(incumbent) {
-			incumbent = warm
-		}
-	}
+	incumbent := WarmStart(cols, batch, nc, prevLoad)
 	res, err := milp.SolveContext(ctx, prob, milp.Options{
 		Workers: f.Workers,
 		// Deterministic mode keeps the placement identical for any worker
@@ -412,54 +411,50 @@ func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, b
 	return load, nil
 }
 
-// WarmIncumbent builds a feasible 0/1 warm start for a batch ILP (built by
-// BatchILP against the same batch and combo ordering) from a per-combo load
-// profile: deployments (largest first) go to the feasible combination
-// carrying the least cumulative power, so the incumbent inherits the spread
-// a previous solve (or the live committed state) converged to instead of
-// piling onto the first combination the way a plain greedy does. Returns
-// nil when the profile is missing or stale (its length does not match nc).
-// The result is always feasible — deployments that fit nowhere are simply
-// left unplaced, so a batch larger than the remaining capacity yields a
-// partial (possibly all-zero) incumbent rather than an infeasible one.
-func WarmIncumbent(prob *milp.Problem, batch []workload.Deployment, nc int, prevLoad []float64) []float64 {
+// WarmStart returns the incumbent a batch ILP's branch and bound should
+// start from: the better of the plain greedy incumbent and WarmIncumbent's
+// headroom-aware one (nil when neither exists). cols is the column view of
+// the problem BatchILP built for batch; both incumbents are built on it.
+func WarmStart(cols *milp.Columns, batch []workload.Deployment, nc int, prevLoad []float64) []float64 {
+	prob := cols.Problem()
+	incumbent := cols.GreedyBinaryIncumbent()
+	if warm := WarmIncumbent(cols, batch, nc, prevLoad); warm != nil {
+		if incumbent == nil || prob.ObjectiveValue(warm) > prob.ObjectiveValue(incumbent) {
+			incumbent = warm
+		}
+	}
+	return incumbent
+}
+
+// WarmIncumbent builds a feasible 0/1 warm start for a batch ILP (cols is
+// the column view of the problem BatchILP built for the same batch and
+// combo ordering) from a per-combo load profile: deployments (largest
+// first) go to the feasible combination carrying the least cumulative
+// power, so the incumbent inherits the spread a previous solve (or the
+// live committed state) converged to instead of piling onto the first
+// combination the way a plain greedy does. Returns nil when the profile is
+// missing or stale (its length does not match nc). The result is always
+// feasible — deployments that fit nowhere are simply left unplaced, so a
+// batch larger than the remaining capacity yields a partial (possibly
+// all-zero) incumbent rather than an infeasible one.
+func WarmIncumbent(cols *milp.Columns, batch []workload.Deployment, nc int, prevLoad []float64) []float64 {
 	if len(prevLoad) != nc || nc == 0 {
 		return nil
 	}
 	nd := len(batch)
-	x := make([]float64, nd*nc)
-	slack := make([]float64, len(prob.LP.Constraints))
-	for i, c := range prob.LP.Constraints {
-		slack[i] = c.RHS
-	}
-	fits := func(j int) bool {
-		for i, c := range prob.LP.Constraints {
-			if j < len(c.Coeffs) && c.Coeffs[j] > slack[i]+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	take := func(j int) {
-		x[j] = 1
-		for i, c := range prob.LP.Constraints {
-			if j < len(c.Coeffs) {
-				slack[i] -= c.Coeffs[j]
-			}
-		}
-	}
+	pk := cols.NewPacking()
 	load := append([]float64(nil), prevLoad...)
 	order := make([]int, nd)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return batch[order[a]].TotalPower() > batch[order[b]].TotalPower()
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(batch[b].TotalPower(), batch[a].TotalPower())
 	})
 	for _, di := range order {
 		bestC := -1
 		for ci := 0; ci < nc; ci++ {
-			if !fits(di*nc + ci) {
+			if !pk.Fits(di*nc + ci) {
 				continue
 			}
 			if bestC < 0 || load[ci] < load[bestC]-1e-9 {
@@ -467,11 +462,11 @@ func WarmIncumbent(prob *milp.Problem, batch []workload.Deployment, nc int, prev
 			}
 		}
 		if bestC >= 0 {
-			take(di*nc + bestC)
+			pk.Take(di*nc + bestC)
 			load[bestC] += float64(batch[di].TotalPower())
 		}
 	}
-	return x
+	return pk.X
 }
 
 // commitCombo places the deployments assigned to one combo onto its pairs,
@@ -546,67 +541,73 @@ func packBins(items []workload.Deployment, bins []int) ([]int, bool) {
 	return nil, false
 }
 
-// roundDownAndComplete rounds a fractional relaxation down to a feasible
-// 0/1 vector (valid because every constraint is ≤ with non-negative
-// coefficients) and then greedily re-adds variables in descending
-// relaxation-value-then-objective order while all constraints hold.
-// Ties rotate across combos (the last sort key) so that an unconstrained
-// batch is spread rather than piled onto combo 0 — concentrated
-// placements poison later batches even when they are "optimal" now.
-func roundDownAndComplete(prob *milp.Problem, relaxed []float64, nc int) []float64 {
-	n := len(relaxed)
-	x := make([]float64, n)
-	slack := make([]float64, len(prob.LP.Constraints))
-	for i, c := range prob.LP.Constraints {
-		slack[i] = c.RHS
-	}
-	take := func(j int) bool {
-		for i, c := range prob.LP.Constraints {
-			if j < len(c.Coeffs) && c.Coeffs[j] > slack[i]+1e-9 {
-				return false
-			}
-		}
-		x[j] = 1
-		for i, c := range prob.LP.Constraints {
-			if j < len(c.Coeffs) {
-				slack[i] -= c.Coeffs[j]
-			}
-		}
-		return true
-	}
-	order := make([]int, n)
+// completionOrder is the order roundDownAndComplete offers variables of
+// equal relaxation value in: objective descending, then combo index
+// rotated by deployment index, so that an unconstrained batch is spread
+// rather than piled onto combo 0 — concentrated placements poison later
+// batches even when they are "optimal" now. It depends on the problem
+// alone, so it is sorted once per batch ILP, not once per node.
+func completionOrder(obj []float64, nc int) []int {
+	order := make([]int, len(obj))
 	for j := range order {
 		order[j] = j
 	}
-	rot := func(j int) int { // combo index rotated by deployment index
-		return (j%nc + j/nc) % nc
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ja, jb := order[a], order[b]
-		if relaxed[ja] != relaxed[jb] {
-			return relaxed[ja] > relaxed[jb]
+	rot := func(j int) int { return (j%nc + j/nc) % nc }
+	slices.SortStableFunc(order, func(ja, jb int) int {
+		if obj[ja] != obj[jb] {
+			return cmp.Compare(obj[jb], obj[ja])
 		}
-		if prob.LP.Objective[ja] != prob.LP.Objective[jb] {
-			return prob.LP.Objective[ja] > prob.LP.Objective[jb]
-		}
-		return rot(ja) < rot(jb)
+		return cmp.Compare(rot(ja), rot(jb))
 	})
+	return order
+}
+
+// roundDownAndComplete rounds a fractional relaxation down to a feasible
+// 0/1 vector (valid because every constraint is ≤ with non-negative
+// coefficients) and then greedily re-adds variables in descending
+// relaxation-value order, ties in completionOrder (ties), while all
+// constraints hold.
+func roundDownAndComplete(cols *milp.Columns, ties []int, relaxed []float64) []float64 {
+	// A stable sort of ties by relaxation value, descending. Most values
+	// are zero and keep their place; only the rest need sorting.
+	byValue := func(ja, jb int) int { return cmp.Compare(relaxed[jb], relaxed[ja]) }
+	order := make([]int, 0, len(ties))
+	for _, j := range ties {
+		if relaxed[j] > 0 {
+			order = append(order, j)
+		}
+	}
+	slices.SortStableFunc(order, byValue)
+	for _, j := range ties {
+		if relaxed[j] == 0 {
+			order = append(order, j)
+		}
+	}
+	neg := len(order)
+	for _, j := range ties {
+		if relaxed[j] < 0 {
+			order = append(order, j)
+		}
+	}
+	slices.SortStableFunc(order[neg:], byValue)
+
+	pk := cols.NewPacking()
 	for _, j := range order {
-		if relaxed[j] > 0.999 {
-			take(j)
+		if relaxed[j] > 0.999 && pk.Fits(j) {
+			pk.Take(j)
 		}
 	}
 	for _, j := range order {
-		if x[j] == 0 && relaxed[j] > 1e-9 {
-			take(j)
+		if pk.X[j] == 0 && relaxed[j] > 1e-9 && pk.Fits(j) {
+			pk.Take(j)
 		}
 	}
 	for _, j := range order {
-		if x[j] == 0 {
-			take(j)
+		if pk.X[j] == 0 && pk.Fits(j) {
+			pk.Take(j)
 		}
 	}
-	return x
+	return pk.X
 }
 
 // placeInCombo places d on the best-fit pair (smallest sufficient free

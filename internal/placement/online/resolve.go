@@ -2,7 +2,7 @@
 // the decision path. Every ResolveEvery admissions it re-solves the
 // committed state plus a sampled future window with the FlexOffline batch
 // ILP — warm-started from the live per-combo load profile through
-// placement.WarmIncumbent — and publishes the resulting per-combo target
+// placement.WarmStart — and publishes the resulting per-combo target
 // profile via an atomic pointer swap. The hot path snapshots the pointer;
 // decisions never block on the solver.
 package online
@@ -56,12 +56,7 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 	}
 	prob := f.BatchILP(a.room, batch)
 	nc := a.nCombos
-	incumbent := milp.GreedyBinaryIncumbent(prob)
-	if warm := placement.WarmIncumbent(prob, batch, nc, prevLoad); warm != nil {
-		if incumbent == nil || prob.ObjectiveValue(warm) > prob.ObjectiveValue(incumbent) {
-			incumbent = warm
-		}
-	}
+	incumbent := placement.WarmStart(milp.NewColumns(prob), batch, nc, prevLoad)
 	warmObj := 0.0
 	if incumbent != nil {
 		warmObj = prob.ObjectiveValue(incumbent)

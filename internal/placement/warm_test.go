@@ -49,14 +49,14 @@ func TestWarmIncumbentStaleProfile(t *testing.T) {
 	batch := warmBatch(t, 8)
 	nc := len(CombosOf(room.Topo))
 	prob := BatchILP(room, batch)
-	if x := WarmIncumbent(prob, batch, nc, nil); x != nil {
+	if x := WarmIncumbent(milp.NewColumns(prob), batch, nc, nil); x != nil {
 		t.Fatal("nil profile should yield a nil incumbent")
 	}
 	stale := make([]float64, nc-1) // e.g. a profile recorded before a topology change
-	if x := WarmIncumbent(prob, batch, nc, stale); x != nil {
+	if x := WarmIncumbent(milp.NewColumns(prob), batch, nc, stale); x != nil {
 		t.Fatal("stale (wrong-length) profile should yield a nil incumbent")
 	}
-	if x := WarmIncumbent(prob, batch, 0, nil); x != nil {
+	if x := WarmIncumbent(milp.NewColumns(prob), batch, 0, nil); x != nil {
 		t.Fatal("nc == 0 should yield a nil incumbent")
 	}
 }
@@ -72,7 +72,7 @@ func TestWarmIncumbentFeasibleAndWarm(t *testing.T) {
 	prob := BatchILP(room, batch)
 	prevLoad := make([]float64, nc)
 	prevLoad[0] = 100 * float64(power.MW) // combo 0 saturated in the profile
-	x := WarmIncumbent(prob, batch, nc, prevLoad)
+	x := WarmIncumbent(milp.NewColumns(prob), batch, nc, prevLoad)
 	if x == nil {
 		t.Fatal("fresh profile should yield an incumbent")
 	}
@@ -104,7 +104,7 @@ func TestWarmIncumbentOversizedBatch(t *testing.T) {
 	batch := warmBatch(t, 120) // ~3x the room's demand
 	nc := len(CombosOf(room.Topo))
 	prob := BatchILP(room, batch)
-	x := WarmIncumbent(prob, batch, nc, make([]float64, nc))
+	x := WarmIncumbent(milp.NewColumns(prob), batch, nc, make([]float64, nc))
 	if x == nil {
 		t.Fatal("oversized batch should still yield an incumbent")
 	}
@@ -136,7 +136,7 @@ func TestWarmIncumbentNothingFits(t *testing.T) {
 			Racks: 61, PowerPerRack: 50 * power.KW, FlexPowerFraction: 1},
 	}
 	prob := BatchILP(room, batch)
-	x := WarmIncumbent(prob, batch, nc, make([]float64, nc))
+	x := WarmIncumbent(milp.NewColumns(prob), batch, nc, make([]float64, nc))
 	if x == nil {
 		t.Fatal("unplaceable batch should yield an all-zero incumbent, not nil")
 	}
