@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"flex/internal/lp"
@@ -476,7 +475,7 @@ func (f FlexOffline) commitCombo(s *state, cb Combo, ds []workload.Deployment) {
 		return
 	}
 	sorted := append([]workload.Deployment(nil), ds...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Racks > sorted[j].Racks })
+	slices.SortStableFunc(sorted, func(a, b workload.Deployment) int { return cmp.Compare(b.Racks, a.Racks) })
 	bins := make([]int, len(cb.Pairs))
 	for i, pid := range cb.Pairs {
 		bins[i] = s.slotsLeft[pid]
@@ -643,8 +642,8 @@ func (f FlexOffline) placeAnywhere(s *state, d workload.Deployment) bool {
 // largest deployments first onto the first feasible pair.
 func (f FlexOffline) greedyBatch(s *state, batch []workload.Deployment) {
 	sorted := append([]workload.Deployment(nil), batch...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].TotalPower() > sorted[j].TotalPower()
+	slices.SortStableFunc(sorted, func(a, b workload.Deployment) int {
+		return cmp.Compare(b.TotalPower(), a.TotalPower())
 	})
 	for _, d := range sorted {
 		f.placeAnywhere(s, d)
@@ -694,7 +693,7 @@ func (f FlexOffline) refineBalance(ctx context.Context, s *state, imbalanceWeigh
 	for id := range s.placed {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	byID := s.deploymentsByID()
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		if ctx.Err() != nil {
