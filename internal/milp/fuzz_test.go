@@ -81,7 +81,7 @@ func bruteForce(p *Problem, ub []int) (best float64, found bool) {
 			}
 		}
 		if ok {
-			obj := p.objectiveOf(x)
+			obj := p.ObjectiveValue(x)
 			if !found || (p.LP.Maximize && obj > best) || (!p.LP.Maximize && obj < best) {
 				best, found = obj, true
 			}

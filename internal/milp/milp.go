@@ -919,8 +919,9 @@ func (w *worker) eval(nd *node, inc float64, o *outcome) {
 		rhs := c.RHS
 		nz := false
 		nonneg := true
-		for k := rows.start[ci]; k < rows.start[ci+1]; k++ {
-			j, a := rows.col[k], rows.val[k]
+		cols, vals := rows.row(ci)
+		for k, j := range cols {
+			a := vals[k]
 			if ri := w.redIdx[j]; ri >= 0 {
 				seg[ri] = a
 				if a > zeroTol || a < -zeroTol {
@@ -1377,19 +1378,16 @@ func (p *Problem) feasible(x []float64, rows *rowIndex) bool {
 	return true
 }
 
-// objectiveOf evaluates the objective at x.
-func (p *Problem) objectiveOf(x []float64) float64 {
+// ObjectiveValue evaluates the problem objective at x (no feasibility
+// check). It lets callers compare warm-start candidates before handing the
+// better one to Options.Incumbent.
+func (p *Problem) ObjectiveValue(x []float64) float64 {
 	obj := 0.0
 	for j, c := range p.LP.Objective {
 		obj += c * x[j]
 	}
 	return obj
 }
-
-// ObjectiveValue evaluates the problem objective at x (no feasibility
-// check). It lets callers compare warm-start candidates before handing the
-// better one to Options.Incumbent.
-func (p *Problem) ObjectiveValue(x []float64) float64 { return p.objectiveOf(x) }
 
 // roundIntegers snaps near-integral entries to exact integers.
 func roundIntegers(x []float64, integer []bool) []float64 {
