@@ -1,0 +1,85 @@
+package milp_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"flex/internal/milp"
+	"flex/internal/placement"
+	"flex/internal/workload"
+)
+
+// batch40 is the ILP the solver benchmarks and TestSolveCountsGolden solve:
+// the first 40 deployments of §V-A trace 1 on the paper room, 240 binaries
+// under binding capacity.
+func batch40(t *testing.T) *milp.Problem {
+	t.Helper()
+	room := placement.PaperRoom()
+	trace, err := workload.GenerateTrace(workload.DefaultTraceConfig(room.Topo.ProvisionedPower()), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return placement.BatchILP(room, trace[:40])
+}
+
+// sameBits reports whether two solution vectors are identical to the bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDeterministicTruncationReproducible: a search stopped by MaxNodes
+// ends identically — status, stop reason, node count, objective and
+// solution to the bit — for any worker count, and a search that reports
+// the node limit has explored exactly MaxNodes nodes. The batch-40
+// budgets are one node, one node more than a round of 16, half the
+// production budget and all of it, from the greedy warm start and cold.
+func TestDeterministicTruncationReproducible(t *testing.T) {
+	batch := batch40(t)
+	for _, in := range []struct {
+		name      string
+		p         *milp.Problem
+		incumbent []float64
+		budgets   []int
+	}{
+		{"knapsack", milp.RandomKnapsack(21, 18), nil, []int{40}},
+		{"batch-40-cold", batch, nil, []int{1, 17, 150, 300}},
+		{"batch-40-warm", batch, milp.GreedyBinaryIncumbent(batch), []int{1, 17, 150, 300}},
+	} {
+		for _, budget := range in.budgets {
+			t.Run(fmt.Sprintf("%s/%d", in.name, budget), func(t *testing.T) {
+				var ref milp.Result
+				for _, workers := range []int{1, 2, 4, 8} {
+					r, err := milp.SolveContext(context.Background(), in.p, milp.Options{
+						Workers: workers, Deterministic: true, MaxNodes: budget, Incumbent: in.incumbent,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r.Nodes > budget || (r.Stop == milp.StopNodeLimit && r.Nodes != budget) {
+						t.Errorf("workers=%d: %d nodes, stop %v", workers, r.Nodes, r.Stop)
+					}
+					if workers == 1 {
+						ref = r
+						continue
+					}
+					if r.Status != ref.Status || r.Stop != ref.Stop || r.Nodes != ref.Nodes ||
+						math.Float64bits(r.Objective) != math.Float64bits(ref.Objective) || !sameBits(r.X, ref.X) {
+						t.Errorf("workers=%d: (%v, %v, %v, %d nodes) != serial (%v, %v, %v, %d nodes), or the solutions differ",
+							workers, r.Status, r.Stop, r.Objective, r.Nodes, ref.Status, ref.Stop, ref.Objective, ref.Nodes)
+					}
+				}
+			})
+		}
+	}
+}

@@ -100,11 +100,31 @@ func bruteForce(p *Problem, ub []int) (best float64, found bool) {
 	}
 }
 
+// sameResult reports whether two solves of one problem ended identically:
+// status, stop reason, node count, and the bits of the objective and of
+// every coordinate of the solution.
+func sameResult(a, b Result) bool {
+	if a.Status != b.Status || a.Stop != b.Stop || a.Nodes != b.Nodes ||
+		math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || len(a.X) != len(b.X) {
+		return false
+	}
+	for j := range a.X {
+		if math.Float64bits(a.X[j]) != math.Float64bits(b.X[j]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzMILPMatchesBruteForce is the differential oracle for the engine
-// production runs: on small random integer programs the Deterministic
-// search, serial and with four workers, must reach the status and
-// objective exhaustive enumeration finds, and the two worker counts must
-// agree with each other node for node.
+// production runs. On small random integer programs the search, serial and
+// with four workers, must reach the status and objective exhaustive
+// enumeration finds, and the two worker counts must agree with each other
+// node for node. A second, truncated leg stops the same program at a node
+// budget of 1..40 taken from the input's last byte — where a round has to
+// split what is left of the budget — and requires the two worker counts to
+// end identically, within the budget, on a point that is feasible and no
+// better than the enumerated optimum.
 func FuzzMILPMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 1, 0, 12, 0, 9, 0, 15, 0, 11, 0, 14, 0, 10, 0, 13, 0, 4, 7, 8, 5, 7, 8})
@@ -139,6 +159,49 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 				math.Float64bits(r.Objective) != math.Float64bits(ref.Objective) {
 				t.Fatalf("workers=%d: nodes %d pivots %d objective %v; serial %d, %d, %v",
 					workers, r.Nodes, r.SimplexIterations, r.Objective, ref.Nodes, ref.SimplexIterations, ref.Objective)
+			}
+		}
+
+		full := ref
+		budget := 1
+		if len(data) > 0 {
+			budget = 1 + int(data[len(data)-1])%40
+		}
+		for _, workers := range []int{1, 4} {
+			r, err := SolveContext(context.Background(), p, Options{Workers: workers, Deterministic: true, MaxNodes: budget})
+			if err != nil {
+				t.Fatalf("budget %d workers=%d: %v", budget, workers, err)
+			}
+			if r.Nodes > budget {
+				t.Fatalf("budget %d workers=%d: explored %d nodes", budget, workers, r.Nodes)
+			}
+			switch r.Stop {
+			case StopNodeLimit:
+				if r.Nodes != budget {
+					t.Fatalf("budget %d workers=%d: stopped on the node limit after %d nodes", budget, workers, r.Nodes)
+				}
+			case StopNone:
+				// The budget did not bind: this is the full search again.
+				if r.Status != full.Status || math.Abs(r.Objective-full.Objective) > 1e-6 {
+					t.Fatalf("budget %d workers=%d: finished with %v %v, the full search with %v %v",
+						budget, workers, r.Status, r.Objective, full.Status, full.Objective)
+				}
+			default:
+				t.Fatalf("budget %d workers=%d: stop reason %v", budget, workers, r.Stop)
+			}
+			if r.X != nil {
+				if !feasible || !referenceFeasible(p, r.X) {
+					t.Fatalf("budget %d workers=%d: incumbent %v is infeasible", budget, workers, r.X)
+				}
+				if better := r.Objective - want; (p.LP.Maximize && better > 1e-6) || (!p.LP.Maximize && better < -1e-6) {
+					t.Fatalf("budget %d workers=%d: incumbent objective %v beats the enumerated optimum %v", budget, workers, r.Objective, want)
+				}
+			}
+			if workers == 1 {
+				ref = r
+			} else if !sameResult(r, ref) {
+				t.Fatalf("budget %d workers=%d: %v %v after %d nodes at %v; serial %v %v after %d nodes at %v",
+					budget, workers, r.Status, r.Objective, r.Nodes, r.X, ref.Status, ref.Objective, ref.Nodes, ref.X)
 			}
 		}
 	})

@@ -255,29 +255,6 @@ func TestStopReasonAudit(t *testing.T) {
 	})
 }
 
-// TestDeterministicTruncationReproducible: Deterministic + MaxNodes gives
-// identical truncated results for any worker count.
-func TestDeterministicTruncationReproducible(t *testing.T) {
-	p := randomKnapsack(21, 18)
-	ref, err := SolveContext(context.Background(), p, Options{Workers: 1, Deterministic: true, MaxNodes: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stop != StopNodeLimit {
-		t.Skipf("instance solved in %d nodes; truncation not exercised", ref.Nodes)
-	}
-	for _, workers := range []int{2, 8} {
-		r, err := SolveContext(context.Background(), p, Options{Workers: workers, Deterministic: true, MaxNodes: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Nodes != ref.Nodes || math.Abs(r.Objective-ref.Objective) > 1e-9 || r.Status != ref.Status {
-			t.Errorf("workers=%d: (%v, %v, %d nodes) != serial (%v, %v, %d nodes)",
-				workers, r.Status, r.Objective, r.Nodes, ref.Status, ref.Objective, ref.Nodes)
-		}
-	}
-}
-
 // TestObjectiveValue pins the public evaluation helper used by warm-start
 // construction.
 func TestObjectiveValue(t *testing.T) {
