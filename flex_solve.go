@@ -15,7 +15,7 @@ type (
 	// MILPProblem is a linear program plus integrality requirements.
 	MILPProblem = milp.Problem
 	// SolveOptions tunes the parallel branch-and-bound search (workers,
-	// determinism, limits, warm starts).
+	// limits, warm starts). The result does not depend on the worker count.
 	SolveOptions = milp.Options
 	// SolveResult is one solve's outcome, including why a truncated
 	// search stopped.

@@ -117,7 +117,7 @@ func sameResult(a, b Result) bool {
 }
 
 // FuzzMILPMatchesBruteForce is the differential oracle for the engine
-// production runs. On small random integer programs the search, serial and
+// there is. On small random integer programs the search, serial and
 // with four workers, must reach the status and objective exhaustive
 // enumeration finds, and the two worker counts must agree with each other
 // node for node. A second, truncated leg stops the same program at a node
@@ -134,7 +134,7 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 		want, feasible := bruteForce(p, ub)
 		var ref Result
 		for _, workers := range []int{1, 4} {
-			r, err := SolveContext(context.Background(), p, Options{Workers: workers, Deterministic: true})
+			r, err := SolveContext(context.Background(), p, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -168,7 +168,7 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 			budget = 1 + int(data[len(data)-1])%40
 		}
 		for _, workers := range []int{1, 4} {
-			r, err := SolveContext(context.Background(), p, Options{Workers: workers, Deterministic: true, MaxNodes: budget})
+			r, err := SolveContext(context.Background(), p, Options{Workers: workers, MaxNodes: budget})
 			if err != nil {
 				t.Fatalf("budget %d workers=%d: %v", budget, workers, err)
 			}

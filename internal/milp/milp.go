@@ -5,12 +5,14 @@
 // milp accepts a deadline (via context or Options.TimeLimit) and returns
 // the best incumbent found so far.
 //
-// SolveContext is the primary entry point. The search runs Options.Workers
-// goroutines pulling subproblems from a shared best-bound frontier; every
-// incumbent is published through an atomically-updated shared bound so all
-// workers prune against the global best. Options.Deterministic trades a
-// little pruning sharpness for a worker-count-independent exploration
-// order, so parallel and serial runs return identical results.
+// SolveContext is the primary entry point. The search runs in rounds: a
+// round takes the best-bound nodes off the frontier and makes each the
+// head of a dive — evaluate the node, keep its ceil child, repeat until a
+// leaf, a prune or the dive's share of the node budget — and
+// Options.Workers goroutines run the round's dives side by side. Which
+// nodes a round takes, how far each dive may go and the order its results
+// are applied in depend on the problem and the node budget alone, so any
+// worker count explores the same tree and returns the same result.
 package milp
 
 import (
@@ -35,16 +37,19 @@ type Problem struct {
 
 // Options tunes the search.
 type Options struct {
-	// Workers is the number of branch-and-bound workers pulling nodes from
-	// the shared frontier. Zero or negative means runtime.NumCPU(); one
-	// runs the search serially.
+	// Workers is the number of goroutines that run a round's dives. Zero or
+	// negative means runtime.NumCPU(); one runs the search serially. The
+	// result — objective, status, solution, node count — is the same for
+	// every value. (Wall-clock limits remain timing-dependent; use MaxNodes
+	// for reproducible truncation.)
 	Workers int
-	// Deterministic fixes the exploration order independently of Workers:
-	// nodes are evaluated in synchronized rounds, pruned against the
-	// incumbent as of the round start, and their outcomes applied in node
-	// sequence order. Serial and parallel runs then return the same
-	// objective, status, solution, and node count. (Wall-clock limits
-	// remain timing-dependent; use MaxNodes for reproducible truncation.)
+	// Deterministic is accepted and ignored: the search is always
+	// worker-count-independent.
+	//
+	// Deprecated: there is one engine and no mode to select. The field
+	// stays only because bench/ladder.go sets it and a change that claims
+	// a gain may not edit the benchmark; it goes with the next benchmark
+	// revision (ROADMAP item 5).
 	Deterministic bool
 	// TimeLimit bounds the wall-clock search time; zero means no limit.
 	// When the limit expires the search stops with Stop == StopDeadline
@@ -72,9 +77,10 @@ type Options struct {
 	// this relative distance of the best open bound (e.g. 0.01 = 1%). The
 	// result is then reported as Optimal within the gap.
 	RelGap float64
-	// Now supplies time (for tests); nil uses time.Now. It is only ever
-	// called with the frontier lock held — never concurrently — so
-	// non-thread-safe test clocks are fine.
+	// Now supplies time (for tests); nil uses time.Now. It is never called
+	// concurrently — the scheduler calls it between rounds and workers
+	// stamp their finish under one lock — so non-thread-safe test clocks
+	// are fine.
 	Now func() time.Time
 	// Metrics, when non-nil, accumulates search statistics (nodes, simplex
 	// pivots, limit hits, incumbent improvements, worker idle time) across
@@ -170,8 +176,10 @@ type Result struct {
 	// IncumbentImprovements counts adoptions of a strictly better incumbent
 	// (including a verified Options.Incumbent warm start).
 	IncumbentImprovements int
-	// WorkerIdle is the cumulative time workers spent blocked waiting for
-	// frontier work; high values mean the tree is too narrow for Workers.
+	// WorkerIdle is the cumulative time workers spent waiting at round
+	// barriers: from a worker's last dive of a round (or the round's start,
+	// if it got none) to the slowest worker's finish. High values mean the
+	// rounds are too narrow, or their dives too uneven, for Workers.
 	WorkerIdle time.Duration
 }
 
@@ -179,16 +187,16 @@ const (
 	intEps  = 1e-6
 	feasTol = 1e-7
 	zeroTol = 1e-12
-	// detRoundSize is the number of frontier nodes evaluated per round in
-	// Deterministic mode. It is a fixed constant — independent of Workers —
-	// so the explored set is identical for any worker count.
-	detRoundSize = 16
+	// maxRoundWidth is the most frontier nodes one round takes. It is a
+	// constant — independent of Workers — so the explored set is identical
+	// for any worker count.
+	maxRoundWidth = 16
 )
 
 // SolveContext runs branch and bound until the frontier is exhausted, a
 // limit (context deadline, TimeLimit, MaxNodes, RelGap) is reached, or ctx
-// is canceled. The search explores nodes best-bound-first, branching on the
-// most fractional integer variable.
+// is canceled. Rounds take nodes best-bound-first, a dive follows the ceil
+// child, and every node branches on its most fractional integer variable.
 //
 // Deadlines are budgets: the search returns the best incumbent found with
 // Stop == StopDeadline and a nil error. Cancellation is an abort: the
@@ -213,7 +221,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error)
 
 	s := newSearch(p, opts, now)
 	s.tryCandidate(opts.Incumbent)
-	s.pushRoot()
+	s.push(&node{bound: math.Inf(1)})
 
 	// A context that expired before the search started stops it here, not
 	// via the watcher goroutine: otherwise a fast solve could race the
@@ -244,11 +252,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error)
 		}
 	}()
 
-	if opts.Deterministic {
-		s.runDeterministic(workers)
-	} else {
-		s.runParallel(workers)
-	}
+	s.run(workers)
 	close(stopWatch)
 	<-watchDone
 	return s.finish(now(), workers)
@@ -258,20 +262,19 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error)
 // bounds, redundant rows and row index, and an empty incumbent.
 func newSearch(p *Problem, opts Options, now func() time.Time) *search {
 	s := &search{
-		p:    p,
-		n:    p.LP.NumVars(),
-		opts: opts,
-		now:  now,
-		sign: 1.0,
-		up0:  impliedUpperBounds(p),
-		skip: redundantSingletonRows(p),
-		rows: newRowIndex(p),
+		p:         p,
+		n:         p.LP.NumVars(),
+		opts:      opts,
+		now:       now,
+		sign:      1.0,
+		up0:       impliedUpperBounds(p),
+		skip:      redundantSingletonRows(p),
+		rows:      newRowIndex(p),
+		incumbent: math.Inf(-1),
 	}
 	if !p.LP.Maximize {
 		s.sign = -1.0 // internally we compare in "maximize" terms
 	}
-	s.incBits.Store(math.Float64bits(math.Inf(-1)))
-	s.f.cond = sync.NewCond(&s.f.mu)
 	s.start = now()
 	if opts.TimeLimit > 0 {
 		s.deadline = s.start.Add(opts.TimeLimit)
@@ -295,17 +298,10 @@ type bchange struct {
 	prev   *bchange
 }
 
-// frontier is the shared best-bound priority queue. heap is ordered by
-// bound descending, then seq ascending, so ties resolve to the oldest node
-// and the exploration order is reproducible.
-type frontier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	heap   []*node
-	active int // nodes popped but not yet finished
-}
-
-// search is the shared state of one SolveContext call.
+// search is the state of one SolveContext call. Apart from the stop state
+// and the clock, everything in it is written only by the goroutine that
+// schedules the rounds; workers read the problem data and write their own
+// dive.
 type search struct {
 	p    *Problem
 	n    int
@@ -319,30 +315,31 @@ type search struct {
 	start    time.Time
 	deadline time.Time // zero when no TimeLimit
 
-	f frontier
+	// heap is the frontier, a best-bound priority queue: bound descending,
+	// then seq ascending, so ties resolve to the oldest node and the
+	// exploration order is reproducible.
+	heap       []*node
+	seqCtr     int64 // numbers frontier nodes as they are pushed
+	nodesTotal int   // evaluated nodes
+	iters      int   // simplex pivots those nodes spent
+	longest    int   // most nodes any one dive has evaluated
 
-	// incBits is math.Float64bits of the incumbent objective in max-sense
-	// (-Inf before the first incumbent); workers read it lock-free to prune.
-	incBits atomic.Uint64
-	iters   atomic.Int64
+	best      *Result // Status Feasible while searching; nil if none yet
+	incumbent float64 // best's objective in max-sense; -Inf before the first
+	improved  int
 
-	// stopFlag mirrors stop for lock-free polling: 0 = running, >0 = the
-	// StopReason, haltInternal = unbounded root or solver error.
+	// stopFlag mirrors the stop state for lock-free polling: 0 = running,
+	// >0 = the StopReason, haltInternal = unbounded root or solver error.
 	stopFlag atomic.Int32
 
-	mu        sync.Mutex // guards everything below
-	best      *Result    // Status Feasible while searching; nil if none yet
+	mu        sync.Mutex // guards the stop state: the context watcher writes it too
 	stop      StopReason
 	cause     error
 	err       error
 	unbounded bool
-	improved  int
 
-	// Frontier-lock-protected tallies (f.mu): nodesTotal counts popped
-	// nodes, seqCtr numbers created nodes, idle accumulates worker waits.
-	nodesTotal int
-	seqCtr     int64
-	idle       time.Duration
+	clock sync.Mutex    // serializes now() among workers stamping their finish
+	idle  time.Duration // barrier wait, summed over workers and rounds
 }
 
 const haltInternal = -1
@@ -350,7 +347,7 @@ const haltInternal = -1
 // stopped reports whether the search should halt.
 func (s *search) stopped() bool { return s.stopFlag.Load() != 0 }
 
-// setStop records the first stop reason and wakes all frontier waiters.
+// setStop records the first stop reason.
 func (s *search) setStop(reason StopReason, cause error) {
 	s.mu.Lock()
 	if s.stop == StopNone && s.err == nil && !s.unbounded {
@@ -359,7 +356,6 @@ func (s *search) setStop(reason StopReason, cause error) {
 		s.stopFlag.Store(int32(reason))
 	}
 	s.mu.Unlock()
-	s.f.cond.Broadcast()
 }
 
 // fail aborts the search with an internal solver error.
@@ -370,7 +366,6 @@ func (s *search) fail(err error) {
 		s.stopFlag.Store(haltInternal)
 	}
 	s.mu.Unlock()
-	s.f.cond.Broadcast()
 }
 
 // markUnbounded aborts the search because the root relaxation is unbounded.
@@ -381,25 +376,18 @@ func (s *search) markUnbounded() {
 		s.stopFlag.Store(haltInternal)
 	}
 	s.mu.Unlock()
-	s.f.cond.Broadcast()
 }
 
-// incumbentValue returns the incumbent objective in max-sense (-Inf when
-// there is none yet). Lock-free; safe from any goroutine.
-func (s *search) incumbentValue() float64 {
-	return math.Float64frombits(s.incBits.Load())
-}
-
-// tryCandidate adopts cand, with its integer entries snapped to integers,
-// as the new incumbent when it is strictly better than the current one and
-// feasible for the full problem. The objective is compared first: it costs
-// one pass and no memory, and most candidates lose there. Safe for
-// concurrent use; cand is copied on adoption.
-func (s *search) tryCandidate(cand []float64) {
+// improves reports whether cand, with its integer entries snapped to
+// integers, is feasible for the full problem and strictly better than the
+// max-sense objective inc, returning the snapped copy and its objective.
+// The objective is compared first: it costs one pass and no memory, and
+// most candidates lose there. It reads only the problem, so workers call
+// it against a dive's own incumbent.
+func (s *search) improves(cand []float64, inc float64) (x []float64, obj float64, ok bool) {
 	if cand == nil || len(cand) != s.n {
-		return
+		return nil, 0, false
 	}
-	obj := 0.0
 	for j, c := range s.p.LP.Objective {
 		v := cand[j]
 		if s.p.Integer[j] {
@@ -407,21 +395,24 @@ func (s *search) tryCandidate(cand []float64) {
 		}
 		obj += c * v
 	}
-	v := s.sign * obj
-	if v <= s.incumbentValue() {
-		return // lock-free fast path: not an improvement
+	if !(s.sign*obj > inc) { // not "<=": a NaN objective improves on nothing
+		return nil, 0, false
 	}
-	x := roundIntegers(cand, s.p.Integer)
+	x = roundIntegers(cand, s.p.Integer)
 	if !s.p.feasible(x, &s.rows) {
-		return
+		return nil, 0, false
 	}
-	s.mu.Lock()
-	if s.best == nil || v > s.sign*s.best.Objective {
+	return x, obj, true
+}
+
+// tryCandidate adopts cand as the new incumbent when it improves on the
+// current one. Scheduler only.
+func (s *search) tryCandidate(cand []float64) {
+	if x, obj, ok := s.improves(cand, s.incumbent); ok {
 		s.best = &Result{Status: Feasible, X: x, Objective: obj}
+		s.incumbent = s.sign * obj
 		s.improved++
-		s.incBits.Store(math.Float64bits(v))
 	}
-	s.mu.Unlock()
 }
 
 // prunable reports whether a node with the given max-sense bound cannot
@@ -441,125 +432,179 @@ func (s *search) prunable(bound, inc float64) bool {
 	return false
 }
 
-// pushRoot seeds the frontier.
-func (s *search) pushRoot() {
-	s.f.mu.Lock()
-	heapPush(&s.f.heap, &node{bound: math.Inf(1), seq: s.seqCtr})
+// push adds nd to the frontier under the next sequence number.
+func (s *search) push(nd *node) {
+	nd.seq = s.seqCtr
 	s.seqCtr++
-	s.f.mu.Unlock()
+	heapPush(&s.heap, nd)
 }
 
-// pushChildren creates the two children of parent from branching variable j
-// at fractional value v and publishes them. The ceil ("take it") child gets
-// the smaller sequence number so it is explored first on bound ties, which
-// tends to reach incumbents sooner in packing problems.
-func (s *search) pushChildren(parent *node, bound float64, j int, v float64) {
-	ceil := &node{bound: bound, chain: &bchange{j: j, lo: math.Ceil(v), up: math.Inf(1), prev: parent.chain}}
-	floor := &node{bound: bound, chain: &bchange{j: j, lo: math.Inf(-1), up: math.Floor(v), prev: parent.chain}}
-	s.f.mu.Lock()
-	ceil.seq = s.seqCtr
-	floor.seq = s.seqCtr + 1
-	s.seqCtr += 2
-	heapPush(&s.f.heap, ceil)
-	heapPush(&s.f.heap, floor)
-	s.f.mu.Unlock()
-	s.f.cond.Broadcast()
+// child is the node below nd on o's branching variable: the ceil ("take
+// it") side or the floor side.
+func (nd *node) child(o *outcome, ceil bool) *node {
+	ch := &bchange{j: o.branchJ, lo: math.Inf(-1), up: math.Floor(o.branchV), prev: nd.chain}
+	if ceil {
+		ch.lo, ch.up = math.Ceil(o.branchV), math.Inf(1)
+	}
+	return &node{bound: o.bound, chain: ch}
 }
 
-// popNode hands out the next frontier node, blocking while other workers
-// may still publish children. It returns false when the search is over:
-// frontier exhausted, a limit hit, or the search stopped. Limit checks run
-// under the frontier lock, so opts.Now is never called concurrently.
-func (s *search) popNode() (*node, bool) {
-	f := &s.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		if s.stopped() {
-			return nil, false
+// dive is one slot of a round: a frontier node and the run of ceil
+// children below it, evaluated by one worker. Each level fixes another
+// integer variable, so fix-and-substitute keeps shrinking the LP and a
+// node costs less the deeper it sits, while integral leaves surface
+// incumbents early.
+type dive struct {
+	head   *node
+	budget int    // nodes the dive may evaluate
+	steps  []step // evaluated nodes, head first; each but the last was followed by its ceil child
+}
+
+// step is one evaluated node of a dive.
+type step struct {
+	nd *node
+	o  outcome
+}
+
+// run is the search loop. A round takes up to a fixed number of nodes off
+// the frontier, best bound first, splits what is left of the node budget
+// evenly between them, lets the workers dive from each against the
+// round-start incumbent, and after the barrier applies every evaluated
+// node in (slot, level) order. None of that looks at the worker count or
+// a clock, so the explored tree — and therefore the result — is identical
+// for any Workers value.
+func (s *search) run(workers int) {
+	pool := make([]*worker, workers)
+	for i := range pool {
+		pool[i] = newWorker(s)
+	}
+	dives := make([]dive, 0, maxRoundWidth)
+	for !s.stopped() {
+		inc := s.incumbent
+		if len(s.heap) > 0 && s.prunable(s.heap[0].bound, inc) {
+			s.heap = s.heap[:0] // top bound dominates: everything is prunable
 		}
-		inc := s.incumbentValue()
-		if len(f.heap) > 0 && s.prunable(f.heap[0].bound, inc) {
-			f.heap = f.heap[:0] // top bound dominates: everything is prunable
+		if len(s.heap) == 0 {
+			return // frontier exhausted
 		}
-		if len(f.heap) == 0 {
-			if f.active == 0 {
-				f.cond.Broadcast() // search exhausted: release the others
-				return nil, false
+		remaining := math.MaxInt
+		if s.opts.MaxNodes > 0 {
+			if remaining = s.opts.MaxNodes - s.nodesTotal; remaining <= 0 {
+				s.setStop(StopNodeLimit, nil)
+				return
 			}
-			t0 := s.now()
-			f.cond.Wait()
-			s.idle += s.now().Sub(t0)
-			continue
 		}
-		if s.opts.MaxNodes > 0 && s.nodesTotal >= s.opts.MaxNodes {
-			f.mu.Unlock()
-			s.setStop(StopNodeLimit, nil)
-			f.mu.Lock()
-			return nil, false
-		}
-		if !s.deadline.IsZero() && s.now().After(s.deadline) {
-			f.mu.Unlock()
+		start := s.now()
+		if !s.deadline.IsZero() && start.After(s.deadline) {
 			s.setStop(StopDeadline, nil)
-			f.mu.Lock()
-			return nil, false
+			return
 		}
-		nd := heapPop(&f.heap)
-		f.active++
-		s.nodesTotal++
-		return nd, true
+		width := s.roundWidth(remaining)
+		dives = dives[:0]
+		for len(dives) < width && len(s.heap) > 0 && !s.prunable(s.heap[0].bound, inc) {
+			dives = dives[:len(dives)+1] // not append: a slot keeps its steps' storage
+			dives[len(dives)-1].head = heapPop(&s.heap)
+		}
+		for i := range dives {
+			d := &dives[i]
+			d.budget = remaining / len(dives)
+			if i < remaining%len(dives) {
+				d.budget++
+			}
+		}
+		s.runDives(pool, dives, inc, start)
+		for i := range dives {
+			d := &dives[i]
+			for k := range d.steps {
+				s.apply(d.steps[k].nd, &d.steps[k].o, k+1 < len(d.steps))
+				if s.stopFlag.Load() == haltInternal {
+					return
+				}
+			}
+			if len(d.steps) > s.longest {
+				s.longest = len(d.steps)
+			}
+		}
 	}
 }
 
-// nodeDone retires a popped node and wakes waiters if the search drained.
-func (s *search) nodeDone() {
-	f := &s.f
-	f.mu.Lock()
-	f.active--
-	drained := f.active == 0 && len(f.heap) == 0
-	f.mu.Unlock()
-	if drained {
-		f.cond.Broadcast()
-	}
+// roundWidth is how many frontier nodes the next round takes: as many as
+// the remaining node budget covers at the longest dive seen so far, so
+// that dives end at leaves — where incumbents are — and not at their
+// budget; at least one, at most maxRoundWidth. Before any dive has run the
+// frontier holds the root alone, and without a node limit every round is
+// maxRoundWidth wide.
+func (s *search) roundWidth(remaining int) int {
+	return min(max(remaining/max(s.longest, 1), 1), maxRoundWidth)
 }
 
-// runParallel is the free-running mode: workers race on the shared
-// frontier, pruning against the live incumbent bound. After evaluating a
-// node a worker dives on the ceil child (publishing only the floor
-// sibling): each dive level fixes another integer variable, so the
-// fix-and-substitute presolve keeps shrinking the subproblem and per-node
-// cost falls with depth — where the throughput win over a clone-and-solve
-// engine comes from — while integral leaves surface incumbents early.
-func (s *search) runParallel(workers int) {
+// runDives evaluates every dive of a round, fanning out over the worker
+// pool, and charges the round's barrier wait to s.idle: a worker is idle
+// from its last dive's end — the round's start, if the round was too
+// narrow to give it one — until the slowest worker is done.
+func (s *search) runDives(pool []*worker, dives []dive, inc float64, start time.Time) {
+	if len(pool) == 1 {
+		for i := range dives {
+			pool[0].dive(&dives[i], inc)
+		}
+		return // one worker waits for nobody
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		w := newWorker(s)
+	var busy time.Duration
+	for g := 0; g < len(pool) && g < len(dives); g++ {
+		w := pool[g]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var o outcome
-			for {
-				nd, ok := s.popNode()
-				if !ok {
-					return
-				}
-				for {
-					w.eval(nd, s.incumbentValue(), &o)
-					child := s.applyDive(nd, &o)
-					if child == nil || !s.claimDive(child) {
-						break
-					}
-					nd = child
-				}
-				s.nodeDone()
+			for i := int(next.Add(1)) - 1; i < len(dives); i = int(next.Add(1)) - 1 {
+				w.dive(&dives[i], inc)
 			}
+			s.clock.Lock()
+			busy += s.now().Sub(start)
+			s.clock.Unlock()
 		}()
 	}
 	wg.Wait()
+	s.idle += time.Duration(len(pool))*s.now().Sub(start) - busy
 }
 
-// apply folds one evaluated node's outcome into the shared state.
-func (s *search) apply(nd *node, o *outcome) {
+// dive evaluates d.head and then ceil child after ceil child, until a node
+// is a leaf or pruned, the dive's budget is spent or the search stops.
+// Pruning starts from the round-start incumbent inc and sharpens with the
+// candidates this dive itself verifies: that is all a worker may know
+// about other dives' results if the tree is not to depend on timing.
+func (w *worker) dive(d *dive, inc float64) {
+	s := w.s
+	d.steps = d.steps[:0]
+	nd := d.head
+	for len(d.steps) < d.budget && !s.stopped() {
+		d.steps = append(d.steps, step{nd: nd})
+		o := &d.steps[len(d.steps)-1].o
+		w.eval(nd, inc, o)
+		if o.branchJ < 0 {
+			return
+		}
+		for _, c := range o.cands {
+			if _, obj, ok := s.improves(c, inc); ok {
+				inc = s.sign * obj
+			}
+		}
+		if s.prunable(o.bound, inc) {
+			return
+		}
+		nd = nd.child(o, true)
+	}
+}
+
+// apply folds one evaluated node into the search: its candidates, then its
+// children. When the worker dove on — evaluated the ceil child as the
+// dive's next step — only the floor sibling joins the frontier. The ceil
+// ("take it") child is pushed first and so explored first on bound ties,
+// which tends to reach incumbents sooner in packing problems.
+func (s *search) apply(nd *node, o *outcome, dove bool) {
+	s.nodesTotal++
+	s.iters += o.iters
 	if o.err != nil {
 		s.fail(o.err)
 		return
@@ -573,165 +618,13 @@ func (s *search) apply(nd *node, o *outcome) {
 	for _, c := range o.cands {
 		s.tryCandidate(c)
 	}
-	if o.branchJ >= 0 {
-		s.pushChildren(nd, o.bound, o.branchJ, o.branchV)
-	}
-}
-
-// applyDive folds one outcome like apply, but keeps the ceil ("take it")
-// child for the evaluating worker to dive on: only the floor sibling is
-// published to the frontier. The returned child is not yet claimed — the
-// worker must pass it through claimDive before evaluating it.
-func (s *search) applyDive(nd *node, o *outcome) *node {
-	if o.err != nil {
-		s.fail(o.err)
-		return nil
-	}
-	if o.unbounded {
-		if nd.chain == nil {
-			s.markUnbounded()
-		}
-		return nil
-	}
-	for _, c := range o.cands {
-		s.tryCandidate(c)
-	}
 	if o.branchJ < 0 {
-		return nil
-	}
-	ceil := &node{bound: o.bound, chain: &bchange{j: o.branchJ, lo: math.Ceil(o.branchV), up: math.Inf(1), prev: nd.chain}}
-	floor := &node{bound: o.bound, chain: &bchange{j: o.branchJ, lo: math.Inf(-1), up: math.Floor(o.branchV), prev: nd.chain}}
-	s.f.mu.Lock()
-	ceil.seq = s.seqCtr
-	floor.seq = s.seqCtr + 1
-	s.seqCtr += 2
-	heapPush(&s.f.heap, floor)
-	s.f.mu.Unlock()
-	s.f.cond.Broadcast()
-	return ceil
-}
-
-// claimDive registers a kept dive child as the worker's next node under
-// popNode's limit checks. On a stop the child returns to the frontier so
-// no subtree is silently lost; a bound-pruned child is discarded. The
-// worker's active claim carries over from the parent, so nodeDone is not
-// called between dive levels.
-func (s *search) claimDive(nd *node) bool {
-	f := &s.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s.stopped() {
-		heapPush(&f.heap, nd)
-		return false
-	}
-	if s.prunable(nd.bound, s.incumbentValue()) {
-		return false
-	}
-	if s.opts.MaxNodes > 0 && s.nodesTotal >= s.opts.MaxNodes {
-		f.mu.Unlock()
-		s.setStop(StopNodeLimit, nil)
-		f.mu.Lock()
-		heapPush(&f.heap, nd)
-		return false
-	}
-	if !s.deadline.IsZero() && s.now().After(s.deadline) {
-		f.mu.Unlock()
-		s.setStop(StopDeadline, nil)
-		f.mu.Lock()
-		heapPush(&f.heap, nd)
-		return false
-	}
-	s.nodesTotal++
-	return true
-}
-
-// runDeterministic is the round-synchronized mode: each round pops a fixed
-// batch off the frontier (independent of the worker count), evaluates it in
-// parallel against the round-start incumbent, and applies the outcomes in
-// node order. The explored set — and therefore the result — is identical
-// for any Workers value.
-func (s *search) runDeterministic(workers int) {
-	pool := make([]*worker, workers)
-	for i := range pool {
-		pool[i] = newWorker(s)
-	}
-	batch := make([]*node, 0, detRoundSize)
-	outs := make([]outcome, detRoundSize)
-	for {
-		if s.stopped() {
-			return
-		}
-		s.f.mu.Lock()
-		inc := s.incumbentValue()
-		batch = batch[:0]
-		for len(s.f.heap) > 0 && len(batch) < detRoundSize {
-			if s.prunable(s.f.heap[0].bound, inc) {
-				s.f.heap = s.f.heap[:0]
-				break
-			}
-			if s.opts.MaxNodes > 0 && s.nodesTotal+len(batch) >= s.opts.MaxNodes {
-				if len(batch) == 0 {
-					s.f.mu.Unlock()
-					s.setStop(StopNodeLimit, nil)
-					return
-				}
-				break // finish the allowed remainder; flag on the next round
-			}
-			batch = append(batch, heapPop(&s.f.heap))
-		}
-		if len(batch) > 0 {
-			if !s.deadline.IsZero() && s.now().After(s.deadline) {
-				s.f.mu.Unlock()
-				s.setStop(StopDeadline, nil)
-				return
-			}
-			s.nodesTotal += len(batch)
-		}
-		s.f.mu.Unlock()
-		if len(batch) == 0 {
-			return // frontier exhausted
-		}
-		s.evalBatch(pool, batch, inc, outs)
-		for i, nd := range batch {
-			s.apply(nd, &outs[i])
-			if s.stopFlag.Load() == haltInternal {
-				return
-			}
-		}
-	}
-}
-
-// evalBatch evaluates batch[i] into outs[i], fanning out over the worker
-// pool when it helps. Workers only write their own outs slot; candidates
-// and children are applied later, in order, by the scheduler.
-func (s *search) evalBatch(pool []*worker, batch []*node, inc float64, outs []outcome) {
-	if len(pool) == 1 || len(batch) == 1 {
-		for i, nd := range batch {
-			pool[0].eval(nd, inc, &outs[i])
-		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	nw := len(pool)
-	if nw > len(batch) {
-		nw = len(batch)
+	if !dove {
+		s.push(nd.child(o, true))
 	}
-	for g := 0; g < nw; g++ {
-		w := pool[g]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(batch) {
-					return
-				}
-				w.eval(batch[i], inc, &outs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	s.push(nd.child(o, false))
 }
 
 // finish assembles the final Result and records metrics.
@@ -741,7 +634,7 @@ func (s *search) finish(end time.Time, workers int) (Result, error) {
 	}
 	res := Result{
 		Nodes:                 s.nodesTotal,
-		SimplexIterations:     int(s.iters.Load()),
+		SimplexIterations:     s.iters,
 		Stop:                  s.stop,
 		Cause:                 s.cause,
 		Workers:               workers,
@@ -789,6 +682,7 @@ type outcome struct {
 	branchJ   int         // branching variable, -1 when the node is a leaf
 	branchV   float64     // fractional value of branchJ
 	bound     float64     // node relaxation objective in max-sense
+	iters     int         // simplex pivots the relaxation took
 	unbounded bool
 	err       error
 }
@@ -989,7 +883,7 @@ func (w *worker) eval(nd *node, inc float64, o *outcome) {
 		o.err = err
 		return
 	}
-	s.iters.Add(int64(r.Iterations))
+	o.iters = r.Iterations
 	switch r.Status {
 	case lp.Infeasible:
 		return

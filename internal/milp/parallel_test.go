@@ -34,18 +34,18 @@ func randomKnapsack(seed int64, n int) *Problem {
 	return p
 }
 
-// TestDeterministicAcrossWorkers is the determinism contract: with
-// Options.Deterministic, serial and parallel runs of the same problem
-// return the same objective, status, solution, and node count.
+// TestDeterministicAcrossWorkers is the determinism contract: serial and
+// parallel runs of the same problem return the same objective, status,
+// solution, and node count.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7, 11} {
 		p := randomKnapsack(seed, 14)
-		ref, err := SolveContext(context.Background(), p, Options{Workers: 1, Deterministic: true})
+		ref, err := SolveContext(context.Background(), p, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d serial: %v", seed, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			r, err := SolveContext(context.Background(), p, Options{Workers: workers, Deterministic: true})
+			r, err := SolveContext(context.Background(), p, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
@@ -68,9 +68,9 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialObjective checks the weaker contract of the
-// default (non-deterministic) mode: any worker count that runs the search
-// to completion proves the same optimal objective.
+// TestParallelMatchesSerialObjective: any worker count that runs the
+// search to completion proves the same optimal objective, and reports the
+// worker count it ran with.
 func TestParallelMatchesSerialObjective(t *testing.T) {
 	for _, seed := range []int64{5, 9} {
 		p := randomKnapsack(seed, 12)
@@ -96,9 +96,9 @@ func TestParallelMatchesSerialObjective(t *testing.T) {
 	}
 }
 
-// TestConcurrentIncumbentStress hammers the shared incumbent from many
-// workers across many concurrent solves; run under -race it checks the
-// lock-free bound publication and the mutex double-check path.
+// TestConcurrentIncumbentStress runs several eight-worker solves at once;
+// under -race it checks that workers share nothing but the problem, their
+// own dive and the stop flag, and that concurrent solves share nothing.
 func TestConcurrentIncumbentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -193,7 +193,7 @@ func TestPreCanceledContext(t *testing.T) {
 // TestStopReasonAudit checks that every truncation path reports exactly
 // one reason through Result.Stop, and that Metrics counts it as such.
 func TestStopReasonAudit(t *testing.T) {
-	base := randomKnapsack(21, 18) // 67 nodes serial: deep enough to truncate
+	base := randomKnapsack(21, 18) // deep enough to truncate
 	m := NewMetrics(obs.NewRegistry())
 
 	t.Run("complete", func(t *testing.T) {
@@ -253,6 +253,34 @@ func TestStopReasonAudit(t *testing.T) {
 			t.Fatalf("metrics: deadline hits %d, node-limit hits %d", m.DeadlineHits.Value(), m.NodeLimitHits.Value())
 		}
 	})
+}
+
+// TestWorkerIdleCountsBarrier: the first round is the root's dive alone,
+// so a second worker waits out the whole of it, and Result.WorkerIdle must
+// say so; a single worker has no barrier to wait at. The fake clock steps
+// one second per reading.
+func TestWorkerIdleCountsBarrier(t *testing.T) {
+	p := randomKnapsack(21, 18)
+	for _, workers := range []int{1, 2} {
+		readings := 0
+		now := func() time.Time {
+			readings++ // unguarded on purpose: Options.Now is never called concurrently
+			return time.Unix(int64(readings), 0)
+		}
+		r, err := SolveContext(context.Background(), p, Options{Workers: workers, Now: now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != Optimal {
+			t.Fatalf("workers=%d: status %v", workers, r.Status)
+		}
+		if idle := r.WorkerIdle > 0; idle != (workers > 1) {
+			t.Errorf("workers=%d: WorkerIdle = %v over %v elapsed", workers, r.WorkerIdle, r.Elapsed)
+		}
+		if r.WorkerIdle > time.Duration(workers)*r.Elapsed {
+			t.Errorf("workers=%d: WorkerIdle %v exceeds %d × elapsed %v", workers, r.WorkerIdle, workers, r.Elapsed)
+		}
+	}
 }
 
 // TestObjectiveValue pins the public evaluation helper used by warm-start

@@ -270,10 +270,10 @@ func generalILP(seed int64) *Problem {
 	return p
 }
 
-// dive evaluates p's root and keeps following one child — the floor child
-// at the levels floor picks, the ceil child otherwise — until a leaf or
-// depth, returning the nodes met, root first.
-func dive(w *worker, depth int, floor func(level int) bool) []*node {
+// descend evaluates p's root and keeps following one child — the floor
+// child at the levels floor picks, the ceil child otherwise — until a leaf
+// or depth, returning the nodes met, root first.
+func descend(w *worker, depth int, floor func(level int) bool) []*node {
 	nodes := []*node{{bound: math.Inf(1)}}
 	var o outcome
 	for len(nodes) <= depth {
@@ -282,11 +282,7 @@ func dive(w *worker, depth int, floor func(level int) bool) []*node {
 		if o.branchJ < 0 {
 			break
 		}
-		ch := &bchange{j: o.branchJ, lo: math.Ceil(o.branchV), up: math.Inf(1), prev: nd.chain}
-		if floor(len(nodes)) {
-			ch.lo, ch.up = math.Inf(-1), math.Floor(o.branchV)
-		}
-		nodes = append(nodes, &node{bound: o.bound, chain: ch})
+		nodes = append(nodes, nd.child(&o, !floor(len(nodes))))
 	}
 	return nodes
 }
@@ -313,7 +309,7 @@ func TestPropagateSparseMatchesDense(t *testing.T) {
 		s := newSearch(p, Options{}, time.Now)
 		w := newWorker(s)
 		coin := rand.New(rand.NewSource(int64(pi)))
-		for _, nd := range dive(w, 12, func(int) bool { return coin.Intn(3) == 0 }) {
+		for _, nd := range descend(w, 12, func(int) bool { return coin.Intn(3) == 0 }) {
 			ref := &referenceBox{p: p, skip: s.skip, lo: make([]float64, s.n), up: append([]float64(nil), s.up0...)}
 			for j := range w.lo {
 				w.lo[j], w.up[j] = 0, s.up0[j]
@@ -442,7 +438,7 @@ func TestTryCandidateOrderIrrelevant(t *testing.T) {
 		{1 - 4e-7, 1 - 4e-7, -0}, // rounds to the incumbent
 	} {
 		s.tryCandidate(cand)
-		if s.best.Objective != 160 || s.improved != 1 || s.incumbentValue() != 160 {
+		if s.best.Objective != 160 || s.improved != 1 || s.incumbent != 160 {
 			t.Fatalf("candidate %v moved the incumbent: %+v improved %d", cand, s.best, s.improved)
 		}
 	}
@@ -461,7 +457,7 @@ func TestEvalScratchStable(t *testing.T) {
 	p := placementShaped(3, 40)
 	s := newSearch(p, Options{}, time.Now)
 	w := newWorker(s)
-	nodes := dive(w, 30, oddLevels)
+	nodes := descend(w, 30, oddLevels)
 	if len(nodes) <= 30 {
 		t.Fatalf("dive ended at depth %d", len(nodes)-1)
 	}
@@ -495,7 +491,7 @@ func BenchmarkNodeEval(b *testing.B) {
 	p := placementShaped(3, 40)
 	s := newSearch(p, Options{}, time.Now)
 	w := newWorker(s)
-	nodes := dive(w, 30, oddLevels)
+	nodes := descend(w, 30, oddLevels)
 	for _, depth := range []int{0, 10, 30} {
 		if depth >= len(nodes) {
 			b.Fatalf("dive ended at depth %d", len(nodes)-1)

@@ -42,8 +42,8 @@ type FlexOffline struct {
 	// the same placement. Zero means 1500.
 	MaxNodes int
 	// Workers is the branch-and-bound worker count per ILP solve (zero
-	// means runtime.NumCPU()). Solves run in the solver's Deterministic
-	// mode, so the placement is identical for any Workers value.
+	// means runtime.NumCPU()). The solver explores the same tree at any
+	// worker count, so the placement is identical for any Workers value.
 	Workers int
 	// SkipBalanceRefinement disables the post-batch imbalance local search
 	// (used by ablation benchmarks).
@@ -361,15 +361,12 @@ func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, b
 	}
 	incumbent := WarmStart(cols, batch, nc, prevLoad)
 	res, err := milp.SolveContext(ctx, prob, milp.Options{
-		Workers: f.Workers,
-		// Deterministic mode keeps the placement identical for any worker
-		// count: reproducible placements are part of FlexOffline's contract.
-		Deterministic: true,
-		TimeLimit:     timeLimit,
-		MaxNodes:      maxNodes,
-		Incumbent:     incumbent,
-		Heuristic:     heuristic,
-		Metrics:       f.SolverMetrics,
+		Workers:   f.Workers,
+		TimeLimit: timeLimit,
+		MaxNodes:  maxNodes,
+		Incumbent: incumbent,
+		Heuristic: heuristic,
+		Metrics:   f.SolverMetrics,
 		// The placement objective is in MW; differences below ~0.1% of a
 		// batch are far below a single deployment, so a 0.1% gap trades
 		// no placement quality for a large node-count reduction.

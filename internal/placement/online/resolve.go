@@ -62,12 +62,11 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 		warmObj = prob.ObjectiveValue(incumbent)
 	}
 	res, err := milp.SolveContext(ctx, prob, milp.Options{
-		Workers:       a.cfg.ResolveWorkers,
-		Deterministic: true,
-		TimeLimit:     a.cfg.ResolveBudget,
-		MaxNodes:      a.cfg.ResolveNodes,
-		Incumbent:     incumbent,
-		RelGap:        0.001,
+		Workers:   a.cfg.ResolveWorkers,
+		TimeLimit: a.cfg.ResolveBudget,
+		MaxNodes:  a.cfg.ResolveNodes,
+		Incumbent: incumbent,
+		RelGap:    0.001,
 	})
 	if err != nil {
 		return err

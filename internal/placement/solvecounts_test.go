@@ -27,9 +27,10 @@ func (c solveCounts) String() string {
 
 // TestSolveCountsGolden pins the search itself, not just its answer: the
 // batch-40 ILP the solver benchmarks use, truncated at 300 nodes from the
-// greedy warm start, and the §V-A Short and Oracle placements of one
-// trace must visit the same number of nodes, spend the same number of
-// simplex pivots, and end on bit-identical objectives and assignments. A
+// greedy warm start, the §V-A Short placement of trace 2 and the Oracle
+// placement of trace 9 must visit the same number of nodes, spend the same
+// number of simplex pivots, and end on bit-identical objectives and
+// assignments. A
 // change that only makes a node cheaper leaves every constant alone; one
 // that moves the search order, the LP's arithmetic or a heuristic's
 // choices does not. Captured on amd64 (no fused multiply-add).
@@ -44,7 +45,7 @@ func TestSolveCountsGolden(t *testing.T) {
 		// BenchmarkSolverScaling's instance.
 		prob := BatchILP(room, testTrace(t, room.Topo.ProvisionedPower(), 1)[:40])
 		res, err := milp.SolveContext(context.Background(), prob, milp.Options{
-			Deterministic: true, MaxNodes: 300, Incumbent: milp.GreedyBinaryIncumbent(prob),
+			MaxNodes: 300, Incumbent: milp.GreedyBinaryIncumbent(prob),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -59,16 +60,14 @@ func TestSolveCountsGolden(t *testing.T) {
 			}
 		}
 		got := solveCounts{res.Nodes, res.SimplexIterations, math.Float64bits(res.Objective), string(combo)}
-		want := solveCounts{300, 29511, 0x401a76c8b4395812, "13-00-0-00-0---03---0-55-55-5----25-0555"}
+		want := solveCounts{300, 16220, 0x4022c9ba5e353f7e, "53-04-1-305312-3-4-2540125240-41102005-5"}
 		if got != want {
 			t.Errorf("got  %v\nwant %v", got, want)
 		}
 	})
 
-	// On this trace Oracle spends its whole node budget, as it does in the
-	// benchmark's placement sweep.
-	trace := testTrace(t, room.Topo.ProvisionedPower(), 2)
-	place := func(f FlexOffline) solveCounts {
+	place := func(f FlexOffline, traceSeed int64) solveCounts {
+		trace := testTrace(t, room.Topo.ProvisionedPower(), traceSeed)
 		f.SolverMetrics = milp.NewMetrics(obs.NewRegistry())
 		pl, err := f.Place(context.Background(), room, trace)
 		if err != nil {
@@ -91,16 +90,19 @@ func TestSolveCountsGolden(t *testing.T) {
 	t.Run("short", func(t *testing.T) {
 		f := FlexOfflineShort()
 		f.MaxNodes = 400
-		want := solveCounts{403, 12593, 0x410f400000000000, "0:0,1:12,2:13,3:3,4:3,5:1,6:9,7:12,8:6,9:9,10:12,11:0,12:0,13:16,14:9,15:6,16:16,17:4,18:3,19:6,20:16,21:9,22:15,23:15,24:4,25:4,26:10,28:1,29:16,30:13,31:1,32:13,34:15,35:7,36:16,"}
-		if got := place(f); got != want {
+		want := solveCounts{403, 10379, 0x410f400000000000, "0:0,1:12,2:13,3:3,4:3,5:1,6:9,7:12,8:6,9:9,10:12,11:0,12:0,13:16,14:9,15:6,16:16,17:4,18:3,19:6,20:16,21:9,22:15,23:15,24:4,25:4,26:10,28:1,29:16,30:13,31:1,32:13,34:15,35:7,36:16,"}
+		if got := place(f, 2); got != want {
 			t.Errorf("got  %v\nwant %v", got, want)
 		}
 	})
+	// On trace 9 Oracle spends its whole node budget, as it does in the
+	// benchmark's placement sweep. (On trace 2 it closes in 203 nodes with
+	// nothing stranded.)
 	t.Run("oracle", func(t *testing.T) {
 		f := FlexOfflineOracle()
 		f.MaxNodes = 1000
-		want := solveCounts{1000, 70361, 0x40c7700000000000, "0:12,1:15,2:6,3:12,4:12,5:9,6:0,7:13,8:3,10:9,11:0,12:3,13:6,14:13,15:7,16:13,18:0,19:3,22:4,25:9,26:1,27:6,28:4,30:1,32:10,33:15,34:7,35:1,37:15,38:16,40:10,41:16,42:16,"}
-		if got := place(f); got != want {
+		want := solveCounts{1000, 59465, 0x40cf400000000000, "0:0,1:0,3:9,7:6,9:7,10:9,14:3,15:15,16:10,17:12,18:12,19:6,20:9,21:3,22:0,23:6,26:15,28:3,30:15,33:12,34:13,35:4,36:1,37:7,38:16,39:10,40:7,41:16,42:1,43:4,44:4,45:10,48:13,49:4,50:1,"}
+		if got := place(f, 9); got != want {
 			t.Errorf("got  %v\nwant %v", got, want)
 		}
 	})

@@ -56,7 +56,7 @@ func TestBatchPlacementILP(t *testing.T) {
 	if p.LP.NumVars() == 0 || len(p.Integer) != p.LP.NumVars() {
 		t.Fatalf("malformed problem: %d vars, %d-entry mask", p.LP.NumVars(), len(p.Integer))
 	}
-	r, err := SolveMILP(context.Background(), p, SolveOptions{Deterministic: true, MaxNodes: 400})
+	r, err := SolveMILP(context.Background(), p, SolveOptions{MaxNodes: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
