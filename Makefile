@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race cover bench bench-solver bench-obs bench-fleet bench-online bench-latency figures fuzz examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
+.PHONY: all build vet lint lint-json test race cover bench bench-solver bench-obs bench-fleet bench-online bench-latency figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
 
 all: build vet lint test
 
@@ -72,9 +72,9 @@ online-smoke:
 	$(GO) run ./cmd/flexplace -smoke
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the five
-# smokes, the whole tree under the race detector, and a flexmon smoke run
-# with the observability surface enabled.
-ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke
+# smokes, ten seconds of each fuzzer, the whole tree under the race
+# detector, and a flexmon smoke run with the observability surface enabled.
+ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 
@@ -90,10 +90,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . | $(GO) run ./cmd/benchjson -o BENCH_baseline.json
 	@echo wrote BENCH_baseline.json
 
-# Records the solver-scaling baseline (BenchmarkSolverScaling: serial
-# reference engine vs the free-running and the Deterministic engine at
-# 1/2/4/8 workers on the batch-placement ILP, nodes/s and objective
-# reached). Inspect the speedups with:
+# Records the solver-scaling baseline (BenchmarkSolverScaling: the
+# branch-and-bound engine at 1 worker — the "serial" row — and at 2/4/8 on
+# the cold batch-placement ILP, nodes/s and objective reached; the
+# objective is the same in every row and above zero). Inspect the
+# speedups with:
 #   $(GO) run ./cmd/benchjson -speedup BENCH_solver.json
 bench-solver:
 	$(GO) test -run '^$$' -bench BenchmarkSolverScaling -benchtime 3x . | $(GO) run ./cmd/benchjson -o BENCH_solver.json
@@ -149,12 +150,20 @@ bench-latency:
 figures:
 	$(GO) test -bench=. -benchmem ./...
 
+# The five native fuzz targets, FUZZTIME each: trace parsing, the impact
+# function, the safety ledger and the admitter against their recomputed
+# references, and the MILP search against exhaustive enumeration.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzReadTrace -fuzztime=30s -run=Fuzz .
-	$(GO) test -fuzz=FuzzImpactFunction -fuzztime=30s -run=Fuzz .
-	$(GO) test -fuzz=FuzzLedgerMatchesLoadFlow -fuzztime=30s -run=Fuzz ./internal/power
-	$(GO) test -fuzz=FuzzStateMatchesAdmitter -fuzztime=30s -run=Fuzz ./internal/placement
-	$(GO) test -fuzz=FuzzMILPMatchesBruteForce -fuzztime=30s -run=Fuzz ./internal/milp
+	$(GO) test -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) -run=Fuzz .
+	$(GO) test -fuzz=FuzzImpactFunction -fuzztime=$(FUZZTIME) -run=Fuzz .
+	$(GO) test -fuzz=FuzzLedgerMatchesLoadFlow -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/power
+	$(GO) test -fuzz=FuzzStateMatchesAdmitter -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement
+	$(GO) test -fuzz=FuzzMILPMatchesBruteForce -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/milp
+
+# The same five legs at ten seconds each: what CI can afford on every push.
+fuzz-smoke:
+	$(MAKE) fuzz FUZZTIME=10s
 
 examples:
 	$(GO) run ./examples/quickstart

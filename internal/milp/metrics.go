@@ -23,9 +23,9 @@ type Metrics struct {
 	// IncumbentImprovements counts adoptions of a strictly better
 	// incumbent across all solves.
 	IncumbentImprovements *obs.Counter
-	// WorkerIdleNanos accumulates time workers spent blocked on an empty
-	// frontier; high values relative to solve time mean the tree is too
-	// narrow for the configured worker count.
+	// WorkerIdleNanos accumulates time workers spent waiting at round
+	// barriers; high values relative to solve time mean the rounds are too
+	// narrow or too uneven for the configured worker count.
 	WorkerIdleNanos *obs.Counter
 	// NodesPerSec is the node throughput of the most recent solve.
 	NodesPerSec *obs.Gauge
@@ -41,7 +41,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		NodeLimitHits:         r.Counter("flex_milp_node_limit_hits_total", "solves stopped by the node limit"),
 		Cancellations:         r.Counter("flex_milp_cancellations_total", "solves aborted by context cancellation"),
 		IncumbentImprovements: r.Counter("flex_milp_incumbent_improvements_total", "strictly better incumbents adopted"),
-		WorkerIdleNanos:       r.Counter("flex_milp_worker_idle_nanoseconds_total", "time workers spent waiting on an empty frontier"),
+		WorkerIdleNanos:       r.Counter("flex_milp_worker_idle_nanoseconds_total", "time workers spent waiting at round barriers"),
 		NodesPerSec:           r.Gauge("flex_milp_nodes_per_second", "node throughput of the most recent solve"),
 	}
 }
