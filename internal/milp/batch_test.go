@@ -3,7 +3,6 @@ package milp_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -23,19 +22,6 @@ func batch40(t *testing.T) *milp.Problem {
 		t.Fatal(err)
 	}
 	return placement.BatchILP(room, trace[:40])
-}
-
-// sameBits reports whether two solution vectors are identical to the bit.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for j := range a {
-		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestDeterministicTruncationReproducible: a search stopped by MaxNodes
@@ -73,8 +59,7 @@ func TestDeterministicTruncationReproducible(t *testing.T) {
 						ref = r
 						continue
 					}
-					if r.Status != ref.Status || r.Stop != ref.Stop || r.Nodes != ref.Nodes ||
-						math.Float64bits(r.Objective) != math.Float64bits(ref.Objective) || !sameBits(r.X, ref.X) {
+					if !milp.SameResult(r, ref) {
 						t.Errorf("workers=%d: (%v, %v, %v, %d nodes) != serial (%v, %v, %v, %d nodes), or the solutions differ",
 							workers, r.Status, r.Stop, r.Objective, r.Nodes, ref.Status, ref.Stop, ref.Objective, ref.Nodes)
 					}
@@ -101,7 +86,7 @@ func TestColdSolveFindsIncumbent(t *testing.T) {
 		}
 		if workers == 1 {
 			ref = r
-		} else if math.Float64bits(r.Objective) != math.Float64bits(ref.Objective) || !sameBits(r.X, ref.X) || r.Nodes != ref.Nodes {
+		} else if !milp.SameResult(r, ref) {
 			t.Errorf("workers=%d: objective %v after %d nodes, serial %v after %d, or the solutions differ",
 				workers, r.Objective, r.Nodes, ref.Objective, ref.Nodes)
 		}

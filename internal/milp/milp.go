@@ -481,11 +481,8 @@ func (s *search) run(workers int) {
 	dives := make([]dive, 0, maxRoundWidth)
 	for !s.stopped() {
 		inc := s.incumbent
-		if len(s.heap) > 0 && s.prunable(s.heap[0].bound, inc) {
-			s.heap = s.heap[:0] // top bound dominates: everything is prunable
-		}
-		if len(s.heap) == 0 {
-			return // frontier exhausted
+		if len(s.heap) == 0 || s.prunable(s.heap[0].bound, inc) {
+			return // frontier exhausted: nothing is left that could improve on inc
 		}
 		remaining := math.MaxInt
 		if s.opts.MaxNodes > 0 {
