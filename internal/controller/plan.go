@@ -113,7 +113,6 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 	// Per-workload bookkeeping for impact fractions and PickRack order.
 	type wl struct {
 		name     string
-		category workload.Category
 		fn       impact.Function
 		total    int
 		affected int
@@ -134,9 +133,8 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 		w, ok := byName[r.Workload]
 		if !ok {
 			w = &wl{
-				name:     r.Workload,
-				category: r.Category,
-				fn:       in.Scenario.For(r.Workload, r.Category),
+				name: r.Workload,
+				fn:   in.Scenario.For(r.Workload, r.Category),
 			}
 			byName[r.Workload] = w
 			order = append(order, r.Workload)
@@ -146,7 +144,9 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 			w.affected++
 			continue
 		}
-		if r.Category.Shaveable() {
+		// Only the categories line 8 defines an action for queue up.
+		switch r.Category {
+		case workload.SoftwareRedundant, workload.NonRedundantCapable:
 			w.queue = append(w.queue, r)
 		}
 	}
@@ -190,18 +190,16 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 			}
 			r := w.queue[0]
 			p := rackPower(r)
-			var act PlannedAction
-			switch w.category {
-			case workload.SoftwareRedundant:
-				act = PlannedAction{Rack: r.ID, Workload: name, Kind: Shutdown, Recovered: p}
-			case workload.NonRedundantCapable:
+			// The action is the rack's own category's (line 8), whatever
+			// its workload's other racks are: a non-redundant rack is
+			// never powered off.
+			act := PlannedAction{Rack: r.ID, Workload: name, Kind: Shutdown, Recovered: p}
+			if r.Category == workload.NonRedundantCapable {
 				rec := p - r.FlexPower
 				if rec < 0 {
 					rec = 0
 				}
 				act = PlannedAction{Rack: r.ID, Workload: name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
-			default:
-				continue
 			}
 			frac := float64(w.affected+1) / float64(w.total)
 			act.Impact = w.fn.At(frac)

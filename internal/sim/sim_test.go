@@ -2,11 +2,17 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"flex/internal/controller"
 	"flex/internal/impact"
+	"flex/internal/obs/recorder"
 	"flex/internal/obs/tsdb"
 	"flex/internal/placement"
 	"flex/internal/power"
@@ -140,6 +146,61 @@ func TestRunFigure12ShapeAndMonotonicity(t *testing.T) {
 			if v < 0 || v > 100 {
 				t.Fatalf("percentage %v out of range at util %.2f", v, p.Utilization)
 			}
+		}
+	}
+}
+
+// TestFigure12Golden pins the Figure 12 sweep: every point of all four
+// Figure 11 scenarios at three utilizations, and every planned action in
+// order (the recorder's episode log of the snapshots), hashed from their
+// JSON encoding — shortest round-tripping floats, so equal hashes mean
+// bit-equal values. How the sweep calls Algorithm 1 may change; what it
+// computes may not. Captured on amd64 before RunFigure12 held a
+// controller.Planner.
+func TestFigure12Golden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes were captured on amd64, not %s", runtime.GOARCH)
+	}
+	pl := placedRoom(t)
+	rec := recorder.New(1 << 16)
+	var points [][]Figure12Point
+	for _, s := range impact.Figure11Scenarios() {
+		pts, err := RunFigure12(context.Background(), Figure12Config{
+			Placement:         pl,
+			Scenario:          s,
+			Utilizations:      []float64{0.74, 0.80, 0.85},
+			SamplesPerFailure: 2,
+			Buffer:            controller.DefaultBuffer(pl.Room.Topo),
+			Seed:              12,
+			Recorder:          rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pts[2].Impacted.Mean <= 0 {
+			t.Fatalf("fixture: %s plans nothing at 85%% utilization", s.Name)
+		}
+		points = append(points, pts)
+	}
+	if rec.Overwritten() > 0 {
+		t.Fatalf("recorder overwrote %d events; the hash needs all of them", rec.Overwritten())
+	}
+	for _, sec := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"points", points, "4d113fe94dd3be92"},
+		{"actions", rec.Snapshot(), "2a4b73b01d2df30b"},
+	} {
+		b, err := json.Marshal(sec.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != sec.want {
+			t.Errorf("%s hash %s, want %s", sec.name, got, sec.want)
 		}
 	}
 }
