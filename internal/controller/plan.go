@@ -9,9 +9,10 @@
 package controller
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flex/internal/impact"
 	"flex/internal/power"
@@ -103,60 +104,147 @@ type PlanInput struct {
 // context.Cause(ctx): a truncated plan still sheds real power, so callers
 // should enforce it rather than discard it (shedding less than needed
 // beats shedding nothing inside the overload tolerance window).
+//
+// PlanContext is the one-shot form: it prepares in.Racks and plans once. A
+// caller that plans over one rack set again and again holds a Planner.
 func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, insufficient bool, err error) {
-	topo := in.Topo
-	if len(in.UPSPower) != len(topo.UPSes) {
-		return nil, false, fmt.Errorf("controller: UPS snapshot has %d entries for %d UPSes", len(in.UPSPower), len(topo.UPSes))
-	}
-	est := append([]power.Watts(nil), in.UPSPower...)
+	return NewPlanner(in.Topo, in.Racks, in.Scenario).Plan(ctx, in, nil)
+}
 
-	// Per-workload bookkeeping for impact fractions and PickRack order.
-	type wl struct {
-		name     string
-		fn       impact.Function
-		total    int
-		affected int
-		queue    []*ManagedRack // not yet acted, in priority order
+// Planner is Algorithm 1 prepared for one rack set: everything the
+// algorithm derives from the topology, the racks and the impact scenario
+// alone — PickRack order, the workloads with their impact functions and
+// sizes, each workload's queue of actionable racks — is computed once by
+// NewPlanner, so that Plan does only the work that depends on the moment.
+// The planner keeps a private copy of the racks (later changes to the
+// caller's slice are not seen) and owns the scratch Plan runs on, so it is
+// not safe for concurrent use.
+type Planner struct {
+	topo *power.Topology
+	// racks is in PickRack order: (priority, ID), stable over input order.
+	racks []ManagedRack
+	// workloadOf[i] indexes workloads for racks[i].
+	workloadOf []int32
+	workloads  []plannedWorkload // in name order
+
+	// Scratch, reset by every Plan.
+	est      []power.Watts // per UPS: estimated power as actions accrue
+	affected []int         // per workload: racks acted on, before and by this plan
+	next     []int         // per workload: cursor into queue
+	cands    []candidate
+}
+
+// plannedWorkload is one workload as Algorithm 1 sees it.
+type plannedWorkload struct {
+	name  string
+	fn    impact.Function
+	total int
+	// queue lists, in PickRack order, the racks line 8 defines an action
+	// for (indexes into Planner.racks).
+	queue []int32
+}
+
+// candidate is one workload's next rack with the action it would take.
+type candidate struct {
+	w   int   // index into Planner.workloads
+	r   int32 // index into Planner.racks
+	act PlannedAction
+}
+
+// NewPlanner prepares Algorithm 1 for racks on topo under scenario. A
+// workload's impact function is resolved once, by its name and the category
+// of its first rack in PickRack order.
+func NewPlanner(topo *power.Topology, racks []ManagedRack, scenario impact.Scenario) *Planner {
+	p := &Planner{
+		topo:  topo,
+		racks: append([]ManagedRack(nil), racks...),
+		est:   make([]power.Watts, len(topo.UPSes)),
 	}
-	byName := map[string]*wl{}
-	var order []string
-	racks := make([]ManagedRack, len(in.Racks))
-	copy(racks, in.Racks)
-	sort.SliceStable(racks, func(i, j int) bool {
-		if racks[i].Priority != racks[j].Priority {
-			return racks[i].Priority < racks[j].Priority
+	slices.SortStableFunc(p.racks, func(a, b ManagedRack) int {
+		if a.Priority != b.Priority {
+			return cmp.Compare(a.Priority, b.Priority)
 		}
-		return racks[i].ID < racks[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	for i := range racks {
-		r := &racks[i]
-		w, ok := byName[r.Workload]
-		if !ok {
-			w = &wl{
-				name: r.Workload,
-				fn:   in.Scenario.For(r.Workload, r.Category),
-			}
-			byName[r.Workload] = w
-			order = append(order, r.Workload)
-		}
-		w.total++
-		if in.Acted[r.ID] {
-			w.affected++
+
+	// The workloads, in name order: the order candidates are scanned in.
+	// Rack lists come in runs of one workload (a deployment's racks), so
+	// only a change of name costs a map access, here and below.
+	index := map[string]int{}
+	for i := range p.racks {
+		r := &p.racks[i]
+		if i > 0 && r.Workload == p.racks[i-1].Workload {
 			continue
 		}
-		// Only the categories line 8 defines an action for queue up.
-		switch r.Category {
-		case workload.SoftwareRedundant, workload.NonRedundantCapable:
-			w.queue = append(w.queue, r)
+		if _, ok := index[r.Workload]; !ok {
+			index[r.Workload] = -1
+			p.workloads = append(p.workloads, plannedWorkload{
+				name: r.Workload,
+				fn:   scenario.For(r.Workload, r.Category),
+			})
 		}
 	}
-	sort.Strings(order)
+	slices.SortFunc(p.workloads, func(a, b plannedWorkload) int { return cmp.Compare(a.name, b.name) })
+	for wi := range p.workloads {
+		index[p.workloads[wi].name] = wi
+	}
 
-	rackPower := func(r *ManagedRack) power.Watts {
-		if p, ok := in.RackPower[r.ID]; ok {
-			return p
+	// One array holds every rack's workload and, behind them, the queues:
+	// a queue is at most its workload's size.
+	n := len(p.racks)
+	idx := make([]int32, 2*n)
+	p.workloadOf = idx[:n]
+	for i := range p.racks {
+		if i > 0 && p.racks[i].Workload == p.racks[i-1].Workload {
+			p.workloadOf[i] = p.workloadOf[i-1]
+		} else {
+			p.workloadOf[i] = int32(index[p.racks[i].Workload])
 		}
-		return r.Allocated // conservative: assume full draw
+		p.workloads[p.workloadOf[i]].total++
+	}
+	for wi := range p.workloads {
+		w := &p.workloads[wi]
+		w.queue = idx[n : n : n+w.total]
+		n += w.total
+	}
+	for i := range p.racks {
+		// Only the categories line 8 defines an action for queue up.
+		switch p.racks[i].Category {
+		case workload.SoftwareRedundant, workload.NonRedundantCapable:
+			w := &p.workloads[p.workloadOf[i]]
+			w.queue = append(w.queue, int32(i))
+		}
+	}
+	p.affected = make([]int, len(p.workloads))
+	p.next = make([]int, len(p.workloads))
+	p.cands = make([]candidate, 0, len(p.workloads))
+	return p
+}
+
+// Plan runs Algorithm 1 (see PlanContext) over the prepared racks at the
+// moment in describes. Of in it reads only what varies from call to call —
+// UPSPower, RackPower, Inactive, Buffer and Acted; Topo, Racks and Scenario
+// were fixed by NewPlanner. The actions are appended to dst[:0], on every
+// return path: a caller that passes the previous plan's slice back, once
+// done with it, plans without allocating.
+func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (actions []PlannedAction, insufficient bool, err error) {
+	topo := p.topo
+	actions = dst[:0]
+	if len(in.UPSPower) != len(topo.UPSes) {
+		return actions, false, fmt.Errorf("controller: UPS snapshot has %d entries for %d UPSes", len(in.UPSPower), len(topo.UPSes))
+	}
+	est := p.est
+	copy(est, in.UPSPower)
+	// Racks already acted on count toward their workload's affected
+	// fraction; the queues skip them as the cursors reach them.
+	clear(p.affected)
+	clear(p.next)
+	if len(in.Acted) > 0 {
+		for i := range p.racks {
+			if in.Acted[p.racks[i].ID] {
+				p.affected[p.workloadOf[i]]++
+			}
+		}
 	}
 
 	overLimit := func() bool {
@@ -170,40 +258,41 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 		}
 		return false
 	}
-
-	type candidate struct {
-		w   *wl
-		r   *ManagedRack
-		act PlannedAction
-	}
-	cands := make([]candidate, 0, len(order))
 	for overLimit() {
 		if ctx.Err() != nil {
 			return actions, true, context.Cause(ctx)
 		}
 		// Build the candidate set C (lines 5–12): one rack per workload.
-		cands = cands[:0]
-		for _, name := range order {
-			w := byName[name]
-			if len(w.queue) == 0 {
+		cands := p.cands[:0]
+		for wi := range p.workloads {
+			w := &p.workloads[wi]
+			next := p.next[wi]
+			for next < len(w.queue) && in.Acted[p.racks[w.queue[next]].ID] {
+				next++
+			}
+			p.next[wi] = next
+			if next == len(w.queue) {
 				continue
 			}
-			r := w.queue[0]
-			p := rackPower(r)
+			r := &p.racks[w.queue[next]]
+			pw, ok := in.RackPower[r.ID]
+			if !ok {
+				pw = r.Allocated // conservative: assume full draw
+			}
 			// The action is the rack's own category's (line 8), whatever
 			// its workload's other racks are: a non-redundant rack is
 			// never powered off.
-			act := PlannedAction{Rack: r.ID, Workload: name, Kind: Shutdown, Recovered: p}
+			act := PlannedAction{Rack: r.ID, Workload: w.name, Kind: Shutdown, Recovered: pw}
 			if r.Category == workload.NonRedundantCapable {
-				rec := p - r.FlexPower
+				rec := pw - r.FlexPower
 				if rec < 0 {
 					rec = 0
 				}
-				act = PlannedAction{Rack: r.ID, Workload: name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
+				act = PlannedAction{Rack: r.ID, Workload: w.name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
 			}
-			frac := float64(w.affected+1) / float64(w.total)
+			frac := float64(p.affected[wi]+1) / float64(w.total)
 			act.Impact = w.fn.At(frac)
-			cands = append(cands, candidate{w: w, r: r, act: act})
+			cands = append(cands, candidate{w: wi, r: w.queue[next], act: act})
 		}
 		if len(cands) == 0 {
 			return actions, true, nil // exhausted all shaveable racks
@@ -211,7 +300,7 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 		// Select argmin impact (line 13); ties: max recovered, then ID.
 		best := 0
 		for i := 1; i < len(cands); i++ {
-			a, b := cands[i].act, cands[best].act
+			a, b := &cands[i].act, &cands[best].act
 			switch {
 			case a.Impact < b.Impact-1e-12:
 				best = i
@@ -221,12 +310,12 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 				best = i
 			}
 		}
-		chosen := cands[best]
+		chosen := &cands[best]
 		actions = append(actions, chosen.act)
-		chosen.w.affected++
-		chosen.w.queue = chosen.w.queue[1:]
+		p.affected[chosen.w]++
+		p.next[chosen.w]++
 		// Update the UPS estimates with the rack's share (line 15).
-		applyRecovery(topo, est, in.Inactive, chosen.r.Pair, chosen.act.Recovered)
+		applyRecovery(topo, est, in.Inactive, p.racks[chosen.r].Pair, chosen.act.Recovered)
 	}
 	return actions, false, nil
 }

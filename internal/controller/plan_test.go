@@ -611,12 +611,21 @@ func expiringCtx(polls int) context.Context {
 }
 
 // planForms are the ways to run Algorithm 1 that must agree with
-// referencePlan on every input. Each form gets a fresh ctx of the same
-// budget, since polling Err is what spends it.
+// referencePlan on every input: the one-shot PlanContext, and one Planner
+// with one action buffer that every call of the returned form shares —
+// what a plan leaves behind in either must not reach the next. Each form
+// gets a fresh ctx of the same budget, since polling Err is what spends it.
 func planForms(topo *power.Topology, racks []ManagedRack, scenario impact.Scenario) map[string]func(context.Context, PlanInput) planOutcome {
+	planner := NewPlanner(topo, racks, scenario)
+	var buf []PlannedAction
 	return map[string]func(context.Context, PlanInput) planOutcome{
 		"PlanContext": func(ctx context.Context, in PlanInput) planOutcome {
 			a, ins, err := PlanContext(ctx, in)
+			return planOutcome{a, ins, err}
+		},
+		"reused Planner": func(ctx context.Context, in PlanInput) planOutcome {
+			a, ins, err := planner.Plan(ctx, in, buf)
+			buf = a
 			return planOutcome{a, ins, err}
 		},
 	}
@@ -866,12 +875,92 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		if !ok {
 			return
 		}
-		a, ins, err := referencePlan(expiringCtx(polls), in)
-		want := planOutcome{a, ins, err}
-		for form, plan := range planForms(topo, in.Racks, in.Scenario) {
-			if d := plan(expiringCtx(polls), in).diff(want); d != "" {
-				t.Fatalf("%s: %s", form, d)
+		// Every form plans twice: first with nothing acted, no budget and
+		// 255 kW on every UPS, which runs every queue dry, then the input
+		// itself over whatever that left behind.
+		dry := in
+		dry.Acted, dry.UPSPower = nil, []power.Watts{255 * power.KW, 255 * power.KW, 255 * power.KW, 255 * power.KW}
+		forms := planForms(topo, in.Racks, in.Scenario)
+		for _, c := range []struct {
+			in    PlanInput
+			polls int
+		}{{dry, -1}, {in, polls}} {
+			a, ins, err := referencePlan(expiringCtx(c.polls), c.in)
+			want := planOutcome{a, ins, err}
+			for form, plan := range forms {
+				if d := plan(expiringCtx(c.polls), c.in).diff(want); d != "" {
+					t.Fatalf("%s: %s", form, d)
+				}
 			}
 		}
 	})
+}
+
+// TestPlanPreparedAllocFree: on the room the slo package's BenchmarkProbe
+// audits (three 30 kW racks a pair, every failover far over capacity), a
+// warmed Planner planning into the buffer its last plan returned allocates
+// nothing. (Plan appends, so it cannot carry //flex:hotpath; this pins it.)
+func TestPlanPreparedAllocFree(t *testing.T) {
+	topo := room4N3(t, 100*power.KW)
+	racks := testRacks(topo)
+	for i := range racks {
+		racks[i].Allocated = 30 * power.KW
+		if racks[i].FlexPower > 0 {
+			racks[i].FlexPower = 25 * power.KW
+		}
+	}
+	load := power.NewPairLoad(topo)
+	for _, r := range racks {
+		load[r.Pair] += r.Allocated
+	}
+	in := PlanInput{
+		UPSPower:  topo.FailoverLoads(load, 0),
+		RackPower: rackPowers(racks),
+		Inactive:  map[power.UPSID]bool{0: true},
+		Buffer:    power.KW,
+	}
+	p := NewPlanner(topo, racks, impact.Realistic1())
+	ctx := context.Background()
+	buf, _, err := p.Plan(ctx, in, nil)
+	if err != nil || len(buf) == 0 {
+		t.Fatalf("fixture: %d actions, err %v", len(buf), err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf, _, _ = p.Plan(ctx, in, buf) }); allocs != 0 {
+		t.Fatalf("a warmed Planner.Plan allocates %v times a plan, want 0", allocs)
+	}
+}
+
+// BenchmarkPlan times Algorithm 1 on an emulation-sized room with UPS 0
+// out at 86 % utilization, in both forms: PlanContext prepares the 275 racks
+// and plans, every call; a held Planner only plans.
+func BenchmarkPlan(b *testing.B) {
+	topo := room4N3(b, 1.2*power.MW)
+	rng := rand.New(rand.NewSource(19))
+	racks := emulationRacks(topo, rng)
+	out := power.SetOf(0)
+	rackPower, ups := snapshot(topo, racks, 0.86, out, rng)
+	in := PlanInput{
+		Topo: topo, Racks: racks, Scenario: impact.Realistic1(),
+		UPSPower: ups, RackPower: rackPower, Inactive: inactiveMap(out, len(ups)),
+		Buffer: DefaultBuffer(topo),
+	}
+	ctx := context.Background()
+	var actions []PlannedAction
+	b.Run("one-shot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			actions, _, _ = PlanContext(ctx, in)
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		p := NewPlanner(topo, racks, in.Scenario)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			actions, _, _ = p.Plan(ctx, in, actions)
+		}
+	})
+	if len(actions) == 0 {
+		b.Fatal("fixture: nothing planned")
+	}
 }
