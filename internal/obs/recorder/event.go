@@ -9,7 +9,7 @@
 // UPS tripped, which samples the controller saw, which racks it shed and
 // how far into the trip curve it got. Counters answer "how much"; the
 // recorder answers "what happened and why" for any single episode, and
-// feeds cmd/flexreplay, which re-drives controller.PlanContext from the
+// feeds cmd/flexreplay, which re-drives controller.Planner from the
 // recorded inputs and diffs the decisions.
 //
 // Events form causal chains through parent sequence numbers:

@@ -36,7 +36,8 @@ func (a *Auditor) probeLocked(ctx context.Context, now time.Time, upsPower []pow
 	// (the planner's own conservative convention).
 	rackPower := a.rackPower
 	b.RackView.SnapshotInto(rackPower)
-	pairLoad := power.NewPairLoad(b.Topo)
+	pairLoad := a.pairLoad
+	clear(pairLoad)
 	for _, r := range b.Racks {
 		p, ok := rackPower[r.ID]
 		if !ok {
@@ -63,16 +64,14 @@ func (a *Auditor) probeLocked(ctx context.Context, now time.Time, upsPower []pow
 			continue // this failure needs no shedding at current load
 		}
 		planCtx, cancel := context.WithTimeout(ctx, a.cfg.ProbeBudget)
-		actions, insufficient, err := controller.PlanContext(planCtx, controller.PlanInput{
-			Topo:      b.Topo,
-			Racks:     b.Racks,
+		actions, insufficient, err := a.planner.Plan(planCtx, controller.PlanInput{
 			UPSPower:  failover,
 			RackPower: rackPower,
-			Inactive:  map[power.UPSID]bool{power.UPSID(u): true},
-			Scenario:  b.Scenario,
+			Inactive:  a.failed[u],
 			Buffer:    b.Buffer,
-		})
+		}, a.planBuf)
 		cancel()
+		a.planBuf = actions
 		if err == nil && !insufficient {
 			continue
 		}

@@ -232,6 +232,14 @@ type Auditor struct {
 	seenRack  map[string]bool
 	rackPower map[string]power.Watts
 
+	// The what-if probe's Algorithm 1, prepared once for the bound racks,
+	// with what every round reuses: the action buffer the plans share, the
+	// pair loads, and per UPS the "only this one is out" set it plans under.
+	planner  *controller.Planner
+	planBuf  []controller.PlannedAction
+	pairLoad power.PairLoad
+	failed   []map[power.UPSID]bool
+
 	lastEpisode uint64 // newest episode ID observed open
 	budgetRatio float64
 
@@ -337,10 +345,15 @@ func (a *Auditor) Bind(b Bindings) {
 	a.pending = make([]power.Watts, n)
 	a.seenRack = make(map[string]bool)
 	a.rackPower = make(map[string]power.Watts, len(b.Racks))
+	a.planner = controller.NewPlanner(b.Topo, b.Racks, b.Scenario)
+	a.planBuf = nil
+	a.pairLoad = power.NewPairLoad(b.Topo)
+	a.failed = make([]map[power.UPSID]bool, n)
 	a.headroom = a.headroom[:0]
-	for _, u := range b.Topo.UPSes {
+	for u, ups := range b.Topo.UPSes {
+		a.failed[u] = map[power.UPSID]bool{power.UPSID(u): true}
 		a.headroom = append(a.headroom, a.cfg.Store.Series(
-			tsdb.SeriesKey(SeriesUPSHeadroom, [2]string{"ups", u.Name})))
+			tsdb.SeriesKey(SeriesUPSHeadroom, [2]string{"ups", ups.Name})))
 	}
 	var now time.Time
 	if b.Clock != nil {

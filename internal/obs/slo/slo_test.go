@@ -687,3 +687,47 @@ func TestSteadyTickAllocFree(t *testing.T) {
 		t.Fatalf("the measured ticks were not steady state: %d probe rounds (from %d), health %v", st.Probe.Rounds, rounds, st.Health.State)
 	}
 }
+
+// TestProbeRoundAllocs pins what a what-if round still allocates when all
+// four failovers need a plan and all four plans are feasible: per UPS, the
+// budget the probe promises to plan under (context.WithTimeout, four
+// allocations) and FailoverLoads' result (one). Algorithm 1 itself, the
+// pair loads and the inactive sets are the auditor's own scratch.
+func TestProbeRoundAllocs(t *testing.T) {
+	h := newHarness(t, slo.Config{ProbeEvery: time.Nanosecond, UPSFreshness: time.Hour, RackFreshness: time.Hour})
+	load := power.NewPairLoad(h.topo)
+	for i := range h.racks {
+		r := &h.racks[i]
+		r.Allocated = 18 * power.KW
+		if r.FlexPower > 0 {
+			r.FlexPower = 14 * power.KW
+		}
+		load[r.Pair] += r.Allocated
+	}
+	for f := range h.topo.UPSes {
+		if len(h.topo.Overdrawn(h.topo.FailoverLoads(load, power.UPSID(f)), -power.KW)) == 0 {
+			t.Fatalf("fixture: losing UPS %d overloads nothing, the probe would not plan", f)
+		}
+	}
+	h.aud.Bind(slo.Bindings{
+		Clock: h.clk, Topo: h.topo, Racks: h.racks, UPSView: h.upsView, RackView: h.rackView,
+		Controllers: []*controller.Controller{h.ctl}, Scenario: impact.Realistic1(), Buffer: power.KW,
+		AllocatablePower: 400 * power.KW,
+	})
+	ctx := context.Background()
+	h.feed(normalPower)
+	h.aud.Tick(ctx, h.now) // the first round sizes the action buffer
+	before := h.aud.Status().Probe
+	now := h.now
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		now = now.Add(time.Millisecond)
+		h.aud.Tick(ctx, now)
+	})
+	if st := h.aud.Status(); st.Probe.Rounds != before.Rounds+runs+1 || st.Probe.Failures != 0 || st.Health.State != slo.StateReady {
+		t.Fatalf("the measured ticks were not feasible probe rounds: %+v (from %+v), health %v", st.Probe, before, st.Health.State)
+	}
+	if max := float64(5 * len(h.topo.UPSes)); allocs > max {
+		t.Errorf("feasible probe round: %v allocs/op, want at most %v", allocs, max)
+	}
+}

@@ -7,12 +7,12 @@
 // the room, scenario, safety margins and managed-rack set the controllers
 // ran with. Replay reconstructs each controller's exact PlanInput from
 // the event stream — sample-arrive events rebuild the telemetry views,
-// action-ack events rebuild the per-controller acted sets — and calls
-// controller.PlanContext at every recorded plan-start, advancing a
-// virtual clock to the recorded timestamps. Because Algorithm 1 is
-// deterministic in its inputs, a faithful log replays to the identical
-// action sequence; any diff means the log is incomplete or the planner
-// changed behaviour.
+// action-ack events rebuild the per-controller acted sets — and runs
+// Algorithm 1 (one controller.Planner for the whole log) at every recorded
+// plan-start, advancing a virtual clock to the recorded timestamps.
+// Because Algorithm 1 is deterministic in its inputs, a faithful log
+// replays to the identical action sequence; any diff means the log is
+// incomplete or the planner changed behaviour.
 package replay
 
 import (
@@ -212,6 +212,8 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 	if threshold == 0 {
 		threshold = controller.DefaultInactiveThreshold
 	}
+	// Every recorded pass planned over the header's racks: prepare them once.
+	planner := controller.NewPlanner(topo, racks, scenario)
 
 	vclk := clock.NewVirtual(hdr.Start)
 	last := hdr.Start
@@ -260,7 +262,7 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 				delete(set, e.Subject)
 			}
 		case recorder.TypePlanStart:
-			pr := replayPlan(ctx, events[i:], e, topo, racks, scenario, buffer, threshold, hdr.RackEstimator, upsView, rackView, estView, acted[e.Actor])
+			pr := replayPlan(ctx, events[i:], e, topo, planner, buffer, threshold, hdr.RackEstimator, upsView, rackView, estView, acted[e.Actor])
 			rep.Plans = append(rep.Plans, pr)
 			if pr.Match {
 				rep.Matched++
@@ -280,7 +282,7 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 // plan-start event; the recorded actions and terminal (commit/abort/
 // error) are found by scanning forward for events caused by it.
 func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Event,
-	topo *power.Topology, racks []controller.ManagedRack, scenario impact.Scenario,
+	topo *power.Topology, planner *controller.Planner,
 	buffer power.Watts, threshold float64, useEstimator bool,
 	upsView map[string]upsReading, rackView, estView map[string]power.Watts,
 	actedSet map[string]bool) PlanResult {
@@ -339,16 +341,13 @@ func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Even
 	for k := range actedSet {
 		actedCopy[k] = true
 	}
-	replayed, insufficient, err := controller.PlanContext(ctx, controller.PlanInput{
-		Topo:      topo,
-		Racks:     racks,
+	replayed, insufficient, err := planner.Plan(ctx, controller.PlanInput{
 		UPSPower:  ups,
 		RackPower: rackPower,
 		Inactive:  inactive,
-		Scenario:  scenario,
 		Buffer:    buffer,
 		Acted:     actedCopy,
-	})
+	}, nil)
 	if err != nil {
 		pr.Mismatch = fmt.Sprintf("replayed plan errored: %v", err)
 		return pr

@@ -192,6 +192,9 @@ func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, erro
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// One prepared Algorithm 1 and one action buffer serve every snapshot.
+	planner := controller.NewPlanner(topo, managed, cfg.Scenario)
+	var actions []controller.PlannedAction
 
 	var out []Figure12Point
 	snapshots := 0
@@ -204,15 +207,14 @@ func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, erro
 				load := PairLoadFromRacks(topo, racks, rackPower)
 				ups := topo.FailoverLoads(load, power.UPSID(f))
 				inactive := map[power.UPSID]bool{power.UPSID(f): true}
-				actions, insufficient, err := controller.PlanContext(ctx, controller.PlanInput{
-					Topo:      topo,
-					Racks:     managed,
+				var insufficient bool
+				var err error
+				actions, insufficient, err = planner.Plan(ctx, controller.PlanInput{
 					UPSPower:  ups,
 					RackPower: rackPower,
 					Inactive:  inactive,
-					Scenario:  cfg.Scenario,
 					Buffer:    cfg.Buffer,
-				})
+				}, actions)
 				if err != nil {
 					return nil, err
 				}
