@@ -339,7 +339,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	var latBase, latThrottled []float64
 	firstEnforce := time.Duration(-1)
 	shavedAt := time.Duration(-1)
 
@@ -353,6 +352,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	maxShut, maxThrottled := 0, 0
+
+	// One latency sample per cap-able rack per tick: baseline over the
+	// normal stage, throttled (at most) over the failover stage. Sized from
+	// the stage boundaries, never from Duration: a year-long run still has
+	// a six-minute failover.
+	stageSamples := func(stage time.Duration) int { return capTotal * (int(max(stage, 0)/cfg.Tick) + 1) }
+	latBase := make([]float64, 0, stageSamples(cfg.FailAt-2*time.Minute))
+	latThrottled := make([]float64, 0, stageSamples(cfg.RecoverAt-cfg.FailAt))
 
 	ticks := int(cfg.Duration / cfg.Tick)
 	upsTick := int((1500 * time.Millisecond) / cfg.Tick) // UPS poll cadence

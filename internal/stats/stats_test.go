@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +159,149 @@ func TestBoxString(t *testing.T) {
 	s := BoxOf([]float64{1, 2, 3}).String()
 	if s == "" {
 		t.Fatal("empty box string")
+	}
+}
+
+// percentileBySorting is Percentile as it was before it selected: sort a
+// copy, interpolate between the closest ranks. The reference Percentile must
+// match bit for bit.
+func percentileBySorting(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return percentileOfSorted(sorted, p)
+}
+
+func percentileOfSorted(sorted []float64, p float64) float64 {
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// percentileShapes are the inputs selection could get wrong where sorting
+// cannot: duplicates that make every partition lopsided, orders that defeat
+// a naive pivot, and the values order does not settle — infinities, NaNs,
+// signed zeros.
+var percentileShapes = []struct {
+	name string
+	at   func(i, n int, rng *rand.Rand) float64
+}{
+	{"random", func(i, n int, rng *rand.Rand) float64 { return rng.NormFloat64() }},
+	{"five distinct values", func(i, n int, rng *rand.Rand) float64 { return float64(rng.Intn(5)) }},
+	{"all equal", func(i, n int, rng *rand.Rand) float64 { return 1.25 }},
+	{"sorted", func(i, n int, rng *rand.Rand) float64 { return float64(i) / 3 }},
+	{"reverse sorted", func(i, n int, rng *rand.Rand) float64 { return float64(n-i) / 3 }},
+	{"organ pipe", func(i, n int, rng *rand.Rand) float64 { return float64(min(i, n-i)) }},
+	{"sawtooth", func(i, n int, rng *rand.Rand) float64 { return float64(i % 7) }},
+	{"infinities", func(i, n int, rng *rand.Rand) float64 {
+		return []float64{math.Inf(1), math.Inf(-1), rng.Float64(), rng.Float64()}[rng.Intn(4)]
+	}},
+	{"NaNs", func(i, n int, rng *rand.Rand) float64 {
+		return []float64{math.NaN(), rng.Float64(), rng.Float64(), -rng.Float64()}[rng.Intn(4)]
+	}},
+	{"signed zeros", func(i, n int, rng *rand.Rand) float64 {
+		return []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
+	}},
+}
+
+func TestPercentileMatchesSorted(t *testing.T) {
+	for _, shape := range percentileShapes {
+		for _, n := range []int{1, 2, 31, 32, 33, 1000, 100_000, 100_001} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = shape.at(i, n, rng)
+			}
+			orig := append([]float64(nil), xs...)
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			ps := []float64{0, 1e-9, 50, 95, 99, 99.9, 100 - 1e-9, 100, -1, 101, math.Inf(1)}
+			for _, k := range []int{0, 1, n / 3, n - 2, n - 1} {
+				if n > 1 && k >= 0 {
+					ps = append(ps, 100*float64(k)/float64(n-1)) // a rank that is an index
+				}
+			}
+			for _, p := range ps {
+				got, want := Percentile(xs, p), percentileOfSorted(sorted, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s, n=%d: Percentile(%v) = %v (%#x), sorting gives %v (%#x)",
+						shape.name, n, p, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("%s, n=%d: input reordered at %d", shape.name, n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectKth checks the selection itself at every k of small inputs,
+// with partition budgets from none (sort outright) upward, so that the
+// hand-over from partitioning to sorting what is left is exercised at
+// every depth: a[k] is what sorting gives, nothing left of it is greater
+// and nothing right of it smaller.
+func TestSelectKth(t *testing.T) {
+	for _, shape := range percentileShapes[:7] { // the shapes without NaN
+		for _, n := range []int{1, 2, 3, 4, 17, 64, 257} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = shape.at(i, n, rng)
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for k := 0; k < n; k++ {
+				for _, rounds := range []int{0, 1, 2, 3, 5, 64} {
+					a := append([]float64(nil), xs...)
+					selectKth(a, k, rounds)
+					ok := a[k] == sorted[k]
+					for i, x := range a {
+						ok = ok && (i >= k || x <= a[k]) && (i <= k || x >= a[k])
+					}
+					if !ok {
+						t.Fatalf("%s, n=%d: selectKth(k=%d, rounds=%d) left %v; sorted[k] = %v", shape.name, n, k, rounds, a, sorted[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPercentile reads the P95 of 10⁵ samples — an emulation
+// episode's latency series — by selection and, for scale, by sorting.
+func BenchmarkPercentile(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 100_000)
+	for i := range xs {
+		xs[i] = 1 + 0.02*rng.NormFloat64()
+	}
+	for _, form := range []struct {
+		name string
+		f    func([]float64, float64) float64
+	}{{"select", Percentile}, {"sorted-reference", percentileBySorting}} {
+		b.Run(fmt.Sprintf("%s/n=%d", form.name, len(xs)), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += form.f(xs, 95)
+			}
+			_ = sink
+		})
 	}
 }
