@@ -72,8 +72,9 @@ online-smoke:
 	$(GO) run ./cmd/flexplace -smoke
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the five
-# smokes, ten seconds of each fuzzer, the whole tree under the race
-# detector, and a flexmon smoke run with the observability surface enabled.
+# smokes, ten seconds of each of the six fuzzers, the whole tree under the
+# race detector, and a flexmon smoke run with the observability surface
+# enabled.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
@@ -101,13 +102,16 @@ bench-solver:
 	@echo wrote BENCH_solver.json
 
 # Records the observability hot-path baseline: tsdb append/seal/query and
-# SLO audit-tick/probe benchmarks across both packages, then the fully
+# SLO audit-tick/probe benchmarks, what a probe round and an episode's P95
+# are made of (BenchmarkPlan: Algorithm 1 one-shot and prepared on an
+# emulation-sized room; BenchmarkPercentile at 1e5 samples), then the fully
 # instrumented emulation episode they add up to (BenchmarkRunInstrumented:
 # us/tick and B/tick; benchjson tags each record with its package). The
-# Append, WindowAvg, SamplerTick and AuditTick rows must stay at
-# 0 allocs/op — all four run on the emulation tick.
+# Append, WindowAvg, SamplerTick, AuditTick and Plan/prepared rows must
+# stay at 0 allocs/op — the first four run on the emulation tick, the last
+# four times a probe round.
 bench-obs:
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ && \
+	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ ./internal/controller/ ./internal/stats/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkRunInstrumented -benchtime 5x ./internal/emu/ ; } | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	@echo wrote BENCH_obs.json
 
@@ -150,9 +154,10 @@ bench-latency:
 figures:
 	$(GO) test -bench=. -benchmem ./...
 
-# The five native fuzz targets, FUZZTIME each: trace parsing, the impact
-# function, the safety ledger and the admitter against their recomputed
-# references, and the MILP search against exhaustive enumeration.
+# The six native fuzz targets, FUZZTIME each: trace parsing, the impact
+# function, the safety ledger, the admitter and the prepared Algorithm 1
+# against their from-scratch references, and the MILP search against
+# exhaustive enumeration.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) -run=Fuzz .
@@ -160,8 +165,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzLedgerMatchesLoadFlow -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/power
 	$(GO) test -fuzz=FuzzStateMatchesAdmitter -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement
 	$(GO) test -fuzz=FuzzMILPMatchesBruteForce -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/milp
+	$(GO) test -fuzz=FuzzPlanMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/controller
 
-# The same five legs at ten seconds each: what CI can afford on every push.
+# The same six legs at ten seconds each: what CI can afford on every push.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
