@@ -146,9 +146,9 @@ type plannedWorkload struct {
 
 // candidate is one workload's next rack with the action it would take.
 type candidate struct {
-	w   int   // index into Planner.workloads
-	r   int32 // index into Planner.racks
-	act PlannedAction
+	w    int // index into Planner.workloads
+	pair power.PDUPairID
+	act  PlannedAction
 }
 
 // NewPlanner prepares Algorithm 1 for racks on topo under scenario. A
@@ -292,7 +292,7 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 			}
 			frac := float64(p.affected[wi]+1) / float64(w.total)
 			act.Impact = w.fn.At(frac)
-			cands = append(cands, candidate{w: wi, r: w.queue[next], act: act})
+			cands = append(cands, candidate{w: wi, pair: r.Pair, act: act})
 		}
 		if len(cands) == 0 {
 			return actions, true, nil // exhausted all shaveable racks
@@ -315,7 +315,7 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 		p.affected[chosen.w]++
 		p.next[chosen.w]++
 		// Update the UPS estimates with the rack's share (line 15).
-		applyRecovery(topo, est, in.Inactive, p.racks[chosen.r].Pair, chosen.act.Recovered)
+		applyRecovery(topo, est, in.Inactive, chosen.pair, chosen.act.Recovered)
 	}
 	return actions, false, nil
 }

@@ -346,7 +346,6 @@ func (a *Auditor) Bind(b Bindings) {
 	a.seenRack = make(map[string]bool)
 	a.rackPower = make(map[string]power.Watts, len(b.Racks))
 	a.planner = controller.NewPlanner(b.Topo, b.Racks, b.Scenario)
-	a.planBuf = nil
 	a.pairLoad = power.NewPairLoad(b.Topo)
 	a.failed = make([]map[power.UPSID]bool, n)
 	a.headroom = a.headroom[:0]

@@ -194,7 +194,7 @@ func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, erro
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// One prepared Algorithm 1 and one action buffer serve every snapshot.
 	planner := controller.NewPlanner(topo, managed, cfg.Scenario)
-	var actions []controller.PlannedAction
+	var buf []controller.PlannedAction
 
 	var out []Figure12Point
 	snapshots := 0
@@ -207,14 +207,13 @@ func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, erro
 				load := PairLoadFromRacks(topo, racks, rackPower)
 				ups := topo.FailoverLoads(load, power.UPSID(f))
 				inactive := map[power.UPSID]bool{power.UPSID(f): true}
-				var insufficient bool
-				var err error
-				actions, insufficient, err = planner.Plan(ctx, controller.PlanInput{
+				actions, insufficient, err := planner.Plan(ctx, controller.PlanInput{
 					UPSPower:  ups,
 					RackPower: rackPower,
 					Inactive:  inactive,
 					Buffer:    cfg.Buffer,
-				}, actions)
+				}, buf)
+				buf = actions
 				if err != nil {
 					return nil, err
 				}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -57,13 +58,7 @@ func Percentile(xs []float64, p float64) float64 {
 	if hi > lo {
 		// Nothing right of lo is smaller than buf[lo], so the next order
 		// statistic is the least of them.
-		least := hi
-		for i := hi + 1; i < len(buf); i++ {
-			if buf[i] < buf[least] {
-				least = i
-			}
-		}
-		buf[hi], buf[least] = buf[least], buf[hi]
+		buf[hi] = slices.Min(buf[hi:])
 	}
 	return percentileSorted(buf, p)
 }
