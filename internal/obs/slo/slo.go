@@ -41,8 +41,12 @@
 // appended in place, burn-rate windows are read in the tsdb ring without
 // a copy, stage p99s are read off the live histograms, and the per-tick
 // scratch is sized once at Bind. A what-if probe round (every ProbeEvery)
-// runs Algorithm 1 per UPS and allocates what planning allocates; breach,
-// recovery and health transitions allocate their events and reasons.
+// runs Algorithm 1 per UPS on a controller.Planner prepared at Bind, all
+// plans into one action buffer, over pair loads and inactive sets that are
+// Bind-time scratch too: what a round still allocates is FailoverLoads'
+// result per UPS and, where that failover needs a plan, the plan's budget
+// (context.WithTimeout). Breach, recovery and health transitions allocate
+// their events and reasons.
 package slo
 
 import (
