@@ -6,27 +6,30 @@
 // and driven through setup → normal operation → UPS failure → corrective
 // action → recovery, with the real controller and telemetry code in the
 // loop on a virtual clock.
+//
+// Run is that room, fully instrumented; RunFleet is N of them, each behind
+// a fleet shard. Both are lists of phases over one kernel (kernel.go,
+// truth.go): a placed plant, rooms of live racks with their ground truth,
+// and a tick state whose methods — reaches, fail, recover, advance, polls,
+// enforced, settle, next — are the steps of the loop. An emulator keeps
+// only its own control plane between them. DESIGN.md ("Emulation") has the
+// order of draws and events that the golden tests pin.
 package emu
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"flex/internal/clock"
 	"flex/internal/controller"
 	"flex/internal/impact"
-	"flex/internal/milp"
 	"flex/internal/obs"
 	"flex/internal/obs/recorder"
 	"flex/internal/obs/slo"
 	"flex/internal/obs/tsdb"
-	"flex/internal/placement"
 	"flex/internal/power"
 	"flex/internal/rackmgr"
 	"flex/internal/replay"
-	"flex/internal/sim"
 	"flex/internal/stats"
 	"flex/internal/telemetry"
 	"flex/internal/workload"
@@ -77,8 +80,6 @@ type Config struct {
 	// Obs is also set, a tsdb sampler scrapes the registry into the
 	// auditor's store on the same cadence.
 	Safety *slo.Auditor
-	// Debug prints controller decisions to stdout.
-	Debug bool
 }
 
 func (c *Config) fillDefaults() {
@@ -162,87 +163,25 @@ type Result struct {
 	RestoredAll bool
 }
 
-// rackSim is the live state of one emulated rack.
-type rackSim struct {
-	sim.Rack
-	demand    float64 // demanded power fraction of allocation (AR(1))
-	rampUntil time.Duration
-}
-
 // Run executes the emulation. ctx bounds the offline placement solve and
 // is threaded to the controller's planning passes.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
-	room := placement.EmulationRoom()
-	topo := room.Topo
-
-	// Place the demand with Flex-Offline-Short (paper methodology), one
-	// workload per category.
-	tcfg := workload.DefaultTraceConfig(topo.ProvisionedPower())
-	tcfg.WorkloadsPerCategory = 1
-	tcfg.FlexPowerMin, tcfg.FlexPowerMax = 0.845, 0.855 // paper: flex power 85%
-	trace, err := workload.GenerateTrace(tcfg, rand.New(rand.NewSource(cfg.TraceSeed)))
+	p, err := newPlant(ctx, cfg.TraceSeed, cfg.Utilization, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	var solverMetrics *milp.Metrics
-	if cfg.Obs != nil {
-		solverMetrics = milp.NewMetrics(cfg.Obs)
-	}
-	pl, err := placement.FlexOffline{BatchFraction: 0.33, MaxNodes: 150, SolverMetrics: solverMetrics}.Place(ctx, room, trace)
-	if err != nil {
+	topo := p.topo
+	if err := checkIndices(indexCheck{"FailUPS", int(cfg.FailUPS), len(topo.UPSes)}); err != nil {
 		return nil, err
 	}
-	racks := sim.ExpandRacks(pl)
-	if len(racks) == 0 {
-		return nil, fmt.Errorf("emu: nothing placed")
-	}
-	managed := sim.ManagedRacks(racks)
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	start := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
-	clk := clock.NewVirtual(start)
-
-	// Per-category demand ratios (TeraSort-like batch hot, TPC-E-like
-	// OLTP near its flex power, non-cap-able cooler), normalized against
-	// the placed mix so the aggregate draw hits cfg.Utilization exactly.
-	ratio := map[workload.Category]float64{
-		workload.SoftwareRedundant:      0.90 / 0.80,
-		workload.NonRedundantCapable:    0.83 / 0.80,
-		workload.NonRedundantNonCapable: 0.67 / 0.80,
-	}
-	var weighted float64
-	for _, r := range racks {
-		weighted += ratio[r.Category] * float64(r.Allocated)
-	}
-	// Scale so the aggregate draw at full demand equals Utilization ×
-	// provisioned power — the paper's "80% of the provisioned power at
-	// the UPS level" (§V-C); placed allocation is slightly below
-	// provisioned, so per-rack duty runs a little above the aggregate.
-	norm := cfg.Utilization * float64(topo.ProvisionedPower()) / weighted
-	for c := range ratio {
-		ratio[c] *= norm
-	}
-
-	// Live rack state.
-	sims := make([]*rackSim, len(racks))
-	for i, r := range racks {
-		sims[i] = &rackSim{Rack: r, demand: 0.2}
-	}
-	ids := make([]string, len(racks))
-	for i, r := range racks {
-		ids[i] = r.ID
-	}
-	mgr := rackmgr.NewManager(clk, ids)
+	ts := p.newTickState(cfg.Seed, cfg.Tick, cfg.Duration, 0.08, 0.020) // AR(1) θ, σ
+	rm := ts.newRoom()
+	clk, mgr, sims, truth := ts.clk, rm.mgr, rm.sims, &rm.truth
 	if cfg.Obs != nil {
 		mgr.Metrics = rackmgr.NewMetrics(cfg.Obs)
 	}
 	mgr.Recorder = cfg.Recorder
-
-	// Ground truth honors the actuation state and the failover transfer
-	// away from the out-of-service UPSes.
-	var inactive power.UPSSet
-	truth := newGroundTruth(topo, mgr, sims)
 
 	// Telemetry: consensus meters over the ground truth, pumped
 	// synchronously into the controller views on the paper's cadences.
@@ -287,7 +226,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			Name:     fmt.Sprintf("flex-ctl-%d", i+1),
 			Clock:    clk,
 			Topo:     topo,
-			Racks:    managed,
+			Racks:    p.managed,
 			UPSView:  upsView,
 			RackView: rackView,
 			Actuator: mgr,
@@ -307,13 +246,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Safety.Bind(slo.Bindings{
 			Clock:            clk,
 			Topo:             topo,
-			Racks:            managed,
+			Racks:            p.managed,
 			UPSView:          upsView,
 			RackView:         rackView,
 			Controllers:      ctls,
 			Scenario:         *cfg.Scenario,
 			Buffer:           controller.DefaultBuffer(topo),
-			AllocatablePower: room.AllocatablePower(),
+			AllocatablePower: p.room.AllocatablePower(),
 			Stages:           stages,
 		})
 		if cfg.Obs != nil {
@@ -325,7 +264,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// stream cannot carry (room, scenario, managed racks) pinned up front
 	// so cmd/flexreplay can rebuild the controllers' exact PlanInputs.
 	if cfg.Recorder != nil {
-		hdr := replay.NewHeader("emulation", start, cfg.Scenario.Name, 0, managed)
+		hdr := replay.NewHeader("emulation", clk.Now(), cfg.Scenario.Name, 0, p.managed)
 		hdr.Utilization = cfg.Utilization
 		hdr.Seed = cfg.Seed
 		for i := range ctls {
@@ -339,11 +278,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	firstEnforce := time.Duration(-1)
-	shavedAt := time.Duration(-1)
-
 	srTotal, capTotal := 0, 0
-	for _, r := range racks {
+	for _, r := range p.racks {
 		switch r.Category {
 		case workload.SoftwareRedundant:
 			srTotal++
@@ -361,24 +297,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	latBase := make([]float64, 0, stageSamples(cfg.FailAt-2*time.Minute))
 	latThrottled := make([]float64, 0, stageSamples(cfg.RecoverAt-cfg.FailAt))
 
-	ticks := int(cfg.Duration / cfg.Tick)
-	upsTick := int((1500 * time.Millisecond) / cfg.Tick) // UPS poll cadence
-	rackTick := int((2 * time.Second) / cfg.Tick)        // rack poll cadence
-	if upsTick < 1 {
-		upsTick = 1
-	}
-	if rackTick < 1 {
-		rackTick = 1
-	}
-
-	dt := cfg.Tick.Seconds()
-	for i := 0; i <= ticks; i++ {
-		now := time.Duration(i) * cfg.Tick
+	for ; ts.i <= ts.last; ts.next() {
+		now := ts.now
 		stage := StageSetup
 		target := cfg.Utilization
 		switch {
 		case now < 2*time.Minute:
-			stage = StageSetup
 			target = cfg.Utilization * (0.25 + 0.75*now.Seconds()/120)
 		case now < cfg.FailAt:
 			stage = StageNormal
@@ -388,17 +312,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			stage = StageRecovery
 		}
 
-		// Failure / recovery events.
-		if now == cfg.FailAt {
-			inactive |= power.SetOf(cfg.FailUPS)
-			if cfg.Recorder != nil {
-				cfg.Recorder.Emit(recorder.Event{
-					Type:    recorder.TypeUPSFail,
-					Time:    clk.Now(),
-					Actor:   "emu",
-					Subject: topo.UPSes[cfg.FailUPS].Name,
-				})
-			}
+		if ts.reaches(cfg.FailAt) {
+			ts.fail(rm, cfg.FailUPS)
+			cfg.Recorder.Emit(recorder.Event{Type: recorder.TypeUPSFail, Time: clk.Now(), Actor: "emu", Subject: topo.UPSes[cfg.FailUPS].Name})
 			if cfg.InjectTelemetryFaults {
 				for u, lm := range upsMeters {
 					if power.UPSID(u) == cfg.FailUPS {
@@ -412,44 +328,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}
 		}
-		if now == cfg.RecoverAt {
-			inactive &^= power.SetOf(cfg.FailUPS)
-			if cfg.Recorder != nil {
-				cfg.Recorder.Emit(recorder.Event{
-					Type:    recorder.TypeUPSRecover,
-					Time:    clk.Now(),
-					Actor:   "emu",
-					Subject: topo.UPSes[cfg.FailUPS].Name,
-				})
-			}
+		if ts.reaches(cfg.RecoverAt) {
+			ts.recover(rm, cfg.FailUPS)
+			cfg.Recorder.Emit(recorder.Event{Type: recorder.TypeUPSRecover, Time: clk.Now(), Actor: "emu", Subject: topo.UPSes[cfg.FailUPS].Name})
 		}
 
-		// Advance workload dynamics (AR(1) demand around per-category
-		// targets). The synthetic benchmarks run at different duty:
-		// TeraSort-like batch (software-redundant) near full tilt, the
-		// TPC-E-like OLTP (cap-able) close to its flex power, and the
-		// non-cap-able racks lower — mixing to the aggregate target
-		// (ratios relative to the paper's 80% aggregate setup).
-		for _, rs := range sims {
-			// target already folds in the setup ramp; ratio folds in the
-			// steady-state utilization.
-			catTarget := target / cfg.Utilization * ratio[rs.Category]
-			if catTarget > 1 {
-				catTarget = 1
-			}
-			theta, sigma := 0.08, 0.020
-			rs.demand += theta*(catTarget-rs.demand)*dt + sigma*rng.NormFloat64()*dt
-			if rs.demand < 0.1 {
-				rs.demand = 0.1
-			}
-			if rs.demand > 1 {
-				rs.demand = 1
-			}
-		}
-
-		// The meters, the latency model and the debug print below all see
-		// this tick's demand under the actuation state the last tick left.
-		truth.refresh(inactive)
+		ts.advance(rm, target)
+		rm.refresh()
 
 		// TPC-E-like latency model for cap-able racks: capping below the
 		// demanded power queues requests and inflates tail latency.
@@ -458,7 +343,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				continue
 			}
 			st, cap := truth.state[j], truth.cap[j]
-			base := 1.0 + 0.02*rng.NormFloat64()
+			base := 1.0 + 0.02*ts.rng.NormFloat64()
 			lat := base
 			throttledNow := st == rackmgr.Throttled
 			if throttledNow {
@@ -480,7 +365,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 		// Telemetry pumps on their cadences.
 		wall := clk.Now()
-		if i%upsTick == 0 {
+		pollUPS, pollRacks := ts.polls()
+		if pollUPS {
 			for u, lm := range upsMeters {
 				v, err := lm.Read(wall)
 				upsView.Update(telemetry.Sample{
@@ -488,7 +374,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				})
 			}
 		}
-		if i%rackTick == 0 {
+		if pollRacks {
 			for j, m := range rackMeters {
 				v, err := m.Read(wall)
 				rackView.Update(telemetry.Sample{
@@ -497,25 +383,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 
-		if cfg.Debug && now >= cfg.FailAt && now <= cfg.FailAt+5*time.Second {
-			tr := truth.ups
-			fmt.Printf("t=%v truth=[%.3f %.3f %.3f %.3f]MW\n", now,
-				float64(tr[0])/1e6, float64(tr[1])/1e6, float64(tr[2])/1e6, float64(tr[3])/1e6)
-		}
 		// Controllers evaluate.
-		for ci, c := range ctls {
+		for _, c := range ctls {
 			out := c.StepContext(ctx)
-			if cfg.Debug && (out.Enforced > 0 || out.Restored > 0 || out.Insufficient) {
-				kinds := map[string]int{}
-				for _, a := range out.Planned {
-					kinds[a.Kind.String()]++
-				}
-				fmt.Printf("t=%v ctl=%d planned=%v enforced=%d restored=%d insufficient=%v errs=%d\n",
-					now, ci, kinds, out.Enforced, out.Restored, out.Insufficient, out.EnforceErrors)
-			}
-			if out.Enforced > 0 && firstEnforce < 0 && now >= cfg.FailAt {
-				firstEnforce = now - cfg.FailAt
-			}
+			ts.enforced(rm, out.Enforced)
 			if out.Insufficient {
 				res.Insufficient = true
 			}
@@ -531,9 +402,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Safety.Tick(ctx, wall)
 		}
 
-		// The controllers may have actuated: the extents, the trip curve
-		// and the timeline see the post-step world.
-		truth.refresh(inactive)
+		ts.settle(rm)
 
 		// Count action extents.
 		shut, throttled := 0, 0
@@ -555,15 +424,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			maxThrottled = throttled
 		}
 
-		// Safety: overload accumulation vs trip curve.
-		allUnder, tripped := truth.observeTrip(inactive, cfg.Tick)
-		if tripped {
-			res.Outage = true
-		}
-		if now > cfg.FailAt && now < cfg.RecoverAt && shavedAt < 0 && allUnder {
-			shavedAt = now - cfg.FailAt
-		}
-
 		// Record the timeline.
 		byCat := map[workload.Category]power.Watts{}
 		for j, rs := range sims {
@@ -572,8 +432,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.Series = append(res.Series, TimePoint{
 			T: now, Stage: stage, UPSPower: truth.ups, RackPower: byCat,
 		})
-
-		clk.Advance(cfg.Tick)
 	}
 
 	if srTotal > 0 {
@@ -582,8 +440,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if capTotal > 0 {
 		res.CapThrottledFrac = float64(maxThrottled) / float64(capTotal)
 	}
-	res.DetectionLatency = firstEnforce
-	res.ShaveLatency = shavedAt
+	res.DetectionLatency = ts.firstEnforce
+	res.ShaveLatency = ts.shedAt
+	res.Outage = ts.outage
 	res.BaselineP95 = stats.Percentile(latBase, 95)
 	res.ThrottledP95 = stats.Percentile(latThrottled, 95)
 	if res.BaselineP95 > 0 {

@@ -3,21 +3,14 @@ package emu
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"flex/internal/clock"
 	"flex/internal/fleet"
 	"flex/internal/impact"
-	"flex/internal/milp"
 	"flex/internal/obs"
 	"flex/internal/obs/recorder"
-	"flex/internal/placement"
 	"flex/internal/power"
-	"flex/internal/rackmgr"
-	"flex/internal/sim"
 	"flex/internal/telemetry"
-	"flex/internal/workload"
 )
 
 // FleetConfig drives RunFleet: N identical paper rooms on one virtual
@@ -124,12 +117,11 @@ type FleetResult struct {
 	Stages []fleet.StageSummary
 }
 
-// fleetRoom is one room's live emulation state.
-type fleetRoom struct {
+// shardRoom is a room behind its fleet shard, with the batches its polls
+// fill.
+type shardRoom struct {
+	*room
 	shard     *fleet.Shard
-	sims      []*rackSim
-	truth     *groundTruth
-	inactive  power.UPSSet
 	upsBatch  []telemetry.Sample
 	rackBatch []telemetry.Sample
 }
@@ -143,40 +135,19 @@ type fleetRoom struct {
 // regardless of a neighbor's queue being saturated.
 func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	cfg.fillDefaults()
-	if cfg.FailRoom < 0 || cfg.FailRoom >= cfg.Rooms {
-		return nil, fmt.Errorf("emu: FailRoom %d out of range [0,%d)", cfg.FailRoom, cfg.Rooms)
-	}
-
-	// Solve the placement once; the fleet replicates one paper room N
-	// times. (A real fleet solves per room; the emulation measures the
-	// online layer, not the solver.)
-	room := placement.EmulationRoom()
-	topo := room.Topo
-	tcfg := workload.DefaultTraceConfig(topo.ProvisionedPower())
-	tcfg.WorkloadsPerCategory = 1
-	tcfg.FlexPowerMin, tcfg.FlexPowerMax = 0.845, 0.855
-	trace, err := workload.GenerateTrace(tcfg, rand.New(rand.NewSource(cfg.TraceSeed)))
+	p, err := newPlant(ctx, cfg.TraceSeed, cfg.Utilization, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	var solverMetrics *milp.Metrics
-	if cfg.Obs != nil {
-		solverMetrics = milp.NewMetrics(cfg.Obs)
+	topo := p.topo
+	checks := []indexCheck{{"FailRoom", cfg.FailRoom, cfg.Rooms}, {"FailUPS", int(cfg.FailUPS), len(topo.UPSes)}}
+	if cfg.SaturateFactor > 0 {
+		checks = append(checks, indexCheck{"SaturateRoom", cfg.SaturateRoom, cfg.Rooms})
 	}
-	pl, err := placement.FlexOffline{BatchFraction: 0.33, MaxNodes: 150, SolverMetrics: solverMetrics}.Place(ctx, room, trace)
-	if err != nil {
+	if err := checkIndices(checks...); err != nil {
 		return nil, err
 	}
-	protoRacks := sim.ExpandRacks(pl)
-	if len(protoRacks) == 0 {
-		return nil, fmt.Errorf("emu: nothing placed")
-	}
-	managed := sim.ManagedRacks(protoRacks)
-	stranded := pl.StrandedPower()
-
-	start := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
-	clk := clock.NewVirtual(start)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	ts := p.newTickState(cfg.Seed, cfg.Tick, cfg.Duration, 0.30, 0.015) // AR(1) θ, σ
 
 	// Always instrument: the latency waterfalls (Episodes, Stages) come
 	// from the fleet's tracer and stage histograms, which only exist with
@@ -188,150 +159,91 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	}
 	fl := fleet.New(fleet.Config{
 		Name:       "emu-fleet",
-		Clock:      clk,
+		Clock:      ts.clk,
 		QueueDepth: cfg.QueueDepth,
 		Obs:        obsReg,
 		Recorder:   cfg.Recorder,
 	})
-
-	// Demand normalization, as in the single-room run.
-	ratio := map[workload.Category]float64{
-		workload.SoftwareRedundant:      0.90 / 0.80,
-		workload.NonRedundantCapable:    0.83 / 0.80,
-		workload.NonRedundantNonCapable: 0.67 / 0.80,
-	}
-	var weighted float64
-	for _, r := range protoRacks {
-		weighted += ratio[r.Category] * float64(r.Allocated)
-	}
-	norm := cfg.Utilization * float64(topo.ProvisionedPower()) / weighted
-	for c := range ratio {
-		ratio[c] *= norm
-	}
-
-	ids := make([]string, len(protoRacks))
-	for i, r := range protoRacks {
-		ids[i] = r.ID
-	}
 	sc := impact.Realistic1()
-	rooms := make([]*fleetRoom, cfg.Rooms)
+	rooms := make([]*shardRoom, cfg.Rooms)
 	for i := range rooms {
-		name := fmt.Sprintf("room-%03d", i)
-		mgr := rackmgr.NewManager(clk, ids)
+		rm := ts.newRoom()
 		shard, err := fl.AddRoom(fleet.RoomConfig{
-			Name:        name,
+			Name:        fmt.Sprintf("room-%03d", i),
 			Topo:        topo,
-			Racks:       managed,
-			Actuator:    mgr,
+			Racks:       p.managed,
+			Actuator:    rm.mgr,
 			Scenario:    sc,
 			Controllers: cfg.Controllers,
-			Stranded:    stranded,
-			Allocatable: room.AllocatablePower(),
+			Stranded:    p.stranded,
+			Allocatable: p.room.AllocatablePower(),
 			Interval:    cfg.Tick,
 		})
 		if err != nil {
 			return nil, err
 		}
-		fr := &fleetRoom{
-			shard:     shard,
-			sims:      make([]*rackSim, len(protoRacks)),
+		rooms[i] = &shardRoom{
+			room: rm, shard: shard,
 			upsBatch:  make([]telemetry.Sample, 0, len(topo.UPSes)),
-			rackBatch: make([]telemetry.Sample, 0, len(protoRacks)),
+			rackBatch: make([]telemetry.Sample, 0, len(p.racks)),
 		}
-		for j, r := range protoRacks {
-			fr.sims[j] = &rackSim{Rack: r, demand: 0.2}
-		}
-		fr.truth = newGroundTruth(topo, mgr, fr.sims)
-		rooms[i] = fr
 	}
 	if cfg.Attach != nil {
 		cfg.Attach(fl)
 	}
 
-	res := &FleetResult{Rooms: cfg.Rooms, PerRoomStranded: stranded}
-	firstEnforce := time.Duration(-1)
-	shavedAt := time.Duration(-1)
-
-	ticks := int(cfg.Duration / cfg.Tick)
-	upsTick := int((1500 * time.Millisecond) / cfg.Tick)
-	rackTick := int((2 * time.Second) / cfg.Tick)
-	if upsTick < 1 {
-		upsTick = 1
-	}
-	if rackTick < 1 {
-		rackTick = 1
-	}
 	// Setup ramp: demand climbs for the first quarter of the pre-failure
 	// window, then holds at the target.
 	ramp := cfg.FailAt / 2
-	dt := cfg.Tick.Seconds()
 
-	for i := 0; i <= ticks; i++ {
-		now := time.Duration(i) * cfg.Tick
+	for ; ts.i <= ts.last; ts.next() {
 		target := cfg.Utilization
-		if now < ramp {
-			target = cfg.Utilization * (0.5 + 0.5*now.Seconds()/ramp.Seconds())
+		if ts.now < ramp {
+			target = cfg.Utilization * (0.5 + 0.5*ts.now.Seconds()/ramp.Seconds())
+		}
+		if ts.reaches(cfg.FailAt) {
+			ts.fail(rooms[cfg.FailRoom].room, cfg.FailUPS)
+		}
+		for _, sr := range rooms {
+			ts.advance(sr.room, target)
 		}
 
-		if now == cfg.FailAt {
-			rooms[cfg.FailRoom].inactive |= power.SetOf(cfg.FailUPS)
-		}
-
-		// Workload dynamics, every room.
-		for _, fr := range rooms {
-			for _, rs := range fr.sims {
-				catTarget := target / cfg.Utilization * ratio[rs.Category]
-				if catTarget > 1 {
-					catTarget = 1
-				}
-				theta, sigma := 0.30, 0.015
-				rs.demand += theta*(catTarget-rs.demand)*dt + sigma*rng.NormFloat64()*dt
-				if rs.demand < 0.1 {
-					rs.demand = 0.1
-				}
-				if rs.demand > 1 {
-					rs.demand = 1
-				}
+		// Telemetry on the paper's cadences, batched per room.
+		wall := ts.clk.Now()
+		pollUPS, pollRacks := ts.polls()
+		if pollUPS || pollRacks {
+			for _, sr := range rooms {
+				sr.refresh()
 			}
 		}
-
-		// Telemetry on the paper's cadences, batched per room: a tick that
-		// polls reads this tick's demand under the actuation state the last
-		// tick left.
-		wall := clk.Now()
-		if i%upsTick == 0 || i%rackTick == 0 {
-			for _, fr := range rooms {
-				fr.truth.refresh(fr.inactive)
-			}
-		}
-		if i%upsTick == 0 {
-			for _, fr := range rooms {
-				fr.upsBatch = fr.upsBatch[:0]
+		if pollUPS {
+			for _, sr := range rooms {
+				sr.upsBatch = sr.upsBatch[:0]
 				for u := range topo.UPSes {
-					fr.upsBatch = append(fr.upsBatch, telemetry.Sample{
-						Device: topo.UPSes[u].Name, Power: fr.truth.ups[u], Valid: true,
+					sr.upsBatch = append(sr.upsBatch, telemetry.Sample{
+						Device: topo.UPSes[u].Name, Power: sr.truth.ups[u], Valid: true,
 						MeasuredAt: wall, PublishedAt: wall,
 					})
 				}
-				fr.shard.IngestUPS(fr.upsBatch)
+				sr.shard.IngestUPS(sr.upsBatch)
 			}
 		}
-		if i%rackTick == 0 {
-			for ri, fr := range rooms {
-				fr.rackBatch = fr.rackBatch[:0]
-				for j, rs := range fr.sims {
-					fr.rackBatch = append(fr.rackBatch, telemetry.Sample{
-						Device: rs.ID, Power: fr.truth.rack[j], Valid: true,
+		if pollRacks {
+			for ri, sr := range rooms {
+				sr.rackBatch = sr.rackBatch[:0]
+				for j, rs := range sr.sims {
+					sr.rackBatch = append(sr.rackBatch, telemetry.Sample{
+						Device: rs.ID, Power: sr.truth.rack[j], Valid: true,
 						MeasuredAt: wall, PublishedAt: wall,
 					})
 				}
-				fr.shard.IngestRacks(fr.rackBatch)
+				sr.shard.IngestRacks(sr.rackBatch)
 				if cfg.SaturateFactor > 0 && ri == cfg.SaturateRoom {
 					// Backpressure stress: flood the queue with redundant
 					// copies; drop-oldest must absorb it here and nowhere
 					// else.
 					for k := 0; k < cfg.SaturateFactor; k++ {
-						fr.shard.IngestRacks(fr.rackBatch)
+						sr.shard.IngestRacks(sr.rackBatch)
 					}
 				}
 			}
@@ -340,40 +252,28 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		// Every shard pumps and steps on the shared clock. (The emulation
 		// drives shards synchronously for determinism; live deployments
 		// run Shard.Start loops — same pump/step path.)
-		for ri, fr := range rooms {
-			fr.shard.Pump()
-			_, enforced, _ := fr.shard.StepContext(ctx)
-			if ri == cfg.FailRoom && enforced > 0 && firstEnforce < 0 && now >= cfg.FailAt {
-				firstEnforce = now - cfg.FailAt
-			}
+		for _, sr := range rooms {
+			sr.shard.Pump()
+			_, enforced, _ := sr.shard.StepContext(ctx)
+			ts.enforced(sr.room, enforced)
 		}
-
-		// Trip-curve safety in every room, on the post-step world; shed
-		// point for the failed one.
-		for ri, fr := range rooms {
-			fr.truth.refresh(fr.inactive)
-			allUnder, tripped := fr.truth.observeTrip(fr.inactive, cfg.Tick)
-			if tripped {
-				res.Outage = true
-			}
-			if ri == cfg.FailRoom && now > cfg.FailAt && shavedAt < 0 && allUnder {
-				shavedAt = now - cfg.FailAt
-			}
+		for _, sr := range rooms {
+			ts.settle(sr.room)
 		}
-
-		clk.Advance(cfg.Tick)
 	}
 
-	res.DetectLatency = firstEnforce
-	res.ShedLatency = shavedAt
-	for ri, fr := range rooms {
+	res := &FleetResult{
+		Rooms: cfg.Rooms, PerRoomStranded: p.stranded,
+		DetectLatency: ts.firstEnforce, ShedLatency: ts.shedAt, Outage: ts.outage,
+	}
+	for ri, sr := range rooms {
 		if cfg.SaturateFactor > 0 && ri == cfg.SaturateRoom {
-			res.SaturatedDrops = fr.shard.Dropped()
+			res.SaturatedDrops = sr.shard.Dropped()
 		} else {
-			res.CrossRoomDrops += fr.shard.Dropped()
+			res.CrossRoomDrops += sr.shard.Dropped()
 		}
 	}
-	res.Snapshot = fl.AggregateOnce(clk.Now())
+	res.Snapshot = fl.AggregateOnce(ts.clk.Now())
 	res.Episodes = fl.EpisodeTraces(0)
 	res.Stages = fl.StageSummaries()
 	return res, nil

@@ -1,0 +1,241 @@
+package emu
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"time"
+
+	"flex/internal/clock"
+	"flex/internal/controller"
+	"flex/internal/milp"
+	"flex/internal/obs"
+	"flex/internal/placement"
+	"flex/internal/power"
+	"flex/internal/rackmgr"
+	"flex/internal/sim"
+	"flex/internal/workload"
+)
+
+// plant is the placed room a run stands on, solved once and shared by
+// every room of a fleet. (A real fleet solves per room; the emulation
+// measures the online layer, not the solver.)
+type plant struct {
+	room     *placement.Room
+	topo     *power.Topology
+	racks    []sim.Rack
+	managed  []controller.ManagedRack
+	ids      []string
+	stranded power.Watts // the placement's Eq. 5 stranded power
+
+	// utilization is the steady-state aggregate draw as a share of
+	// provisioned power; ratio is each category's demanded share of its
+	// allocation that adds up to it.
+	utilization float64
+	ratio       map[workload.Category]float64
+}
+
+// newPlant places the paper's demand in the emulation room with
+// Flex-Offline-Short, one workload per category at 85% flex power. ctx
+// bounds the solve; reg, when non-nil, receives the solver's metrics.
+func newPlant(ctx context.Context, traceSeed int64, utilization float64, reg *obs.Registry) (*plant, error) {
+	room := placement.EmulationRoom()
+	tcfg := workload.DefaultTraceConfig(room.Topo.ProvisionedPower())
+	tcfg.WorkloadsPerCategory = 1
+	tcfg.FlexPowerMin, tcfg.FlexPowerMax = 0.845, 0.855
+	trace, err := workload.GenerateTrace(tcfg, rand.New(rand.NewSource(traceSeed)))
+	if err != nil {
+		return nil, err
+	}
+	var solverMetrics *milp.Metrics
+	if reg != nil {
+		solverMetrics = milp.NewMetrics(reg)
+	}
+	pl, err := placement.FlexOffline{BatchFraction: 0.33, MaxNodes: 150, SolverMetrics: solverMetrics}.Place(ctx, room, trace)
+	if err != nil {
+		return nil, err
+	}
+	racks := sim.ExpandRacks(pl)
+	if len(racks) == 0 {
+		return nil, fmt.Errorf("emu: nothing placed")
+	}
+	p := &plant{
+		room: room, topo: room.Topo, racks: racks, managed: sim.ManagedRacks(racks),
+		ids: make([]string, len(racks)), stranded: pl.StrandedPower(),
+		utilization: utilization,
+		// TeraSort-like batch (software-redundant) runs near full tilt,
+		// the TPC-E-like OLTP (cap-able) close to its flex power, the
+		// non-cap-able racks cooler — relative to the paper's 80% set-up.
+		ratio: map[workload.Category]float64{
+			workload.SoftwareRedundant:      0.90 / 0.80,
+			workload.NonRedundantCapable:    0.83 / 0.80,
+			workload.NonRedundantNonCapable: 0.67 / 0.80,
+		},
+	}
+	var weighted float64
+	for i, r := range racks {
+		p.ids[i] = r.ID
+		weighted += p.ratio[r.Category] * float64(r.Allocated)
+	}
+	// Normalize against the placed mix so the aggregate draw at full
+	// demand is utilization × provisioned power — the paper's "80% of the
+	// provisioned power at the UPS level" (§V-C). Placed allocation is a
+	// little below provisioned, so per-rack duty runs a little above.
+	norm := utilization * float64(p.topo.ProvisionedPower()) / weighted
+	for c := range p.ratio {
+		p.ratio[c] *= norm
+	}
+	return p, nil
+}
+
+// indexCheck is one configured index and the count it must stay below.
+type indexCheck struct {
+	field string
+	v, n  int
+}
+
+// checkIndices range-checks the rooms and UPSes a config names.
+func checkIndices(checks ...indexCheck) error {
+	for _, c := range checks {
+		if c.v < 0 || c.v >= c.n {
+			return fmt.Errorf("emu: %s %d out of range [0,%d)", c.field, c.v, c.n)
+		}
+	}
+	return nil
+}
+
+// rackSim is the live state of one emulated rack.
+type rackSim struct {
+	sim.Rack
+	demand float64 // demanded power fraction of allocation (AR(1))
+}
+
+// room is one emulated room: the plant's racks with live demand, the rack
+// manager its control plane actuates, the UPSes currently out of service
+// and the ground truth under them.
+type room struct {
+	topo  *power.Topology
+	mgr   *rackmgr.Manager
+	sims  []*rackSim
+	out   power.UPSSet
+	truth groundTruth
+}
+
+// tickState is where a run stands in time. Its methods are the phases of
+// a tick, declared in the order the loops call them.
+type tickState struct {
+	plant *plant
+	clk   *clock.Virtual
+	// rng is the run's one stream: demand draws room-major in rack order,
+	// then whatever the emulator draws itself.
+	rng *rand.Rand
+
+	step                time.Duration
+	i, last             int           // tick index, 0..Duration/Tick
+	now                 time.Duration // i × step
+	upsEvery, rackEvery int           // poll cadences in ticks (paper: 1.5s, 2s)
+	theta, sigma        float64       // AR(1) pull and noise of the demand
+
+	// The watch on the room that lost a UPS. The durations are -1 until
+	// they happen, and count from the tick the UPS failed on.
+	watched                        *room
+	failUPS                        power.UPSID
+	failedAt, firstEnforce, shedAt time.Duration
+	outage                         bool // any UPS in any room outlasted its trip curve
+}
+
+func (p *plant) newTickState(seed int64, step, duration time.Duration, theta, sigma float64) *tickState {
+	return &tickState{
+		plant: p,
+		clk:   clock.NewVirtual(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)),
+		rng:   rand.New(rand.NewSource(seed)),
+		step:  step, last: int(duration / step),
+		upsEvery:  max(1, int(1500*time.Millisecond/step)),
+		rackEvery: max(1, int(2*time.Second/step)),
+		theta:     theta, sigma: sigma,
+		failedAt: -1, firstEnforce: -1, shedAt: -1,
+	}
+}
+
+// newRoom stands one room of the plant's racks on the run's clock. The
+// racks are allocated first, in one run, then the manager and the truth:
+// a hundred-room fleet reads a few percent slower per tick in other orders.
+func (ts *tickState) newRoom() *room {
+	p := ts.plant
+	r := &room{topo: p.topo, sims: make([]*rackSim, len(p.racks))}
+	for i, rk := range p.racks {
+		r.sims[i] = &rackSim{Rack: rk, demand: 0.2}
+	}
+	r.mgr = rackmgr.NewManager(ts.clk, p.ids)
+	r.truth = newGroundTruth(p.topo, len(p.racks))
+	return r
+}
+
+// reaches reports whether this is the first tick at or past t, so an
+// event staged at t fires once whether or not the tick divides it.
+func (ts *tickState) reaches(t time.Duration) bool { return ts.now >= t && ts.now-ts.step < t }
+
+// fail takes ups out of service in r and puts the watch on it.
+func (ts *tickState) fail(r *room, ups power.UPSID) {
+	r.out |= power.SetOf(ups)
+	ts.watched, ts.failUPS, ts.failedAt = r, ups, ts.now
+}
+
+// recover puts it back.
+func (ts *tickState) recover(r *room, ups power.UPSID) { r.out &^= power.SetOf(ups) }
+
+// advance moves every rack of r one AR(1) step towards its category's
+// share of target, the aggregate utilization this tick aims at: target
+// folds in the emulator's set-up ramp, the ratios the steady state.
+func (ts *tickState) advance(r *room, target float64) {
+	rng, ratio := ts.rng, ts.plant.ratio
+	theta, sigma, dt := ts.theta, ts.sigma, ts.step.Seconds()
+	target /= ts.plant.utilization
+	for _, rs := range r.sims {
+		catTarget := target * ratio[rs.Category]
+		if catTarget > 1 {
+			catTarget = 1
+		}
+		rs.demand += theta*(catTarget-rs.demand)*dt + sigma*rng.NormFloat64()*dt
+		if rs.demand < 0.1 {
+			rs.demand = 0.1
+		}
+		if rs.demand > 1 {
+			rs.demand = 1
+		}
+	}
+}
+
+// polls reports which telemetry polls fall on this tick.
+func (ts *tickState) polls() (ups, racks bool) {
+	return ts.i%ts.upsEvery == 0, ts.i%ts.rackEvery == 0
+}
+
+// enforced notes that r's control plane enforced n actions this tick; the
+// first in the watched room after its UPS failed is the detection.
+func (ts *tickState) enforced(r *room, n int) {
+	if n > 0 && r == ts.watched && ts.firstEnforce < 0 {
+		ts.firstEnforce = ts.now - ts.failedAt
+	}
+}
+
+// settle closes r's tick on the post-step world, for the controllers may
+// have actuated: truth again, one tick of the trip curve, and the shed
+// point — the first tick after the failure on which every surviving UPS
+// of the watched room is back under its rating.
+func (ts *tickState) settle(r *room) {
+	r.refresh()
+	under, tripped := r.observeTrip(ts.step)
+	if tripped {
+		ts.outage = true
+	}
+	if r == ts.watched && under && ts.shedAt < 0 && r.out.Has(ts.failUPS) && ts.now > ts.failedAt {
+		ts.shedAt = ts.now - ts.failedAt
+	}
+}
+
+func (ts *tickState) next() {
+	ts.clk.Advance(ts.step)
+	ts.i++
+	ts.now = time.Duration(ts.i) * ts.step
+}

@@ -15,10 +15,6 @@ import (
 // and everything in between reads these slices instead of re-deriving
 // them rack by rack.
 type groundTruth struct {
-	topo *power.Topology
-	mgr  *rackmgr.Manager
-	sims []*rackSim
-
 	// state and cap are the racks' actuation state, re-read from the
 	// manager only when it has actuated since the last refresh.
 	state      []rackmgr.PowerState
@@ -32,30 +28,30 @@ type groundTruth struct {
 	overFor []time.Duration // per UPS, time spent over rated capacity
 }
 
-func newGroundTruth(topo *power.Topology, mgr *rackmgr.Manager, sims []*rackSim) *groundTruth {
-	return &groundTruth{
-		topo: topo, mgr: mgr, sims: sims,
-		state:      make([]rackmgr.PowerState, len(sims)),
-		cap:        make([]power.Watts, len(sims)),
+func newGroundTruth(topo *power.Topology, racks int) groundTruth {
+	return groundTruth{
+		state:      make([]rackmgr.PowerState, racks),
+		cap:        make([]power.Watts, racks),
 		actuations: -1,
-		rack:       make([]power.Watts, len(sims)),
+		rack:       make([]power.Watts, racks),
 		pair:       power.NewPairLoad(topo),
 		overFor:    make([]time.Duration, len(topo.UPSes)),
 	}
 }
 
 // refresh recomputes the truth for the racks' current demand and
-// actuation state, with the UPSes in out out of service. Pair loads sum
+// actuation state, with the UPSes in r.out out of service. Pair loads sum
 // in sims order.
-func (g *groundTruth) refresh(out power.UPSSet) {
-	if n := g.mgr.Actuations(); n != g.actuations {
+func (r *room) refresh() {
+	g := &r.truth
+	if n := r.mgr.Actuations(); n != g.actuations {
 		g.actuations = n
-		for i, rs := range g.sims {
-			g.state[i], g.cap[i], _ = g.mgr.State(rs.ID)
+		for i, rs := range r.sims {
+			g.state[i], g.cap[i], _ = r.mgr.State(rs.ID)
 		}
 	}
 	clear(g.pair)
-	for i, rs := range g.sims {
+	for i, rs := range r.sims {
 		// A rack draws its demanded share of its allocation, capped while
 		// throttled and nothing while off.
 		p := power.Watts(rs.demand * float64(rs.Allocated))
@@ -68,21 +64,22 @@ func (g *groundTruth) refresh(out power.UPSSet) {
 		g.rack[i] = p
 		g.pair[rs.Pair] += p
 	}
-	g.ups, _ = g.topo.LoadFlow(g.pair, out)
+	g.ups, _ = r.topo.LoadFlow(g.pair, r.out)
 }
 
 // observeTrip advances the overload clocks by one tick of the refreshed
 // truth. under reports whether every in-service UPS is within its rated
 // capacity; tripped whether one has been over it for longer than the
 // end-of-life trip curve tolerates.
-func (g *groundTruth) observeTrip(out power.UPSSet, tick time.Duration) (under, tripped bool) {
+func (r *room) observeTrip(tick time.Duration) (under, tripped bool) {
+	g := &r.truth
 	under = true
-	for u := range g.topo.UPSes {
-		if out.Has(power.UPSID(u)) {
+	for u := range r.topo.UPSes {
+		if r.out.Has(power.UPSID(u)) {
 			g.overFor[u] = 0
 			continue
 		}
-		capW := g.topo.UPSes[u].Capacity
+		capW := r.topo.UPSes[u].Capacity
 		if g.ups[u] > capW {
 			under = false
 			g.overFor[u] += tick

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -169,6 +170,59 @@ func TestShardShedsOnOverdraw(t *testing.T) {
 	headroom, acted := s.committedHeadroom()
 	if headroom <= 0 || acted == 0 {
 		t.Fatalf("committed headroom %v over %d racks, want > 0", headroom, acted)
+	}
+}
+
+// TestCommittedHeadroomBitStable: two primaries holding the same few dozen
+// actions, none of whose recovered powers is a short binary fraction, must
+// fold to the same float every time — the sum runs in rack order, not in
+// the order a map happens to hand the racks out.
+func TestCommittedHeadroomBitStable(t *testing.T) {
+	clk := clock.NewVirtual(t0())
+	f := New(Config{Clock: clk})
+	topo := testTopo(t)
+	var racks []controller.ManagedRack
+	var ids []string
+	for _, p := range topo.Pairs {
+		for k := 0; k < 8; k++ {
+			id := fmt.Sprintf("sr-%d-%d", p.ID, k)
+			ids = append(ids, id)
+			racks = append(racks, controller.ManagedRack{ID: id, Workload: "websearch",
+				Category: workload.SoftwareRedundant, Pair: p.ID, Allocated: 6 * power.KW})
+		}
+	}
+	s, err := f.AddRoom(RoomConfig{
+		Name: "room-1", Topo: topo, Racks: racks, Actuator: rackmgr.NewManager(clk, ids),
+		Scenario: impact.Realistic1(), Controllers: 2, Buffer: power.KW,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	now := clk.Now()
+	var batch []telemetry.Sample
+	for u, w := range []power.Watts{0, 160 * power.KW, 160 * power.KW, 160 * power.KW} {
+		batch = append(batch, telemetry.Sample{Device: topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: now})
+	}
+	s.IngestUPS(batch)
+	batch = batch[:0]
+	for i, r := range racks {
+		batch = append(batch, telemetry.Sample{Device: r.ID, Power: power.Watts(4100.1 + 37.7*float64(i)), Valid: true, MeasuredAt: now})
+	}
+	s.IngestRacks(batch)
+	s.Pump()
+	s.StepContext(context.Background())
+
+	patterns := map[uint64]bool{}
+	for i := 0; i < 50; i++ {
+		watts, acted := s.committedHeadroom()
+		if acted < 30 {
+			t.Fatalf("%d racks acted on, want at least 30 for the sum's order to matter", acted)
+		}
+		patterns[math.Float64bits(watts)] = true
+	}
+	if len(patterns) != 1 {
+		t.Fatalf("50 folds of the same committed actions gave %d different bit patterns", len(patterns))
 	}
 }
 

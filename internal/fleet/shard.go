@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -311,22 +314,24 @@ func (s *Shard) Controllers() []*controller.Controller { return s.ctls }
 
 // committedHeadroom is the power the shard's enforced-and-unrestored
 // actions have recovered. Multi-primary instances act idempotently on the
-// same racks, so the fold dedups by rack (taking the largest claim) rather
-// than summing across primaries.
+// same racks, so the fold counts a rack once, at its largest claim, and
+// adds in rack order: the same actions give the same bits.
 func (s *Shard) committedHeadroom() (watts float64, racks int) {
-	byRack := make(map[string]float64)
+	var claims []controller.PlannedAction
 	for _, c := range s.ctls {
 		actions, _ := c.CommittedActions()
-		for _, a := range actions {
-			if w := float64(a.Recovered); w > byRack[a.Rack] {
-				byRack[a.Rack] = w
-			}
+		claims = append(claims, actions...)
+	}
+	slices.SortFunc(claims, func(a, b controller.PlannedAction) int {
+		return cmp.Or(strings.Compare(a.Rack, b.Rack), cmp.Compare(b.Recovered, a.Recovered))
+	})
+	for i, a := range claims {
+		if i == 0 || a.Rack != claims[i-1].Rack {
+			watts += float64(a.Recovered)
+			racks++
 		}
 	}
-	for _, w := range byRack {
-		watts += w
-	}
-	return watts, len(byRack)
+	return watts, racks
 }
 
 // openEpisode reports whether any primary has an open overdraw episode

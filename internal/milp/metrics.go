@@ -12,9 +12,8 @@ type Metrics struct {
 	Nodes *obs.Counter
 	// SimplexIterations counts simplex pivots spent in node relaxations.
 	SimplexIterations *obs.Counter
-	// DeadlineHits counts solves stopped by the time budget (context
-	// deadline or Options.TimeLimit) — the paper's "stop the ILP solver
-	// after 5 minutes" path.
+	// DeadlineHits counts solves stopped by the context's deadline — the
+	// paper's "stop the ILP solver after 5 minutes" path.
 	DeadlineHits *obs.Counter
 	// NodeLimitHits counts solves stopped by Options.MaxNodes.
 	NodeLimitHits *obs.Counter

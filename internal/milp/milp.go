@@ -2,8 +2,8 @@
 // program solver on top of the simplex solver in internal/lp. Together they
 // stand in for the Gurobi solver the paper drives from its placement
 // simulator (§V-A); like the paper — which stops Gurobi after 5 minutes —
-// milp accepts a deadline (via context or Options.TimeLimit) and returns
-// the best incumbent found so far.
+// milp accepts a deadline on its context and returns the best incumbent
+// found so far.
 //
 // SolveContext is the primary entry point. The search runs in rounds: a
 // round takes the best-bound nodes off the frontier and makes each the
@@ -51,14 +51,6 @@ type Options struct {
 	// a gain may not edit the benchmark; it goes with the next benchmark
 	// revision (ROADMAP item 5).
 	Deterministic bool
-	// TimeLimit bounds the wall-clock search time; zero means no limit.
-	// When the limit expires the search stops with Stop == StopDeadline
-	// and a nil error — the paper's "stop Gurobi after 5 minutes" budget.
-	//
-	// Deprecated: pass a deadline on the context given to SolveContext
-	// instead. TimeLimit is kept as a per-call budget and composes with
-	// the context: whichever expires first stops the search.
-	TimeLimit time.Duration
 	// MaxNodes bounds the number of explored branch-and-bound nodes;
 	// zero means no limit.
 	MaxNodes int
@@ -129,7 +121,7 @@ type StopReason int
 const (
 	// StopNone: the search ran to completion.
 	StopNone StopReason = iota
-	// StopDeadline: the context deadline or Options.TimeLimit expired.
+	// StopDeadline: the context's deadline expired.
 	StopDeadline
 	// StopNodeLimit: Options.MaxNodes was reached.
 	StopNodeLimit
@@ -194,7 +186,7 @@ const (
 )
 
 // SolveContext runs branch and bound until the frontier is exhausted, a
-// limit (context deadline, TimeLimit, MaxNodes, RelGap) is reached, or ctx
+// limit (context deadline, MaxNodes, RelGap) is reached, or ctx
 // is canceled. Rounds take nodes best-bound-first, a dive follows the ceil
 // child, and every node branches on its most fractional integer variable.
 //
@@ -276,9 +268,6 @@ func newSearch(p *Problem, opts Options, now func() time.Time) *search {
 		s.sign = -1.0 // internally we compare in "maximize" terms
 	}
 	s.start = now()
-	if opts.TimeLimit > 0 {
-		s.deadline = s.start.Add(opts.TimeLimit)
-	}
 	return s
 }
 
@@ -312,8 +301,7 @@ type search struct {
 	rows rowIndex  // non-zero columns of every constraint row
 	now  func() time.Time
 
-	start    time.Time
-	deadline time.Time // zero when no TimeLimit
+	start time.Time
 
 	// heap is the frontier, a best-bound priority queue: bound descending,
 	// then seq ascending, so ties resolve to the oldest node and the
@@ -492,10 +480,6 @@ func (s *search) run(workers int) {
 			}
 		}
 		start := s.now()
-		if !s.deadline.IsZero() && start.After(s.deadline) {
-			s.setStop(StopDeadline, nil)
-			return
-		}
 		width := s.roundWidth(remaining)
 		dives = dives[:0]
 		for len(dives) < width && len(s.heap) > 0 && !s.prunable(s.heap[0].bound, inc) {

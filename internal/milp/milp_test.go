@@ -145,9 +145,10 @@ func TestSolveMixedIntegerContinuous(t *testing.T) {
 }
 
 func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	// A somewhat larger knapsack; with a fake clock that expires after the
-	// first node, we should still get a Feasible (not Optimal) answer if
-	// any incumbent was found, or Feasible with nil X otherwise.
+	// A somewhat larger knapsack under a context deadline that expires
+	// while the search is under way: we should still get a Feasible (not
+	// Optimal) answer if any incumbent was found, or Feasible with nil X
+	// otherwise.
 	rng := rand.New(rand.NewSource(5))
 	n := 12
 	obj := make([]float64, n)
@@ -159,17 +160,25 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	p := binaryProblem(true, obj)
 	p.LP.AddConstraint(w, lp.LE, 15)
 
-	calls := 0
-	fakeNow := func() time.Time {
-		calls++
-		return time.Unix(int64(calls), 0) // 1s per call; limit hits fast
-	}
-	r, err := Solve(p, Options{TimeLimit: 2 * time.Second, Now: fakeNow})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	r, err := SolveContext(ctx, p, Options{Workers: 1, Heuristic: pacedUntilDone(ctx)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != Feasible {
 		t.Fatalf("status = %v, want feasible (deadline)", r.Status)
+	}
+}
+
+// pacedUntilDone is a heuristic that proposes nothing and holds its first
+// node until ctx is done, then paces the rest so the tree cannot be
+// exhausted before the context watcher has stopped the search.
+func pacedUntilDone(ctx context.Context) func([]float64) []float64 {
+	return func([]float64) []float64 {
+		<-ctx.Done()
+		time.Sleep(time.Millisecond)
+		return nil
 	}
 }
 

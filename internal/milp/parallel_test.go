@@ -219,22 +219,18 @@ func TestStopReasonAudit(t *testing.T) {
 		}
 	})
 
-	t.Run("options-timelimit", func(t *testing.T) {
-		fake := time.Unix(0, 0)
-		var mu sync.Mutex
-		calls := 0
-		now := func() time.Time {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			return fake.Add(time.Duration(calls) * time.Second)
-		}
-		r, err := SolveContext(context.Background(), base, Options{Workers: 1, TimeLimit: time.Millisecond, Now: now})
+	t.Run("ctx-deadline-mid-search", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer cancel()
+		r, err := SolveContext(ctx, base, Options{Workers: 1, Heuristic: pacedUntilDone(ctx)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Stop != StopDeadline {
 			t.Fatalf("Stop=%v", r.Stop)
+		}
+		if r.Nodes == 0 {
+			t.Fatal("the deadline was to expire inside the search, not before it")
 		}
 	})
 

@@ -33,10 +33,6 @@ type FlexOffline struct {
 	// value >= the trace's total demand fraction behaves like
 	// Flex-Offline-Oracle. Must be positive.
 	BatchFraction float64
-	// TimeLimit bounds each batch's ILP solve (the paper stops Gurobi
-	// after 5 minutes). Zero means 15 seconds. MaxNodes is normally the
-	// binding limit; the time limit is a safety net.
-	TimeLimit time.Duration
 	// MaxNodes bounds each batch's branch-and-bound node count. Node
 	// budgets are deterministic, so two runs with the same trace produce
 	// the same placement. Zero means 1500.
@@ -129,10 +125,6 @@ func (f FlexOffline) Place(ctx context.Context, room *Room, trace []workload.Dep
 	if f.BatchFraction <= 0 {
 		return nil, fmt.Errorf("placement: FlexOffline.BatchFraction must be positive")
 	}
-	timeLimit := f.TimeLimit
-	if timeLimit == 0 {
-		timeLimit = 15 * time.Second
-	}
 	maxNodes := f.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 1500
@@ -151,7 +143,7 @@ func (f FlexOffline) Place(ctx context.Context, room *Room, trace []workload.Dep
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		load, err := f.solveBatch(ctx, s, combos, batch, timeLimit, maxNodes, prevLoad)
+		load, err := f.solveBatch(ctx, s, combos, batch, maxNodes, prevLoad)
 		if err != nil {
 			return err
 		}
@@ -351,7 +343,12 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 // batch's per-combo loads, and given a round-down-plus-completion
 // heuristic. It returns this batch's per-combo placed power for the next
 // batch's warm start.
-func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, batch []workload.Deployment, timeLimit time.Duration, maxNodes int, prevLoad []float64) ([]float64, error) {
+func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, batch []workload.Deployment, maxNodes int, prevLoad []float64) ([]float64, error) {
+	// The paper stops Gurobi after 5 minutes. MaxNodes is normally the
+	// binding limit; the deadline is a safety net, and the solver treats
+	// it as a budget: the best incumbent so far, no error.
+	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
+	defer cancel()
 	nc := len(combos)
 	prob := f.batchILP(s, combos, batch)
 	cols := milp.NewColumns(prob)
@@ -362,7 +359,6 @@ func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, b
 	incumbent := WarmStart(cols, batch, nc, prevLoad)
 	res, err := milp.SolveContext(ctx, prob, milp.Options{
 		Workers:   f.Workers,
-		TimeLimit: timeLimit,
 		MaxNodes:  maxNodes,
 		Incumbent: incumbent,
 		Heuristic: heuristic,

@@ -61,9 +61,10 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 	if incumbent != nil {
 		warmObj = prob.ObjectiveValue(incumbent)
 	}
+	ctx, cancel := context.WithTimeout(ctx, a.cfg.ResolveBudget)
+	defer cancel()
 	res, err := milp.SolveContext(ctx, prob, milp.Options{
 		Workers:   a.cfg.ResolveWorkers,
-		TimeLimit: a.cfg.ResolveBudget,
 		MaxNodes:  a.cfg.ResolveNodes,
 		Incumbent: incumbent,
 		RelGap:    0.001,
