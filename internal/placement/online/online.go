@@ -167,6 +167,12 @@ type Admitter struct {
 	runSafety *power.Ledger // scratch copy of safety for the simulated completions
 	runSlots  []int
 	runPow    []float64
+	// Per-completion scratch of simulateSuffixLocked: the combos in (runPow,
+	// index) order, and per combo the smallest pow Eq. 2 and the smallest
+	// capPow Eq. 4 have refused since the completion began.
+	runOrder      []int
+	refusedPow    []power.Watts
+	refusedCapPow []power.Watts
 
 	// Warm-solver state (resolve.go).
 	guidance       atomic.Pointer[guidance]
@@ -202,25 +208,28 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 	}
 	safety := room.NewLedger()
 	a := &Admitter{
-		room:        room,
-		cfg:         cfg,
-		combos:      combos,
-		nCombos:     nc,
-		oversub:     oversub,
-		pairCap:     room.PairCapacity,
-		coolCFM:     room.CoolingCFM,
-		capBudget:   -1,
-		comboOfPair: make([]int, len(topo.Pairs)),
-		slotsLeft:   append([]int(nil), room.SlotsPerPair...),
-		pairPow:     make([]power.Watts, len(topo.Pairs)),
-		safety:      safety,
-		comboSlots:  make([]int, nc),
-		comboPow:    make([]float64, nc),
-		candPair:    make([]int, nc),
-		runSafety:   safety.Clone(),
-		runSlots:    make([]int, nc),
-		runPow:      make([]float64, nc),
-		resolveCh:   make(chan struct{}, 1),
+		room:          room,
+		cfg:           cfg,
+		combos:        combos,
+		nCombos:       nc,
+		oversub:       oversub,
+		pairCap:       room.PairCapacity,
+		coolCFM:       room.CoolingCFM,
+		capBudget:     -1,
+		comboOfPair:   make([]int, len(topo.Pairs)),
+		slotsLeft:     append([]int(nil), room.SlotsPerPair...),
+		pairPow:       make([]power.Watts, len(topo.Pairs)),
+		safety:        safety,
+		comboSlots:    make([]int, nc),
+		comboPow:      make([]float64, nc),
+		candPair:      make([]int, nc),
+		runSafety:     safety.Clone(),
+		runSlots:      make([]int, nc),
+		runPow:        make([]float64, nc),
+		runOrder:      make([]int, nc),
+		refusedPow:    make([]power.Watts, nc),
+		refusedCapPow: make([]power.Watts, nc),
+		resolveCh:     make(chan struct{}, 1),
 	}
 	if room.CoolingCFM > 0 {
 		a.coolPerWatt = room.CFMPerWatt

@@ -10,6 +10,7 @@ package online
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"flex/internal/power"
@@ -109,10 +110,18 @@ func (a *Admitter) scoreComboLocked(c int, pow, capPow power.Watts, racks int, t
 
 // simulateSuffixLocked replays one sampled future suffix on the scratch
 // state after committing the in-flight deployment to combo c, greedily
-// placing each arrival on its least-loaded feasible combo, and returns
-// the placed power. Combo-granular on purpose: pair-level best-fit inside
-// a combo rarely changes which combo wins, and skipping it keeps the
-// whole simulation a few thousand float ops.
+// placing each arrival on its least-loaded feasible combo (lowest index on
+// ties), and returns the placed power. Combo-granular on purpose:
+// pair-level best-fit inside a combo rarely changes which combo wins.
+//
+// Each piece of work is done once. The pick is the first feasible combo in
+// (load, index) order, so the combos are kept in that order and the scan
+// stops at the first that fits; a placement changes one combo's load, so
+// one insertion repairs the order. And the scratch ledger only grows within
+// a completion, while Eq. 2 reads only pow and Eq. 4 only capPow: a combo
+// that refused p on Eq. 2 (c on Eq. 4) refuses every later arrival with
+// pow >= p (capPow >= c), so the smallest refused value per combo and
+// equation answers those arrivals without a ledger check.
 func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, offset int) float64 {
 	a.runSafety.CopyFrom(a.safety)
 	copy(a.runSlots, a.comboSlots)
@@ -123,28 +132,43 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, o
 	a.runPow[c] += float64(pow)
 	simPow += pow
 	simCapPow += capPow
+	order := a.runOrder
+	for j := range order {
+		a.refusedPow[j], a.refusedCapPow[j] = power.Watts(math.Inf(1)), power.Watts(math.Inf(1))
+		at := j
+		for ; at > 0 && loadBefore(a.runPow, j, order[at-1]); at-- {
+			order[at] = order[at-1]
+		}
+		order[at] = j
+	}
 	placed := 0.0
-	n := len(a.stream)
+	next := offset % len(a.stream)
 	for k := 0; k < a.cfg.ScenarioDepth; k++ {
-		dep := a.stream[(offset+k)%n]
+		dep := a.stream[next]
+		if next++; next == len(a.stream) {
+			next = 0
+		}
 		if a.coolPerWatt > 0 && float64(simPow+dep.pow)*a.coolPerWatt > a.coolCFM+coolTol {
 			continue
 		}
 		if a.capBudget >= 0 && simCapPow+dep.capPow > a.capBudget+power.CapacityTolerance {
 			continue
 		}
-		pick := -1
-		for j := 0; j < a.nCombos; j++ {
-			if a.runSlots[j] < dep.racks {
+		pick, at := -1, 0
+	scan:
+		for i, j := range order {
+			if a.runSlots[j] < dep.racks || dep.pow >= a.refusedPow[j] || dep.capPow >= a.refusedCapPow[j] {
 				continue
 			}
-			if pick >= 0 && a.runPow[j] >= a.runPow[pick] {
-				continue
+			switch a.runSafety.Check(a.combos[j].UPSes[0], a.combos[j].UPSes[1], dep.pow, dep.capPow) {
+			case power.OverNormalLimit:
+				a.refusedPow[j] = dep.pow
+			case power.OverFailoverCapacity:
+				a.refusedCapPow[j] = dep.capPow
+			default:
+				pick, at = j, i
+				break scan
 			}
-			if !a.runSafety.Fits(a.combos[j].UPSes[0], a.combos[j].UPSes[1], dep.pow, dep.capPow) {
-				continue
-			}
-			pick = j
 		}
 		if pick < 0 {
 			continue
@@ -152,9 +176,20 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, o
 		a.runSafety.Add(a.combos[pick].UPSes[0], a.combos[pick].UPSes[1], dep.pow, dep.capPow)
 		a.runSlots[pick] -= dep.racks
 		a.runPow[pick] += float64(dep.pow)
+		for ; at+1 < len(order) && loadBefore(a.runPow, order[at+1], pick); at++ {
+			order[at] = order[at+1]
+		}
+		order[at] = pick
 		simPow += dep.pow
 		simCapPow += dep.capPow
 		placed += float64(dep.pow)
 	}
 	return placed
+}
+
+// loadBefore reports whether combo x comes before combo y in (load, index)
+// order: the lighter one first, the lower index on equal loads — said
+// without a float equality.
+func loadBefore(load []float64, x, y int) bool {
+	return load[x] < load[y] || (!(load[y] < load[x]) && x < y)
 }

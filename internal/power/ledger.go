@@ -56,6 +56,10 @@ func FailoverWeight(a, b, u UPSID, out UPSSet) float64 {
 type Ledger struct {
 	normalLimit []Watts // per-UPS Eq. 2 right-hand side
 	capacity    []Watts // per-UPS Eq. 4 right-hand side
+	// The two right-hand sides plus CapacityTolerance: what Check compares
+	// against, added once here instead of once per comparison.
+	normalMax   []Watts
+	capacityMax []Watts
 	normal      []Watts
 	fail        []Watts // flattened [failed*n+survivor]
 }
@@ -69,6 +73,8 @@ func NewLedger(t *Topology, normalLimit []Watts) *Ledger {
 	l := &Ledger{
 		normalLimit: make([]Watts, n),
 		capacity:    make([]Watts, n),
+		normalMax:   make([]Watts, n),
+		capacityMax: make([]Watts, n),
 		normal:      make([]Watts, n),
 		fail:        make([]Watts, n*n),
 	}
@@ -79,6 +85,10 @@ func NewLedger(t *Topology, normalLimit []Watts) *Ledger {
 		normalLimit = l.capacity
 	}
 	copy(l.normalLimit, normalLimit)
+	for u := range l.capacity {
+		l.normalMax[u] = l.normalLimit[u] + CapacityTolerance
+		l.capacityMax[u] = l.capacity[u] + CapacityTolerance
+	}
 	return l
 }
 
@@ -99,29 +109,53 @@ func (l *Ledger) Add(a, b UPSID, pow, capPow Watts) {
 	}
 }
 
-// Fits reports whether Add(a, b, pow, capPow) would keep both UPSes within
+// Verdict is the outcome of checking an addition against the two safety
+// inequalities: it fits, or the first inequality, in the order they are
+// checked, that refuses it.
+type Verdict uint8
+
+const (
+	// WithinLimits: the addition keeps Eq. 2 and Eq. 4.
+	WithinLimits Verdict = iota
+	// OverNormalLimit: a UPS of the pair would exceed its normal-operation
+	// limit (Eq. 2, over the allocated power).
+	OverNormalLimit
+	// OverFailoverCapacity: after some single UPS failure a UPS of the pair
+	// would exceed its rated capacity even with everything shaved (Eq. 4,
+	// over the post-shave power).
+	OverFailoverCapacity
+)
+
+// Check reports whether Add(a, b, pow, capPow) would keep both UPSes within
 // their normal-operation limits (Eq. 2) and, for every single UPS failure,
 // within their rated capacity after maximal shaving (Eq. 4), each with
-// CapacityTolerance of slack. UPSes off the pair are unaffected by the
-// addition and are not re-checked.
+// CapacityTolerance of slack — and if not, which of the two refuses. Eq. 2
+// reads only pow and Eq. 4 only capPow. UPSes off the pair are unaffected
+// by the addition and are not re-checked.
 //
 //flex:hotpath
-func (l *Ledger) Fits(a, b UPSID, pow, capPow Watts) bool {
+func (l *Ledger) Check(a, b UPSID, pow, capPow Watts) Verdict {
 	wa, wb := PairShare(false, false)
-	if l.normal[a]+Watts(wa)*pow > l.normalLimit[a]+CapacityTolerance ||
-		l.normal[b]+Watts(wb)*pow > l.normalLimit[b]+CapacityTolerance {
-		return false
+	if l.normal[a]+Watts(wa)*pow > l.normalMax[a] || l.normal[b]+Watts(wb)*pow > l.normalMax[b] {
+		return OverNormalLimit
 	}
+	maxA, maxB := l.capacityMax[a], l.capacityMax[b]
 	n := len(l.normal)
 	for f := 0; f < n; f++ {
 		wa, wb = PairShare(UPSID(f) == a, UPSID(f) == b)
 		row := l.fail[f*n : f*n+n]
-		if row[a]+Watts(wa)*capPow > l.capacity[a]+CapacityTolerance ||
-			row[b]+Watts(wb)*capPow > l.capacity[b]+CapacityTolerance {
-			return false
+		if row[a]+Watts(wa)*capPow > maxA || row[b]+Watts(wb)*capPow > maxB {
+			return OverFailoverCapacity
 		}
 	}
-	return true
+	return WithinLimits
+}
+
+// Fits reports whether Add(a, b, pow, capPow) would keep Eq. 2 and Eq. 4.
+//
+//flex:hotpath
+func (l *Ledger) Fits(a, b UPSID, pow, capPow Watts) bool {
+	return l.Check(a, b, pow, capPow) == WithinLimits
 }
 
 // Normal returns UPS u's normal-operation load.
@@ -149,6 +183,8 @@ func (l *Ledger) Clone() *Ledger {
 	return &Ledger{
 		normalLimit: l.normalLimit,
 		capacity:    l.capacity,
+		normalMax:   l.normalMax,
+		capacityMax: l.capacityMax,
 		normal:      append([]Watts(nil), l.normal...),
 		fail:        append([]Watts(nil), l.fail...),
 	}

@@ -72,6 +72,58 @@ func TestLoadFlowDarkPair(t *testing.T) {
 	}
 }
 
+// TestCheckNamesTheRefusingEquation holds Ledger.Check's verdict to the
+// from-scratch load flow on hand-built states of the 4 × 2.4 MW room: one
+// committed load on pair 0 (UPSes 0 and 1), then an addition to the same
+// pair that breaks exactly Eq. 2, exactly Eq. 4, both (Eq. 2 is checked
+// first, so it is the one reported) or neither.
+func TestCheckNamesTheRefusingEquation(t *testing.T) {
+	topo := fourN3Room(t, 1)
+	const pid = PDUPairID(0)
+	a, b := topo.Pairs[pid].UPSes[0], topo.Pairs[pid].UPSes[1]
+	cases := []struct {
+		name                   string
+		havePow, haveCap       Watts // committed on pair 0
+		pow, capPow            Watts // the addition
+		overNormal, overFailed bool  // which inequality the addition breaks
+		want                   Verdict
+	}{
+		// 4.6 MW allocated puts 2.3 MW on each UPS; all of it can be shed.
+		{"eq2 only", 4.6 * MW, 0, 400 * KW, 0, true, false, OverNormalLimit},
+		// 2.3 MW that cannot be shaved lands whole on the survivor.
+		{"eq4 only", 2.3 * MW, 2.3 * MW, 200 * KW, 200 * KW, false, true, OverFailoverCapacity},
+		{"both", 4.6 * MW, 2.3 * MW, 400 * KW, 200 * KW, true, true, OverNormalLimit},
+		{"neither", 2.3 * MW, 2.3 * MW, 100 * KW, 50 * KW, false, false, WithinLimits},
+		{"empty room", 0, 0, 100 * KW, 100 * KW, false, false, WithinLimits},
+	}
+	for _, c := range cases {
+		l := NewLedger(topo, nil)
+		l.Add(a, b, c.havePow, c.haveCap)
+
+		// The hypothetical state, from scratch.
+		full, shaved := NewPairLoad(topo), NewPairLoad(topo)
+		full[pid], shaved[pid] = c.havePow+c.pow, c.haveCap+c.capPow
+		over := func(load PairLoad, out UPSSet) bool {
+			loads, _ := topo.LoadFlow(load, out)
+			return loads[a] > topo.UPSes[a].Capacity+CapacityTolerance || loads[b] > topo.UPSes[b].Capacity+CapacityTolerance
+		}
+		overNormal, overFailed := over(full, 0), false
+		for f := range topo.UPSes {
+			overFailed = overFailed || over(shaved, SetOf(UPSID(f)))
+		}
+		if overNormal != c.overNormal || overFailed != c.overFailed {
+			t.Fatalf("%s: the load flow says Eq. 2 broken %v, Eq. 4 broken %v; the case was built for %v, %v",
+				c.name, overNormal, overFailed, c.overNormal, c.overFailed)
+		}
+		if got := l.Check(a, b, c.pow, c.capPow); got != c.want {
+			t.Errorf("%s: Check = %d, want %d", c.name, got, c.want)
+		}
+		if got := l.Fits(a, b, c.pow, c.capPow); got != (c.want == WithinLimits) {
+			t.Errorf("%s: Fits = %v beside verdict %d", c.name, got, c.want)
+		}
+	}
+}
+
 // ledgerFuzzTopology decodes a small xN/y topology with per-UPS capacities
 // and every UPS combination wired, from the first bytes of data.
 func ledgerFuzzTopology(t *testing.T, data []byte) (*Topology, []byte) {
@@ -110,7 +162,8 @@ func ledgerFuzzTopology(t *testing.T, data []byte) (*Topology, []byte) {
 // and random signed Add sequences, the ledger's tables must equal UPSLoads
 // of the accumulated allocated pair loads and FailoverLoads of the
 // accumulated post-shave pair loads after every step, and Fits must agree
-// with a capacity check of the hypothetical loads computed from scratch.
+// with a capacity check of the hypothetical loads computed from scratch and
+// with Check's verdict.
 func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 3, 3, 3, 3, 0, 1, 100, 3, 7, 1, 150, 4, 0, 0, 100, 3})
 	f.Add([]byte{0, 0, 1, 1, 2, 0, 1, 250, 4, 1, 2, 250, 0, 0, 0, 250, 4})
@@ -165,8 +218,12 @@ func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 					}
 				}
 			}
-			if got := l.Fits(a, b, pow, capPow); !ambiguous && got != want {
+			got := l.Fits(a, b, pow, capPow)
+			if !ambiguous && got != want {
 				t.Fatalf("Fits(%d, %d, %v, %v) = %v, from-scratch check says %v", a, b, pow, capPow, got, want)
+			}
+			if verdict := l.Check(a, b, pow, capPow); got != (verdict == WithinLimits) {
+				t.Fatalf("Fits(%d, %d, %v, %v) = %v beside verdict %d", a, b, pow, capPow, got, verdict)
 			}
 
 			l.Add(a, b, pow, capPow)
