@@ -2,6 +2,27 @@ package online
 
 import "flex/internal/obs"
 
+// reason is why an admission was refused: the label of
+// flex_online_rejections_total. The four per-combo checks come last and in
+// the order a combo goes through them, so that "the check that stopped the
+// combo that got furthest" is a max.
+type reason int
+
+const (
+	reasonInvalid          reason = iota // malformed deployment, duplicate ID, committed list full
+	reasonCooling                        // room airflow budget
+	reasonDiversityReserve               // cumulative post-shave allocation over the failover budget
+	reasonSlots                          // no combo (or no pair of it) has the rack space
+	reasonNormalLimit                    // Eq. 2 on every combo with space
+	reasonFailoverCapacity               // Eq. 4 on every combo that passed Eq. 2
+	reasonPairRating                     // a combo passed both; its pairs with space are at their rating
+	numReasons
+)
+
+var reasonNames = [numReasons]string{
+	"invalid", "cooling", "diversity_reserve", "slots", "eq2_normal", "eq4_failover", "pair_rating",
+}
+
 // Metrics is the admitter's observability surface. All fields are
 // pre-bound obs children so the hot path updates them without label
 // lookups or allocation. Construct with NewMetrics — zero-value obs
@@ -11,6 +32,8 @@ type Metrics struct {
 	// decisions/sec and the reject rate.
 	Admitted *obs.Counter
 	Rejected *obs.Counter
+	// rejections splits Rejected by reason; the children sum to it.
+	rejections [numReasons]*obs.Counter
 	// Removed counts committed deployments freed via Remove.
 	Removed *obs.Counter
 	// PlacedWatts is the committed allocated power.
@@ -31,7 +54,7 @@ type Metrics struct {
 
 // NewMetrics registers the online-placement metrics on r.
 func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		Admitted: r.Counter("flex_online_admitted_total",
 			"Deployments admitted by the online placement hot path."),
 		Rejected: r.Counter("flex_online_rejected_total",
@@ -50,4 +73,11 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		ResolveObjective: r.Gauge("flex_online_resolve_objective_watts",
 			"Planned placed power of the last published exact plan."),
 	}
+	why := r.CounterVec("flex_online_rejections_total",
+		"Deployments rejected by the online placement hot path, by the check that refused them (per-combo checks: the one that stopped the combo that got furthest).",
+		"reason")
+	for i, name := range reasonNames {
+		m.rejections[i] = why.With(name)
+	}
+	return m
 }

@@ -170,9 +170,9 @@ type Admitter struct {
 	// Per-completion scratch of simulateSuffixLocked: the combos in (runPow,
 	// index) order, and per combo the smallest pow Eq. 2 and the smallest
 	// capPow Eq. 4 have refused since the completion began.
-	runOrder      []int
-	refusedPow    []power.Watts
-	refusedCapPow []power.Watts
+	runOrder   []int
+	refusedPow []power.Watts
+	refusedCap []power.Watts
 
 	// Warm-solver state (resolve.go).
 	guidance       atomic.Pointer[guidance]
@@ -208,28 +208,28 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 	}
 	safety := room.NewLedger()
 	a := &Admitter{
-		room:          room,
-		cfg:           cfg,
-		combos:        combos,
-		nCombos:       nc,
-		oversub:       oversub,
-		pairCap:       room.PairCapacity,
-		coolCFM:       room.CoolingCFM,
-		capBudget:     -1,
-		comboOfPair:   make([]int, len(topo.Pairs)),
-		slotsLeft:     append([]int(nil), room.SlotsPerPair...),
-		pairPow:       make([]power.Watts, len(topo.Pairs)),
-		safety:        safety,
-		comboSlots:    make([]int, nc),
-		comboPow:      make([]float64, nc),
-		candPair:      make([]int, nc),
-		runSafety:     safety.Clone(),
-		runSlots:      make([]int, nc),
-		runPow:        make([]float64, nc),
-		runOrder:      make([]int, nc),
-		refusedPow:    make([]power.Watts, nc),
-		refusedCapPow: make([]power.Watts, nc),
-		resolveCh:     make(chan struct{}, 1),
+		room:        room,
+		cfg:         cfg,
+		combos:      combos,
+		nCombos:     nc,
+		oversub:     oversub,
+		pairCap:     room.PairCapacity,
+		coolCFM:     room.CoolingCFM,
+		capBudget:   -1,
+		comboOfPair: make([]int, len(topo.Pairs)),
+		slotsLeft:   append([]int(nil), room.SlotsPerPair...),
+		pairPow:     make([]power.Watts, len(topo.Pairs)),
+		safety:      safety,
+		comboSlots:  make([]int, nc),
+		comboPow:    make([]float64, nc),
+		candPair:    make([]int, nc),
+		runSafety:   safety.Clone(),
+		runSlots:    make([]int, nc),
+		runPow:      make([]float64, nc),
+		runOrder:    make([]int, nc),
+		refusedPow:  make([]power.Watts, nc),
+		refusedCap:  make([]power.Watts, nc),
+		resolveCh:   make(chan struct{}, 1),
 	}
 	if room.CoolingCFM > 0 {
 		a.coolPerWatt = room.CFMPerWatt
@@ -269,74 +269,102 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 //flex:hotpath
 func (a *Admitter) Admit(d workload.Deployment) (power.PDUPairID, bool) {
 	a.mu.Lock()
-	pid, ok := a.admitLocked(d)
+	pid, why, ok := a.admitLocked(d)
 	a.mu.Unlock()
 	if ok {
 		a.cfg.Metrics.Admitted.Inc()
 	} else {
 		a.cfg.Metrics.Rejected.Inc()
+		a.cfg.Metrics.rejections[why].Inc()
 	}
 	return pid, ok
 }
 
-func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, bool) {
+// admitLocked is Admit under the lock; why is meaningful on a rejection.
+func (a *Admitter) admitLocked(d workload.Deployment) (pid power.PDUPairID, why reason, ok bool) {
 	a.decisions++
 	a.scCursor++
 	if a.scCursor >= len(a.stream) {
 		a.scCursor = 0
 	}
-	if _, dup := a.idIndex[d.ID]; dup || d.Racks <= 0 || a.nCommitted >= len(a.committed) {
-		return -1, false
+	// Every safety check below is a > that NaN answers false and a negative
+	// power slips under, so the deployment's own numbers come first.
+	if !d.Valid() {
+		return -1, reasonInvalid, false
+	}
+	if _, dup := a.idIndex[d.ID]; dup || a.nCommitted >= len(a.committed) {
+		return -1, reasonInvalid, false
 	}
 	pow := d.TotalPower()
 	capPow := power.Watts(float64(d.CapPower()) / a.oversub)
 	// Room-level budgets first: cooling and the diversity reserve bind
 	// identically for every combo.
 	if a.coolPerWatt > 0 && float64(a.placedPow+pow)*a.coolPerWatt > a.coolCFM+coolTol {
-		return -1, false
+		return -1, reasonCooling, false
 	}
 	if a.capBudget >= 0 && a.placedCapPow+capPow > a.capBudget+power.CapacityTolerance {
-		return -1, false
+		return -1, reasonDiversityReserve, false
 	}
 	nFeasible, only := 0, -1
+	furthest := reasonSlots // the check that stopped the combo that got furthest
 	for c := 0; c < a.nCombos; c++ {
 		a.candPair[c] = -1
 		if a.comboSlots[c] < d.Racks {
 			continue
 		}
-		if !a.safety.Fits(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow) {
-			continue
+		stopped := reasonSlots
+		switch a.safety.Check(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow) {
+		case power.OverNormalLimit:
+			stopped = reasonNormalLimit
+		case power.OverFailoverCapacity:
+			stopped = reasonFailoverCapacity
+		default:
+			pair := a.bestPairLocked(c, d.Racks, pow)
+			if pair >= 0 {
+				a.candPair[c] = pair
+				nFeasible++
+				only = c
+				continue
+			}
+			if pair == pairsOverRating {
+				stopped = reasonPairRating
+			}
 		}
-		pid := a.bestPairLocked(c, d.Racks, pow)
-		if pid < 0 {
-			continue
-		}
-		a.candPair[c] = pid
-		nFeasible++
-		only = c
+		furthest = max(furthest, stopped)
 	}
 	if nFeasible == 0 {
-		return -1, false
+		return -1, furthest, false
 	}
 	best := only
 	if nFeasible > 1 {
 		best = a.scoreCandidatesLocked(pow, capPow, d.Racks)
 	}
-	pid := power.PDUPairID(a.candPair[best])
+	pid = power.PDUPairID(a.candPair[best])
 	a.applyLocked(d, best, pid, pow, capPow)
-	return pid, true
+	return pid, 0, true
 }
 
+// What bestPairLocked returns in place of a pair: no pair of the combo has
+// the rack space, or one does and the rating refused every such pair.
+const (
+	pairsFull       = -1
+	pairsOverRating = -2
+)
+
 // bestPairLocked returns the best-fit feasible pair of combo c (smallest
-// sufficient free space, honoring the pair rating), or -1.
+// sufficient free space, honoring the pair rating), or pairsFull or
+// pairsOverRating.
 func (a *Admitter) bestPairLocked(c, racks int, pow power.Watts) int {
-	best, bestFree := -1, int(^uint(0)>>1)
+	best, bestFree := pairsFull, int(^uint(0)>>1)
 	for _, pid := range a.combos[c].Pairs {
 		free := a.slotsLeft[pid]
 		if free < racks || free >= bestFree {
 			continue
 		}
 		if a.pairCap > 0 && a.pairPow[pid]+pow > a.pairCap+power.CapacityTolerance {
+			if best < 0 {
+				best = pairsOverRating
+			}
 			continue
 		}
 		best, bestFree = int(pid), free

@@ -1,12 +1,16 @@
 package online
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"flex/internal/obs"
 	"flex/internal/placement"
 	"flex/internal/power"
 	"flex/internal/workload"
@@ -158,39 +162,150 @@ func TestAdmitRejectLeavesStateUntouched(t *testing.T) {
 	if _, ok := adm.Admit(big); ok {
 		t.Fatal("expected rejection of an oversized deployment on a full room")
 	}
+	for _, d := range malformedProbes() {
+		if _, ok := adm.Admit(d); ok {
+			t.Fatalf("expected rejection of %v", d)
+		}
+	}
 	after := adm.Snapshot()
 	if after.Committed != before.Committed || after.PlacedPower != before.PlacedPower {
 		t.Fatalf("rejection mutated state: before %+v after %+v", before, after)
 	}
+	for c := range after.ComboLoad {
+		if after.ComboLoad[c] != before.ComboLoad[c] {
+			t.Fatalf("rejection mutated combo %d: before %v after %v", c, before.ComboLoad[c], after.ComboLoad[c])
+		}
+	}
 }
 
-// TestAdmitAllocFree pins the acceptance criterion: the hot-path
-// admit/remove cycle performs zero heap allocations at steady state.
-func TestAdmitAllocFree(t *testing.T) {
+// malformedProbes are one-rack deployments whose numbers no safety check
+// refuses — every check is a > that NaN answers false and a negative power
+// slips under — and that poison the tables once in.
+func malformedProbes() []workload.Deployment {
+	probe := func(id int, perRack power.Watts) workload.Deployment {
+		return workload.Deployment{
+			ID: id, Racks: 1, PowerPerRack: perRack,
+			Category: workload.NonRedundantNonCapable, FlexPowerFraction: 1,
+		}
+	}
+	return []workload.Deployment{
+		probe(1<<21, power.Watts(math.NaN())),
+		probe(1<<21+1, -50*power.MW),
+		{ID: 1<<21 + 2, Racks: 1, PowerPerRack: power.KW, Category: workload.NonRedundantCapable, FlexPowerFraction: math.NaN()},
+		{ID: 1<<21 + 3, Racks: 1, PowerPerRack: power.KW, Category: workload.Category(9)},
+	}
+}
+
+// TestAdmitValidatesWhatItAdmits: a malformed deployment is rejected on an
+// empty room, and the room then admits no more than it is provisioned for
+// (before the check a NaN rack power was accepted on pair 0 and 183 MW of
+// 1 MW non-cap-able racks followed it into the 9.6 MW room; -50 MW let
+// 56 MW in).
+func TestAdmitValidatesWhatItAdmits(t *testing.T) {
+	for _, probe := range malformedProbes() {
+		room := placement.PaperRoom()
+		adm, err := NewAdmitter(room, Config{Seed: 1, ResolveEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pid, ok := adm.Admit(probe); ok {
+			t.Errorf("%v admitted on pair %d", probe, pid)
+		}
+		for id := 0; id < 300; id++ {
+			adm.Admit(workload.Deployment{
+				ID: id, Racks: 1, PowerPerRack: power.MW,
+				Category: workload.NonRedundantNonCapable, FlexPowerFraction: 1,
+			})
+		}
+		if s := adm.Snapshot(); !(s.PlacedPower <= room.Topo.ProvisionedPower()) {
+			t.Errorf("after %v the %v room holds %v", probe, room.Topo.ProvisionedPower(), s.PlacedPower)
+		}
+		if got := adm.cfg.Metrics.rejections[reasonInvalid].Value(); got != 1 {
+			t.Errorf("%v: %d rejections counted as invalid, want 1", probe, got)
+		}
+	}
+}
+
+// TestNewAdmitterRejectsMalformedScenarioTrace: the scenario stream is
+// replayed into the scratch ledger unchecked, so its entries are validated
+// once, at construction.
+func TestNewAdmitterRejectsMalformedScenarioTrace(t *testing.T) {
 	room := placement.EmulationRoom()
-	adm, err := NewAdmitter(room, Config{Seed: 11, ResolveEvery: -1})
+	trace := emuTrace(t, room, 3)[:8]
+	if _, err := NewAdmitter(room, Config{ScenarioTrace: trace}); err != nil {
+		t.Fatalf("valid scenario trace: %v", err)
+	}
+	for _, bad := range malformedProbes() {
+		poisoned := append(append([]workload.Deployment(nil), trace...), bad)
+		if _, err := NewAdmitter(room, Config{ScenarioTrace: poisoned}); err == nil {
+			t.Errorf("scenario trace ending in %v accepted", bad)
+		}
+	}
+}
+
+// sixN5Room is a 6N/5 room, 15 UPS combinations of two PDU-pairs each: the
+// scorer's per-combo scratch at a size the four-UPS rooms do not reach.
+func sixN5Room(t testing.TB) *placement.Room {
+	t.Helper()
+	topo, err := power.NewRoom(power.RoomConfig{
+		Design:              power.Redundancy{X: 6, Y: 5},
+		UPSCapacity:         1.2 * power.MW,
+		PairsPerCombination: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := emuTrace(t, room, 11)
-	// Warm up: commit a realistic base load, then churn the remainder.
-	for _, d := range trace[:len(trace)/2] {
-		adm.Admit(d)
+	room, err := placement.NewRoom(topo, 40)
+	if err != nil {
+		t.Fatal(err)
 	}
-	churn := trace[len(trace)/2:]
-	if len(churn) == 0 {
-		t.Fatal("trace too short")
+	return room
+}
+
+// TestAdmitAllocFree pins the acceptance criterion: the hot-path
+// admit/remove cycle performs zero heap allocations at steady state — on
+// the one-pair-per-combo emulation room, on the paper room flexbench
+// churns, and on a 15-combo room — with several combos feasible, so the
+// scenario scorer and its scratch are on the measured path.
+func TestAdmitAllocFree(t *testing.T) {
+	rooms := map[string]*placement.Room{
+		"emulation": placement.EmulationRoom(),
+		"paper":     placement.PaperRoom(),
+		"6N/5":      sixN5Room(t),
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		d := churn[i%len(churn)]
-		if _, ok := adm.Admit(d); ok {
-			adm.Remove(d.ID)
+	for name, room := range rooms {
+		adm, err := NewAdmitter(room, Config{Seed: 11, ResolveEvery: -1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("hot-path admit/remove allocates %.1f per op, want 0", allocs)
+		trace := emuTrace(t, room, 11)
+		// Warm up: commit a realistic base load, then churn the remainder.
+		for _, d := range trace[:len(trace)/2] {
+			adm.Admit(d)
+		}
+		churn := trace[len(trace)/2:]
+		if len(churn) == 0 {
+			t.Fatalf("%s: trace too short", name)
+		}
+		i, contested := 0, 0
+		allocs := testing.AllocsPerRun(200, func() {
+			d := churn[i%len(churn)]
+			if _, ok := adm.Admit(d); ok {
+				for _, pair := range adm.candPair {
+					if pair >= 0 {
+						contested++
+					}
+				}
+				adm.Remove(d.ID)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: hot-path admit/remove allocates %.1f per op, want 0", name, allocs)
+		}
+		if contested < 2*200 {
+			t.Errorf("%s: %d feasible combos over 200 admissions; the scorer was hardly exercised", name, contested)
+		}
 	}
 }
 
@@ -318,5 +433,123 @@ func TestOnlineCtxCancel(t *testing.T) {
 	cancel()
 	if _, err := (Online{Config: Config{ResolveEvery: -1}}).Place(ctx, room, trace); err == nil {
 		t.Fatal("expected context cancellation error")
+	}
+}
+
+// TestRejectionReasons drives one rejection of each reason on the emulation
+// room (4 × 1.2 MW, one 60-slot pair per combo) and checks that exactly that
+// child of flex_online_rejections_total moved, that the children sum to
+// flex_online_rejected_total, and that the family renders as valid
+// Prometheus text.
+func TestRejectionReasons(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	dep := func(cat workload.Category, racks int, perRack power.Watts) workload.Deployment {
+		d := workload.Deployment{ID: 1, Category: cat, Racks: racks, PowerPerRack: perRack}
+		if cat == workload.NonRedundantNonCapable {
+			d.FlexPowerFraction = 1
+		}
+		return d
+	}
+	small := dep(workload.SoftwareRedundant, 1, power.KW)
+	cases := []struct {
+		name  string
+		setup func(*placement.Room)
+		first []workload.Deployment // admitted before the rejection
+		d     workload.Deployment
+		want  reason
+	}{
+		{"NaN rack power", nil, nil, dep(workload.SoftwareRedundant, 1, power.Watts(math.NaN())), reasonInvalid},
+		{"duplicate ID", nil, []workload.Deployment{small}, small, reasonInvalid},
+		{"committed list full", func(r *placement.Room) {
+			for i := range r.SlotsPerPair {
+				r.SlotsPerPair[i] = 0
+			}
+		}, nil, small, reasonInvalid},
+		{"airflow", func(r *placement.Room) { r.CFMPerWatt, r.CoolingCFM = 0.1, 0.1*100e3 },
+			nil, dep(workload.SoftwareRedundant, 20, 10*power.KW), reasonCooling},
+		// 4 MW that cannot be shaved, against a 3.6 MW failover budget.
+		{"unshaveable", nil, nil, dep(workload.NonRedundantNonCapable, 40, 100*power.KW), reasonDiversityReserve},
+		{"61 racks", nil, nil, dep(workload.SoftwareRedundant, 61, power.KW), reasonSlots},
+		// 3 MW puts 1.5 MW on each UPS of its pair; all of it can be shed.
+		{"3 MW shaveable", nil, nil, dep(workload.SoftwareRedundant, 60, 50*power.KW), reasonNormalLimit},
+		// 1.5 MW is 0.75 MW a UPS, and 1.5 MW on the survivor.
+		{"1.5 MW unshaveable", nil, nil, dep(workload.NonRedundantNonCapable, 60, 25*power.KW), reasonFailoverCapacity},
+		{"600 kW on 500 kW pairs", func(r *placement.Room) { r.PairCapacity = 500 * power.KW },
+			nil, dep(workload.SoftwareRedundant, 40, 15*power.KW), reasonPairRating},
+		// The furthest combo decides: five combos lack the space, the sixth
+		// has it and is stopped by Eq. 4.
+		{"space on one combo only", func(r *placement.Room) {
+			for i := range r.SlotsPerPair[1:] {
+				r.SlotsPerPair[1+i] = 10
+			}
+		}, nil, dep(workload.NonRedundantNonCapable, 60, 25*power.KW), reasonFailoverCapacity},
+	}
+	var want [numReasons]uint64
+	for _, c := range cases {
+		room := placement.EmulationRoom()
+		if c.setup != nil {
+			c.setup(room)
+		}
+		adm, err := NewAdmitter(room, Config{ResolveEvery: -1, Metrics: m})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, d := range c.first {
+			if _, ok := adm.Admit(d); !ok {
+				t.Fatalf("%s: set-up deployment rejected", c.name)
+			}
+		}
+		if pid, ok := adm.Admit(c.d); ok {
+			t.Fatalf("%s: admitted on pair %d", c.name, pid)
+		}
+		want[c.want]++
+		for r, child := range m.rejections {
+			if child.Value() != want[r] {
+				t.Fatalf("%s: %s = %d, want %d", c.name, reasonNames[r], child.Value(), want[r])
+			}
+		}
+	}
+	for r, n := range want {
+		if n == 0 {
+			t.Errorf("no case rejects with reason %s", reasonNames[r])
+		}
+	}
+	if got := m.Rejected.Value(); got != uint64(len(cases)) {
+		t.Errorf("flex_online_rejected_total = %d after %d rejections", got, len(cases))
+	}
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidatePrometheus(bytes.NewReader(text.Bytes())); err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	if line := `flex_online_rejections_total{reason="eq4_failover"} 2`; !strings.Contains(text.String(), line) {
+		t.Errorf("/metrics lacks %q", line)
+	}
+}
+
+// TestRejectionReasonsSumToTotal: over the golden sawtooth's 20 000
+// decisions every rejection is counted under exactly one reason.
+func TestRejectionReasonsSumToTotal(t *testing.T) {
+	stream := arrivals(t, placement.PaperRoom().Topo.ProvisionedPower(), 20000, 1)
+	for name, build := range goldenShapes(t, 1) {
+		adm, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sawtooth(adm, stream, 1)
+		m := adm.cfg.Metrics
+		var sum uint64
+		for _, child := range m.rejections {
+			sum += child.Value()
+		}
+		if sum != m.Rejected.Value() || sum == 0 {
+			t.Errorf("%s: reasons sum to %d, flex_online_rejected_total is %d", name, sum, m.Rejected.Value())
+		}
+		if m.Admitted.Value()+m.Rejected.Value() != uint64(len(stream)) {
+			t.Errorf("%s: %d admitted + %d rejected over %d decisions", name, m.Admitted.Value(), m.Rejected.Value(), len(stream))
+		}
 	}
 }

@@ -55,6 +55,11 @@ func (a *Admitter) initScenarios() error {
 	a.streamDeps = append([]workload.Deployment(nil), trace...)
 	a.stream = make([]scenarioDep, len(trace))
 	for i, d := range trace {
+		// The completions' refusal memo rests on every replayed arrival
+		// adding non-negative power, as Admit's own validation does.
+		if err := d.Validate(); err != nil {
+			return fmt.Errorf("online: scenario stream entry %d: %w", i, err)
+		}
 		a.stream[i] = scenarioDep{
 			racks:  d.Racks,
 			pow:    d.TotalPower(),
@@ -134,7 +139,7 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, o
 	simCapPow += capPow
 	order := a.runOrder
 	for j := range order {
-		a.refusedPow[j], a.refusedCapPow[j] = power.Watts(math.Inf(1)), power.Watts(math.Inf(1))
+		a.refusedPow[j], a.refusedCap[j] = power.Watts(math.Inf(1)), power.Watts(math.Inf(1))
 		at := j
 		for ; at > 0 && loadBefore(a.runPow, j, order[at-1]); at-- {
 			order[at] = order[at-1]
@@ -157,14 +162,14 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, o
 		pick, at := -1, 0
 	scan:
 		for i, j := range order {
-			if a.runSlots[j] < dep.racks || dep.pow >= a.refusedPow[j] || dep.capPow >= a.refusedCapPow[j] {
+			if a.runSlots[j] < dep.racks || dep.pow >= a.refusedPow[j] || dep.capPow >= a.refusedCap[j] {
 				continue
 			}
 			switch a.runSafety.Check(a.combos[j].UPSes[0], a.combos[j].UPSes[1], dep.pow, dep.capPow) {
 			case power.OverNormalLimit:
 				a.refusedPow[j] = dep.pow
 			case power.OverFailoverCapacity:
-				a.refusedCapPow[j] = dep.capPow
+				a.refusedCap[j] = dep.capPow
 			default:
 				pick, at = j, i
 				break scan

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"flex/internal/power"
 )
@@ -69,31 +70,65 @@ type Deployment struct {
 	FlexPowerFraction float64
 }
 
-// Validate checks internal consistency.
-func (d Deployment) Validate() error {
-	if d.Racks <= 0 {
-		return fmt.Errorf("workload: deployment %d has %d racks", d.ID, d.Racks)
+// flaw is what Validate finds wrong with a deployment, before it is put
+// into words: the online admission hot path asks the same question of every
+// arrival and may not allocate an error to hear the answer.
+type flaw uint8
+
+const (
+	noFlaw flaw = iota
+	flawRacks
+	flawRackPower
+	flawFlexRange
+	flawFlexOfCategory
+	flawCategory
+)
+
+// flaw classifies d. Every range is written so that NaN falls outside it.
+func (d Deployment) flaw() flaw {
+	switch {
+	case d.Racks <= 0:
+		return flawRacks
+	case !(d.PowerPerRack > 0) || math.IsInf(float64(d.PowerPerRack), 1):
+		return flawRackPower
+	case !(d.FlexPowerFraction >= 0 && d.FlexPowerFraction <= 1):
+		return flawFlexRange
 	}
-	if d.PowerPerRack <= 0 {
-		return fmt.Errorf("workload: deployment %d has non-positive rack power", d.ID)
-	}
-	if d.FlexPowerFraction < 0 || d.FlexPowerFraction > 1 {
-		return fmt.Errorf("workload: deployment %d flex fraction %.2f outside [0,1]", d.ID, d.FlexPowerFraction)
-	}
+	ok := false
 	switch d.Category {
 	case SoftwareRedundant:
-		if d.FlexPowerFraction != 0 {
-			return fmt.Errorf("workload: software-redundant deployment %d must have flex fraction 0", d.ID)
-		}
+		ok = d.FlexPowerFraction <= 0
 	case NonRedundantNonCapable:
-		if d.FlexPowerFraction != 1 {
-			return fmt.Errorf("workload: non-cap-able deployment %d must have flex fraction 1", d.ID)
-		}
+		ok = d.FlexPowerFraction >= 1
 	case NonRedundantCapable:
-		if d.FlexPowerFraction <= 0 || d.FlexPowerFraction >= 1 {
-			return fmt.Errorf("workload: cap-able deployment %d flex fraction %.2f outside (0,1)", d.ID, d.FlexPowerFraction)
-		}
+		ok = d.FlexPowerFraction > 0 && d.FlexPowerFraction < 1
 	default:
+		return flawCategory
+	}
+	if !ok {
+		return flawFlexOfCategory
+	}
+	return noFlaw
+}
+
+// Valid reports whether Validate returns nil, without building the error.
+func (d Deployment) Valid() bool { return d.flaw() == noFlaw }
+
+// Validate checks internal consistency: at least one rack, a positive
+// finite rack power, and the flex fraction its category prescribes (0 for
+// software-redundant, 1 for non-cap-able, strictly between for cap-able).
+func (d Deployment) Validate() error {
+	switch d.flaw() {
+	case flawRacks:
+		return fmt.Errorf("workload: deployment %d has %d racks", d.ID, d.Racks)
+	case flawRackPower:
+		return fmt.Errorf("workload: deployment %d has rack power %v, want positive and finite", d.ID, d.PowerPerRack)
+	case flawFlexRange:
+		return fmt.Errorf("workload: deployment %d flex fraction %.2f outside [0,1]", d.ID, d.FlexPowerFraction)
+	case flawFlexOfCategory:
+		return fmt.Errorf("workload: %s deployment %d has flex fraction %.2f (0 if software-redundant, 1 if non-cap-able, strictly between if cap-able)",
+			d.Category, d.ID, d.FlexPowerFraction)
+	case flawCategory:
 		return fmt.Errorf("workload: deployment %d has unknown category %d", d.ID, d.Category)
 	}
 	return nil

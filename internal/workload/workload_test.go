@@ -53,10 +53,18 @@ func TestDeploymentValidate(t *testing.T) {
 		{"non-capable flex 0.5", dep(NonRedundantNonCapable, 5, power.KW, 0.5), false},
 		{"flex > 1", dep(NonRedundantCapable, 5, power.KW, 1.5), false},
 		{"unknown category", dep(Category(7), 5, power.KW, 0.5), false},
+		{"negative power", dep(SoftwareRedundant, 5, -power.KW, 0), false},
+		{"NaN power", dep(SoftwareRedundant, 5, power.Watts(math.NaN()), 0), false},
+		{"infinite power", dep(SoftwareRedundant, 5, power.Watts(math.Inf(1)), 0), false},
+		{"capable flex NaN", dep(NonRedundantCapable, 5, power.KW, math.NaN()), false},
+		{"negative flex", dep(SoftwareRedundant, 5, power.KW, -0.1), false},
 	}
 	for _, c := range cases {
 		if err := c.d.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: err=%v, want ok=%v", c.name, err, c.ok)
+		}
+		if c.d.Valid() != c.ok {
+			t.Errorf("%s: Valid() = %v, want %v", c.name, c.d.Valid(), c.ok)
 		}
 	}
 }
