@@ -61,7 +61,7 @@ type Ledger struct {
 	normalMax   []Watts
 	capacityMax []Watts
 	normal      []Watts
-	fail        []Watts // flattened [failed*n+survivor]
+	fail        []Watts // flattened [survivor*n+failed]
 }
 
 // NewLedger returns an empty ledger for topology t. normalLimit is the
@@ -92,21 +92,36 @@ func NewLedger(t *Topology, normalLimit []Watts) *Ledger {
 	return l
 }
 
+// pairTables returns the failover rows of UPSes a and b: what each carries,
+// post-shave, after every UPS in turn has failed.
+func (l *Ledger) pairTables(a, b UPSID) (ra, rb []Watts) {
+	n := len(l.normal)
+	ra = l.fail[int(a)*n : int(a)*n+n]
+	rb = l.fail[int(b)*n : int(b)*n+n]
+	return ra, rb[:len(ra)]
+}
+
 // Add records pow of allocated power and capPow of post-shave power on a
 // pair fed by UPSes a and b. Negative values reverse an earlier Add.
 //
 //flex:hotpath
 func (l *Ledger) Add(a, b UPSID, pow, capPow Watts) {
-	wa, wb := PairShare(false, false)
-	l.normal[a] += Watts(wa) * pow
-	l.normal[b] += Watts(wb) * pow
-	n := len(l.normal)
-	for f := 0; f < n; f++ {
-		wa, wb = PairShare(UPSID(f) == a, UPSID(f) == b)
-		row := l.fail[f*n : f*n+n]
-		row[a] += Watts(wa) * capPow
-		row[b] += Watts(wb) * capPow
+	each, _ := PairShare(false, false)
+	out, whole := PairShare(true, false)
+	l.normal[a] += Watts(each) * pow
+	l.normal[b] += Watts(each) * pow
+	// Every failure but the pair's own leaves each UPS its half; the loop
+	// gives all rows that, and the four cells where a or b is the failed
+	// UPS are then set from their old values.
+	ra, rb := l.pairTables(a, b)
+	aa, ab, ba, bb := ra[a], ra[b], rb[a], rb[b]
+	half := Watts(each) * capPow
+	for f := range ra {
+		ra[f] += half
+		rb[f] += half
 	}
+	ra[a], ra[b] = aa+Watts(out)*capPow, ab+Watts(whole)*capPow
+	rb[a], rb[b] = ba+Watts(whole)*capPow, bb+Watts(out)*capPow
 }
 
 // Verdict is the outcome of checking an addition against the two safety
@@ -135,16 +150,22 @@ const (
 //
 //flex:hotpath
 func (l *Ledger) Check(a, b UPSID, pow, capPow Watts) Verdict {
-	wa, wb := PairShare(false, false)
-	if l.normal[a]+Watts(wa)*pow > l.normalMax[a] || l.normal[b]+Watts(wb)*pow > l.normalMax[b] {
+	each, _ := PairShare(false, false)
+	out, whole := PairShare(true, false)
+	if l.normal[a]+Watts(each)*pow > l.normalMax[a] || l.normal[b]+Watts(each)*pow > l.normalMax[b] {
 		return OverNormalLimit
 	}
+	ra, rb := l.pairTables(a, b)
 	maxA, maxB := l.capacityMax[a], l.capacityMax[b]
-	n := len(l.normal)
-	for f := 0; f < n; f++ {
-		wa, wb = PairShare(UPSID(f) == a, UPSID(f) == b)
-		row := l.fail[f*n : f*n+n]
-		if row[a]+Watts(wa)*capPow > maxA || row[b]+Watts(wb)*capPow > maxB {
+	// The pair's own two failures first: the survivor takes the whole
+	// addition, so these are the rows likeliest to refuse.
+	if ra[b]+Watts(whole)*capPow > maxA || rb[a]+Watts(whole)*capPow > maxB ||
+		ra[a]+Watts(out)*capPow > maxA || rb[b]+Watts(out)*capPow > maxB {
+		return OverFailoverCapacity
+	}
+	half := Watts(each) * capPow
+	for f := range ra {
+		if UPSID(f) != a && UPSID(f) != b && (ra[f]+half > maxA || rb[f]+half > maxB) {
 			return OverFailoverCapacity
 		}
 	}
@@ -162,7 +183,7 @@ func (l *Ledger) Fits(a, b UPSID, pow, capPow Watts) bool {
 func (l *Ledger) Normal(u UPSID) Watts { return l.normal[u] }
 
 // Failover returns survivor u's post-shave load after UPS f fails.
-func (l *Ledger) Failover(f, u UPSID) Watts { return l.fail[int(f)*len(l.normal)+int(u)] }
+func (l *Ledger) Failover(f, u UPSID) Watts { return l.fail[int(u)*len(l.normal)+int(f)] }
 
 // NormalHeadroom returns UPS u's normal-operation limit minus its load.
 func (l *Ledger) NormalHeadroom(u UPSID) Watts { return l.normalLimit[u] - l.normal[u] }
