@@ -13,11 +13,12 @@
 // float comparisons — allocation-free (//flex:hotpath, proven by the
 // allocfree analyzer and pinned by an AllocsPerRun test).
 //
-// Candidate combos are scored with sampled future-arrival scenarios: a
-// few cheap greedy completions of sampled demand suffixes (reusing the
-// internal/workload generator), plus a deviation penalty against the
-// target per-combo load profile published by the warm background solver
-// (see resolve.go). The exact solver never blocks a decision: it re-solves
+// Candidate combos are scored with sampled future-arrival scenarios:
+// greedy completions of sampled demand suffixes (reusing the
+// internal/workload generator; Scenarios × ScenarioDepth replayed arrivals
+// per candidate, which is where a contested decision's time goes — see
+// scenario.go), plus a deviation penalty against the target per-combo load
+// profile published by the warm background solver (see resolve.go). The exact solver never blocks a decision: it re-solves
 // the committed state asynchronously and publishes improved guidance via
 // an atomic pointer swap the hot path snapshots.
 package online

@@ -1,11 +1,13 @@
 // Scenario scoring: when more than one UPS combination can take an
 // arriving deployment, the admitter picks between them with the online
-// sampling optimization trick — cheap greedy completions of a few sampled
+// sampling optimization trick — greedy completions of a few sampled
 // future-arrival suffixes (drawn from a pre-generated workload stream),
 // plus a deviation penalty against the per-combo target profile published
-// by the warm background solver. All scoring runs on preallocated scratch
-// buffers refreshed with copy(), keeping the admission path on the
-// allocfree-analyzer-proven hot path.
+// by the warm background solver. A contested decision on the paper room
+// replays some 300 arrivals through some 400 ledger checks; the completion
+// is written so that none of them is asked twice. All scoring runs on
+// preallocated scratch buffers refreshed with copy(), keeping the admission
+// path on the allocfree-analyzer-proven hot path.
 package online
 
 import (
@@ -56,7 +58,8 @@ func (a *Admitter) initScenarios() error {
 	a.stream = make([]scenarioDep, len(trace))
 	for i, d := range trace {
 		// The completions' refusal memo rests on every replayed arrival
-		// adding non-negative power, as Admit's own validation does.
+		// adding non-negative power; Admit holds the deployment in flight
+		// to the same check.
 		if err := d.Validate(); err != nil {
 			return fmt.Errorf("online: scenario stream entry %d: %w", i, err)
 		}

@@ -93,7 +93,8 @@ func NewLedger(t *Topology, normalLimit []Watts) *Ledger {
 }
 
 // pairTables returns the failover rows of UPSes a and b: what each carries,
-// post-shave, after every UPS in turn has failed.
+// post-shave, after every UPS in turn has failed. a and b are distinct (a
+// Topology rejects a pair wired twice to one UPS).
 func (l *Ledger) pairTables(a, b UPSID) (ra, rb []Watts) {
 	n := len(l.normal)
 	ra = l.fail[int(a)*n : int(a)*n+n]
