@@ -8,6 +8,9 @@ import "flex/internal/obs"
 // combo that got furthest" is a max.
 type reason int
 
+// admitted is admitLocked's answer when there is no reason to give.
+const admitted reason = -1
+
 const (
 	reasonInvalid          reason = iota // malformed deployment, duplicate ID, committed list full
 	reasonCooling                        // room airflow budget

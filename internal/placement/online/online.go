@@ -18,9 +18,10 @@
 // internal/workload generator; Scenarios × ScenarioDepth replayed arrivals
 // per candidate, which is where a contested decision's time goes — see
 // scenario.go), plus a deviation penalty against the target per-combo load
-// profile published by the warm background solver (see resolve.go). The exact solver never blocks a decision: it re-solves
-// the committed state asynchronously and publishes improved guidance via
-// an atomic pointer swap the hot path snapshots.
+// profile published by the warm background solver (see resolve.go). The
+// exact solver never blocks a decision: it re-solves the committed state
+// asynchronously and publishes improved guidance via an atomic pointer swap
+// the hot path snapshots.
 package online
 
 import (
@@ -270,19 +271,20 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 //flex:hotpath
 func (a *Admitter) Admit(d workload.Deployment) (power.PDUPairID, bool) {
 	a.mu.Lock()
-	pid, why, ok := a.admitLocked(d)
+	pid, why := a.admitLocked(d)
 	a.mu.Unlock()
-	if ok {
+	if why == admitted {
 		a.cfg.Metrics.Admitted.Inc()
 	} else {
 		a.cfg.Metrics.Rejected.Inc()
 		a.cfg.Metrics.rejections[why].Inc()
 	}
-	return pid, ok
+	return pid, why == admitted
 }
 
-// admitLocked is Admit under the lock; why is meaningful on a rejection.
-func (a *Admitter) admitLocked(d workload.Deployment) (pid power.PDUPairID, why reason, ok bool) {
+// admitLocked is Admit under the lock: the pair and admitted, or -1 and why
+// not.
+func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, reason) {
 	a.decisions++
 	a.scCursor++
 	if a.scCursor >= len(a.stream) {
@@ -291,20 +293,20 @@ func (a *Admitter) admitLocked(d workload.Deployment) (pid power.PDUPairID, why 
 	// Every safety check below is a > that NaN answers false and a negative
 	// power slips under, so the deployment's own numbers come first.
 	if !d.Valid() {
-		return -1, reasonInvalid, false
+		return -1, reasonInvalid
 	}
 	if _, dup := a.idIndex[d.ID]; dup || a.nCommitted >= len(a.committed) {
-		return -1, reasonInvalid, false
+		return -1, reasonInvalid
 	}
 	pow := d.TotalPower()
 	capPow := power.Watts(float64(d.CapPower()) / a.oversub)
 	// Room-level budgets first: cooling and the diversity reserve bind
 	// identically for every combo.
 	if a.coolPerWatt > 0 && float64(a.placedPow+pow)*a.coolPerWatt > a.coolCFM+coolTol {
-		return -1, reasonCooling, false
+		return -1, reasonCooling
 	}
 	if a.capBudget >= 0 && a.placedCapPow+capPow > a.capBudget+power.CapacityTolerance {
-		return -1, reasonDiversityReserve, false
+		return -1, reasonDiversityReserve
 	}
 	nFeasible, only := 0, -1
 	furthest := reasonSlots // the check that stopped the combo that got furthest
@@ -334,15 +336,15 @@ func (a *Admitter) admitLocked(d workload.Deployment) (pid power.PDUPairID, why 
 		furthest = max(furthest, stopped)
 	}
 	if nFeasible == 0 {
-		return -1, furthest, false
+		return -1, furthest
 	}
 	best := only
 	if nFeasible > 1 {
 		best = a.scoreCandidatesLocked(pow, capPow, d.Racks)
 	}
-	pid = power.PDUPairID(a.candPair[best])
+	pid := power.PDUPairID(a.candPair[best])
 	a.applyLocked(d, best, pid, pow, capPow)
-	return pid, 0, true
+	return pid, admitted
 }
 
 // What bestPairLocked returns in place of a pair: no pair of the combo has

@@ -86,27 +86,20 @@ const (
 
 // flaw classifies d. Every range is written so that NaN falls outside it.
 func (d Deployment) flaw() flaw {
+	f := d.FlexPowerFraction
 	switch {
 	case d.Racks <= 0:
 		return flawRacks
 	case !(d.PowerPerRack > 0) || math.IsInf(float64(d.PowerPerRack), 1):
 		return flawRackPower
-	case !(d.FlexPowerFraction >= 0 && d.FlexPowerFraction <= 1):
+	case !(f >= 0 && f <= 1):
 		return flawFlexRange
-	}
-	ok := false
-	switch d.Category {
-	case SoftwareRedundant:
-		ok = d.FlexPowerFraction <= 0
-	case NonRedundantNonCapable:
-		ok = d.FlexPowerFraction >= 1
-	case NonRedundantCapable:
-		ok = d.FlexPowerFraction > 0 && d.FlexPowerFraction < 1
-	default:
-		return flawCategory
-	}
-	if !ok {
+	case d.Category == SoftwareRedundant && f > 0,
+		d.Category == NonRedundantNonCapable && f < 1,
+		d.Category == NonRedundantCapable && !(f > 0 && f < 1):
 		return flawFlexOfCategory
+	case d.Category < SoftwareRedundant || d.Category > NonRedundantNonCapable:
+		return flawCategory
 	}
 	return noFlaw
 }
