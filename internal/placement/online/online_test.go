@@ -182,17 +182,19 @@ func TestAdmitRejectLeavesStateUntouched(t *testing.T) {
 // refuses — every check is a > that NaN answers false and a negative power
 // slips under — and that poison the tables once in.
 func malformedProbes() []workload.Deployment {
-	probe := func(id int, perRack power.Watts) workload.Deployment {
-		return workload.Deployment{
-			ID: id, Racks: 1, PowerPerRack: perRack,
-			Category: workload.NonRedundantNonCapable, FlexPowerFraction: 1,
-		}
-	}
 	return []workload.Deployment{
-		probe(1<<21, power.Watts(math.NaN())),
-		probe(1<<21+1, -50*power.MW),
+		oneRack(1<<21, power.Watts(math.NaN())),
+		oneRack(1<<21+1, -50*power.MW),
 		{ID: 1<<21 + 2, Racks: 1, PowerPerRack: power.KW, Category: workload.NonRedundantCapable, FlexPowerFraction: math.NaN()},
 		{ID: 1<<21 + 3, Racks: 1, PowerPerRack: power.KW, Category: workload.Category(9)},
+	}
+}
+
+// oneRack is a one-rack non-cap-able deployment.
+func oneRack(id int, perRack power.Watts) workload.Deployment {
+	return workload.Deployment{
+		ID: id, Racks: 1, PowerPerRack: perRack,
+		Category: workload.NonRedundantNonCapable, FlexPowerFraction: 1,
 	}
 }
 
@@ -212,10 +214,7 @@ func TestAdmitValidatesWhatItAdmits(t *testing.T) {
 			t.Errorf("%v admitted on pair %d", probe, pid)
 		}
 		for id := 0; id < 300; id++ {
-			adm.Admit(workload.Deployment{
-				ID: id, Racks: 1, PowerPerRack: power.MW,
-				Category: workload.NonRedundantNonCapable, FlexPowerFraction: 1,
-			})
+			adm.Admit(oneRack(id, power.MW))
 		}
 		if s := adm.Snapshot(); !(s.PlacedPower <= room.Topo.ProvisionedPower()) {
 			t.Errorf("after %v the %v room holds %v", probe, room.Topo.ProvisionedPower(), s.PlacedPower)

@@ -140,9 +140,9 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, o
 	a.runPow[c] += float64(pow)
 	simPow += pow
 	simCapPow += capPow
-	order := a.runOrder
+	order, nothingYet := a.runOrder, power.Watts(math.Inf(1))
 	for j := range order {
-		a.refusedPow[j], a.refusedCap[j] = power.Watts(math.Inf(1)), power.Watts(math.Inf(1))
+		a.refusedPow[j], a.refusedCap[j] = nothingYet, nothingYet
 		at := j
 		for ; at > 0 && loadBefore(a.runPow, j, order[at-1]); at-- {
 			order[at] = order[at-1]

@@ -94,7 +94,8 @@ func NewLedger(t *Topology, normalLimit []Watts) *Ledger {
 
 // pairTables returns the failover rows of UPSes a and b: what each carries,
 // post-shave, after every UPS in turn has failed. a and b are distinct (a
-// Topology rejects a pair wired twice to one UPS).
+// Topology rejects a pair wired twice to one UPS). rb is cut to ra's length,
+// which it has, so that one range check covers both in a loop.
 func (l *Ledger) pairTables(a, b UPSID) (ra, rb []Watts) {
 	n := len(l.normal)
 	ra = l.fail[int(a)*n : int(a)*n+n]
@@ -102,27 +103,35 @@ func (l *Ledger) pairTables(a, b UPSID) (ra, rb []Watts) {
 	return ra, rb[:len(ra)]
 }
 
+// shareWeights returns PairShare's three weights: a UPS's share of its pair
+// with neither UPS out, and with one out the failed UPS's and its partner's.
+// Products by ½, 0 and 1 are exact.
+func shareWeights() (each, out, whole Watts) {
+	e, _ := PairShare(false, false)
+	o, w := PairShare(true, false)
+	return Watts(e), Watts(o), Watts(w)
+}
+
 // Add records pow of allocated power and capPow of post-shave power on a
 // pair fed by UPSes a and b. Negative values reverse an earlier Add.
 //
 //flex:hotpath
 func (l *Ledger) Add(a, b UPSID, pow, capPow Watts) {
-	each, _ := PairShare(false, false)
-	out, whole := PairShare(true, false)
-	l.normal[a] += Watts(each) * pow
-	l.normal[b] += Watts(each) * pow
+	each, out, whole := shareWeights()
+	l.normal[a] += each * pow
+	l.normal[b] += each * pow
 	// Every failure but the pair's own leaves each UPS its half; the loop
 	// gives all rows that, and the four cells where a or b is the failed
 	// UPS are then set from their old values.
 	ra, rb := l.pairTables(a, b)
 	aa, ab, ba, bb := ra[a], ra[b], rb[a], rb[b]
-	half := Watts(each) * capPow
+	half := each * capPow
 	for f := range ra {
 		ra[f] += half
 		rb[f] += half
 	}
-	ra[a], ra[b] = aa+Watts(out)*capPow, ab+Watts(whole)*capPow
-	rb[a], rb[b] = ba+Watts(whole)*capPow, bb+Watts(out)*capPow
+	ra[a], ra[b] = aa+out*capPow, ab+whole*capPow
+	rb[a], rb[b] = ba+whole*capPow, bb+out*capPow
 }
 
 // Verdict is the outcome of checking an addition against the two safety
@@ -151,20 +160,19 @@ const (
 //
 //flex:hotpath
 func (l *Ledger) Check(a, b UPSID, pow, capPow Watts) Verdict {
-	each, _ := PairShare(false, false)
-	out, whole := PairShare(true, false)
-	if l.normal[a]+Watts(each)*pow > l.normalMax[a] || l.normal[b]+Watts(each)*pow > l.normalMax[b] {
+	each, out, whole := shareWeights()
+	if l.normal[a]+each*pow > l.normalMax[a] || l.normal[b]+each*pow > l.normalMax[b] {
 		return OverNormalLimit
 	}
 	ra, rb := l.pairTables(a, b)
 	maxA, maxB := l.capacityMax[a], l.capacityMax[b]
 	// The pair's own two failures first: the survivor takes the whole
 	// addition, so these are the rows likeliest to refuse.
-	if ra[b]+Watts(whole)*capPow > maxA || rb[a]+Watts(whole)*capPow > maxB ||
-		ra[a]+Watts(out)*capPow > maxA || rb[b]+Watts(out)*capPow > maxB {
+	if ra[b]+whole*capPow > maxA || rb[a]+whole*capPow > maxB ||
+		ra[a]+out*capPow > maxA || rb[b]+out*capPow > maxB {
 		return OverFailoverCapacity
 	}
-	half := Watts(each) * capPow
+	half := each * capPow
 	for f := range ra {
 		if UPSID(f) != a && UPSID(f) != b && (ra[f]+half > maxA || rb[f]+half > maxB) {
 			return OverFailoverCapacity
