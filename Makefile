@@ -72,7 +72,7 @@ online-smoke:
 	$(GO) run ./cmd/flexplace -smoke
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the five
-# smokes, ten seconds of each of the seven fuzzers, the whole tree under the
+# smokes, ten seconds of each of the eight fuzzers, the whole tree under the
 # race detector, and a flexmon smoke run with the observability surface
 # enabled.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke fuzz-smoke
@@ -154,10 +154,11 @@ bench-latency:
 figures:
 	$(GO) test -bench=. -benchmem ./...
 
-# The seven native fuzz targets, FUZZTIME each: trace parsing, the impact
-# function, the safety ledger, the admitter, the prepared Algorithm 1 and
-# the admitter's scenario scorer against their from-scratch references, and
-# the MILP search against exhaustive enumeration.
+# The eight native fuzz targets, FUZZTIME each: trace parsing, the impact
+# function, the safety ledger, the admitter, the prepared Algorithm 1, the
+# admitter's scenario scorer and the broker's subscriber queues against
+# their from-scratch references, and the MILP search against exhaustive
+# enumeration.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) -run=Fuzz .
@@ -167,8 +168,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzMILPMatchesBruteForce -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/milp
 	$(GO) test -fuzz=FuzzPlanMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/controller
 	$(GO) test -fuzz=FuzzScoreMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement/online
+	$(GO) test -fuzz=FuzzQueueMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/telemetry
 
-# The same seven legs at ten seconds each: what CI can afford on every push.
+# The same eight legs at ten seconds each: what CI can afford on every push.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
