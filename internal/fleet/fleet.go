@@ -37,7 +37,8 @@ type Config struct {
 	// QueueDepth is each shard's per-topic ingest buffer in samples
 	// (default 1024). When a shard falls behind, the oldest samples in its
 	// queue are dropped and counted — backpressure never propagates to
-	// the publisher or to other shards.
+	// the publisher or to other shards. It must hold one poll round:
+	// AddRoom refuses a room with more racks or UPSes than this.
 	QueueDepth int
 	// AggregateEvery is the aggregator cadence (default 2s): how often
 	// per-shard snapshots fold into the fleet snapshot. The aggregation
@@ -165,6 +166,15 @@ func (f *Fleet) AddRoom(rc RoomConfig) (*Shard, error) {
 	}
 	if rc.Topo == nil {
 		return nil, fmt.Errorf("fleet: room %s: topology required", rc.Name)
+	}
+	// A poll round is one batch per topic. One that does not fit the queue
+	// evicts its own head on every ingest: the same devices, every round,
+	// would never reach the view.
+	if n := len(rc.Racks); n > f.cfg.QueueDepth {
+		return nil, fmt.Errorf("fleet: room %s: %d racks exceed the ingest queue depth %d", rc.Name, n, f.cfg.QueueDepth)
+	}
+	if n := len(rc.Topo.UPSes); n > f.cfg.QueueDepth {
+		return nil, fmt.Errorf("fleet: room %s: %d UPSes exceed the ingest queue depth %d", rc.Name, n, f.cfg.QueueDepth)
 	}
 	if rc.Controllers <= 0 {
 		rc.Controllers = 1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,6 +113,33 @@ func TestAddRoomValidation(t *testing.T) {
 	}
 	if f.Shard("room-1") == nil || f.Shard("nope") != nil {
 		t.Fatal("Shard lookup wrong")
+	}
+}
+
+// TestAddRoomRefusesBatchLargerThanQueue: a poll round that does not fit
+// the ingest queue would evict its own first samples on every ingest, so
+// the same devices would never reach the view. AddRoom must refuse the
+// room and name both numbers.
+func TestAddRoomRefusesBatchLargerThanQueue(t *testing.T) {
+	clk := clock.NewVirtual(t0())
+	rc := testRoomConfig(t, "room-wide", clk)
+	for len(rc.Racks) < 70 {
+		r := rc.Racks[len(rc.Racks)%12]
+		r.ID = fmt.Sprintf("%s-%d", r.ID, len(rc.Racks))
+		rc.Racks = append(rc.Racks, r)
+	}
+	_, err := New(Config{Clock: clk, QueueDepth: 64}).AddRoom(rc)
+	if err == nil || !strings.Contains(err.Error(), "70 racks") || !strings.Contains(err.Error(), "depth 64") {
+		t.Fatalf("70 racks at QueueDepth 64: err = %v, want one naming both numbers", err)
+	}
+	narrow := testRoomConfig(t, "room-narrow", clk)
+	narrow.Racks = narrow.Racks[:2]
+	_, err = New(Config{Clock: clk, QueueDepth: 3}).AddRoom(narrow)
+	if err == nil || !strings.Contains(err.Error(), "4 UPSes") || !strings.Contains(err.Error(), "depth 3") {
+		t.Fatalf("4 UPSes at QueueDepth 3: err = %v, want one naming both numbers", err)
+	}
+	if _, err := New(Config{Clock: clk, QueueDepth: 70}).AddRoom(rc); err != nil {
+		t.Fatalf("70 racks at QueueDepth 70: %v", err)
 	}
 }
 
