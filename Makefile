@@ -104,14 +104,16 @@ bench-solver:
 # Records the observability hot-path baseline: tsdb append/seal/query and
 # SLO audit-tick/probe benchmarks, what a probe round and an episode's P95
 # are made of (BenchmarkPlan: Algorithm 1 one-shot and prepared on an
-# emulation-sized room; BenchmarkPercentile at 1e5 samples), then the fully
-# instrumented emulation episode they add up to (BenchmarkRunInstrumented:
-# us/tick and B/tick; benchjson tags each record with its package). The
+# emulation-sized room; BenchmarkPercentile at 1e5 samples), the fleet's
+# transport (BenchmarkPublishRecvBatch, BenchmarkUpdateBatch: one 275-rack
+# poll per op, 0 allocs/op), then the fully instrumented emulation episode
+# they add up to (BenchmarkRunInstrumented: us/tick and B/tick; benchjson
+# tags each record with its package). The
 # Append, WindowAvg, SamplerTick, AuditTick and Plan/prepared rows must
 # stay at 0 allocs/op — the first four run on the emulation tick, the last
 # four times a probe round.
 bench-obs:
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ ./internal/controller/ ./internal/stats/ && \
+	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ ./internal/controller/ ./internal/stats/ ./internal/telemetry/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkRunInstrumented -benchtime 5x ./internal/emu/ ; } | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	@echo wrote BENCH_obs.json
 

@@ -117,13 +117,21 @@ type FleetResult struct {
 	Stages []fleet.StageSummary
 }
 
-// shardRoom is a room behind its fleet shard, with the batches its polls
-// fill.
+// shardRoom is a room behind its fleet shard, with one batch per poll:
+// device and validity are written once, a poll fills in power and time.
 type shardRoom struct {
 	*room
 	shard     *fleet.Shard
 	upsBatch  []telemetry.Sample
 	rackBatch []telemetry.Sample
+}
+
+// fill writes one poll's readings, taken and published at wall, into batch.
+func fill(batch []telemetry.Sample, readings []power.Watts, wall time.Time) {
+	for i := range batch {
+		s := &batch[i]
+		s.Power, s.MeasuredAt, s.PublishedAt = readings[i], wall, wall
+	}
 }
 
 // RunFleet executes the multi-room emulation: one Flex-Offline placement
@@ -182,11 +190,18 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rooms[i] = &shardRoom{
+		sr := &shardRoom{
 			room: rm, shard: shard,
-			upsBatch:  make([]telemetry.Sample, 0, len(topo.UPSes)),
-			rackBatch: make([]telemetry.Sample, 0, len(p.racks)),
+			upsBatch:  make([]telemetry.Sample, len(topo.UPSes)),
+			rackBatch: make([]telemetry.Sample, len(p.racks)),
 		}
+		for u := range sr.upsBatch {
+			sr.upsBatch[u] = telemetry.Sample{Device: topo.UPSes[u].Name, Valid: true}
+		}
+		for j := range sr.rackBatch {
+			sr.rackBatch[j] = telemetry.Sample{Device: p.ids[j], Valid: true}
+		}
+		rooms[i] = sr
 	}
 	if cfg.Attach != nil {
 		cfg.Attach(fl)
@@ -218,25 +233,13 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		}
 		if pollUPS {
 			for _, sr := range rooms {
-				sr.upsBatch = sr.upsBatch[:0]
-				for u := range topo.UPSes {
-					sr.upsBatch = append(sr.upsBatch, telemetry.Sample{
-						Device: topo.UPSes[u].Name, Power: sr.truth.ups[u], Valid: true,
-						MeasuredAt: wall, PublishedAt: wall,
-					})
-				}
+				fill(sr.upsBatch, sr.truth.ups, wall)
 				sr.shard.IngestUPS(sr.upsBatch)
 			}
 		}
 		if pollRacks {
 			for ri, sr := range rooms {
-				sr.rackBatch = sr.rackBatch[:0]
-				for j, rs := range sr.sims {
-					sr.rackBatch = append(sr.rackBatch, telemetry.Sample{
-						Device: rs.ID, Power: sr.truth.rack[j], Valid: true,
-						MeasuredAt: wall, PublishedAt: wall,
-					})
-				}
+				fill(sr.rackBatch, sr.truth.rack, wall)
 				sr.shard.IngestRacks(sr.rackBatch)
 				if cfg.SaturateFactor > 0 && ri == cfg.SaturateRoom {
 					// Backpressure stress: flood the queue with redundant

@@ -30,9 +30,9 @@ type plant struct {
 
 	// utilization is the steady-state aggregate draw as a share of
 	// provisioned power; ratio is each category's demanded share of its
-	// allocation that adds up to it.
+	// allocation that adds up to it, indexed by workload.Category.
 	utilization float64
-	ratio       map[workload.Category]float64
+	ratio       [3]float64
 }
 
 // newPlant places the paper's demand in the emulation room with
@@ -66,7 +66,7 @@ func newPlant(ctx context.Context, traceSeed int64, utilization float64, reg *ob
 		// TeraSort-like batch (software-redundant) runs near full tilt,
 		// the TPC-E-like OLTP (cap-able) close to its flex power, the
 		// non-cap-able racks cooler — relative to the paper's 80% set-up.
-		ratio: map[workload.Category]float64{
+		ratio: [3]float64{
 			workload.SoftwareRedundant:      0.90 / 0.80,
 			workload.NonRedundantCapable:    0.83 / 0.80,
 			workload.NonRedundantNonCapable: 0.67 / 0.80,
@@ -188,15 +188,15 @@ func (ts *tickState) recover(r *room, ups power.UPSID) { r.out &^= power.SetOf(u
 // share of target, the aggregate utilization this tick aims at: target
 // folds in the emulator's set-up ramp, the ratios the steady state.
 func (ts *tickState) advance(r *room, target float64) {
-	rng, ratio := ts.rng, ts.plant.ratio
+	rng := ts.rng
 	theta, sigma, dt := ts.theta, ts.sigma, ts.step.Seconds()
 	target /= ts.plant.utilization
+	catTarget := ts.plant.ratio
+	for c := range catTarget {
+		catTarget[c] = min(target*catTarget[c], 1)
+	}
 	for _, rs := range r.sims {
-		catTarget := target * ratio[rs.Category]
-		if catTarget > 1 {
-			catTarget = 1
-		}
-		rs.demand += theta*(catTarget-rs.demand)*dt + sigma*rng.NormFloat64()*dt
+		rs.demand += theta*(catTarget[rs.Category]-rs.demand)*dt + sigma*rng.NormFloat64()*dt
 		if rs.demand < 0.1 {
 			rs.demand = 0.1
 		}

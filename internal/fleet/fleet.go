@@ -7,10 +7,11 @@
 // The sharding follows the hierarchy the multi-timescale VPP control
 // literature argues for: fast local loops per fault domain (each shard
 // keeps the paper's 10s FlexLatencyBudget on its own), with a slower
-// aggregation layer on top for the fleet-level view. Shards share nothing
-// on their hot paths — each owns its telemetry views, controllers, and
-// ingest subscriptions — so one slow or saturated room can drop its own
-// samples (drop-oldest, counted) without ever stalling a neighbor.
+// aggregation layer on top for the fleet-level view. Each shard owns its
+// telemetry views, controllers, and ingest subscriptions, and shares only
+// the ingest bus's lock for the length of one batch copy — so one slow or
+// saturated room can drop its own samples (drop-oldest, counted) without
+// ever stalling a neighbor.
 package fleet
 
 import (

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flex/internal/controller"
@@ -14,9 +15,10 @@ import (
 )
 
 // Shard is one room's slice of the fleet: its own telemetry views and
-// bounded ingest queues, its own controller primaries, its own loop. A
-// shard shares no locks with its siblings on the ingest or step paths —
-// the isolation property the fleet exists to provide.
+// bounded ingest queues, its own controller primaries, its own loop. Pump
+// and step take no lock a sibling takes; every Ingest* takes the fleet
+// bus's one broker lock for the two copies of its batch, which is the only
+// thing shards share (to be narrowed before shards step in parallel).
 type Shard struct {
 	// Name is the room name.
 	Name string
@@ -39,8 +41,8 @@ type Shard struct {
 	drainCh  chan struct{}
 	cancel   context.CancelFunc
 	done     chan struct{}
-	pumped   uint64
-	steps    uint64
+
+	pumped, steps atomic.Uint64
 }
 
 func newShard(f *Fleet, rc RoomConfig) *Shard {
@@ -113,41 +115,30 @@ func (s *Shard) IngestRacks(batch []telemetry.Sample) {
 // it directly for deterministic schedules; Start's loop calls it each
 // round.
 func (s *Shard) Pump() int {
-	n := 0
-	for {
-		k := s.upsSub.RecvBatch(s.buf)
-		if k > 0 {
-			at := s.fleet.cfg.Clock.Now()
-			for i := 0; i < k; i++ {
-				s.buf[i].DequeuedAt = at
-				s.upsView.Update(s.buf[i])
-			}
-		}
-		n += k
-		if k < len(s.buf) {
-			break
-		}
-	}
-	for {
-		k := s.rackSub.RecvBatch(s.buf)
-		if k > 0 {
-			at := s.fleet.cfg.Clock.Now()
-			for i := 0; i < k; i++ {
-				s.buf[i].DequeuedAt = at
-				s.rackView.Update(s.buf[i])
-			}
-		}
-		n += k
-		if k < len(s.buf) {
-			break
-		}
-	}
+	n := s.drain(s.upsSub, s.upsView) + s.drain(s.rackSub, s.rackView)
 	if n > 0 {
-		s.mu.Lock()
-		s.pumped += uint64(n)
-		s.mu.Unlock()
+		s.pumped.Add(uint64(n))
 	}
 	return n
+}
+
+// drain moves everything queued on sub into view, a buffer at a time.
+func (s *Shard) drain(sub *telemetry.Subscription, view *telemetry.LatestPower) int {
+	n := 0
+	for {
+		k := sub.RecvBatch(s.buf)
+		if k > 0 {
+			at := s.fleet.cfg.Clock.Now()
+			for i := range s.buf[:k] {
+				s.buf[i].DequeuedAt = at
+			}
+			view.UpdateBatch(s.buf[:k])
+		}
+		n += k
+		if k < len(s.buf) {
+			return n
+		}
+	}
 }
 
 // StepContext runs one evaluation round on every controller primary and
@@ -160,9 +151,7 @@ func (s *Shard) StepContext(ctx context.Context) (overdraw bool, enforced, resto
 		enforced += out.Enforced
 		restored += out.Restored
 	}
-	s.mu.Lock()
-	s.steps++
-	s.mu.Unlock()
+	s.steps.Add(1)
 	return overdraw, enforced, restored
 }
 
@@ -290,18 +279,10 @@ func (s *Shard) Dropped() int {
 }
 
 // Pumped reports how many samples the shard has moved into its views.
-func (s *Shard) Pumped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pumped
-}
+func (s *Shard) Pumped() uint64 { return s.pumped.Load() }
 
 // Steps reports how many evaluation rounds the shard has run.
-func (s *Shard) Steps() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.steps
-}
+func (s *Shard) Steps() uint64 { return s.steps.Load() }
 
 // UPSView exposes the shard's UPS telemetry view (for audit bindings).
 func (s *Shard) UPSView() *telemetry.LatestPower { return s.upsView }

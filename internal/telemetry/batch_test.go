@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"testing"
+	"time"
 
 	"flex/internal/clock"
 	"flex/internal/obs"
@@ -21,7 +22,7 @@ func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
 		t.Fatalf("fast sub dropped %d, want 0", fast.Dropped())
 	}
 	for i := 0; i < 5; i++ {
-		s := <-fast.C
+		s, _ := takeOne(fast, 0)
 		if s.Seq != uint64(i) {
 			t.Fatalf("fast sub sample %d has seq %d, want in-order delivery", i, s.Seq)
 		}
@@ -30,7 +31,8 @@ func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
 	if slow.Dropped() != 3 {
 		t.Fatalf("slow sub dropped %d, want 3", slow.Dropped())
 	}
-	s1, s2 := <-slow.C, <-slow.C
+	s1, _ := takeOne(slow, 0)
+	s2, _ := takeOne(slow, 0)
 	if s1.Seq != 3 || s2.Seq != 4 {
 		t.Fatalf("slow sub kept seqs %d,%d, want 3,4", s1.Seq, s2.Seq)
 	}
@@ -48,16 +50,12 @@ func TestPublishBatchEmptyAndDown(t *testing.T) {
 	}
 	b.SetDown(true)
 	b.PublishBatch("t", []Sample{{Device: "d"}})
-	select {
-	case <-sub.C:
+	if _, ok := takeOne(sub, 0); ok {
 		t.Fatal("downed broker delivered a batch")
-	default:
 	}
 	b.SetDown(false)
 	b.PublishBatch("t", []Sample{{Device: "d"}})
-	select {
-	case <-sub.C:
-	default:
+	if _, ok := takeOne(sub, 0); !ok {
 		t.Fatal("recovered broker did not deliver")
 	}
 }
@@ -71,7 +69,7 @@ func TestPublishCountsAsBatchOfOne(t *testing.T) {
 	if got := b.Metrics.BatchPublishes.Value(); got != 1 {
 		t.Fatalf("BatchPublishes = %d after single Publish, want 1", got)
 	}
-	if got := <-sub.C; got.Device != "d" {
+	if got, _ := takeOne(sub, 0); got.Device != "d" {
 		t.Fatalf("delivered device %q, want d", got.Device)
 	}
 }
@@ -118,19 +116,23 @@ func TestRecvBatchClosedSubscription(t *testing.T) {
 }
 
 // TestBatchPathZeroAllocations pins the whole batched ingest hot path —
-// PublishBatch fan-out (including drop-oldest) and RecvBatch drain — at
-// zero allocations per call, the runtime counterpart of the static
-// allocfree roots on those functions.
+// PublishBatch fan-out (including drop-oldest), RecvBatch drain and the
+// view's UpdateBatch — at zero allocations per call once the queue has
+// grown to its depth and the view has seen its devices: the runtime
+// counterpart of the static allocfree roots on those functions.
 func TestBatchPathZeroAllocations(t *testing.T) {
 	b := NewBroker("A")
 	b.Metrics = NewMetrics(obs.NewRegistry())
 	sub := b.Subscribe("t", 2)
 	defer sub.Close()
+	view := NewLatestPower()
 	batch := make([]Sample, 4)
 	for i := range batch {
-		batch[i] = Sample{Device: "d", Valid: true, Seq: uint64(i)}
+		batch[i] = Sample{Device: string(rune('a' + i)), Valid: true, Seq: uint64(i)}
 	}
 	buf := make([]Sample, 8)
+	b.PublishBatch("t", batch)
+	view.UpdateBatch(batch)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		b.PublishBatch("t", batch)
 	}); allocs != 0 {
@@ -140,6 +142,19 @@ func TestBatchPathZeroAllocations(t *testing.T) {
 		sub.RecvBatch(buf)
 	}); allocs != 0 {
 		t.Fatalf("RecvBatch allocated %.1f times per call, want 0", allocs)
+	}
+	at := t0()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		at = at.Add(time.Second)
+		for i := range batch {
+			batch[i].MeasuredAt = at
+		}
+		view.UpdateBatch(batch)
+	}); allocs != 0 {
+		t.Fatalf("UpdateBatch allocated %.1f times per call, want 0", allocs)
+	}
+	if v, gotAt, ok := view.Get("d"); !ok || v != batch[3].Power || !gotAt.Equal(at) {
+		t.Fatalf("the measured UpdateBatch calls installed nothing: Get(d) = %v %v %v", v, gotAt, ok)
 	}
 }
 

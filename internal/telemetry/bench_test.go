@@ -1,0 +1,65 @@
+package telemetry
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"flex/internal/power"
+)
+
+// rackPoll is one poll of an emulation-sized room: 275 racks in a fixed
+// order, measured and published at at.
+func rackPoll(at time.Time) []Sample {
+	batch := make([]Sample, 275)
+	for i := range batch {
+		batch[i] = Sample{
+			Device: fmt.Sprintf("rack-%03d", i), Power: power.Watts(8000 + i), Valid: true,
+			MeasuredAt: at, PublishedAt: at,
+		}
+	}
+	return batch
+}
+
+// BenchmarkPublishRecvBatch is the transport leg of fleet ingest, one op a
+// poll: a rack batch into a shard-sized queue and out again through a
+// shard-sized buffer.
+func BenchmarkPublishRecvBatch(b *testing.B) {
+	br := NewBroker("bench")
+	sub := br.Subscribe(TopicRack, 1024)
+	batch := rackPoll(t0())
+	buf := make([]Sample, 256)
+	b.ReportAllocs()
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer() // the first poll grew the queue
+		}
+		br.PublishBatch(TopicRack, batch)
+		for sub.RecvBatch(buf) == len(buf) {
+		}
+	}
+	if sub.Dropped() != 0 {
+		b.Fatalf("dropped %d samples from a queue that was drained every poll", sub.Dropped())
+	}
+}
+
+// BenchmarkUpdateBatch is the view leg, one op a poll: a rack batch, newer
+// than the last, installed under one lock.
+func BenchmarkUpdateBatch(b *testing.B) {
+	view := NewLatestPower()
+	batch := rackPoll(t0())
+	b.ReportAllocs()
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer() // the first poll gave every device its slot
+		}
+		at := t0().Add(time.Duration(i+2) * time.Second)
+		for j := range batch {
+			batch[j].MeasuredAt = at
+		}
+		view.UpdateBatch(batch)
+	}
+	if _, at, _ := view.Get(batch[274].Device); !at.Equal(batch[274].MeasuredAt) {
+		b.Fatalf("the last poll was not installed: view at %v, poll at %v", at, batch[274].MeasuredAt)
+	}
+}

@@ -63,62 +63,109 @@ func (l *mapLatestPower) Oldest(now time.Time) (time.Duration, bool) {
 // TestLatestPowerMatchesMapReference drives the slot view and the map
 // reference with the same random samples — new devices, stale and
 // equal-timestamp repeats, invalid readings — each emitting into its own
-// recorder, and compares every reader after every update.
+// recorder, and compares every reader after every update. The view takes
+// them one Update at a time, then as UpdateBatch of whole polls in slot
+// order, in reversed order (every hint misses) and of random devices with
+// duplicates; each with and without a recorder.
 func TestLatestPowerMatchesMapReference(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		recGot, recWant := recorder.New(4096), recorder.New(4096)
-		got := NewLatestPower()
-		got.SetRecorder(recGot, "rack-view")
-		want := newMapLatestPower(recWant, "rack-view")
-		if _, ok := got.Oldest(t0()); ok {
-			t.Fatal("empty view reports an oldest device")
-		}
-		into := map[string]power.Watts{"left-over": 1}
-		now := t0()
-		for i := 0; i < 2000; i++ {
-			now = now.Add(time.Duration(rng.Intn(3)) * time.Second) // 0 repeats a timestamp
-			at := now.Add(-time.Duration(rng.Intn(3)) * time.Second)
-			s := Sample{
-				Device: fmt.Sprintf("dev-%02d", rng.Intn(40)), Power: power.Watts(rng.Intn(1000)),
-				Valid: rng.Intn(10) > 0, MeasuredAt: at, PublishedAt: at.Add(time.Millisecond),
-				DequeuedAt: at.Add(2 * time.Millisecond), Event: uint64(rng.Intn(100)),
+	devices := make([]string, 45) // the last five never report
+	for d := range devices {
+		devices[d] = fmt.Sprintf("dev-%02d", d)
+	}
+	for _, mode := range []struct{ batched, recorded bool }{{false, true}, {true, true}, {true, false}} {
+		for seed := int64(1); seed <= 10; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			recGot, recWant := recorder.New(1<<15), recorder.New(1<<15)
+			if !mode.recorded {
+				recGot, recWant = nil, nil
 			}
-			got.Update(s)
-			want.Update(s)
+			got := NewLatestPower()
+			got.SetRecorder(recGot, "rack-view")
+			want := newMapLatestPower(recWant, "rack-view")
+			if _, ok := got.Oldest(t0()); ok {
+				t.Fatal("empty view reports an oldest device")
+			}
+			into := map[string]power.Watts{"left-over": 1}
+			now := t0()
+			sample := func(dev int) Sample {
+				at := now.Add(-time.Duration(rng.Intn(3)) * time.Second)
+				return Sample{
+					Device: devices[dev], Power: power.Watts(rng.Intn(1000)),
+					Valid: rng.Intn(10) > 0, MeasuredAt: at, PublishedAt: at.Add(time.Millisecond),
+					DequeuedAt: at.Add(2 * time.Millisecond), Event: uint64(rng.Intn(100)),
+				}
+			}
+			steps := 2000
+			if mode.batched {
+				steps = 200
+			}
+			for i := 0; i < steps; i++ {
+				now = now.Add(time.Duration(rng.Intn(3)) * time.Second) // 0 repeats a timestamp
+				var batch []Sample
+				switch {
+				case !mode.batched:
+					batch = []Sample{sample(rng.Intn(40))}
+					got.Update(batch[0])
+				case i%3 == 0: // a poll: the first 30+ devices in order, the tail joining late
+					for dev := 0; dev < 30+min(i/10, 10); dev++ {
+						batch = append(batch, sample(dev))
+					}
+				case i%3 == 1:
+					for dev := 39; dev >= 0; dev-- {
+						batch = append(batch, sample(dev))
+					}
+				default:
+					for k := rng.Intn(60); k > 0; k-- {
+						batch = append(batch, sample(rng.Intn(40)))
+					}
+				}
+				if mode.batched {
+					got.UpdateBatch(batch)
+				}
+				for _, s := range batch {
+					want.Update(s)
+				}
 
-			dev := fmt.Sprintf("dev-%02d", rng.Intn(45)) // some never reported
-			gv, gat, gev, gok := got.GetEvent(dev)
-			wv, wok := want.power[dev]
-			if gok != wok || gv != wv || !gat.Equal(want.at[dev]) || gev != want.event[dev] {
-				t.Fatalf("seed %d step %d: GetEvent(%s) = %v %v %d %v, reference %v %v %d %v",
-					seed, i, dev, gv, gat, gev, gok, wv, want.at[dev], want.event[dev], wok)
-			}
-			if v, at, ok := got.Get(dev); ok != gok || v != gv || !at.Equal(gat) {
-				t.Fatalf("seed %d step %d: Get(%s) = %v %v %v disagrees with GetEvent", seed, i, dev, v, at, ok)
-			}
-			gst, gok := got.GetStamps(dev)
-			if wst, wok := want.stamps[dev]; gok != wok || gst != wst {
-				t.Fatalf("seed %d step %d: GetStamps(%s) = %+v %v, reference %+v %v", seed, i, dev, gst, gok, wst, wok)
-			}
-			gold, gok := got.Oldest(now)
-			if wold, wok := want.Oldest(now); gok != wok || gold != wold {
-				t.Fatalf("seed %d step %d: Oldest = %v %v, reference %v %v", seed, i, gold, gok, wold, wok)
-			}
-			if got.Count() != len(want.power) {
-				t.Fatalf("seed %d step %d: Count = %d, reference %d", seed, i, got.Count(), len(want.power))
-			}
-			if i%50 == 0 {
-				if snap := got.Snapshot(); !reflect.DeepEqual(snap, want.power) {
-					t.Fatalf("seed %d step %d: Snapshot = %v, reference %v", seed, i, snap, want.power)
+				for _, dev := range devices {
+					gv, gat, gev, gok := got.GetEvent(dev)
+					wv, wok := want.power[dev]
+					if gok != wok || gv != wv || !gat.Equal(want.at[dev]) || gev != want.event[dev] {
+						t.Fatalf("%+v seed %d step %d: GetEvent(%s) = %v %v %d %v, reference %v %v %d %v",
+							mode, seed, i, dev, gv, gat, gev, gok, wv, want.at[dev], want.event[dev], wok)
+					}
+					if v, at, ok := got.Get(dev); ok != gok || v != gv || !at.Equal(gat) {
+						t.Fatalf("%+v seed %d step %d: Get(%s) = %v %v %v disagrees with GetEvent", mode, seed, i, dev, v, at, ok)
+					}
+					gst, gok := got.GetStamps(dev)
+					if wst, wok := want.stamps[dev]; gok != wok || gst != wst {
+						t.Fatalf("%+v seed %d step %d: GetStamps(%s) = %+v %v, reference %+v %v", mode, seed, i, dev, gst, gok, wst, wok)
+					}
 				}
-				if got.SnapshotInto(into); !reflect.DeepEqual(into, want.power) {
-					t.Fatalf("seed %d step %d: SnapshotInto = %v, reference %v", seed, i, into, want.power)
+				gold, gok := got.Oldest(now)
+				if wold, wok := want.Oldest(now); gok != wok || gold != wold {
+					t.Fatalf("%+v seed %d step %d: Oldest = %v %v, reference %v %v", mode, seed, i, gold, gok, wold, wok)
+				}
+				if got.Count() != len(want.power) {
+					t.Fatalf("%+v seed %d step %d: Count = %d, reference %d", mode, seed, i, got.Count(), len(want.power))
+				}
+				if i%50 == 0 {
+					if snap := got.Snapshot(); !reflect.DeepEqual(snap, want.power) {
+						t.Fatalf("%+v seed %d step %d: Snapshot = %v, reference %v", mode, seed, i, snap, want.power)
+					}
+					if got.SnapshotInto(into); !reflect.DeepEqual(into, want.power) {
+						t.Fatalf("%+v seed %d step %d: SnapshotInto = %v, reference %v", mode, seed, i, into, want.power)
+					}
 				}
 			}
-		}
-		if g, w := recGot.Snapshot(), recWant.Snapshot(); !reflect.DeepEqual(g, w) {
-			t.Fatalf("seed %d: the views emitted different sample-arrive streams (%d vs %d events)", seed, len(g), len(w))
+			if !mode.recorded {
+				continue
+			}
+			if recGot.Overwritten() > 0 {
+				t.Fatalf("%+v seed %d: the recorder wrapped; the streams below would be partial", mode, seed)
+			}
+			if g, w := recGot.Snapshot(), recWant.Snapshot(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%+v seed %d: the views emitted different sample-arrive streams (%d vs %d events)", mode, seed, len(g), len(w))
+			}
 		}
 	}
 }

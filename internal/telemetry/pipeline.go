@@ -160,46 +160,50 @@ func (p *Pipeline) PollOnce() {
 }
 
 // SubscribeAll subscribes to a topic on every broker and merges the
-// streams into one deduplicated channel feeding view. The returned cancel
-// function closes the subscriptions.
+// streams, deduplicated, into view. The returned cancel function closes
+// the subscriptions, which ends the goroutines feeding the view.
 func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func()) {
 	dedupe := NewDeduper()
 	var subs []*Subscription
-	done := make(chan struct{})
 	for _, b := range p.BrokerSet {
 		sub := b.Subscribe(topic, 1024)
 		subs = append(subs, sub)
-		go func(sub *Subscription) {
-			for {
-				select {
-				case s, ok := <-sub.C:
-					if !ok {
-						return
+		go func() {
+			buf := make([]Sample, 64)
+			for range sub.Ready() {
+				for {
+					n := sub.RecvBatch(buf)
+					p.install(buf[:n], dedupe, view)
+					if n < len(buf) {
+						break
 					}
-					if !dedupe.Fresh(s) {
-						if p.Metrics != nil {
-							p.Metrics.DedupeHits.Inc()
-						}
-						continue
-					}
-					// Stamp the dequeue instant before the view installs the
-					// sample: PublishedAt→DequeuedAt is the queue-wait stage.
-					now := p.Clock.Now()
-					s.DequeuedAt = now
-					view.Update(s)
-					if p.Metrics != nil {
-						p.Metrics.PublishLag.ObserveDuration(now.Sub(s.MeasuredAt))
-					}
-				case <-done:
-					return
 				}
 			}
-		}(sub)
+		}()
 	}
 	return func() {
-		close(done)
 		for _, s := range subs {
 			s.Close()
+		}
+	}
+}
+
+// install moves the fresh samples of one drained batch into view.
+func (p *Pipeline) install(batch []Sample, dedupe *Deduper, view *LatestPower) {
+	for _, s := range batch {
+		if !dedupe.Fresh(s) {
+			if p.Metrics != nil {
+				p.Metrics.DedupeHits.Inc()
+			}
+			continue
+		}
+		// Stamp the dequeue instant before the view installs the
+		// sample: PublishedAt→DequeuedAt is the queue-wait stage.
+		now := p.Clock.Now()
+		s.DequeuedAt = now
+		view.Update(s)
+		if p.Metrics != nil {
+			p.Metrics.PublishLag.ObserveDuration(now.Sub(s.MeasuredAt))
 		}
 	}
 }

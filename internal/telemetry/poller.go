@@ -243,31 +243,18 @@ func (l *LatestPower) SetRecorder(rec *recorder.Recorder, role string) {
 }
 
 // Update records a valid sample (invalid samples are ignored).
+//
+//flex:hotpath
 func (l *LatestPower) Update(s Sample) {
 	if !s.Valid {
 		return
 	}
 	l.mu.Lock()
-	i, ok := l.index[s.Device]
-	if ok && !s.MeasuredAt.After(l.slots[i].stamps.MeasuredAt) {
-		l.mu.Unlock()
-		return
-	}
-	if !ok {
-		i = len(l.slots)
-		l.index[s.Device] = i
-		l.slots = append(l.slots, reading{device: s.Device})
-	}
-	r := &l.slots[i]
-	r.power = s.Power
-	r.stamps = Stamps{
-		MeasuredAt:  s.MeasuredAt,
-		PublishedAt: s.PublishedAt,
-		DequeuedAt:  s.DequeuedAt,
-	}
+	i, known := l.index[s.Device]
+	i, installed := l.install(&s, i, known)
 	rec, role := l.rec, l.role
 	l.mu.Unlock()
-	if rec == nil {
+	if !installed || rec == nil {
 		return
 	}
 	// Emit outside the mutex (eventcheck), then bind the arrival seq to
@@ -285,6 +272,68 @@ func (l *LatestPower) Update(s Sample) {
 		r.event = seq
 	}
 	l.mu.Unlock()
+}
+
+// UpdateBatch is a loop of Update over batch under one lock acquisition. A
+// poll delivers its devices in the same order every round, so each sample
+// first tries the slot after the previous sample's — a string compare that
+// hits on pointer equality — and only then the map.
+//
+//flex:hotpath
+func (l *LatestPower) UpdateBatch(batch []Sample) {
+	l.mu.Lock()
+	if l.rec != nil {
+		// A recorded view emits between two lock holds per sample.
+		l.mu.Unlock()
+		for i := range batch {
+			l.Update(batch[i])
+		}
+		return
+	}
+	next := 0
+	for k := range batch {
+		s := &batch[k]
+		if !s.Valid {
+			continue
+		}
+		i, known := next, next < len(l.slots) && l.slots[next].device == s.Device
+		if !known {
+			i, known = l.index[s.Device]
+		}
+		i, _ = l.install(s, i, known)
+		next = i + 1
+	}
+	l.mu.Unlock()
+}
+
+// install puts valid sample s into its device's slot — slot i when the
+// device is known, a new one otherwise — unless the slot holds a
+// measurement at least as new. It returns the slot and whether s went in.
+// l.mu is held.
+func (l *LatestPower) install(s *Sample, i int, known bool) (int, bool) {
+	if !known {
+		i = l.addSlot(s.Device)
+	} else if !s.MeasuredAt.After(l.slots[i].stamps.MeasuredAt) {
+		return i, false
+	}
+	r := &l.slots[i]
+	r.power = s.Power
+	r.stamps = Stamps{
+		MeasuredAt:  s.MeasuredAt,
+		PublishedAt: s.PublishedAt,
+		DequeuedAt:  s.DequeuedAt,
+	}
+	return i, true
+}
+
+// addSlot gives a device reporting for the first time the next slot.
+//
+//flex:coldpath
+func (l *LatestPower) addSlot(device string) int {
+	i := len(l.slots)
+	l.index[device] = i
+	l.slots = append(l.slots, reading{device: device})
+	return i
 }
 
 // Get returns the last power for device and whether one exists.

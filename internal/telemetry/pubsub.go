@@ -54,17 +54,30 @@ func StampPublished(batch []Sample, at time.Time) {
 	}
 }
 
-// Subscription receives samples for one topic. Drop-oldest semantics keep
-// slow subscribers from blocking the pipeline — stale power data is
-// worthless to Flex, fresh data is everything.
+// Subscription receives samples for one topic through a bounded queue.
+// Drop-oldest semantics keep slow subscribers from blocking the pipeline —
+// stale power data is worthless to Flex, fresh data is everything.
+//
+// The queue is a ring of Sample under mu, so a batch goes in and comes out
+// in at most two copies each way. The ring starts empty and grows, by
+// doubling at least, to what its traffic needs and never past the depth the
+// subscription was made with: a queue costs what it holds, not what it may.
 type Subscription struct {
-	C      chan Sample
 	broker *Broker
 	topic  string
+	depth  int
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// ring[head], ring[head+1], … hold the n queued samples, oldest first,
+	// wrapping at len(ring) ≤ depth.
+	ring    []Sample
+	head, n int
 	dropped int
 	closed  bool
+	// ready holds a token while samples have arrived since a consumer last
+	// took one. It is sent to and closed under mu, so a publish never sends
+	// on a closed channel.
+	ready chan struct{}
 }
 
 // Dropped reports how many samples were discarded because the subscriber
@@ -75,38 +88,88 @@ func (s *Subscription) Dropped() int {
 	return s.dropped
 }
 
-// RecvBatch drains up to len(buf) buffered samples into buf without
-// blocking and returns how many it copied. It is the batch counterpart of
-// reading s.C one sample at a time: a consumer that fell behind catches up
-// in one call instead of len(buf) scheduler round-trips. A closed
-// subscription drains its remaining buffer, then keeps returning 0.
+// Ready is what a blocking consumer waits on: it yields a token once
+// samples have arrived and is closed by Close. A token says "drain now",
+// not how much: take it, then call RecvBatch until it returns short.
+func (s *Subscription) Ready() <-chan struct{} { return s.ready }
+
+// RecvBatch drains up to len(buf) queued samples into buf, oldest first,
+// without blocking, and returns how many it copied: a consumer that fell
+// behind catches up in one call. A closed subscription drains what it still
+// holds, then keeps returning 0.
 //
 //flex:hotpath
 func (s *Subscription) RecvBatch(buf []Sample) int {
-	n := 0
-	for n < len(buf) {
-		select {
-		case smp, ok := <-s.C:
-			if !ok {
-				return n
-			}
-			buf[n] = smp
-			n++
-		default:
-			return n
-		}
+	s.mu.Lock()
+	k := min(len(buf), s.n)
+	if k > 0 {
+		first := copy(buf[:k], s.ring[s.head:])
+		copy(buf[first:k], s.ring)
+		s.advance(k)
 	}
-	return n
+	s.mu.Unlock()
+	return k
 }
 
-// Close unsubscribes.
+// advance forgets the k ≤ n oldest queued samples.
+func (s *Subscription) advance(k int) {
+	if s.head += k; s.head >= len(s.ring) {
+		s.head -= len(s.ring)
+	}
+	s.n -= k
+}
+
+// push queues batch behind what the ring holds and returns how many samples
+// that evicted (and counts them as dropped): the n + len(batch) − depth
+// oldest of the two together, which is what sending the batch sample by
+// sample into a full queue drops. s.mu is held.
+//
+//flex:hotpath
+func (s *Subscription) push(batch []Sample) (evicted int) {
+	if over := s.n + len(batch) - s.depth; over > 0 {
+		evicted = over
+		s.dropped += over
+		// What the queue cannot give up comes off the batch's own head.
+		queued := min(over, s.n)
+		s.advance(queued)
+		batch = batch[over-queued:]
+	}
+	if s.n+len(batch) > len(s.ring) {
+		s.grow(s.n + len(batch))
+	}
+	tail := s.head + s.n
+	if tail >= len(s.ring) {
+		tail -= len(s.ring)
+	}
+	first := copy(s.ring[tail:], batch)
+	copy(s.ring, batch[first:])
+	s.n += len(batch)
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
+	return evicted
+}
+
+// grow moves the queued samples to the front of a ring with room for need:
+// twice the old one, or need if that is more, and never past the depth.
+//
+//flex:coldpath
+func (s *Subscription) grow(need int) {
+	ring := make([]Sample, min(max(2*len(s.ring), need), s.depth))
+	first := copy(ring, s.ring[s.head:min(s.head+s.n, len(s.ring))])
+	copy(ring[first:s.n], s.ring)
+	s.ring, s.head = ring, 0
+}
+
+// Close unsubscribes. What is queued stays for RecvBatch; Ready is closed.
 func (s *Subscription) Close() {
 	s.broker.unsubscribe(s.topic, s)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
 		s.closed = true
-		close(s.C)
+		close(s.ready)
 	}
 }
 
@@ -133,13 +196,13 @@ func NewBroker(name string) *Broker {
 	return &Broker{Name: name, topics: make(map[string][]*Subscription)}
 }
 
-// Subscribe registers a subscriber for topic with the given channel
-// buffer.
+// Subscribe registers a subscriber for topic whose queue holds up to
+// buffer samples.
 func (b *Broker) Subscribe(topic string, buffer int) *Subscription {
 	if buffer < 1 {
 		buffer = 1
 	}
-	sub := &Subscription{C: make(chan Sample, buffer), broker: b, topic: topic}
+	sub := &Subscription{broker: b, topic: topic, depth: buffer, ready: make(chan struct{}, 1)}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.topics[topic] = append(b.topics[topic], sub)
@@ -171,16 +234,16 @@ func (b *Broker) Publish(topic string, s Sample) {
 }
 
 // PublishBatch fans a batch of samples out to all of topic's subscribers
-// under a single lock acquisition — the primary ingest path. When a
-// subscriber's buffer is full the oldest sample is dropped (stale power
+// under a single lock acquisition — the primary ingest path. A subscriber
+// whose queue cannot hold the batch loses its oldest samples (stale power
 // data is worthless to Flex, fresh data is everything). Publishing on a
 // downed broker is a silent no-op (that is the failure the duplicated
 // broker masks).
 //
-// The fan-out runs with b.mu held, iterating the subscriber list in
-// place: every send and drop-recv is non-blocking (drop-oldest), so the
-// critical section is bounded by len(batch)×subscribers and PublishBatch
-// allocates nothing — it sits on the poller and fleet-ingest hot paths.
+// The fan-out runs with b.mu held, iterating the subscriber list in place:
+// each subscriber takes the batch in two copies at most and nothing blocks,
+// so the critical section is short and PublishBatch allocates nothing in
+// steady state — it sits on the poller and fleet-ingest hot paths.
 // Subscription locks nest under the broker lock (b.mu -> sub.mu); nothing
 // acquires them in the reverse order.
 //
@@ -197,33 +260,16 @@ func (b *Broker) PublishBatch(topic string, batch []Sample) {
 	dropped := 0
 	for _, sub := range b.topics[topic] {
 		sub.mu.Lock()
-		if sub.closed {
-			sub.mu.Unlock()
-			continue
-		}
-		for _, s := range batch {
-			for {
-				select {
-				case sub.C <- s:
-				default:
-					select {
-					case <-sub.C:
-						sub.dropped++
-						dropped++
-						if b.Metrics != nil {
-							b.Metrics.DroppedSamples.Inc()
-						}
-					default:
-					}
-					continue
-				}
-				break
-			}
+		if !sub.closed {
+			dropped += sub.push(batch)
 		}
 		sub.mu.Unlock()
 	}
 	b.mu.Unlock()
 	if b.Metrics != nil {
+		if dropped > 0 {
+			b.Metrics.DroppedSamples.Add(uint64(dropped))
+		}
 		b.Metrics.BatchPublishes.Inc()
 	}
 	// One aggregated drop event per batch, attributed to the newest sample

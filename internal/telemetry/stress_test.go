@@ -47,16 +47,53 @@ func TestBrokerConcurrencyStress(t *testing.T) {
 				}
 				sub := b.Subscribe(TopicUPS, 8)
 				for i := 0; i < 50; i++ {
-					select {
-					case <-sub.C:
-					case <-time.After(time.Millisecond):
-					}
+					takeOne(sub, time.Millisecond)
 				}
 				_ = sub.Dropped()
 				sub.Close()
 			}
 		}()
 	}
+	// A batch publisher against a subscriber whose three-slot ring wraps on
+	// every other batch and whose consumer blocks on Ready, closed from here
+	// mid-stream: a publish must never signal a closed subscription, and
+	// Close must release the consumer.
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		batch := []Sample{{Device: "UPS-1", Valid: true}, {Device: "UPS-2", Valid: true}}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b.PublishBatch(TopicUPS, batch)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sub := b.Subscribe(TopicUPS, 3)
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				var buf [2]Sample
+				for range sub.Ready() {
+					for sub.RecvBatch(buf[:]) == len(buf) {
+					}
+				}
+			}()
+			time.Sleep(200 * time.Microsecond)
+			sub.Close()
+			<-drained
+		}
+	}()
 	// Fault injector flapping the broker.
 	wg.Add(1)
 	go func() {

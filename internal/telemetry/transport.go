@@ -117,9 +117,18 @@ func (s *BrokerServer) handle(conn net.Conn) {
 		sub := s.Broker.Subscribe(hello.Topic, 1024)
 		defer sub.Close()
 		enc := gob.NewEncoder(conn)
-		for smp := range sub.C {
-			if err := enc.Encode(wireSample{Topic: hello.Topic, Sample: smp}); err != nil {
-				return
+		buf := make([]Sample, 64)
+		for range sub.Ready() {
+			for {
+				n := sub.RecvBatch(buf)
+				for _, smp := range buf[:n] {
+					if err := enc.Encode(wireSample{Topic: hello.Topic, Sample: smp}); err != nil {
+						return
+					}
+				}
+				if n < len(buf) {
+					break
+				}
 			}
 		}
 	}
