@@ -168,18 +168,10 @@ func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func())
 	for _, b := range p.BrokerSet {
 		sub := b.Subscribe(topic, 1024)
 		subs = append(subs, sub)
-		go func() {
-			buf := make([]Sample, 64)
-			for range sub.Ready() {
-				for {
-					n := sub.RecvBatch(buf)
-					p.install(buf[:n], dedupe, view)
-					if n < len(buf) {
-						break
-					}
-				}
-			}
-		}()
+		go sub.Consume(make([]Sample, 64), func(batch []Sample) bool {
+			p.install(batch, dedupe, view)
+			return true
+		})
 	}
 	return func() {
 		for _, s := range subs {

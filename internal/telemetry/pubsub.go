@@ -88,10 +88,23 @@ func (s *Subscription) Dropped() int {
 	return s.dropped
 }
 
-// Ready is what a blocking consumer waits on: it yields a token once
-// samples have arrived and is closed by Close. A token says "drain now",
-// not how much: take it, then call RecvBatch until it returns short.
-func (s *Subscription) Ready() <-chan struct{} { return s.ready }
+// Consume is the blocking consumer's loop: it waits for samples to arrive,
+// hands them to fn in arrival order, a buf's worth at most per call, and
+// returns once the subscription is closed or fn returns false.
+func (s *Subscription) Consume(buf []Sample, fn func(batch []Sample) bool) {
+	// A token says "drain now", not how much: drain until RecvBatch is short.
+	for range s.ready {
+		for {
+			n := s.RecvBatch(buf)
+			if n > 0 && !fn(buf[:n]) {
+				return
+			}
+			if n < len(buf) {
+				break
+			}
+		}
+	}
+}
 
 // RecvBatch drains up to len(buf) queued samples into buf, oldest first,
 // without blocking, and returns how many it copied: a consumer that fell
@@ -162,7 +175,7 @@ func (s *Subscription) grow(need int) {
 	s.ring, s.head = ring, 0
 }
 
-// Close unsubscribes. What is queued stays for RecvBatch; Ready is closed.
+// Close unsubscribes and ends Consume. What is queued stays for RecvBatch.
 func (s *Subscription) Close() {
 	s.broker.unsubscribe(s.topic, s)
 	s.mu.Lock()

@@ -55,7 +55,7 @@ func TestBrokerConcurrencyStress(t *testing.T) {
 		}()
 	}
 	// A batch publisher against a subscriber whose three-slot ring wraps on
-	// every other batch and whose consumer blocks on Ready, closed from here
+	// every other batch and whose consumer blocks in Consume, closed from here
 	// mid-stream: a publish must never signal a closed subscription, and
 	// Close must release the consumer.
 	wg.Add(2)
@@ -83,11 +83,7 @@ func TestBrokerConcurrencyStress(t *testing.T) {
 			drained := make(chan struct{})
 			go func() {
 				defer close(drained)
-				var buf [2]Sample
-				for range sub.Ready() {
-					for sub.RecvBatch(buf[:]) == len(buf) {
-					}
-				}
+				sub.Consume(make([]Sample, 2), func([]Sample) bool { return true })
 			}()
 			time.Sleep(200 * time.Microsecond)
 			sub.Close()

@@ -23,7 +23,7 @@ func takeOne(sub *Subscription, wait time.Duration) (s Sample, ok bool) {
 	n := sub.RecvBatch(one[:])
 	if n == 0 && wait > 0 {
 		select {
-		case <-sub.Ready():
+		case <-sub.ready:
 		case <-time.After(wait):
 		}
 		n = sub.RecvBatch(one[:])

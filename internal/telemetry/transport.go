@@ -117,20 +117,14 @@ func (s *BrokerServer) handle(conn net.Conn) {
 		sub := s.Broker.Subscribe(hello.Topic, 1024)
 		defer sub.Close()
 		enc := gob.NewEncoder(conn)
-		buf := make([]Sample, 64)
-		for range sub.Ready() {
-			for {
-				n := sub.RecvBatch(buf)
-				for _, smp := range buf[:n] {
-					if err := enc.Encode(wireSample{Topic: hello.Topic, Sample: smp}); err != nil {
-						return
-					}
-				}
-				if n < len(buf) {
-					break
+		sub.Consume(make([]Sample, 64), func(batch []Sample) bool {
+			for _, smp := range batch {
+				if err := enc.Encode(wireSample{Topic: hello.Topic, Sample: smp}); err != nil {
+					return false
 				}
 			}
-		}
+			return true
+		})
 	}
 }
 
