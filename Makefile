@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race cover bench bench-solver bench-obs bench-fleet bench-online bench-latency figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
+.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
 
 all: build vet lint test
 
@@ -14,8 +14,8 @@ vet:
 
 # Project-specific static analysis: the interprocedural flexlint suite —
 # clock hygiene, context-budget flow, allocation-free hot paths, lock
-# ordering, float equality, unit mixing, lock discipline, flight-recorder
-# emission discipline, discarded shed-critical errors. See DESIGN.md
+# ordering, float equality, lock discipline, flight-recorder emission
+# discipline, discarded shed-critical errors. See DESIGN.md
 # ("Static analysis") and internal/analysis.
 lint:
 	$(GO) run ./cmd/flexlint ./...
@@ -57,9 +57,10 @@ fleet-smoke:
 # (flexsim -latency): the failed room's overdraw must surface as a
 # stitched per-episode waterfall at /fleet/traces whose stage durations
 # tile the episode span, the waterfall must reconcile with the measured
-# detect→shed latency, every stage p99 must sit inside its carve of the
-# 10s budget, and the stage exemplars must resolve to flight-recorder
-# events. flexsim exits non-zero on any violation.
+# detect→shed latency, every stage's exact maximum must sit inside its
+# carve of the 10s budget (slo.StageBudgets), and each maximum must
+# resolve to a flight-recorder event. flexsim exits non-zero on any
+# violation.
 latency-smoke:
 	$(GO) run ./cmd/flexsim -experiment fleet -rooms 10 -latency
 
@@ -81,15 +82,6 @@ ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-
 
 cover:
 	$(GO) test -cover ./...
-
-# Records a performance baseline: one iteration of every benchmark,
-# parsed into benchstat-reconstructable JSON (cmd/benchjson). Compare a
-# later run with:
-#   go test -run '^$$' -bench . -benchmem -benchtime 1x . > new.txt
-#   $(GO) run ./cmd/benchjson -restore BENCH_baseline.json | benchstat /dev/stdin new.txt
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . | $(GO) run ./cmd/benchjson -o BENCH_baseline.json
-	@echo wrote BENCH_baseline.json
 
 # Records the solver-scaling baseline (BenchmarkSolverScaling: the
 # branch-and-bound engine at 1 worker — the "serial" row — and at 2/4/8 on
@@ -116,41 +108,6 @@ bench-obs:
 	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ ./internal/controller/ ./internal/stats/ ./internal/telemetry/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkRunInstrumented -benchtime 5x ./internal/emu/ ; } | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	@echo wrote BENCH_obs.json
-
-# Records the online-placement baseline (BenchmarkOnlinePlacement):
-#   admit        — hot-path decision throughput on the full 9.6MW paper
-#                  room; must stay ≥ 1000 decisions/s (the benchmark
-#                  itself fails below) at 0 allocs/op.
-#   stranded-gap — stranded power of the online policy minus the
-#                  FlexOffline optimum on the §V-C trace, in percentage
-#                  points (gap-pp); must stay ≤ 10pp.
-# Track the quality metrics across changes with either:
-#   $(GO) run ./cmd/benchjson -compare BENCH_online.json BENCH_online.new.json
-# or the benchstat recipe shared by every bench target:
-#   go test -run '^$$' -bench BenchmarkOnlinePlacement -benchmem -benchtime 2000x ./internal/placement/online/ > new.txt
-#   $(GO) run ./cmd/benchjson -restore BENCH_online.json | benchstat /dev/stdin new.txt
-bench-online:
-	$(GO) test -run '^$$' -bench BenchmarkOnlinePlacement -benchmem -benchtime 2000x ./internal/placement/online/ | $(GO) run ./cmd/benchjson -o BENCH_online.json
-	@echo wrote BENCH_online.json
-
-# Records the fleet-scaling baseline (BenchmarkFleetDetectToShed: the
-# detect→shed latency of a UPS failure with 1/10/100 rooms riding on one
-# virtual clock). The shed-s/op column is virtual-clock seconds and must
-# stay under the 10s FlexLatencyBudget at every room count — the
-# benchmark itself fails otherwise.
-bench-fleet:
-	$(GO) test -run '^$$' -bench BenchmarkFleetDetectToShed -benchtime 3x ./internal/emu/ | $(GO) run ./cmd/benchjson -o BENCH_fleet.json
-	@echo wrote BENCH_fleet.json
-
-# Records the latency-attribution baseline (BenchmarkFleetStageLatency:
-# per-stage p50/p99 of the detect→shed critical path, virtual-clock
-# seconds, at 1/10/100 rooms). Every stage p99 must stay inside its
-# carve of the 10s budget — the benchmark itself fails otherwise. Diff
-# two captures (each stamped with its commit and capture time) with:
-#   $(GO) run ./cmd/benchjson -compare BENCH_latency.json BENCH_latency.new.json
-bench-latency:
-	$(GO) test -run '^$$' -bench BenchmarkFleetStageLatency -benchtime 3x ./internal/emu/ | $(GO) run ./cmd/benchjson -o BENCH_latency.json
-	@echo wrote BENCH_latency.json
 
 # Regenerates every figure/result of the paper's evaluation.
 figures:

@@ -1,16 +1,17 @@
 // Command benchjson converts `go test -bench` text output into a JSON
-// baseline (see `make bench`, which writes BENCH_baseline.json). Every
-// parsed record keeps its raw result line, so the original benchstat input
-// can be reconstructed exactly:
+// baseline (see `make bench-solver` and `make bench-obs`, which write
+// BENCH_solver.json and BENCH_obs.json). Every parsed record keeps its raw
+// result line, so the original benchstat input can be reconstructed
+// exactly:
 //
-//	go test -run '^$' -bench . -benchmem . | benchjson -o BENCH_baseline.json
-//	benchjson -restore BENCH_baseline.json | benchstat old.txt /dev/stdin
+//	go test -run '^$' -bench BenchmarkSolverScaling . | benchjson -o BENCH_solver.json
+//	benchjson -restore BENCH_solver.json | benchstat old.txt /dev/stdin
 //
 // Two baselines can be diffed directly — every metric of every benchmark
-// present in both files, old vs new with the delta (this is how the
-// stranded-power gap-pp of BENCH_online.json is tracked across runs):
+// present in both files, old vs new with the delta (custom metrics such
+// as a stranded-power gap-pp included):
 //
-//	benchjson -compare BENCH_online.json BENCH_online.new.json
+//	benchjson -compare BENCH_obs.json BENCH_obs.new.json
 package main
 
 import (
@@ -30,7 +31,7 @@ import (
 	"flex/internal/clock"
 )
 
-// Baseline is the file layout of BENCH_baseline.json.
+// Baseline is the file layout of a BENCH_*.json baseline.
 type Baseline struct {
 	// Commit is the git commit the baseline was captured at (empty when
 	// the tree was not a git checkout at capture time).
@@ -246,10 +247,10 @@ func speedupTable(path string, w io.Writer) error {
 // compareFiles diffs two baselines: for every benchmark present in both
 // (matched on Pkg+Name), every metric present in both is printed as
 // old → new with the absolute and relative delta. Benchmarks or metrics
-// present in only one file are listed, not silently dropped. This is the
-// quality-tracking view of BENCH_online.json: the stranded-power gap-pp
-// row shows whether a change moved the online policy closer to or
-// further from the FlexOffline optimum.
+// present in only one file are listed, not silently dropped. Custom
+// quality metrics diff like the rest: a stranded-power gap-pp row shows
+// whether a change moved the online policy closer to or further from the
+// FlexOffline optimum.
 func compareFiles(oldPath, newPath string, w io.Writer) error {
 	load := func(path string) (*Baseline, error) {
 		data, err := os.ReadFile(path)

@@ -206,7 +206,7 @@ PASS
 
 // TestCompareFiles: the -compare view diffs every shared metric of every
 // shared benchmark and reports one-sided records instead of dropping
-// them — the stranded-power gap-pp row of BENCH_online.json is the
+// them — BenchmarkOnlinePlacement's stranded-power gap-pp row is the
 // motivating use.
 func TestCompareFiles(t *testing.T) {
 	dir := t.TempDir()

@@ -1,12 +1,12 @@
 // Command flexlint runs Flex's custom correctness analyzers over the
 // repository: clockcheck (injected-clock discipline), floateq (no exact
-// float comparison in the numeric packages), unitcheck (no mixed power
-// units), locksend (no blocking operations under a mutex), eventcheck
-// (no flight-recorder emission under a mutex, interprocedural),
-// shedcheck (no discarded errors on the power-shedding path), allocfree
-// (//flex:hotpath functions are provably allocation-free), ctxflow (the
-// caller's context is never dropped on a budgeted path), and lockorder
-// (no mutex acquisition-order cycles across packages).
+// float comparison in the numeric packages), locksend (no blocking
+// operations under a mutex), eventcheck (no flight-recorder emission
+// under a mutex, interprocedural), shedcheck (no discarded errors on the
+// power-shedding path), allocfree (//flex:hotpath functions are provably
+// allocation-free), ctxflow (the caller's context is never dropped on a
+// budgeted path), and lockorder (no mutex acquisition-order cycles across
+// packages).
 //
 // The suite is interprocedural: flexlint analyzes the whole module in
 // one pass, building a module-wide call graph and letting analyzers
@@ -50,7 +50,6 @@ import (
 	"flex/internal/analysis/lockorder"
 	"flex/internal/analysis/locksend"
 	"flex/internal/analysis/shedcheck"
-	"flex/internal/analysis/unitcheck"
 )
 
 // analyzers is the flexlint suite.
@@ -63,7 +62,6 @@ var analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	locksend.Analyzer,
 	shedcheck.Analyzer,
-	unitcheck.Analyzer,
 }
 
 // floateqScope confines floateq to the numeric packages, where epsilon
@@ -138,16 +136,23 @@ type jsonFinding struct {
 	Analyzer string `json:"analyzer"`
 }
 
-// lint loads the patterns, runs the suite, prints findings, and returns
-// the finding count.
-func lint(suite []*analysis.Analyzer, patterns []string, jsonOut bool) (int, error) {
+// check runs the suite and returns the findings inside the packages the
+// patterns match. It analyses the whole module whatever was asked for:
+// facts about a callee (may it allocate, does it emit, which locks does it
+// take) exist only once the callee's package has been analysed, and a
+// pattern names the importer, not what it imports.
+func check(suite []*analysis.Analyzer, patterns []string) ([]analysis.Finding, *analysis.Loader, error) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	pkgs, err := loader.LoadPatterns(patterns...)
+	wanted, err := loader.LoadPatterns(patterns...)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
+	}
+	module, err := loader.LoadPatterns(filepath.Join(loader.ModuleDir(), "..."))
+	if err != nil {
+		return nil, nil, err
 	}
 	modulePath := loader.ModulePath()
 	scope := func(a *analysis.Analyzer, pkgPath string) bool {
@@ -162,7 +167,27 @@ func lint(suite []*analysis.Analyzer, patterns []string, jsonOut bool) (int, err
 		}
 		return false
 	}
-	findings, err := analysis.Run(loader.Fset, pkgs, suite, scope)
+	findings, err := analysis.Run(loader.Fset, module, suite, scope)
+	if err != nil {
+		return nil, nil, err
+	}
+	asked := make(map[*analysis.Package]bool, len(wanted))
+	for _, pkg := range wanted {
+		asked[pkg] = true
+	}
+	kept := findings[:0]
+	for _, f := range findings {
+		if asked[f.Pkg] {
+			kept = append(kept, f)
+		}
+	}
+	return kept, loader, nil
+}
+
+// lint runs check on the patterns, prints the findings, and returns the
+// finding count.
+func lint(suite []*analysis.Analyzer, patterns []string, jsonOut bool) (int, error) {
+	findings, loader, err := check(suite, patterns)
 	if err != nil {
 		return 0, err
 	}

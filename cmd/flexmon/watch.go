@@ -90,13 +90,13 @@ func watchOnce(client *http.Client, base string, sinceSeq uint64) (line string, 
 			fmt.Fprintf(&b, " %s×%d", t, c)
 		}
 	}
-	// Per-stage critical-path p99s against their 10s-budget carves (only
-	// when the server's auditor is bound to stage histograms). "!" marks
-	// a stage over its carve.
+	// Per-stage critical-path maxima against their 10s-budget carves
+	// (only when the server's auditor is bound to stage metrics). "!"
+	// marks a stage over its carve.
 	if len(status.Stages) > 0 {
 		parts := make([]string, 0, len(status.Stages))
 		for _, st := range status.Stages {
-			s := fmt.Sprintf("%s:%.0fms", st.Name, st.P99*1000)
+			s := fmt.Sprintf("%s:%.0fms", st.Stage, st.Max*1000)
 			if st.OverBudget {
 				s += "!"
 			}

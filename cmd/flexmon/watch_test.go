@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"flex/internal/obs"
 	"flex/internal/obs/slo"
 )
 
@@ -83,13 +84,13 @@ func TestWatchAgainstLiveRun(t *testing.T) {
 }
 
 // TestWatchStageSummaryLine pins the stage-summary formatting against a
-// canned /slo payload: p99s in milliseconds, timeline order preserved,
+// canned /slo payload: maxima in milliseconds, timeline order preserved,
 // "!" marking a stage over its budget carve.
 func TestWatchStageSummaryLine(t *testing.T) {
 	status := slo.Status{
 		Stages: []slo.StageStatus{
-			{Name: "sample", Count: 3, P99: 0.05, BudgetSeconds: 3},
-			{Name: "act", Count: 1, P99: 1.25, BudgetSeconds: 1, OverBudget: true},
+			{StageDigest: obs.StageDigest{Stage: "sample", Count: 3, Sum: 0.12, Max: 0.05}, BudgetSeconds: 3},
+			{StageDigest: obs.StageDigest{Stage: "act", Count: 1, Sum: 1.25, Max: 1.25}, BudgetSeconds: 1, OverBudget: true},
 		},
 	}
 	mux := http.NewServeMux()

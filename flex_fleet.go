@@ -2,7 +2,6 @@ package flex
 
 import (
 	"net/http"
-	"time"
 
 	"flex/internal/fleet"
 )
@@ -30,56 +29,19 @@ type (
 	// FleetEpisodeTrace is one overdraw episode's stitched stage
 	// waterfall, as served at /fleet/traces.
 	FleetEpisodeTrace = fleet.EpisodeTrace
-	// FleetStageSummary is a fleet-wide per-stage latency digest with an
-	// exemplar join back to the flight recorder.
+	// FleetStageSummary is a fleet-wide per-stage latency digest (exact
+	// count, sum and max) with the max's join back to the flight recorder.
 	FleetStageSummary = fleet.StageSummary
 )
 
-// FleetOption customizes NewFleet.
-type FleetOption func(*FleetConfig)
-
-// WithFleetQueueDepth sets each shard's per-topic ingest buffer in
-// samples (default 1024). When a shard falls behind, its oldest queued
-// samples are dropped and counted — backpressure never reaches the
-// publisher or other shards.
-func WithFleetQueueDepth(n int) FleetOption {
-	return func(c *FleetConfig) { c.QueueDepth = n }
-}
-
-// WithAggregateEvery sets the aggregator cadence (default 2s) — how
-// often per-shard snapshots fold into the fleet snapshot. Aggregation is
-// deliberately slower than the shard control loops; the 10s budget never
-// depends on it.
-func WithAggregateEvery(d time.Duration) FleetOption {
-	return func(c *FleetConfig) { c.AggregateEvery = d }
-}
-
-// WithFleetFreshness sets how stale a shard's UPS telemetry may get
-// before the shard reports degraded (default 5s).
-func WithFleetFreshness(d time.Duration) FleetOption {
-	return func(c *FleetConfig) { c.Freshness = d }
-}
-
-// WithFleetConfig applies an arbitrary edit to the assembled FleetConfig
-// — the escape hatch for knobs without a dedicated option (clock, obs
-// registry, recorder).
-func WithFleetConfig(edit func(*FleetConfig)) FleetOption {
-	return FleetOption(edit)
-}
-
-// NewFleet creates an empty fleet from the config plus options. Add
+// NewFleet creates an empty fleet from the config. Add
 // fault domains with Fleet.AddRoom, feed telemetry through the returned
 // shards' IngestUPS/IngestRacks (or Fleet.Ingest by name), and read the
 // global view with Fleet.Snapshot. Shards run synchronously (Pump +
 // StepContext on a virtual clock) or as goroutine loops
 // (Start/Drain/Stop); Fleet.RunAggregator maintains the fleet snapshot
 // in live mode, and Fleet.Handler serves it as the /fleet endpoint.
-func NewFleet(cfg FleetConfig, opts ...FleetOption) *Fleet {
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return fleet.New(cfg)
-}
+func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
 // FleetHandler returns f's /fleet HTTP handler: the aggregated snapshot
 // as JSON, with ?room=NAME narrowing to one room's status. Mount it via

@@ -80,6 +80,10 @@ func NewLoader(dir string) (*Loader, error) {
 // loader).
 func (l *Loader) ModulePath() string { return l.modulePath }
 
+// ModuleDir returns the directory holding go.mod ("" for a fixture-only
+// loader).
+func (l *Loader) ModuleDir() string { return l.moduleDir }
+
 // RegisterDir maps an import path onto a source directory outside the
 // module — analysistest uses it to serve testdata fixture packages.
 func (l *Loader) RegisterDir(importPath, dir string) {

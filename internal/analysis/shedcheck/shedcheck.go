@@ -13,9 +13,11 @@
 //
 // The check fires when a call statement discards a final error result
 // from a function whose name is in the shed-critical set (Publish, Ack,
-// Throttle, Shutdown, Restore, Enforce, Execute, Apply, Shed, Plan).
-// _test.go files are exempt: tests discard errors deliberately when
-// exercising idempotency.
+// Throttle, Shutdown, Restore, Enforce, Execute, Apply, Shed, Plan), with
+// or without the Op, Context or Batch suffix the tree's variants carry —
+// the controller sheds through ShutdownOp/ThrottleOp/RestoreOp and plans
+// through PlanContext. _test.go files are exempt: tests discard errors
+// deliberately when exercising idempotency.
 package shedcheck
 
 import (
@@ -28,7 +30,7 @@ import (
 )
 
 // Critical is the set of function/method names whose errors must never be
-// discarded.
+// discarded, under their own name or with one of variantSuffixes.
 var Critical = map[string]bool{
 	"Publish":  true,
 	"Ack":      true,
@@ -40,6 +42,22 @@ var Critical = map[string]bool{
 	"Apply":    true,
 	"Shed":     true,
 	"Plan":     true,
+}
+
+// variantSuffixes mark a critical function's variants: the same act with
+// provenance (ShutdownOp), under a deadline (PlanContext), or many at once
+// (PublishBatch).
+var variantSuffixes = []string{"Op", "Context", "Batch"}
+
+// critical reports whether name is a shed-critical function or a variant
+// of one.
+func critical(name string) bool {
+	for _, suffix := range variantSuffixes {
+		if base, ok := strings.CutSuffix(name, suffix); ok && Critical[base] {
+			return true
+		}
+	}
+	return Critical[name]
 }
 
 // Analyzer is the shedcheck analyzer.
@@ -80,7 +98,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // report fires when call is a shed-critical call returning a final error.
 func report(pass *analysis.Pass, call *ast.CallExpr, how string) {
 	name, ok := calleeName(call)
-	if !ok || !Critical[name] {
+	if !ok || !critical(name) {
 		return
 	}
 	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)

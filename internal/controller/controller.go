@@ -20,7 +20,8 @@ import (
 // because actions are idempotent, the instances need no coordination
 // (paper §IV-D).
 type Config struct {
-	Name  string
+	Name string
+	// Clock times the rounds (default wall clock).
 	Clock clock.Clock
 	Topo  *power.Topology
 	Racks []ManagedRack
@@ -143,6 +144,9 @@ func DefaultBuffer(topo *power.Topology) power.Watts {
 
 // New creates a controller.
 func New(cfg Config) *Controller {
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real{}
+	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
@@ -199,10 +203,7 @@ func (c *Controller) snapshotUPS() ([]power.Watts, time.Time, []uint64) {
 func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	defer func() { c.cfg.Metrics.recordStep(&out) }()
 
-	var stepStart time.Time
-	if c.cfg.Tracer != nil || c.cfg.Stages != nil {
-		stepStart = c.cfg.Clock.Now()
-	}
+	stepStart := c.cfg.Clock.Now()
 
 	c.mu.Lock()
 	c.steps++
@@ -261,207 +262,23 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 				Episode: episode,
 			})
 		}
-		// The ingest stamps of the sample that triggered detection open
-		// the waterfall: how old the reading already was when this round
-		// looked at it, split into sample/queue/view stages.
+		// The round's instants, each read once: the ingest stamps of the
+		// sample that triggered detection open the waterfall (how old the
+		// reading already was when this round looked at it), respond adds
+		// plan end and act end. The trace and the stage metrics are both
+		// this array.
 		stamps, _ := c.cfg.UPSView.GetStamps(c.cfg.Topo.UPSes[worst].Name)
-		var tr *obs.Trace
-		if c.cfg.Tracer != nil {
-			traceStart := stepStart
-			if !stamps.MeasuredAt.IsZero() {
-				traceStart = stamps.MeasuredAt
-			}
-			tr = c.cfg.Tracer.Start("flex-online/"+c.cfg.Name, traceStart)
-			tr.SetEpisode(episode)
-			tr.SetRoot(detectSeq)
-			if !stamps.MeasuredAt.IsZero() && !stamps.PublishedAt.IsZero() {
-				tr.Span("sample", stamps.MeasuredAt, stamps.PublishedAt)
-			}
-			if !stamps.PublishedAt.IsZero() && !stamps.DequeuedAt.IsZero() {
-				tr.Span("queue", stamps.PublishedAt, stamps.DequeuedAt)
-			}
-			if !stamps.DequeuedAt.IsZero() && !stamps.DequeuedAt.After(stepStart) {
-				tr.Span("view", stamps.DequeuedAt, stepStart)
-			}
-			tr.Span("detect", stepStart, now)
+		b := obs.StageBounds{stamps.MeasuredAt, stamps.PublishedAt, stamps.DequeuedAt, stepStart, now}
+		traceStart := stepStart
+		if !stamps.MeasuredAt.IsZero() {
+			traceStart = stamps.MeasuredAt
 		}
-		// Do not pile further actions onto a snapshot that predates our
-		// last enforcement: the measurements do not yet reflect the power
-		// already shed, and re-planning on them overcorrects far beyond
-		// the paper's benign idempotent-duplicate case. Wait for fresh
-		// telemetry (≤1.5s, §IV-D) instead — still well inside the
-		// 10-second budget.
-		c.mu.Lock()
-		stale := len(c.acted) > 0 && !measuredAt.After(c.lastEnforceAt)
-		c.mu.Unlock()
-		if stale {
-			c.cfg.Metrics.incStaleSkip()
-			if rec != nil {
-				rec.Emit(recorder.Event{
-					Type:    recorder.TypeStaleSkip,
-					Time:    now,
-					Actor:   c.cfg.Name,
-					Cause:   detectSeq,
-					Episode: episode,
-				})
-			}
-			if tr != nil {
-				tr.SetNote("stale-skip")
-				tr.Finish(now)
-			}
-			return out
-		}
-		c.mu.Lock()
-		acted := make(map[string]bool, len(c.acted))
-		for id := range c.acted {
-			acted[id] = true
-		}
-		c.mu.Unlock()
-		var rackPower map[string]power.Watts
-		if c.cfg.RackEstimator != nil {
-			rackPower = c.cfg.RackEstimator.BoundSnapshot(-1)
-		} else {
-			rackPower = c.cfg.RackView.Snapshot()
-		}
-		var planSeq uint64
-		if rec != nil {
-			planSeq = rec.Emit(recorder.Event{
-				Type:    recorder.TypePlanStart,
-				Time:    now,
-				Actor:   c.cfg.Name,
-				Cause:   detectSeq,
-				Episode: episode,
-				Aux:     int64(len(acted)),
-			})
-		}
-		planCtx, cancelPlan := context.WithTimeout(ctx, c.cfg.PlanBudget)
-		actions, insufficient, err := PlanContext(planCtx, PlanInput{
-			Topo:      c.cfg.Topo,
-			Racks:     c.cfg.Racks,
-			UPSPower:  ups,
-			RackPower: rackPower,
-			Inactive:  inactive,
-			Scenario:  c.cfg.Scenario,
-			Buffer:    c.cfg.Buffer,
-			Acted:     acted,
-		})
-		aborted := err != nil && planCtx.Err() != nil
-		cancelPlan()
-		var planEnd time.Time
-		if tr != nil || rec != nil || c.cfg.Stages != nil {
-			planEnd = c.cfg.Clock.Now()
-		}
-		if tr != nil {
-			tr.Span("plan", now, planEnd)
-		}
-		if aborted {
-			// Budget (or the caller's ctx) expired mid-plan: keep the
-			// partial plan — enforcing what Algorithm 1 got to beats
-			// enforcing nothing inside the tolerance window.
-			c.cfg.Metrics.incPlanAbort()
-			out.PlanAborted = true
-			if tr != nil {
-				tr.SetNote("plan-abort")
-			}
-		} else if err != nil {
-			c.cfg.Metrics.incPlanError()
-			if rec != nil {
-				rec.Emit(recorder.Event{
-					Type:    recorder.TypePlanError,
-					Time:    planEnd,
-					Actor:   c.cfg.Name,
-					Cause:   planSeq,
-					Episode: episode,
-					Detail:  err.Error(),
-				})
-			}
-			if tr != nil {
-				tr.SetNote("plan-error")
-				tr.Finish(planEnd)
-			}
-			return out
-		}
-		out.Planned = actions
-		out.Insufficient = insufficient
-		var plannedSeqs []uint64
-		if rec != nil {
-			plannedSeqs = make([]uint64, len(actions))
-			var total float64
-			for i, a := range actions {
-				total += float64(a.Recovered)
-				plannedSeqs[i] = rec.Emit(recorder.Event{
-					Type:    recorder.TypeActionPlanned,
-					Time:    planEnd,
-					Actor:   c.cfg.Name,
-					Subject: a.Rack,
-					Value:   float64(a.Recovered),
-					Score:   a.Impact,
-					Aux:     int64(a.Kind),
-					Detail:  a.Workload,
-					Cause:   planSeq,
-					Episode: episode,
-				})
-			}
-			commit := recorder.Event{
-				Type:    recorder.TypePlanCommit,
-				Time:    planEnd,
-				Actor:   c.cfg.Name,
-				Cause:   planSeq,
-				Episode: episode,
-				Aux:     int64(len(actions)),
-				Value:   total,
-			}
-			if aborted {
-				commit.Type = recorder.TypePlanAbort
-			} else if insufficient {
-				commit.Detail = "insufficient"
-			}
-			rec.Emit(commit)
-		}
-		for i, a := range actions {
-			var err error
-			op := rackmgr.Op{Actor: c.cfg.Name, Episode: episode}
-			if plannedSeqs != nil {
-				op.Cause = plannedSeqs[i]
-			}
-			switch a.Kind {
-			case Shutdown:
-				err = c.cfg.Actuator.ShutdownOp(a.Rack, op)
-			case Throttle:
-				err = c.cfg.Actuator.ThrottleOp(a.Rack, a.CapTarget, op)
-			}
-			if err != nil {
-				out.EnforceErrors++
-				continue
-			}
-			out.Enforced++
-			enforcedAt := c.cfg.Clock.Now()
-			c.mu.Lock()
-			c.acted[a.Rack] = a
-			c.committed = nil
-			c.lastEnforceAt = enforcedAt
-			first := !c.episodeActed
-			c.episodeActed = true
-			since := c.overdrawSince
-			c.mu.Unlock()
-			if first {
-				c.cfg.Metrics.observeFirstAction(enforcedAt.Sub(since))
-			}
-		}
-		if tr != nil || c.cfg.Stages != nil {
-			actEnd := c.cfg.Clock.Now()
-			if tr != nil {
-				tr.Span("act", planEnd, actEnd)
-				if out.Insufficient {
-					tr.SetNote("insufficient")
-				}
-				tr.Finish(actEnd)
-			}
-			ex := obs.Exemplar{Episode: episode, Seq: detectSeq, At: actEnd}
-			if tr != nil {
-				ex.Trace = tr.Seq
-			}
-			c.observeStages(stamps, stepStart, now, planEnd, actEnd, ex)
+		tr := c.cfg.Tracer.Start("flex-online/"+c.cfg.Name, traceStart)
+		tr.Join(episode, detectSeq)
+		note := c.respond(ctx, &out, &b, ups, inactive, measuredAt, episode, detectSeq)
+		tr.FinishRound(&b, note)
+		if !b[obs.NumStages].IsZero() { // the round got as far as acting
+			c.cfg.Stages.ObserveRound(&b, obs.Exemplar{Episode: episode, Trace: tr.ID(), Seq: detectSeq})
 		}
 		return out
 	}
@@ -560,35 +377,166 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	return out
 }
 
-// observeStages folds one completed overdraw round into the per-stage
-// latency histograms (Config.Stages). Stamp-derived stages are skipped
-// when the triggering sample predates stamping; compute stages are
-// always observed. Durations are clamped at zero — async ingest can
-// install a sample mid-step, making the view stage marginally negative.
-func (c *Controller) observeStages(st telemetry.Stamps, stepStart, detect, planEnd, actEnd time.Time, ex obs.Exemplar) {
-	sm := c.cfg.Stages
-	if sm == nil {
-		return
+// respond is the rest of an overdraw round once detection is recorded:
+// defer on stale telemetry, else plan and enforce. It fills in out, stamps
+// plan end and act end into b as it reaches them, and returns the round's
+// trace note.
+func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.StageBounds, ups []power.Watts, inactive map[power.UPSID]bool, measuredAt time.Time, episode, detectSeq uint64) (note string) {
+	rec := c.cfg.Recorder
+	now := b[obs.StagePlan]
+	// Do not pile further actions onto a snapshot that predates our
+	// last enforcement: the measurements do not yet reflect the power
+	// already shed, and re-planning on them overcorrects far beyond
+	// the paper's benign idempotent-duplicate case. Wait for fresh
+	// telemetry (≤1.5s, §IV-D) instead — still well inside the
+	// 10-second budget.
+	c.mu.Lock()
+	stale := len(c.acted) > 0 && !measuredAt.After(c.lastEnforceAt)
+	c.mu.Unlock()
+	if stale {
+		c.cfg.Metrics.incStaleSkip()
+		if rec != nil {
+			rec.Emit(recorder.Event{
+				Type:    recorder.TypeStaleSkip,
+				Time:    now,
+				Actor:   c.cfg.Name,
+				Cause:   detectSeq,
+				Episode: episode,
+			})
+		}
+		return "stale-skip"
 	}
-	if !st.MeasuredAt.IsZero() && !st.PublishedAt.IsZero() {
-		sm.ObserveExemplar(obs.StageSample, nonNeg(st.PublishedAt.Sub(st.MeasuredAt)), ex)
+	c.mu.Lock()
+	acted := make(map[string]bool, len(c.acted))
+	for id := range c.acted {
+		acted[id] = true
 	}
-	if !st.PublishedAt.IsZero() && !st.DequeuedAt.IsZero() {
-		sm.ObserveExemplar(obs.StageQueue, nonNeg(st.DequeuedAt.Sub(st.PublishedAt)), ex)
+	c.mu.Unlock()
+	var rackPower map[string]power.Watts
+	if c.cfg.RackEstimator != nil {
+		rackPower = c.cfg.RackEstimator.BoundSnapshot(-1)
+	} else {
+		rackPower = c.cfg.RackView.Snapshot()
 	}
-	if !st.DequeuedAt.IsZero() {
-		sm.ObserveExemplar(obs.StageView, nonNeg(stepStart.Sub(st.DequeuedAt)), ex)
+	var planSeq uint64
+	if rec != nil {
+		planSeq = rec.Emit(recorder.Event{
+			Type:    recorder.TypePlanStart,
+			Time:    now,
+			Actor:   c.cfg.Name,
+			Cause:   detectSeq,
+			Episode: episode,
+			Aux:     int64(len(acted)),
+		})
 	}
-	sm.ObserveExemplar(obs.StageDetect, nonNeg(detect.Sub(stepStart)), ex)
-	sm.ObserveExemplar(obs.StagePlan, nonNeg(planEnd.Sub(detect)), ex)
-	sm.ObserveExemplar(obs.StageAct, nonNeg(actEnd.Sub(planEnd)), ex)
-}
-
-func nonNeg(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
+	planCtx, cancelPlan := context.WithTimeout(ctx, c.cfg.PlanBudget)
+	actions, insufficient, err := PlanContext(planCtx, PlanInput{
+		Topo:      c.cfg.Topo,
+		Racks:     c.cfg.Racks,
+		UPSPower:  ups,
+		RackPower: rackPower,
+		Inactive:  inactive,
+		Scenario:  c.cfg.Scenario,
+		Buffer:    c.cfg.Buffer,
+		Acted:     acted,
+	})
+	aborted := err != nil && planCtx.Err() != nil
+	cancelPlan()
+	planEnd := c.cfg.Clock.Now()
+	b[obs.StageAct] = planEnd
+	if aborted {
+		// Budget (or the caller's ctx) expired mid-plan: keep the
+		// partial plan — enforcing what Algorithm 1 got to beats
+		// enforcing nothing inside the tolerance window.
+		c.cfg.Metrics.incPlanAbort()
+		out.PlanAborted = true
+		note = "plan-abort"
+	} else if err != nil {
+		c.cfg.Metrics.incPlanError()
+		if rec != nil {
+			rec.Emit(recorder.Event{
+				Type:    recorder.TypePlanError,
+				Time:    planEnd,
+				Actor:   c.cfg.Name,
+				Cause:   planSeq,
+				Episode: episode,
+				Detail:  err.Error(),
+			})
+		}
+		return "plan-error"
 	}
-	return d
+	out.Planned = actions
+	out.Insufficient = insufficient
+	if insufficient {
+		note = "insufficient"
+	}
+	var plannedSeqs []uint64
+	if rec != nil {
+		plannedSeqs = make([]uint64, len(actions))
+		var total float64
+		for i, a := range actions {
+			total += float64(a.Recovered)
+			plannedSeqs[i] = rec.Emit(recorder.Event{
+				Type:    recorder.TypeActionPlanned,
+				Time:    planEnd,
+				Actor:   c.cfg.Name,
+				Subject: a.Rack,
+				Value:   float64(a.Recovered),
+				Score:   a.Impact,
+				Aux:     int64(a.Kind),
+				Detail:  a.Workload,
+				Cause:   planSeq,
+				Episode: episode,
+			})
+		}
+		commit := recorder.Event{
+			Type:    recorder.TypePlanCommit,
+			Time:    planEnd,
+			Actor:   c.cfg.Name,
+			Cause:   planSeq,
+			Episode: episode,
+			Aux:     int64(len(actions)),
+			Value:   total,
+		}
+		if aborted {
+			commit.Type = recorder.TypePlanAbort
+		} else if insufficient {
+			commit.Detail = "insufficient"
+		}
+		rec.Emit(commit)
+	}
+	for i, a := range actions {
+		var err error
+		op := rackmgr.Op{Actor: c.cfg.Name, Episode: episode}
+		if plannedSeqs != nil {
+			op.Cause = plannedSeqs[i]
+		}
+		switch a.Kind {
+		case Shutdown:
+			err = c.cfg.Actuator.ShutdownOp(a.Rack, op)
+		case Throttle:
+			err = c.cfg.Actuator.ThrottleOp(a.Rack, a.CapTarget, op)
+		}
+		if err != nil {
+			out.EnforceErrors++
+			continue
+		}
+		out.Enforced++
+		enforcedAt := c.cfg.Clock.Now()
+		c.mu.Lock()
+		c.acted[a.Rack] = a
+		c.committed = nil
+		c.lastEnforceAt = enforcedAt
+		first := !c.episodeActed
+		c.episodeActed = true
+		since := c.overdrawSince
+		c.mu.Unlock()
+		if first {
+			c.cfg.Metrics.observeFirstAction(enforcedAt.Sub(since))
+		}
+	}
+	b[obs.NumStages] = c.cfg.Clock.Now()
+	return note
 }
 
 // Run evaluates repeatedly until ctx is cancelled. Each round runs as

@@ -21,6 +21,9 @@ type harness struct {
 	mgr      *rackmgr.Manager
 	clk      *clock.Virtual
 	now      time.Time
+	// stamp, when set, completes the ingest timeline of a UPS sample feed
+	// is about to install.
+	stamp func(*telemetry.Sample)
 }
 
 func newHarness(t *testing.T) *harness {
@@ -46,9 +49,11 @@ func newHarness(t *testing.T) *harness {
 func (h *harness) feed(ups []power.Watts) {
 	h.now = h.now.Add(time.Second)
 	for u, w := range ups {
-		h.upsView.Update(telemetry.Sample{
-			Device: h.topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: h.now,
-		})
+		s := telemetry.Sample{Device: h.topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: h.now}
+		if h.stamp != nil {
+			h.stamp(&s)
+		}
+		h.upsView.Update(s)
 	}
 	for _, r := range h.racks {
 		st, cap, _ := h.mgr.State(r.ID)

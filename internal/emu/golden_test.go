@@ -152,7 +152,7 @@ func TestRunFleetGolden(t *testing.T) {
 		"rooms":    "a1dad77bae0bc0e4",
 		"headroom": "35f7fe50aae31cf5",
 		"episodes": "61a8cbfdbcd5f8a4",
-		"stages":   "4bdae7f1292b7ced",
+		"stages":   "8cd17eec28107bad",
 		"events":   "85ed666d814eea82",
 	})
 }

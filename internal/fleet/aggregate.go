@@ -56,9 +56,9 @@ type Snapshot struct {
 	CommittedHeadroom power.Watts `json:"committed_headroom_watts"`
 	// DroppedSamples totals ingest-queue evictions across shards.
 	DroppedSamples int `json:"dropped_samples"`
-	// Stages digests the fleet's critical-path latency histograms
-	// (per-stage count/p50/p99 with exemplar joins), in timeline order.
-	// Nil when the fleet has no registry.
+	// Stages digests the fleet's critical-path latencies (per-stage
+	// count, sum and max with the max's recorder join), in timeline
+	// order. Nil when the fleet has no registry.
 	Stages []StageSummary `json:"stages,omitempty"`
 }
 

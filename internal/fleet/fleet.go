@@ -134,10 +134,10 @@ func New(cfg Config) *Fleet {
 	if cfg.Obs != nil {
 		f.metrics = NewMetrics(cfg.Obs)
 		f.broker.Metrics = telemetry.NewMetrics(cfg.Obs)
-		// One tracer and one stage-histogram family for the whole fleet:
+		// One tracer and one stage-metrics family for the whole fleet:
 		// every shard's controllers feed them, so /fleet/traces stitches
-		// cross-shard episodes from one ring and the per-stage p50/p99
-		// gauges aggregate fleet-wide.
+		// cross-shard episodes from one ring and the stage digest
+		// aggregates fleet-wide.
 		f.tracer = obs.NewTracer(fleetTraceCapacity)
 		f.stages = obs.NewStageMetrics(cfg.Obs)
 	}

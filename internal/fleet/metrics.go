@@ -28,12 +28,6 @@ type Metrics struct {
 	RoomStrandedWatts *obs.GaugeVec
 	// RoomDropped is per-room ingest-queue evictions, labeled by room.
 	RoomDropped *obs.GaugeVec
-	// StageP50/StageP99 are the fleet critical-path latency quantiles by
-	// stage, refreshed from the stage histograms on every aggregator
-	// fold (gauge form, so dashboards graph the stage breakdown without
-	// client-side histogram math).
-	StageP50 *obs.GaugeVec
-	StageP99 *obs.GaugeVec
 }
 
 // NewMetrics registers the fleet metrics on r (idempotent: calling twice
@@ -54,10 +48,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"per-room Eq. 5 stranded power", "room"),
 		RoomDropped: r.GaugeVec("flex_fleet_room_dropped_samples",
 			"per-room ingest-queue evictions", "room"),
-		StageP50: r.GaugeVec("flex_fleet_stage_p50_seconds",
-			"fleet critical-path latency p50 by stage", "stage"),
-		StageP99: r.GaugeVec("flex_fleet_stage_p99_seconds",
-			"fleet critical-path latency p99 by stage", "stage"),
 	}
 }
 
@@ -73,9 +63,5 @@ func (m *Metrics) export(snap Snapshot) {
 		m.RoomState.With(room.Name).Set(float64(room.State))
 		m.RoomStrandedWatts.With(room.Name).Set(float64(room.Stranded))
 		m.RoomDropped.With(room.Name).Set(float64(room.Dropped))
-	}
-	for _, st := range snap.Stages {
-		m.StageP50.With(st.Stage).Set(st.P50)
-		m.StageP99.With(st.Stage).Set(st.P99)
 	}
 }

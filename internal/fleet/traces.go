@@ -11,61 +11,18 @@ import (
 	"flex/internal/obs"
 )
 
-// StageSummary is one critical-path stage's fleet-wide latency digest,
-// folded into Snapshot.Stages by AggregateOnce and served at /fleet.
-type StageSummary struct {
-	Stage string  `json:"stage"`
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50_seconds"`
-	P99   float64 `json:"p99_seconds"`
-	// Exemplar joins the stage's slowest populated bucket back to its
-	// flight-recorder context; nil until the stage has observations.
-	Exemplar *StageExemplar `json:"exemplar,omitempty"`
-}
+// StageSummary is one critical-path stage's fleet-wide digest, folded
+// into Snapshot.Stages by AggregateOnce and served at /fleet.
+type StageSummary = obs.StageDigest
 
-// StageExemplar is the join record carried by a stage histogram bucket:
-// resolve Episode via /events?episode= (the full causal chain), Trace
-// via /traces?episode=, and Event via /events?since=Event-1.
-type StageExemplar struct {
-	Seconds float64 `json:"seconds"`
-	Episode uint64  `json:"episode,omitempty"`
-	Trace   uint64  `json:"trace,omitempty"`
-	Event   uint64  `json:"event,omitempty"`
-}
-
-// StageSummaries digests the fleet's per-stage latency histograms (nil
-// without Config.Obs). Order follows the stage timeline.
+// StageSummaries is the digest of the fleet's shared stage metrics, in
+// timeline order (nil without Config.Obs).
 func (f *Fleet) StageSummaries() []StageSummary {
 	if f.stages == nil {
 		return nil
 	}
-	out := make([]StageSummary, 0, obs.NumStages)
-	for _, st := range obs.Stages() {
-		h := f.stages.Histogram(st)
-		sum := h.Summary()
-		s := StageSummary{
-			Stage: st.String(),
-			Count: sum.Count,
-			P50:   sum.Quantile(0.50),
-			P99:   sum.Quantile(0.99),
-		}
-		if exs := h.Exemplars(); len(exs) > 0 {
-			worst := exs[0]
-			for _, e := range exs[1:] {
-				if e.Value > worst.Value {
-					worst = e
-				}
-			}
-			s.Exemplar = &StageExemplar{
-				Seconds: worst.Value,
-				Episode: worst.Episode,
-				Trace:   worst.Trace,
-				Event:   worst.Seq,
-			}
-		}
-		out = append(out, s)
-	}
-	return out
+	d := f.stages.Digest()
+	return d[:]
 }
 
 // StageSpan is one stage slice of an episode waterfall, offset from the

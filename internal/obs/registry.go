@@ -103,39 +103,6 @@ type Histogram struct {
 	counts  []atomic.Uint64 // len(upper)+1; last bucket is +Inf
 	count   atomic.Uint64
 	sumBits atomic.Uint64
-	// exemplars holds one last-write-wins exemplar slot per bucket,
-	// pre-allocated at construction so ObserveExemplar stays
-	// allocation-free on the hot path.
-	exemplars []exemplarSlot
-}
-
-// Exemplar joins one histogram observation back to its flight-recorder
-// context: the episode it belonged to, the span trace that timed it, and
-// the recorder sequence of the event that rooted it. All fields are
-// fixed-size, so attaching an exemplar allocates nothing. A slow bucket
-// is then one click from its event chain: /events?episode=<Episode> or
-// /traces?episode=<Episode> resolves it.
-type Exemplar struct {
-	// Value is the observed value the exemplar annotates (seconds for
-	// latency histograms).
-	Value float64
-	// Episode is the flight-recorder episode id (0 when unrecorded).
-	Episode uint64
-	// Trace is the span-tracer sequence of the trace that measured the
-	// observation (0 when untraced).
-	Trace uint64
-	// Seq is the recorder sequence of the rooting event — for stage
-	// latencies, the detect event (0 when unrecorded).
-	Seq uint64
-	// At is the caller-supplied observation time (injected clock).
-	At time.Time
-}
-
-// exemplarSlot is one per-bucket last-write-wins exemplar cell.
-type exemplarSlot struct {
-	mu  sync.Mutex
-	set bool
-	ex  Exemplar
 }
 
 // Observe records v.
@@ -161,57 +128,6 @@ func (h *Histogram) Observe(v float64) {
 //
 //flex:hotpath
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// ObserveExemplar records v and attaches ex to v's bucket (last write
-// wins per bucket). ex.Value is overwritten with v so the exemplar
-// always describes the observation it rode in on. The slot is
-// pre-allocated and fixed-size, so the call allocates nothing — it sits
-// on the controller step hot path.
-//
-//flex:hotpath
-func (h *Histogram) ObserveExemplar(v float64, ex Exemplar) {
-	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	ex.Value = v
-	slot := &h.exemplars[i]
-	slot.mu.Lock()
-	slot.ex = ex
-	slot.set = true
-	slot.mu.Unlock()
-}
-
-// Exemplars returns the currently held exemplars in bucket order (cold
-// path; export and debugging).
-func (h *Histogram) Exemplars() []Exemplar {
-	var out []Exemplar
-	for i := range h.exemplars {
-		slot := &h.exemplars[i]
-		slot.mu.Lock()
-		if slot.set {
-			out = append(out, slot.ex)
-		}
-		slot.mu.Unlock()
-	}
-	return out
-}
-
-// Summary returns a point-in-time histogram Snapshot (Count, Sum,
-// Buckets) without going through a Registry — the quantile math on
-// Snapshot then applies to any live histogram handle.
-func (h *Histogram) Summary() Snapshot {
-	return Snapshot{Kind: KindHistogram, Count: h.Count(), Sum: h.Sum(), Buckets: h.Buckets()}
-}
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
@@ -284,6 +200,9 @@ type Registry struct {
 	metrics []*metric
 	byName  map[string]*metric
 	size    atomic.Int64 // plain metrics + vec children registered so far
+
+	stagesOnce sync.Once
+	stages     *StageMetrics // NewStageMetrics' one instance
 }
 
 // NewRegistry returns an empty registry.
@@ -337,11 +256,7 @@ func newHistogram(buckets []float64) *Histogram {
 	}
 	upper := append([]float64(nil), buckets...)
 	sort.Float64s(upper)
-	return &Histogram{
-		upper:     upper,
-		counts:    make([]atomic.Uint64, len(upper)+1),
-		exemplars: make([]exemplarSlot, len(upper)+1),
-	}
+	return &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
 }
 
 // Counter registers (or returns) a counter.
@@ -478,7 +393,7 @@ func (s Snapshot) Quantile(q float64) float64 {
 	if s.Kind != KindHistogram || s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
 	}
-	rank := quantileRank(q, s.Count)
+	rank := math.Min(math.Max(q, 0), 1) * float64(s.Count)
 	var lower Bucket
 	for _, b := range s.Buckets {
 		if float64(b.Count) >= rank {
@@ -487,44 +402,6 @@ func (s Snapshot) Quantile(q float64) float64 {
 		lower = b
 	}
 	return lower.Le
-}
-
-// Quantile is Summary().Quantile(q) read in place: the same estimate
-// without copying the buckets out, for readers that poll a live histogram
-// every tick (the auditor's stage-budget check).
-//
-//flex:hotpath
-func (h *Histogram) Quantile(q float64) float64 {
-	count := h.Count()
-	if count == 0 {
-		return 0
-	}
-	rank := quantileRank(q, count)
-	var lower, b Bucket
-	for i := range h.counts {
-		b.Count += h.counts[i].Load()
-		b.Le = math.Inf(1)
-		if i < len(h.upper) {
-			b.Le = h.upper[i]
-		}
-		if float64(b.Count) >= rank {
-			return interpolate(rank, lower, b)
-		}
-		lower = b
-	}
-	return lower.Le
-}
-
-// quantileRank is the observation rank the q-quantile of count
-// observations sits at, q clamped to [0, 1].
-func quantileRank(q float64, count uint64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return q * float64(count)
 }
 
 // interpolate places rank inside the cumulative bucket b, whose

@@ -128,7 +128,7 @@ func filterHandler(t *testing.T) http.Handler {
 	for i := 0; i < 3; i++ {
 		trace := tr.Start("plan", clk.Now())
 		if i == 1 {
-			trace.SetEpisode(7)
+			trace.Join(7, 0)
 		}
 		clk.Advance(time.Second)
 		trace.Finish(clk.Now())

@@ -19,7 +19,7 @@
 //	                   UPS u, re-run Algorithm 1 against live telemetry
 //	                   assuming u just failed — a feasible shed plan must
 //	                   exist inside the planning budget
-//	stage-budget       every critical-path stage's p99 latency stays
+//	stage-budget       every critical-path stage's largest latency stays
 //	                   inside its carve of the 10s budget (StageBudgets);
 //	                   requires Bindings.Stages
 //
@@ -39,7 +39,7 @@
 // control step it watches, so the steady-state tick — no probe due, no
 // breach or health transition — allocates nothing: the derived series are
 // appended in place, burn-rate windows are read in the tsdb ring without
-// a copy, stage p99s are read off the live histograms, and the per-tick
+// a copy, the stage digest is six counters and six maxima, and the per-tick
 // scratch is sized once at Bind. A what-if probe round (every ProbeEvery)
 // runs Algorithm 1 per UPS on a controller.Planner prepared at Bind, all
 // plans into one action buffer, over pair loads and inactive sets that are
@@ -174,9 +174,9 @@ type Bindings struct {
 	Buffer   power.Watts
 	// AllocatablePower is the room's allocatable power (Eq. 5's minuend).
 	AllocatablePower power.Watts
-	// Stages, when non-nil, are the per-stage critical-path latency
-	// histograms the controllers feed (controller.Config.Stages); the
-	// stage-budget objective audits their p99s against StageBudgets and
+	// Stages, when non-nil, are the per-stage critical-path latencies
+	// the controllers feed (controller.Config.Stages); the stage-budget
+	// objective audits their maxima against StageBudgets and
 	// Status.Stages exports the breakdown.
 	Stages *obs.StageMetrics
 }
@@ -498,14 +498,8 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	a.byName[ObjUPSFresh].bad = upsOK && upsOld > a.cfg.UPSFreshness
 	a.byName[ObjRackFresh].bad = rackOK && rackOld > a.cfg.RackFreshness
 	stageBad := false
-	if b.Stages != nil {
-		budgets := StageBudgets()
-		for stg := obs.Stage(0); stg < obs.NumStages; stg++ {
-			if h := b.Stages.Histogram(stg); h.Count() > 0 && h.Quantile(0.99) > budgets[stg].Seconds() {
-				stageBad = true
-				break
-			}
-		}
+	for _, ss := range stageStatus(b.Stages) {
+		stageBad = stageBad || ss.OverBudget
 	}
 	a.byName[ObjStageBudget].bad = stageBad
 
@@ -676,19 +670,25 @@ type Status struct {
 	Stages []StageStatus `json:"stages,omitempty"`
 }
 
-// StageStatus is one critical-path stage's latency digest against its
-// sub-budget, with the exemplar join of its slowest populated bucket.
+// StageStatus is one critical-path stage's digest against its sub-budget:
+// a stage is over budget once its largest observation is.
 type StageStatus struct {
-	Name          string  `json:"name"`
-	Count         uint64  `json:"count"`
-	P50           float64 `json:"p50_seconds"`
-	P99           float64 `json:"p99_seconds"`
+	obs.StageDigest
 	BudgetSeconds float64 `json:"budget_seconds"`
 	OverBudget    bool    `json:"over_budget,omitempty"`
-	// Episode / Event join the stage's slowest exemplar back to the
-	// flight recorder (/events?episode=, /events?since=Event-1).
-	Episode uint64 `json:"episode,omitempty"`
-	Event   uint64 `json:"event,omitempty"`
+}
+
+// stageStatus holds sm's digest against StageBudgets — what the
+// stage-budget objective audits every tick and Status exports.
+//
+//flex:hotpath
+func stageStatus(sm *obs.StageMetrics) (out [obs.NumStages]StageStatus) {
+	budgets := StageBudgets()
+	for stg, d := range sm.Digest() {
+		b := budgets[stg].Seconds()
+		out[stg] = StageStatus{StageDigest: d, BudgetSeconds: b, OverBudget: d.Count > 0 && d.Max > b}
+	}
+	return out
 }
 
 // Probe is the exported what-if probe state.
@@ -732,29 +732,8 @@ func (a *Auditor) Status() Status {
 	}
 	sort.Slice(st.Objectives, func(i, j int) bool { return st.Objectives[i].Name < st.Objectives[j].Name })
 	if a.bound && a.b.Stages != nil {
-		budgets := StageBudgets()
-		for _, stg := range obs.Stages() {
-			h := a.b.Stages.Histogram(stg)
-			sum := h.Summary()
-			ss := StageStatus{
-				Name:          stg.String(),
-				Count:         sum.Count,
-				P50:           sum.Quantile(0.50),
-				P99:           sum.Quantile(0.99),
-				BudgetSeconds: budgets[stg].Seconds(),
-			}
-			ss.OverBudget = sum.Count > 0 && ss.P99 > ss.BudgetSeconds
-			if exs := h.Exemplars(); len(exs) > 0 {
-				worst := exs[0]
-				for _, e := range exs[1:] {
-					if e.Value > worst.Value {
-						worst = e
-					}
-				}
-				ss.Episode, ss.Event = worst.Episode, worst.Seq
-			}
-			st.Stages = append(st.Stages, ss)
-		}
+		stages := stageStatus(a.b.Stages)
+		st.Stages = stages[:]
 	}
 	if sb, ok := a.byName[ObjShedBudget]; ok {
 		st.EpisodeOpen = sb.bad

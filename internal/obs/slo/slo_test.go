@@ -664,7 +664,7 @@ func TestSteadyTickAllocFree(t *testing.T) {
 	store := tsdb.NewStore(tsdb.Options{})
 	h := newHarness(t, slo.Config{Store: store, UPSFreshness: time.Hour, RackFreshness: time.Hour})
 	stages := obs.NewStageMetrics(reg)
-	stages.Observe(obs.StagePlan, 20*time.Millisecond)
+	stages.ObserveRound(&obs.StageBounds{obs.StagePlan: h.now, obs.StageAct: h.now.Add(20 * time.Millisecond)}, obs.Exemplar{})
 	h.aud.Bind(slo.Bindings{
 		Clock: h.clk, Topo: h.topo, Racks: h.racks, UPSView: h.upsView, RackView: h.rackView,
 		Controllers: []*controller.Controller{h.ctl}, Scenario: impact.Realistic1(), Buffer: power.KW,

@@ -21,9 +21,10 @@ type Span struct {
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // Trace is one recorded pipeline execution (e.g. a controller step's
-// detect→plan→act). Build it from a single goroutine — Span and SetNote
-// are not synchronized — then Finish commits it to the tracer's ring
-// buffer and it must not be mutated further.
+// detect→plan→act). Build it from a single goroutine — Join is not
+// synchronized — then Finish or FinishRound commits it to the tracer's
+// ring buffer and it must not be mutated further. A nil *Trace (what a nil
+// *Tracer starts) is a valid no-op receiver.
 type Trace struct {
 	Seq   uint64    `json:"seq"`
 	Name  string    `json:"name"`
@@ -44,20 +45,36 @@ type Trace struct {
 	tracer *Tracer
 }
 
-// SetEpisode tags the trace with a flight-recorder episode ID.
-func (t *Trace) SetEpisode(id uint64) { t.Episode = id }
-
-// SetRoot records the flight-recorder sequence of the trace's rooting
-// event (the detect event for controller steps).
-func (t *Trace) SetRoot(seq uint64) { t.Root = seq }
-
-// Span appends a completed stage.
-func (t *Trace) Span(name string, start, end time.Time) {
-	t.Spans = append(t.Spans, Span{Name: name, Start: start, End: end})
+// Join tags the trace with its flight-recorder episode ID and the sequence
+// of its rooting event (the detect event for controller steps).
+func (t *Trace) Join(episode, root uint64) {
+	if t != nil {
+		t.Episode, t.Root = episode, root
+	}
 }
 
-// SetNote attaches an annotation to the trace.
-func (t *Trace) SetNote(note string) { t.Note = note }
+// ID is the trace's sequence number (0 for a nil trace).
+func (t *Trace) ID() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.Seq
+}
+
+// FinishRound is Finish for a controller round: one span per stage b
+// bounds, the note, and the round's last instant as the end time.
+func (t *Trace) FinishRound(b *StageBounds, note string) {
+	if t == nil {
+		return
+	}
+	for st := Stage(0); st < NumStages; st++ {
+		if sp, ok := b.Span(st); ok {
+			t.Spans = append(t.Spans, sp)
+		}
+	}
+	t.Note = note
+	t.Finish(b.End())
+}
 
 // Finish stamps the end time and commits the trace to its tracer's ring
 // buffer, evicting the oldest entry when full.
@@ -102,8 +119,12 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{capacity: capacity}
 }
 
-// Start begins a trace at the caller-supplied time.
+// Start begins a trace at the caller-supplied time. A nil tracer starts
+// the nil trace.
 func (tr *Tracer) Start(name string, at time.Time) *Trace {
+	if tr == nil {
+		return nil
+	}
 	tr.mu.Lock()
 	tr.seq++
 	seq := tr.seq

@@ -16,19 +16,16 @@ func TestTracerVirtualClockExactLatencies(t *testing.T) {
 	clk := clock.NewVirtual(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC))
 	tr := NewTracer(8)
 
-	start := clk.Now()
-	trace := tr.Start("controller/step", start)
+	var b StageBounds
+	b[StageDetect] = clk.Now()
+	trace := tr.Start("controller/step", b[StageDetect])
 	clk.Advance(150 * time.Millisecond)
-	detectEnd := clk.Now()
-	trace.Span("detect", start, detectEnd)
+	b[StagePlan] = clk.Now()
 	clk.Advance(40 * time.Millisecond)
-	planEnd := clk.Now()
-	trace.Span("plan", detectEnd, planEnd)
+	b[StageAct] = clk.Now()
 	clk.Advance(2 * time.Second)
-	actEnd := clk.Now()
-	trace.Span("act", planEnd, actEnd)
-	trace.SetNote("enforced=3")
-	trace.Finish(actEnd)
+	b[NumStages] = clk.Now()
+	trace.FinishRound(&b, "enforced=3")
 
 	recent := tr.Recent()
 	if len(recent) != 1 {
@@ -42,6 +39,9 @@ func TestTracerVirtualClockExactLatencies(t *testing.T) {
 		"detect": 150 * time.Millisecond,
 		"plan":   40 * time.Millisecond,
 		"act":    2 * time.Second,
+	}
+	if len(got.Spans) != len(wantSpans) {
+		t.Fatalf("got spans %+v, want %d: the unstamped stages have none", got.Spans, len(wantSpans))
 	}
 	for _, s := range got.Spans {
 		if want := wantSpans[s.Name]; s.Duration() != want {
@@ -80,10 +80,10 @@ func TestTracerWriteJSON(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(100, 0))
 	tr := NewTracer(4)
 	trace := tr.Start("controller/step", clk.Now())
-	stageStart := clk.Now()
+	b := StageBounds{StageDetect: clk.Now()}
 	clk.Advance(500 * time.Millisecond)
-	trace.Span("detect", stageStart, clk.Now())
-	trace.Finish(clk.Now())
+	b[StagePlan] = clk.Now()
+	trace.FinishRound(&b, "")
 
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {

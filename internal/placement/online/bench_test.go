@@ -8,8 +8,9 @@ import (
 	"flex/internal/placement"
 )
 
-// BenchmarkOnlinePlacement is the ISSUE 9 acceptance benchmark
-// (make bench-online → BENCH_online.json).
+// BenchmarkOnlinePlacement is the ISSUE 9 acceptance benchmark (run it
+// with go test -run '^$' -bench OnlinePlacement -benchmem; flexbench's
+// admission-churn and placement-sweep are the tracked numbers).
 //
 //   - admit: hot-path decision throughput on the full 9.6MW paper room,
 //     reported as decisions/s. The benchmark FAILS below 1000
