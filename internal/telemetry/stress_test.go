@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"flex/internal/obs/recorder"
 	"flex/internal/power"
 )
 
@@ -155,4 +158,80 @@ func TestLatestPowerConcurrencyStress(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestRecordedViewBatchAgainstUpdateStress runs, on one recorded view, a
+// goroutine installing whole polls with UpdateBatch against one overtaking
+// the same devices with later single samples. An arrival's seq is bound in a
+// second lock hold, after its event is out, unless a newer sample has won
+// the slot meanwhile: so once both are done, every device's GetEvent seq
+// must name the sample-arrive event of exactly the measurement installed.
+// UpdateBatch reads its batch and never writes it.
+func TestRecordedViewBatchAgainstUpdateStress(t *testing.T) {
+	const devices, rounds = 64, 300
+	rec := recorder.New(1 << 17)
+	view := NewLatestPower()
+	view.SetRecorder(rec, "rack-view")
+	names := make([]string, devices)
+	for d := range names {
+		names[d] = fmt.Sprintf("rack-%02d", d)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		batch, before := make([]Sample, devices), make([]Sample, devices)
+		for r := 0; r < rounds; r++ {
+			at := t0().Add(time.Duration(r) * time.Millisecond)
+			for d := range batch {
+				batch[d] = Sample{
+					Device: names[d], Power: power.Watts(r), Valid: d%7 != r%7,
+					MeasuredAt: at, PublishedAt: at, Event: uint64(r*devices + d),
+				}
+			}
+			copy(before, batch)
+			view.UpdateBatch(batch)
+			if !slices.Equal(batch, before) {
+				t.Errorf("round %d: UpdateBatch wrote to its caller's batch", r)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			at := t0().Add(time.Duration(r)*time.Millisecond + 500*time.Microsecond)
+			for d := devices - 1; d >= 0; d-- {
+				if r == rounds-1 && d%2 == 1 {
+					continue // the odd devices' last word is the batch's
+				}
+				view.Update(Sample{Device: names[d], Power: power.Watts(-r), Valid: true, MeasuredAt: at})
+			}
+		}
+	}()
+	wg.Wait()
+
+	if rec.Overwritten() > 0 {
+		t.Fatal("the recorder wrapped; arrivals below would be missing")
+	}
+	arrivals := map[uint64]recorder.Event{}
+	for _, e := range rec.Snapshot() {
+		if e.Type == recorder.TypeSampleArrive {
+			arrivals[e.Seq] = e
+		}
+	}
+	fromBatch := 0
+	for _, dev := range names {
+		_, at, seq, ok := view.GetEvent(dev)
+		e, found := arrivals[seq]
+		if !ok || !found || e.Subject != dev || !e.Time.Equal(at) {
+			t.Errorf("%s: installed at %v by seq %d (reported %v); that event is %+v (found %v)", dev, at, seq, ok, e, found)
+		}
+		if e.Value >= 0 && e.Cause != 0 {
+			fromBatch++
+		}
+	}
+	if fromBatch < devices/4 {
+		t.Errorf("only %d of %d devices ended on a batch's sample; the bind after a batch went unchecked", fromBatch, devices)
+	}
 }
