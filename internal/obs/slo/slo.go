@@ -38,9 +38,13 @@
 // That argument only holds while an audit tick costs less than the
 // control step it watches, so the steady-state tick — no probe due, no
 // breach or health transition — allocates nothing: the derived series are
-// appended in place, burn-rate windows are read in the tsdb ring without
-// a copy, the stage digest is six counters and six maxima, and the per-tick
-// scratch is sized once at Bind. A what-if probe round (every ProbeEvery)
+// appended in place, each objective counts its two burn-rate windows in a
+// ring of its own (burnWindow: push the tick, pop what has aged out, divide
+// two integers — exact, since the indicator is 0 or 1, where a mean over
+// stored points or 10s rollups is a scan and, past the raw ring, an
+// approximation), the stage digest is six counters and six maxima, and the
+// per-tick scratch is sized once, the rings at NewAuditor and the rest at
+// Bind. A what-if probe round (every ProbeEvery)
 // runs Algorithm 1 per UPS on a controller.Planner prepared at Bind, all
 // plans into one action buffer, over pair loads and inactive sets that are
 // Bind-time scratch too: what a round still allocates is FailoverLoads'
@@ -181,10 +185,12 @@ type Bindings struct {
 	Stages *obs.StageMetrics
 }
 
-// objective tracks one SLO's bad-indicator series and breach state.
+// objective tracks one SLO's bad indicator — the series /query serves and
+// the window its burn rates are counted over — and breach state.
 type objective struct {
 	name   string
 	series *tsdb.Series
+	window burnWindow
 	// immediate objectives breach on the raw indicator (edge-triggered)
 	// instead of the windowed burn rate.
 	immediate bool
@@ -322,6 +328,7 @@ func NewAuditor(cfg Config) *Auditor {
 			name:      o.name,
 			immediate: o.immediate,
 			series:    cfg.Store.Series(tsdb.SeriesKey(SeriesObjectiveBad, [2]string{"objective", o.name})),
+			window:    newBurnWindow(cfg.FastWindow, cfg.SlowWindow, cfg.Interval),
 		}
 		a.objectives = append(a.objectives, ob)
 		a.byName[o.name] = ob
@@ -391,7 +398,9 @@ func (a *Auditor) Ticks() uint64 {
 //
 // Tick is synchronous and deterministic under a virtual clock: the
 // emulator calls it once per emulation tick after pumping telemetry and
-// stepping the controllers.
+// stepping the controllers. The burn-rate windows count on now never going
+// back, and it does not in either caller: the emulators pass the virtual
+// clock's time, which only advances, and Run the time clock.After delivers.
 func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	a.mu.Lock()
 	if !a.bound {
@@ -510,8 +519,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 			v = 1
 		}
 		o.series.Append(now, v)
-		fastAvg, _ := o.series.WindowAvg(now.Add(-a.cfg.FastWindow), now)
-		slowAvg, _ := o.series.WindowAvg(now.Add(-a.cfg.SlowWindow), now)
+		fastAvg, slowAvg := o.window.observe(now, o.bad)
 		o.fastBurn = fastAvg / budgetRate
 		o.slowBurn = slowAvg / budgetRate
 		tripped := o.fastBurn >= a.cfg.BreachBurn

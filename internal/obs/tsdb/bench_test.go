@@ -64,23 +64,6 @@ func BenchmarkQueryRollup(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowAvg is the burn-rate evaluation primitive: every SLO
-// objective calls it twice per audit tick. Must report 0 allocs/op.
-func BenchmarkWindowAvg(b *testing.B) {
-	st := NewStore(Options{})
-	s := st.Series("bench")
-	for i := 0; i < 600; i++ {
-		s.Append(t0.Add(time.Duration(i)*time.Second), float64(i%2))
-	}
-	from, to := t0.Add(9*time.Minute), t0.Add(10*time.Minute)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, n := s.WindowAvg(from, to); n == 0 {
-			b.Fatal("empty window")
-		}
-	}
-}
-
 // BenchmarkSamplerTick scrapes a realistically sized registry (64
 // gauges) into the store — the per-tick sampling cost in steady state,
 // after the first scrape has resolved the handles and created the series.

@@ -189,64 +189,6 @@ func aggValue(b bucket, a Agg) float64 {
 	}
 }
 
-// WindowAvg returns the mean of the series over [from, to] and the
-// number of contributing observations, preferring raw points and falling
-// back to the 10s rollup (open bucket included) when the raw ring no
-// longer covers the window's start. The SLO burn-rate engine evaluates
-// its windows through this every audit tick, so it reads the ring and the
-// tier in place under the series lock: no copy, no allocation.
-//
-//flex:hotpath
-func (s *Series) WindowAvg(from, to time.Time) (avg float64, count uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sum float64
-	if s.n > 0 && !s.at(0).Time.After(from) {
-		// The raw ring covers the window. In time order (the usual case)
-		// the window is one run of it, found by bisection; after an
-		// out-of-order append, every point is tested.
-		lo, hi := 0, s.n
-		if s.unsorted == 0 {
-			lo, hi = s.bound(from, false), s.bound(to, true)
-		}
-		for k := lo; k < hi; k++ {
-			if p := s.at(k); s.unsorted == 0 || !p.Time.Before(from) && !p.Time.After(to) {
-				sum += p.Value
-				count++
-			}
-		}
-	} else {
-		// Sealed buckets are in start order: walk back from the newest to
-		// the first one not before the window, then sum oldest first.
-		ti := &s.tier[0]
-		lo := ti.n
-		for lo > 0 && !time.Unix(0, ti.at(lo-1).start).Before(from) {
-			lo--
-		}
-		for k := lo; k < ti.n; k++ {
-			if b := ti.at(k); b.within(from, to) {
-				sum += b.sum
-				count += b.count
-			}
-		}
-		if ti.cur.start != startUnset && ti.cur.within(from, to) {
-			sum += ti.cur.sum
-			count += ti.cur.count
-		}
-	}
-	if count == 0 {
-		return 0, 0
-	}
-	return sum / float64(count), count
-}
-
-// within reports whether the bucket holds data and starts inside
-// [from, to].
-func (b *bucket) within(from, to time.Time) bool {
-	start := time.Unix(0, b.start)
-	return b.count > 0 && !start.Before(from) && !start.After(to)
-}
-
 // Quantile estimates the q-quantile (0..1) of the series over [from, to].
 // When the raw ring still covers the window it is exact (nearest-rank
 // over the sorted raw values); otherwise it interpolates over the 10s

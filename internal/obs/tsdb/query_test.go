@@ -82,22 +82,6 @@ func TestQueryAggregations(t *testing.T) {
 	}
 }
 
-func TestWindowAvgRawAndRollupFallback(t *testing.T) {
-	st := NewStore(Options{RawCapacity: 4})
-	s := st.Series("x")
-	fill(s, 60, time.Second, func(i int) float64 { return 2 })
-	// Window starts before the raw ring's oldest point → rollup path.
-	avg, n := s.WindowAvg(t0, t0.Add(time.Minute))
-	if avg != 2 || n == 0 {
-		t.Fatalf("WindowAvg = %v over %d, want 2 over >0", avg, n)
-	}
-	// Window fully inside raw retention → exact raw path.
-	avg, n = s.WindowAvg(t0.Add(57*time.Second), t0.Add(59*time.Second))
-	if avg != 2 || n != 3 {
-		t.Fatalf("raw WindowAvg = %v over %d, want 2 over 3", avg, n)
-	}
-}
-
 func TestQuantileRawExact(t *testing.T) {
 	st := NewStore(Options{})
 	s := st.Series("x")

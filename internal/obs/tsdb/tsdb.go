@@ -1,7 +1,7 @@
 // Package tsdb is an embedded time-series store for the Flex control
 // plane: fixed-capacity rings of raw samples per series, tiered
 // downsampling into 10s and 1m rollups of min/max/sum/count, and a small
-// query surface (/query) for dashboards and the SLO burn-rate engine.
+// query surface (/query) for dashboards.
 //
 // The design mirrors the obs registry's discipline:
 //
@@ -124,13 +124,7 @@ type Series struct {
 	raw  []Point
 	n    int // live raw points
 	next int // ring slot the next point lands in
-	// unsorted counts the appends still to come before the raw ring is
-	// known to be in time order again: an out-of-order point arms it, and
-	// it runs out once that point has become the ring's oldest. Monotone
-	// feeds (the sampler, the auditor) keep it at zero, and window reads
-	// then bisect the ring instead of scanning it.
-	unsorted int
-	tier     [numTiers]tier
+	tier [numTiers]tier
 }
 
 func newSeries(name string, o Options) *Series {
@@ -163,12 +157,6 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) Append(t time.Time, v float64) {
 	tn := t.UnixNano()
 	s.mu.Lock()
-	if s.unsorted > 0 {
-		s.unsorted--
-	}
-	if s.n > 0 && t.Before(s.at(s.n-1).Time) {
-		s.unsorted = len(s.raw) - 1
-	}
 	s.raw[s.next] = Point{Time: t, Value: v}
 	s.next++
 	if s.next == len(s.raw) {
@@ -235,23 +223,6 @@ func (s *Series) at(k int) *Point {
 		i += len(s.raw)
 	}
 	return &s.raw[i]
-}
-
-// bound bisects a time-ordered raw ring for the first point at or after t
-// (strictly after t when strict), as an index for at; s.n when there is
-// none. Caller holds s.mu.
-func (s *Series) bound(t time.Time, strict bool) int {
-	lo, hi := 0, s.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		pt := s.at(mid).Time
-		if pt.Before(t) || strict && pt.Equal(t) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Raw returns a copy of the retained raw points in append order.
