@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"flex/internal/obs/recorder"
 	"flex/internal/power"
 )
 
@@ -44,22 +45,36 @@ func BenchmarkPublishRecvBatch(b *testing.B) {
 }
 
 // BenchmarkUpdateBatch is the view leg, one op a poll: a rack batch, newer
-// than the last, installed under one lock.
+// than the last, installed under one lock — and on a recorded view, as the
+// instrumented emulator's is, its 275 sample-arrive events emitted after it
+// and their seqs bound under one more.
 func BenchmarkUpdateBatch(b *testing.B) {
-	view := NewLatestPower()
-	batch := rackPoll(t0())
-	b.ReportAllocs()
-	for i := -1; i < b.N; i++ {
-		if i == 0 {
-			b.ResetTimer() // the first poll gave every device its slot
+	for _, recorded := range []bool{false, true} {
+		name := "plain"
+		if recorded {
+			name = "recorded"
 		}
-		at := t0().Add(time.Duration(i+2) * time.Second)
-		for j := range batch {
-			batch[j].MeasuredAt = at
-		}
-		view.UpdateBatch(batch)
-	}
-	if _, at, _ := view.Get(batch[274].Device); !at.Equal(batch[274].MeasuredAt) {
-		b.Fatalf("the last poll was not installed: view at %v, poll at %v", at, batch[274].MeasuredAt)
+		b.Run(name, func(b *testing.B) {
+			view := NewLatestPower()
+			if recorded {
+				view.SetRecorder(recorder.New(1<<12), "rack-view")
+			}
+			batch := rackPoll(t0())
+			b.ReportAllocs()
+			for i := -1; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer() // the first poll gave every device its slot
+				}
+				at := t0().Add(time.Duration(i+2) * time.Second)
+				for j := range batch {
+					batch[j].MeasuredAt = at
+				}
+				view.UpdateBatch(batch)
+			}
+			_, at, seq, _ := view.GetEvent(batch[274].Device)
+			if !at.Equal(batch[274].MeasuredAt) || (seq != 0) != recorded {
+				b.Fatalf("the last poll was not installed: view at %v by event %d, poll at %v", at, seq, batch[274].MeasuredAt)
+			}
+		})
 	}
 }

@@ -216,6 +216,8 @@ type LatestPower struct {
 	slots []reading
 	rec   *recorder.Recorder
 	role  string
+	// arrivals is updateBatchRecorded's scratch between calls.
+	arrivals []arrival
 }
 
 // reading is one device's installed sample.
@@ -274,20 +276,19 @@ func (l *LatestPower) Update(s Sample) {
 	l.mu.Unlock()
 }
 
-// UpdateBatch is a loop of Update over batch under one lock acquisition. A
-// poll delivers its devices in the same order every round, so each sample
-// first tries the slot after the previous sample's — a string compare that
-// hits on pointer equality — and only then the map.
+// UpdateBatch installs batch as a loop of Update would, under one lock
+// acquisition. A poll delivers its devices in the same order every round, so
+// each sample first tries the slot after the previous sample's — a string
+// compare that hits on pointer equality — and only then the map. A recorded
+// view goes through updateBatchRecorded, which emits the same sample-arrive
+// events in the same order between two lock holds per batch, not per sample.
 //
 //flex:hotpath
 func (l *LatestPower) UpdateBatch(batch []Sample) {
 	l.mu.Lock()
 	if l.rec != nil {
-		// A recorded view emits between two lock holds per sample.
 		l.mu.Unlock()
-		for i := range batch {
-			l.Update(batch[i])
-		}
+		l.updateBatchRecorded(batch)
 		return
 	}
 	next := 0
@@ -305,6 +306,78 @@ func (l *LatestPower) UpdateBatch(batch []Sample) {
 	}
 	l.mu.Unlock()
 }
+
+// arrival is one sample of a batch that went into the view: where it sits in
+// the batch, the slot it took, and the seq of its sample-arrive event.
+type arrival struct {
+	sample, slot int
+	seq          uint64
+}
+
+// updateBatchRecorded is UpdateBatch on a view with a recorder: install the
+// whole batch under one lock hold, emit the arrivals in batch order with the
+// lock released (eventcheck), then bind their seqs under a second hold — each
+// unless a newer sample has won its slot meanwhile, be it a later one of this
+// batch or another writer's. The batch is only read; the arrivals are the
+// view's scratch, taken out of it for the duration so that a concurrent batch
+// finds none and makes its own.
+//
+//flex:hotpath
+func (l *LatestPower) updateBatchRecorded(batch []Sample) {
+	l.mu.Lock()
+	rec, role := l.rec, l.role
+	arrivals := l.arrivals
+	l.arrivals = nil
+	if cap(arrivals) < len(batch) {
+		arrivals = newArrivals(len(batch))
+	}
+	arrivals = arrivals[:len(batch)]
+	n, next := 0, 0
+	for k := range batch {
+		s := &batch[k]
+		if !s.Valid {
+			continue
+		}
+		i, known := next, next < len(l.slots) && l.slots[next].device == s.Device
+		if !known {
+			i, known = l.index[s.Device]
+		}
+		i, installed := l.install(s, i, known)
+		if installed {
+			arrivals[n] = arrival{sample: k, slot: i}
+			n++
+		}
+		next = i + 1
+	}
+	l.mu.Unlock()
+	arrivals = arrivals[:n]
+	for k := range arrivals {
+		a := &arrivals[k]
+		s := &batch[a.sample]
+		a.seq = rec.Emit(recorder.Event{
+			Type:    recorder.TypeSampleArrive,
+			Time:    s.MeasuredAt,
+			Actor:   role,
+			Subject: s.Device,
+			Value:   float64(s.Power),
+			Cause:   s.Event,
+		})
+	}
+	l.mu.Lock()
+	for _, a := range arrivals {
+		if r := &l.slots[a.slot]; r.stamps.MeasuredAt.Equal(batch[a.sample].MeasuredAt) {
+			r.event = a.seq
+		}
+	}
+	l.arrivals = arrivals
+	l.mu.Unlock()
+}
+
+// newArrivals is the scratch for a batch of n samples: once per view, unless
+// batches grow or overlap.
+//
+//flex:coldpath
+func newArrivals(n int) []arrival { return make([]arrival, n) }
 
 // install puts valid sample s into its device's slot — slot i when the
 // device is known, a new one otherwise — unless the slot holds a
