@@ -131,7 +131,7 @@ type Planner struct {
 	est      []power.Watts // per UPS: estimated power as actions accrue
 	affected []int         // per workload: racks acted on, before and by this plan
 	next     []int         // per workload: cursor into queue
-	cands    []candidate
+	cands    []candidate   // per workload: see propose
 }
 
 // plannedWorkload is one workload as Algorithm 1 sees it.
@@ -144,9 +144,10 @@ type plannedWorkload struct {
 	queue []int32
 }
 
-// candidate is one workload's next rack with the action it would take.
+// candidate is one workload's next rack with the action it would take; ok
+// is false once the workload has no rack left to act on.
 type candidate struct {
-	w    int // index into Planner.workloads
+	ok   bool
 	pair power.PDUPairID
 	act  PlannedAction
 }
@@ -217,7 +218,7 @@ func NewPlanner(topo *power.Topology, racks []ManagedRack, scenario impact.Scena
 	}
 	p.affected = make([]int, len(p.workloads))
 	p.next = make([]int, len(p.workloads))
-	p.cands = make([]candidate, 0, len(p.workloads))
+	p.cands = make([]candidate, len(p.workloads))
 	return p
 }
 
@@ -258,49 +259,31 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 		}
 		return false
 	}
+	built := false
 	for overLimit() {
 		if ctx.Err() != nil {
 			return actions, true, context.Cause(ctx)
 		}
-		// Build the candidate set C (lines 5–12): one rack per workload.
-		cands := p.cands[:0]
-		for wi := range p.workloads {
-			w := &p.workloads[wi]
-			next := p.next[wi]
-			for next < len(w.queue) && in.Acted[p.racks[w.queue[next]].ID] {
-				next++
+		// The candidate set C (lines 5–12) is one rack per workload. A pick
+		// moves only its own workload's cursor and affected count, so the
+		// others' candidates stand from one iteration to the next.
+		if !built {
+			for wi := range p.workloads {
+				p.propose(wi, in.RackPower, in.Acted)
 			}
-			p.next[wi] = next
-			if next == len(w.queue) {
-				continue
-			}
-			r := &p.racks[w.queue[next]]
-			pw, ok := in.RackPower[r.ID]
-			if !ok {
-				pw = r.Allocated // conservative: assume full draw
-			}
-			// The action is the rack's own category's (line 8), whatever
-			// its workload's other racks are: a non-redundant rack is
-			// never powered off.
-			act := PlannedAction{Rack: r.ID, Workload: w.name, Kind: Shutdown, Recovered: pw}
-			if r.Category == workload.NonRedundantCapable {
-				rec := pw - r.FlexPower
-				if rec < 0 {
-					rec = 0
-				}
-				act = PlannedAction{Rack: r.ID, Workload: w.name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
-			}
-			frac := float64(p.affected[wi]+1) / float64(w.total)
-			act.Impact = w.fn.At(frac)
-			cands = append(cands, candidate{w: wi, pair: r.Pair, act: act})
-		}
-		if len(cands) == 0 {
-			return actions, true, nil // exhausted all shaveable racks
+			built = true
 		}
 		// Select argmin impact (line 13); ties: max recovered, then ID.
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			a, b := &cands[i].act, &cands[best].act
+		best := -1
+		for i := range p.cands {
+			if !p.cands[i].ok {
+				continue
+			}
+			if best < 0 {
+				best = i
+				continue
+			}
+			a, b := &p.cands[i].act, &p.cands[best].act
 			switch {
 			case a.Impact < b.Impact-1e-12:
 				best = i
@@ -310,14 +293,53 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 				best = i
 			}
 		}
-		chosen := &cands[best]
+		if best < 0 {
+			return actions, true, nil // exhausted all shaveable racks
+		}
+		chosen := &p.cands[best]
 		actions = append(actions, chosen.act)
-		p.affected[chosen.w]++
-		p.next[chosen.w]++
+		p.affected[best]++
+		p.next[best]++
 		// Update the UPS estimates with the rack's share (line 15).
 		applyRecovery(topo, est, in.Inactive, chosen.pair, chosen.act.Recovered)
+		p.propose(best, in.RackPower, in.Acted)
 	}
 	return actions, false, nil
+}
+
+// propose sets workload wi's candidate: its next rack not yet acted on, with
+// the action the rack's category defines and the impact of one more affected
+// rack — or none, once its queue has run out.
+func (p *Planner) propose(wi int, rackPower map[string]power.Watts, acted map[string]bool) {
+	w := &p.workloads[wi]
+	next := p.next[wi]
+	for next < len(w.queue) && acted[p.racks[w.queue[next]].ID] {
+		next++
+	}
+	p.next[wi] = next
+	if next == len(w.queue) {
+		p.cands[wi].ok = false
+		return
+	}
+	r := &p.racks[w.queue[next]]
+	pw, ok := rackPower[r.ID]
+	if !ok {
+		pw = r.Allocated // conservative: assume full draw
+	}
+	// The action is the rack's own category's (line 8), whatever
+	// its workload's other racks are: a non-redundant rack is
+	// never powered off.
+	act := PlannedAction{Rack: r.ID, Workload: w.name, Kind: Shutdown, Recovered: pw}
+	if r.Category == workload.NonRedundantCapable {
+		rec := pw - r.FlexPower
+		if rec < 0 {
+			rec = 0
+		}
+		act = PlannedAction{Rack: r.ID, Workload: w.name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
+	}
+	frac := float64(p.affected[wi]+1) / float64(w.total)
+	act.Impact = w.fn.At(frac)
+	p.cands[wi] = candidate{ok: true, pair: r.Pair, act: act}
 }
 
 // applyRecovery subtracts a rack's recovered power from the UPS estimates
