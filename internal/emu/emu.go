@@ -205,11 +205,19 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		upsMeters[u].Metrics = telMetrics
 		upsMeters[u].Recorder = cfg.Recorder
 	}
+	// A rack poll goes into the view as one batch, built once: a rack meter
+	// emits nothing when read, so reading them all and then installing them
+	// all leaves the event stream where a read and an update per rack had it.
+	// The UPS poll cannot do the same — a consensus meter's read emits the
+	// round's consensus events, which belong before its own arrival and after
+	// the previous UPS's.
 	rackMeters := make([]*telemetry.SimMeter, len(sims))
+	rackPoll := make([]telemetry.Sample, len(sims))
 	for i, rs := range sims {
 		rackMeters[i] = telemetry.NewSimMeter(rs.ID,
 			func() power.Watts { return truth.rack[i] },
 			telemetry.SimMeterConfig{Noise: 0.01, Seed: cfg.Seed + 1000 + int64(i)})
+		rackPoll[i].Device = rs.ID
 	}
 
 	// Controllers (multi-primary). The instances share one Metrics so the
@@ -278,15 +286,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	srTotal, capTotal := 0, 0
+	var catRacks [3]int // racks per workload.Category
 	for _, r := range p.racks {
-		switch r.Category {
-		case workload.SoftwareRedundant:
-			srTotal++
-		case workload.NonRedundantCapable:
-			capTotal++
-		}
+		catRacks[r.Category]++
 	}
+	srTotal, capTotal := catRacks[workload.SoftwareRedundant], catRacks[workload.NonRedundantCapable]
 	maxShut, maxThrottled := 0, 0
 
 	// One latency sample per cap-able rack per tick: baseline over the
@@ -377,10 +381,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if pollRacks {
 			for j, m := range rackMeters {
 				v, err := m.Read(wall)
-				rackView.Update(telemetry.Sample{
-					Device: sims[j].ID, Power: v, Valid: err == nil, MeasuredAt: wall,
-				})
+				s := &rackPoll[j]
+				s.Power, s.Valid, s.MeasuredAt = v, err == nil, wall
 			}
+			rackView.UpdateBatch(rackPoll)
 		}
 
 		// Controllers evaluate.
@@ -424,10 +428,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			maxThrottled = throttled
 		}
 
-		// Record the timeline.
-		byCat := map[workload.Category]power.Watts{}
+		// Record the timeline: rack power by category, for the categories
+		// that have a rack.
+		var catPower [len(catRacks)]power.Watts
 		for j, rs := range sims {
-			byCat[rs.Category] += truth.rack[j]
+			catPower[rs.Category] += truth.rack[j]
+		}
+		byCat := make(map[workload.Category]power.Watts, len(catRacks))
+		for c, n := range catRacks {
+			if n > 0 {
+				byCat[workload.Category(c)] = catPower[c]
+			}
 		}
 		res.Series = append(res.Series, TimePoint{
 			T: now, Stage: stage, UPSPower: truth.ups, RackPower: byCat,
