@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
+.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs pairs figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
 
 all: build vet lint test
 
@@ -97,17 +97,27 @@ bench-solver:
 # SLO audit-tick/probe benchmarks, what a probe round and an episode's P95
 # are made of (BenchmarkPlan: Algorithm 1 one-shot and prepared on an
 # emulation-sized room; BenchmarkPercentile at 1e5 samples), the fleet's
-# transport (BenchmarkPublishRecvBatch, BenchmarkUpdateBatch: one 275-rack
-# poll per op, 0 allocs/op), then the fully instrumented emulation episode
-# they add up to (BenchmarkRunInstrumented: us/tick and B/tick; benchjson
-# tags each record with its package). The
-# Append, WindowAvg, SamplerTick, AuditTick and Plan/prepared rows must
-# stay at 0 allocs/op — the first four run on the emulation tick, the last
-# four times a probe round.
+# transport (BenchmarkPublishRecvBatch, BenchmarkUpdateBatch plain and on a
+# recorded view: one 275-rack poll per op, 0 allocs/op), then the fully
+# instrumented emulation episode they add up to (BenchmarkRunInstrumented:
+# us/tick and B/tick; benchjson tags each record with its package). The
+# Append, SamplerTick, AuditTick and Plan/prepared rows must stay at
+# 0 allocs/op — the first three run on the emulation tick, the last four
+# times a probe round.
 bench-obs:
 	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ ./internal/controller/ ./internal/stats/ ./internal/telemetry/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkRunInstrumented -benchtime 5x ./internal/emu/ ; } | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	@echo wrote BENCH_obs.json
+
+# Alternated parent/change pairs of one flexbench workload, the comparison
+# CHANGES.md reports for every performance claim: one row per pair, both
+# medians, the parent's interquartile range, wins; non-zero if the two
+# sides' fingerprints differ. See scripts/pairs.sh.
+#   make pairs PARENT=HEAD~1 WORKLOAD=room-episode SEED=7 PAIRS=10
+SEED ?= 1
+PAIRS ?= 10
+pairs:
+	bash scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Regenerates every figure/result of the paper's evaluation.
 figures:

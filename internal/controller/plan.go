@@ -259,19 +259,15 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 		}
 		return false
 	}
-	built := false
+	// The candidate set C (lines 5–12) is one rack per workload. A pick
+	// moves only its own workload's cursor and affected count, so the
+	// others' candidates stand from one iteration to the next.
+	for wi := range p.workloads {
+		p.propose(wi, in.RackPower, in.Acted)
+	}
 	for overLimit() {
 		if ctx.Err() != nil {
 			return actions, true, context.Cause(ctx)
-		}
-		// The candidate set C (lines 5–12) is one rack per workload. A pick
-		// moves only its own workload's cursor and affected count, so the
-		// others' candidates stand from one iteration to the next.
-		if !built {
-			for wi := range p.workloads {
-				p.propose(wi, in.RackPower, in.Acted)
-			}
-			built = true
 		}
 		// Select argmin impact (line 13); ties: max recovered, then ID.
 		best := -1

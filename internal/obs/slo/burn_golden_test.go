@@ -2,6 +2,7 @@ package slo_test
 
 import (
 	"context"
+	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -110,13 +111,8 @@ func TestBurnRatesGolden(t *testing.T) {
 	h := newHarness(t, slo.Config{UPSFreshness: 3 * time.Second, RackFreshness: 4 * time.Second})
 	ctx := context.Background()
 	sum := fnv.New64a()
-	var buf [8]byte
 	put := func(v float64) {
-		bits := math.Float64bits(v)
-		for k := range buf {
-			buf[k] = byte(bits >> (8 * k))
-		}
-		sum.Write(buf[:])
+		sum.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
 	}
 	nonZero := map[string]bool{}
 	for i := 1; i <= s.ticks; i++ {

@@ -261,19 +261,24 @@ func (l *LatestPower) Update(s Sample) {
 	}
 	// Emit outside the mutex (eventcheck), then bind the arrival seq to
 	// the device — unless an even newer sample won the race meanwhile.
-	seq := rec.Emit(recorder.Event{
+	seq := rec.Emit(arriveEvent(role, &s))
+	l.mu.Lock()
+	if r := &l.slots[i]; r.stamps.MeasuredAt.Equal(s.MeasuredAt) {
+		r.event = seq
+	}
+	l.mu.Unlock()
+}
+
+// arriveEvent is the sample-arrive event of s going into the view of role.
+func arriveEvent(role string, s *Sample) recorder.Event {
+	return recorder.Event{
 		Type:    recorder.TypeSampleArrive,
 		Time:    s.MeasuredAt,
 		Actor:   role,
 		Subject: s.Device,
 		Value:   float64(s.Power),
 		Cause:   s.Event,
-	})
-	l.mu.Lock()
-	if r := &l.slots[i]; r.stamps.MeasuredAt.Equal(s.MeasuredAt) {
-		r.event = seq
 	}
-	l.mu.Unlock()
 }
 
 // UpdateBatch installs batch as a loop of Update would, under one lock
@@ -353,15 +358,7 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample) {
 	arrivals = arrivals[:n]
 	for k := range arrivals {
 		a := &arrivals[k]
-		s := &batch[a.sample]
-		a.seq = rec.Emit(recorder.Event{
-			Type:    recorder.TypeSampleArrive,
-			Time:    s.MeasuredAt,
-			Actor:   role,
-			Subject: s.Device,
-			Value:   float64(s.Power),
-			Cause:   s.Event,
-		})
+		a.seq = rec.Emit(arriveEvent(role, &batch[a.sample]))
 	}
 	l.mu.Lock()
 	for _, a := range arrivals {
