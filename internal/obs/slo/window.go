@@ -5,15 +5,15 @@ import "time"
 // burnWindow is one objective's bad indicator over its two burn-rate
 // windows: a ring of the audit ticks still inside the longer window, and for
 // each window the number of ticks and of bad ticks in [now−width, now]. Both
-// windows end at the newest tick, so each is a suffix of the ring and a tick
-// costs a push, the pops that have fallen due, and two divisions. The counts
+// windows end at the newest tick, so each is the newest n ticks of the ring
+// and a tick costs a push, the pops that have fallen due, and two divisions. The counts
 // are integers, so the fractions are exact — the value a scan of every
 // (time, bad) pair in the window divides out, to the bit.
 //
 // Ticks must arrive in non-decreasing time order (see Auditor.Tick).
 type burnWindow struct {
 	ring       []burnTick
-	head, n    int // the live ticks are ring[head], ring[head+1], … (n of them, wrapping)
+	next       int // the slot the next tick lands in
 	fast, slow burnTail
 }
 
@@ -46,56 +46,45 @@ func (w *burnWindow) observe(now time.Time, bad bool) (fast, slow float64) {
 	at := now.UnixNano()
 	w.expire(&w.fast, at)
 	w.expire(&w.slow, at)
-	// Whatever neither window reaches any more leaves the ring.
-	keep := max(w.fast.n, w.slow.n)
-	w.head = w.index(w.n - keep)
-	w.n = keep
-	if w.n == len(w.ring) {
+	if max(w.fast.n, w.slow.n) == len(w.ring) {
 		w.grow()
 	}
-	w.ring[w.index(w.n)] = burnTick{at: at, bad: bad}
-	w.n++
-	w.fast.push(bad)
-	w.slow.push(bad)
-	return float64(w.fast.bad) / float64(w.fast.n), float64(w.slow.bad) / float64(w.slow.n)
-}
-
-func (t *burnTail) push(bad bool) {
-	t.n++
-	if bad {
-		t.bad++
+	w.ring[w.next] = burnTick{at: at, bad: bad}
+	if w.next++; w.next == len(w.ring) {
+		w.next = 0
 	}
+	w.fast.n++
+	w.slow.n++
+	if bad {
+		w.fast.bad++
+		w.slow.bad++
+	}
+	return float64(w.fast.bad) / float64(w.fast.n), float64(w.slow.bad) / float64(w.slow.n)
 }
 
 // expire drops from t the ticks older than its width at time at.
 func (w *burnWindow) expire(t *burnTail, at int64) {
-	for t.n > 0 {
-		oldest := &w.ring[w.index(w.n-t.n)]
-		if oldest.at >= at-t.width {
+	for ; t.n > 0; t.n-- {
+		i := w.next - t.n
+		if i < 0 {
+			i += len(w.ring)
+		}
+		if w.ring[i].at >= at-t.width {
 			return
 		}
-		if oldest.bad {
+		if w.ring[i].bad {
 			t.bad--
 		}
-		t.n--
 	}
 }
 
-// index is the ring slot of the k-th oldest live tick, k in [0, len(ring)].
-func (w *burnWindow) index(k int) int {
-	if i := w.head + k; i < len(w.ring) {
-		return i
-	}
-	return w.head + k - len(w.ring)
-}
-
-// grow doubles a full ring: ticks are arriving faster than the interval it
-// was sized for.
+// grow doubles a ring that one window fills, oldest tick at next: ticks are
+// arriving faster than the interval it was sized for.
 //
 //flex:coldpath
 func (w *burnWindow) grow() {
 	ring := make([]burnTick, 2*len(w.ring))
-	k := copy(ring, w.ring[w.head:])
-	copy(ring[k:], w.ring[:w.head])
-	w.ring, w.head = ring, 0
+	k := copy(ring, w.ring[w.next:])
+	copy(ring[k:], w.ring[:w.next])
+	w.ring, w.next = ring, len(w.ring)
 }

@@ -292,11 +292,7 @@ func (s *Series) Last() (Point, bool) {
 	if s.n == 0 {
 		return Point{}, false
 	}
-	i := s.next - 1
-	if i < 0 {
-		i += len(s.raw)
-	}
-	return s.raw[i], true
+	return *s.at(s.n - 1), true
 }
 
 // Store holds the named series. Series creation is a cold-path
