@@ -485,10 +485,12 @@ func (l *LatestPower) Oldest(now time.Time) (time.Duration, bool) {
 	if len(l.slots) == 0 {
 		return 0, false
 	}
-	// The stalest device is the one measured earliest.
+	// The stalest device is the one measured earliest. A poll stamps all its
+	// devices with one instant, so most slots hold the very value of
+	// earliest: three words compared in line, where Before is a call.
 	earliest := l.slots[0].stamps.MeasuredAt
 	for i := 1; i < len(l.slots); i++ {
-		if at := l.slots[i].stamps.MeasuredAt; at.Before(earliest) {
+		if at := l.slots[i].stamps.MeasuredAt; at != earliest && at.Before(earliest) {
 			earliest = at
 		}
 	}
