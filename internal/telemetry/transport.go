@@ -77,15 +77,25 @@ func (s *BrokerServer) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		s.track(conn)
+		if !s.track(conn) {
+			_ = conn.Close()
+			return nil
+		}
 		go s.handle(conn)
 	}
 }
 
-func (s *BrokerServer) track(c net.Conn) {
+// track registers a connection for Close to tear down; it refuses one that
+// Accept handed over while Close was already collecting them, which nothing
+// would ever close.
+func (s *BrokerServer) track(c net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
 	s.conns[c] = struct{}{}
+	return true
 }
 
 func (s *BrokerServer) untrack(c net.Conn) {
