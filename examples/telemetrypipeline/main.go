@@ -1,14 +1,17 @@
 // Telemetry pipeline: the paper's Figure 7 with real sockets — meters and
 // pollers publish over TCP to two independent broker servers; a
-// subscriber (where the Flex controllers would sit) merges and
-// deduplicates both streams. Faults are injected live: a meter misreads,
-// then one whole broker dies, and the power view keeps updating.
+// subscriber (where the Flex controllers would sit) merges both streams
+// into one view. Faults are injected live: a meter misreads, then one whole
+// broker dies, then one poller. After each stage the example waits for the
+// view to track the truth and exits 1 if it does not (make transport-smoke).
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
 	"net"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -57,56 +60,62 @@ func main() {
 			pubs, []telemetry.Target{{Meter: meter, Topic: telemetry.TopicUPS}}))
 	}
 
-	// The controller-side view: subscribe to both brokers, deduplicate.
+	// The controller-side view: subscribe to both brokers and install every
+	// drained batch; the view keeps the newest reading per device, which is
+	// all the deduplication the redundant paths need.
 	view := telemetry.NewLatestPower()
-	dedupe := telemetry.NewDeduper()
 	for _, addr := range addrs {
 		sub, err := telemetry.RemoteSubscribe(addr, telemetry.TopicUPS)
 		if err != nil {
 			log.Fatal(err)
 		}
-		go func(sub *telemetry.RemoteSubscription) {
-			for s := range sub.C {
-				if dedupe.Fresh(s) {
-					view.Update(s)
-				}
+		go sub.Consume(make([]telemetry.Sample, 64), func(batch []telemetry.Sample) bool {
+			view.UpdateBatch(batch)
+			return true
+		})
+	}
+
+	// stage polls until the view tracks the truth within 5 % — the
+	// tolerance of the pipeline tests — and exits 1 if 2 s of wall time
+	// pass first.
+	stage := func(label string) {
+		truth := source()
+		deadline := clk.Now().Add(2 * time.Second)
+		for {
+			for _, p := range pollers {
+				p.PollOnce()
 			}
-		}(sub)
-	}
-
-	poll := func() {
-		for _, p := range pollers {
-			p.PollOnce()
+			clk.Sleep(50 * time.Millisecond)
+			v, at, ok := view.Get("UPS-1")
+			if ok && math.Abs(float64(v-truth)) <= 0.05*float64(truth) {
+				fmt.Printf("%-34s view=%v (truth %v, measured %s ago)\n",
+					label, v, truth, clk.Now().Sub(at).Truncate(time.Millisecond))
+				return
+			}
+			if clk.Now().After(deadline) {
+				fmt.Printf("%-34s view=%v (ok=%v) never came within 5%% of %v\n", label, v, ok, truth)
+				os.Exit(1)
+			}
 		}
-		clk.Sleep(150 * time.Millisecond)
-	}
-	show := func(label string) {
-		v, at, ok := view.Get("UPS-1")
-		fmt.Printf("%-34s view=%v (ok=%v, measured %s ago)\n",
-			label, v, ok, clk.Now().Sub(at).Truncate(time.Millisecond))
 	}
 
-	poll()
-	show("healthy pipeline:")
+	stage("healthy pipeline:")
 
 	// Fault 1: the direct UPS meter starts misreading by +400kW. The
 	// median consensus masks it.
 	meter.Meters()[0].(*telemetry.SimMeter).SetOffset(400 * flex.KW)
 	milliwatts.Store(1.1e9)
-	poll()
-	show("one meter misreading +400kW:")
+	stage("one meter misreading +400kW:")
 
 	// Fault 2: broker A dies entirely. The duplicate path still delivers.
 	servers[0].Close()
 	milliwatts.Store(1.2e9)
-	poll()
-	show("broker A down:")
+	stage("broker A down:")
 
 	// Fault 3: poller A down too — single surviving path end to end.
 	pollers[0].SetDown(true)
 	milliwatts.Store(1.3e9)
-	poll()
-	show("broker A + poller A down:")
+	stage("broker A + poller A down:")
 
 	fmt.Println("\nThe view tracked the (ramping) truth through every fault: no single")
 	fmt.Println("point of failure between the meters and the Flex controllers.")

@@ -15,8 +15,8 @@ type (
 	// LogicalMeter is a median-consensus meter over redundant physical
 	// meters.
 	LogicalMeter = telemetry.LogicalMeter
-	// Broker is an in-process pub/sub system. Publish is a single-sample
-	// wrapper over PublishBatch, the batch-first primary ingest path.
+	// Broker is an in-process pub/sub system; PublishBatch is its one
+	// publish path.
 	Broker = telemetry.Broker
 	// BrokerServer exposes a Broker over TCP.
 	BrokerServer = telemetry.BrokerServer
@@ -25,8 +25,8 @@ type (
 	// Poller reads logical meters and publishes samples, batching
 	// consecutive same-topic targets into one PublishBatch.
 	Poller = telemetry.Poller
-	// LatestPower is the deduplicated freshest-power view controllers
-	// read.
+	// LatestPower is the freshest-power view controllers read; keeping
+	// the newest reading per device is what dedupes the redundant paths.
 	LatestPower = telemetry.LatestPower
 	// EWMAEstimator is the §IV-D time-series rack-power estimator.
 	EWMAEstimator = telemetry.EWMAEstimator

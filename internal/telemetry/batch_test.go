@@ -14,7 +14,7 @@ func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
 	slow := b.Subscribe("t", 2)
 	batch := make([]Sample, 5)
 	for i := range batch {
-		batch[i] = Sample{Device: "d", Seq: uint64(i)}
+		batch[i] = Sample{Device: "d", Event: uint64(i)}
 	}
 	b.PublishBatch("t", batch)
 
@@ -23,8 +23,8 @@ func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		s, _ := takeOne(fast, 0)
-		if s.Seq != uint64(i) {
-			t.Fatalf("fast sub sample %d has seq %d, want in-order delivery", i, s.Seq)
+		if s.Event != uint64(i) {
+			t.Fatalf("fast sub sample %d has event %d, want in-order delivery", i, s.Event)
 		}
 	}
 	// The slow subscriber keeps only the two newest.
@@ -33,8 +33,8 @@ func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
 	}
 	s1, _ := takeOne(slow, 0)
 	s2, _ := takeOne(slow, 0)
-	if s1.Seq != 3 || s2.Seq != 4 {
-		t.Fatalf("slow sub kept seqs %d,%d, want 3,4", s1.Seq, s2.Seq)
+	if s1.Event != 3 || s2.Event != 4 {
+		t.Fatalf("slow sub kept events %d,%d, want 3,4", s1.Event, s2.Event)
 	}
 }
 
@@ -60,25 +60,11 @@ func TestPublishBatchEmptyAndDown(t *testing.T) {
 	}
 }
 
-func TestPublishCountsAsBatchOfOne(t *testing.T) {
-	b := NewBroker("A")
-	b.Metrics = NewMetrics(obs.NewRegistry())
-	sub := b.Subscribe("t", 4)
-	defer sub.Close()
-	b.Publish("t", Sample{Device: "d"})
-	if got := b.Metrics.BatchPublishes.Value(); got != 1 {
-		t.Fatalf("BatchPublishes = %d after single Publish, want 1", got)
-	}
-	if got, _ := takeOne(sub, 0); got.Device != "d" {
-		t.Fatalf("delivered device %q, want d", got.Device)
-	}
-}
-
 func TestRecvBatchDrains(t *testing.T) {
 	b := NewBroker("A")
 	sub := b.Subscribe("t", 8)
 	for i := 0; i < 5; i++ {
-		b.Publish("t", Sample{Device: "d", Seq: uint64(i)})
+		b.PublishBatch("t", []Sample{{Device: "d", Event: uint64(i)}})
 	}
 	buf := make([]Sample, 3)
 	// First call fills the buffer; second drains the remainder; third
@@ -86,14 +72,14 @@ func TestRecvBatchDrains(t *testing.T) {
 	if n := sub.RecvBatch(buf); n != 3 {
 		t.Fatalf("first RecvBatch = %d, want 3", n)
 	}
-	if buf[0].Seq != 0 || buf[2].Seq != 2 {
-		t.Fatalf("first batch seqs %d..%d, want 0..2", buf[0].Seq, buf[2].Seq)
+	if buf[0].Event != 0 || buf[2].Event != 2 {
+		t.Fatalf("first batch events %d..%d, want 0..2", buf[0].Event, buf[2].Event)
 	}
 	if n := sub.RecvBatch(buf); n != 2 {
 		t.Fatalf("second RecvBatch = %d, want 2", n)
 	}
-	if buf[0].Seq != 3 || buf[1].Seq != 4 {
-		t.Fatalf("second batch seqs %d,%d, want 3,4", buf[0].Seq, buf[1].Seq)
+	if buf[0].Event != 3 || buf[1].Event != 4 {
+		t.Fatalf("second batch events %d,%d, want 3,4", buf[0].Event, buf[1].Event)
 	}
 	if n := sub.RecvBatch(buf); n != 0 {
 		t.Fatalf("empty RecvBatch = %d, want 0", n)
@@ -103,12 +89,12 @@ func TestRecvBatchDrains(t *testing.T) {
 func TestRecvBatchClosedSubscription(t *testing.T) {
 	b := NewBroker("A")
 	sub := b.Subscribe("t", 8)
-	b.Publish("t", Sample{Device: "d", Seq: 1})
+	b.PublishBatch("t", []Sample{{Device: "d", Event: 1}})
 	sub.Close()
 	buf := make([]Sample, 4)
 	// A closed subscription drains what is buffered, then returns 0 forever.
-	if n := sub.RecvBatch(buf); n != 1 || buf[0].Seq != 1 {
-		t.Fatalf("RecvBatch after close = %d (seq %d), want 1 buffered sample", n, buf[0].Seq)
+	if n := sub.RecvBatch(buf); n != 1 || buf[0].Event != 1 {
+		t.Fatalf("RecvBatch after close = %d (event %d), want 1 buffered sample", n, buf[0].Event)
 	}
 	if n := sub.RecvBatch(buf); n != 0 {
 		t.Fatalf("RecvBatch on drained closed sub = %d, want 0", n)
@@ -128,7 +114,7 @@ func TestBatchPathZeroAllocations(t *testing.T) {
 	view := NewLatestPower()
 	batch := make([]Sample, 4)
 	for i := range batch {
-		batch[i] = Sample{Device: string(rune('a' + i)), Valid: true, Seq: uint64(i)}
+		batch[i] = Sample{Device: string(rune('a' + i)), Valid: true, Event: uint64(i)}
 	}
 	buf := make([]Sample, 8)
 	b.PublishBatch("t", batch)

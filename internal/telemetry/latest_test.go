@@ -30,23 +30,24 @@ func newMapLatestPower(rec *recorder.Recorder, role string) *mapLatestPower {
 	}
 }
 
-func (l *mapLatestPower) Update(s Sample) {
+// Update reports whether it changed the device's entry.
+func (l *mapLatestPower) Update(s Sample) bool {
 	if !s.Valid {
-		return
+		return false
 	}
 	if t, ok := l.at[s.Device]; ok && !s.MeasuredAt.After(t) {
-		return
+		return false
 	}
 	l.power[s.Device] = s.Power
 	l.at[s.Device] = s.MeasuredAt
 	l.stamps[s.Device] = Stamps{MeasuredAt: s.MeasuredAt, PublishedAt: s.PublishedAt, DequeuedAt: s.DequeuedAt}
-	if l.rec == nil {
-		return
+	if l.rec != nil {
+		l.event[s.Device] = l.rec.Emit(recorder.Event{
+			Type: recorder.TypeSampleArrive, Time: s.MeasuredAt, Actor: l.role,
+			Subject: s.Device, Value: float64(s.Power), Cause: s.Event,
+		})
 	}
-	l.event[s.Device] = l.rec.Emit(recorder.Event{
-		Type: recorder.TypeSampleArrive, Time: s.MeasuredAt, Actor: l.role,
-		Subject: s.Device, Value: float64(s.Power), Cause: s.Event,
-	})
+	return true
 }
 
 func (l *mapLatestPower) Oldest(now time.Time) (time.Duration, bool) {
@@ -64,7 +65,8 @@ func (l *mapLatestPower) Oldest(now time.Time) (time.Duration, bool) {
 // reference with the same random samples — new devices, stale and
 // equal-timestamp repeats, invalid readings — each emitting into its own
 // recorder, and compares every reader after every update. The view takes
-// them one Update at a time, then as UpdateBatch of whole polls in slot
+// them one Update at a time, whose answer must be whether the reference's
+// entry changed, then as UpdateBatch of whole polls in slot
 // order, in reversed order (every hint misses) and of random devices with
 // duplicates; each with and without a recorder.
 func TestLatestPowerMatchesMapReference(t *testing.T) {
@@ -104,8 +106,10 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 				var batch []Sample
 				switch {
 				case !mode.batched:
-					batch = []Sample{sample(rng.Intn(40))}
-					got.Update(batch[0])
+					s := sample(rng.Intn(40))
+					if g, w := got.Update(s), want.Update(s); g != w {
+						t.Fatalf("%+v seed %d step %d: Update(%+v) = %v, reference entry changed %v", mode, seed, i, s, g, w)
+					}
 				case i%3 == 0: // a poll: the first 30+ devices in order, the tail joining late
 					for dev := 0; dev < 30+min(i/10, 10); dev++ {
 						batch = append(batch, sample(dev))

@@ -160,16 +160,16 @@ func (p *Pipeline) PollOnce() {
 }
 
 // SubscribeAll subscribes to a topic on every broker and merges the
-// streams, deduplicated, into view. The returned cancel function closes
-// the subscriptions, which ends the goroutines feeding the view.
+// streams into view, which keeps the newest reading per device. The
+// returned cancel function closes the subscriptions, which ends the
+// goroutines feeding the view.
 func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func()) {
-	dedupe := NewDeduper()
 	var subs []*Subscription
 	for _, b := range p.BrokerSet {
 		sub := b.Subscribe(topic, 1024)
 		subs = append(subs, sub)
 		go sub.Consume(make([]Sample, 64), func(batch []Sample) bool {
-			p.install(batch, dedupe, view)
+			p.install(batch, view)
 			return true
 		})
 	}
@@ -180,22 +180,22 @@ func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func())
 	}
 }
 
-// install moves the fresh samples of one drained batch into view.
-func (p *Pipeline) install(batch []Sample, dedupe *Deduper, view *LatestPower) {
+// install moves one drained batch into view: what view refuses — another
+// path's copy, a stale repeat or an invalid reading — is a dedupe hit, what it
+// takes adds its publish lag.
+func (p *Pipeline) install(batch []Sample, view *LatestPower) {
 	for _, s := range batch {
-		if !dedupe.Fresh(s) {
-			if p.Metrics != nil {
-				p.Metrics.DedupeHits.Inc()
-			}
-			continue
-		}
 		// Stamp the dequeue instant before the view installs the
 		// sample: PublishedAt→DequeuedAt is the queue-wait stage.
 		now := p.Clock.Now()
 		s.DequeuedAt = now
-		view.Update(s)
-		if p.Metrics != nil {
+		installed := view.Update(s)
+		switch {
+		case p.Metrics == nil:
+		case installed:
 			p.Metrics.PublishLag.ObserveDuration(now.Sub(s.MeasuredAt))
+		default:
+			p.Metrics.DedupeHits.Inc()
 		}
 	}
 }

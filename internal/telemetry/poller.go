@@ -19,8 +19,8 @@ type Target struct {
 
 // Poller periodically reads a set of logical meters and publishes the
 // samples to every configured broker. Flex runs two or more pollers on
-// separate fault domains, each publishing the same devices; subscribers
-// deduplicate (paper Figure 7).
+// separate fault domains, each publishing the same devices; the subscriber's
+// view keeps the newest reading of each (paper Figure 7).
 type Poller struct {
 	Name     string
 	Interval time.Duration
@@ -36,7 +36,6 @@ type Poller struct {
 	Recorder *recorder.Recorder
 
 	mu    sync.Mutex
-	seq   map[string]uint64
 	down  bool
 	polls int
 	// batch is the reusable per-round publish buffer; PollOnce flushes it
@@ -57,7 +56,6 @@ func NewPoller(name string, clk clock.Clock, interval time.Duration, brokers []S
 		Clock:    clk,
 		Brokers:  brokers,
 		Targets:  targets,
-		seq:      make(map[string]uint64),
 	}
 }
 
@@ -111,8 +109,6 @@ func (p *Poller) PollOnce() {
 			Power:      v,
 			Valid:      err == nil,
 			MeasuredAt: now,
-			Poller:     p.Name,
-			Seq:        p.nextSeq(t.Meter.Device),
 		}
 		if p.Recorder != nil {
 			valid := int64(0)
@@ -131,13 +127,6 @@ func (p *Poller) PollOnce() {
 		p.batch = append(p.batch, s)
 	}
 	flush()
-}
-
-func (p *Poller) nextSeq(device string) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.seq[device]++
-	return p.seq[device]
 }
 
 // Run polls until ctx is cancelled, sleeping Interval between rounds on
@@ -172,29 +161,6 @@ func (p *Poller) Polls() int {
 	return p.polls
 }
 
-// Deduper collapses the duplicate samples that arrive through the
-// redundant poller × broker paths: a sample is fresh when it is newer than
-// the last accepted measurement for its device (measurement time, then
-// sequence as a tiebreaker per poller).
-type Deduper struct {
-	mu   sync.Mutex
-	last map[string]time.Time
-}
-
-// NewDeduper returns an empty deduper.
-func NewDeduper() *Deduper { return &Deduper{last: make(map[string]time.Time)} }
-
-// Fresh reports whether s carries new information and records it if so.
-func (d *Deduper) Fresh(s Sample) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if t, ok := d.last[s.Device]; ok && !s.MeasuredAt.After(t) {
-		return false
-	}
-	d.last[s.Device] = s.MeasuredAt
-	return true
-}
-
 // Stamps is the per-device ingest timeline retained by LatestPower: the
 // birth timestamps of the sample currently installed in the view. Zero
 // fields mean the corresponding stage was never stamped (e.g. a producer
@@ -206,8 +172,9 @@ type Stamps struct {
 }
 
 // LatestPower is a thread-safe view of the most recent valid power per
-// device, assembled from deduplicated samples — the controller's power
-// snapshot (Algorithm 1 lines 2–3). Devices are never removed, so each
+// device — the controller's power snapshot (Algorithm 1 lines 2–3). Keeping
+// only a measurement newer than the installed one is the one dedupe of the
+// redundant poller × broker paths. Devices are never removed, so each
 // owns one slot of a dense slice for the life of the view: an update is
 // one map lookup, and the readers that only iterate scan the slice.
 type LatestPower struct {
@@ -244,12 +211,14 @@ func (l *LatestPower) SetRecorder(rec *recorder.Recorder, role string) {
 	l.role = role
 }
 
-// Update records a valid sample (invalid samples are ignored).
+// Update installs s and reports whether it went in: it did when it is valid
+// and measured after what its device's slot holds. An invalid reading, or
+// another path's copy of a measurement already installed, is refused.
 //
 //flex:hotpath
-func (l *LatestPower) Update(s Sample) {
+func (l *LatestPower) Update(s Sample) bool {
 	if !s.Valid {
-		return
+		return false
 	}
 	l.mu.Lock()
 	i, known := l.index[s.Device]
@@ -257,7 +226,7 @@ func (l *LatestPower) Update(s Sample) {
 	rec, role := l.rec, l.role
 	l.mu.Unlock()
 	if !installed || rec == nil {
-		return
+		return installed
 	}
 	// Emit outside the mutex (eventcheck), then bind the arrival seq to
 	// the device — unless an even newer sample won the race meanwhile.
@@ -267,6 +236,7 @@ func (l *LatestPower) Update(s Sample) {
 		r.event = seq
 	}
 	l.mu.Unlock()
+	return true
 }
 
 // arriveEvent is the sample-arrive event of s going into the view of role.

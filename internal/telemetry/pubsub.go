@@ -16,13 +16,9 @@ type Sample struct {
 	// device; consumers must treat the power as unknown.
 	Valid bool
 	// MeasuredAt is when the poller took the reading; consumers use it
-	// for latency accounting and deduplication.
+	// for latency accounting, and the view keeps the newest per device,
+	// which is what deduplicates the redundant paths.
 	MeasuredAt time.Time
-	// Poller identifies the publishing poller (for dedup across the
-	// redundant paths).
-	Poller string
-	// Seq increases per (Poller, Device).
-	Seq uint64
 	// Event is the flight-recorder sequence of this sample's
 	// sample-publish event (0 when unrecorded); downstream events
 	// reference it as their Cause, rooting the causal chain.
@@ -62,10 +58,15 @@ func StampPublished(batch []Sample, at time.Time) {
 // in at most two copies each way. The ring starts empty and grows, by
 // doubling at least, to what its traffic needs and never past the depth the
 // subscription was made with: a queue costs what it holds, not what it may.
+// A remote subscription (RemoteSubscribe) is the same queue on a broker of its
+// own that its connection publishes into.
 type Subscription struct {
 	broker *Broker
 	topic  string
 	depth  int
+	// release, when non-nil, is what else Close lets go of, run once after
+	// it unlocks: a remote subscription's connection.
+	release func()
 
 	mu sync.Mutex
 	// ring[head], ring[head+1], … hold the n queued samples, oldest first,
@@ -175,20 +176,26 @@ func (s *Subscription) grow(need int) {
 	s.ring, s.head = ring, 0
 }
 
-// Close unsubscribes and ends Consume. What is queued stays for RecvBatch.
+// Close unsubscribes and ends Consume; a remote subscription also drops its
+// connection. What is queued stays for RecvBatch.
 func (s *Subscription) Close() {
 	s.broker.unsubscribe(s.topic, s)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
+	first := !s.closed
+	if first {
 		s.closed = true
 		close(s.ready)
+	}
+	s.mu.Unlock()
+	if first && s.release != nil {
+		s.release()
 	}
 }
 
 // Broker is an in-process topic-based publish/subscribe system. Flex
-// deploys two independent brokers; controllers subscribe to both and
-// deduplicate, so the loss of one broker is invisible (paper Figure 7).
+// deploys two independent brokers; controllers subscribe to both and install
+// into one LatestPower, which keeps the newest reading per device, so the
+// loss of one broker is invisible (paper Figure 7).
 type Broker struct {
 	Name string
 	// Metrics, when non-nil, counts samples dropped from slow subscriber
@@ -234,20 +241,8 @@ func (b *Broker) unsubscribe(topic string, sub *Subscription) {
 	}
 }
 
-// Publish fans one sample out to all of topic's subscribers. It is a
-// documented single-element wrapper over PublishBatch, the primary ingest
-// path: the sample is wrapped in a stack-backed one-element batch, so the
-// wrapper stays allocation-free (the AllocsPerRun tests pin both entry
-// points at zero).
-//
-//flex:hotpath
-func (b *Broker) Publish(topic string, s Sample) {
-	one := [1]Sample{s}
-	b.PublishBatch(topic, one[:])
-}
-
 // PublishBatch fans a batch of samples out to all of topic's subscribers
-// under a single lock acquisition — the primary ingest path. A subscriber
+// under a single lock acquisition — the one ingest path. A subscriber
 // whose queue cannot hold the batch loses its oldest samples (stale power
 // data is worthless to Flex, fresh data is everything). Publishing on a
 // downed broker is a silent no-op (that is the failure the duplicated

@@ -10,69 +10,42 @@ import (
 	"flex/internal/obs/recorder"
 )
 
-// referenceQueue is a Subscription's queue as it was first written — a
-// buffered channel of Sample — kept verbatim as the reference the
-// subscription must match: a per-sample non-blocking send that receives
-// (drops) the oldest sample when the buffer is full, a per-sample
-// non-blocking receive, and a close after which what is buffered drains and
-// then nothing comes.
+// referenceQueue is a Subscription's queue one sample at a time, as the
+// buffered channel it was first written as behaved, kept as the reference
+// the ring must match: a sample that finds depth samples queued drops the
+// oldest first, a receive takes from the front, and after a close what is
+// queued drains and then nothing comes.
 type referenceQueue struct {
-	c       chan Sample
+	q       []Sample
+	depth   int
 	dropped int
 	closed  bool
 }
 
 func newReferenceQueue(depth int) *referenceQueue {
-	if depth < 1 {
-		depth = 1
-	}
-	return &referenceQueue{c: make(chan Sample, depth)}
+	return &referenceQueue{depth: max(depth, 1)}
 }
 
-// publish sends batch sample by sample and reports how many it evicted.
+// publish queues batch sample by sample and reports how many it evicted.
 func (q *referenceQueue) publish(batch []Sample) (dropped int) {
 	for _, s := range batch {
-		for {
-			select {
-			case q.c <- s:
-			default:
-				select {
-				case <-q.c:
-					q.dropped++
-					dropped++
-				default:
-				}
-				continue
-			}
-			break
+		if len(q.q) == q.depth {
+			q.q = q.q[1:]
+			q.dropped++
+			dropped++
 		}
+		q.q = append(q.q, s)
 	}
 	return dropped
 }
 
 func (q *referenceQueue) recvBatch(buf []Sample) int {
-	n := 0
-	for n < len(buf) {
-		select {
-		case smp, ok := <-q.c:
-			if !ok {
-				return n
-			}
-			buf[n] = smp
-			n++
-		default:
-			return n
-		}
-	}
+	n := copy(buf, q.q)
+	q.q = q.q[n:]
 	return n
 }
 
-func (q *referenceQueue) close() {
-	if !q.closed {
-		q.closed = true
-		close(q.c)
-	}
-}
+func (q *referenceQueue) close() { q.closed = true }
 
 // referenceBroker is Broker.PublishBatch around referenceQueues on one
 // topic: nothing on an empty batch or a downed broker, closed subscribers
@@ -145,7 +118,7 @@ func FuzzQueueMatchesReference(f *testing.F) {
 			n, m := subs[i].RecvBatch(got), ref.subs[i].recvBatch(want)
 			if n != m || !reflect.DeepEqual(got[:n], want[:m]) {
 				t.Fatalf("step %d: subscriber %d (depth %d) received %d samples %v, reference %d %v",
-					step, i, depths[i], n, seqs(got[:n]), m, seqs(want[:m]))
+					step, i, depths[i], n, events(got[:n]), m, events(want[:m]))
 			}
 		}
 		seq := uint64(0)
@@ -157,7 +130,7 @@ func FuzzQueueMatchesReference(f *testing.F) {
 				for j := range batch {
 					seq++
 					batch[j] = Sample{
-						Device: string(rune('a' + seq%5)), Valid: true, Seq: seq, Event: 3 * seq,
+						Device: string(rune('a' + seq%5)), Valid: true, Event: 3 * seq,
 						MeasuredAt: t0().Add(time.Duration(seq) * time.Second),
 					}
 				}
@@ -193,10 +166,10 @@ func FuzzQueueMatchesReference(f *testing.F) {
 	})
 }
 
-func seqs(samples []Sample) []uint64 {
+func events(samples []Sample) []uint64 {
 	out := make([]uint64, len(samples))
 	for i, s := range samples {
-		out[i] = s.Seq
+		out[i] = s.Event
 	}
 	return out
 }

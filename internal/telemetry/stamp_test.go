@@ -48,7 +48,7 @@ func TestPublishBatchDropAccountingUnderChurn(t *testing.T) {
 	batch := make([]Sample, perBatch)
 	for i := 0; i < rounds; i++ {
 		for j := range batch {
-			batch[j] = Sample{Device: "d", Valid: true, Seq: uint64(i*perBatch + j)}
+			batch[j] = Sample{Device: "d", Valid: true, Event: uint64(i*perBatch + j)}
 		}
 		b.PublishBatch("t", batch)
 	}
@@ -100,11 +100,11 @@ func TestPollerStampMonotonicity(t *testing.T) {
 	lastMeas := map[string]time.Time{}
 	for _, s := range buf[:n] {
 		if s.PublishedAt.IsZero() {
-			t.Fatalf("sample %s seq %d has no publish stamp", s.Device, s.Seq)
+			t.Fatalf("sample %s event %d has no publish stamp", s.Device, s.Event)
 		}
 		if s.PublishedAt.Before(s.MeasuredAt) {
-			t.Fatalf("sample %s seq %d published %v before measured %v",
-				s.Device, s.Seq, s.PublishedAt, s.MeasuredAt)
+			t.Fatalf("sample %s event %d published %v before measured %v",
+				s.Device, s.Event, s.PublishedAt, s.MeasuredAt)
 		}
 		if prev, ok := lastPub[s.Device]; ok && !s.PublishedAt.After(prev) {
 			t.Fatalf("device %s publish stamp went backwards: %v after %v", s.Device, s.PublishedAt, prev)

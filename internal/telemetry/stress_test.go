@@ -30,10 +30,10 @@ func TestBrokerConcurrencyStress(t *testing.T) {
 					return
 				default:
 				}
-				b.Publish(TopicUPS, Sample{
+				b.PublishBatch(TopicUPS, []Sample{{
 					Device: "UPS-1", Power: power.Watts(i), Valid: true,
 					MeasuredAt: time.Unix(int64(i), int64(p)),
-				})
+				}})
 			}
 		}(p)
 	}

