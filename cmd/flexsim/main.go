@@ -52,7 +52,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	listen := fs.String("listen", "", "serve /metrics, /debug/vars, /debug/pprof on this address during the run (e.g. :8080)")
 	record := fs.String("record", "", "write the flight-recorder event log to this file (JSONL)")
 	withSLO := fs.Bool("slo", false, "episode experiment: run the continuous safety auditor, print an SLO summary, and fail unless /healthz flips healthy→degraded→healthy with a probe-fail-free steady state (the slo-smoke gate)")
-	latency := fs.Bool("latency", false, "fleet experiment: print the per-episode latency waterfall and fail unless the failed room's stitched stages reconcile with the measured shed latency and every stage p99 sits inside its 10s-budget carve (the latency-smoke gate)")
+	latency := fs.Bool("latency", false, "fleet experiment: print the per-episode latency waterfall and fail unless the failed room's stitched stages reconcile with the measured shed latency and every stage's exact maximum sits inside its carve of the 10s budget (the latency-smoke gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -386,46 +386,6 @@ type Label struct {
 	Name, Value string
 }
 
-// Quantile estimates the q-quantile (0..1) of a histogram snapshot by
-// linear interpolation within its buckets; the open-ended +Inf bucket
-// reports its lower bound. Returns 0 for empty histograms.
-func (s Snapshot) Quantile(q float64) float64 {
-	if s.Kind != KindHistogram || s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	rank := math.Min(math.Max(q, 0), 1) * float64(s.Count)
-	var lower Bucket
-	for _, b := range s.Buckets {
-		if float64(b.Count) >= rank {
-			return interpolate(rank, lower, b)
-		}
-		lower = b
-	}
-	return lower.Le
-}
-
-// interpolate places rank inside the cumulative bucket b, whose
-// predecessor is lower (the zero Bucket ahead of the first).
-func interpolate(rank float64, lower, b Bucket) float64 {
-	if math.IsInf(b.Le, 1) {
-		return lower.Le
-	}
-	span := float64(b.Count - lower.Count)
-	width := b.Le - lower.Le
-	if span <= 0 || width <= 0 {
-		// Empty or zero-width interval (duplicate bounds, or a first
-		// bucket below the 0 origin): interpolating would divide by zero
-		// or extrapolate outside the bucket, so report its upper bound —
-		// the tightest honest answer.
-		return b.Le
-	}
-	frac := (rank - float64(lower.Count)) / span
-	if frac < 0 {
-		frac = 0
-	}
-	return lower.Le + frac*width
-}
-
 // Metric is a live handle on one exported metric — a plain metric or one
 // child of a vec. Where a Snapshot copies the values out, a Metric reads
 // them in place: a scraper resolves its handles once and then reads

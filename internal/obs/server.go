@@ -300,7 +300,8 @@ func (e *badParamError) Error() string {
 
 // WriteExpvar renders the registry in expvar's JSON shape — flat keys,
 // plus the conventional cmdline and memstats entries — so existing expvar
-// tooling can consume it. Histograms appear as {count, sum, p50, p95, p99}.
+// tooling can consume it. Histograms appear as their exact {count, sum,
+// mean}: a quantile read off the buckets would be an interpolation.
 func writeExpvar(w http.ResponseWriter, r *Registry) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -324,13 +325,11 @@ func writeExpvar(w http.ResponseWriter, r *Registry) {
 		}
 		switch s.Kind {
 		case KindHistogram:
-			vars[key] = map[string]interface{}{
-				"count": s.Count,
-				"sum":   s.Sum,
-				"p50":   s.Quantile(0.50),
-				"p95":   s.Quantile(0.95),
-				"p99":   s.Quantile(0.99),
+			mean := 0.0
+			if s.Count > 0 {
+				mean = s.Sum / float64(s.Count)
 			}
+			vars[key] = map[string]interface{}{"count": s.Count, "sum": s.Sum, "mean": mean}
 		default:
 			vars[key] = s.Value
 		}

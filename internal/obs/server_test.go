@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +68,12 @@ func TestHandlerDebugVars(t *testing.T) {
 		if _, ok := vars[key]; !ok {
 			t.Errorf("missing %q in /debug/vars", key)
 		}
+	}
+	// A histogram reports what it knows exactly, and no quantile.
+	hist, _ := vars["flex_test_shed_latency_seconds"].(map[string]interface{})
+	want := map[string]interface{}{"count": 1.0, "sum": 2.0, "mean": 2.0}
+	if !reflect.DeepEqual(hist, want) {
+		t.Errorf("histogram in /debug/vars = %v, want %v", hist, want)
 	}
 }
 

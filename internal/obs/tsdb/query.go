@@ -3,9 +3,7 @@ package tsdb
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -74,7 +72,9 @@ type QueryRange struct {
 // whose width does not exceed the step: raw points for sub-10s steps,
 // the 10s rollup for steps in [10s, 1m), and the 1m rollup beyond. Each
 // returned point carries the start of its step interval; intervals
-// without data are omitted (no NaN filling).
+// without data are omitted (no NaN filling). A rollup bucket keeps no last
+// value, so AggLast is answered from raw points only: at a rollup step it
+// returns nil.
 func (s *Series) Query(r QueryRange) []Point {
 	if r.Step <= 0 {
 		r.Step = Tier10s
@@ -84,6 +84,9 @@ func (s *Series) Query(r QueryRange) []Point {
 	}
 	if r.Step < Tier10s {
 		return rebucketPoints(s.Raw(), r)
+	}
+	if r.Agg == AggLast {
+		return nil
 	}
 	width := Tier10s
 	if r.Step >= Tier1m {
@@ -99,12 +102,16 @@ func rebucketPoints(pts []Point, r QueryRange) []Point {
 	var out []Point
 	var cur bucket
 	cur.start = startUnset
+	var lastV float64
 	flush := func() {
 		if cur.start != startUnset && cur.count > 0 {
-			out = append(out, Point{Time: time.Unix(0, cur.start), Value: aggValue(cur, r.Agg)})
+			v := aggValue(cur, r.Agg)
+			if r.Agg == AggLast {
+				v = lastV
+			}
+			out = append(out, Point{Time: time.Unix(0, cur.start), Value: v})
 		}
 	}
-	var lastV float64
 	for _, p := range pts {
 		tn := p.Time.UnixNano()
 		if tn < from || tn > to {
@@ -126,9 +133,6 @@ func rebucketPoints(pts []Point, r QueryRange) []Point {
 		cur.sum += p.Value
 		cur.count++
 		lastV = p.Value
-		if r.Agg == AggLast {
-			cur.sum = lastV * float64(cur.count) // keep aggValue simple
-		}
 	}
 	flush()
 	return out
@@ -181,78 +185,12 @@ func aggValue(b bucket, a Agg) float64 {
 		return b.sum
 	case AggCount:
 		return float64(b.count)
-	default: // AggAvg, AggLast (last is exact for raw, avg-approximated for rollups)
+	default: // AggAvg; rebucketPoints answers AggLast itself
 		if b.count == 0 {
 			return 0
 		}
 		return b.sum / float64(b.count)
 	}
-}
-
-// Quantile estimates the q-quantile (0..1) of the series over [from, to].
-// When the raw ring still covers the window it is exact (nearest-rank
-// over the sorted raw values); otherwise it interpolates over the 10s
-// rollup, spreading each bucket's count uniformly across [min, max] —
-// including the open, partially-filled bucket. Returns ok=false when the
-// window holds no data.
-func (s *Series) Quantile(from, to time.Time, q float64) (v float64, ok bool) {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	raw := s.Raw()
-	if len(raw) > 0 && !raw[0].Time.After(from) {
-		vals := make([]float64, 0, len(raw))
-		for _, p := range raw {
-			if p.Time.Before(from) || p.Time.After(to) {
-				continue
-			}
-			vals = append(vals, p.Value)
-		}
-		if len(vals) == 0 {
-			return 0, false
-		}
-		sort.Float64s(vals)
-		rank := q * float64(len(vals)-1)
-		lo := int(math.Floor(rank))
-		hi := int(math.Ceil(rank))
-		frac := rank - float64(lo)
-		return vals[lo] + frac*(vals[hi]-vals[lo]), true
-	}
-	var bks []Bucket
-	for _, b := range s.Buckets(Tier10s) {
-		if b.Start.Before(from) || b.Start.After(to) || b.Count == 0 {
-			continue
-		}
-		bks = append(bks, b)
-	}
-	if len(bks) == 0 {
-		return 0, false
-	}
-	// Each bucket contributes Count observations spread uniformly on
-	// [Min, Max]; walk the buckets in value order and interpolate within
-	// the one containing the target rank.
-	sort.Slice(bks, func(i, j int) bool { return bks[i].Min < bks[j].Min })
-	var total uint64
-	for _, b := range bks {
-		total += b.Count
-	}
-	rank := q * float64(total)
-	var cum float64
-	for _, b := range bks {
-		next := cum + float64(b.Count)
-		if next >= rank {
-			if b.Count == 0 || b.Max <= b.Min {
-				return b.Min, true
-			}
-			frac := (rank - cum) / float64(b.Count)
-			return b.Min + frac*(b.Max-b.Min), true
-		}
-		cum = next
-	}
-	return bks[len(bks)-1].Max, true
 }
 
 // Handler serves the /query endpoint:
@@ -261,7 +199,9 @@ func (s *Series) Quantile(from, to time.Time, q float64) (v float64, ok bool) {
 //	/query?series=K&from=T&to=T&step=D&agg=A  evaluate one series
 //
 // from/to accept RFC3339 or integer unix seconds; step accepts a Go
-// duration (default 10s); agg one of avg|min|max|sum|count|last. Omitted
+// duration (default 10s); agg one of avg|min|max|sum|count|last, where last
+// needs a raw step below 10s (400 otherwise: a rollup keeps no last value,
+// and its average would pass for one). Omitted
 // to defaults to the series' newest timestamp; omitted from defaults to
 // to−5m. The handler never reads the wall clock, so responses are
 // deterministic under the virtual clock.
@@ -291,6 +231,10 @@ func (st *Store) Handler() http.Handler {
 				http.Error(w, "bad step parameter: "+strconv.Quote(v), http.StatusBadRequest)
 				return
 			}
+		}
+		if qr.Agg == AggLast && qr.Step >= Tier10s {
+			http.Error(w, "agg=last needs a raw step below 10s (e.g. step=1s): rollup buckets keep no last value", http.StatusBadRequest)
+			return
 		}
 		last, _ := s.Last()
 		qr.To = last.Time

@@ -2,9 +2,9 @@ package tsdb
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,48 +82,35 @@ func TestQueryAggregations(t *testing.T) {
 	}
 }
 
-func TestQuantileRawExact(t *testing.T) {
+// TestQueryLastIsExactOrRefused: agg=last reads the last raw point of each
+// step; at a rollup step, whose buckets keep no last value, Query returns
+// nothing and /query answers 400 naming the raw-step alternative instead
+// of passing a bucket's average off as its last value.
+func TestQueryLastIsExactOrRefused(t *testing.T) {
 	st := NewStore(Options{})
 	s := st.Series("x")
-	fill(s, 101, time.Second, func(i int) float64 { return float64(i) }) // 0..100
-	v, ok := s.Quantile(t0, t0.Add(2*time.Minute), 0.95)
-	if !ok || v != 95 {
-		t.Fatalf("Quantile(0.95) = %v, %v; want 95", v, ok)
+	fill(s, 4, time.Second, func(i int) float64 { return float64([]int{5, 1, 7, 2}[i]) })
+	pts := s.Query(QueryRange{From: t0, To: t0.Add(10 * time.Second), Step: 2 * time.Second, Agg: AggLast})
+	if len(pts) != 2 || pts[0].Value != 1 || pts[1].Value != 2 {
+		t.Fatalf("raw agg=last = %+v, want 1 then 2", pts)
 	}
-	if v, _ := s.Quantile(t0, t0.Add(2*time.Minute), 0); v != 0 {
-		t.Fatalf("Quantile(0) = %v", v)
+	if pts := s.Query(QueryRange{From: t0, To: t0.Add(10 * time.Second), Step: Tier10s, Agg: AggLast}); pts != nil {
+		t.Fatalf("rollup agg=last = %+v, want nothing", pts)
 	}
-	if v, _ := s.Quantile(t0, t0.Add(2*time.Minute), 1); v != 100 {
-		t.Fatalf("Quantile(1) = %v", v)
-	}
-}
 
-// TestQuantileOverPartialRollups is the satellite edge case: once raw
-// retention is exceeded, quantiles interpolate over the 10s buckets —
-// including the open, partially-filled one — and stay within the
-// observed value range.
-func TestQuantileOverPartialRollups(t *testing.T) {
-	st := NewStore(Options{RawCapacity: 4})
-	s := st.Series("x")
-	// 25 samples at 1Hz, values 0..24: two sealed buckets (0..9, 10..19)
-	// and an open one (20..24). Raw ring holds only the last 4.
-	fill(s, 25, time.Second, func(i int) float64 { return float64(i) })
-	v, ok := s.Quantile(t0, t0.Add(time.Minute), 0.5)
-	if !ok {
-		t.Fatal("no data")
+	h := st.Handler()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/query?series=x&agg=last&step=10s&to="+t0.Add(10*time.Second).Format(time.RFC3339), nil))
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "step=1s") {
+		t.Fatalf("agg=last at step=10s: status %d, body %q; want 400 naming a raw step", rr.Code, rr.Body.String())
 	}
-	if v < 10 || v > 15 {
-		t.Fatalf("median over rollups = %v, want ≈12.5 (within [10,15])", v)
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/query?series=x&agg=last&step=4s&to="+t0.Add(10*time.Second).Format(time.RFC3339), nil))
+	var resp struct {
+		Points []Point `json:"points"`
 	}
-	// The open bucket's range must be reachable: the max quantile lands
-	// at its Max even though it is partially filled.
-	v, ok = s.Quantile(t0, t0.Add(time.Minute), 1)
-	if !ok || math.Abs(v-24) > 1e-9 {
-		t.Fatalf("q=1 over rollups = %v, want 24", v)
-	}
-	// Empty window.
-	if _, ok := s.Quantile(t0.Add(-time.Hour), t0.Add(-time.Minute), 0.5); ok {
-		t.Fatal("Quantile reported data for an empty window")
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil || len(resp.Points) != 1 || resp.Points[0].Value != 2 {
+		t.Fatalf("agg=last at step=4s: status %d, %+v (%v); want one point of 2", rr.Code, resp.Points, err)
 	}
 }
 

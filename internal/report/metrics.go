@@ -9,12 +9,13 @@ import (
 )
 
 // WriteMetricsSummary writes every metric in the registry as CSV: counters
-// and gauges carry a value; histograms carry count, sum, and the p50/p95/p99
-// quantile estimates. Rows are sorted by metric name (registry order), so
-// summaries of two runs diff cleanly.
+// and gauges carry a value; histograms carry their exact count, sum and
+// mean, and no quantile, which their buckets could only interpolate. Rows
+// are sorted by metric name (registry order), so summaries of two runs diff
+// cleanly.
 func WriteMetricsSummary(w io.Writer, r *obs.Registry) error {
 	cw := csv.NewWriter(w)
-	header := []string{"metric", "labels", "kind", "value", "count", "sum", "p50", "p95", "p99"}
+	header := []string{"metric", "labels", "kind", "value", "count", "sum", "mean"}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
@@ -26,13 +27,13 @@ func WriteMetricsSummary(w io.Writer, r *obs.Registry) error {
 			}
 			labels += l.Name + "=" + l.Value
 		}
-		rec := []string{s.Name, labels, s.Kind.String(), "", "", "", "", "", ""}
+		rec := []string{s.Name, labels, s.Kind.String(), "", "", "", ""}
 		if s.Kind == obs.KindHistogram {
 			rec[4] = strconv.FormatUint(s.Count, 10)
 			rec[5] = f(s.Sum)
-			rec[6] = f(s.Quantile(0.50))
-			rec[7] = f(s.Quantile(0.95))
-			rec[8] = f(s.Quantile(0.99))
+			if s.Count > 0 {
+				rec[6] = f(s.Sum / float64(s.Count))
+			}
 		} else {
 			rec[3] = f(s.Value)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"flex/internal/emu"
 	"flex/internal/impact"
+	"flex/internal/obs"
 	"flex/internal/sim"
 	"flex/internal/stats"
 )
@@ -31,6 +32,24 @@ func TestWritePolicyBoxes(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "Random,1.0000,2.0000,3.0000") {
 		t.Fatalf("row = %q", lines[1])
+	}
+}
+
+// TestWriteMetricsSummaryExactHistograms: a histogram row carries its exact
+// count, sum and mean; a stage observation far inside the first bucket reads
+// as itself, not as a bucket midpoint.
+func TestWriteMetricsSummaryExactHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("flex_test_stage_seconds", "", []float64{0.05, 1})
+	h.Observe(0)
+	h.Observe(0.002)
+	var buf bytes.Buffer
+	if err := WriteMetricsSummary(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	want := "metric,labels,kind,value,count,sum,mean\nflex_test_stage_seconds,,histogram,,2,0.0020,0.0010\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", got, want)
 	}
 }
 
