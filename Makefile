@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs pairs figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
+.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs pairs loc figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke ci clean
 
 all: build vet lint test
 
@@ -72,11 +72,19 @@ latency-smoke:
 online-smoke:
 	$(GO) run ./cmd/flexplace -smoke
 
-# What CI runs (.github/workflows/ci.yml): the full gate, the five
+# Runs Figure 7 over real TCP sockets (examples/telemetrypipeline): two
+# pollers publish to two broker servers and a remote subscriber of each
+# feeds one view; after a meter misreads, then broker A dies, then poller A,
+# the view must come within 5 % of the truth inside 2 s of wall time, or the
+# example exits non-zero.
+transport-smoke:
+	$(GO) run ./examples/telemetrypipeline
+
+# What CI runs (.github/workflows/ci.yml): the full gate, the six
 # smokes, ten seconds of each of the eight fuzzers, the whole tree under the
 # race detector, and a flexmon smoke run with the observability surface
 # enabled.
-ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke fuzz-smoke
+ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 
@@ -118,6 +126,13 @@ SEED ?= 1
 PAIRS ?= 10
 pairs:
 	bash scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
+
+# Non-test Go code lines per package (neither blank nor comment-only,
+# testdata/ excluded); with BASE=<rev>, base/now/delta for every package
+# that changed and the totals. See scripts/loc.sh.
+#   make loc BASE=HEAD~3
+loc:
+	bash scripts/loc.sh $(BASE)
 
 # Regenerates every figure/result of the paper's evaluation.
 figures:

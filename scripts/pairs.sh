@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternated parent/change pairs of one flexbench workload — the comparison
-# every performance entry in CHANGES.md reports. The parent is a detached
-# `git worktree` of PARENT, the change is this working tree, and each side
+# every performance entry in CHANGES.md reports. The parent is PARENT's tree
+# extracted with `git archive`, the change is this working tree, and each side
 # builds and runs through its own bench/run.sh. The parent runs first on odd
 # pairs and the change on even ones; single runs differ by several percent on
 # a shared box, pairs taken back to back mostly do not.
@@ -16,7 +16,7 @@
 # and the timings compare nothing.
 #
 # PARENT_DIR, when set, names a checkout of PARENT to use as it is (a clone or
-# an unpacked `git archive`); no worktree is made or removed then.
+# an unpacked `git archive`); nothing is extracted or removed then.
 set -euo pipefail
 
 parent=${1:?usage: pairs.sh PARENT WORKLOAD [SEED] [PAIRS] [SECONDS]}
@@ -26,19 +26,12 @@ pairs=${4:-10}
 seconds=${5:-10}
 here=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 
-made=
-cleanup() {
-	if [[ -n $made ]]; then
-		git -C "$here" worktree remove --force "$made"
-	fi
-}
-trap cleanup EXIT
 if [[ -n ${PARENT_DIR:-} ]]; then
 	pdir=$PARENT_DIR
 else
 	pdir=$(mktemp -d "${TMPDIR:-/tmp}/flex-pairs.XXXXXX")
-	git -C "$here" worktree add --quiet --detach "$pdir" "$parent"
-	made=$pdir
+	trap 'rm -rf "$pdir"' EXIT
+	git -C "$here" archive "$parent" | tar -x -C "$pdir"
 fi
 
 # run DIR prints "op_us alloc_mb setup_s failed fingerprint" of one run.
