@@ -81,7 +81,7 @@ transport-smoke:
 	$(GO) run ./examples/telemetrypipeline
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the six
-# smokes, ten seconds of each of the eight fuzzers, the whole tree under the
+# smokes, ten seconds of each of the nine fuzzers, the whole tree under the
 # race detector, and a flexmon smoke run with the observability surface
 # enabled.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke fuzz-smoke
@@ -138,11 +138,11 @@ loc:
 figures:
 	$(GO) test -bench=. -benchmem ./...
 
-# The eight native fuzz targets, FUZZTIME each: trace parsing, the impact
+# The nine native fuzz targets, FUZZTIME each: trace parsing, the impact
 # function, the safety ledger, the admitter, the prepared Algorithm 1, the
 # admitter's scenario scorer and the broker's subscriber queues against
-# their from-scratch references, and the MILP search against exhaustive
-# enumeration.
+# their from-scratch references, the MILP search against exhaustive
+# enumeration, and the LP's warm re-solve against a cold solve.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) -run=Fuzz .
@@ -153,8 +153,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzPlanMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/controller
 	$(GO) test -fuzz=FuzzScoreMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement/online
 	$(GO) test -fuzz=FuzzQueueMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/telemetry
+	$(GO) test -fuzz=FuzzWarmMatchesCold -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/lp
 
-# The same eight legs at ten seconds each: what CI can afford on every push.
+# The same nine legs at ten seconds each: what CI can afford on every push.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 

@@ -1,7 +1,8 @@
 // Package lp implements a dense two-phase primal simplex solver for linear
-// programs. It is the foundation of the branch-and-bound MILP solver in
-// internal/milp, which together replace the commercial Gurobi solver the
-// paper used for the Flex-Offline placement ILP (§IV-B, §V-A).
+// programs, plus a dual simplex re-solve of a problem's child from the
+// parent's final tableau. It is the foundation of the branch-and-bound MILP
+// solver in internal/milp, which together replace the commercial Gurobi
+// solver the paper used for the Flex-Offline placement ILP (§IV-B, §V-A).
 //
 // Problems are stated as: optimize c·x subject to A·x {<=,>=,=} b, x >= 0.
 // The solver converts to standard form with slack/surplus/artificial
@@ -110,8 +111,9 @@ type Result struct {
 	Status    Status
 	X         []float64
 	Objective float64
-	// Iterations is the total number of simplex pivots across both phases,
-	// for solver observability and performance accounting.
+	// Iterations is the total number of simplex pivots the solve spent —
+	// both phases, and for Resolve its warm attempt too — for solver
+	// observability and performance accounting.
 	Iterations int
 }
 
@@ -120,7 +122,8 @@ const eps = 1e-9
 // Solver runs two-phase primal simplex and keeps its tableau scratch
 // (one flat arena plus row/basis headers) between calls, so repeated
 // solves — every node relaxation of a branch-and-bound search — stop
-// paying a fresh (m+1)×(cols+1) allocation each time.
+// paying a fresh (m+1)×(cols+1) allocation each time. It also keeps the
+// last solve's final tableau, which Resolve re-solves a child from.
 //
 // The zero value is ready to use. A Solver must not be shared between
 // goroutines, but distinct Solvers are fully independent: Solve reads
@@ -132,6 +135,14 @@ type Solver struct {
 	rows  [][]float64 // row headers into arena
 	basis []int       // basic-variable index per row
 	tab   tableau     // the tableau of the solve in progress
+
+	// What Resolve needs of the last solve: whether its final tableau can be
+	// re-solved from, and the right-hand sides it was solved for.
+	warm bool
+	rhs  []float64
+	// Resolve's scratch: parent column → child column, child column →
+	// parent column.
+	newCol, src []int
 }
 
 // Solve runs two-phase primal simplex on p using a throwaway Solver.
@@ -153,6 +164,7 @@ func (s *Solver) Solve(p *Problem) (Result, error) {
 			return Result{}, fmt.Errorf("lp: constraint %d has %d coefficients for %d variables", i, len(c.Coeffs), n)
 		}
 	}
+	s.warm = false
 	t := s.newTableau(p)
 	iters := 0
 	// Phase 1: minimize sum of artificials.
@@ -174,12 +186,18 @@ func (s *Solver) Solve(p *Problem) (Result, error) {
 	if status != Optimal {
 		return Result{Status: status, Iterations: iters}, nil
 	}
+	s.remember(p, true)
 	x := t.extractSolution()
+	return Result{Status: Optimal, X: x, Objective: objective(p, x), Iterations: iters}, nil
+}
+
+// objective is c·x.
+func objective(p *Problem, x []float64) float64 {
 	obj := 0.0
 	for i, c := range p.Objective {
 		obj += c * x[i]
 	}
-	return Result{Status: Optimal, X: x, Objective: obj, Iterations: iters}, nil
+	return obj
 }
 
 // tableau is a dense simplex tableau. Column layout:
