@@ -700,16 +700,16 @@ func (f FlexOffline) refineBalance(ctx context.Context, s *state, imbalanceWeigh
 				continue
 			}
 			from := s.placed[id]
-			token := s.remove(d, from)
+			token := s.vacate(d, from)
 			bestPid, bestVal := from, cur
 			for pid := range s.room.Topo.Pairs {
 				p := power.PDUPairID(pid)
 				if !s.canPlace(d, p) {
 					continue
 				}
-				s.place(d, p)
+				s.occupy(d, p)
 				v := s.balanceScore(imbalanceWeight)
-				s.remove(d, p)
+				s.vacate(d, p)
 				if v < bestVal-1e-9 {
 					bestPid, bestVal = p, v
 				}
@@ -717,7 +717,8 @@ func (f FlexOffline) refineBalance(ctx context.Context, s *state, imbalanceWeigh
 			if bestPid == from {
 				s.restoreAt(d, from, token)
 			} else {
-				s.place(d, bestPid)
+				s.occupy(d, bestPid)
+				s.placed[id] = bestPid
 				improved = true
 				cur = bestVal
 			}
@@ -757,20 +758,21 @@ func (s *state) swapSweep(ids []int, byID map[int]workload.Deployment, imbalance
 			if d1.Category == d2.Category && d1.TotalPower() == d2.TotalPower() {
 				continue
 			}
-			tok1 := s.remove(d1, p1)
-			tok2 := s.remove(d2, p2)
+			tok1 := s.vacate(d1, p1)
+			tok2 := s.vacate(d2, p2)
 			if s.canPlace(d1, p2) {
-				s.place(d1, p2)
+				s.occupy(d1, p2)
 				if s.canPlace(d2, p1) {
-					s.place(d2, p1)
+					s.occupy(d2, p1)
 					if v := s.balanceScore(imbalanceWeight); v < cur-1e-9 {
 						cur = v
 						improved = true
+						s.placed[d1.ID], s.placed[d2.ID] = p2, p1
 						continue // keep the swap
 					}
-					s.remove(d2, p1)
+					s.vacate(d2, p1)
 				}
-				s.remove(d1, p2)
+				s.vacate(d1, p2)
 			}
 			s.restoreAt(d1, p1, tok1)
 			s.restoreAt(d2, p2, tok2)

@@ -76,6 +76,23 @@ func (s *state) canPlace(d workload.Deployment, pid power.PDUPairID) bool {
 // place commits deployment d to pair pid. Callers must have verified
 // canPlace.
 func (s *state) place(d workload.Deployment, pid power.PDUPairID) {
+	s.occupy(d, pid)
+	s.placed[d.ID] = pid
+	s.deps[d.ID] = d
+}
+
+// remove reverses place.
+func (s *state) remove(d workload.Deployment, pid power.PDUPairID) {
+	s.vacate(d, pid)
+	delete(s.placed, d.ID)
+	delete(s.deps, d.ID)
+}
+
+// occupy charges d to pair pid in the row allocation and every table but
+// leaves the placed set alone: refinement moves a placed deployment from
+// pair to pair and records only where it ends up. Callers must have
+// verified canPlace.
+func (s *state) occupy(d workload.Deployment, pid power.PDUPairID) {
 	if s.rows != nil {
 		take := s.rows.fit(pid, d.Racks)
 		if take == nil {
@@ -86,10 +103,10 @@ func (s *state) place(d workload.Deployment, pid power.PDUPairID) {
 	s.account(d, pid, 1)
 }
 
-// remove reverses place, freeing d's slots and load contributions. The
+// vacate reverses occupy, freeing d's slots and load contributions. The
 // returned token restores the exact row allocation via restoreAt (nil
 // when rows are disabled).
-func (s *state) remove(d workload.Deployment, pid power.PDUPairID) []rowUse {
+func (s *state) vacate(d workload.Deployment, pid power.PDUPairID) []rowUse {
 	var token []rowUse
 	if s.rows != nil {
 		token = s.rows.remove(d.ID)
@@ -98,9 +115,9 @@ func (s *state) remove(d workload.Deployment, pid power.PDUPairID) []rowUse {
 	return token
 }
 
-// restoreAt undoes a remove exactly: it re-places d on pid reusing the
-// remove token's row allocation. It bypasses canPlace — the caller is
-// returning the state to a configuration that was valid moments ago.
+// restoreAt undoes a vacate exactly: it re-occupies pid reusing the vacate
+// token's row allocation. It bypasses canPlace — the caller is returning
+// the state to a configuration that was valid moments ago.
 func (s *state) restoreAt(d workload.Deployment, pid power.PDUPairID, token []rowUse) {
 	if s.rows != nil {
 		s.rows.restore(d.ID, token)
@@ -109,7 +126,7 @@ func (s *state) restoreAt(d workload.Deployment, pid power.PDUPairID, token []ro
 }
 
 // account adds (sign 1) or removes (sign -1) d's slots and power on pair
-// pid in every table except the row allocation.
+// pid in every table except the row allocation and the placed set.
 func (s *state) account(d workload.Deployment, pid power.PDUPairID, sign int) {
 	pair := s.room.Topo.Pairs[pid]
 	a, b := pair.UPSes[0], pair.UPSes[1]
@@ -122,13 +139,6 @@ func (s *state) account(d workload.Deployment, pid power.PDUPairID, sign int) {
 	s.throttle.Add(a, b, 0, throttle)
 	s.placedPow += pow
 	s.placedCapPow += capPow
-	if sign > 0 {
-		s.placed[d.ID] = pid
-		s.deps[d.ID] = d
-	} else {
-		delete(s.placed, d.ID)
-		delete(s.deps, d.ID)
-	}
 }
 
 // deploymentsByID exposes the placed deployments for refinement passes.
