@@ -92,10 +92,10 @@ func TestRunGolden(t *testing.T) {
 		"events":      sectionHash(t, rec.Snapshot()),
 		"transitions": sectionHash(t, aud.Transitions()),
 	}, map[string]string{
-		"series":      "451cec77997830d3",
-		"scalars":     "8f287a6297a4f645",
-		"events":      "e9ea4dcaa55fb975",
-		"transitions": "46ba0948fe0b5523",
+		"series":      "fd8b8747efc08a04",
+		"scalars":     "495ce072ba3a8113",
+		"events":      "8aa8dee8441a97e2",
+		"transitions": "12b88037494647e5",
 	})
 }
 
@@ -149,10 +149,10 @@ func TestRunFleetGolden(t *testing.T) {
 		"events":   sectionHash(t, rec.Snapshot()),
 	}, map[string]string{
 		"scalars":  "92331d93a12f8f8d",
-		"rooms":    "a1dad77bae0bc0e4",
-		"headroom": "35f7fe50aae31cf5",
-		"episodes": "61a8cbfdbcd5f8a4",
-		"stages":   "8cd17eec28107bad",
-		"events":   "85ed666d814eea82",
+		"rooms":    "d9d4e84cfece7a78",
+		"headroom": "1d223e74f426b0eb",
+		"episodes": "0afd8b664e8f8a7c",
+		"stages":   "222dc831c84136fd",
+		"events":   "4bafa3654bb3ab24",
 	})
 }

@@ -3,9 +3,11 @@ package milp_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"flex/internal/lp"
 	"flex/internal/milp"
 	"flex/internal/placement"
 	"flex/internal/workload"
@@ -67,6 +69,43 @@ func TestDeterministicTruncationReproducible(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDiveChildrenWarmStart: on the batch-40 ILP at 300 nodes from the
+// greedy incumbent (TestSolveCountsGolden's first case), every dive child
+// re-solves warm from its parent's tableau — none reaches the dual
+// simplex's iteration cap or falls back to a cold solve, which is where a
+// plain minimum-ratio test on these dual-degenerate LPs ends up — and each
+// warm answer is a cold solve's: the same status, objectives within 1e-7.
+func TestDiveChildrenWarmStart(t *testing.T) {
+	p := batch40(t)
+	children, warm := 0, 0
+	defer milp.SetWarmHook(func(sub *lp.Problem, r lp.Result, ok bool) {
+		children++
+		if !ok {
+			return
+		}
+		warm++
+		cold, err := lp.Solve(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Status != r.Status {
+			t.Errorf("child %d: warm %v, cold %v", children, r.Status, cold.Status)
+		} else if r.Status == lp.Optimal && math.Abs(r.Objective-cold.Objective) > 1e-7*max(1, math.Abs(cold.Objective)) {
+			t.Errorf("child %d: warm objective %v, cold %v", children, r.Objective, cold.Objective)
+		}
+	})()
+	res, err := milp.SolveContext(context.Background(), p, milp.Options{
+		Workers: 1, MaxNodes: 300, Incumbent: milp.GreedyBinaryIncumbent(p),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if children == 0 || warm != children {
+		t.Errorf("%d of %d dive children warm-started over %d nodes", warm, children, res.Nodes)
+	}
+	t.Logf("%d of %d nodes were dive children; %d pivots in all", children, res.Nodes, res.SimplexIterations)
 }
 
 // TestColdSolveFindsIncumbent: with no warm start and no heuristic the

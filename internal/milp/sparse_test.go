@@ -278,7 +278,7 @@ func descend(w *worker, depth int, floor func(level int) bool) []*node {
 	var o outcome
 	for len(nodes) <= depth {
 		nd := nodes[len(nodes)-1]
-		w.eval(nd, math.Inf(-1), &o)
+		w.eval(nd, math.Inf(-1), &o, false)
 		if o.branchJ < 0 {
 			break
 		}
@@ -465,7 +465,7 @@ func TestEvalScratchStable(t *testing.T) {
 	var o outcome
 	replay := func() {
 		for i := range nodes {
-			w.eval(nodes[len(nodes)-1-i], math.Inf(-1), &o) // deepest first
+			w.eval(nodes[len(nodes)-1-i], math.Inf(-1), &o, false) // deepest first
 		}
 	}
 	replay()
@@ -500,7 +500,7 @@ func BenchmarkNodeEval(b *testing.B) {
 			var o outcome
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w.eval(nodes[depth], math.Inf(-1), &o)
+				w.eval(nodes[depth], math.Inf(-1), &o, false)
 			}
 		})
 	}
