@@ -9,8 +9,11 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# The second line vets the packages with an amd64 assembly kernel as
+# arm64, which compiles their portable Go fallback instead.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/lp ./internal/milp
 
 # Project-specific static analysis: the interprocedural flexlint suite —
 # clock hygiene, context-budget flow, allocation-free hot paths, lock

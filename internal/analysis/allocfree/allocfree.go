@@ -26,7 +26,10 @@
 // //flex:coldpath on a callee stops the traversal: it marks an audited
 // slow path (the flight recorder's optional JSON sink) that a hot
 // function only reaches behind a condition the hot configuration never
-// takes. Plain struct composite literals are allowed — they live on the
+// takes. A module function declared without a Go body (an assembly
+// kernel) has nothing to walk: //flex:hotpath on its declaration records
+// that it was audited allocation-free, and without it a call is reported
+// like any unknown callee. Plain struct composite literals are allowed — they live on the
 // stack when they do not escape, which the boxing and call rules already
 // police.
 package allocfree
@@ -93,6 +96,7 @@ func finish(mp *analysis.ModulePass) error {
 			queue = append(queue, e.Callee)
 		}
 	}
+	audited := auditedBodiless(mp)
 	for _, n := range mp.Graph.Nodes() {
 		if _, ok := firstEdge[n]; !ok {
 			continue
@@ -101,13 +105,31 @@ func finish(mp *analysis.ModulePass) error {
 		for firstEdge[root] != nil {
 			root = firstEdge[root].Caller
 		}
-		check(mp, n, root)
+		check(mp, n, root, audited)
 	}
 	return nil
 }
 
+// auditedBodiless is the set of module functions declared without a body
+// but with //flex:hotpath.
+func auditedBodiless(mp *analysis.ModulePass) map[*types.Func]bool {
+	audited := make(map[*types.Func]bool)
+	for _, pkg := range mp.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body == nil && analysis.HasFlexDirective(fd, "hotpath") {
+					if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+						audited[fn] = true
+					}
+				}
+			}
+		}
+	}
+	return audited
+}
+
 // check reports every allocating construct in node's body.
-func check(mp *analysis.ModulePass, node, root *analysis.CallNode) {
+func check(mp *analysis.ModulePass, node, root *analysis.CallNode, audited map[*types.Func]bool) {
 	info := node.Pkg.TypesInfo
 	where := node.Func.Name()
 	if root != node {
@@ -121,7 +143,7 @@ func check(mp *analysis.ModulePass, node, root *analysis.CallNode) {
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.CallExpr:
-			checkCall(mp, info, v, report)
+			checkCall(mp, info, v, audited, report)
 		case *ast.CompositeLit:
 			switch info.TypeOf(v).Underlying().(type) {
 			case *types.Slice:
@@ -154,7 +176,7 @@ func check(mp *analysis.ModulePass, node, root *analysis.CallNode) {
 }
 
 // checkCall classifies one call expression on a hot body.
-func checkCall(mp *analysis.ModulePass, info *types.Info, call *ast.CallExpr, report func(token.Pos, string)) {
+func checkCall(mp *analysis.ModulePass, info *types.Info, call *ast.CallExpr, audited map[*types.Func]bool, report func(token.Pos, string)) {
 	// Conversion, not a call.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 && stringBytesConversion(info, tv.Type, call.Args[0]) {
@@ -186,7 +208,7 @@ func checkCall(mp *analysis.ModulePass, info *types.Info, call *ast.CallExpr, re
 		checkArgs(info, call, sig, report)
 	}
 	if pkg := callee.Pkg(); pkg != nil {
-		if node := mp.Graph.Node(callee); node != nil {
+		if node := mp.Graph.Node(callee); node != nil || audited[callee] {
 			return // module function: the traversal checks its body (or coldpath stops it)
 		}
 		if !allowedPkgs[pkg.Path()] {

@@ -1,7 +1,8 @@
 // Fixture: //flex:hotpath roots must be allocation-free, transitively
 // over static calls. Bad demonstrates every flagged construct; Clean
 // shows the allowed ones (atomics, mutexes, plain struct literals, calls
-// into //flex:coldpath slow paths).
+// into //flex:coldpath slow paths and into bodiless //flex:hotpath
+// functions).
 package hot
 
 import (
@@ -54,6 +55,7 @@ func Bad(r *Rec, s string, v int) {
 	r.fn(v)             // want `hot path allocates: dynamic call, not provably allocation-free in Bad \(//flex:hotpath\)`
 	consume(v)          // want `hot path allocates: interface boxing of int in Bad \(//flex:hotpath\)`
 	variadic(v, v)      // want `hot path allocates: variadic call builds a slice in Bad \(//flex:hotpath\)`
+	_ = lib.Opaque(nil) // want `hot path allocates: call to lib\.Opaque, which may allocate in Bad \(//flex:hotpath\)`
 }
 
 func spawned(v int) {}
@@ -71,7 +73,8 @@ func (r *Rec) Clean(v int) {
 	p := Point{X: v, Y: r.n}
 	r.vals[0] = p.X
 	r.mu.Unlock()
-	_ = r.buf.Dump() // coldpath callee: the call is fine, its body unchecked
+	_ = r.buf.Dump()       // coldpath callee: the call is fine, its body unchecked
+	_ = lib.Sum(r.vals[:]) // bodiless hotpath callee: taken at its word
 }
 
 // Unmarked is not reachable from any root; it may allocate.

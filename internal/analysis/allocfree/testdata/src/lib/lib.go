@@ -1,6 +1,8 @@
 // Fixture: a helper in another package. Push allocates and is reached
 // from a //flex:hotpath root across the package boundary; Dump is an
-// audited //flex:coldpath slow path the traversal stops at.
+// audited //flex:coldpath slow path the traversal stops at. Sum and Opaque
+// have no Go body (assembly, in a real package): Sum's //flex:hotpath
+// vouches for it, Opaque is unknown.
 package lib
 
 // Buf accumulates values.
@@ -22,3 +24,11 @@ func (b *Buf) Dump() []int {
 	copy(out, b.xs)
 	return out
 }
+
+// Sum adds the values in assembly, which cannot allocate.
+//
+//flex:hotpath
+func Sum(xs []int) int
+
+// Opaque has no Go body and no directive.
+func Opaque(xs []int) int

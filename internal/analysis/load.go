@@ -269,7 +269,8 @@ func (l *Loader) isLocal(path string) bool {
 	return err == nil
 }
 
-// parseDir parses the package's Go files in file-name order.
+// parseDir parses the package's Go files in file-name order: those the
+// build context selects for this GOOS/GOARCH, as the go command would.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -282,6 +283,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 			continue
 		}
 		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

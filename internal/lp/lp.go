@@ -469,27 +469,13 @@ func (t *tableau) pivot(leave, enter int) {
 // subScaled computes dst[j] -= f*src[j] over len(src) elements: one
 // rounded multiply and one rounded subtract per element, in index order —
 // what the plain indexed loop does, so results are bit-identical to it.
-// Each group of four is addressed through fixed-length sub-slices, which
-// costs at most one range check per group instead of two per element. No fused
-// multiply-add: that would round once instead of twice.
+// No fused multiply-add: that would round once instead of twice. The
+// kernel is packed SSE2 on amd64 and a Go loop elsewhere; the slice
+// expression here is the one bounds check either needs.
 //
 //flex:hotpath
 func subScaled(dst, src []float64, f float64) {
-	n := len(src)
-	dst = dst[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s := src[j : j+4 : j+4]
-		d := dst[j : j+4 : j+4]
-		d[0] -= f * s[0]
-		d[1] -= f * s[1]
-		d[2] -= f * s[2]
-		d[3] -= f * s[3]
-	}
-	tail := dst[j:]
-	for k, v := range src[j:] {
-		tail[k] -= f * v
-	}
+	subScaledKernel(dst[:len(src)], src, f)
 }
 
 // extractSolution reads the decision variable values off the basis.

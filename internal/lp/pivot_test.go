@@ -101,6 +101,58 @@ func TestPivotMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSubScaledMatchesLoop: for every length 0–70, with both slices
+// starting at offsets 0–3 of their backing arrays (so neither is 16-byte
+// aligned on some runs) and for factors at the edges of the float range,
+// the kernel leaves every element of dst — and the padding around it —
+// with the bits the plain indexed loop leaves. Any NaN equals any NaN: the
+// hardware may propagate either operand's payload.
+func TestSubScaledMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inf := math.Inf(1)
+	factors := []float64{0, math.Copysign(0, -1), 1, -1, 1e-300, -1e-300, 1e300, -1e300, inf, -inf, math.NaN()}
+	specials := []float64{0, math.Copysign(0, -1), inf, -inf, math.NaN(), 1e300, -1e-300}
+	value := func() float64 {
+		if rng.Intn(8) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	const pad = 4
+	for n := 0; n <= 70; n++ {
+		for srcOff := 0; srcOff < 4; srcOff++ {
+			for dstOff := 0; dstOff < 4; dstOff++ {
+				for _, f := range factors {
+					srcBuf := make([]float64, srcOff+n+pad)
+					dstBuf := make([]float64, dstOff+n+pad)
+					for i := range srcBuf {
+						srcBuf[i] = value()
+					}
+					for i := range dstBuf {
+						dstBuf[i] = value()
+					}
+					want := append([]float64(nil), dstBuf...)
+					src := srcBuf[srcOff : srcOff+n]
+					ref := want[dstOff : dstOff+n+pad]
+					for j := range src {
+						ref[j] -= f * src[j]
+					}
+					subScaled(dstBuf[dstOff:], src, f)
+					for i := range want {
+						if !same(dstBuf[i], want[i]) {
+							t.Fatalf("n=%d src+%d dst+%d f=%v: dst[%d] = %x, loop %x",
+								n, srcOff, dstOff, f, i-dstOff, math.Float64bits(dstBuf[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkPivot times one pivot of a 60×300 tableau — the shape of a
 // batch-40 placement node's reduced LP — beside the plain loop it
 // replaced. The tableau is refilled before every pivot, off the timer, so

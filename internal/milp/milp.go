@@ -251,7 +251,8 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error)
 }
 
 // newSearch prepares the shared state of one solve: the problem's implied
-// bounds, redundant rows and row index, and an empty incumbent.
+// bounds, redundant rows, row index and propagation lists, the root's
+// propagated box, and an empty incumbent.
 func newSearch(p *Problem, opts Options, now func() time.Time) *search {
 	s := &search{
 		p:         p,
@@ -267,6 +268,8 @@ func newSearch(p *Problem, opts Options, now func() time.Time) *search {
 	if !p.LP.Maximize {
 		s.sign = -1.0 // internally we compare in "maximize" terms
 	}
+	s.watch = newWatchLists(p, &s.rows, s.skip)
+	s.root, s.rootOK = rootBox(s)
 	s.start = now()
 	return s
 }
@@ -300,6 +303,10 @@ type search struct {
 	skip []bool    // constraint rows provably redundant in every node LP
 	rows rowIndex  // non-zero columns of every constraint row
 	now  func() time.Time
+
+	watch  watchLists // per column, the rows its bound changes queue
+	root   *box       // [0, up0] with every row propagated
+	rootOK bool       // false when the root's propagation found no integer point
 
 	start time.Time
 
@@ -555,9 +562,9 @@ func (s *search) runDives(pool []*worker, dives []dive, inc float64, start time.
 // Pruning starts from the round-start incumbent inc and sharpens with the
 // candidates this dive itself verifies: that is all a worker may know
 // about other dives' results if the tree is not to depend on timing. For
-// the same reason the head solves cold and only its descendants re-solve
-// from the tableau the worker's solver holds: warm state never crosses a
-// dive.
+// the same reason the head solves cold from the root's box and only its
+// descendants start from the box and the tableau the worker holds: warm
+// state never crosses a dive.
 func (w *worker) dive(d *dive, inc float64) {
 	s := w.s
 	d.steps = d.steps[:0]
@@ -679,14 +686,11 @@ type outcome struct {
 // entirely, and a dive child is its parent's LP less some columns and rows,
 // which lp.Solver.Resolve re-solves from the parent's tableau.
 type worker struct {
-	s       *search
+	box          // the current node's bounds
+	settled bool // the box is its node's, propagated to the end: a ceil child may start from it
 	solver  lp.Solver
-	lo, up  []float64 // current node's variable bounds
-	touched []int     // distinct variables whose bounds may deviate from [0, up0], in first-touch order
-	mark    []int64   // per variable: the node generation that last touched it
-	gen     int64     // current node's generation
-	redIdx  []int     // full index -> reduced column, -1 when fixed
-	free    []int     // reduced column -> full index
+	redIdx  []int // full index -> reduced column, -1 when fixed
+	free    []int // reduced column -> full index
 	objBuf  []float64
 	consBuf []lp.Constraint
 	keys    []int      // per reduced row: its constraint index, or past them 2j / 2j+1 for j's bound rows
@@ -707,11 +711,7 @@ var warmHook func(sub *lp.Problem, r lp.Result, warm bool)
 func newWorker(s *search) *worker {
 	n := s.n
 	w := &worker{
-		s:          s,
-		lo:         make([]float64, n),
-		up:         make([]float64, n),
-		mark:       make([]int64, n),
-		touched:    make([]int, 0, n),
+		box:        newBox(s),
 		redIdx:     make([]int, n),
 		free:       make([]int, n),
 		objBuf:     make([]float64, n),
@@ -719,7 +719,8 @@ func newWorker(s *search) *worker {
 		parentFree: make([]int, 0, n),
 		colPos:     make([]int, n),
 	}
-	copy(w.up, s.up0)
+	copy(w.lo, s.root.lo)
+	copy(w.up, s.root.up)
 	// A node's reduced LP holds at most every non-skipped row plus two bound
 	// rows per integer variable that can stay free after its bounds tighten.
 	// A variable whose implied upper bound is at most 1 cannot: raising its
@@ -752,27 +753,11 @@ func newWorker(s *search) *worker {
 func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 	s := w.s
 	*o = outcome{branchJ: -1, cands: o.cands[:0]}
-	// Restore default bounds from the previous node, then apply the chain.
-	for _, j := range w.touched {
-		w.lo[j] = 0
-		w.up[j] = s.up0[j]
-	}
-	w.touched = w.touched[:0]
-	w.gen++
-	for c := nd.chain; c != nil; c = c.prev {
-		w.touch(c.j)
-		if c.lo > w.lo[c.j] {
-			w.lo[c.j] = c.lo
-		}
-		if c.up < w.up[c.j] {
-			w.up[c.j] = c.up
-		}
-	}
 	// Tighten integer bounds by activity reasoning before classifying:
 	// branching that fixes one binary cascades through its rows (an
 	// assignment row with one member at 1 zeroes the siblings), so dives
 	// shed several columns per level instead of one.
-	if !w.propagate() {
+	if !w.bounds(nd, child) {
 		return // propagation proved the domain empty
 	}
 	// Classify variables; fold fixed integers into the RHS and objective.
@@ -934,6 +919,28 @@ func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 	o.branchV = w.xfull[branchJ]
 }
 
+// bounds sets the box to nd's and propagates it. A dive child starts from
+// the box its parent left, settled, and adds only its own branching
+// decision; any other node starts from the root's propagated box and adds
+// its whole chain. Either way only the rows the decisions move are queued,
+// and both reach the same box: the greatest one no row can tighten.
+func (w *worker) bounds(nd *node, child bool) bool {
+	if !w.s.rootOK {
+		return false
+	}
+	if child && w.settled {
+		w.branch(nd.chain)
+	} else {
+		w.reset(w.s.root)
+		for c := nd.chain; c != nil; c = c.prev {
+			w.branch(c)
+		}
+	}
+	ok, settled := w.propagate()
+	w.settled = ok && settled
+	return ok
+}
+
 // solve runs the node's reduced LP. A dive child re-solves from the final
 // tableau of its parent's LP when its free variables and rows are among the
 // parent's (a new bound row is not); every other node solves cold. Either
@@ -983,119 +990,11 @@ func (w *worker) inParent(nFree int) bool {
 	return true
 }
 
-// touch records that variable j's bounds may have moved in this node. Each
-// variable is listed once, so the list never outgrows the n entries it was
-// made with.
-func (w *worker) touch(j int) {
-	if w.mark[j] != w.gen {
-		w.mark[j] = w.gen
-		k := len(w.touched)
-		w.touched = w.touched[:k+1]
-		w.touched[k] = j
-	}
-}
-
-// maxPropRounds bounds the fixpoint iteration in propagate; most of the
-// benefit lands in the first pass (row sees a newly fixed member), the
-// rest by the second.
-const maxPropRounds = 4
-
-// propagate tightens the integer-variable bounds in w.lo/w.up by
-// min-activity reasoning over every row, iterating to a (bounded)
-// fixpoint. The tightened bounds are implied for every integer-feasible
-// point, so imposing them on the relaxation keeps the node bound valid —
-// and lets the fix-and-substitute step below drop the affected columns
-// entirely. Returns false when a row's minimum activity already exceeds
-// its RHS: the domain holds no integer point.
-func (w *worker) propagate() bool {
-	rows := &w.s.rows
-	for round := 0; round < maxPropRounds; round++ {
-		changed := false
-		for ci := range w.s.p.LP.Constraints {
-			if w.s.skip[ci] {
-				continue // a singleton bound row: already folded into w.up
-			}
-			c := &w.s.p.LP.Constraints[ci]
-			cols, vals := rows.row(ci)
-			// lhs <= rhs reasoning covers LE and EQ rows; lhs >= rhs (GE
-			// and EQ) is the same row mirrored through sign.
-			if c.Sense == lp.LE || c.Sense == lp.EQ {
-				if !w.propagateRow(cols, vals, c.RHS, 1, &changed) {
-					return false
-				}
-			}
-			if c.Sense == lp.GE || c.Sense == lp.EQ {
-				if !w.propagateRow(cols, vals, -c.RHS, -1, &changed) {
-					return false
-				}
-			}
-		}
-		if !changed {
-			return true
-		}
-	}
-	return true
-}
-
-// propagateRow applies one row, given as its non-zero columns and their
-// coefficients, in "sign*coeffs · x <= rhs" form: with the row's minimum
-// activity over the current box, each member's bound tightens to what the
-// remaining slack allows, rounded to integrality. Variables it tightens
-// are recorded in w.touched so eval restores them on the next node.
-//
-//flex:hotpath
-func (w *worker) propagateRow(cols []int32, vals []float64, rhs, sign float64, changed *bool) bool {
-	s := w.s
-	vals = vals[:len(cols)]
-	minAct := 0.0
-	for k, j := range cols {
-		a := sign * vals[k]
-		if a > zeroTol {
-			minAct += a * w.lo[j]
-		} else if a < -zeroTol {
-			u := w.up[j]
-			if math.IsInf(u, 1) {
-				return true // an unbounded term: no finite activity floor
-			}
-			minAct += a * u
-		}
-	}
-	if minAct > rhs+feasTol {
-		return false
-	}
-	slack := rhs - minAct
-	for k, j := range cols {
-		if !s.p.Integer[j] {
-			continue
-		}
-		a := sign * vals[k]
-		if a > zeroTol {
-			newUp := math.Floor(w.lo[j] + slack/a + intEps)
-			if newUp < w.up[j]-intEps {
-				w.up[j] = newUp
-				w.touch(int(j))
-				*changed = true
-			}
-		} else if a < -zeroTol {
-			if math.IsInf(w.up[j], 1) {
-				continue
-			}
-			newLo := math.Ceil(w.up[j] + slack/a - intEps)
-			if newLo > w.lo[j]+intEps {
-				w.lo[j] = newLo
-				w.touch(int(j))
-				*changed = true
-			}
-		}
-	}
-	return true
-}
-
 // rowIndex is the constraint matrix by row in compressed form: row i's
 // non-zero coefficients are val[start[i]:start[i+1]], in column order,
 // and col holds their column numbers. The placement ILP's rows are three
-// quarters zeros and a node walks every row several times (propagation,
-// the reduced-LP build, candidate verification), so each walk touches
+// quarters zeros and a node walks rows several times (propagation, the
+// reduced-LP build, candidate verification), so each walk touches
 // only what can matter. Skipping a zero term leaves every sum it would
 // have entered unchanged to the bit.
 type rowIndex struct {

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -48,7 +49,8 @@ func referenceFeasible(p *Problem, x []float64) bool {
 	return true
 }
 
-// referenceBox is a worker's bound state under the dense propagation.
+// referenceBox is a node's bound state under the dense propagation: every
+// row in row order, swept until a sweep changes nothing.
 type referenceBox struct {
 	p       *Problem
 	skip    []bool
@@ -57,7 +59,7 @@ type referenceBox struct {
 }
 
 func (b *referenceBox) propagate() bool {
-	for round := 0; round < maxPropRounds; round++ {
+	for {
 		changed := false
 		for ci := range b.p.LP.Constraints {
 			if b.skip[ci] {
@@ -79,7 +81,6 @@ func (b *referenceBox) propagate() bool {
 			return true
 		}
 	}
-	return true
 }
 
 func (b *referenceBox) propagateRow(coeffs []float64, rhs, sign float64, changed *bool) bool {
@@ -292,11 +293,9 @@ func descend(w *worker, depth int, floor func(level int) bool) []*node {
 // dive runs about twice as deep before it reaches a leaf.
 func oddLevels(level int) bool { return level%2 == 1 }
 
-// TestPropagateSparseMatchesDense: along random dives through
-// placement-shaped and general programs, propagation over the row index
-// leaves the same bounds, bit for bit, and touches the same variables in
-// the same order as propagation over the dense rows.
-func TestPropagateSparseMatchesDense(t *testing.T) {
+// propagationProblems are the programs the propagation tests dive
+// through: placement-shaped batches and general integer programs.
+func propagationProblems() []*Problem {
 	var probs []*Problem
 	for seed := int64(1); seed <= 4; seed++ {
 		probs = append(probs, placementShaped(seed, 12))
@@ -304,51 +303,133 @@ func TestPropagateSparseMatchesDense(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		probs = append(probs, generalILP(seed))
 	}
+	return probs
+}
+
+// sameBox reports the first variable whose bounds differ in their bits
+// between two boxes, or -1.
+func sameBox(lo, up, wantLo, wantUp []float64) int {
+	for j := range wantLo {
+		if math.Float64bits(lo[j]) != math.Float64bits(wantLo[j]) || math.Float64bits(up[j]) != math.Float64bits(wantUp[j]) {
+			return j
+		}
+	}
+	return -1
+}
+
+// TestPropagateSparseMatchesDense: along random dives through
+// placement-shaped and general programs, the queue-driven propagation from
+// the root's box reaches the same bounds, bit for bit, as sweeping every
+// dense row from [0, up0] until nothing changes, and lists the same
+// variables as touched — as a set: the queue does not visit rows in row
+// order.
+func TestPropagateSparseMatchesDense(t *testing.T) {
 	checked := 0
-	for pi, p := range probs {
+	for pi, p := range propagationProblems() {
 		s := newSearch(p, Options{}, time.Now)
 		w := newWorker(s)
 		coin := rand.New(rand.NewSource(int64(pi)))
 		for _, nd := range descend(w, 12, func(int) bool { return coin.Intn(3) == 0 }) {
 			ref := &referenceBox{p: p, skip: s.skip, lo: make([]float64, s.n), up: append([]float64(nil), s.up0...)}
-			for j := range w.lo {
-				w.lo[j], w.up[j] = 0, s.up0[j]
-			}
-			w.touched = w.touched[:0]
-			w.gen++
 			for c := nd.chain; c != nil; c = c.prev {
-				for _, box := range []struct{ lo, up []float64 }{{w.lo, w.up}, {ref.lo, ref.up}} {
-					box.lo[c.j] = math.Max(box.lo[c.j], c.lo)
-					box.up[c.j] = math.Min(box.up[c.j], c.up)
-				}
+				ref.lo[c.j] = math.Max(ref.lo[c.j], c.lo)
+				ref.up[c.j] = math.Min(ref.up[c.j], c.up)
+				ref.touched = append(ref.touched, c.j)
 			}
-			got, want := w.propagate(), ref.propagate()
+			got, want := s.rootOK && w.bounds(nd, false), ref.propagate()
 			if got != want {
 				t.Fatalf("problem %d: propagate = %v, dense %v", pi, got, want)
 			}
-			for j := range ref.lo {
-				if math.Float64bits(w.lo[j]) != math.Float64bits(ref.lo[j]) || math.Float64bits(w.up[j]) != math.Float64bits(ref.up[j]) {
-					t.Fatalf("problem %d var %d: bounds [%v, %v], dense [%v, %v]", pi, j, w.lo[j], w.up[j], ref.lo[j], ref.up[j])
-				}
+			if !want {
+				continue // an empty box: where each side noticed is immaterial
 			}
-			// The worker lists each variable once, where it was first
-			// tightened; the dense code listed every tightening.
-			var first []int
-			seen := map[int]bool{}
-			for _, j := range ref.touched {
-				if !seen[j] {
-					seen[j] = true
-					first = append(first, j)
-				}
+			if !w.settled {
+				t.Fatalf("problem %d: propagation stopped at its visit limit", pi)
 			}
-			if !slices.Equal(w.touched, first) {
-				t.Fatalf("problem %d: touched %v, dense first touches %v", pi, w.touched, first)
+			if j := sameBox(w.lo, w.up, ref.lo, ref.up); j >= 0 {
+				t.Fatalf("problem %d var %d: bounds [%v, %v], dense [%v, %v]", pi, j, w.lo[j], w.up[j], ref.lo[j], ref.up[j])
 			}
-			checked += len(first)
+			gotSet, wantSet := slices.Clone(w.touched), slices.Clone(ref.touched)
+			slices.Sort(gotSet)
+			slices.Sort(wantSet)
+			wantSet = slices.Compact(wantSet)
+			if !slices.Equal(gotSet, wantSet) {
+				t.Fatalf("problem %d: touched %v, dense %v", pi, gotSet, wantSet)
+			}
+			checked += len(wantSet)
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no propagation tightened anything: the test compares nothing")
+	}
+}
+
+// TestChildPropagationMatchesScratch: replaying random dives the way a
+// worker runs them — each node evaluated right after its parent, so it
+// starts from the parent's propagated box — leaves every node with the box
+// a from-scratch propagation of its whole chain reaches.
+func TestChildPropagationMatchesScratch(t *testing.T) {
+	compared := 0
+	for pi, p := range propagationProblems() {
+		s := newSearch(p, Options{}, time.Now)
+		coin := rand.New(rand.NewSource(int64(pi)))
+		nodes := descend(newWorker(s), 12, func(int) bool { return coin.Intn(3) == 0 })
+		w, scratch := newWorker(s), newWorker(s)
+		var o outcome
+		for i, nd := range nodes {
+			w.eval(nd, math.Inf(-1), &o, i > 0)
+			if !scratch.bounds(nd, false) {
+				break // the dive ends here: propagation emptied the box
+			}
+			if !w.settled {
+				t.Fatalf("problem %d level %d: the child's propagation did not settle", pi, i)
+			}
+			if j := sameBox(w.lo, w.up, scratch.lo, scratch.up); j >= 0 {
+				t.Fatalf("problem %d level %d var %d: child box [%v, %v], from scratch [%v, %v]",
+					pi, i, j, w.lo[j], w.up[j], scratch.lo[j], scratch.up[j])
+			}
+			if i > 0 {
+				compared++
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no dive reached a child: the test compares nothing")
+	}
+}
+
+// TestPropagateCycleTerminates: x − y ≤ −1 and y − x ≤ −1 over [0, 1e6]
+// feed each other: a visit raises one variable's lower bound by a unit or
+// two and lowers the other's upper bound as much, for about a million
+// visits. The per-node visit limit stops propagation long before that — at
+// the root and again at a branched node — and the relaxation, infeasible
+// on its own, settles the search.
+func TestPropagateCycleTerminates(t *testing.T) {
+	p := &Problem{LP: lp.Problem{Maximize: true, Objective: []float64{1, 1}}, Integer: []bool{true, true}}
+	p.LP.AddConstraint([]float64{1, -1}, lp.LE, -1)
+	p.LP.AddConstraint([]float64{-1, 1}, lp.LE, -1)
+	p.LP.AddConstraint([]float64{1}, lp.LE, 1e6)
+	p.LP.AddConstraint([]float64{0, 1}, lp.LE, 1e6)
+	limit := float64(2 * maxVisitsPerRow * len(p.LP.Constraints)) // most units the lower bounds can rise
+	s := newSearch(p, Options{}, time.Now)
+	rootRise := s.root.lo[0] + s.root.lo[1]
+	if !s.rootOK || rootRise == 0 || rootRise > limit {
+		t.Fatalf("root box lo = %v (ok %v): want a rise of 1..%v units", s.root.lo, s.rootOK, limit)
+	}
+	w := newWorker(s)
+	from := s.root.lo[0] + 10
+	nd := &node{bound: math.Inf(1), chain: &bchange{j: 0, lo: from, up: math.Inf(1)}}
+	var o outcome
+	w.eval(nd, math.Inf(-1), &o, false)
+	if rise := w.lo[0] + w.lo[1] - from - s.root.lo[1]; w.settled || rise <= 0 || rise > limit {
+		t.Fatalf("branched node: lo = %v, settled %v: want a rise of 1..%v units past the branch", w.lo, w.settled, limit)
+	}
+	if o.branchJ >= 0 || len(o.cands) > 0 {
+		t.Fatalf("branched node: branch on %d, %d candidates; the relaxation is infeasible", o.branchJ, len(o.cands))
+	}
+	r, err := SolveContext(context.Background(), p, Options{Workers: 1})
+	if err != nil || r.Status != Infeasible {
+		t.Fatalf("SolveContext = %v, %v; want infeasible", r.Status, err)
 	}
 }
 
