@@ -10,10 +10,12 @@ build:
 	$(GO) build ./...
 
 # The second line vets the packages with an amd64 assembly kernel as
-# arm64, which compiles their portable Go fallback instead.
+# arm64, which compiles their portable Go fallback instead; the third fails
+# on any file gofmt would change (testdata included), naming it.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/lp ./internal/milp
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l: $$unformatted"; exit 1; fi
 
 # Project-specific static analysis: the interprocedural flexlint suite —
 # clock hygiene, context-budget flow, allocation-free hot paths, lock
@@ -104,7 +106,7 @@ bench-solver:
 	$(GO) test -run '^$$' -bench BenchmarkSolverScaling -benchtime 3x . | $(GO) run ./cmd/benchjson -o BENCH_solver.json
 	@echo wrote BENCH_solver.json
 
-# Records the observability hot-path baseline: tsdb append/seal/query and
+# Records the observability hot-path baseline: tsdb append/query and
 # SLO audit-tick/probe benchmarks, what a probe round and an episode's P95
 # are made of (BenchmarkPlan: Algorithm 1 one-shot and prepared on an
 # emulation-sized room; BenchmarkPercentile at 1e5 samples), the fleet's

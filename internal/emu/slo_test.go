@@ -72,14 +72,21 @@ func TestEmulationSafetyAuditor(t *testing.T) {
 	if !ok {
 		t.Fatal("budget-burn series missing")
 	}
-	var maxBurn float64
-	for _, b := range burn.Buckets(tsdb.Tier10s) {
-		if b.Max > maxBurn {
-			maxBurn = b.Max
-		}
+	// The ring holds every audit tick of the run: the 10s-step maxima over
+	// it peak where the raw points do.
+	raw := burn.Raw()
+	if uint64(len(raw)) != aud.Ticks() {
+		t.Fatalf("budget-burn series kept %d points of %d audit ticks", len(raw), aud.Ticks())
 	}
-	if maxBurn <= 0 || maxBurn >= 1 {
-		t.Fatalf("peak budget burn = %v, want in (0,1)", maxBurn)
+	var rawPeak, maxBurn float64
+	for _, p := range raw {
+		rawPeak = max(rawPeak, p.Value)
+	}
+	for _, p := range burn.Query(tsdb.QueryRange{From: raw[0].Time, To: raw[len(raw)-1].Time, Step: 10 * time.Second, Agg: tsdb.AggMax}) {
+		maxBurn = max(maxBurn, p.Value)
+	}
+	if maxBurn <= 0 || maxBurn >= 1 || maxBurn != rawPeak {
+		t.Fatalf("peak budget burn = %v (raw peak %v), want one value in (0,1)", maxBurn, rawPeak)
 	}
 
 	// Breach and recover events for the shed-budget objective are

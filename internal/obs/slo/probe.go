@@ -63,7 +63,7 @@ func (a *Auditor) probeLocked(ctx context.Context, now time.Time, upsPower []pow
 		if excess <= 0 {
 			continue // this failure needs no shedding at current load
 		}
-		planCtx, cancel := context.WithTimeout(ctx, a.cfg.ProbeBudget)
+		planCtx, cancel := context.WithTimeout(ctx, ProbeBudget)
 		actions, insufficient, err := a.planner.Plan(planCtx, controller.PlanInput{
 			UPSPower:  failover,
 			RackPower: rackPower,

@@ -31,9 +31,9 @@
 // HTTP surface.
 //
 // The auditor runs at a faster timescale than the control loop it
-// audits (the VPP multi-timescale argument): Tick is the synchronous
-// core the emulator drives on the virtual clock every emulation tick,
-// and Run wraps it for wall-clock daemons. Everything is clock-injected.
+// audits (the VPP multi-timescale argument): Tick is synchronous, and the
+// emulator drives it on the virtual clock every emulation tick.
+// Everything is clock-injected.
 //
 // That argument only holds while an audit tick costs less than the
 // control step it watches, so the steady-state tick — no probe due, no
@@ -41,11 +41,10 @@
 // appended in place, each objective counts its two burn-rate windows in a
 // ring of its own (burnWindow: push the tick, pop what has aged out, divide
 // two integers — exact, since the indicator is 0 or 1, where a mean over
-// stored points or 10s rollups is a scan and, past the raw ring, an
-// approximation), the stage digest is six counters and six maxima, and the
-// per-tick scratch is sized once, the rings at NewAuditor and the rest at
-// Bind. A what-if probe round (every ProbeEvery)
-// runs Algorithm 1 per UPS on a controller.Planner prepared at Bind, all
+// stored points is a scan), the stage digest is six counters and six
+// maxima, and the per-tick scratch is sized once, the rings at NewAuditor
+// and the rest at Bind. A what-if probe round (every ProbeEvery) runs
+// Algorithm 1 per UPS on a controller.Planner prepared at Bind, all
 // plans into one action buffer, over pair loads and inactive sets that are
 // Bind-time scratch too: what a round still allocates is FailoverLoads'
 // result per UPS and, where that failover needs a plan, the plan's budget
@@ -109,6 +108,25 @@ func StageBudgets() [obs.NumStages]time.Duration {
 	return b
 }
 
+// The burn-rate objectives and the probe's planning budget.
+const (
+	// FastWindow / SlowWindow are the burn-rate windows.
+	FastWindow = time.Minute
+	SlowWindow = 5 * time.Minute
+	// Target is the objective availability target: 99% of audit ticks
+	// healthy, i.e. a 1% error budget. It is typed so that 1 − Target is
+	// the float64 difference (0.010000000000000009), not an exact 0.01.
+	Target float64 = 0.99
+	// BreachBurn is the fast-window burn-rate multiple that trips a
+	// breach: burning the error budget at 1× means the budget exactly
+	// runs out over the window.
+	BreachBurn = 1.0
+	// ProbeBudget bounds one probe planning pass per UPS: the same budget
+	// the live controller plans under, so probe feasibility implies live
+	// feasibility.
+	ProbeBudget = power.FlexLatencyBudget / 2
+)
+
 // Defaults.
 const (
 	// DefaultFreshness is the telemetry-freshness threshold: the paper
@@ -116,16 +134,6 @@ const (
 	// poll cadence, so deployments with slower pollers must raise the
 	// per-view thresholds above their cadence to avoid constant burn.
 	DefaultFreshness = time.Second
-	// DefaultFastWindow / DefaultSlowWindow are the burn-rate windows.
-	DefaultFastWindow = time.Minute
-	DefaultSlowWindow = 5 * time.Minute
-	// DefaultTarget is the objective availability target: 99% of audit
-	// ticks healthy, i.e. a 1% error budget.
-	DefaultTarget = 0.99
-	// DefaultBreachBurn is the burn-rate multiple that trips a breach:
-	// burning the error budget at 1× means the budget exactly runs out
-	// over the window.
-	DefaultBreachBurn = 1.0
 	// DefaultProbeEvery is the what-if probe cadence. Probing is a full
 	// Algorithm 1 pass per active UPS, so it runs sparser than the audit
 	// tick.
@@ -138,22 +146,9 @@ type Config struct {
 	Recorder *recorder.Recorder // optional: breach/recover/probe-fail events
 	// UPSFreshness / RackFreshness override DefaultFreshness per view.
 	UPSFreshness, RackFreshness time.Duration
-	// FastWindow / SlowWindow are the burn-rate evaluation windows.
-	FastWindow, SlowWindow time.Duration
-	// Target is the per-objective availability target in (0, 1).
-	Target float64
-	// BreachBurn is the fast-window burn-rate multiple that trips a
-	// breach.
-	BreachBurn float64
 	// ProbeEvery is the what-if probe cadence (0 = DefaultProbeEvery,
 	// negative = disable probing).
 	ProbeEvery time.Duration
-	// ProbeBudget bounds one probe planning pass per UPS (default
-	// power.FlexLatencyBudget/2 — the same budget the live controller
-	// plans under, so probe feasibility implies live feasibility).
-	ProbeBudget time.Duration
-	// Interval paces Run (default tsdb.DefaultSampleInterval).
-	Interval time.Duration
 }
 
 // Bindings attaches the auditor to a running control plane. All fields
@@ -204,8 +199,8 @@ type objective struct {
 }
 
 // Auditor is the continuous safety auditor. Construct with NewAuditor,
-// attach to a control plane with Bind, then drive Tick (virtual clock)
-// or Run (wall clock). All methods are safe for concurrent use.
+// attach to a control plane with Bind, then drive Tick. All methods are
+// safe for concurrent use.
 type Auditor struct {
 	cfg Config
 
@@ -280,26 +275,8 @@ func NewAuditor(cfg Config) *Auditor {
 	if cfg.RackFreshness <= 0 {
 		cfg.RackFreshness = DefaultFreshness
 	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = DefaultFastWindow
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = DefaultSlowWindow
-	}
-	if cfg.Target <= 0 || cfg.Target >= 1 {
-		cfg.Target = DefaultTarget
-	}
-	if cfg.BreachBurn <= 0 {
-		cfg.BreachBurn = DefaultBreachBurn
-	}
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = DefaultProbeEvery
-	}
-	if cfg.ProbeBudget <= 0 {
-		cfg.ProbeBudget = power.FlexLatencyBudget / 2
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = tsdb.DefaultSampleInterval
 	}
 	a := &Auditor{
 		cfg:        cfg,
@@ -328,7 +305,7 @@ func NewAuditor(cfg Config) *Auditor {
 			name:      o.name,
 			immediate: o.immediate,
 			series:    cfg.Store.Series(tsdb.SeriesKey(SeriesObjectiveBad, [2]string{"objective", o.name})),
-			window:    newBurnWindow(cfg.FastWindow, cfg.SlowWindow, cfg.Interval),
+			window:    newBurnWindow(FastWindow, SlowWindow, tsdb.DefaultSampleInterval),
 		}
 		a.objectives = append(a.objectives, ob)
 		a.byName[o.name] = ob
@@ -399,8 +376,8 @@ func (a *Auditor) Ticks() uint64 {
 // Tick is synchronous and deterministic under a virtual clock: the
 // emulator calls it once per emulation tick after pumping telemetry and
 // stepping the controllers. The burn-rate windows count on now never going
-// back, and it does not in either caller: the emulators pass the virtual
-// clock's time, which only advances, and Run the time clock.After delivers.
+// back, and it does not: the emulators pass the virtual clock's time, which
+// only advances.
 func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	a.mu.Lock()
 	if !a.bound {
@@ -512,7 +489,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	}
 	a.byName[ObjStageBudget].bad = stageBad
 
-	budgetRate := 1 - a.cfg.Target
+	budgetRate := 1 - Target
 	for _, o := range a.objectives {
 		v := 0.0
 		if o.bad {
@@ -522,7 +499,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 		fastAvg, slowAvg := o.window.observe(now, o.bad)
 		o.fastBurn = fastAvg / budgetRate
 		o.slowBurn = slowAvg / budgetRate
-		tripped := o.fastBurn >= a.cfg.BreachBurn
+		tripped := o.fastBurn >= BreachBurn
 		if o.immediate {
 			tripped = o.bad
 		}
@@ -538,7 +515,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 				Actor:   "slo",
 				Subject: o.name,
 				Value:   o.fastBurn,
-				Score:   a.cfg.BreachBurn,
+				Score:   BreachBurn,
 				Episode: o.episode,
 				Detail:  "fast-window burn over threshold",
 			}
@@ -557,7 +534,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 				Actor:   "slo",
 				Subject: o.name,
 				Value:   o.fastBurn,
-				Score:   a.cfg.BreachBurn,
+				Score:   BreachBurn,
 				Episode: o.episode,
 				Cause:   o.breachSeq,
 			})
@@ -729,7 +706,7 @@ func (a *Auditor) Status() Status {
 	for _, o := range a.objectives {
 		st.Objectives = append(st.Objectives, Objective{
 			Name:      o.name,
-			Target:    a.cfg.Target,
+			Target:    Target,
 			Bad:       o.bad,
 			FastBurn:  o.fastBurn,
 			SlowBurn:  o.slowBurn,
@@ -750,24 +727,4 @@ func (a *Auditor) Status() Status {
 		}
 	}
 	return st
-}
-
-// Run drives Tick on the configured cadence until ctx is done, pacing on
-// the bound clock (bind before Run). With a virtual clock prefer calling
-// Tick directly for determinism.
-func (a *Auditor) Run(ctx context.Context) {
-	a.mu.Lock()
-	clk := a.b.Clock
-	a.mu.Unlock()
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-clk.After(a.cfg.Interval):
-			a.Tick(ctx, now)
-		}
-	}
 }

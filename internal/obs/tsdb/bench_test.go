@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkAppend is the BENCH_obs.json ingest figure: one hot-path
-// sample append, including amortized rollup folding. Must report 0
-// allocs/op (the //flex:hotpath contract).
+// sample append into the ring. Must report 0 allocs/op (the
+// //flex:hotpath contract).
 func BenchmarkAppend(b *testing.B) {
 	st := NewStore(Options{})
 	s := st.Series("bench")
@@ -17,18 +17,6 @@ func BenchmarkAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Append(t0.Add(time.Duration(i)*500*time.Millisecond), float64(i))
-	}
-}
-
-// BenchmarkAppendRollupSeal forces a bucket seal on every append (each
-// sample lands in a fresh 10s and 1m interval) — the worst-case fold.
-func BenchmarkAppendRollupSeal(b *testing.B) {
-	st := NewStore(Options{})
-	s := st.Series("bench")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Append(t0.Add(time.Duration(i)*Tier1m), float64(i))
 	}
 }
 
@@ -48,14 +36,15 @@ func BenchmarkQueryRaw(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryRollup answers an hour-scale query from the 1m tier.
+// BenchmarkQueryRollup answers an hour-scale query at a 1m step: an hour
+// of 1s points (3600, inside the default ring) re-bucketed into 60.
 func BenchmarkQueryRollup(b *testing.B) {
-	st := NewStore(Options{RawCapacity: 64})
+	st := NewStore(Options{})
 	s := st.Series("bench")
 	for i := 0; i < 3600; i++ {
 		s.Append(t0.Add(time.Duration(i)*time.Second), float64(i))
 	}
-	r := QueryRange{From: t0, To: t0.Add(time.Hour), Step: Tier1m, Agg: AggMax}
+	r := QueryRange{From: t0, To: t0.Add(time.Hour), Step: time.Minute, Agg: AggMax}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pts := s.Query(r); len(pts) == 0 {

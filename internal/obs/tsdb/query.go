@@ -60,137 +60,83 @@ func ParseAgg(s string) (Agg, error) {
 	return AggAvg, fmt.Errorf("tsdb: unknown agg %q", s)
 }
 
-// QueryRange selects data for Series.Query: the half-open window
-// [From, To] re-bucketed into Step-wide intervals.
+// defaultStep is the query step when none is given.
+const defaultStep = 10 * time.Second
+
+// QueryRange selects data for Series.Query: the closed window [From, To]
+// re-bucketed into Step-wide intervals.
 type QueryRange struct {
 	From, To time.Time
 	Step     time.Duration
 	Agg      Agg
 }
 
-// Query evaluates r against the series, choosing the finest source tier
-// whose width does not exceed the step: raw points for sub-10s steps,
-// the 10s rollup for steps in [10s, 1m), and the 1m rollup beyond. Each
-// returned point carries the start of its step interval; intervals
-// without data are omitted (no NaN filling). A rollup bucket keeps no last
-// value, so AggLast is answered from raw points only: at a rollup step it
-// returns nil.
+// Query evaluates r against the retained points, at any step. Each
+// returned point carries the start of its step interval [k·Step,
+// (k+1)·Step), so a point exactly on an edge opens the next one, and the
+// aggregate of the points inside it; intervals without data are omitted
+// (no NaN filling).
 func (s *Series) Query(r QueryRange) []Point {
 	if r.Step <= 0 {
-		r.Step = Tier10s
+		r.Step = defaultStep
 	}
 	if !r.To.After(r.From) {
 		return nil
 	}
-	if r.Step < Tier10s {
-		return rebucketPoints(s.Raw(), r)
-	}
-	if r.Agg == AggLast {
-		return nil
-	}
-	width := Tier10s
-	if r.Step >= Tier1m {
-		width = Tier1m
-	}
-	return rebucketBuckets(s.Buckets(width), r)
-}
-
-// rebucketPoints folds raw points into step intervals.
-func rebucketPoints(pts []Point, r QueryRange) []Point {
-	step := int64(r.Step)
-	from, to := r.From.UnixNano(), r.To.UnixNano()
+	step, from, to := int64(r.Step), r.From.UnixNano(), r.To.UnixNano()
 	var out []Point
-	var cur bucket
-	cur.start = startUnset
-	var lastV float64
-	flush := func() {
-		if cur.start != startUnset && cur.count > 0 {
-			v := aggValue(cur, r.Agg)
-			if r.Agg == AggLast {
-				v = lastV
-			}
-			out = append(out, Point{Time: time.Unix(0, cur.start), Value: v})
-		}
-	}
-	for _, p := range pts {
-		tn := p.Time.UnixNano()
-		if tn < from || tn > to {
+	var cur interval
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := 0; k < s.n; k++ {
+		p := s.at(k)
+		if p.at < from || p.at > to {
 			continue
 		}
-		start := tn - mod(tn, step)
-		if start != cur.start {
-			flush()
-			cur = bucket{start: start, min: p.Value, max: p.Value, sum: p.Value, count: 1}
-			lastV = p.Value
-			continue
+		start := p.at - p.at%step
+		if start > p.at { // % truncates toward zero before the epoch
+			start -= step
 		}
-		if p.Value < cur.min {
-			cur.min = p.Value
+		if cur.count > 0 && start != cur.start {
+			out = append(out, cur.point(r.Agg))
+			cur.count = 0
 		}
-		if p.Value > cur.max {
-			cur.max = p.Value
+		if cur.count == 0 {
+			cur = interval{start: start, min: p.v, max: p.v}
 		}
-		cur.sum += p.Value
+		cur.min, cur.max = min(cur.min, p.v), max(cur.max, p.v)
+		cur.sum += p.v
+		cur.last = p.v
 		cur.count++
-		lastV = p.Value
 	}
-	flush()
+	if cur.count > 0 {
+		out = append(out, cur.point(r.Agg))
+	}
 	return out
 }
 
-// rebucketBuckets folds rollup buckets into (coarser or equal) step
-// intervals.
-func rebucketBuckets(bks []Bucket, r QueryRange) []Point {
-	step := int64(r.Step)
-	from, to := r.From.UnixNano(), r.To.UnixNano()
-	var out []Point
-	var cur bucket
-	cur.start = startUnset
-	flush := func() {
-		if cur.start != startUnset && cur.count > 0 {
-			out = append(out, Point{Time: time.Unix(0, cur.start), Value: aggValue(cur, r.Agg)})
-		}
-	}
-	for _, b := range bks {
-		tn := b.Start.UnixNano()
-		if tn < from || tn > to || b.Count == 0 {
-			continue
-		}
-		start := tn - mod(tn, step)
-		if start != cur.start {
-			flush()
-			cur = bucket{start: start, min: b.Min, max: b.Max, sum: b.Sum, count: b.Count}
-			continue
-		}
-		if b.Min < cur.min {
-			cur.min = b.Min
-		}
-		if b.Max > cur.max {
-			cur.max = b.Max
-		}
-		cur.sum += b.Sum
-		cur.count += b.Count
-	}
-	flush()
-	return out
+// interval accumulates the points of one step interval.
+type interval struct {
+	start               int64 // UnixNano
+	min, max, sum, last float64
+	count               int
 }
 
-func aggValue(b bucket, a Agg) float64 {
+func (iv interval) point(a Agg) Point {
+	v := iv.sum / float64(iv.count) // AggAvg
 	switch a {
 	case AggMin:
-		return b.min
+		v = iv.min
 	case AggMax:
-		return b.max
+		v = iv.max
 	case AggSum:
-		return b.sum
+		v = iv.sum
 	case AggCount:
-		return float64(b.count)
-	default: // AggAvg; rebucketPoints answers AggLast itself
-		if b.count == 0 {
-			return 0
-		}
-		return b.sum / float64(b.count)
+		v = float64(iv.count)
+	case AggLast:
+		v = iv.last
 	}
+	return slot{at: iv.start, v: v}.point()
 }
 
 // Handler serves the /query endpoint:
@@ -199,12 +145,10 @@ func aggValue(b bucket, a Agg) float64 {
 //	/query?series=K&from=T&to=T&step=D&agg=A  evaluate one series
 //
 // from/to accept RFC3339 or integer unix seconds; step accepts a Go
-// duration (default 10s); agg one of avg|min|max|sum|count|last, where last
-// needs a raw step below 10s (400 otherwise: a rollup keeps no last value,
-// and its average would pass for one). Omitted
-// to defaults to the series' newest timestamp; omitted from defaults to
-// to−5m. The handler never reads the wall clock, so responses are
-// deterministic under the virtual clock.
+// duration (default 10s); agg one of avg|min|max|sum|count|last, each
+// exact at any step. Omitted to defaults to the series' newest timestamp;
+// omitted from defaults to to−5m. The handler never reads the wall clock,
+// so responses are deterministic under the virtual clock.
 func (st *Store) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -225,16 +169,12 @@ func (st *Store) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		qr.Step = Tier10s
+		qr.Step = defaultStep
 		if v := q.Get("step"); v != "" {
 			if qr.Step, err = time.ParseDuration(v); err != nil || qr.Step <= 0 {
 				http.Error(w, "bad step parameter: "+strconv.Quote(v), http.StatusBadRequest)
 				return
 			}
-		}
-		if qr.Agg == AggLast && qr.Step >= Tier10s {
-			http.Error(w, "agg=last needs a raw step below 10s (e.g. step=1s): rollup buckets keep no last value", http.StatusBadRequest)
-			return
 		}
 		last, _ := s.Last()
 		qr.To = last.Time

@@ -34,13 +34,9 @@ type Sampler struct {
 	// Interval is the scrape cadence for Run (DefaultSampleInterval when
 	// zero).
 	Interval time.Duration
-	// Filter, when non-nil, keeps only metrics it returns true for —
-	// e.g. restricting storage to flex_* series. It is consulted once per
-	// metric, when the metric is first seen, not on every scrape.
-	Filter func(name string) bool
 
 	ticks atomic.Uint64
-	// targets binds every kept registry metric to its series; resolved is
+	// targets binds every registry metric to its series; resolved is
 	// the Registry.Size they were resolved at.
 	targets  []target
 	resolved int
@@ -91,9 +87,6 @@ func (s *Sampler) resolve() {
 	s.resolved = len(metrics)
 	s.targets = s.targets[:0]
 	for _, m := range metrics {
-		if s.Filter != nil && !s.Filter(m.Name) {
-			continue
-		}
 		key := metricKey(m)
 		t := target{metric: m}
 		if m.Kind == obs.KindHistogram {

@@ -44,117 +44,28 @@ func TestRawRingWraparound(t *testing.T) {
 	}
 }
 
-func TestRollupMinMaxSumCount(t *testing.T) {
+// TestDefaultRingHoldsAnEpisode: the default ring keeps every audit tick of
+// a default 24-minute episode at 500 ms (2881 points, both ends), so /query
+// still answers for the episode's first minute at its end.
+func TestDefaultRingHoldsAnEpisode(t *testing.T) {
 	st := NewStore(Options{})
 	s := st.Series("x")
-	// 10 samples inside one 10s bucket, then one in the next.
-	for i := 0; i < 10; i++ {
-		s.Append(t0.Add(time.Duration(i)*time.Second), float64(i+1))
+	const points = 24*60*2 + 1
+	for i := 0; i < points; i++ {
+		s.Append(t0.Add(time.Duration(i)*DefaultSampleInterval), float64(i))
 	}
-	s.Append(t0.Add(10*time.Second), 100)
-	bks := s.Buckets(Tier10s)
-	if len(bks) != 2 {
-		t.Fatalf("len(buckets) = %d, want 2 (sealed + open)", len(bks))
+	raw := s.Raw()
+	if len(raw) != points || raw[0].Value != 0 || !raw[0].Time.Equal(t0) {
+		t.Fatalf("ring kept %d points from %+v, want all %d from t0", len(raw), raw[0], points)
 	}
-	b := bks[0]
-	if b.Min != 1 || b.Max != 10 || b.Sum != 55 || b.Count != 10 {
-		t.Fatalf("sealed bucket = %+v", b)
+	pts := s.Query(QueryRange{From: t0, To: t0.Add(time.Minute - time.Nanosecond), Step: 2 * time.Second, Agg: AggCount})
+	if len(pts) != 30 {
+		t.Fatalf("first minute at step=2s: %d points, want 30", len(pts))
 	}
-	if !b.Start.Equal(t0) {
-		t.Fatalf("bucket start = %v, want %v", b.Start, t0)
-	}
-	if got := b.Avg(); got != 5.5 {
-		t.Fatalf("Avg = %v, want 5.5", got)
-	}
-	open := bks[1]
-	if open.Count != 1 || open.Min != 100 || !open.Start.Equal(t0.Add(10*time.Second)) {
-		t.Fatalf("open bucket = %+v", open)
-	}
-}
-
-// TestRawWraparoundAcrossRollupBoundary is the satellite edge case: the
-// raw ring is smaller than one rollup interval's worth of samples, so it
-// wraps (losing raw points) while the rollup keeps folding — the sealed
-// bucket must still account for every appended sample.
-func TestRawWraparoundAcrossRollupBoundary(t *testing.T) {
-	st := NewStore(Options{RawCapacity: 3})
-	s := st.Series("x")
-	// 20 samples at 1Hz: two full 10s buckets; the raw ring holds 3.
-	for i := 0; i < 20; i++ {
-		s.Append(t0.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	if n := len(s.Raw()); n != 3 {
-		t.Fatalf("raw retained %d, want 3", n)
-	}
-	bks := s.Buckets(Tier10s)
-	if len(bks) != 2 {
-		t.Fatalf("len(buckets) = %d, want 2", len(bks))
-	}
-	if bks[0].Count != 10 || bks[0].Min != 0 || bks[0].Max != 9 || bks[0].Sum != 45 {
-		t.Fatalf("first bucket = %+v, want full 10 samples despite raw wrap", bks[0])
-	}
-	if bks[1].Count != 10 || bks[1].Min != 10 || bks[1].Max != 19 {
-		t.Fatalf("second (open) bucket = %+v", bks[1])
-	}
-}
-
-// TestTickExactlyOnTierEdge is the satellite edge case: a virtual-clock
-// tick landing exactly on a 10s/1m boundary must open the next bucket,
-// not extend the previous one ([start, start+width) intervals).
-func TestTickExactlyOnTierEdge(t *testing.T) {
-	st := NewStore(Options{})
-	s := st.Series("x")
-	s.Append(t0, 1)                                     // bucket [0,10s)
-	s.Append(t0.Add(10*time.Second-time.Nanosecond), 2) // still [0,10s)
-	s.Append(t0.Add(10*time.Second), 3)                 // exactly on the edge → [10s,20s)
-	bks := s.Buckets(Tier10s)
-	if len(bks) != 2 {
-		t.Fatalf("len(buckets) = %d, want 2", len(bks))
-	}
-	if bks[0].Count != 2 || bks[0].Max != 2 {
-		t.Fatalf("first bucket = %+v, want the two pre-edge samples", bks[0])
-	}
-	if bks[1].Count != 1 || bks[1].Min != 3 || !bks[1].Start.Equal(t0.Add(10*time.Second)) {
-		t.Fatalf("edge bucket = %+v", bks[1])
-	}
-
-	// Same for the 1m tier: 60s lands in the second bucket.
-	s2 := st.Series("y")
-	s2.Append(t0.Add(59*time.Second), 1)
-	s2.Append(t0.Add(60*time.Second), 2)
-	m := s2.Buckets(Tier1m)
-	if len(m) != 2 || m[0].Count != 1 || m[1].Count != 1 {
-		t.Fatalf("1m buckets = %+v", m)
-	}
-}
-
-func TestRollupRingEviction(t *testing.T) {
-	st := NewStore(Options{RawCapacity: 4, TierCapacity: [2]int{3, 2}})
-	s := st.Series("x")
-	// 6 sealed 10s buckets (plus one open): tier ring keeps the last 3.
-	for i := 0; i < 61; i++ {
-		s.Append(t0.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	bks := s.Buckets(Tier10s)
-	if len(bks) != 4 { // 3 sealed + open
-		t.Fatalf("len(buckets) = %d, want 4", len(bks))
-	}
-	if !bks[0].Start.Equal(t0.Add(30 * time.Second)) {
-		t.Fatalf("oldest retained bucket starts %v, want 30s", bks[0].Start)
-	}
-}
-
-func TestGapsProduceNoEmptyBuckets(t *testing.T) {
-	st := NewStore(Options{})
-	s := st.Series("x")
-	s.Append(t0, 1)
-	s.Append(t0.Add(45*time.Second), 2) // 3 intervals skipped
-	bks := s.Buckets(Tier10s)
-	if len(bks) != 2 {
-		t.Fatalf("len(buckets) = %d, want 2 (gap buckets omitted)", len(bks))
-	}
-	if !bks[1].Start.Equal(t0.Add(40 * time.Second)) {
-		t.Fatalf("second bucket starts %v, want 40s", bks[1].Start)
+	for i, p := range pts {
+		if p.Value != 4 || !p.Time.Equal(t0.Add(time.Duration(i)*2*time.Second)) {
+			t.Fatalf("pts[%d] = %+v, want 4 points from %v", i, p, t0.Add(time.Duration(i)*2*time.Second))
+		}
 	}
 }
 
@@ -171,9 +82,6 @@ func TestStoreGetOrCreate(t *testing.T) {
 	names := st.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names = %v", names)
-	}
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d", st.Len())
 	}
 }
 
@@ -201,16 +109,5 @@ func TestAppendAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Append allocates %v per op, want 0", allocs)
-	}
-}
-
-func TestAppendOutOfOrderWithinOpenBucket(t *testing.T) {
-	st := NewStore(Options{})
-	s := st.Series("x")
-	s.Append(t0.Add(5*time.Second), 5)
-	s.Append(t0.Add(3*time.Second), 3) // behind, same open bucket
-	bks := s.Buckets(Tier10s)
-	if len(bks) != 1 || bks[0].Count != 2 || bks[0].Min != 3 || bks[0].Max != 5 {
-		t.Fatalf("buckets = %+v", bks)
 	}
 }

@@ -139,8 +139,8 @@ type Figure12Config struct {
 	// recovered watts, action count, pre-shed worst survivor overload,
 	// and an insufficient flag. Snapshot runs are timeless, so points get
 	// synthetic timestamps — a fixed epoch plus one second per snapshot —
-	// which keeps the store's rollups and /query usable on the result
-	// without touching a wall clock.
+	// which keeps /query usable on the result without touching a wall
+	// clock.
 	Store *tsdb.Store
 }
 
