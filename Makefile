@@ -125,12 +125,15 @@ bench-obs:
 # Alternated parent/change pairs of one flexbench workload, the comparison
 # CHANGES.md reports for every performance claim: one row per pair, both
 # medians, the parent's interquartile range, wins; non-zero if the two
-# sides' fingerprints differ. See scripts/pairs.sh.
-#   make pairs PARENT=HEAD~1 WORKLOAD=room-episode SEED=7 PAIRS=10
+# sides' fingerprints differ. RUN_SECONDS is flexbench's -seconds, which
+# sets the repetitions a run makes (fleet-failover at seed 1 fails an
+# operation from 36 on). See scripts/pairs.sh.
+#   make pairs PARENT=HEAD~1 WORKLOAD=room-episode SEED=7 PAIRS=10 RUN_SECONDS=40
 SEED ?= 1
 PAIRS ?= 10
+RUN_SECONDS ?= 10
 pairs:
-	bash scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
+	bash scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS) $(RUN_SECONDS)
 
 # Non-test Go code lines per package (neither blank nor comment-only,
 # testdata/ excluded); with BASE=<rev>, base/now/delta for every package

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -170,29 +171,37 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// snapshotUPS builds the UPS power vector from the view; UPSes without a
-// reading are assumed at full capacity (the safe direction: missing data
-// must trigger shaving, not mask an overload — §IV-C notes unreliable
-// telemetry leads to conservative action). It also returns the newest
-// measurement time, which gates re-enforcement, and the flight-recorder
-// sample-arrive sequence per UPS (0 when unrecorded), which roots the
-// detect event's causal chain.
-func (c *Controller) snapshotUPS() ([]power.Watts, time.Time, []uint64) {
-	out := make([]power.Watts, len(c.cfg.Topo.UPSes))
-	events := make([]uint64, len(c.cfg.Topo.UPSes))
-	var newest time.Time
+// upsSnapshot is one round's reading of the UPS view, in arrays so that a
+// round lives on its caller's stack: a round without overdraw allocates
+// nothing, and concurrent rounds share nothing.
+type upsSnapshot struct {
+	// power is the UPS power vector; UPSes without a reading are assumed at
+	// full capacity (the safe direction: missing data must trigger shaving,
+	// not mask an overload — §IV-C notes unreliable telemetry leads to
+	// conservative action).
+	power [power.MaxUPSes]power.Watts
+	// events is the flight-recorder sample-arrive sequence per UPS (0 when
+	// unrecorded), which roots the detect event's causal chain.
+	events [power.MaxUPSes]uint64
+	// newest is the newest measurement time, which gates re-enforcement.
+	newest time.Time
+}
+
+// snapshotUPS reads the UPS view into s.
+//
+//flex:hotpath
+func (c *Controller) snapshotUPS(s *upsSnapshot) {
 	for u := range c.cfg.Topo.UPSes {
 		if v, at, ev, ok := c.cfg.UPSView.GetEvent(c.cfg.Topo.UPSes[u].Name); ok {
-			out[u] = v
-			events[u] = ev
-			if at.After(newest) {
-				newest = at
+			s.power[u] = v
+			s.events[u] = ev
+			if at.After(s.newest) {
+				s.newest = at
 			}
 		} else {
-			out[u] = c.cfg.Topo.UPSes[u].Capacity
+			s.power[u] = c.cfg.Topo.UPSes[u].Capacity
 		}
 	}
-	return out, newest, events
 }
 
 // StepContext runs one evaluation round: read snapshots, detect overdraw,
@@ -210,16 +219,18 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	c.mu.Unlock()
 
 	// The handful of UPS readings decide whether this round plans at all;
-	// the plan's inputs (acted set, rack powers) are built only once it
-	// does.
-	ups, measuredAt, upsEvents := c.snapshotUPS()
-	inactive := InferInactiveUPSes(c.cfg.Topo, ups, c.cfg.InactiveThreshold)
+	// the plan's inputs (inactive map, acted set, rack powers, a copy of
+	// the readings) are built only once it does.
+	var snap upsSnapshot
+	c.snapshotUPS(&snap)
+	ups := snap.power[:len(c.cfg.Topo.UPSes)]
+	inactive := InferInactiveSet(c.cfg.Topo, ups, c.cfg.InactiveThreshold)
 
 	over := false
 	worst := -1
 	var worstExcess power.Watts
 	for u := range c.cfg.Topo.UPSes {
-		if inactive[power.UPSID(u)] {
+		if inactive.Has(power.UPSID(u)) {
 			continue
 		}
 		if excess := ups[u] - (c.cfg.Topo.UPSes[u].Capacity - c.cfg.Buffer); excess > 0 {
@@ -258,7 +269,7 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 				Subject: c.cfg.Topo.UPSes[worst].Name,
 				Value:   float64(ups[worst]),
 				Score:   float64(c.cfg.Topo.UPSes[worst].Capacity),
-				Cause:   upsEvents[worst],
+				Cause:   snap.events[worst],
 				Episode: episode,
 			})
 		}
@@ -275,7 +286,7 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 		}
 		tr := c.cfg.Tracer.Start("flex-online/"+c.cfg.Name, traceStart)
 		tr.Join(episode, detectSeq)
-		note := c.respond(ctx, &out, &b, ups, inactive, measuredAt, episode, detectSeq)
+		note := c.respond(ctx, &out, &b, slices.Clone(ups), inactiveMap(inactive, len(ups)), snap.newest, episode, detectSeq)
 		tr.FinishRound(&b, note)
 		if !b[obs.NumStages].IsZero() { // the round got as far as acting
 			c.cfg.Stages.ObserveRound(&b, obs.Exemplar{Episode: episode, Trace: tr.ID(), Seq: detectSeq})
@@ -321,7 +332,7 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	c.mu.Lock()
 	n := len(c.acted)
 	c.mu.Unlock()
-	if n == 0 || len(inactive) > 0 {
+	if n == 0 || inactive != 0 {
 		return out
 	}
 	c.mu.Lock()
@@ -343,8 +354,9 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 		}
 		return restoreSet[i].Rack < restoreSet[j].Rack
 	})
-	proj := append([]power.Watts(nil), ups...)
-	cand := make([]power.Watts, len(proj))
+	var projA, candA [power.MaxUPSes]power.Watts
+	proj, cand := projA[:len(ups)], candA[:len(ups)]
+	copy(proj, ups)
 	for _, a := range restoreSet {
 		ri, ok := c.rackIdx[a.Rack]
 		if !ok {

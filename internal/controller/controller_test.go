@@ -2,6 +2,8 @@ package controller
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -150,6 +152,70 @@ func TestControllerRestoresAfterRecovery(t *testing.T) {
 		st, _, _ := h.mgr.State(r.ID)
 		if st != rackmgr.On {
 			t.Fatalf("rack %s = %v after recovery, want On", r.ID, st)
+		}
+	}
+}
+
+// TestConcurrentSteps runs one controller's StepContext from several
+// goroutines at once through an idle spell, an overdraw and a recovery
+// (run it under -race): a round's UPS snapshot lives on its own stack and
+// everything the rounds share is behind the controller's mutex, so the
+// rounds interleave freely and still count every step, shed, and restore
+// every rack they acted on.
+func TestConcurrentSteps(t *testing.T) {
+	h := newHarness(t)
+	c := h.controller("ctl-1")
+	const workers, rounds = 4, 50
+	steps := func(phase string, check func(StepOutcome) string) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if msg := check(c.StepContext(context.Background())); msg != "" {
+						t.Errorf("%s: %s", phase, msg)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	h.feed([]power.Watts{60 * power.KW, 70 * power.KW, 70 * power.KW, 70 * power.KW})
+	steps("idle", func(out StepOutcome) string {
+		if out.Overdraw || out.Enforced != 0 || out.Restored != 0 {
+			return fmt.Sprintf("an idle round acted: %+v", out)
+		}
+		return ""
+	})
+	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
+	steps("overdraw", func(out StepOutcome) string {
+		if !out.Overdraw || out.EnforceErrors != 0 {
+			return fmt.Sprintf("an overdraw round missed it or failed to enforce: %+v", out)
+		}
+		return ""
+	})
+	if len(c.ActedRacks()) == 0 {
+		t.Fatal("no round acted on the overdraw")
+	}
+	h.feed([]power.Watts{60 * power.KW, 70 * power.KW, 70 * power.KW, 70 * power.KW})
+	steps("recovery", func(out StepOutcome) string {
+		if out.Overdraw || out.EnforceErrors != 0 {
+			return fmt.Sprintf("a recovery round: %+v", out)
+		}
+		return ""
+	})
+	if got, want := c.Steps(), 3*workers*rounds; got != want {
+		t.Errorf("Steps() = %d, want %d", got, want)
+	}
+	if acted := c.ActedRacks(); len(acted) != 0 {
+		t.Errorf("racks still acted on after recovery: %v", acted)
+	}
+	for _, r := range h.racks {
+		if st, _, _ := h.mgr.State(r.ID); st != rackmgr.On {
+			t.Errorf("rack %s = %v after recovery, want On", r.ID, st)
 		}
 	}
 }

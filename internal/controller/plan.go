@@ -376,9 +376,13 @@ func InferInactiveSet(topo *power.Topology, upsPower []power.Watts, threshold fl
 // InferInactiveUPSes is InferInactiveSet in the map form PlanInput.Inactive
 // takes.
 func InferInactiveUPSes(topo *power.Topology, upsPower []power.Watts, threshold float64) map[power.UPSID]bool {
-	set := InferInactiveSet(topo, upsPower, threshold)
+	return inactiveMap(InferInactiveSet(topo, upsPower, threshold), len(upsPower))
+}
+
+// inactiveMap is the map form of the set's members among the first n UPSes.
+func inactiveMap(set power.UPSSet, n int) map[power.UPSID]bool {
 	out := make(map[power.UPSID]bool)
-	for u := range upsPower {
+	for u := 0; u < n; u++ {
 		if set.Has(power.UPSID(u)) {
 			out[power.UPSID(u)] = true
 		}

@@ -695,16 +695,6 @@ func snapshot(topo *power.Topology, racks []ManagedRack, util float64, out power
 	return rackPower, ups
 }
 
-func inactiveMap(out power.UPSSet, n int) map[power.UPSID]bool {
-	m := map[power.UPSID]bool{}
-	for u := 0; u < n; u++ {
-		if out.Has(power.UPSID(u)) {
-			m[power.UPSID(u)] = true
-		}
-	}
-	return m
-}
-
 // TestPlanMatchesReference runs every form of Algorithm 1 over an
 // emulation-sized room and a spread of moments — no overdraw, each single
 // failure, two failures, acted sets from empty to everything, missing rack

@@ -19,6 +19,7 @@ package emu
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"flex/internal/controller"
@@ -177,7 +178,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	ts := p.newTickState(cfg.Seed, cfg.Tick, cfg.Duration, 0.08, 0.020) // AR(1) θ, σ
 	rm := ts.newRoom()
-	clk, mgr, sims, truth := ts.clk, rm.mgr, rm.sims, &rm.truth
+	clk, mgr, truth := ts.clk, rm.mgr, &rm.truth
 	if cfg.Obs != nil {
 		mgr.Metrics = rackmgr.NewMetrics(cfg.Obs)
 	}
@@ -211,13 +212,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// The UPS poll cannot do the same — a consensus meter's read emits the
 	// round's consensus events, which belong before its own arrival and after
 	// the previous UPS's.
-	rackMeters := make([]*telemetry.SimMeter, len(sims))
-	rackPoll := make([]telemetry.Sample, len(sims))
-	for i, rs := range sims {
-		rackMeters[i] = telemetry.NewSimMeter(rs.ID,
+	rackMeters := make([]*telemetry.SimMeter, len(p.ids))
+	rackPoll := make([]telemetry.Sample, len(p.ids))
+	for i, id := range p.ids {
+		rackMeters[i] = telemetry.NewSimMeter(id,
 			func() power.Watts { return truth.rack[i] },
 			telemetry.SimMeterConfig{Noise: 0.01, Seed: cfg.Seed + 1000 + int64(i)})
-		rackPoll[i].Device = rs.ID
+		rackPoll[i].Device = id
 	}
 
 	// Controllers (multi-primary). The instances share one Metrics so the
@@ -285,10 +286,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Recorder.Emit(me)
 	}
 
-	res := &Result{}
+	res := &Result{Series: make([]TimePoint, 0, ts.last+1)}
 	var catRacks [3]int // racks per workload.Category
-	for _, r := range p.racks {
-		catRacks[r.Category]++
+	for _, c := range p.cat {
+		catRacks[c]++
 	}
 	srTotal, capTotal := catRacks[workload.SoftwareRedundant], catRacks[workload.NonRedundantCapable]
 	maxShut, maxThrottled := 0, 0
@@ -342,8 +343,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 		// TPC-E-like latency model for cap-able racks: capping below the
 		// demanded power queues requests and inflates tail latency.
-		for j, rs := range sims {
-			if rs.Category != workload.NonRedundantCapable {
+		for j, c := range p.cat {
+			if c != workload.NonRedundantCapable {
 				continue
 			}
 			st, cap := truth.state[j], truth.cap[j]
@@ -351,7 +352,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			lat := base
 			throttledNow := st == rackmgr.Throttled
 			if throttledNow {
-				demand := rs.demand * float64(rs.Allocated)
+				demand := rm.demand[j] * p.alloc[j]
 				if demand > float64(cap) && cap > 0 {
 					over := (demand - float64(cap)) / float64(cap)
 					lat = base * (1 + 0.42*over)
@@ -410,14 +411,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 		// Count action extents.
 		shut, throttled := 0, 0
-		for j, rs := range sims {
+		for j, c := range p.cat {
 			st := truth.state[j]
 			switch {
-			case st == rackmgr.Off && rs.Category == workload.SoftwareRedundant:
+			case st == rackmgr.Off && c == workload.SoftwareRedundant:
 				shut++
-			case st == rackmgr.Throttled && rs.Category == workload.NonRedundantCapable:
+			case st == rackmgr.Throttled && c == workload.NonRedundantCapable:
 				throttled++
-			case st != rackmgr.On && rs.Category == workload.NonRedundantNonCapable:
+			case st != rackmgr.On && c == workload.NonRedundantNonCapable:
 				res.NonCapTouched++
 			}
 		}
@@ -431,8 +432,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		// Record the timeline: rack power by category, for the categories
 		// that have a rack.
 		var catPower [len(catRacks)]power.Watts
-		for j, rs := range sims {
-			catPower[rs.Category] += truth.rack[j]
+		for j, c := range p.cat {
+			catPower[c] += truth.rack[j]
 		}
 		byCat := make(map[workload.Category]power.Watts, len(catRacks))
 		for c, n := range catRacks {
@@ -441,7 +442,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		res.Series = append(res.Series, TimePoint{
-			T: now, Stage: stage, UPSPower: truth.ups, RackPower: byCat,
+			T: now, Stage: stage, UPSPower: slices.Clone(truth.ups), RackPower: byCat,
 		})
 	}
 

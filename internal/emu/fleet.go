@@ -193,7 +193,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		sr := &shardRoom{
 			room: rm, shard: shard,
 			upsBatch:  make([]telemetry.Sample, len(topo.UPSes)),
-			rackBatch: make([]telemetry.Sample, len(p.racks)),
+			rackBatch: make([]telemetry.Sample, len(p.ids)),
 		}
 		for u := range sr.upsBatch {
 			sr.upsBatch[u] = telemetry.Sample{Device: topo.UPSes[u].Name, Valid: true}

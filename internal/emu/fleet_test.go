@@ -89,6 +89,43 @@ func TestRunFleetShardIsolation(t *testing.T) {
 	}
 }
 
+// TestRunFleetHorizonEpisode pins a run whose failed room sheds inside the
+// budget and, long after, crosses a survivor's limit again on the very last
+// tick: that new overdraw episode is half a second old when a 120 s run
+// ends, so the room ends degraded (never unsafe, no outage), and the same
+// run given 30 s more closes it and ends ready. The seed is flexbench's
+// fleet-failover repetition-22 dynamics seed at seed 1, the repetition that
+// fails an operation from `-seconds 36` on; one changed bit in the dynamics
+// can move that crossing, so this is also a tripwire for the kernel's
+// arithmetic.
+func TestRunFleetHorizonEpisode(t *testing.T) {
+	for _, tc := range []struct {
+		duration time.Duration
+		want     slo.State
+	}{{120 * time.Second, slo.StateDegraded}, {150 * time.Second, slo.StateReady}} {
+		res, err := RunFleet(context.Background(), FleetConfig{
+			Rooms: 100, Seed: 8689443845947335796, TraceSeed: 9,
+			FailAt: 20 * time.Second, FailRoom: 0, FailUPS: 0, Duration: tc.duration,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outage || res.ShedLatency != time.Second {
+			t.Errorf("%v: outage %v, shed %v; want a 1s shed and no outage", tc.duration, res.Outage, res.ShedLatency)
+		}
+		r := res.Snapshot.Rooms[0]
+		open := tc.want == slo.StateDegraded
+		if r.State != tc.want || r.OpenEpisode != open || open && r.EpisodeAge != 500*time.Millisecond {
+			t.Errorf("%v: room 0 ends %v (%v), episode open %v for %v; want %v", tc.duration, r.State, r.Reasons, r.OpenEpisode, r.EpisodeAge, tc.want)
+		}
+		for _, other := range res.Snapshot.Rooms[1:] {
+			if other.State != slo.StateReady {
+				t.Errorf("%v: %s ends %v (%v), want ready", tc.duration, other.Name, other.State, other.Reasons)
+			}
+		}
+	}
+}
+
 // TestRunFleetValidation rejects an out-of-range FailRoom.
 func TestRunFleetValidation(t *testing.T) {
 	if _, err := RunFleet(context.Background(), FleetConfig{Rooms: 2, FailRoom: 5}); err == nil {

@@ -23,10 +23,15 @@ import (
 type plant struct {
 	room     *placement.Room
 	topo     *power.Topology
-	racks    []sim.Rack
 	managed  []controller.ManagedRack
-	ids      []string
 	stranded power.Watts // the placement's Eq. 5 stranded power
+
+	// The racks in columns, one entry per rack in placement order: what a
+	// tick reads of them, laid out for the loops over a room's racks.
+	ids   []string
+	alloc []float64 // allocated power, W
+	cat   []workload.Category
+	pair  []power.PDUPairID
 
 	// utilization is the steady-state aggregate draw as a share of
 	// provisioned power; ratio is each category's demanded share of its
@@ -59,9 +64,10 @@ func newPlant(ctx context.Context, traceSeed int64, utilization float64, reg *ob
 	if len(racks) == 0 {
 		return nil, fmt.Errorf("emu: nothing placed")
 	}
+	n := len(racks)
 	p := &plant{
-		room: room, topo: room.Topo, racks: racks, managed: sim.ManagedRacks(racks),
-		ids: make([]string, len(racks)), stranded: pl.StrandedPower(),
+		room: room, topo: room.Topo, managed: sim.ManagedRacks(racks), stranded: pl.StrandedPower(),
+		ids: make([]string, n), alloc: make([]float64, n), cat: make([]workload.Category, n), pair: make([]power.PDUPairID, n),
 		utilization: utilization,
 		// TeraSort-like batch (software-redundant) runs near full tilt,
 		// the TPC-E-like OLTP (cap-able) close to its flex power, the
@@ -74,8 +80,8 @@ func newPlant(ctx context.Context, traceSeed int64, utilization float64, reg *ob
 	}
 	var weighted float64
 	for i, r := range racks {
-		p.ids[i] = r.ID
-		weighted += p.ratio[r.Category] * float64(r.Allocated)
+		p.ids[i], p.alloc[i], p.cat[i], p.pair[i] = r.ID, float64(r.Allocated), r.Category, r.Pair
+		weighted += p.ratio[r.Category] * p.alloc[i]
 	}
 	// Normalize against the placed mix so the aggregate draw at full
 	// demand is utilization × provisioned power — the paper's "80% of the
@@ -104,20 +110,18 @@ func checkIndices(checks ...indexCheck) error {
 	return nil
 }
 
-// rackSim is the live state of one emulated rack.
-type rackSim struct {
-	sim.Rack
-	demand float64 // demanded power fraction of allocation (AR(1))
-}
-
 // room is one emulated room: the plant's racks with live demand, the rack
 // manager its control plane actuates, the UPSes currently out of service
 // and the ground truth under them.
 type room struct {
-	topo  *power.Topology
-	mgr   *rackmgr.Manager
-	sims  []*rackSim
-	out   power.UPSSet
+	plant  *plant
+	mgr    *rackmgr.Manager
+	demand []float64 // per rack, the demanded fraction of its allocation (AR(1))
+	out    power.UPSSet
+	// dirty is set when demand or out moved since the truth was last
+	// refreshed; refresh recomputes nothing while it is clear and the
+	// manager has not actuated.
+	dirty bool
 	truth groundTruth
 }
 
@@ -157,17 +161,16 @@ func (p *plant) newTickState(seed int64, step, duration time.Duration, theta, si
 	}
 }
 
-// newRoom stands one room of the plant's racks on the run's clock. The
-// racks are allocated first, in one run, then the manager and the truth:
-// a hundred-room fleet reads a few percent slower per tick in other orders.
+// newRoom stands one room of the plant's racks on the run's clock, every
+// rack demanding a fifth of its allocation.
 func (ts *tickState) newRoom() *room {
 	p := ts.plant
-	r := &room{topo: p.topo, sims: make([]*rackSim, len(p.racks))}
-	for i, rk := range p.racks {
-		r.sims[i] = &rackSim{Rack: rk, demand: 0.2}
+	r := &room{plant: p, demand: make([]float64, len(p.ids)), dirty: true}
+	for i := range r.demand {
+		r.demand[i] = 0.2
 	}
 	r.mgr = rackmgr.NewManager(ts.clk, p.ids)
-	r.truth = newGroundTruth(p.topo, len(p.racks))
+	r.truth = newGroundTruth(p.topo, len(p.ids))
 	return r
 }
 
@@ -178,11 +181,15 @@ func (ts *tickState) reaches(t time.Duration) bool { return ts.now >= t && ts.no
 // fail takes ups out of service in r and puts the watch on it.
 func (ts *tickState) fail(r *room, ups power.UPSID) {
 	r.out |= power.SetOf(ups)
+	r.dirty = true
 	ts.watched, ts.failUPS, ts.failedAt = r, ups, ts.now
 }
 
 // recover puts it back.
-func (ts *tickState) recover(r *room, ups power.UPSID) { r.out &^= power.SetOf(ups) }
+func (ts *tickState) recover(r *room, ups power.UPSID) {
+	r.out &^= power.SetOf(ups)
+	r.dirty = true
+}
 
 // advance moves every rack of r one AR(1) step towards its category's
 // share of target, the aggregate utilization this tick aims at: target
@@ -195,15 +202,12 @@ func (ts *tickState) advance(r *room, target float64) {
 	for c := range catTarget {
 		catTarget[c] = min(target*catTarget[c], 1)
 	}
-	for _, rs := range r.sims {
-		rs.demand += theta*(catTarget[rs.Category]-rs.demand)*dt + sigma*rng.NormFloat64()*dt
-		if rs.demand < 0.1 {
-			rs.demand = 0.1
-		}
-		if rs.demand > 1 {
-			rs.demand = 1
-		}
+	cat := ts.plant.cat
+	for j, d := range r.demand {
+		d += theta*(catTarget[cat[j]]-d)*dt + sigma*rng.NormFloat64()*dt
+		r.demand[j] = min(max(d, 0.1), 1)
 	}
+	r.dirty = true
 }
 
 // polls reports which telemetry polls fall on this tick.
@@ -219,10 +223,11 @@ func (ts *tickState) enforced(r *room, n int) {
 	}
 }
 
-// settle closes r's tick on the post-step world, for the controllers may
-// have actuated: truth again, one tick of the trip curve, and the shed
-// point — the first tick after the failure on which every surviving UPS
-// of the watched room is back under its rating.
+// settle closes r's tick on the post-step world: truth again if the
+// controllers actuated (or nothing refreshed it since advance), one tick
+// of the trip curve, and the shed point — the first tick after the failure
+// on which every surviving UPS of the watched room is back under its
+// rating.
 func (ts *tickState) settle(r *room) {
 	r.refresh()
 	under, tripped := r.observeTrip(ts.step)

@@ -2,12 +2,19 @@ package emu
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"flex/internal/controller"
+	"flex/internal/impact"
+	"flex/internal/obs"
 	"flex/internal/obs/recorder"
 	"flex/internal/power"
+	"flex/internal/rackmgr"
+	"flex/internal/telemetry"
 )
 
 // TestEventsFireOffGrid stages the failure and the recovery at times a
@@ -116,4 +123,177 @@ func TestIndexValidation(t *testing.T) {
 			t.Errorf("%s: error %v, want one saying %q", tc.name, tc.err, tc.want)
 		}
 	}
+}
+
+// testPlant is the emulators' plant at their default trace seed and
+// utilization.
+func testPlant(t *testing.T) *plant {
+	t.Helper()
+	p, err := newPlant(context.Background(), 9, 0.80, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// scratchTruth recomputes r's rack, pair and UPS loads from nothing but
+// its demand, the UPSes out and the manager's state of every rack.
+func scratchTruth(r *room) (rack []power.Watts, pair power.PairLoad, ups []power.Watts) {
+	p := r.plant
+	rack, pair = make([]power.Watts, len(p.ids)), power.NewPairLoad(p.topo)
+	for i, id := range p.ids {
+		w := power.Watts(r.demand[i] * p.alloc[i])
+		switch st, cap, _ := r.mgr.State(id); st {
+		case rackmgr.Off:
+			w = 0
+		case rackmgr.Throttled:
+			w = min(w, cap)
+		}
+		rack[i] = w
+		pair[p.pair[i]] += w
+	}
+	ups, _ = p.topo.LoadFlow(pair, r.out)
+	return rack, pair, ups
+}
+
+// sameWatts reports whether a and b are equal bit for bit.
+func sameWatts(a, b []power.Watts) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRefreshMatchesScratch drives a room through random sequences of
+// demand steps, rack-manager actuations (effective, repeated and refused),
+// UPS failures and recoveries, and steps that change nothing, with a
+// refresh after each: the cached truth must bit-equal a from-scratch
+// recomputation every time. The dirty flag and the Actuations gate may
+// skip work, never a change.
+func TestRefreshMatchesScratch(t *testing.T) {
+	p := testPlant(t)
+	ups := len(p.topo.UPSes)
+	for seed := int64(1); seed <= 8; seed++ {
+		ts := p.newTickState(seed, 500*time.Millisecond, time.Minute, 0.30, 0.015)
+		r := ts.newRoom()
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 400; step++ {
+			id := p.ids[rng.Intn(len(p.ids))]
+			var what string
+			switch op := rng.Intn(10); op {
+			case 0, 1, 2:
+				what = "advance"
+				ts.advance(r, 0.4+0.6*rng.Float64())
+			case 3:
+				what = "shutdown"
+				_ = r.mgr.Shutdown(id) // refused while unreachable: still an actuation
+			case 4:
+				what = "throttle"
+				_ = r.mgr.Throttle(id, power.Watts(rng.Float64())*power.Watts(p.alloc[0])) // refused when off
+			case 5:
+				what = "restore"
+				_ = r.mgr.Restore(id)
+			case 6:
+				what = "reachability"
+				_ = r.mgr.SetReachable(id, rng.Intn(4) > 0)
+			case 7:
+				what = "fail"
+				ts.fail(r, power.UPSID(rng.Intn(ups)))
+			case 8:
+				what = "recover"
+				ts.recover(r, power.UPSID(rng.Intn(ups)))
+			default:
+				what = "nothing"
+			}
+			r.refresh()
+			rack, pair, wantUPS := scratchTruth(r)
+			g := &r.truth
+			if !sameWatts(g.rack, rack) || !sameWatts(g.pair, pair) || !sameWatts(g.ups, wantUPS) {
+				t.Fatalf("seed %d step %d (%s): cached truth differs from a recomputation: ups %v, want %v",
+					seed, step, what, g.ups, wantUPS)
+			}
+		}
+	}
+}
+
+// TestRoomTickAllocFree: on a warmed room, a tick's demand step and truth
+// refresh allocate nothing, whether the refresh recomputes or returns at
+// once.
+func TestRoomTickAllocFree(t *testing.T) {
+	p := testPlant(t)
+	ts := p.newTickState(1, 500*time.Millisecond, time.Minute, 0.30, 0.015)
+	r := ts.newRoom()
+	ts.advance(r, 0.8)
+	r.refresh()
+	if allocs := testing.AllocsPerRun(100, func() {
+		ts.advance(r, 0.8)
+		r.refresh()
+		r.refresh()
+	}); allocs != 0 {
+		t.Errorf("advance + refresh allocated %.1f times a tick, want 0", allocs)
+	}
+}
+
+// TestIdleControlStepAllocFree: a controller step that finds no overdraw
+// allocates nothing, on the emulation room with metrics, stages, a tracer
+// and a recorder attached — both in normal operation and after it has
+// shed for a failed UPS, the state a failed room idles in for the rest of
+// a fleet run.
+func TestIdleControlStepAllocFree(t *testing.T) {
+	p := testPlant(t)
+	ts := p.newTickState(1, 500*time.Millisecond, time.Minute, 0.30, 0.015)
+	r := ts.newRoom()
+	reg, rec := obs.NewRegistry(), recorder.New(1<<14)
+	upsView, rackView := telemetry.NewLatestPower(), telemetry.NewLatestPower()
+	c := controller.New(controller.Config{
+		Name: "flex-ctl-1", Clock: ts.clk, Topo: p.topo, Racks: p.managed,
+		UPSView: upsView, RackView: rackView, Actuator: r.mgr, Scenario: impact.Realistic1(),
+		Metrics: controller.NewMetrics(reg), Stages: obs.NewStageMetrics(reg),
+		Tracer: obs.NewTracer(8), Recorder: rec,
+	})
+	ctx := context.Background()
+	// poll is one tick's truth into the views.
+	poll := func() {
+		ts.next()
+		ts.advance(r, 0.8)
+		r.refresh()
+		at := ts.clk.Now()
+		for u, w := range r.truth.ups {
+			upsView.Update(telemetry.Sample{Device: p.topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: at})
+		}
+		for i, w := range r.truth.rack {
+			rackView.Update(telemetry.Sample{Device: p.ids[i], Power: w, Valid: true, MeasuredAt: at})
+		}
+	}
+	idle := func(phase string) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(100, func() {
+			if out := c.StepContext(ctx); out.Overdraw || out.Restored != 0 {
+				t.Fatalf("%s: the idle step acted: %+v", phase, out)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: idle StepContext allocated %.1f times a step, want 0", phase, allocs)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		poll()
+	}
+	idle("normal operation")
+
+	ts.fail(r, 0)
+	shed := false
+	for i := 0; i < 20 && !shed; i++ {
+		poll()
+		out := c.StepContext(ctx)
+		shed = !out.Overdraw && len(c.ActedRacks()) > 0
+	}
+	if !shed {
+		t.Fatal("the controller did not shed for the failed UPS")
+	}
+	idle("after the shed")
 }

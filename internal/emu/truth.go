@@ -9,11 +9,12 @@ import (
 
 // groundTruth is one room's true electrical state at one instant: every
 // rack's draw under its actuation state, summed per PDU-pair and pushed
-// through the load flow. The emulators refresh it twice a tick — after
+// through the load flow. The emulators ask for it twice a tick — after
 // the demand update, for what the meters and the workload model see, and
 // after the controllers stepped, for the trip curve and the timeline —
-// and everything in between reads these slices instead of re-deriving
-// them rack by rack.
+// and it is recomputed only when demand, the UPSes out or the actuation
+// state moved since the last time. Everything in between reads these
+// slices instead of re-deriving them rack by rack.
 type groundTruth struct {
 	// state and cap are the racks' actuation state, re-read from the
 	// manager only when it has actuated since the last refresh.
@@ -21,9 +22,11 @@ type groundTruth struct {
 	cap        []power.Watts
 	actuations int
 
-	rack []power.Watts // per rack, in sims order
+	// rack, pair and ups belong to the room and are rewritten in place by
+	// every refresh that recomputes: a caller that keeps one copies it.
+	rack []power.Watts // per rack, in placement order
 	pair power.PairLoad
-	ups  []power.Watts // a fresh slice every refresh; callers may keep it
+	ups  []power.Watts
 
 	overFor []time.Duration // per UPS, time spent over rated capacity
 }
@@ -35,51 +38,71 @@ func newGroundTruth(topo *power.Topology, racks int) groundTruth {
 		actuations: -1,
 		rack:       make([]power.Watts, racks),
 		pair:       power.NewPairLoad(topo),
+		ups:        make([]power.Watts, len(topo.UPSes)),
 		overFor:    make([]time.Duration, len(topo.UPSes)),
 	}
 }
 
-// refresh recomputes the truth for the racks' current demand and
-// actuation state, with the UPSes in r.out out of service. Pair loads sum
-// in sims order.
+// refresh brings the truth up to the racks' current demand and actuation
+// state, with the UPSes in r.out out of service; it returns at once when
+// none of the three moved since the last refresh. Pair loads sum in rack
+// order.
+//
+//flex:hotpath
 func (r *room) refresh() {
-	g := &r.truth
-	if n := r.mgr.Actuations(); n != g.actuations {
-		g.actuations = n
-		for i, rs := range r.sims {
-			g.state[i], g.cap[i], _ = r.mgr.State(rs.ID)
-		}
+	g, p := &r.truth, r.plant
+	n := r.mgr.Actuations()
+	if !r.dirty && n == g.actuations {
+		return
+	}
+	r.dirty = false
+	if n != g.actuations {
+		g.reread(r.mgr, p.ids, n)
 	}
 	clear(g.pair)
-	for i, rs := range r.sims {
+	for i, d := range r.demand {
 		// A rack draws its demanded share of its allocation, capped while
 		// throttled and nothing while off.
-		p := power.Watts(rs.demand * float64(rs.Allocated))
+		w := power.Watts(d * p.alloc[i])
 		switch g.state[i] {
 		case rackmgr.Off:
-			p = 0
+			w = 0
 		case rackmgr.Throttled:
-			p = min(p, g.cap[i])
+			w = min(w, g.cap[i])
 		}
-		g.rack[i] = p
-		g.pair[rs.Pair] += p
+		g.rack[i] = w
+		g.pair[p.pair[i]] += w
 	}
-	g.ups, _ = r.topo.LoadFlow(g.pair, r.out)
+	p.topo.LoadFlowInto(g.ups, g.pair, r.out)
+}
+
+// reread takes every rack's actuation state from the manager, which has
+// actuated n times, a change since the last refresh: only a tick whose
+// controllers acted gets here.
+//
+//flex:coldpath
+func (g *groundTruth) reread(mgr *rackmgr.Manager, ids []string, n int) {
+	g.actuations = n
+	for i, id := range ids {
+		g.state[i], g.cap[i], _ = mgr.State(id)
+	}
 }
 
 // observeTrip advances the overload clocks by one tick of the refreshed
 // truth. under reports whether every in-service UPS is within its rated
 // capacity; tripped whether one has been over it for longer than the
 // end-of-life trip curve tolerates.
+//
+//flex:hotpath
 func (r *room) observeTrip(tick time.Duration) (under, tripped bool) {
-	g := &r.truth
+	g, ups := &r.truth, r.plant.topo.UPSes
 	under = true
-	for u := range r.topo.UPSes {
+	for u := range ups {
 		if r.out.Has(power.UPSID(u)) {
 			g.overFor[u] = 0
 			continue
 		}
-		capW := r.topo.UPSes[u].Capacity
+		capW := ups[u].Capacity
 		if g.ups[u] > capW {
 			under = false
 			g.overFor[u] += tick

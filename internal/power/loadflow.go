@@ -65,6 +65,16 @@ func (s UPSSet) Has(u UPSID) bool { return s&(1<<uint(u)) != 0 }
 // nothing out gives Eq. 2's left-hand side, one UPS out gives Eq. 4's.
 func (t *Topology) LoadFlow(load PairLoad, out UPSSet) (loads []Watts, dark bool) {
 	loads = make([]Watts, len(t.UPSes))
+	return loads, t.LoadFlowInto(loads, load, out)
+}
+
+// LoadFlowInto is LoadFlow writing the UPS loads into loads, which has an
+// entry per UPS, instead of a fresh slice: a caller that recomputes the
+// flow every tick keeps one.
+//
+//flex:hotpath
+func (t *Topology) LoadFlowInto(loads []Watts, load PairLoad, out UPSSet) (dark bool) {
+	clear(loads)
 	for _, p := range t.Pairs {
 		w := load.at(p.ID)
 		a, b := p.UPSes[0], p.UPSes[1]
@@ -76,7 +86,7 @@ func (t *Topology) LoadFlow(load PairLoad, out UPSSet) (loads []Watts, dark bool
 			dark = true
 		}
 	}
-	return loads, dark
+	return dark
 }
 
 // UPSLoads computes the normal-operation load on every UPS (paper Eq. 2):

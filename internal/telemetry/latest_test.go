@@ -173,3 +173,40 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// TestViewSizedByItsTraffic: a view fed a 275-device poll through a
+// 256-sample buffer, as fleet.Shard drains one, grows its slots once a
+// batch to exactly the devices it has — never doubling past them — and
+// takes every later poll without allocating, recorded or not.
+func TestViewSizedByItsTraffic(t *testing.T) {
+	poll := make([]Sample, 275)
+	for i := range poll {
+		poll[i] = Sample{Device: fmt.Sprintf("rack-%03d", i), Power: power.Watts(i), Valid: true}
+	}
+	for _, recorded := range []bool{false, true} {
+		view := NewLatestPower()
+		if recorded {
+			view.SetRecorder(recorder.New(1<<12), "rack-view")
+		}
+		at := t0()
+		deliver := func() {
+			at = at.Add(2 * time.Second)
+			for i := range poll {
+				poll[i].MeasuredAt = at
+			}
+			for lo := 0; lo < len(poll); lo += 256 {
+				view.UpdateBatch(poll[lo:min(lo+256, len(poll))])
+			}
+		}
+		deliver()
+		if len(view.slots) != len(poll) || cap(view.slots) != len(poll) {
+			t.Errorf("recorded %v: %d slots of capacity %d for %d devices", recorded, len(view.slots), cap(view.slots), len(poll))
+		}
+		if allocs := testing.AllocsPerRun(50, deliver); allocs != 0 {
+			t.Errorf("recorded %v: a steady poll allocated %.1f times, want 0", recorded, allocs)
+		}
+		if v, gotAt, ok := view.Get("rack-274"); !ok || v != 274 || !gotAt.Equal(at) {
+			t.Errorf("recorded %v: Get(rack-274) = %v %v %v after the last poll", recorded, v, gotAt, ok)
+		}
+	}
+}

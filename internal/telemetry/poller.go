@@ -222,7 +222,10 @@ func (l *LatestPower) Update(s Sample) bool {
 	}
 	l.mu.Lock()
 	i, known := l.index[s.Device]
-	i, installed := l.install(&s, i, known)
+	if !known {
+		i = l.addSlot(s.Device)
+	}
+	installed := l.install(&s, i, !known)
 	rec, role := l.rec, l.role
 	l.mu.Unlock()
 	if !installed || rec == nil {
@@ -254,9 +257,10 @@ func arriveEvent(role string, s *Sample) recorder.Event {
 // UpdateBatch installs batch as a loop of Update would, under one lock
 // acquisition. A poll delivers its devices in the same order every round, so
 // each sample first tries the slot after the previous sample's — a string
-// compare that hits on pointer equality — and only then the map. A recorded
-// view goes through updateBatchRecorded, which emits the same sample-arrive
-// events in the same order between two lock holds per batch, not per sample.
+// compare that hits on pointer equality — and only then the map. The slots
+// grow at most once a batch (slotOf). A recorded view goes through
+// updateBatchRecorded, which emits the same sample-arrive events in the same
+// order between two lock holds per batch, not per sample.
 //
 //flex:hotpath
 func (l *LatestPower) UpdateBatch(batch []Sample) {
@@ -266,17 +270,21 @@ func (l *LatestPower) UpdateBatch(batch []Sample) {
 		l.updateBatchRecorded(batch)
 		return
 	}
-	next := 0
+	next, filled := 0, len(l.slots)
 	for k := range batch {
 		s := &batch[k]
 		if !s.Valid {
 			continue
 		}
-		i, known := next, next < len(l.slots) && l.slots[next].device == s.Device
-		if !known {
-			i, known = l.index[s.Device]
+		i := next
+		if next >= len(l.slots) || l.slots[next].device != s.Device {
+			i = l.slotOf(batch, k)
 		}
-		i, _ = l.install(s, i, known)
+		fresh := i == filled
+		if fresh {
+			filled++
+		}
+		l.install(s, i, fresh)
 		next = i + 1
 	}
 	l.mu.Unlock()
@@ -307,18 +315,21 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample) {
 		arrivals = newArrivals(len(batch))
 	}
 	arrivals = arrivals[:len(batch)]
-	n, next := 0, 0
+	n, next, filled := 0, 0, len(l.slots)
 	for k := range batch {
 		s := &batch[k]
 		if !s.Valid {
 			continue
 		}
-		i, known := next, next < len(l.slots) && l.slots[next].device == s.Device
-		if !known {
-			i, known = l.index[s.Device]
+		i := next
+		if next >= len(l.slots) || l.slots[next].device != s.Device {
+			i = l.slotOf(batch, k)
 		}
-		i, installed := l.install(s, i, known)
-		if installed {
+		fresh := i == filled
+		if fresh {
+			filled++
+		}
+		if l.install(s, i, fresh) {
 			arrivals[n] = arrival{sample: k, slot: i}
 			n++
 		}
@@ -346,15 +357,13 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample) {
 //flex:coldpath
 func newArrivals(n int) []arrival { return make([]arrival, n) }
 
-// install puts valid sample s into its device's slot — slot i when the
-// device is known, a new one otherwise — unless the slot holds a
-// measurement at least as new. It returns the slot and whether s went in.
-// l.mu is held.
-func (l *LatestPower) install(s *Sample, i int, known bool) (int, bool) {
-	if !known {
-		i = l.addSlot(s.Device)
-	} else if !s.MeasuredAt.After(l.slots[i].stamps.MeasuredAt) {
-		return i, false
+// install puts valid sample s into slot i unless the slot holds a
+// measurement at least as new, and reports whether s went in. A fresh slot
+// — one made for s that no sample has filled yet — takes s whatever its
+// time. l.mu is held.
+func (l *LatestPower) install(s *Sample, i int, fresh bool) bool {
+	if !fresh && !s.MeasuredAt.After(l.slots[i].stamps.MeasuredAt) {
+		return false
 	}
 	r := &l.slots[i]
 	r.power = s.Power
@@ -363,10 +372,28 @@ func (l *LatestPower) install(s *Sample, i int, known bool) (int, bool) {
 		PublishedAt: s.PublishedAt,
 		DequeuedAt:  s.DequeuedAt,
 	}
-	return i, true
+	return true
 }
 
-// addSlot gives a device reporting for the first time the next slot.
+// slotOf finds the slot of batch[k]'s device through the map. A device
+// reporting for the first time gets the next slot, and so does every other
+// new device of batch[k:], numbered in the order they first appear there:
+// the slots then grow once, to exactly what the batch adds, where a view
+// fed a poll in buffer-sized batches (fleet.Shard) would otherwise double
+// to up to twice its devices. Slots made this way are filled by the rest
+// of the batch, in slot order. l.mu is held.
+func (l *LatestPower) slotOf(batch []Sample, k int) int {
+	i, ok := l.index[batch[k].Device]
+	if !ok {
+		l.addSlots(batch[k:])
+		i = l.index[batch[k].Device]
+	}
+	return i
+}
+
+// addSlot gives a device reporting for the first time through Update the
+// next slot, growing the slots as append does: one device at a time, exact
+// growth would copy them all on every new device.
 //
 //flex:coldpath
 func (l *LatestPower) addSlot(device string) int {
@@ -374,6 +401,33 @@ func (l *LatestPower) addSlot(device string) int {
 	l.index[device] = i
 	l.slots = append(l.slots, reading{device: device})
 	return i
+}
+
+// addSlots is slotOf's growth. An empty view's index is made for the whole
+// batch.
+//
+//flex:coldpath
+func (l *LatestPower) addSlots(batch []Sample) {
+	if len(l.index) == 0 {
+		l.index = make(map[string]int, len(batch))
+	}
+	n := len(l.slots)
+	for k := range batch {
+		if s := &batch[k]; s.Valid {
+			if _, ok := l.index[s.Device]; !ok {
+				l.index[s.Device] = n
+				n++
+			}
+		}
+	}
+	if n > cap(l.slots) {
+		l.slots = append(make([]reading, 0, n), l.slots...)
+	}
+	for k := range batch {
+		if s := &batch[k]; s.Valid && l.index[s.Device] == len(l.slots) {
+			l.slots = append(l.slots, reading{device: s.Device})
+		}
+	}
 }
 
 // Get returns the last power for device and whether one exists.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"flex/internal/power"
@@ -96,8 +97,8 @@ func (c TraceConfig) Validate() error {
 	return nil
 }
 
-// workloadNames are the synthetic workload identities per category.
-var workloadNames = map[Category][]string{
+// workloadNames are the synthetic workload identities, indexed by Category.
+var workloadNames = [...][]string{
 	SoftwareRedundant:      {"websearch", "analytics", "indexer", "mlbatch", "exchange"},
 	NonRedundantCapable:    {"vmservice", "fp-vms", "appservice", "sqlpool", "functions"},
 	NonRedundantNonCapable: {"gpucluster", "storage", "netappliance", "hsm", "cache"},
@@ -120,7 +121,7 @@ func GenerateTrace(cfg TraceConfig, rng *rand.Rand) ([]Deployment, error) {
 	for _, s := range cfg.Sizes {
 		totalWeight += s.Weight
 	}
-	var out []Deployment
+	out := make([]Deployment, 0, expectedDeployments(cfg, totalWeight))
 	id := 0
 	for remaining[0] > 0 || remaining[1] > 0 || remaining[2] > 0 {
 		// Category with the largest remaining deficit.
@@ -156,6 +157,33 @@ func GenerateTrace(cfg TraceConfig, rng *rand.Rand) ([]Deployment, error) {
 		}
 	}
 	return out, nil
+}
+
+// expectedDeployments sizes GenerateTrace's output so that it is written
+// once: the target over the mean deployment power (mean racks × mean rack
+// power), times the chunks a deployment splits into, with slack for the
+// sampling spread (2√n) and each category's last deployment, which
+// overshoots its target. 0 when that is not a positive int32: the output
+// then grows as it is written.
+func expectedDeployments(cfg TraceConfig, totalWeight float64) int {
+	var racks, chunks, rackPow float64
+	for _, s := range cfg.Sizes {
+		w := s.Weight / totalWeight
+		racks += w * float64(s.Racks)
+		c := 1
+		if m := cfg.MaxDeploymentRacks; m > 0 {
+			c = (s.Racks + m - 1) / m
+		}
+		chunks += w * float64(c)
+	}
+	for _, p := range cfg.RackPowers {
+		rackPow += float64(p) / float64(len(cfg.RackPowers))
+	}
+	n := float64(cfg.TargetDemand) / (racks * rackPow) * chunks
+	if !(n > 0 && n < math.MaxInt32) {
+		return 0
+	}
+	return int(n+2*math.Sqrt(n)) + 3
 }
 
 func sampleSize(sizes []SizeWeight, totalWeight float64, rng *rand.Rand) int {

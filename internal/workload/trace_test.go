@@ -104,6 +104,26 @@ func TestGenerateTraceDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateTraceAllocatesOnce: the output is sized from the expected
+// deployment count, so a trace of ~132 000 deployments (100 000 of the
+// largest asked for, as flexbench's admission-churn arrival stream does) is
+// written into one allocation, and so is the paper room's.
+func TestGenerateTraceAllocatesOnce(t *testing.T) {
+	churn := DefaultTraceConfig(power.MW)
+	churn.TargetDemand = 100000 * 20 * 17.2 * power.KW
+	for _, cfg := range []TraceConfig{churn, DefaultTraceConfig(4.8 * power.MW), DefaultTraceConfig(9.6 * power.MW)} {
+		rng := rand.New(rand.NewSource(1)) // one stream: every run draws a new trace
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := GenerateTrace(cfg, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("GenerateTrace at a %v target allocated %.0f times a run, want 1", cfg.TargetDemand, allocs)
+		}
+	}
+}
+
 func TestGenerateTraceRejectsInvalidConfig(t *testing.T) {
 	cfg := DefaultTraceConfig(power.MW)
 	cfg.TargetDemand = -1

@@ -7,7 +7,7 @@
 # a shared box, pairs taken back to back mostly do not.
 #
 #   scripts/pairs.sh PARENT WORKLOAD [SEED] [PAIRS] [SECONDS]
-#   make pairs PARENT=<rev> WORKLOAD=<name> SEED=<n> PAIRS=<n>
+#   make pairs PARENT=<rev> WORKLOAD=<name> SEED=<n> PAIRS=<n> RUN_SECONDS=<n>
 #
 # One row per pair (op_us, alloc_mb, setup_s, failed operations and the
 # fingerprint, parent/change), then per metric both medians, the parent's
@@ -34,11 +34,18 @@ else
 	git -C "$here" archive "$parent" | tar -x -C "$pdir"
 fi
 
-# run DIR prints "op_us alloc_mb setup_s failed fingerprint" of one run.
+# run DIR prints "op_us alloc_mb setup_s failed fingerprint" of one run. A run
+# with failed operations exits non-zero but still reports, and its row counts
+# them; a run that reports nothing stops the script.
 run() {
-	bash "$1/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
-		sed -n 's/^flexbench-result //p' |
-		sed -E 's/.*"fingerprint":"([0-9a-f]+)".*"failed":([0-9]+).*"alloc_mb":\{"value":([^,]+),.*"op_us":\{"value":([^,]+),.*"setup_s":\{"value":([^,]+),.*/\4 \3 \5 \2 \1/'
+	local out
+	out=$(bash "$1/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
+		sed -n 's/^flexbench-result //p') || true
+	if [[ -z $out ]]; then
+		echo "pairs.sh: no flexbench result from $1" >&2
+		return 2
+	fi
+	sed -E 's/.*"fingerprint":"([0-9a-f]+)".*"failed":([0-9]+).*"alloc_mb":\{"value":([^,]+),.*"op_us":\{"value":([^,]+),.*"setup_s":\{"value":([^,]+),.*/\4 \3 \5 \2 \1/' <<<"$out"
 }
 
 printf 'pairs of %s at seed %s, %ss a run: parent %s / change (working tree)\n' "$workload" "$seed" "$seconds" "$parent"
