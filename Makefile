@@ -87,10 +87,12 @@ transport-smoke:
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the six
 # smokes, ten seconds of each of the nine fuzzers, the whole tree under the
-# race detector, and a flexmon smoke run with the observability surface
-# enabled.
+# race detector, the emulator's parallel tick three more times under it (the
+# fleet's phases split over every core, the noise producer, the cached
+# truth), and a flexmon smoke run with the observability surface enabled.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke fuzz-smoke
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh' ./internal/emu
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 
 cover:

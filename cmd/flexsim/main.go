@@ -22,11 +22,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"flex"
+	"flex/internal/clock"
 	"flex/internal/milp"
 	"flex/internal/obs"
 	"flex/internal/obs/slo"
@@ -346,6 +348,8 @@ func runFleet(ctx context.Context, out io.Writer, rooms int, seed int64, reg *ob
 		rec = flex.NewFlightRecorder(1 << 18)
 	}
 	failRoom := rooms / 2
+	var wall clock.Clock = clock.Real{}
+	start := wall.Now()
 	res, err := flex.RunFleetEmulationContext(ctx, flex.FleetEmulationConfig{
 		Rooms:    rooms,
 		FailRoom: failRoom,
@@ -362,8 +366,10 @@ func runFleet(ctx context.Context, out io.Writer, rooms int, seed int64, reg *ob
 	if err != nil {
 		return err
 	}
+	took := wall.Now().Sub(start)
 	snap := res.Snapshot
 	fmt.Fprintf(out, "fleet: %d rooms, UPS failure in room %d (virtual clock)\n", res.Rooms, rooms/2)
+	fmt.Fprintf(out, "  host: %v wall at GOMAXPROCS %d\n", took.Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(out, "  detect latency: %v, shed latency: %v (budget %v)\n",
 		res.DetectLatency, res.ShedLatency, flex.FlexLatencyBudget)
 	fmt.Fprintf(out, "  fleet state: %v (%d/%d shards ready), stranded %v, allocatable %v, committed headroom %v\n",

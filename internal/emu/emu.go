@@ -10,10 +10,14 @@
 // Run is that room, fully instrumented; RunFleet is N of them, each behind
 // a fleet shard. Both are lists of phases over one kernel (kernel.go,
 // truth.go): a placed plant, rooms of live racks with their ground truth,
-// and a tick state whose methods — reaches, fail, recover, advance, polls,
-// enforced, settle, next — are the steps of the loop. An emulator keeps
-// only its own control plane between them. DESIGN.md ("Emulation") has the
-// order of draws and events that the golden tests pin.
+// and a tick state whose methods — reaches, fail, recover, normals,
+// advance, polls, enforced, settle, next — are, with the room's refresh
+// and observe, the steps of the loop. An emulator keeps only its own
+// control plane between them. The run's noise is drawn a block ahead on a
+// goroutine of its own, and RunFleet spreads each tick's room-local phases
+// over GOMAXPROCS workers; neither changes a bit of what a run computes.
+// DESIGN.md ("Emulation") has the order of draws and events that the
+// golden tests pin.
 package emu
 
 import (
@@ -294,6 +298,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	srTotal, capTotal := catRacks[workload.SoftwareRedundant], catRacks[workload.NonRedundantCapable]
 	maxShut, maxThrottled := 0, 0
 
+	// A tick draws a normal per rack for the demand, then one per cap-able
+	// rack for the OLTP model.
+	stop := ts.drawAhead(len(p.ids) + capTotal)
+	defer stop()
+
 	// One latency sample per cap-able rack per tick: baseline over the
 	// normal stage, throttled (at most) over the failover stage. Sized from
 	// the stage boundaries, never from Duration: a year-long run still has
@@ -338,17 +347,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Recorder.Emit(recorder.Event{Type: recorder.TypeUPSRecover, Time: clk.Now(), Actor: "emu", Subject: topo.UPSes[cfg.FailUPS].Name})
 		}
 
-		ts.advance(rm, target)
+		z := ts.normals()
+		ts.advance(rm, target, z)
 		rm.refresh()
 
 		// TPC-E-like latency model for cap-able racks: capping below the
 		// demanded power queues requests and inflates tail latency.
+		oltp := z[len(p.ids):]
 		for j, c := range p.cat {
 			if c != workload.NonRedundantCapable {
 				continue
 			}
 			st, cap := truth.state[j], truth.cap[j]
-			base := 1.0 + 0.02*ts.rng.NormFloat64()
+			base := 1.0 + 0.02*oltp[0]
+			oltp = oltp[1:]
 			lat := base
 			throttledNow := st == rackmgr.Throttled
 			if throttledNow {
@@ -407,6 +419,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Safety.Tick(ctx, wall)
 		}
 
+		rm.observe(ts.step)
 		ts.settle(rm)
 
 		// Count action extents.

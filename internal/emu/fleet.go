@@ -3,6 +3,8 @@ package emu
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"flex/internal/fleet"
@@ -126,11 +128,139 @@ type shardRoom struct {
 	rackBatch []telemetry.Sample
 }
 
+// addRoom stands a new room of the plant on the run's clock behind a
+// shard of fl configured by rc, whose Actuator becomes the room's manager.
+func (ts *tickState) addRoom(fl *fleet.Fleet, rc fleet.RoomConfig) (*shardRoom, error) {
+	p, rm := ts.plant, ts.newRoom()
+	rc.Actuator = rm.mgr
+	shard, err := fl.AddRoom(rc)
+	if err != nil {
+		return nil, err
+	}
+	sr := &shardRoom{
+		room: rm, shard: shard,
+		upsBatch:  make([]telemetry.Sample, len(p.topo.UPSes)),
+		rackBatch: make([]telemetry.Sample, len(p.ids)),
+	}
+	for u := range sr.upsBatch {
+		sr.upsBatch[u] = telemetry.Sample{Device: p.topo.UPSes[u].Name, Valid: true}
+	}
+	for j := range sr.rackBatch {
+		sr.rackBatch[j] = telemetry.Sample{Device: p.ids[j], Valid: true}
+	}
+	return sr, nil
+}
+
 // fill writes one poll's readings, taken and published at wall, into batch.
 func fill(batch []telemetry.Sample, readings []power.Watts, wall time.Time) {
 	for i := range batch {
 		s := &batch[i]
 		s.Power, s.MeasuredAt, s.PublishedAt = readings[i], wall, wall
+	}
+}
+
+// phase is one of a fleet tick's room-local phases: each writes only its
+// own room (its demand, truth, batches, shard queues and views), so the
+// rooms run it side by side.
+type phase int
+
+const (
+	// phasePoll advances the demand and, on a poll tick, refreshes the
+	// truth and fills the room's batches from it.
+	phasePoll phase = iota
+	// phasePump drains the shard's queues into its views.
+	phasePump
+	// phaseObserve is room.observe on the post-step world.
+	phaseObserve
+)
+
+// fleetTick is what the phases read of the tick: written by the loop
+// between phases, read-only while one runs.
+type fleetTick struct {
+	target             float64
+	z                  []float64 // the tick's normals, room-major
+	wall               time.Time
+	pollUPS, pollRacks bool
+}
+
+// crew runs a tick's phases over every core: the rooms split into
+// min(GOMAXPROCS, rooms) contiguous chunks, the first run by the loop's
+// own goroutine and each other by a worker started once a run. A phase
+// returns when every chunk has finished it, so it is a barrier; with one
+// chunk there is no worker and the loop runs the phase inline.
+type crew struct {
+	ts     *tickState
+	rooms  []*shardRoom
+	tick   fleetTick
+	chunks []int        // chunk k is rooms[chunks[k]:chunks[k+1]]
+	start  []chan phase // one per worker; closed by stop
+	done   sync.WaitGroup
+	exited sync.WaitGroup
+}
+
+func newCrew(ts *tickState, rooms []*shardRoom) *crew {
+	n := min(runtime.GOMAXPROCS(0), len(rooms))
+	c := &crew{ts: ts, rooms: rooms, chunks: make([]int, n+1), start: make([]chan phase, n-1)}
+	for k := range c.chunks {
+		c.chunks[k] = k * len(rooms) / n
+	}
+	c.exited.Add(len(c.start))
+	for k := range c.start {
+		c.start[k] = make(chan phase, 1)
+		go c.work(k+1, c.start[k])
+	}
+	return c
+}
+
+func (c *crew) work(k int, start <-chan phase) {
+	defer c.exited.Done()
+	for ph := range start {
+		c.runChunk(k, ph)
+		c.done.Done()
+	}
+}
+
+// run runs ph on every room and returns when all have.
+func (c *crew) run(ph phase) {
+	c.done.Add(len(c.start))
+	for _, start := range c.start {
+		start <- ph
+	}
+	c.runChunk(0, ph)
+	c.done.Wait()
+}
+
+// stop ends the workers and waits until they have.
+func (c *crew) stop() {
+	for _, start := range c.start {
+		close(start)
+	}
+	c.exited.Wait()
+}
+
+// runChunk runs ph on chunk k's rooms, in room order.
+func (c *crew) runChunk(k int, ph phase) {
+	t, ts := &c.tick, c.ts
+	for i := c.chunks[k]; i < c.chunks[k+1]; i++ {
+		sr := c.rooms[i]
+		switch ph {
+		case phasePoll:
+			n := len(sr.demand)
+			ts.advance(sr.room, t.target, t.z[i*n:(i+1)*n])
+			if t.pollUPS || t.pollRacks {
+				sr.refresh()
+			}
+			if t.pollUPS {
+				fill(sr.upsBatch, sr.truth.ups, t.wall)
+			}
+			if t.pollRacks {
+				fill(sr.rackBatch, sr.truth.rack, t.wall)
+			}
+		case phasePump:
+			sr.shard.Pump()
+		case phaseObserve:
+			sr.observe(ts.step)
+		}
 	}
 }
 
@@ -172,36 +302,21 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		Obs:        obsReg,
 		Recorder:   cfg.Recorder,
 	})
-	sc := impact.Realistic1()
+	rc := fleet.RoomConfig{
+		Topo:        topo,
+		Racks:       p.managed,
+		Scenario:    impact.Realistic1(),
+		Controllers: cfg.Controllers,
+		Stranded:    p.stranded,
+		Allocatable: p.room.AllocatablePower(),
+		Interval:    cfg.Tick,
+	}
 	rooms := make([]*shardRoom, cfg.Rooms)
 	for i := range rooms {
-		rm := ts.newRoom()
-		shard, err := fl.AddRoom(fleet.RoomConfig{
-			Name:        fmt.Sprintf("room-%03d", i),
-			Topo:        topo,
-			Racks:       p.managed,
-			Actuator:    rm.mgr,
-			Scenario:    sc,
-			Controllers: cfg.Controllers,
-			Stranded:    p.stranded,
-			Allocatable: p.room.AllocatablePower(),
-			Interval:    cfg.Tick,
-		})
-		if err != nil {
+		rc.Name = fmt.Sprintf("room-%03d", i)
+		if rooms[i], err = ts.addRoom(fl, rc); err != nil {
 			return nil, err
 		}
-		sr := &shardRoom{
-			room: rm, shard: shard,
-			upsBatch:  make([]telemetry.Sample, len(topo.UPSes)),
-			rackBatch: make([]telemetry.Sample, len(p.ids)),
-		}
-		for u := range sr.upsBatch {
-			sr.upsBatch[u] = telemetry.Sample{Device: topo.UPSes[u].Name, Valid: true}
-		}
-		for j := range sr.rackBatch {
-			sr.rackBatch[j] = telemetry.Sample{Device: p.ids[j], Valid: true}
-		}
-		rooms[i] = sr
 	}
 	if cfg.Attach != nil {
 		cfg.Attach(fl)
@@ -211,35 +326,33 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	// window, then holds at the target.
 	ramp := cfg.FailAt / 2
 
+	stop := ts.drawAhead(len(rooms) * len(p.ids))
+	defer stop()
+	c := newCrew(ts, rooms)
+	defer c.stop()
+	t := &c.tick
 	for ; ts.i <= ts.last; ts.next() {
-		target := cfg.Utilization
+		t.target = cfg.Utilization
 		if ts.now < ramp {
-			target = cfg.Utilization * (0.5 + 0.5*ts.now.Seconds()/ramp.Seconds())
+			t.target = cfg.Utilization * (0.5 + 0.5*ts.now.Seconds()/ramp.Seconds())
 		}
 		if ts.reaches(cfg.FailAt) {
 			ts.fail(rooms[cfg.FailRoom].room, cfg.FailUPS)
 		}
-		for _, sr := range rooms {
-			ts.advance(sr.room, target)
-		}
 
-		// Telemetry on the paper's cadences, batched per room.
-		wall := ts.clk.Now()
-		pollUPS, pollRacks := ts.polls()
-		if pollUPS || pollRacks {
+		// Demand, and telemetry on the paper's cadences batched per room.
+		t.z, t.wall = ts.normals(), ts.clk.Now()
+		t.pollUPS, t.pollRacks = ts.polls()
+		c.run(phasePoll)
+		// Ingest stays serial and in room order: it takes the broker's one
+		// lock, and a flooded room's sample-drop events take recorder seqs.
+		if t.pollUPS {
 			for _, sr := range rooms {
-				sr.refresh()
-			}
-		}
-		if pollUPS {
-			for _, sr := range rooms {
-				fill(sr.upsBatch, sr.truth.ups, wall)
 				sr.shard.IngestUPS(sr.upsBatch)
 			}
 		}
-		if pollRacks {
+		if t.pollRacks {
 			for ri, sr := range rooms {
-				fill(sr.rackBatch, sr.truth.rack, wall)
 				sr.shard.IngestRacks(sr.rackBatch)
 				if cfg.SaturateFactor > 0 && ri == cfg.SaturateRoom {
 					// Backpressure stress: flood the queue with redundant
@@ -252,14 +365,18 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 			}
 		}
 
-		// Every shard pumps and steps on the shared clock. (The emulation
-		// drives shards synchronously for determinism; live deployments
-		// run Shard.Start loops — same pump/step path.)
+		// Every shard pumps, then steps, on the shared clock. A pump reads
+		// nothing a sibling's step writes, so all pumps run side by side;
+		// the steps stay serial and in room order, which keeps the order of
+		// recorder events and of the fleet tracer's and stage histograms'
+		// writes. (Live deployments run Shard.Start loops — same pump/step
+		// path.)
+		c.run(phasePump)
 		for _, sr := range rooms {
-			sr.shard.Pump()
 			_, enforced, _ := sr.shard.StepContext(ctx)
 			ts.enforced(sr.room, enforced)
 		}
+		c.run(phaseObserve)
 		for _, sr := range rooms {
 			ts.settle(sr.room)
 		}

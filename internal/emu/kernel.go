@@ -123,6 +123,8 @@ type room struct {
 	// manager has not actuated.
 	dirty bool
 	truth groundTruth
+	// under and tripped are what observe saw of the post-step truth.
+	under, tripped bool
 }
 
 // tickState is where a run stands in time. Its methods are the phases of
@@ -131,8 +133,16 @@ type tickState struct {
 	plant *plant
 	clk   *clock.Virtual
 	// rng is the run's one stream: demand draws room-major in rack order,
-	// then whatever the emulator draws itself.
+	// then whatever the emulator draws itself. Only drawAhead's producer
+	// reads it; the loop takes each tick's share through normals.
 	rng *rand.Rand
+
+	// The loop's end of the stream: the block in hand, its size in ticks
+	// and draws per tick, and the channels that bring the next block and
+	// take back a used one.
+	z              []float64
+	block, perTick int
+	full, free     chan []float64
 
 	step                time.Duration
 	i, last             int           // tick index, 0..Duration/Tick
@@ -159,6 +169,62 @@ func (p *plant) newTickState(seed int64, step, duration time.Duration, theta, si
 		theta:     theta, sigma: sigma,
 		failedAt: -1, firstEnforce: -1, shedAt: -1,
 	}
+}
+
+// noiseBlock is about how many normals one handoff carries: a block is
+// max(1, noiseBlock/perTick) whole ticks, so Run (a few hundred draws a
+// tick) hands over every twenty-odd ticks and a large fleet every tick.
+const noiseBlock = 8192
+
+// drawAhead starts the run's noise producer: a goroutine that, from now
+// on the only reader of ts.rng, draws perTick normals a tick for every
+// tick of the run in stream order, a block of ticks at a time into one of
+// two reusable buffers, while the loop works on the other. The returned
+// stop ends the producer and waits for it; a run defers it, so no
+// goroutine outlives it whichever way it returns.
+func (ts *tickState) drawAhead(perTick int) (stop func()) {
+	ts.perTick, ts.block = perTick, max(1, noiseBlock/perTick)
+	// Either channel holds at most the run's two buffers, so no send on
+	// one blocks.
+	ts.full, ts.free = make(chan []float64, 2), make(chan []float64, 2)
+	for range 2 {
+		ts.free <- make([]float64, ts.block*perTick)
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func(rng *rand.Rand, ticks, block int, full chan<- []float64, free <-chan []float64) {
+		defer close(done)
+		for left := ticks; left > 0; left -= block {
+			var buf []float64
+			select {
+			case buf = <-free:
+			case <-quit:
+				return
+			}
+			buf = buf[:min(left, block)*perTick]
+			for j := range buf {
+				buf[j] = rng.NormFloat64()
+			}
+			full <- buf
+		}
+	}(ts.rng, ts.last+1, ts.block, ts.full, ts.free)
+	return func() {
+		close(quit)
+		<-done
+	}
+}
+
+// normals is this tick's share of the stream, the perTick values drawn
+// after every earlier tick's; a loop calls it once a tick. It belongs to
+// the tick: the next block reuses the buffer behind it.
+func (ts *tickState) normals() []float64 {
+	k := ts.i % ts.block
+	if k == 0 {
+		if ts.z != nil {
+			ts.free <- ts.z
+		}
+		ts.z = <-ts.full
+	}
+	return ts.z[k*ts.perTick : (k+1)*ts.perTick]
 }
 
 // newRoom stands one room of the plant's racks on the run's clock, every
@@ -193,9 +259,9 @@ func (ts *tickState) recover(r *room, ups power.UPSID) {
 
 // advance moves every rack of r one AR(1) step towards its category's
 // share of target, the aggregate utilization this tick aims at: target
-// folds in the emulator's set-up ramp, the ratios the steady state.
-func (ts *tickState) advance(r *room, target float64) {
-	rng := ts.rng
+// folds in the emulator's set-up ramp, the ratios the steady state. Rack
+// j's noise is z[j]. It writes only r, so rooms advance in parallel.
+func (ts *tickState) advance(r *room, target float64, z []float64) {
 	theta, sigma, dt := ts.theta, ts.sigma, ts.step.Seconds()
 	target /= ts.plant.utilization
 	catTarget := ts.plant.ratio
@@ -203,8 +269,9 @@ func (ts *tickState) advance(r *room, target float64) {
 		catTarget[c] = min(target*catTarget[c], 1)
 	}
 	cat := ts.plant.cat
+	z = z[:len(r.demand)]
 	for j, d := range r.demand {
-		d += theta*(catTarget[cat[j]]-d)*dt + sigma*rng.NormFloat64()*dt
+		d += theta*(catTarget[cat[j]]-d)*dt + sigma*z[j]*dt
 		r.demand[j] = min(max(d, 0.1), 1)
 	}
 	r.dirty = true
@@ -223,18 +290,15 @@ func (ts *tickState) enforced(r *room, n int) {
 	}
 }
 
-// settle closes r's tick on the post-step world: truth again if the
-// controllers actuated (or nothing refreshed it since advance), one tick
-// of the trip curve, and the shed point — the first tick after the failure
-// on which every surviving UPS of the watched room is back under its
-// rating.
+// settle folds r's observed tick into the run: an outage if a UPS
+// outlasted its trip curve, and the shed point — the first tick after the
+// failure on which every surviving UPS of the watched room is back under
+// its rating. The loops call it in room order after r.observe.
 func (ts *tickState) settle(r *room) {
-	r.refresh()
-	under, tripped := r.observeTrip(ts.step)
-	if tripped {
+	if r.tripped {
 		ts.outage = true
 	}
-	if r == ts.watched && under && ts.shedAt < 0 && r.out.Has(ts.failUPS) && ts.now > ts.failedAt {
+	if r == ts.watched && r.under && ts.shedAt < 0 && r.out.Has(ts.failUPS) && ts.now > ts.failedAt {
 		ts.shedAt = ts.now - ts.failedAt
 	}
 }

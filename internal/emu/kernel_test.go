@@ -182,13 +182,17 @@ func TestRefreshMatchesScratch(t *testing.T) {
 		ts := p.newTickState(seed, 500*time.Millisecond, time.Minute, 0.30, 0.015)
 		r := ts.newRoom()
 		rng := rand.New(rand.NewSource(seed))
+		z := make([]float64, len(p.ids))
 		for step := 0; step < 400; step++ {
 			id := p.ids[rng.Intn(len(p.ids))]
 			var what string
 			switch op := rng.Intn(10); op {
 			case 0, 1, 2:
 				what = "advance"
-				ts.advance(r, 0.4+0.6*rng.Float64())
+				for j := range z {
+					z[j] = rng.NormFloat64()
+				}
+				ts.advance(r, 0.4+0.6*rng.Float64(), z)
 			case 3:
 				what = "shutdown"
 				_ = r.mgr.Shutdown(id) // refused while unreachable: still an actuation
@@ -228,10 +232,11 @@ func TestRoomTickAllocFree(t *testing.T) {
 	p := testPlant(t)
 	ts := p.newTickState(1, 500*time.Millisecond, time.Minute, 0.30, 0.015)
 	r := ts.newRoom()
-	ts.advance(r, 0.8)
+	z := make([]float64, len(p.ids))
+	ts.advance(r, 0.8, z)
 	r.refresh()
 	if allocs := testing.AllocsPerRun(100, func() {
-		ts.advance(r, 0.8)
+		ts.advance(r, 0.8, z)
 		r.refresh()
 		r.refresh()
 	}); allocs != 0 {
@@ -258,9 +263,14 @@ func TestIdleControlStepAllocFree(t *testing.T) {
 	})
 	ctx := context.Background()
 	// poll is one tick's truth into the views.
+	rng := rand.New(rand.NewSource(1))
+	z := make([]float64, len(p.ids))
 	poll := func() {
 		ts.next()
-		ts.advance(r, 0.8)
+		for j := range z {
+			z[j] = rng.NormFloat64()
+		}
+		ts.advance(r, 0.8, z)
 		r.refresh()
 		at := ts.clk.Now()
 		for u, w := range r.truth.ups {

@@ -88,6 +88,16 @@ func (g *groundTruth) reread(mgr *rackmgr.Manager, ids []string, n int) {
 	}
 }
 
+// observe is the room's half of closing a tick on the post-step world:
+// truth again if the controllers actuated (or nothing refreshed it since
+// advance), then one tick of the trip curve, kept in r.under and
+// r.tripped for tickState.settle. It writes only r, so rooms observe in
+// parallel.
+func (r *room) observe(tick time.Duration) {
+	r.refresh()
+	r.under, r.tripped = r.observeTrip(tick)
+}
+
 // observeTrip advances the overload clocks by one tick of the refreshed
 // truth. under reports whether every in-service UPS is within its rated
 // capacity; tripped whether one has been over it for longer than the

@@ -16,9 +16,12 @@ import (
 
 // Shard is one room's slice of the fleet: its own telemetry views and
 // bounded ingest queues, its own controller primaries, its own loop. Pump
-// and step take no lock a sibling takes; every Ingest* takes the fleet
-// bus's one broker lock for the two copies of its batch, which is the only
-// thing shards share (to be narrowed before shards step in parallel).
+// writes nothing a sibling reads, so shards pump side by side; every
+// Ingest* takes the fleet bus's one broker lock for the two copies of its
+// batch, which is the only thing shards share. Ingest and step stay serial
+// by design: the emulator drives them in room order, which keeps the
+// recorder's event order and the shared tracer's and stage histograms'
+// writes the same on any number of cores.
 type Shard struct {
 	// Name is the room name.
 	Name string

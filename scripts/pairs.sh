@@ -48,7 +48,11 @@ run() {
 	sed -E 's/.*"fingerprint":"([0-9a-f]+)".*"failed":([0-9]+).*"alloc_mb":\{"value":([^,]+),.*"op_us":\{"value":([^,]+),.*"setup_s":\{"value":([^,]+),.*/\4 \3 \5 \2 \1/' <<<"$out"
 }
 
+# Go runs on GOMAXPROCS threads when it is set and on every CPU the process
+# may use (what nproc counts) when it is not.
+cpus=$(nproc)
 printf 'pairs of %s at seed %s, %ss a run: parent %s / change (working tree)\n' "$workload" "$seed" "$seconds" "$parent"
+printf 'on %s CPUs (nproc), GOMAXPROCS %s\n' "$cpus" "${GOMAXPROCS:-$cpus}"
 printf '%4s  %21s  %21s  %23s  %6s  %s\n' pair op_us alloc_mb setup_s failed fingerprint
 rows=
 status=0
