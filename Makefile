@@ -20,7 +20,7 @@ vet:
 # Project-specific static analysis: the interprocedural flexlint suite —
 # clock hygiene, context-budget flow, allocation-free hot paths, lock
 # ordering, float equality, lock discipline, flight-recorder emission
-# discipline, discarded shed-critical errors. See DESIGN.md
+# discipline, discarded shed-critical errors, code no binary reaches. See DESIGN.md
 # ("Static analysis") and internal/analysis.
 lint:
 	$(GO) run ./cmd/flexlint ./...
@@ -89,10 +89,12 @@ transport-smoke:
 # smokes, ten seconds of each of the nine fuzzers, the whole tree under the
 # race detector, the emulator's parallel tick three more times under it (the
 # fleet's phases split over every core, the noise producer, the cached
-# truth), and a flexmon smoke run with the observability surface enabled.
+# truth), a stepped fleet read by /fleet handlers three more times under it,
+# and a flexmon smoke run with the observability surface enabled.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh' ./internal/emu
+	$(GO) test -race -count=3 -run 'Concurrent' ./internal/fleet
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 
 cover:

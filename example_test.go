@@ -75,7 +75,7 @@ func ExampleNewImpactFunction() {
 	})
 	fmt.Printf("impact at 5%%: %.2f\n", f.At(0.05))
 	fmt.Printf("impact at 50%%: %.2f\n", f.At(0.5))
-	fmt.Printf("critical at 95%%: %v\n", f.Critical(0.95))
+	fmt.Printf("critical at 95%%: %v\n", f.At(0.95) >= 1)
 	// Output:
 	// impact at 5%: 0.00
 	// impact at 50%: 0.30

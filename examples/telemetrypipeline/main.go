@@ -56,8 +56,7 @@ func main() {
 			pubs = append(pubs, telemetry.NewRemotePublisher(addr, clk))
 		}
 		pollers = append(pollers, telemetry.NewPoller(
-			fmt.Sprintf("poller-%c", 'A'+i), clk, 100*time.Millisecond,
-			pubs, []telemetry.Target{{Meter: meter, Topic: telemetry.TopicUPS}}))
+			fmt.Sprintf("poller-%c", 'A'+i), clk, pubs, []telemetry.Target{{Meter: meter, Topic: telemetry.TopicUPS}}))
 	}
 
 	// The controller-side view: subscribe to both brokers and install every

@@ -34,13 +34,12 @@ type (
 	FleetStageSummary = fleet.StageSummary
 )
 
-// NewFleet creates an empty fleet from the config. Add
-// fault domains with Fleet.AddRoom, feed telemetry through the returned
-// shards' IngestUPS/IngestRacks (or Fleet.Ingest by name), and read the
-// global view with Fleet.Snapshot. Shards run synchronously (Pump +
-// StepContext on a virtual clock) or as goroutine loops
-// (Start/Drain/Stop); Fleet.RunAggregator maintains the fleet snapshot
-// in live mode, and Fleet.Handler serves it as the /fleet endpoint.
+// NewFleet creates an empty fleet from the config. Add fault domains
+// with Fleet.AddRoom and step each returned shard on your clock: feed it
+// with IngestUPS/IngestRacks, then Pump and StepContext. Fold the rooms
+// with Fleet.AggregateOnce at least every AggregateEvery, read the global
+// view with Fleet.Snapshot, and serve it with Fleet.Handler as the /fleet
+// endpoint.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
 // FleetHandler returns f's /fleet HTTP handler: the aggregated snapshot

@@ -86,12 +86,6 @@ func WithSafetyBuffer(w Watts) ControllerOption {
 	return func(c *ControllerConfig) { c.Buffer = w }
 }
 
-// WithEvaluationInterval sets the controller's evaluation period. The
-// default 500ms keeps detection plus action well inside the 10s budget.
-func WithEvaluationInterval(d time.Duration) ControllerOption {
-	return func(c *ControllerConfig) { c.Interval = d }
-}
-
 // WithPlanBudget bounds one Algorithm 1 planning pass. The default is
 // half of FlexLatencyBudget, leaving the other half for actuation.
 func WithPlanBudget(d time.Duration) ControllerOption {

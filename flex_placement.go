@@ -25,16 +25,7 @@ type (
 	BalancedRoundRobinPolicy = placement.BalancedRoundRobin
 	// FirstFitPolicy concentrates load (the paper's counter-example).
 	FirstFitPolicy = placement.FirstFit
-	// Site routes one demand stream across several rooms.
-	Site = placement.Site
-	// SitePlacement is a Site placement outcome.
-	SitePlacement = placement.SitePlacement
 )
-
-// NewUniformSite builds a site of n identical paper rooms.
-func NewUniformSite(name string, n int) (*Site, error) {
-	return placement.NewUniformSite(name, n)
-}
 
 // RoomOption customizes NewPlacementRoom.
 type RoomOption func(*roomOptions)

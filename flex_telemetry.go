@@ -30,7 +30,9 @@ type (
 	LatestPower = telemetry.LatestPower
 	// EWMAEstimator is the §IV-D time-series rack-power estimator.
 	EWMAEstimator = telemetry.EWMAEstimator
-	// Pipeline is a fully assembled redundant telemetry system.
+	// Pipeline is a fully assembled redundant telemetry system, stepped
+	// by its owner: PollOnce runs one poll round on every poller, and
+	// SubscribeAll feeds a view from every broker.
 	Pipeline = telemetry.Pipeline
 	// PipelineConfig configures NewPipeline.
 	PipelineConfig = telemetry.PipelineConfig
@@ -42,7 +44,9 @@ const (
 	TopicRack = telemetry.TopicRack
 )
 
-// NewPipeline assembles a room's redundant telemetry pipeline.
+// NewPipeline assembles a room's redundant telemetry pipeline. Nothing
+// polls until the owner calls PollOnce, on its own cadence (the paper
+// polls UPSes every 1.5 s and racks every 2 s).
 func NewPipeline(cfg PipelineConfig) *Pipeline { return telemetry.NewPipeline(cfg) }
 
 // NewLatestPower returns an empty power view.

@@ -187,17 +187,13 @@ func TestFacadeWrappers(t *testing.T) {
 		t.Fatalf("trace IO wrapper: %v %d", err, len(back))
 	}
 
-	// Rooms and sites.
+	// Rooms.
 	if EmulationRoom().TotalSlots() != 360 {
 		t.Fatal("EmulationRoom wrapper")
 	}
 	pr, err := NewPlacementRoom(PaperRoom().Topo, WithSlotsPerPair(60), WithReserveUtilization(0.42))
 	if err != nil || pr.ReserveUtilization != 0.42 {
 		t.Fatal("NewPlacementRoom WithReserveUtilization")
-	}
-	site, err := NewUniformSite("s", 2)
-	if err != nil || len(site.Rooms) != 2 {
-		t.Fatal("NewUniformSite wrapper")
 	}
 
 	// Controller construction.
@@ -232,7 +228,7 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 
 	// Figure 8 wrappers.
-	if Figure8A().At(1) != 1 || Figure8B().At(0.5) != 0 || !Figure8C().Critical(0.95) {
+	if Figure8A().At(1) != 1 || Figure8B().At(0.5) != 0 || Figure8C().At(0.95) < 1 {
 		t.Fatal("Figure 8 wrappers")
 	}
 

@@ -259,7 +259,7 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 func TestIntegrationWatchdogGuardsControllerActuation(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	mgr := rackmgr.NewManager(clk, []string{"r1", "r2"})
-	w := rackmgr.NewWatchdog(mgr, clk, time.Minute)
+	w := rackmgr.NewWatchdog(mgr, clk)
 	if len(w.SweepOnce()) != 0 {
 		t.Fatal("healthy fleet alerted")
 	}
@@ -291,11 +291,21 @@ func TestIntegrationTraceStatisticsFeedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := workload.TotalPowerOf(trace)
+	byCategory := func(ds []workload.Deployment, placed func(workload.Deployment) bool) (map[workload.Category]Watts, Watts) {
+		by := make(map[workload.Category]Watts)
+		var total Watts
+		for _, d := range ds {
+			if placed(d) {
+				by[d.Category] += d.TotalPower()
+				total += d.TotalPower()
+			}
+		}
+		return by, total
+	}
+	by, total := byCategory(trace, func(workload.Deployment) bool { return true })
 	if total < cfg.TargetDemand {
 		t.Fatalf("demand %v below target %v", total, cfg.TargetDemand)
 	}
-	by := workload.PowerByCategory(trace)
 	srShare := float64(by[SoftwareRedundant]) / float64(total)
 	if srShare < 0.09 || srShare > 0.17 {
 		t.Fatalf("SR share %.3f far from 0.13", srShare)
@@ -306,7 +316,10 @@ func TestIntegrationTraceStatisticsFeedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placedBy := pl.PlacedPowerByCategory()
+	placedBy, _ := byCategory(pl.Deployments, func(d workload.Deployment) bool {
+		_, ok := pl.Assignments[d.ID]
+		return ok
+	})
 	for _, cat := range workload.Categories {
 		if placedBy[cat] <= 0 {
 			t.Fatalf("category %v absent from placement", cat)

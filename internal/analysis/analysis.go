@@ -88,15 +88,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.imp(p.Analyzer, obj, fact)
 }
 
-// AllObjectFacts returns every fact of example's type this analyzer has
-// exported so far, in deterministic order.
-func (p *Pass) AllObjectFacts(example Fact) []ObjectFact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.all(p.Analyzer, example)
-}
-
 // ModulePass is the whole-program counterpart of Pass, handed to
 // Analyzer.Finish after every package has been visited.
 type ModulePass struct {
@@ -118,12 +109,6 @@ type ModulePass struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Category: p.Analyzer.Name})
-}
-
-// ImportObjectFact copies the fact of fact's type exported on obj during
-// the per-package passes into *fact, reporting whether one exists.
-func (p *ModulePass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	return p.facts.imp(p.Analyzer, obj, fact)
 }
 
 // AllObjectFacts returns every fact of example's type this analyzer

@@ -35,6 +35,8 @@ type TestingT interface {
 var _ TestingT = (*testing.T)(nil)
 
 // TestData returns the analyzer package's testdata directory.
+//
+//flex:keep every analyzer's fixture test loads its testdata through it
 func TestData(t TestingT) string {
 	dir, err := filepath.Abs("testdata")
 	if err != nil {
@@ -58,6 +60,8 @@ type expectation struct {
 // produced and expected diagnostics on t. Want comments are honored in
 // imported fixture packages too, so a multi-package fixture can assert
 // diagnostics on both sides of a fact export/import boundary.
+//
+//flex:keep every analyzer's fixture test runs through it
 func Run(t TestingT, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	loader, err := analysis.NewLoader("")

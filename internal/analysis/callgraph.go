@@ -195,14 +195,16 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 
 	// implementers resolves an interface-method call to the concrete
 	// module methods that could satisfy it.
-	implementers := func(iface *types.Interface, name string) []*types.Func {
+	// The method's package is part of the lookup key: an unexported name
+	// matches only methods declared in the interface's own package.
+	implementers := func(iface *types.Interface, method *types.Func) []*types.Func {
 		var out []*types.Func
 		for _, t := range concrete {
 			impl := types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 			if !impl {
 				continue
 			}
-			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, nil, name)
+			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, method.Pkg(), method.Name())
 			if m, ok := obj.(*types.Func); ok && g.nodes[m] != nil {
 				out = append(out, m)
 			}
@@ -255,7 +257,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 								if fn, ok := selection.Obj().(*types.Func); ok && isInterfaceMethod(fn) {
 									iface, _ := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 									if iface != nil {
-										for _, impl := range implementers(iface, fn.Name()) {
+										for _, impl := range implementers(iface, fn) {
 											addEdge(caller, impl, v, true)
 										}
 									}

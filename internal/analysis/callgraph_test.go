@@ -190,3 +190,36 @@ func Dyn(r Ringer) { r.Ring() }
 		t.Fatalf("Bell.Ring reached via %+v, want dynamic edge from Dyn", via)
 	}
 }
+
+// An interface with an unexported method can only be implemented inside
+// its own package, and a call through it must still resolve to every
+// implementer there.
+func TestCallGraphUnexportedInterfaceMethod(t *testing.T) {
+	writeFiles(t, map[string]string{
+		"go.mod": "module example.com/cg\n\ngo 1.22\n",
+		"cg/cg.go": `package cg
+
+type workload interface{ rep() }
+
+type fleet struct{}
+
+func (fleet) rep() {}
+
+type room struct{}
+
+func (*room) rep() {}
+
+func Run(w workload) { w.rep() }
+`,
+	})
+	_, pkgs := loadAll(t)
+	g := analysis.BuildCallGraph(pkgs)
+
+	const path = "example.com/cg/cg"
+	run := lookupFunc(t, pkgs, path, "Run")
+	for _, impl := range []string{"fleet.rep", "room.rep"} {
+		if e := findEdge(g, run, lookupFunc(t, pkgs, path, impl)); e == nil || !e.Dynamic {
+			t.Errorf("Run→%s = %+v, want dynamic edge", impl, e)
+		}
+	}
+}

@@ -18,6 +18,13 @@ import (
 //	    path: allocfree stops traversing at it (e.g. the flight recorder's
 //	    optional JSON sink, which only runs when explicitly attached).
 //
+//	//flex:keep <reason>
+//	    On a function declaration's doc comment. Makes the function a
+//	    root of unreached: it stays although no binary reaches it, for
+//	    the reason given (a later change wires it in, tests in other
+//	    packages call it). The reason is mandatory — a bare keep is
+//	    itself reported, as a bare ignore is.
+//
 //	//flexlint:ignore <analyzer> <reason>
 //	    On or immediately above an offending line. Suppresses that
 //	    analyzer's diagnostics there. The reason is mandatory — a bare
@@ -27,8 +34,15 @@ import (
 // //flex:<name> directive. Directive comments must start exactly
 // "//flex:"; trailing prose after the name is allowed.
 func HasFlexDirective(fd *ast.FuncDecl, name string) bool {
+	_, ok := FlexDirective(fd, name)
+	return ok
+}
+
+// FlexDirective returns the argument of fd's //flex:<name> directive —
+// the text after the name, trimmed — and whether fd carries one.
+func FlexDirective(fd *ast.FuncDecl, name string) (arg string, ok bool) {
 	if fd == nil || fd.Doc == nil {
-		return false
+		return "", false
 	}
 	for _, c := range fd.Doc.List {
 		rest, ok := strings.CutPrefix(c.Text, "//flex:")
@@ -37,10 +51,10 @@ func HasFlexDirective(fd *ast.FuncDecl, name string) bool {
 		}
 		fields := strings.Fields(rest)
 		if len(fields) > 0 && fields[0] == name {
-			return true
+			return strings.TrimSpace(strings.TrimPrefix(rest, name)), true
 		}
 	}
-	return false
+	return "", false
 }
 
 const ignorePrefix = "//flexlint:ignore"

@@ -111,10 +111,3 @@ func (v *Virtual) Advance(d time.Duration) {
 		due[i].ch <- now
 	}
 }
-
-// Pending reports how many goroutines are blocked waiting on this clock.
-func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.waiters)
-}

@@ -43,9 +43,6 @@ type Config struct {
 	// Buffer is the safety margin below UPS capacity (default 1% of the
 	// smallest UPS capacity).
 	Buffer power.Watts
-	// Interval is the evaluation period (default 500ms — the controller
-	// must fit detection plus action well inside the 10s budget).
-	Interval time.Duration
 	// PlanBudget bounds one Algorithm 1 planning pass (default half of
 	// power.FlexLatencyBudget, leaving the other half for actuation). A
 	// pass that exceeds it is aborted and its partial plan enforced — a
@@ -147,9 +144,6 @@ func DefaultBuffer(topo *power.Topology) power.Watts {
 func New(cfg Config) *Controller {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
 	}
 	if cfg.InactiveThreshold == 0 {
 		cfg.InactiveThreshold = DefaultInactiveThreshold
@@ -551,25 +545,6 @@ func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.Stage
 	return note
 }
 
-// Run evaluates repeatedly until ctx is cancelled. Each round runs as
-// StepContext(ctx), so cancellation also aborts an in-flight planning
-// pass.
-func (c *Controller) Run(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		c.StepContext(ctx)
-		select {
-		case <-ctx.Done():
-			return
-		case <-c.cfg.Clock.After(c.cfg.Interval):
-		}
-	}
-}
-
 // OpenEpisode reports the controller's open overdraw episode: the
 // flight-recorder episode ID (0 when unrecorded), when the overdraw was
 // first observed, and whether an episode is open at all. The SLO
@@ -607,23 +582,4 @@ func (c *Controller) sortCommittedLocked() {
 		c.committed = append(c.committed, a)
 	}
 	sort.Slice(c.committed, func(i, j int) bool { return c.committed[i].Rack < c.committed[j].Rack })
-}
-
-// ActedRacks returns the racks this controller has acted on and not yet
-// restored.
-func (c *Controller) ActedRacks() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.acted))
-	for id := range c.acted {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Steps reports how many evaluation rounds have run.
-func (c *Controller) Steps() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.steps
 }

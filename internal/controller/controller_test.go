@@ -289,30 +289,6 @@ func TestControllerEnforceErrorsSurface(t *testing.T) {
 	}
 }
 
-func TestControllerRunLoop(t *testing.T) {
-	h := newHarness(t)
-	c := h.controller("ctl-1")
-	h.feed([]power.Watts{80 * power.KW, 80 * power.KW, 80 * power.KW, 80 * power.KW})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go c.Run(ctx)
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Steps() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.Steps() == 0 {
-		t.Fatal("run loop never stepped")
-	}
-	n := c.Steps()
-	h.clk.Advance(time.Second)
-	for c.Steps() == n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.Steps() == n {
-		t.Fatal("run loop did not continue")
-	}
-}
-
 func TestControllerPartialRestore(t *testing.T) {
 	h := newHarness(t)
 	c := h.controller("ctl-1")

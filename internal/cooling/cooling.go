@@ -44,13 +44,6 @@ func (d Domain) CFMWithFailures(failedUnits int) float64 {
 	return float64(remaining) * d.UnitCFM
 }
 
-// ConventionalCFM is the airflow a conventional design counts on (total
-// minus the reserved units) — the §VI claim is that sizing against
-// TotalCFM instead deploys more servers at no extra cooling cost.
-func (d Domain) ConventionalCFM() float64 {
-	return d.CFMWithFailures(d.RedundantUnits)
-}
-
 // Rack is one rack from the cooling system's perspective.
 type Rack struct {
 	ID     string

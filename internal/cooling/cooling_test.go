@@ -50,8 +50,8 @@ func TestDomainCFMAccounting(t *testing.T) {
 	if d.TotalCFM() != 160000 {
 		t.Fatalf("TotalCFM = %v", d.TotalCFM())
 	}
-	if d.ConventionalCFM() != 120000 {
-		t.Fatalf("ConventionalCFM = %v", d.ConventionalCFM())
+	if got := d.CFMWithFailures(d.RedundantUnits); got != 120000 {
+		t.Fatalf("conventional CFM = %v", got)
 	}
 	if d.CFMWithFailures(2) != 80000 {
 		t.Fatalf("CFMWithFailures(2) = %v", d.CFMWithFailures(2))

@@ -369,8 +369,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		// nothing a sibling's step writes, so all pumps run side by side;
 		// the steps stay serial and in room order, which keeps the order of
 		// recorder events and of the fleet tracer's and stage histograms'
-		// writes. (Live deployments run Shard.Start loops — same pump/step
-		// path.)
+		// writes.
 		c.run(phasePump)
 		for _, sr := range rooms {
 			_, enforced, _ := sr.shard.StepContext(ctx)

@@ -300,7 +300,8 @@ func TestIdleControlStepAllocFree(t *testing.T) {
 	for i := 0; i < 20 && !shed; i++ {
 		poll()
 		out := c.StepContext(ctx)
-		shed = !out.Overdraw && len(c.ActedRacks()) > 0
+		acted, _ := c.CommittedActions()
+		shed = !out.Overdraw && len(acted) > 0
 	}
 	if !shed {
 		t.Fatal("the controller did not shed for the failed UPS")

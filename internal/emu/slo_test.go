@@ -40,7 +40,7 @@ func TestEmulationSafetyAuditor(t *testing.T) {
 	if res.Outage {
 		t.Fatal("emulation suffered a cascading outage")
 	}
-	if aud.Ticks() == 0 {
+	if aud.Status().Ticks == 0 {
 		t.Fatal("auditor never ticked")
 	}
 
@@ -75,8 +75,8 @@ func TestEmulationSafetyAuditor(t *testing.T) {
 	// The ring holds every audit tick of the run: the 10s-step maxima over
 	// it peak where the raw points do.
 	raw := burn.Raw()
-	if uint64(len(raw)) != aud.Ticks() {
-		t.Fatalf("budget-burn series kept %d points of %d audit ticks", len(raw), aud.Ticks())
+	if ticks := aud.Status().Ticks; uint64(len(raw)) != ticks {
+		t.Fatalf("budget-burn series kept %d points of %d audit ticks", len(raw), ticks)
 	}
 	var rawPeak, maxBurn float64
 	for _, p := range raw {

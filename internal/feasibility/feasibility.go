@@ -15,7 +15,6 @@ package feasibility
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"flex/internal/power"
@@ -43,31 +42,6 @@ func (n NormalUtilization) ProbAbove(x float64) float64 {
 	}
 	z := (x - n.Mean) / n.Std
 	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// EmpiricalUtilization models utilization from observed samples.
-type EmpiricalUtilization struct {
-	sorted []float64
-}
-
-// NewEmpiricalUtilization builds a model from samples.
-func NewEmpiricalUtilization(samples []float64) (*EmpiricalUtilization, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("feasibility: no samples")
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &EmpiricalUtilization{sorted: s}, nil
-}
-
-// ProbAbove implements UtilizationModel.
-func (e *EmpiricalUtilization) ProbAbove(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, x)
-	// Count samples strictly above x.
-	for i < len(e.sorted) && e.sorted[i] <= x {
-		i++
-	}
-	return float64(len(e.sorted)-i) / float64(len(e.sorted))
 }
 
 // Params configures Analyze.

@@ -1,7 +1,9 @@
 package feasibility
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -24,6 +26,32 @@ func TestNormalUtilizationProbAbove(t *testing.T) {
 	if d.ProbAbove(0.7) != 1 || d.ProbAbove(0.9) != 0 {
 		t.Fatal("degenerate model should be a step")
 	}
+}
+
+// EmpiricalUtilization models utilization from observed samples: the
+// oracle the Monte Carlo simulation is held to.
+type EmpiricalUtilization struct {
+	sorted []float64
+}
+
+// NewEmpiricalUtilization builds a model from samples.
+func NewEmpiricalUtilization(samples []float64) (*EmpiricalUtilization, error) {
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("feasibility: no samples")
+	}
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	return &EmpiricalUtilization{sorted: s}, nil
+}
+
+// ProbAbove implements UtilizationModel.
+func (e *EmpiricalUtilization) ProbAbove(x float64) float64 {
+	i := sort.SearchFloat64s(e.sorted, x)
+	// Count samples strictly above x.
+	for i < len(e.sorted) && e.sorted[i] <= x {
+		i++
+	}
+	return float64(len(e.sorted)-i) / float64(len(e.sorted))
 }
 
 func TestEmpiricalUtilization(t *testing.T) {

@@ -3,7 +3,6 @@ package feasibility
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"flex/internal/power"
 	"flex/internal/stats"
@@ -197,9 +196,4 @@ func SimulateYears(p MonteCarloParams) (MonteCarloResult, error) {
 	res.SRAvailability = 1 - srDowntime/float64(res.Hours)
 	res.SRNines = stats.Nines(res.SRAvailability)
 	return res, nil
-}
-
-// Duration reports the simulated wall time.
-func (r MonteCarloResult) Duration() time.Duration {
-	return time.Duration(r.Hours) * time.Hour
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"time"
 
 	"flex/internal/obs/slo"
@@ -106,21 +105,14 @@ func (f *Fleet) roomStatus(s *Shard, now time.Time) RoomStatus {
 	default:
 		st.State = slo.StateReady
 	}
-	s.mu.Lock()
-	retired := s.stopped || s.draining
-	s.mu.Unlock()
-	if retired && st.State == slo.StateReady {
-		st.State = slo.StateDegraded
-		st.Reasons = append(st.Reasons, "shard draining or stopped")
-	}
 	return st
 }
 
 // AggregateOnce folds every shard's status into a fleet snapshot at time
 // now, stores it as the latest snapshot (served by /fleet), and exports
-// the fleet metrics. The aggregation layer runs at a deliberately slower
-// cadence than the shard control loops; correctness of the 10s budget
-// never depends on it.
+// the fleet metrics. The caller runs it at least every AggregateEvery,
+// slower than it steps the shards; correctness of the 10s budget never
+// depends on it.
 func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
 	shards := f.shardList()
 	snap := Snapshot{At: now, Rooms: make([]RoomStatus, 0, len(shards))}
@@ -149,9 +141,9 @@ func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
 	return snap
 }
 
-// Snapshot returns the latest aggregated snapshot. When the aggregator
-// has not run yet it aggregates on the spot; when the stored snapshot has
-// aged past two aggregator periods the fleet state is lifted to at least
+// Snapshot returns the latest aggregated snapshot. When AggregateOnce has
+// not run yet it aggregates on the spot; when the stored snapshot has
+// aged past two AggregateEvery the fleet state is lifted to at least
 // degraded — a stale global view must not read as healthy.
 func (f *Fleet) Snapshot() Snapshot {
 	now := f.cfg.Clock.Now()
@@ -165,22 +157,4 @@ func (f *Fleet) Snapshot() Snapshot {
 		snap.State = slo.StateDegraded
 	}
 	return snap
-}
-
-// RunAggregator folds shard snapshots every AggregateEvery on the fleet
-// clock until ctx is cancelled.
-func (f *Fleet) RunAggregator(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		f.AggregateOnce(f.cfg.Clock.Now())
-		select {
-		case <-ctx.Done():
-			return
-		case <-f.cfg.Clock.After(f.cfg.AggregateEvery):
-		}
-	}
 }

@@ -33,7 +33,8 @@ import (
 type Config struct {
 	// Name identifies the fleet in metrics and events (default "fleet").
 	Name string
-	// Clock drives shard loops and the aggregator (default wall clock).
+	// Clock stamps dequeued samples and ages the snapshot (default wall
+	// clock).
 	Clock clock.Clock
 	// QueueDepth is each shard's per-topic ingest buffer in samples
 	// (default 1024). When a shard falls behind, the oldest samples in its
@@ -41,9 +42,11 @@ type Config struct {
 	// the publisher or to other shards. It must hold one poll round:
 	// AddRoom refuses a room with more racks or UPSes than this.
 	QueueDepth int
-	// AggregateEvery is the aggregator cadence (default 2s): how often
-	// per-shard snapshots fold into the fleet snapshot. The aggregation
-	// layer is deliberately slower than the shard control loops.
+	// AggregateEvery is the staleness threshold of the fleet snapshot
+	// (default 2s): Snapshot reads a fold older than two of these as at
+	// least degraded, so the caller must run AggregateOnce at least this
+	// often. The aggregation layer is deliberately slower than the shard
+	// steps.
 	AggregateEvery time.Duration
 	// Freshness is how stale a shard's UPS telemetry may get before the
 	// shard reports degraded (default 5s — beyond three missed 1.5s poll
@@ -98,7 +101,9 @@ type RoomConfig struct {
 	Stranded power.Watts
 	// Allocatable is the room's allocatable power (Eq. 5's minuend).
 	Allocatable power.Watts
-	// Interval is the controller evaluation period (default 500ms).
+	// Interval is read by nothing: the caller's cadence steps the shard.
+	// It stays while the emulator and the benchmark's fleet driver still
+	// set it.
 	Interval time.Duration
 	// PlanBudget bounds one planning pass (default half the 10s budget).
 	PlanBudget time.Duration
@@ -108,7 +113,7 @@ type RoomConfig struct {
 }
 
 // Fleet is the sharded Flex-Online layer: an ingest bus, one shard per
-// room, and a periodic aggregator.
+// room, and an aggregator the caller runs.
 type Fleet struct {
 	cfg     Config
 	broker  *telemetry.Broker
@@ -151,16 +156,14 @@ func New(cfg Config) *Fleet {
 const fleetTraceCapacity = 4096
 
 // Tracer exposes the fleet's shared span tracer (nil without Config.Obs).
+//
+//flex:keep internal/emu's stage-digest test holds the fleet's digest to these spans
 func (f *Fleet) Tracer() *obs.Tracer { return f.tracer }
-
-// Stages exposes the fleet's shared per-stage latency histograms (nil
-// without Config.Obs).
-func (f *Fleet) Stages() *obs.StageMetrics { return f.stages }
 
 // AddRoom creates the room's shard: telemetry views, bounded ingest
 // subscriptions on the fleet bus, and the shard's controller instances.
-// The returned shard is idle; drive it synchronously (Pump + StepContext)
-// or start its loop with Start.
+// The caller steps the returned shard: IngestUPS/IngestRacks, Pump,
+// StepContext.
 func (f *Fleet) AddRoom(rc RoomConfig) (*Shard, error) {
 	if rc.Name == "" {
 		return nil, fmt.Errorf("fleet: room name required")
@@ -195,41 +198,12 @@ func (f *Fleet) AddRoom(rc RoomConfig) (*Shard, error) {
 }
 
 // Shard returns the named room's shard (nil when unknown).
+//
+//flex:keep internal/emu's cancellation test watches a shard from outside the run
 func (f *Fleet) Shard(room string) *Shard {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.shards[room]
-}
-
-// Rooms lists the fleet's room names in join order.
-func (f *Fleet) Rooms() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, len(f.order))
-	copy(out, f.order)
-	return out
-}
-
-// Ingest publishes a telemetry batch for one room by name. kind is
-// telemetry.TopicUPS or telemetry.TopicRack. It is the convenience form;
-// hot-path publishers hold the *Shard from AddRoom and call its IngestUPS
-// / IngestRacks directly, skipping the name lookup.
-func (f *Fleet) Ingest(room, kind string, batch []telemetry.Sample) error {
-	f.mu.Lock()
-	s := f.shards[room]
-	f.mu.Unlock()
-	if s == nil {
-		return fmt.Errorf("fleet: unknown room %s", room)
-	}
-	switch kind {
-	case telemetry.TopicUPS:
-		s.IngestUPS(batch)
-	case telemetry.TopicRack:
-		s.IngestRacks(batch)
-	default:
-		return fmt.Errorf("fleet: unknown topic kind %s", kind)
-	}
-	return nil
 }
 
 // shardList snapshots the shard set for lock-free iteration.

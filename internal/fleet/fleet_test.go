@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"flex/internal/controller"
 	"flex/internal/impact"
 	"flex/internal/obs"
+	"flex/internal/obs/recorder"
 	"flex/internal/obs/slo"
 	"flex/internal/power"
 	"flex/internal/rackmgr"
@@ -108,8 +111,8 @@ func TestAddRoomValidation(t *testing.T) {
 	if _, err := f.AddRoom(RoomConfig{Name: "room-2"}); err == nil {
 		t.Fatal("topology-less room accepted")
 	}
-	if got := f.Rooms(); len(got) != 1 || got[0] != "room-1" {
-		t.Fatalf("Rooms() = %v, want [room-1]", got)
+	if got := f.shardList(); len(got) != 1 || got[0].Name != "room-1" {
+		t.Fatalf("shards = %v, want [room-1]", got)
 	}
 	if f.Shard("room-1") == nil || f.Shard("nope") != nil {
 		t.Fatal("Shard lookup wrong")
@@ -151,24 +154,16 @@ func TestIngestRoutesToOwnShardOnly(t *testing.T) {
 	a, _ := f.AddRoom(rcA)
 	b, _ := f.AddRoom(rcB)
 
-	if err := f.Ingest("room-a", telemetry.TopicUPS, []telemetry.Sample{
+	a.IngestUPS([]telemetry.Sample{
 		{Device: rcA.Topo.UPSes[0].Name, Power: 50 * power.KW, Valid: true, MeasuredAt: clk.Now()},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Ingest("nope", telemetry.TopicUPS, nil); err == nil {
-		t.Fatal("unknown room accepted")
-	}
-	if err := f.Ingest("room-a", "bogus", nil); err == nil {
-		t.Fatal("unknown topic kind accepted")
-	}
+	})
 	if n := a.Pump(); n != 1 {
 		t.Fatalf("room-a pumped %d, want 1", n)
 	}
 	if n := b.Pump(); n != 0 {
 		t.Fatalf("room-b pumped %d, want 0 (cross-shard leak)", n)
 	}
-	if _, _, ok := a.UPSView().Get(rcA.Topo.UPSes[0].Name); !ok {
+	if _, _, ok := a.upsView.Get(rcA.Topo.UPSes[0].Name); !ok {
 		t.Fatal("sample did not reach room-a view")
 	}
 }
@@ -420,97 +415,88 @@ func TestShardIsolationUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestShardLifecycleConcurrent runs the goroutine lifecycle end to end —
-// Start on every shard, concurrent ingest, a running aggregator, Drain,
-// Stop — and is in the race-detector CI list.
-func TestShardLifecycleConcurrent(t *testing.T) {
-	clk := clock.Real{}
-	f := New(Config{Clock: clk, AggregateEvery: 5 * time.Millisecond})
+// TestSteppedFleetConcurrentReaders is what flexsim -experiment fleet
+// -listen does: one goroutine steps four rooms — ingest, Pump,
+// StepContext, and an AggregateOnce every fourth round — while others
+// read Snapshot and GET /fleet and /fleet/traces. It is in the
+// race-detector CI list.
+func TestSteppedFleetConcurrentReaders(t *testing.T) {
+	clk := clock.NewVirtual(t0())
+	f := New(Config{Clock: clk, Obs: obs.NewRegistry(), Recorder: recorder.New(1 << 14)})
 	const rooms = 4
 	rcs := make([]RoomConfig, rooms)
 	shards := make([]*Shard, rooms)
 	for i := range rcs {
 		rcs[i] = testRoomConfig(t, fmt.Sprintf("room-%d", i), clk)
-		rcs[i].Interval = time.Millisecond
 		s, err := f.AddRoom(rcs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		shards[i] = s
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, s := range shards {
-		if err := s.Start(ctx); err != nil {
-			t.Fatal(err)
+
+	done := make(chan struct{})
+	read := func(h http.Handler, path string, v any) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Errorf("GET %s = %d", path, rec.Code)
+			return
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			t.Errorf("GET %s: %v", path, err)
 		}
 	}
-	if err := shards[0].Start(ctx); err == nil {
-		t.Fatal("double Start accepted")
-	}
-	go f.RunAggregator(ctx)
-
-	// Concurrent publishers, one per room.
-	pubCtx, pubCancel := context.WithCancel(context.Background())
-	done := make(chan struct{}, rooms)
-	for i := range shards {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			fleetH, tracesH := f.Handler(), f.TracesHandler()
 			for {
 				select {
-				case <-pubCtx.Done():
+				case <-done:
 					return
 				default:
 				}
-				feed(shards[i], rcs[i], time.Now(), []power.Watts{
-					50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW})
-				time.Sleep(500 * time.Microsecond)
+				if snap := f.Snapshot(); len(snap.Rooms) != rooms {
+					t.Errorf("snapshot has %d rooms, want %d", len(snap.Rooms), rooms)
+				}
+				var snap Snapshot
+				read(fleetH, "/fleet", &snap)
+				var traces struct{ Episodes []EpisodeTrace }
+				read(tracesH, "/fleet/traces", &traces)
 			}
-		}(i)
-	}
-	time.Sleep(30 * time.Millisecond)
-	pubCancel()
-	for i := 0; i < rooms; i++ {
-		<-done
+		}()
 	}
 
-	drainCtx, drainCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer drainCancel()
-	if err := shards[0].Drain(drainCtx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	for _, s := range shards[1:] {
-		s.Stop()
-	}
-	cancel()
-	for _, s := range shards {
-		if s.Pumped() == 0 {
-			t.Fatalf("shard %s pumped nothing", s.Name)
+	healthy := []power.Watts{50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW}
+	failed := []power.Watts{0, 120 * power.KW, 120 * power.KW, 120 * power.KW}
+	for round := 0; round < 40; round++ {
+		clk.Advance(500 * time.Millisecond)
+		for i, s := range shards {
+			ups := healthy
+			if i == 1 && round >= 10 {
+				ups = failed
+			}
+			feed(s, rcs[i], clk.Now(), ups)
+			s.Pump()
+			s.StepContext(context.Background())
+		}
+		if round%4 == 3 {
+			f.AggregateOnce(clk.Now())
 		}
 	}
-	// Post-drain ingest must be a silent no-op.
-	feed(shards[0], rcs[0], time.Now(), []power.Watts{50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW})
-	if n := shards[0].Pump(); n != 0 {
-		t.Fatalf("drained shard pumped %d new samples, want 0", n)
-	}
-}
+	close(done)
+	readers.Wait()
 
-// TestDrainWithoutStart drains a never-started shard synchronously.
-func TestDrainWithoutStart(t *testing.T) {
-	clk := clock.NewVirtual(t0())
-	f := New(Config{Clock: clk})
-	rc := testRoomConfig(t, "room-1", clk)
-	s, _ := f.AddRoom(rc)
-	clk.Advance(time.Second)
-	feed(s, rc, clk.Now(), []power.Watts{50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW})
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	snap := f.AggregateOnce(clk.Now())
+	for _, st := range snap.Rooms {
+		if st.Steps != 40 || st.Pumped == 0 {
+			t.Errorf("%s: %d steps, %d samples pumped; want 40 steps and some samples", st.Name, st.Steps, st.Pumped)
+		}
 	}
-	if s.Pumped() == 0 {
-		t.Fatal("drain did not process buffered samples")
+	if len(f.EpisodeTraces(0)) == 0 {
+		t.Error("room-1's overdraw left no episode trace")
 	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("second drain: %v", err)
-	}
-	s.Stop() // idempotent after drain
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +14,8 @@ import (
 )
 
 // Shard is one room's slice of the fleet: its own telemetry views and
-// bounded ingest queues, its own controller primaries, its own loop. Pump
+// bounded ingest queues and its own controller primaries, stepped by its
+// owner on the owner's clock (IngestUPS/IngestRacks, Pump, StepContext). Pump
 // writes nothing a sibling reads, so shards pump side by side; every
 // Ingest* takes the fleet bus's one broker lock for the two copies of its
 // batch, which is the only thing shards share. Ingest and step stay serial
@@ -37,14 +37,6 @@ type Shard struct {
 	ctls      []*controller.Controller
 	buf       []telemetry.Sample
 
-	mu       sync.Mutex
-	running  bool
-	stopped  bool
-	draining bool
-	drainCh  chan struct{}
-	cancel   context.CancelFunc
-	done     chan struct{}
-
 	pumped, steps atomic.Uint64
 }
 
@@ -58,8 +50,6 @@ func newShard(f *Fleet, rc RoomConfig) *Shard {
 		upsView:   telemetry.NewLatestPower(),
 		rackView:  telemetry.NewLatestPower(),
 		buf:       make([]telemetry.Sample, 256),
-		drainCh:   make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	s.upsSub = f.broker.Subscribe(s.upsTopic, f.cfg.QueueDepth)
 	s.rackSub = f.broker.Subscribe(s.rackTopic, f.cfg.QueueDepth)
@@ -82,7 +72,6 @@ func newShard(f *Fleet, rc RoomConfig) *Shard {
 			Actuator:   rc.Actuator,
 			Scenario:   rc.Scenario,
 			Buffer:     rc.Buffer,
-			Interval:   rc.Interval,
 			PlanBudget: rc.PlanBudget,
 			Metrics:    ctlMetrics,
 			Tracer:     f.tracer,
@@ -114,9 +103,7 @@ func (s *Shard) IngestRacks(batch []telemetry.Sample) {
 // Pump drains the shard's ingest queues into its telemetry views and
 // returns how many samples it moved. Each drained sample is stamped with
 // the dequeue instant (one clock read per batch) so the queue-wait stage
-// of the latency waterfall is attributable. The emulator and tests call
-// it directly for deterministic schedules; Start's loop calls it each
-// round.
+// of the latency waterfall is attributable.
 func (s *Shard) Pump() int {
 	n := s.drain(s.upsSub, s.upsView) + s.drain(s.rackSub, s.rackView)
 	if n > 0 {
@@ -158,123 +145,6 @@ func (s *Shard) StepContext(ctx context.Context) (overdraw bool, enforced, resto
 	return overdraw, enforced, restored
 }
 
-// Start launches the shard's loop: pump, step, sleep Interval on the
-// fleet clock, until Stop, Drain, or ctx cancellation. Each shard loop is
-// its own goroutine; a stalled or saturated shard never blocks another.
-func (s *Shard) Start(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return fmt.Errorf("fleet: shard %s already stopped", s.Name)
-	}
-	if s.running {
-		return fmt.Errorf("fleet: shard %s already running", s.Name)
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	s.running = true
-	s.cancel = cancel
-	go s.run(runCtx)
-	return nil
-}
-
-func (s *Shard) run(ctx context.Context) {
-	defer close(s.done)
-	interval := s.cfg.Interval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	for {
-		s.Pump()
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.drainCh:
-			// Drain: the queues are closed to new samples; move what is
-			// still buffered, take one final corrective look, and exit.
-			s.Pump()
-			s.StepContext(ctx)
-			return
-		default:
-		}
-		s.StepContext(ctx)
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.drainCh:
-			s.Pump()
-			s.StepContext(ctx)
-			return
-		case <-s.fleet.cfg.Clock.After(interval):
-		}
-	}
-}
-
-// Drain gracefully retires the shard: its ingest queues stop accepting
-// samples (publishers are unaffected — their batches fall on closed
-// subscriptions), buffered samples are processed, and one final step runs.
-// Blocks until the loop exits or ctx expires. Safe to call on a shard
-// that was never started; it then drains synchronously.
-func (s *Shard) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return nil
-	}
-	if !s.draining {
-		s.draining = true
-		close(s.drainCh)
-		s.upsSub.Close()
-		s.rackSub.Close()
-	}
-	running := s.running
-	s.mu.Unlock()
-	if !running {
-		s.Pump()
-		s.StepContext(ctx)
-		s.markStopped()
-		return nil
-	}
-	select {
-	case <-s.done:
-		s.markStopped()
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("fleet: drain %s: %w", s.Name, ctx.Err())
-	}
-}
-
-// Stop halts the shard immediately: the loop is cancelled without a final
-// pump, and the ingest queues close. Buffered samples are discarded.
-func (s *Shard) Stop() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	cancel, running := s.cancel, s.running
-	if !s.draining {
-		s.draining = true
-		close(s.drainCh)
-		s.upsSub.Close()
-		s.rackSub.Close()
-	}
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	if running {
-		<-s.done
-	}
-	s.markStopped()
-}
-
-func (s *Shard) markStopped() {
-	s.mu.Lock()
-	s.stopped = true
-	s.running = false
-	s.mu.Unlock()
-}
-
 // Dropped reports how many samples this shard's ingest queues have
 // evicted under backpressure.
 func (s *Shard) Dropped() int {
@@ -286,15 +156,6 @@ func (s *Shard) Pumped() uint64 { return s.pumped.Load() }
 
 // Steps reports how many evaluation rounds the shard has run.
 func (s *Shard) Steps() uint64 { return s.steps.Load() }
-
-// UPSView exposes the shard's UPS telemetry view (for audit bindings).
-func (s *Shard) UPSView() *telemetry.LatestPower { return s.upsView }
-
-// RackView exposes the shard's rack telemetry view.
-func (s *Shard) RackView() *telemetry.LatestPower { return s.rackView }
-
-// Controllers exposes the shard's controller primaries.
-func (s *Shard) Controllers() []*controller.Controller { return s.ctls }
 
 // committedHeadroom is the power the shard's enforced-and-unrestored
 // actions have recovered. Multi-primary instances act idempotently on the

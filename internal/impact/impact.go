@@ -66,9 +66,6 @@ func MustNew(name string, points []Point) Function {
 	return f
 }
 
-// Name returns the function's name ("" for the zero function).
-func (f Function) Name() string { return f.name }
-
 // At evaluates the function at the given affected fraction, clamping the
 // input to [0,1]. The zero Function returns 0 everywhere.
 func (f Function) At(frac float64) float64 {
@@ -88,26 +85,9 @@ func (f Function) At(frac float64) float64 {
 	return a.Impact + t*(b.Impact-a.Impact)
 }
 
-// Critical reports whether affecting this fraction reaches impact 1, i.e.
-// touches racks the workload declared critical.
-func (f Function) Critical(frac float64) bool { return f.At(frac) >= 1 }
-
-// Points returns a copy of the function's vertices.
-func (f Function) Points() []Point {
-	ps := make([]Point, len(f.points))
-	copy(ps, f.points)
-	return ps
-}
-
 // Zero returns the constant-zero impact function.
 func Zero(name string) Function {
 	return Function{name: name, points: []Point{{0, 0}, {1, 0}}}
-}
-
-// Linear returns a function rising linearly from 0 at fraction 0 to maxI
-// at fraction 1.
-func Linear(name string, maxI float64) Function {
-	return MustNew(name, []Point{{0, 0}, {1, maxI}})
 }
 
 // Figure 8's three production examples.

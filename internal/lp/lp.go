@@ -63,21 +63,6 @@ func (p *Problem) AddConstraint(coeffs []float64, s Sense, rhs float64) int {
 	return len(p.Constraints) - 1
 }
 
-// Clone deep-copies the problem (constraint coefficient slices included).
-func (p *Problem) Clone() *Problem {
-	q := &Problem{Maximize: p.Maximize}
-	q.Objective = append([]float64(nil), p.Objective...)
-	q.Constraints = make([]Constraint, len(p.Constraints))
-	for i, c := range p.Constraints {
-		q.Constraints[i] = Constraint{
-			Coeffs: append([]float64(nil), c.Coeffs...),
-			Sense:  c.Sense,
-			RHS:    c.RHS,
-		}
-	}
-	return q
-}
-
 // Status is the outcome of a solve.
 type Status int
 

@@ -117,6 +117,8 @@ func ValidLabelName(name string) bool {
 // a TYPE-declared histogram missing its +Inf bucket, or a non-cumulative
 // bucket sequence. Tests use it to assert that /metrics output is
 // scrape-able without pulling in a Prometheus dependency.
+//
+//flex:keep the /metrics tests of three packages hold their output to it; a _test.go file cannot be imported
 func ValidatePrometheus(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

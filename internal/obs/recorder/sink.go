@@ -26,7 +26,6 @@ type Sink struct {
 	w   *bufio.Writer
 	c   io.Closer // non-nil when the sink owns the underlying writer
 	err error
-	n   int // records written
 }
 
 // NewSink wraps w. If w is also an io.Closer, Close closes it.
@@ -68,15 +67,8 @@ func (s *Sink) write(e Event) error {
 		s.err = err
 		return err
 	}
-	s.n++
 	return nil
 }
-
-// Err returns the first write error, if any.
-func (s *Sink) Err() error { return s.err }
-
-// Records reports how many events have been written.
-func (s *Sink) Records() int { return s.n }
 
 // Close flushes buffered records and closes the underlying writer when
 // the sink owns it. It returns the first error seen (write, flush, or

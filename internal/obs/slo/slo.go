@@ -138,6 +138,10 @@ const (
 	// Algorithm 1 pass per active UPS, so it runs sparser than the audit
 	// tick.
 	DefaultProbeEvery = 5 * time.Second
+	// auditTick is the tick period the burn windows' rings are first
+	// sized for: the emulator audits every 500ms. A faster caller grows
+	// them once.
+	auditTick = 500 * time.Millisecond
 )
 
 // Config sizes an Auditor. Store is required; everything else defaults.
@@ -305,7 +309,7 @@ func NewAuditor(cfg Config) *Auditor {
 			name:      o.name,
 			immediate: o.immediate,
 			series:    cfg.Store.Series(tsdb.SeriesKey(SeriesObjectiveBad, [2]string{"objective", o.name})),
-			window:    newBurnWindow(FastWindow, SlowWindow, tsdb.DefaultSampleInterval),
+			window:    newBurnWindow(FastWindow, SlowWindow, auditTick),
 		}
 		a.objectives = append(a.objectives, ob)
 		a.byName[o.name] = ob
@@ -353,20 +357,6 @@ func (a *Auditor) Bind(b Bindings) {
 // to, so callers can share it with a registry sampler and the /query
 // handler.
 func (a *Auditor) Store() *tsdb.Store { return a.cfg.Store }
-
-// Bound reports whether Bind has been called.
-func (a *Auditor) Bound() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.bound
-}
-
-// Ticks reports how many audit ticks have run.
-func (a *Auditor) Ticks() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ticks
-}
 
 // Tick runs one audit round at time now: derive and store the safety
 // series, evaluate every objective's burn rate, run the what-if probe

@@ -705,7 +705,11 @@ func TestProbeRoundAllocs(t *testing.T) {
 		load[r.Pair] += r.Allocated
 	}
 	for f := range h.topo.UPSes {
-		if len(h.topo.Overdrawn(h.topo.FailoverLoads(load, power.UPSID(f)), -power.KW)) == 0 {
+		overloads := false
+		for u, w := range h.topo.FailoverLoads(load, power.UPSID(f)) {
+			overloads = overloads || w > h.topo.UPSes[u].Capacity-power.KW
+		}
+		if !overloads {
 			t.Fatalf("fixture: losing UPS %d overloads nothing, the probe would not plan", f)
 		}
 	}

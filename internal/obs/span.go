@@ -132,13 +132,6 @@ func (tr *Tracer) Start(name string, at time.Time) *Trace {
 	return &Trace{Seq: seq, Name: name, Start: at, tracer: tr}
 }
 
-// Started reports how many traces have been started.
-func (tr *Tracer) Started() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.seq
-}
-
 // Recent returns copies of the retained traces, newest first.
 func (tr *Tracer) Recent() []Trace {
 	tr.mu.Lock()
@@ -213,11 +206,6 @@ func (tr *Tracer) RecentFiltered(f TraceFilter) []Trace {
 		out = out[:f.Limit] // newest first: keep the head
 	}
 	return out
-}
-
-// WriteJSON renders the retained traces (newest first) as a JSON array.
-func (tr *Tracer) WriteJSON(w io.Writer) error {
-	return tr.WriteJSONFiltered(w, TraceFilter{})
 }
 
 // WriteJSONFiltered renders the traces matching f (newest first).

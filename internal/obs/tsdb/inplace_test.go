@@ -1,12 +1,9 @@
 package tsdb
 
 import (
-	"context"
-	"runtime"
 	"testing"
 	"time"
 
-	"flex/internal/clock"
 	"flex/internal/obs"
 )
 
@@ -49,32 +46,5 @@ func TestSamplerTickAllocFree(t *testing.T) {
 	}
 	if last, _ := s.Last(); last.Value != 7 {
 		t.Fatalf("late vec child scraped as %v, want 7", last.Value)
-	}
-}
-
-// TestSamplerTicksWhileRunning reads Ticks from the test goroutine while
-// Run scrapes on a virtual clock; the race detector checks the counter.
-func TestSamplerTicksWhileRunning(t *testing.T) {
-	clk := clock.NewVirtual(t0)
-	smp := &Sampler{Registry: scrapeRegistry(), Store: NewStore(Options{}), Clock: clk}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		smp.Run(ctx)
-	}()
-	for want := uint64(1); want <= 20; want++ {
-		for clk.Pending() == 0 { // Run has not armed its timer yet
-			runtime.Gosched()
-		}
-		clk.Advance(DefaultSampleInterval)
-		for smp.Ticks() < want {
-			runtime.Gosched()
-		}
-	}
-	cancel()
-	<-done
-	if got := smp.Ticks(); got != 20 {
-		t.Fatalf("Ticks = %d after 20 intervals", got)
 	}
 }

@@ -1,41 +1,29 @@
 package tsdb
 
 import (
-	"context"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"flex/internal/clock"
 	"flex/internal/obs"
 )
 
-// DefaultSampleInterval is the sampler cadence when Interval is zero:
-// 500ms, twice the controller interval, so the monitoring loop runs at a
-// faster timescale than the control loop it audits.
-const DefaultSampleInterval = 500 * time.Millisecond
-
-// Sampler scrapes an obs.Registry into a Store on a fixed cadence:
+// Sampler scrapes an obs.Registry into a Store, once a Tick:
 // counters and gauges become one series each (counters as their raw
 // monotonic value — rate is a query-time concern), histograms become
 // `<name>_count` and `<name>_sum` series. Series keys follow the
 // expvar convention (`name;label=value`), so /debug/vars keys and
 // /query keys coincide.
 //
-// Tick is the synchronous core — the emulator drives it on the virtual
-// clock inside its tick loop — and Run wraps it in a clock.After loop
-// for wall-clock daemons. One goroutine scrapes at a time (Run, or the
-// caller driving Tick); Ticks may be read from any.
+// The owner drives Tick on its own clock — the emulator does inside its
+// tick loop — one goroutine at a time.
 type Sampler struct {
 	Registry *obs.Registry
 	Store    *Store
-	// Clock paces Run. Tick callers supply timestamps directly.
+	// Clock is read by nothing: Tick callers supply timestamps. It stays
+	// while the benchmark's room driver still sets it.
 	Clock clock.Clock
-	// Interval is the scrape cadence for Run (DefaultSampleInterval when
-	// zero).
-	Interval time.Duration
 
-	ticks atomic.Uint64
 	// targets binds every registry metric to its series; resolved is
 	// the Registry.Size they were resolved at.
 	targets  []target
@@ -61,7 +49,6 @@ func (s *Sampler) Tick(now time.Time) {
 	if s.Registry == nil || s.Store == nil {
 		return
 	}
-	s.ticks.Add(1)
 	if s.Registry.Size() != s.resolved {
 		s.resolve()
 	}
@@ -96,31 +83,6 @@ func (s *Sampler) resolve() {
 			t.value = s.Store.Series(key)
 		}
 		s.targets = append(s.targets, t)
-	}
-}
-
-// Ticks reports how many scrapes have run.
-func (s *Sampler) Ticks() uint64 { return s.ticks.Load() }
-
-// Run scrapes on the configured cadence until ctx is done. It paces on
-// the injected clock; with a virtual clock prefer driving Tick directly
-// for determinism.
-func (s *Sampler) Run(ctx context.Context) {
-	interval := s.Interval
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
-	clk := s.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-clk.After(interval):
-			s.Tick(now)
-		}
 	}
 }
 

@@ -92,6 +92,8 @@ func (s *Series) at(k int) slot {
 }
 
 // Raw returns a copy of the retained points in append order.
+//
+//flex:keep tests in tsdb, emu and sim read a series' points whole
 func (s *Series) Raw() []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()

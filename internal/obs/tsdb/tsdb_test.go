@@ -52,7 +52,7 @@ func TestDefaultRingHoldsAnEpisode(t *testing.T) {
 	s := st.Series("x")
 	const points = 24*60*2 + 1
 	for i := 0; i < points; i++ {
-		s.Append(t0.Add(time.Duration(i)*DefaultSampleInterval), float64(i))
+		s.Append(t0.Add(time.Duration(i)*500*time.Millisecond), float64(i))
 	}
 	raw := s.Raw()
 	if len(raw) != points || raw[0].Value != 0 || !raw[0].Time.Equal(t0) {

@@ -18,3 +18,33 @@ func (t TestState) Place(d workload.Deployment, pid power.PDUPairID)  { t.s.plac
 func (t TestState) Remove(d workload.Deployment, pid power.PDUPairID) { t.s.remove(d, pid) }
 func (t TestState) Ledger() *power.Ledger                             { return t.s.safety }
 func (t TestState) Placement(trace []workload.Deployment) *Placement  { return t.s.result(trace) }
+
+// remove reverses place.
+func (s *state) remove(d workload.Deployment, pid power.PDUPairID) {
+	s.vacate(d, pid)
+	delete(s.placed, d.ID)
+	delete(s.deps, d.ID)
+}
+
+// PlacedPowerByCategory returns the placed power per workload category.
+func (p *Placement) PlacedPowerByCategory() map[workload.Category]power.Watts {
+	out := make(map[workload.Category]power.Watts, 3)
+	for _, d := range p.Deployments {
+		if _, ok := p.Assignments[d.ID]; ok {
+			out[d.Category] += d.TotalPower()
+		}
+	}
+	return out
+}
+
+// UPSUtilization returns each UPS's normal-operation allocated load as a
+// fraction of its capacity.
+func (p *Placement) UPSUtilization() []float64 {
+	topo := p.Room.Topo
+	loads := topo.UPSLoads(p.PairLoad())
+	out := make([]float64, len(loads))
+	for u, w := range loads {
+		out[u] = float64(w) / float64(topo.UPSes[u].Capacity)
+	}
+	return out
+}

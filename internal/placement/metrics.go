@@ -71,26 +71,3 @@ func (p *Placement) ThrottlingImbalance() float64 {
 	}
 	return maxR - minR
 }
-
-// PlacedPowerByCategory returns the placed power per workload category.
-func (p *Placement) PlacedPowerByCategory() map[workload.Category]power.Watts {
-	out := make(map[workload.Category]power.Watts, 3)
-	for _, d := range p.Deployments {
-		if _, ok := p.Assignments[d.ID]; ok {
-			out[d.Category] += d.TotalPower()
-		}
-	}
-	return out
-}
-
-// UPSUtilization returns each UPS's normal-operation allocated load as a
-// fraction of its capacity.
-func (p *Placement) UPSUtilization() []float64 {
-	topo := p.Room.Topo
-	loads := topo.UPSLoads(p.PairLoad())
-	out := make([]float64, len(loads))
-	for u, w := range loads {
-		out[u] = float64(w) / float64(topo.UPSes[u].Capacity)
-	}
-	return out
-}

@@ -478,6 +478,8 @@ func (a *Admitter) Snapshot() Snapshot {
 }
 
 // Ledger returns a copy of the committed Eq. 2 / Eq. 4 safety state.
+//
+//flex:keep placement's FuzzStateMatchesAdmitter holds the batch state's ledger to the admitter's
 func (a *Admitter) Ledger() *power.Ledger {
 	a.mu.Lock()
 	defer a.mu.Unlock()

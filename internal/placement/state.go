@@ -81,13 +81,6 @@ func (s *state) place(d workload.Deployment, pid power.PDUPairID) {
 	s.deps[d.ID] = d
 }
 
-// remove reverses place.
-func (s *state) remove(d workload.Deployment, pid power.PDUPairID) {
-	s.vacate(d, pid)
-	delete(s.placed, d.ID)
-	delete(s.deps, d.ID)
-}
-
 // occupy charges d to pair pid in the row allocation and every table but
 // leaves the placed set alone: refinement moves a placed deployment from
 // pair to pair and records only where it ends up. Callers must have

@@ -1,7 +1,6 @@
 package power
 
 import (
-	"sort"
 	"time"
 )
 
@@ -31,6 +30,8 @@ type CascadeOutcome struct {
 // This is the safety model behind the paper's Figure 4(right): load
 // exceeding surviving capacity must be shaved within the trip tolerance or
 // the initial failure cascades into an outage.
+//
+//flex:keep the trip-curve oracle the safety tests in five test files compare against
 func (t *Topology) SimulateCascade(load PairLoad, initialFailure UPSID, curve TripCurve, horizon time.Duration) CascadeOutcome {
 	out := CascadeOutcome{Tripped: []UPSID{initialFailure}}
 	failed := SetOf(initialFailure)
@@ -62,48 +63,4 @@ func (t *Topology) SimulateCascade(load PairLoad, initialFailure UPSID, curve Tr
 		failed |= SetOf(UPSID(trip))
 		out.Tripped = append(out.Tripped, UPSID(trip))
 	}
-}
-
-// WorstSurvivorLoadFraction returns, across all single-UPS failures, the
-// maximum post-failover load on any surviving UPS as a fraction of its
-// capacity. For a uniformly loaded xN/y room at 100% utilization this
-// approaches x/(x-1).
-func (t *Topology) WorstSurvivorLoadFraction(load PairLoad) float64 {
-	worst := 0.0
-	for f := range t.UPSes {
-		loads := t.FailoverLoads(load, UPSID(f))
-		for u, w := range loads {
-			if UPSID(u) == UPSID(f) {
-				continue
-			}
-			frac := float64(w / t.UPSes[u].Capacity)
-			if frac > worst {
-				worst = frac
-			}
-		}
-	}
-	return worst
-}
-
-// ShaveTarget returns, for the failure of UPS f, how much power must be
-// shed from each overloaded surviving UPS to bring it back to capacity
-// minus buffer. The result maps UPSID → required reduction (only entries
-// with a positive requirement are present). Keys are returned in a sorted
-// slice alongside for deterministic iteration.
-func (t *Topology) ShaveTarget(load PairLoad, f UPSID, buffer Watts) (map[UPSID]Watts, []UPSID) {
-	loads := t.FailoverLoads(load, f)
-	need := make(map[UPSID]Watts)
-	var ids []UPSID
-	for u := range t.UPSes {
-		if UPSID(u) == f {
-			continue
-		}
-		limit := t.UPSes[u].Capacity - buffer
-		if loads[u] > limit {
-			need[UPSID(u)] = loads[u] - limit
-			ids = append(ids, UPSID(u))
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return need, ids
 }

@@ -172,10 +172,7 @@ func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 		topo, ops := ledgerFuzzTopology(t, data)
 		var limits []Watts // nil: zero-reserved-power limits
 		if len(ops) > 0 && ops[0]%2 == 1 {
-			limits = make([]Watts, len(topo.UPSes))
-			for u := range limits {
-				limits[u] = topo.AllocationLimit(UPSID(u))
-			}
+			limits = conventionalLimits(topo)
 		}
 		limitOf := func(u UPSID) Watts {
 			if limits == nil {

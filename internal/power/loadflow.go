@@ -106,53 +106,6 @@ func (t *Topology) FailoverLoads(load PairLoad, failed UPSID) []Watts {
 	return loads
 }
 
-// Overdrawn returns the UPSes whose load exceeds their rated capacity by
-// more than slack (use slack 0 for a strict check).
-func (t *Topology) Overdrawn(loads []Watts, slack Watts) []UPSID {
-	var over []UPSID
-	for i, u := range t.UPSes {
-		if loads[i] > u.Capacity+slack {
-			over = append(over, UPSID(i))
-		}
-	}
-	return over
-}
-
-// Headroom returns, for every UPS, capacity minus load (negative when
-// overdrawn).
-func (t *Topology) Headroom(loads []Watts) []Watts {
-	out := make([]Watts, len(t.UPSes))
-	for i, u := range t.UPSes {
-		out[i] = u.Capacity - loads[i]
-	}
-	return out
-}
-
-// NormalWithinConventionalLimits reports whether the normal-operation UPS
-// loads respect the conventional per-UPS allocation limit (capacity × y/x).
-// A conventional datacenter enforces this; a Flex datacenter instead allows
-// loads up to full capacity during normal operation.
-func (t *Topology) NormalWithinConventionalLimits(load PairLoad) bool {
-	for u, w := range t.UPSLoads(load) {
-		if w > t.AllocationLimit(UPSID(u))+CapacityTolerance {
-			return false
-		}
-	}
-	return true
-}
-
-// NormalWithinCapacity reports whether normal-operation UPS loads are
-// within rated capacity — the Flex normal-operation constraint (Eq. 2 with
-// the full capacity on the right-hand side).
-func (t *Topology) NormalWithinCapacity(load PairLoad) bool {
-	for u, w := range t.UPSLoads(load) {
-		if w > t.UPSes[u].Capacity+CapacityTolerance {
-			return false
-		}
-	}
-	return true
-}
-
 // FailoverWithinCapacity reports whether, for the failure of UPS f, the
 // post-shave loads given by shavedLoad keep every surviving UPS within
 // rated capacity (paper Eq. 4). Callers pass the pair loads after applying

@@ -97,13 +97,18 @@ func TestNewRoom4N3Shape(t *testing.T) {
 		t.Fatalf("ConventionalAllocatablePower = %v, want 7.2MW", got)
 	}
 	// Every UPS feeds exactly x-1 = 3 pairs.
-	for u := range topo.UPSes {
-		if got := len(topo.PairsOn(UPSID(u))); got != 3 {
+	feeds := make([]int, len(topo.UPSes))
+	for _, p := range topo.Pairs {
+		feeds[p.UPSes[0]]++
+		feeds[p.UPSes[1]]++
+	}
+	for u, got := range feeds {
+		if got != 3 {
 			t.Errorf("UPS %d feeds %d pairs, want 3", u, got)
 		}
 	}
-	if got := topo.AllocationLimit(0); got != 1.8*MW {
-		t.Errorf("AllocationLimit = %v, want 1.8MW", got)
+	if got := conventionalLimits(topo)[0]; got != 1.8*MW {
+		t.Errorf("conventional limit = %v, want 1.8MW", got)
 	}
 }
 
@@ -142,21 +147,19 @@ func TestNewCustomTopologyValidation(t *testing.T) {
 	}
 }
 
+// TestPartnerUPS: when one of a pair's UPSes fails, its partner carries
+// the pair's whole load.
 func TestPartnerUPS(t *testing.T) {
 	topo := fourN3Room(t, 1)
 	p := topo.Pairs[0] // UPSes {0,1}
-	if got := topo.PartnerUPS(p.ID, p.UPSes[0]); got != p.UPSes[1] {
-		t.Errorf("PartnerUPS = %d, want %d", got, p.UPSes[1])
-	}
-	if got := topo.PartnerUPS(p.ID, p.UPSes[1]); got != p.UPSes[0] {
-		t.Errorf("PartnerUPS = %d, want %d", got, p.UPSes[0])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-feeding UPS")
+	load := NewPairLoad(topo)
+	load[p.ID] = MW
+	for i, failed := range p.UPSes {
+		partner := p.UPSes[1-i]
+		if got := topo.FailoverLoads(load, failed)[partner]; got != MW {
+			t.Errorf("UPS %d out: partner %d carries %v, want 1MW", failed, partner, got)
 		}
-	}()
-	topo.PartnerUPS(p.ID, 3) // pair 0 is {0,1}; UPS 3 does not feed it
+	}
 }
 
 func TestUPSLoadsUniform(t *testing.T) {
@@ -231,56 +234,60 @@ func TestWorstSurvivorLoadFractionAtFullAllocation(t *testing.T) {
 	for i := range load {
 		load[i] = 9.6 * MW / 6
 	}
-	got := topo.WorstSurvivorLoadFraction(load)
+	got := 0.0
+	for f := range topo.UPSes {
+		for u, w := range topo.FailoverLoads(load, UPSID(f)) {
+			if u != f {
+				got = math.Max(got, float64(w/topo.UPSes[u].Capacity))
+			}
+		}
+	}
 	if math.Abs(got-4.0/3.0) > 1e-9 {
 		t.Fatalf("worst survivor fraction = %v, want 4/3", got)
 	}
 }
 
-func TestOverdrawnAndHeadroom(t *testing.T) {
-	topo := fourN3Room(t, 1)
-	loads := []Watts{2.5 * MW, 2.4 * MW, 1 * MW, 2.41 * MW}
-	over := topo.Overdrawn(loads, 0)
-	if len(over) != 2 || over[0] != 0 || over[1] != 3 {
-		t.Fatalf("Overdrawn = %v, want [0 3]", over)
-	}
-	// With 200kW slack only UPS 0 is overdrawn.
-	over = topo.Overdrawn(loads, 200*KW)
-	if len(over) != 0 {
-		t.Fatalf("Overdrawn with slack = %v, want none", over)
-	}
-	hr := topo.Headroom(loads)
-	if hr[2] != 1.4*MW {
-		t.Fatalf("Headroom[2] = %v, want 1.4MW", hr[2])
-	}
-	if hr[0] >= 0 {
-		t.Fatalf("Headroom[0] = %v, want negative", hr[0])
-	}
-}
-
+// TestNormalLimitChecks: Eq. 2 in the ledger under both normal-operation
+// limits — the conventional capacity × y/x and Flex's full capacity.
 func TestNormalLimitChecks(t *testing.T) {
 	topo := fourN3Room(t, 1)
-	load := NewPairLoad(topo)
-	// 7.2MW allocated uniformly = conventional limit exactly.
-	for i := range load {
-		load[i] = 7.2 * MW / 6
+	within := func(limits []Watts, perPair Watts) bool {
+		l := NewLedger(topo, limits)
+		for _, p := range topo.Pairs {
+			l.Add(p.UPSes[0], p.UPSes[1], perPair, perPair)
+		}
+		for u := range topo.UPSes {
+			if l.NormalHeadroom(UPSID(u)) < -CapacityTolerance {
+				return false
+			}
+		}
+		return true
 	}
-	if !topo.NormalWithinConventionalLimits(load) {
+	conventional := conventionalLimits(topo)
+	// 7.2MW allocated uniformly = conventional limit exactly.
+	if !within(conventional, 7.2*MW/6) {
 		t.Error("7.2MW uniform should satisfy conventional limits")
 	}
-	if !topo.NormalWithinCapacity(load) {
+	if !within(nil, 7.2*MW/6) {
 		t.Error("7.2MW uniform should satisfy capacity")
 	}
 	// 9.6MW uniform exceeds conventional limits but not capacity (Flex).
-	for i := range load {
-		load[i] = 9.6 * MW / 6
-	}
-	if topo.NormalWithinConventionalLimits(load) {
+	if within(conventional, 9.6*MW/6) {
 		t.Error("9.6MW uniform should violate conventional limits")
 	}
-	if !topo.NormalWithinCapacity(load) {
+	if !within(nil, 9.6*MW/6) {
 		t.Error("9.6MW uniform should satisfy Flex capacity constraint")
 	}
+}
+
+// conventionalLimits is every UPS's conventional allocation limit,
+// capacity × y/x (paper §II-A).
+func conventionalLimits(topo *Topology) []Watts {
+	limits := make([]Watts, len(topo.UPSes))
+	for u := range limits {
+		limits[u] = Watts(float64(topo.UPSes[u].Capacity) * topo.Design.AllocationLimitFraction())
+	}
+	return limits
 }
 
 func TestFailoverWithinCapacity(t *testing.T) {
@@ -300,31 +307,6 @@ func TestFailoverWithinCapacity(t *testing.T) {
 	for f := 0; f < 4; f++ {
 		if topo.FailoverWithinCapacity(load, UPSID(f)) {
 			t.Errorf("full allocation should overdraw on failure of UPS %d", f)
-		}
-	}
-}
-
-func TestShaveTarget(t *testing.T) {
-	topo := fourN3Room(t, 1)
-	load := NewPairLoad(topo)
-	for i := range load {
-		load[i] = 9.6 * MW / 6
-	}
-	need, ids := topo.ShaveTarget(load, 0, 0)
-	if len(ids) != 3 {
-		t.Fatalf("overloaded survivors = %v, want 3", ids)
-	}
-	// Each survivor is at 4/3 × 2.4MW = 3.2MW → must shed 0.8MW.
-	for _, u := range ids {
-		if math.Abs(float64(need[u]-0.8*MW)) > 1 {
-			t.Errorf("shave need[%d] = %v, want 0.8MW", u, need[u])
-		}
-	}
-	// With a buffer the requirement grows by the buffer.
-	need, _ = topo.ShaveTarget(load, 0, 100*KW)
-	for u, w := range need {
-		if math.Abs(float64(w-0.9*MW)) > 1 {
-			t.Errorf("buffered shave need[%d] = %v, want 0.9MW", u, w)
 		}
 	}
 }
@@ -349,16 +331,16 @@ func TestPairLoadHelpers(t *testing.T) {
 	}
 }
 
+// TestPairFeeds: a pair's load reaches exactly its two upstream UPSes.
 func TestPairFeeds(t *testing.T) {
 	topo := fourN3Room(t, 1)
 	p := topo.Pairs[0]
-	if !topo.PairFeeds(p.ID, p.UPSes[0]) || !topo.PairFeeds(p.ID, p.UPSes[1]) {
-		t.Error("PairFeeds should be true for both upstream UPSes")
-	}
-	for u := 0; u < 4; u++ {
-		id := UPSID(u)
-		if id != p.UPSes[0] && id != p.UPSes[1] && topo.PairFeeds(p.ID, id) {
-			t.Errorf("PairFeeds(%d) should be false", u)
+	load := NewPairLoad(topo)
+	load[p.ID] = MW
+	for u, w := range topo.UPSLoads(load) {
+		feeds := UPSID(u) == p.UPSes[0] || UPSID(u) == p.UPSes[1]
+		if feeds && w != MW/2 || !feeds && w != 0 {
+			t.Errorf("UPS %d carries %v of pair %d's 1MW", u, w, p.ID)
 		}
 	}
 }

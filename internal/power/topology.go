@@ -2,7 +2,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 )
 
 // UPSID identifies a UPS within a Topology (0-based, dense).
@@ -37,8 +36,6 @@ type Topology struct {
 	Design Redundancy
 	UPSes  []UPS
 	Pairs  []PDUPair
-
-	pairsByUPS [][]PDUPairID // UPSID -> pairs it feeds
 }
 
 // RoomConfig configures NewRoom.
@@ -88,13 +85,14 @@ func NewRoom(cfg RoomConfig) (*Topology, error) {
 			}
 		}
 	}
-	t.index()
 	return t, nil
 }
 
 // NewCustomTopology builds a topology from an explicit UPS list and
-// PDU-pair→UPS mapping, validating the mapping. It is used by tests and by
-// callers modelling non-uniform rooms.
+// PDU-pair→UPS mapping, validating the mapping, for rooms NewRoom cannot
+// describe.
+//
+//flex:keep it builds the heterogeneous rooms of placement's hetero_test and online's reference test
 func NewCustomTopology(design Redundancy, upses []UPS, pairs []PDUPair) (*Topology, error) {
 	if err := design.Validate(); err != nil {
 		return nil, err
@@ -123,19 +121,7 @@ func NewCustomTopology(design Redundancy, upses []UPS, pairs []PDUPair) (*Topolo
 			return nil, fmt.Errorf("power: pair %s references unknown UPS", p.Name)
 		}
 	}
-	t.index()
 	return t, nil
-}
-
-func (t *Topology) index() {
-	t.pairsByUPS = make([][]PDUPairID, len(t.UPSes))
-	for _, p := range t.Pairs {
-		t.pairsByUPS[p.UPSes[0]] = append(t.pairsByUPS[p.UPSes[0]], p.ID)
-		t.pairsByUPS[p.UPSes[1]] = append(t.pairsByUPS[p.UPSes[1]], p.ID)
-	}
-	for _, ids := range t.pairsByUPS {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
 }
 
 // ProvisionedPower is the sum of all UPS capacities — the paper's
@@ -153,32 +139,4 @@ func (t *Topology) ProvisionedPower() Watts {
 // provisioned power instead.
 func (t *Topology) ConventionalAllocatablePower() Watts {
 	return Watts(float64(t.ProvisionedPower()) * t.Design.AllocationLimitFraction())
-}
-
-// AllocationLimit is the conventional per-UPS allocation limit:
-// capacity × y/x (paper §II-A).
-func (t *Topology) AllocationLimit(u UPSID) Watts {
-	return Watts(float64(t.UPSes[u].Capacity) * t.Design.AllocationLimitFraction())
-}
-
-// PairsOn returns the PDU-pairs fed by UPS u, in ID order.
-func (t *Topology) PairsOn(u UPSID) []PDUPairID { return t.pairsByUPS[u] }
-
-// PartnerUPS returns the other upstream UPS of pair p, given one of its
-// two UPSes. It panics if u does not feed p.
-func (t *Topology) PartnerUPS(p PDUPairID, u UPSID) UPSID {
-	pair := t.Pairs[p]
-	switch u {
-	case pair.UPSes[0]:
-		return pair.UPSes[1]
-	case pair.UPSes[1]:
-		return pair.UPSes[0]
-	}
-	panic(fmt.Sprintf("power: UPS %d does not feed pair %d", u, p))
-}
-
-// PairFeeds reports whether pair p is fed by UPS u.
-func (t *Topology) PairFeeds(p PDUPairID, u UPSID) bool {
-	pair := t.Pairs[p]
-	return pair.UPSes[0] == u || pair.UPSes[1] == u
 }

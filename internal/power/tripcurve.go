@@ -78,13 +78,6 @@ func interpLog(a, b TripPoint, f float64) time.Duration {
 	return time.Duration(math.Exp(la + t*(lb-la)))
 }
 
-// Points returns a copy of the curve's points.
-func (c TripCurve) Points() []TripPoint {
-	ps := make([]TripPoint, len(c.points))
-	copy(ps, c.points)
-	return ps
-}
-
 // The paper's UPSes provide 10 seconds of tolerance at the worst-case
 // failover load of 133% at end of battery life, plus an additional 3.5
 // minutes of ride-through at 100% load while generators start (Figure 6

@@ -311,6 +311,8 @@ func (m *Manager) State(id string) (PowerState, power.Watts, error) {
 }
 
 // SetReachable injects or clears a management-network failure for a rack.
+//
+//flex:keep the fault-schedule work (ROADMAP item 1) runs the §VI verification service in the emulation
 func (m *Manager) SetReachable(id string, reachable bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -323,6 +325,8 @@ func (m *Manager) SetReachable(id string, reachable bool) error {
 }
 
 // SetFirmwareOK injects or clears a firmware regression for a rack.
+//
+//flex:keep the fault-schedule work (ROADMAP item 1) runs the §VI verification service in the emulation
 func (m *Manager) SetFirmwareOK(id string, ok bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -349,18 +353,11 @@ func (m *Manager) logAction(a Action) {
 }
 
 // Actuations reports how many actuations the manager has executed,
-// effective or not: len(Log()) without the copy. No rack's state or cap
+// effective or not: the length of its action log. No rack's state or cap
 // changes without it moving, so a reader that polls every rack (the
 // emulators' ground truth) re-reads them only when it has.
 func (m *Manager) Actuations() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.log)
-}
-
-// Log returns a copy of the action audit log.
-func (m *Manager) Log() []Action {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Action(nil), m.log...)
 }

@@ -1,7 +1,6 @@
 package rackmgr
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -176,7 +175,7 @@ func TestRackIDsSorted(t *testing.T) {
 func TestWatchdogDetectsBrokenPaths(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	m := NewManager(clk, []string{"r1", "r2"})
-	w := NewWatchdog(m, clk, time.Minute)
+	w := NewWatchdog(m, clk)
 	if alerts := w.SweepOnce(); len(alerts) != 0 {
 		t.Fatalf("healthy fleet alerted: %v", alerts)
 	}
@@ -194,7 +193,7 @@ func TestWatchdogDetectsBrokenPaths(t *testing.T) {
 func TestWatchdogCallback(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	m := NewManager(clk, []string{"r1"})
-	w := NewWatchdog(m, clk, time.Minute)
+	w := NewWatchdog(m, clk)
 	var mu sync.Mutex
 	var got []Alert
 	w.OnAlert = func(a Alert) {
@@ -208,29 +207,5 @@ func TestWatchdogCallback(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 1 || got[0].Rack != "r1" {
 		t.Fatalf("callback alerts = %v", got)
-	}
-}
-
-func TestWatchdogRunLoop(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	m := NewManager(clk, []string{"r1"})
-	w := NewWatchdog(m, clk, 10*time.Second)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go w.Run(ctx)
-	deadline := time.Now().Add(2 * time.Second)
-	for w.Sweeps() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if w.Sweeps() == 0 {
-		t.Fatal("no sweep ran")
-	}
-	n := w.Sweeps()
-	clk.Advance(11 * time.Second)
-	for w.Sweeps() == n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if w.Sweeps() == n {
-		t.Fatal("second sweep never ran")
 	}
 }

@@ -1,7 +1,6 @@
 package rackmgr
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -19,14 +18,14 @@ type Alert struct {
 	At     time.Time
 }
 
-// Watchdog is the paper's §VI background service: it periodically checks
+// Watchdog is the paper's §VI background service: each sweep checks
 // firmware status and network reachability for every rack manager and
 // injects fake (dry-run) actions to prove that a real corrective action
-// would succeed during an actual maintenance event.
+// would succeed during an actual maintenance event. Its owner calls
+// SweepOnce on its own cadence.
 type Watchdog struct {
-	Manager  *Manager
-	Clock    clock.Clock
-	Interval time.Duration
+	Manager *Manager
+	Clock   clock.Clock
 	// OnAlert receives every alert; nil alerts are collected internally
 	// and available via Alerts.
 	OnAlert func(Alert)
@@ -36,19 +35,19 @@ type Watchdog struct {
 	sweeps int
 }
 
-// NewWatchdog builds a watchdog with the given sweep interval (default 30
-// seconds).
-func NewWatchdog(m *Manager, clk clock.Clock, interval time.Duration) *Watchdog {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	return &Watchdog{Manager: m, Clock: clk, Interval: interval}
+// NewWatchdog builds a watchdog over m that stamps its alerts with clk.
+//
+//flex:keep the fault-schedule work (ROADMAP item 1) runs the §VI verification service in the emulation
+func NewWatchdog(m *Manager, clk clock.Clock) *Watchdog {
+	return &Watchdog{Manager: m, Clock: clk}
 }
 
 // SweepOnce verifies every rack's control path once, returning the alerts
 // raised. A "fake action" is exercised by checking health and simulating a
 // no-op command path (reachability + firmware gates are exactly the gates
 // a real command passes through).
+//
+//flex:keep the fault-schedule work (ROADMAP item 1) runs the §VI verification service in the emulation
 func (w *Watchdog) SweepOnce() []Alert {
 	var raised []Alert
 	now := w.Clock.Now()
@@ -91,24 +90,9 @@ func (w *Watchdog) SweepOnce() []Alert {
 	return raised
 }
 
-// Run sweeps until ctx is cancelled.
-func (w *Watchdog) Run(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		w.SweepOnce()
-		select {
-		case <-ctx.Done():
-			return
-		case <-w.Clock.After(w.Interval):
-		}
-	}
-}
-
 // Alerts returns all alerts raised so far.
+//
+//flex:keep the fault-schedule work (ROADMAP item 1) runs the §VI verification service in the emulation
 func (w *Watchdog) Alerts() []Alert {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -116,6 +100,8 @@ func (w *Watchdog) Alerts() []Alert {
 }
 
 // Sweeps reports how many sweeps have completed.
+//
+//flex:keep the fault-schedule work (ROADMAP item 1) runs the §VI verification service in the emulation
 func (w *Watchdog) Sweeps() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -341,14 +341,3 @@ func storeSnapshot(st *tsdb.Store, scenario string, util float64, snap int,
 		st.Series(tsdb.SeriesKey(s.name, labels[0], labels[1])).Append(ts, s.value)
 	}
 }
-
-// DefaultUtilizations returns the paper's Figure 12 x-axis range:
-// 74%–85% in 1% steps ("no actions are needed at utilizations lower than
-// 74% and sustained utilizations higher than 85% are impractical").
-func DefaultUtilizations() []float64 {
-	var out []float64
-	for u := 0.74; u <= 0.851; u += 0.01 {
-		out = append(out, u)
-	}
-	return out
-}

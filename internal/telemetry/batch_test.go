@@ -152,7 +152,7 @@ func TestPollerBatchesByTopic(t *testing.T) {
 	m1, _ := NewLogicalMeter("u1", StaticMeter{MeterName: "m", Value: 1000})
 	m2, _ := NewLogicalMeter("u2", StaticMeter{MeterName: "m", Value: 2000})
 	m3, _ := NewLogicalMeter("r1", StaticMeter{MeterName: "m", Value: 300})
-	p := NewPoller("p1", clock.NewVirtual(t0()), 0, []SamplePublisher{b}, []Target{
+	p := NewPoller("p1", clock.NewVirtual(t0()), []SamplePublisher{b}, []Target{
 		{Meter: m1, Topic: "power/ups"},
 		{Meter: m2, Topic: "power/ups"},
 		{Meter: m3, Topic: "power/rack"},

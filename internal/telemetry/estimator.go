@@ -44,6 +44,8 @@ func NewEWMAEstimator(alpha float64) *EWMAEstimator {
 // carrying the device's refreshed conservative lower bound (mean −
 // deviation, clamped at zero — what the controller plans from). Set it
 // before updates begin.
+//
+//flex:keep the facade's WithRackEstimator plans from it; whether the estimator stays is an open ROADMAP decision
 func (e *EWMAEstimator) SetRecorder(rec *recorder.Recorder) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -52,6 +54,8 @@ func (e *EWMAEstimator) SetRecorder(rec *recorder.Recorder) {
 
 // Update folds a valid sample into the estimate (invalid samples are
 // ignored; out-of-order samples are dropped).
+//
+//flex:keep the facade's WithRackEstimator plans from it; whether the estimator stays is an open ROADMAP decision
 func (e *EWMAEstimator) Update(s Sample) {
 	if !s.Valid {
 		return
@@ -92,6 +96,8 @@ func (e *EWMAEstimator) Update(s Sample) {
 }
 
 // Estimate returns the smoothed power for device.
+//
+//flex:keep the facade's WithRackEstimator plans from it; whether the estimator stays is an open ROADMAP decision
 func (e *EWMAEstimator) Estimate(device string) (power.Watts, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -102,6 +108,8 @@ func (e *EWMAEstimator) Estimate(device string) (power.Watts, bool) {
 // Bound returns mean + k×deviation (use negative k for a conservative
 // lower bound — the safe direction when estimating how much power a
 // corrective action will recover). Results are clamped at zero.
+//
+//flex:keep the facade's WithRackEstimator plans from it; whether the estimator stays is an open ROADMAP decision
 func (e *EWMAEstimator) Bound(device string, k float64) (power.Watts, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

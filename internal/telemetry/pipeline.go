@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"context"
-	"time"
-
 	"flex/internal/clock"
 	"flex/internal/obs"
 	"flex/internal/obs/recorder"
@@ -21,10 +18,6 @@ type PipelineConfig struct {
 	// Total−Mech derived meters; nil means a constant 5% of UPS power is
 	// unavailable, so a zero source is used.
 	MechSource PowerSource
-	// UPSInterval is the UPS polling period (default 1.5s, paper §IV-D).
-	UPSInterval time.Duration
-	// RackInterval is the rack polling period (default 2s, paper §IV-D).
-	RackInterval time.Duration
 	// Pollers is the number of redundant pollers (default 2).
 	Pollers int
 	// Brokers is the number of redundant pub/sub systems (default 2).
@@ -43,7 +36,9 @@ type PipelineConfig struct {
 }
 
 // Pipeline is the assembled telemetry system for one room: per-device
-// consensus meters, redundant pollers, and duplicated brokers.
+// consensus meters, redundant pollers, and duplicated brokers. It runs
+// only when its owner steps it: PollOnce is one poll round on every
+// poller, and SubscribeAll feeds a view from every broker.
 type Pipeline struct {
 	Clock      clock.Clock
 	UPSMeters  map[string]*LogicalMeter
@@ -52,20 +47,12 @@ type Pipeline struct {
 	BrokerSet  []*Broker
 	// Metrics is non-nil when PipelineConfig.Obs was set.
 	Metrics *Metrics
-
-	cancel context.CancelFunc
 }
 
-// NewPipeline assembles (but does not start) a pipeline.
+// NewPipeline assembles a pipeline.
 func NewPipeline(cfg PipelineConfig) *Pipeline {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
-	}
-	if cfg.UPSInterval <= 0 {
-		cfg.UPSInterval = 1500 * time.Millisecond
-	}
-	if cfg.RackInterval <= 0 {
-		cfg.RackInterval = 2 * time.Second
 	}
 	if cfg.Pollers <= 0 {
 		cfg.Pollers = 2
@@ -124,8 +111,8 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		pubs[i] = b
 	}
 	for i := 0; i < cfg.Pollers; i++ {
-		ups := NewPoller(pollerName(i, "ups"), cfg.Clock, cfg.UPSInterval, pubs, upsTargets)
-		rack := NewPoller(pollerName(i, "rack"), cfg.Clock, cfg.RackInterval, pubs, rackTargets)
+		ups := NewPoller(pollerName(i, "ups"), cfg.Clock, pubs, upsTargets)
+		rack := NewPoller(pollerName(i, "rack"), cfg.Clock, pubs, rackTargets)
 		ups.Metrics = p.Metrics
 		rack.Metrics = p.Metrics
 		ups.Recorder = cfg.Recorder
@@ -135,24 +122,10 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	return p
 }
 
-// Start launches every poller; Stop (or ctx cancellation) halts them.
-func (p *Pipeline) Start(ctx context.Context) {
-	ctx, cancel := context.WithCancel(ctx)
-	p.cancel = cancel
-	for _, poller := range p.PollerSet {
-		go poller.Run(ctx)
-	}
-}
-
-// Stop halts the pollers started by Start.
-func (p *Pipeline) Stop() {
-	if p.cancel != nil {
-		p.cancel()
-	}
-}
-
-// PollOnce runs a single synchronous poll round on every poller —
-// deterministic simulation and tests drive the pipeline this way.
+// PollOnce runs a single synchronous poll round on every poller; the
+// owner calls it on its own cadence.
+//
+//flex:keep the facade's NewPipeline hands out the stepped pipeline
 func (p *Pipeline) PollOnce() {
 	for _, poller := range p.PollerSet {
 		poller.PollOnce()
@@ -163,6 +136,8 @@ func (p *Pipeline) PollOnce() {
 // streams into view, which keeps the newest reading per device. The
 // returned cancel function closes the subscriptions, which ends the
 // goroutines feeding the view.
+//
+//flex:keep the facade's NewPipeline hands out the stepped pipeline
 func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func()) {
 	var subs []*Subscription
 	for _, b := range p.BrokerSet {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -22,17 +21,17 @@ type Target struct {
 // separate fault domains, each publishing the same devices; the subscriber's
 // view keeps the newest reading of each (paper Figure 7).
 type Poller struct {
-	Name     string
-	Interval time.Duration
-	Clock    clock.Clock
-	Brokers  []SamplePublisher
-	Targets  []Target
+	Name    string
+	Clock   clock.Clock
+	Brokers []SamplePublisher
+	Targets []Target
 	// Metrics, when non-nil, receives poll/publish/invalid-read counts.
-	// Set it before Run (the pipeline wires it from PipelineConfig.Obs).
+	// Set it before the first poll (the pipeline wires it from
+	// PipelineConfig.Obs).
 	Metrics *Metrics
 	// Recorder, when non-nil, emits a sample-publish event per reading;
 	// the event's sequence rides on Sample.Event so downstream consumers
-	// can cite it as their Cause. Set it before Run.
+	// can cite it as their Cause. Set it before the first poll.
 	Recorder *recorder.Recorder
 
 	mu    sync.Mutex
@@ -44,27 +43,21 @@ type Poller struct {
 	batch []Sample
 }
 
-// NewPoller constructs a poller. Interval defaults to 1.5 seconds (the
-// paper's UPS telemetry frequency) when zero.
-func NewPoller(name string, clk clock.Clock, interval time.Duration, brokers []SamplePublisher, targets []Target) *Poller {
-	if interval <= 0 {
-		interval = 1500 * time.Millisecond
-	}
+// NewPoller constructs a poller. Its owner calls PollOnce on its own
+// cadence (the paper polls UPSes every 1.5 s and racks every 2 s).
+func NewPoller(name string, clk clock.Clock, brokers []SamplePublisher, targets []Target) *Poller {
 	return &Poller{
-		Name:     name,
-		Interval: interval,
-		Clock:    clk,
-		Brokers:  brokers,
-		Targets:  targets,
+		Name:    name,
+		Clock:   clk,
+		Brokers: brokers,
+		Targets: targets,
 	}
 }
 
 // PollOnce reads every target once and publishes the samples, batched:
 // consecutive targets on the same topic accumulate into one buffer that
 // is handed to every broker with a single PublishBatch call — one lock
-// acquisition per broker per topic run instead of one per device. It is
-// the unit of work Run repeats; tests and the emulator drive it directly
-// for deterministic schedules.
+// acquisition per broker per topic run instead of one per device.
 func (p *Poller) PollOnce() {
 	p.mu.Lock()
 	if p.down {
@@ -129,36 +122,11 @@ func (p *Poller) PollOnce() {
 	flush()
 }
 
-// Run polls until ctx is cancelled, sleeping Interval between rounds on
-// the poller's clock.
-func (p *Poller) Run(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		p.PollOnce()
-		select {
-		case <-ctx.Done():
-			return
-		case <-p.Clock.After(p.Interval):
-		}
-	}
-}
-
 // SetDown injects or clears a poller outage.
 func (p *Poller) SetDown(down bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.down = down
-}
-
-// Polls reports how many poll rounds have executed.
-func (p *Poller) Polls() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.polls
 }
 
 // Stamps is the per-device ingest timeline retained by LatestPower: the
@@ -485,16 +453,6 @@ func (l *LatestPower) SnapshotInto(dst map[string]power.Watts) {
 	for i := range l.slots {
 		dst[l.slots[i].device] = l.slots[i].power
 	}
-}
-
-// Age returns how stale device's last sample is at time now; ok=false when
-// the device has never reported.
-func (l *LatestPower) Age(device string, now time.Time) (time.Duration, bool) {
-	_, at, ok := l.Get(device)
-	if !ok {
-		return 0, false
-	}
-	return now.Sub(at), true
 }
 
 // Oldest returns the staleness of the view's least-fresh device at time

@@ -297,6 +297,8 @@ func (b *Broker) PublishBatch(topic string, batch []Sample) {
 }
 
 // SetDown injects or clears a broker outage.
+//
+//flex:keep the broker-outage tests in telemetry and the root package inject faults through it
 func (b *Broker) SetDown(down bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

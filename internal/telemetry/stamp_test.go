@@ -79,7 +79,7 @@ func TestPollerStampMonotonicity(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	m1, _ := NewLogicalMeter("u1", StaticMeter{MeterName: "m", Value: 1000})
 	m2, _ := NewLogicalMeter("u2", StaticMeter{MeterName: "m", Value: 2000})
-	p := NewPoller("p1", clk, 0, []SamplePublisher{b}, []Target{
+	p := NewPoller("p1", clk, []SamplePublisher{b}, []Target{
 		{Meter: m1, Topic: "power/ups"},
 		{Meter: m2, Topic: "power/ups"},
 	})

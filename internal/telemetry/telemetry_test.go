@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"errors"
 	"math"
 	"sync/atomic"
@@ -206,7 +205,7 @@ func TestPollerPublishesToAllBrokers(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	b1, b2 := NewBroker("A"), NewBroker("B")
 	lm, _ := NewLogicalMeter("UPS-1", StaticMeter{MeterName: "m", Value: 500})
-	p := NewPoller("p1", clk, time.Second, []SamplePublisher{b1, b2},
+	p := NewPoller("p1", clk, []SamplePublisher{b1, b2},
 		[]Target{{Meter: lm, Topic: TopicUPS}})
 	s1 := b1.Subscribe(TopicUPS, 4)
 	s2 := b2.Subscribe(TopicUPS, 4)
@@ -229,7 +228,7 @@ func TestPollerDownStopsPublishing(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	b := NewBroker("A")
 	lm, _ := NewLogicalMeter("UPS-1", StaticMeter{MeterName: "m", Value: 500})
-	p := NewPoller("p1", clk, time.Second, []SamplePublisher{b}, []Target{{Meter: lm, Topic: TopicUPS}})
+	p := NewPoller("p1", clk, []SamplePublisher{b}, []Target{{Meter: lm, Topic: TopicUPS}})
 	sub := b.Subscribe(TopicUPS, 4)
 	p.SetDown(true)
 	p.PollOnce()
@@ -243,7 +242,7 @@ func TestPollerMarksInvalidOnQuorumLoss(t *testing.T) {
 	b := NewBroker("A")
 	bad := StaticMeter{MeterName: "x", Err: ErrMeterFailed}
 	lm, _ := NewLogicalMeter("UPS-1", bad, bad, bad)
-	p := NewPoller("p1", clk, time.Second, []SamplePublisher{b}, []Target{{Meter: lm, Topic: TopicUPS}})
+	p := NewPoller("p1", clk, []SamplePublisher{b}, []Target{{Meter: lm, Topic: TopicUPS}})
 	sub := b.Subscribe(TopicUPS, 4)
 	p.PollOnce()
 	s, ok := takeOne(sub, 0)
@@ -323,30 +322,6 @@ func TestPipelineEndToEndRedundancy(t *testing.T) {
 		v, _, _ := view.Get("UPS-1")
 		return math.Abs(float64(v-2.0*power.MW)) < 0.05*2e6
 	})
-}
-
-func TestPipelineRunLoop(t *testing.T) {
-	clk := clock.NewVirtual(t0())
-	pl := NewPipeline(PipelineConfig{
-		Clock:      clk,
-		UPSSources: map[string]PowerSource{"UPS-1": func() power.Watts { return power.MW }},
-		Seed:       3,
-	})
-	view := NewLatestPower()
-	cancel := pl.SubscribeAll(TopicUPS, view)
-	defer cancel()
-	ctx, stop := context.WithCancel(context.Background())
-	defer stop()
-	pl.Start(ctx)
-	defer pl.Stop()
-	// First poll happens immediately.
-	waitFor(t, func() bool { _, _, ok := view.Get("UPS-1"); return ok })
-	// Advance past one interval: another round fires.
-	before, _, _ := view.Get("UPS-1")
-	_ = before
-	n0 := pl.PollerSet[0].Polls()
-	clk.Advance(1600 * time.Millisecond)
-	waitFor(t, func() bool { return pl.PollerSet[0].Polls() > n0 })
 }
 
 // waitFor polls cond for up to 2s of real time (goroutine scheduling is

@@ -219,16 +219,6 @@ func (p *RemotePublisher) reconnectLocked() bool {
 	return true
 }
 
-// Close tears the connection down.
-func (p *RemotePublisher) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn, p.enc = nil, nil
-	}
-}
-
 // RemoteSubscribe dials a BrokerServer and subscribes to topic. The samples
 // land in a Subscription like a local one — a queue of depth 1024 that drops
 // its oldest samples, and counts them, when the consumer lags — on a broker

@@ -103,7 +103,7 @@ func TestTransportPollerOverTCP(t *testing.T) {
 	}
 	pub := NewRemotePublisher(addr, nil)
 	defer pub.Close()
-	p := NewPoller("p1", clk, time.Second, []SamplePublisher{pub},
+	p := NewPoller("p1", clk, []SamplePublisher{pub},
 		[]Target{{Meter: lm, Topic: TopicUPS}})
 	sub, err := RemoteSubscribe(addr, TopicUPS)
 	if err != nil {

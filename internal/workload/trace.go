@@ -245,20 +245,3 @@ func Figure3Regions() []RegionMix {
 		{Region: "Region-4", Shares: [3]float64{0.09, 0.59, 0.32}},
 	}
 }
-
-// AverageMix returns the mean category shares across regions.
-func AverageMix(regions []RegionMix) [3]float64 {
-	var avg [3]float64
-	if len(regions) == 0 {
-		return avg
-	}
-	for _, r := range regions {
-		for c := range avg {
-			avg[c] += r.Shares[c]
-		}
-	}
-	for c := range avg {
-		avg[c] /= float64(len(regions))
-	}
-	return avg
-}

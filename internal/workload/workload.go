@@ -49,10 +49,6 @@ func (c Category) String() string {
 	}
 }
 
-// Shaveable reports whether Flex can recover any power from this category
-// during a failover event.
-func (c Category) Shaveable() bool { return c != NonRedundantNonCapable }
-
 // Deployment is one server deployment request from the short-term demand
 // (paper §II-C): Racks racks, each allocated PowerPerRack, belonging to
 // Workload. The deployment is placed as a unit under a single PDU-pair.
@@ -169,22 +165,4 @@ func (d Deployment) ThrottleRecoverablePower() power.Watts {
 // String renders a compact description.
 func (d Deployment) String() string {
 	return fmt.Sprintf("dep%d[%s %s %d×%v]", d.ID, d.Workload, d.Category, d.Racks, d.PowerPerRack)
-}
-
-// TotalPowerOf sums the full power allocation of a slice of deployments.
-func TotalPowerOf(ds []Deployment) power.Watts {
-	var sum power.Watts
-	for _, d := range ds {
-		sum += d.TotalPower()
-	}
-	return sum
-}
-
-// PowerByCategory sums deployment power per category.
-func PowerByCategory(ds []Deployment) map[Category]power.Watts {
-	out := make(map[Category]power.Watts, 3)
-	for _, d := range ds {
-		out[d.Category] += d.TotalPower()
-	}
-	return out
 }
