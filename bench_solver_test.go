@@ -31,7 +31,10 @@ func solverBenchProblem(b *testing.B) *MILPProblem {
 // worker ("serial", the base benchjson -speedup divides by) and at 2, 4
 // and 8. The objective column is the same in every row — the tree does not
 // depend on the worker count — and above zero: a cold search finds its own
-// incumbents. The metrics feed BENCH_solver.json (make bench-solver).
+// incumbents. B/op and allocs/op put on record what a solve keeps: node
+// evaluations allocate only the candidates they keep, so what is left is
+// the per-solve scratch each worker makes and the tree itself. The metrics
+// feed BENCH_solver.json (make bench-solver).
 func BenchmarkSolverScaling(b *testing.B) {
 	p := solverBenchProblem(b)
 	const nodeBudget = 300
@@ -42,6 +45,7 @@ func BenchmarkSolverScaling(b *testing.B) {
 			name = "serial"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			total, obj := 0, 0.0
 			for i := 0; i < b.N; i++ {
 				r, err := SolveMILP(context.Background(), p, SolveOptions{Workers: w, MaxNodes: nodeBudget})

@@ -113,13 +113,16 @@ const eps = 1e-9
 // The zero value is ready to use. A Solver must not be shared between
 // goroutines, but distinct Solvers are fully independent: Solve reads
 // the Problem and never mutates it, so many Solvers may work on the
-// same Problem concurrently. Result.X is freshly allocated and safe to
-// retain.
+// same Problem concurrently. The Solver owns the solution too: Result.X
+// is its buffer, valid until its next Solve or Resolve; copy it to keep
+// it. (The package-level Solve uses a throwaway Solver, so what it
+// returns is safe to retain.)
 type Solver struct {
 	arena []float64   // backing storage for the tableau, rows laid out contiguously
 	rows  [][]float64 // row headers into arena
 	basis []int       // basic-variable index per row
 	tab   tableau     // the tableau of the solve in progress
+	x     []float64   // the solution buffer Result.X points into
 
 	// What Resolve needs of the last solve: whether its final tableau can be
 	// re-solved from, and the right-hand sides it was solved for.
@@ -130,9 +133,9 @@ type Solver struct {
 	newCol, src []int
 }
 
-// Solve runs two-phase primal simplex on p using a throwaway Solver.
-// Callers with many solves should reuse a Solver to amortize tableau
-// allocation.
+// Solve runs two-phase primal simplex on p using a throwaway Solver, so
+// the returned Result.X is the caller's to keep. Callers with many solves
+// should reuse a Solver to amortize tableau and solution allocation.
 func Solve(p *Problem) (Result, error) {
 	var s Solver
 	return s.Solve(p)
@@ -172,7 +175,7 @@ func (s *Solver) Solve(p *Problem) (Result, error) {
 		return Result{Status: status, Iterations: iters}, nil
 	}
 	s.remember(p, true)
-	x := t.extractSolution()
+	x := s.solution()
 	return Result{Status: Optimal, X: x, Objective: objective(p, x), Iterations: iters}, nil
 }
 
@@ -463,9 +466,16 @@ func subScaled(dst, src []float64, f float64) {
 	subScaledKernel(dst[:len(src)], src, f)
 }
 
-// extractSolution reads the decision variable values off the basis.
-func (t *tableau) extractSolution() []float64 {
-	x := make([]float64, t.n)
+// solution reads the decision variable values off the final tableau's
+// basis into the solver's solution buffer, growing it only when the
+// problem outgrows every earlier one.
+func (s *Solver) solution() []float64 {
+	t := &s.tab
+	if cap(s.x) < t.n {
+		s.x = make([]float64, t.n)
+	}
+	x := s.x[:t.n]
+	clear(x)
 	for i, b := range t.basis {
 		if b < t.n {
 			v := t.a[i][t.cols]

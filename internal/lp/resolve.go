@@ -93,7 +93,7 @@ func (s *Solver) resolve(p *Problem, cols, rows []int) (Result, bool) {
 	if status != Optimal {
 		return Result{Iterations: iters}, false
 	}
-	x := t.extractSolution()
+	x := s.solution()
 	if !t.satisfies(p, x) {
 		return Result{Iterations: iters}, false
 	}

@@ -57,22 +57,45 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSolverResultsIndependent: Result.X must not alias solver scratch —
-// a later solve on the same Solver cannot corrupt an earlier result.
+// TestSolverResultsIndependent: the package-level Solve's Result.X is the
+// caller's — a later solve cannot corrupt an earlier result — while a
+// reused Solver owns its Result.X and hands the same buffer back on its
+// next call, with that call's values.
 func TestSolverResultsIndependent(t *testing.T) {
-	var s Solver
-	p1 := randomLP(1, 5)
-	r1, err := s.Solve(p1)
+	p1, p2 := randomLP(1, 5), randomLP(2, 5)
+	r1, err := Solve(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	saved := append([]float64(nil), r1.X...)
-	if _, err := s.Solve(randomLP(2, 9)); err != nil {
+	if _, err := Solve(p2); err != nil {
 		t.Fatal(err)
 	}
 	for j := range saved {
 		if r1.X[j] != saved[j] {
 			t.Fatalf("earlier result mutated at x[%d]", j)
+		}
+	}
+
+	var s Solver
+	a, err := s.Solve(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Solve(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.X[0] != &b.X[0] {
+		t.Error("the solver allocated a second solution buffer")
+	}
+	want, err := Solve(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range want.X {
+		if b.X[j] != want.X[j] {
+			t.Fatalf("reused buffer x[%d] = %v, a throwaway solver's %v", j, b.X[j], want.X[j])
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package milp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"flex/internal/lp"
@@ -59,6 +61,9 @@ const packTol = 1e-9
 
 // Packing builds a 0/1 vector for an all-LE problem one variable at a
 // time, tracking the slack left in every row. X is the vector so far.
+// Reset starts it over in the storage it has, so one Packing serves any
+// number of vectors — each branch-and-bound worker keeps one for
+// Options.Heuristic.
 //
 // A row whose slack has fallen below -packTol refuses every variable it
 // spans — those with a zero coefficient included, since zero exceeds a
@@ -70,20 +75,29 @@ type Packing struct {
 	c     *Columns
 	slack []float64
 	short []int32 // rows with slack below -packTol
+	order []int   // RoundDownAndComplete's variable order, kept for the next call
 }
 
 // NewPacking starts from the zero vector: every row's slack is its
 // right-hand side.
 func (c *Columns) NewPacking() *Packing {
-	cons := c.p.LP.Constraints
-	pk := &Packing{X: make([]float64, c.p.LP.NumVars()), c: c, slack: make([]float64, len(cons))}
+	pk := &Packing{X: make([]float64, c.p.LP.NumVars()), c: c, slack: make([]float64, len(c.p.LP.Constraints))}
+	pk.Reset()
+	return pk
+}
+
+// Reset returns the packing to the zero vector, every row's slack its
+// right-hand side, in the storage it already has.
+func (pk *Packing) Reset() {
+	clear(pk.X)
+	pk.short = pk.short[:0]
+	cons := pk.c.p.LP.Constraints
 	for i := range cons {
 		pk.slack[i] = cons[i].RHS
 		if 0 > pk.slack[i]+packTol {
 			pk.short = append(pk.short, int32(i))
 		}
 	}
-	return pk
 }
 
 // Blocked reports whether some row is already over its limit.
@@ -131,6 +145,57 @@ func (pk *Packing) setShort(i int32, short bool) {
 		if r == i {
 			pk.short = append(pk.short[:k], pk.short[k+1:]...)
 			return
+		}
+	}
+}
+
+// RoundDownAndComplete rounds the relaxation relaxed down to a 0/1 vector
+// and completes it greedily, on a packing at the zero vector (new, or
+// just Reset). It takes every variable the relaxation sets to 1 that
+// fits, then every other variable it gives a positive value, then the
+// rest, each pass in descending relaxed value with ties in the order of
+// ties — a permutation of the variables. On a packing problem (every row
+// "<=" with non-negative coefficients) rounding down stays feasible; on
+// any other the vector is only a candidate, as every Options.Heuristic
+// result is. After the first call it allocates nothing.
+func (pk *Packing) RoundDownAndComplete(relaxed []float64, ties []int) {
+	// A stable sort of ties by relaxation value, descending. Most values
+	// are zero and keep their place; only the rest need sorting.
+	byValue := func(ja, jb int) int { return cmp.Compare(relaxed[jb], relaxed[ja]) }
+	order := pk.order[:0]
+	for _, j := range ties {
+		if relaxed[j] > 0 {
+			order = append(order, j)
+		}
+	}
+	slices.SortStableFunc(order, byValue)
+	for _, j := range ties {
+		if v := relaxed[j]; v >= 0 && v <= 0 { // exactly zero, either sign; not NaN
+			order = append(order, j)
+		}
+	}
+	neg := len(order)
+	for _, j := range ties {
+		if relaxed[j] < 0 {
+			order = append(order, j)
+		}
+	}
+	slices.SortStableFunc(order[neg:], byValue)
+	pk.order = order
+
+	for _, j := range order {
+		if relaxed[j] > 0.999 && pk.Fits(j) {
+			pk.Take(j)
+		}
+	}
+	for _, j := range order {
+		if !nonZero(pk.X[j]) && relaxed[j] > 1e-9 && pk.Fits(j) {
+			pk.Take(j)
+		}
+	}
+	for _, j := range order {
+		if !nonZero(pk.X[j]) && pk.Fits(j) {
+			pk.Take(j)
 		}
 	}
 }

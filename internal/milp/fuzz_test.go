@@ -124,7 +124,10 @@ func sameResult(a, b Result) bool {
 // budget of 1..40 taken from the input's last byte — where a round has to
 // split what is left of the budget — and requires the two worker counts to
 // end identically, within the budget, on a point that is feasible and no
-// better than the enumerated optimum.
+// better than the enumerated optimum. Both legs attach the completion
+// heuristic, which builds its candidates in each worker's own Packing: a
+// Packing that went stale between calls, or one that workers shared,
+// would hand the two worker counts different candidates and trees.
 func FuzzMILPMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 1, 0, 12, 0, 9, 0, 15, 0, 11, 0, 14, 0, 10, 0, 13, 0, 4, 7, 8, 5, 7, 8})
@@ -132,9 +135,10 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ub := fuzzILP(data)
 		want, feasible := bruteForce(p, ub)
+		heuristic := completionHeuristic(p)
 		var ref Result
 		for _, workers := range []int{1, 4} {
-			r, err := SolveContext(context.Background(), p, Options{Workers: workers})
+			r, err := SolveContext(context.Background(), p, Options{Workers: workers, Heuristic: heuristic})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -168,7 +172,7 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 			budget = 1 + int(data[len(data)-1])%40
 		}
 		for _, workers := range []int{1, 4} {
-			r, err := SolveContext(context.Background(), p, Options{Workers: workers, MaxNodes: budget})
+			r, err := SolveContext(context.Background(), p, Options{Workers: workers, MaxNodes: budget, Heuristic: heuristic})
 			if err != nil {
 				t.Fatalf("budget %d workers=%d: %v", budget, workers, err)
 			}

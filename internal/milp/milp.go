@@ -57,14 +57,19 @@ type Options struct {
 	// Incumbent, when non-nil, is a candidate solution used to warm-start
 	// pruning. It is verified for feasibility and integrality first.
 	Incumbent []float64
-	// Heuristic, when non-nil, maps a fractional relaxation solution to a
-	// candidate integral solution (e.g. rounding + greedy completion). The
-	// candidate is verified before being adopted; returning nil is fine.
-	// With Workers > 1 it is called concurrently from several workers and
-	// must be safe for concurrent use (pure functions are). The relaxed
-	// slice is a per-worker scratch buffer: the heuristic must not retain
-	// it after returning.
-	Heuristic func(relaxed []float64) []float64
+	// Heuristic, when non-nil, builds a candidate integral solution from a
+	// fractional relaxation solution (e.g. Packing.RoundDownAndComplete:
+	// rounding + greedy completion) in pk, and returns true when pk.X holds
+	// one. pk is the calling worker's scratch, a Packing over the problem
+	// made once per solve and Reset to the zero vector before every call.
+	// The search verifies the candidate and copies it only if it improves
+	// on the incumbent, so a call allocates nothing for a candidate the
+	// search drops. With Workers > 1 it is called concurrently from several
+	// workers, each with its own pk, and must otherwise be safe for
+	// concurrent use (pure functions are). relaxed and pk are per-worker
+	// scratch: the heuristic must not modify relaxed, nor retain either
+	// after returning.
+	Heuristic func(relaxed []float64, pk *Packing) bool
 	// RelGap, when positive, stops the search once the incumbent is within
 	// this relative distance of the best open bound (e.g. 0.01 = 1%). The
 	// result is then reported as Optimal within the gap.
@@ -268,6 +273,9 @@ func newSearch(p *Problem, opts Options, now func() time.Time) *search {
 	if !p.LP.Maximize {
 		s.sign = -1.0 // internally we compare in "maximize" terms
 	}
+	if opts.Heuristic != nil {
+		s.cols = NewColumns(p)
+	}
 	s.watch = newWatchLists(p, &s.rows, s.skip)
 	s.root, s.rootOK = rootBox(s)
 	s.start = now()
@@ -302,6 +310,7 @@ type search struct {
 	up0  []float64 // implied upper bound per variable (from singleton LE rows)
 	skip []bool    // constraint rows provably redundant in every node LP
 	rows rowIndex  // non-zero columns of every constraint row
+	cols *Columns  // the problem by column, for the workers' heuristic Packings; nil without a heuristic
 	now  func() time.Time
 
 	watch  watchLists // per column, the rows its bound changes queue
@@ -404,9 +413,25 @@ func (s *search) improves(cand []float64, inc float64) (x []float64, obj float64
 // current one. Scheduler only.
 func (s *search) tryCandidate(cand []float64) {
 	if x, obj, ok := s.improves(cand, s.incumbent); ok {
-		s.best = &Result{Status: Feasible, X: x, Objective: obj}
-		s.incumbent = s.sign * obj
-		s.improved++
+		s.adopt(x, obj)
+	}
+}
+
+// adopt makes the verified point x, of objective obj, the incumbent.
+// Scheduler only.
+func (s *search) adopt(x []float64, obj float64) {
+	s.best = &Result{Status: Feasible, X: x, Objective: obj}
+	s.incumbent = s.sign * obj
+	s.improved++
+}
+
+// keep records cand in o when it improves on the dive's max-sense
+// incumbent inc, as the verified, snapped copy improves makes: once a
+// worker's scratch has grown to the problem, the only memory a node
+// evaluation allocates. Workers call it; it reads only the problem.
+func (s *search) keep(o *outcome, cand []float64, inc float64) {
+	if x, obj, ok := s.improves(cand, inc); ok {
+		o.cand, o.candObj = x, obj
 	}
 }
 
@@ -576,10 +601,8 @@ func (w *worker) dive(d *dive, inc float64) {
 		if o.branchJ < 0 {
 			return
 		}
-		for _, c := range o.cands {
-			if _, obj, ok := s.improves(c, inc); ok {
-				inc = s.sign * obj
-			}
+		if o.cand != nil {
+			inc = s.sign * o.candObj
 		}
 		if s.prunable(o.bound, inc) {
 			return
@@ -588,11 +611,14 @@ func (w *worker) dive(d *dive, inc float64) {
 	}
 }
 
-// apply folds one evaluated node into the search: its candidates, then its
-// children. When the worker dove on — evaluated the ceil child as the
-// dive's next step — only the floor sibling joins the frontier. The ceil
-// ("take it") child is pushed first and so explored first on bound ties,
-// which tends to reach incumbents sooner in packing problems.
+// apply folds one evaluated node into the search: its candidate, then its
+// children. The worker verified the candidate and kept it only if it beat
+// the dive's incumbent; steps are applied in dive order, so the incumbent
+// here is at least that one and only the objective needs comparing again.
+// When the worker dove on — evaluated the ceil child as the dive's next
+// step — only the floor sibling joins the frontier. The ceil ("take it")
+// child is pushed first and so explored first on bound ties, which tends
+// to reach incumbents sooner in packing problems.
 func (s *search) apply(nd *node, o *outcome, dove bool) {
 	s.nodesTotal++
 	s.iters += o.iters
@@ -606,8 +632,8 @@ func (s *search) apply(nd *node, o *outcome, dove bool) {
 		}
 		return // a branched unbounded relaxation is unexplorable; prune
 	}
-	for _, c := range o.cands {
-		s.tryCandidate(c)
+	if o.cand != nil && s.sign*o.candObj > s.incumbent {
+		s.adopt(o.cand, o.candObj)
 	}
 	if o.branchJ < 0 {
 		return
@@ -665,21 +691,24 @@ func (s *search) finish(end time.Time, workers int) (Result, error) {
 	return res, nil
 }
 
-// outcome is what evaluating one node produced. Candidate slices are
-// freshly allocated; everything else is plain data, so outcomes can be
-// buffered and applied later without aliasing worker scratch.
+// outcome is what evaluating one node produced. cand is the outcome's own
+// memory, allocated only for a candidate that improves on the dive's
+// incumbent; everything else is plain data, so outcomes can be buffered
+// and applied later without aliasing worker scratch.
 type outcome struct {
-	cands     [][]float64 // integral relaxations / heuristic candidates
-	branchJ   int         // branching variable, -1 when the node is a leaf
-	branchV   float64     // fractional value of branchJ
-	bound     float64     // node relaxation objective in max-sense
-	iters     int         // simplex pivots the relaxation took
+	cand      []float64 // verified integral relaxation or heuristic candidate; nil if none improved
+	candObj   float64   // cand's objective
+	branchJ   int       // branching variable, -1 when the node is a leaf
+	branchV   float64   // fractional value of branchJ
+	bound     float64   // node relaxation objective in max-sense
+	iters     int       // simplex pivots the relaxation took
 	unbounded bool
 	err       error
 }
 
 // worker holds one goroutine's scratch: a reusable lp.Solver plus buffers
-// for materializing a node's bounds and building its reduced subproblem.
+// for materializing a node's bounds and building its reduced subproblem,
+// and the Packing Options.Heuristic builds its candidates in.
 // Branching constraints on binaries become variable fixings
 // (fix-and-substitute) instead of extra rows, so the common all-LE
 // placement subproblems keep an all-slack basis and skip simplex phase 1
@@ -697,6 +726,7 @@ type worker struct {
 	sub     lp.Problem // the node's reduced LP, over objBuf and consBuf
 	coef    []float64  // arena for reduced constraint coefficient rows, sized once
 	xfull   []float64  // full-length relaxation vector (fixed + free values)
+	pk      *Packing   // the heuristic's scratch; nil without a heuristic
 
 	// The LP the solver solved last — its free variables and row keys — and
 	// a child's columns and rows as positions in it.
@@ -721,6 +751,9 @@ func newWorker(s *search) *worker {
 	}
 	copy(w.lo, s.root.lo)
 	copy(w.up, s.root.up)
+	if s.cols != nil {
+		w.pk = s.cols.NewPacking()
+	}
 	// A node's reduced LP holds at most every non-skipped row plus two bound
 	// rows per integer variable that can stay free after its bounds tighten.
 	// A variable whose implied upper bound is at most 1 cannot: raising its
@@ -747,12 +780,15 @@ func newWorker(s *search) *worker {
 
 // eval solves nd's relaxation into o, pruning against the max-sense
 // incumbent bound inc. A zero-valued o with branchJ == -1 and no
-// candidates means the node was pruned (infeasible or bound-dominated).
+// candidate means the node was pruned (infeasible or bound-dominated).
+// Candidates — an integral relaxation, or what the heuristic builds at a
+// fractional one — are verified against inc here, so a node allocates
+// only for one that improves on it.
 // child says nd is the ceil child of the node this worker evaluated last,
 // whose LP its solver still holds.
 func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 	s := w.s
-	*o = outcome{branchJ: -1, cands: o.cands[:0]}
+	*o = outcome{branchJ: -1}
 	// Tighten integer bounds by activity reasoning before classifying:
 	// branching that fixes one binary cascades through its rows (an
 	// assignment row with one member at 1 zeroes the siblings), so dives
@@ -781,7 +817,7 @@ func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 	if nFree == 0 {
 		// Every variable fixed by branching: the chain itself is the
 		// candidate; no relaxation needed.
-		o.cands = append(o.cands, append([]float64(nil), w.xfull...))
+		s.keep(o, w.xfull, inc)
 		return
 	}
 	// Reduced constraints: substitute fixed values into each row, dropping
@@ -891,7 +927,7 @@ func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 		return // bound-dominated
 	}
 	for k, j := range w.free[:nFree] {
-		w.xfull[j] = r.X[k]
+		w.xfull[j] = r.X[k] // r.X is the solver's buffer: copied before its next call
 	}
 	// Find the most fractional free integer variable.
 	branchJ, frac := -1, 0.0
@@ -907,12 +943,13 @@ func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 		}
 	}
 	if branchJ == -1 {
-		o.cands = append(o.cands, append([]float64(nil), w.xfull...))
+		s.keep(o, w.xfull, inc)
 		return
 	}
 	if s.opts.Heuristic != nil {
-		if cand := s.opts.Heuristic(w.xfull); cand != nil {
-			o.cands = append(o.cands, append([]float64(nil), cand...))
+		w.pk.Reset()
+		if s.opts.Heuristic(w.xfull, w.pk) {
+			s.keep(o, w.pk.X, inc)
 		}
 	}
 	o.branchJ = branchJ

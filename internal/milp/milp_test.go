@@ -174,11 +174,11 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 // pacedUntilDone is a heuristic that proposes nothing and holds its first
 // node until ctx is done, then paces the rest so the tree cannot be
 // exhausted before the context watcher has stopped the search.
-func pacedUntilDone(ctx context.Context) func([]float64) []float64 {
-	return func([]float64) []float64 {
+func pacedUntilDone(ctx context.Context) func([]float64, *Packing) bool {
+	return func([]float64, *Packing) bool {
 		<-ctx.Done()
 		time.Sleep(time.Millisecond)
-		return nil
+		return false
 	}
 }
 
@@ -337,9 +337,11 @@ func TestHeuristicCandidateAdopted(t *testing.T) {
 	p.LP.AddConstraint([]float64{10, 20, 30}, lp.LE, 50)
 	called := false
 	r, err := Solve(p, Options{
-		Heuristic: func(relaxed []float64) []float64 {
+		Heuristic: func(relaxed []float64, pk *Packing) bool {
 			called = true
-			return []float64{0, 1, 1}
+			pk.Take(1)
+			pk.Take(2)
+			return true
 		},
 	})
 	if err != nil {

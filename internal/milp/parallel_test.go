@@ -36,33 +36,41 @@ func randomKnapsack(seed int64, n int) *Problem {
 
 // TestDeterministicAcrossWorkers is the determinism contract: serial and
 // parallel runs of the same problem return the same objective, status,
-// solution, and node count.
+// solution, and node count — without a heuristic, and with the completion
+// heuristic building candidates in every worker's own Packing.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7, 11} {
 		p := randomKnapsack(seed, 14)
-		ref, err := SolveContext(context.Background(), p, Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
+		for _, heuristic := range []func([]float64, *Packing) bool{nil, completionHeuristic(p)} {
+			sameAcrossWorkers(t, seed, p, heuristic)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			r, err := SolveContext(context.Background(), p, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
-			}
-			if r.Status != ref.Status {
-				t.Errorf("seed %d workers=%d: status %v, serial %v", seed, workers, r.Status, ref.Status)
-			}
-			if math.Abs(r.Objective-ref.Objective) > 1e-9 {
-				t.Errorf("seed %d workers=%d: objective %v, serial %v", seed, workers, r.Objective, ref.Objective)
-			}
-			if r.Nodes != ref.Nodes {
-				t.Errorf("seed %d workers=%d: nodes %d, serial %d", seed, workers, r.Nodes, ref.Nodes)
-			}
-			for j := range ref.X {
-				if math.Abs(r.X[j]-ref.X[j]) > 1e-9 {
-					t.Errorf("seed %d workers=%d: x[%d]=%v, serial %v", seed, workers, j, r.X[j], ref.X[j])
-					break
-				}
+	}
+}
+
+func sameAcrossWorkers(t *testing.T, seed int64, p *Problem, heuristic func([]float64, *Packing) bool) {
+	t.Helper()
+	ref, err := SolveContext(context.Background(), p, Options{Workers: 1, Heuristic: heuristic})
+	if err != nil {
+		t.Fatalf("seed %d serial: %v", seed, err)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		r, err := SolveContext(context.Background(), p, Options{Workers: workers, Heuristic: heuristic})
+		if err != nil {
+			t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
+		}
+		if r.Status != ref.Status {
+			t.Errorf("seed %d workers=%d: status %v, serial %v", seed, workers, r.Status, ref.Status)
+		}
+		if math.Abs(r.Objective-ref.Objective) > 1e-9 {
+			t.Errorf("seed %d workers=%d: objective %v, serial %v", seed, workers, r.Objective, ref.Objective)
+		}
+		if r.Nodes != ref.Nodes {
+			t.Errorf("seed %d workers=%d: nodes %d, serial %d", seed, workers, r.Nodes, ref.Nodes)
+		}
+		for j := range ref.X {
+			if math.Abs(r.X[j]-ref.X[j]) > 1e-9 {
+				t.Errorf("seed %d workers=%d: x[%d]=%v, serial %v", seed, workers, j, r.X[j], ref.X[j])
+				break
 			}
 		}
 	}
@@ -96,9 +104,11 @@ func TestParallelMatchesSerialObjective(t *testing.T) {
 	}
 }
 
-// TestConcurrentIncumbentStress runs several eight-worker solves at once;
-// under -race it checks that workers share nothing but the problem, their
-// own dive and the stop flag, and that concurrent solves share nothing.
+// TestConcurrentIncumbentStress runs several eight-worker solves at once,
+// with the completion heuristic; under -race it checks that workers share
+// nothing but the problem, its column view, their own dive and the stop
+// flag — each completes candidates in its own Packing — and that
+// concurrent solves share nothing.
 func TestConcurrentIncumbentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -106,7 +116,7 @@ func TestConcurrentIncumbentStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			p := randomKnapsack(int64(100+g), 13)
-			r, err := SolveContext(context.Background(), p, Options{Workers: 8})
+			r, err := SolveContext(context.Background(), p, Options{Workers: 8, Heuristic: completionHeuristic(p)})
 			if err != nil {
 				t.Errorf("solve %d: %v", g, err)
 				return
@@ -140,12 +150,12 @@ func TestCancelReturnsIncumbent(t *testing.T) {
 	opts := Options{
 		Workers:   2,
 		Incumbent: warm,
-		Heuristic: func([]float64) []float64 {
+		Heuristic: func([]float64, *Packing) bool {
 			once.Do(func() { cancel(cause) })
 			// Pace node evaluation so the remaining tree cannot be
 			// exhausted before the cancellation watcher fires.
 			time.Sleep(time.Millisecond)
-			return nil
+			return false
 		},
 	}
 	start := time.Now()

@@ -262,6 +262,22 @@ func placementShaped(seed int64, nd int) *Problem {
 	return p
 }
 
+// completionHeuristic is the Flex-Offline batch heuristic on p: round the
+// relaxation down and complete it in the worker's Packing, offering
+// variables of equal relaxation value in descending objective order.
+func completionHeuristic(p *Problem) func([]float64, *Packing) bool {
+	obj := p.LP.Objective
+	ties := make([]int, len(obj))
+	for j := range ties {
+		ties[j] = j
+	}
+	sort.SliceStable(ties, func(a, b int) bool { return obj[ties[a]] > obj[ties[b]] })
+	return func(relaxed []float64, pk *Packing) bool {
+		pk.RoundDownAndComplete(relaxed, ties)
+		return true
+	}
+}
+
 // generalILP is a seeded random all-integer program with LE, GE and EQ
 // rows and coefficients of either sign (fuzzILP over random bytes).
 func generalILP(seed int64) *Problem {
@@ -424,8 +440,8 @@ func TestPropagateCycleTerminates(t *testing.T) {
 	if rise := w.lo[0] + w.lo[1] - from - s.root.lo[1]; w.settled || rise <= 0 || rise > limit {
 		t.Fatalf("branched node: lo = %v, settled %v: want a rise of 1..%v units past the branch", w.lo, w.settled, limit)
 	}
-	if o.branchJ >= 0 || len(o.cands) > 0 {
-		t.Fatalf("branched node: branch on %d, %d candidates; the relaxation is infeasible", o.branchJ, len(o.cands))
+	if o.branchJ >= 0 || o.cand != nil {
+		t.Fatalf("branched node: branch on %d, candidate %v; the relaxation is infeasible", o.branchJ, o.cand)
 	}
 	r, err := SolveContext(context.Background(), p, Options{Workers: 1})
 	if err != nil || r.Status != Infeasible {
@@ -530,13 +546,22 @@ func TestTryCandidateOrderIrrelevant(t *testing.T) {
 }
 
 // TestEvalScratchStable: a worker's scratch is sized when it is made, so
-// replaying a dive — deep nodes before shallow ones — allocates only what
-// a node hands back: the simplex solution and the candidate copies. In
+// replaying a dive — deep nodes before shallow ones — with the
+// placement-style completion heuristic attached allocates only the
+// candidates it keeps. With the incumbent at the best point any of the
+// dive's nodes yields — as good as the search can know — it allocates
+// nothing: the simplex solution is the solver's buffer, the heuristic
+// completes in the worker's Packing, and no candidate improves. In
 // particular the coefficient arena is never re-made, whichever worker
 // meets the deepest node.
 func TestEvalScratchStable(t *testing.T) {
 	p := placementShaped(3, 40)
-	s := newSearch(p, Options{}, time.Now)
+	complete := completionHeuristic(p)
+	calls := 0
+	s := newSearch(p, Options{Heuristic: func(relaxed []float64, pk *Packing) bool {
+		calls++
+		return complete(relaxed, pk)
+	}}, time.Now)
 	w := newWorker(s)
 	nodes := descend(w, 30, oddLevels)
 	if len(nodes) <= 30 {
@@ -544,16 +569,29 @@ func TestEvalScratchStable(t *testing.T) {
 	}
 	arena := &w.coef[0]
 	var o outcome
+	best, kept := math.Inf(-1), 0
+	for _, nd := range nodes {
+		w.eval(nd, math.Inf(-1), &o, false)
+		if o.cand != nil {
+			kept++
+			best = max(best, o.candObj) // the problem maximizes
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no node yields a candidate")
+	}
 	replay := func() {
 		for i := range nodes {
-			w.eval(nodes[len(nodes)-1-i], math.Inf(-1), &o, false) // deepest first
+			w.eval(nodes[len(nodes)-1-i], best, &o, false) // deepest first
 		}
 	}
 	replay()
-	perNode := testing.AllocsPerRun(5, replay) / float64(len(nodes))
-	// Per node: lp.Result.X and, at an integral leaf, one candidate copy.
-	if perNode > 2 {
-		t.Errorf("%.2f allocations per node, want at most 2", perNode)
+	calls = 0
+	if perNode := testing.AllocsPerRun(5, replay) / float64(len(nodes)); perNode != 0 {
+		t.Errorf("%.2f allocations per node, want 0", perNode)
+	}
+	if calls == 0 {
+		t.Error("the heuristic never ran: every node was bound-dominated")
 	}
 	if &w.coef[0] != arena {
 		t.Error("the coefficient arena was re-made")

@@ -169,7 +169,9 @@ func TestRoundDownMatchesDense(t *testing.T) {
 	nc := len(CombosOf(PaperRoom().Topo))
 	rng := rand.New(rand.NewSource(4))
 	for _, c := range denseCases(t) {
-		cols := milp.NewColumns(c.prob)
+		// One Packing for every trial, as a solver worker keeps one: Reset
+		// must leave nothing of the previous vector behind.
+		pk := milp.NewColumns(c.prob).NewPacking()
 		ties := completionOrder(c.prob.LP.Objective, nc)
 		placed := 0
 		for trial := 0; trial < 40; trial++ {
@@ -186,7 +188,9 @@ func TestRoundDownMatchesDense(t *testing.T) {
 					relaxed[j] = -1e-8 * float64(rng.Intn(2))
 				}
 			}
-			got := roundDownAndComplete(cols, ties, relaxed)
+			pk.Reset()
+			pk.RoundDownAndComplete(relaxed, ties)
+			got := pk.X
 			want := referenceRoundDownAndComplete(c.prob, relaxed, nc)
 			sameVector(t, c.name, got, want)
 			for _, v := range want {

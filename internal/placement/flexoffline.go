@@ -341,8 +341,8 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 // placements. The branch-and-bound is warm-started with the better of a
 // greedy incumbent and a headroom-aware incumbent seeded from the previous
 // batch's per-combo loads, and given a round-down-plus-completion
-// heuristic. It returns this batch's per-combo placed power for the next
-// batch's warm start.
+// heuristic that each solver worker runs in its own Packing. It returns
+// this batch's per-combo placed power for the next batch's warm start.
 func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, batch []workload.Deployment, maxNodes int, prevLoad []float64) ([]float64, error) {
 	// The paper stops Gurobi after 5 minutes. MaxNodes is normally the
 	// binding limit; the deadline is a safety net, and the solver treats
@@ -353,8 +353,9 @@ func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, b
 	prob := f.batchILP(s, combos, batch)
 	cols := milp.NewColumns(prob)
 	ties := completionOrder(prob.LP.Objective, nc)
-	heuristic := func(relaxed []float64) []float64 {
-		return roundDownAndComplete(cols, ties, relaxed)
+	heuristic := func(relaxed []float64, pk *milp.Packing) bool {
+		pk.RoundDownAndComplete(relaxed, ties)
+		return true
 	}
 	incumbent := WarmStart(cols, batch, nc, prevLoad)
 	res, err := milp.SolveContext(ctx, prob, milp.Options{
@@ -533,11 +534,12 @@ func packBins(items []workload.Deployment, bins []int) ([]int, bool) {
 	return nil, false
 }
 
-// completionOrder is the order roundDownAndComplete offers variables of
-// equal relaxation value in: objective descending, then combo index
-// rotated by deployment index, so that an unconstrained batch is spread
-// rather than piled onto combo 0 — concentrated placements poison later
-// batches even when they are "optimal" now. It depends on the problem
+// completionOrder is the order the batch ILP's completion heuristic
+// (milp.Packing.RoundDownAndComplete) offers variables of equal
+// relaxation value in: objective descending, then combo index rotated by
+// deployment index, so that an unconstrained batch is spread rather than
+// piled onto combo 0 — concentrated placements poison later batches even
+// when they are "optimal" now. It depends on the problem
 // alone, so it is sorted once per batch ILP, not once per node.
 func completionOrder(obj []float64, nc int) []int {
 	order := make([]int, len(obj))
@@ -552,54 +554,6 @@ func completionOrder(obj []float64, nc int) []int {
 		return cmp.Compare(rot(ja), rot(jb))
 	})
 	return order
-}
-
-// roundDownAndComplete rounds a fractional relaxation down to a feasible
-// 0/1 vector (valid because every constraint is ≤ with non-negative
-// coefficients) and then greedily re-adds variables in descending
-// relaxation-value order, ties in completionOrder (ties), while all
-// constraints hold.
-func roundDownAndComplete(cols *milp.Columns, ties []int, relaxed []float64) []float64 {
-	// A stable sort of ties by relaxation value, descending. Most values
-	// are zero and keep their place; only the rest need sorting.
-	byValue := func(ja, jb int) int { return cmp.Compare(relaxed[jb], relaxed[ja]) }
-	order := make([]int, 0, len(ties))
-	for _, j := range ties {
-		if relaxed[j] > 0 {
-			order = append(order, j)
-		}
-	}
-	slices.SortStableFunc(order, byValue)
-	for _, j := range ties {
-		if relaxed[j] == 0 {
-			order = append(order, j)
-		}
-	}
-	neg := len(order)
-	for _, j := range ties {
-		if relaxed[j] < 0 {
-			order = append(order, j)
-		}
-	}
-	slices.SortStableFunc(order[neg:], byValue)
-
-	pk := cols.NewPacking()
-	for _, j := range order {
-		if relaxed[j] > 0.999 && pk.Fits(j) {
-			pk.Take(j)
-		}
-	}
-	for _, j := range order {
-		if pk.X[j] == 0 && relaxed[j] > 1e-9 && pk.Fits(j) {
-			pk.Take(j)
-		}
-	}
-	for _, j := range order {
-		if pk.X[j] == 0 && pk.Fits(j) {
-			pk.Take(j)
-		}
-	}
-	return pk.X
 }
 
 // placeInCombo places d on the best-fit pair (smallest sufficient free
