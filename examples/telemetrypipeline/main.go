@@ -60,8 +60,9 @@ func main() {
 	}
 
 	// The controller-side view: subscribe to both brokers and install every
-	// drained batch; the view keeps the newest reading per device, which is
-	// all the deduplication the redundant paths need.
+	// drained batch with the instant it was drained; the view keeps the
+	// newest reading per device, which is all the deduplication the
+	// redundant paths need.
 	view := telemetry.NewLatestPower()
 	for _, addr := range addrs {
 		sub, err := telemetry.RemoteSubscribe(addr, telemetry.TopicUPS)
@@ -69,7 +70,7 @@ func main() {
 			log.Fatal(err)
 		}
 		go sub.Consume(make([]telemetry.Sample, 64), func(batch []telemetry.Sample) bool {
-			view.UpdateBatch(batch)
+			view.UpdateBatch(batch, clk.Now())
 			return true
 		})
 	}

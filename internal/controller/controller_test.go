@@ -24,8 +24,8 @@ type harness struct {
 	clk      *clock.Virtual
 	now      time.Time
 	// stamp, when set, completes the ingest timeline of a UPS sample feed
-	// is about to install.
-	stamp func(*telemetry.Sample)
+	// is about to install and returns the instant it was dequeued at.
+	stamp func(*telemetry.Sample) (dequeuedAt time.Time)
 }
 
 func newHarness(t *testing.T) *harness {
@@ -52,10 +52,11 @@ func (h *harness) feed(ups []power.Watts) {
 	h.now = h.now.Add(time.Second)
 	for u, w := range ups {
 		s := telemetry.Sample{Device: h.topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: h.now}
-		if h.stamp != nil {
-			h.stamp(&s)
+		if h.stamp == nil {
+			h.upsView.Update(s)
+			continue
 		}
-		h.upsView.Update(s)
+		h.upsView.UpdateDequeued(s, h.stamp(&s))
 	}
 	for _, r := range h.racks {
 		st, cap, _ := h.mgr.State(r.ID)

@@ -18,8 +18,9 @@ import (
 // dequeue, which is how long the reading then sits in the view — and a
 // second short of the next reading, which is therefore fresh.
 func feedStamped(h *harness, ups []power.Watts) {
-	h.stamp = func(s *telemetry.Sample) {
-		s.PublishedAt, s.DequeuedAt = s.MeasuredAt.Add(100*time.Millisecond), s.MeasuredAt.Add(300*time.Millisecond)
+	h.stamp = func(s *telemetry.Sample) time.Time {
+		s.PublishedAt = s.MeasuredAt.Add(100 * time.Millisecond)
+		return s.MeasuredAt.Add(300 * time.Millisecond)
 	}
 	h.now = h.now.Add(time.Second)
 	h.feed(ups) // h.now moves on another second

@@ -397,7 +397,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				s := &rackPoll[j]
 				s.Power, s.Valid, s.MeasuredAt = v, err == nil, wall
 			}
-			rackView.UpdateBatch(rackPoll)
+			rackView.UpdateBatch(rackPoll, time.Time{})
 		}
 
 		// Controllers evaluate.

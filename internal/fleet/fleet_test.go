@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -498,5 +499,62 @@ func TestSteppedFleetConcurrentReaders(t *testing.T) {
 	}
 	if len(f.EpisodeTraces(0)) == 0 {
 		t.Error("room-1's overdraw left no episode trace")
+	}
+}
+
+// TestPumpDrainsPollWhole: a 275-rack room's shard takes one full rack poll
+// and pumps it. The poll reaches the rack view as one batch, so the view
+// makes its slots and device index once: the first Pump allocates no more
+// than a fresh view does taking the same poll in one UpdateBatch, which is
+// one 275-slot array and one index sized for 275. Drained through a buffer
+// smaller than the poll, the view would make a smaller slot array first and
+// the whole one after it. Every reading installed carries the clock reading
+// of that Pump as its dequeue instant. The byte counts are process-wide, so
+// each side keeps its least of five fresh tries: whatever else allocates
+// meanwhile only adds.
+func TestPumpDrainsPollWhole(t *testing.T) {
+	clk := clock.NewVirtual(t0())
+	rc := testRoomConfig(t, "room-wide", clk)
+	for len(rc.Racks) < 275 {
+		r := rc.Racks[len(rc.Racks)%12]
+		r.ID = fmt.Sprintf("%s-%d", r.ID, len(rc.Racks))
+		rc.Racks = append(rc.Racks, r)
+	}
+	poll := make([]telemetry.Sample, len(rc.Racks))
+	for i, r := range rc.Racks {
+		poll[i] = telemetry.Sample{Device: r.ID, Power: r.Allocated, Valid: true, MeasuredAt: clk.Now(), PublishedAt: clk.Now()}
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	got, bound := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		s, err := New(Config{Clock: clk}).AddRoom(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.IngestRacks(poll)
+		clk.Advance(300 * time.Millisecond)
+		dequeuedAt := clk.Now()
+		var pumped int
+		got = min(got, allocated(func() { pumped = s.Pump() }))
+		bound = min(bound, allocated(func() { telemetry.NewLatestPower().UpdateBatch(poll, dequeuedAt) }))
+		if pumped != len(poll) {
+			t.Fatalf("Pump moved %d samples, want the poll's %d", pumped, len(poll))
+		}
+		for _, r := range rc.Racks {
+			st, ok := s.rackView.GetStamps(r.ID)
+			if !ok || !st.DequeuedAt.Equal(dequeuedAt) || !st.PublishedAt.Equal(t0()) {
+				t.Fatalf("%s: stamps %+v (ok %v), want published at %v and dequeued at the Pump's %v", r.ID, st, ok, t0(), dequeuedAt)
+			}
+		}
+	}
+	if got > bound {
+		t.Errorf("the first Pump allocated %d B, more than the %d B of one 275-slot array and one index sized for 275", got, bound)
 	}
 }

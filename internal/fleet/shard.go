@@ -35,7 +35,10 @@ type Shard struct {
 	upsView   *telemetry.LatestPower
 	rackView  *telemetry.LatestPower
 	ctls      []*controller.Controller
-	buf       []telemetry.Sample
+	// buf is drain's batch: one poll round, the larger of the room's rack
+	// and UPS counts (AddRoom keeps it within QueueDepth), and never empty,
+	// or drain would not return.
+	buf []telemetry.Sample
 
 	pumped, steps atomic.Uint64
 }
@@ -49,7 +52,7 @@ func newShard(f *Fleet, rc RoomConfig) *Shard {
 		rackTopic: telemetry.TopicRack + "/" + rc.Name,
 		upsView:   telemetry.NewLatestPower(),
 		rackView:  telemetry.NewLatestPower(),
-		buf:       make([]telemetry.Sample, 256),
+		buf:       make([]telemetry.Sample, max(len(rc.Racks), len(rc.Topo.UPSes), 1)),
 	}
 	s.upsSub = f.broker.Subscribe(s.upsTopic, f.cfg.QueueDepth)
 	s.rackSub = f.broker.Subscribe(s.rackTopic, f.cfg.QueueDepth)
@@ -101,9 +104,10 @@ func (s *Shard) IngestRacks(batch []telemetry.Sample) {
 }
 
 // Pump drains the shard's ingest queues into its telemetry views and
-// returns how many samples it moved. Each drained sample is stamped with
-// the dequeue instant (one clock read per batch) so the queue-wait stage
-// of the latency waterfall is attributable.
+// returns how many samples it moved. Each drained batch goes to its view
+// with the dequeue instant (one clock read per batch), which the view keeps
+// with every reading it installs, so the queue-wait stage of the latency
+// waterfall is attributable.
 func (s *Shard) Pump() int {
 	n := s.drain(s.upsSub, s.upsView) + s.drain(s.rackSub, s.rackView)
 	if n > 0 {
@@ -112,17 +116,15 @@ func (s *Shard) Pump() int {
 	return n
 }
 
-// drain moves everything queued on sub into view, a buffer at a time.
+// drain moves everything queued on sub into view, a buffer at a time. The
+// buffer holds one poll round, so a poll reaches the view whole and a
+// flooded queue drains a round at a time.
 func (s *Shard) drain(sub *telemetry.Subscription, view *telemetry.LatestPower) int {
 	n := 0
 	for {
 		k := sub.RecvBatch(s.buf)
 		if k > 0 {
-			at := s.fleet.cfg.Clock.Now()
-			for i := range s.buf[:k] {
-				s.buf[i].DequeuedAt = at
-			}
-			view.UpdateBatch(s.buf[:k])
+			view.UpdateBatch(s.buf[:k], s.fleet.cfg.Clock.Now())
 		}
 		n += k
 		if k < len(s.buf) {

@@ -118,7 +118,7 @@ func TestBatchPathZeroAllocations(t *testing.T) {
 	}
 	buf := make([]Sample, 8)
 	b.PublishBatch("t", batch)
-	view.UpdateBatch(batch)
+	view.UpdateBatch(batch, t0())
 	if allocs := testing.AllocsPerRun(1000, func() {
 		b.PublishBatch("t", batch)
 	}); allocs != 0 {
@@ -135,7 +135,7 @@ func TestBatchPathZeroAllocations(t *testing.T) {
 		for i := range batch {
 			batch[i].MeasuredAt = at
 		}
-		view.UpdateBatch(batch)
+		view.UpdateBatch(batch, at)
 	}); allocs != 0 {
 		t.Fatalf("UpdateBatch allocated %.1f times per call, want 0", allocs)
 	}

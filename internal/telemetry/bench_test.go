@@ -69,7 +69,7 @@ func BenchmarkUpdateBatch(b *testing.B) {
 				for j := range batch {
 					batch[j].MeasuredAt = at
 				}
-				view.UpdateBatch(batch)
+				view.UpdateBatch(batch, at)
 			}
 			_, at, seq, _ := view.GetEvent(batch[274].Device)
 			if !at.Equal(batch[274].MeasuredAt) || (seq != 0) != recorded {

@@ -30,8 +30,9 @@ func newMapLatestPower(rec *recorder.Recorder, role string) *mapLatestPower {
 	}
 }
 
-// Update reports whether it changed the device's entry.
-func (l *mapLatestPower) Update(s Sample) bool {
+// Update reports whether it changed the device's entry; dequeuedAt is the
+// instant the consumer handed s over with.
+func (l *mapLatestPower) Update(s Sample, dequeuedAt time.Time) bool {
 	if !s.Valid {
 		return false
 	}
@@ -40,7 +41,7 @@ func (l *mapLatestPower) Update(s Sample) bool {
 	}
 	l.power[s.Device] = s.Power
 	l.at[s.Device] = s.MeasuredAt
-	l.stamps[s.Device] = Stamps{MeasuredAt: s.MeasuredAt, PublishedAt: s.PublishedAt, DequeuedAt: s.DequeuedAt}
+	l.stamps[s.Device] = Stamps{MeasuredAt: s.MeasuredAt, PublishedAt: s.PublishedAt, DequeuedAt: dequeuedAt}
 	if l.rec != nil {
 		l.event[s.Device] = l.rec.Emit(recorder.Event{
 			Type: recorder.TypeSampleArrive, Time: s.MeasuredAt, Actor: l.role,
@@ -65,10 +66,11 @@ func (l *mapLatestPower) Oldest(now time.Time) (time.Duration, bool) {
 // reference with the same random samples — new devices, stale and
 // equal-timestamp repeats, invalid readings — each emitting into its own
 // recorder, and compares every reader after every update. The view takes
-// them one Update at a time, whose answer must be whether the reference's
-// entry changed, then as UpdateBatch of whole polls in slot
-// order, in reversed order (every hint misses) and of random devices with
-// duplicates; each with and without a recorder.
+// them one at a time, alternately through Update (no dequeue instant) and
+// UpdateDequeued, whose answer must be whether the reference's entry
+// changed, then as UpdateBatch, stamped with one dequeue instant a batch, of
+// whole polls in slot order, in reversed order (every hint misses) and of
+// random devices with duplicates; each with and without a recorder.
 func TestLatestPowerMatchesMapReference(t *testing.T) {
 	devices := make([]string, 45) // the last five never report
 	for d := range devices {
@@ -94,7 +96,7 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 				return Sample{
 					Device: devices[dev], Power: power.Watts(rng.Intn(1000)),
 					Valid: rng.Intn(10) > 0, MeasuredAt: at, PublishedAt: at.Add(time.Millisecond),
-					DequeuedAt: at.Add(2 * time.Millisecond), Event: uint64(rng.Intn(100)),
+					Event: uint64(rng.Intn(100)),
 				}
 			}
 			steps := 2000
@@ -107,8 +109,16 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 				switch {
 				case !mode.batched:
 					s := sample(rng.Intn(40))
-					if g, w := got.Update(s), want.Update(s); g != w {
-						t.Fatalf("%+v seed %d step %d: Update(%+v) = %v, reference entry changed %v", mode, seed, i, s, g, w)
+					var g bool
+					deq := time.Time{}
+					if i%2 == 0 {
+						g = got.Update(s)
+					} else {
+						deq = s.MeasuredAt.Add(2 * time.Millisecond)
+						g = got.UpdateDequeued(s, deq)
+					}
+					if w := want.Update(s, deq); g != w {
+						t.Fatalf("%+v seed %d step %d: update(%+v, %v) = %v, reference entry changed %v", mode, seed, i, s, deq, g, w)
 					}
 				case i%3 == 0: // a poll: the first 30+ devices in order, the tail joining late
 					for dev := 0; dev < 30+min(i/10, 10); dev++ {
@@ -123,11 +133,12 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 						batch = append(batch, sample(rng.Intn(40)))
 					}
 				}
+				deq := now.Add(2 * time.Millisecond)
 				if mode.batched {
-					got.UpdateBatch(batch)
+					got.UpdateBatch(batch, deq)
 				}
 				for _, s := range batch {
-					want.Update(s)
+					want.Update(s, deq)
 				}
 
 				for _, dev := range devices {
@@ -174,10 +185,10 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestViewSizedByItsTraffic: a view fed a 275-device poll through a
-// 256-sample buffer, as fleet.Shard drains one, grows its slots once a
-// batch to exactly the devices it has — never doubling past them — and
-// takes every later poll without allocating, recorded or not.
+// TestViewSizedByItsTraffic: a view fed a 275-device poll in batches of at
+// most 256 samples grows its slots once a batch to exactly the devices it
+// has — never doubling past them — and takes every later poll without
+// allocating, recorded or not.
 func TestViewSizedByItsTraffic(t *testing.T) {
 	poll := make([]Sample, 275)
 	for i := range poll {
@@ -195,7 +206,7 @@ func TestViewSizedByItsTraffic(t *testing.T) {
 				poll[i].MeasuredAt = at
 			}
 			for lo := 0; lo < len(poll); lo += 256 {
-				view.UpdateBatch(poll[lo:min(lo+256, len(poll))])
+				view.UpdateBatch(poll[lo:min(lo+256, len(poll))], at)
 			}
 		}
 		deliver()

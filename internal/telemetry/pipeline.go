@@ -160,11 +160,10 @@ func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func())
 // takes adds its publish lag.
 func (p *Pipeline) install(batch []Sample, view *LatestPower) {
 	for _, s := range batch {
-		// Stamp the dequeue instant before the view installs the
-		// sample: PublishedAt→DequeuedAt is the queue-wait stage.
+		// The view keeps the dequeue instant with the reading:
+		// PublishedAt→DequeuedAt is the queue-wait stage.
 		now := p.Clock.Now()
-		s.DequeuedAt = now
-		installed := view.Update(s)
+		installed := view.UpdateDequeued(s, now)
 		switch {
 		case p.Metrics == nil:
 		case installed:

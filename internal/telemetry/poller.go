@@ -181,10 +181,21 @@ func (l *LatestPower) SetRecorder(rec *recorder.Recorder, role string) {
 
 // Update installs s and reports whether it went in: it did when it is valid
 // and measured after what its device's slot holds. An invalid reading, or
-// another path's copy of a measurement already installed, is refused.
+// another path's copy of a measurement already installed, is refused. It is
+// for a sample that never crossed a queue, so the reading keeps no dequeue
+// instant; a consumer that drained s from one calls UpdateDequeued.
 //
 //flex:hotpath
 func (l *LatestPower) Update(s Sample) bool {
+	return l.UpdateDequeued(s, time.Time{})
+}
+
+// UpdateDequeued is Update for a sample a consumer pulled out of its ingest
+// queue at dequeuedAt, the instant the installed reading keeps as its
+// Stamps.DequeuedAt.
+//
+//flex:hotpath
+func (l *LatestPower) UpdateDequeued(s Sample, dequeuedAt time.Time) bool {
 	if !s.Valid {
 		return false
 	}
@@ -193,7 +204,7 @@ func (l *LatestPower) Update(s Sample) bool {
 	if !known {
 		i = l.addSlot(s.Device)
 	}
-	installed := l.install(&s, i, !known)
+	installed := l.install(&s, i, !known, dequeuedAt)
 	rec, role := l.rec, l.role
 	l.mu.Unlock()
 	if !installed || rec == nil {
@@ -222,20 +233,22 @@ func arriveEvent(role string, s *Sample) recorder.Event {
 	}
 }
 
-// UpdateBatch installs batch as a loop of Update would, under one lock
-// acquisition. A poll delivers its devices in the same order every round, so
-// each sample first tries the slot after the previous sample's — a string
-// compare that hits on pointer equality — and only then the map. The slots
+// UpdateBatch installs batch as a loop of UpdateDequeued would, every
+// sample with the instant dequeuedAt its consumer drained the batch at (zero
+// for a batch that never crossed a queue), under one lock acquisition. A
+// poll delivers its devices in the same order every round, so each sample
+// first tries the slot after the previous sample's — a string compare that
+// hits on pointer equality — and only then the map. The slots
 // grow at most once a batch (slotOf). A recorded view goes through
 // updateBatchRecorded, which emits the same sample-arrive events in the same
 // order between two lock holds per batch, not per sample.
 //
 //flex:hotpath
-func (l *LatestPower) UpdateBatch(batch []Sample) {
+func (l *LatestPower) UpdateBatch(batch []Sample, dequeuedAt time.Time) {
 	l.mu.Lock()
 	if l.rec != nil {
 		l.mu.Unlock()
-		l.updateBatchRecorded(batch)
+		l.updateBatchRecorded(batch, dequeuedAt)
 		return
 	}
 	next, filled := 0, len(l.slots)
@@ -252,7 +265,7 @@ func (l *LatestPower) UpdateBatch(batch []Sample) {
 		if fresh {
 			filled++
 		}
-		l.install(s, i, fresh)
+		l.install(s, i, fresh, dequeuedAt)
 		next = i + 1
 	}
 	l.mu.Unlock()
@@ -274,7 +287,7 @@ type arrival struct {
 // finds none and makes its own.
 //
 //flex:hotpath
-func (l *LatestPower) updateBatchRecorded(batch []Sample) {
+func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) {
 	l.mu.Lock()
 	rec, role := l.rec, l.role
 	arrivals := l.arrivals
@@ -297,7 +310,7 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample) {
 		if fresh {
 			filled++
 		}
-		if l.install(s, i, fresh) {
+		if l.install(s, i, fresh, dequeuedAt) {
 			arrivals[n] = arrival{sample: k, slot: i}
 			n++
 		}
@@ -325,11 +338,11 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample) {
 //flex:coldpath
 func newArrivals(n int) []arrival { return make([]arrival, n) }
 
-// install puts valid sample s into slot i unless the slot holds a
-// measurement at least as new, and reports whether s went in. A fresh slot
-// — one made for s that no sample has filled yet — takes s whatever its
-// time. l.mu is held.
-func (l *LatestPower) install(s *Sample, i int, fresh bool) bool {
+// install puts valid sample s, dequeued at dequeuedAt, into slot i unless
+// the slot holds a measurement at least as new, and reports whether s went
+// in. A fresh slot — one made for s that no sample has filled yet — takes s
+// whatever its time. l.mu is held.
+func (l *LatestPower) install(s *Sample, i int, fresh bool, dequeuedAt time.Time) bool {
 	if !fresh && !s.MeasuredAt.After(l.slots[i].stamps.MeasuredAt) {
 		return false
 	}
@@ -338,7 +351,7 @@ func (l *LatestPower) install(s *Sample, i int, fresh bool) bool {
 	r.stamps = Stamps{
 		MeasuredAt:  s.MeasuredAt,
 		PublishedAt: s.PublishedAt,
-		DequeuedAt:  s.DequeuedAt,
+		DequeuedAt:  dequeuedAt,
 	}
 	return true
 }
@@ -347,9 +360,9 @@ func (l *LatestPower) install(s *Sample, i int, fresh bool) bool {
 // reporting for the first time gets the next slot, and so does every other
 // new device of batch[k:], numbered in the order they first appear there:
 // the slots then grow once, to exactly what the batch adds, where a view
-// fed a poll in buffer-sized batches (fleet.Shard) would otherwise double
-// to up to twice its devices. Slots made this way are filled by the rest
-// of the batch, in slot order. l.mu is held.
+// fed a poll in batches smaller than the poll would otherwise double to up
+// to twice its devices. Slots made this way are filled by the rest of the
+// batch, in slot order. l.mu is held.
 func (l *LatestPower) slotOf(batch []Sample, k int) int {
 	i, ok := l.index[batch[k].Device]
 	if !ok {

@@ -28,12 +28,11 @@ type Sample struct {
 	// Zero when the producer predates stamping. Fixed-size so the stamp
 	// survives batch coalescing and gob transport without allocating.
 	PublishedAt time.Time
-	// DequeuedAt is when a consumer pulled the sample out of its ingest
-	// queue (stamped by the consumer, never by the broker). Together
-	// with MeasuredAt and PublishedAt it decomposes sample age into the
-	// sample/queue stages of the latency-attribution waterfall
-	// (DESIGN.md "Latency attribution").
-	DequeuedAt time.Time
+	// The dequeue instant, the third stamp of the latency-attribution
+	// waterfall (DESIGN.md "Latency attribution"), is one per drained
+	// batch, not one per sample: the consumer hands it to the view
+	// (LatestPower.UpdateBatch, UpdateDequeued), which keeps it in the
+	// reading's Stamps.
 }
 
 // StampPublished sets PublishedAt=at on every sample in batch that does

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"flex/internal/clock"
 	"flex/internal/obs"
@@ -129,5 +130,19 @@ func TestPollerStampMonotonicity(t *testing.T) {
 	}
 	if !pre[1].PublishedAt.Equal(t0().Add(2 * time.Hour)) {
 		t.Fatalf("StampPublished skipped an unstamped sample: %v", pre[1].PublishedAt)
+	}
+}
+
+// TestSampleSize pins Sample at 88 bytes on 64-bit platforms. Three Sample
+// arrays per fleet room scale with it — the subscription rings, the rooms'
+// poll batches and the shards' drain buffers — so a field added here is
+// paid once per queued sample in every room. Shrinking it further is
+// ROADMAP item 10(b): the two time.Time stamps as int64 nanoseconds.
+func TestSampleSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Sample{}); got != 88 {
+		t.Errorf("unsafe.Sizeof(Sample{}) = %d, want 88", got)
 	}
 }

@@ -190,7 +190,7 @@ func TestRecordedViewBatchAgainstUpdateStress(t *testing.T) {
 				}
 			}
 			copy(before, batch)
-			view.UpdateBatch(batch)
+			view.UpdateBatch(batch, at)
 			if !slices.Equal(batch, before) {
 				t.Errorf("round %d: UpdateBatch wrote to its caller's batch", r)
 				return
