@@ -86,7 +86,7 @@ transport-smoke:
 	$(GO) run ./examples/telemetrypipeline
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the six
-# smokes, ten seconds of each of the nine fuzzers, the whole tree under the
+# smokes, ten seconds of each of the ten fuzzers, the whole tree under the
 # race detector, the emulator's parallel tick three more times under it (the
 # fleet's phases split over every core, the noise producer, the cached
 # truth), a stepped fleet read by /fleet handlers and a whole rack poll
@@ -154,15 +154,18 @@ loc:
 figures:
 	$(GO) test -bench=. -benchmem ./...
 
-# The nine native fuzz targets, FUZZTIME each: trace parsing, the impact
-# function, the safety ledger, the admitter, the prepared Algorithm 1, the
-# admitter's scenario scorer and the broker's subscriber queues against
-# their from-scratch references, the MILP search against exhaustive
-# enumeration, and the LP's warm re-solve against a cold solve.
+# The ten native fuzz targets, FUZZTIME each: trace parsing, the impact
+# function, the offline/online contract (Algorithm 1 against placements
+# that pass Validate), the safety ledger, the admitter, the prepared
+# Algorithm 1, the admitter's scenario scorer and the broker's subscriber
+# queues against their from-scratch references, the 0/1 packing search
+# against exhaustive enumeration, and the LP's warm re-solve against a cold
+# solve.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) -run=Fuzz .
 	$(GO) test -fuzz=FuzzImpactFunction -fuzztime=$(FUZZTIME) -run=Fuzz .
+	$(GO) test -fuzz=FuzzContractHolds -fuzztime=$(FUZZTIME) -run=Fuzz .
 	$(GO) test -fuzz=FuzzLedgerMatchesLoadFlow -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/power
 	$(GO) test -fuzz=FuzzStateMatchesAdmitter -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement
 	$(GO) test -fuzz=FuzzMILPMatchesBruteForce -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/milp
@@ -171,7 +174,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzQueueMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/telemetry
 	$(GO) test -fuzz=FuzzWarmMatchesCold -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/lp
 
-# The same nine legs at ten seconds each: what CI can afford on every push.
+# The same ten legs at ten seconds each: what CI can afford on every push.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 

@@ -12,7 +12,9 @@ import (
 // exposed for users who want to solve their own placement variants or
 // tune the search.
 type (
-	// MILPProblem is a linear program plus integrality requirements.
+	// MILPProblem is a 0/1 packing program: maximize Objective·x over
+	// binary x subject to rows Σ a·x <= b with every a >= 0, and every
+	// variable bounded at <= 1 by some row. Validate checks the class.
 	MILPProblem = milp.Problem
 	// SolveOptions tunes the parallel branch-and-bound search (workers,
 	// limits, warm starts). The result does not depend on the worker count.
@@ -24,12 +26,11 @@ type (
 	SolveStatus = milp.Status
 	// StopReason says why a search stopped before proving optimality.
 	StopReason = milp.StopReason
-	// LinearProblem is a linear program over nonnegative variables.
+	// LinearProblem is the linear program of a MILPProblem: maximize
+	// Objective·x over nonnegative x subject to its rows.
 	LinearProblem = lp.Problem
-	// LinearConstraint is one row of a LinearProblem.
+	// LinearConstraint is one row Coeffs·x <= RHS of a LinearProblem.
 	LinearConstraint = lp.Constraint
-	// ConstraintSense relates a constraint row to its right-hand side.
-	ConstraintSense = lp.Sense
 )
 
 // Solve statuses.
@@ -37,7 +38,6 @@ const (
 	SolveOptimal    = milp.Optimal
 	SolveFeasible   = milp.Feasible
 	SolveInfeasible = milp.Infeasible
-	SolveUnbounded  = milp.Unbounded
 )
 
 // Stop reasons for truncated searches.
@@ -48,16 +48,11 @@ const (
 	StopCanceled  = milp.StopCanceled
 )
 
-// Constraint senses.
-const (
-	LE = lp.LE
-	GE = lp.GE
-	EQ = lp.EQ
-)
-
-// SolveMILP runs the parallel branch-and-bound solver under ctx: a
-// context deadline bounds the search (Stop == StopDeadline), and
-// cancellation returns the best incumbent with context.Cause(ctx).
+// SolveMILP runs the parallel branch-and-bound solver on the 0/1 packing
+// program p under ctx: a context deadline bounds the search (Stop ==
+// StopDeadline), and cancellation returns the best incumbent with
+// context.Cause(ctx). A p outside the class — see MILPProblem — is refused
+// with the error p.Validate() reports.
 func SolveMILP(ctx context.Context, p *MILPProblem, opts SolveOptions) (SolveResult, error) {
 	return milp.SolveContext(ctx, p, opts)
 }

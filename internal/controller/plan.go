@@ -95,7 +95,8 @@ type PlanInput struct {
 // (ties: most recovered power, then rack ID) until the estimated power of
 // every UPS is below its limit minus the buffer. It returns the chosen
 // actions and whether the target was reached (insufficient=false) — when
-// every shaveable rack is exhausted and some UPS is still over,
+// every shaveable rack is exhausted and some UPS is still over by more
+// than power.CapacityTolerance, the slack Eq. 4 itself allows a placement,
 // insufficient is true and the actions still help but cannot guarantee
 // safety.
 //
@@ -248,12 +249,14 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 		}
 	}
 
-	overLimit := func() bool {
+	// overLimit reports whether some active UPS is estimated above its
+	// limit minus the buffer, plus slack.
+	overLimit := func(slack power.Watts) bool {
 		for u := range topo.UPSes {
 			if in.Inactive[power.UPSID(u)] {
 				continue
 			}
-			if est[u] > topo.UPSes[u].Capacity-in.Buffer {
+			if est[u] > topo.UPSes[u].Capacity-in.Buffer+slack {
 				return true
 			}
 		}
@@ -265,7 +268,7 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 	for wi := range p.workloads {
 		p.propose(wi, in.RackPower, in.Acted)
 	}
-	for overLimit() {
+	for overLimit(0) {
 		if ctx.Err() != nil {
 			return actions, true, context.Cause(ctx)
 		}
@@ -290,7 +293,10 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 			}
 		}
 		if best < 0 {
-			return actions, true, nil // exhausted all shaveable racks
+			// Every shaveable rack is spent. A placement Eq. 4 accepts may
+			// sit up to CapacityTolerance above a UPS's capacity at full
+			// draw, so only an overage beyond that is insufficient.
+			return actions, overLimit(power.CapacityTolerance), nil
 		}
 		chosen := &p.cands[best]
 		actions = append(actions, chosen.act)

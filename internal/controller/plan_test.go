@@ -497,12 +497,12 @@ func referencePlan(ctx context.Context, in PlanInput) (actions []PlannedAction, 
 		return r.Allocated // conservative: assume full draw
 	}
 
-	overLimit := func() bool {
+	overLimit := func(slack power.Watts) bool {
 		for u := range topo.UPSes {
 			if in.Inactive[power.UPSID(u)] {
 				continue
 			}
-			if est[u] > topo.UPSes[u].Capacity-in.Buffer {
+			if est[u] > topo.UPSes[u].Capacity-in.Buffer+slack {
 				return true
 			}
 		}
@@ -515,7 +515,7 @@ func referencePlan(ctx context.Context, in PlanInput) (actions []PlannedAction, 
 		act PlannedAction
 	}
 	cands := make([]candidate, 0, len(order))
-	for overLimit() {
+	for overLimit(0) {
 		if ctx.Err() != nil {
 			return actions, true, context.Cause(ctx)
 		}
@@ -544,7 +544,7 @@ func referencePlan(ctx context.Context, in PlanInput) (actions []PlannedAction, 
 			cands = append(cands, candidate{w: w, r: r, act: act})
 		}
 		if len(cands) == 0 {
-			return actions, true, nil // exhausted all shaveable racks
+			return actions, overLimit(power.CapacityTolerance), nil // exhausted all shaveable racks
 		}
 		// Select argmin impact (line 13); ties: max recovered, then ID.
 		best := 0

@@ -1,12 +1,15 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
+// Package lp implements a dense primal simplex solver for packing linear
 // programs, plus a dual simplex re-solve of a problem's child from the
-// parent's final tableau. It is the foundation of the branch-and-bound MILP
+// parent's final tableau. It is the foundation of the branch-and-bound
 // solver in internal/milp, which together replace the commercial Gurobi
 // solver the paper used for the Flex-Offline placement ILP (§IV-B, §V-A).
 //
-// Problems are stated as: optimize c·x subject to A·x {<=,>=,=} b, x >= 0.
-// The solver converts to standard form with slack/surplus/artificial
-// variables and runs phase 1 (drive artificials out) then phase 2.
+// Problems are stated as: maximize c·x subject to A·x <= b, x >= 0, where
+// every row with b < 0 has non-negative coefficients — the relaxations of
+// the 0/1 packing programs milp.Problem admits. A slack per row makes the
+// standard form; when b >= 0 the slack basis is feasible and simplex
+// starts from it, and a row with b < 0 cannot be met at any x >= 0, so
+// the problem is infeasible. Either way no phase 1 is needed.
 package lp
 
 import (
@@ -14,42 +17,17 @@ import (
 	"math"
 )
 
-// Sense is a constraint relation.
-type Sense int
-
-// Constraint senses.
-const (
-	LE Sense = iota // <=
-	GE              // >=
-	EQ              // =
-)
-
-// String implements fmt.Stringer.
-func (s Sense) String() string {
-	switch s {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	default:
-		return "?"
-	}
-}
-
-// Constraint is one linear constraint: Coeffs·x Sense RHS. Coeffs shorter
-// than the variable count are zero-extended.
+// Constraint is one row Coeffs·x <= RHS. Coeffs shorter than the variable
+// count are zero-extended.
 type Constraint struct {
 	Coeffs []float64
-	Sense  Sense
 	RHS    float64
 }
 
-// Problem is a linear program over n = len(Objective) variables, all
-// implicitly bounded below by zero.
+// Problem is the linear program maximize Objective·x subject to every
+// constraint row, over n = len(Objective) variables that are all implicitly
+// bounded below by zero.
 type Problem struct {
-	Maximize    bool
 	Objective   []float64
 	Constraints []Constraint
 }
@@ -57,9 +35,9 @@ type Problem struct {
 // NumVars returns the number of decision variables.
 func (p *Problem) NumVars() int { return len(p.Objective) }
 
-// AddConstraint appends a constraint and returns its index.
-func (p *Problem) AddConstraint(coeffs []float64, s Sense, rhs float64) int {
-	p.Constraints = append(p.Constraints, Constraint{Coeffs: coeffs, Sense: s, RHS: rhs})
+// AddConstraint appends the row coeffs·x <= rhs and returns its index.
+func (p *Problem) AddConstraint(coeffs []float64, rhs float64) int {
+	p.Constraints = append(p.Constraints, Constraint{Coeffs: coeffs, RHS: rhs})
 	return len(p.Constraints) - 1
 }
 
@@ -97,14 +75,14 @@ type Result struct {
 	X         []float64
 	Objective float64
 	// Iterations is the total number of simplex pivots the solve spent —
-	// both phases, and for Resolve its warm attempt too — for solver
-	// observability and performance accounting.
+	// for Resolve its warm attempt too — for solver observability and
+	// performance accounting.
 	Iterations int
 }
 
 const eps = 1e-9
 
-// Solver runs two-phase primal simplex and keeps its tableau scratch
+// Solver runs primal simplex and keeps its tableau scratch
 // (one flat arena plus row/basis headers) between calls, so repeated
 // solves — every node relaxation of a branch-and-bound search — stop
 // paying a fresh (m+1)×(cols+1) allocation each time. It also keeps the
@@ -133,48 +111,39 @@ type Solver struct {
 	newCol, src []int
 }
 
-// Solve runs two-phase primal simplex on p using a throwaway Solver, so
-// the returned Result.X is the caller's to keep. Callers with many solves
-// should reuse a Solver to amortize tableau and solution allocation.
+// Solve runs primal simplex on p using a throwaway Solver, so the returned
+// Result.X is the caller's to keep. Callers with many solves should reuse a
+// Solver to amortize tableau and solution allocation.
 func Solve(p *Problem) (Result, error) {
 	var s Solver
 	return s.Solve(p)
 }
 
-// Solve runs two-phase primal simplex on p, reusing the solver's scratch.
+// Solve runs primal simplex on p from the slack basis, reusing the
+// solver's scratch. A row with a negative right-hand side makes p
+// infeasible without a pivot.
 func (s *Solver) Solve(p *Problem) (Result, error) {
 	n := p.NumVars()
 	if n == 0 {
 		return Result{}, fmt.Errorf("lp: problem has no variables")
 	}
+	s.warm = false
+	infeasible := false
 	for i, c := range p.Constraints {
 		if len(c.Coeffs) > n {
 			return Result{}, fmt.Errorf("lp: constraint %d has %d coefficients for %d variables", i, len(c.Coeffs), n)
 		}
+		infeasible = infeasible || c.RHS < 0
 	}
-	s.warm = false
+	if infeasible {
+		return Result{Status: Infeasible}, nil
+	}
 	t := s.newTableau(p)
-	iters := 0
-	// Phase 1: minimize sum of artificials.
-	if t.numArtificial > 0 {
-		status, n := t.runSimplex(true)
-		iters += n
-		if status == IterationLimit {
-			return Result{Status: IterationLimit, Iterations: iters}, nil
-		}
-		if t.phase1Objective() > 1e-6 {
-			return Result{Status: Infeasible, Iterations: iters}, nil
-		}
-		t.driveOutArtificials()
-	}
-	// Phase 2.
-	t.installPhase2Objective()
-	status, n2 := t.runSimplex(false)
-	iters += n2
+	status, iters := t.runSimplex()
 	if status != Optimal {
 		return Result{Status: status, Iterations: iters}, nil
 	}
-	s.remember(p, true)
+	s.remember(p)
 	x := s.solution()
 	return Result{Status: Optimal, X: x, Objective: objective(p, x), Iterations: iters}, nil
 }
@@ -188,58 +157,25 @@ func objective(p *Problem, x []float64) float64 {
 	return obj
 }
 
-// tableau is a dense simplex tableau. Column layout:
-// [0..n) decision vars, [n..n+numSlack) slack/surplus, then artificials,
-// then the RHS column. Row m is the objective row.
+// tableau is a dense simplex tableau. Column layout: [0..n) decision
+// vars, [n..n+m) one slack per row, then the RHS column. Row m is the
+// objective row, which holds -c for the maximization: the basis is optimal
+// once no entry is below -eps.
 type tableau struct {
-	p             *Problem
-	n             int // decision variables
-	m             int // constraints
-	numSlack      int
-	numArtificial int
-	cols          int         // total variable columns (without RHS)
-	a             [][]float64 // (m+1) x (cols+1)
-	basis         []int       // basic variable per row
-	artStart      int
+	p     *Problem
+	n     int         // decision variables
+	m     int         // constraints
+	cols  int         // total variable columns (without RHS): n + m
+	a     [][]float64 // (m+1) x (cols+1)
+	basis []int       // basic variable per row
 }
 
-// normalizedSense is the sense of constraint c once its row has been
-// normalized to RHS >= 0 (rows with a negative RHS are negated, which
-// flips LE and GE).
-func normalizedSense(c *Constraint) Sense {
-	if c.RHS < 0 {
-		switch c.Sense {
-		case LE:
-			return GE
-		case GE:
-			return LE
-		}
-	}
-	return c.Sense
-}
-
+// newTableau builds p's tableau at the slack basis, every right-hand side
+// non-negative.
 func (s *Solver) newTableau(p *Problem) *tableau {
 	n := p.NumVars()
 	m := len(p.Constraints)
-	// Count slack and artificial columns for the RHS >= 0 normal form.
-	numSlack, numArt := 0, 0
-	for i := range p.Constraints {
-		switch normalizedSense(&p.Constraints[i]) {
-		case LE:
-			numSlack++ // slack enters basis
-		case GE:
-			numSlack++ // surplus
-			numArt++
-		case EQ:
-			numArt++
-		}
-	}
-	s.tab = tableau{
-		p: p, n: n, m: m,
-		numSlack: numSlack, numArtificial: numArt,
-		cols:     n + numSlack + numArt,
-		artStart: n + numSlack,
-	}
+	s.tab = tableau{p: p, n: n, m: m, cols: n + m}
 	t := &s.tab
 	// Carve the (m+1)×(cols+1) tableau out of the solver's arena, growing
 	// it only when the problem outgrows what previous solves needed.
@@ -262,127 +198,29 @@ func (s *Solver) newTableau(p *Problem) *tableau {
 		s.basis = make([]int, m)
 	}
 	t.basis = s.basis[:m]
-	slackIdx, artIdx := n, t.artStart
 	for i := range p.Constraints {
 		c := &p.Constraints[i]
 		row := t.a[i]
-		if c.RHS < 0 {
-			for j, v := range c.Coeffs {
-				row[j] = -v
-			}
-			row[t.cols] = -c.RHS
-		} else {
-			copy(row, c.Coeffs)
-			row[t.cols] = c.RHS
-		}
-		switch normalizedSense(c) {
-		case LE:
-			row[slackIdx] = 1
-			t.basis[i] = slackIdx
-			slackIdx++
-		case GE:
-			row[slackIdx] = -1
-			slackIdx++
-			row[artIdx] = 1
-			t.basis[i] = artIdx
-			artIdx++
-		case EQ:
-			row[artIdx] = 1
-			t.basis[i] = artIdx
-			artIdx++
-		}
+		copy(row, c.Coeffs)
+		row[t.cols] = c.RHS
+		row[n+i] = 1
+		t.basis[i] = n + i
 	}
-	// Phase-1 objective: minimize sum of artificials ⇔ maximize -sum.
-	// Objective row holds reduced costs for maximization: we store -c in
-	// the row and pivot until all entries >= -eps.
-	if t.numArtificial > 0 {
-		obj := t.a[m]
-		for j := t.artStart; j < t.cols; j++ {
-			obj[j] = 1 // minimize sum(artificials): row = c for min ⇒ use max(-sum) form below
-		}
-		// Convert to "maximize -sum(art)": row entries are -cj = -(−1)?  We
-		// keep the convention: objective row r[j] = -c[j] for maximization.
-		// For maximize -sum(art): c[art] = -1 ⇒ r[art] = 1 (already set).
-		// Make the row consistent with the starting basis (artificials are
-		// basic): subtract their rows.
-		for i := 0; i < m; i++ {
-			if t.basis[i] >= t.artStart {
-				for j := 0; j <= t.cols; j++ {
-					obj[j] -= t.a[i][j]
-				}
-			}
-		}
+	// The slack columns are zero in the objective row, so -c is already
+	// expressed in terms of the slack basis.
+	obj := t.a[m]
+	for j, c := range p.Objective {
+		obj[j] = -c
 	}
 	return t
 }
 
-// phase1Objective returns sum of artificial variables at the current basis.
-func (t *tableau) phase1Objective() float64 {
-	sum := 0.0
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] >= t.artStart {
-			sum += t.a[i][t.cols]
-		}
-	}
-	return sum
-}
-
-// driveOutArtificials pivots basic artificials out of the basis where
-// possible (degenerate rows), so phase 2 never re-enters them.
-func (t *tableau) driveOutArtificials() {
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.artStart {
-			continue
-		}
-		// Find a non-artificial column with a nonzero entry to pivot in.
-		for j := 0; j < t.artStart; j++ {
-			if math.Abs(t.a[i][j]) > eps {
-				t.pivot(i, j)
-				break
-			}
-		}
-		// If none exists the row is all-zero (redundant); leave it.
-	}
-}
-
-// installPhase2Objective rewrites the objective row for the real objective,
-// expressed in terms of the current (feasible) basis.
-func (t *tableau) installPhase2Objective() {
-	obj := t.a[t.m]
-	for j := range obj {
-		obj[j] = 0
-	}
-	sign := 1.0
-	if !t.p.Maximize {
-		sign = -1.0 // minimize c·x ⇔ maximize (−c)·x
-	}
-	for j := 0; j < t.n; j++ {
-		obj[j] = -sign * t.p.Objective[j] // row stores -c for maximization
-	}
-	// Eliminate basic columns from the objective row.
-	for i := 0; i < t.m; i++ {
-		b := t.basis[i]
-		if math.Abs(obj[b]) > eps {
-			f := obj[b]
-			for j := 0; j <= t.cols; j++ {
-				obj[j] -= f * t.a[i][j]
-			}
-		}
-	}
-}
-
 // runSimplex pivots until optimal, unbounded, or the iteration cap,
-// returning the outcome and the number of pivots performed. In phase 1,
-// artificial columns may leave but entering is allowed anywhere; in phase 2
-// artificial columns are excluded from entering.
+// returning the outcome and the number of pivots performed.
 //
 //flex:hotpath
-func (t *tableau) runSimplex(phase1 bool) (Status, int) {
-	maxCols := t.cols
-	if !phase1 {
-		maxCols = t.artStart
-	}
-	price := t.a[t.m][:maxCols]
+func (t *tableau) runSimplex() (Status, int) {
+	price := t.a[t.m][:t.cols]
 	rows, basis := t.a[:t.m], t.basis[:t.m]
 	rhsCol := t.cols
 	maxIter := 50 * (t.m + t.cols + 10)

@@ -21,9 +21,9 @@ func solveOK(t *testing.T, p *Problem) Result {
 
 func TestSolveSimpleMax(t *testing.T) {
 	// max 3x + 2y s.t. x + y <= 4; x + 3y <= 6 → x=4, y=0, obj=12.
-	p := &Problem{Maximize: true, Objective: []float64{3, 2}}
-	p.AddConstraint([]float64{1, 1}, LE, 4)
-	p.AddConstraint([]float64{1, 3}, LE, 6)
+	p := &Problem{Objective: []float64{3, 2}}
+	p.AddConstraint([]float64{1, 1}, 4)
+	p.AddConstraint([]float64{1, 3}, 6)
 	r := solveOK(t, p)
 	if math.Abs(r.Objective-12) > 1e-6 {
 		t.Fatalf("objective = %v, want 12", r.Objective)
@@ -35,57 +35,33 @@ func TestSolveSimpleMax(t *testing.T) {
 
 func TestSolveClassicLP(t *testing.T) {
 	// max 5x + 4y s.t. 6x + 4y <= 24; x + 2y <= 6 → x=3, y=1.5, obj=21.
-	p := &Problem{Maximize: true, Objective: []float64{5, 4}}
-	p.AddConstraint([]float64{6, 4}, LE, 24)
-	p.AddConstraint([]float64{1, 2}, LE, 6)
+	p := &Problem{Objective: []float64{5, 4}}
+	p.AddConstraint([]float64{6, 4}, 24)
+	p.AddConstraint([]float64{1, 2}, 6)
 	r := solveOK(t, p)
 	if math.Abs(r.Objective-21) > 1e-6 {
 		t.Fatalf("objective = %v, want 21", r.Objective)
 	}
 }
 
-func TestSolveMinimize(t *testing.T) {
-	// min 2x + 3y s.t. x + y >= 10; x >= 2 → x=10 is wrong; optimum
-	// x=10,y=0? cost 20; or x=2,y=8 cost 28. Min is x=10,y=0 → 20.
-	p := &Problem{Maximize: false, Objective: []float64{2, 3}}
-	p.AddConstraint([]float64{1, 1}, GE, 10)
-	p.AddConstraint([]float64{1, 0}, GE, 2)
-	r := solveOK(t, p)
-	if math.Abs(r.Objective-20) > 1e-6 {
-		t.Fatalf("objective = %v, want 20", r.Objective)
-	}
-}
-
-func TestSolveEquality(t *testing.T) {
-	// max x + y s.t. x + y = 5; x <= 3 → obj 5.
-	p := &Problem{Maximize: true, Objective: []float64{1, 1}}
-	p.AddConstraint([]float64{1, 1}, EQ, 5)
-	p.AddConstraint([]float64{1, 0}, LE, 3)
-	r := solveOK(t, p)
-	if math.Abs(r.Objective-5) > 1e-6 {
-		t.Fatalf("objective = %v, want 5", r.Objective)
-	}
-	if math.Abs(r.X[0]+r.X[1]-5) > 1e-6 {
-		t.Fatalf("equality violated: %v", r.X)
-	}
-}
-
 func TestSolveInfeasible(t *testing.T) {
-	p := &Problem{Maximize: true, Objective: []float64{1}}
-	p.AddConstraint([]float64{1}, GE, 5)
-	p.AddConstraint([]float64{1}, LE, 3)
+	// x + y <= -1 has non-negative coefficients: no x >= 0 meets it, and
+	// Solve says so without a pivot.
+	p := &Problem{Objective: []float64{1, 1}}
+	p.AddConstraint([]float64{1, 1}, -1)
+	p.AddConstraint([]float64{1}, 3)
 	r, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible", r.Status)
+	if r.Status != Infeasible || r.Iterations != 0 {
+		t.Fatalf("status = %v after %d pivots, want infeasible after none", r.Status, r.Iterations)
 	}
 }
 
 func TestSolveUnbounded(t *testing.T) {
-	p := &Problem{Maximize: true, Objective: []float64{1, 0}}
-	p.AddConstraint([]float64{0, 1}, LE, 5)
+	p := &Problem{Objective: []float64{1, 0}}
+	p.AddConstraint([]float64{0, 1}, 5)
 	r, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -96,24 +72,34 @@ func TestSolveUnbounded(t *testing.T) {
 }
 
 func TestSolveNegativeRHS(t *testing.T) {
-	// max x s.t. -x <= -2 (i.e. x >= 2), x <= 7.
-	p := &Problem{Maximize: true, Objective: []float64{1}}
-	p.AddConstraint([]float64{-1}, LE, -2)
-	p.AddConstraint([]float64{1}, LE, 7)
-	r := solveOK(t, p)
-	if math.Abs(r.Objective-7) > 1e-6 {
-		t.Fatalf("objective = %v, want 7", r.Objective)
+	// A negative right-hand side, even a tiny one on a row whose every
+	// coefficient is zero, is infeasible; a zero one is not.
+	for _, rhs := range []float64{-2, -1e-12, 0} {
+		p := &Problem{Objective: []float64{1}}
+		p.AddConstraint([]float64{0}, rhs)
+		p.AddConstraint([]float64{1}, 7)
+		r, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Infeasible
+		if rhs == 0 {
+			want = Optimal
+		}
+		if r.Status != want {
+			t.Fatalf("rhs %v: status = %v, want %v", rhs, r.Status, want)
+		}
 	}
 }
 
 func TestSolveDegenerateTies(t *testing.T) {
 	// Degenerate problem with redundant constraints; Bland tie-breaking
 	// must still terminate at the optimum.
-	p := &Problem{Maximize: true, Objective: []float64{1, 1}}
-	p.AddConstraint([]float64{1, 0}, LE, 1)
-	p.AddConstraint([]float64{1, 0}, LE, 1)
-	p.AddConstraint([]float64{0, 1}, LE, 1)
-	p.AddConstraint([]float64{1, 1}, LE, 2)
+	p := &Problem{Objective: []float64{1, 1}}
+	p.AddConstraint([]float64{1, 0}, 1)
+	p.AddConstraint([]float64{1, 0}, 1)
+	p.AddConstraint([]float64{0, 1}, 1)
+	p.AddConstraint([]float64{1, 1}, 2)
 	r := solveOK(t, p)
 	if math.Abs(r.Objective-2) > 1e-6 {
 		t.Fatalf("objective = %v, want 2", r.Objective)
@@ -127,8 +113,8 @@ func TestSolveNoVariables(t *testing.T) {
 }
 
 func TestSolveTooManyCoeffs(t *testing.T) {
-	p := &Problem{Maximize: true, Objective: []float64{1}}
-	p.AddConstraint([]float64{1, 2}, LE, 1)
+	p := &Problem{Objective: []float64{1}}
+	p.AddConstraint([]float64{1, 2}, 1)
 	if _, err := Solve(p); err == nil {
 		t.Fatal("expected error for coefficient overflow")
 	}
@@ -136,9 +122,9 @@ func TestSolveTooManyCoeffs(t *testing.T) {
 
 func TestShortCoeffsZeroExtended(t *testing.T) {
 	// Constraint touching only x0 in a 3-var problem.
-	p := &Problem{Maximize: true, Objective: []float64{1, 1, 1}}
-	p.AddConstraint([]float64{1}, LE, 2)
-	p.AddConstraint([]float64{1, 1, 1}, LE, 5)
+	p := &Problem{Objective: []float64{1, 1, 1}}
+	p.AddConstraint([]float64{1}, 2)
+	p.AddConstraint([]float64{1, 1, 1}, 5)
 	r := solveOK(t, p)
 	if math.Abs(r.Objective-5) > 1e-6 {
 		t.Fatalf("objective = %v, want 5", r.Objective)
@@ -149,21 +135,18 @@ func TestShortCoeffsZeroExtended(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	p := &Problem{Maximize: true, Objective: []float64{1, 2}}
-	p.AddConstraint([]float64{1, 1}, LE, 3)
+	p := &Problem{Objective: []float64{1, 2}}
+	p.AddConstraint([]float64{1, 1}, 3)
 	q := p.Clone()
 	q.Objective[0] = 99
 	q.Constraints[0].Coeffs[0] = 99
-	q.AddConstraint([]float64{1, 0}, LE, 1)
+	q.AddConstraint([]float64{1, 0}, 1)
 	if p.Objective[0] != 1 || p.Constraints[0].Coeffs[0] != 1 || len(p.Constraints) != 1 {
 		t.Fatal("Clone shares state with original")
 	}
 }
 
-func TestSenseAndStatusStrings(t *testing.T) {
-	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "=" || Sense(9).String() != "?" {
-		t.Error("Sense strings")
-	}
+func TestStatusStrings(t *testing.T) {
 	for s, want := range map[Status]string{Optimal: "optimal", Infeasible: "infeasible",
 		Unbounded: "unbounded", IterationLimit: "iteration-limit"} {
 		if s.String() != want {
@@ -182,7 +165,7 @@ func TestSolutionFeasibilityProperty(t *testing.T) {
 	f := func() bool {
 		n := 2 + rng.Intn(5)
 		m := 1 + rng.Intn(5)
-		p := &Problem{Maximize: true, Objective: make([]float64, n)}
+		p := &Problem{Objective: make([]float64, n)}
 		for j := range p.Objective {
 			p.Objective[j] = rng.Float64() * 10
 		}
@@ -191,12 +174,12 @@ func TestSolutionFeasibilityProperty(t *testing.T) {
 			for j := range coeffs {
 				coeffs[j] = rng.Float64() * 5
 			}
-			p.AddConstraint(coeffs, LE, 1+rng.Float64()*20)
+			p.AddConstraint(coeffs, 1+rng.Float64()*20)
 		}
 		for j := 0; j < n; j++ { // bound each var so it's never unbounded
 			coeffs := make([]float64, n)
 			coeffs[j] = 1
-			p.AddConstraint(coeffs, LE, 10)
+			p.AddConstraint(coeffs, 10)
 		}
 		r, err := Solve(p)
 		if err != nil || r.Status != Optimal {
@@ -229,14 +212,14 @@ func TestOrderInvarianceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
 		n := 3
-		p := &Problem{Maximize: true, Objective: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
+		p := &Problem{Objective: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
 		for i := 0; i < 4; i++ {
-			p.AddConstraint([]float64{rng.Float64(), rng.Float64(), rng.Float64()}, LE, 1+rng.Float64()*5)
+			p.AddConstraint([]float64{rng.Float64(), rng.Float64(), rng.Float64()}, 1+rng.Float64()*5)
 		}
 		for j := 0; j < n; j++ {
 			coeffs := make([]float64, n)
 			coeffs[j] = 1
-			p.AddConstraint(coeffs, LE, 4)
+			p.AddConstraint(coeffs, 4)
 		}
 		q := p.Clone()
 		rng.Shuffle(len(q.Constraints), func(i, j int) {
@@ -253,38 +236,11 @@ func TestOrderInvarianceProperty(t *testing.T) {
 	}
 }
 
-func TestSolveRedundantEqualities(t *testing.T) {
-	// Duplicated equality rows must not break phase 1 (redundant rows
-	// leave artificial variables basic at zero).
-	p := &Problem{Maximize: true, Objective: []float64{1, 1}}
-	p.AddConstraint([]float64{1, 1}, EQ, 4)
-	p.AddConstraint([]float64{1, 1}, EQ, 4)
-	p.AddConstraint([]float64{1, 0}, LE, 3)
-	r := solveOK(t, p)
-	if math.Abs(r.Objective-4) > 1e-6 {
-		t.Fatalf("objective = %v, want 4", r.Objective)
-	}
-}
-
-func TestSolveMixedSenses(t *testing.T) {
-	// min x + 2y s.t. x + y = 5, x >= 1, y <= 3 → x=2, y=3? cost 8;
-	// or x=4,y=1 cost 6; min picks y small: x=4,y=1 → 6... but y ≤ 3 and
-	// y ≥ 0: minimize 2y → y as small: y=0 → x=5 cost 5. x unbounded above.
-	p := &Problem{Maximize: false, Objective: []float64{1, 2}}
-	p.AddConstraint([]float64{1, 1}, EQ, 5)
-	p.AddConstraint([]float64{1, 0}, GE, 1)
-	p.AddConstraint([]float64{0, 1}, LE, 3)
-	r := solveOK(t, p)
-	if math.Abs(r.Objective-5) > 1e-6 {
-		t.Fatalf("objective = %v, want 5", r.Objective)
-	}
-}
-
 func TestSolveZeroRHSDegenerate(t *testing.T) {
 	// x <= 0 forces x = 0; the optimum is on a degenerate vertex.
-	p := &Problem{Maximize: true, Objective: []float64{1, 1}}
-	p.AddConstraint([]float64{1, 0}, LE, 0)
-	p.AddConstraint([]float64{0, 1}, LE, 2)
+	p := &Problem{Objective: []float64{1, 1}}
+	p.AddConstraint([]float64{1, 0}, 0)
+	p.AddConstraint([]float64{0, 1}, 2)
 	r := solveOK(t, p)
 	if math.Abs(r.Objective-2) > 1e-6 || r.X[0] > 1e-9 {
 		t.Fatalf("objective = %v x = %v", r.Objective, r.X)
@@ -296,7 +252,7 @@ func TestSolveLargeDense(t *testing.T) {
 	// stability: 60 vars, 40 constraints.
 	rng := rand.New(rand.NewSource(8))
 	n, m := 60, 40
-	p := &Problem{Maximize: true, Objective: make([]float64, n)}
+	p := &Problem{Objective: make([]float64, n)}
 	for j := range p.Objective {
 		p.Objective[j] = 1 + rng.Float64()
 	}
@@ -305,12 +261,12 @@ func TestSolveLargeDense(t *testing.T) {
 		for j := range coeffs {
 			coeffs[j] = rng.Float64()
 		}
-		p.AddConstraint(coeffs, LE, 5+rng.Float64()*10)
+		p.AddConstraint(coeffs, 5+rng.Float64()*10)
 	}
 	for j := 0; j < n; j++ {
 		c := make([]float64, n)
 		c[j] = 1
-		p.AddConstraint(c, LE, 1)
+		p.AddConstraint(c, 1)
 	}
 	r := solveOK(t, p)
 	if r.Objective <= 0 {

@@ -15,7 +15,7 @@ const (
 	harrisTol = 1e-9
 	// infeasTol is the most negative right-hand side the dual simplex calls
 	// infeasible when its row has no negative entry; a row between -eps and
-	// this goes to a cold solve instead, as phase 1 would tolerate it.
+	// this is too close to call, and a cold solve decides it.
 	infeasTol = 1e-6
 	// checkTol is how far, relative to 1+|b|, the warm solution may exceed a
 	// row's right-hand side.
@@ -29,17 +29,16 @@ const (
 // the parent's. cols[k] is the parent column of p's column k and rows[i] the
 // parent row of p's row i, both strictly increasing.
 //
-// The parent's final tableau qualifies when the parent ended Optimal with
-// every row "<=" and — if it was solved cold — no right-hand side negative:
-// then it has one slack column per row and its slack block is B⁻¹. Resolve
+// The parent's final tableau qualifies when the parent ended Optimal: it
+// has one slack column per row, and its slack block is B⁻¹. Resolve
 // re-solves from it: it pivots each removed basic column out by a dual
 // ratio test, sets the right-hand sides to B⁻¹b′, deletes the removed
 // columns and rows in place, runs dual simplex under the Harris ratio test
 // for at most 2m pivots, cleans up with primal simplex and checks the
-// solution against p's rows. When the tableau does not qualify, p has a row
-// that is not "<=", the dual simplex stops undecided or the check fails, it
-// solves p cold with Solve. warm reports whether the re-solve's answer
-// stands; Iterations counts the pivots of both attempts.
+// solution against p's rows. When the tableau does not qualify, the dual
+// simplex stops undecided or the check fails, it solves p cold with Solve.
+// warm reports whether the re-solve's answer stands; Iterations counts the
+// pivots of both attempts.
 func (s *Solver) Resolve(p *Problem, cols, rows []int) (r Result, warm bool, err error) {
 	r, warm = s.resolve(p, cols, rows)
 	if warm {
@@ -88,7 +87,7 @@ func (s *Solver) resolve(p *Problem, cols, rows []int) (Result, bool) {
 	default:
 		return Result{Iterations: iters}, false
 	}
-	status, n = t.runSimplex(false)
+	status, n = t.runSimplex()
 	iters += n
 	if status != Optimal {
 		return Result{Iterations: iters}, false
@@ -97,25 +96,16 @@ func (s *Solver) resolve(p *Problem, cols, rows []int) (Result, bool) {
 	if !t.satisfies(p, x) {
 		return Result{Iterations: iters}, false
 	}
-	s.remember(p, false)
+	s.remember(p)
 	return Result{Status: Optimal, X: x, Objective: objective(p, x), Iterations: iters}, true
 }
 
-// remember records p's right-hand sides for a later Resolve, and whether the
-// final tableau qualifies as a parent: every row "<=", so that column n+i is
-// row i's slack and the slack block is B⁻¹ of the stated rows, and, when it
-// was built cold, no right-hand side negative. Solve negates such a row and
-// gives it an artificial column, and Resolve takes a tableau of exactly n+m
-// columns; a ">=" row with a negative right-hand side is negated into a "<="
-// one whose slack is not the stated row's.
-func (s *Solver) remember(p *Problem, cold bool) {
+// remember records p's right-hand sides, for a later Resolve to re-solve
+// from the final tableau.
+func (s *Solver) remember(p *Problem) {
 	s.rhs = s.rhs[:0]
 	for i := range p.Constraints {
-		c := &p.Constraints[i]
-		if c.Sense != LE || (cold && c.RHS < 0) {
-			return
-		}
-		s.rhs = append(s.rhs, c.RHS)
+		s.rhs = append(s.rhs, p.Constraints[i].RHS)
 	}
 	s.warm = true
 }
@@ -149,7 +139,7 @@ func (s *Solver) fits(p *Problem, cols, rows []int) bool {
 	prev = -1
 	for i, r := range rows {
 		c := &p.Constraints[i]
-		if r <= prev || r >= t.m || c.Sense != LE || len(c.Coeffs) > n {
+		if r <= prev || r >= t.m || len(c.Coeffs) > n {
 			return false
 		}
 		newCol[t.n+r], prev = n+i, r
@@ -231,9 +221,7 @@ func (s *Solver) compact(p *Problem, n, m int) bool {
 		t.a[i] = s.arena[i*nstride : (i+1)*nstride]
 	}
 	t.basis = s.basis[:m]
-	t.p, t.n, t.m = p, n, m
-	t.numSlack, t.numArtificial = m, 0
-	t.cols, t.artStart = cols, cols
+	t.p, t.n, t.m, t.cols = p, n, m, cols
 	return true
 }
 

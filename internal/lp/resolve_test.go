@@ -5,30 +5,29 @@ import (
 	"testing"
 )
 
-// fuzzLP decodes data into a small LP whose rows are all "<=": up to 8
-// variables with objective coefficients in -4..6, a singleton bound row
-// x_j <= 1..3 on all but every fourth variable, and up to 6 rows with
-// coefficients in -4..6 and right-hand sides in -3..16. Bytes past the end
-// of data read as zero.
+// fuzzLP decodes data into a small packing LP: up to 8 variables with
+// objective coefficients in 0..6, a singleton bound row x_j <= 1..3 on all
+// but every fourth variable, and up to 6 rows with coefficients in 0..6 and
+// right-hand sides in -3..16. Bytes past the end of data read as zero.
 func fuzzLP(next func() int) *Problem {
 	n := 1 + next()%8
-	p := &Problem{Maximize: next()%2 == 0, Objective: make([]float64, n)}
+	p := &Problem{Objective: make([]float64, n)}
 	for j := range p.Objective {
-		p.Objective[j] = float64(next()%11 - 4)
+		p.Objective[j] = float64(next() % 7)
 		if b := next(); b%4 != 3 {
 			unit := make([]float64, j+1)
 			unit[j] = 1
-			p.AddConstraint(unit, LE, float64(1+b%3))
+			p.AddConstraint(unit, float64(1+b%3))
 		}
 	}
 	for i, rows := 0, 1+next()%6; i < rows; i++ {
 		c := make([]float64, n)
 		for j := range c {
 			if b := next(); b%3 != 0 {
-				c[j] = float64(b%11 - 4)
+				c[j] = float64(b % 7)
 			}
 		}
-		p.AddConstraint(c, LE, float64(next()%20-3))
+		p.AddConstraint(c, float64(next()%20-3))
 	}
 	return p
 }
@@ -38,7 +37,7 @@ func fuzzLP(next func() int) *Problem {
 // parent row of each child row.
 func fix(p *Problem, k int, v float64) (child *Problem, cols, rows []int) {
 	n := p.NumVars()
-	child = &Problem{Maximize: p.Maximize}
+	child = &Problem{}
 	for j := 0; j < n; j++ {
 		if j != k {
 			child.Objective = append(child.Objective, p.Objective[j])
@@ -59,7 +58,7 @@ func fix(p *Problem, k int, v float64) (child *Problem, cols, rows []int) {
 			}
 		}
 		if nz {
-			child.AddConstraint(coeffs, LE, rhs)
+			child.AddConstraint(coeffs, rhs)
 			rows = append(rows, i)
 		}
 	}
@@ -67,27 +66,26 @@ func fix(p *Problem, k int, v float64) (child *Problem, cols, rows []int) {
 }
 
 // FuzzWarmMatchesCold is Resolve's differential oracle. It decodes a small
-// all-"<=" LP, solves it, then fixes up to six variables one at a time at 0
+// packing LP, solves it, then fixes up to six variables one at a time at 0
 // or 1, dropping the rows that leave all zero, and re-solves each child
 // from its parent's tableau. Warm and cold must agree on the status, on
 // the objective within 1e-9 relative, and the warm x must satisfy the
-// child's rows. A right-hand side of either sign reaches both sides of
-// Resolve's one precondition on data: a cold tableau with a negated row
-// does not qualify as a parent, a warm one with a negative right-hand
-// side does. Resolve falls back to a cold solve whenever its own check
-// fails, so what this can catch is a warm answer that passes the check and
-// is wrong: a suboptimal vertex, or a feasible child called infeasible.
+// child's rows. Fixing a variable at 1 lowers right-hand sides, below zero
+// too: a cold solve calls such a child infeasible at once, while the warm
+// one starts its dual simplex from a negative right-hand side. Resolve
+// falls back to a cold solve whenever its own check fails, so what this
+// can catch is a warm answer that passes the check and is wrong: a
+// suboptimal vertex, or a feasible child called infeasible.
 func FuzzWarmMatchesCold(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 10, 0, 9, 1, 2, 5, 7, 3, 3, 4, 0, 13, 1, 1, 2, 3, 0, 1, 1, 0})
-	// The root has the row x0 - 2x1 <= -2, which Solve negates and gives an
-	// artificial column: neither its tableau nor that of the cold child
-	// that keeps the row is a parent to re-solve from.
+	// The root has a row with a negative right-hand side: it is infeasible,
+	// its tableau is no parent, and every child is solved cold.
 	f.Add([]byte{2, 0, 6, 1, 8, 0, 5, 0, 1, 5, 2, 0, 1, 1, 7, 5, 7, 2, 8})
-	// Fixing x0 = 1 turns 3x0 + x1 - x2 <= 2 into x1 - x2 <= -1: the dual
-	// simplex starts primal infeasible, and the next child re-solves from
-	// the warm tableau with that negative right-hand side.
-	f.Add([]byte{2, 0, 8, 0, 9, 1, 7, 0, 1, 7, 5, 14, 5, 5, 5, 5, 6, 9, 0})
+	// Fixing x0 = 1 turns 4x0 + x1 <= 2 into x1 <= -2: the cold solve calls
+	// the child infeasible at once, the warm one by a dual simplex that
+	// starts from that negative right-hand side.
+	f.Add([]byte{1, 3, 0, 2, 1, 1, 4, 1, 5, 2, 5, 10, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() int {

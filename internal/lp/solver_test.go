@@ -11,19 +11,19 @@ import (
 // under per-variable caps plus a few coupling rows.
 func randomLP(seed int64, n int) *Problem {
 	rng := rand.New(rand.NewSource(seed))
-	p := &Problem{Maximize: true, Objective: make([]float64, n)}
+	p := &Problem{Objective: make([]float64, n)}
 	for j := range p.Objective {
 		p.Objective[j] = 1 + rng.Float64()*9
 		unit := make([]float64, n)
 		unit[j] = 1
-		p.AddConstraint(unit, LE, 1+rng.Float64()*4)
+		p.AddConstraint(unit, 1+rng.Float64()*4)
 	}
 	for k := 0; k < 3; k++ {
 		row := make([]float64, n)
 		for j := range row {
 			row[j] = rng.Float64()
 		}
-		p.AddConstraint(row, LE, float64(n)/2)
+		p.AddConstraint(row, float64(n)/2)
 	}
 	return p
 }

@@ -4,17 +4,16 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-
-	"flex/internal/lp"
 )
 
 // Columns is a problem's constraint matrix by column in compressed form:
 // variable j's non-zero coefficients are coef[start[j]:start[j+1]] and row
 // holds their row numbers, in row order. Greedy 0/1 heuristics raise one
-// variable at a time and only need the rows that variable appears in — on
-// the placement ILP a dozen of three hundred. Build one per problem and
-// share it: a Columns is read-only after NewColumns, so any number of
-// Packings may use it concurrently.
+// variable at a time, and propagation visits the rows a decision x_j = 1
+// moves: both need only the rows that variable appears in — on the
+// placement ILP a handful of sixty. Build one per problem and share it: a
+// Columns is read-only after NewColumns, so any number of Packings and
+// workers may use it concurrently.
 type Columns struct {
 	p     *Problem
 	start []int32
@@ -59,7 +58,7 @@ func (c *Columns) Problem() *Problem { return c.p }
 // still fit.
 const packTol = 1e-9
 
-// Packing builds a 0/1 vector for an all-LE problem one variable at a
+// Packing builds a 0/1 vector for a packing problem one variable at a
 // time, tracking the slack left in every row. X is the vector so far.
 // Reset starts it over in the storage it has, so one Packing serves any
 // number of vectors — each branch-and-bound worker keeps one for
@@ -154,10 +153,10 @@ func (pk *Packing) setShort(i int32, short bool) {
 // just Reset). It takes every variable the relaxation sets to 1 that
 // fits, then every other variable it gives a positive value, then the
 // rest, each pass in descending relaxed value with ties in the order of
-// ties — a permutation of the variables. On a packing problem (every row
-// "<=" with non-negative coefficients) rounding down stays feasible; on
-// any other the vector is only a candidate, as every Options.Heuristic
-// result is. After the first call it allocates nothing.
+// ties — a permutation of the variables. With every coefficient
+// non-negative, rounding down stays feasible; the vector is still only a
+// candidate, as every Options.Heuristic result is. After the first call it
+// allocates nothing.
 func (pk *Packing) RoundDownAndComplete(relaxed []float64, ties []int) {
 	// A stable sort of ties by relaxation value, descending. Most values
 	// are zero and keep their place; only the rest need sorting.
@@ -200,12 +199,11 @@ func (pk *Packing) RoundDownAndComplete(relaxed []float64, ties []int) {
 	}
 }
 
-// GreedyBinaryIncumbent produces a feasible 0/1 assignment for a pure
-// binary maximization problem by setting variables to 1 in descending
-// objective-coefficient order whenever all constraints stay satisfied. It
-// is used to warm-start and as an ablation baseline for the placement ILP.
-// Only LE constraints with non-negative coefficients are supported; other
-// constraints cause a nil return.
+// GreedyBinaryIncumbent produces a feasible 0/1 assignment for p by
+// setting variables to 1 in descending objective-coefficient order
+// whenever all constraints stay satisfied. It is used to warm-start and as
+// an ablation baseline for the placement ILP. A problem that fails
+// Validate gets nil.
 func GreedyBinaryIncumbent(p *Problem) []float64 {
 	return NewColumns(p).GreedyBinaryIncumbent()
 }
@@ -213,15 +211,8 @@ func GreedyBinaryIncumbent(p *Problem) []float64 {
 // GreedyBinaryIncumbent is the package-level function of the same name on
 // an already-built view.
 func (c *Columns) GreedyBinaryIncumbent() []float64 {
-	for i := range c.p.LP.Constraints {
-		if c.p.LP.Constraints[i].Sense != lp.LE {
-			return nil
-		}
-	}
-	for _, a := range c.coef {
-		if a < 0 {
-			return nil
-		}
+	if c.p.Validate() != nil {
+		return nil
 	}
 	obj := c.p.LP.Objective
 	order := make([]int, len(obj))
@@ -231,8 +222,8 @@ func (c *Columns) GreedyBinaryIncumbent() []float64 {
 	sort.Slice(order, func(a, b int) bool { return obj[order[a]] > obj[order[b]] })
 	pk := c.NewPacking()
 	for _, j := range order {
-		// With no negative coefficient slack only falls: a row over its
-		// limit stays over it and refuses everything that is left.
+		// Coefficients are non-negative, so slack only falls: a row over
+		// its limit stays over it and refuses everything that is left.
 		if obj[j] <= 0 || pk.Blocked() {
 			continue
 		}

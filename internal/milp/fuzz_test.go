@@ -8,13 +8,15 @@ import (
 	"flex/internal/lp"
 )
 
-// fuzzILP decodes data into a small all-integer program: up to 12
-// variables, mostly binary with a few general integers up to 3, each
-// bounded by a short singleton row the way placement.BatchILP states its
-// binaries, plus up to six LE/GE/EQ rows with small integer coefficients
-// of either sign. Bytes past the end of data read as zero. ub[j] is
-// variable j's upper bound; the box holds at most 4096 points.
-func fuzzILP(data []byte) (p *Problem, ub []int) {
+// fuzzILP decodes data into a small 0/1 packing program: up to 12 binary
+// variables with objective coefficients in 0..8 and up to six rows with
+// coefficients in 0..6 and right-hand sides in -3..20. Each variable gets
+// a short singleton row x_j <= 1 the way tests state binaries, unless its
+// byte is 3 mod 4; those share one assignment row Σ x_j <= 1 — how
+// placement.BatchILP's Eq. 1 bounds its variables — when the second byte
+// is even, and otherwise get a singleton row at the end only if no other
+// row bounds them. Bytes past the end of data read as zero.
+func fuzzILP(data []byte) *Problem {
 	pos := 0
 	next := func() int {
 		if pos >= len(data) {
@@ -25,48 +27,59 @@ func fuzzILP(data []byte) (p *Problem, ub []int) {
 		return int(b)
 	}
 	n := 1 + next()%12
-	maximize := next()%2 == 0
+	assign := next()%2 == 0
 	rows := 1 + next()%6
-	p = &Problem{
-		LP:      lp.Problem{Maximize: maximize, Objective: make([]float64, n)},
-		Integer: make([]bool, n),
-	}
-	ub = make([]int, n)
-	points := 1
+	p := &Problem{LP: lp.Problem{Objective: make([]float64, n)}}
+	var shared []int
 	for j := 0; j < n; j++ {
-		b := next()
-		ub[j] = 1
-		if b%4 == 3 && points*(2+b/4%2) <= 4096 {
-			ub[j] = 2 + b/4%2
-		} else if points*2 > 4096 {
-			ub[j] = 0
+		if next()%4 == 3 {
+			shared = append(shared, j)
+		} else {
+			bound := make([]float64, j+1)
+			bound[j] = 1
+			p.LP.AddConstraint(bound, 1)
 		}
-		points *= ub[j] + 1
-		p.Integer[j] = true
-		p.LP.Objective[j] = float64(next()%17 - 8)
-		bound := make([]float64, j+1)
-		bound[j] = 1
-		p.LP.AddConstraint(bound, lp.LE, float64(ub[j]))
+		p.LP.Objective[j] = float64(next() % 9)
+	}
+	if assign && len(shared) > 0 {
+		c := make([]float64, n)
+		for _, j := range shared {
+			c[j] = 1
+		}
+		p.LP.AddConstraint(c, 1)
 	}
 	for i := 0; i < rows; i++ {
-		sense := lp.Sense(next() % 3)
+		next() // a row's first byte is spare
 		rhs := float64(next()%24 - 3)
 		c := make([]float64, n)
 		for j := range c {
 			if b := next(); b%3 != 0 {
-				c[j] = float64(b%11 - 4)
+				c[j] = float64(b % 7)
 			}
 		}
-		p.LP.AddConstraint(c, sense, rhs)
+		p.LP.AddConstraint(c, rhs)
 	}
-	return p, ub
+	for _, j := range shared {
+		bounded := false
+		for _, c := range p.LP.Constraints {
+			if j < len(c.Coeffs) && c.Coeffs[j] > 0 && c.RHS <= c.Coeffs[j] {
+				bounded = true
+			}
+		}
+		if !bounded {
+			bound := make([]float64, j+1)
+			bound[j] = 1
+			p.LP.AddConstraint(bound, 1)
+		}
+	}
+	return p
 }
 
-// bruteForce enumerates every integer point of the box 0..ub and returns
-// the best feasible objective. All data are small integers, so float
-// arithmetic is exact and no tolerance is needed.
-func bruteForce(p *Problem, ub []int) (best float64, found bool) {
-	n := len(ub)
+// bruteForce enumerates every 0/1 point and returns the best feasible
+// objective. All data are small integers, so float arithmetic is exact and
+// no tolerance is needed.
+func bruteForce(p *Problem) (best float64, found bool) {
+	n := p.LP.NumVars()
 	x := make([]float64, n)
 	for {
 		ok := true
@@ -75,28 +88,24 @@ func bruteForce(p *Problem, ub []int) (best float64, found bool) {
 			for j, a := range c.Coeffs {
 				lhs += a * x[j]
 			}
-			if c.Sense == lp.LE && lhs > c.RHS || c.Sense == lp.GE && lhs < c.RHS || c.Sense == lp.EQ && lhs != c.RHS {
+			if lhs > c.RHS {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			obj := p.ObjectiveValue(x)
-			if !found || (p.LP.Maximize && obj > best) || (!p.LP.Maximize && obj < best) {
+			if obj := p.ObjectiveValue(x); !found || obj > best {
 				best, found = obj, true
 			}
 		}
 		j := 0
-		for ; j < n; j++ {
-			if int(x[j]) < ub[j] {
-				x[j]++
-				break
-			}
+		for ; j < n && x[j] == 1; j++ {
 			x[j] = 0
 		}
 		if j == n {
 			return best, found
 		}
+		x[j] = 1
 	}
 }
 
@@ -117,7 +126,7 @@ func sameResult(a, b Result) bool {
 }
 
 // FuzzMILPMatchesBruteForce is the differential oracle for the engine
-// there is. On small random integer programs the search, serial and
+// there is. On small random 0/1 packing programs the search, serial and
 // with four workers, must reach the status and objective exhaustive
 // enumeration finds, and the two worker counts must agree with each other
 // node for node. A second, truncated leg stops the same program at a node
@@ -133,8 +142,8 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 0, 12, 0, 9, 0, 15, 0, 11, 0, 14, 0, 10, 0, 13, 0, 4, 7, 8, 5, 7, 8})
 	f.Add([]byte{11, 1, 5, 3, 1, 7, 2, 0, 3, 3, 4, 0, 5, 7, 6, 0, 7, 0, 8, 3, 9, 0, 10, 0, 11, 0, 12, 2, 9, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 1, 5, 250, 251, 253, 254, 1, 2, 4, 5, 7, 8, 10, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, ub := fuzzILP(data)
-		want, feasible := bruteForce(p, ub)
+		p := fuzzILP(data)
+		want, feasible := bruteForce(p)
 		heuristic := completionHeuristic(p)
 		var ref Result
 		for _, workers := range []int{1, 4} {
@@ -197,7 +206,7 @@ func FuzzMILPMatchesBruteForce(f *testing.F) {
 				if !feasible || !referenceFeasible(p, r.X) {
 					t.Fatalf("budget %d workers=%d: incumbent %v is infeasible", budget, workers, r.X)
 				}
-				if better := r.Objective - want; (p.LP.Maximize && better > 1e-6) || (!p.LP.Maximize && better < -1e-6) {
+				if r.Objective > want+1e-6 {
 					t.Fatalf("budget %d workers=%d: incumbent objective %v beats the enumerated optimum %v", budget, workers, r.Objective, want)
 				}
 			}

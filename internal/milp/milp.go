@@ -1,5 +1,7 @@
-// Package milp implements a parallel branch-and-bound mixed-integer linear
-// program solver on top of the simplex solver in internal/lp. Together they
+// Package milp implements a parallel branch-and-bound solver for 0/1
+// packing integer programs — the class the paper's Flex-Offline ILP (Eq.
+// 1–5, §IV-B) belongs to — on top of the simplex solver in internal/lp.
+// Together they
 // stand in for the Gurobi solver the paper drives from its placement
 // simulator (§V-A); like the paper — which stops Gurobi after 5 minutes —
 // milp accepts a deadline on its context and returns the best incumbent
@@ -17,6 +19,7 @@ package milp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -27,12 +30,55 @@ import (
 	"flex/internal/lp"
 )
 
-// Problem is an LP plus integrality requirements. Variables marked in
-// Integer must take integer values in the solution. (Binary variables are
-// expressed as integer variables with an explicit x <= 1 constraint.)
+// Problem is a 0/1 packing program: maximize LP.Objective·x over binary x
+// subject to every row of LP, each Σ a·x <= b with a >= 0. x = 0 meets
+// every row whose b is not negative, and lowering any variable keeps a
+// point feasible. Validate states the class exactly.
 type Problem struct {
-	LP      lp.Problem
-	Integer []bool // len == LP.NumVars(); true ⇒ variable must be integral
+	LP lp.Problem
+}
+
+// Validate reports why p is not a 0/1 packing program, or nil when it is:
+// at least one variable; finite, non-negative objective entries and
+// coefficients; no row longer than the variable count; finite right-hand
+// sides; and every variable bounded at <= 1 by some row, one whose
+// coefficient a on it exceeds zeroTol and whose b is at most a. The
+// bound is what makes x binary: there are no bound rows, and the
+// relaxation of every node stays inside the unit box.
+func (p *Problem) Validate() error {
+	n := p.LP.NumVars()
+	if n == 0 {
+		return errors.New("milp: problem has no variables")
+	}
+	for j, c := range p.LP.Objective {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("milp: objective entry %d is %v, want finite and non-negative", j, c)
+		}
+	}
+	bounded := make([]bool, n)
+	for i := range p.LP.Constraints {
+		c := &p.LP.Constraints[i]
+		if len(c.Coeffs) > n {
+			return fmt.Errorf("milp: constraint %d has %d coefficients for %d variables", i, len(c.Coeffs), n)
+		}
+		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
+			return fmt.Errorf("milp: constraint %d has right-hand side %v, want finite", i, c.RHS)
+		}
+		for j, a := range c.Coeffs {
+			if !(a >= 0) || math.IsInf(a, 1) {
+				return fmt.Errorf("milp: constraint %d has coefficient %v on variable %d, want finite and non-negative", i, a, j)
+			}
+			if a > zeroTol && c.RHS <= a {
+				bounded[j] = true
+			}
+		}
+	}
+	for j, ok := range bounded {
+		if !ok {
+			return fmt.Errorf("milp: no constraint bounds variable %d at <= 1", j)
+		}
+	}
+	return nil
 }
 
 // Options tunes the search.
@@ -95,10 +141,8 @@ const (
 	// Feasible: the search hit a limit; the incumbent is feasible but not
 	// proven optimal (the paper's "stop the ILP solver after 5 minutes").
 	Feasible
-	// Infeasible: no integral solution exists.
+	// Infeasible: no 0/1 point meets every row.
 	Infeasible
-	// Unbounded: the relaxation is unbounded.
-	Unbounded
 )
 
 // String implements fmt.Stringer.
@@ -110,8 +154,6 @@ func (s Status) String() string {
 		return "feasible"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -193,19 +235,16 @@ const (
 // SolveContext runs branch and bound until the frontier is exhausted, a
 // limit (context deadline, MaxNodes, RelGap) is reached, or ctx
 // is canceled. Rounds take nodes best-bound-first, a dive follows the ceil
-// child, and every node branches on its most fractional integer variable.
+// child, and every node branches on its most fractional variable. A
+// problem that fails Validate is refused with its error.
 //
 // Deadlines are budgets: the search returns the best incumbent found with
 // Stop == StopDeadline and a nil error. Cancellation is an abort: the
 // partial result (still carrying the best incumbent found so far) is
 // returned together with context.Cause(ctx).
 func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error) {
-	n := p.LP.NumVars()
-	if len(p.Integer) != n {
-		return Result{}, fmt.Errorf("milp: Integer mask has %d entries for %d variables", len(p.Integer), n)
-	}
-	if n == 0 {
-		return Result{}, fmt.Errorf("milp: problem has no variables")
+	if err := p.Validate(); err != nil {
+		return Result{}, err
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -255,28 +294,18 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (Result, error)
 	return s.finish(now(), workers)
 }
 
-// newSearch prepares the shared state of one solve: the problem's implied
-// bounds, redundant rows, row index and propagation lists, the root's
-// propagated box, and an empty incumbent.
+// newSearch prepares the shared state of one solve: the problem by row and
+// by column, the root's propagated box, and an empty incumbent.
 func newSearch(p *Problem, opts Options, now func() time.Time) *search {
 	s := &search{
 		p:         p,
 		n:         p.LP.NumVars(),
 		opts:      opts,
 		now:       now,
-		sign:      1.0,
-		up0:       impliedUpperBounds(p),
-		skip:      redundantSingletonRows(p),
 		rows:      newRowIndex(p),
+		cols:      NewColumns(p),
 		incumbent: math.Inf(-1),
 	}
-	if !p.LP.Maximize {
-		s.sign = -1.0 // internally we compare in "maximize" terms
-	}
-	if opts.Heuristic != nil {
-		s.cols = NewColumns(p)
-	}
-	s.watch = newWatchLists(p, &s.rows, s.skip)
 	s.root, s.rootOK = rootBox(s)
 	s.start = now()
 	return s
@@ -285,7 +314,7 @@ func newSearch(p *Problem, opts Options, now func() time.Time) *search {
 // node is one open subproblem: the parent relaxation bound plus an
 // immutable chain of branching bound changes back to the root.
 type node struct {
-	bound float64  // parent relaxation objective in max-sense (+Inf for root)
+	bound float64  // parent relaxation objective (+Inf for root)
 	seq   int64    // creation sequence number; deterministic tie-break
 	chain *bchange // branching decisions, newest first; nil at the root
 }
@@ -305,17 +334,13 @@ type bchange struct {
 type search struct {
 	p    *Problem
 	n    int
-	sign float64
 	opts Options
-	up0  []float64 // implied upper bound per variable (from singleton LE rows)
-	skip []bool    // constraint rows provably redundant in every node LP
-	rows rowIndex  // non-zero columns of every constraint row
-	cols *Columns  // the problem by column, for the workers' heuristic Packings; nil without a heuristic
+	rows rowIndex // non-zero columns of every constraint row
+	cols *Columns // the problem by column: the rows propagation visits, and the heuristic Packings' view
 	now  func() time.Time
 
-	watch  watchLists // per column, the rows its bound changes queue
-	root   *box       // [0, up0] with every row propagated
-	rootOK bool       // false when the root's propagation found no integer point
+	root   *box // the unit box with every row propagated
+	rootOK bool // false when the root's propagation found no 0/1 point
 
 	start time.Time
 
@@ -329,18 +354,17 @@ type search struct {
 	longest    int   // most nodes any one dive has evaluated
 
 	best      *Result // Status Feasible while searching; nil if none yet
-	incumbent float64 // best's objective in max-sense; -Inf before the first
+	incumbent float64 // best's objective; -Inf before the first
 	improved  int
 
 	// stopFlag mirrors the stop state for lock-free polling: 0 = running,
-	// >0 = the StopReason, haltInternal = unbounded root or solver error.
+	// >0 = the StopReason, haltInternal = solver error.
 	stopFlag atomic.Int32
 
-	mu        sync.Mutex // guards the stop state: the context watcher writes it too
-	stop      StopReason
-	cause     error
-	err       error
-	unbounded bool
+	mu    sync.Mutex // guards the stop state: the context watcher writes it too
+	stop  StopReason
+	cause error
+	err   error
 
 	clock sync.Mutex    // serializes now() among workers stamping their finish
 	idle  time.Duration // barrier wait, summed over workers and rounds
@@ -354,7 +378,7 @@ func (s *search) stopped() bool { return s.stopFlag.Load() != 0 }
 // setStop records the first stop reason.
 func (s *search) setStop(reason StopReason, cause error) {
 	s.mu.Lock()
-	if s.stop == StopNone && s.err == nil && !s.unbounded {
+	if s.stop == StopNone && s.err == nil {
 		s.stop = reason
 		s.cause = cause
 		s.stopFlag.Store(int32(reason))
@@ -372,19 +396,9 @@ func (s *search) fail(err error) {
 	s.mu.Unlock()
 }
 
-// markUnbounded aborts the search because the root relaxation is unbounded.
-func (s *search) markUnbounded() {
-	s.mu.Lock()
-	if !s.unbounded && s.err == nil {
-		s.unbounded = true
-		s.stopFlag.Store(haltInternal)
-	}
-	s.mu.Unlock()
-}
-
-// improves reports whether cand, with its integer entries snapped to
-// integers, is feasible for the full problem and strictly better than the
-// max-sense objective inc, returning the snapped copy and its objective.
+// improves reports whether cand, with its entries snapped to integers, is
+// feasible for the full problem and strictly better than the objective
+// inc, returning the snapped copy and its objective.
 // The objective is compared first: it costs one pass and no memory, and
 // most candidates lose there. It reads only the problem, so workers call
 // it against a dive's own incumbent.
@@ -393,16 +407,12 @@ func (s *search) improves(cand []float64, inc float64) (x []float64, obj float64
 		return nil, 0, false
 	}
 	for j, c := range s.p.LP.Objective {
-		v := cand[j]
-		if s.p.Integer[j] {
-			v = math.Round(v)
-		}
-		obj += c * v
+		obj += c * math.Round(cand[j])
 	}
-	if !(s.sign*obj > inc) { // not "<=": a NaN objective improves on nothing
+	if !(obj > inc) { // not "<=": a NaN objective improves on nothing
 		return nil, 0, false
 	}
-	x = roundIntegers(cand, s.p.Integer)
+	x = rounded(cand)
 	if !s.p.feasible(x, &s.rows) {
 		return nil, 0, false
 	}
@@ -421,21 +431,20 @@ func (s *search) tryCandidate(cand []float64) {
 // Scheduler only.
 func (s *search) adopt(x []float64, obj float64) {
 	s.best = &Result{Status: Feasible, X: x, Objective: obj}
-	s.incumbent = s.sign * obj
+	s.incumbent = obj
 	s.improved++
 }
 
-// keep records cand in o when it improves on the dive's max-sense
-// incumbent inc, as the verified, snapped copy improves makes: once a
-// worker's scratch has grown to the problem, the only memory a node
-// evaluation allocates. Workers call it; it reads only the problem.
+// keep records cand in o when it improves on the dive's incumbent inc, as
+// the verified, snapped copy improves makes: once a worker's scratch has
+// grown to the problem, the only memory a node evaluation allocates. Workers call it; it reads only the problem.
 func (s *search) keep(o *outcome, cand []float64, inc float64) {
 	if x, obj, ok := s.improves(cand, inc); ok {
 		o.cand, o.candObj = x, obj
 	}
 }
 
-// prunable reports whether a node with the given max-sense bound cannot
+// prunable reports whether a node with the given bound cannot
 // improve on the incumbent (bound dominance or the RelGap tolerance).
 // Because the frontier is ordered by bound, a prunable top node makes the
 // entire heap prunable.
@@ -471,7 +480,7 @@ func (nd *node) child(o *outcome, ceil bool) *node {
 
 // dive is one slot of a round: a frontier node and the run of ceil
 // children below it, evaluated by one worker. Each level fixes another
-// integer variable, so fix-and-substitute keeps shrinking the LP and a
+// variable, so fix-and-substitute keeps shrinking the LP and a
 // node costs less the deeper it sits, while integral leaves surface
 // incumbents early.
 type dive struct {
@@ -602,7 +611,7 @@ func (w *worker) dive(d *dive, inc float64) {
 			return
 		}
 		if o.cand != nil {
-			inc = s.sign * o.candObj
+			inc = o.candObj
 		}
 		if s.prunable(o.bound, inc) {
 			return
@@ -626,13 +635,7 @@ func (s *search) apply(nd *node, o *outcome, dove bool) {
 		s.fail(o.err)
 		return
 	}
-	if o.unbounded {
-		if nd.chain == nil {
-			s.markUnbounded()
-		}
-		return // a branched unbounded relaxation is unexplorable; prune
-	}
-	if o.cand != nil && s.sign*o.candObj > s.incumbent {
+	if o.cand != nil && o.candObj > s.incumbent {
 		s.adopt(o.cand, o.candObj)
 	}
 	if o.branchJ < 0 {
@@ -658,12 +661,6 @@ func (s *search) finish(end time.Time, workers int) (Result, error) {
 		Elapsed:               end.Sub(s.start),
 		IncumbentImprovements: s.improved,
 		WorkerIdle:            s.idle,
-	}
-	if s.unbounded {
-		res.Status = Unbounded
-		res.Stop, res.Cause = StopNone, nil
-		s.opts.Metrics.record(&res)
-		return res, nil
 	}
 	truncated := res.Stop != StopNone
 	switch {
@@ -696,24 +693,22 @@ func (s *search) finish(end time.Time, workers int) (Result, error) {
 // incumbent; everything else is plain data, so outcomes can be buffered
 // and applied later without aliasing worker scratch.
 type outcome struct {
-	cand      []float64 // verified integral relaxation or heuristic candidate; nil if none improved
-	candObj   float64   // cand's objective
-	branchJ   int       // branching variable, -1 when the node is a leaf
-	branchV   float64   // fractional value of branchJ
-	bound     float64   // node relaxation objective in max-sense
-	iters     int       // simplex pivots the relaxation took
-	unbounded bool
-	err       error
+	cand    []float64 // verified integral relaxation or heuristic candidate; nil if none improved
+	candObj float64   // cand's objective
+	branchJ int       // branching variable, -1 when the node is a leaf
+	branchV float64   // fractional value of branchJ
+	bound   float64   // node relaxation objective
+	iters   int       // simplex pivots the relaxation took
+	err     error
 }
 
 // worker holds one goroutine's scratch: a reusable lp.Solver plus buffers
 // for materializing a node's bounds and building its reduced subproblem,
 // and the Packing Options.Heuristic builds its candidates in.
-// Branching constraints on binaries become variable fixings
-// (fix-and-substitute) instead of extra rows, so the common all-LE
-// placement subproblems keep an all-slack basis and skip simplex phase 1
-// entirely, and a dive child is its parent's LP less some columns and rows,
-// which lp.Solver.Resolve re-solves from the parent's tableau.
+// Branching decisions become variable fixings (fix-and-substitute) instead
+// of extra rows, so a node's LP is the problem's rows over its free
+// variables, and a dive child is its parent's LP less some columns and
+// rows, which lp.Solver.Resolve re-solves from the parent's tableau.
 type worker struct {
 	box          // the current node's bounds
 	settled bool // the box is its node's, propagated to the end: a ceil child may start from it
@@ -722,7 +717,7 @@ type worker struct {
 	free    []int // reduced column -> full index
 	objBuf  []float64
 	consBuf []lp.Constraint
-	keys    []int      // per reduced row: its constraint index, or past them 2j / 2j+1 for j's bound rows
+	keys    []int      // per reduced row: its constraint index
 	sub     lp.Problem // the node's reduced LP, over objBuf and consBuf
 	coef    []float64  // arena for reduced constraint coefficient rows, sized once
 	xfull   []float64  // full-length relaxation vector (fixed + free values)
@@ -751,25 +746,11 @@ func newWorker(s *search) *worker {
 	}
 	copy(w.lo, s.root.lo)
 	copy(w.up, s.root.up)
-	if s.cols != nil {
+	if s.opts.Heuristic != nil {
 		w.pk = s.cols.NewPacking()
 	}
-	// A node's reduced LP holds at most every non-skipped row plus two bound
-	// rows per integer variable that can stay free after its bounds tighten.
-	// A variable whose implied upper bound is at most 1 cannot: raising its
-	// lower bound or lowering its upper bound to an integer closes the
-	// interval, and eval fixes it instead.
-	rows := 0
-	for _, skipped := range s.skip {
-		if !skipped {
-			rows++
-		}
-	}
-	for j, isInt := range s.p.Integer {
-		if isInt && s.up0[j] > 1+intEps {
-			rows += 2
-		}
-	}
+	// A node's reduced LP holds at most every row of the problem.
+	rows := len(s.p.LP.Constraints)
 	w.coef = make([]float64, rows*n)
 	w.consBuf = make([]lp.Constraint, 0, rows)
 	w.keys = make([]int, 0, rows)
@@ -778,32 +759,32 @@ func newWorker(s *search) *worker {
 	return w
 }
 
-// eval solves nd's relaxation into o, pruning against the max-sense
-// incumbent bound inc. A zero-valued o with branchJ == -1 and no
-// candidate means the node was pruned (infeasible or bound-dominated).
-// Candidates — an integral relaxation, or what the heuristic builds at a
-// fractional one — are verified against inc here, so a node allocates
-// only for one that improves on it.
+// eval solves nd's relaxation into o, pruning against the incumbent
+// bound inc. A zero-valued o with branchJ == -1 and no candidate means the
+// node was pruned (infeasible or bound-dominated). Candidates — an
+// integral relaxation, or what the heuristic builds at a fractional one —
+// are verified against inc here, so a node allocates only for one that
+// improves on it.
 // child says nd is the ceil child of the node this worker evaluated last,
 // whose LP its solver still holds.
 func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 	s := w.s
 	*o = outcome{branchJ: -1}
-	// Tighten integer bounds by activity reasoning before classifying:
-	// branching that fixes one binary cascades through its rows (an
-	// assignment row with one member at 1 zeroes the siblings), so dives
-	// shed several columns per level instead of one.
+	// Tighten bounds by activity reasoning before classifying: branching
+	// that fixes one binary cascades through its rows (an assignment row
+	// with one member at 1 zeroes the siblings), so dives shed several
+	// columns per level instead of one.
 	if !w.bounds(nd, child) {
 		return // propagation proved the domain empty
 	}
-	// Classify variables; fold fixed integers into the RHS and objective.
+	// Classify variables; fold fixed ones into the RHS and objective.
 	nFree := 0
 	objOffset := 0.0
 	for j := 0; j < s.n; j++ {
 		if w.lo[j] > w.up[j]+intEps {
 			return // empty domain: infeasible
 		}
-		if s.p.Integer[j] && w.up[j]-w.lo[j] <= intEps {
+		if w.up[j]-w.lo[j] <= intEps {
 			v := math.Round(w.lo[j])
 			w.xfull[j] = v
 			w.redIdx[j] = -1
@@ -828,100 +809,50 @@ func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 	w.keys = w.keys[:0]
 	rows := &s.rows
 	for ci := range s.p.LP.Constraints {
-		if s.skip[ci] {
-			continue
-		}
-		c := &s.p.LP.Constraints[ci]
 		seg := coef[off : off+nFree]
 		clear(seg)
-		rhs := c.RHS
+		rhs := s.p.LP.Constraints[ci].RHS
 		nz := false
-		nonneg := true
 		cols, vals := rows.row(ci)
 		for k, j := range cols {
 			a := vals[k]
 			if ri := w.redIdx[j]; ri >= 0 {
 				seg[ri] = a
-				if a > zeroTol || a < -zeroTol {
+				if a > zeroTol {
 					nz = true
-				}
-				if a < 0 {
-					nonneg = false
 				}
 			} else {
 				rhs -= a * w.xfull[j]
 			}
 		}
+		if rhs < -feasTol {
+			return // x >= 0 and a >= 0: the fixed variables alone overfill the row
+		}
 		if !nz {
-			switch c.Sense {
-			case lp.LE:
-				if rhs < -feasTol {
-					return // fixed variables alone violate the row
-				}
-			case lp.GE:
-				if rhs > feasTol {
-					return
-				}
-			case lp.EQ:
-				if rhs > feasTol || rhs < -feasTol {
-					return
-				}
-			}
 			continue // vacuous row: drop it
 		}
-		if c.Sense == lp.LE && nonneg && rhs < -feasTol {
-			return // x >= 0 forces lhs >= 0 > rhs: infeasible without an LP
-		}
-		w.consBuf = append(w.consBuf, lp.Constraint{Coeffs: seg, Sense: c.Sense, RHS: rhs})
+		w.consBuf = append(w.consBuf, lp.Constraint{Coeffs: seg, RHS: rhs})
 		w.keys = append(w.keys, ci)
 		off += nFree
-	}
-	// Explicit bound rows for free variables whose branch bounds tightened
-	// (general integers; binaries always end up fixed instead).
-	bound := len(s.p.LP.Constraints) // keys past the constraints: 2j lower, 2j+1 upper
-	for _, j := range w.touched {
-		ri := w.redIdx[j]
-		if ri < 0 {
-			continue
-		}
-		if w.lo[j] > intEps {
-			seg := coef[off : off+nFree]
-			clear(seg)
-			seg[ri] = 1
-			w.consBuf = append(w.consBuf, lp.Constraint{Coeffs: seg, Sense: lp.GE, RHS: w.lo[j]})
-			w.keys = append(w.keys, bound+2*j)
-			off += nFree
-		}
-		if w.up[j] < s.up0[j]-intEps {
-			seg := coef[off : off+nFree]
-			clear(seg)
-			seg[ri] = 1
-			w.consBuf = append(w.consBuf, lp.Constraint{Coeffs: seg, Sense: lp.LE, RHS: w.up[j]})
-			w.keys = append(w.keys, bound+2*j+1)
-			off += nFree
-		}
 	}
 	obj := w.objBuf[:nFree]
 	for k, j := range w.free[:nFree] {
 		obj[k] = s.p.LP.Objective[j]
 	}
-	w.sub = lp.Problem{Maximize: s.p.LP.Maximize, Objective: obj, Constraints: w.consBuf}
+	w.sub = lp.Problem{Objective: obj, Constraints: w.consBuf}
 	r, err := w.solve(nFree, child)
 	if err != nil {
 		o.err = err
 		return
 	}
 	o.iters = r.Iterations
-	switch r.Status {
-	case lp.Infeasible:
+	if r.Status != lp.Optimal {
+		// Infeasible; or, past an iteration limit, unexplorable — pruned to
+		// keep the search finite. (Validate bounds every variable by a row,
+		// so no relaxation is unbounded.)
 		return
-	case lp.Unbounded:
-		o.unbounded = true
-		return
-	case lp.IterationLimit:
-		return // treat as unexplorable; keeps the search sound
 	}
-	relax := s.sign * (r.Objective + objOffset)
+	relax := r.Objective + objOffset
 	o.bound = relax
 	if relax <= inc+intEps {
 		return // bound-dominated
@@ -929,12 +860,9 @@ func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 	for k, j := range w.free[:nFree] {
 		w.xfull[j] = r.X[k] // r.X is the solver's buffer: copied before its next call
 	}
-	// Find the most fractional free integer variable.
+	// Find the most fractional free variable.
 	branchJ, frac := -1, 0.0
 	for _, j := range w.free[:nFree] {
-		if !s.p.Integer[j] {
-			continue
-		}
 		f := w.xfull[j] - math.Floor(w.xfull[j])
 		dist := math.Min(f, 1-f)
 		if dist > intEps && dist > frac {
@@ -959,23 +887,21 @@ func (w *worker) eval(nd *node, inc float64, o *outcome, child bool) {
 // bounds sets the box to nd's and propagates it. A dive child starts from
 // the box its parent left, settled, and adds only its own branching
 // decision; any other node starts from the root's propagated box and adds
-// its whole chain. Either way only the rows the decisions move are queued,
-// and both reach the same box: the greatest one no row can tighten.
+// its whole chain. Either way only the rows the decisions move are
+// visited, and both reach the same box: the greatest one no row can
+// tighten.
 func (w *worker) bounds(nd *node, child bool) bool {
 	if !w.s.rootOK {
 		return false
 	}
+	var stop *bchange // the decisions the box already holds
 	if child && w.settled {
-		w.branch(nd.chain)
+		stop = nd.chain.prev
 	} else {
 		w.reset(w.s.root)
-		for c := nd.chain; c != nil; c = c.prev {
-			w.branch(c)
-		}
 	}
-	ok, settled := w.propagate()
-	w.settled = ok && settled
-	return ok
+	w.settled = w.branch(nd.chain, stop)
+	return w.settled
 }
 
 // solve runs the node's reduced LP. A dive child re-solves from the final
@@ -1076,106 +1002,6 @@ func (r *rowIndex) row(i int) ([]int32, []float64) {
 	return r.col[lo:hi], r.val[lo:hi]
 }
 
-// redundantSingletonRows marks singleton LE rows ("a·x_j <= b", a > 0)
-// whose bound is already implied by some other all-nonnegative LE row:
-// sum_k c_k·x_k <= r with every c_k >= 0 and x >= 0 forces
-// x_j <= r/c_j for each member, and fix-and-substitute only ever lowers
-// such a row's RHS (fixed values are nonnegative), so the domination
-// holds at every branch-and-bound node. Workers skip marked rows when
-// building a node's reduced LP; on placement problems this removes the
-// per-binary "x_j <= 1" rows — most of the tableau — because the Eq. 1
-// assignment rows already imply them.
-func redundantSingletonRows(p *Problem) []bool {
-	n := p.LP.NumVars()
-	dom := make([]float64, n) // tightest bound implied by non-singleton rows
-	for j := range dom {
-		dom[j] = math.Inf(1)
-	}
-	type singleton struct {
-		row   int
-		j     int
-		bound float64
-	}
-	var singles []singleton
-	for ci := range p.LP.Constraints {
-		c := &p.LP.Constraints[ci]
-		if c.Sense != lp.LE {
-			continue
-		}
-		idx, nz, nonneg := -1, 0, true
-		for j, a := range c.Coeffs {
-			if a > zeroTol {
-				idx = j
-				nz++
-			} else if a < -zeroTol {
-				nonneg = false
-				break
-			}
-		}
-		if !nonneg || nz == 0 {
-			continue
-		}
-		if nz == 1 {
-			singles = append(singles, singleton{row: ci, j: idx, bound: c.RHS / c.Coeffs[idx]})
-			continue
-		}
-		for j, a := range c.Coeffs {
-			if a > zeroTol {
-				if b := c.RHS / a; b < dom[j] {
-					dom[j] = b
-				}
-			}
-		}
-	}
-	skip := make([]bool, len(p.LP.Constraints))
-	for _, sg := range singles {
-		if dom[sg.j] <= sg.bound+intEps {
-			skip[sg.row] = true
-		}
-	}
-	return skip
-}
-
-// impliedUpperBounds extracts per-variable upper bounds from singleton LE
-// rows (a*x_j <= b with a > 0) — the "x_j <= 1" rows every binary carries.
-// The rows stay in the problem; the bounds let branching fix variables
-// instead of stacking constraint rows.
-func impliedUpperBounds(p *Problem) []float64 {
-	n := p.LP.NumVars()
-	up := make([]float64, n)
-	for j := range up {
-		up[j] = math.Inf(1)
-	}
-	for ci := range p.LP.Constraints {
-		c := &p.LP.Constraints[ci]
-		if c.Sense != lp.LE {
-			continue
-		}
-		idx := -1
-		single := true
-		for j, a := range c.Coeffs {
-			if a > zeroTol || a < -zeroTol {
-				if idx != -1 {
-					single = false
-					break
-				}
-				if a < 0 {
-					single = false
-					break
-				}
-				idx = j
-			}
-		}
-		if !single || idx == -1 {
-			continue
-		}
-		if b := c.RHS / c.Coeffs[idx]; b < up[idx] {
-			up[idx] = b
-		}
-	}
-	return up
-}
-
 // Frontier heap: max by bound, ties to the smallest sequence number.
 
 func nodeBefore(a, b *node) bool {
@@ -1227,38 +1053,22 @@ func heapPop(h *[]*node) *node {
 	return top
 }
 
-// feasible reports whether x satisfies every constraint (with tolerance)
-// and every integrality requirement, and is non-negative. rows is p's row
-// index.
+// feasible reports whether x is a 0/1 vector, within intEps, that meets
+// every row within feasTol. rows is p's row index.
 func (p *Problem) feasible(x []float64, rows *rowIndex) bool {
-	for j, v := range x {
-		if v < -1e-9 {
-			return false
-		}
-		if p.Integer[j] && math.Abs(v-math.Round(v)) > intEps {
+	for _, v := range x {
+		if v < -intEps || v > 1+intEps || math.Abs(v-math.Round(v)) > intEps {
 			return false
 		}
 	}
 	for i := range p.LP.Constraints {
-		c := &p.LP.Constraints[i]
 		cols, vals := rows.row(i)
 		lhs := 0.0
 		for k, j := range cols {
 			lhs += vals[k] * x[j]
 		}
-		switch c.Sense {
-		case lp.LE:
-			if lhs > c.RHS+feasTol {
-				return false
-			}
-		case lp.GE:
-			if lhs < c.RHS-feasTol {
-				return false
-			}
-		case lp.EQ:
-			if math.Abs(lhs-c.RHS) > feasTol {
-				return false
-			}
+		if lhs > p.LP.Constraints[i].RHS+feasTol {
+			return false
 		}
 	}
 	return true
@@ -1275,14 +1085,11 @@ func (p *Problem) ObjectiveValue(x []float64) float64 {
 	return obj
 }
 
-// roundIntegers snaps near-integral entries to exact integers.
-func roundIntegers(x []float64, integer []bool) []float64 {
+// rounded is a copy of x with every entry snapped to the nearest integer.
+func rounded(x []float64) []float64 {
 	out := make([]float64, len(x))
-	copy(out, x)
-	for j, isInt := range integer {
-		if isInt {
-			out[j] = math.Round(out[j])
-		}
+	for j, v := range x {
+		out[j] = math.Round(v)
 	}
 	return out
 }

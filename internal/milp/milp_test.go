@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,17 +18,14 @@ func Solve(p *Problem, opts Options) (Result, error) {
 	return SolveContext(context.Background(), p, opts)
 }
 
-func binaryProblem(maximize bool, obj []float64) *Problem {
+// binaryProblem is max obj·x with a row x_j <= 1 per variable.
+func binaryProblem(obj []float64) *Problem {
 	n := len(obj)
-	p := &Problem{
-		LP:      lp.Problem{Maximize: maximize, Objective: obj},
-		Integer: make([]bool, n),
-	}
+	p := &Problem{LP: lp.Problem{Objective: obj}}
 	for j := 0; j < n; j++ {
-		p.Integer[j] = true
 		coeffs := make([]float64, n)
 		coeffs[j] = 1
-		p.LP.AddConstraint(coeffs, lp.LE, 1)
+		p.LP.AddConstraint(coeffs, 1)
 	}
 	return p
 }
@@ -37,8 +35,8 @@ func TestSolveKnapsack(t *testing.T) {
 	// Optimal: a + c? 10+4=14 weight 8 >7. a alone: 10 (w5). b+c: 10 (w7).
 	// a+b: 16 w9 no. Best is 14? a+c w=8 infeasible. So max(10, 10)=10...
 	// Use classic: values 60,100,120 weights 10,20,30 cap 50 → 100+120=220.
-	p := binaryProblem(true, []float64{60, 100, 120})
-	p.LP.AddConstraint([]float64{10, 20, 30}, lp.LE, 50)
+	p := binaryProblem([]float64{60, 100, 120})
+	p.LP.AddConstraint([]float64{10, 20, 30}, 50)
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +54,8 @@ func TestSolveKnapsack(t *testing.T) {
 
 func TestSolveIntegerVsRelaxationGap(t *testing.T) {
 	// LP relaxation would take fractional items; MILP must not.
-	p := binaryProblem(true, []float64{10, 10})
-	p.LP.AddConstraint([]float64{6, 6}, lp.LE, 7) // only one item fits
+	p := binaryProblem([]float64{10, 10})
+	p.LP.AddConstraint([]float64{6, 6}, 7) // only one item fits
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,75 +70,31 @@ func TestSolveIntegerVsRelaxationGap(t *testing.T) {
 	}
 }
 
-func TestSolveMinimization(t *testing.T) {
-	// min 3x + 2y s.t. x + y >= 3, x,y integer (bounded by <= 10).
-	p := &Problem{
-		LP:      lp.Problem{Maximize: false, Objective: []float64{3, 2}},
-		Integer: []bool{true, true},
-	}
-	p.LP.AddConstraint([]float64{1, 1}, lp.GE, 3)
-	p.LP.AddConstraint([]float64{1, 0}, lp.LE, 10)
-	p.LP.AddConstraint([]float64{0, 1}, lp.LE, 10)
-	r, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != Optimal || math.Abs(r.Objective-6) > 1e-6 { // y=3
-		t.Fatalf("got %v obj=%v, want optimal 6", r.Status, r.Objective)
-	}
-}
-
 func TestSolveInfeasible(t *testing.T) {
-	p := binaryProblem(true, []float64{1})
-	p.LP.AddConstraint([]float64{1}, lp.GE, 2) // x>=2 but x<=1
+	// Coefficients are non-negative, so a negative right-hand side refuses
+	// every point, x = 0 included.
+	p := binaryProblem([]float64{1, 2})
+	p.LP.AddConstraint([]float64{0, 1}, -0.5)
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible", r.Status)
+	if r.Status != Infeasible || r.X != nil {
+		t.Fatalf("status = %v x = %v, want infeasible", r.Status, r.X)
 	}
 }
 
 func TestSolveUnbounded(t *testing.T) {
-	p := &Problem{
-		LP:      lp.Problem{Maximize: true, Objective: []float64{1}},
-		Integer: []bool{true},
-	}
-	r, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != Unbounded {
-		t.Fatalf("status = %v, want unbounded", r.Status)
-	}
-}
-
-func TestSolveBadMask(t *testing.T) {
-	p := &Problem{LP: lp.Problem{Maximize: true, Objective: []float64{1, 2}}, Integer: []bool{true}}
-	if _, err := Solve(p, Options{}); err == nil {
-		t.Fatal("expected error for wrong Integer mask length")
-	}
-}
-
-func TestSolveMixedIntegerContinuous(t *testing.T) {
-	// max x + y, x integer <= 2.5 bound via constraint, y continuous <= 1.5:
-	// x=2 (integer), y=1.5 → 3.5.
-	p := &Problem{
-		LP:      lp.Problem{Maximize: true, Objective: []float64{1, 1}},
-		Integer: []bool{true, false},
-	}
-	p.LP.AddConstraint([]float64{1, 0}, lp.LE, 2.5)
-	p.LP.AddConstraint([]float64{0, 1}, lp.LE, 1.5)
-	r, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != Optimal || math.Abs(r.Objective-3.5) > 1e-6 {
-		t.Fatalf("got %v obj=%v, want optimal 3.5", r.Status, r.Objective)
-	}
-	if math.Abs(r.X[0]-2) > 1e-6 {
-		t.Fatalf("x0 = %v, want 2", r.X[0])
+	// A variable no row bounds at <= 1 is not binary: Validate refuses the
+	// problem before a relaxation could be unbounded.
+	for _, p := range []*Problem{
+		{LP: lp.Problem{Objective: []float64{1}}},
+		{LP: lp.Problem{Objective: []float64{1}, Constraints: []lp.Constraint{{Coeffs: []float64{1}, RHS: 2}}}},
+		{LP: lp.Problem{Objective: []float64{1}, Constraints: []lp.Constraint{{Coeffs: []float64{1e-13}, RHS: 0}}}},
+	} {
+		if _, err := Solve(p, Options{}); err == nil || !strings.Contains(err.Error(), "bounds variable 0") {
+			t.Errorf("rows %v: err = %v, want the unbounded variable refused", p.LP.Constraints, err)
+		}
 	}
 }
 
@@ -157,8 +111,8 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 		obj[j] = 1 + rng.Float64()*9
 		w[j] = 1 + rng.Float64()*9
 	}
-	p := binaryProblem(true, obj)
-	p.LP.AddConstraint(w, lp.LE, 15)
+	p := binaryProblem(obj)
+	p.LP.AddConstraint(w, 15)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -183,8 +137,8 @@ func pacedUntilDone(ctx context.Context) func([]float64, *Packing) bool {
 }
 
 func TestMaxNodesLimit(t *testing.T) {
-	p := binaryProblem(true, []float64{3, 5, 7, 9})
-	p.LP.AddConstraint([]float64{2, 3, 4, 5}, lp.LE, 7)
+	p := binaryProblem([]float64{3, 5, 7, 9})
+	p.LP.AddConstraint([]float64{2, 3, 4, 5}, 7)
 	r, err := Solve(p, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -213,9 +167,9 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		}
 		cap1 := math.Round(rng.Float64()*20) + 5
 		cap2 := math.Round(rng.Float64()*20) + 5
-		p := binaryProblem(true, obj)
-		p.LP.AddConstraint(w1, lp.LE, cap1)
-		p.LP.AddConstraint(w2, lp.LE, cap2)
+		p := binaryProblem(obj)
+		p.LP.AddConstraint(w1, cap1)
+		p.LP.AddConstraint(w2, cap2)
 
 		best := 0.0
 		for mask := 0; mask < 1<<n; mask++ {
@@ -245,8 +199,8 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 }
 
 func TestGreedyBinaryIncumbent(t *testing.T) {
-	p := binaryProblem(true, []float64{60, 100, 120})
-	p.LP.AddConstraint([]float64{10, 20, 30}, lp.LE, 50)
+	p := binaryProblem([]float64{60, 100, 120})
+	p.LP.AddConstraint([]float64{10, 20, 30}, 50)
 	x := GreedyBinaryIncumbent(p)
 	if x == nil {
 		t.Fatal("greedy returned nil")
@@ -263,21 +217,20 @@ func TestGreedyBinaryIncumbent(t *testing.T) {
 }
 
 func TestGreedyRejectsUnsupportedForms(t *testing.T) {
-	p := binaryProblem(true, []float64{1})
-	p.LP.AddConstraint([]float64{1}, lp.GE, 0)
+	p := binaryProblem([]float64{1})
+	p.LP.AddConstraint([]float64{-1}, 0)
 	if GreedyBinaryIncumbent(p) != nil {
-		t.Fatal("greedy should reject GE constraints")
-	}
-	q := binaryProblem(true, []float64{1})
-	q.LP.AddConstraint([]float64{-1}, lp.LE, 0)
-	if GreedyBinaryIncumbent(q) != nil {
 		t.Fatal("greedy should reject negative coefficients")
+	}
+	q := &Problem{LP: lp.Problem{Objective: []float64{1}}}
+	if GreedyBinaryIncumbent(q) != nil {
+		t.Fatal("greedy should reject a variable no row bounds")
 	}
 }
 
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{Optimal: "optimal", Feasible: "feasible",
-		Infeasible: "infeasible", Unbounded: "unbounded"} {
+		Infeasible: "infeasible"} {
 		if s.String() != want {
 			t.Errorf("%d → %q, want %q", s, s.String(), want)
 		}
@@ -287,31 +240,11 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-func TestSolveWithEqualityConstraint(t *testing.T) {
-	// Exactly two of four items (equality), maximize value.
-	p := binaryProblem(true, []float64{5, 4, 3, 2})
-	p.LP.AddConstraint([]float64{1, 1, 1, 1}, lp.EQ, 2)
-	r, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != Optimal || math.Abs(r.Objective-9) > 1e-6 {
-		t.Fatalf("status=%v obj=%v, want optimal 9", r.Status, r.Objective)
-	}
-	count := 0.0
-	for _, x := range r.X {
-		count += x
-	}
-	if math.Abs(count-2) > 1e-6 {
-		t.Fatalf("selected %v items, want exactly 2", count)
-	}
-}
-
 func TestRelGapTerminatesEarly(t *testing.T) {
 	// A loose gap accepts the first incumbent once it is close to the
 	// bound. With gap=1.0 any positive incumbent ends the search.
-	p := binaryProblem(true, []float64{3, 5, 7, 9, 11, 13})
-	p.LP.AddConstraint([]float64{2, 3, 4, 5, 6, 7}, lp.LE, 11)
+	p := binaryProblem([]float64{3, 5, 7, 9, 11, 13})
+	p.LP.AddConstraint([]float64{2, 3, 4, 5, 6, 7}, 11)
 	exact, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -333,8 +266,8 @@ func TestRelGapTerminatesEarly(t *testing.T) {
 
 func TestHeuristicCandidateAdopted(t *testing.T) {
 	// A heuristic that immediately returns the optimum must be adopted.
-	p := binaryProblem(true, []float64{60, 100, 120})
-	p.LP.AddConstraint([]float64{10, 20, 30}, lp.LE, 50)
+	p := binaryProblem([]float64{60, 100, 120})
+	p.LP.AddConstraint([]float64{10, 20, 30}, 50)
 	called := false
 	r, err := Solve(p, Options{
 		Heuristic: func(relaxed []float64, pk *Packing) bool {
@@ -356,8 +289,8 @@ func TestHeuristicCandidateAdopted(t *testing.T) {
 }
 
 func TestInvalidIncumbentIgnored(t *testing.T) {
-	p := binaryProblem(true, []float64{60, 100, 120})
-	p.LP.AddConstraint([]float64{10, 20, 30}, lp.LE, 50)
+	p := binaryProblem([]float64{60, 100, 120})
+	p.LP.AddConstraint([]float64{10, 20, 30}, 50)
 	// Infeasible incumbent (violates knapsack) and wrong-length incumbent
 	// must both be ignored without corrupting the search.
 	r, err := Solve(p, Options{Incumbent: []float64{1, 1, 1}})
@@ -373,5 +306,67 @@ func TestInvalidIncumbentIgnored(t *testing.T) {
 	}
 	if r2.Status != Optimal {
 		t.Fatalf("status=%v", r2.Status)
+	}
+}
+
+// TestValidate: SolveContext refuses every problem outside the 0/1 packing
+// class with Validate's error, and accepts the class itself. A row longer
+// than the variable count used to index past the rows' end, and a NaN
+// right-hand side used to solve "optimal" with every variable at 1.
+func TestValidate(t *testing.T) {
+	ok := func() *Problem {
+		p := binaryProblem([]float64{1, 2})
+		p.LP.AddConstraint([]float64{1, 1}, 1.5)
+		return p
+	}
+	if err := ok().Validate(); err != nil {
+		t.Fatalf("a packing problem: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(p *Problem)
+		want string
+	}{
+		{"row longer than the variables", func(p *Problem) { p.LP.AddConstraint([]float64{1, 1, 1}, 1) }, "3 coefficients for 2 variables"},
+		{"NaN right-hand side", func(p *Problem) { p.LP.Constraints[2].RHS = math.NaN() }, "right-hand side NaN"},
+		{"infinite right-hand side", func(p *Problem) { p.LP.Constraints[2].RHS = math.Inf(1) }, "right-hand side +Inf"},
+		{"negative coefficient", func(p *Problem) { p.LP.Constraints[2].Coeffs[0] = -1 }, "coefficient -1"},
+		{"NaN coefficient", func(p *Problem) { p.LP.Constraints[2].Coeffs[1] = math.NaN() }, "coefficient NaN"},
+		{"infinite coefficient", func(p *Problem) { p.LP.Constraints[2].Coeffs[1] = math.Inf(1) }, "coefficient +Inf"},
+		{"negative objective", func(p *Problem) { p.LP.Objective[1] = -2 }, "objective entry 1 is -2"},
+		{"infinite objective", func(p *Problem) { p.LP.Objective[0] = math.Inf(1) }, "objective entry 0 is +Inf"},
+		{"NaN objective", func(p *Problem) { p.LP.Objective[0] = math.NaN() }, "objective entry 0 is NaN"},
+		{"unbounded variable", func(p *Problem) { p.LP.Constraints[1].RHS = 2 }, "bounds variable 1"},
+		{"no variables", func(p *Problem) { p.LP = lp.Problem{} }, "no variables"},
+	} {
+		p := ok()
+		c.edit(p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+		if _, serr := Solve(p, Options{Workers: 1}); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("%s: SolveContext = %v, want Validate's error", c.name, serr)
+		}
+	}
+}
+
+// TestSolveNaNRightHandSide: x1 + x2 <= NaN meets no point, and the solver
+// must not call every variable at 1 optimal.
+func TestSolveNaNRightHandSide(t *testing.T) {
+	p := binaryProblem([]float64{1, 1})
+	p.LP.AddConstraint([]float64{1, 1}, math.NaN())
+	if r, err := Solve(p, Options{}); err == nil {
+		t.Fatalf("status %v x %v, want the NaN right-hand side refused", r.Status, r.X)
+	}
+}
+
+// TestSolveLongRow: a row with more coefficients than variables is refused
+// with an error, as lp.Solve refuses it, not a panic.
+func TestSolveLongRow(t *testing.T) {
+	p := binaryProblem([]float64{1, 1})
+	p.LP.AddConstraint([]float64{1, 1, 1}, 1)
+	if _, err := Solve(p, Options{}); err == nil {
+		t.Fatal("want the long row refused")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"flex/internal/lp"
 	"flex/internal/obs"
 )
 
@@ -21,7 +20,7 @@ func randomKnapsack(seed int64, n int) *Problem {
 	for j := range obj {
 		obj[j] = 1 + float64(rng.Intn(40))
 	}
-	p := binaryProblem(true, obj)
+	p := binaryProblem(obj)
 	for k := 0; k < 2; k++ {
 		w := make([]float64, n)
 		var total float64
@@ -29,7 +28,7 @@ func randomKnapsack(seed int64, n int) *Problem {
 			w[j] = 1 + float64(rng.Intn(20))
 			total += w[j]
 		}
-		p.LP.AddConstraint(w, lp.LE, math.Floor(total*0.45))
+		p.LP.AddConstraint(w, math.Floor(total*0.45))
 	}
 	return p
 }
@@ -292,7 +291,7 @@ func TestWorkerIdleCountsBarrier(t *testing.T) {
 // TestObjectiveValue pins the public evaluation helper used by warm-start
 // construction.
 func TestObjectiveValue(t *testing.T) {
-	p := binaryProblem(true, []float64{3, 5})
+	p := binaryProblem([]float64{3, 5})
 	if got := p.ObjectiveValue([]float64{1, 1}); math.Abs(got-8) > 1e-12 {
 		t.Fatalf("ObjectiveValue = %v, want 8", got)
 	}

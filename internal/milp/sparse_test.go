@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,11 +17,8 @@ import (
 
 // referenceFeasible is Problem.feasible over dense rows.
 func referenceFeasible(p *Problem, x []float64) bool {
-	for j, v := range x {
-		if v < -1e-9 {
-			return false
-		}
-		if p.Integer[j] && math.Abs(v-math.Round(v)) > intEps {
+	for _, v := range x {
+		if v < -intEps || v > 1+intEps || math.Abs(v-math.Round(v)) > intEps {
 			return false
 		}
 	}
@@ -31,19 +27,8 @@ func referenceFeasible(p *Problem, x []float64) bool {
 		for j, a := range c.Coeffs {
 			lhs += a * x[j]
 		}
-		switch c.Sense {
-		case lp.LE:
-			if lhs > c.RHS+feasTol {
-				return false
-			}
-		case lp.GE:
-			if lhs < c.RHS-feasTol {
-				return false
-			}
-		case lp.EQ:
-			if math.Abs(lhs-c.RHS) > feasTol {
-				return false
-			}
+		if lhs > c.RHS+feasTol {
+			return false
 		}
 	}
 	return true
@@ -52,29 +37,16 @@ func referenceFeasible(p *Problem, x []float64) bool {
 // referenceBox is a node's bound state under the dense propagation: every
 // row in row order, swept until a sweep changes nothing.
 type referenceBox struct {
-	p       *Problem
-	skip    []bool
-	lo, up  []float64
-	touched []int
+	p      *Problem
+	lo, up []float64
 }
 
 func (b *referenceBox) propagate() bool {
 	for {
 		changed := false
-		for ci := range b.p.LP.Constraints {
-			if b.skip[ci] {
-				continue
-			}
-			c := &b.p.LP.Constraints[ci]
-			if c.Sense == lp.LE || c.Sense == lp.EQ {
-				if !b.propagateRow(c.Coeffs, c.RHS, 1, &changed) {
-					return false
-				}
-			}
-			if c.Sense == lp.GE || c.Sense == lp.EQ {
-				if !b.propagateRow(c.Coeffs, -c.RHS, -1, &changed) {
-					return false
-				}
+		for _, c := range b.p.LP.Constraints {
+			if !b.propagateRow(c.Coeffs, c.RHS, &changed) {
+				return false
 			}
 		}
 		if !changed {
@@ -83,44 +55,22 @@ func (b *referenceBox) propagate() bool {
 	}
 }
 
-func (b *referenceBox) propagateRow(coeffs []float64, rhs, sign float64, changed *bool) bool {
+func (b *referenceBox) propagateRow(coeffs []float64, rhs float64, changed *bool) bool {
 	minAct := 0.0
-	for j, a0 := range coeffs {
-		a := sign * a0
+	for j, a := range coeffs {
 		if a > zeroTol {
 			minAct += a * b.lo[j]
-		} else if a < -zeroTol {
-			u := b.up[j]
-			if math.IsInf(u, 1) {
-				return true
-			}
-			minAct += a * u
 		}
 	}
 	if minAct > rhs+feasTol {
 		return false
 	}
 	slack := rhs - minAct
-	for j, a0 := range coeffs {
-		if !b.p.Integer[j] {
-			continue
-		}
-		a := sign * a0
+	for j, a := range coeffs {
 		if a > zeroTol {
 			newUp := math.Floor(b.lo[j] + slack/a + intEps)
 			if newUp < b.up[j]-intEps {
 				b.up[j] = newUp
-				b.touched = append(b.touched, j)
-				*changed = true
-			}
-		} else if a < -zeroTol {
-			if math.IsInf(b.up[j], 1) {
-				continue
-			}
-			newLo := math.Ceil(b.up[j] + slack/a - intEps)
-			if newLo > b.lo[j]+intEps {
-				b.lo[j] = newLo
-				b.touched = append(b.touched, j)
 				*changed = true
 			}
 		}
@@ -130,17 +80,10 @@ func (b *referenceBox) propagateRow(coeffs []float64, rhs, sign float64, changed
 
 // referenceGreedy is GreedyBinaryIncumbent over dense rows.
 func referenceGreedy(p *Problem) []float64 {
-	n := p.LP.NumVars()
-	for _, c := range p.LP.Constraints {
-		if c.Sense != lp.LE {
-			return nil
-		}
-		for _, a := range c.Coeffs {
-			if a < 0 {
-				return nil
-			}
-		}
+	if p.Validate() != nil {
+		return nil
 	}
+	n := p.LP.NumVars()
 	order := make([]int, n)
 	for j := range order {
 		order[j] = j
@@ -182,7 +125,7 @@ func referenceGreedy(p *Problem) []float64 {
 
 // placementShaped builds an ILP with the structure of the Flex-Offline
 // batch problem — nd deployments × 6 UPS combinations of a 4N/3 room:
-// short singleton bound rows, one assignment row per deployment, normal
+// one assignment row per deployment, which bounds its variables, normal
 // and failover capacity rows per UPS, space per combination and one
 // diversity row — with seeded random demand sized so capacity binds.
 func placementShaped(seed int64, nd int) *Problem {
@@ -190,28 +133,22 @@ func placementShaped(seed int64, nd int) *Problem {
 	combos := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
 	nc := len(combos)
 	n := nd * nc
-	p := &Problem{LP: lp.Problem{Maximize: true, Objective: make([]float64, n)}, Integer: make([]bool, n)}
+	p := &Problem{LP: lp.Problem{Objective: make([]float64, n)}}
 	pow, capPow, racks := make([]float64, nd), make([]float64, nd), make([]float64, nd)
 	for d := range pow {
 		racks[d] = float64(5 + rng.Intn(16))
 		pow[d] = racks[d] * (0.010 + 0.012*rng.Float64())
 		capPow[d] = pow[d] * (0.6 + 0.4*float64(rng.Intn(2)))
 		for c := 0; c < nc; c++ {
-			p.Integer[d*nc+c] = true
 			p.LP.Objective[d*nc+c] = pow[d]
 		}
-	}
-	for j := 0; j < n; j++ {
-		c := make([]float64, j+1)
-		c[j] = 1
-		p.LP.AddConstraint(c, lp.LE, 1)
 	}
 	for d := 0; d < nd; d++ {
 		c := make([]float64, n)
 		for ci := 0; ci < nc; ci++ {
 			c[d*nc+ci] = 1
 		}
-		p.LP.AddConstraint(c, lp.LE, 1)
+		p.LP.AddConstraint(c, 1)
 	}
 	in := func(cb [2]int, u int) bool { return cb[0] == u || cb[1] == u }
 	for u := 0; u < 4; u++ {
@@ -223,7 +160,7 @@ func placementShaped(seed int64, nd int) *Problem {
 				}
 			}
 		}
-		p.LP.AddConstraint(c, lp.LE, 1.2)
+		p.LP.AddConstraint(c, 1.2)
 	}
 	for f := 0; f < 4; f++ {
 		for u := 0; u < 4; u++ {
@@ -242,7 +179,7 @@ func placementShaped(seed int64, nd int) *Problem {
 					}
 				}
 			}
-			p.LP.AddConstraint(c, lp.LE, 1.6)
+			p.LP.AddConstraint(c, 1.6)
 		}
 	}
 	for ci := range combos {
@@ -250,7 +187,7 @@ func placementShaped(seed int64, nd int) *Problem {
 		for d := 0; d < nd; d++ {
 			c[d*nc+ci] = racks[d]
 		}
-		p.LP.AddConstraint(c, lp.LE, 90)
+		p.LP.AddConstraint(c, 90)
 	}
 	c := make([]float64, n)
 	for d := 0; d < nd; d++ {
@@ -258,7 +195,7 @@ func placementShaped(seed int64, nd int) *Problem {
 			c[d*nc+ci] = capPow[d]
 		}
 	}
-	p.LP.AddConstraint(c, lp.LE, 4.5)
+	p.LP.AddConstraint(c, 4.5)
 	return p
 }
 
@@ -278,13 +215,12 @@ func completionHeuristic(p *Problem) func([]float64, *Packing) bool {
 	}
 }
 
-// generalILP is a seeded random all-integer program with LE, GE and EQ
-// rows and coefficients of either sign (fuzzILP over random bytes).
-func generalILP(seed int64) *Problem {
+// randomILP is a seeded random small packing program (fuzzILP over random
+// bytes).
+func randomILP(seed int64) *Problem {
 	data := make([]byte, 120)
 	rand.New(rand.NewSource(seed)).Read(data)
-	p, _ := fuzzILP(data)
-	return p
+	return fuzzILP(data)
 }
 
 // descend evaluates p's root and keeps following one child — the floor
@@ -310,14 +246,14 @@ func descend(w *worker, depth int, floor func(level int) bool) []*node {
 func oddLevels(level int) bool { return level%2 == 1 }
 
 // propagationProblems are the programs the propagation tests dive
-// through: placement-shaped batches and general integer programs.
+// through: placement-shaped batches and small random packing programs.
 func propagationProblems() []*Problem {
 	var probs []*Problem
 	for seed := int64(1); seed <= 4; seed++ {
 		probs = append(probs, placementShaped(seed, 12))
 	}
 	for seed := int64(1); seed <= 60; seed++ {
-		probs = append(probs, generalILP(seed))
+		probs = append(probs, randomILP(seed))
 	}
 	return probs
 }
@@ -334,11 +270,11 @@ func sameBox(lo, up, wantLo, wantUp []float64) int {
 }
 
 // TestPropagateSparseMatchesDense: along random dives through
-// placement-shaped and general programs, the queue-driven propagation from
-// the root's box reaches the same bounds, bit for bit, as sweeping every
-// dense row from [0, up0] until nothing changes, and lists the same
-// variables as touched — as a set: the queue does not visit rows in row
-// order.
+// placement-shaped and random packing programs, propagating each node's
+// decisions through their variables' rows from the root's box reaches the
+// same bounds, bit for bit, as sweeping every dense row from the unit box
+// until nothing changes; and every variable whose bounds differ from the
+// root box's is listed as touched, which is what reset restores.
 func TestPropagateSparseMatchesDense(t *testing.T) {
 	checked := 0
 	for pi, p := range propagationProblems() {
@@ -346,11 +282,13 @@ func TestPropagateSparseMatchesDense(t *testing.T) {
 		w := newWorker(s)
 		coin := rand.New(rand.NewSource(int64(pi)))
 		for _, nd := range descend(w, 12, func(int) bool { return coin.Intn(3) == 0 }) {
-			ref := &referenceBox{p: p, skip: s.skip, lo: make([]float64, s.n), up: append([]float64(nil), s.up0...)}
+			ref := &referenceBox{p: p, lo: make([]float64, s.n), up: make([]float64, s.n)}
+			for j := range ref.up {
+				ref.up[j] = 1
+			}
 			for c := nd.chain; c != nil; c = c.prev {
 				ref.lo[c.j] = math.Max(ref.lo[c.j], c.lo)
 				ref.up[c.j] = math.Min(ref.up[c.j], c.up)
-				ref.touched = append(ref.touched, c.j)
 			}
 			got, want := s.rootOK && w.bounds(nd, false), ref.propagate()
 			if got != want {
@@ -359,20 +297,17 @@ func TestPropagateSparseMatchesDense(t *testing.T) {
 			if !want {
 				continue // an empty box: where each side noticed is immaterial
 			}
-			if !w.settled {
-				t.Fatalf("problem %d: propagation stopped at its visit limit", pi)
-			}
 			if j := sameBox(w.lo, w.up, ref.lo, ref.up); j >= 0 {
 				t.Fatalf("problem %d var %d: bounds [%v, %v], dense [%v, %v]", pi, j, w.lo[j], w.up[j], ref.lo[j], ref.up[j])
 			}
-			gotSet, wantSet := slices.Clone(w.touched), slices.Clone(ref.touched)
-			slices.Sort(gotSet)
-			slices.Sort(wantSet)
-			wantSet = slices.Compact(wantSet)
-			if !slices.Equal(gotSet, wantSet) {
-				t.Fatalf("problem %d: touched %v, dense %v", pi, gotSet, wantSet)
+			for j := range ref.lo {
+				if (ref.lo[j] != s.root.lo[j] || ref.up[j] != s.root.up[j]) && !slices.Contains(w.touched, j) {
+					t.Fatalf("problem %d var %d: moved from the root box but not listed as touched", pi, j)
+				}
+				if ref.up[j] < s.root.up[j] {
+					checked++
+				}
 			}
-			checked += len(wantSet)
 		}
 	}
 	if checked == 0 {
@@ -414,55 +349,23 @@ func TestChildPropagationMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestPropagateCycleTerminates: x − y ≤ −1 and y − x ≤ −1 over [0, 1e6]
-// feed each other: a visit raises one variable's lower bound by a unit or
-// two and lowers the other's upper bound as much, for about a million
-// visits. The per-node visit limit stops propagation long before that — at
-// the root and again at a branched node — and the relaxation, infeasible
-// on its own, settles the search.
-func TestPropagateCycleTerminates(t *testing.T) {
-	p := &Problem{LP: lp.Problem{Maximize: true, Objective: []float64{1, 1}}, Integer: []bool{true, true}}
-	p.LP.AddConstraint([]float64{1, -1}, lp.LE, -1)
-	p.LP.AddConstraint([]float64{-1, 1}, lp.LE, -1)
-	p.LP.AddConstraint([]float64{1}, lp.LE, 1e6)
-	p.LP.AddConstraint([]float64{0, 1}, lp.LE, 1e6)
-	limit := float64(2 * maxVisitsPerRow * len(p.LP.Constraints)) // most units the lower bounds can rise
-	s := newSearch(p, Options{}, time.Now)
-	rootRise := s.root.lo[0] + s.root.lo[1]
-	if !s.rootOK || rootRise == 0 || rootRise > limit {
-		t.Fatalf("root box lo = %v (ok %v): want a rise of 1..%v units", s.root.lo, s.rootOK, limit)
-	}
-	w := newWorker(s)
-	from := s.root.lo[0] + 10
-	nd := &node{bound: math.Inf(1), chain: &bchange{j: 0, lo: from, up: math.Inf(1)}}
-	var o outcome
-	w.eval(nd, math.Inf(-1), &o, false)
-	if rise := w.lo[0] + w.lo[1] - from - s.root.lo[1]; w.settled || rise <= 0 || rise > limit {
-		t.Fatalf("branched node: lo = %v, settled %v: want a rise of 1..%v units past the branch", w.lo, w.settled, limit)
-	}
-	if o.branchJ >= 0 || o.cand != nil {
-		t.Fatalf("branched node: branch on %d, candidate %v; the relaxation is infeasible", o.branchJ, o.cand)
-	}
-	r, err := SolveContext(context.Background(), p, Options{Workers: 1})
-	if err != nil || r.Status != Infeasible {
-		t.Fatalf("SolveContext = %v, %v; want infeasible", r.Status, err)
-	}
-}
-
 // TestFeasibleSparseMatchesDense: candidate verification over the row
 // index accepts and rejects exactly what the dense scan does.
 func TestFeasibleSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	accepted := 0
 	for seed := int64(1); seed <= 80; seed++ {
-		p := generalILP(seed)
+		p := randomILP(seed)
 		rows := newRowIndex(p)
 		for trial := 0; trial < 40; trial++ {
 			x := make([]float64, p.LP.NumVars())
 			for j := range x {
-				x[j] = float64(rng.Intn(3))
-				if rng.Intn(8) == 0 {
-					x[j] += 0.5 * rng.Float64()
+				x[j] = float64(rng.Intn(2))
+				switch rng.Intn(16) {
+				case 0:
+					x[j] += rng.Float64() - 0.5
+				case 1:
+					x[j] = 2
 				}
 			}
 			got, want := p.feasible(x, &rows), referenceFeasible(p, x)
@@ -489,9 +392,9 @@ func TestGreedyMatchesDense(t *testing.T) {
 		probs = append(probs, placementShaped(seed, 10))
 	}
 	neg := placementShaped(7, 6)
-	neg.LP.AddConstraint([]float64{0, 0, 1}, lp.LE, -0.5)
-	exact := binaryProblem(true, []float64{5, 4, 3, 2})
-	exact.LP.AddConstraint([]float64{1, 1 + 1e-9, 1, 1}, lp.LE, 2)
+	neg.LP.AddConstraint([]float64{0, 0, 1}, -0.5)
+	exact := binaryProblem([]float64{5, 4, 3, 2})
+	exact.LP.AddConstraint([]float64{1, 1 + 1e-9, 1, 1}, 2)
 	probs = append(probs, neg, exact)
 	for pi, p := range probs {
 		got, want := GreedyBinaryIncumbent(p), referenceGreedy(p)
@@ -516,8 +419,8 @@ func TestGreedyMatchesDense(t *testing.T) {
 // did — an infeasible candidate with a better objective and a feasible one
 // with a worse objective both leave the incumbent alone.
 func TestTryCandidateOrderIrrelevant(t *testing.T) {
-	p := binaryProblem(true, []float64{60, 100, 120})
-	p.LP.AddConstraint([]float64{10, 20, 30}, lp.LE, 50)
+	p := binaryProblem([]float64{60, 100, 120})
+	p.LP.AddConstraint([]float64{10, 20, 30}, 50)
 	s := newSearch(p, Options{}, time.Now)
 	s.tryCandidate([]float64{1, 1, 0}) // feasible, 160
 	if s.best == nil || s.best.Objective != 160 || s.improved != 1 {
@@ -596,9 +499,9 @@ func TestEvalScratchStable(t *testing.T) {
 	if &w.coef[0] != arena {
 		t.Error("the coefficient arena was re-made")
 	}
-	if cap(w.coef) != (len(p.LP.Constraints)-p.LP.NumVars())*p.LP.NumVars() {
-		t.Errorf("arena holds %d coefficients, want non-skipped rows × variables = %d",
-			cap(w.coef), (len(p.LP.Constraints)-p.LP.NumVars())*p.LP.NumVars())
+	if cap(w.coef) != len(p.LP.Constraints)*p.LP.NumVars() {
+		t.Errorf("arena holds %d coefficients, want rows × variables = %d",
+			cap(w.coef), len(p.LP.Constraints)*p.LP.NumVars())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"flex/internal/lp"
 	"flex/internal/milp"
 	"flex/internal/workload"
 )
@@ -141,9 +140,9 @@ func denseCases(t *testing.T) []denseCase {
 	}
 	batch := warmBatch(t, 12)
 	neg := BatchILP(room, batch)
-	neg.LP.AddConstraint(make([]float64, neg.LP.NumVars()), lp.LE, -1)
+	neg.LP.AddConstraint(make([]float64, neg.LP.NumVars()), -1)
 	short := BatchILP(room, batch)
-	short.LP.AddConstraint(make([]float64, 20), lp.LE, -1)
+	short.LP.AddConstraint(make([]float64, 20), -1)
 	return append(cases,
 		denseCase{name: "negative-rhs", prob: neg, batch: batch},
 		denseCase{name: "short-negative-rhs", prob: short, batch: batch})

@@ -201,30 +201,21 @@ func (f FlexOffline) BatchILP(room *Room, batch []workload.Deployment) *milp.Pro
 	return f.batchILP(newState(room), CombosOf(room.Topo), batch)
 }
 
-// batchILP builds the batch ILP against the current committed state. All
-// constraints are ≤ with non-negative coefficients, so rounding a
-// relaxation down is always feasible.
+// batchILP builds the batch ILP against the current committed state: a
+// 0/1 packing program (milp.Problem), every constraint ≤ with non-negative
+// coefficients, so rounding a relaxation down is always feasible. Eq. 1's
+// rows bound every variable at 1, so there are no bound rows.
 func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deployment) *milp.Problem {
 	topo := s.room.Topo
 	nd, nc := len(batch), len(combos)
 	nVars := nd * nc // binary placement vars x[d*nc+c]
 
 	const mw = 1e6 // scale watts → MW for numerical conditioning
-	prob := &milp.Problem{
-		LP:      lp.Problem{Maximize: true, Objective: make([]float64, nVars)},
-		Integer: make([]bool, nVars),
-	}
+	prob := &milp.Problem{LP: lp.Problem{Objective: make([]float64, nVars)}}
 	for di, d := range batch {
 		for c := 0; c < nc; c++ {
-			prob.Integer[di*nc+c] = true
 			prob.LP.Objective[di*nc+c] = float64(d.TotalPower()) / mw
 		}
-	}
-	// Binary upper bounds.
-	for j := 0; j < nVars; j++ {
-		c := make([]float64, j+1)
-		c[j] = 1
-		prob.LP.AddConstraint(c, lp.LE, 1)
 	}
 	// Eq. 1: each deployment placed at most once.
 	for di := range batch {
@@ -232,7 +223,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 		for ci := 0; ci < nc; ci++ {
 			c[di*nc+ci] = 1
 		}
-		prob.LP.AddConstraint(c, lp.LE, 1)
+		prob.LP.AddConstraint(c, 1)
 	}
 	// safetyRow is the load on UPS u while the UPSes in out are out of
 	// service, as a function of the placement variables: each deployment's
@@ -259,7 +250,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 	for u := range topo.UPSes {
 		uu := power.UPSID(u)
 		c, _ := safetyRow(uu, 0, func(d workload.Deployment) float64 { return float64(d.TotalPower()) })
-		prob.LP.AddConstraint(c, lp.LE, float64(s.safety.NormalHeadroom(uu))/mw)
+		prob.LP.AddConstraint(c, float64(s.safety.NormalHeadroom(uu))/mw)
 	}
 	// Eq. 4: failover headroom per (failed, survivor), over post-shave power.
 	for f := range topo.UPSes {
@@ -270,7 +261,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 				continue
 			}
 			if c, nonzero := safetyRow(uu, power.SetOf(ff), func(d workload.Deployment) float64 { return float64(s.capPow(d)) }); nonzero {
-				prob.LP.AddConstraint(c, lp.LE, float64(s.safety.FailoverHeadroom(ff, uu))/mw)
+				prob.LP.AddConstraint(c, float64(s.safety.FailoverHeadroom(ff, uu))/mw)
 			}
 		}
 	}
@@ -284,7 +275,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 		for di, d := range batch {
 			c[di*nc+ci] = float64(d.Racks)
 		}
-		prob.LP.AddConstraint(c, lp.LE, float64(free))
+		prob.LP.AddConstraint(c, float64(free))
 	}
 	// Workload-diversity headroom: cumulative CapPow within the failover
 	// budget, so that shave-ability never becomes the binding constraint
@@ -305,7 +296,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 		if any {
 			budget := float64(topo.ProvisionedPower()) * topo.Design.AllocationLimitFraction()
 			rhs := (budget - float64(s.placedCapPow)) / mw
-			prob.LP.AddConstraint(c, lp.LE, rhs)
+			prob.LP.AddConstraint(c, rhs)
 		}
 	}
 	// PDU-pair ratings (aggregate per combo; the pair-level check happens
@@ -320,7 +311,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 			for di, d := range batch {
 				c[di*nc+ci] = float64(d.TotalPower()) / mw
 			}
-			prob.LP.AddConstraint(c, lp.LE, free)
+			prob.LP.AddConstraint(c, free)
 		}
 	}
 	// Cooling (aggregate), if configured.
@@ -332,7 +323,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 			}
 		}
 		rhs := (s.room.CoolingCFM - float64(s.placedPow)*s.room.CFMPerWatt) / mw
-		prob.LP.AddConstraint(c, lp.LE, rhs)
+		prob.LP.AddConstraint(c, rhs)
 	}
 	return prob
 }

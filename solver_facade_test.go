@@ -11,16 +11,13 @@ import (
 // build a problem with the facade types, solve it under a context, and
 // check the status/stop constants line up.
 func TestSolveMILPFacade(t *testing.T) {
-	p := &MILPProblem{
-		LP:      LinearProblem{Maximize: true, Objective: []float64{60, 100, 120}},
-		Integer: []bool{true, true, true},
-	}
+	p := &MILPProblem{LP: LinearProblem{Objective: []float64{60, 100, 120}}}
 	for j := 0; j < 3; j++ {
 		unit := make([]float64, 3)
 		unit[j] = 1
-		p.LP.AddConstraint(unit, LE, 1)
+		p.LP.AddConstraint(unit, 1)
 	}
-	p.LP.AddConstraint([]float64{10, 20, 30}, LE, 50)
+	p.LP.AddConstraint([]float64{10, 20, 30}, 50)
 
 	r, err := SolveMILP(context.Background(), p, SolveOptions{Workers: 2})
 	if err != nil {
@@ -53,8 +50,8 @@ func TestBatchPlacementILP(t *testing.T) {
 	}
 	batch := trace[:6]
 	p := BatchPlacementILP(room, batch)
-	if p.LP.NumVars() == 0 || len(p.Integer) != p.LP.NumVars() {
-		t.Fatalf("malformed problem: %d vars, %d-entry mask", p.LP.NumVars(), len(p.Integer))
+	if err := p.Validate(); err != nil {
+		t.Fatalf("malformed problem: %v", err)
 	}
 	r, err := SolveMILP(context.Background(), p, SolveOptions{MaxNodes: 400})
 	if err != nil {
