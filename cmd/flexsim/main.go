@@ -379,7 +379,7 @@ func runFleet(ctx context.Context, out io.Writer, rooms int, seed int64, reg *ob
 		return fmt.Errorf("fleet smoke: shed latency %v outside the %v budget", res.ShedLatency, flex.FlexLatencyBudget)
 	}
 	if res.Outage {
-		return fmt.Errorf("fleet smoke: a UPS outlasted its trip curve")
+		return fmt.Errorf("fleet smoke: a UPS trip cascaded into an outage (a loaded PDU-pair lost both UPSes)")
 	}
 	if res.CrossRoomDrops != 0 {
 		return fmt.Errorf("fleet smoke: %d samples dropped outside the saturated room, want 0", res.CrossRoomDrops)

@@ -150,8 +150,9 @@ type Result struct {
 	// ShaveLatency is from the UPS failure until every surviving UPS is
 	// back below rated capacity (must be within the Flex 10s budget).
 	ShaveLatency time.Duration
-	// Outage reports whether any UPS overload outlasted its trip-curve
-	// tolerance (cascading failure — must be false).
+	// Outage reports whether a loaded PDU-pair lost both of its UPSes,
+	// what CascadeOutcome.Outage means: an overload outlasted a survivor's
+	// trip curve and the trip cascaded (must be false).
 	Outage bool
 	// Insufficient is true when Algorithm 1 ran out of shaveable racks.
 	Insufficient bool
@@ -420,6 +421,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		rm.observe(ts.step)
+		for u := range topo.UPSes {
+			if rm.tripped.Has(power.UPSID(u)) {
+				cfg.Recorder.Emit(recorder.Event{Type: recorder.TypeUPSFail, Time: clk.Now(), Actor: "emu", Subject: topo.UPSes[u].Name, Detail: "trip"})
+			}
+		}
 		ts.settle(rm)
 
 		// Count action extents.

@@ -98,8 +98,8 @@ type FleetResult struct {
 	// ShedLatency is from the UPS failure until every surviving UPS in
 	// the failed room is back below rated capacity (the 10s budget).
 	ShedLatency time.Duration
-	// Outage reports whether any UPS in any room outlasted its trip-curve
-	// tolerance.
+	// Outage reports whether a loaded PDU-pair in any room lost both of
+	// its UPSes, what CascadeOutcome.Outage means.
 	Outage bool
 	// SaturatedDrops counts ingest-queue evictions in the saturated room
 	// (0 when no room was saturated).

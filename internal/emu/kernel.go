@@ -123,8 +123,11 @@ type room struct {
 	// manager has not actuated.
 	dirty bool
 	truth groundTruth
-	// under and tripped are what observe saw of the post-step truth.
-	under, tripped bool
+	// under and tripped are what observe saw of the post-step truth:
+	// whether every UPS in service was within its rating, and the UPSes
+	// that tripped.
+	under   bool
+	tripped power.UPSSet
 }
 
 // tickState is where a run stands in time. Its methods are the phases of
@@ -155,7 +158,7 @@ type tickState struct {
 	watched                        *room
 	failUPS                        power.UPSID
 	failedAt, firstEnforce, shedAt time.Duration
-	outage                         bool // any UPS in any room outlasted its trip curve
+	outage                         bool // a loaded pair in some room lost both of its UPSes
 }
 
 func (p *plant) newTickState(seed int64, step, duration time.Duration, theta, sigma float64) *tickState {
@@ -244,10 +247,17 @@ func (ts *tickState) newRoom() *room {
 // event staged at t fires once whether or not the tick divides it.
 func (ts *tickState) reaches(t time.Duration) bool { return ts.now >= t && ts.now-ts.step < t }
 
+// takeOut takes ups out of service in r, a scheduled failure or a trip.
+// Its trip state starts over: a UPS comes back into service fresh.
+func (r *room) takeOut(ups power.UPSID) {
+	r.out |= 1 << ups // SetOf(ups) without the variadic slice, on a trip's hot path
+	r.truth.trip[ups] = power.TripState{}
+	r.dirty = true
+}
+
 // fail takes ups out of service in r and puts the watch on it.
 func (ts *tickState) fail(r *room, ups power.UPSID) {
-	r.out |= power.SetOf(ups)
-	r.dirty = true
+	r.takeOut(ups)
 	ts.watched, ts.failUPS, ts.failedAt = r, ups, ts.now
 }
 
@@ -290,12 +300,12 @@ func (ts *tickState) enforced(r *room, n int) {
 	}
 }
 
-// settle folds r's observed tick into the run: an outage if a UPS
-// outlasted its trip curve, and the shed point — the first tick after the
-// failure on which every surviving UPS of the watched room is back under
-// its rating. The loops call it in room order after r.observe.
+// settle folds r's observed tick into the run: an outage if a loaded pair
+// has lost both of its UPSes, and the shed point — the first tick after
+// the failure on which every surviving UPS of the watched room is back
+// under its rating. The loops call it in room order after r.observe.
 func (ts *tickState) settle(r *room) {
-	if r.tripped {
+	if r.truth.dark {
 		ts.outage = true
 	}
 	if r == ts.watched && r.under && ts.shedAt < 0 && r.out.Has(ts.failUPS) && ts.now > ts.failedAt {

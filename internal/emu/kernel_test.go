@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -136,9 +137,10 @@ func testPlant(t *testing.T) *plant {
 	return p
 }
 
-// scratchTruth recomputes r's rack, pair and UPS loads from nothing but
-// its demand, the UPSes out and the manager's state of every rack.
-func scratchTruth(r *room) (rack []power.Watts, pair power.PairLoad, ups []power.Watts) {
+// scratchTruth recomputes r's rack, pair and UPS loads and whether a
+// loaded pair is dark from nothing but its demand, the UPSes out and the
+// manager's state of every rack.
+func scratchTruth(r *room) (rack []power.Watts, pair power.PairLoad, ups []power.Watts, dark bool) {
 	p := r.plant
 	rack, pair = make([]power.Watts, len(p.ids)), power.NewPairLoad(p.topo)
 	for i, id := range p.ids {
@@ -152,8 +154,44 @@ func scratchTruth(r *room) (rack []power.Watts, pair power.PairLoad, ups []power
 		rack[i] = w
 		pair[p.pair[i]] += w
 	}
-	ups, _ = p.topo.LoadFlow(pair, r.out)
-	return rack, pair, ups
+	ups, dark = p.topo.LoadFlow(pair, r.out)
+	return rack, pair, ups, dark
+}
+
+// serviceStep is one step of a room's service history: a scheduled
+// failure or recovery of ups, or a tick of length dt observed at pair
+// loads pair.
+type serviceStep struct {
+	fail, recover bool
+	ups           power.UPSID
+	pair          power.PairLoad
+	dt            time.Duration
+}
+
+// scratchTrips replays a room's service history from a fresh room: the
+// UPSes out and every UPS's consumed tolerance, summed over the ticks
+// since it last left service, each trip taking its UPS out.
+func scratchTrips(topo *power.Topology, history []serviceStep) (out power.UPSSet, trip []power.TripState) {
+	trip = make([]power.TripState, len(topo.UPSes))
+	for _, h := range history {
+		switch {
+		case h.fail:
+			out |= power.SetOf(h.ups)
+			trip[h.ups] = power.TripState{}
+		case h.recover:
+			out &^= power.SetOf(h.ups)
+		default:
+			ups, _ := topo.LoadFlow(h.pair, out)
+			for u, w := range ups {
+				id, c := power.UPSID(u), topo.UPSes[u].Capacity
+				if !out.Has(id) && w > c && trip[u].Advance(power.EndOfLifeTripCurve, h.dt, float64(w/c)) {
+					out |= power.SetOf(id)
+					trip[u] = power.TripState{}
+				}
+			}
+		}
+	}
+	return out, trip
 }
 
 // sameWatts reports whether a and b are equal bit for bit.
@@ -171,22 +209,25 @@ func sameWatts(a, b []power.Watts) bool {
 
 // TestRefreshMatchesScratch drives a room through random sequences of
 // demand steps, rack-manager actuations (effective, repeated and refused),
-// UPS failures and recoveries, and steps that change nothing, with a
-// refresh after each: the cached truth must bit-equal a from-scratch
-// recomputation every time. The dirty flag and the Actuations gate may
-// skip work, never a change.
+// UPS failures and recoveries, ticks of the trip curve, and steps that
+// change nothing, with a refresh after each: the cached truth must
+// bit-equal a from-scratch recomputation every time, and the UPSes out and
+// every trip state a replay of the room's whole service history. The dirty
+// flag and the Actuations gate may skip work, never a change.
 func TestRefreshMatchesScratch(t *testing.T) {
 	p := testPlant(t)
 	ups := len(p.topo.UPSes)
+	trips := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		ts := p.newTickState(seed, 500*time.Millisecond, time.Minute, 0.30, 0.015)
 		r := ts.newRoom()
 		rng := rand.New(rand.NewSource(seed))
 		z := make([]float64, len(p.ids))
+		var history []serviceStep
 		for step := 0; step < 400; step++ {
 			id := p.ids[rng.Intn(len(p.ids))]
 			var what string
-			switch op := rng.Intn(10); op {
+			switch op := rng.Intn(11); op {
 			case 0, 1, 2:
 				what = "advance"
 				for j := range z {
@@ -207,40 +248,142 @@ func TestRefreshMatchesScratch(t *testing.T) {
 				_ = r.mgr.SetReachable(id, rng.Intn(4) > 0)
 			case 7:
 				what = "fail"
-				ts.fail(r, power.UPSID(rng.Intn(ups)))
+				u := power.UPSID(rng.Intn(ups))
+				ts.fail(r, u)
+				history = append(history, serviceStep{fail: true, ups: u})
 			case 8:
 				what = "recover"
-				ts.recover(r, power.UPSID(rng.Intn(ups)))
+				u := power.UPSID(rng.Intn(ups))
+				ts.recover(r, u)
+				history = append(history, serviceStep{recover: true, ups: u})
+			case 9:
+				// A tick of demand pressed towards full allocation, then
+				// the trip curve over it.
+				what = "overload tick"
+				for j := range z {
+					z[j] = rng.NormFloat64()
+				}
+				ts.advance(r, 1.25, z)
+				dt := time.Duration(1+rng.Intn(16)) * ts.step
+				r.observe(dt)
+				if r.tripped != 0 {
+					trips++
+				}
+				_, pair, _, _ := scratchTruth(r) // pair loads do not depend on the UPSes out
+				history = append(history, serviceStep{pair: pair, dt: dt})
 			default:
 				what = "nothing"
 			}
 			r.refresh()
-			rack, pair, wantUPS := scratchTruth(r)
+			rack, pair, wantUPS, dark := scratchTruth(r)
 			g := &r.truth
-			if !sameWatts(g.rack, rack) || !sameWatts(g.pair, pair) || !sameWatts(g.ups, wantUPS) {
-				t.Fatalf("seed %d step %d (%s): cached truth differs from a recomputation: ups %v, want %v",
-					seed, step, what, g.ups, wantUPS)
+			if !sameWatts(g.rack, rack) || !sameWatts(g.pair, pair) || !sameWatts(g.ups, wantUPS) || g.dark != dark {
+				t.Fatalf("seed %d step %d (%s): cached truth differs from a recomputation: ups %v dark %v, want %v dark %v",
+					seed, step, what, g.ups, g.dark, wantUPS, dark)
+			}
+			out, trip := scratchTrips(p.topo, history)
+			if r.out != out || !slices.Equal(g.trip, trip) {
+				t.Fatalf("seed %d step %d (%s): out %b, trip states %v; a replay of the history gives out %b, %v",
+					seed, step, what, r.out, g.trip, out, trip)
 			}
 		}
 	}
+	if trips == 0 {
+		t.Error("no UPS tripped: the trip ticks never took one out")
+	}
 }
 
-// TestRoomTickAllocFree: on a warmed room, a tick's demand step and truth
-// refresh allocate nothing, whether the refresh recomputes or returns at
-// once.
+// TestTripCascades: a room at full allocation loses a UPS and nothing
+// sheds. The survivor with the least tolerance at its failover load trips
+// on the first tick whose end passes that tolerance, leaves service
+// through the same take-out a scheduled failure uses (the watch stays on
+// the scheduled one), and the pair it shared with the failed UPS goes
+// dark: an outage on that tick. Put back in service, it starts with
+// nothing consumed.
+func TestTripCascades(t *testing.T) {
+	p := testPlant(t)
+	const tick = 500 * time.Millisecond
+	ts := p.newTickState(1, tick, time.Hour, 0.30, 0.015)
+	r := ts.newRoom()
+	for j := range r.demand {
+		r.demand[j] = 1
+	}
+	z := make([]float64, len(p.ids)) // no noise: demand stays at 1
+	ts.fail(r, 0)
+	r.refresh()
+	first, tol := power.UPSID(-1), time.Duration(0)
+	for u, w := range r.truth.ups {
+		c := p.topo.UPSes[u].Capacity
+		if u == 0 || w <= c {
+			continue
+		}
+		if d := power.EndOfLifeTripCurve.Tolerance(float64(w / c)); first < 0 || d < tol {
+			first, tol = power.UPSID(u), d
+		}
+	}
+	if first < 0 {
+		t.Fatalf("no survivor over its rating at full allocation: %v", r.truth.ups)
+	}
+	for ; ts.now < tol+2*tick; ts.next() {
+		ts.advance(r, 10, z) // a target past every category's allocation
+		r.refresh()
+		r.observe(tick)
+		ts.settle(r)
+		if r.tripped == 0 {
+			if ts.outage {
+				t.Fatalf("outage at %v with no trip", ts.now+tick)
+			}
+			continue
+		}
+		end := ts.now + tick // how far the trip curve has run
+		if r.tripped != power.SetOf(first) {
+			t.Fatalf("tripped %b at %v, want UPS %d first", r.tripped, end, first)
+		}
+		if end <= tol || end > tol+tick {
+			t.Errorf("UPS %d tripped on the tick ending %v, want the first past its %v", first, end, tol)
+		}
+		if !r.out.Has(first) || !ts.outage || !r.truth.dark {
+			t.Errorf("after the trip: out %b, outage %v, dark %v; want UPS %d out and the pair it shares with UPS 0 dark",
+				r.out, ts.outage, r.truth.dark, first)
+		}
+		if ts.watched != r || ts.failUPS != 0 || ts.failedAt != 0 {
+			t.Errorf("the watch moved to UPS %d at %v", ts.failUPS, ts.failedAt)
+		}
+		ts.recover(r, first)
+		r.refresh()
+		var fresh power.TripState
+		w, c := r.truth.ups[first], p.topo.UPSes[first].Capacity
+		fresh.Advance(power.EndOfLifeTripCurve, tick, float64(w/c))
+		if r.observe(tick); r.truth.trip[first] != fresh {
+			t.Errorf("UPS %d back in service at %.0f%% of rating: %v after a tick, want a fresh state's %v",
+				first, 100*float64(w/c), r.truth.trip[first], fresh)
+		}
+		return
+	}
+	t.Fatalf("no trip by %v, want UPS %d out after %v", ts.now, first, tol)
+}
+
+// TestRoomTickAllocFree: on a warmed room with a UPS out, a tick's demand
+// step, truth refresh and trip-curve tick allocate nothing, whether the
+// refresh recomputes or returns at once.
 func TestRoomTickAllocFree(t *testing.T) {
 	p := testPlant(t)
 	ts := p.newTickState(1, 500*time.Millisecond, time.Minute, 0.30, 0.015)
 	r := ts.newRoom()
 	z := make([]float64, len(p.ids))
+	ts.fail(r, 0)
 	ts.advance(r, 0.8, z)
 	r.refresh()
 	if allocs := testing.AllocsPerRun(100, func() {
 		ts.advance(r, 0.8, z)
 		r.refresh()
 		r.refresh()
+		r.observe(ts.step)
 	}); allocs != 0 {
-		t.Errorf("advance + refresh allocated %.1f times a tick, want 0", allocs)
+		t.Errorf("advance + refresh + observe allocated %.1f times a tick, want 0", allocs)
+	}
+	if r.under {
+		t.Error("no survivor over its rating: the trip states never advanced")
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // rack's draw under its actuation state, summed per PDU-pair and pushed
 // through the load flow. The emulators ask for it twice a tick — after
 // the demand update, for what the meters and the workload model see, and
-// after the controllers stepped, for the trip curve and the timeline —
-// and it is recomputed only when demand, the UPSes out or the actuation
-// state moved since the last time. Everything in between reads these
+// after the controllers stepped, for the trip curve and the timeline (and
+// once more when a UPS trips) — and it is recomputed only when demand, the
+// UPSes out or the actuation state moved since the last time. Everything in between reads these
 // slices instead of re-deriving them rack by rack.
 type groundTruth struct {
 	// state and cap are the racks' actuation state, re-read from the
@@ -27,8 +27,10 @@ type groundTruth struct {
 	rack []power.Watts // per rack, in placement order
 	pair power.PairLoad
 	ups  []power.Watts
+	// dark is set while a loaded PDU-pair has lost both of its UPSes.
+	dark bool
 
-	overFor []time.Duration // per UPS, time spent over rated capacity
+	trip []power.TripState // per UPS, on the end-of-life trip curve
 }
 
 func newGroundTruth(topo *power.Topology, racks int) groundTruth {
@@ -39,7 +41,7 @@ func newGroundTruth(topo *power.Topology, racks int) groundTruth {
 		rack:       make([]power.Watts, racks),
 		pair:       power.NewPairLoad(topo),
 		ups:        make([]power.Watts, len(topo.UPSes)),
-		overFor:    make([]time.Duration, len(topo.UPSes)),
+		trip:       make([]power.TripState, len(topo.UPSes)),
 	}
 }
 
@@ -73,7 +75,7 @@ func (r *room) refresh() {
 		g.rack[i] = w
 		g.pair[p.pair[i]] += w
 	}
-	p.topo.LoadFlowInto(g.ups, g.pair, r.out)
+	g.dark = p.topo.LoadFlowInto(g.ups, g.pair, r.out)
 }
 
 // reread takes every rack's actuation state from the manager, which has
@@ -91,36 +93,36 @@ func (g *groundTruth) reread(mgr *rackmgr.Manager, ids []string, n int) {
 // observe is the room's half of closing a tick on the post-step world:
 // truth again if the controllers actuated (or nothing refreshed it since
 // advance), then one tick of the trip curve, kept in r.under and
-// r.tripped for tickState.settle. It writes only r, so rooms observe in
+// r.tripped for tickState.settle and Run's trip events. A UPS that trips
+// leaves service on this tick, and the truth is refreshed once more so its
+// load lands on the survivors. It writes only r, so rooms observe in
 // parallel.
 func (r *room) observe(tick time.Duration) {
 	r.refresh()
 	r.under, r.tripped = r.observeTrip(tick)
+	if r.tripped != 0 {
+		r.refresh()
+	}
 }
 
-// observeTrip advances the overload clocks by one tick of the refreshed
-// truth. under reports whether every in-service UPS is within its rated
-// capacity; tripped whether one has been over it for longer than the
-// end-of-life trip curve tolerates.
+// observeTrip advances every in-service UPS's trip state by one tick of
+// the refreshed truth and takes out each UPS that trips. under reports
+// whether every in-service UPS was within its rated capacity; tripped is
+// the set that tripped.
 //
 //flex:hotpath
-func (r *room) observeTrip(tick time.Duration) (under, tripped bool) {
+func (r *room) observeTrip(tick time.Duration) (under bool, tripped power.UPSSet) {
 	g, ups := &r.truth, r.plant.topo.UPSes
 	under = true
 	for u := range ups {
-		if r.out.Has(power.UPSID(u)) {
-			g.overFor[u] = 0
+		id, capW := power.UPSID(u), ups[u].Capacity
+		if r.out.Has(id) || g.ups[u] <= capW {
 			continue
 		}
-		capW := ups[u].Capacity
-		if g.ups[u] > capW {
-			under = false
-			g.overFor[u] += tick
-			if g.overFor[u] > power.EndOfLifeTripCurve.Tolerance(float64(g.ups[u]/capW)) {
-				tripped = true
-			}
-		} else {
-			g.overFor[u] = 0
+		under = false
+		if g.trip[u].Advance(power.EndOfLifeTripCurve, tick, float64(g.ups[u]/capW)) {
+			r.takeOut(id)
+			tripped |= 1 << id
 		}
 	}
 	return under, tripped

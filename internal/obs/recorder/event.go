@@ -65,7 +65,8 @@ const (
 	// Score=mean, Cause=the sample's publish event.
 	TypeEstimatorBound
 	// TypeUPSFail / TypeUPSRecover: the experiment harness failed or
-	// recovered a UPS. Subject=UPS name.
+	// recovered a UPS, or a UPS tripped on its overload curve
+	// (Detail="trip"). Subject=UPS name.
 	TypeUPSFail
 	TypeUPSRecover
 	// TypeOverdrawDetect: a controller observed UPS power above

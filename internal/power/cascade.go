@@ -20,21 +20,23 @@ type CascadeOutcome struct {
 }
 
 // SimulateCascade plays out the overload trip dynamics after initialFailure
-// with constant pair loads: at each step the surviving UPS with the
-// shortest remaining tolerance trips (if any is overloaded), transferring
-// its load onward, until either no UPS is overloaded or some PDU-pair has
-// lost both of its UPSes. The horizon bounds the simulation; overloads that
-// would trip after the horizon (e.g. because corrective action will arrive
-// first) are ignored.
+// with constant pair loads: each survivor carries a TripState, the
+// overloaded survivor with the least time left trips next, and every
+// survivor's state advances by that interval at its load, so the tolerance
+// a survivor consumed before a trip still counts after it. It stops when no
+// survivor is overloaded or some PDU-pair has lost both of its UPSes. The
+// horizon bounds the simulation; overloads that would trip after the
+// horizon (e.g. because corrective action will arrive first) are ignored.
 //
 // This is the safety model behind the paper's Figure 4(right): load
 // exceeding surviving capacity must be shaved within the trip tolerance or
 // the initial failure cascades into an outage.
 //
-//flex:keep the trip-curve oracle the safety tests in five test files compare against
+//flex:keep the cascade on TripState that the safety tests in five test files check placements against
 func (t *Topology) SimulateCascade(load PairLoad, initialFailure UPSID, curve TripCurve, horizon time.Duration) CascadeOutcome {
 	out := CascadeOutcome{Tripped: []UPSID{initialFailure}}
 	failed := SetOf(initialFailure)
+	states := make([]TripState, len(t.UPSes))
 	elapsed := time.Duration(0)
 
 	for {
@@ -46,20 +48,25 @@ func (t *Topology) SimulateCascade(load PairLoad, initialFailure UPSID, curve Tr
 		}
 		// Find the overloaded survivor that trips soonest.
 		trip := -1
-		var tripAt time.Duration
+		var tripIn time.Duration
 		for i, u := range t.UPSes {
 			if failed.Has(UPSID(i)) || loads[i] <= u.Capacity {
 				continue
 			}
-			tol := curve.Tolerance(float64(loads[i] / u.Capacity))
-			if trip == -1 || tol < tripAt {
-				trip, tripAt = i, tol
+			left := states[i].Left(curve, float64(loads[i]/u.Capacity))
+			if trip == -1 || left < tripIn {
+				trip, tripIn = i, left
 			}
 		}
-		if trip == -1 || elapsed+tripAt > horizon {
+		if trip == -1 || elapsed+tripIn > horizon {
 			return out // stable (or survives past the horizon)
 		}
-		elapsed += tripAt
+		for i, u := range t.UPSes {
+			if !failed.Has(UPSID(i)) {
+				states[i].Advance(curve, tripIn, float64(loads[i]/u.Capacity))
+			}
+		}
+		elapsed += tripIn
 		failed |= SetOf(UPSID(trip))
 		out.Tripped = append(out.Tripped, UPSID(trip))
 	}

@@ -59,7 +59,7 @@ func (c TripCurve) Tolerance(loadFraction float64) time.Duration {
 	first := c.points[0]
 	if loadFraction <= first.LoadFraction {
 		// Interpolate from "infinite" at 1.0 down to the first point using
-		// the same log-linear rule anchored at 10× the first tolerance.
+		// the same log-linear rule anchored at 20× the first tolerance.
 		anchor := TripPoint{LoadFraction: 1.0, Tolerance: first.Tolerance * 20}
 		return interpLog(anchor, first, loadFraction)
 	}
@@ -71,6 +71,33 @@ func (c TripCurve) Tolerance(loadFraction float64) time.Duration {
 	return c.points[len(c.points)-1].Tolerance
 }
 
+// TripState is one UPS's position on a trip curve: the share of its
+// overload tolerance consumed so far, ∫ dt / Tolerance(load(t)), which trips
+// the UPS once it exceeds 1 (Miner's rule: a breaker integrates its I²t the
+// same way). It builds up while the UPS is over its rating and holds while
+// it is under; only leaving service resets it, because a recovered UPS
+// comes back fresh. The zero value is a fresh UPS.
+type TripState struct {
+	consumed float64
+}
+
+// Advance moves s on by dt at loadFraction × rated capacity and reports
+// whether the UPS has tripped.
+//
+//flex:hotpath
+func (s *TripState) Advance(c TripCurve, dt time.Duration, loadFraction float64) (tripped bool) {
+	if loadFraction > 1 {
+		s.consumed += float64(dt) / float64(c.Tolerance(loadFraction))
+	}
+	return s.consumed > 1
+}
+
+// Left returns how long the UPS can sit at loadFraction × rated capacity
+// before it trips: the unconsumed share of that load's tolerance.
+func (s TripState) Left(c TripCurve, loadFraction float64) time.Duration {
+	return time.Duration((1 - s.consumed) * float64(c.Tolerance(loadFraction)))
+}
+
 func interpLog(a, b TripPoint, f float64) time.Duration {
 	t := (f - a.LoadFraction) / (b.LoadFraction - a.LoadFraction)
 	la := math.Log(float64(a.Tolerance))
@@ -79,9 +106,8 @@ func interpLog(a, b TripPoint, f float64) time.Duration {
 }
 
 // The paper's UPSes provide 10 seconds of tolerance at the worst-case
-// failover load of 133% at end of battery life, plus an additional 3.5
-// minutes of ride-through at 100% load while generators start (Figure 6
-// and §IV-A). Begin-of-life batteries tolerate roughly 3× longer.
+// failover load of 133% at end of battery life (Figure 6 and §IV-A).
+// Begin-of-life batteries tolerate roughly 3× longer.
 var (
 	// EndOfLifeTripCurve is the conservative curve Flex designs against.
 	EndOfLifeTripCurve = mustCurve("end-of-life", []TripPoint{
@@ -100,10 +126,6 @@ var (
 		{LoadFraction: 1.50, Tolerance: 9 * time.Second},
 	})
 )
-
-// RideThroughAt100Pct is the additional time available at exactly 100% load
-// after shaving, while generators start and take over (paper §IV-A).
-const RideThroughAt100Pct = 210 * time.Second // 3.5 minutes
 
 // FlexLatencyBudget is the end-to-end deadline the paper enforces on
 // Flex-Online — failover detection, telemetry collection, and controller
