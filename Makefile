@@ -90,7 +90,9 @@ transport-smoke:
 # race detector, the emulator's parallel tick three more times under it (the
 # fleet's phases split over every core, the noise producer, the cached
 # truth, a trip taking its UPS out inside the parallel observe), a stepped fleet read by /fleet handlers and a whole rack poll
-# pumped into its view three more times under it, the branch-and-bound
+# pumped into its view three more times under it, the subscription queue's
+# readers (Drain runs its callback under the queue's lock) three more times
+# under it, the branch-and-bound
 # workers three more times under it (each builds its heuristic candidates
 # in a Packing of its own), and a flexmon smoke run with the observability
 # surface enabled.
@@ -98,6 +100,7 @@ ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
 	$(GO) test -race -count=3 -run 'Concurrent|PumpDrainsPollWhole' ./internal/fleet
+	$(GO) test -race -count=3 -run 'Drain|Queue|Consume' ./internal/telemetry
 	$(GO) test -race -count=3 -run 'AcrossWorkers|ParallelMatchesSerial|ConcurrentIncumbent' ./internal/milp
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 

@@ -100,8 +100,6 @@ type StepOutcome struct {
 // Controller is one Flex-Online primary.
 type Controller struct {
 	cfg Config
-	// rackIdx maps a rack ID to its index in cfg.Racks.
-	rackIdx map[string]int
 
 	mu    sync.Mutex
 	acted map[string]PlannedAction // rack → action we enforced
@@ -154,15 +152,7 @@ func New(cfg Config) *Controller {
 	if cfg.Buffer == 0 {
 		cfg.Buffer = DefaultBuffer(cfg.Topo)
 	}
-	c := &Controller{
-		cfg:     cfg,
-		rackIdx: make(map[string]int, len(cfg.Racks)),
-		acted:   make(map[string]PlannedAction),
-	}
-	for i := len(cfg.Racks) - 1; i >= 0; i-- { // a duplicated ID resolves to its first entry
-		c.rackIdx[cfg.Racks[i].ID] = i
-	}
-	return c
+	return &Controller{cfg: cfg, acted: make(map[string]PlannedAction)}
 }
 
 // upsSnapshot is one round's reading of the UPS view, in arrays so that a
@@ -352,13 +342,10 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	proj, cand := projA[:len(ups)], candA[:len(ups)]
 	copy(proj, ups)
 	for _, a := range restoreSet {
-		ri, ok := c.rackIdx[a.Rack]
-		if !ok {
-			continue
-		}
-		// Would returning this rack's power keep every UPS safe?
+		// Would returning this rack's power to the pair it was shed from
+		// keep every UPS safe?
 		copy(cand, proj)
-		applyRecovery(c.cfg.Topo, cand, nil, c.cfg.Racks[ri].Pair, -a.Recovered)
+		applyRecovery(c.cfg.Topo, cand, nil, a.Pair, -a.Recovered)
 		safe := true
 		for u := range c.cfg.Topo.UPSes {
 			if cand[u] > c.cfg.Topo.UPSes[u].Capacity-c.cfg.Buffer {

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"flex/internal/power"
 	"flex/internal/rackmgr"
 	"flex/internal/telemetry"
+	"flex/internal/workload"
 )
 
 // harness wires views and an actuator for a test room.
@@ -218,6 +220,89 @@ func TestConcurrentSteps(t *testing.T) {
 		if st, _, _ := h.mgr.State(r.ID); st != rackmgr.On {
 			t.Errorf("rack %s = %v after recovery, want On", r.ID, st)
 		}
+	}
+}
+
+// TestRestoreOntoShedPair: recovery returns each rack's power to the
+// PDU-pair it was shed from, whatever order Config.Racks lists the racks in,
+// and also when an ID is listed twice, on two pairs, and only the second
+// entry can be shed. The recovery feed leaves every UPS exactly the room the
+// halves of its shed racks take back, so a rack projected onto any other
+// pair would push some UPS over its limit and stay shed.
+func TestRestoreOntoShedPair(t *testing.T) {
+	topo := testRoom(t)
+	pairOf := func(a, b power.UPSID) power.PDUPairID {
+		for _, p := range topo.Pairs {
+			if p.UPSes == [2]power.UPSID{a, b} || p.UPSes == [2]power.UPSID{b, a} {
+				return p.ID
+			}
+		}
+		t.Fatalf("no pair on UPSes %d and %d", a, b)
+		return 0
+	}
+	reversed := testRacks(topo)
+	slices.Reverse(reversed)
+	kw := func(ws ...power.Watts) []power.Watts {
+		for i := range ws {
+			ws[i] *= power.KW
+		}
+		return ws
+	}
+	for _, tc := range []struct {
+		name  string
+		racks []ManagedRack
+		ups   []power.Watts // the overdraw: UPS 0 has failed
+		// shedFrom names the pair of a rack whose ID is listed twice.
+		shedFrom map[string]power.PDUPairID
+	}{
+		{"racks not in ID order", reversed, kw(0, 107, 106, 107), nil},
+		{"a duplicated ID", []ManagedRack{
+			{ID: "dup", Workload: "gpucluster", Category: workload.NonRedundantNonCapable,
+				Pair: pairOf(2, 3), Allocated: 10 * power.KW, FlexPower: 10 * power.KW},
+			{ID: "dup", Workload: "websearch", Category: workload.SoftwareRedundant,
+				Pair: pairOf(0, 1), Allocated: 10 * power.KW},
+		}, kw(0, 104, 90, 90), map[string]power.PDUPairID{"dup": pairOf(0, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t)
+			h.racks = tc.racks
+			ids := make([]string, len(tc.racks))
+			for i, r := range tc.racks {
+				ids[i] = r.ID
+			}
+			h.mgr = rackmgr.NewManager(h.clk, ids)
+			c := h.controller("ctl-1")
+			h.feed(tc.ups)
+			out := c.StepContext(context.Background())
+			if out.Enforced == 0 || out.Enforced != len(out.Planned) {
+				t.Fatalf("enforced %d of %d planned", out.Enforced, len(out.Planned))
+			}
+			recovery := make([]power.Watts, len(topo.UPSes))
+			for u := range recovery {
+				recovery[u] = topo.UPSes[u].Capacity - power.KW // the harness's buffer
+			}
+			wa, wb := power.PairShare(false, false)
+			for _, a := range out.Planned {
+				want, ok := tc.shedFrom[a.Rack]
+				if !ok {
+					i := slices.IndexFunc(tc.racks, func(r ManagedRack) bool { return r.ID == a.Rack })
+					want = tc.racks[i].Pair
+				}
+				if a.Pair != want {
+					t.Errorf("%s planned on pair %d, shed from %d", a.Rack, a.Pair, want)
+				}
+				p := topo.Pairs[want]
+				recovery[p.UPSes[0]] -= power.Watts(wa) * a.Recovered
+				recovery[p.UPSes[1]] -= power.Watts(wb) * a.Recovered
+			}
+			h.feed(recovery)
+			if rec := c.StepContext(context.Background()); rec.Overdraw || rec.Restored != out.Enforced {
+				t.Fatalf("recovery round %+v, want all %d shed racks restored", rec, out.Enforced)
+			}
+			if acted := c.ActedRacks(); len(acted) != 0 {
+				t.Errorf("racks still acted on after recovery: %v", acted)
+			}
+		})
 	}
 }
 

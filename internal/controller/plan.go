@@ -60,6 +60,7 @@ type ManagedRack struct {
 type PlannedAction struct {
 	Rack      string
 	Workload  string
+	Pair      power.PDUPairID // the rack's PDU-pair, whose UPSes the action relieves
 	Kind      ActionKind
 	Recovered power.Watts // estimated power recovered (R_r)
 	Impact    float64     // workload impact after this action (I_w)
@@ -148,9 +149,8 @@ type plannedWorkload struct {
 // candidate is one workload's next rack with the action it would take; ok
 // is false once the workload has no rack left to act on.
 type candidate struct {
-	ok   bool
-	pair power.PDUPairID
-	act  PlannedAction
+	ok  bool
+	act PlannedAction
 }
 
 // NewPlanner prepares Algorithm 1 for racks on topo under scenario. A
@@ -303,7 +303,7 @@ func (p *Planner) Plan(ctx context.Context, in PlanInput, dst []PlannedAction) (
 		p.affected[best]++
 		p.next[best]++
 		// Update the UPS estimates with the rack's share (line 15).
-		applyRecovery(topo, est, in.Inactive, chosen.pair, chosen.act.Recovered)
+		applyRecovery(topo, est, in.Inactive, chosen.act.Pair, chosen.act.Recovered)
 		p.propose(best, in.RackPower, in.Acted)
 	}
 	return actions, false, nil
@@ -331,17 +331,17 @@ func (p *Planner) propose(wi int, rackPower map[string]power.Watts, acted map[st
 	// The action is the rack's own category's (line 8), whatever
 	// its workload's other racks are: a non-redundant rack is
 	// never powered off.
-	act := PlannedAction{Rack: r.ID, Workload: w.name, Kind: Shutdown, Recovered: pw}
+	act := PlannedAction{Rack: r.ID, Workload: w.name, Pair: r.Pair, Kind: Shutdown, Recovered: pw}
 	if r.Category == workload.NonRedundantCapable {
 		rec := pw - r.FlexPower
 		if rec < 0 {
 			rec = 0
 		}
-		act = PlannedAction{Rack: r.ID, Workload: w.name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
+		act = PlannedAction{Rack: r.ID, Workload: w.name, Pair: r.Pair, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
 	}
 	frac := float64(p.affected[wi]+1) / float64(w.total)
 	act.Impact = w.fn.At(frac)
-	p.cands[wi] = candidate{ok: true, pair: r.Pair, act: act}
+	p.cands[wi] = candidate{ok: true, act: act}
 }
 
 // applyRecovery subtracts a rack's recovered power from the UPS estimates

@@ -438,9 +438,10 @@ func TestPlanMixedCategoryWorkload(t *testing.T) {
 }
 
 // referencePlan is Algorithm 1 built from scratch on every call: the body
-// PlanContext had before the prepared Planner existed, copied verbatim. It
-// is the oracle TestPlanMatchesReference and FuzzPlanMatchesReference hold
-// every other form of the algorithm to, bit for bit.
+// PlanContext had before the prepared Planner existed, copied verbatim but
+// for the Pair each action now carries. It is the oracle
+// TestPlanMatchesReference and FuzzPlanMatchesReference hold every other
+// form of the algorithm to, bit for bit.
 func referencePlan(ctx context.Context, in PlanInput) (actions []PlannedAction, insufficient bool, err error) {
 	topo := in.Topo
 	if len(in.UPSPower) != len(topo.UPSes) {
@@ -531,13 +532,13 @@ func referencePlan(ctx context.Context, in PlanInput) (actions []PlannedAction, 
 			// The action is the rack's own category's (line 8), whatever
 			// its workload's other racks are: a non-redundant rack is
 			// never powered off.
-			act := PlannedAction{Rack: r.ID, Workload: name, Kind: Shutdown, Recovered: p}
+			act := PlannedAction{Rack: r.ID, Workload: name, Pair: r.Pair, Kind: Shutdown, Recovered: p}
 			if r.Category == workload.NonRedundantCapable {
 				rec := p - r.FlexPower
 				if rec < 0 {
 					rec = 0
 				}
-				act = PlannedAction{Rack: r.ID, Workload: name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
+				act = PlannedAction{Rack: r.ID, Workload: name, Pair: r.Pair, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
 			}
 			frac := float64(w.affected+1) / float64(w.total)
 			act.Impact = w.fn.At(frac)
@@ -591,7 +592,7 @@ func (got planOutcome) diff(want planOutcome) string {
 	bits := func(w power.Watts) uint64 { return math.Float64bits(float64(w)) }
 	for i, g := range got.actions {
 		w := want.actions[i]
-		if g.Rack != w.Rack || g.Workload != w.Workload || g.Kind != w.Kind ||
+		if g.Rack != w.Rack || g.Workload != w.Workload || g.Pair != w.Pair || g.Kind != w.Kind ||
 			bits(g.Recovered) != bits(w.Recovered) || bits(g.CapTarget) != bits(w.CapTarget) ||
 			math.Float64bits(g.Impact) != math.Float64bits(w.Impact) {
 			return fmt.Sprintf("action %d = %+v, want %+v", i, g, w)

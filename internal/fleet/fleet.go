@@ -171,9 +171,10 @@ func (f *Fleet) AddRoom(rc RoomConfig) (*Shard, error) {
 	if rc.Topo == nil {
 		return nil, fmt.Errorf("fleet: room %s: topology required", rc.Name)
 	}
-	// A poll round is one batch per topic. One that does not fit the queue
-	// evicts its own head on every ingest: the same devices, every round,
-	// would never reach the view.
+	// A poll round is one batch per topic, and the queue is where it waits
+	// until Pump installs it in place. A round that does not fit evicts its
+	// own head on every ingest: the same devices, every round, would never
+	// reach the view.
 	if n := len(rc.Racks); n > f.cfg.QueueDepth {
 		return nil, fmt.Errorf("fleet: room %s: %d racks exceed the ingest queue depth %d", rc.Name, n, f.cfg.QueueDepth)
 	}

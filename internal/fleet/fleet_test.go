@@ -558,3 +558,48 @@ func TestPumpDrainsPollWhole(t *testing.T) {
 		t.Errorf("the first Pump allocated %d B, more than the %d B of one 275-slot array and one index sized for 275", got, bound)
 	}
 }
+
+// TestRoomFootprint pins the bytes a 275-rack room costs to add: its rack
+// manager and one AddRoom (the shard's subscriptions and views, before any
+// traffic, and its controller). The mean over 20 rooms, the least of three
+// tries since the count is process-wide, must stay within 5 % of the
+// measured figure: a second copy of the queue or of the rack index creeping
+// back into a room fails it.
+func TestRoomFootprint(t *testing.T) {
+	const rooms, measured uint64 = 20, 22420
+	clk := clock.NewVirtual(t0())
+	rc := testRoomConfig(t, "room", clk)
+	for len(rc.Racks) < 275 {
+		r := rc.Racks[len(rc.Racks)%12]
+		r.ID = fmt.Sprintf("%s-%d", r.ID, len(rc.Racks))
+		rc.Racks = append(rc.Racks, r)
+	}
+	ids := make([]string, len(rc.Racks))
+	for i, r := range rc.Racks {
+		ids[i] = r.ID
+	}
+	names := make([]string, rooms)
+	for i := range names {
+		names[i] = fmt.Sprintf("room-%d", i)
+	}
+	perRoom := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		f := New(Config{Clock: clk})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, name := range names {
+			rc := rc
+			rc.Name = name
+			rc.Actuator = rackmgr.NewManager(clk, ids)
+			if _, err := f.AddRoom(rc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRoom = min(perRoom, (after.TotalAlloc-before.TotalAlloc)/rooms)
+	}
+	t.Logf("%d B per room", perRoom)
+	if limit := measured * 105 / 100; perRoom > limit {
+		t.Errorf("adding a 275-rack room allocates %d B, over %d B (%d B measured + 5 %%)", perRoom, limit, measured)
+	}
+}

@@ -17,8 +17,9 @@ import (
 // bounded ingest queues and its own controller primaries, stepped by its
 // owner on the owner's clock (IngestUPS/IngestRacks, Pump, StepContext). Pump
 // writes nothing a sibling reads, so shards pump side by side; every
-// Ingest* takes the fleet bus's one broker lock for the two copies of its
-// batch, which is the only thing shards share. Ingest and step stay serial
+// Ingest* takes the fleet bus's one broker lock to copy its batch into the
+// queue, which is the only thing shards share, and Pump installs the queued
+// samples into the views without copying them out. Ingest and step stay serial
 // by design: the emulator drives them in room order, which keeps the
 // recorder's event order and the shared tracer's and stage histograms'
 // writes the same on any number of cores.
@@ -35,10 +36,6 @@ type Shard struct {
 	upsView   *telemetry.LatestPower
 	rackView  *telemetry.LatestPower
 	ctls      []*controller.Controller
-	// buf is drain's batch: one poll round, the larger of the room's rack
-	// and UPS counts (AddRoom keeps it within QueueDepth), and never empty,
-	// or drain would not return.
-	buf []telemetry.Sample
 
 	pumped, steps atomic.Uint64
 }
@@ -52,7 +49,6 @@ func newShard(f *Fleet, rc RoomConfig) *Shard {
 		rackTopic: telemetry.TopicRack + "/" + rc.Name,
 		upsView:   telemetry.NewLatestPower(),
 		rackView:  telemetry.NewLatestPower(),
-		buf:       make([]telemetry.Sample, max(len(rc.Racks), len(rc.Topo.UPSes), 1)),
 	}
 	s.upsSub = f.broker.Subscribe(s.upsTopic, f.cfg.QueueDepth)
 	s.rackSub = f.broker.Subscribe(s.rackTopic, f.cfg.QueueDepth)
@@ -104,8 +100,8 @@ func (s *Shard) IngestRacks(batch []telemetry.Sample) {
 }
 
 // Pump drains the shard's ingest queues into its telemetry views and
-// returns how many samples it moved. Each drained batch goes to its view
-// with the dequeue instant (one clock read per batch), which the view keeps
+// returns how many samples it moved. Each queue goes to its view with the
+// dequeue instant (one clock read per non-empty queue), which the view keeps
 // with every reading it installs, so the queue-wait stage of the latency
 // waterfall is attributable.
 func (s *Shard) Pump() int {
@@ -116,21 +112,19 @@ func (s *Shard) Pump() int {
 	return n
 }
 
-// drain moves everything queued on sub into view, a buffer at a time. The
-// buffer holds one poll round, so a poll reaches the view whole and a
-// flooded queue drains a round at a time.
+// drain installs everything queued on sub into view, straight from the
+// queue's ring: one UpdateBatch per contiguous run, two at most, so a poll
+// that did not wrap the ring reaches the view whole. The runs share one
+// dequeue instant, read when the first arrives; an empty queue reads no
+// clock.
 func (s *Shard) drain(sub *telemetry.Subscription, view *telemetry.LatestPower) int {
-	n := 0
-	for {
-		k := sub.RecvBatch(s.buf)
-		if k > 0 {
-			view.UpdateBatch(s.buf[:k], s.fleet.cfg.Clock.Now())
+	var at time.Time
+	return sub.Drain(func(run []telemetry.Sample) {
+		if at.IsZero() {
+			at = s.fleet.cfg.Clock.Now()
 		}
-		n += k
-		if k < len(s.buf) {
-			return n
-		}
-	}
+		view.UpdateBatch(run, at)
+	})
 }
 
 // StepContext runs one evaluation round on every controller primary and

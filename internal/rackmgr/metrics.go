@@ -3,32 +3,22 @@ package rackmgr
 import "flex/internal/obs"
 
 // Metrics instruments the actuation path. Attempt/failure counters are
-// labelled by action kind and pre-bound at construction so logAction stays
-// allocation-free. A nil *Metrics disables instrumentation.
+// labelled by action kind and pre-bound at construction so counting an
+// actuation stays allocation-free. A nil *Metrics disables instrumentation.
 type Metrics struct {
-	attempts       [3]*obs.Counter // indexed by kindIndex
+	attempts       [3]*obs.Counter // indexed by kind
 	failures       [3]*obs.Counter
 	Noops          *obs.Counter
 	WatchdogSweeps *obs.Counter
 	WatchdogAlerts *obs.Counter
 }
 
+// Actuation kinds, in the order of NewMetrics's labels.
 const (
 	kindThrottle = iota
 	kindShutdown
 	kindRestore
 )
-
-func kindIndex(kind string) int {
-	switch kind {
-	case "shutdown":
-		return kindShutdown
-	case "restore":
-		return kindRestore
-	default:
-		return kindThrottle
-	}
-}
 
 // NewMetrics registers the rackmgr metrics on r (idempotent).
 func NewMetrics(r *obs.Registry) *Metrics {
@@ -47,17 +37,16 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	return m
 }
 
-// recordAction folds one audit-log entry into the counters (nil-safe; the
+// recordAction folds one actuation into the counters (nil-safe; the
 // manager's hot path).
-func (m *Metrics) recordAction(a *Action) {
+func (m *Metrics) recordAction(kind int, effective bool, err error) {
 	if m == nil {
 		return
 	}
-	i := kindIndex(a.Kind)
-	m.attempts[i].Inc()
-	if a.Err != nil {
-		m.failures[i].Inc()
-	} else if !a.Effective {
+	m.attempts[kind].Inc()
+	if err != nil {
+		m.failures[kind].Inc()
+	} else if !effective {
 		m.Noops.Inc()
 	}
 }

@@ -58,11 +58,10 @@ var (
 
 // rack is the managed state of one rack.
 type rack struct {
-	state        PowerState
-	cap          power.Watts // installed cap when Throttled
-	reachable    bool
-	firmwareOK   bool
-	lastActionAt time.Time
+	state      PowerState
+	cap        power.Watts // installed cap when Throttled
+	reachable  bool
+	firmwareOK bool
 }
 
 // Manager is a simulated fleet of rack managers. All operations are safe
@@ -82,9 +81,13 @@ type Manager struct {
 	// actuation begins.
 	Recorder *recorder.Recorder
 
-	mu    sync.Mutex
-	racks map[string]*rack
-	log   []Action
+	mu sync.Mutex
+	// index maps a rack ID to its state in racks: two allocations for the
+	// whole room.
+	index map[string]int32
+	racks []rack
+	// actuations counts the actuations executed, effective or not.
+	actuations int
 }
 
 // Op carries the flight-recorder provenance of one actuation: who issued
@@ -101,23 +104,16 @@ type Op struct {
 	Episode uint64
 }
 
-// Action is one executed (or refused) actuation, for audit and metrics.
-type Action struct {
-	Rack string
-	Kind string // "throttle", "shutdown", "restore"
-	Cap  power.Watts
-	At   time.Time
-	Err  error
-	// Effective is false when the action was an idempotent no-op.
-	Effective bool
-}
-
 // NewManager creates a manager over the given rack IDs; all racks start
-// On, reachable, with current firmware.
+// On, reachable, with current firmware. A duplicated ID is one rack.
 func NewManager(clk clock.Clock, rackIDs []string) *Manager {
-	m := &Manager{clk: clk, racks: make(map[string]*rack, len(rackIDs))}
+	m := &Manager{clk: clk, index: make(map[string]int32, len(rackIDs)), racks: make([]rack, 0, len(rackIDs))}
 	for _, id := range rackIDs {
-		m.racks[id] = &rack{state: On, reachable: true, firmwareOK: true}
+		if _, dup := m.index[id]; dup {
+			continue
+		}
+		m.index[id] = int32(len(m.racks))
+		m.racks = append(m.racks, rack{state: On, reachable: true, firmwareOK: true})
 	}
 	return m
 }
@@ -126,19 +122,28 @@ func NewManager(clk clock.Clock, rackIDs []string) *Manager {
 func (m *Manager) RackIDs() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.racks))
-	for id := range m.racks {
+	ids := make([]string, 0, len(m.index))
+	for id := range m.index {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	return ids
 }
 
-// check validates the rack exists and the control path works.
-func (m *Manager) check(id string) (*rack, error) {
-	r, ok := m.racks[id]
+// rack returns the rack's state; m.mu is held.
+func (m *Manager) rack(id string) (*rack, error) {
+	i, ok := m.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRack, id)
+	}
+	return &m.racks[i], nil
+}
+
+// check validates the rack exists and the control path works.
+func (m *Manager) check(id string) (*rack, error) {
+	r, err := m.rack(id)
+	if err != nil {
+		return nil, err
 	}
 	if !r.reachable {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, id)
@@ -171,20 +176,17 @@ func (m *Manager) throttleLocked(id string, cap power.Watts) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, err := m.check(id)
-	if err != nil {
-		m.logAction(Action{Rack: id, Kind: "throttle", Cap: cap, Err: err})
-		return false, err
+	if err == nil && r.state == Off {
+		err = fmt.Errorf("rackmgr: cannot throttle powered-off rack %s", id)
 	}
-	if r.state == Off {
-		err := fmt.Errorf("rackmgr: cannot throttle powered-off rack %s", id)
-		m.logAction(Action{Rack: id, Kind: "throttle", Cap: cap, Err: err})
+	if err != nil {
+		m.count(kindThrottle, false, err)
 		return false, err
 	}
 	effective := r.state != Throttled || r.cap != cap
 	r.state = Throttled
 	r.cap = cap
-	r.lastActionAt = m.clk.Now()
-	m.logAction(Action{Rack: id, Kind: "throttle", Cap: cap, Effective: effective})
+	m.count(kindThrottle, effective, nil)
 	return effective, nil
 }
 
@@ -209,14 +211,13 @@ func (m *Manager) shutdownLocked(id string) (bool, error) {
 	defer m.mu.Unlock()
 	r, err := m.check(id)
 	if err != nil {
-		m.logAction(Action{Rack: id, Kind: "shutdown", Err: err})
+		m.count(kindShutdown, false, err)
 		return false, err
 	}
 	effective := r.state != Off
 	r.state = Off
 	r.cap = 0
-	r.lastActionAt = m.clk.Now()
-	m.logAction(Action{Rack: id, Kind: "shutdown", Effective: effective})
+	m.count(kindShutdown, effective, nil)
 	return effective, nil
 }
 
@@ -242,14 +243,13 @@ func (m *Manager) restoreLocked(id string) (bool, error) {
 	defer m.mu.Unlock()
 	r, err := m.check(id)
 	if err != nil {
-		m.logAction(Action{Rack: id, Kind: "restore", Err: err})
+		m.count(kindRestore, false, err)
 		return false, err
 	}
 	effective := r.state != On
 	r.state = On
 	r.cap = 0
-	r.lastActionAt = m.clk.Now()
-	m.logAction(Action{Rack: id, Kind: "restore", Effective: effective})
+	m.count(kindRestore, effective, nil)
 	return effective, nil
 }
 
@@ -303,9 +303,9 @@ func (m *Manager) emitOutcome(kind, id string, cap power.Watts, op Op, dispatch 
 func (m *Manager) State(id string) (PowerState, power.Watts, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.racks[id]
-	if !ok {
-		return On, 0, fmt.Errorf("%w: %s", ErrUnknownRack, id)
+	r, err := m.rack(id)
+	if err != nil {
+		return On, 0, err
 	}
 	return r.state, r.cap, nil
 }
@@ -316,9 +316,9 @@ func (m *Manager) State(id string) (PowerState, power.Watts, error) {
 func (m *Manager) SetReachable(id string, reachable bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.racks[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRack, id)
+	r, err := m.rack(id)
+	if err != nil {
+		return err
 	}
 	r.reachable = reachable
 	return nil
@@ -330,9 +330,9 @@ func (m *Manager) SetReachable(id string, reachable bool) error {
 func (m *Manager) SetFirmwareOK(id string, ok bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, exists := m.racks[id]
-	if !exists {
-		return fmt.Errorf("%w: %s", ErrUnknownRack, id)
+	r, err := m.rack(id)
+	if err != nil {
+		return err
 	}
 	r.firmwareOK = ok
 	return nil
@@ -346,18 +346,18 @@ func (m *Manager) Health(id string) error {
 	return err
 }
 
-func (m *Manager) logAction(a Action) {
-	a.At = m.clk.Now()
-	m.log = append(m.log, a)
-	m.Metrics.recordAction(&a)
+// count records one actuation of kind; m.mu is held.
+func (m *Manager) count(kind int, effective bool, err error) {
+	m.actuations++
+	m.Metrics.recordAction(kind, effective, err)
 }
 
 // Actuations reports how many actuations the manager has executed,
-// effective or not: the length of its action log. No rack's state or cap
-// changes without it moving, so a reader that polls every rack (the
-// emulators' ground truth) re-reads them only when it has.
+// effective or not. No rack's state or cap changes without it moving, so a
+// reader that polls every rack (the emulators' ground truth) re-reads them
+// only when it has.
 func (m *Manager) Actuations() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.log)
+	return m.actuations
 }

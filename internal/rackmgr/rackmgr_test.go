@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"flex/internal/clock"
+	"flex/internal/obs"
 	"flex/internal/power"
 )
 
@@ -60,6 +61,7 @@ func TestThrottleOffRackRefused(t *testing.T) {
 
 func TestIdempotency(t *testing.T) {
 	m := newMgr()
+	m.Metrics = NewMetrics(obs.NewRegistry())
 	_ = m.Shutdown("r1")
 	if err := m.Shutdown("r1"); err != nil {
 		t.Fatalf("duplicate shutdown errored: %v", err)
@@ -72,14 +74,11 @@ func TestIdempotency(t *testing.T) {
 	if err := m.Throttle("r1", power.KW); err != nil {
 		t.Fatalf("duplicate throttle errored: %v", err)
 	}
-	// The log marks duplicates as not effective.
-	effective := 0
-	for _, a := range m.Log() {
-		if a.Effective {
-			effective++
-		}
+	// Every command counts as an actuation; the duplicates count as no-ops.
+	if got := m.Actuations(); got != 6 {
+		t.Fatalf("actuations = %d, want 6", got)
 	}
-	if effective != 3 {
+	if effective := 6 - m.Metrics.Noops.Value(); effective != 3 {
 		t.Fatalf("effective actions = %d, want 3", effective)
 	}
 }

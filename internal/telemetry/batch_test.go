@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +100,72 @@ func TestRecvBatchClosedSubscription(t *testing.T) {
 	}
 	if n := sub.RecvBatch(buf); n != 0 {
 		t.Fatalf("RecvBatch on drained closed sub = %d, want 0", n)
+	}
+}
+
+// TestSubscriptionDrainWraps: queued samples that wrap around the end of the
+// ring reach Drain's fn as two runs, the ring's tail and then its head, in
+// arrival order, and leave the queue empty. A closed subscription drains
+// what it holds, then returns 0.
+func TestSubscriptionDrainWraps(t *testing.T) {
+	b := NewBroker("A")
+	sub := b.Subscribe("t", 4)
+	publish := func(events ...uint64) {
+		batch := make([]Sample, len(events))
+		for i, e := range events {
+			batch[i] = Sample{Device: "d", Event: e}
+		}
+		b.PublishBatch("t", batch)
+	}
+	drain := func() (runs [][]uint64, n int) {
+		n = sub.Drain(func(run []Sample) { runs = append(runs, events(run)) })
+		return runs, n
+	}
+	publish(1, 2, 3, 4) // the ring grows to its depth of 4
+	if n := sub.RecvBatch(make([]Sample, 3)); n != 3 {
+		t.Fatalf("RecvBatch = %d, want 3", n)
+	}
+	publish(5, 6) // 4 sits in the ring's last slot, 5 and 6 wrap to its front
+	if runs, n := drain(); n != 3 || !reflect.DeepEqual(runs, [][]uint64{{4}, {5, 6}}) {
+		t.Fatalf("Drain = %d in runs %v, want 3 in runs [[4] [5 6]]", n, runs)
+	}
+	if runs, n := drain(); n != 0 || runs != nil {
+		t.Fatalf("Drain of an empty queue = %d in runs %v, want 0 and no call", n, runs)
+	}
+	if n := sub.RecvBatch(make([]Sample, 4)); n != 0 {
+		t.Fatalf("RecvBatch after Drain = %d, want 0", n)
+	}
+
+	publish(7, 8)
+	sub.Close()
+	publish(9) // a closed subscription takes nothing more
+	if runs, n := drain(); n != 2 || !reflect.DeepEqual(runs, [][]uint64{{7, 8}}) {
+		t.Fatalf("Drain after close = %d in runs %v, want 2 in runs [[7 8]]", n, runs)
+	}
+	if runs, n := drain(); n != 0 || runs != nil {
+		t.Fatalf("Drain of a drained closed subscription = %d in runs %v, want 0", n, runs)
+	}
+}
+
+// TestConsumeRejectsEmptyBuffer: Consume with an empty buffer would spin on
+// its first token, RecvBatch returning 0 and never coming up short, so it
+// refuses the buffer up front.
+func TestConsumeRejectsEmptyBuffer(t *testing.T) {
+	b := NewBroker("A")
+	sub := b.Subscribe("t", 4)
+	b.PublishBatch("t", []Sample{{Device: "d"}}) // a token for Consume to take
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		sub.Consume(nil, func([]Sample) bool { return false })
+	}()
+	select {
+	case r := <-done:
+		if msg, _ := r.(string); !strings.Contains(msg, "non-empty buffer") {
+			t.Fatalf("Consume with an empty buffer ended with %v, want a panic naming the buffer", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Consume with an empty buffer neither panicked nor returned")
 	}
 }
 

@@ -53,10 +53,11 @@ func StampPublished(batch []Sample, at time.Time) {
 // Drop-oldest semantics keep slow subscribers from blocking the pipeline —
 // stale power data is worthless to Flex, fresh data is everything.
 //
-// The queue is a ring of Sample under mu, so a batch goes in and comes out
-// in at most two copies each way. The ring starts empty and grows, by
-// doubling at least, to what its traffic needs and never past the depth the
-// subscription was made with: a queue costs what it holds, not what it may.
+// The queue is a ring of Sample under mu, so a batch enters in at most two
+// copies and leaves the same way (RecvBatch) or as at most two runs read in
+// place (Drain). The ring starts empty and grows, by doubling at least, to
+// what its traffic needs and never past the depth the subscription was made
+// with: a queue costs what it holds, not what it may.
 // A remote subscription (RemoteSubscribe) is the same queue on a broker of its
 // own that its connection publishes into.
 type Subscription struct {
@@ -90,8 +91,12 @@ func (s *Subscription) Dropped() int {
 
 // Consume is the blocking consumer's loop: it waits for samples to arrive,
 // hands them to fn in arrival order, a buf's worth at most per call, and
-// returns once the subscription is closed or fn returns false.
+// returns once the subscription is closed or fn returns false. buf must not
+// be empty: a loop that drains until RecvBatch comes up short never would.
 func (s *Subscription) Consume(buf []Sample, fn func(batch []Sample) bool) {
+	if len(buf) == 0 {
+		panic("telemetry: Consume needs a non-empty buffer")
+	}
 	// A token says "drain now", not how much: drain until RecvBatch is short.
 	for range s.ready {
 		for {
@@ -115,13 +120,42 @@ func (s *Subscription) Consume(buf []Sample, fn func(batch []Sample) bool) {
 func (s *Subscription) RecvBatch(buf []Sample) int {
 	s.mu.Lock()
 	k := min(len(buf), s.n)
-	if k > 0 {
-		first := copy(buf[:k], s.ring[s.head:])
-		copy(buf[first:k], s.ring)
-		s.advance(k)
-	}
+	first, second := s.runs(k)
+	copy(buf[copy(buf, first):], second)
+	s.advance(k)
 	s.mu.Unlock()
 	return k
+}
+
+// Drain hands every queued sample to fn straight from the ring, oldest
+// first, in at most two contiguous runs, and returns how many it handed
+// over; the queue is empty afterwards. A closed subscription drains what it
+// still holds, then keeps returning 0. fn runs under the subscription's lock
+// and must not keep the run, publish or emit: it is for a consumer that
+// only installs the samples, as a shard's pump does into its view
+// (sub.mu -> LatestPower.mu).
+func (s *Subscription) Drain(fn func(run []Sample)) int {
+	s.mu.Lock()
+	k := s.n
+	first, second := s.runs(k)
+	if len(first) > 0 {
+		fn(first)
+	}
+	if len(second) > 0 {
+		fn(second)
+	}
+	s.advance(k)
+	s.mu.Unlock()
+	return k
+}
+
+// runs returns the k ≤ n oldest queued samples as the ring holds them: up to
+// its end, then what wrapped to its front. s.mu is held.
+func (s *Subscription) runs(k int) (first, second []Sample) {
+	if end := s.head + k; end > len(s.ring) {
+		return s.ring[s.head:], s.ring[:end-len(s.ring)]
+	}
+	return s.ring[s.head : s.head+k], nil
 }
 
 // advance forgets the k ≤ n oldest queued samples.
@@ -176,7 +210,7 @@ func (s *Subscription) grow(need int) {
 }
 
 // Close unsubscribes and ends Consume; a remote subscription also drops its
-// connection. What is queued stays for RecvBatch.
+// connection. What is queued stays for RecvBatch and Drain.
 func (s *Subscription) Close() {
 	s.broker.unsubscribe(s.topic, s)
 	s.mu.Lock()

@@ -84,10 +84,10 @@ func (b *referenceBroker) publishBatch(batch []Sample) {
 // FuzzQueueMatchesReference is the differential test of the broker's
 // subscriber queues against referenceQueue. The bytes choose one or two
 // subscribers of depth 1…64 on one topic and a sequence of PublishBatch
-// (0…3×depth samples), RecvBatch (a buffer of 1…2×depth), SetDown and
-// Close; every delivered sample, every Dropped count, the DroppedSamples
-// and BatchPublishes metrics and the sample-drop event stream must be the
-// reference's.
+// (0…3×depth samples), RecvBatch (a buffer of 1…2×depth), Drain (everything
+// queued, in at most two non-empty runs), SetDown and Close; every delivered
+// sample, every Dropped count, the DroppedSamples and BatchPublishes metrics
+// and the sample-drop event stream must be the reference's.
 func FuzzQueueMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 9, 4, 2, 0, 7, 4, 5, 0, 2, 4, 1}) // depth 4: batches larger than the queue
 	f.Add([]byte{0, 3, 0, 0, 3, 4, 1, 0, 3, 4, 3})             // depth 4: a batch that wraps past the end
@@ -121,6 +121,23 @@ func FuzzQueueMatchesReference(f *testing.F) {
 					step, i, depths[i], n, events(got[:n]), m, events(want[:m]))
 			}
 		}
+		drain := func(step, i int) {
+			got := make([]Sample, 0, len(ref.subs[i].q))
+			runs := 0
+			n := subs[i].Drain(func(run []Sample) {
+				if len(run) == 0 {
+					t.Fatalf("step %d: subscriber %d drained an empty run", step, i)
+				}
+				runs++
+				got = append(got, run...)
+			})
+			want := make([]Sample, len(ref.subs[i].q))
+			m := ref.subs[i].recvBatch(want)
+			if n != m || runs > 2 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: subscriber %d (depth %d) drained %d samples %v in %d runs, reference %d %v",
+					step, i, depths[i], n, events(got), runs, m, events(want))
+			}
+		}
 		seq := uint64(0)
 		for step, ops := 0, data[3:]; len(ops) >= 2; step, ops = step+1, ops[2:] {
 			i := int(ops[0]>>4) % len(subs)
@@ -136,8 +153,10 @@ func FuzzQueueMatchesReference(f *testing.F) {
 				}
 				b.PublishBatch(topic, batch)
 				ref.publishBatch(batch)
-			case kind < 6:
+			case kind == 4:
 				recv(step, i, 1+int(ops[1])%(2*depths[i]))
+			case kind == 5:
+				drain(step, i)
 			case kind == 6:
 				b.SetDown(ops[1]%2 == 1)
 				ref.down = ops[1]%2 == 1
