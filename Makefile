@@ -100,7 +100,7 @@ ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
 	$(GO) test -race -count=3 -run 'Concurrent|PumpDrainsPollWhole' ./internal/fleet
-	$(GO) test -race -count=3 -run 'Drain|Queue|Consume' ./internal/telemetry
+	$(GO) test -race -count=3 -run 'Drain|Queue|Consume|LatestPower|RecordedView' ./internal/telemetry
 	$(GO) test -race -count=3 -run 'AcrossWorkers|ParallelMatchesSerial|ConcurrentIncumbent' ./internal/milp
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 

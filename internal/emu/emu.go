@@ -305,12 +305,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	defer stop()
 
 	// One latency sample per cap-able rack per tick: baseline over the
-	// normal stage, throttled (at most) over the failover stage. Sized from
-	// the stage boundaries, never from Duration: a year-long run still has
-	// a six-minute failover.
+	// normal stage, throttled (at most) over the failover stage. The two
+	// never fill at once, so one buffer serves both: the first tick past
+	// the normal stage selects the baseline P95 in place and empties it,
+	// and latP95 names the result lats fills. Sized from the stage
+	// boundaries, never from Duration: a year-long run still has a
+	// six-minute failover.
 	stageSamples := func(stage time.Duration) int { return capTotal * (int(max(stage, 0)/cfg.Tick) + 1) }
-	latBase := make([]float64, 0, stageSamples(cfg.FailAt-2*time.Minute))
-	latThrottled := make([]float64, 0, stageSamples(cfg.RecoverAt-cfg.FailAt))
+	lats := make([]float64, 0, max(stageSamples(cfg.FailAt-2*time.Minute), stageSamples(cfg.RecoverAt-cfg.FailAt)))
+	latP95 := &res.BaselineP95
 
 	for ; ts.i <= ts.last; ts.next() {
 		now := ts.now
@@ -325,6 +328,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			stage = StageFailover
 		default:
 			stage = StageRecovery
+		}
+		if latP95 == &res.BaselineP95 && (stage == StageFailover || stage == StageRecovery) {
+			*latP95, lats = stats.PercentileInPlace(lats, 95), lats[:0]
+			latP95 = &res.ThrottledP95
 		}
 
 		if ts.reaches(cfg.FailAt) {
@@ -374,10 +381,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					}
 				}
 			}
-			if stage == StageFailover && throttledNow {
-				latThrottled = append(latThrottled, lat)
-			} else if stage == StageNormal {
-				latBase = append(latBase, lat)
+			if (stage == StageFailover && throttledNow) || stage == StageNormal {
+				lats = append(lats, lat)
 			}
 		}
 
@@ -474,8 +479,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.DetectionLatency = ts.firstEnforce
 	res.ShaveLatency = ts.shedAt
 	res.Outage = ts.outage
-	res.BaselineP95 = stats.Percentile(latBase, 95)
-	res.ThrottledP95 = stats.Percentile(latThrottled, 95)
+	*latP95 = stats.PercentileInPlace(lats, 95)
 	if res.BaselineP95 > 0 {
 		res.P95IncreasePct = (res.ThrottledP95/res.BaselineP95 - 1) * 100
 	}

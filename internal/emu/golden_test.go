@@ -156,3 +156,44 @@ func TestRunFleetGolden(t *testing.T) {
 		"events":   "4bafa3654bb3ab24",
 	})
 }
+
+// TestRunAllocations pins the bytes one emulation allocates: TestRunGolden's
+// run (the same config, built afresh each try; the recorder, auditor,
+// registry and tracer are made before the count starts). The least of three
+// tries, since the count is process-wide, must stay within 5 % of the
+// measured figure. That is ≈ 380 kB over the run's 721 ticks, so a new
+// allocation of half a kilobyte every tick fails it.
+func TestRunAllocations(t *testing.T) {
+	const measured uint64 = 7646280
+	got := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		rec := recorder.New(1 << 18)
+		cfg := Config{
+			FailAt:                150 * time.Second,
+			RecoverAt:             270 * time.Second,
+			Duration:              360 * time.Second,
+			Seed:                  7,
+			InjectTelemetryFaults: true,
+			Obs:                   obs.NewRegistry(),
+			Tracer:                obs.NewTracer(64),
+			Recorder:              rec,
+			Safety: slo.NewAuditor(slo.Config{
+				Store:         tsdb.NewStore(tsdb.Options{}),
+				Recorder:      rec,
+				UPSFreshness:  3 * time.Second,
+				RackFreshness: 4 * time.Second,
+			}),
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("Run allocated %d B", got)
+	if limit := measured * 105 / 100; got > limit {
+		t.Errorf("Run allocated %d B, over %d B (%d B measured + 5 %%)", got, limit, measured)
+	}
+}

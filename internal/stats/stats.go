@@ -40,30 +40,34 @@ func StdDev(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice. xs
-// is not reordered. The cost is linear in len(xs): only the one or two
-// order statistics the result interpolates between are selected, and the
-// result is bit for bit what sorting would give.
+// is not reordered: Percentile is PercentileInPlace on a copy.
 func Percentile(xs []float64, p float64) float64 {
+	return PercentileInPlace(slices.Clone(xs), p)
+}
+
+// PercentileInPlace is Percentile without the copy: it may reorder xs. The
+// cost is linear in len(xs): only the one or two order statistics the
+// result interpolates between are selected, and the result is bit for bit
+// what sorting would give.
+func PercentileInPlace(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	buf := make([]float64, len(xs))
-	copy(buf, xs)
-	if !(p > 0 && p < 100) || len(buf) < selectMin || !selectable(buf) {
-		sort.Float64s(buf)
-		return percentileSorted(buf, p)
+	if !(p > 0 && p < 100) || len(xs) < selectMin || !selectable(xs) {
+		sort.Float64s(xs)
+		return percentileSorted(xs, p)
 	}
-	lo, hi, _ := ranks(len(buf), p)
-	selectKth(buf, lo, 4*bits.Len(uint(len(buf))))
+	lo, hi, _ := ranks(len(xs), p)
+	selectKth(xs, lo, 4*bits.Len(uint(len(xs))))
 	if hi > lo {
-		// Nothing right of lo is smaller than buf[lo], so the next order
+		// Nothing right of lo is smaller than xs[lo], so the next order
 		// statistic is the least of them.
-		buf[hi] = slices.Min(buf[hi:])
+		xs[hi] = slices.Min(xs[hi:])
 	}
-	return percentileSorted(buf, p)
+	return percentileSorted(xs, p)
 }
 
-// selectMin is the length below which Percentile sorts outright.
+// selectMin is the length below which PercentileInPlace sorts outright.
 const selectMin = 32
 
 // selectable reports whether every order statistic of xs is one value

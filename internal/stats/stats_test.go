@@ -251,6 +251,51 @@ func TestPercentileMatchesSorted(t *testing.T) {
 	}
 }
 
+// TestPercentileInPlaceMatchesPercentile draws random inputs on both sides
+// of selectMin — duplicates throughout, with ±0 and NaN in some — and holds
+// PercentileInPlace to Percentile and to the sorted reference bit for bit,
+// whatever order it leaves its input in.
+func TestPercentileInPlaceMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(3*selectMin)
+		if trial%10 == 0 {
+			n = 1 + rng.Intn(5000)
+		}
+		pool := []float64{rng.NormFloat64(), rng.NormFloat64(), 1.25, 1.25, 0}
+		switch trial % 4 {
+		case 1:
+			pool = append(pool, negZero)
+		case 2:
+			pool = append(pool, math.NaN())
+		case 3:
+			pool = append(pool, negZero, math.NaN(), math.Inf(1), math.Inf(-1))
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Intn(2) == 0 {
+				xs[i] = pool[rng.Intn(len(pool))]
+			} else {
+				xs[i] = rng.NormFloat64()
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		p := []float64{0, 50, 95, 100, 100 * rng.Float64()}[rng.Intn(5)]
+		want := Percentile(xs, p)
+		got := PercentileInPlace(append([]float64(nil), xs...), p)
+		ref := percentileOfSorted(sorted, p)
+		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("trial %d, n=%d: PercentileInPlace(%v) = %v (%#x), Percentile %v (%#x), sorting %v (%#x)",
+				trial, n, p, got, math.Float64bits(got), want, math.Float64bits(want), ref, math.Float64bits(ref))
+		}
+	}
+	if got := PercentileInPlace(nil, 95); got != 0 {
+		t.Fatalf("PercentileInPlace(nil) = %v, want 0", got)
+	}
+}
+
 // TestSelectKth checks the selection itself at every k of small inputs,
 // with partition budgets from none (sort outright) upward, so that the
 // hand-over from partitioning to sorting what is left is exercised at

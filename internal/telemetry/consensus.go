@@ -44,9 +44,11 @@ func NewLogicalMeter(device string, meters ...Meter) (*LogicalMeter, error) {
 
 // Read returns the median of the currently readable meters. It fails when
 // fewer than Quorum meters respond — the caller must treat the device's
-// power as unknown (and, for safety, assume the worst).
+// power as unknown (and, for safety, assume the worst). The readings are
+// collected on the stack unless there are more than four meters.
 func (l *LogicalMeter) Read(now time.Time) (power.Watts, error) {
-	vals := make([]float64, 0, len(l.meters))
+	var buf [4]float64
+	vals := buf[:0]
 	for _, m := range l.meters {
 		v, err := m.Read(now)
 		if err != nil {

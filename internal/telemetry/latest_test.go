@@ -70,7 +70,10 @@ func (l *mapLatestPower) Oldest(now time.Time) (time.Duration, bool) {
 // UpdateDequeued, whose answer must be whether the reference's entry
 // changed, then as UpdateBatch, stamped with one dequeue instant a batch, of
 // whole polls in slot order, in reversed order (every hint misses) and of
-// random devices with duplicates; each with and without a recorder.
+// random devices with duplicates; each with and without a recorder. Some
+// samples carry no PublishedAt, and a few no stamp at all: the view keeps
+// its stamps as nanoseconds, and every time it hands back must be the
+// reference's, zero where the reference's is zero.
 func TestLatestPowerMatchesMapReference(t *testing.T) {
 	devices := make([]string, 45) // the last five never report
 	for d := range devices {
@@ -93,11 +96,18 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 			now := t0()
 			sample := func(dev int) Sample {
 				at := now.Add(-time.Duration(rng.Intn(3)) * time.Second)
-				return Sample{
+				s := Sample{
 					Device: devices[dev], Power: power.Watts(rng.Intn(1000)),
 					Valid: rng.Intn(10) > 0, MeasuredAt: at, PublishedAt: at.Add(time.Millisecond),
 					Event: uint64(rng.Intn(100)),
 				}
+				switch rng.Intn(50) {
+				case 0: // never stamped at all
+					s.MeasuredAt, s.PublishedAt = time.Time{}, time.Time{}
+				case 1, 2, 3, 4: // fed past a broker
+					s.PublishedAt = time.Time{}
+				}
+				return s
 			}
 			steps := 2000
 			if mode.batched {
@@ -114,7 +124,7 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 					if i%2 == 0 {
 						g = got.Update(s)
 					} else {
-						deq = s.MeasuredAt.Add(2 * time.Millisecond)
+						deq = now.Add(2 * time.Millisecond)
 						g = got.UpdateDequeued(s, deq)
 					}
 					if w := want.Update(s, deq); g != w {
@@ -144,11 +154,13 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 				for _, dev := range devices {
 					gv, gat, gev, gok := got.GetEvent(dev)
 					wv, wok := want.power[dev]
-					if gok != wok || gv != wv || !gat.Equal(want.at[dev]) || gev != want.event[dev] {
+					// The stamps are the reference's time.Times, not only equal
+					// instants: zero stays zero, and t0's UTC stays UTC.
+					if gok != wok || gv != wv || gat != want.at[dev] || gev != want.event[dev] {
 						t.Fatalf("%+v seed %d step %d: GetEvent(%s) = %v %v %d %v, reference %v %v %d %v",
 							mode, seed, i, dev, gv, gat, gev, gok, wv, want.at[dev], want.event[dev], wok)
 					}
-					if v, at, ok := got.Get(dev); ok != gok || v != gv || !at.Equal(gat) {
+					if v, at, ok := got.Get(dev); ok != gok || v != gv || at != gat {
 						t.Fatalf("%+v seed %d step %d: Get(%s) = %v %v %v disagrees with GetEvent", mode, seed, i, dev, v, at, ok)
 					}
 					gst, gok := got.GetStamps(dev)

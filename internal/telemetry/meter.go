@@ -48,9 +48,10 @@ type SimMeterConfig struct {
 // staleness, and injectable failure/misreading — the failure modes the
 // pipeline's redundancy must mask.
 type SimMeter struct {
-	name   string
-	source PowerSource
-	cfg    SimMeterConfig
+	name    string
+	source  PowerSource
+	cfg     SimMeterConfig
+	failure error // what Read returns while failed, built once
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -64,10 +65,11 @@ type SimMeter struct {
 // NewSimMeter builds a simulated meter over a ground-truth source.
 func NewSimMeter(name string, source PowerSource, cfg SimMeterConfig) *SimMeter {
 	return &SimMeter{
-		name:   name,
-		source: source,
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		name:    name,
+		source:  source,
+		cfg:     cfg,
+		failure: fmt.Errorf("%w: %s", ErrMeterFailed, name),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -79,7 +81,7 @@ func (m *SimMeter) Read(now time.Time) (power.Watts, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.failed {
-		return 0, fmt.Errorf("%w: %s", ErrMeterFailed, m.name)
+		return 0, m.failure
 	}
 	if m.cfg.StaleFor > 0 && m.haveStale && now.Sub(m.staleTime) < m.cfg.StaleFor {
 		return m.staleVal, nil

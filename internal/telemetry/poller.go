@@ -132,7 +132,11 @@ func (p *Poller) SetDown(down bool) {
 // Stamps is the per-device ingest timeline retained by LatestPower: the
 // birth timestamps of the sample currently installed in the view. Zero
 // fields mean the corresponding stage was never stamped (e.g. a producer
-// that predates stamping, or a view fed directly without a broker).
+// that predates stamping, or a view fed directly without a broker). The
+// view keeps each stamp as a UnixNano and rebuilds it on read, so a stamp
+// read back is in UTC and carries no monotonic clock reading: on a live
+// clock, durations between stamps come from the wall clock, and an instant
+// exactly at the Unix epoch reads back as zero.
 type Stamps struct {
 	MeasuredAt  time.Time
 	PublishedAt time.Time
@@ -155,12 +159,29 @@ type LatestPower struct {
 	arrivals []arrival
 }
 
-// reading is one device's installed sample.
+// reading is one device's installed sample. Its stamps are Stamps' fields
+// as nanos; measured orders updates.
 type reading struct {
-	device string
-	power  power.Watts
-	stamps Stamps // stamps.MeasuredAt orders updates
-	event  uint64
+	device                        string
+	power                         power.Watts
+	measured, published, dequeued int64
+	event                         uint64
+}
+
+// nanos is t as a reading keeps it: t.UnixNano(), and 0 for the zero Time.
+func nanos(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
+}
+
+// stamp is the instant nanos kept as ns, in UTC: the zero Time for 0.
+func stamp(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns).UTC()
 }
 
 // NewLatestPower returns an empty view.
@@ -204,7 +225,7 @@ func (l *LatestPower) UpdateDequeued(s Sample, dequeuedAt time.Time) bool {
 	if !known {
 		i = l.addSlot(s.Device)
 	}
-	installed := l.install(&s, i, !known, dequeuedAt)
+	installed := l.install(&s, i, !known, nanos(dequeuedAt))
 	rec, role := l.rec, l.role
 	l.mu.Unlock()
 	if !installed || rec == nil {
@@ -214,7 +235,7 @@ func (l *LatestPower) UpdateDequeued(s Sample, dequeuedAt time.Time) bool {
 	// the device — unless an even newer sample won the race meanwhile.
 	seq := rec.Emit(arriveEvent(role, &s))
 	l.mu.Lock()
-	if r := &l.slots[i]; r.stamps.MeasuredAt.Equal(s.MeasuredAt) {
+	if r := &l.slots[i]; r.measured == nanos(s.MeasuredAt) {
 		r.event = seq
 	}
 	l.mu.Unlock()
@@ -251,7 +272,7 @@ func (l *LatestPower) UpdateBatch(batch []Sample, dequeuedAt time.Time) {
 		l.updateBatchRecorded(batch, dequeuedAt)
 		return
 	}
-	next, filled := 0, len(l.slots)
+	next, filled, dequeued := 0, len(l.slots), nanos(dequeuedAt)
 	for k := range batch {
 		s := &batch[k]
 		if !s.Valid {
@@ -265,7 +286,7 @@ func (l *LatestPower) UpdateBatch(batch []Sample, dequeuedAt time.Time) {
 		if fresh {
 			filled++
 		}
-		l.install(s, i, fresh, dequeuedAt)
+		l.install(s, i, fresh, dequeued)
 		next = i + 1
 	}
 	l.mu.Unlock()
@@ -296,7 +317,7 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) 
 		arrivals = newArrivals(len(batch))
 	}
 	arrivals = arrivals[:len(batch)]
-	n, next, filled := 0, 0, len(l.slots)
+	n, next, filled, dequeued := 0, 0, len(l.slots), nanos(dequeuedAt)
 	for k := range batch {
 		s := &batch[k]
 		if !s.Valid {
@@ -310,7 +331,7 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) 
 		if fresh {
 			filled++
 		}
-		if l.install(s, i, fresh, dequeuedAt) {
+		if l.install(s, i, fresh, dequeued) {
 			arrivals[n] = arrival{sample: k, slot: i}
 			n++
 		}
@@ -324,7 +345,7 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) 
 	}
 	l.mu.Lock()
 	for _, a := range arrivals {
-		if r := &l.slots[a.slot]; r.stamps.MeasuredAt.Equal(batch[a.sample].MeasuredAt) {
+		if r := &l.slots[a.slot]; r.measured == nanos(batch[a.sample].MeasuredAt) {
 			r.event = a.seq
 		}
 	}
@@ -338,21 +359,18 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) 
 //flex:coldpath
 func newArrivals(n int) []arrival { return make([]arrival, n) }
 
-// install puts valid sample s, dequeued at dequeuedAt, into slot i unless
-// the slot holds a measurement at least as new, and reports whether s went
-// in. A fresh slot — one made for s that no sample has filled yet — takes s
-// whatever its time. l.mu is held.
-func (l *LatestPower) install(s *Sample, i int, fresh bool, dequeuedAt time.Time) bool {
-	if !fresh && !s.MeasuredAt.After(l.slots[i].stamps.MeasuredAt) {
+// install puts valid sample s, dequeued at the nanos dequeued, into slot i
+// unless the slot holds a measurement at least as new, and reports whether
+// s went in. A fresh slot — one made for s that no sample has filled yet —
+// takes s whatever its time. l.mu is held.
+func (l *LatestPower) install(s *Sample, i int, fresh bool, dequeued int64) bool {
+	r := &l.slots[i]
+	measured := nanos(s.MeasuredAt)
+	if !fresh && measured <= r.measured {
 		return false
 	}
-	r := &l.slots[i]
 	r.power = s.Power
-	r.stamps = Stamps{
-		MeasuredAt:  s.MeasuredAt,
-		PublishedAt: s.PublishedAt,
-		DequeuedAt:  dequeuedAt,
-	}
+	r.measured, r.published, r.dequeued = measured, nanos(s.PublishedAt), dequeued
 	return true
 }
 
@@ -431,7 +449,7 @@ func (l *LatestPower) GetEvent(device string) (power.Watts, time.Time, uint64, b
 		return 0, time.Time{}, 0, false
 	}
 	r := &l.slots[i]
-	return r.power, r.stamps.MeasuredAt, r.event, true
+	return r.power, stamp(r.measured), r.event, true
 }
 
 // GetStamps returns the ingest timeline of device's installed sample —
@@ -444,7 +462,8 @@ func (l *LatestPower) GetStamps(device string) (Stamps, bool) {
 	if !ok {
 		return Stamps{}, false
 	}
-	return l.slots[i].stamps, true
+	r := &l.slots[i]
+	return Stamps{MeasuredAt: stamp(r.measured), PublishedAt: stamp(r.published), DequeuedAt: stamp(r.dequeued)}, true
 }
 
 // Snapshot copies the current view into a fresh map.
@@ -480,16 +499,12 @@ func (l *LatestPower) Oldest(now time.Time) (time.Duration, bool) {
 	if len(l.slots) == 0 {
 		return 0, false
 	}
-	// The stalest device is the one measured earliest. A poll stamps all its
-	// devices with one instant, so most slots hold the very value of
-	// earliest: three words compared in line, where Before is a call.
-	earliest := l.slots[0].stamps.MeasuredAt
+	// The stalest device is the one measured earliest.
+	earliest := l.slots[0].measured
 	for i := 1; i < len(l.slots); i++ {
-		if at := l.slots[i].stamps.MeasuredAt; at != earliest && at.Before(earliest) {
-			earliest = at
-		}
+		earliest = min(earliest, l.slots[i].measured)
 	}
-	return now.Sub(earliest), true
+	return now.Sub(stamp(earliest)), true
 }
 
 // Count reports how many devices have reported at least once.

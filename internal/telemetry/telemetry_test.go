@@ -62,6 +62,27 @@ func TestSimMeterFailure(t *testing.T) {
 	}
 }
 
+// TestSimMeterFailedReadAllocatesNothing: a failed meter returns the error
+// it was built with, so reading it allocates nothing, and the error still
+// names the meter and wraps ErrMeterFailed. A UPS consensus read with one
+// meter failed allocates nothing either: its readings stay on the stack.
+func TestSimMeterFailedReadAllocatesNothing(t *testing.T) {
+	m := NewSimMeter("UPS-1/UPSMeter", func() power.Watts { return 1000 }, SimMeterConfig{})
+	m.SetFailed(true)
+	_, err := m.Read(t0())
+	if !errors.Is(err, ErrMeterFailed) || err.Error() != "telemetry: meter failed: UPS-1/UPSMeter" {
+		t.Fatalf("err = %v, want ErrMeterFailed naming the meter", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Read(t0()) }); allocs != 0 {
+		t.Errorf("a failed read allocates %v times, want 0", allocs)
+	}
+	lm := NewUPSLogicalMeter("UPS-1", func() power.Watts { return power.MW }, func() power.Watts { return 60 * power.KW }, 1)
+	lm.Meters()[0].(*SimMeter).SetFailed(true)
+	if allocs := testing.AllocsPerRun(100, func() { lm.Read(t0()) }); allocs != 0 {
+		t.Errorf("a consensus read over a failed meter allocates %v times, want 0", allocs)
+	}
+}
+
 func TestSimMeterStaleness(t *testing.T) {
 	var src atomic.Int64
 	src.Store(1000)
