@@ -86,7 +86,7 @@ transport-smoke:
 	$(GO) run ./examples/telemetrypipeline
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the six
-# smokes, ten seconds of each of the ten fuzzers, the whole tree under the
+# smokes, every example program (each roots part of the facade), ten seconds of each of the ten fuzzers, the whole tree under the
 # race detector, the emulator's parallel tick three more times under it (the
 # fleet's phases split over every core, the noise producer, the cached
 # truth, a trip taking its UPS out inside the parallel observe), a stepped fleet read by /fleet handlers and a whole rack poll
@@ -96,7 +96,7 @@ transport-smoke:
 # workers three more times under it (each builds its heuristic candidates
 # in a Packing of its own), and a flexmon smoke run with the observability
 # surface enabled.
-ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke fuzz-smoke
+ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke examples fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
 	$(GO) test -race -count=3 -run 'Concurrent|PumpDrainsPollWhole' ./internal/fleet
@@ -181,6 +181,8 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
+# Runs every program under examples/ (quickstart is README's Quickstart
+# block): they and cmd/ are the only callers the facade's exports have.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/capacityplanning

@@ -88,7 +88,7 @@ func BenchmarkAblation_ImpactVsPowerGreedy(b *testing.B) {
 	// looks equally costly, so the tie-break (max recovered power) rules.
 	powerGreedy := Scenario{
 		Name: "power-greedy",
-		ByCategory: map[Category]ImpactFunction{
+		ByCategory: map[Category]impact.Function{
 			SoftwareRedundant:   impact.Zero("pg-sr"),
 			NonRedundantCapable: impact.Zero("pg-cap"),
 		},
@@ -298,7 +298,7 @@ func BenchmarkAblation_RedundancyDesigns(b *testing.B) {
 			for _, d := range rows {
 				fmt.Printf("  %-14s reserved %5.1f%%  gain %5.1f%%  worst failover %3.0f%%  (EOL tolerance %v)\n",
 					d.Name, d.ReservedFraction*100, d.ExtraServerFraction*100,
-					d.WorstFailoverLoad*100, EndOfLifeTripCurve().Tolerance(d.WorstFailoverLoad))
+					d.WorstFailoverLoad*100, power.EndOfLifeTripCurve.Tolerance(d.WorstFailoverLoad))
 			}
 			first = false
 		}
@@ -398,13 +398,13 @@ func BenchmarkSectionVI_CoolingRedundancy(b *testing.B) {
 	first := printHeader("§VI cooling redundancy",
 		"thermal window and mitigation mix after losing cooling units (paper: minutes available; migrate before capping)")
 	for i := 0; i < b.N; i++ {
-		domains := []CoolingDomain{
+		domains := []cooling.Domain{
 			{ID: 0, Name: "dom-A", Units: 4, UnitCFM: 40000, RedundantUnits: 1},
 			{ID: 1, Name: "dom-B", Units: 4, UnitCFM: 40000, RedundantUnits: 1},
 		}
-		var racks []CoolingRack
-		mk := func(id string, dom int, cat Category, kw float64) CoolingRack {
-			r := CoolingRack{ID: id, Domain: cooling0(dom), Power: Watts(kw * 1e3),
+		var racks []cooling.Rack
+		mk := func(id string, dom int, cat Category, kw float64) cooling.Rack {
+			r := cooling.Rack{ID: id, Domain: cooling0(dom), Power: Watts(kw * 1e3),
 				CFMPerWatt: 0.1, Category: cat}
 			if cat == NonRedundantCapable {
 				r.FlexPower = Watts(0.85 * float64(r.Power))
@@ -423,7 +423,7 @@ func BenchmarkSectionVI_CoolingRedundancy(b *testing.B) {
 		for j := 0; j < 5; j++ {
 			racks = append(racks, mk(fmt.Sprintf("b-nc-%d", j), 1, NonRedundantNonCapable, 100))
 		}
-		plan, err := PlanCoolingMitigation(domains, racks, 0, 2, DefaultThermalParams())
+		plan, err := cooling.PlanMitigation(domains, racks, 0, 2, cooling.DefaultThermalParams())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"flex/internal/milp"
+	"flex/internal/placement"
 )
 
 // solverBenchProblem is the batch-placement ILP the scaling benchmark
 // solves: one Flex-Offline flush on the paper room.
-func solverBenchProblem(b *testing.B) *MILPProblem {
+func solverBenchProblem(b *testing.B) *milp.Problem {
 	b.Helper()
 	room := PaperRoom()
 	trace, err := GenerateTrace(DefaultTraceConfig(room.Topo.ProvisionedPower()), 1)
@@ -22,7 +25,7 @@ func solverBenchProblem(b *testing.B) *MILPProblem {
 	// capacity: on this instance every worker count runs the full node
 	// budget (the search does not prove optimality first), so nodes/s
 	// compares throughput on one and the same tree.
-	return BatchPlacementILP(room, trace[:40])
+	return placement.BatchILP(room, trace[:40])
 }
 
 // BenchmarkSolverScaling measures branch-and-bound node throughput and
@@ -48,7 +51,7 @@ func BenchmarkSolverScaling(b *testing.B) {
 			b.ReportAllocs()
 			total, obj := 0, 0.0
 			for i := 0; i < b.N; i++ {
-				r, err := SolveMILP(context.Background(), p, SolveOptions{Workers: w, MaxNodes: nodeBudget})
+				r, err := milp.SolveContext(context.Background(), p, milp.Options{Workers: w, MaxNodes: nodeBudget})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -18,7 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"flex/internal/impact"
+	"flex/internal/power"
 	"flex/internal/stats"
+	"flex/internal/workload"
 )
 
 var printOnce sync.Map
@@ -38,7 +41,7 @@ func printHeader(name, caption string) bool {
 func BenchmarkFigure3_WorkloadDistribution(b *testing.B) {
 	first := printHeader("Figure 3", "workload category distribution across regions (paper avg: 13/56/31)")
 	for i := 0; i < b.N; i++ {
-		regions := Figure3Regions()
+		regions := workload.Figure3Regions()
 		if first {
 			for _, r := range regions {
 				fmt.Printf("  %-10s software-redundant %4.0f%%  cap-able %4.0f%%  non-cap-able %4.0f%%\n",
@@ -55,7 +58,7 @@ func BenchmarkFigure3_WorkloadDistribution(b *testing.B) {
 func BenchmarkFigure6_UPSToleranceCurve(b *testing.B) {
 	first := printHeader("Figure 6", "UPS overload tolerance (paper anchor: 10s at 133% end-of-life)")
 	for i := 0; i < b.N; i++ {
-		eol, bol := EndOfLifeTripCurve(), BeginOfLifeTripCurve()
+		eol, bol := power.EndOfLifeTripCurve, power.BeginOfLifeTripCurve
 		if first {
 			fmt.Printf("  %-8s %-14s %s\n", "load", "end-of-life", "begin-of-life")
 			for _, f := range []float64{1.05, 1.10, 1.20, 4.0 / 3.0, 1.50} {
@@ -445,7 +448,7 @@ func BenchmarkSectionVI_EndToEndLatency(b *testing.B) {
 func BenchmarkFigure8_ImpactFunctions(b *testing.B) {
 	first := printHeader("Figure 8", "example impact functions of three Microsoft services")
 	for i := 0; i < b.N; i++ {
-		fns := []ImpactFunction{Figure8A(), Figure8B(), Figure8C()}
+		fns := []impact.Function{impact.Figure8A(), impact.Figure8B(), impact.Figure8C()}
 		if first {
 			labels := []string{
 				"A: non-redundant cap-able (VM service)",

@@ -3,7 +3,6 @@ package flex_test
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"flex"
 )
@@ -63,25 +62,6 @@ func ExamplePlanActionsContext() {
 	// actions chosen: true
 }
 
-// ExampleNewImpactFunction defines a custom workload impact function.
-func ExampleNewImpactFunction() {
-	// A stateful service: 10% growth buffer is free to shut down, the
-	// working set degrades linearly, the last 10% is critical.
-	f, _ := flex.NewImpactFunction("my-service", []flex.ImpactPoint{
-		{Fraction: 0, Impact: 0},
-		{Fraction: 0.1, Impact: 0},
-		{Fraction: 0.9, Impact: 0.6},
-		{Fraction: 0.95, Impact: 1},
-	})
-	fmt.Printf("impact at 5%%: %.2f\n", f.At(0.05))
-	fmt.Printf("impact at 50%%: %.2f\n", f.At(0.5))
-	fmt.Printf("critical at 95%%: %v\n", f.At(0.95) >= 1)
-	// Output:
-	// impact at 5%: 0.00
-	// impact at 50%: 0.30
-	// critical at 95%: true
-}
-
 // ExampleComputeSavings reproduces the paper's headline economics.
 func ExampleComputeSavings() {
 	s, _ := flex.ComputeSavings(flex.Redundancy{X: 4, Y: 3}, 128*flex.MW, 5)
@@ -100,15 +80,4 @@ func ExampleFindMaintenanceWindows() {
 	// Output:
 	// windows found: true
 	// first window long enough for a UPS service: true
-}
-
-// ExampleEndOfLifeTripCurve shows the overload tolerance Flex designs
-// against.
-func ExampleEndOfLifeTripCurve() {
-	curve := flex.EndOfLifeTripCurve()
-	fmt.Println("tolerance at 133% load:", curve.Tolerance(4.0/3.0))
-	fmt.Println("within the Flex budget:", curve.Tolerance(4.0/3.0) >= 10*time.Second)
-	// Output:
-	// tolerance at 133% load: 10s
-	// within the Flex budget: true
 }

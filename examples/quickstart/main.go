@@ -12,38 +12,33 @@ import (
 )
 
 func main() {
-	// The paper's 9.6MW 4N/3 room: 4 × 2.4MW UPSes, 18 PDU-pairs.
+	// The paper's 9.6MW 4N/3 room. Flex allocates all of it; a
+	// conventional design stops at what survives a UPS loss.
 	room := flex.PaperRoom()
-	fmt.Printf("room: %v provisioned (%v design), conventional limit %v\n",
-		room.Topo.ProvisionedPower(), room.Topo.Design, room.Topo.ConventionalAllocatablePower())
+	fmt.Printf("room: %v provisioned, conventional limit %v\n",
+		room.Topo.ProvisionedPower(), room.Topo.ConventionalAllocatablePower())
 
-	// Generate short-term demand worth 115% of provisioned power with the
-	// paper's workload mix, and place it with Flex-Offline-Short.
+	// 115% of provisioned power in deployment requests, paper's mix.
 	trace, err := flex.GenerateTrace(flex.DefaultTraceConfig(room.Topo.ProvisionedPower()), 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	policy := flex.FlexOfflineShort()
-	policy.MaxNodes = 300
-	pl, err := policy.Place(context.Background(), room, trace)
+
+	// Flex-Offline: safe for any UPS failure even at 100% utilization.
+	// The ctx bounds the ILP solves; pass a deadline to budget placement.
+	pl, err := flex.FlexOfflineShort().Place(context.Background(), room, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := pl.Validate(); err != nil {
 		log.Fatal(err) // never: Flex-Offline placements are safe by construction
 	}
-	fmt.Printf("placed %d/%d deployments, stranded power %.1f%%, throttling imbalance %.1f%%\n",
-		len(pl.Placed()), len(trace), pl.StrandedFraction()*100, pl.ThrottlingImbalance()*100)
+	fmt.Printf("stranded power: %.1f%%\n", pl.StrandedFraction()*100)
 
-	// Simulate a failover at 85% utilization: UPS-1 goes out, its load
-	// lands on the three survivors (≈113% of their rating each).
+	// Flex-Online: plan corrective actions for a failover snapshot — UPS 0
+	// out, its load on the three survivors (≈113% of their rating).
 	racks := flex.ExpandRacks(pl)
-	ups := make([]flex.Watts, len(room.Topo.UPSes))
-	for u := range ups {
-		ups[u] = flex.Watts(0.85 * 4.0 / 3.0 * float64(room.Topo.UPSes[u].Capacity))
-	}
-	ups[0] = 0
-
+	ups := []flex.Watts{0, 2.72 * flex.MW, 2.72 * flex.MW, 2.72 * flex.MW}
 	actions, insufficient, err := flex.PlanActionsContext(context.Background(), flex.PlanInput{
 		Topo:     room.Topo,
 		Racks:    flex.ManagedRacks(racks),
@@ -54,25 +49,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	shut, throttled := 0, 0
-	var recovered flex.Watts
+	shut := 0
 	for _, a := range actions {
 		if a.Kind == flex.ActionShutdown {
 			shut++
-		} else {
-			throttled++
 		}
-		recovered += a.Recovered
 	}
-	fmt.Printf("failover plan: %d racks shut down, %d throttled, %v recovered (insufficient=%v)\n",
-		shut, throttled, recovered, insufficient)
-	fmt.Printf("first actions: ")
-	for i, a := range actions {
-		if i == 3 {
-			fmt.Printf("…")
-			break
-		}
-		fmt.Printf("%s→%s (impact %.2f)  ", a.Rack, a.Kind, a.Impact)
-	}
-	fmt.Println()
+	fmt.Printf("corrective actions: %d (%d shutdowns, %d throttles), sufficient: %v\n",
+		len(actions), shut, len(actions)-shut, !insufficient)
 }

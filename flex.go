@@ -10,36 +10,32 @@
 //     even at 100% utilization, shutting down software-redundant racks and
 //     throttling cap-able racks to their flex power brings every surviving
 //     UPS back within its rating — while minimizing stranded power.
-//   - Flex-Online (Controller, Plan) watches a redundant power-telemetry
-//     pipeline for UPS overdraw and sheds the minimum-impact set of racks
-//     within the ~10-second overload tolerance window, guided by
-//     per-workload impact functions.
-//   - The fleet layer (NewFleet) scales Flex-Online to many rooms: one
-//     controller shard per UPS fault domain, batched telemetry ingest with
-//     bounded drop-oldest queues, and a global aggregator folding shard
-//     snapshots into fleet-wide stranded power and health.
+//   - Flex-Online (PlanActionsContext, RunEmulationContext) watches a
+//     redundant power-telemetry pipeline for UPS overdraw and sheds the
+//     minimum-impact set of racks within the ~10-second overload
+//     tolerance window, guided by per-workload impact functions.
+//   - The fleet layer (RunFleetEmulationContext) scales Flex-Online to
+//     many rooms: one controller shard per UPS fault domain, batched
+//     telemetry ingest with bounded drop-oldest queues, and a global
+//     aggregator folding shard snapshots into fleet-wide stranded power
+//     and health.
 //
-// The package is a facade over the implementation in internal/…; it
-// re-exports the types and entry points a downstream user needs, organized
-// by theme:
+// The package is a facade over the implementation in internal/…. It
+// exports what a program under cmd/ or examples/ calls, and nothing else:
+// flexlint's unreached analyzer reports an export no program reaches.
+// Organized by theme:
 //
-//	flex_topology.go     power units, xN/y topologies, trip curves
+//	flex_topology.go     power units and xN/y designs
 //	flex_workload.go     workload categories and demand traces
-//	flex_placement.go    rooms, placement policies, Flex-Offline
-//	flex_solve.go        the MILP solver surface behind Flex-Offline
-//	flex_impact.go       impact functions and the Figure 11 scenarios
-//	flex_online.go       Flex-Online planning, controllers, actuation
-//	flex_telemetry.go    the redundant power-telemetry pipeline
+//	flex_placement.go    rooms, placement policies, Flex-Offline and online
+//	flex_impact.go       the Figure 11 impact scenarios
+//	flex_online.go       Flex-Online planning (Algorithm 1)
 //	flex_fleet.go        the sharded multi-room fleet layer
 //	flex_experiments.go  the §V-B/§V-C experiment harnesses
-//	flex_recorder.go     flight recorder and deterministic replay
+//	flex_recorder.go     the flight recorder
 //	flex_analysis.go     the §III/§I/§VI analytic models
 //
-// Construction follows one convention throughout: a New* constructor
-// taking the required collaborators plus With* functional options for the
-// tunable knobs (NewRedundantTopology, NewPlacementRoom,
-// NewOnlineController, NewFleet). Earlier positional constructors and
-// ctx-less shorthands remain as thin deprecated wrappers — they keep
-// compiling forever, but new code should prefer the options forms and the
-// *Context variants.
+// Constructors with tunable knobs take With* functional options
+// (NewPlacementRoom, NewOnlinePlacement); everything else is a plain
+// function over the internal types it aliases.
 package flex

@@ -1,7 +1,6 @@
 package flex
 
 import (
-	"flex/internal/cooling"
 	"flex/internal/cost"
 	"flex/internal/feasibility"
 )
@@ -50,28 +49,6 @@ func ComputeSavings(design Redundancy, sitePower Watts, dollarsPerWatt float64) 
 
 // CompareDesigns evaluates reserved power and Flex gains across designs.
 func CompareDesigns() []DesignComparison { return cost.CompareDesigns() }
-
-// Cooling-redundancy types (§VI "Implications on cooling infrastructure").
-type (
-	// CoolingDomain is a set of racks sharing CRAH units.
-	CoolingDomain = cooling.Domain
-	// CoolingRack is a rack's airflow demand and mitigation options.
-	CoolingRack = cooling.Rack
-	// ThermalParams model temperature rise under an airflow deficit.
-	ThermalParams = cooling.ThermalParams
-	// CoolingPlan is a mitigation plan for a cooling-unit failure.
-	CoolingPlan = cooling.PlanResult
-)
-
-// DefaultThermalParams returns a representative air-cooled room model.
-func DefaultThermalParams() ThermalParams { return cooling.DefaultThermalParams() }
-
-// PlanCoolingMitigation plans the response to losing cooling units:
-// migrate software-redundant racks first, then throttle, then shut down —
-// within the minutes-long thermal window (vs the 10s power budget).
-func PlanCoolingMitigation(domains []CoolingDomain, racks []CoolingRack, failed cooling.DomainID, failedUnits int, params ThermalParams) (CoolingPlan, error) {
-	return cooling.PlanMitigation(domains, racks, failed, failedUnits, params)
-}
 
 // ChargeModel prices the §VI financial incentives for flexible workloads.
 type ChargeModel = cost.ChargeModel

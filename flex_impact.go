@@ -4,35 +4,14 @@ import (
 	"flex/internal/impact"
 )
 
-// Impact functions.
-type (
-	// ImpactFunction maps affected-rack fraction to perceived impact.
-	ImpactFunction = impact.Function
-	// ImpactPoint is a vertex of a piecewise-linear impact function.
-	ImpactPoint = impact.Point
-	// Scenario assigns impact functions to workloads/categories.
-	Scenario = impact.Scenario
-)
+// Scenario assigns impact functions to workloads/categories.
+type Scenario = impact.Scenario
 
-// NewImpactFunction builds a piecewise-linear impact function.
-func NewImpactFunction(name string, points []ImpactPoint) (ImpactFunction, error) {
-	return impact.New(name, points)
-}
-
-// The Figure 11 scenario library and the paper's default behaviour.
+// The Figure 11 scenario library.
 func ScenarioExtreme1() Scenario   { return impact.Extreme1() }
 func ScenarioExtreme2() Scenario   { return impact.Extreme2() }
 func ScenarioRealistic1() Scenario { return impact.Realistic1() }
 func ScenarioRealistic2() Scenario { return impact.Realistic2() }
-func ScenarioDefault() Scenario    { return impact.Default() }
 
 // Figure11Scenarios returns all four evaluation scenarios.
 func Figure11Scenarios() []Scenario { return impact.Figure11Scenarios() }
-
-// Figure8A/B/C are the paper's three production impact-function examples:
-// the cap-able VM service, a software-redundant stateless service, and a
-// software-redundant stateful service with growth buffer and critical
-// management racks.
-func Figure8A() ImpactFunction { return impact.Figure8A() }
-func Figure8B() ImpactFunction { return impact.Figure8B() }
-func Figure8C() ImpactFunction { return impact.Figure8C() }

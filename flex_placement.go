@@ -1,8 +1,6 @@
 package flex
 
 import (
-	"time"
-
 	"flex/internal/placement"
 	"flex/internal/placement/online"
 )
@@ -89,17 +87,9 @@ type (
 	OnlinePlacement = online.Online
 	// OnlinePlacementConfig parameterizes the online admitter.
 	OnlinePlacementConfig = online.Config
-	// OnlineAdmitter is the incremental admission engine itself, for
-	// callers that drive Admit/Remove directly instead of through a
-	// Policy trace.
-	OnlineAdmitter = online.Admitter
-	// OnlinePlacementMetrics is the admitter's observability surface.
-	OnlinePlacementMetrics = online.Metrics
-	// OnlineSnapshot summarizes an admitter's committed state.
-	OnlineSnapshot = online.Snapshot
 )
 
-// OnlinePlacementOption customizes NewOnlinePlacement/NewOnlineAdmitter.
+// OnlinePlacementOption customizes NewOnlinePlacement.
 type OnlinePlacementOption func(*OnlinePlacementConfig)
 
 // WithPlacementSeed seeds the sampled future-arrival stream; with
@@ -108,42 +98,11 @@ func WithPlacementSeed(seed int64) OnlinePlacementOption {
 	return func(c *OnlinePlacementConfig) { c.Seed = seed }
 }
 
-// WithScenarioSampling sets how many sampled future-arrival suffixes are
-// scored per contested admission and how many arrivals deep each greedy
-// completion looks. The defaults are 4 scenarios × 16 arrivals; a
-// negative scenario count disables sampling (the solver-target deviation
-// term still steers).
-func WithScenarioSampling(scenarios, depth int) OnlinePlacementOption {
-	return func(c *OnlinePlacementConfig) {
-		c.Scenarios = scenarios
-		c.ScenarioDepth = depth
-	}
-}
-
-// WithWarmResolve tunes the background exact re-solve: trigger every
-// `every` admissions, bounded by `nodes` branch-and-bound nodes and
-// `budget` wall time per solve. A negative `every` disables the warm
-// solver.
-func WithWarmResolve(every, nodes int, budget time.Duration) OnlinePlacementOption {
-	return func(c *OnlinePlacementConfig) {
-		c.ResolveEvery = every
-		c.ResolveNodes = nodes
-		c.ResolveBudget = budget
-	}
-}
-
 // WithSyncResolve runs re-solves inline on the admission loop instead of
 // in a background goroutine — deterministic placements, for tests and
 // smokes.
 func WithSyncResolve() OnlinePlacementOption {
 	return func(c *OnlinePlacementConfig) { c.SyncResolve = true }
-}
-
-// WithOnlinePlacementConfig applies an arbitrary edit to the assembled
-// OnlinePlacementConfig — the escape hatch for knobs without a dedicated
-// option (metrics registry, scenario trace, solver workers).
-func WithOnlinePlacementConfig(edit func(*OnlinePlacementConfig)) OnlinePlacementOption {
-	return OnlinePlacementOption(edit)
 }
 
 // NewOnlinePlacement assembles the online admission policy. Without
@@ -155,15 +114,4 @@ func NewOnlinePlacement(opts ...OnlinePlacementOption) OnlinePlacement {
 		o(&cfg)
 	}
 	return OnlinePlacement{Config: cfg}
-}
-
-// NewOnlineAdmitter builds the incremental admission engine for a room,
-// for callers that drive Admit/Remove directly (production admission
-// endpoints, emulations) rather than placing a fixed trace.
-func NewOnlineAdmitter(room *Room, opts ...OnlinePlacementOption) (*OnlineAdmitter, error) {
-	var cfg OnlinePlacementConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return online.NewAdmitter(room, cfg)
 }

@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"flex/internal/clock"
-	"flex/internal/rackmgr"
+	"flex/internal/power"
 )
 
 // TestFacadeEndToEnd exercises the public API the way a downstream user
@@ -70,30 +69,11 @@ func TestFacadeConstants(t *testing.T) {
 	if FlexLatencyBudget != 10*time.Second {
 		t.Error("latency budget")
 	}
-	if EndOfLifeTripCurve().Tolerance(4.0/3.0) != 10*time.Second {
-		t.Error("trip curve anchor")
-	}
-	if BeginOfLifeTripCurve().Tolerance(4.0/3.0) != 30*time.Second {
-		t.Error("BOL trip curve anchor")
-	}
 }
 
 func TestFacadeScenariosAndRegions(t *testing.T) {
 	if len(Figure11Scenarios()) != 4 {
 		t.Error("figure 11 scenarios")
-	}
-	if len(Figure3Regions()) != 4 {
-		t.Error("figure 3 regions")
-	}
-	f, err := NewImpactFunction("custom", []ImpactPoint{{Fraction: 0, Impact: 0}, {Fraction: 1, Impact: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.At(0.5) != 0.5 {
-		t.Error("custom impact function")
-	}
-	if ScenarioDefault().Name != "Default" {
-		t.Error("default scenario")
 	}
 	if ScenarioExtreme1().Name != "Extreme-1" || ScenarioExtreme2().Name != "Extreme-2" {
 		t.Error("extreme scenarios")
@@ -132,7 +112,7 @@ func TestFacadeTraceHelpers(t *testing.T) {
 	if len(shuffled) != len(trace) {
 		t.Error("shuffle changed length")
 	}
-	topo, err := NewTopology(RoomConfig{
+	topo, err := power.NewRoom(power.RoomConfig{
 		Design: Redundancy{X: 5, Y: 4}, UPSCapacity: MW, PairsPerCombination: 1,
 	})
 	if err != nil {
@@ -150,29 +130,8 @@ func TestFacadeTraceHelpers(t *testing.T) {
 	}
 }
 
-// TestFacadeCoverage exercises the thin wrappers end to end.
+// TestFacadeWrappers exercises the thin wrappers end to end.
 func TestFacadeWrappers(t *testing.T) {
-	// Telemetry wrappers.
-	view := NewLatestPower()
-	view.Update(Sample{Device: "d", Power: 5, Valid: true, MeasuredAt: time.Unix(1, 0)})
-	if v, _, ok := view.Get("d"); !ok || v != 5 {
-		t.Fatal("LatestPower wrapper")
-	}
-	est := NewEWMAEstimator(0.5)
-	est.Update(Sample{Device: "d", Power: 10, Valid: true, MeasuredAt: time.Unix(1, 0)})
-	if m, ok := est.Estimate("d"); !ok || m != 10 {
-		t.Fatal("EWMAEstimator wrapper")
-	}
-	pl := NewPipeline(PipelineConfig{
-		UPSSources: map[string]PowerSource{"UPS-1": func() Watts { return MW }},
-	})
-	if len(pl.BrokerSet) != 2 {
-		t.Fatal("pipeline wrapper")
-	}
-	if TopicUPS == "" || TopicRack == "" {
-		t.Fatal("topics")
-	}
-
 	// Trace IO.
 	trace, err := GenerateTrace(DefaultTraceConfig(4.8*MW), 9)
 	if err != nil {
@@ -196,21 +155,6 @@ func TestFacadeWrappers(t *testing.T) {
 		t.Fatal("NewPlacementRoom WithReserveUtilization")
 	}
 
-	// Controller construction.
-	room := EmulationRoom()
-	upsView := NewLatestPower()
-	for u := range room.Topo.UPSes {
-		upsView.Update(Sample{Device: room.Topo.UPSes[u].Name, Power: 100, Valid: true, MeasuredAt: time.Unix(1, 0)})
-	}
-	ctl := NewOnlineController(room.Topo, nil,
-		WithControllerName("c"),
-		WithTelemetryViews(upsView, NewLatestPower()),
-		WithActuator(rackmgr.NewManager(clock.Real{}, nil)),
-		WithScenario(ScenarioDefault()))
-	if out := ctl.StepContext(context.Background()); out.Overdraw {
-		t.Fatal("unloaded room should not overdraw")
-	}
-
 	// Analyses.
 	if _, err := SimulateYears(DefaultMonteCarloParams()); err != nil {
 		t.Fatal(err)
@@ -225,11 +169,6 @@ func TestFacadeWrappers(t *testing.T) {
 	ws, err := FindMaintenanceWindows(WeekProfile(0.8, 0.17), 6, 0.75)
 	if err != nil || len(ws) == 0 {
 		t.Fatal("FindMaintenanceWindows wrapper")
-	}
-
-	// Figure 8 wrappers.
-	if Figure8A().At(1) != 1 || Figure8B().At(0.5) != 0 || Figure8C().At(0.95) < 1 {
-		t.Fatal("Figure 8 wrappers")
 	}
 
 	// Policies.

@@ -14,14 +14,6 @@ type (
 	Topology = power.Topology
 	// UPSID identifies a UPS within a topology.
 	UPSID = power.UPSID
-	// PDUPairID identifies a PDU-pair within a topology.
-	PDUPairID = power.PDUPairID
-	// PairLoad is power per PDU-pair.
-	PairLoad = power.PairLoad
-	// TripCurve is a UPS overload tolerance curve (Figure 6).
-	TripCurve = power.TripCurve
-	// RoomConfig configures NewTopology.
-	RoomConfig = power.RoomConfig
 )
 
 // Power unit constants.
@@ -36,45 +28,3 @@ const FlexLatencyBudget = power.FlexLatencyBudget
 // CapacityTolerance is the slack applied to capacity comparisons so that
 // float rounding never flips a feasibility verdict.
 const CapacityTolerance = power.CapacityTolerance
-
-// NewTopology builds an xN/y room topology (see power.NewRoom).
-//
-// The zero RoomConfig is invalid (capacity and pair count must be set);
-// prefer NewRedundantTopology, which starts from the paper's defaults.
-func NewTopology(cfg RoomConfig) (*Topology, error) { return power.NewRoom(cfg) }
-
-// TopologyOption customizes NewRedundantTopology.
-type TopologyOption func(*RoomConfig)
-
-// WithUPSCapacity sets each UPS's rated capacity. The default is the
-// paper's 2.4 MW evaluation UPS.
-func WithUPSCapacity(w Watts) TopologyOption {
-	return func(c *RoomConfig) { c.UPSCapacity = w }
-}
-
-// WithPairsPerCombination sets how many PDU-pairs to instantiate per
-// unordered UPS combination. The default is the paper's 3 (18 pairs for
-// 4N/3).
-func WithPairsPerCombination(n int) TopologyOption {
-	return func(c *RoomConfig) { c.PairsPerCombination = n }
-}
-
-// NewRedundantTopology builds an xN/y distributed-redundant topology from
-// the design plus options, defaulting the remaining knobs to the paper's
-// §V-A room (2.4 MW UPSes, 3 PDU-pairs per combination). Unlike the bare
-// RoomConfig accepted by NewTopology, every combination of options yields
-// a fully specified configuration.
-func NewRedundantTopology(design Redundancy, opts ...TopologyOption) (*Topology, error) {
-	cfg := RoomConfig{Design: design, UPSCapacity: 2.4 * MW, PairsPerCombination: 3}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return power.NewRoom(cfg)
-}
-
-// EndOfLifeTripCurve is the conservative UPS tolerance curve Flex designs
-// against (10 s at the worst-case 133% failover load).
-func EndOfLifeTripCurve() TripCurve { return power.EndOfLifeTripCurve }
-
-// BeginOfLifeTripCurve is the fresh-battery tolerance curve.
-func BeginOfLifeTripCurve() TripCurve { return power.BeginOfLifeTripCurve }

@@ -15,8 +15,6 @@ type (
 	Deployment = workload.Deployment
 	// TraceConfig parameterizes the synthetic demand generator.
 	TraceConfig = workload.TraceConfig
-	// RegionMix is a per-region workload distribution (Figure 3).
-	RegionMix = workload.RegionMix
 )
 
 // Workload categories.
@@ -41,10 +39,6 @@ func GenerateTrace(cfg TraceConfig, seed int64) ([]Deployment, error) {
 func ShuffleTrace(trace []Deployment, seed int64) []Deployment {
 	return workload.Shuffle(trace, rand.New(rand.NewSource(seed)))
 }
-
-// Figure3Regions returns the synthetic per-region workload mix whose mean
-// matches the paper's published averages.
-func Figure3Regions() []RegionMix { return workload.Figure3Regions() }
 
 // WriteTrace / ReadTrace serialize demand traces as JSON.
 func WriteTrace(w io.Writer, trace []Deployment) error { return workload.WriteTrace(w, trace) }

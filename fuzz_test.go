@@ -7,6 +7,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"flex/internal/impact"
 )
 
 // FuzzReadTrace: arbitrary JSON must never panic, and every accepted trace
@@ -48,7 +50,7 @@ func FuzzImpactFunction(f *testing.F) {
 	f.Add(0.2, 0.1, 0.4, 0.1, 0.9, 0.8)
 	f.Add(-1.0, 2.0, 0.5, 0.5, 2.0, -1.0)
 	f.Fuzz(func(t *testing.T, x1, y1, x2, y2, x3, y3 float64) {
-		fn, err := NewImpactFunction("fuzz", []ImpactPoint{
+		fn, err := impact.New("fuzz", []impact.Point{
 			{Fraction: x1, Impact: y1},
 			{Fraction: x2, Impact: y2},
 			{Fraction: x3, Impact: y3},

@@ -13,6 +13,8 @@ import (
 
 	"flex/internal/clock"
 	"flex/internal/controller"
+	"flex/internal/milp"
+	"flex/internal/placement"
 	"flex/internal/power"
 	"flex/internal/rackmgr"
 	"flex/internal/sim"
@@ -39,7 +41,7 @@ func TestIntegrationPlacementSafetyUnderCascade(t *testing.T) {
 		}
 		capLoad := pl.CapPairLoad()
 		for f := range room.Topo.UPSes {
-			out := room.Topo.SimulateCascade(capLoad, UPSID(f), EndOfLifeTripCurve(), time.Hour)
+			out := room.Topo.SimulateCascade(capLoad, UPSID(f), power.EndOfLifeTripCurve, time.Hour)
 			if out.Outage {
 				t.Fatalf("%s: cascade after maximal shaving, failure of UPS %d", pol.Name(), f)
 			}
@@ -91,11 +93,13 @@ func TestIntegrationAlgorithm1CoversEveryFailure(t *testing.T) {
 	}
 }
 
-// TestIntegrationTelemetryToActuation runs pipeline → views → controller →
+// TestIntegrationTelemetryToActuation runs telemetry → views → controller →
 // rack manager end to end with injected meter, poller, and broker faults,
-// on a virtual clock.
+// on a virtual clock. Figure 7 is stepped on the test goroutine, as the
+// fleet steps it: consensus meters polled by two pollers per topic into two
+// brokers, every broker's subscription drained into the controller's views.
 func TestIntegrationTelemetryToActuation(t *testing.T) {
-	topo, err := NewTopology(RoomConfig{
+	topo, err := power.NewRoom(power.RoomConfig{
 		Design: Redundancy{X: 4, Y: 3}, UPSCapacity: 100 * KW, PairsPerCombination: 1,
 	})
 	if err != nil {
@@ -136,23 +140,55 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 	}
 
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	upsSources := map[string]telemetry.PowerSource{}
+	seed := int64(2)
+	var upsTargets, rackTargets []telemetry.Target
+	var upsMeters []*telemetry.LogicalMeter
 	for u := range topo.UPSes {
 		u := u
-		upsSources[topo.UPSes[u].Name] = func() power.Watts { return truth(u) }
+		lm := telemetry.NewUPSLogicalMeter(topo.UPSes[u].Name,
+			func() power.Watts { return truth(u) }, func() power.Watts { return 0 }, seed)
+		seed += 10
+		upsMeters = append(upsMeters, lm)
+		upsTargets = append(upsTargets, telemetry.Target{Meter: lm, Topic: telemetry.TopicUPS})
 	}
-	rackSources := map[string]telemetry.PowerSource{}
 	for i := range racks {
 		r := &racks[i]
-		rackSources[r.m.ID] = func() power.Watts { return r.power }
+		src := func() power.Watts { return r.power }
+		lm, err := telemetry.NewLogicalMeter(r.m.ID,
+			telemetry.NewSimMeter(r.m.ID+"/psu", src, telemetry.SimMeterConfig{Noise: 0.01, Seed: seed}),
+			telemetry.NewSimMeter(r.m.ID+"/pdu", src, telemetry.SimMeterConfig{Noise: 0.01, Seed: seed + 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed += 10
+		lm.Quorum = 1
+		rackTargets = append(rackTargets, telemetry.Target{Meter: lm, Topic: telemetry.TopicRack})
 	}
-	pipe := telemetry.NewPipeline(telemetry.PipelineConfig{
-		Clock: clk, UPSSources: upsSources, RackSources: rackSources, Seed: 2,
-	})
+	brokers := []*telemetry.Broker{telemetry.NewBroker("pubsub-A"), telemetry.NewBroker("pubsub-B")}
+	pubs := []telemetry.SamplePublisher{brokers[0], brokers[1]}
+	var pollers []*telemetry.Poller
+	for _, name := range []string{"poller-A", "poller-B"} {
+		pollers = append(pollers,
+			telemetry.NewPoller(name+"-ups", clk, pubs, upsTargets),
+			telemetry.NewPoller(name+"-rack", clk, pubs, rackTargets))
+	}
 	upsView := telemetry.NewLatestPower()
 	rackView := telemetry.NewLatestPower()
-	defer pipe.SubscribeAll(telemetry.TopicUPS, upsView)()
-	defer pipe.SubscribeAll(telemetry.TopicRack, rackView)()
+	var subs []*telemetry.Subscription
+	var views []*telemetry.LatestPower
+	for _, b := range brokers {
+		subs = append(subs, b.Subscribe(telemetry.TopicUPS, 64), b.Subscribe(telemetry.TopicRack, 64))
+		views = append(views, upsView, rackView)
+	}
+	// pump is one poll round on every poller, drained into the views.
+	pump := func() {
+		for _, p := range pollers {
+			p.PollOnce()
+		}
+		for i, sub := range subs {
+			sub.Drain(func(run []telemetry.Sample) { views[i].UpdateBatch(run, clk.Now()) })
+		}
+	}
 
 	ids := make([]string, len(racks))
 	managed := make([]ManagedRack, len(racks))
@@ -161,36 +197,26 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 		managed[i] = r.m
 	}
 	mgr := rackmgr.NewManager(clk, ids)
-	ctl := NewOnlineController(topo, managed,
-		WithControllerName("it"),
-		WithControllerConfig(func(c *ControllerConfig) { c.Clock = clk }),
-		WithTelemetryViews(upsView, rackView),
-		WithActuator(mgr),
-		WithScenario(ScenarioRealistic1()),
-		WithSafetyBuffer(KW))
+	ctl := controller.New(controller.Config{
+		Name: "it", Clock: clk, Topo: topo, Racks: managed,
+		UPSView: upsView, RackView: rackView, Actuator: mgr,
+		Scenario: ScenarioRealistic1(), Buffer: KW,
+	})
 
 	// Inject faults across the pipeline: one meter misreads, one poller
 	// and one broker are down. The stack must still work.
-	pipe.UPSMeters[topo.UPSes[1].Name].Meters()[0].(*telemetry.SimMeter).SetOffset(50 * KW)
-	pipe.PollerSet[0].SetDown(true)
-	pipe.BrokerSet[0].SetDown(true)
+	upsMeters[1].Meters()[0].(*telemetry.SimMeter).SetOffset(50 * KW)
+	pollers[0].SetDown(true)
+	brokers[0].SetDown(true)
 
 	// Normal operation at ~72% utilization.
 	for i := range racks {
 		racks[i].power = Watts(0.72 * float64(racks[i].m.Allocated))
 	}
-	pump := func() {
-		pipe.PollOnce()
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			if _, _, ok := upsView.Get(topo.UPSes[3].Name); ok {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
+	pump()
+	if _, _, ok := upsView.Get(topo.UPSes[3].Name); !ok {
 		t.Fatal("telemetry never reached the view")
 	}
-	pump()
 	if out := ctl.StepContext(context.Background()); out.Overdraw {
 		t.Fatalf("false overdraw at 72%% utilization: %+v", out)
 	}
@@ -201,14 +227,9 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 	}
 	inactive[0] = true
 	clk.Advance(2 * time.Second)
-	pipe.PollOnce()
-	// Wait for the post-failover view.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if v, _, ok := upsView.Get(topo.UPSes[0].Name); ok && v < 5*KW {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	pump()
+	if v, _, _ := upsView.Get(topo.UPSes[0].Name); v >= 5*KW {
+		t.Fatalf("post-failover view holds %v for the failed UPS", v)
 	}
 	out := ctl.StepContext(context.Background())
 	if !out.Overdraw || out.Enforced == 0 {
@@ -239,13 +260,9 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 	// Recovery: UPS back, load drops, controller restores.
 	delete(inactive, 0)
 	clk.Advance(2 * time.Second)
-	pipe.PollOnce()
-	deadline = time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if v, _, ok := upsView.Get(topo.UPSes[0].Name); ok && v > 5*KW {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	pump()
+	if v, _, _ := upsView.Get(topo.UPSes[0].Name); v <= 5*KW {
+		t.Fatalf("post-recovery view holds %v for the recovered UPS", v)
 	}
 	out = ctl.StepContext(context.Background())
 	if out.Restored == 0 {
@@ -363,5 +380,27 @@ func TestIntegrationControllerDeterminism(t *testing.T) {
 		if a[i].Rack != b[i].Rack || a[i].Kind != b[i].Kind {
 			t.Fatalf("plan diverges at %d: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestBatchPlacementILP checks the batch ILP Flex-Offline solves per flush
+// is the real formulation: a valid 0/1 packing program with a feasible
+// placement for the batch.
+func TestBatchPlacementILP(t *testing.T) {
+	room := PaperRoom()
+	trace, err := GenerateTrace(DefaultTraceConfig(room.Topo.ProvisionedPower()), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := placement.BatchILP(room, trace[:6])
+	if err := p.Validate(); err != nil {
+		t.Fatalf("malformed problem: %v", err)
+	}
+	r, err := milp.SolveContext(context.Background(), p, milp.Options{MaxNodes: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.X == nil {
+		t.Fatalf("no feasible batch placement found (status %v)", r.Status)
 	}
 }

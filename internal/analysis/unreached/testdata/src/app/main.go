@@ -1,8 +1,12 @@
 package main
 
-import "lib"
+import (
+	"flex"
+	"lib"
+)
 
 func main() {
 	lib.Used()
 	lib.Dispatch(lib.NewJob())
+	flex.Run()
 }

@@ -12,10 +12,11 @@
 //     library (String, Error, ServeHTTP, Len/Less/Swap, Write, …) or from
 //     the module: the call that reaches it may sit where the graph cannot
 //     see it;
-//   - every exported function and method declared in the root package
-//     flex, the facade. Methods of the internal types it aliases are not
-//     roots: an alias does not make a method part of the facade;
 //   - every declaration whose doc comment carries //flex:keep <reason>.
+//
+// Being exported earns nothing, in the root package flex (the facade) or
+// anywhere else: an export stays when a program under cmd/ or examples/
+// reaches it, or when it says why with //flex:keep.
 //
 // It reports every non-test function or method the roots do not reach,
 // and a //flex:keep without a reason.
@@ -29,16 +30,13 @@ import (
 	"flex/internal/analysis"
 )
 
-// FacadePath is the import path of the package whose exported API is a
-// root.
-const FacadePath = "flex"
-
 // Analyzer is the unreached analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "unreached",
 	Doc: "report functions and methods that no binary reaches\n\n" +
-		"Roots are main, init, var initialisers, interface methods, the\n" +
-		"facade's exported API and //flex:keep <reason> declarations.",
+		"Roots are main, init, var initialisers, interface methods and\n" +
+		"//flex:keep <reason> declarations; an export, the facade's\n" +
+		"included, is no root of its own.",
 	Finish: finish,
 }
 
@@ -60,11 +58,7 @@ func finish(pass *analysis.ModulePass) error {
 			roots = append(roots, n)
 			continue
 		}
-		name := fd.Name.Name
-		switch {
-		case fd.Recv == nil && (name == "init" || name == "main" && n.Pkg.Types.Name() == "main"):
-			roots = append(roots, n)
-		case n.Pkg.Path == FacadePath && ast.IsExported(name) && (fd.Recv == nil || ast.IsExported(recvName(fd))):
+		if name := fd.Name.Name; fd.Recv == nil && (name == "init" || name == "main" && n.Pkg.Types.Name() == "main") {
 			roots = append(roots, n)
 		}
 	}

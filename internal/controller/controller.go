@@ -26,16 +26,11 @@ type Config struct {
 	Clock clock.Clock
 	Topo  *power.Topology
 	Racks []ManagedRack
-	// UPSView/RackView are the telemetry snapshots the controller reads
-	// (fed by telemetry.Pipeline.SubscribeAll).
+	// UPSView/RackView are the telemetry snapshots the controller reads;
+	// their owner installs readings into them (the emulator from its
+	// meters, a fleet shard from its subscriptions).
 	UPSView  *telemetry.LatestPower
 	RackView *telemetry.LatestPower
-	// RackEstimator, when non-nil, supplies the rack power estimates for
-	// planning instead of the raw RackView snapshot (paper §IV-D: "an
-	// estimate based on time series models can be used"). The controller
-	// uses a conservative lower bound (mean − deviation) so recovered
-	// power is never overestimated.
-	RackEstimator *telemetry.EWMAEstimator
 	// Actuator enforces actions.
 	Actuator *rackmgr.Manager
 	// Scenario supplies impact functions.
@@ -405,12 +400,7 @@ func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.Stage
 		acted[id] = true
 	}
 	c.mu.Unlock()
-	var rackPower map[string]power.Watts
-	if c.cfg.RackEstimator != nil {
-		rackPower = c.cfg.RackEstimator.BoundSnapshot(-1)
-	} else {
-		rackPower = c.cfg.RackView.Snapshot()
-	}
+	rackPower := c.cfg.RackView.Snapshot()
 	var planSeq uint64
 	if rec != nil {
 		planSeq = rec.Emit(recorder.Event{

@@ -446,48 +446,3 @@ func TestControllerRestoresThrottledBeforeShutdown(t *testing.T) {
 		t.Fatalf("a shut rack was restored while %d throttled racks remain", remainingThrottles)
 	}
 }
-
-func TestControllerUsesEstimatorWhenConfigured(t *testing.T) {
-	h := newHarness(t)
-	est := telemetry.NewEWMAEstimator(0.5)
-	c := New(Config{
-		Name: "ctl-est", Clock: h.clk, Topo: h.topo, Racks: h.racks,
-		UPSView: h.upsView, RackView: h.rackView,
-		RackEstimator: est,
-		Actuator:      h.mgr, Scenario: impact.Realistic1(), Buffer: power.KW,
-	})
-	// Feed the estimator a noisy history per rack; the raw view stays
-	// empty, proving the plan used the estimator (missing raw data would
-	// otherwise fall back to allocated power — same actions but different
-	// recovered estimates).
-	base := h.clk.Now()
-	for i := 0; i < 5; i++ {
-		for _, r := range h.racks {
-			noise := power.Watts(0)
-			if i%2 == 0 {
-				noise = 2 * power.KW
-			}
-			est.Update(telemetry.Sample{
-				Device: r.ID, Power: 9*power.KW + noise, Valid: true,
-				MeasuredAt: base.Add(time.Duration(i) * time.Second),
-			})
-		}
-	}
-	h.now = base.Add(10 * time.Second)
-	for u, w := range []power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW} {
-		h.upsView.Update(telemetry.Sample{
-			Device: h.topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: h.now,
-		})
-	}
-	out := c.StepContext(context.Background())
-	if !out.Overdraw || out.Enforced == 0 {
-		t.Fatalf("estimator-backed controller did not act: %+v", out)
-	}
-	// Recovered estimates must come from the conservative lower bound:
-	// below the EWMA mean (≈10kW) for every shutdown.
-	for _, a := range out.Planned {
-		if a.Kind == Shutdown && a.Recovered >= 10*power.KW {
-			t.Fatalf("recovered %v not conservative (mean ≈10kW)", a.Recovered)
-		}
-	}
-}

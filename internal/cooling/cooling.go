@@ -80,6 +80,8 @@ type ThermalParams struct {
 // DefaultThermalParams is a representative air-cooled room: 25°C supply,
 // 45°C critical inlet, 60°C asymptotic rise at total airflow loss, and a
 // 5-minute thermal time constant.
+//
+//flex:keep EXPERIMENTS.md "§VI — cooling redundancy" is computed from it; BenchmarkSectionVI_CoolingRedundancy prints it
 func DefaultThermalParams() ThermalParams {
 	return ThermalParams{AmbientC: 25, CriticalC: 45, DegCPerDeficit: 60, Tau: 5 * time.Minute}
 }
@@ -174,6 +176,8 @@ type PlanResult struct {
 // domain failed: first migrate software-redundant racks into other
 // domains' spare airflow, then throttle cap-able racks (less power, less
 // heat), and only then shut down remaining software-redundant racks.
+//
+//flex:keep EXPERIMENTS.md "§VI — cooling redundancy" is computed from it; BenchmarkSectionVI_CoolingRedundancy prints it
 func PlanMitigation(domains []Domain, racks []Rack, failed DomainID, failedUnits int, params ThermalParams) (PlanResult, error) {
 	var fd *Domain
 	spare := map[DomainID]float64{}

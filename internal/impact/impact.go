@@ -95,6 +95,8 @@ func Zero(name string) Function {
 // Figure8A is a typical non-redundant but cap-able workload (e.g. the VM
 // service): incremental impact from throttling any rack, plus a set of
 // critical management racks (the last ~10%) that must be protected.
+//
+//flex:keep EXPERIMENTS.md "Figure 8" is computed from it; BenchmarkFigure8_ImpactFunctions prints it
 func Figure8A() Function {
 	return MustNew("fig8-A-vmservice", []Point{
 		{0, 0.05}, {0.9, 0.5}, {0.92, 1}, {1, 1},
@@ -103,6 +105,8 @@ func Figure8A() Function {
 
 // Figure8B is a software-redundant stateless workload: shutting down a
 // large share of racks has no impact as load migrates seamlessly.
+//
+//flex:keep EXPERIMENTS.md "Figure 8" is computed from it; BenchmarkFigure8_ImpactFunctions prints it
 func Figure8B() Function {
 	return MustNew("fig8-B-stateless", []Point{
 		{0, 0}, {0.6, 0}, {0.95, 0.6}, {1, 0.8},
@@ -112,6 +116,8 @@ func Figure8B() Function {
 // Figure8C is a software-redundant stateful workload: a growth buffer
 // (free to shut down), a working set (incremental impact), and critical
 // management racks (protected).
+//
+//flex:keep EXPERIMENTS.md "Figure 8" is computed from it; BenchmarkFigure8_ImpactFunctions prints it
 func Figure8C() Function {
 	return MustNew("fig8-C-stateful", []Point{
 		{0, 0}, {0.15, 0}, {0.85, 0.6}, {0.9, 1}, {1, 1},

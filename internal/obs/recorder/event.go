@@ -1,9 +1,9 @@
 // Package recorder is Flex's flight recorder: a bounded, append-only log
 // of every causally-significant event on the shed-decision path —
-// telemetry publication/arrival/drop, consensus verdicts, estimator bound
-// updates, overdraw detection, plan start/commit/abort with the chosen
-// actions and their impact scores, and every rack-manager dispatch, ack,
-// failure and watchdog alert.
+// telemetry publication/arrival/drop, consensus verdicts, overdraw
+// detection, plan start/commit/abort with the chosen actions and their
+// impact scores, and every rack-manager dispatch, ack, failure and
+// watchdog alert.
 //
 // The paper's safety argument (§V–VI) is reconstructed per episode: which
 // UPS tripped, which samples the controller saw, which racks it shed and
@@ -60,10 +60,6 @@ const (
 	// TypeConsensusQuorumLoss: fewer than quorum meters were readable.
 	// Subject=device, Aux=readable meter count.
 	TypeConsensusQuorumLoss
-	// TypeEstimatorBound: the EWMA estimator updated a device's
-	// conservative lower bound. Subject=device, Value=mean−dev (clamped),
-	// Score=mean, Cause=the sample's publish event.
-	TypeEstimatorBound
 	// TypeUPSFail / TypeUPSRecover: the experiment harness failed or
 	// recovered a UPS, or a UPS tripped on its overload curve
 	// (Detail="trip"). Subject=UPS name.
@@ -140,7 +136,6 @@ var typeNames = [numTypes]string{
 	TypeConsensusVerdict:    "consensus-verdict",
 	TypeConsensusDisagree:   "consensus-disagree",
 	TypeConsensusQuorumLoss: "consensus-quorum-loss",
-	TypeEstimatorBound:      "estimator-bound",
 	TypeUPSFail:             "ups-fail",
 	TypeUPSRecover:          "ups-recover",
 	TypeOverdrawDetect:      "overdraw-detect",

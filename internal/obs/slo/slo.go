@@ -6,8 +6,7 @@
 //
 // Each audit tick derives the safety quantities the invariants are
 // stated over — per-UPS headroom under the committed plan, room stranded
-// power (paper Eq. 5), the EWMA estimator's conservatism margin, and the
-// shed-latency budget burn of any open overdraw episode — stores them as
+// power (paper Eq. 5), and the shed-latency budget burn of any open overdraw episode — stores them as
 // tsdb series, and evaluates four objectives:
 //
 //	shed-budget        open overdraw episodes must clear inside the 10s
@@ -71,14 +70,13 @@ import (
 // Derived-series names. Labeled series use the expvar/tsdb key
 // convention `name;label=value`.
 const (
-	SeriesUPSHeadroom    = "flex_safety_ups_headroom_watts"     // ;ups=<name>
-	SeriesStrandedPower  = "flex_safety_stranded_power_watts"   //
-	SeriesEstimatorSlack = "flex_safety_estimator_margin_watts" //
-	SeriesBudgetBurn     = "flex_safety_budget_burn_ratio"      //
-	SeriesTelemetryAge   = "flex_safety_telemetry_age_seconds"  // ;view=ups|rack
-	SeriesObjectiveBad   = "flex_slo_bad"                       // ;objective=<name>
-	SeriesProbeFeasible  = "flex_probe_feasible"                //
-	SeriesProbeLatency   = "flex_probe_latency_seconds"         //
+	SeriesUPSHeadroom   = "flex_safety_ups_headroom_watts"    // ;ups=<name>
+	SeriesStrandedPower = "flex_safety_stranded_power_watts"  //
+	SeriesBudgetBurn    = "flex_safety_budget_burn_ratio"     //
+	SeriesTelemetryAge  = "flex_safety_telemetry_age_seconds" // ;view=ups|rack
+	SeriesObjectiveBad  = "flex_slo_bad"                      // ;objective=<name>
+	SeriesProbeFeasible = "flex_probe_feasible"               //
+	SeriesProbeLatency  = "flex_probe_latency_seconds"        //
 )
 
 // Objective names.
@@ -156,9 +154,8 @@ type Config struct {
 }
 
 // Bindings attaches the auditor to a running control plane. All fields
-// are required except Estimator and Controllers (without controllers the
-// shed-budget objective idles; without the estimator the margin series
-// is omitted).
+// are required except Controllers (without controllers the shed-budget
+// objective idles).
 type Bindings struct {
 	Clock clock.Clock
 	Topo  *power.Topology
@@ -166,8 +163,6 @@ type Bindings struct {
 	// UPSView / RackView are the same telemetry views the controllers
 	// read.
 	UPSView, RackView *telemetry.LatestPower
-	// Estimator, when non-nil, feeds the conservatism-margin series.
-	Estimator *telemetry.EWMAEstimator
 	// Controllers are the room's Flex-Online primaries; the auditor
 	// reads their open-episode state and committed plans.
 	Controllers []*controller.Controller
@@ -217,7 +212,6 @@ type Auditor struct {
 
 	// pre-created derived series (cold-path get-or-create at Bind time).
 	stranded   *tsdb.Series
-	margin     *tsdb.Series
 	budgetBurn *tsdb.Series
 	upsAge     *tsdb.Series
 	rackAge    *tsdb.Series
@@ -288,7 +282,6 @@ func NewAuditor(cfg Config) *Auditor {
 		health:     StateDegraded,
 		reasons:    []string{"auditor not bound to a control plane"},
 		stranded:   cfg.Store.Series(SeriesStrandedPower),
-		margin:     cfg.Store.Series(SeriesEstimatorSlack),
 		budgetBurn: cfg.Store.Series(SeriesBudgetBurn),
 		upsAge:     cfg.Store.Series(tsdb.SeriesKey(SeriesTelemetryAge, [2]string{"view", "ups"})),
 		rackAge:    cfg.Store.Series(tsdb.SeriesKey(SeriesTelemetryAge, [2]string{"view", "rack"})),
@@ -403,10 +396,6 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	}
 
 	a.stranded.Append(now, float64(a.strandedW))
-
-	if b.Estimator != nil {
-		a.margin.Append(now, float64(b.Estimator.DeviationTotal()))
-	}
 
 	// Shed-budget burn: the fraction of the 10s detect→act budget the
 	// oldest open overdraw episode has consumed.

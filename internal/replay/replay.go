@@ -61,9 +61,6 @@ type Header struct {
 	// InactiveThreshold is the out-of-service capacity fraction (0 = the
 	// controller default).
 	InactiveThreshold float64 `json:"inactive_threshold"`
-	// RackEstimator is true when the controllers planned from EWMA
-	// estimator bounds instead of the raw rack view.
-	RackEstimator bool `json:"rack_estimator,omitempty"`
 	// Utilization, Seed and Controllers are informational.
 	Utilization float64  `json:"utilization,omitempty"`
 	Seed        int64    `json:"seed,omitempty"`
@@ -219,7 +216,6 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 	last := hdr.Start
 	upsView := make(map[string]upsReading)
 	rackView := make(map[string]power.Watts)
-	estView := make(map[string]power.Watts)
 	acted := make(map[string]map[string]bool) // controller → racks acted on
 	episodes := make(map[uint64]bool)
 
@@ -244,8 +240,6 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 			case RoleRackView:
 				rackView[e.Subject] = power.Watts(e.Value)
 			}
-		case recorder.TypeEstimatorBound:
-			estView[e.Subject] = power.Watts(e.Value)
 		case recorder.TypeActionAck:
 			if e.Actor == "" {
 				continue
@@ -262,7 +256,7 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 				delete(set, e.Subject)
 			}
 		case recorder.TypePlanStart:
-			pr := replayPlan(ctx, events[i:], e, topo, planner, buffer, threshold, hdr.RackEstimator, upsView, rackView, estView, acted[e.Actor])
+			pr := replayPlan(ctx, events[i:], e, topo, planner, buffer, threshold, upsView, rackView, acted[e.Actor])
 			rep.Plans = append(rep.Plans, pr)
 			if pr.Match {
 				rep.Matched++
@@ -283,8 +277,8 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 // error) are found by scanning forward for events caused by it.
 func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Event,
 	topo *power.Topology, planner *controller.Planner,
-	buffer power.Watts, threshold float64, useEstimator bool,
-	upsView map[string]upsReading, rackView, estView map[string]power.Watts,
+	buffer power.Watts, threshold float64,
+	upsView map[string]upsReading, rackView map[string]power.Watts,
 	actedSet map[string]bool) PlanResult {
 
 	pr := PlanResult{Seq: start.Seq, Episode: start.Episode, Actor: start.Actor, At: start.Time}
@@ -329,12 +323,8 @@ func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Even
 		}
 	}
 	inactive := controller.InferInactiveUPSes(topo, ups, threshold)
-	src := rackView
-	if useEstimator {
-		src = estView
-	}
-	rackPower := make(map[string]power.Watts, len(src))
-	for k, v := range src {
+	rackPower := make(map[string]power.Watts, len(rackView))
+	for k, v := range rackView {
 		rackPower[k] = v
 	}
 	actedCopy := make(map[string]bool, len(actedSet))

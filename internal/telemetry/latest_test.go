@@ -197,6 +197,26 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestPipelineInvalidCopyDoesNotBlockValid: one path's poller lost quorum
+// at t, the other's read the device at the same t. The invalid copy arrives
+// first, in the same drained run or one sample at a time, and must not take
+// t from the valid one.
+func TestPipelineInvalidCopyDoesNotBlockValid(t *testing.T) {
+	invalid := Sample{Device: "UPS-1", Valid: false, MeasuredAt: t0()}
+	valid := Sample{Device: "UPS-1", Power: 500, Valid: true, MeasuredAt: t0()}
+	batched := NewLatestPower()
+	batched.UpdateBatch([]Sample{invalid, valid}, t0())
+	single := NewLatestPower()
+	if single.UpdateDequeued(invalid, t0()) || !single.UpdateDequeued(valid, t0()) {
+		t.Fatal("UpdateDequeued took the invalid copy or refused the valid one")
+	}
+	for name, view := range map[string]*LatestPower{"UpdateBatch": batched, "UpdateDequeued": single} {
+		if v, at, ok := view.Get("UPS-1"); !ok || v != 500 || !at.Equal(t0()) {
+			t.Fatalf("%s: view holds %v at %v (ok %v), want the valid 500 W taken at %v", name, v, at, ok, t0())
+		}
+	}
+}
+
 // TestViewSizedByItsTraffic: a view fed a 275-device poll in batches of at
 // most 256 samples grows its slots once a batch to exactly the devices it
 // has — never doubling past them — and takes every later poll without

@@ -25,13 +25,6 @@ type Metrics struct {
 	// BatchPublishes counts PublishBatch calls; SamplesPublished /
 	// BatchPublishes is the observed batching factor of the ingest path.
 	BatchPublishes *obs.Counter
-	// DedupeHits counts samples a pipeline view refused: the other copies
-	// of a reading on the redundant poller × broker paths, stale repeats
-	// and invalid readings.
-	DedupeHits *obs.Counter
-	// PublishLag is the seconds from a sample's MeasuredAt to its arrival
-	// in a subscriber view — the telemetry share of the 10s budget.
-	PublishLag *obs.Histogram
 }
 
 // NewMetrics registers the telemetry metrics on r (idempotent: calling
@@ -45,9 +38,5 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"logical meter reads with physical meters spread beyond the disagreement threshold"),
 		DroppedSamples: r.Counter("flex_telemetry_dropped_samples_total", "samples evicted from slow subscriber buffers"),
 		BatchPublishes: r.Counter("flex_telemetry_batch_publishes_total", "PublishBatch calls"),
-		DedupeHits:     r.Counter("flex_telemetry_dedupe_hits_total", "samples the view refused: redundant copies, stale repeats, invalid readings"),
-		PublishLag: r.Histogram("flex_telemetry_publish_lag_seconds",
-			"seconds from sample measurement to subscriber view update",
-			[]float64{0.1, 0.25, 0.5, 1, 1.5, 2, 3, 5, 10}),
 	}
 }

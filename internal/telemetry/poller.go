@@ -26,8 +26,7 @@ type Poller struct {
 	Brokers []SamplePublisher
 	Targets []Target
 	// Metrics, when non-nil, receives poll/publish/invalid-read counts.
-	// Set it before the first poll (the pipeline wires it from
-	// PipelineConfig.Obs).
+	// Set it before the first poll.
 	Metrics *Metrics
 	// Recorder, when non-nil, emits a sample-publish event per reading;
 	// the event's sequence rides on Sample.Event so downstream consumers

@@ -117,7 +117,6 @@ func TestBrokerConcurrencyStress(t *testing.T) {
 // updates and reads.
 func TestLatestPowerConcurrencyStress(t *testing.T) {
 	lp := NewLatestPower()
-	est := NewEWMAEstimator(0.3)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -133,7 +132,6 @@ func TestLatestPowerConcurrencyStress(t *testing.T) {
 				s := Sample{Device: "d", Power: power.Watts(i), Valid: true,
 					MeasuredAt: time.Unix(int64(i), int64(w))}
 				lp.Update(s)
-				est.Update(s)
 			}
 		}(w)
 	}
@@ -150,8 +148,6 @@ func TestLatestPowerConcurrencyStress(t *testing.T) {
 				lp.Get("d")
 				lp.Snapshot()
 				lp.Age("d", time.Now())
-				est.Estimate("d")
-				est.BoundSnapshot(-1)
 			}
 		}()
 	}

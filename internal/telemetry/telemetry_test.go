@@ -307,42 +307,66 @@ func TestLatestPower(t *testing.T) {
 	}
 }
 
+// TestPipelineEndToEndRedundancy steps Figure 7 on the test goroutine, as
+// the fleet does: a UPS consensus meter and a PSU/PDU rack meter pair, two
+// pollers per topic publishing into two brokers, and every broker's
+// subscription drained into one view per topic. With a poller and a broker
+// down, the next poll still reaches the views.
 func TestPipelineEndToEndRedundancy(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	truth := power.Watts(1.0 * power.MW)
-	pl := NewPipeline(PipelineConfig{
-		Clock:      clk,
-		UPSSources: map[string]PowerSource{"UPS-1": func() power.Watts { return truth }},
-		RackSources: map[string]PowerSource{
-			"rack-1": func() power.Watts { return 10 * power.KW },
-		},
-		Seed: 7,
-	})
-	view := NewLatestPower()
-	cancel := pl.SubscribeAll(TopicUPS, view)
-	defer cancel()
-	rackView := NewLatestPower()
-	cancelR := pl.SubscribeAll(TopicRack, rackView)
-	defer cancelR()
-
-	pl.PollOnce()
-	waitFor(t, func() bool { _, _, ok := view.Get("UPS-1"); return ok })
-	v, _, _ := view.Get("UPS-1")
-	if math.Abs(float64(v-truth)) > 0.03*float64(truth) {
-		t.Fatalf("UPS view = %v, want ≈1MW", v)
+	ups := NewUPSLogicalMeter("UPS-1", func() power.Watts { return truth }, func() power.Watts { return 0 }, 7)
+	rackPower := func() power.Watts { return 10 * power.KW }
+	rack, err := NewLogicalMeter("rack-1",
+		NewSimMeter("rack-1/psu", rackPower, SimMeterConfig{Noise: 0.01, Seed: 17}),
+		NewSimMeter("rack-1/pdu", rackPower, SimMeterConfig{Noise: 0.01, Seed: 18}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, func() bool { _, _, ok := rackView.Get("rack-1"); return ok })
+	rack.Quorum = 1
+	brokers := []*Broker{NewBroker("pubsub-A"), NewBroker("pubsub-B")}
+	pubs := []SamplePublisher{brokers[0], brokers[1]}
+	var pollers []*Poller
+	for _, name := range []string{"poller-A", "poller-B"} {
+		pollers = append(pollers,
+			NewPoller(name+"-ups", clk, pubs, []Target{{Meter: ups, Topic: TopicUPS}}),
+			NewPoller(name+"-rack", clk, pubs, []Target{{Meter: rack, Topic: TopicRack}}))
+	}
+	upsView, rackView := NewLatestPower(), NewLatestPower()
+	var subs []*Subscription
+	var views []*LatestPower
+	for _, b := range brokers {
+		subs = append(subs, b.Subscribe(TopicUPS, 16), b.Subscribe(TopicRack, 16))
+		views = append(views, upsView, rackView)
+	}
+	step := func() {
+		for _, p := range pollers {
+			p.PollOnce()
+		}
+		for i, sub := range subs {
+			sub.Drain(func(run []Sample) { views[i].UpdateBatch(run, clk.Now()) })
+		}
+	}
+	fresh := func(what string, view *LatestPower, device string, want power.Watts, tol float64) {
+		t.Helper()
+		v, at, ok := view.Get(device)
+		if !ok || math.Abs(float64(v-want)) > tol*float64(want) || !at.Equal(clk.Now()) {
+			t.Fatalf("%s: %s = %v measured %v (ok %v), want ≈%v measured %v", what, device, v, at, ok, want, clk.Now())
+		}
+	}
 
-	// Kill one poller and one broker: the view must keep updating.
-	pl.PollerSet[0].SetDown(true)
-	pl.BrokerSet[0].SetDown(true)
+	step()
+	fresh("first poll", upsView, "UPS-1", truth, 0.03)
+	fresh("first poll", rackView, "rack-1", 10*power.KW, 0.03)
+
+	// Kill one poller and one broker: the views must keep updating.
+	pollers[0].SetDown(true)
+	brokers[0].SetDown(true)
 	clk.Advance(2 * time.Second)
 	truth = 2.0 * power.MW
-	pl.PollOnce()
-	waitFor(t, func() bool {
-		v, _, _ := view.Get("UPS-1")
-		return math.Abs(float64(v-2.0*power.MW)) < 0.05*2e6
-	})
+	step()
+	fresh("degraded poll", upsView, "UPS-1", truth, 0.05)
+	fresh("degraded poll", rackView, "rack-1", 10*power.KW, 0.03)
 }
 
 // waitFor polls cond for up to 2s of real time (goroutine scheduling is
@@ -357,64 +381,4 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not met in time")
-}
-
-func TestEWMAEstimatorSmoothing(t *testing.T) {
-	e := NewEWMAEstimator(0.5)
-	base := t0()
-	for i, v := range []power.Watts{100, 200, 200, 200} {
-		e.Update(Sample{Device: "d", Power: v, Valid: true, MeasuredAt: base.Add(time.Duration(i) * time.Second)})
-	}
-	m, ok := e.Estimate("d")
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	// EWMA(0.5) over 100,200,200,200 = 187.5.
-	if math.Abs(float64(m)-187.5) > 1e-9 {
-		t.Fatalf("estimate = %v, want 187.5", m)
-	}
-	// Lower bound below mean, upper above.
-	lo, _ := e.Bound("d", -1)
-	hi, _ := e.Bound("d", 1)
-	if !(lo < m && m < hi) {
-		t.Fatalf("bounds %v %v around %v", lo, hi, m)
-	}
-}
-
-func TestEWMAEstimatorIgnoresInvalidAndStale(t *testing.T) {
-	e := NewEWMAEstimator(0.5)
-	e.Update(Sample{Device: "d", Power: 100, Valid: true, MeasuredAt: t0()})
-	e.Update(Sample{Device: "d", Power: 999, Valid: false, MeasuredAt: t0().Add(time.Second)})
-	e.Update(Sample{Device: "d", Power: 999, Valid: true, MeasuredAt: t0().Add(-time.Second)})
-	m, _ := e.Estimate("d")
-	if m != 100 {
-		t.Fatalf("estimate = %v, want 100", m)
-	}
-	if _, ok := e.Estimate("missing"); ok {
-		t.Fatal("missing device should not estimate")
-	}
-	if _, ok := e.Bound("missing", 1); ok {
-		t.Fatal("missing device should not bound")
-	}
-}
-
-func TestEWMAEstimatorBoundSnapshotClamps(t *testing.T) {
-	e := NewEWMAEstimator(1)
-	e.Update(Sample{Device: "a", Power: 10, Valid: true, MeasuredAt: t0()})
-	e.Update(Sample{Device: "a", Power: 100, Valid: true, MeasuredAt: t0().Add(time.Second)})
-	snap := e.BoundSnapshot(-10)
-	if snap["a"] != 0 {
-		t.Fatalf("lower bound should clamp at 0, got %v", snap["a"])
-	}
-	if len(snap) != 1 {
-		t.Fatalf("snapshot size %d", len(snap))
-	}
-}
-
-func TestEWMAEstimatorBadAlphaDefaults(t *testing.T) {
-	e := NewEWMAEstimator(-3)
-	e.Update(Sample{Device: "d", Power: 100, Valid: true, MeasuredAt: t0()})
-	if m, ok := e.Estimate("d"); !ok || m != 100 {
-		t.Fatalf("estimate = %v %v", m, ok)
-	}
 }

@@ -237,6 +237,8 @@ type RegionMix struct {
 // exactly the paper's published average mix (13% software-redundant, 56%
 // non-redundant cap-able, 31% non-redundant non-cap-able). Per-region
 // values are not published; these are representative.
+//
+//flex:keep EXPERIMENTS.md "Figure 3" is computed from it; BenchmarkFigure3_WorkloadDistribution prints it
 func Figure3Regions() []RegionMix {
 	return []RegionMix{
 		{Region: "Region-1", Shares: [3]float64{0.15, 0.55, 0.30}},
