@@ -89,8 +89,8 @@ func BenchmarkAblation_ImpactVsPowerGreedy(b *testing.B) {
 	powerGreedy := Scenario{
 		Name: "power-greedy",
 		ByCategory: map[Category]impact.Function{
-			SoftwareRedundant:   impact.Zero("pg-sr"),
-			NonRedundantCapable: impact.Zero("pg-cap"),
+			SoftwareRedundant:   impact.Zero(),
+			NonRedundantCapable: impact.Zero(),
 		},
 	}
 
@@ -399,8 +399,8 @@ func BenchmarkSectionVI_CoolingRedundancy(b *testing.B) {
 		"thermal window and mitigation mix after losing cooling units (paper: minutes available; migrate before capping)")
 	for i := 0; i < b.N; i++ {
 		domains := []cooling.Domain{
-			{ID: 0, Name: "dom-A", Units: 4, UnitCFM: 40000, RedundantUnits: 1},
-			{ID: 1, Name: "dom-B", Units: 4, UnitCFM: 40000, RedundantUnits: 1},
+			{ID: 0, Units: 4, UnitCFM: 40000},
+			{ID: 1, Units: 4, UnitCFM: 40000},
 		}
 		var racks []cooling.Rack
 		mk := func(id string, dom int, cat Category, kw float64) cooling.Rack {

@@ -6,7 +6,8 @@
 // power-shedding path), allocfree (//flex:hotpath functions are provably
 // allocation-free), ctxflow (the caller's context is never dropped on a
 // budgeted path), lockorder (no mutex acquisition-order cycles across
-// packages), and unreached (no function that no binary reaches).
+// packages), and unreached (no function that no binary reaches, no field
+// that no code reads, no const or var that no code names).
 //
 // The suite is interprocedural: flexlint analyzes the whole module in
 // one pass, building a module-wide call graph and letting analyzers
@@ -79,9 +80,11 @@ var floateqScope = []string{
 }
 
 // unreachedExempt lists the directories unreached does not report in.
-// bench/ changes only together with the benchmark it defines; its one
-// finding, metricSpec.appliesTo (read only by bench_test.go), goes when
-// the benchmark drivers are next rewritten.
+// bench/ changes only together with the benchmark it defines. Its six
+// findings go when the benchmark drivers are next rewritten: the method
+// metricSpec.appliesTo and the fields metricSpec.Unit, workloadSpec.Why,
+// layerSpec.Unit and layerSpec.Better, which only bench_test.go reads,
+// and layerSpec.Moves, which nothing reads.
 var unreachedExempt = []string{
 	"bench",
 }

@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +42,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("flexmon", flag.ContinueOnError)
 	util := fs.Float64("util", 0.80, "steady-state utilization of provisioned power")
 	scenario := fs.String("scenario", "Realistic-1", "impact scenario (Extreme-1|Extreme-2|Realistic-1|Realistic-2)")
@@ -80,17 +81,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	tracer := obs.NewTracer(0)
 	var rec *flex.FlightRecorder
 	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*record)
+		if ferr != nil {
+			return ferr
 		}
 		// A full 24-minute run at 500ms ticks emits a few hundred thousand
 		// events; every one reaches the sink, the ring just bounds /events.
 		rec = flex.NewFlightRecorder(1 << 18)
 		rec.AttachSink(flex.NewFlightSink(f))
 		defer func() {
-			if err := rec.DetachSink(); err != nil {
-				fmt.Fprintln(os.Stderr, "flexmon: flushing event log:", err)
+			// A write error truncated the file: fail the run.
+			if derr := rec.DetachSink(); derr != nil {
+				err = errors.Join(err, fmt.Errorf("writing event log %s: %w", *record, derr))
+				return
 			}
 			fmt.Fprintf(out, "recorded %d events to %s\n", rec.Emitted(), *record)
 		}()

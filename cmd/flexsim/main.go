@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +44,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("flexsim", flag.ContinueOnError)
 	experiment := fs.String("experiment", "fig12", "fig12|episode|fleet|feasibility|montecarlo|cost|designs")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -61,9 +62,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	var rec *flex.FlightRecorder
 	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*record)
+		if ferr != nil {
+			return ferr
 		}
 		// 1<<18 events outlasts the compressed episode run; Overwritten()
 		// is checked below so a silently truncated ring cannot masquerade
@@ -71,11 +72,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		rec = flex.NewFlightRecorder(1 << 18)
 		rec.AttachSink(flex.NewFlightSink(f))
 		defer func() {
-			if err := rec.DetachSink(); err != nil {
-				fmt.Fprintln(os.Stderr, "flexsim: flushing event log:", err)
-			}
 			if n := rec.Overwritten(); n > 0 {
 				fmt.Fprintf(os.Stderr, "flexsim: ring overwrote %d events; the in-memory log is incomplete\n", n)
+			}
+			// A write error truncated the file: fail the run.
+			if derr := rec.DetachSink(); derr != nil {
+				err = errors.Join(err, fmt.Errorf("writing event log %s: %w", *record, derr))
+				return
 			}
 			fmt.Fprintf(out, "recorded %d events to %s\n", rec.Emitted(), *record)
 		}()

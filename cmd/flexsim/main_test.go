@@ -84,3 +84,19 @@ func TestRunFigure12WithCSV(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRecordWriteErrorFails: an event log the device cannot hold
+// fails the run instead of being reported as recorded.
+func TestRunRecordWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-experiment", "episode", "-record", "/dev/full"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "writing event log") {
+		t.Fatalf("run = %v, want the event log's write error", err)
+	}
+	if strings.Contains(out.String(), "recorded") {
+		t.Fatalf("a truncated log was reported as recorded:\n%s", out.String())
+	}
+}

@@ -16,11 +16,8 @@ type (
 	PlanInput = controller.PlanInput
 )
 
-// Action kinds.
-const (
-	ActionShutdown = controller.Shutdown
-	ActionThrottle = controller.Throttle
-)
+// ActionShutdown is the kind of a planned shutdown.
+const ActionShutdown = controller.Shutdown
 
 // PlanActionsContext runs the paper's Algorithm 1 on a power snapshot,
 // with a cancellation point per greedy iteration; on expiry it returns

@@ -67,7 +67,7 @@ var allowedPkgs = map[string]bool{
 func finish(mp *analysis.ModulePass) error {
 	var roots []*analysis.CallNode
 	for _, n := range mp.Graph.Nodes() {
-		if analysis.HasFlexDirective(n.Decl, "hotpath") {
+		if analysis.HasFlexDirective(n.Decl.Doc, "hotpath") {
 			roots = append(roots, n)
 		}
 	}
@@ -89,7 +89,7 @@ func finish(mp *analysis.ModulePass) error {
 			if _, ok := firstEdge[e.Callee]; ok {
 				continue
 			}
-			if analysis.HasFlexDirective(e.Callee.Decl, "coldpath") {
+			if analysis.HasFlexDirective(e.Callee.Decl.Doc, "coldpath") {
 				continue
 			}
 			firstEdge[e.Callee] = e
@@ -117,7 +117,7 @@ func auditedBodiless(mp *analysis.ModulePass) map[*types.Func]bool {
 	for _, pkg := range mp.Pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body == nil && analysis.HasFlexDirective(fd, "hotpath") {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body == nil && analysis.HasFlexDirective(fd.Doc, "hotpath") {
 					if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 						audited[fn] = true
 					}

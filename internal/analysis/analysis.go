@@ -52,10 +52,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds the type-checker's results for Files.
 	TypesInfo *types.Info
-	// Graph is the module-wide call graph over every package in this run.
-	// Nil when the driver was not asked to build one (it always is under
-	// Run; direct Pass construction in tests may leave it unset).
-	Graph *CallGraph
 	// Report delivers one diagnostic. The driver sets it.
 	Report func(Diagnostic)
 

@@ -48,8 +48,6 @@ type CallNode struct {
 // CallEdge is one caller→callee relationship.
 type CallEdge struct {
 	Caller, Callee *CallNode
-	// Site is the call expression, or nil for a reference edge.
-	Site *ast.CallExpr
 	// Dynamic marks interface-dispatch and reference edges; static calls
 	// have it false.
 	Dynamic bool
@@ -212,12 +210,12 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		return out
 	}
 
-	addEdge := func(caller *CallNode, callee *types.Func, site *ast.CallExpr, dynamic bool) {
+	addEdge := func(caller *CallNode, callee *types.Func, dynamic bool) {
 		cn := g.nodes[callee]
 		if cn == nil {
 			return
 		}
-		e := &CallEdge{Caller: caller, Callee: cn, Site: site, Dynamic: dynamic}
+		e := &CallEdge{Caller: caller, Callee: cn, Dynamic: dynamic}
 		caller.Out = append(caller.Out, e)
 		cn.In = append(cn.In, e)
 	}
@@ -248,7 +246,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					switch v := n.(type) {
 					case *ast.CallExpr:
 						if callee := StaticCallee(info, v); callee != nil {
-							addEdge(caller, callee, v, false)
+							addEdge(caller, callee, false)
 							return true
 						}
 						// Interface dispatch: CHA over module types.
@@ -258,7 +256,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 									iface, _ := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 									if iface != nil {
 										for _, impl := range implementers(iface, fn) {
-											addEdge(caller, impl, v, true)
+											addEdge(caller, impl, true)
 										}
 									}
 								}
@@ -267,7 +265,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					case *ast.Ident:
 						// A declared function used as a value.
 						if fn, ok := info.Uses[v].(*types.Func); ok && !inCallPos[ast.Expr(v)] {
-							addEdge(caller, fn, nil, true)
+							addEdge(caller, fn, true)
 						}
 					case *ast.SelectorExpr:
 						// pkg.F or x.M used as a value (method value).
@@ -276,13 +274,13 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 						}
 						if selection, ok := info.Selections[v]; ok {
 							if fn, ok := selection.Obj().(*types.Func); ok && !isInterfaceMethod(fn) {
-								addEdge(caller, fn, nil, true)
+								addEdge(caller, fn, true)
 							}
 							return true
 						}
 						if fn, ok := info.Uses[v.Sel].(*types.Func); ok {
 							if _, isPkg := info.Uses[identOf(v.X)].(*types.PkgName); isPkg {
-								addEdge(caller, fn, nil, true)
+								addEdge(caller, fn, true)
 							}
 						}
 					}

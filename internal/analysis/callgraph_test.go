@@ -121,9 +121,9 @@ func MethodValue(b *Bell) func() { return b.Ring }
 	helper := lookupFunc(t, pkgs, path, "helper")
 	ring := lookupFunc(t, pkgs, path, "Bell.Ring")
 
-	// Direct call: static edge with a call site.
-	if e := findEdge(g, lookupFunc(t, pkgs, path, "Direct"), helper); e == nil || e.Dynamic || e.Site == nil {
-		t.Fatalf("Direct→helper = %+v, want static edge with site", e)
+	// Direct call: static edge.
+	if e := findEdge(g, lookupFunc(t, pkgs, path, "Direct"), helper); e == nil || e.Dynamic {
+		t.Fatalf("Direct→helper = %+v, want static edge", e)
 	}
 	// Concrete method call: static.
 	if e := findEdge(g, lookupFunc(t, pkgs, path, "Method"), ring); e == nil || e.Dynamic {
@@ -137,12 +137,12 @@ func MethodValue(b *Bell) func() { return b.Ring }
 	if e := findEdge(g, lookupFunc(t, pkgs, path, "Closure"), helper); e == nil || e.Dynamic {
 		t.Fatalf("Closure→helper = %+v, want static edge", e)
 	}
-	// A function used as a value: dynamic reference edge, no call site.
-	if e := findEdge(g, lookupFunc(t, pkgs, path, "Value"), helper); e == nil || !e.Dynamic || e.Site != nil {
+	// A function used as a value: dynamic reference edge.
+	if e := findEdge(g, lookupFunc(t, pkgs, path, "Value"), helper); e == nil || !e.Dynamic {
 		t.Fatalf("Value→helper = %+v, want dynamic reference edge", e)
 	}
 	// A method value reference.
-	if e := findEdge(g, lookupFunc(t, pkgs, path, "MethodValue"), ring); e == nil || !e.Dynamic || e.Site != nil {
+	if e := findEdge(g, lookupFunc(t, pkgs, path, "MethodValue"), ring); e == nil || !e.Dynamic {
 		t.Fatalf("MethodValue→Bell.Ring = %+v, want dynamic reference edge", e)
 	}
 }

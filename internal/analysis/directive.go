@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -19,32 +20,34 @@ import (
 //	    optional JSON sink, which only runs when explicitly attached).
 //
 //	//flex:keep <reason>
-//	    On a function declaration's doc comment. Makes the function a
-//	    root of unreached: it stays although no binary reaches it, for
-//	    the reason given (a later change wires it in, tests in other
-//	    packages call it). The reason is mandatory — a bare keep is
-//	    itself reported, as a bare ignore is.
+//	    On the doc comment of a function, a type, a struct field or a
+//	    const/var spec. Keeps it from unreached's findings for the reason
+//	    given (a later change wires it in, tests in other packages call
+//	    it): a kept function is a root, a kept type keeps all its
+//	    fields. The reason is mandatory — a bare keep is itself
+//	    reported, as a bare ignore is.
 //
 //	//flexlint:ignore <analyzer> <reason>
 //	    On or immediately above an offending line. Suppresses that
 //	    analyzer's diagnostics there. The reason is mandatory — a bare
 //	    ignore is itself reported, so every suppression is documented.
 
-// HasFlexDirective reports whether fd's doc comment carries a
+// HasFlexDirective reports whether the doc comment carries a
 // //flex:<name> directive. Directive comments must start exactly
 // "//flex:"; trailing prose after the name is allowed.
-func HasFlexDirective(fd *ast.FuncDecl, name string) bool {
-	_, ok := FlexDirective(fd, name)
+func HasFlexDirective(doc *ast.CommentGroup, name string) bool {
+	_, ok := FlexDirective(doc, name)
 	return ok
 }
 
-// FlexDirective returns the argument of fd's //flex:<name> directive —
-// the text after the name, trimmed — and whether fd carries one.
-func FlexDirective(fd *ast.FuncDecl, name string) (arg string, ok bool) {
-	if fd == nil || fd.Doc == nil {
+// FlexDirective returns the argument of doc's //flex:<name> directive —
+// the text after the name, trimmed — and whether doc carries one. doc
+// may be nil.
+func FlexDirective(doc *ast.CommentGroup, name string) (arg string, ok bool) {
+	if doc == nil {
 		return "", false
 	}
-	for _, c := range fd.Doc.List {
+	for _, c := range doc.List {
 		rest, ok := strings.CutPrefix(c.Text, "//flex:")
 		if !ok {
 			continue
@@ -59,21 +62,16 @@ func FlexDirective(fd *ast.FuncDecl, name string) (arg string, ok bool) {
 
 const ignorePrefix = "//flexlint:ignore"
 
-// ignoreDirective is one parsed //flexlint:ignore comment.
-type ignoreDirective struct {
-	analyzer string
-	reason   string
-}
-
-// collectIgnores walks every comment in pkgs, returning the well-formed
-// suppressions indexed by file and line, plus a diagnostic Finding for
-// each malformed directive (missing analyzer or missing reason).
+// collectIgnores walks every comment in pkgs, returning the analyzers of
+// the well-formed suppressions indexed by file and line, plus a
+// diagnostic Finding for each malformed directive (missing analyzer or
+// missing reason).
 //
 // A directive suppresses matching diagnostics on its own line (trailing
 // comment) and on the line directly below it (standalone comment above
 // the offending statement).
-func collectIgnores(fset *token.FileSet, pkgs []*Package) (map[string]map[int][]ignoreDirective, []Finding) {
-	index := make(map[string]map[int][]ignoreDirective)
+func collectIgnores(fset *token.FileSet, pkgs []*Package) (map[string]map[int][]string, []Finding) {
+	index := make(map[string]map[int][]string)
 	var malformed []Finding
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -95,11 +93,10 @@ func collectIgnores(fset *token.FileSet, pkgs []*Package) (map[string]map[int][]
 					pos := fset.Position(c.Pos())
 					byLine := index[pos.Filename]
 					if byLine == nil {
-						byLine = make(map[int][]ignoreDirective)
+						byLine = make(map[int][]string)
 						index[pos.Filename] = byLine
 					}
-					d := ignoreDirective{analyzer: fields[0], reason: strings.Join(fields[1:], " ")}
-					byLine[pos.Line] = append(byLine[pos.Line], d)
+					byLine[pos.Line] = append(byLine[pos.Line], fields[0])
 				}
 			}
 		}
@@ -109,18 +106,8 @@ func collectIgnores(fset *token.FileSet, pkgs []*Package) (map[string]map[int][]
 
 // suppressed reports whether a diagnostic with the given category at pos
 // is covered by an ignore directive.
-func suppressed(fset *token.FileSet, index map[string]map[int][]ignoreDirective, pos token.Pos, category string) bool {
+func suppressed(fset *token.FileSet, index map[string]map[int][]string, pos token.Pos, category string) bool {
 	p := fset.Position(pos)
 	byLine := index[p.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range [2]int{p.Line, p.Line - 1} {
-		for _, d := range byLine[line] {
-			if d.analyzer == category {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.Contains(byLine[p.Line], category) || slices.Contains(byLine[p.Line-1], category)
 }

@@ -19,8 +19,6 @@ import (
 type Package struct {
 	// Path is the package's import path (e.g. "flex/internal/power").
 	Path string
-	// Dir is the directory the sources were read from.
-	Dir string
 	// Files are the parsed syntax trees, in file-name order.
 	Files []*ast.File
 	// Types is the type-checked package object.
@@ -241,7 +239,7 @@ func (l *Loader) LoadImport(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, TypesInfo: info}
+	pkg := &Package{Path: path, Files: files, Types: tpkg, TypesInfo: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

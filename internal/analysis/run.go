@@ -66,7 +66,6 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, scope Scop
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Graph:     graph,
 				facts:     facts,
 			}
 			p, an := pkg, a

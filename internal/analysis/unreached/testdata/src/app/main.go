@@ -7,6 +7,7 @@ import (
 
 func main() {
 	lib.Used()
+	lib.Fields()
 	lib.Dispatch(lib.NewJob())
 	flex.Run()
 }

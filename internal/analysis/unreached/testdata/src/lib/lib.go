@@ -20,8 +20,8 @@ func keptCallee() {}
 //flex:keep
 func Bare() {} // want `flex:keep on lib.Bare requires a reason`
 
-// table is only read elsewhere; what its initialiser names is reached.
-var table = map[string]func(){"a": viaVar}
+// table is named by nothing, but what its initialiser names is reached.
+var table = map[string]func(){"a": viaVar} // want `lib.table is named by no non-test code`
 
 func viaVar() { viaVarCallee() }
 

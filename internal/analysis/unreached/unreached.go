@@ -19,7 +19,10 @@
 // reaches it, or when it says why with //flex:keep.
 //
 // It reports every non-test function or method the roots do not reach,
-// and a //flex:keep without a reason.
+// every struct field no non-test code reads (see unread for what counts
+// as a read), every package-level const or var no non-test code names,
+// and a //flex:keep without a reason. A keep on a field or a const/var
+// spec keeps it; a keep on a type keeps all its fields.
 package unreached
 
 import (
@@ -33,10 +36,11 @@ import (
 // Analyzer is the unreached analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "unreached",
-	Doc: "report functions and methods that no binary reaches\n\n" +
+	Doc: "report functions no binary reaches, fields no code reads and values no code names\n\n" +
 		"Roots are main, init, var initialisers, interface methods and\n" +
 		"//flex:keep <reason> declarations; an export, the facade's\n" +
-		"included, is no root of its own.",
+		"included, is no root of its own. Only non-test code reads a\n" +
+		"field or names a const or var.",
 	Finish: finish,
 }
 
@@ -51,7 +55,7 @@ func finish(pass *analysis.ModulePass) error {
 
 	for _, n := range g.Nodes() {
 		fd := n.Decl
-		if reason, ok := analysis.FlexDirective(fd, "keep"); ok {
+		if reason, ok := analysis.FlexDirective(fd.Doc, "keep"); ok {
 			if reason == "" {
 				pass.Reportf(fd.Name.Pos(), "flex:keep on %s requires a reason, e.g. //flex:keep tests in three packages compare against it", funcName(n))
 			}
@@ -78,6 +82,7 @@ func finish(pass *analysis.ModulePass) error {
 		}
 		pass.Reportf(n.Decl.Name.Pos(), "%s is reached from no binary: delete it, or say why it stays with //flex:keep <reason>", funcName(n))
 	}
+	unread(pass)
 	return nil
 }
 

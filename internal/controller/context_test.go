@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"flex/internal/impact"
 	"flex/internal/obs"
@@ -98,18 +97,6 @@ func TestPlanContextCanceledUpfront(t *testing.T) {
 	}
 }
 
-func TestNewDefaultsPlanBudget(t *testing.T) {
-	topo := testRoom(t)
-	c := New(Config{Topo: topo})
-	if want := power.FlexLatencyBudget / 2; c.cfg.PlanBudget != want {
-		t.Fatalf("PlanBudget = %v, want %v", c.cfg.PlanBudget, want)
-	}
-	c = New(Config{Topo: topo, PlanBudget: time.Second})
-	if c.cfg.PlanBudget != time.Second {
-		t.Fatalf("PlanBudget = %v, want 1s", c.cfg.PlanBudget)
-	}
-}
-
 // TestStepContextAbortRecordsPartialPlan: a step whose ctx dies during
 // planning keeps the (possibly empty) truncated plan, marks the outcome,
 // and bumps the plan-abort counter rather than the plan-error one.
@@ -125,9 +112,6 @@ func TestStepContextAbortRecordsPartialPlan(t *testing.T) {
 	out := c.StepContext(ctx)
 	if !out.Overdraw {
 		t.Fatal("overdraw not detected")
-	}
-	if !out.PlanAborted {
-		t.Fatal("PlanAborted not set")
 	}
 	if got := m.PlanAborts.Value(); got != 1 {
 		t.Fatalf("PlanAborts = %d, want 1", got)

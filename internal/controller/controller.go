@@ -38,14 +38,6 @@ type Config struct {
 	// Buffer is the safety margin below UPS capacity (default 1% of the
 	// smallest UPS capacity).
 	Buffer power.Watts
-	// PlanBudget bounds one Algorithm 1 planning pass (default half of
-	// power.FlexLatencyBudget, leaving the other half for actuation). A
-	// pass that exceeds it is aborted and its partial plan enforced — a
-	// truncated plan still sheds real power inside the tolerance window.
-	PlanBudget time.Duration
-	// InactiveThreshold is the capacity fraction below which a UPS is
-	// considered out of service (default 0.02).
-	InactiveThreshold float64
 	// Metrics, when non-nil, records step outcomes and the shed-latency
 	// histograms. Multi-primary instances of one room may share an
 	// instance; the counters aggregate.
@@ -85,9 +77,6 @@ type StepOutcome struct {
 	EnforceErrors int
 	// Insufficient is true when shaveable power ran out before safety.
 	Insufficient bool
-	// PlanAborted is true when the planning pass hit Config.PlanBudget (or
-	// the step's ctx) and the enforced plan is the truncated prefix.
-	PlanAborted bool
 	// Restored counts racks restored during recovery.
 	Restored int
 }
@@ -117,8 +106,14 @@ type Controller struct {
 }
 
 // DefaultInactiveThreshold is the capacity fraction below which a UPS is
-// considered out of service when Config.InactiveThreshold is zero.
+// considered out of service.
 const DefaultInactiveThreshold = 0.02
+
+// planBudget bounds one Algorithm 1 planning pass: half of
+// power.FlexLatencyBudget, leaving the other half for actuation. A pass
+// that exceeds it is aborted and its partial plan enforced — a truncated
+// plan still sheds real power inside the tolerance window.
+const planBudget = power.FlexLatencyBudget / 2
 
 // DefaultBuffer is the safety margin used when Config.Buffer is zero: 1%
 // of the smallest UPS capacity. Exported so episode-log headers and
@@ -137,12 +132,6 @@ func DefaultBuffer(topo *power.Topology) power.Watts {
 func New(cfg Config) *Controller {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
-	}
-	if cfg.InactiveThreshold == 0 {
-		cfg.InactiveThreshold = DefaultInactiveThreshold
-	}
-	if cfg.PlanBudget <= 0 {
-		cfg.PlanBudget = power.FlexLatencyBudget / 2
 	}
 	if cfg.Buffer == 0 {
 		cfg.Buffer = DefaultBuffer(cfg.Topo)
@@ -186,7 +175,7 @@ func (c *Controller) snapshotUPS(s *upsSnapshot) {
 // StepContext runs one evaluation round: read snapshots, detect overdraw,
 // plan and enforce corrective actions; or, when the failed supply has
 // returned and headroom allows, restore previously acted racks. Planning
-// runs under ctx bounded by Config.PlanBudget; an aborted pass enforces
+// runs under ctx bounded by planBudget; an aborted pass enforces
 // whatever partial plan it produced.
 func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	defer func() { c.cfg.Metrics.recordStep(&out) }()
@@ -203,7 +192,7 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	var snap upsSnapshot
 	c.snapshotUPS(&snap)
 	ups := snap.power[:len(c.cfg.Topo.UPSes)]
-	inactive := InferInactiveSet(c.cfg.Topo, ups, c.cfg.InactiveThreshold)
+	inactive := InferInactiveSet(c.cfg.Topo, ups, DefaultInactiveThreshold)
 
 	over := false
 	worst := -1
@@ -412,7 +401,7 @@ func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.Stage
 			Aux:     int64(len(acted)),
 		})
 	}
-	planCtx, cancelPlan := context.WithTimeout(ctx, c.cfg.PlanBudget)
+	planCtx, cancelPlan := context.WithTimeout(ctx, planBudget)
 	actions, insufficient, err := PlanContext(planCtx, PlanInput{
 		Topo:      c.cfg.Topo,
 		Racks:     c.cfg.Racks,
@@ -432,7 +421,6 @@ func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.Stage
 		// partial plan — enforcing what Algorithm 1 got to beats
 		// enforcing nothing inside the tolerance window.
 		c.cfg.Metrics.incPlanAbort()
-		out.PlanAborted = true
 		note = "plan-abort"
 	} else if err != nil {
 		c.cfg.Metrics.incPlanError()

@@ -26,7 +26,7 @@ type Metrics struct {
 	StaleSkips *obs.Counter
 	// PlanErrors counts Plan invocations that failed outright.
 	PlanErrors *obs.Counter
-	// PlanAborts counts planning passes cut short by Config.PlanBudget or
+	// PlanAborts counts planning passes cut short by the plan budget or
 	// the step's context; their truncated plans were still enforced.
 	PlanAborts *obs.Counter
 	// PlannedShutdowns/PlannedThrottles count planned actions by kind.

@@ -22,14 +22,12 @@ import (
 type DomainID int
 
 // Domain is one cooling domain: Units CRAH units of UnitCFM airflow each.
-// A conventional design reserves RedundantUnits of them; a zero-reserved
-// design sizes the IT load against all units and relies on mitigation.
+// A conventional design reserves some of them; a zero-reserved design
+// sizes the IT load against all units and relies on mitigation.
 type Domain struct {
-	ID             DomainID
-	Name           string
-	Units          int
-	UnitCFM        float64
-	RedundantUnits int
+	ID      DomainID
+	Units   int
+	UnitCFM float64
 }
 
 // TotalCFM is the airflow with every unit running.
@@ -132,6 +130,8 @@ func (k MitigationKind) String() string {
 }
 
 // Mitigation is one planned step.
+//
+//flex:keep EXPERIMENTS.md "§VI — cooling redundancy" is computed from it; BenchmarkSectionVI_CoolingRedundancy prints it
 type Mitigation struct {
 	Rack string
 	Kind MitigationKind
@@ -159,6 +159,8 @@ func (p ThermalParams) SafeDeficitFraction() float64 {
 }
 
 // PlanResult is the outcome of PlanMitigation.
+//
+//flex:keep EXPERIMENTS.md "§VI — cooling redundancy" is computed from it; BenchmarkSectionVI_CoolingRedundancy prints it
 type PlanResult struct {
 	Steps []Mitigation
 	// Window is the time available before the domain goes critical (from

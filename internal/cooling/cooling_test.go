@@ -11,8 +11,8 @@ import (
 
 func twoDomains() []Domain {
 	return []Domain{
-		{ID: 0, Name: "dom-A", Units: 4, UnitCFM: 40000, RedundantUnits: 1},
-		{ID: 1, Name: "dom-B", Units: 4, UnitCFM: 40000, RedundantUnits: 1},
+		{ID: 0, Units: 4, UnitCFM: 40000},
+		{ID: 1, Units: 4, UnitCFM: 40000},
 	}
 }
 
@@ -50,8 +50,8 @@ func TestDomainCFMAccounting(t *testing.T) {
 	if d.TotalCFM() != 160000 {
 		t.Fatalf("TotalCFM = %v", d.TotalCFM())
 	}
-	if got := d.CFMWithFailures(d.RedundantUnits); got != 120000 {
-		t.Fatalf("conventional CFM = %v", got)
+	if got := d.CFMWithFailures(1); got != 120000 {
+		t.Fatalf("conventional CFM (one reserved unit) = %v", got)
 	}
 	if d.CFMWithFailures(2) != 80000 {
 		t.Fatalf("CFMWithFailures(2) = %v", d.CFMWithFailures(2))

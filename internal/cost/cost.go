@@ -12,16 +12,11 @@ import (
 
 // Savings summarizes the Flex economics for one site.
 type Savings struct {
-	Design power.Redundancy
-	// SitePower is the site's IT capacity before Flex.
-	SitePower power.Watts
 	// ExtraServerFraction is the relative increase in deployable servers
 	// (x/y − 1; 33% for 4N/3, the paper's headline).
 	ExtraServerFraction float64
 	// ExtraPower is the additional IT capacity unlocked.
 	ExtraPower power.Watts
-	// DollarsPerWatt is the construction cost basis.
-	DollarsPerWatt float64
 	// Dollars is the avoided construction cost.
 	Dollars float64
 }
@@ -43,11 +38,8 @@ func Compute(design power.Redundancy, sitePower power.Watts, dollarsPerWatt floa
 	frac := design.ExtraServersFraction()
 	extra := power.Watts(frac * float64(sitePower))
 	return Savings{
-		Design:              design,
-		SitePower:           sitePower,
 		ExtraServerFraction: frac,
 		ExtraPower:          extra,
-		DollarsPerWatt:      dollarsPerWatt,
 		Dollars:             float64(extra) * dollarsPerWatt,
 	}, nil
 }
@@ -55,7 +47,6 @@ func Compute(design power.Redundancy, sitePower power.Watts, dollarsPerWatt floa
 // DesignComparison contrasts redundancy designs on reserved power and
 // Flex gains — the §II-A discussion of why distributed redundancy is key.
 type DesignComparison struct {
-	Design              power.Redundancy
 	Name                string
 	ReservedFraction    float64
 	ExtraServerFraction float64
@@ -83,7 +74,6 @@ func CompareDesigns() []DesignComparison {
 	out := make([]DesignComparison, len(entries))
 	for i, e := range entries {
 		out[i] = DesignComparison{
-			Design:              e.design,
 			Name:                e.name,
 			ReservedFraction:    e.design.ReservedFraction(),
 			ExtraServerFraction: e.design.ExtraServersFraction(),

@@ -62,7 +62,7 @@ func TestCompareDesigns(t *testing.T) {
 	}
 	var paper *DesignComparison
 	for i := range ds {
-		if ds[i].Design == (power.Redundancy{X: 4, Y: 3}) {
+		if ds[i].Name == "4N/3 (paper)" {
 			paper = &ds[i]
 		}
 	}

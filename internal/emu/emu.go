@@ -270,7 +270,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			Stages:           stages,
 		})
 		if cfg.Obs != nil {
-			sampler = &tsdb.Sampler{Registry: cfg.Obs, Store: cfg.Safety.Store(), Clock: clk}
+			sampler = &tsdb.Sampler{Registry: cfg.Obs, Store: cfg.Safety.Store()}
 		}
 	}
 

@@ -22,8 +22,6 @@ import (
 type FleetConfig struct {
 	// Rooms is the number of UPS fault domains (default 10).
 	Rooms int
-	// Utilization is the steady-state aggregate utilization (default 0.80).
-	Utilization float64
 	// FailRoom is the room index whose UPS fails (default 0).
 	FailRoom int
 	// FailUPS is the UPS to fail inside FailRoom.
@@ -37,8 +35,6 @@ type FleetConfig struct {
 	// Controllers is the number of controller primaries per shard
 	// (default 1).
 	Controllers int
-	// QueueDepth is the per-shard ingest buffer (default 1024).
-	QueueDepth int
 	// SaturateRoom and SaturateFactor, when SaturateFactor > 0, flood
 	// SaturateRoom's rack ingest queue with SaturateFactor redundant
 	// copies of every rack batch — the backpressure stress: the flooded
@@ -65,12 +61,12 @@ type FleetConfig struct {
 	Attach func(*fleet.Fleet)
 }
 
+// fleetUtilization is every room's steady-state aggregate utilization.
+const fleetUtilization = 0.80
+
 func (c *FleetConfig) fillDefaults() {
 	if c.Rooms == 0 {
 		c.Rooms = 10
-	}
-	if c.Utilization == 0 {
-		c.Utilization = 0.80
 	}
 	if c.FailAt == 0 {
 		c.FailAt = 20 * time.Second
@@ -103,6 +99,8 @@ type FleetResult struct {
 	Outage bool
 	// SaturatedDrops counts ingest-queue evictions in the saturated room
 	// (0 when no room was saturated).
+	//
+	//flex:keep TestRunFleetGolden reads it and hashes every FleetResult field; it goes when that golden is next recaptured
 	SaturatedDrops int
 	// CrossRoomDrops counts evictions in every *other* room — the
 	// isolation criterion demands 0.
@@ -273,7 +271,7 @@ func (c *crew) runChunk(k int, ph phase) {
 // regardless of a neighbor's queue being saturated.
 func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	cfg.fillDefaults()
-	p, err := newPlant(ctx, cfg.TraceSeed, cfg.Utilization, cfg.Obs)
+	p, err := newPlant(ctx, cfg.TraceSeed, fleetUtilization, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -296,11 +294,10 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		obsReg = obs.NewRegistry()
 	}
 	fl := fleet.New(fleet.Config{
-		Name:       "emu-fleet",
-		Clock:      ts.clk,
-		QueueDepth: cfg.QueueDepth,
-		Obs:        obsReg,
-		Recorder:   cfg.Recorder,
+		Name:     "emu-fleet",
+		Clock:    ts.clk,
+		Obs:      obsReg,
+		Recorder: cfg.Recorder,
 	})
 	rc := fleet.RoomConfig{
 		Topo:        topo,
@@ -309,7 +306,6 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		Controllers: cfg.Controllers,
 		Stranded:    p.stranded,
 		Allocatable: p.room.AllocatablePower(),
-		Interval:    cfg.Tick,
 	}
 	rooms := make([]*shardRoom, cfg.Rooms)
 	for i := range rooms {
@@ -332,9 +328,9 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	defer c.stop()
 	t := &c.tick
 	for ; ts.i <= ts.last; ts.next() {
-		t.target = cfg.Utilization
+		t.target = fleetUtilization
 		if ts.now < ramp {
-			t.target = cfg.Utilization * (0.5 + 0.5*ts.now.Seconds()/ramp.Seconds())
+			t.target = fleetUtilization * (0.5 + 0.5*ts.now.Seconds()/ramp.Seconds())
 		}
 		if ts.reaches(cfg.FailAt) {
 			ts.fail(rooms[cfg.FailRoom].room, cfg.FailUPS)

@@ -99,7 +99,7 @@ func (f *Fleet) roomStatus(s *Shard, now time.Time) RoomStatus {
 	case !seen:
 		st.State = slo.StateDegraded
 		st.Reasons = append(st.Reasons, "no UPS telemetry received")
-	case age > f.cfg.Freshness:
+	case age > freshness:
 		st.State = slo.StateDegraded
 		st.Reasons = append(st.Reasons, "UPS telemetry stale")
 	default:
@@ -110,7 +110,7 @@ func (f *Fleet) roomStatus(s *Shard, now time.Time) RoomStatus {
 
 // AggregateOnce folds every shard's status into a fleet snapshot at time
 // now, stores it as the latest snapshot (served by /fleet), and exports
-// the fleet metrics. The caller runs it at least every AggregateEvery,
+// the fleet metrics. The caller runs it at least every aggregateEvery,
 // slower than it steps the shards; correctness of the 10s budget never
 // depends on it.
 func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
@@ -143,7 +143,7 @@ func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
 
 // Snapshot returns the latest aggregated snapshot. When AggregateOnce has
 // not run yet it aggregates on the spot; when the stored snapshot has
-// aged past two AggregateEvery the fleet state is lifted to at least
+// aged past two aggregateEvery the fleet state is lifted to at least
 // degraded — a stale global view must not read as healthy.
 func (f *Fleet) Snapshot() Snapshot {
 	now := f.cfg.Clock.Now()
@@ -153,7 +153,7 @@ func (f *Fleet) Snapshot() Snapshot {
 	if !ok {
 		return f.AggregateOnce(now)
 	}
-	if now.Sub(snap.At) > 2*f.cfg.AggregateEvery && snap.State < slo.StateDegraded {
+	if now.Sub(snap.At) > 2*aggregateEvery && snap.State < slo.StateDegraded {
 		snap.State = slo.StateDegraded
 	}
 	return snap

@@ -42,16 +42,6 @@ type Config struct {
 	// the publisher or to other shards. It must hold one poll round:
 	// AddRoom refuses a room with more racks or UPSes than this.
 	QueueDepth int
-	// AggregateEvery is the staleness threshold of the fleet snapshot
-	// (default 2s): Snapshot reads a fold older than two of these as at
-	// least degraded, so the caller must run AggregateOnce at least this
-	// often. The aggregation layer is deliberately slower than the shard
-	// steps.
-	AggregateEvery time.Duration
-	// Freshness is how stale a shard's UPS telemetry may get before the
-	// shard reports degraded (default 5s — beyond three missed 1.5s poll
-	// rounds the failover estimate is drifting).
-	Freshness time.Duration
 	// Obs, when non-nil, registers fleet metrics (per-room gauges and
 	// fleet totals) and is handed to each shard's controllers.
 	Obs *obs.Registry
@@ -70,13 +60,19 @@ func (c *Config) fillDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
-	if c.AggregateEvery <= 0 {
-		c.AggregateEvery = 2 * time.Second
-	}
-	if c.Freshness <= 0 {
-		c.Freshness = 5 * time.Second
-	}
 }
+
+const (
+	// aggregateEvery is the staleness threshold of the fleet snapshot:
+	// Snapshot reads a fold older than two of these as at least degraded,
+	// so the caller must run AggregateOnce at least this often. The
+	// aggregation layer is deliberately slower than the shard steps.
+	aggregateEvery = 2 * time.Second
+	// freshness is how stale a shard's UPS telemetry may get before the
+	// shard reports degraded: beyond three missed 1.5s poll rounds the
+	// failover estimate is drifting.
+	freshness = 5 * time.Second
+)
 
 // RoomConfig describes one UPS fault domain joining the fleet.
 type RoomConfig struct {
@@ -102,14 +98,9 @@ type RoomConfig struct {
 	// Allocatable is the room's allocatable power (Eq. 5's minuend).
 	Allocatable power.Watts
 	// Interval is read by nothing: the caller's cadence steps the shard.
-	// It stays while the emulator and the benchmark's fleet driver still
-	// set it.
+	//
+	//flex:keep bench/'s fleet driver sets it; it goes with that driver (ROADMAP item 3)
 	Interval time.Duration
-	// PlanBudget bounds one planning pass (default half the 10s budget).
-	PlanBudget time.Duration
-	// Buffer is the safety margin below UPS capacity (default 1% of the
-	// smallest UPS capacity).
-	Buffer power.Watts
 }
 
 // Fleet is the sharded Flex-Online layer: an ingest bus, one shard per

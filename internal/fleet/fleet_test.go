@@ -75,7 +75,6 @@ func testRoomConfig(t *testing.T, name string, clk clock.Clock) RoomConfig {
 		Scenario:    impact.Realistic1(),
 		Stranded:    5 * power.KW,
 		Allocatable: 300 * power.KW,
-		Buffer:      power.KW,
 	}
 }
 
@@ -217,7 +216,7 @@ func TestCommittedHeadroomBitStable(t *testing.T) {
 	}
 	s, err := f.AddRoom(RoomConfig{
 		Name: "room-1", Topo: topo, Racks: racks, Actuator: rackmgr.NewManager(clk, ids),
-		Scenario: impact.Realistic1(), Controllers: 2, Buffer: power.KW,
+		Scenario: impact.Realistic1(), Controllers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +252,7 @@ func TestCommittedHeadroomBitStable(t *testing.T) {
 func TestAggregateSumsAndHealth(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	reg := obs.NewRegistry()
-	f := New(Config{Clock: clk, Obs: reg, AggregateEvery: 2 * time.Second})
+	f := New(Config{Clock: clk, Obs: reg})
 	rcA := testRoomConfig(t, "room-a", clk)
 	rcB := testRoomConfig(t, "room-b", clk)
 	rcB.Stranded = 7 * power.KW
@@ -305,7 +304,7 @@ func TestAggregateSumsAndHealth(t *testing.T) {
 
 func TestSnapshotStalenessDegrades(t *testing.T) {
 	clk := clock.NewVirtual(t0())
-	f := New(Config{Clock: clk, AggregateEvery: 2 * time.Second})
+	f := New(Config{Clock: clk})
 	rc := testRoomConfig(t, "room-1", clk)
 	s, _ := f.AddRoom(rc)
 	clk.Advance(time.Second)
@@ -327,7 +326,7 @@ func TestSnapshotStalenessDegrades(t *testing.T) {
 
 func TestStaleTelemetryDegradesRoom(t *testing.T) {
 	clk := clock.NewVirtual(t0())
-	f := New(Config{Clock: clk, Freshness: 5 * time.Second})
+	f := New(Config{Clock: clk})
 	rc := testRoomConfig(t, "room-1", clk)
 	s, _ := f.AddRoom(rc)
 	clk.Advance(time.Second)

@@ -62,20 +62,18 @@ func newShard(f *Fleet, rc RoomConfig) *Shard {
 	s.ctls = make([]*controller.Controller, rc.Controllers)
 	for i := range s.ctls {
 		s.ctls[i] = controller.New(controller.Config{
-			Name:       fmt.Sprintf("%s/ctl-%d", rc.Name, i+1),
-			Clock:      f.cfg.Clock,
-			Topo:       rc.Topo,
-			Racks:      rc.Racks,
-			UPSView:    s.upsView,
-			RackView:   s.rackView,
-			Actuator:   rc.Actuator,
-			Scenario:   rc.Scenario,
-			Buffer:     rc.Buffer,
-			PlanBudget: rc.PlanBudget,
-			Metrics:    ctlMetrics,
-			Tracer:     f.tracer,
-			Stages:     f.stages,
-			Recorder:   f.cfg.Recorder,
+			Name:     fmt.Sprintf("%s/ctl-%d", rc.Name, i+1),
+			Clock:    f.cfg.Clock,
+			Topo:     rc.Topo,
+			Racks:    rc.Racks,
+			UPSView:  s.upsView,
+			RackView: s.rackView,
+			Actuator: rc.Actuator,
+			Scenario: rc.Scenario,
+			Metrics:  ctlMetrics,
+			Tracer:   f.tracer,
+			Stages:   f.stages,
+			Recorder: f.cfg.Recorder,
 		})
 	}
 	return s

@@ -1,8 +1,5 @@
 package impact
 
-// Name returns the function's name ("" for the zero function).
-func (f Function) Name() string { return f.name }
-
 // Critical reports whether affecting this fraction reaches impact 1, i.e.
 // touches racks the workload declared critical.
 func (f Function) Critical(frac float64) bool { return f.At(frac) >= 1 }

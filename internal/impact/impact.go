@@ -23,14 +23,14 @@ type Point struct {
 // Function is a piecewise-linear, monotonically non-decreasing impact
 // function. The zero value is the constant-zero function ("no impact").
 type Function struct {
-	name   string
 	points []Point
 }
 
-// New builds an impact function from vertices. Fractions must be strictly
-// increasing within [0,1]; impacts must be non-decreasing within [0,1].
-// The function is linearly interpolated between vertices, extends flat
-// from the first vertex to fraction 0 and from the last to fraction 1.
+// New builds an impact function from vertices; name labels its errors.
+// Fractions must be strictly increasing within [0,1]; impacts must be
+// non-decreasing within [0,1]. The function is linearly interpolated
+// between vertices, extends flat from the first vertex to fraction 0 and
+// from the last to fraction 1.
 func New(name string, points []Point) (Function, error) {
 	if len(points) == 0 {
 		return Function{}, fmt.Errorf("impact: function %q needs at least one point", name)
@@ -54,7 +54,7 @@ func New(name string, points []Point) (Function, error) {
 			}
 		}
 	}
-	return Function{name: name, points: ps}, nil
+	return Function{points: ps}, nil
 }
 
 // MustNew is New but panics on error; for static scenario tables.
@@ -86,8 +86,8 @@ func (f Function) At(frac float64) float64 {
 }
 
 // Zero returns the constant-zero impact function.
-func Zero(name string) Function {
-	return Function{name: name, points: []Point{{0, 0}, {1, 0}}}
+func Zero() Function {
+	return Function{points: []Point{{0, 0}, {1, 0}}}
 }
 
 // Figure 8's three production examples.

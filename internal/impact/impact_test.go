@@ -67,8 +67,8 @@ func TestZeroFunctionIsZero(t *testing.T) {
 			t.Errorf("zero value At(%v) = %v", frac, zero.At(frac))
 		}
 	}
-	z := Zero("z")
-	if z.At(0.7) != 0 || z.Name() != "z" {
+	z := Zero()
+	if z.At(0.7) != 0 || len(z.Points()) != 2 {
 		t.Error("Zero() misbehaves")
 	}
 }
@@ -152,9 +152,10 @@ func TestFigure8Shapes(t *testing.T) {
 
 func TestScenarioFor(t *testing.T) {
 	s := Realistic1()
+	// real1-sr has the vertex (0.55, 0.05); the override reads 0.55 there.
 	srF := s.For("websearch", workload.SoftwareRedundant)
-	if srF.Name() != "real1-sr" {
-		t.Errorf("SR function = %q", srF.Name())
+	if got := srF.At(0.55); math.Abs(got-0.05) > 1e-12 {
+		t.Errorf("SR function at 0.55 = %v, want real1-sr's 0.05", got)
 	}
 	// Unknown category (non-cap-able has no function) → zero function.
 	if f := s.For("gpu", workload.NonRedundantNonCapable); f.At(0.5) != 0 {
@@ -162,8 +163,8 @@ func TestScenarioFor(t *testing.T) {
 	}
 	// Per-workload override wins.
 	s.ByWorkload = map[string]Function{"websearch": Linear("override", 1)}
-	if got := s.For("websearch", workload.SoftwareRedundant).Name(); got != "override" {
-		t.Errorf("override not applied: %q", got)
+	if got := s.For("websearch", workload.SoftwareRedundant).At(0.55); math.Abs(got-0.55) > 1e-12 {
+		t.Errorf("override not applied: At(0.55) = %v", got)
 	}
 }
 

@@ -43,7 +43,7 @@ func Extreme1() Scenario {
 	return Scenario{
 		Name: "Extreme-1",
 		ByCategory: map[workload.Category]Function{
-			workload.SoftwareRedundant:   Zero("ext1-sr"),
+			workload.SoftwareRedundant:   Zero(),
 			workload.NonRedundantCapable: MustNew("ext1-cap", []Point{{0, 0.9}, {1, 1}}),
 		},
 	}
@@ -55,7 +55,7 @@ func Extreme2() Scenario {
 		Name: "Extreme-2",
 		ByCategory: map[workload.Category]Function{
 			workload.SoftwareRedundant:   MustNew("ext2-sr", []Point{{0, 0.9}, {1, 1}}),
-			workload.NonRedundantCapable: Zero("ext2-cap"),
+			workload.NonRedundantCapable: Zero(),
 		},
 	}
 }

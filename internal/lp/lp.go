@@ -162,7 +162,6 @@ func objective(p *Problem, x []float64) float64 {
 // objective row, which holds -c for the maximization: the basis is optimal
 // once no entry is below -eps.
 type tableau struct {
-	p     *Problem
 	n     int         // decision variables
 	m     int         // constraints
 	cols  int         // total variable columns (without RHS): n + m
@@ -175,7 +174,7 @@ type tableau struct {
 func (s *Solver) newTableau(p *Problem) *tableau {
 	n := p.NumVars()
 	m := len(p.Constraints)
-	s.tab = tableau{p: p, n: n, m: m, cols: n + m}
+	s.tab = tableau{n: n, m: m, cols: n + m}
 	t := &s.tab
 	// Carve the (m+1)×(cols+1) tableau out of the solver's arena, growing
 	// it only when the problem outgrows what previous solves needed.

@@ -221,7 +221,7 @@ func (s *Solver) compact(p *Problem, n, m int) bool {
 		t.a[i] = s.arena[i*nstride : (i+1)*nstride]
 	}
 	t.basis = s.basis[:m]
-	t.p, t.n, t.m, t.cols = p, n, m, cols
+	t.n, t.m, t.cols = n, m, cols
 	return true
 }
 

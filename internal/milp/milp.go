@@ -92,10 +92,9 @@ type Options struct {
 	// Deterministic is accepted and ignored: the search is always
 	// worker-count-independent.
 	//
-	// Deprecated: there is one engine and no mode to select. The field
-	// stays only because bench/ladder.go sets it and a change that claims
-	// a gain may not edit the benchmark; it goes with the next benchmark
-	// revision (ROADMAP item 3(b)).
+	// Deprecated: there is one engine and no mode to select.
+	//
+	//flex:keep bench/ladder.go sets it; it goes with the next benchmark revision (ROADMAP item 3(b))
 	Deterministic bool
 	// MaxNodes bounds the number of explored branch-and-bound nodes;
 	// zero means no limit.

@@ -5,9 +5,6 @@ package recorder
 func (r *Recorder) SinkErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sinkErr != nil {
-		return r.sinkErr
-	}
 	if r.sink == nil {
 		return nil
 	}

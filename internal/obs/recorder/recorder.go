@@ -26,7 +26,6 @@ type Recorder struct {
 	n, next int
 	seq     uint64
 	sink    *Sink
-	sinkErr error
 
 	episodes    atomic.Uint64
 	overwritten atomic.Uint64
@@ -69,12 +68,9 @@ func (r *Recorder) Emit(e Event) uint64 {
 	if sink != nil {
 		// Writing under r.mu keeps the file in Seq order across
 		// concurrent emitters; the sink write is buffered memory I/O
-		// (bufio), not a syscall per event.
-		if err := sink.write(e); err != nil {
-			// First failure wins; the ring keeps recording.
-			r.sink = nil
-			r.sinkErr = err
-		}
+		// (bufio), not a syscall per event. A failed write latches in the
+		// sink, which DetachSink returns; the ring keeps recording.
+		_ = sink.write(e)
 	}
 	r.mu.Unlock()
 	r.emitted.Add(1)
@@ -93,16 +89,17 @@ func (r *Recorder) NextEpisode() uint64 {
 
 // AttachSink directs every subsequent event to s as length-prefixed
 // JSONL. Attach before emission begins when the full log matters — events
-// emitted earlier are only in the ring. A write error detaches the sink
-// (the error is available via SinkErr); the ring keeps recording.
+// emitted earlier are only in the ring. The first write error stays
+// attached with the sink, which writes nothing more; DetachSink returns
+// it. The ring keeps recording.
 func (r *Recorder) AttachSink(s *Sink) {
 	r.mu.Lock()
 	r.sink = s
 	r.mu.Unlock()
 }
 
-// DetachSink flushes and detaches the current sink, returning its first
-// error (write or flush), if any.
+// DetachSink flushes, closes and detaches the current sink, returning its
+// first error (write, flush or close), if any.
 func (r *Recorder) DetachSink() error {
 	r.mu.Lock()
 	s := r.sink

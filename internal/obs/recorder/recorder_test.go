@@ -186,9 +186,9 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// A sink write error must detach the sink and surface via SinkErr while
-// the ring keeps recording.
-func TestSinkErrorDetachesAndRingSurvives(t *testing.T) {
+// A sink write error must surface via SinkErr while the ring keeps
+// recording.
+func TestSinkErrorLatchesAndRingSurvives(t *testing.T) {
 	fw := &failingWriter{limit: 200}
 	r := New(32)
 	s := &Sink{w: newTinyBufWriter(fw)}
@@ -204,6 +204,34 @@ func TestSinkErrorDetachesAndRingSurvives(t *testing.T) {
 	}
 	if got := r.Seq(); got != 100 {
 		t.Fatalf("ring stopped recording after sink failure: seq %d", got)
+	}
+}
+
+// closingWriter is a failingWriter that records its Close.
+type closingWriter struct {
+	failingWriter
+	closed bool
+}
+
+func (c *closingWriter) Close() error {
+	c.closed = true
+	return nil
+}
+
+// A write error must not be lost: DetachSink returns it and still closes
+// the file the sink owns, so a truncated recording fails its run.
+func TestDetachSinkReturnsWriteError(t *testing.T) {
+	cw := &closingWriter{failingWriter: failingWriter{limit: 200}}
+	r := New(32)
+	r.AttachSink(&Sink{w: newTinyBufWriter(cw), c: cw})
+	for i := 0; i < 100; i++ {
+		r.Emit(Event{Type: TypeSamplePublish, Time: t0, Subject: "UPS-1", Value: float64(i)})
+	}
+	if err := r.DetachSink(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("DetachSink = %v, want the disk-full write error", err)
+	}
+	if !cw.closed {
+		t.Fatal("DetachSink did not close the sink's writer")
 	}
 }
 

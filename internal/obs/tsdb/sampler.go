@@ -20,8 +20,9 @@ import (
 type Sampler struct {
 	Registry *obs.Registry
 	Store    *Store
-	// Clock is read by nothing: Tick callers supply timestamps. It stays
-	// while the benchmark's room driver still sets it.
+	// Clock is read by nothing: Tick callers supply timestamps.
+	//
+	//flex:keep bench/'s room driver sets it; it goes with that driver (ROADMAP item 3)
 	Clock clock.Clock
 
 	// targets binds every registry metric to its series; resolved is

@@ -66,9 +66,6 @@ type Config struct {
 	ResolveNodes int
 	// ResolveBudget bounds each re-solve's wall time. 0 means 2s.
 	ResolveBudget time.Duration
-	// ResolveWorkers is the solver worker count (0 = NumCPU; the solve is
-	// deterministic for any value).
-	ResolveWorkers int
 	// SyncResolve runs re-solves inline on the admission loop instead of
 	// in a background goroutine — deterministic, for tests and smokes.
 	SyncResolve bool
@@ -81,9 +78,6 @@ type Config struct {
 	// Metrics receives admission and resolver observability. Nil wires a
 	// private throwaway registry so the hot path never branches on nil.
 	Metrics *Metrics
-	// Now supplies time for the admission-latency histogram (for tests);
-	// nil uses time.Now. It is never read on the proven hot path itself.
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -105,9 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = NewMetrics(obs.NewRegistry())
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	return c
 }
 
@@ -121,9 +112,7 @@ type committedRec struct {
 // via atomic pointer swap. target is the per-combo load (watts) of the
 // best known exact plan for committed-plus-sampled-future demand.
 type guidance struct {
-	target    []float64
-	objective float64 // planned placed power (watts) of the published plan
-	solved    bool    // false for the initial even-spread default
+	target []float64
 }
 
 // Admitter is the online placement engine for one room. All methods are
@@ -447,10 +436,10 @@ type Snapshot struct {
 	// TargetLoad is the per-combo target profile the hot path currently
 	// steers toward (solver-published, or the even-spread default).
 	TargetLoad []power.Watts
-	// ResolverObjective is the planned placed power of the last published
-	// exact plan (0 until the first solve lands).
-	ResolverObjective power.Watts
-	Decisions         uint64
+	// Decisions counts admission decisions.
+	//
+	//flex:keep TestAdmitDecisionsGolden hashes it
+	Decisions uint64
 }
 
 // Snapshot returns a copy of the committed totals for reporting.
@@ -470,9 +459,6 @@ func (a *Admitter) Snapshot() Snapshot {
 	s.TargetLoad = make([]power.Watts, len(g.target))
 	for c, w := range g.target {
 		s.TargetLoad[c] = power.Watts(w)
-	}
-	if g.solved {
-		s.ResolverObjective = power.Watts(g.objective)
 	}
 	return s
 }

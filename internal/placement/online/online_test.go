@@ -333,8 +333,8 @@ func TestResolvePublishesGuidance(t *testing.T) {
 		t.Fatal("resolve never triggered")
 	}
 	s := adm.Snapshot()
-	if s.ResolverObjective <= 0 {
-		t.Fatalf("no solved guidance published: %+v", s)
+	if got := adm.cfg.Metrics.ResolveObjective.Value(); got <= 0 {
+		t.Fatalf("no solved guidance published: objective %v, %+v", got, s)
 	}
 	if got := adm.cfg.Metrics.Resolves.Value(); got == 0 {
 		t.Fatal("resolve counter not incremented")
@@ -371,7 +371,7 @@ func TestBackgroundResolveDoesNotBlockAdmission(t *testing.T) {
 // scratch (the detector catches that in roughly four runs of five).
 func TestResolveOnceAlongsideBackgroundResolver(t *testing.T) {
 	room := placement.EmulationRoom()
-	cfg := Config{Seed: 19, ResolveEvery: 1, ResolveNodes: 1, ResolveBudget: time.Second, ResolveWorkers: 1}
+	cfg := Config{Seed: 19, ResolveEvery: 1, ResolveNodes: 1, ResolveBudget: time.Second}
 	adm, err := NewAdmitter(room, cfg)
 	if err != nil {
 		t.Fatal(err)

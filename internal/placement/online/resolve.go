@@ -52,7 +52,6 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 
 	f := placement.FlexOffline{
 		SkipDiversityReserve: a.cfg.SkipDiversityReserve,
-		Workers:              a.cfg.ResolveWorkers,
 	}
 	prob := f.BatchILP(a.room, batch)
 	nc := a.nCombos
@@ -64,7 +63,6 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, a.cfg.ResolveBudget)
 	defer cancel()
 	res, err := milp.SolveContext(ctx, prob, milp.Options{
-		Workers:   a.cfg.ResolveWorkers,
 		MaxNodes:  a.cfg.ResolveNodes,
 		Incumbent: incumbent,
 		RelGap:    0.001,
@@ -97,7 +95,7 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 		a.cfg.Metrics.ResolveImprovements.Inc()
 	}
 	a.cfg.Metrics.ResolveObjective.Set(obj)
-	a.guidance.Store(&guidance{target: target, objective: obj, solved: true})
+	a.guidance.Store(&guidance{target: target})
 	return nil
 }
 

@@ -7,6 +7,8 @@ import (
 // CascadeOutcome describes how a room fares after an initial UPS failure if
 // the given pair loads persist unchanged (i.e. no corrective action, or the
 // corrective action reflected in the loads has already been applied).
+//
+//flex:keep the cascade on TripState that the safety tests in five test files check placements against
 type CascadeOutcome struct {
 	// Tripped lists every UPS that goes out of service, in order: the
 	// initial failure first, then each overload trip.

@@ -19,12 +19,12 @@ type TripPoint struct {
 // is interpolated log-linearly between points; loads at or below the rated
 // capacity (fraction <= 1 beyond the first point) never trip.
 type TripCurve struct {
-	Name   string
 	points []TripPoint // sorted by LoadFraction ascending, all > 1
 }
 
-// NewTripCurve builds a curve from points. Points must have LoadFraction
-// > 1 and strictly decreasing tolerance with increasing load.
+// NewTripCurve builds a curve from points; name labels its errors. Points
+// must have LoadFraction > 1 and strictly decreasing tolerance with
+// increasing load.
 func NewTripCurve(name string, points []TripPoint) (TripCurve, error) {
 	if len(points) == 0 {
 		return TripCurve{}, fmt.Errorf("power: trip curve %q needs at least one point", name)
@@ -43,7 +43,7 @@ func NewTripCurve(name string, points []TripPoint) (TripCurve, error) {
 			return TripCurve{}, fmt.Errorf("power: trip curve %q tolerance must decrease with load", name)
 		}
 	}
-	return TripCurve{Name: name, points: ps}, nil
+	return TripCurve{points: ps}, nil
 }
 
 // Tolerance returns how long the UPS sustains a load of loadFraction × its
@@ -118,6 +118,8 @@ var (
 		{LoadFraction: 1.50, Tolerance: 3 * time.Second},
 	})
 	// BeginOfLifeTripCurve reflects fresh batteries.
+	//
+	//flex:keep EXPERIMENTS.md "Figure 6" row "Begin-of-life at 133%" is read off it; BenchmarkFigure6_UPSToleranceCurve prints it
 	BeginOfLifeTripCurve = mustCurve("begin-of-life", []TripPoint{
 		{LoadFraction: 1.05, Tolerance: 450 * time.Second},
 		{LoadFraction: 1.10, Tolerance: 225 * time.Second},

@@ -125,7 +125,6 @@ type PlanResult struct {
 	Seq     uint64
 	Episode uint64
 	Actor   string
-	At      time.Time
 	// Recorded and Replayed are the action counts on each side.
 	Recorded, Replayed int
 	// Aborted is true when the recorded pass hit its budget; the
@@ -139,7 +138,6 @@ type PlanResult struct {
 
 // Report summarizes a replay.
 type Report struct {
-	Header Header
 	// Events is the total number of events consumed.
 	Events int
 	// Episodes is the number of distinct overdraw episodes seen.
@@ -155,11 +153,6 @@ type Report struct {
 
 // DiffEmpty reports whether every recorded plan replayed identically.
 func (r *Report) DiffEmpty() bool { return r.Mismatched == 0 }
-
-type upsReading struct {
-	watts power.Watts
-	at    time.Time
-}
 
 // Replay re-drives every recorded planning pass and diffs the decisions.
 // Events must be in sequence order (as returned by recorder.ReadEvents or
@@ -214,12 +207,12 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 
 	vclk := clock.NewVirtual(hdr.Start)
 	last := hdr.Start
-	upsView := make(map[string]upsReading)
+	upsView := make(map[string]power.Watts)
 	rackView := make(map[string]power.Watts)
 	acted := make(map[string]map[string]bool) // controller → racks acted on
 	episodes := make(map[uint64]bool)
 
-	rep := &Report{Header: hdr, Events: len(events)}
+	rep := &Report{Events: len(events)}
 	for i := range events {
 		e := &events[i]
 		// Drive the virtual clock to the recorded instant; recordings are
@@ -236,7 +229,7 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 		case recorder.TypeSampleArrive:
 			switch e.Actor {
 			case RoleUPSView:
-				upsView[e.Subject] = upsReading{power.Watts(e.Value), e.Time}
+				upsView[e.Subject] = power.Watts(e.Value)
 			case RoleRackView:
 				rackView[e.Subject] = power.Watts(e.Value)
 			}
@@ -278,10 +271,10 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Event,
 	topo *power.Topology, planner *controller.Planner,
 	buffer power.Watts, threshold float64,
-	upsView map[string]upsReading, rackView map[string]power.Watts,
+	upsView, rackView map[string]power.Watts,
 	actedSet map[string]bool) PlanResult {
 
-	pr := PlanResult{Seq: start.Seq, Episode: start.Episode, Actor: start.Actor, At: start.Time}
+	pr := PlanResult{Seq: start.Seq, Episode: start.Episode, Actor: start.Actor}
 
 	// Recorded outcome.
 	var recActions []*recorder.Event
@@ -316,8 +309,8 @@ func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Even
 	// inferred, and racks already acted on are excluded.
 	ups := make([]power.Watts, len(topo.UPSes))
 	for u := range topo.UPSes {
-		if r, ok := upsView[topo.UPSes[u].Name]; ok {
-			ups[u] = r.watts
+		if w, ok := upsView[topo.UPSes[u].Name]; ok {
+			ups[u] = w
 		} else {
 			ups[u] = topo.UPSes[u].Capacity
 		}

@@ -9,13 +9,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"time"
 
 	"flex/internal/controller"
 	"flex/internal/impact"
 	"flex/internal/obs/recorder"
-	"flex/internal/obs/tsdb"
 	"flex/internal/placement"
 	"flex/internal/power"
 	"flex/internal/stats"
@@ -124,8 +121,6 @@ type Figure12Config struct {
 	// utilization); the paper varies draws via its rack power
 	// distributions.
 	SamplesPerFailure int
-	// Buffer is the controller safety margin.
-	Buffer power.Watts
 	// Seed drives sampling.
 	Seed int64
 	// Recorder, when non-nil, logs each (failure, sample) snapshot as an
@@ -134,19 +129,7 @@ type Figure12Config struct {
 	// timestamps and the log is for /events browsing, not for flexreplay
 	// (which needs an emulation recording with a replay header).
 	Recorder *recorder.Recorder
-	// Store, when non-nil, records each snapshot's derived safety
-	// quantities as tsdb series labeled by scenario and utilization:
-	// recovered watts, action count, pre-shed worst survivor overload,
-	// and an insufficient flag. Snapshot runs are timeless, so points get
-	// synthetic timestamps — a fixed epoch plus one second per snapshot —
-	// which keeps /query usable on the result without touching a wall
-	// clock.
-	Store *tsdb.Store
 }
-
-// simEpoch anchors the synthetic snapshot timestamps (the same fixed
-// date the virtual-clock emulation starts at).
-var simEpoch = time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 
 // Figure12Point is one x-axis point of Figure 12 for one scenario.
 type Figure12Point struct {
@@ -166,7 +149,8 @@ type Figure12Point struct {
 
 // RunFigure12 produces the Figure 12 series for one scenario: for every
 // utilization and every single-UPS failure, sample rack powers, compute
-// the post-failover UPS loads, run Algorithm 1, and aggregate. ctx bounds
+// the post-failover UPS loads, run Algorithm 1 with
+// controller.DefaultBuffer as the safety margin, and aggregate. ctx bounds
 // every planning pass; on expiry the sweep stops with its cause.
 func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, error) {
 	if cfg.Placement == nil {
@@ -192,12 +176,13 @@ func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, erro
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	// One prepared Algorithm 1 and one action buffer serve every snapshot.
+	// One prepared Algorithm 1 and one action buffer serve every snapshot,
+	// planned with the margin every controller runs with.
 	planner := controller.NewPlanner(topo, managed, cfg.Scenario)
+	buffer := controller.DefaultBuffer(topo)
 	var buf []controller.PlannedAction
 
 	var out []Figure12Point
-	snapshots := 0
 	for _, util := range cfg.Utilizations {
 		pt := Figure12Point{Utilization: util}
 		var impacted, shut, throttled []float64
@@ -211,7 +196,7 @@ func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, erro
 					UPSPower:  ups,
 					RackPower: rackPower,
 					Inactive:  inactive,
-					Buffer:    cfg.Buffer,
+					Buffer:    buffer,
 				}, buf)
 				buf = actions
 				if err != nil {
@@ -224,20 +209,13 @@ func RunFigure12(ctx context.Context, cfg Figure12Config) ([]Figure12Point, erro
 					recordSnapshot(cfg.Recorder, topo.UPSes[f].Name, util, actions, insufficient)
 				}
 				nShut, nThrottle := 0, 0
-				var recovered power.Watts
 				for _, a := range actions {
-					recovered += a.Recovered
 					if a.Kind == controller.Shutdown {
 						nShut++
 					} else {
 						nThrottle++
 					}
 				}
-				if cfg.Store != nil {
-					storeSnapshot(cfg.Store, cfg.Scenario.Name, util, snapshots,
-						topo, ups, power.UPSID(f), recovered, len(actions), insufficient)
-				}
-				snapshots++
 				impacted = append(impacted, 100*float64(len(actions))/float64(totalRacks))
 				if srRacks > 0 {
 					shut = append(shut, 100*float64(nShut)/float64(srRacks))
@@ -301,43 +279,4 @@ func recordSnapshot(rec *recorder.Recorder, upsName string, util float64, action
 		commit.Detail = "insufficient"
 	}
 	rec.Emit(commit)
-}
-
-// storeSnapshot appends one Figure 12 snapshot's derived quantities to
-// the tsdb store: what the plan recovered, how many racks it touched,
-// the worst pre-shed survivor overload, and whether shaveable power ran
-// out. Series are labeled by scenario and utilization so a /query
-// client can slice the sweep either way.
-func storeSnapshot(st *tsdb.Store, scenario string, util float64, snap int,
-	topo *power.Topology, ups []power.Watts, failed power.UPSID,
-	recovered power.Watts, actions int, insufficient bool) {
-	ts := simEpoch.Add(time.Duration(snap) * time.Second)
-	labels := [2][2]string{
-		{"scenario", scenario},
-		{"util", strconv.FormatFloat(util, 'f', 2, 64)},
-	}
-	var overload power.Watts
-	for v := range topo.UPSes {
-		if power.UPSID(v) == failed {
-			continue
-		}
-		if over := ups[v] - topo.UPSes[v].Capacity; over > overload {
-			overload = over
-		}
-	}
-	insuff := 0.0
-	if insufficient {
-		insuff = 1
-	}
-	for _, s := range []struct {
-		name  string
-		value float64
-	}{
-		{"flex_sim_recovered_watts", float64(recovered)},
-		{"flex_sim_actions", float64(actions)},
-		{"flex_sim_worst_overload_watts", float64(overload)},
-		{"flex_sim_insufficient", insuff},
-	} {
-		st.Series(tsdb.SeriesKey(s.name, labels[0], labels[1])).Append(ts, s.value)
-	}
 }

@@ -10,10 +10,8 @@ import (
 	"runtime"
 	"testing"
 
-	"flex/internal/controller"
 	"flex/internal/impact"
 	"flex/internal/obs/recorder"
-	"flex/internal/obs/tsdb"
 	"flex/internal/placement"
 	"flex/internal/power"
 	"flex/internal/workload"
@@ -170,7 +168,6 @@ func TestFigure12Golden(t *testing.T) {
 			Scenario:          s,
 			Utilizations:      []float64{0.74, 0.80, 0.85},
 			SamplesPerFailure: 2,
-			Buffer:            controller.DefaultBuffer(pl.Room.Topo),
 			Seed:              12,
 			Recorder:          rec,
 		})
@@ -252,52 +249,5 @@ func TestDefaultUtilizations(t *testing.T) {
 	}
 	if math.Abs(us[0]-0.74) > 1e-9 || us[len(us)-1] < 0.845 {
 		t.Fatalf("range = [%v, %v]", us[0], us[len(us)-1])
-	}
-}
-
-// TestRunFigure12StoresSeries checks the tsdb hookup: every snapshot of
-// the sweep lands in the store as labeled series on synthetic
-// timestamps, with sane values.
-func TestRunFigure12StoresSeries(t *testing.T) {
-	pl := placedRoom(t)
-	st := tsdb.NewStore(tsdb.Options{})
-	_, err := RunFigure12(context.Background(), Figure12Config{
-		Placement:         pl,
-		Scenario:          impact.Realistic1(),
-		Utilizations:      []float64{0.78, 0.84},
-		SamplesPerFailure: 2,
-		Seed:              11,
-		Store:             st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := tsdb.SeriesKey("flex_sim_recovered_watts",
-		[2]string{"scenario", "Realistic-1"}, [2]string{"util", "0.84"})
-	s, ok := st.Lookup(key)
-	if !ok {
-		t.Fatalf("series %q missing; have %v", key, st.Names())
-	}
-	raw := s.Raw()
-	// 2 samples × every UPS failure at this utilization.
-	wantPoints := 2 * len(pl.Room.Topo.UPSes)
-	if len(raw) != wantPoints {
-		t.Fatalf("points = %d, want %d", len(raw), wantPoints)
-	}
-	var recovered float64
-	for _, p := range raw {
-		if p.Time.Before(simEpoch) {
-			t.Fatalf("synthetic timestamp %v before epoch", p.Time)
-		}
-		recovered += p.Value
-	}
-	if recovered <= 0 {
-		t.Fatal("no recovered watts at 84% utilization")
-	}
-	for _, name := range []string{"flex_sim_actions", "flex_sim_worst_overload_watts", "flex_sim_insufficient"} {
-		if _, ok := st.Lookup(tsdb.SeriesKey(name,
-			[2]string{"scenario", "Realistic-1"}, [2]string{"util", "0.78"})); !ok {
-			t.Fatalf("series %s missing", name)
-		}
 	}
 }

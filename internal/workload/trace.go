@@ -228,6 +228,8 @@ func Shuffle(trace []Deployment, rng *rand.Rand) []Deployment {
 
 // RegionMix is the workload category distribution of one cloud region
 // (paper Figure 3), as power fractions.
+//
+//flex:keep EXPERIMENTS.md "Figure 3" is computed from it; BenchmarkFigure3_WorkloadDistribution prints it
 type RegionMix struct {
 	Region string
 	Shares [3]float64 // indexed by Category
