@@ -60,7 +60,7 @@ fleet-smoke:
 
 # Runs the 10-room fleet emulation with latency attribution asserted
 # (flexsim -latency): the failed room's overdraw must surface as a
-# stitched per-episode waterfall at /fleet/traces whose stage durations
+# stitched per-episode waterfall whose stage durations
 # tile the episode span, the waterfall must reconcile with the measured
 # detect→shed latency, every stage's exact maximum must sit inside its
 # carve of the 10s budget (slo.StageBudgets), and each maximum must
@@ -89,20 +89,20 @@ transport-smoke:
 # smokes, every example program (each roots part of the facade), ten seconds of each of the ten fuzzers, the whole tree under the
 # race detector, the emulator's parallel tick three more times under it (the
 # fleet's phases split over every core, the noise producer, the cached
-# truth, a trip taking its UPS out inside the parallel observe), a stepped fleet read by /fleet handlers and a whole rack poll
+# truth, a trip taking its UPS out inside the parallel observe), a whole rack poll
 # pumped into its view three more times under it, the subscription queue's
 # readers (Drain runs its callback under the queue's lock) three more times
 # under it, the branch-and-bound
 # workers three more times under it (each builds its heuristic candidates
-# in a Packing of its own), and a flexmon smoke run with the observability
-# surface enabled.
+# in a Packing of its own), and a flexmon smoke run that prints its metrics
+# summary.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke examples fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
-	$(GO) test -race -count=3 -run 'Concurrent|PumpDrainsPollWhole' ./internal/fleet
+	$(GO) test -race -count=3 -run 'PumpDrainsPollWhole' ./internal/fleet
 	$(GO) test -race -count=3 -run 'Drain|Queue|Consume|LatestPower|RecordedView' ./internal/telemetry
 	$(GO) test -race -count=3 -run 'AcrossWorkers|ParallelMatchesSerial|ConcurrentIncumbent' ./internal/milp
-	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
+	$(GO) run ./cmd/flexmon -quick -metrics
 
 cover:
 	$(GO) test -cover ./...
@@ -117,8 +117,8 @@ bench-solver:
 	$(GO) test -run '^$$' -bench BenchmarkSolverScaling -benchtime 3x . | $(GO) run ./cmd/benchjson -o BENCH_solver.json
 	@echo wrote BENCH_solver.json
 
-# Records the observability hot-path baseline: tsdb append/query and
-# SLO audit-tick/probe benchmarks, what a probe round and an episode's P95
+# Records the observability hot-path baseline: tsdb append and sampler-tick
+# and SLO audit-tick/probe benchmarks, what a probe round and an episode's P95
 # are made of (BenchmarkPlan: Algorithm 1 one-shot and prepared on an
 # emulation-sized room; BenchmarkPercentile at 1e5 samples), the fleet's
 # transport (BenchmarkPublishRecvBatch, BenchmarkUpdateBatch plain and on a

@@ -6,17 +6,12 @@
 //
 // Usage:
 //
-//	flexmon [-util F] [-scenario NAME] [-csv] [-quick] [-metrics] [-listen ADDR] [-record FILE]
-//	flexmon -watch [-url URL] [-every D] [-n N]
+//	flexmon [-util F] [-scenario NAME] [-csv] [-quick] [-metrics] [-record FILE]
 //
-// With -listen the run exposes a live introspection surface (/metrics,
-// /debug/vars, /debug/pprof, /traces, /events) plus the continuous
-// safety auditor's endpoints (/query, /slo, /healthz) for the duration
-// of the emulation. With -record the whole run is captured as a
-// replayable flight-recorder event log (see flexreplay). -watch flips
-// flexmon into a client: it polls a running server's /healthz, /slo and
-// /events (incrementally, via since=<seq>) and prints a one-line safety
-// status per interval.
+// With -metrics the run ends with a CSV summary of every metric. With
+// -record the whole run is captured as a replayable flight-recorder event
+// log: `flexreplay -episode 1 FILE` prints the first overdraw episode's
+// causal chain.
 package main
 
 import (
@@ -30,8 +25,6 @@ import (
 
 	"flex"
 	"flex/internal/obs"
-	"flex/internal/obs/slo"
-	"flex/internal/obs/tsdb"
 	"flex/internal/report"
 )
 
@@ -50,17 +43,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	quick := fs.Bool("quick", false, "compressed timeline (fail @4min, 10min total)")
 	seed := fs.Int64("seed", 1, "random seed")
 	metrics := fs.Bool("metrics", false, "print a metrics summary CSV after the run")
-	listen := fs.String("listen", "", "serve /metrics, /debug/vars, /debug/pprof, /traces, /events, /query, /slo, /healthz on this address during the run (e.g. :8080)")
 	record := fs.String("record", "", "write the flight-recorder event log to this file (JSONL, replayable with flexreplay)")
-	watch := fs.Bool("watch", false, "watch mode: poll a running obs server (-url) and print a one-line safety status per interval instead of running an emulation")
-	watchURL := fs.String("url", "http://127.0.0.1:8080", "obs server base URL for -watch")
-	watchEvery := fs.Duration("every", 2*time.Second, "poll interval for -watch")
-	watchN := fs.Int("n", 0, "number of -watch polls (0 = until interrupted)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *watch {
-		return runWatch(out, *watchURL, *watchEvery, *watchN)
 	}
 
 	var sc flex.Scenario
@@ -78,7 +63,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(0)
 	var rec *flex.FlightRecorder
 	if *record != "" {
 		f, ferr := os.Create(*record)
@@ -86,7 +70,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			return ferr
 		}
 		// A full 24-minute run at 500ms ticks emits a few hundred thousand
-		// events; every one reaches the sink, the ring just bounds /events.
+		// events; every one reaches the sink, the ring only bounds what
+		// stays in memory.
 		rec = flex.NewFlightRecorder(1 << 18)
 		rec.AttachSink(flex.NewFlightSink(f))
 		defer func() {
@@ -98,39 +83,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			fmt.Fprintf(out, "recorded %d events to %s\n", rec.Emitted(), *record)
 		}()
 	}
-	// A metric that exists before the emulation starts, so /metrics is
-	// never empty for an early scraper.
-	reg.Gauge("flex_up", "1 while the process is running").Set(1)
-	var aud *slo.Auditor
-	if *listen != "" {
-		// The live surface includes the safety auditor: /query over the
-		// tsdb the sampler and auditor fill, /slo burn rates, /healthz —
-		// the endpoints `flexmon -watch` polls.
-		store := tsdb.NewStore(tsdb.Options{})
-		aud = slo.NewAuditor(slo.Config{
-			Store:    store,
-			Recorder: rec,
-			// Telemetry pumps run at 1.5s (UPS) / 2s (rack) cadence;
-			// freshness thresholds must sit above them.
-			UPSFreshness:  3 * time.Second,
-			RackFreshness: 4 * time.Second,
-		})
-		addr, stop, err := obs.StartServer(*listen, obs.ServerConfig{
-			Registry: reg,
-			Tracer:   tracer,
-			Events:   rec,
-			Query:    store.Handler(),
-			SLO:      aud.SLOHandler(),
-			Health:   aud.HealthHandler(),
-		})
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Fprintf(out, "obs: listening on http://%s (/metrics /debug/vars /debug/pprof /traces /events /query /slo /healthz)\n", addr)
-	}
-
-	cfg := flex.EmulationConfig{Utilization: *util, Scenario: &sc, Seed: *seed, Obs: reg, Tracer: tracer, Recorder: rec, Safety: aud}
+	cfg := flex.EmulationConfig{Utilization: *util, Scenario: &sc, Seed: *seed, Obs: reg, Recorder: rec}
 	if *quick {
 		cfg.Tick = time.Second
 		cfg.FailAt = 4 * time.Minute

@@ -11,10 +11,10 @@
 //	          [-policy all|random|brr|short|long|oracle|online] [-room paper|emulation]
 //	flexplace -smoke
 //
-// -policy online runs the online incremental admitter (ROADMAP item 2):
-// one deployment at a time on an allocation-free hot path, with a warm
-// background ILP re-solve (run synchronously here so results are
-// reproducible). -smoke runs the online-smoke acceptance check on the
+// -policy online runs the online incremental admitter (DESIGN.md "Online
+// placement"): one deployment at a time on an allocation-free hot path,
+// with a warm background ILP re-solve (run synchronously here so results
+// are reproducible). -smoke runs the online-smoke acceptance check on the
 // §V-C emulation trace: the placement must validate (zero Eq. 2 / Eq. 4
 // violations) and strand at most 10 percentage points more power than
 // the Flex-Offline optimum; exits non-zero otherwise.

@@ -10,8 +10,8 @@
 //
 // -record FILE writes a flight-recorder event log (length-prefixed
 // JSONL). An episode recording starts with a replay header and can be
-// re-driven with flexreplay; fig12 recordings are headerless and are for
-// /events browsing only.
+// re-driven with flexreplay; fig12 recordings are headerless, for reading
+// only.
 package main
 
 import (
@@ -20,12 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"flex"
@@ -52,9 +50,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	samples := fs.Int("samples", 3, "power snapshots per (failure, utilization)")
 	workers := fs.Int("workers", 0, "branch-and-bound workers per ILP solve (0 = NumCPU; deterministic for any value)")
 	csvDir := fs.String("csvdir", "", "also write results as CSV files into this directory")
-	listen := fs.String("listen", "", "serve /metrics, /debug/vars, /debug/pprof on this address during the run (e.g. :8080)")
 	record := fs.String("record", "", "write the flight-recorder event log to this file (JSONL)")
-	withSLO := fs.Bool("slo", false, "episode experiment: run the continuous safety auditor, print an SLO summary, and fail unless /healthz flips healthy→degraded→healthy with a probe-fail-free steady state (the slo-smoke gate)")
+	withSLO := fs.Bool("slo", false, "episode experiment: run the continuous safety auditor, print an SLO summary, and fail unless health flips healthy→degraded→healthy with a probe-fail-free steady state (the slo-smoke gate)")
 	latency := fs.Bool("latency", false, "fleet experiment: print the per-episode latency waterfall and fail unless the failed room's stitched stages reconcile with the measured shed latency and every stage's exact maximum sits inside its carve of the 10s budget (the latency-smoke gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,38 +82,16 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 
 	reg := obs.NewRegistry()
-	reg.Gauge("flex_up", "1 while the process is running").Set(1)
 	var aud *slo.Auditor
-	srvCfg := obs.ServerConfig{Registry: reg, Events: rec}
 	if *withSLO {
-		store := tsdb.NewStore(tsdb.Options{})
 		aud = slo.NewAuditor(slo.Config{
-			Store:    store,
+			Store:    tsdb.NewStore(tsdb.Options{}),
 			Recorder: rec,
 			// The emulator pumps UPS telemetry every 1.5s and rack
 			// telemetry every 2s; thresholds must sit above the cadence.
 			UPSFreshness:  3 * time.Second,
 			RackFreshness: 4 * time.Second,
 		})
-		srvCfg.Query = store.Handler()
-		srvCfg.SLO = aud.SLOHandler()
-		srvCfg.Health = aud.HealthHandler()
-	}
-	// The obs server starts before the fleet emulation assembles its
-	// shards, so /fleet and /fleet/traces are mounted through late-bound
-	// handlers the emulation fills in via FleetEmulationConfig.Attach.
-	var fleetH, fleetTracesH *lateHandler
-	if *experiment == "fleet" {
-		fleetH, fleetTracesH = new(lateHandler), new(lateHandler)
-		srvCfg.Fleet, srvCfg.FleetTraces = fleetH, fleetTracesH
-	}
-	if *listen != "" {
-		addr, stop, err := obs.StartServer(*listen, srvCfg)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Fprintf(out, "obs: listening on http://%s (/metrics /debug/vars /debug/pprof /events)\n", addr)
 	}
 
 	switch *experiment {
@@ -125,7 +100,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	case "episode":
 		return runEpisode(ctx, out, *seed, rec, reg, aud)
 	case "fleet":
-		return runFleet(ctx, out, *rooms, *seed, reg, rec, *latency, fleetH, fleetTracesH)
+		return runFleet(ctx, out, *rooms, *seed, reg, rec, *latency)
 	case "feasibility":
 		return runFeasibility(out)
 	case "montecarlo":
@@ -178,7 +153,7 @@ func runEpisode(ctx context.Context, out io.Writer, seed int64, rec *flex.Flight
 }
 
 // assertSLOSmoke is the `make slo-smoke` gate: the audited episode must
-// flip /healthz healthy→degraded→healthy without ever going unsafe, and
+// flip health healthy→degraded→healthy without ever going unsafe, and
 // the what-if probe must end in a probe-fail-free steady state.
 func assertSLOSmoke(aud *slo.Auditor) error {
 	var sawDegrade, sawRecover bool
@@ -194,7 +169,7 @@ func assertSLOSmoke(aud *slo.Auditor) error {
 		}
 	}
 	if !sawDegrade || !sawRecover {
-		return fmt.Errorf("slo-smoke: /healthz never flipped healthy→degraded→healthy (transitions: %+v)", aud.Transitions())
+		return fmt.Errorf("slo-smoke: health never flipped healthy→degraded→healthy (transitions: %+v)", aud.Transitions())
 	}
 	if h := aud.Health(); h.State != slo.StateReady {
 		return fmt.Errorf("slo-smoke: final health %v (%v), want ready", h.State, h.Reasons)
@@ -322,28 +297,13 @@ func runDesigns(out io.Writer) error {
 	return nil
 }
 
-// lateHandler mounts an HTTP endpoint before its backend exists: the obs
-// server starts first, the fleet emulation publishes its handlers via
-// FleetEmulationConfig.Attach once the shards are assembled.
-type lateHandler struct{ h atomic.Value }
-
-func (l *lateHandler) set(h http.Handler) { l.h.Store(h) }
-
-func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h, ok := l.h.Load().(http.Handler); ok {
-		h.ServeHTTP(w, r)
-		return
-	}
-	http.Error(w, "fleet emulation not running yet", http.StatusServiceUnavailable)
-}
-
 // runFleet drives the multi-room sharded fleet emulation and asserts the
 // smoke criteria: every shard ready in the final snapshot, the aggregate
 // stranded power equal to the sum of per-room Eq. 5, the failed room shed
 // within the 10s budget, and zero cross-shard drops. With latency set it
 // additionally prints and asserts the critical-path attribution (the
 // latency-smoke gate).
-func runFleet(ctx context.Context, out io.Writer, rooms int, seed int64, reg *obs.Registry, rec *flex.FlightRecorder, latency bool, fleetH, tracesH *lateHandler) error {
+func runFleet(ctx context.Context, out io.Writer, rooms int, seed int64, reg *obs.Registry, rec *flex.FlightRecorder, latency bool) error {
 	if latency && rec == nil {
 		// Waterfall stitching groups traces by flight-recorder episode id
 		// and the exemplar joins point at recorder events, so the latency
@@ -359,12 +319,6 @@ func runFleet(ctx context.Context, out io.Writer, rooms int, seed int64, reg *ob
 		Seed:     seed,
 		Obs:      reg,
 		Recorder: rec,
-		Attach: func(fl *flex.Fleet) {
-			if fleetH != nil {
-				fleetH.set(fl.Handler())
-				tracesH.set(fl.TracesHandler())
-			}
-		},
 	})
 	if err != nil {
 		return err

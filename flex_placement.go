@@ -78,8 +78,8 @@ func FlexOfflineShort() FlexOffline  { return placement.FlexOfflineShort() }
 func FlexOfflineLong() FlexOffline   { return placement.FlexOfflineLong() }
 func FlexOfflineOracle() FlexOffline { return placement.FlexOfflineOracle() }
 
-// Online placement (ROADMAP item 2): millisecond admission with warm ILP
-// state. See internal/placement/online.
+// Online placement: millisecond admission with warm ILP state. See
+// internal/placement/online and DESIGN.md "Online placement".
 type (
 	// OnlinePlacement is the online admission policy — one deployment at a
 	// time on an allocation-free hot path, with sampled-scenario scoring

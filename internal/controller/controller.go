@@ -59,7 +59,7 @@ type Config struct {
 	// read), plan start/commit/abort, each planned action, and the
 	// actuations they dispatch — under a per-episode ID allocated from
 	// the recorder. Traces started by Tracer carry the same episode ID,
-	// so /traces and /events are joinable.
+	// so traces and recorded events are joinable.
 	Recorder *recorder.Recorder
 }
 

@@ -127,7 +127,7 @@ func TestRecorderCausalChain(t *testing.T) {
 		}
 	}
 
-	// The /events?episode=N&causes=1 view must contain the whole chain,
+	// The episode filter with its causes must contain the whole chain,
 	// including the zero-episode sample-arrive pulled in through Cause
 	// links.
 	chain := recorder.ApplyFilter(events, recorder.Filter{Episode: detect.Episode, WithCauses: true})

@@ -56,8 +56,8 @@ type FleetConfig struct {
 	// stage exemplars and trace roots resolve to recorder events.
 	Recorder *recorder.Recorder
 	// Attach, when non-nil, is called with the live fleet after every
-	// room is added and before the first tick — the hook flexsim uses to
-	// mount /fleet and /fleet/traces while the emulation runs.
+	// room is added and before the first tick, so a caller can read the
+	// fleet's tracer once the run is over.
 	Attach func(*fleet.Fleet)
 }
 
@@ -111,7 +111,7 @@ type FleetResult struct {
 	// Snapshot is the fleet aggregate after the final tick.
 	Snapshot fleet.Snapshot
 	// Episodes are the stitched per-episode stage waterfalls (newest
-	// first) — what /fleet/traces serves on a live fleet.
+	// first).
 	Episodes []fleet.EpisodeTrace
 	// Stages digests the fleet's per-stage latency histograms.
 	Stages []fleet.StageSummary

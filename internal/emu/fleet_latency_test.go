@@ -2,11 +2,7 @@ package emu
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -55,7 +51,12 @@ func TestFleetLatencyAttribution(t *testing.T) {
 		if st.Episode == 0 || st.Event == 0 || st.Trace == 0 {
 			t.Fatalf("stage %s max not joined to the recorder and tracer: %+v", st.Stage, st)
 		}
-		evs := rec.Query(recorder.Filter{MinSeq: st.Event, MaxSeq: st.Event})
+		var evs []recorder.Event
+		for _, e := range rec.Snapshot() {
+			if e.Seq == st.Event {
+				evs = append(evs, e)
+			}
+		}
 		if len(evs) != 1 {
 			t.Fatalf("stage %s max event %d not found in the recorder", st.Stage, st.Event)
 		}
@@ -83,7 +84,7 @@ func TestFleetLatencyAttribution(t *testing.T) {
 	if ep.Root == 0 {
 		t.Fatal("failed room's episode has no recorder root")
 	}
-	if chain := rec.Query(recorder.Filter{Episode: ep.Episode}); len(chain) == 0 {
+	if chain := recorder.ApplyFilter(rec.Snapshot(), recorder.Filter{Episode: ep.Episode}); len(chain) == 0 {
 		t.Fatalf("episode %d resolves to no recorder events", ep.Episode)
 	}
 	var sum float64
@@ -102,82 +103,6 @@ func TestFleetLatencyAttribution(t *testing.T) {
 		if sp.OffsetSeconds < 0 || sp.OffsetSeconds+sp.DurationSeconds > ep.TotalSeconds+1e-6 {
 			t.Fatalf("span %+v escapes the [0, %.3fs] episode window", sp, ep.TotalSeconds)
 		}
-	}
-}
-
-// TestFleetTracesHandler drives a recorded fleet run, then serves the
-// live fleet's /fleet/traces endpoint and checks the JSON shape plus the
-// ?episode= and ?limit= filters.
-func TestFleetTracesHandler(t *testing.T) {
-	var fl *fleet.Fleet
-	rec := recorder.New(1 << 16)
-	res, err := RunFleet(context.Background(), FleetConfig{
-		Rooms: 3, FailRoom: 1, Recorder: rec,
-		Attach: func(f *fleet.Fleet) { fl = f },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fl == nil {
-		t.Fatal("Attach never ran")
-	}
-	if len(res.Episodes) == 0 {
-		t.Fatal("run produced no episodes")
-	}
-
-	srv := httptest.NewServer(fl.TracesHandler())
-	defer srv.Close()
-
-	get := func(url string) (struct {
-		Episodes []fleet.EpisodeTrace `json:"episodes"`
-		Stages   []fleet.StageSummary `json:"stages"`
-	}, int) {
-		var out struct {
-			Episodes []fleet.EpisodeTrace `json:"episodes"`
-			Stages   []fleet.StageSummary `json:"stages"`
-		}
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatalf("%s: %v", url, err)
-			}
-		}
-		return out, resp.StatusCode
-	}
-
-	full, code := get(srv.URL)
-	if code != http.StatusOK {
-		t.Fatalf("GET /fleet/traces = %d", code)
-	}
-	if len(full.Episodes) != len(res.Episodes) {
-		t.Fatalf("handler served %d episodes, run produced %d", len(full.Episodes), len(res.Episodes))
-	}
-	if len(full.Stages) != int(obs.NumStages) {
-		t.Fatalf("handler served %d stage digests, want %d", len(full.Stages), obs.NumStages)
-	}
-
-	want := res.Episodes[0].Episode
-	one, code := get(fmt.Sprintf("%s?episode=%d", srv.URL, want))
-	if code != http.StatusOK {
-		t.Fatalf("GET ?episode=%d = %d", want, code)
-	}
-	if len(one.Episodes) != 1 || one.Episodes[0].Episode != want {
-		t.Fatalf("?episode=%d returned %+v", want, one.Episodes)
-	}
-
-	lim, code := get(srv.URL + "?limit=1")
-	if code != http.StatusOK || len(lim.Episodes) != 1 {
-		t.Fatalf("?limit=1 returned %d episodes (status %d), want 1", len(lim.Episodes), code)
-	}
-	if _, code := get(srv.URL + "?limit=bogus"); code != http.StatusBadRequest {
-		t.Fatalf("?limit=bogus = %d, want 400", code)
-	}
-	if _, code := get(srv.URL + "?episode=bogus"); code != http.StatusBadRequest {
-		t.Fatalf("?episode=bogus = %d, want 400", code)
 	}
 }
 

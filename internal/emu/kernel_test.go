@@ -33,7 +33,7 @@ func TestEventsFireOffGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, typ := range []recorder.Type{recorder.TypeUPSFail, recorder.TypeUPSRecover} {
-		if n := len(rec.Query(recorder.Filter{Type: typ})); n != 1 {
+		if n := len(eventsOf(rec, typ, "")); n != 1 {
 			t.Errorf("%d %v events, want 1", n, typ)
 		}
 	}

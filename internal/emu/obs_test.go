@@ -52,16 +52,11 @@ func TestEmulationShedLatencyWithinBudget(t *testing.T) {
 	if shed.Count == 0 {
 		t.Fatal("shed-latency histogram recorded no episodes")
 	}
-	budget := power.FlexLatencyBudget.Seconds()
-	withinBudget := uint64(0)
-	for _, b := range shed.Buckets {
-		if b.Le <= budget {
-			withinBudget = b.Count // cumulative; last bucket ≤ budget wins
-		}
-	}
-	if withinBudget != shed.Count {
-		t.Errorf("shed latency: %d/%d episodes within the %.0fs budget (mean %.2fs)",
-			withinBudget, shed.Count, budget, shed.Sum/float64(shed.Count))
+	// Latencies are not negative, so a total inside the budget puts every
+	// episode inside it.
+	if budget := power.FlexLatencyBudget.Seconds(); shed.Sum > budget {
+		t.Errorf("shed latency: %d episodes took %.2fs in all, more than the %.0fs budget",
+			shed.Count, shed.Sum, budget)
 	}
 
 	first := findSnapshot(t, reg, "flex_controller_first_action_latency_seconds")

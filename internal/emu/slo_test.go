@@ -2,7 +2,7 @@ package emu
 
 import (
 	"context"
-	"strings"
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,9 +14,10 @@ import (
 
 // TestEmulationSafetyAuditor is the end-to-end acceptance run: a single
 // simulated UPS failure on the virtual clock with the continuous safety
-// auditor attached. /slo must report budget burn for the open episode,
-// /healthz must flip ready→degraded and back, and the slo-breach /
-// slo-recover events must be causally linked and carry the episode ID.
+// auditor attached. Its status must report budget burn for the open
+// episode, its health must flip ready→degraded and back, and the
+// slo-breach / slo-recover events must be causally linked and carry the
+// episode ID.
 func TestEmulationSafetyAuditor(t *testing.T) {
 	reg := obs.NewRegistry()
 	// A full quick run emits far more telemetry events than the default
@@ -68,31 +69,24 @@ func TestEmulationSafetyAuditor(t *testing.T) {
 	// The budget-burn series recorded real burn during the episode but
 	// the budget was never exhausted.
 	store := aud.Store()
-	burn, ok := store.Lookup(slo.SeriesBudgetBurn)
-	if !ok {
-		t.Fatal("budget-burn series missing")
-	}
-	// The ring holds every audit tick of the run: the 10s-step maxima over
-	// it peak where the raw points do.
-	raw := burn.Raw()
-	if ticks := aud.Status().Ticks; uint64(len(raw)) != ticks {
+	// The ring holds every audit tick of the run.
+	raw := store.Series(slo.SeriesBudgetBurn).Raw()
+	ticks := aud.Status().Ticks
+	if uint64(len(raw)) != ticks {
 		t.Fatalf("budget-burn series kept %d points of %d audit ticks", len(raw), ticks)
 	}
-	var rawPeak, maxBurn float64
+	var maxBurn float64
 	for _, p := range raw {
-		rawPeak = max(rawPeak, p.Value)
-	}
-	for _, p := range burn.Query(tsdb.QueryRange{From: raw[0].Time, To: raw[len(raw)-1].Time, Step: 10 * time.Second, Agg: tsdb.AggMax}) {
 		maxBurn = max(maxBurn, p.Value)
 	}
-	if maxBurn <= 0 || maxBurn >= 1 || maxBurn != rawPeak {
-		t.Fatalf("peak budget burn = %v (raw peak %v), want one value in (0,1)", maxBurn, rawPeak)
+	if maxBurn <= 0 || maxBurn >= 1 {
+		t.Fatalf("peak budget burn = %v, want a value in (0,1)", maxBurn)
 	}
 
 	// Breach and recover events for the shed-budget objective are
 	// causally paired and carry the overdraw episode ID.
-	breaches := rec.Query(recorder.Filter{Type: recorder.TypeSLOBreach, Subject: slo.ObjShedBudget})
-	recovers := rec.Query(recorder.Filter{Type: recorder.TypeSLORecover, Subject: slo.ObjShedBudget})
+	breaches := eventsOf(rec, recorder.TypeSLOBreach, slo.ObjShedBudget)
+	recovers := eventsOf(rec, recorder.TypeSLORecover, slo.ObjShedBudget)
 	if len(breaches) == 0 || len(recovers) == 0 {
 		t.Fatalf("shed-budget events: %d breaches, %d recovers, want >=1 each", len(breaches), len(recovers))
 	}
@@ -103,7 +97,11 @@ func TestEmulationSafetyAuditor(t *testing.T) {
 		t.Fatalf("recover.Cause = %d, want breach seq %d", recovers[0].Cause, breaches[0].Seq)
 	}
 	// The episode the breach cites really exists in the recorder.
-	if evs := rec.Query(recorder.Filter{Episode: breaches[0].Episode, Type: recorder.TypeOverdrawDetect}); len(evs) == 0 {
+	detected := false
+	for _, e := range recorder.ApplyFilter(rec.Snapshot(), recorder.Filter{Episode: breaches[0].Episode}) {
+		detected = detected || e.Type == recorder.TypeOverdrawDetect
+	}
+	if !detected {
 		t.Fatalf("episode %d has no overdraw-detect event", breaches[0].Episode)
 	}
 
@@ -119,21 +117,27 @@ func TestEmulationSafetyAuditor(t *testing.T) {
 		t.Fatal("no probe-fail-free steady state at end of run")
 	}
 
-	// Derived headroom series exist per UPS, and the registry sampler
-	// scraped controller metrics into the same store.
-	var haveHeadroom, haveScraped bool
-	for _, name := range store.Names() {
-		if strings.HasPrefix(name, slo.SeriesUPSHeadroom+";") {
-			haveHeadroom = true
-		}
-		if strings.HasPrefix(name, "flex_controller_") {
-			haveScraped = true
+	// A derived headroom series exists per UPS of the paper room, and the
+	// registry sampler scraped controller metrics into the same store.
+	for u := 1; u <= 4; u++ {
+		key := tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", fmt.Sprintf("UPS-%d", u)})
+		if n := len(store.Series(key).Raw()); uint64(n) != ticks {
+			t.Fatalf("%s kept %d points of %d audit ticks", key, n, ticks)
 		}
 	}
-	if !haveHeadroom {
-		t.Fatalf("no per-UPS headroom series; have %v", store.Names())
+	if len(store.Series("flex_controller_steps_total").Raw()) == 0 {
+		t.Fatal("sampler scraped no controller metrics")
 	}
-	if !haveScraped {
-		t.Fatalf("sampler scraped no controller metrics; have %v", store.Names())
+}
+
+// eventsOf returns the recorded events of one type — of one subject too,
+// unless subject is empty — in sequence order.
+func eventsOf(rec *recorder.Recorder, typ recorder.Type, subject string) []recorder.Event {
+	var out []recorder.Event
+	for _, e := range rec.Snapshot() {
+		if e.Type == typ && (subject == "" || e.Subject == subject) {
+			out = append(out, e)
+		}
 	}
+	return out
 }

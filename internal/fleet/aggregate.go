@@ -42,8 +42,7 @@ type RoomStatus struct {
 type Snapshot struct {
 	At    time.Time    `json:"at"`
 	Rooms []RoomStatus `json:"rooms"`
-	// State is the fleet verdict: the worst shard state, lifted to at
-	// least degraded when the snapshot itself has gone stale.
+	// State is the fleet verdict: the worst shard state.
 	State slo.State `json:"state"`
 	// Ready counts shards in StateReady.
 	Ready int `json:"ready"`
@@ -109,10 +108,8 @@ func (f *Fleet) roomStatus(s *Shard, now time.Time) RoomStatus {
 }
 
 // AggregateOnce folds every shard's status into a fleet snapshot at time
-// now, stores it as the latest snapshot (served by /fleet), and exports
-// the fleet metrics. The caller runs it at least every aggregateEvery,
-// slower than it steps the shards; correctness of the 10s budget never
-// depends on it.
+// now and exports the fleet metrics. The caller runs it slower than it
+// steps the shards; correctness of the 10s budget never depends on it.
 func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
 	shards := f.shardList()
 	snap := Snapshot{At: now, Rooms: make([]RoomStatus, 0, len(shards))}
@@ -131,30 +128,8 @@ func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
 	}
 	snap.State = worst
 	snap.Stages = f.StageSummaries()
-	f.mu.Lock()
-	f.snap = snap
-	f.hasSnap = true
-	f.mu.Unlock()
 	if f.metrics != nil {
 		f.metrics.export(snap)
-	}
-	return snap
-}
-
-// Snapshot returns the latest aggregated snapshot. When AggregateOnce has
-// not run yet it aggregates on the spot; when the stored snapshot has
-// aged past two aggregateEvery the fleet state is lifted to at least
-// degraded — a stale global view must not read as healthy.
-func (f *Fleet) Snapshot() Snapshot {
-	now := f.cfg.Clock.Now()
-	f.mu.Lock()
-	snap, ok := f.snap, f.hasSnap
-	f.mu.Unlock()
-	if !ok {
-		return f.AggregateOnce(now)
-	}
-	if now.Sub(snap.At) > 2*aggregateEvery && snap.State < slo.StateDegraded {
-		snap.State = slo.StateDegraded
 	}
 	return snap
 }

@@ -33,8 +33,7 @@ import (
 type Config struct {
 	// Name identifies the fleet in metrics and events (default "fleet").
 	Name string
-	// Clock stamps dequeued samples and ages the snapshot (default wall
-	// clock).
+	// Clock stamps dequeued samples (default wall clock).
 	Clock clock.Clock
 	// QueueDepth is each shard's per-topic ingest buffer in samples
 	// (default 1024). When a shard falls behind, the oldest samples in its
@@ -62,17 +61,10 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-const (
-	// aggregateEvery is the staleness threshold of the fleet snapshot:
-	// Snapshot reads a fold older than two of these as at least degraded,
-	// so the caller must run AggregateOnce at least this often. The
-	// aggregation layer is deliberately slower than the shard steps.
-	aggregateEvery = 2 * time.Second
-	// freshness is how stale a shard's UPS telemetry may get before the
-	// shard reports degraded: beyond three missed 1.5s poll rounds the
-	// failover estimate is drifting.
-	freshness = 5 * time.Second
-)
+// freshness is how stale a shard's UPS telemetry may get before the shard
+// reports degraded: beyond three missed 1.5s poll rounds the failover
+// estimate is drifting.
+const freshness = 5 * time.Second
 
 // RoomConfig describes one UPS fault domain joining the fleet.
 type RoomConfig struct {
@@ -112,11 +104,9 @@ type Fleet struct {
 	tracer  *obs.Tracer
 	stages  *obs.StageMetrics
 
-	mu      sync.Mutex
-	shards  map[string]*Shard
-	order   []string
-	snap    Snapshot
-	hasSnap bool
+	mu     sync.Mutex
+	shards map[string]*Shard
+	order  []string
 }
 
 // New creates an empty fleet.
@@ -131,7 +121,7 @@ func New(cfg Config) *Fleet {
 		f.metrics = NewMetrics(cfg.Obs)
 		f.broker.Metrics = telemetry.NewMetrics(cfg.Obs)
 		// One tracer and one stage-metrics family for the whole fleet:
-		// every shard's controllers feed them, so /fleet/traces stitches
+		// every shard's controllers feed them, so EpisodeTraces stitches
 		// cross-shard episodes from one ring and the stage digest
 		// aggregates fleet-wide.
 		f.tracer = obs.NewTracer(fleetTraceCapacity)

@@ -2,14 +2,10 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +13,6 @@ import (
 	"flex/internal/controller"
 	"flex/internal/impact"
 	"flex/internal/obs"
-	"flex/internal/obs/recorder"
 	"flex/internal/obs/slo"
 	"flex/internal/power"
 	"flex/internal/rackmgr"
@@ -302,28 +297,6 @@ func TestAggregateSumsAndHealth(t *testing.T) {
 	}
 }
 
-func TestSnapshotStalenessDegrades(t *testing.T) {
-	clk := clock.NewVirtual(t0())
-	f := New(Config{Clock: clk})
-	rc := testRoomConfig(t, "room-1", clk)
-	s, _ := f.AddRoom(rc)
-	clk.Advance(time.Second)
-	feed(s, rc, clk.Now(), []power.Watts{50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW})
-	s.Pump()
-	if snap := f.AggregateOnce(clk.Now()); snap.State != slo.StateReady {
-		t.Fatalf("fresh fleet state = %v, want ready", snap.State)
-	}
-	if snap := f.Snapshot(); snap.State != slo.StateReady {
-		t.Fatalf("fresh Snapshot state = %v, want ready", snap.State)
-	}
-	// The aggregator stops folding; a stale global view must not read as
-	// healthy.
-	clk.Advance(10 * time.Second)
-	if snap := f.Snapshot(); snap.State != slo.StateDegraded {
-		t.Fatalf("stale Snapshot state = %v, want degraded", snap.State)
-	}
-}
-
 func TestStaleTelemetryDegradesRoom(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	f := New(Config{Clock: clk})
@@ -339,51 +312,6 @@ func TestStaleTelemetryDegradesRoom(t *testing.T) {
 	}
 }
 
-func TestFleetHandler(t *testing.T) {
-	clk := clock.NewVirtual(t0())
-	f := New(Config{Clock: clk})
-	rc := testRoomConfig(t, "room-1", clk)
-	s, _ := f.AddRoom(rc)
-	clk.Advance(time.Second)
-	feed(s, rc, clk.Now(), []power.Watts{50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW})
-	s.Pump()
-	f.AggregateOnce(clk.Now())
-
-	h := f.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/fleet", nil))
-	var snap Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("bad /fleet JSON: %v", err)
-	}
-	if len(snap.Rooms) != 1 || snap.Rooms[0].Name != "room-1" {
-		t.Fatalf("snapshot rooms = %+v", snap.Rooms)
-	}
-	if snap.StrandedPower != 5*power.KW {
-		t.Fatalf("stranded = %v, want 5kW", snap.StrandedPower)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/fleet?room=room-1", nil))
-	var st RoomStatus
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("bad /fleet?room JSON: %v", err)
-	}
-	if st.Name != "room-1" || st.State != slo.StateReady {
-		t.Fatalf("room status = %+v", st)
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/fleet?room=nope", nil))
-	if rec.Code != 404 {
-		t.Fatalf("unknown room status = %d, want 404", rec.Code)
-	}
-}
-
-// TestShardIsolationUnderSaturation is the deterministic core of the
-// isolation property: one shard's ingest queue saturated far past its
-// depth (backpressure engaged, drops counted) while a concurrent UPS
-// failure on another shard is still detected and shed on the same virtual
-// clock — zero cross-shard stall.
 func TestShardIsolationUnderSaturation(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	f := New(Config{Clock: clk, QueueDepth: 64})
@@ -415,102 +343,6 @@ func TestShardIsolationUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestSteppedFleetConcurrentReaders is what flexsim -experiment fleet
-// -listen does: one goroutine steps four rooms — ingest, Pump,
-// StepContext, and an AggregateOnce every fourth round — while others
-// read Snapshot and GET /fleet and /fleet/traces. It is in the
-// race-detector CI list.
-func TestSteppedFleetConcurrentReaders(t *testing.T) {
-	clk := clock.NewVirtual(t0())
-	f := New(Config{Clock: clk, Obs: obs.NewRegistry(), Recorder: recorder.New(1 << 14)})
-	const rooms = 4
-	rcs := make([]RoomConfig, rooms)
-	shards := make([]*Shard, rooms)
-	for i := range rcs {
-		rcs[i] = testRoomConfig(t, fmt.Sprintf("room-%d", i), clk)
-		s, err := f.AddRoom(rcs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = s
-	}
-
-	done := make(chan struct{})
-	read := func(h http.Handler, path string, v any) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 {
-			t.Errorf("GET %s = %d", path, rec.Code)
-			return
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
-			t.Errorf("GET %s: %v", path, err)
-		}
-	}
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			fleetH, tracesH := f.Handler(), f.TracesHandler()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if snap := f.Snapshot(); len(snap.Rooms) != rooms {
-					t.Errorf("snapshot has %d rooms, want %d", len(snap.Rooms), rooms)
-				}
-				var snap Snapshot
-				read(fleetH, "/fleet", &snap)
-				var traces struct{ Episodes []EpisodeTrace }
-				read(tracesH, "/fleet/traces", &traces)
-			}
-		}()
-	}
-
-	healthy := []power.Watts{50 * power.KW, 50 * power.KW, 50 * power.KW, 50 * power.KW}
-	failed := []power.Watts{0, 120 * power.KW, 120 * power.KW, 120 * power.KW}
-	for round := 0; round < 40; round++ {
-		clk.Advance(500 * time.Millisecond)
-		for i, s := range shards {
-			ups := healthy
-			if i == 1 && round >= 10 {
-				ups = failed
-			}
-			feed(s, rcs[i], clk.Now(), ups)
-			s.Pump()
-			s.StepContext(context.Background())
-		}
-		if round%4 == 3 {
-			f.AggregateOnce(clk.Now())
-		}
-	}
-	close(done)
-	readers.Wait()
-
-	snap := f.AggregateOnce(clk.Now())
-	for _, st := range snap.Rooms {
-		if st.Steps != 40 || st.Pumped == 0 {
-			t.Errorf("%s: %d steps, %d samples pumped; want 40 steps and some samples", st.Name, st.Steps, st.Pumped)
-		}
-	}
-	if len(f.EpisodeTraces(0)) == 0 {
-		t.Error("room-1's overdraw left no episode trace")
-	}
-}
-
-// TestPumpDrainsPollWhole: a 275-rack room's shard takes one full rack poll
-// and pumps it. The poll reaches the rack view as one batch, so the view
-// makes its slots and device index once: the first Pump allocates no more
-// than a fresh view does taking the same poll in one UpdateBatch, which is
-// one 275-slot array and one index sized for 275. Drained through a buffer
-// smaller than the poll, the view would make a smaller slot array first and
-// the whole one after it. Every reading installed carries the clock reading
-// of that Pump as its dequeue instant. The byte counts are process-wide, so
-// each side keeps its least of five fresh tries: whatever else allocates
-// meanwhile only adds.
 func TestPumpDrainsPollWhole(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	rc := testRoomConfig(t, "room-wide", clk)

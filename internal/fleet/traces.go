@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -12,7 +9,7 @@ import (
 )
 
 // StageSummary is one critical-path stage's fleet-wide digest, folded
-// into Snapshot.Stages by AggregateOnce and served at /fleet.
+// into Snapshot.Stages by AggregateOnce.
 type StageSummary = obs.StageDigest
 
 // StageSummaries is the digest of the fleet's shared stage metrics, in
@@ -43,7 +40,7 @@ type EpisodeTrace struct {
 	// Room is parsed from the trace name ("flex-online/<room>/ctl-N").
 	Room string `json:"room,omitempty"`
 	// Root is the flight-recorder sequence of the episode's first detect
-	// event (0 when unrecorded) — the /events join key.
+	// event (0 when unrecorded) — the join key into the recorded log.
 	Root         uint64      `json:"root,omitempty"`
 	Start        time.Time   `json:"start"`
 	End          time.Time   `json:"end"`
@@ -158,45 +155,4 @@ func roomOfTrace(name string) string {
 		return rest[:i]
 	}
 	return ""
-}
-
-// TracesHandler returns the /fleet/traces endpoint: stitched per-episode
-// stage waterfalls plus the fleet stage digests, as JSON. ?episode=N
-// narrows to one episode; ?limit=K keeps the newest K episodes.
-func (f *Fleet) TracesHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		q := r.URL.Query()
-		limit := 0
-		if s := q.Get("limit"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				http.Error(w, "bad limit parameter: "+strconv.Quote(s), http.StatusBadRequest)
-				return
-			}
-			limit = v
-		}
-		episodes := f.EpisodeTraces(limit)
-		if s := q.Get("episode"); s != "" {
-			v, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad episode parameter: "+strconv.Quote(s), http.StatusBadRequest)
-				return
-			}
-			filtered := episodes[:0]
-			for _, e := range episodes {
-				if e.Episode == v {
-					filtered = append(filtered, e)
-				}
-			}
-			episodes = filtered
-		}
-		out := struct {
-			Episodes []EpisodeTrace `json:"episodes"`
-			Stages   []StageSummary `json:"stages"`
-		}{Episodes: episodes, Stages: f.StageSummaries()}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
-	})
 }

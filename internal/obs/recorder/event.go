@@ -173,8 +173,8 @@ func ParseType(s string) (Type, error) {
 	return TypeUnknown, fmt.Errorf("recorder: unknown event type %q", s)
 }
 
-// MarshalJSON renders the type as its taxonomy name, so JSONL logs and
-// /events responses are self-describing.
+// MarshalJSON renders the type as its taxonomy name, so JSONL logs are
+// self-describing.
 func (t Type) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + t.String() + `"`), nil
 }

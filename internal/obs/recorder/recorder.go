@@ -3,7 +3,6 @@ package recorder
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultCapacity is the ring size used when New is given capacity <= 0.
@@ -11,13 +10,13 @@ const DefaultCapacity = 8192
 
 // Recorder is the flight recorder: a fixed-capacity ring of events that
 // is always on, plus an optional JSONL sink for persistence. Emit is safe
-// for concurrent use and allocation-free when no sink is attached; query
-// paths (Snapshot, Query) allocate freely.
+// for concurrent use and allocation-free when no sink is attached;
+// Snapshot allocates freely.
 //
 // The ring is bounded: under burst load the oldest events are overwritten
 // (Overwritten counts them). Attach a sink before the run when the full
-// log matters — replay needs every event, the live /events surface only
-// the recent window.
+// log matters — replay needs every event, an in-process check of a run
+// only the recent window.
 type Recorder struct {
 	mu   sync.Mutex
 	ring []Event
@@ -121,57 +120,15 @@ func (r *Recorder) Overwritten() uint64 { return r.overwritten.Load() }
 // Episodes reports how many episode IDs have been allocated.
 func (r *Recorder) Episodes() uint64 { return r.episodes.Load() }
 
-// Filter selects events for Query. Zero values are wildcards.
+// Filter selects events for ApplyFilter. Zero values are wildcards.
 type Filter struct {
 	// Episode keeps events of one overdraw episode.
 	Episode uint64
-	// Type keeps one event type.
-	Type Type
-	// Actor / Subject keep events by emitting component / device (exact
-	// match; Subject covers "by UPS" and "by rack" queries).
-	Actor, Subject string
-	// MinSeq/MaxSeq bound the sequence range (inclusive; 0 = open).
-	MinSeq, MaxSeq uint64
-	// From/To bound the event timestamps (inclusive; zero = open). The
-	// incremental /events poll uses since=<seq> (MinSeq) or from=<time>
-	// so watch loops refetch only the new tail instead of the full ring.
-	From, To time.Time
 	// WithCauses additionally includes the transitive causal ancestors of
-	// every match — still retained in the window being queried — so an
-	// episode query returns the full chain from the triggering telemetry
-	// sample to the final action ack, even though samples carry no
-	// episode ID.
+	// every match — still present in the events filtered — so an episode
+	// filter returns the full chain from the triggering telemetry sample
+	// to the final action ack, even though samples carry no episode ID.
 	WithCauses bool
-	// Limit keeps only the newest Limit events after filtering (0 = all).
-	Limit int
-}
-
-func (f *Filter) match(e *Event) bool {
-	if f.Episode != 0 && e.Episode != f.Episode {
-		return false
-	}
-	if f.Type != TypeUnknown && e.Type != f.Type {
-		return false
-	}
-	if f.Actor != "" && e.Actor != f.Actor {
-		return false
-	}
-	if f.Subject != "" && e.Subject != f.Subject {
-		return false
-	}
-	if f.MinSeq != 0 && e.Seq < f.MinSeq {
-		return false
-	}
-	if f.MaxSeq != 0 && e.Seq > f.MaxSeq {
-		return false
-	}
-	if !f.From.IsZero() && e.Time.Before(f.From) {
-		return false
-	}
-	if !f.To.IsZero() && e.Time.After(f.To) {
-		return false
-	}
-	return true
 }
 
 // Snapshot returns a copy of the retained events in sequence order.
@@ -189,18 +146,13 @@ func (r *Recorder) Snapshot() []Event {
 	return out
 }
 
-// Query returns the retained events matching f, in sequence order.
-func (r *Recorder) Query(f Filter) []Event {
-	return ApplyFilter(r.Snapshot(), f)
-}
-
 // ApplyFilter filters a sequence-ordered event slice (the ring snapshot
-// or a loaded JSONL log) with the same semantics as Recorder.Query.
+// or a loaded JSONL log), keeping the order.
 func ApplyFilter(events []Event, f Filter) []Event {
 	keep := make([]bool, len(events))
 	any := false
 	for i := range events {
-		if f.match(&events[i]) {
+		if f.Episode == 0 || events[i].Episode == f.Episode {
 			keep[i] = true
 			any = true
 		}
@@ -226,9 +178,6 @@ func ApplyFilter(events []Event, f Filter) []Event {
 		if keep[i] {
 			out = append(out, events[i])
 		}
-	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
 	}
 	return out
 }

@@ -130,20 +130,16 @@ func TestQueryFilters(t *testing.T) {
 	act := r.Emit(Event{Type: TypeActionPlanned, Time: t0, Actor: "ctl-1", Subject: "rack-3", Cause: plan, Episode: 1})
 	r.Emit(Event{Type: TypeSamplePublish, Time: t0, Actor: "poller-1", Subject: "UPS-3"})
 
-	if got := r.Query(Filter{Type: TypeSamplePublish}); len(got) != 2 {
-		t.Fatalf("type filter returned %d events, want 2", len(got))
+	events := r.Snapshot()
+	if got := ApplyFilter(events, Filter{}); len(got) != len(events) {
+		t.Fatalf("the zero filter kept %d of %d events", len(got), len(events))
 	}
-	if got := r.Query(Filter{Subject: "UPS-2"}); len(got) != 3 {
-		t.Fatalf("subject filter returned %d events, want 3", len(got))
+	got := ApplyFilter(events, Filter{Episode: 1})
+	if len(got) != 3 || got[0].Seq != det || got[1].Seq != plan || got[2].Seq != act {
+		t.Fatalf("episode filter returned %+v, want the detect, plan and action events", got)
 	}
-	if got := r.Query(Filter{Actor: "ctl-1"}); len(got) != 3 {
-		t.Fatalf("actor filter returned %d events, want 3", len(got))
-	}
-	if got := r.Query(Filter{MinSeq: det, MaxSeq: plan}); len(got) != 2 {
-		t.Fatalf("seq range returned %d events, want 2", len(got))
-	}
-	if got := r.Query(Filter{Episode: 1, Limit: 2}); len(got) != 2 || got[1].Seq != act {
-		t.Fatalf("limit filter returned %v", got)
+	if got := ApplyFilter(events, Filter{Episode: 2}); len(got) != 0 {
+		t.Fatalf("an unknown episode kept %d events", len(got))
 	}
 }
 
@@ -161,7 +157,7 @@ func TestQueryEpisodeCausalClosure(t *testing.T) {
 	disp := r.Emit(Event{Type: TypeActionDispatch, Time: t0, Subject: "rack-1", Cause: planned, Episode: 3})
 	ack := r.Emit(Event{Type: TypeActionAck, Time: t0, Subject: "rack-1", Cause: disp, Episode: 3})
 
-	got := r.Query(Filter{Episode: 3, WithCauses: true})
+	got := ApplyFilter(r.Snapshot(), Filter{Episode: 3, WithCauses: true})
 	want := []uint64{pub, arr, det, plan, planned, disp, ack}
 	if len(got) != len(want) {
 		t.Fatalf("closure returned %d events, want %d: %+v", len(got), len(want), got)

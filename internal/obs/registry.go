@@ -10,14 +10,13 @@
 // caller-supplied timestamps from the injected clock.Clock, so virtual-
 // clock tests can assert exact latencies and clockcheck stays clean.
 //
-// Metrics export as Prometheus text format (WritePrometheus, served at
-// /metrics by Handler) and as expvar-style JSON (/debug/vars).
+// The registry is read in process: the tsdb sampler scrapes it every
+// tick, and `flexmon -metrics` prints it as a CSV summary after a run.
 package obs
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,14 +79,11 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket cumulative histogram. Buckets are chosen at
-// construction; Observe performs a linear scan over them and two atomic
-// updates — no allocation, no locking. Concurrent Observe calls are safe;
-// a concurrent export may see sum and counts from slightly different
-// instants, which is the standard Prometheus trade-off.
+// Histogram keeps the exact count and sum of its observations — what the
+// sampler scrapes and the summary prints. Observe is two atomic updates: no
+// allocation, no locking. Concurrent Observe calls are safe; a concurrent
+// read may see count and sum from slightly different instants.
 type Histogram struct {
-	upper   []float64       // ascending upper bounds; +Inf is implicit
-	counts  []atomic.Uint64 // len(upper)+1; last bucket is +Inf
 	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
@@ -96,11 +92,6 @@ type Histogram struct {
 //
 //flex:hotpath
 func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
-		i++
-	}
-	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -122,32 +113,11 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Buckets returns the upper bounds and the cumulative count at each (the
-// +Inf bucket is the final entry with math.Inf(1)).
-func (h *Histogram) Buckets() []Bucket {
-	out := make([]Bucket, len(h.upper)+1)
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := math.Inf(1)
-		if i < len(h.upper) {
-			le = h.upper[i]
-		}
-		out[i] = Bucket{Le: le, Count: cum}
-	}
-	return out
-}
-
-// Bucket is one cumulative histogram bucket: observations <= Le.
-type Bucket struct {
-	Le    float64
-	Count uint64
-}
-
-// LatencyBuckets returns histogram bounds (seconds) sized for the
-// Flex-Online latency budget: sub-second resolution below the controller
-// interval, and an exact boundary at the 10-second UPS overload tolerance
-// so "inside the budget" is answerable from bucket counts alone.
+// LatencyBuckets returns the bounds (seconds) the latency histograms
+// register with: sub-second resolution below the controller interval, and
+// an exact boundary at the 10-second UPS overload tolerance. A histogram
+// keeps no per-bucket counts; its bounds are part of the shape that
+// re-registering a name must repeat.
 func LatencyBuckets() []float64 {
 	return []float64{0.05, 0.1, 0.25, 0.5, 1, 2, 3, 5, 7.5, 10, 15, 30, 60}
 }
@@ -155,14 +125,14 @@ func LatencyBuckets() []float64 {
 // metric is one registered entry.
 type metric struct {
 	name   string
-	help   string
+	help   string //flex:keep bench/ registers every metric with a help string; it goes when bench/ moves onto the kernel (ROADMAP item 3)
 	kind   Kind
 	labels []string // label names for vecs; nil for plain metrics
 
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	buckets []float64 // histogram construction bounds (for get-or-create checks)
+	buckets []float64 // histogram bounds, part of the shape re-registration checks
 
 	mu       sync.Mutex
 	children []*child // vec children in registration order
@@ -227,7 +197,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 		case KindGauge:
 			m.gauge = &Gauge{}
 		case KindHistogram:
-			m.hist = newHistogram(buckets)
+			m.hist = &Histogram{}
 		}
 	} else {
 		m.byKey = make(map[string]*child)
@@ -235,15 +205,6 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	r.metrics = append(r.metrics, m)
 	r.byName[name] = m
 	return m
-}
-
-func newHistogram(buckets []float64) *Histogram {
-	if len(buckets) == 0 {
-		buckets = LatencyBuckets()
-	}
-	upper := append([]float64(nil), buckets...)
-	sort.Float64s(upper)
-	return &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
 }
 
 // Counter registers (or returns) a counter.
@@ -256,8 +217,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, KindGauge, nil, nil).gauge
 }
 
-// Histogram registers (or returns) a histogram with the given bucket
-// upper bounds (nil selects LatencyBuckets).
+// Histogram registers (or returns) a histogram. buckets is part of its
+// registered shape: re-registering the name must repeat it.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.register(name, help, KindHistogram, nil, buckets).hist
 }
@@ -298,13 +259,13 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.m.child(values).gauge
 }
 
-// HistogramVec is a histogram family with labels. Children share the
-// family's bucket bounds and are pre-bound with With at wiring time; the
-// returned *Histogram is then allocation-free on the hot path.
+// HistogramVec is a histogram family with labels. Children are pre-bound
+// with With at wiring time; the returned *Histogram is then
+// allocation-free on the hot path.
 type HistogramVec struct{ m *metric }
 
-// HistogramVec registers (or returns) a labelled histogram family with
-// the given bucket upper bounds (nil selects LatencyBuckets).
+// HistogramVec registers (or returns) a labelled histogram family; buckets
+// is part of its shape, as for Histogram.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	if len(labels) == 0 {
 		panic("obs: HistogramVec " + name + " needs at least one label")
@@ -336,7 +297,7 @@ func (m *metric) child(values []string) *child {
 	case KindGauge:
 		c.gauge = &Gauge{}
 	case KindHistogram:
-		c.hist = newHistogram(m.buckets)
+		c.hist = &Histogram{}
 	}
 	m.children = append(m.children, c)
 	m.byKey[key] = c
@@ -357,15 +318,13 @@ func labelKey(values []string) string {
 // reporting.
 type Snapshot struct {
 	Name   string
-	Help   string
 	Kind   Kind
 	Labels []Label
 	// Value is the counter count or gauge value.
 	Value float64
-	// Count, Sum, Buckets are set for histograms.
-	Count   uint64
-	Sum     float64
-	Buckets []Bucket
+	// Count and Sum are set for histograms.
+	Count uint64
+	Sum   float64
 }
 
 // Label is one name="value" pair.
@@ -379,7 +338,6 @@ type Label struct {
 // Counter, Gauge or Histogram (the one Kind selects) every round.
 type Metric struct {
 	Name   string
-	Help   string
 	Kind   Kind
 	Labels []Label
 
@@ -390,7 +348,7 @@ type Metric struct {
 
 // Snapshot copies the metric's current value out.
 func (m Metric) Snapshot() Snapshot {
-	s := Snapshot{Name: m.Name, Help: m.Help, Kind: m.Kind, Labels: m.Labels}
+	s := Snapshot{Name: m.Name, Kind: m.Kind, Labels: m.Labels}
 	switch m.Kind {
 	case KindCounter:
 		s.Value = float64(m.Counter.Value())
@@ -399,7 +357,6 @@ func (m Metric) Snapshot() Snapshot {
 	case KindHistogram:
 		s.Count = m.Histogram.Count()
 		s.Sum = m.Histogram.Sum()
-		s.Buckets = m.Histogram.Buckets()
 	}
 	return s
 }
@@ -434,7 +391,7 @@ func (r *Registry) Metrics() []Metric {
 }
 
 func (m *metric) handle(values []string, c *Counter, g *Gauge, h *Histogram) Metric {
-	out := Metric{Name: m.name, Help: m.help, Kind: m.kind, Counter: c, Gauge: g, Histogram: h}
+	out := Metric{Name: m.name, Kind: m.kind, Counter: c, Gauge: g, Histogram: h}
 	for i, v := range values {
 		out.Labels = append(out.Labels, Label{Name: m.labels[i], Value: v})
 	}

@@ -131,7 +131,7 @@ func TestBurnRatesGolden(t *testing.T) {
 
 	// The script did what it says, so the hash covers moving values.
 	count := func(typ recorder.Type, subject string) int {
-		return len(h.rec.Query(recorder.Filter{Type: typ, Subject: subject}))
+		return len(eventsOf(h.rec, typ, subject))
 	}
 	if n := count(recorder.TypeSLOBreach, slo.ObjRackFresh); n != 2 {
 		t.Errorf("rack-freshness breached %d times, want 2", n)

@@ -1,14 +1,8 @@
 package slo
 
-import (
-	"encoding/json"
-	"errors"
-	"net/http"
-	"strconv"
-	"time"
-)
+import "time"
 
-// State is the /healthz verdict.
+// State is the auditor's health verdict.
 type State int
 
 // Health states, ordered by severity.
@@ -52,27 +46,7 @@ func (s State) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
 }
 
-// UnmarshalJSON parses the state name, so watch clients can decode
-// /healthz responses back into a State.
-func (s *State) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	switch name {
-	case "ready":
-		*s = StateReady
-	case "degraded":
-		*s = StateDegraded
-	case "unsafe":
-		*s = StateUnsafe
-	default:
-		return errors.New("slo: unknown health state " + strconv.Quote(name))
-	}
-	return nil
-}
-
-// Health is the exported /healthz snapshot.
+// Health is the exported health snapshot.
 type Health struct {
 	State State `json:"state"`
 	// Reasons explain any non-ready state, most severe first.
@@ -188,7 +162,7 @@ func (a *Auditor) healthLocked() Health {
 	}
 }
 
-// Health snapshots the current /healthz verdict.
+// Health snapshots the current health verdict.
 func (a *Auditor) Health() Health {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -202,38 +176,4 @@ func (a *Auditor) Transitions() []Transition {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return append([]Transition(nil), a.transitions...)
-}
-
-// SLOHandler serves the /slo JSON snapshot.
-func (a *Auditor) SLOHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(a.Status())
-	})
-}
-
-// HealthHandler serves /healthz: 200 for ready and degraded (the room is
-// still inside the safety envelope — load balancers must not eject a
-// room for reacting to a failure), 503 for unsafe, with the JSON verdict
-// either way. ?transitions=1 appends the transition history.
-func (a *Auditor) HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		h := a.Health()
-		if h.State == StateUnsafe {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		if r.URL.Query().Get("transitions") != "" {
-			_ = json.NewEncoder(w).Encode(struct {
-				Health
-				Transitions []Transition `json:"transitions"`
-			}{h, a.Transitions()})
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(h)
-	})
 }

@@ -24,10 +24,10 @@
 //
 // Breaches and recoveries are emitted as flight-recorder events
 // (slo-breach / slo-recover / probe-fail) carrying the open episode ID,
-// so /events joins an SLO breach to the exact overdraw episode that
-// burned the budget. The package serves /slo and /healthz
-// (ready/degraded/unsafe with reasons) next to tsdb's /query on the obs
-// HTTP surface.
+// so the recorded log joins an SLO breach to the exact overdraw episode
+// that burned the budget. Status and Health (ready/degraded/unsafe with
+// reasons) snapshot the auditor; `flexsim -experiment episode -slo` prints
+// them as a summary.
 //
 // The auditor runs at a faster timescale than the control loop it
 // audits (the VPP multi-timescale argument): Tick is synchronous, and the
@@ -179,8 +179,8 @@ type Bindings struct {
 	Stages *obs.StageMetrics
 }
 
-// objective tracks one SLO's bad indicator — the series /query serves and
-// the window its burn rates are counted over — and breach state.
+// objective tracks one SLO's bad indicator — its tsdb series and the
+// window its burn rates are counted over — and breach state.
 type objective struct {
 	name   string
 	series *tsdb.Series
@@ -347,13 +347,13 @@ func (a *Auditor) Bind(b Bindings) {
 }
 
 // Store returns the tsdb store the auditor writes its derived series
-// to, so callers can share it with a registry sampler and the /query
-// handler.
+// to, so callers can share it with a registry sampler.
 func (a *Auditor) Store() *tsdb.Store { return a.cfg.Store }
 
 // Tick runs one audit round at time now: derive and store the safety
 // series, evaluate every objective's burn rate, run the what-if probe
-// when due, emit breach/recover/probe-fail events, and update /healthz.
+// when due, emit breach/recover/probe-fail events, and update the health
+// verdict.
 // ctx bounds the probe's planning passes.
 //
 // Tick is synchronous and deterministic under a virtual clock: the
@@ -603,7 +603,7 @@ func (a *Auditor) pendingRecoveryLocked(inactive power.UPSSet) []power.Watts {
 	return out
 }
 
-// Objective is the exported snapshot of one SLO for /slo.
+// Objective is the exported snapshot of one SLO.
 type Objective struct {
 	Name     string  `json:"name"`
 	Target   float64 `json:"target"`
@@ -617,7 +617,7 @@ type Objective struct {
 	Episode uint64 `json:"episode,omitempty"`
 }
 
-// Status is the exported /slo snapshot.
+// Status is the exported auditor snapshot.
 type Status struct {
 	Objectives []Objective `json:"objectives"`
 	// EpisodeOpen / EpisodeID / BudgetBurn describe the open overdraw
@@ -666,7 +666,7 @@ type Probe struct {
 	LastLatencySeconds float64 `json:"last_latency_seconds"`
 }
 
-// Status snapshots the auditor for /slo.
+// Status snapshots the auditor.
 func (a *Auditor) Status() Status {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -2,10 +2,7 @@ package slo_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -192,25 +189,25 @@ func TestSteadyStateReady(t *testing.T) {
 
 	// Derived series: headroom = capacity − measured power.
 	store := h.aud.Store()
-	hs, ok := store.Lookup(tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", h.topo.UPSes[0].Name}))
+	last, ok := lastPoint(store, tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", h.topo.UPSes[0].Name}))
 	if !ok {
-		t.Fatalf("headroom series missing; have %v", store.Names())
+		t.Fatal("headroom series missing")
 	}
-	if last, _ := hs.Last(); last.Value != float64(50*power.KW) {
+	if last.Value != float64(50*power.KW) {
 		t.Fatalf("headroom = %v, want 50kW", last.Value)
 	}
 	// Stranded power (Eq. 5): allocatable 300kW − allocated 180kW.
-	ss, ok := store.Lookup(slo.SeriesStrandedPower)
+	last, ok = lastPoint(store, slo.SeriesStrandedPower)
 	if !ok {
 		t.Fatal("stranded series missing")
 	}
-	if last, _ := ss.Last(); last.Value != float64(120*power.KW) {
+	if last.Value != float64(120*power.KW) {
 		t.Fatalf("stranded = %v, want 120kW", last.Value)
 	}
-	if _, ok := store.Lookup(slo.SeriesBudgetBurn); !ok {
+	if _, ok := lastPoint(store, slo.SeriesBudgetBurn); !ok {
 		t.Fatal("budget-burn series missing")
 	}
-	if _, ok := store.Lookup(slo.SeriesProbeFeasible); !ok {
+	if _, ok := lastPoint(store, slo.SeriesProbeFeasible); !ok {
 		t.Fatal("probe-feasibility series missing")
 	}
 }
@@ -240,7 +237,7 @@ func TestFreshnessBreachAndRecover(t *testing.T) {
 	if fresh == nil || !fresh.Bad || !fresh.Breached {
 		t.Fatalf("ups-freshness after stall = %+v, want bad+breached", fresh)
 	}
-	breaches := h.rec.Query(recorder.Filter{Type: recorder.TypeSLOBreach, Subject: slo.ObjUPSFresh})
+	breaches := eventsOf(h.rec, recorder.TypeSLOBreach, slo.ObjUPSFresh)
 	if len(breaches) != 1 {
 		t.Fatalf("breach events = %d, want 1", len(breaches))
 	}
@@ -257,7 +254,7 @@ func TestFreshnessBreachAndRecover(t *testing.T) {
 		h.feed(normalPower)
 		h.aud.Tick(ctx, h.now)
 	}
-	recovers := h.rec.Query(recorder.Filter{Type: recorder.TypeSLORecover, Subject: slo.ObjUPSFresh})
+	recovers := eventsOf(h.rec, recorder.TypeSLORecover, slo.ObjUPSFresh)
 	if len(recovers) != 1 {
 		t.Fatalf("recover events = %d, want 1", len(recovers))
 	}
@@ -270,7 +267,7 @@ func TestFreshnessBreachAndRecover(t *testing.T) {
 }
 
 // TestShedBudgetEpisode fails a UPS and checks the acceptance criterion:
-// /slo reports budget burn for the open episode, /healthz flips
+// the status reports budget burn for the open episode, health flips
 // ready→degraded and back, and the slo-breach / slo-recover events carry
 // the episode ID with recover causally citing its breach.
 func TestShedBudgetEpisode(t *testing.T) {
@@ -314,7 +311,7 @@ func TestShedBudgetEpisode(t *testing.T) {
 	if st.Probe.Rounds != probeRoundsAtFailure {
 		t.Fatalf("probe ran during an open episode: %+v", st.Probe)
 	}
-	breaches := h.rec.Query(recorder.Filter{Type: recorder.TypeSLOBreach, Subject: slo.ObjShedBudget})
+	breaches := eventsOf(h.rec, recorder.TypeSLOBreach, slo.ObjShedBudget)
 	if len(breaches) != 1 {
 		t.Fatalf("shed-budget breach events = %d, want 1", len(breaches))
 	}
@@ -332,7 +329,7 @@ func TestShedBudgetEpisode(t *testing.T) {
 	if got := h.aud.Health(); got.State != slo.StateReady {
 		t.Fatalf("health after recovery = %v (%v), want ready", got.State, got.Reasons)
 	}
-	recovers := h.rec.Query(recorder.Filter{Type: recorder.TypeSLORecover, Subject: slo.ObjShedBudget})
+	recovers := eventsOf(h.rec, recorder.TypeSLORecover, slo.ObjShedBudget)
 	if len(recovers) != 1 {
 		t.Fatalf("shed-budget recover events = %d, want 1", len(recovers))
 	}
@@ -363,7 +360,7 @@ func TestShedBudgetEpisode(t *testing.T) {
 }
 
 // TestBudgetExhaustedUnsafe keeps an overdraw episode open past the full
-// 10s detect→act budget: /healthz must go unsafe (503).
+// 10s detect→act budget: health must go unsafe.
 func TestBudgetExhaustedUnsafe(t *testing.T) {
 	h := newHarness(t, slo.Config{ProbeEvery: -1})
 	ctx := context.Background()
@@ -382,16 +379,11 @@ func TestBudgetExhaustedUnsafe(t *testing.T) {
 	if st.Health.State != slo.StateUnsafe {
 		t.Fatalf("health = %v (%v), want unsafe", st.Health.State, st.Health.Reasons)
 	}
-	rr := httptest.NewRecorder()
-	h.aud.HealthHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz status = %d, want 503", rr.Code)
-	}
 }
 
 // TestProbeInfeasibleUnsafe builds a room whose load survives normal
 // operation but has no shaveable power to cover a failover: the what-if
-// probe must flag every UPS infeasible and flip /healthz unsafe even
+// probe must flag every UPS infeasible and flip health unsafe even
 // though nothing has failed yet.
 func TestProbeInfeasibleUnsafe(t *testing.T) {
 	topo, err := power.NewRoom(power.RoomConfig{
@@ -445,7 +437,7 @@ func TestProbeInfeasibleUnsafe(t *testing.T) {
 	if st.Health.State != slo.StateUnsafe {
 		t.Fatalf("health = %v (%v), want unsafe", st.Health.State, st.Health.Reasons)
 	}
-	fails := rec.Query(recorder.Filter{Type: recorder.TypeProbeFail})
+	fails := eventsOf(rec, recorder.TypeProbeFail, "")
 	if len(fails) != len(topo.UPSes) {
 		t.Fatalf("probe-fail events = %d, want %d", len(fails), len(topo.UPSes))
 	}
@@ -453,59 +445,10 @@ func TestProbeInfeasibleUnsafe(t *testing.T) {
 		t.Fatalf("probe-fail event lacks uncovered watts or detail: %+v", fails[0])
 	}
 	// Feasibility series records the failure.
-	if s, ok := aud.Store().Lookup(slo.SeriesProbeFeasible); !ok {
+	if last, ok := lastPoint(aud.Store(), slo.SeriesProbeFeasible); !ok {
 		t.Fatal("probe-feasibility series missing")
-	} else if last, _ := s.Last(); last.Value != 0 {
+	} else if last.Value != 0 {
 		t.Fatalf("probe feasible = %v, want 0", last.Value)
-	}
-}
-
-// TestHandlers exercises the /slo and /healthz JSON surfaces at steady
-// state.
-func TestHandlers(t *testing.T) {
-	h := newHarness(t, slo.Config{})
-	ctx := context.Background()
-	h.feed(normalPower)
-	h.ctl.StepContext(ctx)
-	h.aud.Tick(ctx, h.now)
-
-	rr := httptest.NewRecorder()
-	h.aud.SLOHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/slo", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/slo status = %d", rr.Code)
-	}
-	var st slo.Status
-	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/slo decode: %v", err)
-	}
-	if len(st.Objectives) != 5 || st.Ticks != 1 {
-		t.Fatalf("/slo = %+v", st)
-	}
-
-	rr = httptest.NewRecorder()
-	h.aud.HealthHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/healthz status = %d", rr.Code)
-	}
-	var hv slo.Health
-	if err := json.Unmarshal(rr.Body.Bytes(), &hv); err != nil {
-		t.Fatalf("/healthz decode: %v", err)
-	}
-	if hv.State != slo.StateReady {
-		t.Fatalf("/healthz state = %v", hv.State)
-	}
-
-	rr = httptest.NewRecorder()
-	h.aud.HealthHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/healthz?transitions=1", nil))
-	var withTr struct {
-		State       slo.State        `json:"state"`
-		Transitions []slo.Transition `json:"transitions"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &withTr); err != nil {
-		t.Fatalf("/healthz?transitions=1 decode: %v", err)
-	}
-	if len(withTr.Transitions) == 0 {
-		t.Fatal("transition history empty (Bind records degraded→ready)")
 	}
 }
 
@@ -643,11 +586,10 @@ func TestPendingRecoveryFollowsFailover(t *testing.T) {
 		t.Fatalf("no committed action sits on a pair fed by the failed UPS: %+v", actions)
 	}
 	for u := range h.topo.UPSes {
-		s, ok := h.aud.Store().Lookup(tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", h.topo.UPSes[u].Name}))
+		last, ok := lastPoint(h.aud.Store(), tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", h.topo.UPSes[u].Name}))
 		if !ok {
 			t.Fatalf("headroom series of %s missing", h.topo.UPSes[u].Name)
 		}
-		last, _ := s.Last()
 		got := power.Watts(last.Value) - (h.topo.UPSes[u].Capacity - overdrawPower[u])
 		if d := got - want[u]; d > 1e-6 || d < -1e-6 {
 			t.Errorf("%s: pending recovery credited %v, want %v", h.topo.UPSes[u].Name, got, want[u])
@@ -734,4 +676,26 @@ func TestProbeRoundAllocs(t *testing.T) {
 	if max := float64(5 * len(h.topo.UPSes)); allocs > max {
 		t.Errorf("feasible probe round: %v allocs/op, want at most %v", allocs, max)
 	}
+}
+
+// lastPoint is the newest point of a stored series; ok is false when
+// nothing was written to it.
+func lastPoint(st *tsdb.Store, key string) (tsdb.Point, bool) {
+	raw := st.Series(key).Raw()
+	if len(raw) == 0 {
+		return tsdb.Point{}, false
+	}
+	return raw[len(raw)-1], true
+}
+
+// eventsOf returns the recorded events of one type — of one subject too,
+// unless subject is empty — in sequence order.
+func eventsOf(rec *recorder.Recorder, typ recorder.Type, subject string) []recorder.Event {
+	var out []recorder.Event
+	for _, e := range rec.Snapshot() {
+		if e.Type == typ && (subject == "" || e.Subject == subject) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -34,12 +32,11 @@ type Trace struct {
 	// Note carries a short free-form annotation ("overdraw enforced=3").
 	Note string `json:"note,omitempty"`
 	// Episode is the flight-recorder episode ID of the overdraw episode
-	// this trace belongs to (0 when none) — the join key between /traces
-	// entries and /events streams (query the latter with ?episode=<id>).
+	// this trace belongs to (0 when none) — the join key between a trace
+	// and the recorded events (flexreplay -episode <id> prints them).
 	Episode uint64 `json:"episode,omitempty"`
 	// Root is the flight-recorder sequence of the event that rooted this
-	// trace (for controller steps, the detect event; 0 when unrecorded) —
-	// resolve it with /events?since=<Root> to land on the causal chain.
+	// trace (for controller steps, the detect event; 0 when unrecorded).
 	Root uint64 `json:"root,omitempty"`
 
 	tracer *Tracer
@@ -95,11 +92,8 @@ func (t *Trace) Finish(at time.Time) {
 	tr.next = (tr.next + 1) % tr.capacity
 }
 
-// Duration is the whole-trace length.
-func (t *Trace) Duration() time.Duration { return t.End.Sub(t.Start) }
-
-// Tracer keeps a fixed-size ring buffer of recently finished traces for
-// the /traces introspection endpoint. All methods are safe for concurrent
+// Tracer keeps a fixed-size ring buffer of recently finished traces, which
+// the fleet stitches into per-episode waterfalls. All methods are safe for concurrent
 // use; individual traces are built single-goroutine (see Trace).
 type Tracer struct {
 	capacity int
@@ -144,95 +138,4 @@ func (tr *Tracer) Recent() []Trace {
 		out = append(out, c)
 	}
 	return out
-}
-
-// traceJSON is the /traces wire format: durations are folded in so the
-// output is readable without computing time differences by hand.
-type traceJSON struct {
-	Seq             uint64     `json:"seq"`
-	Name            string     `json:"name"`
-	Start           time.Time  `json:"start"`
-	DurationSeconds float64    `json:"duration_seconds"`
-	Note            string     `json:"note,omitempty"`
-	Episode         uint64     `json:"episode,omitempty"`
-	Root            uint64     `json:"root,omitempty"`
-	Spans           []spanJSON `json:"spans"`
-}
-
-type spanJSON struct {
-	Name            string  `json:"name"`
-	OffsetSeconds   float64 `json:"offset_seconds"`
-	DurationSeconds float64 `json:"duration_seconds"`
-}
-
-// TraceFilter selects traces for the /traces surface. Zero values are
-// wildcards, mirroring recorder.Filter: watch loops poll incrementally
-// with since=<seq> or from=<time> instead of refetching the full ring.
-type TraceFilter struct {
-	// MinSeq keeps traces with Seq >= MinSeq.
-	MinSeq uint64
-	// From keeps traces whose Start is at or after From.
-	From time.Time
-	// Episode keeps traces of one overdraw episode.
-	Episode uint64
-	// Limit keeps only the newest Limit traces after filtering (0 = all).
-	Limit int
-}
-
-func (f *TraceFilter) match(t *Trace) bool {
-	if f.MinSeq != 0 && t.Seq < f.MinSeq {
-		return false
-	}
-	if !f.From.IsZero() && t.Start.Before(f.From) {
-		return false
-	}
-	if f.Episode != 0 && t.Episode != f.Episode {
-		return false
-	}
-	return true
-}
-
-// RecentFiltered returns copies of the retained traces matching f,
-// newest first.
-func (tr *Tracer) RecentFiltered(f TraceFilter) []Trace {
-	all := tr.Recent()
-	out := make([]Trace, 0, len(all))
-	for i := range all {
-		if f.match(&all[i]) {
-			out = append(out, all[i])
-		}
-	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[:f.Limit] // newest first: keep the head
-	}
-	return out
-}
-
-// WriteJSONFiltered renders the traces matching f (newest first).
-func (tr *Tracer) WriteJSONFiltered(w io.Writer, f TraceFilter) error {
-	recent := tr.RecentFiltered(f)
-	out := make([]traceJSON, len(recent))
-	for i, t := range recent {
-		tj := traceJSON{
-			Seq:             t.Seq,
-			Name:            t.Name,
-			Start:           t.Start,
-			DurationSeconds: t.Duration().Seconds(),
-			Note:            t.Note,
-			Episode:         t.Episode,
-			Root:            t.Root,
-			Spans:           make([]spanJSON, len(t.Spans)),
-		}
-		for j, s := range t.Spans {
-			tj.Spans[j] = spanJSON{
-				Name:            s.Name,
-				OffsetSeconds:   s.Start.Sub(t.Start).Seconds(),
-				DurationSeconds: s.Duration().Seconds(),
-			}
-		}
-		out[i] = tj
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -84,9 +84,9 @@ func (b *StageBounds) End() time.Time {
 // episode it belonged to, the span trace that timed it, and the recorder
 // sequence of the event that rooted it. All fields are fixed-size, so
 // attaching an exemplar allocates nothing. StageMetrics keeps the one that
-// rode in on each stage's largest observation, which is then one click
-// from its event chain: /events?episode=<Episode> or
-// /traces?episode=<Episode> resolves it.
+// rode in on each stage's largest observation, which is then one lookup
+// from its event chain: a recorded run's `flexreplay -episode <Episode>`
+// prints it.
 type Exemplar struct {
 	// Value is the observed value the exemplar annotates (seconds for
 	// latency histograms).
@@ -160,9 +160,10 @@ func (sm *StageMetrics) ObserveRound(b *StageBounds, ex Exemplar) {
 
 // StageDigest is what was measured of one stage: how many rounds, their
 // total and the largest — exact values, not bucket estimates — and the
-// flight-recorder join of the round that set the largest (resolve Episode
-// via /events?episode=, Trace via /traces?episode=, Event via
-// /events?since=Event-1). The join is zero until the stage has a count.
+// flight-recorder join of the round that set the largest (Episode is the
+// recorded episode, Trace the tracer's sequence, Event the recorder
+// sequence of the round's rooting event). The join is zero until the stage
+// has a count.
 type StageDigest struct {
 	Stage   string  `json:"stage"`
 	Count   uint64  `json:"count"`

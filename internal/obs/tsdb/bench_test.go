@@ -20,39 +20,6 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryRaw re-buckets one minute of 500ms raw samples.
-func BenchmarkQueryRaw(b *testing.B) {
-	st := NewStore(Options{})
-	s := st.Series("bench")
-	for i := 0; i < 120; i++ {
-		s.Append(t0.Add(time.Duration(i)*500*time.Millisecond), float64(i))
-	}
-	r := QueryRange{From: t0, To: t0.Add(time.Minute), Step: 5 * time.Second}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts := s.Query(r); len(pts) == 0 {
-			b.Fatal("empty query")
-		}
-	}
-}
-
-// BenchmarkQueryRollup answers an hour-scale query at a 1m step: an hour
-// of 1s points (3600, inside the default ring) re-bucketed into 60.
-func BenchmarkQueryRollup(b *testing.B) {
-	st := NewStore(Options{})
-	s := st.Series("bench")
-	for i := 0; i < 3600; i++ {
-		s.Append(t0.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	r := QueryRange{From: t0, To: t0.Add(time.Hour), Step: time.Minute, Agg: AggMax}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts := s.Query(r); len(pts) == 0 {
-			b.Fatal("empty query")
-		}
-	}
-}
-
 // BenchmarkSamplerTick scrapes a realistically sized registry (64
 // gauges) into the store — the per-tick sampling cost in steady state,
 // after the first scrape has resolved the handles and created the series.

@@ -26,25 +26,22 @@ func TestSamplerTickAllocFree(t *testing.T) {
 	smp := &Sampler{Registry: reg, Store: st}
 	now := t0
 	smp.Tick(now) // resolves the handles and creates the series
-	series := len(st.Names())
+	series := len(st.byName)
 	if allocs := testing.AllocsPerRun(100, func() {
 		now = now.Add(500 * time.Millisecond)
 		smp.Tick(now)
 	}); allocs != 0 {
 		t.Errorf("steady-state Sampler.Tick: %v allocs/op, want 0", allocs)
 	}
-	if n := len(st.Names()); n != series {
+	if n := len(st.byName); n != series {
 		t.Fatalf("steady-state scrapes grew the store from %d to %d series", series, n)
 	}
 
 	// A metric registered later is picked up by the next scrape.
 	reg.CounterVec("flex_demo_by_kind_total", "", "kind").With("late").Add(7)
 	smp.Tick(now.Add(time.Second))
-	s, ok := st.Lookup("flex_demo_by_kind_total;kind=late")
-	if !ok {
-		t.Fatalf("late vec child was not scraped; have %v", st.Names())
-	}
-	if last, _ := s.Last(); last.Value != 7 {
-		t.Fatalf("late vec child scraped as %v, want 7", last.Value)
+	raw := st.Series("flex_demo_by_kind_total;kind=late").Raw()
+	if len(raw) != 1 || raw[0].Value != 7 {
+		t.Fatalf("late vec child scraped as %+v, want one point of 7", raw)
 	}
 }

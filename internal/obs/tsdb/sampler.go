@@ -12,8 +12,7 @@ import (
 // counters and gauges become one series each (counters as their raw
 // monotonic value — rate is a query-time concern), histograms become
 // `<name>_count` and `<name>_sum` series. Series keys follow the
-// expvar convention (`name;label=value`), so /debug/vars keys and
-// /query keys coincide.
+// expvar convention (`name;label=value`).
 //
 // The owner drives Tick on its own clock — the emulator does inside its
 // tick loop — one goroutine at a time.

@@ -1,6 +1,6 @@
 // Package tsdb is an embedded time-series store for the Flex control
-// plane: one fixed-capacity ring of raw samples per series, and a small
-// query surface (/query) that re-buckets a ring at any step.
+// plane: one fixed-capacity ring of raw samples per series, written by the
+// registry sampler and the safety auditor.
 //
 // The design mirrors the obs registry's discipline:
 //
@@ -10,9 +10,9 @@
 //   - Time never comes from the wall clock. Samples carry caller-supplied
 //     timestamps from the injected clock.Clock, so virtual-clock runs
 //     produce deterministic, replayable series.
-//   - Series are keyed with the expvar convention the registry's
-//     /debug/vars surface already uses — `name;label=value;label2=value2`
-//     — so a scraped registry metric and its stored series share a name.
+//   - Series are keyed with the expvar convention —
+//     `name;label=value;label2=value2` — so a scraped registry metric and
+//     its stored series share a name.
 //
 // Retention is capacity-based, not time-based: a series holds its last
 // RawCapacity points. With the default 4096, a 500ms sampler keeps 34
@@ -20,7 +20,6 @@
 package tsdb
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -60,10 +59,9 @@ type Series struct {
 	next int // ring slot the next point lands in
 }
 
-// Append records v at t. t must not be before the newest point's time —
-// Query's step intervals rely on it — and every writer meets that: the
-// sampler, the auditor and sim's snapshots stamp points from clocks that
-// only advance.
+// Append records v at t. Every writer stamps points from a clock that only
+// advances — the sampler, the auditor and sim's snapshots — so Raw returns
+// them in time order.
 //
 // The hot path allocates nothing: the ring is pre-sized and a point is one
 // fixed-size slot.
@@ -104,16 +102,6 @@ func (s *Series) Raw() []Point {
 	return out
 }
 
-// Last returns the newest appended point and ok=false when empty.
-func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Point{}, false
-	}
-	return s.at(s.n - 1).point(), true
-}
-
 // Store holds the named series. Series creation is a cold-path
 // get-or-create (like registry metric registration); hot paths retain the
 // returned *Series.
@@ -144,26 +132,6 @@ func (st *Store) Series(name string) *Series {
 	s := &Series{ring: make([]slot, st.capacity)}
 	st.byName[name] = s
 	return s
-}
-
-// Lookup returns the series if it exists, without creating it.
-func (st *Store) Lookup(name string) (*Series, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s, ok := st.byName[name]
-	return s, ok
-}
-
-// Names returns the registered series keys, sorted.
-func (st *Store) Names() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]string, 0, len(st.byName))
-	for name := range st.byName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SeriesKey renders the canonical `name;label=value` series key for a

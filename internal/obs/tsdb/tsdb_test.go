@@ -3,6 +3,8 @@ package tsdb
 import (
 	"testing"
 	"time"
+
+	"flex/internal/obs"
 )
 
 var t0 = time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -21,9 +23,6 @@ func TestAppendAndRaw(t *testing.T) {
 		if p.Value != float64(i) || !p.Time.Equal(t0.Add(time.Duration(i)*time.Second)) {
 			t.Fatalf("raw[%d] = %+v", i, p)
 		}
-	}
-	if last, ok := s.Last(); !ok || last.Value != 4 {
-		t.Fatalf("Last = %+v, %v", last, ok)
 	}
 }
 
@@ -45,8 +44,8 @@ func TestRawRingWraparound(t *testing.T) {
 }
 
 // TestDefaultRingHoldsAnEpisode: the default ring keeps every audit tick of
-// a default 24-minute episode at 500 ms (2881 points, both ends), so /query
-// still answers for the episode's first minute at its end.
+// a default 24-minute episode at 500 ms (2881 points, both ends), so the
+// episode's first minute is still there at its end.
 func TestDefaultRingHoldsAnEpisode(t *testing.T) {
 	st := NewStore(Options{})
 	s := st.Series("x")
@@ -58,13 +57,9 @@ func TestDefaultRingHoldsAnEpisode(t *testing.T) {
 	if len(raw) != points || raw[0].Value != 0 || !raw[0].Time.Equal(t0) {
 		t.Fatalf("ring kept %d points from %+v, want all %d from t0", len(raw), raw[0], points)
 	}
-	pts := s.Query(QueryRange{From: t0, To: t0.Add(time.Minute - time.Nanosecond), Step: 2 * time.Second, Agg: AggCount})
-	if len(pts) != 30 {
-		t.Fatalf("first minute at step=2s: %d points, want 30", len(pts))
-	}
-	for i, p := range pts {
-		if p.Value != 4 || !p.Time.Equal(t0.Add(time.Duration(i)*2*time.Second)) {
-			t.Fatalf("pts[%d] = %+v, want 4 points from %v", i, p, t0.Add(time.Duration(i)*2*time.Second))
+	for i, p := range raw[:120] { // the first minute
+		if p.Value != float64(i) || !p.Time.Equal(t0.Add(time.Duration(i)*500*time.Millisecond)) {
+			t.Fatalf("raw[%d] = %+v, want point %d of the first minute", i, p, i)
 		}
 	}
 }
@@ -75,13 +70,8 @@ func TestStoreGetOrCreate(t *testing.T) {
 	if st.Series("a") != a {
 		t.Fatal("Series is not get-or-create")
 	}
-	if _, ok := st.Lookup("b"); ok {
-		t.Fatal("Lookup created a series")
-	}
-	st.Series("b")
-	names := st.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
+	if st.Series("b") == a || len(st.byName) != 2 {
+		t.Fatalf("a second key shares a series or was not stored: %d series", len(st.byName))
 	}
 }
 
@@ -109,5 +99,41 @@ func TestAppendAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Append allocates %v per op, want 0", allocs)
+	}
+}
+
+func TestSamplerScrape(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := reg.Gauge("flex_demo_gauge", "")
+	c := reg.CounterVec("flex_demo_total", "", "kind").With("a")
+	h := reg.Histogram("flex_demo_latency_seconds", "", nil)
+	st := NewStore(Options{})
+	smp := &Sampler{Registry: reg, Store: st}
+
+	g.Set(42)
+	c.Inc()
+	h.Observe(0.5)
+	smp.Tick(t0)
+	g.Set(43)
+	smp.Tick(t0.Add(time.Second))
+
+	for key, want := range map[string][]float64{
+		"flex_demo_gauge":                 {42, 43},
+		"flex_demo_total;kind=a":          {1, 1},
+		"flex_demo_latency_seconds_count": {1, 1},
+		"flex_demo_latency_seconds_sum":   {0.5, 0.5},
+	} {
+		raw := st.Series(key).Raw()
+		if len(raw) != len(want) {
+			t.Fatalf("%s: %d points, want %d", key, len(raw), len(want))
+		}
+		for i, p := range raw {
+			if p.Value != want[i] || !p.Time.Equal(t0.Add(time.Duration(i)*time.Second)) {
+				t.Fatalf("%s[%d] = %+v, want %v at tick %d", key, i, p, want[i], i)
+			}
+		}
+	}
+	if len(st.byName) != 4 {
+		t.Fatalf("the scrape stored %d series, want 4", len(st.byName))
 	}
 }

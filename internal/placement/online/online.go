@@ -1,9 +1,9 @@
 // Package online implements online incremental placement: deployments
 // arrive one at a time and are accepted or rejected in microseconds to
-// milliseconds, without touching the MILP on the decision path (ROADMAP
-// item 2; "Online Rack Placement in Large-Scale Data Centers" is the
-// closest published system — online sampling optimization, deployed at
-// Microsoft).
+// milliseconds, without touching the MILP on the decision path (DESIGN.md
+// "Online placement"; "Online Rack Placement in Large-Scale Data Centers"
+// is the closest published system — online sampling optimization,
+// deployed at Microsoft).
 //
 // The hot path is an Admitter holding incremental safety state per room:
 // a power.Ledger (the same Eq. 2 / Eq. 4 state the batch policies place

@@ -10,9 +10,8 @@ import (
 
 // WriteMetricsSummary writes every metric in the registry as CSV: counters
 // and gauges carry a value; histograms carry their exact count, sum and
-// mean, and no quantile, which their buckets could only interpolate. Rows
-// are sorted by metric name (registry order), so summaries of two runs diff
-// cleanly.
+// mean. Rows are sorted by metric name (registry order), so summaries of
+// two runs diff cleanly.
 func WriteMetricsSummary(w io.Writer, r *obs.Registry) error {
 	cw := csv.NewWriter(w)
 	header := []string{"metric", "labels", "kind", "value", "count", "sum", "mean"}

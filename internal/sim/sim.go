@@ -126,8 +126,8 @@ type Figure12Config struct {
 	// Recorder, when non-nil, logs each (failure, sample) snapshot as an
 	// episode: ups-fail → plan-start → planned actions → plan-commit.
 	// Snapshot runs are timeless and headerless — the events carry zero
-	// timestamps and the log is for /events browsing, not for flexreplay
-	// (which needs an emulation recording with a replay header).
+	// timestamps and the log is for reading, not for flexreplay (which
+	// needs an emulation recording with a replay header).
 	Recorder *recorder.Recorder
 }
 

@@ -106,30 +106,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // under
-	h.Add(11) // over
-	if h.Count != 12 || h.Under != 1 || h.Over != 1 {
-		t.Fatalf("counts: %+v", h)
-	}
-	if got := h.FractionAtOrAbove(5); !almostEq(got, 6.0/12.0) {
-		t.Fatalf("FractionAtOrAbove(5) = %v", got)
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestNines(t *testing.T) {
 	if got := Nines(0.9999); !almostEq(got, 4) {
 		t.Fatalf("Nines(0.9999) = %v, want 4", got)

@@ -136,8 +136,9 @@ func TestPollerStampMonotonicity(t *testing.T) {
 // TestSampleSize pins Sample at 88 bytes on 64-bit platforms. Three Sample
 // arrays per fleet room scale with it — the subscription rings, the rooms'
 // poll batches and the shards' drain buffers — so a field added here is
-// paid once per queued sample in every room. Shrinking it further is
-// ROADMAP item 10(b): the two time.Time stamps as int64 nanoseconds.
+// paid once per queued sample in every room. The view already keeps its
+// stamps as int64 nanoseconds (DESIGN.md "Fleet", "What a room keeps");
+// the sample's two time.Time stamps are still 48 of its bytes.
 func TestSampleSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the size is pinned for 64-bit platforms")
