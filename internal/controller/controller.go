@@ -1,9 +1,10 @@
 package controller
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,7 +20,8 @@ import (
 // Config assembles one Flex-Online controller instance. Flex runs several
 // instances in a multi-primary configuration on separate fault domains;
 // because actions are idempotent, the instances need no coordination
-// (paper §IV-D).
+// (paper §IV-D). What is shed is the actuator's record, not any instance's:
+// every instance plans and restores from it, so one may restart at any time.
 type Config struct {
 	Name string
 	// Clock times the rounds (default wall clock).
@@ -31,7 +33,7 @@ type Config struct {
 	// meters, a fleet shard from its subscriptions).
 	UPSView  *telemetry.LatestPower
 	RackView *telemetry.LatestPower
-	// Actuator enforces actions.
+	// Actuator enforces actions and keeps the record of what is shed.
 	Actuator *rackmgr.Manager
 	// Scenario supplies impact functions.
 	Scenario impact.Scenario
@@ -86,13 +88,9 @@ type Controller struct {
 	cfg Config
 
 	mu    sync.Mutex
-	acted map[string]PlannedAction // rack → action we enforced
-	// committed is acted as a list sorted by rack — what CommittedActions
-	// serves. It is built on the first read after acted changed; enforce
-	// and restore drop it (setting nil, never editing it in place, so a
-	// list already handed out stays a consistent snapshot).
-	committed     []PlannedAction
-	steps         int
+	steps int
+	// lastEnforceAt is when this instance last enforced an action, which
+	// closes an episode's shed latency.
 	lastEnforceAt time.Time
 	// overdrawSince is when the current overdraw episode was first seen
 	// (zero when no episode is open); episodeActed records whether this
@@ -136,7 +134,7 @@ func New(cfg Config) *Controller {
 	if cfg.Buffer == 0 {
 		cfg.Buffer = DefaultBuffer(cfg.Topo)
 	}
-	return &Controller{cfg: cfg, acted: make(map[string]PlannedAction)}
+	return &Controller{cfg: cfg}
 }
 
 // upsSnapshot is one round's reading of the UPS view, in arrays so that a
@@ -151,7 +149,8 @@ type upsSnapshot struct {
 	// events is the flight-recorder sample-arrive sequence per UPS (0 when
 	// unrecorded), which roots the detect event's causal chain.
 	events [power.MaxUPSes]uint64
-	// newest is the newest measurement time, which gates re-enforcement.
+	// newest is the newest measurement time, which gates re-enforcement
+	// and restores.
 	newest time.Time
 }
 
@@ -174,7 +173,7 @@ func (c *Controller) snapshotUPS(s *upsSnapshot) {
 
 // StepContext runs one evaluation round: read snapshots, detect overdraw,
 // plan and enforce corrective actions; or, when the failed supply has
-// returned and headroom allows, restore previously acted racks. Planning
+// returned and headroom allows, restore racks the record holds. Planning
 // runs under ctx bounded by planBudget; an aborted pass enforces
 // whatever partial plan it produced.
 func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
@@ -291,36 +290,26 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 		rec.Emit(e)
 	}
 
-	// Recovery: when no UPS is inactive, restore as many acted racks as
+	// Recovery: when no UPS is inactive, restore as many shed racks as
 	// the measured headroom safely allows — all of them after the failed
 	// supply returns and load normalizes (paper Figure 13, stages F–G),
 	// or a partial subset when the power draw merely "falls
 	// significantly" during a long maintenance window (§IV-D: "some power
-	// caps may be lifted or servers restored to reduce the impact").
-	c.mu.Lock()
-	n := len(c.acted)
-	c.mu.Unlock()
-	if n == 0 || inactive != 0 {
+	// caps may be lifted or servers restored to reduce the impact"). Only
+	// a reading newer than the record's last change may size a restore:
+	// an older one does not show what was last restored, and projecting
+	// from it again would restore twice.
+	record, changed := c.cfg.Actuator.Record()
+	if len(record) == 0 || inactive != 0 || !snap.newest.After(changed) {
 		return out
 	}
-	c.mu.Lock()
-	restoreSet := make([]PlannedAction, 0, len(c.acted))
-	for _, a := range c.acted {
-		restoreSet = append(restoreSet, a)
-	}
-	c.mu.Unlock()
 	// Restore cheapest-impact actions first: throttled racks before shut
 	// down ones (lifting a cap is instantaneous and risk-free; a restart
 	// adds inrush and boot time), then by recovered power ascending so
 	// marginal headroom frees the most racks.
-	sort.Slice(restoreSet, func(i, j int) bool {
-		if (restoreSet[i].Kind == Throttle) != (restoreSet[j].Kind == Throttle) {
-			return restoreSet[i].Kind == Throttle
-		}
-		if restoreSet[i].Recovered != restoreSet[j].Recovered {
-			return restoreSet[i].Recovered < restoreSet[j].Recovered
-		}
-		return restoreSet[i].Rack < restoreSet[j].Rack
+	restoreSet := slices.Clone(record)
+	slices.SortFunc(restoreSet, func(a, b rackmgr.Entry) int {
+		return cmp.Or(cmp.Compare(a.State, b.State), cmp.Compare(a.Recovered, b.Recovered), strings.Compare(a.Rack, b.Rack))
 	})
 	var projA, candA [power.MaxUPSes]power.Watts
 	proj, cand := projA[:len(ups)], candA[:len(ups)]
@@ -346,10 +335,6 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 		}
 		proj, cand = cand, proj
 		out.Restored++
-		c.mu.Lock()
-		delete(c.acted, a.Rack)
-		c.committed = nil
-		c.mu.Unlock()
 	}
 	return out
 }
@@ -361,16 +346,14 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.StageBounds, ups []power.Watts, inactive map[power.UPSID]bool, measuredAt time.Time, episode, detectSeq uint64) (note string) {
 	rec := c.cfg.Recorder
 	now := b[obs.StagePlan]
-	// Do not pile further actions onto a snapshot that predates our
-	// last enforcement: the measurements do not yet reflect the power
-	// already shed, and re-planning on them overcorrects far beyond
-	// the paper's benign idempotent-duplicate case. Wait for fresh
-	// telemetry (≤1.5s, §IV-D) instead — still well inside the
-	// 10-second budget.
-	c.mu.Lock()
-	stale := len(c.acted) > 0 && !measuredAt.After(c.lastEnforceAt)
-	c.mu.Unlock()
-	if stale {
+	// Do not pile further actions onto a snapshot that predates the
+	// record's last change, whichever primary made it: the measurements
+	// do not yet reflect the power already shed, and re-planning on them
+	// overcorrects far beyond the paper's benign idempotent-duplicate
+	// case. Wait for fresh telemetry (≤1.5s, §IV-D) instead — still well
+	// inside the 10-second budget.
+	record, changed := c.cfg.Actuator.Record()
+	if len(record) > 0 && !measuredAt.After(changed) {
 		c.cfg.Metrics.incStaleSkip()
 		if rec != nil {
 			rec.Emit(recorder.Event{
@@ -383,12 +366,10 @@ func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.Stage
 		}
 		return "stale-skip"
 	}
-	c.mu.Lock()
-	acted := make(map[string]bool, len(c.acted))
-	for id := range c.acted {
-		acted[id] = true
+	acted := make(map[string]bool, len(record))
+	for _, e := range record {
+		acted[e.Rack] = true
 	}
-	c.mu.Unlock()
 	rackPower := c.cfg.RackView.Snapshot()
 	var planSeq uint64
 	if rec != nil {
@@ -478,7 +459,7 @@ func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.Stage
 	}
 	for i, a := range actions {
 		var err error
-		op := rackmgr.Op{Actor: c.cfg.Name, Episode: episode}
+		op := rackmgr.Op{Actor: c.cfg.Name, Episode: episode, Pair: a.Pair, Recovered: a.Recovered}
 		if plannedSeqs != nil {
 			op.Cause = plannedSeqs[i]
 		}
@@ -495,8 +476,6 @@ func (c *Controller) respond(ctx context.Context, out *StepOutcome, b *obs.Stage
 		out.Enforced++
 		enforcedAt := c.cfg.Clock.Now()
 		c.mu.Lock()
-		c.acted[a.Rack] = a
-		c.committed = nil
 		c.lastEnforceAt = enforcedAt
 		first := !c.episodeActed
 		c.episodeActed = true
@@ -521,30 +500,11 @@ func (c *Controller) OpenEpisode() (id uint64, since time.Time, open bool) {
 	return c.episode, c.overdrawSince, !c.overdrawSince.IsZero()
 }
 
-// CommittedActions returns the actions this controller has enforced and
-// not yet restored, sorted by rack, plus the time of the last enforcement.
-// The auditor uses the recovered watts to compute per-UPS headroom under
-// the committed plan while telemetry still predates the enforcement. The
-// list is shared between callers until the next enforce or restore: read
-// it, do not modify it.
-//
-//flex:hotpath
-func (c *Controller) CommittedActions() ([]PlannedAction, time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.committed == nil && len(c.acted) > 0 {
-		c.sortCommittedLocked()
-	}
-	return c.committed, c.lastEnforceAt
-}
-
-// sortCommittedLocked rebuilds the committed list after acted changed.
-//
-//flex:coldpath
-func (c *Controller) sortCommittedLocked() {
-	c.committed = make([]PlannedAction, 0, len(c.acted))
-	for _, a := range c.acted {
-		c.committed = append(c.committed, a)
-	}
-	sort.Slice(c.committed, func(i, j int) bool { return c.committed[i].Rack < c.committed[j].Rack })
+// Record returns the actuator's record of what is shed and the time it
+// last changed (rackmgr.Manager.Record). Every primary of a room acts
+// through one actuator, so any one's record is the room's. The auditor
+// reads it to credit per-UPS headroom with the racks shed after the UPS
+// readings were taken.
+func (c *Controller) Record() ([]rackmgr.Entry, time.Time) {
+	return c.cfg.Actuator.Record()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ type harness struct {
 	rackView *telemetry.LatestPower
 	mgr      *rackmgr.Manager
 	clk      *clock.Virtual
-	now      time.Time
+	now      time.Time // when the last feed was measured
 	// stamp, when set, completes the ingest timeline of a UPS sample feed
 	// is about to install and returns the instant it was dequeued at.
 	stamp func(*telemetry.Sample) (dequeuedAt time.Time)
@@ -49,9 +50,13 @@ func newHarness(t *testing.T) *harness {
 	}
 }
 
-// feed publishes UPS and rack power into the views.
+// feed moves the clock on a second and publishes UPS and rack power into the
+// views, measured at the clock's new time: a controller stepped after a feed
+// reads a reading as old as the clock says, so one step's actions postdate
+// the reading it planned from.
 func (h *harness) feed(ups []power.Watts) {
-	h.now = h.now.Add(time.Second)
+	h.clk.Advance(time.Second)
+	h.now = h.clk.Now()
 	for u, w := range ups {
 		s := telemetry.Sample{Device: h.topo.UPSes[u].Name, Power: w, Valid: true, MeasuredAt: h.now}
 		if h.stamp == nil {
@@ -73,6 +78,16 @@ func (h *harness) feed(ups []power.Watts) {
 			Device: r.ID, Power: p, Valid: true, MeasuredAt: h.now,
 		})
 	}
+}
+
+// shedRacks lists the racks the rack manager's record holds.
+func (h *harness) shedRacks() []string {
+	record, _ := h.mgr.Record()
+	ids := make([]string, len(record))
+	for i, e := range record {
+		ids[i] = e.Rack
+	}
+	return ids
 }
 
 func (h *harness) controller(name string) *Controller {
@@ -129,8 +144,8 @@ func TestControllerEnforcesOnOverdraw(t *testing.T) {
 			}
 		}
 	}
-	if len(c.ActedRacks()) != out.Enforced {
-		t.Fatalf("acted bookkeeping: %d vs %d", len(c.ActedRacks()), out.Enforced)
+	if len(h.shedRacks()) != out.Enforced {
+		t.Fatalf("acted bookkeeping: %d vs %d", len(h.shedRacks()), out.Enforced)
 	}
 }
 
@@ -148,8 +163,8 @@ func TestControllerRestoresAfterRecovery(t *testing.T) {
 	if out.Restored == 0 {
 		t.Fatalf("no restore after recovery: %+v", out)
 	}
-	if len(c.ActedRacks()) != 0 {
-		t.Fatalf("acted racks remain: %v", c.ActedRacks())
+	if len(h.shedRacks()) != 0 {
+		t.Fatalf("acted racks remain: %v", h.shedRacks())
 	}
 	for _, r := range h.racks {
 		st, _, _ := h.mgr.State(r.ID)
@@ -200,7 +215,7 @@ func TestConcurrentSteps(t *testing.T) {
 		}
 		return ""
 	})
-	if len(c.ActedRacks()) == 0 {
+	if len(h.shedRacks()) == 0 {
 		t.Fatal("no round acted on the overdraw")
 	}
 	h.feed([]power.Watts{60 * power.KW, 70 * power.KW, 70 * power.KW, 70 * power.KW})
@@ -213,7 +228,7 @@ func TestConcurrentSteps(t *testing.T) {
 	if got, want := c.Steps(), 3*workers*rounds; got != want {
 		t.Errorf("Steps() = %d, want %d", got, want)
 	}
-	if acted := c.ActedRacks(); len(acted) != 0 {
+	if acted := h.shedRacks(); len(acted) != 0 {
 		t.Errorf("racks still acted on after recovery: %v", acted)
 	}
 	for _, r := range h.racks {
@@ -299,7 +314,7 @@ func TestRestoreOntoShedPair(t *testing.T) {
 			if rec := c.StepContext(context.Background()); rec.Overdraw || rec.Restored != out.Enforced {
 				t.Fatalf("recovery round %+v, want all %d shed racks restored", rec, out.Enforced)
 			}
-			if acted := c.ActedRacks(); len(acted) != 0 {
+			if acted := h.shedRacks(); len(acted) != 0 {
 				t.Errorf("racks still acted on after recovery: %v", acted)
 			}
 		})
@@ -332,28 +347,38 @@ func TestControllerTreatsMissingUPSDataAsFull(t *testing.T) {
 	}
 }
 
+// TestMultiPrimaryControllersConverge: two primaries step on one snapshot.
+// The first plans and enforces; the second reads the rack manager's record,
+// finds it changed no earlier than the reading was taken, and defers to
+// fresh telemetry rather than planning again. The record holds the first
+// primary's plan, rack for rack, with the pair and watts it planned.
 func TestMultiPrimaryControllersConverge(t *testing.T) {
 	h := newHarness(t)
 	c1 := h.controller("ctl-1")
 	c2 := h.controller("ctl-2")
 	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
 	out1 := c1.StepContext(context.Background())
-	out2 := c2.StepContext(context.Background()) // same snapshot: same (idempotent) actions
-	if out1.Enforced == 0 || out2.Enforced == 0 {
-		t.Fatal("both primaries should act")
+	out2 := c2.StepContext(context.Background()) // same snapshot, now stale
+	if out1.Enforced == 0 || out1.EnforceErrors != 0 || out1.Enforced != len(out1.Planned) {
+		t.Fatalf("first primary: %+v, want its whole plan enforced", out1)
 	}
-	// The union of state changes is consistent: every acted rack is
-	// Off or Throttled, and duplicate actions did not error.
-	if out1.EnforceErrors != 0 || out2.EnforceErrors != 0 {
-		t.Fatalf("enforce errors: %d, %d", out1.EnforceErrors, out2.EnforceErrors)
+	if !out2.Overdraw || out2.Planned != nil || out2.Enforced != 0 || out2.EnforceErrors != 0 {
+		t.Fatalf("second primary: %+v, want a stale-skip that enforces nothing", out2)
 	}
-	// Both saw the same snapshot, so the plans agree (deterministic).
-	if len(out1.Planned) != len(out2.Planned) {
-		t.Fatalf("plans diverged: %d vs %d", len(out1.Planned), len(out2.Planned))
+	record, _ := h.mgr.Record()
+	want := slices.Clone(out1.Planned)
+	slices.SortFunc(want, func(a, b PlannedAction) int { return strings.Compare(a.Rack, b.Rack) })
+	if len(record) != len(want) {
+		t.Fatalf("record holds %d racks, the first primary planned %d", len(record), len(want))
 	}
-	for i := range out1.Planned {
-		if out1.Planned[i].Rack != out2.Planned[i].Rack {
-			t.Fatalf("plan %d differs: %s vs %s", i, out1.Planned[i].Rack, out2.Planned[i].Rack)
+	for i, e := range record {
+		a := want[i]
+		state := rackmgr.Off
+		if a.Kind == Throttle {
+			state = rackmgr.Throttled
+		}
+		if e != (rackmgr.Entry{Rack: a.Rack, State: state, Pair: a.Pair, Recovered: a.Recovered, At: h.now}) {
+			t.Errorf("record entry %+v, the first primary planned %+v", e, a)
 		}
 	}
 }
@@ -370,7 +395,7 @@ func TestControllerEnforceErrorsSurface(t *testing.T) {
 	if out.EnforceErrors == 0 || out.Enforced != 0 {
 		t.Fatalf("expected enforcement failures: %+v", out)
 	}
-	if len(c.ActedRacks()) != 0 {
+	if len(h.shedRacks()) != 0 {
 		t.Fatal("failed actions must not be recorded as acted")
 	}
 }
@@ -384,7 +409,7 @@ func TestControllerPartialRestore(t *testing.T) {
 	if out.Enforced < 3 {
 		t.Fatalf("setup: only %d actions", out.Enforced)
 	}
-	acted := len(c.ActedRacks())
+	acted := len(h.shedRacks())
 	// UPS back but load still highish: only some racks fit back under
 	// limit−buffer. Headroom = 4×(99kW−92kW) = 28kW total.
 	h.feed([]power.Watts{92 * power.KW, 92 * power.KW, 92 * power.KW, 92 * power.KW})
@@ -398,8 +423,8 @@ func TestControllerPartialRestore(t *testing.T) {
 	// Full recovery: the rest comes back.
 	h.feed([]power.Watts{60 * power.KW, 60 * power.KW, 60 * power.KW, 60 * power.KW})
 	out = c.StepContext(context.Background())
-	if len(c.ActedRacks()) != 0 {
-		t.Fatalf("racks still acted after full recovery: %v", c.ActedRacks())
+	if len(h.shedRacks()) != 0 {
+		t.Fatalf("racks still acted after full recovery: %v", h.shedRacks())
 	}
 }
 
@@ -433,7 +458,7 @@ func TestControllerRestoresThrottledBeforeShutdown(t *testing.T) {
 		t.Skip("no headroom for any restore at this load")
 	}
 	remainingThrottles, remainingShut := 0, 0
-	for _, id := range c.ActedRacks() {
+	for _, id := range h.shedRacks() {
 		st, _, _ := h.mgr.State(id)
 		switch st {
 		case rackmgr.Throttled:
@@ -444,5 +469,153 @@ func TestControllerRestoresThrottledBeforeShutdown(t *testing.T) {
 	}
 	if remainingThrottles > 0 && remainingShut < shutPlanned {
 		t.Fatalf("a shut rack was restored while %d throttled racks remain", remainingThrottles)
+	}
+}
+
+// TestRestartedPrimaryRestores: primary a sheds, primary b then steps on
+// telemetry that shows the shed, and one of the two restarts — a fresh New
+// with the same config, remembering nothing. When the failed UPS returns and
+// both step five times, every shed rack is back On, whichever of them
+// restarted: what is shed is the rack manager's record, not a primary's.
+func TestRestartedPrimaryRestores(t *testing.T) {
+	for _, restarted := range []string{"a", "b"} {
+		t.Run(restarted+" restarts", func(t *testing.T) {
+			h := newHarness(t)
+			ctx := context.Background()
+			ctls := map[string]*Controller{"a": h.controller("a"), "b": h.controller("b")}
+			h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
+			if out := ctls["a"].StepContext(ctx); out.Enforced == 0 {
+				t.Fatalf("a shed nothing: %+v", out)
+			}
+			shed := len(h.shedRacks())
+			h.feed([]power.Watts{0, 95 * power.KW, 95 * power.KW, 95 * power.KW})
+			if out := ctls["b"].StepContext(ctx); out.Overdraw || out.Enforced != 0 || out.Restored != 0 {
+				t.Fatalf("b acted on telemetry that shows the shed: %+v", out)
+			}
+			ctls[restarted] = h.controller(restarted)
+			h.feed([]power.Watts{60 * power.KW, 60 * power.KW, 60 * power.KW, 60 * power.KW})
+			for i := 0; i < 5; i++ {
+				ctls["a"].StepContext(ctx)
+				ctls["b"].StepContext(ctx)
+			}
+			if left := h.shedRacks(); len(left) != 0 {
+				t.Fatalf("%d of %d shed racks still shed after the UPS returned: %v", len(left), shed, left)
+			}
+			for _, r := range h.racks {
+				if st, _, _ := h.mgr.State(r.ID); st != rackmgr.On {
+					t.Errorf("rack %s = %v after recovery, want On", r.ID, st)
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreWaitsForFreshReading: after a large shed, one reading with some
+// headroom sizes one restore. Stepping again on that reading restores
+// nothing more — it does not show the power the first restore brought back,
+// so projecting from it again would restore into headroom already spent —
+// until a newer reading lands.
+func TestRestoreWaitsForFreshReading(t *testing.T) {
+	h := newHarness(t)
+	c := h.controller("ctl-1")
+	ctx := context.Background()
+	h.feed([]power.Watts{0, 115 * power.KW, 115 * power.KW, 115 * power.KW})
+	shed := c.StepContext(ctx).Enforced
+	if shed < 3 {
+		t.Fatalf("setup: only %d actions", shed)
+	}
+	h.feed([]power.Watts{92 * power.KW, 92 * power.KW, 92 * power.KW, 92 * power.KW})
+	first := c.StepContext(ctx).Restored
+	if first == 0 || first >= shed {
+		t.Fatalf("the first reading with headroom restored %d of %d racks, want some but not all", first, shed)
+	}
+	for i := 0; i < 2; i++ {
+		if out := c.StepContext(ctx); out.Restored != 0 {
+			t.Fatalf("step %d on the same reading restored %d more racks after %d", i+2, out.Restored, first)
+		}
+	}
+	if left := len(h.shedRacks()); left != shed-first {
+		t.Fatalf("%d racks shed, want %d", left, shed-first)
+	}
+	h.feed([]power.Watts{60 * power.KW, 60 * power.KW, 60 * power.KW, 60 * power.KW})
+	if out := c.StepContext(ctx); out.Restored != shed-first {
+		t.Fatalf("the newer reading restored %d racks, want the %d left", out.Restored, shed-first)
+	}
+}
+
+// TestPrimariesShareRecord steps two primaries concurrently on one rack
+// manager through an overdraw and a recovery (run it under -race) while an
+// auditor-style reader keeps reading the record and holding the list it was
+// handed. A held list never changes under its reader; after the overdraw
+// the record holds exactly the racks that are not On, each in its state;
+// after the recovery it is empty and every rack is On.
+func TestPrimariesShareRecord(t *testing.T) {
+	h := newHarness(t)
+	ctls := []*Controller{h.controller("ctl-1"), h.controller("ctl-2")}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			held, _ := h.mgr.Record()
+			kept := slices.Clone(held)
+			h.mgr.Record()
+			if !slices.Equal(held, kept) {
+				t.Errorf("a list handed out changed under its reader: %+v, was %+v", held, kept)
+				return
+			}
+		}
+	}()
+	steps := func(rounds int) {
+		var wg sync.WaitGroup
+		for _, c := range ctls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if out := c.StepContext(ctx); out.EnforceErrors != 0 {
+						t.Errorf("%+v", out)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	h.feed([]power.Watts{0, 107 * power.KW, 106 * power.KW, 107 * power.KW})
+	steps(20)
+	record, _ := h.mgr.Record()
+	if len(record) == 0 {
+		t.Fatal("neither primary shed")
+	}
+	inRecord := map[string]rackmgr.PowerState{}
+	for _, e := range record {
+		inRecord[e.Rack] = e.State
+	}
+	for _, r := range h.racks {
+		st, _, _ := h.mgr.State(r.ID)
+		if got, ok := inRecord[r.ID]; ok != (st != rackmgr.On) || ok && got != st {
+			t.Errorf("rack %s is %v, the record holds it %v (%v)", r.ID, st, ok, got)
+		}
+	}
+
+	h.feed([]power.Watts{60 * power.KW, 60 * power.KW, 60 * power.KW, 60 * power.KW})
+	steps(20)
+	close(stop)
+	reader.Wait()
+	if left := h.shedRacks(); len(left) != 0 {
+		t.Errorf("racks still shed after recovery: %v", left)
+	}
+	for _, r := range h.racks {
+		if st, _, _ := h.mgr.State(r.ID); st != rackmgr.On {
+			t.Errorf("rack %s = %v after recovery, want On", r.ID, st)
+		}
 	}
 }

@@ -22,9 +22,8 @@ func feedStamped(h *harness, ups []power.Watts) {
 		s.PublishedAt = s.MeasuredAt.Add(100 * time.Millisecond)
 		return s.MeasuredAt.Add(300 * time.Millisecond)
 	}
-	h.now = h.now.Add(time.Second)
-	h.feed(ups) // h.now moves on another second
-	h.clk.Advance(h.now.Add(time.Second).Sub(h.clk.Now()))
+	h.feed(ups)
+	h.clk.Advance(time.Second)
 }
 
 // TestInstrumentationDoesNotChangeOutcomes runs one scripted episode —

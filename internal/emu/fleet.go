@@ -97,11 +97,6 @@ type FleetResult struct {
 	// Outage reports whether a loaded PDU-pair in any room lost both of
 	// its UPSes, what CascadeOutcome.Outage means.
 	Outage bool
-	// SaturatedDrops counts ingest-queue evictions in the saturated room
-	// (0 when no room was saturated).
-	//
-	//flex:keep TestRunFleetGolden reads it and hashes every FleetResult field; it goes when that golden is next recaptured
-	SaturatedDrops int
 	// CrossRoomDrops counts evictions in every *other* room — the
 	// isolation criterion demands 0.
 	CrossRoomDrops int
@@ -382,9 +377,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		DetectLatency: ts.firstEnforce, ShedLatency: ts.shedAt, Outage: ts.outage,
 	}
 	for ri, sr := range rooms {
-		if cfg.SaturateFactor > 0 && ri == cfg.SaturateRoom {
-			res.SaturatedDrops = sr.shard.Dropped()
-		} else {
+		if cfg.SaturateFactor == 0 || ri != cfg.SaturateRoom {
 			res.CrossRoomDrops += sr.shard.Dropped()
 		}
 	}

@@ -62,7 +62,7 @@ func TestRunFleetShardIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SaturatedDrops == 0 {
+	if res.Snapshot.Rooms[1].Dropped == 0 {
 		t.Fatal("flooded shard dropped nothing; backpressure not engaged")
 	}
 	if res.CrossRoomDrops != 0 {

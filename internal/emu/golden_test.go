@@ -94,7 +94,7 @@ func TestRunGolden(t *testing.T) {
 	}, map[string]string{
 		"series":      "fd8b8747efc08a04",
 		"scalars":     "495ce072ba3a8113",
-		"events":      "8aa8dee8441a97e2",
+		"events":      "df959840349bd8d6",
 		"transitions": "12b88037494647e5",
 	})
 }
@@ -117,15 +117,15 @@ func TestRunFleetGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DetectLatency < 0 || res.ShedLatency <= 0 || res.SaturatedDrops == 0 {
-		t.Fatalf("golden run is not a shed under a flooded neighbour: detect %v, shed %v, saturated drops %d",
-			res.DetectLatency, res.ShedLatency, res.SaturatedDrops)
+	if flooded := res.Snapshot.Rooms[2].Dropped; res.DetectLatency < 0 || res.ShedLatency <= 0 || flooded == 0 {
+		t.Fatalf("golden run is not a shed under a flooded neighbour: detect %v, shed %v, flooded-room drops %d",
+			res.DetectLatency, res.ShedLatency, flooded)
 	}
 	if rec.Overwritten() > 0 {
 		t.Fatalf("recorder overwrote %d events; the stream hash needs all of them", rec.Overwritten())
 	}
-	// Committed headroom is a float sum in map order (fleet.Shard), so its
-	// last bits vary from run to run; pin it to the milliwatt.
+	// Committed headroom is a float sum over the rack manager's record, in
+	// rack order (fleet.Shard); the golden pins it to the milliwatt.
 	snap := res.Snapshot
 	milliwatt := func(w *float64) { *w = math.Round(*w*1e3) / 1e3 }
 	hr := float64(snap.CommittedHeadroom)
@@ -148,12 +148,12 @@ func TestRunFleetGolden(t *testing.T) {
 		"stages":   sectionHash(t, [2]any{stages, snap.Stages}),
 		"events":   sectionHash(t, rec.Snapshot()),
 	}, map[string]string{
-		"scalars":  "92331d93a12f8f8d",
+		"scalars":  "bd308cf16b956b0b",
 		"rooms":    "d9d4e84cfece7a78",
 		"headroom": "1d223e74f426b0eb",
-		"episodes": "0afd8b664e8f8a7c",
-		"stages":   "222dc831c84136fd",
-		"events":   "4bafa3654bb3ab24",
+		"episodes": "3c454c951f92725d",
+		"stages":   "a66141ad6ccbe36d",
+		"events":   "14d3a50c9d2be6bc",
 	})
 }
 
@@ -161,10 +161,10 @@ func TestRunFleetGolden(t *testing.T) {
 // run (the same config, built afresh each try; the recorder, auditor,
 // registry and tracer are made before the count starts). The least of three
 // tries, since the count is process-wide, must stay within 5 % of the
-// measured figure. That is ≈ 380 kB over the run's 721 ticks, so a new
+// measured figure. That is ≈ 355 kB over the run's 721 ticks, so a new
 // allocation of half a kilobyte every tick fails it.
 func TestRunAllocations(t *testing.T) {
-	const measured uint64 = 7646280
+	const measured uint64 = 7097944
 	got := uint64(math.MaxUint64)
 	for try := 0; try < 3; try++ {
 		rec := recorder.New(1 << 18)

@@ -443,7 +443,7 @@ func TestIdleControlStepAllocFree(t *testing.T) {
 	for i := 0; i < 20 && !shed; i++ {
 		poll()
 		out := c.StepContext(ctx)
-		acted, _ := c.CommittedActions()
+		acted, _ := c.Record()
 		shed = !out.Overdraw && len(acted) > 0
 	}
 	if !shed {

@@ -19,7 +19,7 @@ type RoomStatus struct {
 	// Allocatable is the room's allocatable power.
 	Allocatable power.Watts `json:"allocatable_watts"`
 	// CommittedHeadroom is the power recovered by enforced, unrestored
-	// actions (deduped across the shard's primaries).
+	// actions, by the rack manager's record of what is shed.
 	CommittedHeadroom power.Watts `json:"committed_headroom_watts"`
 	// ActedRacks counts racks currently under an enforced action.
 	ActedRacks int `json:"acted_racks"`

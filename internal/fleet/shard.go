@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -151,26 +148,15 @@ func (s *Shard) Pumped() uint64 { return s.pumped.Load() }
 // Steps reports how many evaluation rounds the shard has run.
 func (s *Shard) Steps() uint64 { return s.steps.Load() }
 
-// committedHeadroom is the power the shard's enforced-and-unrestored
-// actions have recovered. Multi-primary instances act idempotently on the
-// same racks, so the fold counts a rack once, at its largest claim, and
-// adds in rack order: the same actions give the same bits.
+// committedHeadroom is the power the room's shed racks have recovered,
+// by the record of the rack manager every primary acts through, added in
+// rack order: the same record gives the same bits.
 func (s *Shard) committedHeadroom() (watts float64, racks int) {
-	var claims []controller.PlannedAction
-	for _, c := range s.ctls {
-		actions, _ := c.CommittedActions()
-		claims = append(claims, actions...)
+	record, _ := s.cfg.Actuator.Record()
+	for _, e := range record {
+		watts += float64(e.Recovered)
 	}
-	slices.SortFunc(claims, func(a, b controller.PlannedAction) int {
-		return cmp.Or(strings.Compare(a.Rack, b.Rack), cmp.Compare(b.Recovered, a.Recovered))
-	})
-	for i, a := range claims {
-		if i == 0 || a.Rack != claims[i-1].Rack {
-			watts += float64(a.Recovered)
-			racks++
-		}
-	}
-	return watts, racks
+	return watts, len(record)
 }
 
 // openEpisode reports whether any primary has an open overdraw episode

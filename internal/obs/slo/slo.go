@@ -164,7 +164,8 @@ type Bindings struct {
 	// read.
 	UPSView, RackView *telemetry.LatestPower
 	// Controllers are the room's Flex-Online primaries; the auditor
-	// reads their open-episode state and committed plans.
+	// reads their open-episode state, and the record of what is shed
+	// through the first of them (they all act through one rack manager).
 	Controllers []*controller.Controller
 	// Scenario and Buffer mirror the controllers' planning inputs; the
 	// probe plans with them.
@@ -219,20 +220,17 @@ type Auditor struct {
 	probeFeas  *tsdb.Series
 	probeLat   *tsdb.Series
 
-	// rack → pair mapping for committed-plan headroom attribution.
-	rackPair map[string]power.PDUPairID
 	// strandedW is the room's Eq. 5 stranded power: allocatable minus the
 	// managed racks' allocations, both fixed by Bind.
 	strandedW power.Watts
 
 	// Per-tick scratch, sized at Bind and reused under mu: the UPS view as
 	// read this tick (upsAt is the zero time for a UPS without a reading),
-	// the pending recovery per UPS with its rack dedup set, and the rack
-	// view as the probe plans from it.
+	// the pending recovery per UPS, and the rack view as the probe plans
+	// from it.
 	upsPower  []power.Watts
 	upsAt     []time.Time
 	pending   []power.Watts
-	seenRack  map[string]bool
 	rackPower map[string]power.Watts
 
 	// The what-if probe's Algorithm 1, prepared once for the bound racks,
@@ -317,10 +315,8 @@ func (a *Auditor) Bind(b Bindings) {
 	defer a.mu.Unlock()
 	a.b = b
 	a.bound = true
-	a.rackPair = make(map[string]power.PDUPairID, len(b.Racks))
 	var allocated power.Watts
 	for _, r := range b.Racks {
-		a.rackPair[r.ID] = r.Pair
 		allocated += r.Allocated
 	}
 	a.strandedW = max(b.AllocatablePower-allocated, 0)
@@ -328,7 +324,6 @@ func (a *Auditor) Bind(b Bindings) {
 	a.upsPower = make([]power.Watts, n)
 	a.upsAt = make([]time.Time, n)
 	a.pending = make([]power.Watts, n)
-	a.seenRack = make(map[string]bool)
 	a.rackPower = make(map[string]power.Watts, len(b.Racks))
 	a.planner = controller.NewPlanner(b.Topo, b.Racks, b.Scenario)
 	a.pairLoad = power.NewPairLoad(b.Topo)
@@ -546,57 +541,41 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 }
 
 // pendingRecoveryLocked computes, per UPS, the committed-but-not-yet-
-// measured recovery: actions the controllers enforced after the UPS
-// view's reading was taken, whose recovered watts the telemetry cannot
-// reflect yet. Each action's recovery attributes to the UPSes of the
-// rack's pair by power.PairShare over inactive (the failover set this
-// tick's readings imply) — half each in normal operation, all of it to
-// the survivor while its partner is out, exactly as applyRecovery in the
-// planner books it. Deduped by rack across multi-primary controllers
-// (actions are idempotent; counting a rack twice would overstate
-// headroom). The result is the auditor's scratch, valid until the next
-// tick.
+// measured recovery: the racks the record of what is shed holds that were
+// shed after the UPS view's reading was taken, whose recovered watts the
+// reading cannot reflect yet. Each rack's recovery attributes to the
+// UPSes of its pair by power.PairShare over inactive (the failover set
+// this tick's readings imply) — half each in normal operation, all of it
+// to the survivor while its partner is out, exactly as applyRecovery in
+// the planner books it. The result is the auditor's scratch, valid until
+// the next tick.
 func (a *Auditor) pendingRecoveryLocked(inactive power.UPSSet) []power.Watts {
 	b := a.b
 	out := a.pending
 	clear(out)
-	// Nothing is pending once every UPS reading postdates every primary's
-	// last enforcement — every tick but the few right after an action.
+	if len(b.Controllers) == 0 {
+		return out
+	}
+	// Nothing is pending once every UPS reading postdates the record's
+	// last change (no rack was shed later) — every tick but the few right
+	// after an action.
+	record, changed := b.Controllers[0].Record()
 	pendingAny := false
-	for _, c := range b.Controllers {
-		if _, lastEnforce := c.CommittedActions(); !lastEnforce.IsZero() {
-			for _, at := range a.upsAt {
-				pendingAny = pendingAny || !at.After(lastEnforce)
-			}
-		}
+	for _, at := range a.upsAt {
+		pendingAny = pendingAny || !at.After(changed)
 	}
 	if !pendingAny {
 		return out
 	}
-	clear(a.seenRack)
-	for _, c := range b.Controllers {
-		actions, lastEnforce := c.CommittedActions()
-		if lastEnforce.IsZero() {
-			continue
-		}
-		for _, act := range actions {
-			if a.seenRack[act.Rack] {
-				continue
-			}
-			a.seenRack[act.Rack] = true
-			pair, ok := a.rackPair[act.Rack]
-			if !ok {
-				continue
-			}
-			ups := b.Topo.Pairs[pair].UPSes
-			wa, wb := power.PairShare(inactive.Has(ups[0]), inactive.Has(ups[1]))
-			for i, share := range [2]float64{wa, wb} {
-				// Only credit the recovery while the view's reading
-				// predates the enforcement; once a newer sample lands,
-				// the measurement itself reflects the shed power.
-				if uid := ups[i]; !a.upsAt[uid].After(lastEnforce) {
-					out[uid] += power.Watts(share) * act.Recovered
-				}
+	for _, e := range record {
+		ups := b.Topo.Pairs[e.Pair].UPSes
+		wa, wb := power.PairShare(inactive.Has(ups[0]), inactive.Has(ups[1]))
+		for i, share := range [2]float64{wa, wb} {
+			// Only credit the recovery while the view's reading
+			// predates the shed; once a newer sample lands, the
+			// measurement itself reflects the shed power.
+			if uid := ups[i]; !a.upsAt[uid].After(e.At) {
+				out[uid] += power.Watts(share) * e.Recovered
 			}
 		}
 	}

@@ -567,7 +567,7 @@ func TestPendingRecoveryFollowsFailover(t *testing.T) {
 	}
 	want := make([]power.Watts, len(h.topo.UPSes))
 	onFailedPair := 0
-	actions, _ := h.ctl.CommittedActions()
+	actions, _ := h.ctl.Record()
 	for _, act := range actions {
 		ups := h.topo.Pairs[pairOf[act.Rack]].UPSes
 		switch {
@@ -593,6 +593,36 @@ func TestPendingRecoveryFollowsFailover(t *testing.T) {
 		got := power.Watts(last.Value) - (h.topo.UPSes[u].Capacity - overdrawPower[u])
 		if d := got - want[u]; d > 1e-6 || d < -1e-6 {
 			t.Errorf("%s: pending recovery credited %v, want %v", h.topo.UPSes[u].Name, got, want[u])
+		}
+	}
+}
+
+// TestPendingRecoveryAfterPartialRestore: a reading that shows a shed, and
+// has headroom for part of it, sizes a partial restore. The racks left shed
+// were shed before that reading, which shows their recovery already, so the
+// audit at the reading's instant credits nothing as pending: each UPS's
+// headroom is its capacity minus its reading.
+func TestPendingRecoveryAfterPartialRestore(t *testing.T) {
+	h := newHarness(t, slo.Config{})
+	ctx := context.Background()
+	h.feed(overdrawPower)
+	shed := h.ctl.StepContext(ctx).Enforced
+	if shed == 0 {
+		t.Fatal("setup: no action enforced")
+	}
+	partial := []power.Watts{94 * power.KW, 94 * power.KW, 94 * power.KW, 94 * power.KW}
+	h.feed(partial)
+	if out := h.ctl.StepContext(ctx); out.Restored == 0 || out.Restored == shed {
+		t.Fatalf("setup: restored %d of %d racks, want some but not all", out.Restored, shed)
+	}
+	h.aud.Tick(ctx, h.now)
+	for u := range h.topo.UPSes {
+		last, ok := lastPoint(h.aud.Store(), tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", h.topo.UPSes[u].Name}))
+		if !ok {
+			t.Fatalf("headroom series of %s missing", h.topo.UPSes[u].Name)
+		}
+		if got, want := power.Watts(last.Value), h.topo.UPSes[u].Capacity-partial[u]; got != want {
+			t.Errorf("%s: headroom %v, want %v: racks shed before the reading are credited as pending", h.topo.UPSes[u].Name, got, want)
 		}
 	}
 }

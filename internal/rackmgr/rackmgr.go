@@ -8,12 +8,19 @@
 // may issue duplicate commands — and individually injectable failures
 // (unreachable RM, stale firmware) model the production failure modes the
 // §VI background verification service exists to catch.
+//
+// The manager is also the one record of what is shed: every rack it holds
+// off On, with the PDU pair and recovered power of the planned action that
+// took it there. Every primary of a room plans and restores from that
+// record, so a primary that restarts forgets nothing.
 package rackmgr
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -88,6 +95,28 @@ type Manager struct {
 	racks []rack
 	// actuations counts the actuations executed, effective or not.
 	actuations int
+	// shed is the record: every rack not On, by ID. It is made on the
+	// first shed, so a room that never sheds pays nothing for it. sorted
+	// is shed as a list by rack, built on the first Record after shed
+	// changed and dropped (never edited) when it changes again, so a list
+	// already handed out stays a consistent snapshot. lastEffective is
+	// when an action last changed a rack's state.
+	shed          map[string]Entry
+	sorted        []Entry
+	lastEffective time.Time
+}
+
+// Entry is one rack of the record of what is shed.
+type Entry struct {
+	Rack string
+	// State is Throttled or Off.
+	State PowerState
+	// Pair, Recovered and At are those of the action that first took the
+	// rack off On: the PDU pair it relieved, the power it recovered, and
+	// when it took effect.
+	Pair      power.PDUPairID
+	Recovered power.Watts
+	At        time.Time
 }
 
 // Op carries the flight-recorder provenance of one actuation: who issued
@@ -102,6 +131,10 @@ type Op struct {
 	Cause uint64
 	// Episode is the overdraw episode the action belongs to.
 	Episode uint64
+	// Pair and Recovered are the planned action's PDU pair and recovered
+	// power, which a shed that takes the rack off On enters in the record.
+	Pair      power.PDUPairID
+	Recovered power.Watts
 }
 
 // NewManager creates a manager over the given rack IDs; all racks start
@@ -167,12 +200,12 @@ func (m *Manager) ThrottleOp(id string, cap power.Watts, op Op) error {
 	if m.ActionLatency > 0 {
 		m.clk.Sleep(m.ActionLatency)
 	}
-	effective, err := m.throttleLocked(id, cap)
+	effective, err := m.throttleLocked(id, cap, op)
 	m.emitOutcome("throttle", id, cap, op, dispatch, effective, err)
 	return err
 }
 
-func (m *Manager) throttleLocked(id string, cap power.Watts) (bool, error) {
+func (m *Manager) throttleLocked(id string, cap power.Watts, op Op) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, err := m.check(id)
@@ -187,6 +220,9 @@ func (m *Manager) throttleLocked(id string, cap power.Watts) (bool, error) {
 	r.state = Throttled
 	r.cap = cap
 	m.count(kindThrottle, effective, nil)
+	if effective {
+		m.enterLocked(id, Throttled, op)
+	}
 	return effective, nil
 }
 
@@ -201,12 +237,12 @@ func (m *Manager) ShutdownOp(id string, op Op) error {
 	if m.ActionLatency > 0 {
 		m.clk.Sleep(m.ActionLatency)
 	}
-	effective, err := m.shutdownLocked(id)
+	effective, err := m.shutdownLocked(id, op)
 	m.emitOutcome("shutdown", id, 0, op, dispatch, effective, err)
 	return err
 }
 
-func (m *Manager) shutdownLocked(id string) (bool, error) {
+func (m *Manager) shutdownLocked(id string, op Op) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, err := m.check(id)
@@ -218,6 +254,9 @@ func (m *Manager) shutdownLocked(id string) (bool, error) {
 	r.state = Off
 	r.cap = 0
 	m.count(kindShutdown, effective, nil)
+	if effective {
+		m.enterLocked(id, Off, op)
+	}
 	return effective, nil
 }
 
@@ -250,7 +289,58 @@ func (m *Manager) restoreLocked(id string) (bool, error) {
 	r.state = On
 	r.cap = 0
 	m.count(kindRestore, effective, nil)
+	if effective {
+		delete(m.shed, id)
+		m.sorted = nil
+		m.lastEffective = m.clk.Now()
+	}
 	return effective, nil
+}
+
+// enterLocked books an effective throttle or shutdown in the record. The
+// rack's first entry keeps the pair, watts and time of the action that
+// took it off On; a later one (a throttle made a shutdown) moves only its
+// state. m.mu is held.
+func (m *Manager) enterLocked(id string, state PowerState, op Op) {
+	now := m.clk.Now()
+	e, ok := m.shed[id]
+	if !ok {
+		if m.shed == nil {
+			m.shed = make(map[string]Entry)
+		}
+		e = Entry{Rack: id, Pair: op.Pair, Recovered: op.Recovered, At: now}
+	}
+	e.State = state
+	m.shed[id] = e
+	m.sorted = nil
+	m.lastEffective = now
+}
+
+// Record returns the record of what is shed — every rack not On, sorted by
+// rack — and the time an action last changed a rack's state (zero before
+// the first). Every primary of a room plans and restores from it. The list
+// is shared between callers until the record next changes: read it, do
+// not modify it.
+//
+//flex:hotpath
+func (m *Manager) Record() ([]Entry, time.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.sorted == nil && len(m.shed) > 0 {
+		m.sortRecordLocked()
+	}
+	return m.sorted, m.lastEffective
+}
+
+// sortRecordLocked rebuilds the sorted list after the record changed.
+//
+//flex:coldpath
+func (m *Manager) sortRecordLocked() {
+	m.sorted = make([]Entry, 0, len(m.shed))
+	for _, e := range m.shed {
+		m.sorted = append(m.sorted, e)
+	}
+	slices.SortFunc(m.sorted, func(a, b Entry) int { return strings.Compare(a.Rack, b.Rack) })
 }
 
 // emitDispatch records that a command left for the rack manager; it runs

@@ -2,6 +2,7 @@ package rackmgr
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -206,5 +207,82 @@ func TestWatchdogCallback(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 1 || got[0].Rack != "r1" {
 		t.Fatalf("callback alerts = %v", got)
+	}
+}
+
+// TestRecord walks the record of what is shed through the actions that
+// change it and those that must not: the first effective action's pair,
+// watts and time stay, another actor's no-op duplicate and a failed action leave the
+// record as it is, a throttle made a shutdown keeps its entry with state
+// Off, a restore removes the rack, and a list handed out never changes.
+func TestRecord(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	m := NewManager(clk, []string{"r1", "r2", "r3"})
+	if record, at := m.Record(); record != nil || !at.IsZero() {
+		t.Fatalf("a new manager's record is %+v at %v, want empty at the zero time", record, at)
+	}
+	step := func() time.Time { clk.Advance(time.Second); return clk.Now() }
+	want := func(stage string, changed time.Time, entries ...Entry) []Entry {
+		t.Helper()
+		record, at := m.Record()
+		if !slices.Equal(record, entries) || !at.Equal(changed) {
+			t.Fatalf("%s: record %+v changed at %v, want %+v at %v", stage, record, at, entries, changed)
+		}
+		return record
+	}
+
+	shedAt := step()
+	if err := m.ShutdownOp("r2", Op{Actor: "a", Pair: 3, Recovered: 7 * power.KW}); err != nil {
+		t.Fatal(err)
+	}
+	r2 := Entry{Rack: "r2", State: Off, Pair: 3, Recovered: 7 * power.KW, At: shedAt}
+	handed := want("first shed", shedAt, r2)
+
+	step()
+	if err := m.ShutdownOp("r2", Op{Actor: "b", Pair: 1, Recovered: 9 * power.KW}); err != nil {
+		t.Fatal(err)
+	}
+	want("another actor's duplicate", shedAt, r2)
+
+	throttleAt := step()
+	if err := m.ThrottleOp("r1", 4*power.KW, Op{Actor: "b", Pair: 0, Recovered: 2 * power.KW}); err != nil {
+		t.Fatal(err)
+	}
+	r1 := Entry{Rack: "r1", State: Throttled, Pair: 0, Recovered: 2 * power.KW, At: throttleAt}
+	want("a throttle", throttleAt, r1, r2)
+	offAt := step()
+	if err := m.ShutdownOp("r1", Op{Actor: "a", Pair: 2, Recovered: 5 * power.KW}); err != nil {
+		t.Fatal(err)
+	}
+	r1.State = Off
+	want("the throttle made a shutdown", offAt, r1, r2)
+
+	step()
+	_ = m.SetReachable("r3", false)
+	if err := m.ShutdownOp("r3", Op{Actor: "a", Pair: 1, Recovered: power.KW}); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrUnreachable", err)
+	}
+	want("a failed shed", offAt, r1, r2)
+
+	restoreAt := step()
+	if err := m.RestoreOp("r2", Op{Actor: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	want("a restore", restoreAt, r1)
+	if !slices.Equal(handed, []Entry{r2}) {
+		t.Fatalf("the list handed out after the first shed is now %+v", handed)
+	}
+}
+
+// TestRecordReadAllocFree holds the record read every primary makes every
+// round to no allocation once the sorted list is built.
+func TestRecordReadAllocFree(t *testing.T) {
+	m := newMgr()
+	if err := m.ShutdownOp("r1", Op{Recovered: power.KW}); err != nil {
+		t.Fatal(err)
+	}
+	m.Record()
+	if allocs := testing.AllocsPerRun(100, func() { m.Record() }); allocs != 0 {
+		t.Fatalf("Record allocated %v times a read, want 0", allocs)
 	}
 }

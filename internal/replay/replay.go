@@ -7,7 +7,8 @@
 // the room, scenario, safety margins and managed-rack set the controllers
 // ran with. Replay reconstructs each controller's exact PlanInput from
 // the event stream — sample-arrive events rebuild the telemetry views,
-// action-ack events rebuild the per-controller acted sets — and runs
+// action-ack events rebuild the one acted set, the rack manager's record
+// of what is shed that every primary plans from — and runs
 // Algorithm 1 (one controller.Planner for the whole log) at every recorded
 // plan-start, advancing a virtual clock to the recorded timestamps.
 // Because Algorithm 1 is deterministic in its inputs, a faithful log
@@ -58,9 +59,6 @@ type Header struct {
 	// Buffer is the controllers' safety margin in watts (0 = the
 	// controller default, 1% of the smallest UPS capacity).
 	Buffer float64 `json:"buffer"`
-	// InactiveThreshold is the out-of-service capacity fraction (0 = the
-	// controller default).
-	InactiveThreshold float64 `json:"inactive_threshold"`
 	// Utilization, Seed and Controllers are informational.
 	Utilization float64  `json:"utilization,omitempty"`
 	Seed        int64    `json:"seed,omitempty"`
@@ -198,10 +196,6 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 	if buffer == 0 {
 		buffer = controller.DefaultBuffer(topo)
 	}
-	threshold := hdr.InactiveThreshold
-	if threshold == 0 {
-		threshold = controller.DefaultInactiveThreshold
-	}
 	// Every recorded pass planned over the header's racks: prepare them once.
 	planner := controller.NewPlanner(topo, racks, scenario)
 
@@ -209,7 +203,7 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 	last := hdr.Start
 	upsView := make(map[string]power.Watts)
 	rackView := make(map[string]power.Watts)
-	acted := make(map[string]map[string]bool) // controller → racks acted on
+	acted := make(map[string]bool) // racks the rack manager holds off On
 	episodes := make(map[uint64]bool)
 
 	rep := &Report{Events: len(events)}
@@ -234,22 +228,14 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 				rackView[e.Subject] = power.Watts(e.Value)
 			}
 		case recorder.TypeActionAck:
-			if e.Actor == "" {
-				continue
-			}
-			set := acted[e.Actor]
-			if set == nil {
-				set = make(map[string]bool)
-				acted[e.Actor] = set
-			}
 			switch e.Detail {
 			case "throttle", "shutdown":
-				set[e.Subject] = true
+				acted[e.Subject] = true
 			case "restore":
-				delete(set, e.Subject)
+				delete(acted, e.Subject)
 			}
 		case recorder.TypePlanStart:
-			pr := replayPlan(ctx, events[i:], e, topo, planner, buffer, threshold, upsView, rackView, acted[e.Actor])
+			pr := replayPlan(ctx, events[i:], e, topo, planner, buffer, upsView, rackView, acted)
 			rep.Plans = append(rep.Plans, pr)
 			if pr.Match {
 				rep.Matched++
@@ -270,9 +256,9 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 // error) are found by scanning forward for events caused by it.
 func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Event,
 	topo *power.Topology, planner *controller.Planner,
-	buffer power.Watts, threshold float64,
+	buffer power.Watts,
 	upsView, rackView map[string]power.Watts,
-	actedSet map[string]bool) PlanResult {
+	acted map[string]bool) PlanResult {
 
 	pr := PlanResult{Seq: start.Seq, Episode: start.Episode, Actor: start.Actor}
 
@@ -315,21 +301,17 @@ func replayPlan(ctx context.Context, tail []recorder.Event, start *recorder.Even
 			ups[u] = topo.UPSes[u].Capacity
 		}
 	}
-	inactive := controller.InferInactiveUPSes(topo, ups, threshold)
+	inactive := controller.InferInactiveUPSes(topo, ups, controller.DefaultInactiveThreshold)
 	rackPower := make(map[string]power.Watts, len(rackView))
 	for k, v := range rackView {
 		rackPower[k] = v
-	}
-	actedCopy := make(map[string]bool, len(actedSet))
-	for k := range actedSet {
-		actedCopy[k] = true
 	}
 	replayed, insufficient, err := planner.Plan(ctx, controller.PlanInput{
 		UPSPower:  ups,
 		RackPower: rackPower,
 		Inactive:  inactive,
 		Buffer:    buffer,
-		Acted:     actedCopy,
+		Acted:     acted,
 	}, nil)
 	if err != nil {
 		pr.Mismatch = fmt.Sprintf("replayed plan errored: %v", err)
