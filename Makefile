@@ -162,7 +162,7 @@ figures:
 
 # The ten native fuzz targets, FUZZTIME each: trace parsing, the impact
 # function, the offline/online contract (Algorithm 1 against placements
-# that pass Validate), the safety ledger, the admitter, the prepared
+# that pass Validate), the safety ledger, the room occupancy, the prepared
 # Algorithm 1, the admitter's scenario scorer and the broker's subscriber
 # queues against their from-scratch references, the 0/1 packing search
 # against exhaustive enumeration, and the LP's warm re-solve against a cold
@@ -173,7 +173,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzImpactFunction -fuzztime=$(FUZZTIME) -run=Fuzz .
 	$(GO) test -fuzz=FuzzContractHolds -fuzztime=$(FUZZTIME) -run=Fuzz .
 	$(GO) test -fuzz=FuzzLedgerMatchesLoadFlow -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/power
-	$(GO) test -fuzz=FuzzStateMatchesAdmitter -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement
+	$(GO) test -fuzz=FuzzOccupancyMatchesScratch -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement/online
 	$(GO) test -fuzz=FuzzMILPMatchesBruteForce -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/milp
 	$(GO) test -fuzz=FuzzPlanMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/controller
 	$(GO) test -fuzz=FuzzScoreMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement/online

@@ -40,7 +40,6 @@ func BenchmarkAblation_ILPvsGreedy(b *testing.B) {
 			{"full (800 nodes)", FlexOffline{BatchFraction: 0.66, MaxNodes: 800}},
 			{"root only (1 node)", FlexOffline{BatchFraction: 0.66, MaxNodes: 1}},
 			{"no balance refinement", FlexOffline{BatchFraction: 0.66, MaxNodes: 800, SkipBalanceRefinement: true}},
-			{"no diversity reserve", FlexOffline{BatchFraction: 0.66, MaxNodes: 800, SkipDiversityReserve: true}},
 		}
 		for _, v := range variants {
 			var stranded, imbalance []float64

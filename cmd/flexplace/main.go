@@ -208,20 +208,10 @@ func runOnlineSmoke(out io.Writer, seed int64, nodes, workers int) error {
 	if err != nil {
 		return fmt.Errorf("online placement: %w", err)
 	}
+	// Validate re-checks space, Eq. 2 and Eq. 4 for every UPS failure from
+	// scratch.
 	if err := onp.Validate(); err != nil {
 		return fmt.Errorf("online placement unsafe: %w", err)
-	}
-	// Validate covers Eq. 2 as part of the full safety re-check; count the
-	// violations explicitly anyway, since "zero Eq. 2 violations" is the
-	// smoke criterion by name.
-	eq2 := 0
-	for u, w := range room.Topo.UPSLoads(onp.PairLoad()) {
-		if w > room.NormalLimit(flex.UPSID(u))+flex.CapacityTolerance {
-			eq2++
-		}
-	}
-	if eq2 != 0 {
-		return fmt.Errorf("online placement has %d Eq. 2 violations", eq2)
 	}
 	oracle := flex.FlexOfflineOracle()
 	oracle.MaxNodes, oracle.Workers = nodes*2, workers
@@ -235,7 +225,7 @@ func runOnlineSmoke(out io.Writer, seed int64, nodes, workers int) error {
 		len(onp.Assignments), len(trace), onp.StrandedFraction()*100)
 	fmt.Fprintf(out, "  offline: placed %d/%d, stranded %.2f%%\n",
 		len(offp.Assignments), len(trace), offp.StrandedFraction()*100)
-	fmt.Fprintf(out, "  gap %.2fpp (bound 10pp), Eq. 2 violations: %d, safety: ok\n", gap*100, eq2)
+	fmt.Fprintf(out, "  gap %.2fpp (bound 10pp), safety: ok\n", gap*100)
 	if gap > 0.10 {
 		return fmt.Errorf("online stranded power gap %.2fpp exceeds the 10pp bound", gap*100)
 	}

@@ -24,7 +24,3 @@ const (
 
 // FlexLatencyBudget is the 10-second end-to-end deadline for Flex-Online.
 const FlexLatencyBudget = power.FlexLatencyBudget
-
-// CapacityTolerance is the slack applied to capacity comparisons so that
-// float rounding never flips a feasibility verdict.
-const CapacityTolerance = power.CapacityTolerance

@@ -44,15 +44,6 @@ type FlexOffline struct {
 	// SkipBalanceRefinement disables the post-batch imbalance local search
 	// (used by ablation benchmarks).
 	SkipBalanceRefinement bool
-	// SkipDiversityReserve disables the workload-diversity headroom
-	// constraint (used by ablation benchmarks). By default each batch ILP
-	// keeps the room's cumulative post-shave allocation (CapPow) within
-	// the failover budget (y/x of provisioned power): a room whose
-	// post-shave load already equals surviving capacity at full fill can
-	// accept any future mix, so early non-shaveable-heavy batches cannot
-	// strand the remaining capacity (paper §IV: lack of workload
-	// diversity leads to stranded power).
-	SkipDiversityReserve bool
 	// Label overrides Name() (e.g. "Flex-Offline-Short").
 	Label string
 	// SolverMetrics, when non-nil, accumulates branch-and-bound statistics
@@ -187,26 +178,18 @@ func (f FlexOffline) Place(ctx context.Context, room *Room, trace []workload.Dep
 // UPS combination per deployment, maximizing placed power subject to
 // single placement, normal-operation headroom, failover safety under
 // maximal shaving, space, and the workload-diversity reserve. It exposes
-// the exact problem FlexOffline solves per batch, for benchmarks and
-// solver experiments.
+// the exact problem FlexOffline solves per batch, for benchmarks, solver
+// experiments and the online admitter's warm re-solve.
 func BatchILP(room *Room, batch []workload.Deployment) *milp.Problem {
-	return FlexOffline{}.batchILP(newState(room), CombosOf(room.Topo), batch)
-}
-
-// BatchILP builds the same problem under this FlexOffline configuration
-// (honoring SkipDiversityReserve and friends) — the entry point the
-// online admitter's warm background re-solve uses so its exact problem
-// matches the admission-path constraint set exactly.
-func (f FlexOffline) BatchILP(room *Room, batch []workload.Deployment) *milp.Problem {
-	return f.batchILP(newState(room), CombosOf(room.Topo), batch)
+	return batchILP(newState(room), CombosOf(room.Topo), batch)
 }
 
 // batchILP builds the batch ILP against the current committed state: a
 // 0/1 packing program (milp.Problem), every constraint ≤ with non-negative
 // coefficients, so rounding a relaxation down is always feasible. Eq. 1's
 // rows bound every variable at 1, so there are no bound rows.
-func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deployment) *milp.Problem {
-	topo := s.room.Topo
+func batchILP(s *state, combos []Combo, batch []workload.Deployment) *milp.Problem {
+	topo, o := s.room.Topo, s.occ
 	nd, nc := len(batch), len(combos)
 	nVars := nd * nc // binary placement vars x[d*nc+c]
 
@@ -250,7 +233,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 	for u := range topo.UPSes {
 		uu := power.UPSID(u)
 		c, _ := safetyRow(uu, 0, func(d workload.Deployment) float64 { return float64(d.TotalPower()) })
-		prob.LP.AddConstraint(c, float64(s.safety.NormalHeadroom(uu))/mw)
+		prob.LP.AddConstraint(c, float64(o.safety.NormalHeadroom(uu))/mw)
 	}
 	// Eq. 4: failover headroom per (failed, survivor), over post-shave power.
 	for f := range topo.UPSes {
@@ -260,8 +243,8 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 			if uu == ff {
 				continue
 			}
-			if c, nonzero := safetyRow(uu, power.SetOf(ff), func(d workload.Deployment) float64 { return float64(s.capPow(d)) }); nonzero {
-				prob.LP.AddConstraint(c, float64(s.safety.FailoverHeadroom(ff, uu))/mw)
+			if c, nonzero := safetyRow(uu, power.SetOf(ff), func(d workload.Deployment) float64 { return float64(s.room.CapPow(d)) }); nonzero {
+				prob.LP.AddConstraint(c, float64(o.safety.FailoverHeadroom(ff, uu))/mw)
 			}
 		}
 	}
@@ -270,7 +253,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 		c := make([]float64, nVars)
 		free := 0
 		for _, pid := range cb.Pairs {
-			free += s.slotsLeft[pid]
+			free += o.slotsLeft[pid]
 		}
 		for di, d := range batch {
 			c[di*nc+ci] = float64(d.Racks)
@@ -280,24 +263,20 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 	// Workload-diversity headroom: cumulative CapPow within the failover
 	// budget, so that shave-ability never becomes the binding constraint
 	// for future demand.
-	if !f.SkipDiversityReserve {
-		c := make([]float64, nVars)
-		any := false
-		for di, d := range batch {
-			capPow := float64(d.CapPower()) / s.room.oversub() / mw
-			if capPow == 0 {
-				continue
-			}
-			for ci := 0; ci < nc; ci++ {
-				c[di*nc+ci] = capPow
-				any = true
-			}
+	c := make([]float64, nVars)
+	any := false
+	for di, d := range batch {
+		capPow := float64(s.room.CapPow(d)) / mw
+		if capPow == 0 {
+			continue
 		}
-		if any {
-			budget := float64(topo.ProvisionedPower()) * topo.Design.AllocationLimitFraction()
-			rhs := (budget - float64(s.placedCapPow)) / mw
-			prob.LP.AddConstraint(c, rhs)
+		for ci := 0; ci < nc; ci++ {
+			c[di*nc+ci] = capPow
+			any = true
 		}
+	}
+	if any {
+		prob.LP.AddConstraint(c, float64(o.capBudget-o.placedCapPow)/mw)
 	}
 	// PDU-pair ratings (aggregate per combo; the pair-level check happens
 	// again at commit time through canPlace).
@@ -306,7 +285,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 			c := make([]float64, nVars)
 			var free float64
 			for _, pid := range cb.Pairs {
-				free += float64(s.room.PairCapacity-s.pairPow[pid]) / mw
+				free += float64(s.room.PairCapacity-o.pairPow[pid]) / mw
 			}
 			for di, d := range batch {
 				c[di*nc+ci] = float64(d.TotalPower()) / mw
@@ -322,7 +301,7 @@ func (f FlexOffline) batchILP(s *state, combos []Combo, batch []workload.Deploym
 				c[di*nc+ci] = float64(d.TotalPower()) * s.room.CFMPerWatt / mw
 			}
 		}
-		rhs := (s.room.CoolingCFM - float64(s.placedPow)*s.room.CFMPerWatt) / mw
+		rhs := (s.room.CoolingCFM - float64(o.placedPow)*s.room.CFMPerWatt) / mw
 		prob.LP.AddConstraint(c, rhs)
 	}
 	return prob
@@ -341,7 +320,7 @@ func (f FlexOffline) solveBatch(ctx context.Context, s *state, combos []Combo, b
 	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	nc := len(combos)
-	prob := f.batchILP(s, combos, batch)
+	prob := batchILP(s, combos, batch)
 	cols := milp.NewColumns(prob)
 	ties := completionOrder(prob.LP.Objective, nc)
 	heuristic := func(relaxed []float64, pk *milp.Packing) bool {
@@ -463,7 +442,7 @@ func (f FlexOffline) commitCombo(s *state, cb Combo, ds []workload.Deployment) {
 	slices.SortStableFunc(sorted, func(a, b workload.Deployment) int { return cmp.Compare(b.Racks, a.Racks) })
 	bins := make([]int, len(cb.Pairs))
 	for i, pid := range cb.Pairs {
-		bins[i] = s.slotsLeft[pid]
+		bins[i] = s.occ.slotsLeft[pid]
 	}
 	var rest []workload.Deployment
 	if assign, ok := packBins(sorted, bins); ok {
@@ -547,21 +526,21 @@ func completionOrder(obj []float64, nc int) []int {
 	return order
 }
 
-// placeInCombo places d on the best-fit pair (smallest sufficient free
-// space) within the combo, honoring all constraints. Returns false when no
-// pair in the combo fits.
+// placeInCombo places d on the combo's best-fit pair (Occupancy.BestPair)
+// once the room and the combo's UPSes take it. Returns false when no pair
+// of the combo fits.
 func (f FlexOffline) placeInCombo(s *state, cb Combo, d workload.Deployment) bool {
-	best := power.PDUPairID(-1)
-	bestFree := int(^uint(0) >> 1)
-	for _, pid := range cb.Pairs {
-		if s.canPlace(d, pid) && s.slotsLeft[pid] < bestFree {
-			best, bestFree = pid, s.slotsLeft[pid]
-		}
-	}
-	if best < 0 {
+	pow, capPow := d.TotalPower(), s.room.CapPow(d)
+	o := s.occ
+	if o.RoomLimit(o.placedPow+pow, o.placedCapPow+capPow) != Fits ||
+		o.UPSLimit(cb.UPSes[0], cb.UPSes[1], pow, capPow) != Fits {
 		return false
 	}
-	s.place(d, best)
+	pid, lim := o.BestPair(cb.Pairs, d.Racks, pow)
+	if lim != Fits {
+		return false
+	}
+	s.place(d, pid)
 	return true
 }
 
@@ -608,13 +587,13 @@ func (s *state) balanceScore(imbalanceWeight float64) float64 {
 			// post-shave balance preserves Eq. 4 headroom for future
 			// batches — the two differ when capable-heavy and
 			// non-cap-able-heavy combos coexist, and both matter.
-			util := float64(s.safety.Failover(ff, uu)+s.throttle.Failover(ff, uu)) / cap
-			shaved := float64(s.safety.Failover(ff, uu)) / cap
+			util := float64(s.occ.safety.Failover(ff, uu)+s.throttle.Failover(ff, uu)) / cap
+			shaved := float64(s.occ.safety.Failover(ff, uu)) / cap
 			score += util*util + 2*shaved*shaved
 		}
 	}
 	for u := range topo.UPSes {
-		util := float64(s.safety.Normal(power.UPSID(u))) / float64(topo.UPSes[u].Capacity)
+		util := float64(s.occ.safety.Normal(power.UPSID(u))) / float64(topo.UPSes[u].Capacity)
 		score += util * util
 	}
 	return score
@@ -632,7 +611,7 @@ func (f FlexOffline) refineBalance(ctx context.Context, s *state, imbalanceWeigh
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	byID := s.deploymentsByID()
+	byID := s.deps
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		if ctx.Err() != nil {
 			return
@@ -652,7 +631,7 @@ func (f FlexOffline) refineBalance(ctx context.Context, s *state, imbalanceWeigh
 				if !s.canPlace(d, p) {
 					continue
 				}
-				s.occupy(d, p)
+				s.occupy(d, p, nil)
 				v := s.balanceScore(imbalanceWeight)
 				s.vacate(d, p)
 				if v < bestVal-1e-9 {
@@ -660,9 +639,9 @@ func (f FlexOffline) refineBalance(ctx context.Context, s *state, imbalanceWeigh
 				}
 			}
 			if bestPid == from {
-				s.restoreAt(d, from, token)
+				s.occupy(d, from, token)
 			} else {
-				s.occupy(d, bestPid)
+				s.occupy(d, bestPid, nil)
 				s.placed[id] = bestPid
 				improved = true
 				cur = bestVal
@@ -706,9 +685,9 @@ func (s *state) swapSweep(ids []int, byID map[int]workload.Deployment, imbalance
 			tok1 := s.vacate(d1, p1)
 			tok2 := s.vacate(d2, p2)
 			if s.canPlace(d1, p2) {
-				s.occupy(d1, p2)
+				s.occupy(d1, p2, nil)
 				if s.canPlace(d2, p1) {
-					s.occupy(d2, p1)
+					s.occupy(d2, p1, nil)
 					if v := s.balanceScore(imbalanceWeight); v < cur-1e-9 {
 						cur = v
 						improved = true
@@ -719,8 +698,8 @@ func (s *state) swapSweep(ids []int, byID map[int]workload.Deployment, imbalance
 				}
 				s.vacate(d1, p2)
 			}
-			s.restoreAt(d1, p1, tok1)
-			s.restoreAt(d2, p2, tok2)
+			s.occupy(d1, p1, tok1)
+			s.occupy(d2, p2, tok2)
 		}
 	}
 	return improved

@@ -1,25 +1,21 @@
 package online
 
-import "flex/internal/obs"
+import (
+	"flex/internal/obs"
+	"flex/internal/placement"
+)
 
 // reason is why an admission was refused: the label of
-// flex_online_rejections_total. The four per-combo checks come last and in
-// the order a combo goes through them, so that "the check that stopped the
-// combo that got furthest" is a max.
-type reason int
-
-// admitted is admitLocked's answer when there is no reason to give.
-const admitted reason = -1
+// flex_online_rejections_total. A room limit refuses under its own
+// placement.Limit, whose order makes "the limit that stopped the combo that
+// got furthest" a max. reasonInvalid — a malformed deployment, a duplicate
+// ID, a full committed list — is the admitter's own; it takes the index of
+// placement.Fits, which refuses nothing.
+type reason = placement.Limit
 
 const (
-	reasonInvalid          reason = iota // malformed deployment, duplicate ID, committed list full
-	reasonCooling                        // room airflow budget
-	reasonDiversityReserve               // cumulative post-shave allocation over the failover budget
-	reasonSlots                          // no combo (or no pair of it) has the rack space
-	reasonNormalLimit                    // Eq. 2 on every combo with space
-	reasonFailoverCapacity               // Eq. 4 on every combo that passed Eq. 2
-	reasonPairRating                     // a combo passed both; its pairs with space are at their rating
-	numReasons
+	reasonInvalid = placement.Fits
+	numReasons    = placement.OverPairRating + 1
 )
 
 var reasonNames = [numReasons]string{

@@ -5,11 +5,10 @@
 // is the closest published system — online sampling optimization,
 // deployed at Microsoft).
 //
-// The hot path is an Admitter holding incremental safety state per room:
-// a power.Ledger (the same Eq. 2 / Eq. 4 state the batch policies place
-// through), per-combo residual slots and load, and the cooling /
-// pair-rating / diversity budgets. Each place or remove updates the tables
-// in O(combos touched), so admission is a table lookup plus a handful of
+// The hot path is an Admitter holding the room's placement.Occupancy — the
+// same residual state and limits the batch policies place through — and
+// per-combo aggregates of it. Each place or remove updates the tables in
+// O(combos touched), so admission is a table lookup plus a handful of
 // float comparisons — allocation-free (//flex:hotpath, proven by the
 // allocfree analyzer and pinned by an AllocsPerRun test).
 //
@@ -35,9 +34,6 @@ import (
 	"flex/internal/power"
 	"flex/internal/workload"
 )
-
-// coolTol mirrors the cooling slack used by placement's canPlace.
-const coolTol = 1e-6
 
 // Config parameterizes an Admitter (and the Online policy wrapping it).
 // The zero value selects the defaults documented per field.
@@ -69,12 +65,6 @@ type Config struct {
 	// SyncResolve runs re-solves inline on the admission loop instead of
 	// in a background goroutine — deterministic, for tests and smokes.
 	SyncResolve bool
-	// SkipDiversityReserve disables the workload-diversity headroom check
-	// (see FlexOffline.SkipDiversityReserve): by default the admitter
-	// keeps the cumulative post-shave allocation within the failover
-	// budget so early non-shaveable-heavy arrivals cannot strand the
-	// remaining capacity.
-	SkipDiversityReserve bool
 	// Metrics receives admission and resolver observability. Nil wires a
 	// private throwaway registry so the hot path never branches on nil.
 	Metrics *Metrics
@@ -125,25 +115,16 @@ type Admitter struct {
 
 	combos  []placement.Combo
 	nCombos int
-	oversub float64
-
-	// Static limits, precomputed at construction.
-	pairCap     power.Watts // per-pair rating; 0 disables
-	coolPerWatt float64     // CFM per placed watt; 0 disables cooling checks
-	coolCFM     float64
-	capBudget   power.Watts // diversity reserve budget; <0 disables
 
 	// Combo geometry.
 	comboOfPair []int
 
-	// Live residual state, updated in O(combos touched) per place/remove.
-	slotsLeft    []int
-	pairPow      []power.Watts
-	safety       *power.Ledger // Eq. 2 / Eq. 4 state of everything committed
-	comboSlots   []int
-	comboPow     []float64
-	placedPow    power.Watts
-	placedCapPow power.Watts
+	// occ is the room's residual state and limits; comboSlots and comboPow
+	// are its per-combo sums, which the scorer reads. All three are
+	// updated in O(combos touched) per place/remove.
+	occ        *placement.Occupancy
+	comboSlots []int
+	comboPow   []float64
 
 	// Committed deployments; bounded by the room's total rack slots, so
 	// the backing array never grows after construction.
@@ -154,8 +135,8 @@ type Admitter struct {
 	// Scenario stream and scoring scratch (scenario.go).
 	stream    []scenarioDep
 	scCursor  int
-	candPair  []int         // per-combo chosen pair for the admission in flight; -1 infeasible
-	runSafety *power.Ledger // scratch copy of safety for the simulated completions
+	candPair  []power.PDUPairID // per-combo chosen pair for the admission in flight; -1 infeasible
+	runSafety *power.Ledger     // scratch copy of the occupancy's ledger for the simulated completions
 	runSlots  []int
 	runPow    []float64
 	// Per-completion scratch of simulateSuffixLocked: the combos in (runPow,
@@ -193,40 +174,24 @@ func NewAdmitter(room *placement.Room, cfg Config) (*Admitter, error) {
 	if nc == 0 {
 		return nil, fmt.Errorf("online: room has no PDU-pairs")
 	}
-	oversub := room.Oversubscription
-	if oversub < 1 {
-		oversub = 1
-	}
-	safety := room.NewLedger()
+	occ := placement.NewOccupancy(room)
 	a := &Admitter{
 		room:        room,
 		cfg:         cfg,
 		combos:      combos,
 		nCombos:     nc,
-		oversub:     oversub,
-		pairCap:     room.PairCapacity,
-		coolCFM:     room.CoolingCFM,
-		capBudget:   -1,
 		comboOfPair: make([]int, len(topo.Pairs)),
-		slotsLeft:   append([]int(nil), room.SlotsPerPair...),
-		pairPow:     make([]power.Watts, len(topo.Pairs)),
-		safety:      safety,
+		occ:         occ,
 		comboSlots:  make([]int, nc),
 		comboPow:    make([]float64, nc),
-		candPair:    make([]int, nc),
-		runSafety:   safety.Clone(),
+		candPair:    make([]power.PDUPairID, nc),
+		runSafety:   occ.Ledger().Clone(),
 		runSlots:    make([]int, nc),
 		runPow:      make([]float64, nc),
 		runOrder:    make([]int, nc),
 		refusedPow:  make([]power.Watts, nc),
 		refusedCap:  make([]power.Watts, nc),
 		resolveCh:   make(chan struct{}, 1),
-	}
-	if room.CoolingCFM > 0 {
-		a.coolPerWatt = room.CFMPerWatt
-	}
-	if !cfg.SkipDiversityReserve {
-		a.capBudget = power.Watts(float64(topo.ProvisionedPower()) * topo.Design.AllocationLimitFraction())
 	}
 	for c, cb := range combos {
 		for _, pid := range cb.Pairs {
@@ -262,17 +227,16 @@ func (a *Admitter) Admit(d workload.Deployment) (power.PDUPairID, bool) {
 	a.mu.Lock()
 	pid, why := a.admitLocked(d)
 	a.mu.Unlock()
-	if why == admitted {
+	if pid >= 0 {
 		a.cfg.Metrics.Admitted.Inc()
 	} else {
 		a.cfg.Metrics.Rejected.Inc()
 		a.cfg.Metrics.rejections[why].Inc()
 	}
-	return pid, why == admitted
+	return pid, pid >= 0
 }
 
-// admitLocked is Admit under the lock: the pair and admitted, or -1 and why
-// not.
+// admitLocked is Admit under the lock: the pair, or -1 and why not.
 func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, reason) {
 	a.decisions++
 	a.scCursor++
@@ -287,39 +251,29 @@ func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, reason) 
 	if _, dup := a.idIndex[d.ID]; dup || a.nCommitted >= len(a.committed) {
 		return -1, reasonInvalid
 	}
-	pow := d.TotalPower()
-	capPow := power.Watts(float64(d.CapPower()) / a.oversub)
+	pow, capPow := d.TotalPower(), a.room.CapPow(d)
 	// Room-level budgets first: cooling and the diversity reserve bind
 	// identically for every combo.
-	if a.coolPerWatt > 0 && float64(a.placedPow+pow)*a.coolPerWatt > a.coolCFM+coolTol {
-		return -1, reasonCooling
-	}
-	if a.capBudget >= 0 && a.placedCapPow+capPow > a.capBudget+power.CapacityTolerance {
-		return -1, reasonDiversityReserve
+	placed, placedCap := a.occ.Placed()
+	if why := a.occ.RoomLimit(placed+pow, placedCap+capPow); why != placement.Fits {
+		return -1, why
 	}
 	nFeasible, only := 0, -1
-	furthest := reasonSlots // the check that stopped the combo that got furthest
+	furthest := placement.OverSlots // the limit that stopped the combo that got furthest
 	for c := 0; c < a.nCombos; c++ {
 		a.candPair[c] = -1
 		if a.comboSlots[c] < d.Racks {
 			continue
 		}
-		stopped := reasonSlots
-		switch a.safety.Check(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow) {
-		case power.OverNormalLimit:
-			stopped = reasonNormalLimit
-		case power.OverFailoverCapacity:
-			stopped = reasonFailoverCapacity
-		default:
-			pair := a.bestPairLocked(c, d.Racks, pow)
-			if pair >= 0 {
-				a.candPair[c] = pair
+		cb := &a.combos[c]
+		stopped := a.occ.UPSLimit(cb.UPSes[0], cb.UPSes[1], pow, capPow)
+		if stopped == placement.Fits {
+			var pid power.PDUPairID
+			if pid, stopped = a.occ.BestPair(cb.Pairs, d.Racks, pow); stopped == placement.Fits {
+				a.candPair[c] = pid
 				nFeasible++
 				only = c
 				continue
-			}
-			if pair == pairsOverRating {
-				stopped = reasonPairRating
 			}
 		}
 		furthest = max(furthest, stopped)
@@ -331,53 +285,22 @@ func (a *Admitter) admitLocked(d workload.Deployment) (power.PDUPairID, reason) 
 	if nFeasible > 1 {
 		best = a.scoreCandidatesLocked(pow, capPow, d.Racks)
 	}
-	pid := power.PDUPairID(a.candPair[best])
-	a.applyLocked(d, best, pid, pow, capPow)
-	return pid, admitted
-}
-
-// What bestPairLocked returns in place of a pair: no pair of the combo has
-// the rack space, or one does and the rating refused every such pair.
-const (
-	pairsFull       = -1
-	pairsOverRating = -2
-)
-
-// bestPairLocked returns the best-fit feasible pair of combo c (smallest
-// sufficient free space, honoring the pair rating), or pairsFull or
-// pairsOverRating.
-func (a *Admitter) bestPairLocked(c, racks int, pow power.Watts) int {
-	best, bestFree := pairsFull, int(^uint(0)>>1)
-	for _, pid := range a.combos[c].Pairs {
-		free := a.slotsLeft[pid]
-		if free < racks || free >= bestFree {
-			continue
-		}
-		if a.pairCap > 0 && a.pairPow[pid]+pow > a.pairCap+power.CapacityTolerance {
-			if best < 0 {
-				best = pairsOverRating
-			}
-			continue
-		}
-		best, bestFree = int(pid), free
-	}
-	return best
+	pid := a.candPair[best]
+	a.applyLocked(d, best, pid, pow)
+	return pid, placement.Fits
 }
 
 // applyLocked commits d to pair pid on combo c, updating every residual
 // table in O(combos touched).
-func (a *Admitter) applyLocked(d workload.Deployment, c int, pid power.PDUPairID, pow, capPow power.Watts) {
-	a.slotsLeft[pid] -= d.Racks
+func (a *Admitter) applyLocked(d workload.Deployment, c int, pid power.PDUPairID, pow power.Watts) {
+	a.occ.Add(d, pid)
 	a.comboSlots[c] -= d.Racks
-	a.pairPow[pid] += pow
 	a.comboPow[c] += float64(pow)
-	a.safety.Add(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow)
-	a.placedPow += pow
-	a.placedCapPow += capPow
 	a.committed[a.nCommitted] = committedRec{d: d, pid: pid}
 	a.idIndex[d.ID] = a.nCommitted
 	a.nCommitted++
-	a.cfg.Metrics.PlacedWatts.Set(float64(a.placedPow))
+	placed, _ := a.occ.Placed()
+	a.cfg.Metrics.PlacedWatts.Set(float64(placed))
 	a.sinceResolve++
 	if a.cfg.ResolveEvery > 0 && a.sinceResolve >= a.cfg.ResolveEvery {
 		a.sinceResolve = 0
@@ -405,22 +328,17 @@ func (a *Admitter) Remove(id int) bool {
 	}
 	rec := a.committed[idx]
 	c := a.comboOfPair[rec.pid]
-	pow := rec.d.TotalPower()
-	capPow := power.Watts(float64(rec.d.CapPower()) / a.oversub)
-	a.slotsLeft[rec.pid] += rec.d.Racks
+	a.occ.Remove(rec.d, rec.pid)
 	a.comboSlots[c] += rec.d.Racks
-	a.pairPow[rec.pid] -= pow
-	a.comboPow[c] -= float64(pow)
-	a.safety.Add(a.combos[c].UPSes[0], a.combos[c].UPSes[1], -pow, -capPow)
-	a.placedPow -= pow
-	a.placedCapPow -= capPow
+	a.comboPow[c] -= float64(rec.d.TotalPower())
 	last := a.nCommitted - 1
 	a.committed[idx] = a.committed[last]
 	a.idIndex[a.committed[idx].d.ID] = idx
 	a.committed[last] = committedRec{}
 	delete(a.idIndex, id)
 	a.nCommitted--
-	a.cfg.Metrics.PlacedWatts.Set(float64(a.placedPow))
+	placed, _ := a.occ.Placed()
+	a.cfg.Metrics.PlacedWatts.Set(float64(placed))
 	a.mu.Unlock()
 	a.cfg.Metrics.Removed.Inc()
 	return true
@@ -445,9 +363,10 @@ type Snapshot struct {
 // Snapshot returns a copy of the committed totals for reporting.
 func (a *Admitter) Snapshot() Snapshot {
 	a.mu.Lock()
+	placed, _ := a.occ.Placed()
 	s := Snapshot{
 		Committed:   a.nCommitted,
-		PlacedPower: a.placedPow,
+		PlacedPower: placed,
 		ComboLoad:   make([]power.Watts, a.nCombos),
 		Decisions:   a.decisions,
 	}
@@ -461,15 +380,6 @@ func (a *Admitter) Snapshot() Snapshot {
 		s.TargetLoad[c] = power.Watts(w)
 	}
 	return s
-}
-
-// Ledger returns a copy of the committed Eq. 2 / Eq. 4 safety state.
-//
-//flex:keep placement's FuzzStateMatchesAdmitter holds the batch state's ledger to the admitter's
-func (a *Admitter) Ledger() *power.Ledger {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.safety.Clone()
 }
 
 // Assignments returns a copy of the committed deployment→pair map, in

@@ -436,7 +436,10 @@ func TestOnlineCtxCancel(t *testing.T) {
 // TestRejectionReasons drives one rejection of each reason on the emulation
 // room (4 × 1.2 MW, one 60-slot pair per combo) and checks that exactly that
 // child of flex_online_rejections_total moved and that the children sum to
-// flex_online_rejected_total.
+// flex_online_rejected_total. The batch policies place through the same
+// placement.Occupancy, so each room-limit case is also put to an occupancy
+// holding the same deployments: its Check, over every pair, must name the
+// same limit.
 func TestRejectionReasons(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
@@ -445,6 +448,10 @@ func TestRejectionReasons(t *testing.T) {
 		if cat == workload.NonRedundantNonCapable {
 			d.FlexPowerFraction = 1
 		}
+		return d
+	}
+	withID := func(d workload.Deployment, id int) workload.Deployment {
+		d.ID = id
 		return d
 	}
 	small := dep(workload.SoftwareRedundant, 1, power.KW)
@@ -463,23 +470,28 @@ func TestRejectionReasons(t *testing.T) {
 			}
 		}, nil, small, reasonInvalid},
 		{"airflow", func(r *placement.Room) { r.CFMPerWatt, r.CoolingCFM = 0.1, 0.1*100e3 },
-			nil, dep(workload.SoftwareRedundant, 20, 10*power.KW), reasonCooling},
+			nil, dep(workload.SoftwareRedundant, 20, 10*power.KW), placement.OverCooling},
 		// 4 MW that cannot be shaved, against a 3.6 MW failover budget.
-		{"unshaveable", nil, nil, dep(workload.NonRedundantNonCapable, 40, 100*power.KW), reasonDiversityReserve},
-		{"61 racks", nil, nil, dep(workload.SoftwareRedundant, 61, power.KW), reasonSlots},
+		{"unshaveable", nil, nil, dep(workload.NonRedundantNonCapable, 40, 100*power.KW), placement.OverDiversityReserve},
+		{"61 racks", nil, nil, dep(workload.SoftwareRedundant, 61, power.KW), placement.OverSlots},
 		// 3 MW puts 1.5 MW on each UPS of its pair; all of it can be shed.
-		{"3 MW shaveable", nil, nil, dep(workload.SoftwareRedundant, 60, 50*power.KW), reasonNormalLimit},
+		{"3 MW shaveable", nil, nil, dep(workload.SoftwareRedundant, 60, 50*power.KW), placement.OverNormalLimit},
 		// 1.5 MW is 0.75 MW a UPS, and 1.5 MW on the survivor.
-		{"1.5 MW unshaveable", nil, nil, dep(workload.NonRedundantNonCapable, 60, 25*power.KW), reasonFailoverCapacity},
+		{"1.5 MW unshaveable", nil, nil, dep(workload.NonRedundantNonCapable, 60, 25*power.KW), placement.OverFailoverCapacity},
 		{"600 kW on 500 kW pairs", func(r *placement.Room) { r.PairCapacity = 500 * power.KW },
-			nil, dep(workload.SoftwareRedundant, 40, 15*power.KW), reasonPairRating},
+			nil, dep(workload.SoftwareRedundant, 40, 15*power.KW), placement.OverPairRating},
 		// The furthest combo decides: five combos lack the space, the sixth
 		// has it and is stopped by Eq. 4.
 		{"space on one combo only", func(r *placement.Room) {
 			for i := range r.SlotsPerPair[1:] {
 				r.SlotsPerPair[1+i] = 10
 			}
-		}, nil, dep(workload.NonRedundantNonCapable, 60, 25*power.KW), reasonFailoverCapacity},
+		}, nil, dep(workload.NonRedundantNonCapable, 60, 25*power.KW), placement.OverFailoverCapacity},
+		// Two commits fill two disjoint combos and leave every UPS 1.05 MW:
+		// 0.5 MW more meets full combos and Eq. 2 everywhere else.
+		{"two full combos", nil, []workload.Deployment{withID(dep(workload.SoftwareRedundant, 60, 35*power.KW), 1),
+			withID(dep(workload.SoftwareRedundant, 60, 35*power.KW), 2)},
+			withID(dep(workload.SoftwareRedundant, 10, 50*power.KW), 3), placement.OverNormalLimit},
 	}
 	var want [numReasons]uint64
 	for _, c := range cases {
@@ -491,10 +503,13 @@ func TestRejectionReasons(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		batch := placement.NewOccupancy(room)
 		for _, d := range c.first {
-			if _, ok := adm.Admit(d); !ok {
+			pid, ok := adm.Admit(d)
+			if !ok {
 				t.Fatalf("%s: set-up deployment rejected", c.name)
 			}
+			batch.Add(d, pid)
 		}
 		if pid, ok := adm.Admit(c.d); ok {
 			t.Fatalf("%s: admitted on pair %d", c.name, pid)
@@ -504,6 +519,21 @@ func TestRejectionReasons(t *testing.T) {
 			if child.Value() != want[r] {
 				t.Fatalf("%s: %s = %d, want %d", c.name, reasonNames[r], child.Value(), want[r])
 			}
+		}
+		if c.want == reasonInvalid {
+			continue // the admitter's own reason, no room limit
+		}
+		// The pair that gets furthest decides, as the combo does.
+		furthest := placement.Fits
+		for pid := range room.Topo.Pairs {
+			lim := batch.Check(c.d, power.PDUPairID(pid))
+			if lim == placement.Fits {
+				t.Fatalf("%s: the occupancy takes it on pair %d", c.name, pid)
+			}
+			furthest = max(furthest, lim)
+		}
+		if furthest != c.want {
+			t.Errorf("%s: the occupancy refuses with %s, the admitter with %s", c.name, reasonNames[furthest], reasonNames[c.want])
 		}
 	}
 	for r, n := range want {

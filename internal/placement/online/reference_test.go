@@ -10,15 +10,16 @@ import (
 	"flex/internal/workload"
 )
 
-// referenceSimulate is the greedy completion as it stood before ISSUE 21,
-// verbatim: every arrival scans the combos in index order and proves each
-// running minimum with a fresh Ledger.Fits. It is the oracle the scenario
-// scorer is held to, bit for bit.
+// referenceSimulate is the greedy completion in its first, plain form:
+// every arrival scans the combos in index order and proves each running
+// minimum with a fresh Ledger.Check (the room budgets are the occupancy's
+// RoomLimit, as in the scorer). It is the oracle the scenario scorer is held
+// to, bit for bit.
 func (a *Admitter) referenceSimulate(c int, pow, capPow power.Watts, racks, offset int) float64 {
-	a.runSafety.CopyFrom(a.safety)
+	a.runSafety.CopyFrom(a.occ.Ledger())
 	copy(a.runSlots, a.comboSlots)
 	copy(a.runPow, a.comboPow)
-	simPow, simCapPow := a.placedPow, a.placedCapPow
+	simPow, simCapPow := a.occ.Placed()
 	a.runSafety.Add(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow)
 	a.runSlots[c] -= racks
 	a.runPow[c] += float64(pow)
@@ -28,10 +29,7 @@ func (a *Admitter) referenceSimulate(c int, pow, capPow power.Watts, racks, offs
 	n := len(a.stream)
 	for k := 0; k < a.cfg.ScenarioDepth; k++ {
 		dep := a.stream[(offset+k)%n]
-		if a.coolPerWatt > 0 && float64(simPow+dep.pow)*a.coolPerWatt > a.coolCFM+coolTol {
-			continue
-		}
-		if a.capBudget >= 0 && simCapPow+dep.capPow > a.capBudget+power.CapacityTolerance {
+		if a.occ.RoomLimit(simPow+dep.pow, simCapPow+dep.capPow) != placement.Fits {
 			continue
 		}
 		pick := -1
@@ -42,7 +40,7 @@ func (a *Admitter) referenceSimulate(c int, pow, capPow power.Watts, racks, offs
 			if pick >= 0 && a.runPow[j] >= a.runPow[pick] {
 				continue
 			}
-			if !a.runSafety.Fits(a.combos[j].UPSes[0], a.combos[j].UPSes[1], dep.pow, dep.capPow) {
+			if a.runSafety.Check(a.combos[j].UPSes[0], a.combos[j].UPSes[1], dep.pow, dep.capPow) != power.WithinLimits {
 				continue
 			}
 			pick = j
@@ -150,7 +148,7 @@ func scoreFuzzAdmitter(t *testing.T, data []byte) (*Admitter, []byte) {
 	if flags&4 != 0 {
 		room.Oversubscription = 1.15
 	}
-	cfg := Config{Seed: int64(flags), ResolveEvery: -1, SkipDiversityReserve: flags&8 != 0}
+	cfg := Config{Seed: int64(flags), ResolveEvery: -1}
 	if flags&16 != 0 {
 		cfg.Scenarios, cfg.ScenarioDepth = 2, 24
 	}
@@ -202,7 +200,7 @@ func FuzzScoreMatchesReference(f *testing.F) {
 			}
 			d := fuzzDeployment(id, ops)
 			pow := d.TotalPower()
-			capPow := power.Watts(float64(d.CapPower()) / adm.oversub)
+			capPow := adm.room.CapPow(d)
 
 			// Score under the cursor Admit is about to advance to.
 			cursor := adm.scCursor
@@ -211,9 +209,12 @@ func FuzzScoreMatchesReference(f *testing.F) {
 			}
 			want, wantScore, candidates := -1, 0.0, 0
 			for c := 0; c < adm.nCombos; c++ {
+				cb := adm.combos[c]
 				if adm.comboSlots[c] < d.Racks ||
-					!adm.safety.Fits(adm.combos[c].UPSes[0], adm.combos[c].UPSes[1], pow, capPow) ||
-					adm.bestPairLocked(c, d.Racks, pow) < 0 {
+					adm.occ.UPSLimit(cb.UPSes[0], cb.UPSes[1], pow, capPow) != placement.Fits {
+					continue
+				}
+				if _, why := adm.occ.BestPair(cb.Pairs, d.Racks, pow); why != placement.Fits {
 					continue
 				}
 				candidates++

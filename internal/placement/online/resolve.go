@@ -50,10 +50,7 @@ func (a *Admitter) ResolveOnce(ctx context.Context) error {
 		return nil
 	}
 
-	f := placement.FlexOffline{
-		SkipDiversityReserve: a.cfg.SkipDiversityReserve,
-	}
-	prob := f.BatchILP(a.room, batch)
+	prob := placement.BatchILP(a.room, batch)
 	nc := a.nCombos
 	incumbent := placement.WarmStart(milp.NewColumns(prob), batch, nc, prevLoad)
 	warmObj := 0.0

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 
+	"flex/internal/placement"
 	"flex/internal/power"
 	"flex/internal/workload"
 )
@@ -66,7 +67,7 @@ func (a *Admitter) initScenarios() error {
 		a.stream[i] = scenarioDep{
 			racks:  d.Racks,
 			pow:    d.TotalPower(),
-			capPow: power.Watts(float64(d.CapPower()) / a.oversub),
+			capPow: a.room.CapPow(d),
 		}
 	}
 	return nil
@@ -131,10 +132,10 @@ func (a *Admitter) scoreComboLocked(c int, pow, capPow power.Watts, racks int, t
 // pow >= p (capPow >= c), so the smallest refused value per combo and
 // equation answers those arrivals without a ledger check.
 func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, offset int) float64 {
-	a.runSafety.CopyFrom(a.safety)
+	a.runSafety.CopyFrom(a.occ.Ledger())
 	copy(a.runSlots, a.comboSlots)
 	copy(a.runPow, a.comboPow)
-	simPow, simCapPow := a.placedPow, a.placedCapPow
+	simPow, simCapPow := a.occ.Placed()
 	a.runSafety.Add(a.combos[c].UPSes[0], a.combos[c].UPSes[1], pow, capPow)
 	a.runSlots[c] -= racks
 	a.runPow[c] += float64(pow)
@@ -156,10 +157,7 @@ func (a *Admitter) simulateSuffixLocked(c int, pow, capPow power.Watts, racks, o
 		if next++; next == len(a.stream) {
 			next = 0
 		}
-		if a.coolPerWatt > 0 && float64(simPow+dep.pow)*a.coolPerWatt > a.coolCFM+coolTol {
-			continue
-		}
-		if a.capBudget >= 0 && simCapPow+dep.capPow > a.capBudget+power.CapacityTolerance {
+		if a.occ.RoomLimit(simPow+dep.pow, simCapPow+dep.capPow) != placement.Fits {
 			continue
 		}
 		pick, at := -1, 0

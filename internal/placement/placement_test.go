@@ -214,35 +214,6 @@ func TestPlacedUnplacedPartition(t *testing.T) {
 	}
 }
 
-func TestUPSUtilizationWithinBounds(t *testing.T) {
-	room := PaperRoom()
-	trace := testTrace(t, room.Topo.ProvisionedPower(), 17)
-	pl, err := RoundRobin{}.Place(context.Background(), room, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u, util := range pl.UPSUtilization() {
-		if util < 0 || util > 1+1e-9 {
-			t.Errorf("UPS %d utilization %v outside [0,1]", u, util)
-		}
-	}
-}
-
-func TestPlacedPowerByCategoryDiversity(t *testing.T) {
-	room := PaperRoom()
-	trace := testTrace(t, room.Topo.ProvisionedPower(), 19)
-	pl, err := BalancedRoundRobin{}.Place(context.Background(), room, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	by := pl.PlacedPowerByCategory()
-	for _, cat := range workload.Categories {
-		if by[cat] <= 0 {
-			t.Errorf("no placed power for category %v", cat)
-		}
-	}
-}
-
 func TestFlexOfflineRejectsBadBatchFraction(t *testing.T) {
 	room := PaperRoom()
 	if _, err := (FlexOffline{}).Place(context.Background(), room, nil); err == nil {

@@ -70,17 +70,17 @@ type stateSnapshot struct {
 
 func snapshotState(s *state) stateSnapshot {
 	snap := stateSnapshot{
-		slots:     append([]int(nil), s.slotsLeft...),
-		placedPow: s.placedPow,
-		capPow:    s.placedCapPow,
+		slots:     append([]int(nil), s.occ.slotsLeft...),
+		placedPow: s.occ.placedPow,
+		capPow:    s.occ.placedCapPow,
 		placed:    len(s.placed),
 	}
 	n := len(s.room.Topo.UPSes)
 	for f := 0; f < n; f++ {
-		snap.normal = append(snap.normal, s.safety.Normal(power.UPSID(f)))
+		snap.normal = append(snap.normal, s.occ.safety.Normal(power.UPSID(f)))
 		var fail, throttle []power.Watts
 		for u := 0; u < n; u++ {
-			fail = append(fail, s.safety.Failover(power.UPSID(f), power.UPSID(u)))
+			fail = append(fail, s.occ.safety.Failover(power.UPSID(f), power.UPSID(u)))
 			throttle = append(throttle, s.throttle.Failover(power.UPSID(f), power.UPSID(u)))
 		}
 		snap.failCap = append(snap.failCap, fail)

@@ -76,8 +76,8 @@ func (r *Room) NormalLimit(u power.UPSID) power.Watts {
 }
 
 // NewLedger returns an empty safety ledger for the room: Eq. 2 against
-// the room's per-UPS NormalLimit, Eq. 4 against rated capacity. Every
-// policy and the online admitter keep their committed state in one.
+// the room's per-UPS NormalLimit, Eq. 4 against rated capacity. The
+// room's Occupancy keeps its committed state in one.
 func (r *Room) NewLedger() *power.Ledger {
 	limits := make([]power.Watts, len(r.Topo.UPSes))
 	for u := range limits {
@@ -222,18 +222,14 @@ func (p *Placement) PairLoad() power.PairLoad {
 	return load
 }
 
-// CapPairLoad returns the post-shave power per PDU-pair (CapPow_d terms,
-// Eq. 3): the worst-case load after Flex shuts down software-redundant
-// racks and throttles cap-able racks to their flex power. Under
-// oversubscription the worst-case realized draw of an allocation is its
-// nameplate divided by the oversubscription factor (normal-operation
-// capping bounds the joint peak), so the Eq. 4 terms scale down by it.
+// CapPairLoad returns the post-shave power per PDU-pair (Room.CapPow
+// terms): the worst-case load after Flex shuts down software-redundant
+// racks and throttles cap-able racks to their flex power.
 func (p *Placement) CapPairLoad() power.PairLoad {
 	load := power.NewPairLoad(p.Room.Topo)
-	inv := 1 / p.Room.oversub()
 	for _, d := range p.Deployments {
 		if pid, ok := p.Assignments[d.ID]; ok {
-			load[pid] += power.Watts(float64(d.CapPower()) * inv)
+			load[pid] += p.Room.CapPow(d)
 		}
 	}
 	return load
@@ -276,7 +272,7 @@ func (p *Placement) Validate() error {
 	// Cooling.
 	if p.Room.CoolingCFM > 0 {
 		needed := float64(p.PairLoad().Total()) * p.Room.CFMPerWatt
-		if needed > p.Room.CoolingCFM+1e-6 {
+		if needed > p.Room.CoolingCFM+coolingSlack {
 			return fmt.Errorf("placement: cooling demand %.0f CFM exceeds %.0f CFM", needed, p.Room.CoolingCFM)
 		}
 	}

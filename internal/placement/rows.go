@@ -57,39 +57,44 @@ func newRowState(room *Room) (*rowState, error) {
 	return rs, nil
 }
 
-// fit returns the rows a deployment of racks would occupy under pair pid,
-// or nil when no contiguous run fits. The allocation greedily takes the
-// first run whose combined free slots (with every row after the first
-// required to be completely empty, since a deployment is contiguous
-// within its rows) hold the deployment.
-func (rs *rowState) fit(pid power.PDUPairID, racks int) []rowUse {
+// run returns the first row of the first run under pair pid that holds
+// racks, or -1: a row with free slots followed by as many completely empty
+// rows as the rest needs (a deployment is contiguous within its rows).
+func (rs *rowState) run(pid power.PDUPairID, racks int) int {
 	rows := rs.free[pid]
-	for start := 0; start < len(rows); start++ {
-		if rows[start] == 0 {
+	for start, avail := range rows {
+		if avail == 0 {
 			continue
 		}
-		take := make([]rowUse, 0, 2)
-		remaining := racks
-		for r := start; r < len(rows) && remaining > 0; r++ {
-			avail := rows[r]
-			if r > start && avail != rs.rowSlots {
-				break // continuation rows must be empty for contiguity
-			}
-			n := avail
-			if n > remaining {
-				n = remaining
-			}
-			take = append(take, rowUse{pair: pid, row: r, slots: n})
-			remaining -= n
+		remaining := racks - avail
+		for r := start + 1; r < len(rows) && remaining > 0 && rows[r] == rs.rowSlots; r++ {
+			remaining -= rows[r]
 		}
-		if remaining == 0 {
-			return take
+		if remaining <= 0 {
+			return start
 		}
 	}
-	return nil
+	return -1
 }
 
-// place commits the rows for deployment id.
+// fit returns the rows a deployment of racks would occupy under pair pid
+// (the first run, filled front to back), or nil when no run holds it.
+func (rs *rowState) fit(pid power.PDUPairID, racks int) []rowUse {
+	start := rs.run(pid, racks)
+	if start < 0 {
+		return nil
+	}
+	take := make([]rowUse, 0, 2)
+	for r, remaining := start, racks; remaining > 0; r++ {
+		n := min(rs.free[pid][r], remaining)
+		take = append(take, rowUse{pair: pid, row: r, slots: n})
+		remaining -= n
+	}
+	return take
+}
+
+// place commits the rows for deployment id: a fresh fit, or the exact
+// allocation a remove handed back.
 func (rs *rowState) place(id int, take []rowUse) {
 	for _, u := range take {
 		rs.free[u.pair][u.row] -= u.slots
@@ -108,12 +113,4 @@ func (rs *rowState) remove(id int) []rowUse {
 	}
 	delete(rs.used, id)
 	return take
-}
-
-// restore re-applies an allocation returned by remove.
-func (rs *rowState) restore(id int, take []rowUse) {
-	for _, u := range take {
-		rs.free[u.pair][u.row] -= u.slots
-	}
-	rs.used[id] = take
 }

@@ -5,26 +5,20 @@ import (
 	"flex/internal/workload"
 )
 
-// state is the bookkeeping every policy places through, so every produced
-// placement is safe by construction: free slots and allocated power per
-// pair, the room totals behind the cooling and diversity budgets, and the
-// Eq. 2 / Eq. 4 safety state in a power.Ledger.
+// state is the bookkeeping every batch policy places through, so every
+// produced placement is safe by construction: the room's Occupancy, plus
+// what only the batch policies need around it — the row allocation, the
+// throttle ledger and the placed set.
 type state struct {
-	room      *Room
-	rows      *rowState // nil unless row modelling is enabled
-	slotsLeft []int
-	pairPow   []power.Watts // allocated power per PDU-pair
-	// safety holds the allocated (Eq. 2) and post-shave (Eq. 4) load of
-	// everything placed.
-	safety *power.Ledger
+	room *Room
+	rows *rowState // nil unless row modelling is enabled
+	occ  *Occupancy
 	// throttle holds, in its failover table, the failover-weighted power
 	// recoverable by throttling alone (cap-able deployments only); used by
 	// Flex-Offline's balance term and the imbalance metric.
-	throttle     *power.Ledger
-	placedPow    power.Watts
-	placedCapPow power.Watts // cumulative post-shave (CapPow) allocation
-	placed       map[int]power.PDUPairID
-	deps         map[int]workload.Deployment // placed deployments by ID
+	throttle *power.Ledger
+	placed   map[int]power.PDUPairID
+	deps     map[int]workload.Deployment // placed deployments by ID
 }
 
 func newState(room *Room) *state {
@@ -34,108 +28,76 @@ func newState(room *Room) *state {
 		// Policy implementations surface it before building state.
 		panic(err)
 	}
+	occ := NewOccupancy(room)
+	occ.rows = rows
 	return &state{
-		room:      room,
-		rows:      rows,
-		slotsLeft: append([]int(nil), room.SlotsPerPair...),
-		pairPow:   make([]power.Watts, len(room.Topo.Pairs)),
-		safety:    room.NewLedger(),
-		throttle:  power.NewLedger(room.Topo, nil),
-		placed:    make(map[int]power.PDUPairID),
-		deps:      make(map[int]workload.Deployment),
+		room:     room,
+		rows:     rows,
+		occ:      occ,
+		throttle: power.NewLedger(room.Topo, nil),
+		placed:   make(map[int]power.PDUPairID),
+		deps:     make(map[int]workload.Deployment),
 	}
 }
 
-// capPow is d's post-shave power as the room's safety state counts it.
-func (s *state) capPow(d workload.Deployment) power.Watts {
-	return power.Watts(float64(d.CapPower()) / s.room.oversub())
-}
-
-// canPlace reports whether deployment d fits on pair pid without violating
-// space, cooling, normal-capacity, or any-failure safety constraints.
+// canPlace reports whether deployment d fits on pair pid: the occupancy,
+// which reads the row allocation for space, finds no limit.
 func (s *state) canPlace(d workload.Deployment, pid power.PDUPairID) bool {
-	if s.slotsLeft[pid] < d.Racks {
-		return false
-	}
-	if s.rows != nil && s.rows.fit(pid, d.Racks) == nil {
-		return false
-	}
-	if s.room.PairCapacity > 0 &&
-		s.pairPow[pid]+d.TotalPower() > s.room.PairCapacity+power.CapacityTolerance {
-		return false
-	}
-	if s.room.CoolingCFM > 0 {
-		if float64(s.placedPow+d.TotalPower())*s.room.CFMPerWatt > s.room.CoolingCFM+1e-6 {
-			return false
-		}
-	}
-	pair := s.room.Topo.Pairs[pid]
-	return s.safety.Fits(pair.UPSes[0], pair.UPSes[1], d.TotalPower(), s.capPow(d))
+	return s.occ.Check(d, pid) == Fits
 }
 
 // place commits deployment d to pair pid. Callers must have verified
 // canPlace.
 func (s *state) place(d workload.Deployment, pid power.PDUPairID) {
-	s.occupy(d, pid)
+	s.occupy(d, pid, nil)
 	s.placed[d.ID] = pid
 	s.deps[d.ID] = d
 }
 
-// occupy charges d to pair pid in the row allocation and every table but
-// leaves the placed set alone: refinement moves a placed deployment from
-// pair to pair and records only where it ends up. Callers must have
-// verified canPlace.
-func (s *state) occupy(d workload.Deployment, pid power.PDUPairID) {
+// occupy charges d to pair pid in the row allocation, the occupancy and
+// the throttle ledger but leaves the placed set alone: refinement moves a
+// placed deployment from pair to pair and records only where it ends up.
+// take is the row allocation a vacate returned, when the state is being
+// returned to where it stood a moment ago (it bypasses canPlace); nil fits
+// the rows afresh, and callers must have verified canPlace.
+func (s *state) occupy(d workload.Deployment, pid power.PDUPairID, take []rowUse) {
 	if s.rows != nil {
-		take := s.rows.fit(pid, d.Racks)
+		if take == nil {
+			take = s.rows.fit(pid, d.Racks)
+		}
 		if take == nil {
 			panic("placement: place without canPlace (row fit)")
 		}
 		s.rows.place(d.ID, take)
 	}
-	s.account(d, pid, 1)
+	s.occ.Add(d, pid)
+	s.addThrottle(d, pid, 1)
 }
 
 // vacate reverses occupy, freeing d's slots and load contributions. The
-// returned token restores the exact row allocation via restoreAt (nil
+// returned token restores the exact row allocation through occupy (nil
 // when rows are disabled).
 func (s *state) vacate(d workload.Deployment, pid power.PDUPairID) []rowUse {
 	var token []rowUse
 	if s.rows != nil {
 		token = s.rows.remove(d.ID)
 	}
-	s.account(d, pid, -1)
+	s.occ.Remove(d, pid)
+	s.addThrottle(d, pid, -1)
 	return token
 }
 
-// restoreAt undoes a vacate exactly: it re-occupies pid reusing the vacate
-// token's row allocation. It bypasses canPlace — the caller is returning
-// the state to a configuration that was valid moments ago.
-func (s *state) restoreAt(d workload.Deployment, pid power.PDUPairID, token []rowUse) {
-	if s.rows != nil {
-		s.rows.restore(d.ID, token)
+// addThrottle adds (sign 1) or removes (sign -1) d's throttle-recoverable
+// power on pair pid. Only cap-able deployments have any; adding zero would
+// change no cell.
+func (s *state) addThrottle(d workload.Deployment, pid power.PDUPairID, sign int) {
+	recoverable := d.ThrottleRecoverablePower()
+	if recoverable == 0 {
+		return
 	}
-	s.account(d, pid, 1)
+	ups := s.room.Topo.Pairs[pid].UPSes
+	s.throttle.Add(ups[0], ups[1], 0, power.Watts(sign)*power.Watts(float64(recoverable)/s.room.oversub()))
 }
-
-// account adds (sign 1) or removes (sign -1) d's slots and power on pair
-// pid in every table except the row allocation and the placed set.
-func (s *state) account(d workload.Deployment, pid power.PDUPairID, sign int) {
-	pair := s.room.Topo.Pairs[pid]
-	a, b := pair.UPSes[0], pair.UPSes[1]
-	pow := power.Watts(sign) * d.TotalPower()
-	capPow := power.Watts(sign) * s.capPow(d)
-	throttle := power.Watts(sign) * power.Watts(float64(d.ThrottleRecoverablePower())/s.room.oversub())
-	s.slotsLeft[pid] -= sign * d.Racks
-	s.pairPow[pid] += pow
-	s.safety.Add(a, b, pow, capPow)
-	s.throttle.Add(a, b, 0, throttle)
-	s.placedPow += pow
-	s.placedCapPow += capPow
-}
-
-// deploymentsByID exposes the placed deployments for refinement passes.
-func (s *state) deploymentsByID() map[int]workload.Deployment { return s.deps }
 
 // imbalance computes the throttling-imbalance metric from the incremental
 // bookkeeping: for every (failed, survivor) UPS combination, the fraction
@@ -152,7 +114,7 @@ func (s *state) imbalance() float64 {
 			}
 			cap := float64(topo.UPSes[u].Capacity)
 			ff, uu := power.UPSID(f), power.UPSID(u)
-			need := float64(s.safety.Failover(ff, uu)+s.throttle.Failover(ff, uu)) - cap
+			need := float64(s.occ.safety.Failover(ff, uu)+s.throttle.Failover(ff, uu)) - cap
 			if need < 0 {
 				need = 0
 			}

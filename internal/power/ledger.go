@@ -181,13 +181,6 @@ func (l *Ledger) Check(a, b UPSID, pow, capPow Watts) Verdict {
 	return WithinLimits
 }
 
-// Fits reports whether Add(a, b, pow, capPow) would keep Eq. 2 and Eq. 4.
-//
-//flex:hotpath
-func (l *Ledger) Fits(a, b UPSID, pow, capPow Watts) bool {
-	return l.Check(a, b, pow, capPow) == WithinLimits
-}
-
 // Normal returns UPS u's normal-operation load.
 func (l *Ledger) Normal(u UPSID) Watts { return l.normal[u] }
 

@@ -118,9 +118,6 @@ func TestCheckNamesTheRefusingEquation(t *testing.T) {
 		if got := l.Check(a, b, c.pow, c.capPow); got != c.want {
 			t.Errorf("%s: Check = %d, want %d", c.name, got, c.want)
 		}
-		if got := l.Fits(a, b, c.pow, c.capPow); got != (c.want == WithinLimits) {
-			t.Errorf("%s: Fits = %v beside verdict %d", c.name, got, c.want)
-		}
 	}
 }
 
@@ -161,9 +158,8 @@ func ledgerFuzzTopology(t *testing.T, data []byte) (*Topology, []byte) {
 // Ledger against the from-scratch load flow: over random small topologies
 // and random signed Add sequences, the ledger's tables must equal UPSLoads
 // of the accumulated allocated pair loads and FailoverLoads of the
-// accumulated post-shave pair loads after every step, and Fits must agree
-// with a capacity check of the hypothetical loads computed from scratch and
-// with Check's verdict.
+// accumulated post-shave pair loads after every step, and Check must agree
+// with a capacity check of the hypothetical loads computed from scratch.
 func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 3, 3, 3, 3, 0, 1, 100, 3, 7, 1, 150, 4, 0, 0, 100, 3})
 	f.Add([]byte{0, 0, 1, 1, 2, 0, 1, 250, 4, 1, 2, 250, 0, 0, 0, 250, 4})
@@ -194,7 +190,7 @@ func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 			gross += math.Abs(float64(pow))
 			eps := Watts(1e-9 * math.Max(1, gross))
 
-			// Fits against the hypothetical loads, from scratch. A left-hand
+			// Check against the hypothetical loads, from scratch. A left-hand
 			// side within eps of its limit may round either way.
 			full[pid] += pow
 			shaved[pid] += capPow
@@ -215,12 +211,9 @@ func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 					}
 				}
 			}
-			got := l.Fits(a, b, pow, capPow)
-			if !ambiguous && got != want {
-				t.Fatalf("Fits(%d, %d, %v, %v) = %v, from-scratch check says %v", a, b, pow, capPow, got, want)
-			}
-			if verdict := l.Check(a, b, pow, capPow); got != (verdict == WithinLimits) {
-				t.Fatalf("Fits(%d, %d, %v, %v) = %v beside verdict %d", a, b, pow, capPow, got, verdict)
+			verdict := l.Check(a, b, pow, capPow)
+			if got := verdict == WithinLimits; !ambiguous && got != want {
+				t.Fatalf("Check(%d, %d, %v, %v) = %d, from-scratch check says fits %v", a, b, pow, capPow, verdict, want)
 			}
 
 			l.Add(a, b, pow, capPow)
@@ -249,7 +242,7 @@ func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 		}
 
 		// A scratch copy diverges from its source until refreshed, then
-		// answers Fits identically.
+		// answers Check identically.
 		c := l.Clone()
 		c.Add(0, 1, 10*MW, 10*MW)
 		if l.Normal(0) == c.Normal(0) {
@@ -258,7 +251,7 @@ func FuzzLedgerMatchesLoadFlow(f *testing.F) {
 		c.CopyFrom(l)
 		for _, p := range topo.Pairs {
 			a, b := p.UPSes[0], p.UPSes[1]
-			if c.Fits(a, b, 50*KW, 40*KW) != l.Fits(a, b, 50*KW, 40*KW) {
+			if c.Check(a, b, 50*KW, 40*KW) != l.Check(a, b, 50*KW, 40*KW) {
 				t.Fatalf("copy disagrees with its source on pair %d", p.ID)
 			}
 		}
