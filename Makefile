@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs pairs loc figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke ci clean
+.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs bench-smoke pairs loc figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke ci clean
 
 all: build vet lint test
 
@@ -86,7 +86,8 @@ transport-smoke:
 	$(GO) run ./examples/telemetrypipeline
 
 # What CI runs (.github/workflows/ci.yml): the full gate, the six
-# smokes, every example program (each roots part of the facade), ten seconds of each of the ten fuzzers, the whole tree under the
+# smokes, every example program (each roots part of the facade), one
+# second of every benchmark workload at std scale, ten seconds of each of the eleven fuzzers, the whole tree under the
 # race detector, the emulator's parallel tick three more times under it (the
 # fleet's phases split over every core, the noise producer, the cached
 # truth, a trip taking its UPS out inside the parallel observe), a whole rack poll
@@ -98,7 +99,7 @@ transport-smoke:
 # workers three more times under it (each builds its heuristic candidates
 # in a Packing of its own), and a flexmon smoke run that prints its metrics
 # summary.
-ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke examples fuzz-smoke
+ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke examples bench-smoke fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
 	$(GO) test -race -count=3 -run 'PumpDrainsPollWhole' ./internal/fleet
@@ -123,7 +124,8 @@ bench-solver:
 # Records the observability hot-path baseline: tsdb append and sampler-tick
 # and SLO audit-tick/probe benchmarks, what a probe round and an episode's P95
 # are made of (BenchmarkPlan: Algorithm 1 one-shot and prepared on an
-# emulation-sized room; BenchmarkPercentile at 1e5 samples), the fleet's
+# emulation-sized room; BenchmarkPercentile at 1e5 samples, selected,
+# streamed through the emulator's stats.Tail and sorted), the fleet's
 # transport (BenchmarkPublishRecvBatch, BenchmarkUpdateBatch plain and on a
 # recorded view: one 275-rack poll per op, 0 allocs/op), then the fully
 # instrumented emulation episode they add up to (BenchmarkRunInstrumented:
@@ -135,6 +137,18 @@ bench-obs:
 	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ ./internal/controller/ ./internal/stats/ ./internal/telemetry/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkRunInstrumented -benchtime 5x ./internal/emu/ ; } | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	@echo wrote BENCH_obs.json
+
+# Runs each of the four flexbench workloads for one second at std scale,
+# through the benchmark's own entry point, and fails on the first run that
+# exits non-zero. `go test ./bench` runs only -scale tiny, so this is where
+# a failure only the std scale meets (a 24-minute episode outgrowing the
+# recorder ring, a repetition that fails an operation) shows.
+BENCH_WORKLOADS = fleet-failover room-episode placement-sweep admission-churn
+bench-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench-smoke: $$w"; \
+		bash bench/run.sh --workload $$w --seconds 1 --trace 0 || { echo "bench-smoke: $$w exited non-zero"; exit 1; }; \
+	done
 
 # Alternated parent/change pairs of one flexbench workload, the comparison
 # CHANGES.md reports for every performance claim: one row per pair, both
@@ -160,13 +174,14 @@ loc:
 figures:
 	$(GO) test -bench=. -benchmem ./...
 
-# The ten native fuzz targets, FUZZTIME each: trace parsing, the impact
+# The eleven native fuzz targets, FUZZTIME each: trace parsing, the impact
 # function, the offline/online contract (Algorithm 1 against placements
 # that pass Validate), the safety ledger, the room occupancy, the prepared
 # Algorithm 1, the admitter's scenario scorer and the broker's subscriber
 # queues against their from-scratch references, the 0/1 packing search
-# against exhaustive enumeration, and the LP's warm re-solve against a cold
-# solve.
+# against exhaustive enumeration, the LP's warm re-solve against a cold
+# solve, and the bounded percentile tail against a percentile of every
+# value.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) -run=Fuzz .
@@ -179,8 +194,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzScoreMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/placement/online
 	$(GO) test -fuzz=FuzzQueueMatchesReference -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/telemetry
 	$(GO) test -fuzz=FuzzWarmMatchesCold -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/lp
+	$(GO) test -fuzz=FuzzTailMatchesPercentile -fuzztime=$(FUZZTIME) -run=Fuzz ./internal/stats
 
-# The same ten legs at ten seconds each: what CI can afford on every push.
+# The same eleven legs at ten seconds each: what CI can afford on every push.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 

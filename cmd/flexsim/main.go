@@ -128,7 +128,7 @@ func runEpisode(ctx context.Context, out io.Writer, seed int64, rec *flex.Flight
 		Recorder:  rec,
 	}
 	if aud != nil {
-		cfg.Obs = reg // the tsdb sampler scrapes the registry each tick
+		cfg.Obs = reg // the stage histograms the auditor's latency budgets read register here
 		cfg.Safety = aud
 	}
 	res, err := flex.RunEmulationContext(ctx, cfg)

@@ -31,7 +31,6 @@ import (
 	"flex/internal/obs"
 	"flex/internal/obs/recorder"
 	"flex/internal/obs/slo"
-	"flex/internal/obs/tsdb"
 	"flex/internal/power"
 	"flex/internal/rackmgr"
 	"flex/internal/replay"
@@ -81,9 +80,10 @@ type Config struct {
 	// Safety, when non-nil, is the continuous safety auditor: Run binds
 	// it to the emulated control plane (topology, telemetry views,
 	// controllers) and drives one audit tick per emulation tick on the
-	// virtual clock, after telemetry pumps and controller steps. When
-	// Obs is also set, a tsdb sampler scrapes the registry into the
-	// auditor's store on the same cadence.
+	// virtual clock, after telemetry pumps and controller steps. Run
+	// scrapes no registry into the auditor's store: the auditor decides
+	// every objective from its own series, and a tsdb sampler runs only
+	// where a caller (flexbench, tests) ticks one itself.
 	Safety *slo.Auditor
 }
 
@@ -255,7 +255,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Safety auditor: bound to the same views, controllers and planning
 	// inputs the live control plane runs with, ticked synchronously on
 	// the virtual clock.
-	var sampler *tsdb.Sampler
 	if cfg.Safety != nil {
 		cfg.Safety.Bind(slo.Bindings{
 			Clock:            clk,
@@ -269,9 +268,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			AllocatablePower: p.room.AllocatablePower(),
 			Stages:           stages,
 		})
-		if cfg.Obs != nil {
-			sampler = &tsdb.Sampler{Registry: cfg.Obs, Store: cfg.Safety.Store()}
-		}
 	}
 
 	// The episode log leads with its replay header: everything the event
@@ -306,13 +302,16 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// One latency sample per cap-able rack per tick: baseline over the
 	// normal stage, throttled (at most) over the failover stage. The two
-	// never fill at once, so one buffer serves both: the first tick past
-	// the normal stage selects the baseline P95 in place and empties it,
-	// and latP95 names the result lats fills. Sized from the stage
-	// boundaries, never from Duration: a year-long run still has a
+	// never fill at once, so one tail serves both: the first tick past
+	// the normal stage reads the baseline P95 and empties it, and latP95
+	// names the result lats fills. A stage adds at most
+	// stageSamples(stage) values, and the tail, made for the larger of the
+	// two bounds, keeps only a tenth of that many of the largest values it
+	// is given: enough to hold the ranks the P95 reads. Bounded by the
+	// stage boundaries, never by Duration: a year-long run still has a
 	// six-minute failover.
 	stageSamples := func(stage time.Duration) int { return capTotal * (int(max(stage, 0)/cfg.Tick) + 1) }
-	lats := make([]float64, 0, max(stageSamples(cfg.FailAt-2*time.Minute), stageSamples(cfg.RecoverAt-cfg.FailAt)))
+	lats := stats.NewTail(max(stageSamples(cfg.FailAt-2*time.Minute), stageSamples(cfg.RecoverAt-cfg.FailAt)), 95)
 	latP95 := &res.BaselineP95
 
 	for ; ts.i <= ts.last; ts.next() {
@@ -330,7 +329,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			stage = StageRecovery
 		}
 		if latP95 == &res.BaselineP95 && (stage == StageFailover || stage == StageRecovery) {
-			*latP95, lats = stats.PercentileInPlace(lats, 95), lats[:0]
+			*latP95 = lats.Percentile()
 			latP95 = &res.ThrottledP95
 		}
 
@@ -382,7 +381,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}
 			if (stage == StageFailover && throttledNow) || stage == StageNormal {
-				lats = append(lats, lat)
+				lats.Add(lat)
 			}
 		}
 
@@ -419,9 +418,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		// same ordering a wall-clock deployment converges to, with the
 		// monitoring loop sampling at least as often as the control loop.
 		if cfg.Safety != nil {
-			if sampler != nil {
-				sampler.Tick(wall)
-			}
 			cfg.Safety.Tick(ctx, wall)
 		}
 
@@ -479,7 +475,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.DetectionLatency = ts.firstEnforce
 	res.ShaveLatency = ts.shedAt
 	res.Outage = ts.outage
-	*latP95 = stats.PercentileInPlace(lats, 95)
+	*latP95 = lats.Percentile()
 	if res.BaselineP95 > 0 {
 		res.P95IncreasePct = (res.ThrottledP95/res.BaselineP95 - 1) * 100
 	}

@@ -55,11 +55,11 @@ type FleetConfig struct {
 	// fleet: controllers allocate episode ids and emit causal chains, so
 	// stage exemplars and trace roots resolve to recorder events.
 	Recorder *recorder.Recorder
-	// Attach, when non-nil, is called with the live fleet after every
-	// room is added and before the first tick, so a caller can read the
-	// fleet's tracer once the run is over.
-	Attach func(*fleet.Fleet)
 }
+
+// fleetHook, when set, sees RunFleet's live fleet after every room is added
+// and before the first tick: tests read the fleet's tracer through it.
+var fleetHook func(*fleet.Fleet)
 
 // fleetUtilization is every room's steady-state aggregate utilization.
 const fleetUtilization = 0.80
@@ -309,8 +309,8 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 			return nil, err
 		}
 	}
-	if cfg.Attach != nil {
-		cfg.Attach(fl)
+	if fleetHook != nil {
+		fleetHook(fl)
 	}
 
 	// Setup ramp: demand climbs for the first quarter of the pre-failure

@@ -158,11 +158,12 @@ func checkDigestMatchesSpans(t *testing.T, digest []obs.StageDigest, recent []ob
 func TestStageDigestMatchesTracerSpans(t *testing.T) {
 	t.Run("fleet", func(t *testing.T) {
 		var fl *fleet.Fleet
+		fleetHook = func(f *fleet.Fleet) { fl = f }
+		defer func() { fleetHook = nil }()
 		res, err := RunFleet(context.Background(), FleetConfig{ // TestRunFleetGolden's
 			Rooms: 3, FailRoom: 1, FailUPS: 1, FailAt: 10 * time.Second, Duration: 40 * time.Second,
 			Controllers: 2, SaturateRoom: 2, SaturateFactor: 8, Seed: 7,
 			Obs: obs.NewRegistry(), Recorder: recorder.New(1 << 18),
-			Attach: func(f *fleet.Fleet) { fl = f },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -131,8 +131,7 @@ func TestRunsLeaveNoGoroutine(t *testing.T) {
 	// times; the check waits for the watcher, which the run outlives.
 	ctx, cancel = context.WithCancel(context.Background())
 	watched := make(chan struct{})
-	cfg2 := fleetCfg
-	cfg2.Attach = func(fl *fleet.Fleet) {
+	fleetHook = func(fl *fleet.Fleet) {
 		go func() {
 			defer close(watched)
 			for fl.Shard("room-000").Steps() < 10 {
@@ -141,7 +140,8 @@ func TestRunsLeaveNoGoroutine(t *testing.T) {
 			cancel()
 		}()
 	}
-	_, err = RunFleet(ctx, cfg2)
+	defer func() { fleetHook = nil }()
+	_, err = RunFleet(ctx, fleetCfg)
 	<-watched
 	check("RunFleet, cancelled", err)
 }

@@ -117,16 +117,12 @@ func TestEmulationSafetyAuditor(t *testing.T) {
 		t.Fatal("no probe-fail-free steady state at end of run")
 	}
 
-	// A derived headroom series exists per UPS of the paper room, and the
-	// registry sampler scraped controller metrics into the same store.
+	// A derived headroom series exists per UPS of the paper room.
 	for u := 1; u <= 4; u++ {
 		key := tsdb.SeriesKey(slo.SeriesUPSHeadroom, [2]string{"ups", fmt.Sprintf("UPS-%d", u)})
 		if n := len(store.Series(key).Raw()); uint64(n) != ticks {
 			t.Fatalf("%s kept %d points of %d audit ticks", key, n, ticks)
 		}
-	}
-	if len(store.Series("flex_controller_steps_total").Raw()) == 0 {
-		t.Fatal("sampler scraped no controller metrics")
 	}
 }
 

@@ -138,7 +138,7 @@ const fleetTraceCapacity = 4096
 
 // Tracer exposes the fleet's shared span tracer (nil without Config.Obs).
 //
-//flex:keep internal/emu's stage-digest test holds the fleet's digest to these spans
+//flex:keep no program reads it; internal/emu's stage-digest test reaches RunFleet's fleet through a test-only hook and holds its digest to these spans
 func (f *Fleet) Tracer() *obs.Tracer { return f.tracer }
 
 // AddRoom creates the room's shard: telemetry views, bounded ingest

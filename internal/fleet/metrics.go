@@ -5,8 +5,9 @@ import (
 )
 
 // Metrics is the fleet aggregation layer's observability. Per-room gauges
-// are labeled by room name; totals mirror the Snapshot fields so the tsdb
-// sampler picks the fleet view up on its normal registry scrape.
+// are labeled by room name; totals mirror the Snapshot fields, so a
+// registry reader (`flexmon -metrics`, a tsdb sampler) sees the fleet view
+// without asking the fleet.
 type Metrics struct {
 	// Rooms is the number of shards in the fleet.
 	Rooms *obs.Gauge

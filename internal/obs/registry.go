@@ -10,8 +10,9 @@
 // caller-supplied timestamps from the injected clock.Clock, so virtual-
 // clock tests can assert exact latencies and clockcheck stays clean.
 //
-// The registry is read in process: the tsdb sampler scrapes it every
-// tick, and `flexmon -metrics` prints it as a CSV summary after a run.
+// The registry is read in process: `flexmon -metrics` prints it as a CSV
+// summary after a run, and a tsdb sampler scrapes it where flexbench or a
+// test ticks one (the emulators run none).
 package obs
 
 import (

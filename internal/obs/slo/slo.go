@@ -342,7 +342,8 @@ func (a *Auditor) Bind(b Bindings) {
 }
 
 // Store returns the tsdb store the auditor writes its derived series
-// to, so callers can share it with a registry sampler.
+// to, so a caller can share it with a registry sampler of its own, as
+// flexbench does (the emulators tick none).
 func (a *Auditor) Store() *tsdb.Store { return a.cfg.Store }
 
 // Tick runs one audit round at time now: derive and store the safety

@@ -117,13 +117,32 @@ func TestUnreachableAndFirmwareGates(t *testing.T) {
 	}
 }
 
+// sleepSignalClock is a virtual clock that signals each Sleep once its
+// deadline is registered, so a test advances the clock only past a sleeper
+// that is already waiting.
+type sleepSignalClock struct {
+	*clock.Virtual
+	asleep chan struct{}
+}
+
+func (c sleepSignalClock) Sleep(d time.Duration) {
+	ch := c.After(d)
+	c.asleep <- struct{}{}
+	<-ch
+}
+
 func TestActionLatencyCharged(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
+	clk := sleepSignalClock{clock.NewVirtual(time.Unix(0, 0)), make(chan struct{}, 1)}
 	m := NewManager(clk, []string{"r1"})
 	m.ActionLatency = 2 * time.Second
 	done := make(chan error, 1)
 	go func() { done <- m.Throttle("r1", power.KW) }()
 	// The action blocks until the clock advances.
+	select {
+	case <-done:
+		t.Fatal("action completed without the latency elapsing")
+	case <-clk.asleep:
+	}
 	select {
 	case <-done:
 		t.Fatal("action completed without the latency elapsing")

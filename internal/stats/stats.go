@@ -67,6 +67,77 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	return percentileSorted(xs, p)
 }
 
+// Tail is the p-th percentile of a stream of at most n values, kept from
+// only the stream's largest values: at least the n − lo(n) largest, where
+// lo(n) is the lower of the two ranks the percentile of n values
+// interpolates between. Whatever count m ≤ n the stream reaches, both ranks
+// its percentile reads are among them, since m − lo(m) never shrinks as m
+// grows; so Percentile is bit for bit PercentileInPlace of the same values
+// whenever none is NaN or −0, the values order does not settle.
+//
+// The values sit in a buffer of twice n − lo(n). When it fills, selection
+// keeps its n − lo(n) largest, and from then on a value less than the least
+// of those is dropped on arrival: most values of a long stream cost one
+// comparison.
+type Tail struct {
+	n, count, keep int
+	p              float64
+	buf            []float64 // the stream's largest values, 2·keep at most
+	floor          float64   // the least value the last compaction kept; −Inf before one
+}
+
+// NewTail returns an empty Tail for a stream of at most n values and the
+// p-th percentile, 0 <= p <= 100.
+func NewTail(n int, p float64) *Tail {
+	keep := 0
+	if n > 0 {
+		lo, _, _ := ranks(n, p)
+		keep = n - lo
+	}
+	return &Tail{n: n, keep: keep, p: p, buf: make([]float64, 0, 2*keep), floor: math.Inf(-1)}
+}
+
+// Add puts x in the stream. It panics when the stream already holds the n
+// values the Tail was made for: past them the kept values no longer hold
+// the ranks Percentile reads.
+func (t *Tail) Add(x float64) {
+	if t.count == t.n {
+		panic(fmt.Sprintf("stats: Tail made for %d values given one more", t.n))
+	}
+	t.count++
+	if x < t.floor {
+		return
+	}
+	t.buf = append(t.buf, x)
+	if len(t.buf) == cap(t.buf) {
+		// Keep the keep largest: everything dropped is no greater than
+		// what stays, so the buffer still holds the stream's largest.
+		drop := len(t.buf) - t.keep
+		selectKth(t.buf, drop, 4*bits.Len(uint(len(t.buf))))
+		t.buf = t.buf[:copy(t.buf, t.buf[drop:])]
+		t.floor = t.buf[0]
+	}
+}
+
+// Percentile returns the p-th percentile of the values added since the
+// Tail was made or last read (0 for none) and empties it.
+func (t *Tail) Percentile() float64 {
+	if t.count == 0 {
+		return 0
+	}
+	lo, hi, frac := ranks(t.count, t.p)
+	// The buffer holds ranks count−len(buf) … count−1.
+	b := t.buf
+	k := lo - (t.count - len(b))
+	selectKth(b, k, 4*bits.Len(uint(len(b))))
+	v := b[k]
+	if hi > lo {
+		v = v*(1-frac) + slices.Min(b[k+1:])*frac
+	}
+	t.count, t.buf, t.floor = 0, t.buf[:0], math.Inf(-1)
+	return v
+}
+
 // selectMin is the length below which PercentileInPlace sorts outright.
 const selectMin = 32
 
@@ -136,7 +207,7 @@ func selectKth(a []float64, k, rounds int) {
 }
 
 // ranks returns the closest ranks lo <= hi that the p-th percentile
-// (0 < p < 100) of n ordered values interpolates between, and the weight
+// (0 <= p <= 100) of n ordered values interpolates between, and the weight
 // frac of hi.
 func ranks(n int, p float64) (lo, hi int, frac float64) {
 	rank := p / 100 * float64(n-1)

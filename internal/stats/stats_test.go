@@ -168,6 +168,16 @@ func percentileOfSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// tailPercentile is the p-th percentile of xs read through a Tail made for
+// exactly len(xs) values.
+func tailPercentile(xs []float64, p float64) float64 {
+	tl := NewTail(len(xs), p)
+	for _, x := range xs {
+		tl.Add(x)
+	}
+	return tl.Percentile()
+}
+
 // percentileShapes are the inputs selection could get wrong where sorting
 // cannot: duplicates that make every partition lopsided, orders that defeat
 // a naive pivot, and the values order does not settle — infinities, NaNs,
@@ -305,7 +315,8 @@ func TestSelectKth(t *testing.T) {
 }
 
 // BenchmarkPercentile reads the P95 of 10⁵ samples — an emulation
-// episode's latency series — by selection and, for scale, by sorting.
+// episode's latency series — by selection, streamed through a Tail as the
+// emulator does, and, for scale, by sorting.
 func BenchmarkPercentile(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 100_000)
@@ -315,7 +326,7 @@ func BenchmarkPercentile(b *testing.B) {
 	for _, form := range []struct {
 		name string
 		f    func([]float64, float64) float64
-	}{{"select", Percentile}, {"sorted-reference", percentileBySorting}} {
+	}{{"select", Percentile}, {"tail", tailPercentile}, {"sorted-reference", percentileBySorting}} {
 		b.Run(fmt.Sprintf("%s/n=%d", form.name, len(xs)), func(b *testing.B) {
 			b.ReportAllocs()
 			var sink float64
