@@ -129,8 +129,9 @@ type TimePoint struct {
 	Stage string
 	// UPSPower is the ground-truth output power per UPS (Figure 13a).
 	UPSPower []power.Watts
-	// RackPower is the total rack power by category (Figure 13b).
-	RackPower map[workload.Category]power.Watts
+	// RackPower is the total rack power by category (Figure 13b),
+	// indexed by workload.Category; a category with no rack reads 0.
+	RackPower [3]power.Watts
 }
 
 // Result summarizes a run.
@@ -449,21 +450,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			maxThrottled = throttled
 		}
 
-		// Record the timeline: rack power by category, for the categories
-		// that have a rack.
-		var catPower [len(catRacks)]power.Watts
+		// Record the timeline: rack power by category.
+		pt := TimePoint{T: now, Stage: stage, UPSPower: slices.Clone(truth.ups)}
 		for j, c := range p.cat {
-			catPower[c] += truth.rack[j]
+			pt.RackPower[c] += truth.rack[j]
 		}
-		byCat := make(map[workload.Category]power.Watts, len(catRacks))
-		for c, n := range catRacks {
-			if n > 0 {
-				byCat[workload.Category(c)] = catPower[c]
-			}
-		}
-		res.Series = append(res.Series, TimePoint{
-			T: now, Stage: stage, UPSPower: slices.Clone(truth.ups), RackPower: byCat,
-		})
+		res.Series = append(res.Series, pt)
 	}
 
 	if srTotal > 0 {

@@ -92,10 +92,10 @@ func TestRunGolden(t *testing.T) {
 		"events":      sectionHash(t, rec.Snapshot()),
 		"transitions": sectionHash(t, aud.Transitions()),
 	}, map[string]string{
-		"series":      "fd8b8747efc08a04",
-		"scalars":     "495ce072ba3a8113",
-		"events":      "df959840349bd8d6",
-		"transitions": "12b88037494647e5",
+		"series":      "919e91a18004473a",
+		"scalars":     "44dc4828be06cb8b",
+		"events":      "cbe1aaa65ae515cf",
+		"transitions": "b6a609285dc1aaca",
 	})
 }
 
@@ -161,10 +161,10 @@ func TestRunFleetGolden(t *testing.T) {
 // run (the same config, built afresh each try; the recorder, auditor,
 // registry and tracer are made before the count starts). The least of three
 // tries, since the count is process-wide, must stay within 5 % of the
-// measured figure. That is ≈ 355 kB over the run's 721 ticks, so a new
-// allocation of half a kilobyte every tick fails it.
+// measured figure. That is ≈ 74 kB over the run's 721 ticks, so a new
+// allocation of a hundred bytes every tick fails it.
 func TestRunAllocations(t *testing.T) {
-	const measured uint64 = 7097944
+	const measured uint64 = 1470080
 	got := uint64(math.MaxUint64)
 	for try := 0; try < 3; try++ {
 		rec := recorder.New(1 << 18)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -77,4 +78,35 @@ func BenchmarkUpdateBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMeterPoll is the meter leg of a room's rack poll, one op a poll:
+// 275 rack meters at the emulator's 1 % noise, each read once. It reports
+// ns/read and what building a meter, its name and its source allocates
+// (B/meter), outside the timer.
+func BenchmarkMeterPoll(b *testing.B) {
+	const racks = 275
+	truth := make([]power.Watts, racks)
+	meters := make([]*SimMeter, racks)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range meters {
+		truth[i] = power.Watts(8000 + i)
+		meters[i] = NewSimMeter(fmt.Sprintf("rack-%03d", i),
+			func() power.Watts { return truth[i] },
+			SimMeterConfig{Noise: 0.01, Seed: 1000 + int64(i)})
+	}
+	runtime.ReadMemStats(&after)
+	at := t0()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range meters {
+			if _, err := m.Read(at); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*racks), "ns/read")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/racks, "B/meter")
 }

@@ -10,7 +10,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -40,7 +40,9 @@ type SimMeterConfig struct {
 	// the same value for a window (paper §VI reports up to 5 seconds on
 	// UPS meters). Zero disables staleness.
 	StaleFor time.Duration
-	// Seed drives the noise generator.
+	// Seed drives the noise generator: the meter's PCG stream starts
+	// from two SplitMix64 outputs of it, so neighbouring seeds start in
+	// unrelated states.
 	Seed int64
 }
 
@@ -48,13 +50,14 @@ type SimMeterConfig struct {
 // staleness, and injectable failure/misreading — the failure modes the
 // pipeline's redundancy must mask.
 type SimMeter struct {
-	name    string
-	source  PowerSource
-	cfg     SimMeterConfig
-	failure error // what Read returns while failed, built once
+	name   string
+	source PowerSource
+	cfg    SimMeterConfig
 
 	mu        sync.Mutex
-	rng       *rand.Rand
+	failure   error     // what Read returns while failed, built on the first failure
+	pcg       rand.PCG  // the noise stream's 16 bytes of state
+	rng       rand.Rand // draws from pcg
 	failed    bool
 	offset    power.Watts // injected mis-calibration
 	staleVal  power.Watts
@@ -64,13 +67,21 @@ type SimMeter struct {
 
 // NewSimMeter builds a simulated meter over a ground-truth source.
 func NewSimMeter(name string, source PowerSource, cfg SimMeterConfig) *SimMeter {
-	return &SimMeter{
-		name:    name,
-		source:  source,
-		cfg:     cfg,
-		failure: fmt.Errorf("%w: %s", ErrMeterFailed, name),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
+	m := &SimMeter{name: name, source: source, cfg: cfg}
+	s := uint64(cfg.Seed)
+	m.pcg.Seed(splitmix64(&s), splitmix64(&s))
+	m.rng = *rand.New(&m.pcg)
+	return m
+}
+
+// splitmix64 advances a SplitMix64 generator at state s and returns its
+// output. Its finaliser avalanches, so seeds one apart give unrelated words.
+func splitmix64(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Name implements Meter.
@@ -104,6 +115,9 @@ func (m *SimMeter) Read(now time.Time) (power.Watts, error) {
 func (m *SimMeter) SetFailed(failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if failed && m.failure == nil {
+		m.failure = fmt.Errorf("%w: %s", ErrMeterFailed, m.name)
+	}
 	m.failed = failed
 }
 

@@ -63,7 +63,7 @@ func TestSimMeterFailure(t *testing.T) {
 }
 
 // TestSimMeterFailedReadAllocatesNothing: a failed meter returns the error
-// it was built with, so reading it allocates nothing, and the error still
+// built when it first failed, so reading it allocates nothing, and the error still
 // names the meter and wraps ErrMeterFailed. A UPS consensus read with one
 // meter failed allocates nothing either: its readings stay on the stack.
 func TestSimMeterFailedReadAllocatesNothing(t *testing.T) {
