@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs bench-smoke pairs loc figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke ci clean
+.PHONY: all build vet lint lint-json test race cover bench-solver bench-obs bench-smoke pairs loc figures fuzz fuzz-smoke examples replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke ci clean
 
 all: build vet lint test
 
@@ -77,15 +77,7 @@ latency-smoke:
 online-smoke:
 	$(GO) run ./cmd/flexplace -smoke
 
-# Runs Figure 7 over real TCP sockets (examples/telemetrypipeline): two
-# pollers publish to two broker servers and a remote subscriber of each
-# feeds one view; after a meter misreads, then broker A dies, then poller A,
-# the view must come within 5 % of the truth inside 2 s of wall time, or the
-# example exits non-zero.
-transport-smoke:
-	$(GO) run ./examples/telemetrypipeline
-
-# What CI runs (.github/workflows/ci.yml): the full gate, the six
+# What CI runs (.github/workflows/ci.yml): the full gate, the five
 # smokes, every example program (each roots part of the facade), one
 # second of every benchmark workload at std scale, ten seconds of each of the eleven fuzzers, the whole tree under the
 # race detector, the emulator's parallel tick three more times under it (the
@@ -99,11 +91,11 @@ transport-smoke:
 # workers three more times under it (each builds its heuristic candidates
 # in a Packing of its own), and a flexmon smoke run that prints its metrics
 # summary.
-ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke transport-smoke examples bench-smoke fuzz-smoke
+ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke examples bench-smoke fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
 	$(GO) test -race -count=3 -run 'PumpDrainsPollWhole' ./internal/fleet
-	$(GO) test -race -count=3 -run 'Drain|Queue|Consume|LatestPower|RecordedView' ./internal/telemetry
+	$(GO) test -race -count=3 -run 'Drain|Queue|LatestPower|RecordedView' ./internal/telemetry
 	$(GO) test -race -count=3 -run 'TestRestartedPrimary|PrimariesShareRecord' ./internal/controller
 	$(GO) test -race -count=3 -run 'AcrossWorkers|ParallelMatchesSerial|ConcurrentIncumbent' ./internal/milp
 	$(GO) run ./cmd/flexmon -quick -metrics

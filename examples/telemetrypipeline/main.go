@@ -1,18 +1,16 @@
-// Telemetry pipeline: the paper's Figure 7 with real sockets — meters and
-// pollers publish over TCP to two independent broker servers; a
-// subscriber (where the Flex controllers would sit) merges both streams
-// into one view. Faults are injected live: a meter misreads, then one whole
-// broker dies, then one poller. After each stage the example waits for the
-// view to track the truth and exits 1 if it does not (make transport-smoke).
+// Telemetry pipeline: the paper's Figure 7 in-process — meters and two
+// pollers on separate fault domains publish to two independent brokers, and
+// the controller side (where the Flex controllers would sit) drains both
+// subscriptions into one view. Faults are injected one after another: a
+// meter misreads, then one whole broker goes down, then one poller. After
+// each stage the example steps the pipeline on a virtual clock until the
+// view tracks the truth, and exits 1 if 2 s of virtual time pass first.
 package main
 
 import (
 	"fmt"
-	"log"
 	"math"
-	"net"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"flex"
@@ -21,42 +19,21 @@ import (
 )
 
 func main() {
-	// One wall clock for the whole pipeline, injected everywhere through
-	// the clock.Clock interface; swap in clock.NewVirtual to run the same
-	// scenario deterministically.
-	var clk clock.Clock = clock.Real{}
+	clk := clock.NewVirtual(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC))
 
 	// Ground truth: one UPS ramping from 1.0 to 1.3MW.
-	var milliwatts atomic.Int64
-	milliwatts.Store(1.0e9)
-	source := func() flex.Watts { return flex.Watts(milliwatts.Load()) / 1000 }
+	truth := 1.0 * flex.MW
+	source := func() flex.Watts { return truth }
 	mech := func() flex.Watts { return 60 * flex.KW }
 
-	// Two broker servers on separate ports (separate fault domains).
-	var servers []*telemetry.BrokerServer
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv := telemetry.NewBrokerServer(telemetry.NewBroker(fmt.Sprintf("pubsub-%c", 'A'+i)))
-		go func() { _ = srv.Serve(l) }()
-		servers = append(servers, srv)
-		addrs = append(addrs, l.Addr().String())
-	}
-
-	// Two redundant pollers, each publishing the 3-meter consensus to
-	// BOTH brokers over TCP.
+	// Two brokers (separate fault domains) and two redundant pollers, each
+	// publishing the 3-meter consensus to BOTH brokers.
+	brokers := []*telemetry.Broker{telemetry.NewBroker("pubsub-A"), telemetry.NewBroker("pubsub-B")}
 	meter := telemetry.NewUPSLogicalMeter("UPS-1", source, mech, 1)
 	var pollers []*telemetry.Poller
-	for i := 0; i < 2; i++ {
-		var pubs []telemetry.SamplePublisher
-		for _, addr := range addrs {
-			pubs = append(pubs, telemetry.NewRemotePublisher(addr, clk))
-		}
-		pollers = append(pollers, telemetry.NewPoller(
-			fmt.Sprintf("poller-%c", 'A'+i), clk, pubs, []telemetry.Target{{Meter: meter, Topic: telemetry.TopicUPS}}))
+	for _, name := range []string{"poller-A", "poller-B"} {
+		pollers = append(pollers, telemetry.NewPoller(name, clk, brokers,
+			[]telemetry.Target{{Meter: meter, Topic: telemetry.TopicUPS}}))
 	}
 
 	// The controller-side view: subscribe to both brokers and install every
@@ -64,32 +41,26 @@ func main() {
 	// newest reading per device, which is all the deduplication the
 	// redundant paths need.
 	view := telemetry.NewLatestPower()
-	for _, addr := range addrs {
-		sub, err := telemetry.RemoteSubscribe(addr, telemetry.TopicUPS)
-		if err != nil {
-			log.Fatal(err)
-		}
-		go sub.Consume(make([]telemetry.Sample, 64), func(batch []telemetry.Sample) bool {
-			view.UpdateBatch(batch, clk.Now())
-			return true
-		})
+	var subs []*telemetry.Subscription
+	for _, b := range brokers {
+		subs = append(subs, b.Subscribe(telemetry.TopicUPS, 64))
 	}
 
-	// stage polls until the view tracks the truth within 5 % — the
-	// tolerance of the pipeline tests — and exits 1 if 2 s of wall time
-	// pass first.
+	// stage polls every 50 ms until the view tracks the truth within 5 % —
+	// the tolerance of the pipeline tests — and exits 1 if 2 s pass first.
 	stage := func(label string) {
-		truth := source()
 		deadline := clk.Now().Add(2 * time.Second)
 		for {
 			for _, p := range pollers {
 				p.PollOnce()
 			}
-			clk.Sleep(50 * time.Millisecond)
+			clk.Advance(50 * time.Millisecond)
+			for _, sub := range subs {
+				sub.Drain(func(run []telemetry.Sample) { view.UpdateBatch(run, clk.Now()) })
+			}
 			v, at, ok := view.Get("UPS-1")
 			if ok && math.Abs(float64(v-truth)) <= 0.05*float64(truth) {
-				fmt.Printf("%-34s view=%v (truth %v, measured %s ago)\n",
-					label, v, truth, clk.Now().Sub(at).Truncate(time.Millisecond))
+				fmt.Printf("%-34s view=%v (truth %v, measured %s ago)\n", label, v, truth, clk.Now().Sub(at))
 				return
 			}
 			if clk.Now().After(deadline) {
@@ -104,17 +75,18 @@ func main() {
 	// Fault 1: the direct UPS meter starts misreading by +400kW. The
 	// median consensus masks it.
 	meter.Meters()[0].(*telemetry.SimMeter).SetOffset(400 * flex.KW)
-	milliwatts.Store(1.1e9)
+	truth = 1.1 * flex.MW
 	stage("one meter misreading +400kW:")
 
-	// Fault 2: broker A dies entirely. The duplicate path still delivers.
-	servers[0].Close()
-	milliwatts.Store(1.2e9)
+	// Fault 2: broker A goes down entirely. The duplicate path still
+	// delivers.
+	brokers[0].SetDown(true)
+	truth = 1.2 * flex.MW
 	stage("broker A down:")
 
 	// Fault 3: poller A down too — single surviving path end to end.
 	pollers[0].SetDown(true)
-	milliwatts.Store(1.3e9)
+	truth = 1.3 * flex.MW
 	stage("broker A + poller A down:")
 
 	fmt.Println("\nThe view tracked the (ramping) truth through every fault: no single")

@@ -165,12 +165,11 @@ func TestIntegrationTelemetryToActuation(t *testing.T) {
 		rackTargets = append(rackTargets, telemetry.Target{Meter: lm, Topic: telemetry.TopicRack})
 	}
 	brokers := []*telemetry.Broker{telemetry.NewBroker("pubsub-A"), telemetry.NewBroker("pubsub-B")}
-	pubs := []telemetry.SamplePublisher{brokers[0], brokers[1]}
 	var pollers []*telemetry.Poller
 	for _, name := range []string{"poller-A", "poller-B"} {
 		pollers = append(pollers,
-			telemetry.NewPoller(name+"-ups", clk, pubs, upsTargets),
-			telemetry.NewPoller(name+"-rack", clk, pubs, rackTargets))
+			telemetry.NewPoller(name+"-ups", clk, brokers, upsTargets),
+			telemetry.NewPoller(name+"-rack", clk, brokers, rackTargets))
 	}
 	upsView := telemetry.NewLatestPower()
 	rackView := telemetry.NewLatestPower()

@@ -4,8 +4,8 @@
 // an injected clock.Clock so that tests and the simulator can replay the
 // UPS overload-tolerance window deterministically. A stray time.Now or
 // time.Sleep silently couples a component to wall time and breaks that
-// replay; internal/telemetry/transport.go's reconnect throttle was exactly
-// such a regression.
+// replay. A reconnect throttle that read the wall clock was exactly such a
+// regression; the testdata/src/transport fixture reproduces it.
 //
 // The check exempts the clock package itself (clock.Real is the one place
 // allowed to touch the wall clock) and _test.go files, where wall-clock

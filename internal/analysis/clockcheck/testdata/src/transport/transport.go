@@ -1,6 +1,6 @@
-// Fixture reproducing the pre-fix internal/telemetry/transport.go
-// pattern: a reconnect throttle reading the wall clock directly instead
-// of the injected clock — the regression clockcheck exists to catch.
+// Fixture reproducing a reconnect throttle that reads the wall clock
+// directly instead of the injected clock — the regression clockcheck exists
+// to catch.
 package transport
 
 import (

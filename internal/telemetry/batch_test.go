@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +23,7 @@ func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
 		t.Fatalf("fast sub dropped %d, want 0", fast.Dropped())
 	}
 	for i := 0; i < 5; i++ {
-		s, _ := takeOne(fast, 0)
+		s, _ := takeOne(fast)
 		if s.Event != uint64(i) {
 			t.Fatalf("fast sub sample %d has event %d, want in-order delivery", i, s.Event)
 		}
@@ -33,8 +32,8 @@ func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
 	if slow.Dropped() != 3 {
 		t.Fatalf("slow sub dropped %d, want 3", slow.Dropped())
 	}
-	s1, _ := takeOne(slow, 0)
-	s2, _ := takeOne(slow, 0)
+	s1, _ := takeOne(slow)
+	s2, _ := takeOne(slow)
 	if s1.Event != 3 || s2.Event != 4 {
 		t.Fatalf("slow sub kept events %d,%d, want 3,4", s1.Event, s2.Event)
 	}
@@ -44,7 +43,6 @@ func TestPublishBatchEmptyAndDown(t *testing.T) {
 	b := NewBroker("A")
 	b.Metrics = NewMetrics(obs.NewRegistry())
 	sub := b.Subscribe("t", 4)
-	defer sub.Close()
 
 	b.PublishBatch("t", nil)
 	if got := b.Metrics.BatchPublishes.Value(); got != 0 {
@@ -52,12 +50,12 @@ func TestPublishBatchEmptyAndDown(t *testing.T) {
 	}
 	b.SetDown(true)
 	b.PublishBatch("t", []Sample{{Device: "d"}})
-	if _, ok := takeOne(sub, 0); ok {
+	if _, ok := takeOne(sub); ok {
 		t.Fatal("downed broker delivered a batch")
 	}
 	b.SetDown(false)
 	b.PublishBatch("t", []Sample{{Device: "d"}})
-	if _, ok := takeOne(sub, 0); !ok {
+	if _, ok := takeOne(sub); !ok {
 		t.Fatal("recovered broker did not deliver")
 	}
 }
@@ -88,25 +86,9 @@ func TestRecvBatchDrains(t *testing.T) {
 	}
 }
 
-func TestRecvBatchClosedSubscription(t *testing.T) {
-	b := NewBroker("A")
-	sub := b.Subscribe("t", 8)
-	b.PublishBatch("t", []Sample{{Device: "d", Event: 1}})
-	sub.Close()
-	buf := make([]Sample, 4)
-	// A closed subscription drains what is buffered, then returns 0 forever.
-	if n := sub.RecvBatch(buf); n != 1 || buf[0].Event != 1 {
-		t.Fatalf("RecvBatch after close = %d (event %d), want 1 buffered sample", n, buf[0].Event)
-	}
-	if n := sub.RecvBatch(buf); n != 0 {
-		t.Fatalf("RecvBatch on drained closed sub = %d, want 0", n)
-	}
-}
-
 // TestSubscriptionDrainWraps: queued samples that wrap around the end of the
 // ring reach Drain's fn as two runs, the ring's tail and then its head, in
-// arrival order, and leave the queue empty. A closed subscription drains
-// what it holds, then returns 0.
+// arrival order, and leave the queue empty.
 func TestSubscriptionDrainWraps(t *testing.T) {
 	b := NewBroker("A")
 	sub := b.Subscribe("t", 4)
@@ -135,38 +117,6 @@ func TestSubscriptionDrainWraps(t *testing.T) {
 	if n := sub.RecvBatch(make([]Sample, 4)); n != 0 {
 		t.Fatalf("RecvBatch after Drain = %d, want 0", n)
 	}
-
-	publish(7, 8)
-	sub.Close()
-	publish(9) // a closed subscription takes nothing more
-	if runs, n := drain(); n != 2 || !reflect.DeepEqual(runs, [][]uint64{{7, 8}}) {
-		t.Fatalf("Drain after close = %d in runs %v, want 2 in runs [[7 8]]", n, runs)
-	}
-	if runs, n := drain(); n != 0 || runs != nil {
-		t.Fatalf("Drain of a drained closed subscription = %d in runs %v, want 0", n, runs)
-	}
-}
-
-// TestConsumeRejectsEmptyBuffer: Consume with an empty buffer would spin on
-// its first token, RecvBatch returning 0 and never coming up short, so it
-// refuses the buffer up front.
-func TestConsumeRejectsEmptyBuffer(t *testing.T) {
-	b := NewBroker("A")
-	sub := b.Subscribe("t", 4)
-	b.PublishBatch("t", []Sample{{Device: "d"}}) // a token for Consume to take
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		sub.Consume(nil, func([]Sample) bool { return false })
-	}()
-	select {
-	case r := <-done:
-		if msg, _ := r.(string); !strings.Contains(msg, "non-empty buffer") {
-			t.Fatalf("Consume with an empty buffer ended with %v, want a panic naming the buffer", r)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Consume with an empty buffer neither panicked nor returned")
-	}
 }
 
 // TestBatchPathZeroAllocations pins the whole batched ingest hot path —
@@ -178,7 +128,6 @@ func TestBatchPathZeroAllocations(t *testing.T) {
 	b := NewBroker("A")
 	b.Metrics = NewMetrics(obs.NewRegistry())
 	sub := b.Subscribe("t", 2)
-	defer sub.Close()
 	view := NewLatestPower()
 	batch := make([]Sample, 4)
 	for i := range batch {
@@ -220,7 +169,7 @@ func TestPollerBatchesByTopic(t *testing.T) {
 	m1, _ := NewLogicalMeter("u1", StaticMeter{MeterName: "m", Value: 1000})
 	m2, _ := NewLogicalMeter("u2", StaticMeter{MeterName: "m", Value: 2000})
 	m3, _ := NewLogicalMeter("r1", StaticMeter{MeterName: "m", Value: 300})
-	p := NewPoller("p1", clock.NewVirtual(t0()), []SamplePublisher{b}, []Target{
+	p := NewPoller("p1", clock.NewVirtual(t0()), []*Broker{b}, []Target{
 		{Meter: m1, Topic: "power/ups"},
 		{Meter: m2, Topic: "power/ups"},
 		{Meter: m3, Topic: "power/rack"},

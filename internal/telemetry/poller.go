@@ -23,7 +23,7 @@ type Target struct {
 type Poller struct {
 	Name    string
 	Clock   clock.Clock
-	Brokers []SamplePublisher
+	Brokers []*Broker
 	Targets []Target
 	// Metrics, when non-nil, receives poll/publish/invalid-read counts.
 	// Set it before the first poll.
@@ -33,9 +33,8 @@ type Poller struct {
 	// can cite it as their Cause. Set it before the first poll.
 	Recorder *recorder.Recorder
 
-	mu    sync.Mutex
-	down  bool
-	polls int
+	mu   sync.Mutex
+	down bool
 	// batch is the reusable per-round publish buffer; PollOnce flushes it
 	// to every broker with one PublishBatch per topic run, so steady-state
 	// rounds reuse the same backing array.
@@ -44,7 +43,7 @@ type Poller struct {
 
 // NewPoller constructs a poller. Its owner calls PollOnce on its own
 // cadence (the paper polls UPSes every 1.5 s and racks every 2 s).
-func NewPoller(name string, clk clock.Clock, brokers []SamplePublisher, targets []Target) *Poller {
+func NewPoller(name string, clk clock.Clock, brokers []*Broker, targets []Target) *Poller {
 	return &Poller{
 		Name:    name,
 		Clock:   clk,
@@ -63,7 +62,6 @@ func (p *Poller) PollOnce() {
 		p.mu.Unlock()
 		return
 	}
-	p.polls++
 	p.mu.Unlock()
 	if p.Metrics != nil {
 		p.Metrics.Polls.Inc()

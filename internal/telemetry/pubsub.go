@@ -26,7 +26,7 @@ type Sample struct {
 	// PublishedAt is when the sample entered a broker (stamped by the
 	// publisher, from its injected clock, just before PublishBatch).
 	// Zero when the producer predates stamping. Fixed-size so the stamp
-	// survives batch coalescing and gob transport without allocating.
+	// survives batch coalescing without allocating.
 	PublishedAt time.Time
 	// The dequeue instant, the third stamp of the latency-attribution
 	// waterfall (DESIGN.md "Latency attribution"), is one per drained
@@ -58,15 +58,8 @@ func StampPublished(batch []Sample, at time.Time) {
 // place (Drain). The ring starts empty and grows, by doubling at least, to
 // what its traffic needs and never past the depth the subscription was made
 // with: a queue costs what it holds, not what it may.
-// A remote subscription (RemoteSubscribe) is the same queue on a broker of its
-// own that its connection publishes into.
 type Subscription struct {
-	broker *Broker
-	topic  string
-	depth  int
-	// release, when non-nil, is what else Close lets go of, run once after
-	// it unlocks: a remote subscription's connection.
-	release func()
+	depth int
 
 	mu sync.Mutex
 	// ring[head], ring[head+1], … hold the n queued samples, oldest first,
@@ -74,11 +67,6 @@ type Subscription struct {
 	ring    []Sample
 	head, n int
 	dropped int
-	closed  bool
-	// ready holds a token while samples have arrived since a consumer last
-	// took one. It is sent to and closed under mu, so a publish never sends
-	// on a closed channel.
-	ready chan struct{}
 }
 
 // Dropped reports how many samples were discarded because the subscriber
@@ -89,32 +77,9 @@ func (s *Subscription) Dropped() int {
 	return s.dropped
 }
 
-// Consume is the blocking consumer's loop: it waits for samples to arrive,
-// hands them to fn in arrival order, a buf's worth at most per call, and
-// returns once the subscription is closed or fn returns false. buf must not
-// be empty: a loop that drains until RecvBatch comes up short never would.
-func (s *Subscription) Consume(buf []Sample, fn func(batch []Sample) bool) {
-	if len(buf) == 0 {
-		panic("telemetry: Consume needs a non-empty buffer")
-	}
-	// A token says "drain now", not how much: drain until RecvBatch is short.
-	for range s.ready {
-		for {
-			n := s.RecvBatch(buf)
-			if n > 0 && !fn(buf[:n]) {
-				return
-			}
-			if n < len(buf) {
-				break
-			}
-		}
-	}
-}
-
 // RecvBatch drains up to len(buf) queued samples into buf, oldest first,
 // without blocking, and returns how many it copied: a consumer that fell
-// behind catches up in one call. A closed subscription drains what it still
-// holds, then keeps returning 0.
+// behind catches up in one call.
 //
 //flex:hotpath
 func (s *Subscription) RecvBatch(buf []Sample) int {
@@ -129,8 +94,7 @@ func (s *Subscription) RecvBatch(buf []Sample) int {
 
 // Drain hands every queued sample to fn straight from the ring, oldest
 // first, in at most two contiguous runs, and returns how many it handed
-// over; the queue is empty afterwards. A closed subscription drains what it
-// still holds, then keeps returning 0. fn runs under the subscription's lock
+// over; the queue is empty afterwards. fn runs under the subscription's lock
 // and must not keep the run, publish or emit: it is for a consumer that
 // only installs the samples, as a shard's pump does into its view
 // (sub.mu -> LatestPower.mu).
@@ -191,10 +155,6 @@ func (s *Subscription) push(batch []Sample) (evicted int) {
 	first := copy(s.ring[tail:], batch)
 	copy(s.ring, batch[first:])
 	s.n += len(batch)
-	select {
-	case s.ready <- struct{}{}:
-	default:
-	}
 	return evicted
 }
 
@@ -207,22 +167,6 @@ func (s *Subscription) grow(need int) {
 	first := copy(ring, s.ring[s.head:min(s.head+s.n, len(s.ring))])
 	copy(ring[first:s.n], s.ring)
 	s.ring, s.head = ring, 0
-}
-
-// Close unsubscribes and ends Consume; a remote subscription also drops its
-// connection. What is queued stays for RecvBatch and Drain.
-func (s *Subscription) Close() {
-	s.broker.unsubscribe(s.topic, s)
-	s.mu.Lock()
-	first := !s.closed
-	if first {
-		s.closed = true
-		close(s.ready)
-	}
-	s.mu.Unlock()
-	if first && s.release != nil {
-		s.release()
-	}
 }
 
 // Broker is an in-process topic-based publish/subscribe system. Flex
@@ -250,28 +194,16 @@ func NewBroker(name string) *Broker {
 }
 
 // Subscribe registers a subscriber for topic whose queue holds up to
-// buffer samples.
+// buffer samples, for the life of the broker.
 func (b *Broker) Subscribe(topic string, buffer int) *Subscription {
 	if buffer < 1 {
 		buffer = 1
 	}
-	sub := &Subscription{broker: b, topic: topic, depth: buffer, ready: make(chan struct{}, 1)}
+	sub := &Subscription{depth: buffer}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.topics[topic] = append(b.topics[topic], sub)
 	return sub
-}
-
-func (b *Broker) unsubscribe(topic string, sub *Subscription) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	subs := b.topics[topic]
-	for i, s := range subs {
-		if s == sub {
-			b.topics[topic] = append(subs[:i], subs[i+1:]...)
-			return
-		}
-	}
 }
 
 // PublishBatch fans a batch of samples out to all of topic's subscribers
@@ -301,9 +233,7 @@ func (b *Broker) PublishBatch(topic string, batch []Sample) {
 	dropped := 0
 	for _, sub := range b.topics[topic] {
 		sub.mu.Lock()
-		if !sub.closed {
-			dropped += sub.push(batch)
-		}
+		dropped += sub.push(batch)
 		sub.mu.Unlock()
 	}
 	b.mu.Unlock()
@@ -330,8 +260,6 @@ func (b *Broker) PublishBatch(topic string, batch []Sample) {
 }
 
 // SetDown injects or clears a broker outage.
-//
-//flex:keep the broker-outage tests in telemetry and the root package inject faults through it
 func (b *Broker) SetDown(down bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

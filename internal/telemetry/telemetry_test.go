@@ -8,24 +8,17 @@ import (
 	"time"
 
 	"flex/internal/clock"
+	"flex/internal/obs"
 	"flex/internal/power"
 )
 
 func t0() time.Time { return time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC) }
 
-// takeOne is reading one sample off a subscription: the oldest one queued,
-// or, when the queue is empty and wait > 0, the first to arrive within wait
-// of the wake-up. ok is false when there was none.
-func takeOne(sub *Subscription, wait time.Duration) (s Sample, ok bool) {
+// takeOne is reading one sample off a subscription: the oldest one queued.
+// ok is false when there was none.
+func takeOne(sub *Subscription) (s Sample, ok bool) {
 	var one [1]Sample
 	n := sub.RecvBatch(one[:])
-	if n == 0 && wait > 0 {
-		select {
-		case <-sub.ready:
-		case <-time.After(wait):
-		}
-		n = sub.RecvBatch(one[:])
-	}
 	return one[0], n == 1
 }
 
@@ -197,14 +190,11 @@ func TestBrokerFanoutAndDropOldest(t *testing.T) {
 		t.Fatalf("dropped = %d, want 3", sub.Dropped())
 	}
 	// The two newest survive.
-	s1, _ := takeOne(sub, 0)
-	s2, _ := takeOne(sub, 0)
+	s1, _ := takeOne(sub)
+	s2, _ := takeOne(sub)
 	if s1.Event != 3 || s2.Event != 4 {
 		t.Fatalf("kept events %d,%d, want 3,4", s1.Event, s2.Event)
 	}
-	sub.Close()
-	// Publishing after close must not panic.
-	b.PublishBatch("t", []Sample{{Device: "d"}})
 }
 
 func TestBrokerDown(t *testing.T) {
@@ -212,12 +202,12 @@ func TestBrokerDown(t *testing.T) {
 	sub := b.Subscribe("t", 4)
 	b.SetDown(true)
 	b.PublishBatch("t", []Sample{{Device: "d"}})
-	if _, ok := takeOne(sub, 0); ok {
+	if _, ok := takeOne(sub); ok {
 		t.Fatal("downed broker delivered a sample")
 	}
 	b.SetDown(false)
 	b.PublishBatch("t", []Sample{{Device: "d"}})
-	if _, ok := takeOne(sub, 0); !ok {
+	if _, ok := takeOne(sub); !ok {
 		t.Fatal("recovered broker did not deliver")
 	}
 }
@@ -226,13 +216,14 @@ func TestPollerPublishesToAllBrokers(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	b1, b2 := NewBroker("A"), NewBroker("B")
 	lm, _ := NewLogicalMeter("UPS-1", StaticMeter{MeterName: "m", Value: 500})
-	p := NewPoller("p1", clk, []SamplePublisher{b1, b2},
+	p := NewPoller("p1", clk, []*Broker{b1, b2},
 		[]Target{{Meter: lm, Topic: TopicUPS}})
+	p.Metrics = NewMetrics(obs.NewRegistry())
 	s1 := b1.Subscribe(TopicUPS, 4)
 	s2 := b2.Subscribe(TopicUPS, 4)
 	p.PollOnce()
 	for i, sub := range []*Subscription{s1, s2} {
-		s, ok := takeOne(sub, 0)
+		s, ok := takeOne(sub)
 		if !ok {
 			t.Fatalf("broker %d received nothing", i)
 		}
@@ -240,8 +231,8 @@ func TestPollerPublishesToAllBrokers(t *testing.T) {
 			t.Fatalf("broker %d sample = %+v", i, s)
 		}
 	}
-	if p.Polls() != 1 {
-		t.Fatalf("Polls = %d", p.Polls())
+	if got := p.Metrics.Polls.Value(); got != 1 {
+		t.Fatalf("Polls = %d", got)
 	}
 }
 
@@ -249,11 +240,11 @@ func TestPollerDownStopsPublishing(t *testing.T) {
 	clk := clock.NewVirtual(t0())
 	b := NewBroker("A")
 	lm, _ := NewLogicalMeter("UPS-1", StaticMeter{MeterName: "m", Value: 500})
-	p := NewPoller("p1", clk, []SamplePublisher{b}, []Target{{Meter: lm, Topic: TopicUPS}})
+	p := NewPoller("p1", clk, []*Broker{b}, []Target{{Meter: lm, Topic: TopicUPS}})
 	sub := b.Subscribe(TopicUPS, 4)
 	p.SetDown(true)
 	p.PollOnce()
-	if _, ok := takeOne(sub, 0); ok {
+	if _, ok := takeOne(sub); ok {
 		t.Fatal("downed poller published")
 	}
 }
@@ -263,10 +254,10 @@ func TestPollerMarksInvalidOnQuorumLoss(t *testing.T) {
 	b := NewBroker("A")
 	bad := StaticMeter{MeterName: "x", Err: ErrMeterFailed}
 	lm, _ := NewLogicalMeter("UPS-1", bad, bad, bad)
-	p := NewPoller("p1", clk, []SamplePublisher{b}, []Target{{Meter: lm, Topic: TopicUPS}})
+	p := NewPoller("p1", clk, []*Broker{b}, []Target{{Meter: lm, Topic: TopicUPS}})
 	sub := b.Subscribe(TopicUPS, 4)
 	p.PollOnce()
-	s, ok := takeOne(sub, 0)
+	s, ok := takeOne(sub)
 	if !ok || s.Valid {
 		t.Fatalf("sample = %+v %v, want one that is invalid without quorum", s, ok)
 	}
@@ -325,7 +316,7 @@ func TestPipelineEndToEndRedundancy(t *testing.T) {
 	}
 	rack.Quorum = 1
 	brokers := []*Broker{NewBroker("pubsub-A"), NewBroker("pubsub-B")}
-	pubs := []SamplePublisher{brokers[0], brokers[1]}
+	pubs := []*Broker{brokers[0], brokers[1]}
 	var pollers []*Poller
 	for _, name := range []string{"poller-A", "poller-B"} {
 		pollers = append(pollers,
@@ -367,18 +358,4 @@ func TestPipelineEndToEndRedundancy(t *testing.T) {
 	step()
 	fresh("degraded poll", upsView, "UPS-1", truth, 0.05)
 	fresh("degraded poll", rackView, "rack-1", 10*power.KW, 0.03)
-}
-
-// waitFor polls cond for up to 2s of real time (goroutine scheduling is
-// involved even with a virtual clock).
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not met in time")
 }
