@@ -35,20 +35,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Records a compressed UPS-failure episode with the flight recorder and
-# replays it: the replayed planning decisions must match the recorded
-# ones exactly (empty diff), or flexreplay exits non-zero.
+# Records the compressed Figure 13 emulation (one UPS failure and its
+# recovery) with the flight recorder and replays it: the replayed
+# planning decisions must match the recorded ones exactly (empty diff),
+# or flexreplay exits non-zero.
 replay-smoke:
-	$(GO) run ./cmd/flexsim -experiment episode -record /tmp/flex-episode.jsonl
+	$(GO) run ./cmd/flexsim -experiment fig13 -quick -record /tmp/flex-episode.jsonl
 	$(GO) run ./cmd/flexreplay -min-plans 1 /tmp/flex-episode.jsonl
 
-# Runs a compressed UPS-failure episode with the continuous safety
+# Runs the compressed Figure 13 emulation with the continuous safety
 # auditor attached and asserts the SLO story end to end: health goes
 # ready→degraded→ready (never unsafe), the shed budget burns and
 # recovers, and every steady-state what-if probe round is clean.
 # flexsim exits non-zero if any of that fails.
 slo-smoke:
-	$(GO) run ./cmd/flexsim -experiment episode -slo
+	$(GO) run ./cmd/flexsim -experiment fig13 -quick -slo
 
 # Runs the 10-room sharded fleet emulation and asserts the fleet smoke
 # criteria: every shard ready in the final snapshot, aggregate stranded
@@ -89,8 +90,8 @@ online-smoke:
 # shed while a reader holds a list it was handed three more times under it,
 # the branch-and-bound
 # workers three more times under it (each builds its heuristic candidates
-# in a Packing of its own), and a flexmon smoke run that prints its metrics
-# summary.
+# in a Packing of its own), and the compressed Figure 13 emulation printing
+# its metrics summary.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke examples bench-smoke fuzz-smoke
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
@@ -98,7 +99,7 @@ ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-
 	$(GO) test -race -count=3 -run 'Drain|Queue|LatestPower|RecordedView' ./internal/telemetry
 	$(GO) test -race -count=3 -run 'TestRestartedPrimary|PrimariesShareRecord' ./internal/controller
 	$(GO) test -race -count=3 -run 'AcrossWorkers|ParallelMatchesSerial|ConcurrentIncumbent' ./internal/milp
-	$(GO) run ./cmd/flexmon -quick -metrics
+	$(GO) run ./cmd/flexsim -experiment fig13 -quick -metrics
 
 cover:
 	$(GO) test -cover ./...

@@ -2,10 +2,10 @@
 // episode log and diffs the replayed planning decisions against the
 // recorded ones:
 //
-//	flexsim -experiment episode -record episode.jsonl
+//	flexsim -experiment fig13 -quick -record episode.jsonl
 //	flexreplay episode.jsonl
 //
-// The log must start with a replay header (flexsim's episode experiment
+// The log must start with a replay header (flexsim's fig13 experiment
 // and the emulation harness emit one). Replay reconstructs every
 // controller's exact planning input from the event stream — telemetry
 // views from sample-arrive events, acted sets from action acks — reruns

@@ -1,16 +1,29 @@
-// Command flexsim runs the Flex analyses and snapshot simulations:
+// Command flexsim runs the Flex analyses, snapshot simulations and
+// emulations:
 //
 //	flexsim -experiment fig12        Figure 12 runtime-decision sweep
-//	flexsim -experiment episode      §V-C UPS-failure episode (replayable)
+//	flexsim -experiment fig13        §V-C / Figure 13 UPS-failure emulation
 //	flexsim -experiment fleet        multi-room sharded fleet (-rooms N)
 //	flexsim -experiment feasibility  §III joint-probability analysis
 //	flexsim -experiment montecarlo   §III Monte Carlo cross-check
 //	flexsim -experiment cost         §I construction-cost savings
 //	flexsim -experiment designs      §II-A redundancy design comparison
 //
-// -record FILE writes a flight-recorder event log (length-prefixed
-// JSONL). An episode recording starts with a replay header and can be
-// re-driven with flexreplay; fig12 recordings are headerless, for reading
+// fig13 runs the paper's 24-minute timeline (UPS failure at 12 minutes,
+// recovery at 18) and prints the UPS power timeline as an ASCII chart and
+// the §V-C summary; -quick compresses it to a failure at 4 minutes,
+// recovery at 7 and 10 minutes in all. -util and -scenario set the load
+// and the impact scenario, and -slo attaches the continuous safety
+// auditor and fails the run unless its health goes
+// ready→degraded→ready (the slo-smoke gate).
+//
+// Shared flags: -csvdir DIR also writes each result table as CSV into
+// DIR (figure12-*.csv, figure13.csv). -metrics ends the run with a CSV
+// summary of every metric registered (fig12, fig13, fleet). -record FILE
+// writes a flight-recorder event log (length-prefixed JSONL). A fig13
+// recording starts with a replay header and can be re-driven with
+// flexreplay (`flexreplay -episode 1 FILE` prints the first overdraw
+// episode's causal chain); fig12 recordings are headerless, for reading
 // only.
 package main
 
@@ -44,34 +57,39 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("flexsim", flag.ContinueOnError)
-	experiment := fs.String("experiment", "fig12", "fig12|episode|fleet|feasibility|montecarlo|cost|designs")
+	experiment := fs.String("experiment", "fig12", "fig12|fig13|fleet|feasibility|montecarlo|cost|designs")
 	seed := fs.Int64("seed", 1, "random seed")
 	rooms := fs.Int("rooms", 10, "fleet experiment: number of UPS fault domains")
-	samples := fs.Int("samples", 3, "power snapshots per (failure, utilization)")
-	workers := fs.Int("workers", 0, "branch-and-bound workers per ILP solve (0 = NumCPU; deterministic for any value)")
-	csvDir := fs.String("csvdir", "", "also write results as CSV files into this directory")
-	record := fs.String("record", "", "write the flight-recorder event log to this file (JSONL)")
-	withSLO := fs.Bool("slo", false, "episode experiment: run the continuous safety auditor, print an SLO summary, and fail unless health flips healthy→degraded→healthy with a probe-fail-free steady state (the slo-smoke gate)")
+	samples := fs.Int("samples", 3, "fig12 experiment: power snapshots per (failure, utilization)")
+	workers := fs.Int("workers", 0, "fig12 experiment: branch-and-bound workers per ILP solve (0 = NumCPU; deterministic for any value)")
+	util := fs.Float64("util", 0.80, "fig13 experiment: steady-state utilization of provisioned power")
+	scenario := fs.String("scenario", "Realistic-1", "fig13 experiment: impact scenario (Extreme-1|Extreme-2|Realistic-1|Realistic-2)")
+	quick := fs.Bool("quick", false, "fig13 experiment: compressed timeline (fail @4min, recover @7min, 10min total)")
+	withSLO := fs.Bool("slo", false, "fig13 experiment: run the continuous safety auditor, print an SLO summary, and fail unless health flips healthy→degraded→healthy with a probe-fail-free steady state (the slo-smoke gate)")
 	latency := fs.Bool("latency", false, "fleet experiment: print the per-episode latency waterfall and fail unless the failed room's stitched stages reconcile with the measured shed latency and every stage's exact maximum sits inside its carve of the 10s budget (the latency-smoke gate)")
+	csvDir := fs.String("csvdir", "", "also write results as CSV files into this directory")
+	metrics := fs.Bool("metrics", false, "print a metrics summary CSV after the run")
+	record := fs.String("record", "", "write the flight-recorder event log to this file (JSONL)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	// Every event reaches the sink; the ring only bounds what stays in
+	// memory. The latency gate always runs recorded, in memory when
+	// -record is absent: waterfall stitching groups traces by
+	// flight-recorder episode id and the exemplar joins point at recorder
+	// events.
 	var rec *flex.FlightRecorder
+	if *record != "" || *latency {
+		rec = flex.NewFlightRecorder(1 << 18)
+	}
 	if *record != "" {
 		f, ferr := os.Create(*record)
 		if ferr != nil {
 			return ferr
 		}
-		// 1<<18 events outlasts the compressed episode run; Overwritten()
-		// is checked below so a silently truncated ring cannot masquerade
-		// as a complete log.
-		rec = flex.NewFlightRecorder(1 << 18)
 		rec.AttachSink(flex.NewFlightSink(f))
 		defer func() {
-			if n := rec.Overwritten(); n > 0 {
-				fmt.Fprintf(os.Stderr, "flexsim: ring overwrote %d events; the in-memory log is incomplete\n", n)
-			}
 			// A write error truncated the file: fail the run.
 			if derr := rec.DetachSink(); derr != nil {
 				err = errors.Join(err, fmt.Errorf("writing event log %s: %w", *record, derr))
@@ -82,8 +100,56 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 
 	reg := obs.NewRegistry()
+	switch *experiment {
+	case "fig12":
+		err = runFigure12(ctx, out, *seed, *samples, *workers, *csvDir, milp.NewMetrics(reg), rec)
+	case "fig13":
+		err = runFigure13(ctx, out, *seed, *util, *scenario, *quick, *withSLO, *csvDir, reg, rec)
+	case "fleet":
+		err = runFleet(ctx, out, *rooms, *seed, reg, rec, *latency)
+	case "feasibility":
+		err = runFeasibility(out)
+	case "montecarlo":
+		err = runMonteCarlo(out, *seed)
+	case "cost":
+		err = runCost(out)
+	case "designs":
+		err = runDesigns(out)
+	default:
+		err = fmt.Errorf("unknown experiment %q", *experiment)
+	}
+	if err != nil || !*metrics {
+		return err
+	}
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "metrics summary:")
+	return report.WriteMetricsSummary(out, reg)
+}
+
+// runFigure13 drives the end-to-end Flex-Online emulation (paper §V-C,
+// Figure 13): a 4.8MW zero-reserved-power room of 360 emulated racks, a
+// UPS failure, corrective actions by the multi-primary controllers, and
+// recovery, on the virtual clock. With withSLO the continuous safety
+// auditor watches the run and the slo-smoke gate judges it.
+func runFigure13(ctx context.Context, out io.Writer, seed int64, util float64, scenario string, quick, withSLO bool, csvDir string, reg *obs.Registry, rec *flex.FlightRecorder) error {
+	cfg := flex.EmulationConfig{Utilization: util, Seed: seed, Obs: reg, Recorder: rec}
+	for _, sc := range flex.Figure11Scenarios() {
+		if sc.Name == scenario {
+			cfg.Scenario = &sc
+			break
+		}
+	}
+	if cfg.Scenario == nil {
+		return fmt.Errorf("unknown scenario %q", scenario)
+	}
+	if quick {
+		cfg.Tick = time.Second
+		cfg.FailAt = 4 * time.Minute
+		cfg.RecoverAt = 7 * time.Minute
+		cfg.Duration = 10 * time.Minute
+	}
 	var aud *slo.Auditor
-	if *withSLO {
+	if withSLO {
 		aud = slo.NewAuditor(slo.Config{
 			Store:    tsdb.NewStore(tsdb.Options{}),
 			Recorder: rec,
@@ -92,55 +158,32 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			UPSFreshness:  3 * time.Second,
 			RackFreshness: 4 * time.Second,
 		})
-	}
-
-	switch *experiment {
-	case "fig12":
-		return runFigure12(ctx, out, *seed, *samples, *workers, *csvDir, milp.NewMetrics(reg), rec)
-	case "episode":
-		return runEpisode(ctx, out, *seed, rec, reg, aud)
-	case "fleet":
-		return runFleet(ctx, out, *rooms, *seed, reg, rec, *latency)
-	case "feasibility":
-		return runFeasibility(out)
-	case "montecarlo":
-		return runMonteCarlo(out, *seed)
-	case "cost":
-		return runCost(out)
-	case "designs":
-		return runDesigns(out)
-	default:
-		return fmt.Errorf("unknown experiment %q", *experiment)
-	}
-}
-
-// runEpisode drives the compressed §V-C emulation — setup, single-UPS
-// failure at 4 minutes, recovery at 7 — so a complete, replayable
-// overdraw episode is captured in a few hundred milliseconds of wall
-// time on the virtual clock.
-func runEpisode(ctx context.Context, out io.Writer, seed int64, rec *flex.FlightRecorder, reg *obs.Registry, aud *slo.Auditor) error {
-	cfg := flex.EmulationConfig{
-		Tick:      time.Second,
-		FailAt:    4 * time.Minute,
-		RecoverAt: 7 * time.Minute,
-		Duration:  10 * time.Minute,
-		Seed:      seed,
-		Recorder:  rec,
-	}
-	if aud != nil {
-		cfg.Obs = reg // the stage histograms the auditor's latency budgets read register here
 		cfg.Safety = aud
 	}
 	res, err := flex.RunEmulationContext(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "episode: UPS failure at 4m, recovery at 7m (virtual clock)\n")
-	fmt.Fprintf(out, "  detection latency: %v, shave latency: %v\n", res.DetectionLatency, res.ShaveLatency)
-	fmt.Fprintf(out, "  SR shutdown: %.0f%%, cap-able throttled: %.0f%%, outage: %v, restored: %v\n",
-		res.SRShutdownFrac*100, res.CapThrottledFrac*100, res.Outage, res.RestoredAll)
-	if rec != nil && rec.Overwritten() > 0 {
-		return fmt.Errorf("flight-recorder ring overwrote %d events; recording is not replayable", rec.Overwritten())
+
+	renderTimeline(out, res)
+	fmt.Fprintf(out, "Flex-Online emulation (%s, %.0f%% utilization) — paper §V-C reference values in parentheses:\n",
+		scenario, util*100)
+	fmt.Fprintf(out, "  software-redundant racks shut down:  %.0f%%  (64%%)\n", res.SRShutdownFrac*100)
+	fmt.Fprintf(out, "  cap-able racks throttled:            %.0f%%  (51%%)\n", res.CapThrottledFrac*100)
+	fmt.Fprintf(out, "  non-cap-able racks touched:          %d    (0)\n", res.NonCapTouched)
+	fmt.Fprintf(out, "  detection→first action latency:      %v\n", res.DetectionLatency)
+	fmt.Fprintf(out, "  failure→power-below-capacity:        %v  (budget %v)\n", res.ShaveLatency, flex.FlexLatencyBudget)
+	fmt.Fprintf(out, "  cascading outage:                    %v    (must be false)\n", res.Outage)
+	fmt.Fprintf(out, "  TPC-E-like p95 latency increase:     %+.1f%% (+4.7%%)\n", res.P95IncreasePct)
+	fmt.Fprintf(out, "  worst-case latency increase:         %+.1f%% (+14%%)\n", res.WorstIncreasePct)
+	fmt.Fprintf(out, "  all racks restored after recovery:   %v\n", res.RestoredAll)
+	if res.Insufficient {
+		fmt.Fprintln(out, "  WARNING: Algorithm 1 ran out of shaveable racks")
+	}
+	if csvDir != "" {
+		if err := writeCSV(out, csvDir, "figure13.csv", func(w io.Writer) error { return report.WriteFigure13(w, res) }); err != nil {
+			return err
+		}
 	}
 	if aud == nil {
 		return nil
@@ -150,6 +193,74 @@ func runEpisode(ctx context.Context, out io.Writer, seed int64, rec *flex.Flight
 		return err
 	}
 	return assertSLOSmoke(aud)
+}
+
+// renderTimeline draws the Figure 13(a) UPS power series as an ASCII
+// chart: one row per UPS, one column per time bucket, glyphs by load
+// relative to the 1.2MW rating.
+func renderTimeline(out io.Writer, res *flex.EmulationResult) {
+	const cols = 72
+	if len(res.Series) < cols {
+		return
+	}
+	step := len(res.Series) / cols
+	glyph := func(frac float64) byte {
+		switch {
+		case frac <= 0.01:
+			return '_' // failed / unloaded
+		case frac < 0.5:
+			return '.'
+		case frac < 0.85:
+			return 'o'
+		case frac <= 1.0:
+			return 'O'
+		default:
+			return '#' // overdraw
+		}
+	}
+	nUPS := len(res.Series[0].UPSPower)
+	fmt.Fprintln(out, "UPS power timeline (_ <1%  . <50%  o <85%  O <=100%  # overdraw; rating 1.2MW):")
+	for u := 0; u < nUPS; u++ {
+		row := make([]byte, 0, cols)
+		for c := 0; c < cols; c++ {
+			p := res.Series[c*step]
+			row = append(row, glyph(float64(p.UPSPower[u])/1.2e6))
+		}
+		fmt.Fprintf(out, "  UPS%d %s\n", u+1, row)
+	}
+	// Stage ruler.
+	stageRow := make([]byte, 0, cols)
+	for c := 0; c < cols; c++ {
+		switch res.Series[c*step].Stage {
+		case "setup":
+			stageRow = append(stageRow, 's')
+		case "normal":
+			stageRow = append(stageRow, 'n')
+		case "failover":
+			stageRow = append(stageRow, 'F')
+		default:
+			stageRow = append(stageRow, 'r')
+		}
+	}
+	fmt.Fprintf(out, "  stage %s\n\n", stageRow)
+}
+
+// writeCSV writes one result table to dir/name and reports the path.
+func writeCSV(out io.Writer, dir, name string, write func(io.Writer) error) error {
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "  wrote %s\n", path)
+	return nil
 }
 
 // assertSLOSmoke is the `make slo-smoke` gate: the audited episode must
@@ -220,19 +331,9 @@ func runFigure12(ctx context.Context, out io.Writer, seed int64, samples, worker
 				p.Utilization, p.Impacted, p.ShutDown, p.Throttled)
 		}
 		if csvDir != "" {
-			name := filepath.Join(csvDir, "figure12-"+sc.Name+".csv")
-			f, err := os.Create(name)
-			if err != nil {
+			if err := writeCSV(out, csvDir, "figure12-"+sc.Name+".csv", func(w io.Writer) error { return report.WriteFigure12(w, sc.Name, pts) }); err != nil {
 				return err
 			}
-			if err := report.WriteFigure12(f, sc.Name, pts); err != nil {
-				_ = f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote %s\n", name)
 		}
 	}
 	return nil
@@ -304,12 +405,6 @@ func runDesigns(out io.Writer) error {
 // additionally prints and asserts the critical-path attribution (the
 // latency-smoke gate).
 func runFleet(ctx context.Context, out io.Writer, rooms int, seed int64, reg *obs.Registry, rec *flex.FlightRecorder, latency bool) error {
-	if latency && rec == nil {
-		// Waterfall stitching groups traces by flight-recorder episode id
-		// and the exemplar joins point at recorder events, so the latency
-		// gate always runs recorded — in memory when -record is absent.
-		rec = flex.NewFlightRecorder(1 << 18)
-	}
 	failRoom := rooms / 2
 	var wall clock.Clock = clock.Real{}
 	start := wall.Now()

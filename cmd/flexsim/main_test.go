@@ -92,11 +92,67 @@ func TestRunRecordWriteErrorFails(t *testing.T) {
 		t.Skip("no /dev/full on this system")
 	}
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"-experiment", "episode", "-record", "/dev/full"}, &out)
+	err := run(context.Background(), []string{"-experiment", "fig13", "-quick", "-record", "/dev/full"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "writing event log") {
 		t.Fatalf("run = %v, want the event log's write error", err)
 	}
 	if strings.Contains(out.String(), "recorded") {
 		t.Fatalf("a truncated log was reported as recorded:\n%s", out.String())
+	}
+}
+
+func TestRunFigure13WithCSV(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-experiment", "fig13", "-quick", "-csvdir", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{
+		"UPS power timeline",
+		"software-redundant racks shut down",
+		"cascading outage:                    false",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "figure13.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "t_seconds,stage,ups1_watts") {
+		t.Errorf("figure13.csv header wrong:\n%.200s", data)
+	}
+}
+
+func TestRunFigure13Scenarios(t *testing.T) {
+	for _, sc := range []string{"Extreme-1", "Extreme-2", "Realistic-2"} {
+		var out bytes.Buffer
+		if err := run(context.Background(), []string{"-experiment", "fig13", "-quick", "-scenario", sc}, &out); err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		if !strings.Contains(out.String(), sc) {
+			t.Errorf("%s missing from output", sc)
+		}
+	}
+}
+
+func TestRunFigure13UnknownScenario(t *testing.T) {
+	if err := run(context.Background(), []string{"-experiment", "fig13", "-scenario", "nope"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("expected error")
+	}
+}
+
+func TestRunFigure13Metrics(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-experiment", "fig13", "-quick", "-metrics"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{"metrics summary:", "flex_stage_latency_seconds,stage=detect,histogram"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q:\n%s", want, s)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"flex/internal/clock"
 	"flex/internal/controller"
+	"flex/internal/impact"
 	"flex/internal/milp"
 	"flex/internal/placement"
 	"flex/internal/power"
@@ -364,7 +365,7 @@ func TestIntegrationControllerDeterminism(t *testing.T) {
 		actions, _, err := PlanActionsContext(context.Background(), PlanInput{
 			Topo: room.Topo, Racks: ManagedRacks(racks), UPSPower: ups,
 			RackPower: rackPower, Inactive: map[UPSID]bool{2: true},
-			Scenario: ScenarioRealistic2(),
+			Scenario: impact.Realistic2(),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -9,8 +9,9 @@ import (
 	"flex/internal/power"
 )
 
-// quickObsConfig compresses the timeline like flexmon -quick so the test
-// stays fast; the virtual clock makes every recorded latency exact.
+// quickObsConfig compresses the timeline like flexsim -experiment fig13
+// -quick so the test stays fast; the virtual clock makes every recorded
+// latency exact.
 func quickObsConfig(reg *obs.Registry, tracer *obs.Tracer) Config {
 	return Config{
 		Tick:      time.Second,

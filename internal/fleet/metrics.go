@@ -6,7 +6,7 @@ import (
 
 // Metrics is the fleet aggregation layer's observability. Per-room gauges
 // are labeled by room name; totals mirror the Snapshot fields, so a
-// registry reader (`flexmon -metrics`, a tsdb sampler) sees the fleet view
+// registry reader (`flexsim -metrics`, a tsdb sampler) sees the fleet view
 // without asking the fleet.
 type Metrics struct {
 	// Rooms is the number of shards in the fleet.

@@ -10,7 +10,7 @@
 // caller-supplied timestamps from the injected clock.Clock, so virtual-
 // clock tests can assert exact latencies and clockcheck stays clean.
 //
-// The registry is read in process: `flexmon -metrics` prints it as a CSV
+// The registry is read in process: `flexsim -metrics` prints it as a CSV
 // summary after a run, and a tsdb sampler scrapes it where flexbench or a
 // test ticks one (the emulators run none).
 package obs

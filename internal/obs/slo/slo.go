@@ -26,7 +26,7 @@
 // (slo-breach / slo-recover / probe-fail) carrying the open episode ID,
 // so the recorded log joins an SLO breach to the exact overdraw episode
 // that burned the budget. Status and Health (ready/degraded/unsafe with
-// reasons) snapshot the auditor; `flexsim -experiment episode -slo` prints
+// reasons) snapshot the auditor; `flexsim -experiment fig13 -slo` prints
 // them as a summary.
 //
 // The auditor runs at a faster timescale than the control loop it

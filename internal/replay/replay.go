@@ -32,7 +32,7 @@ import (
 	"flex/internal/workload"
 )
 
-// View roles used in sample-arrive events. Recorders (emu, flexmon) tag
+// View roles used in sample-arrive events. Recorders (emu, flexsim) tag
 // the controller-facing views with these so replay knows which view a
 // sample landed in.
 const (
@@ -162,7 +162,7 @@ func Replay(ctx context.Context, events []recorder.Event) (*Report, error) {
 		return nil, fmt.Errorf("replay: empty event log")
 	}
 	if events[0].Type != recorder.TypeMeta {
-		return nil, fmt.Errorf("replay: log does not start with a meta header (got %v); record with a header-emitting harness (flexsim -experiment episode)", events[0].Type)
+		return nil, fmt.Errorf("replay: log does not start with a meta header (got %v); record with a header-emitting harness (flexsim -experiment fig13)", events[0].Type)
 	}
 	var hdr Header
 	if err := json.Unmarshal([]byte(events[0].Detail), &hdr); err != nil {

@@ -9,8 +9,8 @@ import (
 
 // WriteSLOSummary renders the safety auditor's final state as a
 // human-readable summary: one line per objective with its burn rates,
-// the what-if probe record, and the health transition history. The
-// flexsim -slo episode experiment prints this after a run.
+// the what-if probe record, and the health transition history.
+// `flexsim -experiment fig13 -slo` prints this after a run.
 func WriteSLOSummary(w io.Writer, st slo.Status, transitions []slo.Transition) error {
 	if _, err := fmt.Fprintf(w, "SLO summary (%d audit ticks, health %s):\n", st.Ticks, st.Health.State); err != nil {
 		return err
