@@ -86,7 +86,8 @@ online-smoke:
 # truth, a trip taking its UPS out inside the parallel observe), a whole rack poll
 # pumped into its view three more times under it, the subscription queue's
 # readers (Drain runs its callback under the queue's lock) three more times
-# under it, two primaries stepping on one rack manager's record of what is
+# under it, the flight recorder's single and batch emitters sharing its ring
+# and name table three more times under it, two primaries stepping on one rack manager's record of what is
 # shed while a reader holds a list it was handed three more times under it,
 # the branch-and-bound
 # workers three more times under it (each builds its heuristic candidates
@@ -97,6 +98,7 @@ ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
 	$(GO) test -race -count=3 -run 'PumpDrainsPollWhole' ./internal/fleet
 	$(GO) test -race -count=3 -run 'Drain|Queue|LatestPower|RecordedView' ./internal/telemetry
+	$(GO) test -race -count=3 -run 'ConcurrentBurst|Batch|RoundTrip' ./internal/obs/recorder
 	$(GO) test -race -count=3 -run 'TestRestartedPrimary|PrimariesShareRecord' ./internal/controller
 	$(GO) test -race -count=3 -run 'AcrossWorkers|ParallelMatchesSerial|ConcurrentIncumbent' ./internal/milp
 	$(GO) run ./cmd/flexsim -experiment fig13 -quick -metrics

@@ -52,6 +52,26 @@ func (m *Manager) badEmitAssigned() {
 	m.mu.Unlock()
 }
 
+func (m *Manager) badEmitBatchUnderLock(batch []recorder.Entry) {
+	m.mu.Lock()
+	first := m.rec.EmitBatch(9, 0, batch) // want `flight-recorder EmitBatch while mutex "m\.mu" is held`
+	m.state = int(first)
+	m.mu.Unlock()
+}
+
+func (m *Manager) badInternUnderLock(device string) recorder.Name {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.rec.Intern(device) // want `flight-recorder Intern while mutex "m\.mu" is held`
+}
+
+func (m *Manager) goodEmitBatchAfterUnlock(batch []recorder.Entry) {
+	m.mu.Lock()
+	m.state++
+	m.mu.Unlock()
+	m.rec.EmitBatch(9, m.rec.Intern("view"), batch)
+}
+
 func (m *Manager) goodEmitAfterUnlock() {
 	m.mu.Lock()
 	e := recorder.Event{Type: 5, Subject: "rack"}

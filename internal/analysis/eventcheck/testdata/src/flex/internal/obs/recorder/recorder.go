@@ -16,4 +16,15 @@ func (r *Recorder) Emit(e Event) uint64 { return 0 }
 
 func (r *Recorder) NextEpisode() uint64 { return 0 }
 
+type Name uint32
+
+type Entry struct {
+	Subject Name
+	Value   float64
+}
+
+func (r *Recorder) Intern(s string) Name { return 0 }
+
+func (r *Recorder) EmitBatch(t int, actor Name, batch []Entry) uint64 { return 0 }
+
 func (r *Recorder) Seq() uint64 { return 0 }

@@ -3,10 +3,15 @@ package recorder
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -66,16 +71,36 @@ func TestRingOverwriteUnderBurst(t *testing.T) {
 	}
 }
 
+// Single and batch emitters share the ring and the name table under one
+// lock: every batch's events take consecutive seqs, the retained window is
+// contiguous, and every retained event names what its emitter interned.
 func TestConcurrentBurstKeepsSeqContiguous(t *testing.T) {
-	const goroutines, each = 8, 500
+	const goroutines, each, batch = 8, 500, 5
 	r := New(256)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < each; i++ {
-				r.Emit(Event{Type: TypeSamplePublish, Time: t0})
+			subject := fmt.Sprintf("UPS-%d", g)
+			if g%2 == 0 {
+				for i := 0; i < each; i++ {
+					r.Emit(Event{Type: TypeSamplePublish, Time: t0, Actor: "poller", Subject: subject})
+				}
+				return
+			}
+			actor, name := r.Intern("ups-view"), r.Intern(subject)
+			entries := make([]Entry, batch)
+			for k := range entries {
+				entries[k] = Entry{Time: t0, Subject: name}
+			}
+			for i := 0; i < each; i += batch {
+				first := r.EmitBatch(TypeSampleArrive, actor, entries)
+				for _, e := range r.Snapshot() {
+					if e.Seq >= first && e.Seq < first+batch && (e.Subject != subject || e.Type != TypeSampleArrive) {
+						t.Errorf("seq %d of a batch from %s reads %v from %s", e.Seq, subject, e.Type, e.Subject)
+					}
+				}
 			}
 		}()
 	}
@@ -89,10 +114,19 @@ func TestConcurrentBurstKeepsSeqContiguous(t *testing.T) {
 			t.Fatalf("ring not contiguous: %d then %d", evs[i-1].Seq, evs[i].Seq)
 		}
 	}
+	for _, e := range evs {
+		if want := map[Type]string{TypeSamplePublish: "poller", TypeSampleArrive: "ups-view"}[e.Type]; e.Actor != want {
+			t.Fatalf("a %v event names actor %q, want %q", e.Type, e.Actor, want)
+		}
+	}
+	if got := r.Emitted(); got != goroutines*each {
+		t.Fatalf("Emitted = %d, want %d", got, goroutines*each)
+	}
 }
 
 // The emission hot path must not allocate: the recorder sits on the
 // telemetry publish/arrive path, mirroring the obs registry discipline.
+// Neither must a batch, nor interning a string already in the table.
 func TestEmitZeroAllocs(t *testing.T) {
 	r := New(1024)
 	e := Event{
@@ -103,11 +137,185 @@ func TestEmitZeroAllocs(t *testing.T) {
 		Value:   1.2e6,
 		Cause:   7,
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.Emit(e)
+	r.Emit(e)
+	if allocs := testing.AllocsPerRun(1000, func() { r.Emit(e) }); allocs != 0 {
+		t.Fatalf("Emit allocates %.1f times per call, want 0", allocs)
+	}
+	actor := r.Intern("ups-view")
+	batch := make([]Entry, 275)
+	for k := range batch {
+		batch[k] = Entry{Time: t0.Add(time.Duration(k)), Subject: r.Intern(fmt.Sprintf("rack-%03d", k)), Value: float64(k), Cause: uint64(k)}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Intern("UPS-1")
+		r.EmitBatch(TypeSampleArrive, actor, batch)
 	})
 	if allocs != 0 {
-		t.Fatalf("Emit allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("Intern and EmitBatch allocate %.1f times per batch, want 0", allocs)
+	}
+}
+
+// The ring stores records of at most 64 bytes that hold no pointers, so
+// that a recorder is half the bytes of a ring of Events and the GC never
+// scans it.
+func TestRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size > 64 {
+		t.Fatalf("record is %d B, want at most 64", size)
+	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("record%s is a %v, which holds a pointer", path, ty)
+		}
+	}
+	walk("", reflect.TypeOf(record{}))
+}
+
+// New(1<<18), the capacity an emulation run records into, allocates the
+// ring of records and the presized tables: at most 16.8 MB, where a ring
+// of Events was 33.5 MB.
+func TestNewAllocates(t *testing.T) {
+	const limit = 16_800_000
+	got := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := New(1 << 18)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(r)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("New(1<<18) allocated %d B", got)
+	if got > limit {
+		t.Fatalf("New(1<<18) allocated %d B, want at most %d", got, limit)
+	}
+}
+
+// Snapshot rebuilds every Event from the ring: field for field what was
+// emitted, singly or in a batch, and its JSON the bytes the sink wrote.
+// The events cover a location other than UTC, the zero Time and an instant
+// past what UnixNano holds, empty, repeated and long strings, and every
+// Type.
+func TestSnapshotRoundTrip(t *testing.T) {
+	east := time.FixedZone("UTC+5:30", 5*3600+1800)
+	times := []time.Time{
+		t0.Add(123456789 * time.Nanosecond),
+		{},
+		t0.In(east).Add(time.Millisecond),
+		time.Date(2600, 1, 2, 3, 4, 5, 6, east),
+		time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+		t0.In(time.Local),
+		time.Date(1200, 7, 1, 0, 0, 0, 999999999, time.UTC),
+	}
+	long := strings.Repeat(`{"id":"rack-042","workload":"batch"},`, 1500)
+	strs := []string{"", "ctl-1", "UPS-2", "", "rack-007", long, "ctl-1", "héllo <&> \"quoted\"\n"}
+	var buf bytes.Buffer
+	r := New(4096)
+	r.AttachSink(NewSink(&buf))
+	var want []Event
+	pick := func(i int) string { return strs[i%len(strs)] }
+	for i := 0; i < 200; i++ {
+		if i%3 == 2 {
+			actor := pick(i)
+			batch := make([]Entry, i%7)
+			for k := range batch {
+				batch[k] = Entry{Time: times[(i+k)%len(times)], Subject: r.Intern(pick(i + k + 1)), Value: float64(i*k) / 7, Cause: uint64(i + k)}
+			}
+			first := r.EmitBatch(TypeSampleArrive, r.Intern(actor), batch)
+			for k, b := range batch {
+				want = append(want, Event{Seq: first + uint64(k), Cause: b.Cause, Time: b.Time, Type: TypeSampleArrive, Actor: actor, Subject: pick(i + k + 1), Value: b.Value})
+			}
+			continue
+		}
+		e := Event{
+			Cause: uint64(i) * 3, Episode: uint64(i % 4), Time: times[i%len(times)],
+			Type: Type(i % int(numTypes)), Actor: pick(i), Subject: pick(i + 3),
+			Value: float64(i) * 1.5, Score: -float64(i) / 3, Aux: int64(i) - 50, Detail: pick(i + 5),
+		}
+		e.Seq = r.Emit(e)
+		want = append(want, e)
+	}
+	if err := r.DetachSink(); err != nil {
+		t.Fatal(err)
+	}
+	got := r.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("Snapshot returned %d events, want %d", len(got), len(want))
+	}
+	var rebuilt bytes.Buffer
+	s := NewSink(&rebuilt)
+	for i := range got {
+		g, w := got[i], want[i]
+		if !g.Time.Equal(w.Time) || g.Time.Location() != w.Time.Location() {
+			t.Fatalf("event %d: Time %v (%p), want %v (%p)", i, g.Time, g.Time.Location(), w.Time, w.Time.Location())
+		}
+		g.Time, w.Time = time.Time{}, time.Time{}
+		if g != w {
+			t.Fatalf("event %d:\n got %+v\nwant %+v", i, g, w)
+		}
+		if err := s.write(got[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rebuilt.Bytes(), buf.Bytes()) {
+		t.Fatalf("the snapshot's JSON (%d B) differs from the sink's (%d B)", rebuilt.Len(), buf.Len())
+	}
+	seen := map[Type]bool{}
+	for _, e := range got {
+		seen[e.Type] = true
+	}
+	if len(seen) != int(numTypes) {
+		t.Fatalf("the events cover %d of %d types", len(seen), numTypes)
+	}
+}
+
+// A batch records, and writes to the sink, exactly what a loop of Emit
+// does.
+func TestEmitBatchMatchesEmitLoop(t *testing.T) {
+	var loopLog, batchLog bytes.Buffer
+	loop, batched := New(8), New(8)
+	loop.AttachSink(NewSink(&loopLog))
+	batched.AttachSink(NewSink(&batchLog))
+	for round := 0; round < 4; round++ {
+		entries := make([]Entry, 3)
+		for k := range entries {
+			subject := fmt.Sprintf("rack-%d", k)
+			e := Event{Cause: uint64(round*10 + k), Time: t0.Add(time.Duration(round) * time.Second), Type: TypeSampleArrive, Actor: "rack-view", Subject: subject, Value: float64(k)}
+			loop.Emit(e)
+			entries[k] = Entry{Time: e.Time, Subject: batched.Intern(subject), Value: e.Value, Cause: e.Cause}
+		}
+		if first := batched.EmitBatch(TypeSampleArrive, batched.Intern("rack-view"), entries); first != uint64(round*3+1) {
+			t.Fatalf("round %d: EmitBatch returned seq %d, want %d", round, first, round*3+1)
+		}
+	}
+	if got, want := batched.Snapshot(), loop.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched ring holds\n%+v\nwant\n%+v", got, want)
+	}
+	if batched.Overwritten() != 4 || batched.Emitted() != 12 {
+		t.Fatalf("Overwritten, Emitted = %d, %d; want 4, 12", batched.Overwritten(), batched.Emitted())
+	}
+	if err := errors.Join(loop.DetachSink(), batched.DetachSink()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(batchLog.Bytes(), loopLog.Bytes()) {
+		t.Fatal("the batch's sink log differs from the loop's")
+	}
+	var nilRec *Recorder
+	if nilRec.EmitBatch(TypeSampleArrive, 0, make([]Entry, 2)) != 0 || nilRec.Intern("x") != 0 || loop.EmitBatch(TypeSampleArrive, 0, nil) != 0 {
+		t.Fatal("a nil recorder or an empty batch assigned a seq")
 	}
 }
 

@@ -21,6 +21,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"flex/internal/clock"
@@ -104,17 +106,149 @@ func NewHeader(room string, start time.Time, scenario string, buffer power.Watts
 }
 
 // MetaEvent renders the header as the leading meta event of a recording.
+// Its Detail is the header as json.Marshal encodes it, written into a
+// buffer MetaEvent sizes itself rather than encoding/json's pooled one, so
+// that what a recording allocates does not depend on what the pool holds.
 func (h Header) MetaEvent(at time.Time, actor string) (recorder.Event, error) {
-	b, err := json.Marshal(h)
-	if err != nil {
-		return recorder.Event{}, err
+	detail, ok := h.plainJSON()
+	if !ok {
+		b, err := json.Marshal(h)
+		if err != nil {
+			return recorder.Event{}, err
+		}
+		detail = string(b)
 	}
 	return recorder.Event{
 		Type:   recorder.TypeMeta,
 		Time:   at,
 		Actor:  actor,
-		Detail: string(b),
+		Detail: detail,
 	}, nil
+}
+
+// plainJSON is h as json.Marshal encodes it, when that takes no escaping:
+// ok is false, and json.Marshal has the last word, for a string outside
+// printable ASCII or holding one of "\<>&, a float that is not finite, or
+// a Start that MarshalJSON refuses.
+func (h Header) plainJSON() (string, bool) {
+	start, err := h.Start.MarshalJSON()
+	if err != nil {
+		return "", false
+	}
+	// Beside its strings, an emulation-room rack takes 90 bytes on average,
+	// its flex power printed to 17 significant digits; an estimate short of
+	// the header grows the buffer once.
+	size := 128 + len(start) + len(h.Room) + len(h.Scenario)
+	for _, c := range h.Controllers {
+		size += len(c) + 3
+	}
+	for i := range h.Racks {
+		size += 100 + len(h.Racks[i].ID) + len(h.Racks[i].Workload)
+	}
+	w := jsonWriter{ok: true}
+	w.Grow(size)
+	w.WriteString(`{"version":`)
+	w.int(int64(h.Version))
+	w.WriteString(`,"room":`)
+	w.str(h.Room)
+	w.WriteString(`,"start":`)
+	w.Write(start)
+	w.WriteString(`,"scenario":`)
+	w.str(h.Scenario)
+	w.WriteString(`,"buffer":`)
+	w.float(h.Buffer)
+	if h.Utilization != 0 {
+		w.WriteString(`,"utilization":`)
+		w.float(h.Utilization)
+	}
+	if h.Seed != 0 {
+		w.WriteString(`,"seed":`)
+		w.int(h.Seed)
+	}
+	if len(h.Controllers) > 0 {
+		w.WriteString(`,"controllers":[`)
+		for i, c := range h.Controllers {
+			if i > 0 {
+				w.WriteByte(',')
+			}
+			w.str(c)
+		}
+		w.WriteByte(']')
+	}
+	w.WriteString(`,"racks":`)
+	if h.Racks == nil {
+		w.WriteString("null")
+	} else {
+		w.WriteByte('[')
+		for i := range h.Racks {
+			r := &h.Racks[i]
+			if i > 0 {
+				w.WriteByte(',')
+			}
+			w.WriteString(`{"id":`)
+			w.str(r.ID)
+			w.WriteString(`,"workload":`)
+			w.str(r.Workload)
+			w.WriteString(`,"category":`)
+			w.int(int64(r.Category))
+			w.WriteString(`,"pair":`)
+			w.int(int64(r.Pair))
+			w.WriteString(`,"allocated":`)
+			w.float(r.Allocated)
+			w.WriteString(`,"flex_power":`)
+			w.float(r.FlexPower)
+			if r.Priority != 0 {
+				w.WriteString(`,"priority":`)
+				w.int(int64(r.Priority))
+			}
+			w.WriteByte('}')
+		}
+		w.WriteByte(']')
+	}
+	w.WriteByte('}')
+	return w.String(), w.ok
+}
+
+// jsonWriter writes the JSON values a Header holds as encoding/json does;
+// ok turns false at the first one that would need more than plainJSON
+// does.
+type jsonWriter struct {
+	strings.Builder
+	num [32]byte
+	ok  bool
+}
+
+func (w *jsonWriter) int(v int64) { w.Write(strconv.AppendInt(w.num[:0], v, 10)) }
+
+// float follows encoding/json's float64 encoder: the shortest 'f' form,
+// the 'e' form below 1e-6 and from 1e21, with e-09 shortened to e-9.
+func (w *jsonWriter) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		w.ok = false
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(w.num[:0], f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	w.Write(b)
+}
+
+func (w *jsonWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			w.ok = false
+			return
+		}
+	}
+	w.WriteByte('"')
+	w.WriteString(s)
+	w.WriteByte('"')
 }
 
 // PlanResult is the replay verdict for one recorded planning pass.

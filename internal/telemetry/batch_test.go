@@ -1,12 +1,15 @@
 package telemetry
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"flex/internal/clock"
 	"flex/internal/obs"
+	"flex/internal/obs/recorder"
+	"flex/internal/power"
 )
 
 func TestPublishBatchFanoutAndDropOldest(t *testing.T) {
@@ -188,5 +191,56 @@ func TestPollerBatchesByTopic(t *testing.T) {
 	rackBuf := make([]Sample, 8)
 	if n := rack.RecvBatch(rackBuf); n != 1 {
 		t.Fatalf("rack topic delivered %d samples, want 1", n)
+	}
+}
+
+// TestRecordedViewBatchAllocFree: once a recorded view has taken a poll, so
+// that every device's name is interned, the next polls install and record
+// without allocating — one recorder batch each, the arrivals on consecutive
+// seqs naming the role and the device, each bound to its slot.
+func TestRecordedViewBatchAllocFree(t *testing.T) {
+	rec := recorder.New(1 << 12)
+	view := NewLatestPower()
+	view.SetRecorder(rec, "rack-view")
+	poll := make([]Sample, 275)
+	for i := range poll {
+		poll[i] = Sample{Device: fmt.Sprintf("rack-%03d", i), Power: power.Watts(i), Valid: i%50 != 7, Event: uint64(1000 + i)}
+	}
+	at := t0()
+	deliver := func() {
+		at = at.Add(2 * time.Second)
+		for i := range poll {
+			poll[i].MeasuredAt = at
+		}
+		view.UpdateBatch(poll, at)
+	}
+	deliver()
+	if allocs := testing.AllocsPerRun(100, deliver); allocs != 0 {
+		t.Fatalf("a recorded view's UpdateBatch allocated %.1f times per poll after its first, want 0", allocs)
+	}
+	events := rec.Snapshot()
+	valid := 0
+	for i := range poll {
+		if poll[i].Valid {
+			valid++
+		}
+	}
+	last := events[len(events)-valid:]
+	k := 0
+	for i, s := range poll {
+		if !s.Valid {
+			continue
+		}
+		e := last[k]
+		k++
+		if e.Type != recorder.TypeSampleArrive || e.Actor != "rack-view" || e.Subject != s.Device || e.Cause != s.Event || e.Value != float64(s.Power) || !e.Time.Equal(at) {
+			t.Fatalf("arrival %d is %+v, want rack-view's arrival of %+v", k, e, s)
+		}
+		if k > 1 && e.Seq != last[k-2].Seq+1 {
+			t.Fatalf("arrival %d has seq %d after %d", k, e.Seq, last[k-2].Seq)
+		}
+		if _, _, seq, ok := view.GetEvent(s.Device); !ok || seq != e.Seq {
+			t.Fatalf("GetEvent(%s) cites seq %d, want %d (device %d)", s.Device, seq, e.Seq, i)
+		}
 	}
 }

@@ -150,10 +150,25 @@ type LatestPower struct {
 	mu    sync.Mutex
 	index map[string]int // device → slot
 	slots []reading
+	// rec is the recording state of a view with a recorder, nil without.
+	rec *recorded
+}
+
+// recorded is what a recorded view keeps beside its slots: the recorder,
+// the role its sample-arrive events name as their actor, the names the
+// recorder interned for them — the role once, at SetRecorder, and each
+// slot's device the first time a batch installs the slot — and
+// updateBatchRecorded's scratch between calls. SetRecorder makes it; only
+// names and the scratch change after, under the view's mutex.
+type recorded struct {
 	rec   *recorder.Recorder
 	role  string
-	// arrivals is updateBatchRecorded's scratch between calls.
+	actor recorder.Name
+	// names is each slot's device in the recorder's name table, 0 for a
+	// slot no batch has installed since SetRecorder.
+	names    []recorder.Name
 	arrivals []arrival
+	entries  []recorder.Entry
 }
 
 // reading is one device's installed sample. Its stamps are Stamps' fields
@@ -189,12 +204,16 @@ func NewLatestPower() *LatestPower {
 // SetRecorder makes every accepted sample emit a sample-arrive event
 // under the given role ("ups-view", "rack-view"); the event sequence is
 // retained per device so readers (GetEvent) can cite the arrival as the
-// Cause of decisions made from it. Set it before updates begin.
+// Cause of decisions made from it. A nil rec leaves the view unrecorded.
+// Set it before updates begin.
 func (l *LatestPower) SetRecorder(rec *recorder.Recorder, role string) {
+	var v *recorded
+	if rec != nil {
+		v = &recorded{rec: rec, role: role, actor: rec.Intern(role)}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.rec = rec
-	l.role = role
+	l.rec = v
 }
 
 // Update installs s and reports whether it went in: it did when it is valid
@@ -223,14 +242,14 @@ func (l *LatestPower) UpdateDequeued(s Sample, dequeuedAt time.Time) bool {
 		i = l.addSlot(s.Device)
 	}
 	installed := l.install(&s, i, !known, nanos(dequeuedAt))
-	rec, role := l.rec, l.role
+	v := l.rec
 	l.mu.Unlock()
-	if !installed || rec == nil {
+	if !installed || v == nil {
 		return installed
 	}
 	// Emit outside the mutex (eventcheck), then bind the arrival seq to
 	// the device — unless an even newer sample won the race meanwhile.
-	seq := rec.Emit(arriveEvent(role, &s))
+	seq := v.rec.Emit(arriveEvent(v.role, &s))
 	l.mu.Lock()
 	if r := &l.slots[i]; r.measured == nanos(s.MeasuredAt) {
 		r.event = seq
@@ -259,7 +278,7 @@ func arriveEvent(role string, s *Sample) recorder.Event {
 // hits on pointer equality — and only then the map. The slots
 // grow at most once a batch (slotOf). A recorded view goes through
 // updateBatchRecorded, which emits the same sample-arrive events in the same
-// order between two lock holds per batch, not per sample.
+// order, as one recorder batch between two lock holds per batch.
 //
 //flex:hotpath
 func (l *LatestPower) UpdateBatch(batch []Sample, dequeuedAt time.Time) {
@@ -289,32 +308,27 @@ func (l *LatestPower) UpdateBatch(batch []Sample, dequeuedAt time.Time) {
 	l.mu.Unlock()
 }
 
-// arrival is one sample of a batch that went into the view: where it sits in
-// the batch, the slot it took, and the seq of its sample-arrive event.
-type arrival struct {
-	sample, slot int
-	seq          uint64
-}
-
 // updateBatchRecorded is UpdateBatch on a view with a recorder: install the
 // whole batch under one lock hold, emit the arrivals in batch order with the
-// lock released (eventcheck), then bind their seqs under a second hold — each
-// unless a newer sample has won its slot meanwhile, be it a later one of this
-// batch or another writer's. The batch is only read; the arrivals are the
-// view's scratch, taken out of it for the duration so that a concurrent batch
-// finds none and makes its own.
+// lock released (eventcheck) as one recorder batch, then bind their seqs
+// under a second hold — each unless a newer sample has won its slot
+// meanwhile, be it a later one of this batch or another writer's. A slot's
+// device is interned the first time a batch installs it, between the two
+// holds. The batch is only read; the scratch is the view's, taken out of it
+// for the duration so that a concurrent batch finds none and makes its own.
 //
 //flex:hotpath
 func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) {
 	l.mu.Lock()
-	rec, role := l.rec, l.role
-	arrivals := l.arrivals
-	l.arrivals = nil
+	v := l.rec
+	arrivals, entries := v.arrivals, v.entries
+	v.arrivals, v.entries = nil, nil
 	if cap(arrivals) < len(batch) {
-		arrivals = newArrivals(len(batch))
+		arrivals, entries = newArrivals(len(batch))
 	}
-	arrivals = arrivals[:len(batch)]
+	arrivals, entries = arrivals[:len(batch)], entries[:len(batch)]
 	n, next, filled, dequeued := 0, 0, len(l.slots), nanos(dequeuedAt)
+	unnamed := false
 	for k := range batch {
 		s := &batch[k]
 		if !s.Valid {
@@ -329,32 +343,66 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) 
 			filled++
 		}
 		if l.install(s, i, fresh, dequeued) {
+			name := recorder.Name(0)
+			if i < len(v.names) {
+				name = v.names[i]
+			}
+			unnamed = unnamed || name == 0
 			arrivals[n] = arrival{sample: k, slot: i}
+			entries[n] = recorder.Entry{Time: s.MeasuredAt, Subject: name, Value: float64(s.Power), Cause: s.Event}
 			n++
 		}
 		next = i + 1
 	}
 	l.mu.Unlock()
-	arrivals = arrivals[:n]
-	for k := range arrivals {
-		a := &arrivals[k]
-		a.seq = rec.Emit(arriveEvent(role, &batch[a.sample]))
-	}
-	l.mu.Lock()
-	for _, a := range arrivals {
-		if r := &l.slots[a.slot]; r.measured == nanos(batch[a.sample].MeasuredAt) {
-			r.event = a.seq
+	arrivals, entries = arrivals[:n], entries[:n]
+	if unnamed {
+		for k, a := range arrivals {
+			if entries[k].Subject == 0 {
+				entries[k].Subject = v.rec.Intern(batch[a.sample].Device)
+			}
 		}
 	}
-	l.arrivals = arrivals
+	first := v.rec.EmitBatch(recorder.TypeSampleArrive, v.actor, entries)
+	l.mu.Lock()
+	for k, a := range arrivals {
+		if r := &l.slots[a.slot]; r.measured == nanos(batch[a.sample].MeasuredAt) {
+			r.event = first + uint64(k)
+		}
+	}
+	if unnamed {
+		v.names = growNames(v.names, len(l.slots))
+		for k, a := range arrivals {
+			v.names[a.slot] = entries[k].Subject
+		}
+	}
+	v.arrivals, v.entries = arrivals, entries
 	l.mu.Unlock()
+}
+
+// arrival is one sample of a batch that went into the view: where it sits in
+// the batch and the slot it took.
+type arrival struct {
+	sample, slot int
 }
 
 // newArrivals is the scratch for a batch of n samples: once per view, unless
 // batches grow or overlap.
 //
 //flex:coldpath
-func newArrivals(n int) []arrival { return make([]arrival, n) }
+func newArrivals(n int) ([]arrival, []recorder.Entry) {
+	return make([]arrival, n), make([]recorder.Entry, n)
+}
+
+// growNames extends names to n slots, the new ones not interned yet.
+//
+//flex:coldpath
+func growNames(names []recorder.Name, n int) []recorder.Name {
+	if len(names) >= n {
+		return names
+	}
+	return append(names, make([]recorder.Name, n-len(names))...)
+}
 
 // install puts valid sample s, dequeued at the nanos dequeued, into slot i
 // unless the slot holds a measurement at least as new, and reports whether
