@@ -7,7 +7,7 @@
 // attached, Emit serializes JSON and writes it under that lock. Calling
 // them while holding a component mutex nests the two locks, stretches
 // the component's critical section across serialization and I/O, and —
-// because hot paths like the telemetry fan-out and the actuation path
+// because hot paths like the controller's round and the actuation path
 // are themselves recorded — is the canonical recipe for lock-order
 // inversion between a component and its recorder. Every instrumented
 // path in the repo collects what it needs under its lock, unlocks, then

@@ -27,7 +27,7 @@ type Lock struct {
 	// in diagnostics: the receiver expression, e.g. "s.mu".
 	Key string
 	// Class is the global identity of the lock for cross-package
-	// reasoning, e.g. "flex/internal/telemetry.Subscription.mu" for a
+	// reasoning, e.g. "flex/internal/placement/online.Admitter.mu" for a
 	// struct field or "flex/internal/x.mu" for a package-level mutex.
 	// Empty when the lock has no stable identity (a local variable).
 	// RLock and Lock on the same mutex share a Class.

@@ -1,7 +1,7 @@
 // Package lockorder builds a cross-package mutex acquisition-order graph
 // and reports cycles as potential deadlocks. Each mutex is identified by
 // its class — the declaring package, type, and field
-// ("flex/internal/telemetry.Subscription.mu") or package-level variable —
+// ("flex/internal/placement/online.Admitter.mu") or package-level variable —
 // so every instance of a type's lock shares one node. An edge A→B is
 // recorded whenever B is acquired while A is held: directly in one
 // function body, or by calling (through any chain of static calls, in

@@ -3,12 +3,11 @@
 // selects with no default case, and calls to known-blocking functions
 // (time.Sleep, clock.Clock.Sleep, sync.WaitGroup.Wait).
 //
-// The telemetry pub/sub fan-out, the poller, and the rackmgr watchdog all
-// take a mutex on their hot paths while the goroutines they feed take the
-// same locks from the other side; a blocking send under the lock is the
-// canonical recipe for the whole pipeline deadlocking the moment one
-// subscriber stalls. The drop-oldest pattern those paths use — a select
-// with a default case — never blocks and is not flagged.
+// A goroutine that blocks on a channel while it holds a mutex deadlocks
+// the moment the goroutine it waits for needs that mutex: the solver's
+// parallel dives share two, and the analyzer's first finding was a send
+// under clock.Virtual's. A select with a default case never blocks and is
+// not flagged.
 //
 // The held-lock tracking is the shared lexical walk in
 // flex/internal/analysis/lockflow: a lock is held from a successful
@@ -31,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "locksend",
 	Doc: "flag blocking operations while a sync mutex is held\n\n" +
 		"Channel sends/receives, default-less selects, and blocking calls\n" +
-		"under a held mutex deadlock the telemetry and watchdog paths.",
+		"under a held mutex deadlock whoever waits for that mutex.",
 	Run: run,
 }
 

@@ -63,7 +63,7 @@ func (h *harness) feed(ups []power.Watts) {
 			h.upsView.Update(s)
 			continue
 		}
-		h.upsView.UpdateDequeued(s, h.stamp(&s))
+		h.upsView.UpdateBatch([]telemetry.Sample{s}, h.stamp(&s))
 	}
 	for _, r := range h.racks {
 		st, cap, _ := h.mgr.State(r.ID)

@@ -335,8 +335,9 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		t.z, t.wall = ts.normals(), ts.clk.Now()
 		t.pollUPS, t.pollRacks = ts.polls()
 		c.run(phasePoll)
-		// Ingest stays serial and in room order: it takes the broker's one
-		// lock, and a flooded room's sample-drop events take recorder seqs.
+		// Ingest stays serial and in room order: every room publishes
+		// through the fleet's one broker, and a flooded room's sample-drop
+		// events take recorder seqs.
 		if t.pollUPS {
 			for _, sr := range rooms {
 				sr.shard.IngestUPS(sr.upsBatch)

@@ -111,10 +111,9 @@ func (f *Fleet) roomStatus(s *Shard, now time.Time) RoomStatus {
 // now and exports the fleet metrics. The caller runs it slower than it
 // steps the shards; correctness of the 10s budget never depends on it.
 func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
-	shards := f.shardList()
-	snap := Snapshot{At: now, Rooms: make([]RoomStatus, 0, len(shards))}
+	snap := Snapshot{At: now, Rooms: make([]RoomStatus, 0, len(f.shards))}
 	worst := slo.StateReady
-	for _, s := range shards {
+	for _, s := range f.shards {
 		st := f.roomStatus(s, now)
 		snap.Rooms = append(snap.Rooms, st)
 		snap.StrandedPower += st.Stranded

@@ -9,14 +9,13 @@
 // keeps the paper's 10s FlexLatencyBudget on its own), with a slower
 // aggregation layer on top for the fleet-level view. Each shard owns its
 // telemetry views, controllers, and ingest subscriptions, and shares only
-// the ingest bus's lock for the length of one batch copy — so one slow or
+// the ingest bus that copies a batch into its queue — so one slow or
 // saturated room can drop its own samples (drop-oldest, counted) without
 // ever stalling a neighbor.
 package fleet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"flex/internal/clock"
@@ -96,17 +95,18 @@ type RoomConfig struct {
 }
 
 // Fleet is the sharded Flex-Online layer: an ingest bus, one shard per
-// room, and an aggregator the caller runs.
+// room, and an aggregator the caller runs. A fleet has one owner and takes
+// no lock: the goroutine that adds its rooms, ingests, steps and
+// aggregates. emu.RunFleet pumps the shards on crew workers, one per room
+// within a phase, and the crew's channel/WaitGroup barrier orders that
+// after the serial ingest and before the serial steps.
 type Fleet struct {
 	cfg     Config
 	broker  *telemetry.Broker
 	metrics *Metrics
 	tracer  *obs.Tracer
 	stages  *obs.StageMetrics
-
-	mu     sync.Mutex
-	shards map[string]*Shard
-	order  []string
+	shards  []*Shard // in the order AddRoom added them
 }
 
 // New creates an empty fleet.
@@ -115,7 +115,6 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		cfg:    cfg,
 		broker: telemetry.NewBroker(cfg.Name + "-ingest"),
-		shards: make(map[string]*Shard),
 	}
 	if cfg.Obs != nil {
 		f.metrics = NewMetrics(cfg.Obs)
@@ -165,16 +164,13 @@ func (f *Fleet) AddRoom(rc RoomConfig) (*Shard, error) {
 	if rc.Controllers <= 0 {
 		rc.Controllers = 1
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, dup := f.shards[rc.Name]; dup {
+	if f.Shard(rc.Name) != nil {
 		return nil, fmt.Errorf("fleet: room %s already added", rc.Name)
 	}
 	s := newShard(f, rc)
-	f.shards[rc.Name] = s
-	f.order = append(f.order, rc.Name)
+	f.shards = append(f.shards, s)
 	if f.metrics != nil {
-		f.metrics.Rooms.Set(float64(len(f.order)))
+		f.metrics.Rooms.Set(float64(len(f.shards)))
 	}
 	return s, nil
 }
@@ -183,18 +179,10 @@ func (f *Fleet) AddRoom(rc RoomConfig) (*Shard, error) {
 //
 //flex:keep internal/emu's cancellation test watches a shard from outside the run
 func (f *Fleet) Shard(room string) *Shard {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shards[room]
-}
-
-// shardList snapshots the shard set for lock-free iteration.
-func (f *Fleet) shardList() []*Shard {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]*Shard, 0, len(f.order))
-	for _, name := range f.order {
-		out = append(out, f.shards[name])
+	for _, s := range f.shards {
+		if s.Name == room {
+			return s
+		}
 	}
-	return out
+	return nil
 }

@@ -106,7 +106,7 @@ func TestAddRoomValidation(t *testing.T) {
 	if _, err := f.AddRoom(RoomConfig{Name: "room-2"}); err == nil {
 		t.Fatal("topology-less room accepted")
 	}
-	if got := f.shardList(); len(got) != 1 || got[0].Name != "room-1" {
+	if got := f.shards; len(got) != 1 || got[0].Name != "room-1" {
 		t.Fatalf("shards = %v, want [room-1]", got)
 	}
 	if f.Shard("room-1") == nil || f.Shard("nope") != nil {

@@ -14,12 +14,12 @@ import (
 // bounded ingest queues and its own controller primaries, stepped by its
 // owner on the owner's clock (IngestUPS/IngestRacks, Pump, StepContext). Pump
 // writes nothing a sibling reads, so shards pump side by side; every
-// Ingest* takes the fleet bus's one broker lock to copy its batch into the
-// queue, which is the only thing shards share, and Pump installs the queued
-// samples into the views without copying them out. Ingest and step stay serial
-// by design: the emulator drives them in room order, which keeps the
-// recorder's event order and the shared tracer's and stage histograms'
-// writes the same on any number of cores.
+// Ingest* copies its batch into the queue through the fleet bus, which is
+// the only thing shards share, and Pump installs the queued samples into
+// the views without copying them out. Ingest and step stay serial by design:
+// the emulator drives them in room order, which keeps the recorder's event
+// order and the shared tracer's and stage histograms' writes the same on any
+// number of cores.
 type Shard struct {
 	// Name is the room name.
 	Name string

@@ -46,9 +46,9 @@ func BenchmarkPublishRecvBatch(b *testing.B) {
 }
 
 // BenchmarkUpdateBatch is the view leg, one op a poll: a rack batch, newer
-// than the last, installed under one lock — and on a recorded view, as the
-// instrumented emulator's is, its 275 sample-arrive events emitted after it
-// and their seqs bound under one more.
+// than the last, installed in one pass — and on a recorded view, as the
+// instrumented emulator's is, its 275 sample-arrive events emitted as one
+// recorder batch and their seqs bound to their slots.
 func BenchmarkUpdateBatch(b *testing.B) {
 	for _, recorded := range []bool{false, true} {
 		name := "plain"

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -65,21 +66,28 @@ func (l *mapLatestPower) Oldest(now time.Time) (time.Duration, bool) {
 // TestLatestPowerMatchesMapReference drives the slot view and the map
 // reference with the same random samples — new devices, stale and
 // equal-timestamp repeats, invalid readings — each emitting into its own
-// recorder, and compares every reader after every update. The view takes
-// them one at a time, alternately through Update (no dequeue instant) and
-// UpdateDequeued, whose answer must be whether the reference's entry
-// changed, then as UpdateBatch, stamped with one dequeue instant a batch, of
-// whole polls in slot order, in reversed order (every hint misses) and of
-// random devices with duplicates; each with and without a recorder. Some
-// samples carry no PublishedAt, and a few no stamp at all: the view keeps
-// its stamps as nanoseconds, and every time it hands back must be the
-// reference's, zero where the reference's is zero.
+// recorder, and compares every reader after every update. Fed singly, the
+// view takes samples one at a time, alternately through Update (no dequeue
+// instant), whose answer must be whether the reference's entry changed, and
+// as a one-sample UpdateBatch with a dequeue instant. Batched, it takes
+// UpdateBatch, stamped with one dequeue instant a batch, of whole polls in
+// slot order, in reversed order (every hint misses) and of random devices
+// with duplicates. Mixed, each of those batches goes in either whole or as a
+// loop of Update, so the two interleave on one recorded view. Single and
+// batched run with and without a recorder. UpdateBatch must leave its batch
+// as it was. Some samples carry no PublishedAt, and a few no stamp at all:
+// the view keeps its stamps as nanoseconds, and every time it hands back
+// must be the reference's, zero where the reference's is zero.
 func TestLatestPowerMatchesMapReference(t *testing.T) {
 	devices := make([]string, 45) // the last five never report
 	for d := range devices {
 		devices[d] = fmt.Sprintf("dev-%02d", d)
 	}
-	for _, mode := range []struct{ batched, recorded bool }{{false, true}, {true, true}, {true, false}} {
+	type mode struct {
+		feed     string // "single", "batched" or "mixed"
+		recorded bool
+	}
+	for _, mode := range []mode{{"single", true}, {"single", false}, {"batched", true}, {"batched", false}, {"mixed", true}} {
 		for seed := int64(1); seed <= 10; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			recGot, recWant := recorder.New(1<<15), recorder.New(1<<15)
@@ -110,26 +118,15 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 				return s
 			}
 			steps := 2000
-			if mode.batched {
+			if mode.feed != "single" {
 				steps = 200
 			}
 			for i := 0; i < steps; i++ {
 				now = now.Add(time.Duration(rng.Intn(3)) * time.Second) // 0 repeats a timestamp
 				var batch []Sample
 				switch {
-				case !mode.batched:
-					s := sample(rng.Intn(40))
-					var g bool
-					deq := time.Time{}
-					if i%2 == 0 {
-						g = got.Update(s)
-					} else {
-						deq = now.Add(2 * time.Millisecond)
-						g = got.UpdateDequeued(s, deq)
-					}
-					if w := want.Update(s, deq); g != w {
-						t.Fatalf("%+v seed %d step %d: update(%+v, %v) = %v, reference entry changed %v", mode, seed, i, s, deq, g, w)
-					}
+				case mode.feed == "single":
+					batch = append(batch, sample(rng.Intn(40)))
 				case i%3 == 0: // a poll: the first 30+ devices in order, the tail joining late
 					for dev := 0; dev < 30+min(i/10, 10); dev++ {
 						batch = append(batch, sample(dev))
@@ -143,12 +140,22 @@ func TestLatestPowerMatchesMapReference(t *testing.T) {
 						batch = append(batch, sample(rng.Intn(40)))
 					}
 				}
-				deq := now.Add(2 * time.Millisecond)
-				if mode.batched {
+				if mode.feed == "single" && i%2 == 0 || mode.feed == "mixed" && rng.Intn(2) == 0 {
+					for _, s := range batch {
+						if g, w := got.Update(s), want.Update(s, time.Time{}); g != w {
+							t.Fatalf("%+v seed %d step %d: Update(%+v) = %v, reference entry changed %v", mode, seed, i, s, g, w)
+						}
+					}
+				} else {
+					deq := now.Add(2 * time.Millisecond)
+					before := slices.Clone(batch)
 					got.UpdateBatch(batch, deq)
-				}
-				for _, s := range batch {
-					want.Update(s, deq)
+					if !slices.Equal(batch, before) {
+						t.Fatalf("%+v seed %d step %d: UpdateBatch wrote to its caller's batch", mode, seed, i)
+					}
+					for _, s := range batch {
+						want.Update(s, deq)
+					}
 				}
 
 				for _, dev := range devices {
@@ -207,10 +214,10 @@ func TestPipelineInvalidCopyDoesNotBlockValid(t *testing.T) {
 	batched := NewLatestPower()
 	batched.UpdateBatch([]Sample{invalid, valid}, t0())
 	single := NewLatestPower()
-	if single.UpdateDequeued(invalid, t0()) || !single.UpdateDequeued(valid, t0()) {
-		t.Fatal("UpdateDequeued took the invalid copy or refused the valid one")
+	if single.Update(invalid) || !single.Update(valid) {
+		t.Fatal("Update took the invalid copy or refused the valid one")
 	}
-	for name, view := range map[string]*LatestPower{"UpdateBatch": batched, "UpdateDequeued": single} {
+	for name, view := range map[string]*LatestPower{"UpdateBatch": batched, "Update": single} {
 		if v, at, ok := view.Get("UPS-1"); !ok || v != 500 || !at.Equal(t0()) {
 			t.Fatalf("%s: view holds %v at %v (ok %v), want the valid 500 W taken at %v", name, v, at, ok, t0())
 		}

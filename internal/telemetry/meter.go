@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"flex/internal/power"
@@ -48,13 +47,13 @@ type SimMeterConfig struct {
 
 // SimMeter is a simulated physical meter with configurable noise,
 // staleness, and injectable failure/misreading — the failure modes the
-// pipeline's redundancy must mask.
+// pipeline's redundancy must mask. A meter has one owner and takes no lock:
+// the goroutine that steps its room reads it and injects its faults.
 type SimMeter struct {
 	name   string
 	source PowerSource
 	cfg    SimMeterConfig
 
-	mu        sync.Mutex
 	failure   error     // what Read returns while failed, built on the first failure
 	pcg       rand.PCG  // the noise stream's 16 bytes of state
 	rng       rand.Rand // draws from pcg
@@ -89,8 +88,6 @@ func (m *SimMeter) Name() string { return m.name }
 
 // Read implements Meter.
 func (m *SimMeter) Read(now time.Time) (power.Watts, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.failed {
 		return 0, m.failure
 	}
@@ -113,8 +110,6 @@ func (m *SimMeter) Read(now time.Time) (power.Watts, error) {
 
 // SetFailed injects or clears a hard meter failure.
 func (m *SimMeter) SetFailed(failed bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if failed && m.failure == nil {
 		m.failure = fmt.Errorf("%w: %s", ErrMeterFailed, m.name)
 	}
@@ -122,11 +117,7 @@ func (m *SimMeter) SetFailed(failed bool) {
 }
 
 // SetOffset injects a constant misreading (mis-calibration) of off watts.
-func (m *SimMeter) SetOffset(off power.Watts) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.offset = off
-}
+func (m *SimMeter) SetOffset(off power.Watts) { m.offset = off }
 
 // StaticMeter is a Meter returning a fixed value; useful in tests.
 type StaticMeter struct {

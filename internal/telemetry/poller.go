@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sync"
+	"slices"
 	"time"
 
 	"flex/internal/clock"
@@ -19,7 +19,9 @@ type Target struct {
 // Poller periodically reads a set of logical meters and publishes the
 // samples to every configured broker. Flex runs two or more pollers on
 // separate fault domains, each publishing the same devices; the subscriber's
-// view keeps the newest reading of each (paper Figure 7).
+// view keeps the newest reading of each (paper Figure 7). A poller has one
+// owner and takes no lock: the goroutine that steps its room calls PollOnce
+// and injects its faults.
 type Poller struct {
 	Name    string
 	Clock   clock.Clock
@@ -33,7 +35,6 @@ type Poller struct {
 	// can cite it as their Cause. Set it before the first poll.
 	Recorder *recorder.Recorder
 
-	mu   sync.Mutex
 	down bool
 	// batch is the reusable per-round publish buffer; PollOnce flushes it
 	// to every broker with one PublishBatch per topic run, so steady-state
@@ -54,15 +55,12 @@ func NewPoller(name string, clk clock.Clock, brokers []*Broker, targets []Target
 
 // PollOnce reads every target once and publishes the samples, batched:
 // consecutive targets on the same topic accumulate into one buffer that
-// is handed to every broker with a single PublishBatch call — one lock
-// acquisition per broker per topic run instead of one per device.
+// is handed to every broker with a single PublishBatch call — one fan-out
+// per broker per topic run instead of one per device.
 func (p *Poller) PollOnce() {
-	p.mu.Lock()
 	if p.down {
-		p.mu.Unlock()
 		return
 	}
-	p.mu.Unlock()
 	if p.Metrics != nil {
 		p.Metrics.Polls.Inc()
 	}
@@ -120,11 +118,7 @@ func (p *Poller) PollOnce() {
 }
 
 // SetDown injects or clears a poller outage.
-func (p *Poller) SetDown(down bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.down = down
-}
+func (p *Poller) SetDown(down bool) { p.down = down }
 
 // Stamps is the per-device ingest timeline retained by LatestPower: the
 // birth timestamps of the sample currently installed in the view. Zero
@@ -140,14 +134,18 @@ type Stamps struct {
 	DequeuedAt  time.Time
 }
 
-// LatestPower is a thread-safe view of the most recent valid power per
-// device — the controller's power snapshot (Algorithm 1 lines 2–3). Keeping
-// only a measurement newer than the installed one is the one dedupe of the
-// redundant poller × broker paths. Devices are never removed, so each
-// owns one slot of a dense slice for the life of the view: an update is
-// one map lookup, and the readers that only iterate scan the slice.
+// LatestPower is the view of the most recent valid power per device — the
+// controller's power snapshot (Algorithm 1 lines 2–3). Keeping only a
+// measurement newer than the installed one is the one dedupe of the
+// redundant poller × broker paths. Devices are never removed, so each owns
+// one slot of a dense slice for the life of the view: an update is one map
+// lookup, and the readers that only iterate scan the slice.
+//
+// A view has one owner and takes no lock: the goroutine that steps its
+// room. In emu.RunFleet a crew worker pumps a room's views within a phase,
+// and the crew's barrier orders that after the serial ingest and before
+// the serial step that reads them.
 type LatestPower struct {
-	mu    sync.Mutex
 	index map[string]int // device → slot
 	slots []reading
 	// rec is the recording state of a view with a recorder, nil without.
@@ -155,20 +153,15 @@ type LatestPower struct {
 }
 
 // recorded is what a recorded view keeps beside its slots: the recorder,
-// the role its sample-arrive events name as their actor, the names the
-// recorder interned for them — the role once, at SetRecorder, and each
-// slot's device the first time a batch installs the slot — and
-// updateBatchRecorded's scratch between calls. SetRecorder makes it; only
-// names and the scratch change after, under the view's mutex.
+// the name it interned for the view's role at SetRecorder, each slot's
+// device as interned the first time the slot filled (0 before), and
+// update's scratch, presized to the longest batch yet.
 type recorded struct {
-	rec   *recorder.Recorder
-	role  string
-	actor recorder.Name
-	// names is each slot's device in the recorder's name table, 0 for a
-	// slot no batch has installed since SetRecorder.
-	names    []recorder.Name
-	arrivals []arrival
-	entries  []recorder.Entry
+	rec     *recorder.Recorder
+	actor   recorder.Name
+	names   []recorder.Name // one per slot
+	arrived []int           // the slot of each entry
+	entries []recorder.Entry
 }
 
 // reading is one device's installed sample. Its stamps are Stamps' fields
@@ -196,9 +189,10 @@ func stamp(ns int64) time.Time {
 	return time.Unix(0, ns).UTC()
 }
 
-// NewLatestPower returns an empty view.
+// NewLatestPower returns an empty view. Its index is made with its first
+// slots, sized for the batch that brings them.
 func NewLatestPower() *LatestPower {
-	return &LatestPower{index: make(map[string]int)}
+	return &LatestPower{}
 }
 
 // SetRecorder makes every accepted sample emit a sample-arrive event
@@ -207,128 +201,50 @@ func NewLatestPower() *LatestPower {
 // Cause of decisions made from it. A nil rec leaves the view unrecorded.
 // Set it before updates begin.
 func (l *LatestPower) SetRecorder(rec *recorder.Recorder, role string) {
-	var v *recorded
+	l.rec = nil
 	if rec != nil {
-		v = &recorded{rec: rec, role: role, actor: rec.Intern(role)}
+		l.rec = &recorded{rec: rec, actor: rec.Intern(role), names: make([]recorder.Name, len(l.slots))}
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.rec = v
 }
 
 // Update installs s and reports whether it went in: it did when it is valid
 // and measured after what its device's slot holds. An invalid reading, or
 // another path's copy of a measurement already installed, is refused. It is
 // for a sample that never crossed a queue, so the reading keeps no dequeue
-// instant; a consumer that drained s from one calls UpdateDequeued.
+// instant.
 //
 //flex:hotpath
 func (l *LatestPower) Update(s Sample) bool {
-	return l.UpdateDequeued(s, time.Time{})
+	one := [1]Sample{s}
+	return l.update(one[:], 0) == 1
 }
 
-// UpdateDequeued is Update for a sample a consumer pulled out of its ingest
-// queue at dequeuedAt, the instant the installed reading keeps as its
-// Stamps.DequeuedAt.
-//
-//flex:hotpath
-func (l *LatestPower) UpdateDequeued(s Sample, dequeuedAt time.Time) bool {
-	if !s.Valid {
-		return false
-	}
-	l.mu.Lock()
-	i, known := l.index[s.Device]
-	if !known {
-		i = l.addSlot(s.Device)
-	}
-	installed := l.install(&s, i, !known, nanos(dequeuedAt))
-	v := l.rec
-	l.mu.Unlock()
-	if !installed || v == nil {
-		return installed
-	}
-	// Emit outside the mutex (eventcheck), then bind the arrival seq to
-	// the device — unless an even newer sample won the race meanwhile.
-	seq := v.rec.Emit(arriveEvent(v.role, &s))
-	l.mu.Lock()
-	if r := &l.slots[i]; r.measured == nanos(s.MeasuredAt) {
-		r.event = seq
-	}
-	l.mu.Unlock()
-	return true
-}
-
-// arriveEvent is the sample-arrive event of s going into the view of role.
-func arriveEvent(role string, s *Sample) recorder.Event {
-	return recorder.Event{
-		Type:    recorder.TypeSampleArrive,
-		Time:    s.MeasuredAt,
-		Actor:   role,
-		Subject: s.Device,
-		Value:   float64(s.Power),
-		Cause:   s.Event,
-	}
-}
-
-// UpdateBatch installs batch as a loop of UpdateDequeued would, every
-// sample with the instant dequeuedAt its consumer drained the batch at (zero
-// for a batch that never crossed a queue), under one lock acquisition. A
-// poll delivers its devices in the same order every round, so each sample
-// first tries the slot after the previous sample's — a string compare that
-// hits on pointer equality — and only then the map. The slots
-// grow at most once a batch (slotOf). A recorded view goes through
-// updateBatchRecorded, which emits the same sample-arrive events in the same
-// order, as one recorder batch between two lock holds per batch.
+// UpdateBatch installs batch as a loop of Update would, every sample with
+// the instant dequeuedAt its consumer drained the batch at (zero for a batch
+// that never crossed a queue). The batch is only read.
 //
 //flex:hotpath
 func (l *LatestPower) UpdateBatch(batch []Sample, dequeuedAt time.Time) {
-	l.mu.Lock()
-	if l.rec != nil {
-		l.mu.Unlock()
-		l.updateBatchRecorded(batch, dequeuedAt)
-		return
-	}
-	next, filled, dequeued := 0, len(l.slots), nanos(dequeuedAt)
-	for k := range batch {
-		s := &batch[k]
-		if !s.Valid {
-			continue
-		}
-		i := next
-		if next >= len(l.slots) || l.slots[next].device != s.Device {
-			i = l.slotOf(batch, k)
-		}
-		fresh := i == filled
-		if fresh {
-			filled++
-		}
-		l.install(s, i, fresh, dequeued)
-		next = i + 1
-	}
-	l.mu.Unlock()
+	l.update(batch, nanos(dequeuedAt))
 }
 
-// updateBatchRecorded is UpdateBatch on a view with a recorder: install the
-// whole batch under one lock hold, emit the arrivals in batch order with the
-// lock released (eventcheck) as one recorder batch, then bind their seqs
-// under a second hold — each unless a newer sample has won its slot
-// meanwhile, be it a later one of this batch or another writer's. A slot's
-// device is interned the first time a batch installs it, between the two
-// holds. The batch is only read; the scratch is the view's, taken out of it
-// for the duration so that a concurrent batch finds none and makes its own.
+// update is the one install loop, and returns how many samples went in. A
+// poll delivers its devices in the same order every round, so each sample
+// first tries the slot after the previous sample's — a string compare that
+// hits on pointer equality — and only then the map; the slots grow at most
+// once a batch (slotOf). A recorded view collects an entry per sample that
+// went in, naming its device as the slot interned it, emits them as one
+// recorder batch in batch order, and binds entry k's seq, first+k, to its
+// slot: a later sample of the same device in the batch binds over an
+// earlier one, as it installed over it.
 //
 //flex:hotpath
-func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) {
-	l.mu.Lock()
+func (l *LatestPower) update(batch []Sample, dequeued int64) int {
 	v := l.rec
-	arrivals, entries := v.arrivals, v.entries
-	v.arrivals, v.entries = nil, nil
-	if cap(arrivals) < len(batch) {
-		arrivals, entries = newArrivals(len(batch))
+	if v != nil && len(v.entries) < len(batch) {
+		v.presize(len(batch))
 	}
-	arrivals, entries = arrivals[:len(batch)], entries[:len(batch)]
-	n, next, filled, dequeued := 0, 0, len(l.slots), nanos(dequeuedAt)
-	unnamed := false
+	n, next, filled := 0, 0, len(l.slots)
 	for k := range batch {
 		s := &batch[k]
 		if !s.Valid {
@@ -338,94 +254,49 @@ func (l *LatestPower) updateBatchRecorded(batch []Sample, dequeuedAt time.Time) 
 		if next >= len(l.slots) || l.slots[next].device != s.Device {
 			i = l.slotOf(batch, k)
 		}
+		next = i + 1
+		// A fresh slot — one made for s that no sample has filled yet —
+		// takes s whatever its time; any other takes only a newer one.
 		fresh := i == filled
 		if fresh {
 			filled++
 		}
-		if l.install(s, i, fresh, dequeued) {
-			name := recorder.Name(0)
-			if i < len(v.names) {
-				name = v.names[i]
+		r, measured := &l.slots[i], nanos(s.MeasuredAt)
+		if !fresh && measured <= r.measured {
+			continue
+		}
+		r.power = s.Power
+		r.measured, r.published, r.dequeued = measured, nanos(s.PublishedAt), dequeued
+		if v != nil {
+			if v.names[i] == 0 {
+				v.names[i] = v.rec.Intern(s.Device)
 			}
-			unnamed = unnamed || name == 0
-			arrivals[n] = arrival{sample: k, slot: i}
-			entries[n] = recorder.Entry{Time: s.MeasuredAt, Subject: name, Value: float64(s.Power), Cause: s.Event}
-			n++
+			v.arrived[n] = i
+			v.entries[n] = recorder.Entry{Time: s.MeasuredAt, Subject: v.names[i], Value: float64(s.Power), Cause: s.Event}
 		}
-		next = i + 1
+		n++
 	}
-	l.mu.Unlock()
-	arrivals, entries = arrivals[:n], entries[:n]
-	if unnamed {
-		for k, a := range arrivals {
-			if entries[k].Subject == 0 {
-				entries[k].Subject = v.rec.Intern(batch[a.sample].Device)
-			}
+	if v != nil && n > 0 {
+		first := v.rec.EmitBatch(recorder.TypeSampleArrive, v.actor, v.entries[:n])
+		for k, i := range v.arrived[:n] {
+			l.slots[i].event = first + uint64(k)
 		}
 	}
-	first := v.rec.EmitBatch(recorder.TypeSampleArrive, v.actor, entries)
-	l.mu.Lock()
-	for k, a := range arrivals {
-		if r := &l.slots[a.slot]; r.measured == nanos(batch[a.sample].MeasuredAt) {
-			r.event = first + uint64(k)
-		}
-	}
-	if unnamed {
-		v.names = growNames(v.names, len(l.slots))
-		for k, a := range arrivals {
-			v.names[a.slot] = entries[k].Subject
-		}
-	}
-	v.arrivals, v.entries = arrivals, entries
-	l.mu.Unlock()
+	return n
 }
 
-// arrival is one sample of a batch that went into the view: where it sits in
-// the batch and the slot it took.
-type arrival struct {
-	sample, slot int
-}
-
-// newArrivals is the scratch for a batch of n samples: once per view, unless
-// batches grow or overlap.
+// presize makes update's scratch exactly n entries long: once per view
+// unless its batches grow.
 //
 //flex:coldpath
-func newArrivals(n int) ([]arrival, []recorder.Entry) {
-	return make([]arrival, n), make([]recorder.Entry, n)
-}
-
-// growNames extends names to n slots, the new ones not interned yet.
-//
-//flex:coldpath
-func growNames(names []recorder.Name, n int) []recorder.Name {
-	if len(names) >= n {
-		return names
-	}
-	return append(names, make([]recorder.Name, n-len(names))...)
-}
-
-// install puts valid sample s, dequeued at the nanos dequeued, into slot i
-// unless the slot holds a measurement at least as new, and reports whether
-// s went in. A fresh slot — one made for s that no sample has filled yet —
-// takes s whatever its time. l.mu is held.
-func (l *LatestPower) install(s *Sample, i int, fresh bool, dequeued int64) bool {
-	r := &l.slots[i]
-	measured := nanos(s.MeasuredAt)
-	if !fresh && measured <= r.measured {
-		return false
-	}
-	r.power = s.Power
-	r.measured, r.published, r.dequeued = measured, nanos(s.PublishedAt), dequeued
-	return true
+func (v *recorded) presize(n int) {
+	v.arrived, v.entries = make([]int, n), make([]recorder.Entry, n)
 }
 
 // slotOf finds the slot of batch[k]'s device through the map. A device
 // reporting for the first time gets the next slot, and so does every other
-// new device of batch[k:], numbered in the order they first appear there:
-// the slots then grow once, to exactly what the batch adds, where a view
-// fed a poll in batches smaller than the poll would otherwise double to up
-// to twice its devices. Slots made this way are filled by the rest of the
-// batch, in slot order. l.mu is held.
+// new device of batch[k:], numbered in the order they first appear there.
+// Slots made this way are filled by the rest of the batch, in slot order.
 func (l *LatestPower) slotOf(batch []Sample, k int) int {
 	i, ok := l.index[batch[k].Device]
 	if !ok {
@@ -435,24 +306,16 @@ func (l *LatestPower) slotOf(batch []Sample, k int) int {
 	return i
 }
 
-// addSlot gives a device reporting for the first time through Update the
-// next slot, growing the slots as append does: one device at a time, exact
-// growth would copy them all on every new device.
-//
-//flex:coldpath
-func (l *LatestPower) addSlot(device string) int {
-	i := len(l.slots)
-	l.index[device] = i
-	l.slots = append(l.slots, reading{device: device})
-	return i
-}
-
-// addSlots is slotOf's growth. An empty view's index is made for the whole
-// batch.
+// addSlots is slotOf's growth. The slots grow once, to exactly what the
+// batch adds, where a view fed a poll in batches smaller than the poll would
+// otherwise double to up to twice its devices; one device joining grows
+// them as append does, since exact growth would copy them all on every new
+// device fed one at a time. An empty view's index is made for the whole
+// batch, and a recorded view's names grow with the slots.
 //
 //flex:coldpath
 func (l *LatestPower) addSlots(batch []Sample) {
-	if len(l.index) == 0 {
+	if l.index == nil {
 		l.index = make(map[string]int, len(batch))
 	}
 	n := len(l.slots)
@@ -464,13 +327,20 @@ func (l *LatestPower) addSlots(batch []Sample) {
 			}
 		}
 	}
-	if n > cap(l.slots) {
+	switch {
+	case n <= cap(l.slots):
+	case n == len(l.slots)+1:
+		l.slots = slices.Grow(l.slots, 1)
+	default:
 		l.slots = append(make([]reading, 0, n), l.slots...)
 	}
 	for k := range batch {
 		if s := &batch[k]; s.Valid && l.index[s.Device] == len(l.slots) {
 			l.slots = append(l.slots, reading{device: s.Device})
 		}
+	}
+	if v := l.rec; v != nil {
+		v.names = append(v.names, make([]recorder.Name, len(l.slots)-len(v.names))...)
 	}
 }
 
@@ -487,8 +357,6 @@ func (l *LatestPower) Get(device string) (power.Watts, time.Time, bool) {
 //
 //flex:hotpath
 func (l *LatestPower) GetEvent(device string) (power.Watts, time.Time, uint64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	i, ok := l.index[device]
 	if !ok {
 		return 0, time.Time{}, 0, false
@@ -501,8 +369,6 @@ func (l *LatestPower) GetEvent(device string) (power.Watts, time.Time, uint64, b
 // the birth stamps the latency-attribution waterfall opens with.
 // ok=false when the device has never reported.
 func (l *LatestPower) GetStamps(device string) (Stamps, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	i, ok := l.index[device]
 	if !ok {
 		return Stamps{}, false
@@ -525,8 +391,6 @@ func (l *LatestPower) Snapshot() map[string]power.Watts {
 //flex:hotpath
 func (l *LatestPower) SnapshotInto(dst map[string]power.Watts) {
 	clear(dst)
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for i := range l.slots {
 		dst[l.slots[i].device] = l.slots[i].power
 	}
@@ -539,8 +403,6 @@ func (l *LatestPower) SnapshotInto(dst map[string]power.Watts) {
 //
 //flex:hotpath
 func (l *LatestPower) Oldest(now time.Time) (time.Duration, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.slots) == 0 {
 		return 0, false
 	}
@@ -553,8 +415,4 @@ func (l *LatestPower) Oldest(now time.Time) (time.Duration, bool) {
 }
 
 // Count reports how many devices have reported at least once.
-func (l *LatestPower) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.slots)
-}
+func (l *LatestPower) Count() int { return len(l.slots) }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sync"
 	"time"
 
 	"flex/internal/obs/recorder"
@@ -31,8 +30,7 @@ type Sample struct {
 	// The dequeue instant, the third stamp of the latency-attribution
 	// waterfall (DESIGN.md "Latency attribution"), is one per drained
 	// batch, not one per sample: the consumer hands it to the view
-	// (LatestPower.UpdateBatch, UpdateDequeued), which keeps it in the
-	// reading's Stamps.
+	// (LatestPower.UpdateBatch), which keeps it in the reading's Stamps.
 }
 
 // StampPublished sets PublishedAt=at on every sample in batch that does
@@ -53,15 +51,19 @@ func StampPublished(batch []Sample, at time.Time) {
 // Drop-oldest semantics keep slow subscribers from blocking the pipeline —
 // stale power data is worthless to Flex, fresh data is everything.
 //
-// The queue is a ring of Sample under mu, so a batch enters in at most two
-// copies and leaves the same way (RecvBatch) or as at most two runs read in
-// place (Drain). The ring starts empty and grows, by doubling at least, to
-// what its traffic needs and never past the depth the subscription was made
+// The queue is a ring of Sample, so a batch enters in at most two copies
+// and leaves the same way (RecvBatch) or as at most two runs read in place
+// (Drain). The ring starts empty and grows, by doubling at least, to what
+// its traffic needs and never past the depth the subscription was made
 // with: a queue costs what it holds, not what it may.
+//
+// A subscription takes no lock. Its broker's publisher writes it and its
+// consumer reads it, both on the goroutine that steps the room — in
+// emu.RunFleet, the loop that ingests and the crew worker that pumps the
+// room, which the crew's barrier orders.
 type Subscription struct {
 	depth int
 
-	mu sync.Mutex
 	// ring[head], ring[head+1], … hold the n queued samples, oldest first,
 	// wrapping at len(ring) ≤ depth.
 	ring    []Sample
@@ -71,11 +73,7 @@ type Subscription struct {
 
 // Dropped reports how many samples were discarded because the subscriber
 // lagged.
-func (s *Subscription) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Subscription) Dropped() int { return s.dropped }
 
 // RecvBatch drains up to len(buf) queued samples into buf, oldest first,
 // without blocking, and returns how many it copied: a consumer that fell
@@ -83,23 +81,19 @@ func (s *Subscription) Dropped() int {
 //
 //flex:hotpath
 func (s *Subscription) RecvBatch(buf []Sample) int {
-	s.mu.Lock()
 	k := min(len(buf), s.n)
 	first, second := s.runs(k)
 	copy(buf[copy(buf, first):], second)
 	s.advance(k)
-	s.mu.Unlock()
 	return k
 }
 
 // Drain hands every queued sample to fn straight from the ring, oldest
 // first, in at most two contiguous runs, and returns how many it handed
-// over; the queue is empty afterwards. fn runs under the subscription's lock
-// and must not keep the run, publish or emit: it is for a consumer that
-// only installs the samples, as a shard's pump does into its view
-// (sub.mu -> LatestPower.mu).
+// over; the queue is empty afterwards. fn must not keep the run or publish
+// to this subscription: it is for a consumer that installs the samples, as
+// a shard's pump does into its view.
 func (s *Subscription) Drain(fn func(run []Sample)) int {
-	s.mu.Lock()
 	k := s.n
 	first, second := s.runs(k)
 	if len(first) > 0 {
@@ -109,12 +103,11 @@ func (s *Subscription) Drain(fn func(run []Sample)) int {
 		fn(second)
 	}
 	s.advance(k)
-	s.mu.Unlock()
 	return k
 }
 
 // runs returns the k ≤ n oldest queued samples as the ring holds them: up to
-// its end, then what wrapped to its front. s.mu is held.
+// its end, then what wrapped to its front.
 func (s *Subscription) runs(k int) (first, second []Sample) {
 	if end := s.head + k; end > len(s.ring) {
 		return s.ring[s.head:], s.ring[:end-len(s.ring)]
@@ -133,7 +126,7 @@ func (s *Subscription) advance(k int) {
 // push queues batch behind what the ring holds and returns how many samples
 // that evicted (and counts them as dropped): the n + len(batch) − depth
 // oldest of the two together, which is what sending the batch sample by
-// sample into a full queue drops. s.mu is held.
+// sample into a full queue drops.
 //
 //flex:hotpath
 func (s *Subscription) push(batch []Sample) (evicted int) {
@@ -172,7 +165,9 @@ func (s *Subscription) grow(need int) {
 // Broker is an in-process topic-based publish/subscribe system. Flex
 // deploys two independent brokers; controllers subscribe to both and install
 // into one LatestPower, which keeps the newest reading per device, so the
-// loss of one broker is invisible (paper Figure 7).
+// loss of one broker is invisible (paper Figure 7). A broker has one owner
+// and takes no lock: the goroutine that steps its rooms subscribes to it,
+// publishes to it and injects its faults.
 type Broker struct {
 	Name string
 	// Metrics, when non-nil, counts samples dropped from slow subscriber
@@ -183,7 +178,6 @@ type Broker struct {
 	// begins.
 	Recorder *recorder.Recorder
 
-	mu     sync.Mutex
 	topics map[string][]*Subscription
 	down   bool
 }
@@ -200,52 +194,34 @@ func (b *Broker) Subscribe(topic string, buffer int) *Subscription {
 		buffer = 1
 	}
 	sub := &Subscription{depth: buffer}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.topics[topic] = append(b.topics[topic], sub)
 	return sub
 }
 
-// PublishBatch fans a batch of samples out to all of topic's subscribers
-// under a single lock acquisition — the one ingest path. A subscriber
-// whose queue cannot hold the batch loses its oldest samples (stale power
-// data is worthless to Flex, fresh data is everything). Publishing on a
-// downed broker is a silent no-op (that is the failure the duplicated
-// broker masks).
-//
-// The fan-out runs with b.mu held, iterating the subscriber list in place:
-// each subscriber takes the batch in two copies at most and nothing blocks,
-// so the critical section is short and PublishBatch allocates nothing in
-// steady state — it sits on the poller and fleet-ingest hot paths.
-// Subscription locks nest under the broker lock (b.mu -> sub.mu); nothing
-// acquires them in the reverse order.
+// PublishBatch fans a batch of samples out to all of topic's subscribers —
+// the one ingest path. A subscriber whose queue cannot hold the batch loses
+// its oldest samples (stale power data is worthless to Flex, fresh data is
+// everything). Publishing on a downed broker is a silent no-op (that is the
+// failure the duplicated broker masks). Each subscriber takes the batch in
+// two copies at most, so PublishBatch allocates nothing in steady state —
+// it sits on the poller and fleet-ingest hot paths.
 //
 //flex:hotpath
 func (b *Broker) PublishBatch(topic string, batch []Sample) {
-	if len(batch) == 0 {
-		return
-	}
-	b.mu.Lock()
-	if b.down {
-		b.mu.Unlock()
+	if len(batch) == 0 || b.down {
 		return
 	}
 	dropped := 0
 	for _, sub := range b.topics[topic] {
-		sub.mu.Lock()
 		dropped += sub.push(batch)
-		sub.mu.Unlock()
 	}
-	b.mu.Unlock()
 	if b.Metrics != nil {
 		if dropped > 0 {
 			b.Metrics.DroppedSamples.Add(uint64(dropped))
 		}
 		b.Metrics.BatchPublishes.Inc()
 	}
-	// One aggregated drop event per batch, attributed to the newest sample
-	// and emitted after every lock is released (eventcheck: no emission
-	// under a held mutex).
+	// One aggregated drop event per batch, attributed to the newest sample.
 	if dropped > 0 && b.Recorder != nil {
 		last := batch[len(batch)-1]
 		b.Recorder.Emit(recorder.Event{
@@ -260,11 +236,7 @@ func (b *Broker) PublishBatch(topic string, batch []Sample) {
 }
 
 // SetDown injects or clears a broker outage.
-func (b *Broker) SetDown(down bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.down = down
-}
+func (b *Broker) SetDown(down bool) { b.down = down }
 
 // Topics used by the Flex pipeline.
 const (
