@@ -85,8 +85,7 @@ online-smoke:
 # fleet's phases split over every core, the noise producer, the cached
 # truth, a trip taking its UPS out inside the parallel observe), a whole rack poll
 # pumped into its view three more times under it (the crew's barrier alone
-# orders the serial ingest before the parallel pump), the flight recorder's single and batch emitters sharing its ring
-# and name table three more times under it, two primaries stepping on one rack manager's record of what is
+# orders the serial ingest before the parallel pump), two primaries stepping on one rack manager's record of what is
 # shed while a reader holds a list it was handed three more times under it,
 # the branch-and-bound
 # workers three more times under it (each builds its heuristic candidates
@@ -96,7 +95,6 @@ ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'RunFleet|Noise|Refresh|Trip' ./internal/emu
 	$(GO) test -race -count=3 -run 'PumpDrainsPollWhole' ./internal/fleet
-	$(GO) test -race -count=3 -run 'ConcurrentBurst|Batch|RoundTrip' ./internal/obs/recorder
 	$(GO) test -race -count=3 -run 'TestRestartedPrimary|PrimariesShareRecord' ./internal/controller
 	$(GO) test -race -count=3 -run 'AcrossWorkers|ParallelMatchesSerial|ConcurrentIncumbent' ./internal/milp
 	$(GO) run ./cmd/flexsim -experiment fig13 -quick -metrics

@@ -3,15 +3,13 @@
 // (Emit, NextEpisode, …) inside a critical section — directly, or
 // through any chain of helpers, across package boundaries.
 //
-// Recorder methods take the recorder's internal lock and, with a sink
-// attached, Emit serializes JSON and writes it under that lock. Calling
-// them while holding a component mutex nests the two locks, stretches
-// the component's critical section across serialization and I/O, and —
-// because hot paths like the controller's round and the actuation path
-// are themselves recorded — is the canonical recipe for lock-order
-// inversion between a component and its recorder. Every instrumented
-// path in the repo collects what it needs under its lock, unlocks, then
-// emits; this analyzer keeps it that way.
+// With a sink attached, Emit serializes JSON and writes it to the sink.
+// Calling a recorder method while holding a component mutex stretches
+// the component's critical section across that serialization and I/O,
+// on hot paths — the controller's round, the actuation path — that are
+// themselves recorded. Every instrumented path in the repo collects what
+// it needs under its lock, unlocks, then emits; this analyzer keeps it
+// that way.
 //
 // Interprocedurally, the analyzer exports an emits fact on every
 // function from which a recorder method call is statically reachable
@@ -38,10 +36,10 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "eventcheck",
 	Doc: "flag flight-recorder emission while a sync mutex is held\n\n" +
-		"Recorder methods lock internally and may write to a sink; calling\n" +
-		"them under a component mutex nests locks and drags serialization\n" +
-		"and I/O into the critical section. Emit after unlocking — directly\n" +
-		"and through helper functions in any package.",
+		"Recorder methods may write to a sink; calling them under a\n" +
+		"component mutex drags serialization and I/O into the critical\n" +
+		"section. Emit after unlocking — directly and through helper\n" +
+		"functions in any package.",
 	Run: run,
 }
 

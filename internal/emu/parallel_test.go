@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,22 +128,20 @@ func TestRunsLeaveNoGoroutine(t *testing.T) {
 	}
 	check("Run, cancelled", err)
 
-	// The fleet run is cancelled by a watcher once room 0 has stepped ten
-	// times; the check waits for the watcher, which the run outlives.
+	// A fleet run records only the failed room's episode, too little to
+	// fill the sink's buffer, so a filler event first leaves it a few
+	// events short of full: the sink writes, and cancels, once the failure
+	// is being recorded.
 	ctx, cancel = context.WithCancel(context.Background())
-	watched := make(chan struct{})
-	fleetHook = func(fl *fleet.Fleet) {
-		go func() {
-			defer close(watched)
-			for fl.Shard("room-000").Steps() < 10 {
-				runtime.Gosched()
-			}
-			cancel()
-		}()
+	rec = recorder.New(1 << 16)
+	rec.AttachSink(recorder.NewSink(cancelOnWrite{cancel}))
+	rec.Emit(recorder.Event{Type: recorder.TypeMeta, Detail: strings.Repeat("x", 60<<10)})
+	fcfg := fleetCfg
+	fcfg.Recorder = rec
+	_, err = RunFleet(ctx, fcfg)
+	if ctx.Err() == nil {
+		t.Error("RunFleet: the context was never cancelled")
 	}
-	defer func() { fleetHook = nil }()
-	_, err = RunFleet(ctx, fleetCfg)
-	<-watched
 	check("RunFleet, cancelled", err)
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"flex/internal/controller"
@@ -34,7 +33,7 @@ type Shard struct {
 	rackView  *telemetry.LatestPower
 	ctls      []*controller.Controller
 
-	pumped, steps atomic.Uint64
+	pumped, steps uint64
 }
 
 func newShard(f *Fleet, rc RoomConfig) *Shard {
@@ -101,9 +100,7 @@ func (s *Shard) IngestRacks(batch []telemetry.Sample) {
 // waterfall is attributable.
 func (s *Shard) Pump() int {
 	n := s.drain(s.upsSub, s.upsView) + s.drain(s.rackSub, s.rackView)
-	if n > 0 {
-		s.pumped.Add(uint64(n))
-	}
+	s.pumped += uint64(n)
 	return n
 }
 
@@ -132,7 +129,7 @@ func (s *Shard) StepContext(ctx context.Context) (overdraw bool, enforced, resto
 		enforced += out.Enforced
 		restored += out.Restored
 	}
-	s.steps.Add(1)
+	s.steps++
 	return overdraw, enforced, restored
 }
 
@@ -143,10 +140,10 @@ func (s *Shard) Dropped() int {
 }
 
 // Pumped reports how many samples the shard has moved into its views.
-func (s *Shard) Pumped() uint64 { return s.pumped.Load() }
+func (s *Shard) Pumped() uint64 { return s.pumped }
 
 // Steps reports how many evaluation rounds the shard has run.
-func (s *Shard) Steps() uint64 { return s.steps.Load() }
+func (s *Shard) Steps() uint64 { return s.steps }
 
 // committedHeadroom is the power the room's shed racks have recovered,
 // by the record of the rack manager every primary acts through, added in

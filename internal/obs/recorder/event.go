@@ -17,8 +17,8 @@
 //	SamplePublish → SampleArrive → OverdrawDetect → PlanStart →
 //	ActionPlanned → ActionDispatch → ActionAck/ActionFail
 //
-// Emission is lock-cheap (one short mutex hold, no allocation) so it can
-// sit on the telemetry hot path, mirroring the obs registry's zero-alloc
+// Emission is cheap (no lock, no allocation) so it can sit on the
+// telemetry hot path, mirroring the obs registry's zero-alloc
 // discipline. Timestamps are always caller-supplied from an injected
 // clock.Clock — the recorder never reads the wall clock, so virtual-clock
 // recordings replay bit-identically.

@@ -3,8 +3,6 @@ package recorder
 // SinkErr returns the first error the attached sink hit, or nil. A
 // non-nil value means the JSONL log is truncated (the ring is not).
 func (r *Recorder) SinkErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.sink == nil {
 		return nil
 	}
@@ -12,8 +10,4 @@ func (r *Recorder) SinkErr() error {
 }
 
 // Seq returns the last assigned sequence number.
-func (r *Recorder) Seq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
+func (r *Recorder) Seq() uint64 { return r.seq }

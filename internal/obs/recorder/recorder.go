@@ -1,10 +1,6 @@
 package recorder
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // DefaultCapacity is the ring size used when New is given capacity <= 0.
 const DefaultCapacity = 8192
@@ -15,9 +11,10 @@ const DefaultCapacity = 8192
 const namesPresized = 384
 
 // Recorder is the flight recorder: a fixed-capacity ring of events that
-// is always on, plus an optional JSONL sink for persistence. Emit is safe
-// for concurrent use and allocation-free when no sink is attached and its
-// strings are in the name table; Snapshot allocates freely.
+// is always on, plus an optional JSONL sink for persistence. Its owner is
+// the goroutine that steps the room it records, which emits every event
+// in sequence order. Emit is allocation-free when no sink is attached and
+// its strings are in the name table; Snapshot allocates freely.
 //
 // The ring is bounded: under burst load the oldest events are overwritten
 // (Overwritten counts them). Attach a sink before the run when the full
@@ -29,7 +26,6 @@ const namesPresized = 384
 // offset into its location table, and Snapshot rebuilds each Event from
 // them.
 type Recorder struct {
-	mu   sync.Mutex
 	ring []record
 	// seq is the last assigned sequence number, the number of events
 	// emitted; event s sits in slot (s-1) mod len(ring), and next is the
@@ -39,7 +35,7 @@ type Recorder struct {
 	sink *Sink
 	tab  tables
 
-	episodes atomic.Uint64
+	episodes uint64
 }
 
 // tables are the name and location tables a recorder's records index.
@@ -123,7 +119,6 @@ func (r *Recorder) Emit(e Event) uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
 	ns, z := r.tab.stamp(e.Time)
@@ -137,28 +132,24 @@ func (r *Recorder) Emit(e Event) uint64 {
 		r.next = 0
 	}
 	if r.sink != nil {
-		// Writing under r.mu keeps the file in Seq order across
-		// concurrent emitters; the sink write is buffered memory I/O
-		// (bufio), not a syscall per event. A failed write latches in the
-		// sink, which DetachSink returns; the ring keeps recording.
+		// The sink write is buffered memory I/O (bufio), not a syscall
+		// per event. A failed write latches in the sink, which DetachSink
+		// returns; the ring keeps recording.
 		_ = r.sink.write(e)
 	}
-	r.mu.Unlock()
 	return e.Seq
 }
 
-// EmitBatch emits one event of type t by actor for each entry, in order,
-// under one lock hold: the events take consecutive sequence numbers, and
-// the first is returned (entry k's is that plus k). A batch is what a loop
-// of Emit would record with no other emitter in between. EmitBatch on a
-// nil recorder, or of an empty batch, returns 0.
+// EmitBatch emits one event of type t by actor for each entry, in order:
+// the events take consecutive sequence numbers, and the first is returned
+// (entry k's is that plus k). A batch is what a loop of Emit records.
+// EmitBatch on a nil recorder, or of an empty batch, returns 0.
 //
 //flex:hotpath
 func (r *Recorder) EmitBatch(t Type, actor Name, batch []Entry) uint64 {
 	if r == nil || len(batch) == 0 {
 		return 0
 	}
-	r.mu.Lock()
 	first := r.seq + 1
 	for k := range batch {
 		e := &batch[k]
@@ -172,7 +163,6 @@ func (r *Recorder) EmitBatch(t Type, actor Name, batch []Entry) uint64 {
 		}
 	}
 	r.seq += uint64(len(batch))
-	r.mu.Unlock()
 	return first
 }
 
@@ -185,13 +175,10 @@ func (r *Recorder) Intern(s string) Name {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	n := r.tab.intern(s)
-	r.mu.Unlock()
-	return n
+	return r.tab.intern(s)
 }
 
-// intern is Intern with the recorder's mutex held.
+// intern returns s's Name in the name table, adding s on first sight.
 func (t *tables) intern(s string) Name {
 	if s == "" {
 		return 0
@@ -261,7 +248,8 @@ func (r *Recorder) NextEpisode() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.episodes.Add(1)
+	r.episodes++
+	return r.episodes
 }
 
 // AttachSink directs every subsequent event to s as length-prefixed
@@ -269,19 +257,13 @@ func (r *Recorder) NextEpisode() uint64 {
 // emitted earlier are only in the ring. The first write error stays
 // attached with the sink, which writes nothing more; DetachSink returns
 // it. The ring keeps recording.
-func (r *Recorder) AttachSink(s *Sink) {
-	r.mu.Lock()
-	r.sink = s
-	r.mu.Unlock()
-}
+func (r *Recorder) AttachSink(s *Sink) { r.sink = s }
 
 // DetachSink flushes, closes and detaches the current sink, returning its
 // first error (write, flush or close), if any.
 func (r *Recorder) DetachSink() error {
-	r.mu.Lock()
 	s := r.sink
 	r.sink = nil
-	r.mu.Unlock()
 	if s == nil {
 		return nil
 	}
@@ -289,22 +271,16 @@ func (r *Recorder) DetachSink() error {
 }
 
 // Emitted reports the total number of events emitted.
-func (r *Recorder) Emitted() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
+func (r *Recorder) Emitted() uint64 { return r.seq }
 
 // Overwritten reports how many events the ring has evicted — the
 // backpressure signal that the window was too small for the burst.
 func (r *Recorder) Overwritten() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.seq - min(r.seq, uint64(len(r.ring)))
 }
 
 // Episodes reports how many episode IDs have been allocated.
-func (r *Recorder) Episodes() uint64 { return r.episodes.Load() }
+func (r *Recorder) Episodes() uint64 { return r.episodes }
 
 // Filter selects events for ApplyFilter. Zero values are wildcards.
 type Filter struct {
@@ -322,8 +298,6 @@ type Filter struct {
 // clock reading, which the ring does not keep: the instant and location
 // are the same, and so is the event's JSON.
 func (r *Recorder) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := min(r.seq, uint64(len(r.ring)))
 	out := make([]Event, n)
 	first := r.seq - n + 1

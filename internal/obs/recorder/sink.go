@@ -19,9 +19,8 @@ import (
 // payload stays grep-able JSONL. Writes are buffered; call Close (or
 // Recorder.DetachSink) to flush.
 //
-// A Sink is not safe for concurrent use on its own — the Recorder
-// serializes writes under its emission lock, which also keeps the file in
-// sequence order.
+// A Sink has its Recorder's owner: the recorder writes each event as it
+// emits it, so the file is in sequence order.
 type Sink struct {
 	w   *bufio.Writer
 	c   io.Closer // non-nil when the sink owns the underlying writer

@@ -18,7 +18,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -135,10 +134,9 @@ type metric struct {
 	hist    *Histogram
 	buckets []float64 // histogram bounds, part of the shape re-registration checks
 
-	mu       sync.Mutex
 	children []*child // vec children in registration order
 	byKey    map[string]*child
-	size     *atomic.Int64 // the owning registry's Size counter
+	reg      *Registry // the registry whose Size a new child grows
 }
 
 // child is one pre-bound labelled metric of a vec.
@@ -150,17 +148,16 @@ type child struct {
 }
 
 // Registry holds metrics for export. The zero value is not usable; call
-// NewRegistry. All methods are safe for concurrent use, but metric
-// creation is intended for wiring time — hot paths hold only the returned
-// *Counter/*Gauge/*Histogram.
+// NewRegistry. Its owner is the goroutine that wires and steps the room:
+// registration and the readers (Size, Metrics, Snapshots) run there, at
+// wiring time or between ticks. Hot paths hold only the returned
+// *Counter/*Gauge/*Histogram, which any goroutine may update.
 type Registry struct {
-	mu      sync.Mutex
 	metrics []*metric
 	byName  map[string]*metric
-	size    atomic.Int64 // plain metrics + vec children registered so far
+	size    int // plain metrics + vec children registered so far
 
-	stagesOnce sync.Once
-	stages     *StageMetrics // NewStageMetrics' one instance
+	stages *StageMetrics // NewStageMetrics' one instance
 }
 
 // NewRegistry returns an empty registry.
@@ -181,17 +178,15 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 			panic("obs: invalid label name " + l + " on metric " + name)
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if m, ok := r.byName[name]; ok {
 		if m.kind != kind || !equalStrings(m.labels, labels) || !equalFloats(m.buckets, buckets) {
 			panic("obs: metric " + name + " re-registered with a different shape")
 		}
 		return m
 	}
-	m := &metric{name: name, help: help, kind: kind, labels: labels, buckets: buckets, size: &r.size}
+	m := &metric{name: name, help: help, kind: kind, labels: labels, buckets: buckets, reg: r}
 	if len(labels) == 0 {
-		r.size.Add(1)
+		r.size++
 		switch kind {
 		case KindCounter:
 			m.counter = &Counter{}
@@ -286,8 +281,6 @@ func (m *metric) child(values []string) *child {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", m.name, len(m.labels), len(values)))
 	}
 	key := labelKey(values)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if c, ok := m.byKey[key]; ok {
 		return c
 	}
@@ -302,7 +295,7 @@ func (m *metric) child(values []string) *child {
 	}
 	m.children = append(m.children, c)
 	m.byKey[key] = c
-	m.size.Add(1)
+	m.reg.size++
 	return c
 }
 
@@ -367,24 +360,18 @@ func (m Metric) Snapshot() Snapshot {
 // when Size has moved.
 //
 //flex:hotpath
-func (r *Registry) Size() int { return int(r.size.Load()) }
+func (r *Registry) Size() int { return r.size }
 
 // Metrics returns a live handle on every metric (vec children expanded)
 // in registration order, children in creation order.
 func (r *Registry) Metrics() []Metric {
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
-	out := make([]Metric, 0, r.Size())
-	for _, m := range metrics {
+	out := make([]Metric, 0, r.size)
+	for _, m := range r.metrics {
 		if len(m.labels) == 0 {
 			out = append(out, m.handle(nil, m.counter, m.gauge, m.hist))
 			continue
 		}
-		m.mu.Lock()
-		children := append([]*child(nil), m.children...)
-		m.mu.Unlock()
-		for _, c := range children {
+		for _, c := range m.children {
 			out = append(out, m.handle(c.values, c.counter, c.gauge, c.hist))
 		}
 	}

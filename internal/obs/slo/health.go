@@ -66,9 +66,9 @@ type Transition struct {
 // maxTransitions bounds the retained transition history.
 const maxTransitions = 256
 
-// evalHealthLocked derives the current state and reasons from the
-// objective and probe state. Caller holds a.mu.
-func (a *Auditor) evalHealthLocked(episodeOpen bool) (State, []string) {
+// evalHealth derives the current state and reasons from the objective and
+// probe state.
+func (a *Auditor) evalHealth(episodeOpen bool) (State, []string) {
 	state := StateReady
 	var reasons []string
 	raise := func(s State, reason string) {
@@ -133,9 +133,8 @@ func itoa(v int64) string {
 	return string(buf[i:])
 }
 
-// setHealthLocked installs the state, recording a transition when it
-// changed. Caller holds a.mu.
-func (a *Auditor) setHealthLocked(now time.Time, s State, reasons []string) {
+// setHealth installs the state, recording a transition when it changed.
+func (a *Auditor) setHealth(now time.Time, s State, reasons []string) {
 	if s == a.health {
 		a.reasons = reasons
 		return
@@ -154,7 +153,8 @@ func (a *Auditor) setHealthLocked(now time.Time, s State, reasons []string) {
 	a.reasons = reasons
 }
 
-func (a *Auditor) healthLocked() Health {
+// Health snapshots the current health verdict.
+func (a *Auditor) Health() Health {
 	return Health{
 		State:   a.health,
 		Reasons: append([]string(nil), a.reasons...),
@@ -162,18 +162,9 @@ func (a *Auditor) healthLocked() Health {
 	}
 }
 
-// Health snapshots the current health verdict.
-func (a *Auditor) Health() Health {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.healthLocked()
-}
-
 // Transitions returns the retained health-state transition history in
 // order. The slo-smoke gate asserts the healthy→degraded→healthy flip of
 // a UPS-failure episode on this.
 func (a *Auditor) Transitions() []Transition {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return append([]Transition(nil), a.transitions...)
 }

@@ -16,15 +16,14 @@ type probeResult struct {
 	elapsed    time.Duration
 }
 
-// probeLocked answers "if UPS u failed right now, does a shed plan exist
+// probe answers "if UPS u failed right now, does a shed plan exist
 // inside the planning budget?" for every UPS, against the live rack
-// telemetry. Called with a.mu held; it emits nothing itself — probe-fail
-// events are returned for emission after the mutex is released
-// (eventcheck). The planning passes run under ctx bounded per-UPS by
-// ProbeBudget, exactly the budget the live controller would plan under,
-// so a feasible probe plan implies the real controller could produce one
-// in time.
-func (a *Auditor) probeLocked(ctx context.Context, now time.Time, upsPower []power.Watts) probeResult {
+// telemetry. It emits nothing itself: its probe-fail events are returned
+// for Tick to emit, in order, with the round's others. The planning
+// passes run under ctx bounded per-UPS by ProbeBudget, exactly the budget
+// the live controller would plan under, so a feasible probe plan implies
+// the real controller could produce one in time.
+func (a *Auditor) probe(ctx context.Context, now time.Time, upsPower []power.Watts) probeResult {
 	b := a.b
 	var res probeResult
 	var start time.Time

@@ -54,7 +54,6 @@ package slo
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"flex/internal/clock"
@@ -199,12 +198,12 @@ type objective struct {
 }
 
 // Auditor is the continuous safety auditor. Construct with NewAuditor,
-// attach to a control plane with Bind, then drive Tick. All methods are
-// safe for concurrent use.
+// attach to a control plane with Bind, then drive Tick. Its owner is the
+// goroutine that steps the room it audits: Tick runs there after the
+// controllers step, and Status, Health and Transitions read between ticks.
 type Auditor struct {
 	cfg Config
 
-	mu    sync.Mutex
 	b     Bindings
 	bound bool
 
@@ -224,7 +223,7 @@ type Auditor struct {
 	// managed racks' allocations, both fixed by Bind.
 	strandedW power.Watts
 
-	// Per-tick scratch, sized at Bind and reused under mu: the UPS view as
+	// Per-tick scratch, sized at Bind and reused every tick: the UPS view as
 	// read this tick (upsAt is the zero time for a UPS without a reading),
 	// the pending recovery per UPS, and the rack view as the probe plans
 	// from it.
@@ -311,8 +310,6 @@ func NewAuditor(cfg Config) *Auditor {
 // Bind attaches the auditor to a control plane. Call once at wiring
 // time, before ticking begins.
 func (a *Auditor) Bind(b Bindings) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.b = b
 	a.bound = true
 	var allocated power.Watts
@@ -338,7 +335,7 @@ func (a *Auditor) Bind(b Bindings) {
 	if b.Clock != nil {
 		now = b.Clock.Now()
 	}
-	a.setHealthLocked(now, StateReady, nil)
+	a.setHealth(now, StateReady, nil)
 }
 
 // Store returns the tsdb store the auditor writes its derived series
@@ -358,10 +355,8 @@ func (a *Auditor) Store() *tsdb.Store { return a.cfg.Store }
 // back, and it does not: the emulators pass the virtual clock's time, which
 // only advances.
 func (a *Auditor) Tick(ctx context.Context, now time.Time) {
-	a.mu.Lock()
 	if !a.bound {
-		a.setHealthLocked(now, StateDegraded, []string{"auditor not bound to a control plane"})
-		a.mu.Unlock()
+		a.setHealth(now, StateDegraded, []string{"auditor not bound to a control plane"})
 		return
 	}
 	a.ticks++
@@ -385,7 +380,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 		}
 	}
 	inactive := controller.InferInactiveSet(b.Topo, upsPower, controller.DefaultInactiveThreshold)
-	pending := a.pendingRecoveryLocked(inactive)
+	pending := a.pendingRecovery(inactive)
 	for u := range b.Topo.UPSes {
 		head := b.Topo.UPSes[u].Capacity - upsPower[u] + pending[u]
 		a.headroom[u].Append(now, float64(head))
@@ -436,7 +431,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 			// explicitly does not cover. Skip without touching the
 			// feasibility series — absence of data, not feasibility.
 		} else {
-			res := a.probeLocked(ctx, now, upsPower)
+			res := a.probe(ctx, now, upsPower)
 			a.probeRounds++
 			a.lastProbeDur = res.elapsed
 			a.lastInfeas = res.infeasible
@@ -498,8 +493,8 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 				ev.Value = 1
 				ev.Detail = "objective failing"
 			}
-			// The assigned seq is filled in after emission (below);
-			// remember the index so recover events can cite it.
+			// The assigned seq is bound after emission (below), so
+			// the recover event can cite it.
 			events = append(events, ev)
 		} else if !tripped && o.breached {
 			o.breached = false
@@ -519,29 +514,20 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	}
 
 	// ---- health ----------------------------------------------------
-	state, reasons := a.evalHealthLocked(episodeOpen)
-	a.setHealthLocked(now, state, reasons)
-	rec := a.cfg.Recorder
-	a.mu.Unlock()
+	state, reasons := a.evalHealth(episodeOpen)
+	a.setHealth(now, state, reasons)
 
-	// Emit outside the mutex (eventcheck), then bind breach seqs back so
-	// the matching recover can cite its breach as Cause.
-	if rec == nil {
-		return
-	}
+	// Emit once the round is settled, binding each breach's seq so the
+	// matching recover can cite it as Cause.
 	for i := range events {
-		seq := rec.Emit(events[i])
+		seq := a.cfg.Recorder.Emit(events[i])
 		if events[i].Type == recorder.TypeSLOBreach {
-			a.mu.Lock()
-			if o, ok := a.byName[events[i].Subject]; ok && o.breached && o.breachSeq == 0 {
-				o.breachSeq = seq
-			}
-			a.mu.Unlock()
+			a.byName[events[i].Subject].breachSeq = seq
 		}
 	}
 }
 
-// pendingRecoveryLocked computes, per UPS, the committed-but-not-yet-
+// pendingRecovery computes, per UPS, the committed-but-not-yet-
 // measured recovery: the racks the record of what is shed holds that were
 // shed after the UPS view's reading was taken, whose recovered watts the
 // reading cannot reflect yet. Each rack's recovery attributes to the
@@ -550,7 +536,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 // to the survivor while its partner is out, exactly as applyRecovery in
 // the planner books it. The result is the auditor's scratch, valid until
 // the next tick.
-func (a *Auditor) pendingRecoveryLocked(inactive power.UPSSet) []power.Watts {
+func (a *Auditor) pendingRecovery(inactive power.UPSSet) []power.Watts {
 	b := a.b
 	out := a.pending
 	clear(out)
@@ -648,8 +634,6 @@ type Probe struct {
 
 // Status snapshots the auditor.
 func (a *Auditor) Status() Status {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	st := Status{
 		BudgetBurn: a.budgetRatio,
 		Probe: Probe{
@@ -659,7 +643,7 @@ func (a *Auditor) Status() Status {
 			Infeasible:         append([]string(nil), a.lastInfeas...),
 			LastLatencySeconds: a.lastProbeDur.Seconds(),
 		},
-		Health: a.healthLocked(),
+		Health: a.Health(),
 		Ticks:  a.ticks,
 	}
 	for _, o := range a.objectives {

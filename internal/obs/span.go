@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Span is one named stage of a trace, with caller-supplied start and end
 // times. obs never reads the wall clock: every timestamp comes from the
@@ -19,10 +16,10 @@ type Span struct {
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // Trace is one recorded pipeline execution (e.g. a controller step's
-// detect→plan→act). Build it from a single goroutine — Join is not
-// synchronized — then Finish or FinishRound commits it to the tracer's
-// ring buffer and it must not be mutated further. A nil *Trace (what a nil
-// *Tracer starts) is a valid no-op receiver.
+// detect→plan→act). Build it on its tracer's owner, then Finish or
+// FinishRound commits it to the tracer's ring buffer and it must not be
+// mutated further. A nil *Trace (what a nil *Tracer starts) is a valid
+// no-op receiver.
 type Trace struct {
 	Seq   uint64    `json:"seq"`
 	Name  string    `json:"name"`
@@ -82,8 +79,6 @@ func (t *Trace) Finish(at time.Time) {
 		return
 	}
 	t.tracer = nil
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if len(tr.ring) < tr.capacity {
 		tr.ring = append(tr.ring, t)
 		return
@@ -93,12 +88,12 @@ func (t *Trace) Finish(at time.Time) {
 }
 
 // Tracer keeps a fixed-size ring buffer of recently finished traces, which
-// the fleet stitches into per-episode waterfalls. All methods are safe for concurrent
-// use; individual traces are built single-goroutine (see Trace).
+// the fleet stitches into per-episode waterfalls. Its owner is the
+// goroutine that steps the room's controllers: it starts, finishes and
+// reads every trace.
 type Tracer struct {
 	capacity int
 
-	mu   sync.Mutex
 	ring []*Trace
 	next int
 	seq  uint64
@@ -119,17 +114,12 @@ func (tr *Tracer) Start(name string, at time.Time) *Trace {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
 	tr.seq++
-	seq := tr.seq
-	tr.mu.Unlock()
-	return &Trace{Seq: seq, Name: name, Start: at, tracer: tr}
+	return &Trace{Seq: tr.seq, Name: name, Start: at, tracer: tr}
 }
 
 // Recent returns copies of the retained traces, newest first.
 func (tr *Tracer) Recent() []Trace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	out := make([]Trace, 0, len(tr.ring))
 	for i := len(tr.ring) - 1; i >= 0; i-- {
 		t := tr.ring[(tr.next+i)%len(tr.ring)]

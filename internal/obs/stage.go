@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Stage identifies one segment of the detect→shed critical path — the
 // latency-attribution taxonomy (DESIGN.md "Latency attribution"). The
@@ -104,14 +101,14 @@ type Exemplar struct {
 // StageMetrics owns the per-stage numbers of the detect→shed critical
 // path: the flex_stage_latency_seconds{stage=...} histograms (children
 // bound at construction) and, beside each, the exact largest observation
-// with the exemplar that set it. Digest is the one reader. A nil
-// *StageMetrics is a valid no-op receiver, matching the registry-optional
-// convention used throughout the controller.
+// with the exemplar that set it. Digest is the one reader. Its owner is
+// its registry's: the goroutine that steps the room's controllers and
+// audits them, so Digest never sees half of a round. A nil *StageMetrics
+// is a valid no-op receiver, matching the registry-optional convention
+// used throughout the controller.
 type StageMetrics struct {
 	hist [NumStages]*Histogram
-
-	mu  sync.Mutex          // held across a round, so Digest never sees half of one
-	max [NumStages]Exemplar // of the largest observation; valid once the stage has a count
+	max  [NumStages]Exemplar // of the largest observation; valid once the stage has a count
 }
 
 // NewStageMetrics registers the stage latency family on r and pre-binds
@@ -122,7 +119,7 @@ func NewStageMetrics(r *Registry) *StageMetrics {
 	if r == nil {
 		return nil
 	}
-	r.stagesOnce.Do(func() {
+	if r.stages == nil {
 		vec := r.HistogramVec("flex_stage_latency_seconds",
 			"Critical-path latency by stage (sample|queue|view|detect|plan|act); stage sums reconcile with detect-to-shed latency.",
 			LatencyBuckets(), "stage")
@@ -130,7 +127,7 @@ func NewStageMetrics(r *Registry) *StageMetrics {
 		for st := range r.stages.hist {
 			r.stages.hist[st] = vec.With(stageNames[st])
 		}
-	})
+	}
 	return r.stages
 }
 
@@ -143,8 +140,6 @@ func (sm *StageMetrics) ObserveRound(b *StageBounds, ex Exemplar) {
 	if sm == nil {
 		return
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	for st := Stage(0); st < NumStages; st++ {
 		sp, ok := b.Span(st)
 		if !ok {
@@ -194,8 +189,6 @@ func (sm *StageMetrics) Digest() (out [NumStages]StageDigest) {
 	if sm == nil {
 		return out
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	for st := range out {
 		d, m := &out[st], &sm.max[st]
 		d.Count, d.Sum = sm.hist[st].Count(), sm.hist[st].Sum()

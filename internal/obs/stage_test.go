@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sync"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -81,56 +81,45 @@ func TestStageDigestSkipsMissingBoundsAndClamps(t *testing.T) {
 	}
 }
 
-// TestStageDigestMaxUnderConcurrentObservers: with many goroutines feeding
-// rounds, count and sum stay exact and the digest's join is the exemplar
-// that rode in on the largest observation — never one torn between two
-// rounds. Run under -race.
-func TestStageDigestMaxUnderConcurrentObservers(t *testing.T) {
+// TestStageDigestMaxUnderInterleavedObservers: with the rounds of many
+// controllers interleaved in a seeded order and the digest read between
+// them, as the auditor reads it between steps, count and sum stay exact and
+// the digest's join is the exemplar that rode in on the largest
+// observation. A registry hands out one StageMetrics, so the histograms and
+// the maxima beside them cannot be fed apart.
+func TestStageDigestMaxUnderInterleavedObservers(t *testing.T) {
 	reg := NewRegistry()
 	sm := NewStageMetrics(reg)
 	if again := NewStageMetrics(reg); again != sm {
 		t.Fatal("a registry handed out two StageMetrics: histograms and maxima could be fed apart")
 	}
 	t0 := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
-	const workers, perWorker = 8, 200
-	var wg sync.WaitGroup
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() { // a reader racing the writers, as the auditor does
-		defer close(stopped)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				for _, d := range sm.Digest() {
-					if d.Count > 0 && uint64(d.Max*1000+0.5) != d.Event {
-						t.Errorf("stage %s: max %vs joined to event %d", d.Stage, d.Max, d.Event)
-						return
-					}
+	const observers, perObserver = 8, 200
+	rng := rand.New(rand.NewSource(1))
+	var done [observers]int
+	for left := observers * perObserver; left > 0; left-- {
+		w := rng.Intn(observers)
+		for done[w] == perObserver {
+			w = (w + 1) % observers
+		}
+		// Every round has a distinct duration in milliseconds, and its
+		// exemplar says which.
+		ms := uint64(1 + w*perObserver + done[w])
+		done[w]++
+		var durs [NumStages]time.Duration
+		for st := range durs {
+			durs[st] = time.Duration(ms) * time.Millisecond
+		}
+		sm.ObserveRound(round(t0, durs), Exemplar{Episode: uint64(w + 1), Trace: ms, Seq: ms})
+		if rng.Intn(4) == 0 {
+			for _, d := range sm.Digest() {
+				if uint64(d.Max*1000+0.5) != d.Event {
+					t.Fatalf("stage %s: max %vs joined to event %d", d.Stage, d.Max, d.Event)
 				}
 			}
 		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				// Every round has a distinct duration in milliseconds,
-				// and its exemplar says which.
-				ms := uint64(1 + w*perWorker + i)
-				var durs [NumStages]time.Duration
-				for st := range durs {
-					durs[st] = time.Duration(ms) * time.Millisecond
-				}
-				sm.ObserveRound(round(t0, durs), Exemplar{Episode: uint64(w + 1), Trace: ms, Seq: ms})
-			}
-		}(w)
 	}
-	wg.Wait()
-	close(stop)
-	<-stopped
-	const n = workers * perWorker
+	const n = observers * perObserver
 	for _, d := range sm.Digest() {
 		if d.Count != n {
 			t.Errorf("stage %s: count %d, want %d", d.Stage, d.Count, n)
@@ -138,8 +127,8 @@ func TestStageDigestMaxUnderConcurrentObservers(t *testing.T) {
 		if want := float64(n) * float64(n+1) / 2 / 1000; d.Sum < want-1e-6 || d.Sum > want+1e-6 {
 			t.Errorf("stage %s: sum %v, want %v", d.Stage, d.Sum, want)
 		}
-		if d.Max != float64(n)/1000 || d.Event != n || d.Trace != n || d.Episode != workers {
-			t.Errorf("stage %s: max %v from episode %d trace %d event %d, want %v from the last worker's last round (%d)",
+		if d.Max != float64(n)/1000 || d.Event != n || d.Trace != n || d.Episode != observers {
+			t.Errorf("stage %s: max %v from episode %d trace %d event %d, want %v from the last observer's last round (%d)",
 				d.Stage, d.Max, d.Episode, d.Trace, d.Event, float64(n)/1000, n)
 		}
 	}

@@ -5,8 +5,7 @@
 // The design mirrors the obs registry's discipline:
 //
 //   - Append is allocation-free (//flex:hotpath): every ring is sized at
-//     series creation, and a sample is one 16-byte slot written under one
-//     short mutex hold.
+//     series creation, and a sample is one 16-byte slot.
 //   - Time never comes from the wall clock. Samples carry caller-supplied
 //     timestamps from the injected clock.Clock, so virtual-clock runs
 //     produce deterministic, replayable series.
@@ -19,10 +18,7 @@
 // minutes — a whole default 24-minute episode.
 package tsdb
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // DefaultRawCapacity is the number of points a series retains when
 // Options.RawCapacity is zero.
@@ -49,11 +45,10 @@ type Options struct {
 	RawCapacity int
 }
 
-// Series is one named time series: a ring of its newest points. Append is
-// safe for concurrent use; a Series is normally obtained once at wiring
-// time via Store.Series and retained, like a registry metric.
+// Series is one named time series: a ring of its newest points. It has its
+// Store's owner; a Series is normally obtained once at wiring time via
+// Store.Series and retained, like a registry metric.
 type Series struct {
-	mu   sync.Mutex
 	ring []slot
 	n    int // live points
 	next int // ring slot the next point lands in
@@ -68,19 +63,16 @@ type Series struct {
 //
 //flex:hotpath
 func (s *Series) Append(t time.Time, v float64) {
-	at := t.UnixNano()
-	s.mu.Lock()
-	s.ring[s.next] = slot{at: at, v: v}
+	s.ring[s.next] = slot{at: t.UnixNano(), v: v}
 	if s.next++; s.next == len(s.ring) {
 		s.next = 0
 	}
 	if s.n < len(s.ring) {
 		s.n++
 	}
-	s.mu.Unlock()
 }
 
-// at is the k-th oldest retained point, k in [0, s.n). Caller holds s.mu.
+// at is the k-th oldest retained point, k in [0, s.n).
 func (s *Series) at(k int) slot {
 	i := s.next - s.n + k
 	if i < 0 {
@@ -93,8 +85,6 @@ func (s *Series) at(k int) slot {
 //
 //flex:keep tests in tsdb, emu and sim read a series' points whole
 func (s *Series) Raw() []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Point, s.n)
 	for k := range out {
 		out[k] = s.at(k).point()
@@ -104,12 +94,12 @@ func (s *Series) Raw() []Point {
 
 // Store holds the named series. Series creation is a cold-path
 // get-or-create (like registry metric registration); hot paths retain the
-// returned *Series.
+// returned *Series. Its owner is the goroutine that steps the room: the
+// sampler and the auditor that write it tick there, and readers read
+// between ticks.
 type Store struct {
 	capacity int
-
-	mu     sync.Mutex
-	byName map[string]*Series
+	byName   map[string]*Series
 }
 
 // NewStore returns an empty store sized by o (zero value = defaults).
@@ -124,8 +114,6 @@ func NewStore(o Options) *Store {
 // use. Keys follow the expvar convention: `name;label=value`, labels in
 // a fixed order chosen by the caller.
 func (st *Store) Series(name string) *Series {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if s, ok := st.byName[name]; ok {
 		return s
 	}

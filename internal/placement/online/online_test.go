@@ -2,6 +2,7 @@ package online
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -346,6 +347,27 @@ func TestResolvePublishesGuidance(t *testing.T) {
 	}
 }
 
+// resolverDeadline bounds each background-resolver test: both finish in
+// seconds, so one still running is deadlocked on the admitter's locks.
+const resolverDeadline = time.Minute
+
+// within runs f and fails t unless it returns within resolverDeadline, so a
+// lock-order regression in the admitter fails the test that hit it instead
+// of stalling go test until its own timeout. A deadlocked f is left behind.
+func within(t *testing.T, f func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(resolverDeadline):
+		t.Fatalf("still running after %v: deadlocked", resolverDeadline)
+	}
+}
+
 // TestBackgroundResolveDoesNotBlockAdmission: with the async resolver
 // running, admissions complete and the final placement stays safe (the
 // race detector guards the pointer-swap protocol).
@@ -353,13 +375,16 @@ func TestBackgroundResolveDoesNotBlockAdmission(t *testing.T) {
 	room := placement.EmulationRoom()
 	trace := emuTrace(t, room, 17)
 	cfg := Config{Seed: 17, ResolveEvery: 4, ResolveNodes: 100, ResolveBudget: time.Second}
-	p, err := Online{Config: cfg}.Place(context.Background(), room, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("unsafe placement with async resolver: %v", err)
-	}
+	within(t, func() error {
+		p, err := Online{Config: cfg}.Place(context.Background(), room, trace)
+		if err != nil {
+			return err
+		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("unsafe placement with async resolver: %w", err)
+		}
+		return nil
+	})
 }
 
 // TestResolveOnceAlongsideBackgroundResolver: ResolveOnce is documented
@@ -374,38 +399,42 @@ func TestResolveOnceAlongsideBackgroundResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	stop := adm.StartResolve(ctx)
-	defer stop()
-	admitted := make(chan struct{})
-	direct := make(chan error, 1)
-	go func() {
-		for {
-			select {
-			case <-admitted:
-				direct <- nil
-				return
-			default:
+	trace := emuTrace(t, room, 19)
+	within(t, func() error {
+		ctx := context.Background()
+		stop := adm.StartResolve(ctx)
+		defer stop()
+		admitted := make(chan struct{})
+		direct := make(chan error, 1)
+		go func() {
+			for {
+				select {
+				case <-admitted:
+					direct <- nil
+					return
+				default:
+				}
+				if err := adm.ResolveOnce(ctx); err != nil {
+					direct <- err
+					return
+				}
 			}
-			if err := adm.ResolveOnce(ctx); err != nil {
-				direct <- err
-				return
+		}()
+		resolves := adm.cfg.Metrics.Resolves
+		for _, d := range trace {
+			// Pace admissions by completed resolves so the background
+			// resolver is triggered throughout, not in one burst.
+			for before := resolves.Value(); resolves.Value() < before+2; {
+				runtime.Gosched()
 			}
+			adm.Admit(d)
 		}
-	}()
-	resolves := adm.cfg.Metrics.Resolves
-	for _, d := range emuTrace(t, room, 19) {
-		// Pace admissions by completed resolves so the background
-		// resolver is triggered throughout, not in one burst.
-		for before := resolves.Value(); resolves.Value() < before+2; {
-			runtime.Gosched()
+		close(admitted)
+		if err := <-direct; err != nil {
+			return fmt.Errorf("ResolveOnce: %w", err)
 		}
-		adm.Admit(d)
-	}
-	close(admitted)
-	if err := <-direct; err != nil {
-		t.Fatalf("ResolveOnce: %v", err)
-	}
+		return nil
+	})
 }
 
 // TestOnlineRowsUnsupported: row-level space modelling cannot run on the
